@@ -46,13 +46,13 @@
 // -cpuprofile/-memprofile write pprof profiles of the run; -benchjson
 // records per-experiment wall-clock and allocation metrics; -benchgate
 // compares the run's allocation metrics against a committed -benchjson
-// baseline and exits non-zero if any shared experiment's alloc_bytes
+// baseline and exits non-zero if any shared experiment's alloc_bytes or allocs
 // regresses by more than 5% (the CI gate — baselines must be produced with
 // the same flags as the gated run):
 //
 //	ncbench -exp fig5b -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //	ncbench -exp all -benchjson BENCH_PR3.json
-//	ncbench -exp fig5b -window 50ms -benchgate BENCH_PR4.json
+//	ncbench -exp fig5b -benchgate BENCH_PR13.json
 //
 // -fault injects a deterministic fault schedule (a preset name or the
 // fault.ParseSpec grammar) into the NFS experiments, replayable via
@@ -103,7 +103,7 @@ func run(args []string) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
 	benchJSON := fs.String("benchjson", "", "write per-experiment wall-clock and allocation metrics as JSON to this file")
-	benchGate := fs.String("benchgate", "", "compare this run's allocation metrics against a baseline -benchjson file; exit non-zero on an alloc_bytes regression above 5%")
+	benchGate := fs.String("benchgate", "", "compare this run's allocation metrics against a baseline -benchjson file; exit non-zero on an alloc_bytes or allocs regression above 5%")
 	speedupGate := fs.String("speedupgate", "", "compare this run's wall_ms against a baseline -benchjson file (matching experiments by name with any -wN suffix stripped); exit non-zero unless baseline/this >= -speedupmin")
 	speedupMin := fs.Float64("speedupmin", 1.5, "minimum wall-clock speedup demanded by -speedupgate")
 	epochMax := fs.Float64("epochmax", 0, "with -speedupgate: also require epochs <= this fraction of the baseline's epochs for experiments where both report them (host-independent; 0 disables)")
@@ -597,9 +597,9 @@ type benchReport struct {
 
 // gateAllocations enforces the allocation-regression gate: every experiment
 // this run shares with the baseline report must stay within 5% of the
-// baseline's alloc_bytes. Wall-clock is reported but never gated (too noisy
-// on shared CI runners); alloc_bytes is deterministic for the
-// single-threaded simulation.
+// baseline's alloc_bytes and of its allocs. Wall-clock is reported but never
+// gated (too noisy on shared CI runners); both allocation counts are
+// deterministic for the single-threaded simulation.
 func gateAllocations(path string, records []benchRecord) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -618,22 +618,27 @@ func gateAllocations(path string, records []benchRecord) error {
 	checked := 0
 	for _, r := range records {
 		b, ok := baseline[r.Name]
-		if !ok || b.AllocBytes == 0 {
+		if !ok || b.AllocBytes == 0 || b.Allocs == 0 {
 			continue
 		}
 		checked++
-		deltaPct := (float64(r.AllocBytes)/float64(b.AllocBytes) - 1) * 100
-		fmt.Printf("benchgate: %-20s alloc_bytes %14d vs baseline %14d (%+.2f%%)\n",
-			r.Name, r.AllocBytes, b.AllocBytes, deltaPct)
-		if deltaPct > tolerancePct {
-			bad = append(bad, fmt.Sprintf("%s %+.2f%%", r.Name, deltaPct))
+		for _, m := range []struct {
+			metric    string
+			got, base uint64
+		}{{"alloc_bytes", r.AllocBytes, b.AllocBytes}, {"allocs", r.Allocs, b.Allocs}} {
+			deltaPct := (float64(m.got)/float64(m.base) - 1) * 100
+			fmt.Printf("benchgate: %-20s %-11s %14d vs baseline %14d (%+.2f%%)\n",
+				r.Name, m.metric, m.got, m.base, deltaPct)
+			if deltaPct > tolerancePct {
+				bad = append(bad, fmt.Sprintf("%s %s %+.2f%%", r.Name, m.metric, deltaPct))
+			}
 		}
 	}
 	if checked == 0 {
 		return fmt.Errorf("benchgate: no experiments in common with %s", path)
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("benchgate: alloc_bytes regressed more than %.0f%%: %s",
+		return fmt.Errorf("benchgate: allocation regressed more than %.0f%%: %s",
 			tolerancePct, strings.Join(bad, ", "))
 	}
 	return nil

@@ -186,8 +186,23 @@ func (c *Cache) evictForRoom() {
 	}
 }
 
+// hit pins a resident, loaded block and books the hit — the per-block work
+// of the read paths' fast and slow paths alike.
+func (c *Cache) hit(b *Block) {
+	b.pins++
+	c.Stats.Hits++
+	c.touch(b)
+}
+
 // Get returns one pinned block, reading through on a miss.
 func (c *Cache) Get(lbn int64, meta bool, done func(*Block, error)) {
+	if b, ok := c.blocks[lbn]; ok && b.loaded {
+		// Resident hit: the pointer is already in the map.
+		c.hit(b)
+		done(b, nil)
+		c.evictForRoom()
+		return
+	}
 	c.GetRange(lbn, 1, meta, func(bs []*Block, err error) {
 		if err != nil {
 			done(nil, err)
@@ -207,6 +222,14 @@ func (c *Cache) GetRange(lbn int64, count int, meta bool, done func([]*Block, er
 		return
 	}
 	out := make([]*Block, count)
+	if c.resident(lbn, out) {
+		for _, b := range out {
+			c.hit(b)
+		}
+		done(out, nil)
+		c.evictForRoom()
+		return
+	}
 	waiting := 0
 	var failed error
 	finishOne := func(err error) {
@@ -233,13 +256,12 @@ func (c *Cache) GetRange(lbn int64, count int, meta bool, done func([]*Block, er
 	for i < count {
 		cur := lbn + int64(i)
 		if b, ok := c.blocks[cur]; ok {
-			b.pins++
 			out[i] = b
 			if b.loaded {
-				c.Stats.Hits++
-				c.touch(b)
+				c.hit(b)
 			} else {
 				// Fill in flight: wait for it.
+				b.pins++
 				idx := i
 				waiting++
 				b.pending = append(b.pending, func(bb *Block, err error) {
@@ -271,6 +293,19 @@ func (c *Cache) GetRange(lbn int64, count int, meta bool, done func([]*Block, er
 	}
 	finishOne(nil) // release the guard
 	c.evictForRoom()
+}
+
+// resident fills out with the blocks starting at lbn and reports whether
+// every one is resident and loaded (nothing is pinned or counted yet).
+func (c *Cache) resident(lbn int64, out []*Block) bool {
+	for i := range out {
+		b, ok := c.blocks[lbn+int64(i)]
+		if !ok || !b.loaded {
+			return false
+		}
+		out[i] = b
+	}
+	return true
 }
 
 // readRun fetches one missing run and fills its resident placeholders.
@@ -379,13 +414,12 @@ func (c *Cache) fillRun(gen uint64, lbn int64, count int, data *netbuf.Chain, do
 // optimization every kernel applies to whole-block writes.
 func (c *Cache) GetForWrite(lbn int64, meta bool, done func(*Block, error)) {
 	if b, ok := c.blocks[lbn]; ok {
-		b.pins++
 		if b.loaded {
-			c.Stats.Hits++
-			c.touch(b)
+			c.hit(b)
 			done(b, nil)
 			return
 		}
+		b.pins++
 		b.pending = append(b.pending, done)
 		return
 	}

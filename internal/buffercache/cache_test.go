@@ -508,3 +508,51 @@ func TestDropInvalidates(t *testing.T) {
 		t.Fatalf("re-read after Drop = %d lower reads, want 1", len(lower.reads))
 	}
 }
+
+// TestCacheGetResidentZeroAllocs gates the resident-hit fast path: returning
+// a block that is already in the map pins it, counts the hit, touches the
+// LRU, calls done and runs eviction — and allocates nothing. A resident
+// range pays only for the slice it returns.
+func TestCacheGetResidentZeroAllocs(t *testing.T) {
+	eng, _, lower, c := rigCache(t, 16)
+	c.GetRange(8, 4, false, func(bs []*Block, err error) {
+		if err != nil {
+			t.Errorf("prefill: %v", err)
+		}
+		for _, b := range bs {
+			c.Unpin(b)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var got *Block
+	one := func(b *Block, err error) { got = b; c.Unpin(b) }
+	if avg := testing.AllocsPerRun(200, func() { c.Get(9, false, one) }); avg != 0 {
+		t.Errorf("resident Get allocates %.0f objects, want 0", avg)
+	}
+	if got == nil || got.LBN != 9 || got.pins != 0 {
+		t.Fatalf("Get returned %+v", got)
+	}
+	n := 0
+	many := func(bs []*Block, err error) {
+		n = len(bs)
+		for _, b := range bs {
+			c.Unpin(b)
+		}
+	}
+	if avg := testing.AllocsPerRun(200, func() { c.GetRange(8, 4, false, many) }); avg > 1 {
+		t.Errorf("resident GetRange allocates %.0f objects, want 1 (the result slice)", avg)
+	}
+	if n != 4 {
+		t.Fatalf("GetRange returned %d blocks", n)
+	}
+	// Same accounting as the slow path: one hit per block per call, LRU
+	// order updated, nothing re-read.
+	if want := uint64(201 + 4*201); c.Stats.Hits != want || c.Stats.Misses != 4 || len(lower.reads) != 1 {
+		t.Fatalf("hits %d (want %d), misses %d, lower reads %d", c.Stats.Hits, want, c.Stats.Misses, len(lower.reads))
+	}
+	if front := c.lru.Front().Value.(*Block); front.LBN != 11 {
+		t.Fatalf("MRU block is %d, want 11 (last touched by the range)", front.LBN)
+	}
+}

@@ -336,14 +336,14 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 		key, ok := lkey.Parse(b.Bytes())
 		if !ok || key.Flags == 0 {
 			addWalked(b.Bytes())
-			out.Append(b)
+			out.Append(b.Retain())
 			continue
 		}
 		m.chargeLookup()
 		e := m.lookup(key)
 		if e == nil {
 			m.Stats.SubstMisses++
-			out.Append(b)
+			out.Append(b.Retain())
 			continue
 		}
 		m.touch(e)
@@ -398,9 +398,11 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 			addWalked(pb.Bytes())
 			out.Append(pb)
 		}
-		b.Release()
 		substituted++
 	}
+	// Pass-through buffers took their own reference above; dropping the
+	// input's releases the substituted junk and retires the chain struct.
+	payload.Release()
 	if substituted > 0 {
 		m.Stats.Substitutions += uint64(substituted)
 		m.Stats.SubstBufs += uint64(clonedBufs)

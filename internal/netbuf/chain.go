@@ -1,6 +1,9 @@
 package netbuf
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Chain is an ordered list of Bufs forming one logical payload — the unit
 // NCache stores and substitutes. A 32 KB NFS read reply is a chain of ~22
@@ -113,6 +116,7 @@ func (c *Chain) Flatten() []byte {
 // logical-copy transmit path. No payload bytes move.
 func (c *Chain) Clone() *Chain {
 	nc := getChain()
+	nc.bufs = slices.Grow(nc.bufs, len(c.bufs))
 	for _, b := range c.bufs {
 		nc.bufs = append(nc.bufs, b.Clone())
 	}
@@ -205,37 +209,52 @@ func (c *Chain) PullChain(n int) (*Chain, error) {
 	}
 	out := NewChain()
 	remaining := n
-	c.compact()
+	i := 0 // buffers consumed from the head: moved to out, or empty and released
 	for remaining > 0 {
-		b := c.bufs[0]
-		if b.Len() <= remaining {
+		b := c.bufs[i]
+		switch {
+		case b.Len() == 0:
+			b.Release()
+			i++
+		case b.Len() <= remaining:
 			out.Append(b)
-			c.bufs[0] = nil
-			c.bufs = c.bufs[1:]
 			remaining -= b.Len()
-		} else {
+			i++
+		default:
+			// b holds more than remaining, so neither window move can fail.
 			cl := b.Clone()
-			if err := cl.Trim(cl.Len() - remaining); err != nil {
-				cl.Release()
-				return nil, err
-			}
+			_ = cl.Trim(cl.Len() - remaining)
 			out.Append(cl)
-			if _, err := b.Pull(remaining); err != nil {
-				return nil, err
-			}
+			_, _ = b.Pull(remaining)
 			remaining = 0
 		}
-		c.compact()
 	}
+	c.dropFront(i)
+	c.compact()
 	return out, nil
 }
 
 // compact releases and removes leading zero-length buffers.
 func (c *Chain) compact() {
-	for len(c.bufs) > 0 && c.bufs[0].Len() == 0 {
-		c.bufs[0].Release()
-		c.bufs = c.bufs[1:]
+	k := 0
+	for k < len(c.bufs) && c.bufs[k].Len() == 0 {
+		c.bufs[k].Release()
+		k++
 	}
+	c.dropFront(k)
+}
+
+// dropFront removes the first k buffers, which the caller has already
+// released or handed off. The tail is copied down and the vacated slots
+// niled — never c.bufs = c.bufs[k:] — so a chain drained from the head keeps
+// its full slice capacity for its next tenant and pins no stale descriptor.
+func (c *Chain) dropFront(k int) {
+	if k == 0 {
+		return
+	}
+	n := copy(c.bufs, c.bufs[k:])
+	clear(c.bufs[n:])
+	c.bufs = c.bufs[:n]
 }
 
 // Equal reports whether two chains carry identical payload bytes

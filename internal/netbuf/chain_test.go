@@ -332,3 +332,97 @@ func TestChecksumPropertySplitInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChainDrainedFromHeadKeepsCapacity covers the head-advance rule: a chain
+// drained by PullHeader / PullChain (which used to re-slice c.bufs from the
+// front, eating capacity and leaving released descriptors in the vacated
+// slots) comes back from the free list with its full slice capacity and no
+// stale pointers.
+func TestChainDrainedFromHeadKeepsCapacity(t *testing.T) {
+	if debugMode {
+		t.Skip("chain structs are not recycled in debug mode")
+	}
+	payload := make([]byte, 22*64)
+	c := ChainFromBytes(payload, 64)
+	full := cap(c.bufs)
+	if _, err := c.PullHeader(64); err != nil { // drains buffer 0 exactly
+		t.Fatal(err)
+	}
+	head, err := c.PullChain(10*64 + 7) // ten whole buffers and a split one
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head.Len() != 10*64+7 || c.Len() != 11*64-7 {
+		t.Fatalf("pulled %d, left %d", head.Len(), c.Len())
+	}
+	if cap(c.bufs) != full {
+		t.Fatalf("capacity %d after head pulls, want the original %d", cap(c.bufs), full)
+	}
+	rest, err := c.PullChain(c.Len()) // to empty
+	if err != nil {
+		t.Fatal(err)
+	}
+	head.Release()
+	rest.Release()
+	c.Release()
+	got := NewChain()
+	if got != c {
+		t.Fatal("free list did not return the drained chain (test needs the same struct)")
+	}
+	if cap(got.bufs) != full {
+		t.Fatalf("recycled chain has capacity %d, want %d", cap(got.bufs), full)
+	}
+	for i, b := range got.bufs[:cap(got.bufs)] {
+		if b != nil {
+			t.Fatalf("slot %d of the recycled chain still pins a descriptor", i)
+		}
+	}
+	got.Release()
+}
+
+// TestChainHandOffAllocFree is the allocation gate for the chain lifecycle:
+// once the free lists are primed, carving a 22-buffer payload (SubChain),
+// framing it (ChainOf + AppendChain), cloning it for the wire and releasing
+// everything allocates nothing — chain structs, descriptor slices and clone
+// descriptors all come back from where the previous round retired them.
+func TestChainHandOffAllocFree(t *testing.T) {
+	if debugMode {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	pool := NewPool("handoff", DefaultHeadroom, DefaultBufSize, 0)
+	cached, err := pool.GetChain(make([]byte, 22*DefaultBufSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Release()
+	round := func() {
+		payload, err := cached.SubChain(0, cached.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := ChainOf(hb)
+		frame.AppendChain(payload)
+		wire := frame.Clone()
+		frame.Release()
+		if _, err := wire.PullHeader(0); err != nil { // compacts the empty header
+			t.Fatal(err)
+		}
+		body, err := wire.PullChain(wire.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.Release()
+		body.Release()
+	}
+	round()
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("steady-state chain hand-off allocates %.0f objects per round, want 0", avg)
+	}
+	if pool.Outstanding() != 22 {
+		t.Fatalf("pool outstanding %d, want the 22 cached buffers", pool.Outstanding())
+	}
+}

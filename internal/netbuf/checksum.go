@@ -1,41 +1,64 @@
 package netbuf
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Internet checksum (RFC 1071) over buffers and chains, with the incremental
 // combination rules NCache relies on: a cached chain's payload checksum is
 // computed once (or inherited from the originator's packets) and folded into
 // each outgoing packet header instead of being recomputed per transmission.
 
 // Partial is an un-folded ones'-complement sum that can be combined
-// incrementally across buffer fragments.
+// incrementally across buffer fragments. The accumulator is 64 bits wide
+// with end-around carry: 2^64-1 is a multiple of 2^16-1, so a sum of
+// big-endian 64-bit words folds to the same 16 bits as the sum of their
+// 16-bit halves, eight bytes per step.
 type Partial struct {
 	sum uint64
 	// odd tracks byte parity so fragments of odd length combine correctly.
 	odd bool
 }
 
+// add64 is ones'-complement addition: the carry out wraps around.
+func add64(a, b uint64) uint64 {
+	s, c := bits.Add64(a, b, 0)
+	return s + c
+}
+
 // AddBytes folds the bytes of p into the running sum.
 func (s *Partial) AddBytes(p []byte) {
-	i := 0
-	if s.odd && len(p) > 0 {
+	if len(p) == 0 {
+		return
+	}
+	sum := s.sum
+	if s.odd {
 		// The previous fragment ended mid-word: this byte is the low
 		// half of the pending 16-bit word.
-		s.sum += uint64(p[0])
-		i = 1
+		sum = add64(sum, uint64(p[0]))
+		p = p[1:]
 		s.odd = false
 	}
-	for ; i+1 < len(p); i += 2 {
-		s.sum += uint64(p[i])<<8 | uint64(p[i+1])
+	var c uint64
+	for len(p) >= 8 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p), c)
+		p = p[8:]
 	}
-	if i < len(p) {
-		s.sum += uint64(p[i]) << 8
-		s.odd = true
+	// The last 0..7 bytes, left-aligned in a word as if zero-padded.
+	var w uint64
+	for i, b := range p {
+		w |= uint64(b) << (56 - 8*i)
 	}
+	sum, c = bits.Add64(sum, w, c)
+	s.sum = add64(sum, c)
+	s.odd = len(p)%2 == 1
 }
 
 // AddUint16 folds a single big-endian word into the sum. It must only be
 // called on an even byte boundary.
 func (s *Partial) AddUint16(v uint16) {
-	s.sum += uint64(v)
+	s.sum = add64(s.sum, uint64(v))
 }
 
 // Fold reduces the running sum to a 16-bit ones'-complement checksum
@@ -83,5 +106,5 @@ func PartialOfChain(c *Chain) Partial {
 // Combine merges two partial sums where b's data followed a's and a ended on
 // an even byte boundary.
 func Combine(a, b Partial) Partial {
-	return Partial{sum: a.sum + b.sum, odd: b.odd}
+	return Partial{sum: add64(a.sum, b.sum), odd: b.odd}
 }

@@ -127,3 +127,89 @@ func TestPartialIncrementalOddBytes(t *testing.T) {
 		}
 	}
 }
+
+// oraclePartial is the two-bytes-per-iteration accumulator AddBytes used
+// before it went eight bytes wide, kept as the differential-test oracle.
+type oraclePartial struct {
+	sum uint64
+	odd bool
+}
+
+func (s *oraclePartial) addBytes(p []byte) {
+	i := 0
+	if s.odd && len(p) > 0 {
+		s.sum += uint64(p[0])
+		i = 1
+		s.odd = false
+	}
+	for ; i+1 < len(p); i += 2 {
+		s.sum += uint64(p[i])<<8 | uint64(p[i+1])
+	}
+	if i < len(p) {
+		s.sum += uint64(p[i]) << 8
+		s.odd = true
+	}
+}
+
+func (s *oraclePartial) fold() uint16 {
+	v := s.sum
+	for v > 0xffff {
+		v = (v >> 16) + (v & 0xffff)
+	}
+	return uint16(v)
+}
+
+// TestAddBytesMatchesTwoByteOracle is the differential test for the wide
+// accumulator: random lengths 0–9000, random fragmentations (so fragments
+// start at odd offsets and on every alignment of the 8-byte loop), Combine of
+// independently summed halves, AddUint16, and the saturating patterns
+// (all-0xff, all-zero) where the end-around carry and the zero
+// representation matter.
+func TestAddBytesMatchesTwoByteOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for iter := 0; iter < 3000; iter++ {
+		p := make([]byte, rng.Intn(9001))
+		switch iter % 10 {
+		case 0:
+			for i := range p {
+				p[i] = 0xff
+			}
+		case 1: // all zero
+		default:
+			rng.Read(p)
+		}
+		var got Partial
+		var want oraclePartial
+		for off := 0; off < len(p); {
+			n := 1 + rng.Intn(len(p)-off)
+			if rng.Intn(4) == 0 {
+				n = 1 + rng.Intn(min(17, len(p)-off))
+			}
+			got.AddBytes(p[off : off+n])
+			want.addBytes(p[off : off+n])
+			off += n
+			if got.Fold() != want.fold() || got.odd != want.odd {
+				t.Fatalf("iter %d, %d of %d bytes: fold %#04x odd %v, oracle %#04x odd %v",
+					iter, off, len(p), got.Fold(), got.odd, want.fold(), want.odd)
+			}
+		}
+		if !got.odd {
+			w := uint16(rng.Intn(1 << 16))
+			got.AddUint16(w)
+			want.sum += uint64(w)
+			if got.Fold() != want.fold() {
+				t.Fatalf("iter %d: AddUint16(%#04x): fold %#04x, oracle %#04x", iter, w, got.Fold(), want.fold())
+			}
+		}
+		// Combine of independently summed halves, cut on an even boundary.
+		cut := rng.Intn(len(p)+1) &^ 1
+		var a, b Partial
+		a.AddBytes(p[:cut])
+		b.AddBytes(p[cut:])
+		var whole oraclePartial
+		whole.addBytes(p)
+		if c := Combine(a, b); c.Fold() != whole.fold() || c.odd != whole.odd {
+			t.Fatalf("iter %d: Combine at %d of %d: fold %#04x, oracle %#04x", iter, cut, len(p), c.Fold(), whole.fold())
+		}
+	}
+}

@@ -3,6 +3,7 @@ package netbuf
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // This file holds the scatter-gather view primitives: ways to read, slice
@@ -77,7 +78,7 @@ func (c *Chain) SubChain(off, n int) (*Chain, error) {
 	out := NewChain()
 	remaining := n
 	pos := 0
-	for _, b := range c.bufs {
+	for i, b := range c.bufs {
 		if remaining == 0 {
 			break
 		}
@@ -93,6 +94,10 @@ func (c *Chain) SubChain(off, n int) (*Chain, error) {
 		take := blen - start
 		if take > remaining {
 			take = remaining
+		}
+		if len(out.bufs) == 0 {
+			// Size the output once: at most the rest of c overlaps.
+			out.bufs = slices.Grow(out.bufs, len(c.bufs)-i)
 		}
 		cl := b.Clone()
 		if start > 0 {
@@ -132,17 +137,27 @@ func (c *Chain) Scatter(src []byte) int {
 	return n
 }
 
-// AppendChain moves every buffer of o to the tail of c, transferring
-// ownership, and leaves o empty. It replaces the per-buffer Append loop at
-// every layer hand-off (no per-buffer slice growth beyond c's own).
+// AppendChain moves every buffer of o to the tail of c and consumes o: a
+// chain whose buffers have been taken is a retired chain, so o's struct goes
+// back to the free list exactly as if released and the caller must not touch
+// it again (in debug mode it is poisoned and a later Release panics). It
+// replaces the per-buffer Append loop at every layer hand-off (no per-buffer
+// slice growth beyond c's own). A nil o is a no-op.
 func (c *Chain) AppendChain(o *Chain) {
-	if o == nil || len(o.bufs) == 0 {
+	if o == nil {
 		return
 	}
-	c.invalidatePartial()
-	c.bufs = append(c.bufs, o.bufs...)
-	o.invalidatePartial()
-	o.bufs = o.bufs[:0]
+	if o.freed {
+		recordChainDoubleFree(o)
+		return
+	}
+	if len(o.bufs) > 0 {
+		c.invalidatePartial()
+		c.bufs = append(c.bufs, o.bufs...)
+		clear(o.bufs)
+		o.bufs = o.bufs[:0]
+	}
+	putChain(o)
 }
 
 // Reader returns a non-consuming io.Reader over the chain's payload. The

@@ -237,14 +237,44 @@ func TestAppendChainMovesOwnership(t *testing.T) {
 	b := ChainFromBytes([]byte("world"), 3)
 	nb := b.NumBufs()
 	a.AppendChain(b)
-	if b.NumBufs() != 0 {
-		t.Fatalf("source chain kept %d bufs", b.NumBufs())
-	}
 	if a.NumBufs() != 2+nb {
 		t.Fatalf("dest has %d bufs", a.NumBufs())
 	}
 	if string(a.Flatten()) != "hello world" {
 		t.Fatalf("payload = %q", a.Flatten())
+	}
+	// A consumed chain is a retired chain: the struct is back on the free
+	// list (poisoned in debug mode), exactly as after Release.
+	if !b.freed {
+		t.Fatal("AppendChain left its argument live")
+	}
+	if !debugMode {
+		if got := NewChain(); got != b {
+			t.Fatal("consumed chain struct did not return to the free list")
+		} else {
+			got.Release()
+		}
+	}
+	a.Release()
+}
+
+// TestAppendChainConsumedTwice checks the retirement rule's failure mode: a
+// second hand-off (or a Release) of a consumed chain is a double free.
+func TestAppendChainConsumedTwice(t *testing.T) {
+	if debugMode {
+		t.Skip("double frees panic in debug mode (covered by the ownership suite)")
+	}
+	ResetGlobalDoubleFrees()
+	defer ResetGlobalDoubleFrees()
+	a, b := NewChain(), ChainFromBytes([]byte("x"), 1)
+	a.AppendChain(b)
+	a.AppendChain(b)
+	b.Release()
+	if got := GlobalDoubleFrees(); got != 2 {
+		t.Fatalf("GlobalDoubleFrees = %d after re-consuming and releasing a consumed chain, want 2", got)
+	}
+	if a.NumBufs() != 1 {
+		t.Fatalf("dest has %d bufs, want 1", a.NumBufs())
 	}
 	a.Release()
 }

@@ -25,6 +25,9 @@ type Stack struct {
 	handlers map[uint8]Handler
 	nextID   uint16
 	reasm    map[flowKey]*reassembly
+	// receiveFn is s.receive bound once, so the per-packet path creates no
+	// func value.
+	receiveFn func(*netbuf.Chain)
 
 	// ReasmErrors counts fragments that could not be reassembled
 	// (out-of-order or inconsistent); the lossless fabric keeps this at
@@ -66,6 +69,7 @@ func NewStack(node *simnet.Node) *Stack {
 		handlers: make(map[uint8]Handler),
 		reasm:    make(map[flowKey]*reassembly),
 	}
+	s.receiveFn = s.receive
 	for _, nic := range node.NICs() {
 		s.AttachNIC(nic)
 	}
@@ -75,12 +79,13 @@ func NewStack(node *simnet.Node) *Stack {
 // AttachNIC registers a NIC added after stack construction.
 func (s *Stack) AttachNIC(nic *simnet.NIC) {
 	s.nics[nic.Addr] = nic
-	nic.SetRxHandler(func(frame *netbuf.Chain) {
-		// Per-packet receive cost: interrupt + driver + demux.
-		s.node.Charge(s.node.Cost.PktRxNs, func() {
-			s.receive(frame)
-		})
-	})
+	nic.SetRxHandler(s.rx)
+}
+
+// rx charges the per-packet receive cost (interrupt + driver + demux), then
+// parses the frame.
+func (s *Stack) rx(frame *netbuf.Chain) {
+	s.node.ChargeFrame(s.node.Cost.PktRxNs, frame, s.receiveFn)
 }
 
 // Node returns the owning node.
@@ -175,11 +180,7 @@ func (s *Stack) sendFragment(nic *simnet.NIC, hdr Header, payload *netbuf.Chain)
 	if err := ehdr.Push(frame); err != nil {
 		return err
 	}
-	s.node.Charge(s.node.Cost.PktTxNs, func() {
-		if err := nic.Send(frame); err != nil {
-			frame.Release()
-		}
-	})
+	nic.ChargeSend(s.node.Cost.PktTxNs, frame)
 	return nil
 }
 

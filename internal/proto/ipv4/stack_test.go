@@ -128,3 +128,42 @@ func TestStackAddrs(t *testing.T) {
 		t.Fatalf("Addrs = %v", addrs)
 	}
 }
+
+// TestStackPacketAllocFree gates the per-packet path through the network
+// layer: an unfragmented datagram — header buffer, Charge on transmit, the
+// wire, Charge on receive, parse, deliver — costs at most the one object the
+// frame's shard crossing allocates (see simnet's TestFrameHopAllocFree); the
+// stack itself adds no closure per packet in either direction.
+func TestStackPacketAllocFree(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, sa, sb := stackPair(t)
+	delivered := 0
+	sb.Register(99, func(_ Header, payload *netbuf.Chain) {
+		delivered += payload.Len()
+		payload.Release()
+	})
+	body := make([]byte, 1024)
+	packet := func() {
+		payload, err := sa.Node().TxPool.GetChain(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sa.Send(1, 2, 99, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		packet()
+	}
+	if avg := testing.AllocsPerRun(200, packet); avg > 1 {
+		t.Fatalf("one datagram allocates %.0f objects end to end, want at most 1", avg)
+	}
+	if delivered != (4+201)*len(body) {
+		t.Fatalf("delivered %d bytes, want %d", delivered, (4+201)*len(body))
+	}
+}

@@ -136,3 +136,40 @@ func BenchmarkEventCancel(b *testing.B) {
 		}
 	}
 }
+
+// TestResourceUseZeroAllocs gates Resource.Use: the pooled completion event
+// settles the queue accounting itself, so a job costs no object beyond the
+// caller's own done — on the plain engine and on a shard alike.
+func TestResourceUseZeroAllocs(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		ctl := NewEngine()
+		eng := ctl
+		if sharded {
+			ctl = NewSharded(Config{Workers: 2, Lookahead: testLookahead})
+			defer ctl.Close()
+			eng = ctl.NewShard("node")
+		}
+		r := NewResource(eng, "cpu")
+		fired := 0
+		done := func() { fired++ }
+		const jobs = 64
+		burst := func() {
+			for i := 0; i < jobs; i++ {
+				r.Use(Duration(i), done)
+			}
+			r.Use(1, nil)
+			if err := ctl.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}
+		burst() // prime the event free list and the heap slice
+		if avg := testing.AllocsPerRun(100, burst); avg != 0 {
+			t.Errorf("sharded=%v: %d Resource.Use jobs allocate %.0f objects, want 0", sharded, jobs+1, avg)
+		}
+		// AllocsPerRun adds one warm-up call of its own.
+		if want := 102 * (jobs + 1); r.Jobs() != uint64(want) || fired != 102*jobs || r.QueueLen() != 0 {
+			t.Errorf("sharded=%v: jobs %d (want %d), done fired %d (want %d), queued %d",
+				sharded, r.Jobs(), want, fired, 102*jobs, r.QueueLen())
+		}
+	}
+}

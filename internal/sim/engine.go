@@ -70,6 +70,10 @@ type event struct {
 	ctx any    // request context captured at scheduling time
 	idx int    // heap index, -1 once popped or canceled
 	gen uint64 // incarnation counter, bumped on every recycle
+	// res, when set, marks the event as a Resource job completion: firing
+	// it settles the resource's queue accounting before fn runs, so
+	// Resource.Use needs no closure of its own.
+	res *Resource
 }
 
 // EventID identifies a scheduled event so it can be canceled. It pins the
@@ -190,7 +194,7 @@ func (e *Engine) Schedule(d Duration, fn func()) EventID {
 // At runs fn at absolute time t. If t is in the past, fn runs at the current
 // time (but never before events already due).
 func (e *Engine) At(t Time, fn func()) EventID {
-	return e.insertAt(t, fn, e.cur)
+	return e.insertAt(t, fn, e.cur, nil)
 }
 
 // Cancel removes a pending event. Canceling an already-fired or canceled
@@ -236,6 +240,7 @@ func (e *Engine) Pending() int {
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.ctx = nil
+	ev.res = nil
 	ev.idx = -1
 	ev.gen++
 	e.free = append(e.free, ev)
@@ -363,17 +368,25 @@ func (e *Engine) step(until Time) (bool, error) {
 		e.recycle(popped)
 		return false, fmt.Errorf("sim: event limit %d exceeded at t=%s", e.limit, e.now)
 	}
-	fn, ctx := popped.fn, popped.ctx
-	// Recycle before running fn: the common schedule-from-an-event pattern
-	// then reuses the same object, and any stale EventID is fenced off by
-	// the generation bump.
-	e.recycle(popped)
+	e.fire(popped)
+	return true, nil
+}
+
+// fire runs a popped event. The object is recycled before fn runs: the
+// common schedule-from-an-event pattern then reuses it, and any stale
+// EventID is fenced off by the generation bump.
+func (e *Engine) fire(ev *event) {
+	fn, ctx, res := ev.fn, ev.ctx, ev.res
+	e.recycle(ev)
+	if res != nil {
+		res.queued--
+		res.jobs++
+	}
 	if fn != nil {
 		e.cur = ctx
 		fn()
 		e.cur = nil
 	}
-	return true, nil
 }
 
 // Run executes events until none remain or Stop is called. On a sharded

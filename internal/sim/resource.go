@@ -60,13 +60,9 @@ func (r *Resource) Use(d Duration, done func()) {
 	if r.queued > r.maxQueue {
 		r.maxQueue = r.queued
 	}
-	r.eng.At(finish, func() {
-		r.queued--
-		r.jobs++
-		if done != nil {
-			done()
-		}
-	})
+	// The completion event settles queued/jobs itself (event.res), so a
+	// job costs no object beyond the caller's own done.
+	r.eng.insertAt(finish, done, r.eng.cur, r)
 }
 
 // Busy returns the cumulative service time granted since the last ResetStats.

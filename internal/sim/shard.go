@@ -394,7 +394,7 @@ func (e *Engine) PostTo(dst *Engine, d Duration, fn func()) {
 		if d < 0 {
 			d = 0
 		}
-		dst.insertAt(dst.now.Add(d), fn, e.cur)
+		dst.insertAt(dst.now.Add(d), fn, e.cur, nil)
 		return
 	}
 	if dst.co != e.co {
@@ -420,8 +420,9 @@ func (e *Engine) PostTo(dst *Engine, d Duration, fn func()) {
 }
 
 // insertAt is At with an explicit context (At captures e.cur; staged
-// admissions must preserve the posting shard's context instead).
-func (e *Engine) insertAt(t Time, fn func(), ctx any) EventID {
+// admissions must preserve the posting shard's context instead) and an
+// optional resource whose job the event completes (see Resource.Use).
+func (e *Engine) insertAt(t Time, fn func(), ctx any, res *Resource) EventID {
 	if t < e.now {
 		t = e.now
 	}
@@ -437,6 +438,7 @@ func (e *Engine) insertAt(t Time, fn func(), ctx any) EventID {
 	ev.seq = e.seq
 	ev.fn = fn
 	ev.ctx = ctx
+	ev.res = res
 	e.seq++
 	e.push(ev)
 	return EventID{ev: ev, gen: ev.gen}
@@ -572,13 +574,7 @@ func (e *Engine) runShard(horizon, bound Time) {
 		popped := e.pop()
 		e.now = popped.at
 		e.processed++
-		fn, ctx := popped.fn, popped.ctx
-		e.recycle(popped)
-		if fn != nil {
-			e.cur = ctx
-			fn()
-			e.cur = nil
-		}
+		e.fire(popped)
 	}
 }
 

@@ -84,6 +84,8 @@ func (nw *Network) AttachAt(node *Node, addr eth.Addr, bw Bandwidth, latency sim
 		tx:              sim.NewResource(node.Eng, fmt.Sprintf("%s.%s.tx", node.Name, addr)),
 		bw:              bw,
 		latency:         latency,
+		txSite:          node.Name + ".tx",
+		rxSite:          node.Name + ".rx",
 	}
 	nic.ring = newRxRing(nic, DefaultRxRingSize)
 	// The downlink serializer lives on the destination node's shard: frames
@@ -149,8 +151,8 @@ func (nw *Network) drop(frame *netbuf.Chain) {
 // The port latency was already paid on the shard crossing (see
 // NIC.launch), so delivery happens straight off the serializer.
 func (nw *Network) arrive(p *port, frame *netbuf.Chain, corrupt bool) {
-	eng := p.nic.node.Eng
-	d := nw.faults.FrameRx(eng, p.nic.node.Name+".rx")
+	node := p.nic.node
+	d := nw.faults.FrameRx(node.Eng, p.nic.rxSite)
 	if d.Drop {
 		nw.faultDropped.Add(1)
 		frame.Release()
@@ -158,20 +160,16 @@ func (nw *Network) arrive(p *port, frame *netbuf.Chain, corrupt bool) {
 	}
 	corrupt = corrupt || d.Corrupt
 	wire := frame.Len() + FrameOverheadBytes
-	p.down.Use(p.bw.serialization(wire), func() {
-		eng.Schedule(d.Delay, func() {
-			p.nic.deliver(frame, corrupt)
-		})
-	})
+	f := node.flight(flightDown, frame)
+	f.port, f.delay, f.corrupt = p, d.Delay, corrupt
+	p.down.Use(p.bw.serialization(wire), f.step)
 	if d.Dup {
 		// Injected duplicate at the downlink: a by-reference copy clocked
 		// after the original.
 		dup := frame.Clone()
 		nw.faultDuped.Add(1)
-		p.down.Use(p.bw.serialization(wire), func() {
-			eng.Schedule(0, func() {
-				p.nic.deliver(dup, corrupt)
-			})
-		})
+		f := node.flight(flightDown, dup)
+		f.port, f.corrupt = p, corrupt
+		p.down.Use(p.bw.serialization(wire), f.step)
 	}
 }

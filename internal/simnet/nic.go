@@ -62,6 +62,9 @@ type NIC struct {
 	filters []TxFilter
 	bw      Bandwidth
 	latency sim.Duration
+	// txSite / rxSite name this NIC's fault-injection sites ("<node>.tx",
+	// "<node>.rx"), built once at attach instead of per frame.
+	txSite, rxSite string
 }
 
 // Ring returns the NIC's registered receive ring.
@@ -106,7 +109,7 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 	if size > n.MTU+eth.HeaderLen {
 		return fmt.Errorf("simnet: frame %d bytes exceeds MTU %d on %s", size, n.MTU, n.Addr)
 	}
-	d := n.net.faults.FrameTx(n.node.Eng, n.node.Name+".tx")
+	d := n.net.faults.FrameTx(n.node.Eng, n.txSite)
 	if d.Drop {
 		n.Stats.FaultDropTx++
 		frame.Release()
@@ -122,7 +125,7 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 	// known before the frame leaves this node's shard.
 	p := n.net.route(n, frame)
 	wire := size + FrameOverheadBytes
-	n.tx.Use(n.bw.serialization(wire), n.launch(p, frame, n.latency+d.Delay, d.Corrupt))
+	n.launch(p, frame, wire, n.latency+d.Delay, d.Corrupt)
 	if d.Dup {
 		// Injected duplicate: an extra copy of the frame, clocked onto the
 		// wire like any other (it shares the payload buffers by reference,
@@ -131,15 +134,16 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 		n.Stats.FaultDupTx++
 		n.Stats.PacketsTx++
 		n.Stats.BytesTx += uint64(size)
-		n.tx.Use(n.bw.serialization(wire), n.launch(p, dup, n.latency, false))
+		n.launch(p, dup, wire, n.latency, false)
 	}
 	return nil
 }
 
-// launch returns the transmit-completion action for one frame copy: cross
-// into the destination node's shard after the uplink AND downlink
-// latencies (plus any injected delay), or — for unroutable frames — pay
-// the same wire time locally and let the switch count the discard.
+// launch clocks one frame copy onto the uplink. When the serializer is done
+// (flight.run, flightTx) the frame crosses into the destination node's shard
+// after the uplink AND downlink latencies (plus any injected delay), or — for
+// unroutable frames — pays the same wire time locally and lets the switch
+// count the discard.
 //
 // Paying the egress port's latency on the sending side is timing-identical
 // to paying it after downlink serialization (every frame into a port pays
@@ -147,16 +151,10 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 // shard pair's signal delay — and therefore the parallel engine's
 // lookahead: a frame from A to B can never land sooner than A's uplink
 // plus B's downlink.
-func (n *NIC) launch(p *port, frame *netbuf.Chain, delay sim.Duration, corrupt bool) func() {
-	return func() {
-		if p == nil {
-			n.node.Eng.Schedule(delay, func() { n.net.drop(frame) })
-			return
-		}
-		n.node.Eng.PostTo(p.nic.node.Eng, delay+p.lat, func() {
-			n.net.arrive(p, frame, corrupt)
-		})
-	}
+func (n *NIC) launch(p *port, frame *netbuf.Chain, wire int, delay sim.Duration, corrupt bool) {
+	f := n.node.flight(flightTx, frame)
+	f.nic, f.port, f.delay, f.corrupt = n, p, delay, corrupt
+	n.tx.Use(n.bw.serialization(wire), f.step)
 }
 
 // deliver hands a frame arriving from the fabric to the receive handler.

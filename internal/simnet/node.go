@@ -41,6 +41,8 @@ type Node struct {
 	Reqs   metrics.Requests
 
 	nics []*NIC
+	// flights is the free list of in-flight frame records (see flight).
+	flights []*flight
 }
 
 // BlockBufSize is the payload capacity of BlkPool buffers, matching the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"ncache/internal/fault"
 	"ncache/internal/netbuf"
 	"ncache/internal/proto/eth"
 	"ncache/internal/sim"
@@ -270,5 +271,100 @@ func TestEthHeaderRoundTrip(t *testing.T) {
 	}
 	if got := eth.Addr(0x0a000001).String(); got != "10.0.0.1" {
 		t.Fatalf("Addr.String = %q", got)
+	}
+}
+
+// TestFrameHopAllocFree is the allocation gate for the per-frame path: one
+// MTU frame from a transmit pool through ChargeSend, the uplink serializer,
+// the switch, the downlink serializer, ring adoption and the receive
+// handler's ChargeFrame costs at most one object in steady state — the
+// closure that carries the frame across the (potential) shard boundary at
+// PostTo. The in-flight records, the Resource jobs, the fault-site names and
+// the buffers all recycle.
+func TestFrameHopAllocFree(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, _, na, nb := testFabric(t)
+	a, b := na.Node(), nb.Node()
+	delivered := 0
+	sink := func(f *netbuf.Chain) { delivered++; f.Release() }
+	nb.SetRxHandler(func(f *netbuf.Chain) { b.ChargeFrame(b.Cost.PktRxNs, f, sink) })
+	payload := make([]byte, netbuf.DefaultBufSize-eth.HeaderLen)
+	hop := func() {
+		buf, err := a.TxPool.GetData(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := netbuf.ChainOf(buf)
+		if err := (eth.Header{Dst: 2, Src: 1, Type: eth.TypeIPv4}).Push(frame); err != nil {
+			t.Fatal(err)
+		}
+		na.ChargeSend(a.Cost.PktTxNs, frame)
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		hop() // prime events, records, chains and both pools' free lists
+	}
+	if avg := testing.AllocsPerRun(200, hop); avg > 1 {
+		t.Fatalf("one frame hop allocates %.0f objects, want at most 1", avg)
+	}
+	if delivered != 4+201 || nb.Stats.PacketsRx != uint64(delivered) {
+		t.Fatalf("delivered %d frames (rx counter %d), want %d", delivered, nb.Stats.PacketsRx, 4+201)
+	}
+	if n := len(a.flights) + len(b.flights); n != 2 {
+		t.Fatalf("%d in-flight records on the free lists after a drained run, want 1 per node", n)
+	}
+	a.TxPool.MustBeDrained()
+	b.RxPool.MustBeDrained()
+}
+
+// TestFaultedFrameTimingWithRecycledRecords pins the fault paths' event
+// timing through the in-flight records: with every frame toward b delayed
+// 1 µs and duplicated at the downlink, and every frame corrupted and
+// duplicated on a's uplink, the survivors land at the same instants round
+// after round — a recycled record must not carry the previous frame's delay
+// into a duplicate. (The delay is shorter than a serialization so originals
+// retire before their duplicates and the free list hands each role the
+// other's record next round.)
+func TestFaultedFrameTimingWithRecycledRecords(t *testing.T) {
+	eng, nw, na, nb := testFabric(t)
+	in := fault.New(eng, 7)
+	in.Add(fault.Schedule{Class: fault.FrameDelay, Target: "b.rx", Rate: 1, Delay: sim.Microsecond})
+	in.Add(fault.Schedule{Class: fault.FrameDup, Target: "b.rx", Rate: 1})
+	in.Add(fault.Schedule{Class: fault.FrameCorrupt, Target: "a.tx", Rate: 1})
+	in.Add(fault.Schedule{Class: fault.FrameDup, Target: "a.tx", Rate: 1})
+	nw.SetFaults(in)
+	in.Arm()
+	var at []sim.Duration
+	var start sim.Time
+	nb.SetRxHandler(func(f *netbuf.Chain) { at = append(at, eng.Now().Sub(start)); f.Release() })
+	payload := make([]byte, 1488) // 1524 wire bytes: 12.192 µs per serializer
+	const ser, lat = 12192, 5000
+	// The original is corrupt (discarded at delivery); its uplink duplicate
+	// is clean. Both are duplicated again at the downlink, so four copies
+	// queue on the downlink serializer: corrupt, its dup, clean, its dup.
+	// Downlink originals wait out the 1 µs delay, duplicates do not.
+	want := []sim.Duration{
+		4*ser + 2*lat + 1000, // clean copy, delayed
+		5*ser + 2*lat,        // its downlink duplicate
+	}
+	for round := 0; round < 3; round++ {
+		at, start = at[:0], eng.Now()
+		if err := na.Send(frameTo(t, 2, 1, payload)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(at) != len(want) || at[0] != want[0] || at[1] != want[1] {
+			t.Fatalf("round %d: deliveries at %v, want %v", round, at, want)
+		}
+	}
+	if nb.Stats.FaultCorruptRx != 6 || nw.FaultDuped() != 6 || na.Stats.FaultDupTx != 3 {
+		t.Fatalf("corrupt rx %d, downlink dups %d, uplink dups %d; want 6, 6, 3",
+			nb.Stats.FaultCorruptRx, nw.FaultDuped(), na.Stats.FaultDupTx)
 	}
 }
