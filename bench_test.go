@@ -1,358 +1,47 @@
 package ncache_test
 
-// One benchmark per table and figure of the paper's evaluation (§5), plus
-// ablations of the design decisions DESIGN.md calls out. Each benchmark
-// runs the full simulated experiment (deterministic, virtual-time) and
-// reports the paper's headline quantities as custom metrics. Run with:
+// One benchmark per registered experiment: every table and figure of the
+// paper's evaluation (§5), the ablations of the design decisions DESIGN.md
+// calls out, and the post-paper extensions. Each runs the full simulated
+// experiment (deterministic, virtual-time) and reports its headline
+// quantities — the same record `ncbench -benchjson` writes — as custom
+// metrics. Run with:
 //
 //	go test -bench=. -benchmem
+//	go test -bench=Experiments/fig5b
 //
-// cmd/ncbench runs the same experiments with longer windows and prints the
-// full tables.
+// cmd/ncbench runs the same registry with longer windows.
 
 import (
 	"fmt"
 	"testing"
 
 	"ncache/internal/bench"
-	"ncache/internal/passthru"
 	"ncache/internal/sim"
 )
 
-// benchOpts keeps the testing.B variants quick; ncbench uses longer windows.
-func benchOpts() bench.Options {
-	return bench.Options{
+func BenchmarkExperiments(b *testing.B) {
+	// Quick settings for the testing.B variants; ncbench uses longer windows.
+	opt := bench.Options{
 		Warmup:      50 * sim.Millisecond,
 		Window:      200 * sim.Millisecond,
 		Concurrency: 8,
 		Scale:       8,
 	}
-}
-
-// gainAt returns the NCache-vs-Original throughput gain (%) at a request
-// size.
-func gainAt(points []bench.NFSPoint, mode passthru.Mode, reqKB int) float64 {
-	var base, v float64
-	for _, p := range points {
-		if p.ReqKB != reqKB {
-			continue
-		}
-		switch p.Mode {
-		case passthru.Original:
-			base = p.ThroughputMBs
-		case mode:
-			v = p.ThroughputMBs
-		}
-	}
-	if base <= 0 {
-		return 0
-	}
-	return (v/base - 1) * 100
-}
-
-func BenchmarkTable1Report(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := bench.Table1()
-		if len(rows) != 4 {
-			b.Fatalf("table1 rows = %d", len(rows))
-		}
-	}
-	fmt.Print(bench.FormatTable1(bench.Table1()))
-}
-
-func BenchmarkTable2CopyCounts(b *testing.B) {
-	var rows []bench.Table2Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Copies != r.Want {
-			b.Fatalf("Table 2 mismatch: %s %s = %d, paper %d", r.Server, r.Path, r.Copies, r.Want)
-		}
-	}
-	fmt.Print(bench.FormatTable2(rows))
-}
-
-func BenchmarkFig4AllMiss(b *testing.B) {
-	var pts []bench.NFSPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = bench.RunFig4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(gainAt(pts, passthru.NCache, 32), "ncache_gain_%@32KB")
-	b.ReportMetric(gainAt(pts, passthru.NCache, 16), "ncache_gain_%@16KB")
-	fmt.Print(bench.FormatNFSPoints("Figure 4: all-miss", pts))
-}
-
-func BenchmarkFig5aAllHitOneNIC(b *testing.B) {
-	var pts []bench.NFSPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = bench.RunFig5a(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// The paper's quantity here is CPU savings at fixed (link-bound)
-	// throughput.
-	var origCPU, ncCPU float64
-	for _, p := range pts {
-		if p.ReqKB == 32 {
-			switch p.Mode {
-			case passthru.Original:
-				origCPU = p.ServerCPU
-			case passthru.NCache:
-				ncCPU = p.ServerCPU
+	for _, e := range bench.Experiments {
+		e := e
+		b.Run(e.Name, func(b *testing.B) {
+			var res bench.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = e.Run(opt); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	}
-	b.ReportMetric((origCPU-ncCPU)*100, "cpu_saving_pts@32KB")
-	fmt.Print(bench.FormatNFSPoints("Figure 5(a): all-hit, one NIC", pts))
-}
-
-func BenchmarkFig5bAllHitTwoNIC(b *testing.B) {
-	var pts []bench.NFSPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = bench.RunFig5b(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(gainAt(pts, passthru.NCache, 32), "ncache_gain_%@32KB")
-	b.ReportMetric(gainAt(pts, passthru.Baseline, 16), "baseline_gain_%@16KB")
-	fmt.Print(bench.FormatNFSPoints("Figure 5(b): all-hit, two NICs", pts))
-}
-
-func BenchmarkFig6aWebMacro(b *testing.B) {
-	var pts []bench.WebPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = bench.RunFig6a(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var base, nc float64
-	for _, p := range pts {
-		if p.ParamKB == 500 {
-			switch p.Mode {
-			case passthru.Original:
-				base = p.ThroughputMBs
-			case passthru.NCache:
-				nc = p.ThroughputMBs
+			for name, v := range res.Headline {
+				b.ReportMetric(v, name)
 			}
-		}
+			fmt.Print(res.Text)
+		})
 	}
-	if base > 0 {
-		b.ReportMetric((nc/base-1)*100, "ncache_gain_%@500MB")
-	}
-	fmt.Print(bench.FormatWebPoints("Figure 6(a): web macro", "wsMB", pts))
-}
-
-func BenchmarkFig6bWebRequestSize(b *testing.B) {
-	var pts []bench.WebPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = bench.RunFig6b(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var base, nc float64
-	for _, p := range pts {
-		if p.ParamKB == 128 {
-			switch p.Mode {
-			case passthru.Original:
-				base = p.ThroughputMBs
-			case passthru.NCache:
-				nc = p.ThroughputMBs
-			}
-		}
-	}
-	if base > 0 {
-		b.ReportMetric((nc/base-1)*100, "ncache_gain_%@128KB")
-	}
-	fmt.Print(bench.FormatWebPoints("Figure 6(b): web all-hit", "reqKB", pts))
-}
-
-func BenchmarkFig7SFS(b *testing.B) {
-	var pts []bench.SFSPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = bench.RunFig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var base30, nc30, base75, nc75 float64
-	for _, p := range pts {
-		switch {
-		case p.RegularDataPct == 30 && p.Mode == passthru.Original:
-			base30 = p.OpsPerSec
-		case p.RegularDataPct == 30 && p.Mode == passthru.NCache:
-			nc30 = p.OpsPerSec
-		case p.RegularDataPct == 75 && p.Mode == passthru.Original:
-			base75 = p.OpsPerSec
-		case p.RegularDataPct == 75 && p.Mode == passthru.NCache:
-			nc75 = p.OpsPerSec
-		}
-	}
-	if base30 > 0 {
-		b.ReportMetric((nc30/base30-1)*100, "ncache_gain_%@30%data")
-	}
-	if base75 > 0 {
-		b.ReportMetric((nc75/base75-1)*100, "ncache_gain_%@75%data")
-	}
-	fmt.Print(bench.FormatSFSPoints(pts))
-}
-
-// BenchmarkFutureWorkWireFormat evaluates §6's proposal — network-ready
-// disk-resident data at the storage target — on the all-miss workload.
-func BenchmarkFutureWorkWireFormat(b *testing.B) {
-	var pts []bench.WireFormatPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = bench.RunFutureWorkWireFormat(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var classic, wf float64
-	for _, p := range pts {
-		if p.Mode == passthru.NCache {
-			if p.WireFormat {
-				wf = p.ThroughputMBs
-			} else {
-				classic = p.ThroughputMBs
-			}
-		}
-	}
-	if classic > 0 {
-		b.ReportMetric((wf/classic-1)*100, "ncache_gain_%_wireformat")
-	}
-	fmt.Print(bench.FormatWireFormatPoints(pts))
-}
-
-// BenchmarkTransportComparison runs the same NFS service over UDP and
-// record-marked TCP — isolating the per-packet overhead the paper blames
-// for kHTTPd's smaller gains (§5.5).
-func BenchmarkTransportComparison(b *testing.B) {
-	var pts []bench.TransportPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = bench.RunTransportComparison(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range pts {
-		if p.Mode == passthru.NCache {
-			b.ReportMetric(p.ThroughputMBs, "ncache_MBs_"+p.Transport)
-		}
-	}
-	fmt.Print(bench.FormatTransportPoints(pts))
-}
-
-// BenchmarkOverheadBreakdown attributes the NCache-vs-baseline CPU gap to
-// the module's mechanisms (the paper's §5.5/TR-177 breakdown).
-func BenchmarkOverheadBreakdown(b *testing.B) {
-	var rep bench.OverheadReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = bench.RunOverheadBreakdown(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric((rep.NCacheCPUPerOpNs-rep.BaselineCPUPerOpNs)/1000, "overhead_us/op")
-	b.ReportMetric(rep.AccountedPct, "accounted_%")
-	if rep.AccountedPct < 70 || rep.AccountedPct > 130 {
-		b.Fatalf("component model accounts for %.1f%% of the gap — accounting broken", rep.AccountedPct)
-	}
-	fmt.Print(bench.FormatOverhead(rep))
-}
-
-// BenchmarkAblationRemap disables FHO→LBN remapping: flushed write data is
-// dropped from the network-centric cache instead of being re-indexed, so
-// subsequent reads of flushed blocks miss and go back to storage.
-func BenchmarkAblationRemap(b *testing.B) {
-	var with, without bench.AblationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		with, without, err = bench.RunAblationRemap(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(with.OpsPerSec, "ops/s_remap_on")
-	b.ReportMetric(without.OpsPerSec, "ops/s_remap_off")
-	fmt.Printf("Ablation remap: on=%.0f ops/s (remaps=%d, L2 hits=%d)  off=%.0f ops/s (remaps=%d, L2 hits=%d)\n",
-		with.OpsPerSec, with.Remaps, with.L2Hits, without.OpsPerSec, without.Remaps, without.L2Hits)
-}
-
-// BenchmarkAblationCopyCost sweeps the per-byte memcpy cost: the NCache gain
-// must scale with how expensive copies are — the mechanism behind every
-// result in the paper.
-func BenchmarkAblationCopyCost(b *testing.B) {
-	var rows []bench.CopyCostRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.RunAblationCopyCost(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		fmt.Printf("Ablation copy cost %.1f ns/B: original=%.1f MB/s ncache=%.1f MB/s gain=%+.1f%%\n",
-			r.NsPerByte, r.OriginalMBs, r.NCacheMBs, r.GainPct)
-	}
-	if len(rows) >= 2 {
-		b.ReportMetric(rows[len(rows)-1].GainPct-rows[0].GainPct, "gain_spread_pts")
-	}
-}
-
-// BenchmarkAblationCacheSplit sweeps how the fixed memory budget is divided
-// between the FS buffer cache and NCache (the double-buffering control of
-// §3.4/§4.1).
-func BenchmarkAblationCacheSplit(b *testing.B) {
-	var rows []bench.CacheSplitRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.RunAblationCacheSplit(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		fmt.Printf("Ablation cache split fs=%dMB: %.1f MB/s (fs hit %.1f%%, L2 hits %d)\n",
-			r.FSCacheMB, r.ThroughputMBs, r.FSHitPct, r.L2Hits)
-	}
-}
-
-// BenchmarkAblationChecksumOffload turns NIC checksum offload off, making
-// every transmitted payload byte cost CPU for software checksumming —
-// except NCache's substituted replies, whose checksums are inherited from
-// per-entry partials captured at receive time (§1). NCache's relative gain
-// therefore grows when offload is unavailable.
-func BenchmarkAblationChecksumOffload(b *testing.B) {
-	var on, off bench.AblationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		on, off, err = bench.RunAblationChecksum(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(on.GainPct, "ncache_gain_%_offload_on")
-	b.ReportMetric(off.GainPct, "ncache_gain_%_offload_off")
-	fmt.Printf("Ablation checksum offload: on → ncache %+.1f%%; off → ncache %+.1f%%\n",
-		on.GainPct, off.GainPct)
 }

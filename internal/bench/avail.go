@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"ncache/internal/extfs"
 	"ncache/internal/metrics"
-	"ncache/internal/nfs"
 	"ncache/internal/passthru"
 	"ncache/internal/sim"
 	"ncache/internal/storage"
@@ -119,67 +117,38 @@ func opP99Us(s *trace.Summary, op string) float64 {
 // [availBuckets/6, availBuckets/2).
 const availBuckets = 24
 
-// RunAvail measures availability through an arm failure on a two-arm
-// mirrored target: a mixed read/write load runs continuously while the
-// second arm's disks hard-fail for a third of the window — the breaker
-// ejects the arm, the survivor keeps serving, and when the errors stop the
-// half-open probe readmits the arm through a dirty-region resync. The
-// timeline is sampled in buckets; a NetCAS-style policy comparison under a
-// slow (not failing) arm follows.
-func RunAvail(opt Options) (AvailReport, error) {
-	opt = opt.withDefaults()
+// avail measures availability through an arm failure on a two-arm mirrored
+// target: a mixed read/write load runs continuously while the second arm's
+// disks hard-fail for a third of the window — the breaker ejects the arm,
+// the survivor keeps serving, and when the errors stop the half-open probe
+// readmits the arm through a dirty-region resync. The timeline is sampled
+// in buckets; a NetCAS-style policy comparison under a slow (not failing)
+// arm follows.
+func avail(h *harness) (AvailReport, error) {
+	opt := h.opt
 	fileBlocks := int64(96*1024) / int64(opt.Scale)
-	cs := clusterSpec{
-		mode:          passthru.NCache,
-		nics:          1,
-		clients:       2,
-		blocksPerDisk: fileBlocks/4 + 8192,
-		fsCacheBlocks: 8192,
-		ncacheBytes:   64 << 20,
-		workers:       opt.Workers,
-		arms:          2,
+	cl, reads, err := h.missRig(passthru.ClusterConfig{
+		Mode: passthru.NCache,
+		Arms: 2,
 		// The async write-back pipeline streams dirty blocks to the mirror
 		// continuously — that lower-write traffic is what the breaker sees
 		// failing during the arm outage.
-		writeback: passthru.WritebackConfig{Enabled: true},
-	}
-	var spec extfs.FileSpec
-	cl, err := cs.build(func(f *extfs.Formatter) error {
-		var err error
-		spec, err = f.AddFile("bigfile", uint64(fileBlocks)*extfs.BlockSize, nil)
-		return err
-	})
+		Writeback: passthru.WritebackConfig{Enabled: true},
+	}, fileBlocks, 16, nil)
 	if err != nil {
 		return AvailReport{}, err
-	}
-	defer cl.Close()
-	fh, err := lookupFH(cl, 0, "bigfile")
-	if err != nil {
-		return AvailReport{}, err
-	}
-	clients := make([]*nfs.Client, 0, len(cl.Clients))
-	for _, h := range cl.Clients {
-		clients = append(clients, h.NFS)
 	}
 	tr := trace.NewTracer(cl.Eng, "fig-avail")
-	reads := &workload.NFSReadLoad{
-		Clients:     clients,
-		FH:          fh,
-		FileSize:    spec.Size,
-		RequestSize: 16 * 1024,
-		Pattern:     workload.Sequential,
-		Concurrency: opt.Concurrency,
-		Tracer:      tr,
-	}
+	reads.Tracer = tr
 	wc := opt.Concurrency / 4
 	if wc == 0 {
 		wc = 1
 	}
 	writes := &workload.NFSWriteLoad{
-		Clients:     clients,
-		FH:          fh,
-		FileSize:    spec.Size,
-		RequestSize: 16 * 1024,
+		Clients:     reads.Clients,
+		FH:          reads.FH,
+		FileSize:    reads.FileSize,
+		RequestSize: reads.RequestSize,
 		Concurrency: wc,
 		Tracer:      tr,
 	}
@@ -260,8 +229,9 @@ func RunAvail(opt Options) (AvailReport, error) {
 	// Policy comparison: same mirror, primary arm slowed (2 ms per disk
 	// I/O) instead of failed — the regime where selection policy, not the
 	// breaker, decides service quality.
+	h.opt.Latency = true // the policy table reports read p99
 	for _, pol := range AvailPolicies {
-		p, err := runAvailPolicyPoint(opt, pol)
+		p, err := availPolicyPoint(h, fileBlocks, pol)
 		if err != nil {
 			return AvailReport{}, fmt.Errorf("fig-avail policy %s: %w", pol, err)
 		}
@@ -292,51 +262,20 @@ func phaseOps(buckets []AvailBucket, from, to int) float64 {
 	return sum / float64(to-from)
 }
 
-// runAvailPolicyPoint measures an all-miss read point on a two-arm mirror
+// availPolicyPoint measures an all-miss read point on a two-arm mirror
 // whose primary arm's disks carry a 2 ms injected latency.
-func runAvailPolicyPoint(opt Options, policy string) (AvailPolicyPoint, error) {
-	opt.Latency = true
-	fileBlocks := int64(96*1024) / int64(opt.Scale)
-	cs := clusterSpec{
-		mode:          passthru.NCache,
-		nics:          1,
-		clients:       2,
-		blocksPerDisk: fileBlocks/4 + 8192,
-		fsCacheBlocks: 8192,
-		ncacheBytes:   64 << 20,
-		workers:       opt.Workers,
-		arms:          2,
-		armPolicy:     policy,
-		faultSpec:     "slowdisk:disk*:rate=1:delay=2ms",
-		faultSeed:     opt.FaultSeed,
-	}
-	var spec extfs.FileSpec
-	cl, err := cs.build(func(f *extfs.Formatter) error {
-		var err error
-		spec, err = f.AddFile("bigfile", uint64(fileBlocks)*extfs.BlockSize, nil)
-		return err
-	})
+func availPolicyPoint(h *harness, fileBlocks int64, policy string) (AvailPolicyPoint, error) {
+	cl, load, err := h.missRig(passthru.ClusterConfig{
+		Mode:      passthru.NCache,
+		Arms:      2,
+		ArmPolicy: policy,
+		FaultSpec: "slowdisk:disk*:rate=1:delay=2ms",
+		FaultSeed: h.opt.FaultSeed,
+	}, fileBlocks, 16, nil)
 	if err != nil {
 		return AvailPolicyPoint{}, err
 	}
-	defer cl.Close()
-	fh, err := lookupFH(cl, 0, "bigfile")
-	if err != nil {
-		return AvailPolicyPoint{}, err
-	}
-	clients := make([]*nfs.Client, 0, len(cl.Clients))
-	for _, h := range cl.Clients {
-		clients = append(clients, h.NFS)
-	}
-	load := &workload.NFSReadLoad{
-		Clients:     clients,
-		FH:          fh,
-		FileSize:    spec.Size,
-		RequestSize: 16 * 1024,
-		Pattern:     workload.Sequential,
-		Concurrency: opt.Concurrency,
-	}
-	np, err := runNFSLoad(cl, load, opt, 16)
+	np, err := h.nfsPoint(cl, load)
 	if err != nil {
 		return AvailPolicyPoint{}, err
 	}

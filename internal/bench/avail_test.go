@@ -13,10 +13,7 @@ import (
 func TestAvailSmoke(t *testing.T) {
 	opt := quickOpts()
 	opt.FaultSeed = testFaultSeed(t)
-	rep, err := RunAvail(opt)
-	if err != nil {
-		t.Fatalf("RunAvail: %v", err)
-	}
+	rep := points[AvailReport](t, "fig-avail", opt)
 	if rep.TotalErrors != 0 {
 		t.Fatalf("client errors escaped the mirror: %d", rep.TotalErrors)
 	}
@@ -52,15 +49,4 @@ func TestAvailSmoke(t *testing.T) {
 			t.Fatalf("FormatAvail missing %q:\n%s", want, out)
 		}
 	}
-}
-
-// TestParallelReplayAvail: the availability timeline — breaker transitions,
-// probe scheduling, dirty-region resync and the policy comparison — replays
-// bit-identically for any worker count.
-func TestParallelReplayAvail(t *testing.T) {
-	opt := parOpts()
-	opt.FaultSeed = testFaultSeed(t)
-	runParallelSweep(t, "fig-avail", opt, func(o Options) (interface{}, error) {
-		return RunAvail(o)
-	})
 }

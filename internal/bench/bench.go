@@ -1,20 +1,20 @@
-// Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (§5), each building a fresh simulated testbed,
-// laying down its file set, driving the paper's workload through warm-up
-// and a steady-state measurement window, and reporting the same quantities
-// the paper plots.
+// Package bench is the experiment harness: a registry (registry.go) of one
+// runner per table and figure of the paper's evaluation (§5) and per
+// extension, each building fresh simulated testbeds through one harness
+// (build), driving the paper's workload through one measurement loop
+// (measure: warm-up, then a steady-state window), and reporting the same
+// quantities the paper plots as a Result.
 package bench
 
 import (
 	"fmt"
+	"math"
 
-	"ncache/internal/blockdev"
 	"ncache/internal/extfs"
 	"ncache/internal/fault"
 	"ncache/internal/nfs"
 	"ncache/internal/passthru"
 	"ncache/internal/sim"
-	"ncache/internal/simnet"
 	"ncache/internal/trace"
 	"ncache/internal/workload"
 )
@@ -39,8 +39,10 @@ type Options struct {
 	// combined chrome://tracing export. Implies Latency-style tracing.
 	Chrome *trace.ChromeTrace
 	// FaultSpec injects a deterministic fault schedule (fault.ParseSpec
-	// grammar or a preset name) into every cluster the experiment builds;
-	// FaultSeed selects the replayable streams (zero means seed 1).
+	// grammar or a preset name) into every cluster of the NFS experiments
+	// (fig4, fig5a/b, transport, scaleout; fig-fault, fig-fault-sweep and
+	// fig-avail install their own); FaultSeed selects the replayable
+	// streams (zero means seed 1).
 	FaultSpec string
 	FaultSeed uint64
 	// Workers runs every cluster on the parallel discrete-event engine with
@@ -133,79 +135,57 @@ func synthContent(lbn int64, dst []byte) {
 	}
 }
 
-// buildCluster assembles a testbed with the given file layout.
-type clusterSpec struct {
-	mode passthru.Mode
-	nics int
-	// servers/targets grow the testbed into the scale-out cluster
-	// (0 = the classic 1×1 testbed).
-	servers       int
-	targets       int
-	rangeBlocks   int64
-	clients       int
-	blocksPerDisk int64
-	fsCacheBlocks int
-	ncacheBytes   int64
-	disableRemap  bool
-	web           bool
-	// cost overrides the default calibration (ablations).
-	cost simnet.CostProfile
-	// faultSpec/faultSeed wire a disarmed injector into the testbed.
-	faultSpec string
-	faultSeed uint64
-	// workers selects the parallel engine (see Options.Workers).
-	workers int
-	// arms replicates every target across mirror arms; armPolicy picks the
-	// read arm (fig-avail).
-	arms      int
-	armPolicy string
-	// writeback enables the asynchronous write-back pipeline on every
-	// front-end server (fig-writeback).
-	writeback passthru.WritebackConfig
-	// clientLinkLatency slows the client access links below the fabric
-	// floor (0 = fabric latency). On the parallel engine a longer client
-	// link is free lookahead: client shards synchronize less often.
-	clientLinkLatency sim.Duration
-	// controlLinkLatency does the same for the control-plane node's link.
-	controlLinkLatency sim.Duration
+// sweep measures one point per (mode, parameter), modes outermost — the
+// shape of every paper figure.
+func sweep[P any](what string, params []int, point func(passthru.Mode, int) (P, error)) ([]P, error) {
+	var out []P
+	for _, mode := range Modes {
+		for _, v := range params {
+			p, err := point(mode, v)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s %d: %w", what, mode, v, err)
+			}
+			out = append(out, p)
+		}
+	}
+	return out, nil
 }
 
-// build creates, formats and starts the cluster; layout adds files.
-func (cs clusterSpec) build(layout func(*extfs.Formatter) error) (*passthru.Cluster, error) {
-	cl, err := passthru.NewCluster(passthru.ClusterConfig{
-		Mode:               cs.mode,
-		ServerNICs:         cs.nics,
-		NumServers:         cs.servers,
-		NumTargets:         cs.targets,
-		RangeBlocks:        cs.rangeBlocks,
-		NumClients:         cs.clients,
-		BlocksPerDisk:      cs.blocksPerDisk,
-		FSCacheBlocks:      cs.fsCacheBlocks,
-		NCacheBytes:        cs.ncacheBytes,
-		DisableRemap:       cs.disableRemap,
-		EnableWeb:          cs.web,
-		Cost:               cs.cost,
-		FaultSpec:          cs.faultSpec,
-		FaultSeed:          cs.faultSeed,
-		Workers:            cs.workers,
-		Arms:               cs.arms,
-		ArmPolicy:          cs.armPolicy,
-		ClientLinkLatency:  cs.clientLinkLatency,
-		ControlLinkLatency: cs.controlLinkLatency,
-		Writeback:          cs.writeback,
-	})
+// harness is one experiment run: the options with defaults applied, the
+// cluster currently alive (experiments measure one testbed at a time, so
+// building the next retires the previous), and the engine statistics summed
+// over every cluster the run built.
+type harness struct {
+	opt   Options // defaults applied
+	cl    *passthru.Cluster
+	stats sim.RunStats
+	// preStart is a test hook: it sees every cluster between assembly and
+	// bring-up, the only point where the lookahead matrix is still open.
+	preStart func(*passthru.Cluster)
+}
+
+func newHarness(opt Options) *harness { return &harness{opt: opt.withDefaults()} }
+
+// build retires the previous cluster, then creates, formats and starts the
+// next on the engine Options.Workers selects; layout adds files.
+func (h *harness) build(cfg passthru.ClusterConfig, layout func(*extfs.Formatter) error) (*passthru.Cluster, error) {
+	h.retire()
+	cfg.Workers = h.opt.Workers
+	cl, err := passthru.NewCluster(cfg)
 	if err != nil {
 		return nil, err
+	}
+	h.cl = cl
+	if h.preStart != nil {
+		h.preStart(cl)
 	}
 	cl.SetSynthesize(synthContent)
 	fmtr, err := extfs.Format(cl.DirectAccess(), 8192)
 	if err != nil {
 		return nil, err
 	}
-	if layout != nil {
-		if err := layout(fmtr); err != nil {
-			return nil, err
-		}
+	if err := layout(fmtr); err != nil {
+		return nil, err
 	}
 	if err := fmtr.Flush(); err != nil {
 		return nil, err
@@ -214,6 +194,29 @@ func (cs clusterSpec) build(layout func(*extfs.Formatter) error) (*passthru.Clus
 		return nil, err
 	}
 	return cl, nil
+}
+
+// retire folds the live cluster's engine statistics into the run's tally
+// and releases its worker pool.
+func (h *harness) retire() {
+	if h.cl == nil {
+		return
+	}
+	st := h.cl.Eng.RunStats()
+	h.stats.Epochs += st.Epochs
+	h.stats.Events += st.Events
+	h.stats.StagedAdmits += st.StagedAdmits
+	h.stats.ExclusiveRuns += st.ExclusiveRuns
+	h.stats.Wakes += st.Wakes
+	h.stats.BarrierNs += st.BarrierNs
+	h.cl.Close()
+	h.cl = nil
+}
+
+// withFaults wires the run's fault schedule into a cluster config.
+func (h *harness) withFaults(cfg passthru.ClusterConfig) passthru.ClusterConfig {
+	cfg.FaultSpec, cfg.FaultSeed = h.opt.FaultSpec, h.opt.FaultSeed
+	return cfg
 }
 
 // resetClusterStats restarts all measurement windows at the current instant.
@@ -238,17 +241,69 @@ func resetClusterStats(cl *passthru.Cluster) {
 	}
 }
 
-// maxLinkUtil returns the highest transmit utilization across server NICs.
-func maxLinkUtil(cl *passthru.Cluster) float64 {
-	u := 0.0
-	for _, app := range cl.Apps {
-		for _, nic := range app.Node.NICs() {
-			if v := nic.TxUtilization(); v > u {
-				u = v
+// window is one measured steady-state window: the load's completions plus
+// the cluster's utilization over exactly that window.
+type window struct {
+	workload.Measurement
+	// ServerCPU is the hottest front-end server's utilization, StorageCPU
+	// the first target's, ControlCPU the control-plane node's (0 without
+	// one); LinkUtil is the busiest server NIC's transmit utilization and
+	// HitRatio the first server's buffer-cache hit ratio.
+	ServerCPU, StorageCPU, ControlCPU float64
+	LinkUtil, HitRatio                float64
+}
+
+// measure is the one measurement loop: arm fault injection, start the load,
+// warm up, zero every counter, run the window, sample utilization, then stop
+// and drain. Injection starts with the load (setup ran fault-free) and stops
+// before the drain, so in-flight recovery completes and the event loop
+// terminates; the tracer (nil-safe) is frozen there too, keeping late
+// completions out of the window. atStart/atEnd (nil-safe) bracket the
+// window for experiments that sample something of their own.
+func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tracer, atStart, atEnd func()) (window, error) {
+	var w window
+	cl.Faults.Arm()
+	runner := &workload.Runner{Eng: cl.Eng, Warmup: h.opt.Warmup, Window: h.opt.Window}
+	m, err := runner.Run(load,
+		func() {
+			resetClusterStats(cl)
+			tr.ResetStats()
+			if atStart != nil {
+				atStart()
 			}
-		}
+		},
+		func() {
+			for _, app := range cl.Apps {
+				w.ServerCPU = math.Max(w.ServerCPU, app.Node.CPU.Utilization())
+				for _, nic := range app.Node.NICs() {
+					w.LinkUtil = math.Max(w.LinkUtil, nic.TxUtilization())
+				}
+			}
+			w.StorageCPU = cl.Storage.Node.CPU.Utilization()
+			if cl.Control != nil {
+				w.ControlCPU = cl.Control.Node().CPU.Utilization()
+			}
+			if cl.App.Cache != nil {
+				w.HitRatio = cl.App.Cache.Stats.HitRatio()
+			}
+			if atEnd != nil {
+				atEnd()
+			}
+			tr.Freeze()
+			cl.Faults.Quiesce()
+		})
+	w.Measurement = m
+	return w, err
+}
+
+// nfsClients lists each host's mounted datagram client (the paper's NFS
+// transport).
+func nfsClients(cl *passthru.Cluster) []*nfs.Client {
+	clients := make([]*nfs.Client, 0, len(cl.Clients))
+	for _, h := range cl.Clients {
+		clients = append(clients, h.NFS)
 	}
-	return u
+	return clients
 }
 
 // lookupFH resolves a file handle synchronously (engine-driving helper).
@@ -268,10 +323,6 @@ func lookupFH(cl *passthru.Cluster, host int, name string) (nfs.FH, error) {
 	return fh, lerr
 }
 
-// diskModelFor lets experiments weaken/strengthen storage (unused hook kept
-// for ablations).
-var _ = blockdev.IDE2000
-
 // prefill streams a file through the server once so the measured window
 // starts from cache steady state (the paper's "repetitively access" loads
 // run long enough to converge; the DES warms deterministically instead).
@@ -285,11 +336,16 @@ func prefill(cl *passthru.Cluster, fh nfs.FH, size uint64) error {
 			Len:  int(size % step),
 		})
 	}
+	return playTrace(cl, tr, []*nfs.Client{cl.Clients[0].NFS}, 4)
+}
+
+// playTrace replays a trace to completion.
+func playTrace(cl *passthru.Cluster, tr workload.Trace, clients []*nfs.Client, concurrency int) error {
 	done := false
 	player := &workload.TracePlayer{
-		Clients:     []*nfs.Client{cl.Clients[0].NFS},
+		Clients:     clients,
 		Trace:       tr,
-		Concurrency: 4,
+		Concurrency: concurrency,
 		Done:        func() { done = true },
 	}
 	player.Start()
@@ -297,57 +353,111 @@ func prefill(cl *passthru.Cluster, fh nfs.FH, size uint64) error {
 		return err
 	}
 	if !done {
-		return fmt.Errorf("bench: prefill did not complete")
+		return fmt.Errorf("bench: trace replay did not complete")
 	}
-	_, _, errs := player.Counters()
-	if errs > 0 {
-		return fmt.Errorf("bench: prefill saw %d errors", errs)
+	if _, _, errs := player.Counters(); errs > 0 {
+		return fmt.Errorf("bench: trace replay saw %d errors", errs)
 	}
 	return nil
 }
 
-// runNFSLoad measures one NFS micro-benchmark point.
-func runNFSLoad(cl *passthru.Cluster, load workload.Load, opt Options, reqKB int) (NFSPoint, error) {
-	var tr *trace.Tracer
-	if opt.Latency || opt.Chrome != nil {
-		tr = trace.NewTracer(cl.Eng, fmt.Sprintf("%s/%dKB", cl.App.Mode, reqKB))
-		tr.SetKeepSpans(opt.Chrome != nil)
-		if st, ok := load.(interface{ SetTracer(*trace.Tracer) }); ok {
-			st.SetTracer(tr)
-		}
+// missRig builds the all-miss testbed — one file of fileBlocks blocks, far
+// larger than the 32 MB FS cache, streamed sequentially at reqKB — on the
+// given topology (mode, mirror arms, write-back, faults). tweak (nil-safe)
+// adjusts the started cluster before the first request.
+func (h *harness) missRig(cfg passthru.ClusterConfig, fileBlocks int64, reqKB int, tweak func(*passthru.Cluster)) (*passthru.Cluster, *workload.NFSReadLoad, error) {
+	cfg.BlocksPerDisk = fileBlocks/4 + 8192
+	cfg.FSCacheBlocks = 8192   // 32 MB: all-miss regardless of mode
+	cfg.NCacheBytes = 64 << 20 // misses don't reuse it; keep memory low
+	cl, err := h.build(cfg, func(f *extfs.Formatter) error {
+		_, err := f.AddFile("bigfile", uint64(fileBlocks)*extfs.BlockSize, nil)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	runner := &workload.Runner{Eng: cl.Eng, Warmup: opt.Warmup, Window: opt.Window}
-	p := NFSPoint{Mode: cl.App.Mode, ReqKB: reqKB}
-	// Injection starts with the load (setup above ran fault-free) and stops
-	// before the drain, so in-flight recovery completes and the event loop
-	// terminates.
-	cl.Faults.Arm()
-	m, err := runner.Run(load,
-		func() {
-			resetClusterStats(cl)
-			tr.ResetStats()
-		},
-		func() {
-			p.ServerCPU = cl.App.Node.CPU.Utilization()
-			p.StorageCPU = cl.Storage.Node.CPU.Utilization()
-			p.LinkUtil = maxLinkUtil(cl)
-			// Freeze before the drain so late completions stay out of
-			// the window's statistics.
-			tr.Freeze()
-			cl.Faults.Quiesce()
-		})
+	if tweak != nil {
+		tweak(cl)
+	}
+	fh, err := lookupFH(cl, 0, "bigfile")
+	if err != nil {
+		return nil, nil, err
+	}
+	return cl, &workload.NFSReadLoad{
+		Clients:     nfsClients(cl),
+		FH:          fh,
+		FileSize:    uint64(fileBlocks) * extfs.BlockSize,
+		RequestSize: reqKB * 1024,
+		Pattern:     workload.Sequential,
+		Concurrency: h.opt.Concurrency,
+	}, nil
+}
+
+// hitRig builds the all-hit testbed — the paper's 5 MB hot file, prefetched
+// so the 32 MB FS cache always holds it, read at random reqKB offsets; tweak
+// as for missRig.
+func (h *harness) hitRig(cfg passthru.ClusterConfig, reqKB int, tweak func(*passthru.Cluster)) (*passthru.Cluster, *workload.NFSReadLoad, error) {
+	const hotBytes = 5 << 20
+	cfg.BlocksPerDisk = 16 * 1024
+	cfg.FSCacheBlocks = 8192
+	cfg.NCacheBytes = 64 << 20
+	cl, err := h.build(cfg, func(f *extfs.Formatter) error {
+		_, err := f.AddFile("hotfile", hotBytes, nil)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if tweak != nil {
+		tweak(cl)
+	}
+	fh, err := lookupFH(cl, 0, "hotfile")
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := prefill(cl, fh, hotBytes); err != nil {
+		return nil, nil, err
+	}
+	return cl, &workload.NFSReadLoad{
+		Clients:     nfsClients(cl),
+		FH:          fh,
+		FileSize:    hotBytes,
+		RequestSize: reqKB * 1024,
+		Pattern:     workload.HotSet,
+		Concurrency: h.opt.Concurrency,
+	}, nil
+}
+
+// nfsPoint measures one NFS micro-benchmark point, traced when the run asks
+// for latency.
+func (h *harness) nfsPoint(cl *passthru.Cluster, load *workload.NFSReadLoad) (NFSPoint, error) {
+	reqKB := load.RequestSize / 1024
+	var tr *trace.Tracer
+	if h.opt.Latency || h.opt.Chrome != nil {
+		tr = trace.NewTracer(cl.Eng, fmt.Sprintf("%s/%dKB", cl.App.Mode, reqKB))
+		tr.SetKeepSpans(h.opt.Chrome != nil)
+		load.SetTracer(tr)
+	}
+	w, err := h.measure(cl, load, tr, nil, nil)
 	if err != nil {
 		return NFSPoint{}, err
 	}
-	p.ThroughputMBs = m.Throughput() / 1e6
-	p.OpsPerSec = m.OpsPerSec()
-	p.Errors = m.Errors
-	p.Lat = tr.Summary()
+	p := NFSPoint{
+		Mode:          cl.App.Mode,
+		ReqKB:         reqKB,
+		ThroughputMBs: w.Throughput() / 1e6,
+		OpsPerSec:     w.OpsPerSec(),
+		ServerCPU:     w.ServerCPU,
+		StorageCPU:    w.StorageCPU,
+		LinkUtil:      w.LinkUtil,
+		Errors:        w.Errors,
+		Lat:           tr.Summary(),
+	}
 	if cl.Faults != nil {
 		p.Retransmits, p.RPCTimeouts, p.DupReplies, p.ISCSIRetries = cl.FaultCounters()
 		p.TCPRetransmits, p.TCPRTOs, p.TCPFastRtx, _, _ = cl.TCPCounters()
 		p.FaultReport = cl.Faults.Report()
 	}
-	opt.Chrome.Add(tr)
+	h.opt.Chrome.Add(tr)
 	return p, nil
 }

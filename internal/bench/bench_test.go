@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,11 +21,21 @@ func quickOpts() Options {
 	}
 }
 
-// gainAt returns a mode's throughput gain over Original at one size.
-func gainAt(points []NFSPoint, mode passthru.Mode, reqKB int) float64 {
-	idx := nfsByMode(points)
-	base := idx[passthru.Original][reqKB].ThroughputMBs
-	return gainPct(idx[mode][reqKB].ThroughputMBs, base)
+// points runs a registered experiment and returns its typed point slice.
+func points[P any](t *testing.T, name string, opt Options) P {
+	t.Helper()
+	res, err := Select(name)[0].Run(opt)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res.Points.(P)
+}
+
+// testHarness is a harness for tests that measure single points.
+func testHarness(t *testing.T, opt Options) *harness {
+	h := newHarness(opt)
+	t.Cleanup(h.retire)
+	return h
 }
 
 func TestTable1Inventory(t *testing.T) {
@@ -43,10 +56,7 @@ func TestTable1Inventory(t *testing.T) {
 }
 
 func TestTable2MatchesPaperExactly(t *testing.T) {
-	rows, err := Table2()
-	if err != nil {
-		t.Fatalf("Table2: %v", err)
-	}
+	rows := points[[]Table2Row](t, "table2", Options{})
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -62,10 +72,7 @@ func TestTable2MatchesPaperExactly(t *testing.T) {
 }
 
 func TestFig5bOrderingHolds(t *testing.T) {
-	pts, err := RunFig5b(quickOpts())
-	if err != nil {
-		t.Fatalf("RunFig5b: %v", err)
-	}
+	pts := points[[]NFSPoint](t, "fig5b", quickOpts())
 	idx := nfsByMode(pts)
 	for _, kb := range RequestSizesKB {
 		orig := idx[passthru.Original][kb]
@@ -93,11 +100,7 @@ func TestFig5bOrderingHolds(t *testing.T) {
 }
 
 func TestFig4StorageSaturatesForNCache(t *testing.T) {
-	opt := quickOpts()
-	pts, err := RunFig4(opt)
-	if err != nil {
-		t.Fatalf("RunFig4: %v", err)
-	}
+	pts := points[[]NFSPoint](t, "fig4", quickOpts())
 	idx := nfsByMode(pts)
 	// All-miss at 32 KB: the storage server becomes the bottleneck for
 	// the zero-copy configurations (§5.4).
@@ -114,10 +117,7 @@ func TestFig4StorageSaturatesForNCache(t *testing.T) {
 }
 
 func TestFig6bWebGainsGrowWithRequestSize(t *testing.T) {
-	pts, err := RunFig6b(quickOpts())
-	if err != nil {
-		t.Fatalf("RunFig6b: %v", err)
-	}
+	pts := points[[]WebPoint](t, "fig6b", quickOpts())
 	base := map[int]float64{}
 	nc := map[int]float64{}
 	for _, p := range pts {
@@ -139,10 +139,7 @@ func TestFig6bWebGainsGrowWithRequestSize(t *testing.T) {
 }
 
 func TestFig7GainsGrowWithDataFraction(t *testing.T) {
-	pts, err := RunFig7(quickOpts())
-	if err != nil {
-		t.Fatalf("RunFig7: %v", err)
-	}
+	pts := points[[]SFSPoint](t, "fig7", quickOpts())
 	gain := map[int]float64{}
 	base := map[int]float64{}
 	for _, p := range pts {
@@ -167,10 +164,7 @@ func TestFig7GainsGrowWithDataFraction(t *testing.T) {
 }
 
 func TestTransportTCPCostsThroughput(t *testing.T) {
-	pts, err := RunTransportComparison(quickOpts())
-	if err != nil {
-		t.Fatalf("RunTransportComparison: %v", err)
-	}
+	pts := points[[]TransportPoint](t, "transport", quickOpts())
 	byKey := map[string]TransportPoint{}
 	for _, p := range pts {
 		byKey[p.Mode.String()+"/"+p.Transport] = p
@@ -187,10 +181,7 @@ func TestTransportTCPCostsThroughput(t *testing.T) {
 }
 
 func TestWireFormatLiftsNCacheCeiling(t *testing.T) {
-	pts, err := RunFutureWorkWireFormat(quickOpts())
-	if err != nil {
-		t.Fatalf("RunFutureWorkWireFormat: %v", err)
-	}
+	pts := points[[]WireFormatPoint](t, "futurework", quickOpts())
 	gains := map[passthru.Mode]float64{}
 	base := map[passthru.Mode]float64{}
 	for _, p := range pts {
@@ -243,5 +234,66 @@ func TestFormatters(t *testing.T) {
 	}
 	if out := FormatSFSPoints(sfsPts); !strings.Contains(out, "+20.0%") {
 		t.Fatalf("sfs gain missing:\n%s", out)
+	}
+}
+
+// TestOverheadModelAccountsForGap: the component model must explain the
+// measured NCache-vs-baseline CPU gap, or the breakdown is fiction.
+func TestOverheadModelAccountsForGap(t *testing.T) {
+	rep := points[OverheadReport](t, "overhead", quickOpts())
+	if rep.AccountedPct < 70 || rep.AccountedPct > 130 {
+		t.Fatalf("component model accounts for %.1f%% of the gap — accounting broken", rep.AccountedPct)
+	}
+}
+
+// TestRegistryIsTheOneList: the registry is the only list of experiments.
+// ncbench resolves -exp through Select and builds its help and its "unknown
+// experiment" message from Usage; the root benchmark loop and both replay
+// sweeps range over Experiments (replayRows only adds faulted variants).
+func TestRegistryIsTheOneList(t *testing.T) {
+	seen := map[string]bool{}
+	var inAll []string
+	for _, e := range Experiments {
+		if e.Name == "" || e.Name == "all" || seen[e.Name] || e.Run == nil {
+			t.Fatalf("bad registry entry %+v", e)
+		}
+		seen[e.Name] = true
+		if got := Select(e.Name); len(got) != 1 || got[0].Name != e.Name {
+			t.Errorf("Select(%q) = %+v", e.Name, got)
+		}
+		if !strings.Contains(","+Usage()+",", ","+e.Name+",") {
+			t.Errorf("Usage() %q omits %s", Usage(), e.Name)
+		}
+		if e.InAll {
+			inAll = append(inAll, e.Name)
+		}
+	}
+	var all []string
+	for _, e := range Select("all") {
+		all = append(all, e.Name)
+	}
+	if !reflect.DeepEqual(all, inAll) || !strings.HasSuffix(Usage(), ",all") {
+		t.Errorf("-exp all = %v, want the InAll entries %v in registry order", all, inAll)
+	}
+	if Select("no-such-experiment") != nil {
+		t.Error("Select resolves an unregistered name")
+	}
+	rows := replayRows()
+	for i, e := range Experiments {
+		if rows[i].name != e.Name || rows[i].fault != "" {
+			t.Errorf("replay row %d = %+v, want %s", i, rows[i], e.Name)
+		}
+	}
+	// CI's results gate regenerates every experiment that stores a file.
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gate, _ := strings.Cut(string(ci), "- name: results gate")
+	gate, _, _ = strings.Cut(gate, "- name:")
+	for _, e := range Experiments {
+		if e.ResultFile != "" && !slices.Contains(strings.Fields(strings.ReplaceAll(gate, ";", " ")), e.Name) {
+			t.Errorf("ci.yml's results gate does not regenerate %s (results/%s)", e.Name, e.ResultFile)
+		}
 	}
 }

@@ -27,12 +27,21 @@ func testFaultSeed(t *testing.T) uint64 {
 
 // faultOpts is the quick-scale configuration of the degradation tests; the
 // traced run carries per-layer fault attribution.
-func faultOpts(t *testing.T, spec string) Options {
+func faultOpts(t *testing.T) Options {
 	opt := quickOpts()
 	opt.Latency = true
-	opt.FaultSpec = spec
 	opt.FaultSeed = testFaultSeed(t)
 	return opt
+}
+
+// faultedPoint measures the fig-fault point under one schedule.
+func faultedPoint(t *testing.T, opt Options, mode passthru.Mode, spec string) NFSPoint {
+	t.Helper()
+	p, err := faultPoint(testHarness(t, opt), mode, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // layerFaults returns (count, delay) of fault injections booked to one layer
@@ -73,10 +82,7 @@ func TestFaultDegradation(t *testing.T) {
 		t.Run(sc, func(t *testing.T) {
 			pts := make(map[passthru.Mode]NFSPoint)
 			for _, mode := range FaultModes {
-				p, err := runFaultPoint(faultOpts(t, spec), mode)
-				if err != nil {
-					t.Fatal(err)
-				}
+				p := faultedPoint(t, faultOpts(t), mode, spec)
 				if p.Errors != 0 {
 					t.Errorf("%s under %s: %d request errors escaped recovery", mode, sc, p.Errors)
 				}
@@ -106,14 +112,11 @@ func TestFaultDegradation(t *testing.T) {
 // of the fault subsystem: recovery machinery is strictly opt-in.
 func TestFaultBaselineUnperturbed(t *testing.T) {
 	opt := quickOpts()
-	plain, err := runFig4Point(opt, passthru.NCache, 16, int64(96*1024)/int64(opt.Scale))
+	plain, err := fig4Point(testHarness(t, opt), passthru.NCache, 16, int64(96*1024)/int64(opt.Scale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFault, err := runFaultPoint(faultOpts(t, ""), passthru.NCache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	viaFault := faultedPoint(t, faultOpts(t), passthru.NCache, "")
 	if plain.ThroughputMBs != viaFault.ThroughputMBs || plain.OpsPerSec != viaFault.OpsPerSec {
 		t.Fatalf("empty fault spec perturbed the run: %.3f MB/s %.1f ops/s vs %.3f MB/s %.1f ops/s",
 			plain.ThroughputMBs, plain.OpsPerSec, viaFault.ThroughputMBs, viaFault.OpsPerSec)
@@ -128,14 +131,11 @@ func TestFaultBaselineUnperturbed(t *testing.T) {
 // counters, attribution and schedule report — while a different seed moves
 // the injection points.
 func TestFaultSeedReproducibility(t *testing.T) {
-	opt := faultOpts(t, "frame-loss")
+	opt := faultOpts(t)
 	run := func(seed uint64) string {
 		o := opt
 		o.FaultSeed = seed
-		p, err := runFaultPoint(o, passthru.NCache)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := faultedPoint(t, o, passthru.NCache, "frame-loss")
 		return FormatFaultPoints([]FaultPoint{{Scenario: "frame-loss", NFSPoint: p}})
 	}
 	a, b := run(opt.FaultSeed), run(opt.FaultSeed)
@@ -152,10 +152,7 @@ func TestFaultSeedReproducibility(t *testing.T) {
 // schedules charge the transports (drop recovery is booked to LNet by the
 // RPC retransmission timer) and leave the disks clean.
 func TestFaultLayerAttribution(t *testing.T) {
-	p, err := runFaultPoint(faultOpts(t, "slow-disk"), passthru.NCache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := faultedPoint(t, faultOpts(t), passthru.NCache, "slow-disk")
 	if n, d := layerFaults(p, trace.LDisk); n == 0 || d <= 0 {
 		t.Errorf("slow-disk: LDisk attribution = %d/%.0f, want >0", n, d)
 	}
@@ -163,10 +160,7 @@ func TestFaultLayerAttribution(t *testing.T) {
 		t.Errorf("slow-disk: %d faults leaked onto LNet", n)
 	}
 
-	p, err = runFaultPoint(faultOpts(t, "frame-loss"), passthru.NCache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p = faultedPoint(t, faultOpts(t), passthru.NCache, "frame-loss")
 	if p.Retransmits == 0 {
 		t.Fatal("frame-loss: no RPC retransmissions at rate 0.002")
 	}
@@ -181,14 +175,8 @@ func TestFaultLayerAttribution(t *testing.T) {
 // TestFaultReportRendering smoke-checks the fig-fault table pieces on a
 // single cheap point (the full sweep is cmd/ncbench territory).
 func TestFaultReportRendering(t *testing.T) {
-	p, err := runFaultPoint(faultOpts(t, "slow-disk"), passthru.Original)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := runFaultPoint(faultOpts(t, ""), passthru.Original)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := faultedPoint(t, faultOpts(t), passthru.Original, "slow-disk")
+	base := faultedPoint(t, faultOpts(t), passthru.Original, "")
 	out := FormatFaultPoints([]FaultPoint{
 		{Scenario: "none", NFSPoint: base},
 		{Scenario: "slow-disk", NFSPoint: p},
@@ -205,14 +193,12 @@ func TestFaultReportRendering(t *testing.T) {
 // escaped request errors over BOTH transports — UDP absorbing loss through
 // datagram-RPC retransmission, TCP through RTO/fast-retransmit — with each
 // transport's recovery machinery demonstrably exercised, and the whole
-// faulted comparison replaying bit-for-bit at the same seed.
+// faulted comparison replaying bit-for-bit at the same seed (the
+// transport+frame-loss row of TestSeedReplay).
 func TestFaultTransportLossRecovery(t *testing.T) {
-	opt := faultOpts(t, "frame-loss")
-	opt.Latency = false
-	first, err := RunTransportComparison(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := faultOpts(t)
+	opt.FaultSpec = "frame-loss"
+	first := points[[]TransportPoint](t, "transport", opt)
 	var tcpRtx, rpcRtx uint64
 	for _, p := range first {
 		if p.Errors != 0 {
@@ -232,9 +218,4 @@ func TestFaultTransportLossRecovery(t *testing.T) {
 	if rpcRtx == 0 {
 		t.Error("frame loss on client links provoked no RPC retransmissions")
 	}
-	second, err := RunTransportComparison(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffPoints(t, "transport under frame-loss", first, second)
 }

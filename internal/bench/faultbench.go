@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"ncache/internal/extfs"
 	"ncache/internal/fault"
-	"ncache/internal/nfs"
 	"ncache/internal/passthru"
-	"ncache/internal/workload"
 )
 
 // FaultScenarios is the degradation sweep of the fig-fault experiment: a
@@ -26,24 +23,21 @@ type FaultPoint struct {
 	NFSPoint
 }
 
-// RunFigFault measures Original and NCache under identical fault schedules:
+// figFault measures Original and NCache under identical fault schedules:
 // the all-miss sequential-read workload (disk, network and CPU all on the
 // critical path) at a fixed 16 KB request size, once fault-free and once per
-// preset schedule, all replayed from opt.FaultSeed. Latency tracing is
+// preset schedule, all replayed from Options.FaultSeed. Latency tracing is
 // always on so each point carries per-layer fault attribution.
-func RunFigFault(opt Options) ([]FaultPoint, error) {
-	opt = opt.withDefaults()
-	opt.Latency = true
+func figFault(h *harness) ([]FaultPoint, error) {
+	h.opt.Latency = true
 	var out []FaultPoint
 	for _, mode := range FaultModes {
 		for _, sc := range FaultScenarios {
-			o := opt
+			spec := sc
 			if sc == "none" {
-				o.FaultSpec = ""
-			} else {
-				o.FaultSpec = sc
+				spec = ""
 			}
-			p, err := runFaultPoint(o, mode)
+			p, err := faultPoint(h, mode, spec)
 			if err != nil {
 				return nil, fmt.Errorf("fig-fault %s %s: %w", mode, sc, err)
 			}
@@ -64,23 +58,20 @@ type SweepPoint struct {
 	NFSPoint
 }
 
-// RunFaultSweep measures the same all-miss read point as RunFigFault under a
+// faultSweep measures the same all-miss read point as figFault under a
 // swept client-side frame-drop rate, for Original and NCache. The output
 // feeds results/fig-fault.csv (degradation vs fault rate, one curve per
-// configuration); every run replays from opt.FaultSeed.
-func RunFaultSweep(opt Options) ([]SweepPoint, error) {
-	opt = opt.withDefaults()
-	opt.Latency = true
+// configuration); every run replays from Options.FaultSeed.
+func faultSweep(h *harness) ([]SweepPoint, error) {
+	h.opt.Latency = true
 	var out []SweepPoint
 	for _, mode := range FaultModes {
 		for _, rate := range SweepRates {
-			o := opt
+			spec := ""
 			if rate > 0 {
-				o.FaultSpec = fmt.Sprintf("drop:client*:rate=%g", rate)
-			} else {
-				o.FaultSpec = ""
+				spec = fmt.Sprintf("drop:client*:rate=%g", rate)
 			}
-			p, err := runFaultPoint(o, mode)
+			p, err := faultPoint(h, mode, spec)
 			if err != nil {
 				return nil, fmt.Errorf("fig-fault-sweep %s rate=%g: %w", mode, rate, err)
 			}
@@ -103,62 +94,23 @@ func FormatFaultSweepCSV(points []SweepPoint) string {
 	return b.String()
 }
 
-// runFaultPoint is the fig4-style all-miss point the fault sweep perturbs.
-func runFaultPoint(opt Options, mode passthru.Mode) (NFSPoint, error) {
-	const reqKB = 16
-	fileBlocks := int64(96*1024) / int64(opt.Scale)
-	cs := clusterSpec{
-		mode:          mode,
-		nics:          1,
-		clients:       2,
-		blocksPerDisk: fileBlocks/4 + 8192,
-		fsCacheBlocks: 8192,
-		ncacheBytes:   64 << 20,
-		faultSpec:     opt.FaultSpec,
-		faultSeed:     opt.FaultSeed,
-		workers:       opt.Workers,
-	}
-	var spec extfs.FileSpec
-	cl, err := cs.build(func(f *extfs.Formatter) error {
-		var err error
-		spec, err = f.AddFile("bigfile", uint64(fileBlocks)*extfs.BlockSize, nil)
-		return err
-	})
+// faultPoint is the fig4-style all-miss point the fault experiments
+// perturb: 16 KB reads under the given schedule.
+func faultPoint(h *harness, mode passthru.Mode, spec string) (NFSPoint, error) {
+	cl, load, err := h.missRig(passthru.ClusterConfig{
+		Mode:      mode,
+		FaultSpec: spec,
+		FaultSeed: h.opt.FaultSeed,
+	}, int64(96*1024)/int64(h.opt.Scale), 16, nil)
 	if err != nil {
 		return NFSPoint{}, err
 	}
-	defer cl.Close()
-	fh, err := lookupFH(cl, 0, "bigfile")
-	if err != nil {
-		return NFSPoint{}, err
-	}
-	clients := make([]*nfs.Client, 0, len(cl.Clients))
-	for _, h := range cl.Clients {
-		clients = append(clients, h.NFS)
-	}
-	load := &workload.NFSReadLoad{
-		Clients:     clients,
-		FH:          fh,
-		FileSize:    spec.Size,
-		RequestSize: reqKB * 1024,
-		Pattern:     workload.Sequential,
-		Concurrency: opt.Concurrency,
-	}
-	return runNFSLoad(cl, load, opt, reqKB)
+	return h.nfsPoint(cl, load)
 }
 
-// readP99 extracts the read operation's p99 latency from a traced point.
-func readP99(p NFSPoint) float64 {
-	if p.Lat == nil {
-		return 0
-	}
-	for _, op := range p.Lat.Ops {
-		if op.Op == "read" {
-			return float64(op.P99) / 1e3 // µs
-		}
-	}
-	return 0
-}
+// readP99 extracts the read operation's p99 latency (µs) from a traced
+// point.
+func readP99(p NFSPoint) float64 { return opP99Us(p.Lat, "read") }
 
 // faultShare sums fault-attributed latency per layer for the read op,
 // returning the two dominant entries as "layer=µs" strings.

@@ -29,6 +29,12 @@ func nfsByMode(points []NFSPoint) map[passthru.Mode]map[int]NFSPoint {
 	return out
 }
 
+// gainAt returns a mode's throughput gain (%) over Original at one size.
+func gainAt(points []NFSPoint, mode passthru.Mode, reqKB int) float64 {
+	idx := nfsByMode(points)
+	return gainPct(idx[mode][reqKB].ThroughputMBs, idx[passthru.Original][reqKB].ThroughputMBs)
+}
+
 // FormatNFSPoints renders a Figure 4/5-style table: throughput, server and
 // storage CPU per request size per mode, with gains over Original.
 func FormatNFSPoints(title string, points []NFSPoint) string {

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"ncache/internal/extfs"
-	"ncache/internal/nfs"
 	"ncache/internal/passthru"
-	"ncache/internal/workload"
 )
 
 // WireFormatPoint is one point of the §6 future-work experiment.
@@ -19,75 +16,34 @@ type WireFormatPoint struct {
 	ServerCPU     float64
 }
 
-// RunFutureWorkWireFormat evaluates the paper's §6 proposal — storing
-// disk-resident data in a network-ready format so the *storage server* also
-// avoids its copies — on the all-miss workload, where the storage CPU is
-// the bottleneck for the zero-copy application-server configurations
-// (Figure 4). Wire-format storage should lift exactly that ceiling.
-func RunFutureWorkWireFormat(opt Options) ([]WireFormatPoint, error) {
-	opt = opt.withDefaults()
+// futurework evaluates the paper's §6 proposal — storing disk-resident data
+// in a network-ready format so the *storage server* also avoids its copies —
+// on the all-miss workload of Figure 4 at 32 KB, where the storage CPU is
+// the bottleneck for the zero-copy application-server configurations.
+// Wire-format storage should lift exactly that ceiling.
+func futurework(h *harness) ([]WireFormatPoint, error) {
 	var out []WireFormatPoint
 	for _, mode := range []passthru.Mode{passthru.Original, passthru.NCache} {
 		for _, wf := range []bool{false, true} {
-			p, err := runWireFormatPoint(opt, mode, wf)
+			cl, load, err := h.missRig(passthru.ClusterConfig{Mode: mode}, 96*1024, 32,
+				func(cl *passthru.Cluster) { cl.Storage.Target.WireFormat = wf })
 			if err != nil {
 				return nil, fmt.Errorf("futurework %s wf=%v: %w", mode, wf, err)
 			}
-			out = append(out, p)
+			w, err := h.measure(cl, load, nil, nil, nil)
+			if err != nil {
+				return nil, fmt.Errorf("futurework %s wf=%v: %w", mode, wf, err)
+			}
+			out = append(out, WireFormatPoint{
+				Mode:          mode,
+				WireFormat:    wf,
+				ThroughputMBs: w.Throughput() / 1e6,
+				StorageCPU:    w.StorageCPU,
+				ServerCPU:     w.ServerCPU,
+			})
 		}
 	}
 	return out, nil
-}
-
-func runWireFormatPoint(opt Options, mode passthru.Mode, wireFormat bool) (WireFormatPoint, error) {
-	const fileBlocks = 96 * 1024 // 384 MB, as Figure 4
-	cs := clusterSpec{
-		mode:          mode,
-		nics:          1,
-		clients:       2,
-		blocksPerDisk: fileBlocks/4 + 8192,
-		fsCacheBlocks: 8192,
-		ncacheBytes:   64 << 20,
-	}
-	var spec extfs.FileSpec
-	cl, err := cs.build(func(f *extfs.Formatter) error {
-		var err error
-		spec, err = f.AddFile("bigfile", uint64(fileBlocks)*extfs.BlockSize, nil)
-		return err
-	})
-	if err != nil {
-		return WireFormatPoint{}, err
-	}
-	cl.Storage.Target.WireFormat = wireFormat
-	fh, err := lookupFH(cl, 0, "bigfile")
-	if err != nil {
-		return WireFormatPoint{}, err
-	}
-	clients := make([]*nfs.Client, 0, len(cl.Clients))
-	for _, h := range cl.Clients {
-		clients = append(clients, h.NFS)
-	}
-	load := &workload.NFSReadLoad{
-		Clients:     clients,
-		FH:          fh,
-		FileSize:    spec.Size,
-		RequestSize: 32 * 1024,
-		Pattern:     workload.Sequential,
-		Concurrency: opt.Concurrency,
-	}
-	runner := &workload.Runner{Eng: cl.Eng, Warmup: opt.Warmup, Window: opt.Window}
-	p := WireFormatPoint{Mode: mode, WireFormat: wireFormat}
-	m, err := runner.Run(load,
-		func() { resetClusterStats(cl) },
-		func() {
-			p.StorageCPU = cl.Storage.Node.CPU.Utilization()
-			p.ServerCPU = cl.App.Node.CPU.Utilization()
-		})
-	if err != nil {
-		return WireFormatPoint{}, err
-	}
-	p.ThroughputMBs = m.Throughput() / 1e6
-	return p, nil
 }
 
 // FormatWireFormatPoints renders the experiment.

@@ -4,42 +4,23 @@ import (
 	"runtime"
 	"testing"
 
-	"ncache/internal/extfs"
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/passthru"
 )
 
-// hotReadRig builds the Fig. 5(b) testbed around a 1 MB hot file, streams it
-// through the server once so every later READ is an all-hit, and returns a
+// hotReadRig builds the Fig. 5(b) testbed (the hot file streamed through the
+// server once, so every later READ is an all-hit) and returns a
 // function that issues one 32 KB READ at block offset i*8 and runs it to
 // completion.
 func hotReadRig(t *testing.T, mode passthru.Mode) (*passthru.Cluster, func(i int)) {
 	t.Helper()
-	const hotBytes = 1 << 20
-	cs := clusterSpec{
-		mode:          mode,
-		nics:          2,
-		clients:       2,
-		blocksPerDisk: 16 * 1024,
-		fsCacheBlocks: 8192,
-		ncacheBytes:   64 << 20,
-	}
-	cl, err := cs.build(func(f *extfs.Formatter) error {
-		_, err := f.AddFile("hotfile", hotBytes, nil)
-		return err
-	})
+	const hotBytes = 5 << 20
+	cl, load, err := testHarness(t, Options{}).hitRig(passthru.ClusterConfig{Mode: mode, ServerNICs: 2}, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(cl.Close)
-	fh, err := lookupFH(cl, 0, "hotfile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prefill(cl, fh, hotBytes); err != nil {
-		t.Fatal(err)
-	}
+	fh := load.FH
 	const req = 32 * 1024
 	read := func(i int) {
 		got := -1

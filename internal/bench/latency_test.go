@@ -13,12 +13,12 @@ import (
 // without tracing produces identical throughput and op counts.
 func TestTracingDoesNotPerturbResults(t *testing.T) {
 	opt := quickOpts()
-	plain, err := runFig5Point(opt, passthru.NCache, 16, 2)
+	plain, err := fig5Point(testHarness(t, opt), passthru.NCache, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Latency = true
-	traced, err := runFig5Point(opt, passthru.NCache, 16, 2)
+	traced, err := fig5Point(testHarness(t, opt), passthru.NCache, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestLatencySummaryInvariants(t *testing.T) {
 	opt := quickOpts()
 	opt.Latency = true
 	for _, mode := range []passthru.Mode{passthru.Original, passthru.NCache} {
-		p, err := runFig5Point(opt, mode, 16, 2)
+		p, err := fig5Point(testHarness(t, opt), mode, 16, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,11 +77,11 @@ func TestLatencySummaryInvariants(t *testing.T) {
 func TestLatencyDeterminism(t *testing.T) {
 	opt := quickOpts()
 	opt.Latency = true
-	a, err := runFig5Point(opt, passthru.NCache, 8, 2)
+	a, err := fig5Point(testHarness(t, opt), passthru.NCache, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runFig5Point(opt, passthru.NCache, 8, 2)
+	b, err := fig5Point(testHarness(t, opt), passthru.NCache, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestLatencyDeterminism(t *testing.T) {
 func TestChromeExportFromBench(t *testing.T) {
 	opt := quickOpts()
 	opt.Chrome = trace.NewChromeTrace()
-	p, err := runFig5Point(opt, passthru.NCache, 16, 2)
+	p, err := fig5Point(testHarness(t, opt), passthru.NCache, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

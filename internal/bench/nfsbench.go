@@ -3,146 +3,48 @@ package bench
 import (
 	"fmt"
 
-	"ncache/internal/extfs"
-	"ncache/internal/nfs"
 	"ncache/internal/passthru"
-	"ncache/internal/workload"
 )
 
 // RequestSizesKB is the request-size sweep of Figures 4 and 5.
 var RequestSizesKB = []int{4, 8, 16, 32}
 
-// RunFig4 reproduces Figure 4: the all-miss workload (sequential read of a
-// file far larger than any cache) across the three configurations,
-// sweeping the NFS request size. Reported: throughput (a) and NFS server
-// CPU utilization (b); storage CPU shows who saturates.
-func RunFig4(opt Options) ([]NFSPoint, error) {
-	opt = opt.withDefaults()
-	// File large enough that the measured window never wraps into cached
-	// territory; caches deliberately small relative to it.
-	const fileBlocks = 96 * 1024 // 384 MB
-	var out []NFSPoint
-	for _, mode := range Modes {
-		for _, kb := range RequestSizesKB {
-			p, err := runFig4Point(opt, mode, kb, fileBlocks)
-			if err != nil {
-				return nil, fmt.Errorf("fig4 %s %dKB: %w", mode, kb, err)
-			}
-			out = append(out, p)
-		}
-	}
-	return out, nil
-}
-
-func runFig4Point(opt Options, mode passthru.Mode, reqKB int, fileBlocks int64) (NFSPoint, error) {
-	cs := clusterSpec{
-		mode:          mode,
-		nics:          1,
-		clients:       2,
-		blocksPerDisk: fileBlocks/4 + 8192,
-		fsCacheBlocks: 8192,     // 32 MB: all-miss regardless of mode
-		ncacheBytes:   64 << 20, // misses don't reuse it; keep memory low
-		faultSpec:     opt.FaultSpec,
-		faultSeed:     opt.FaultSeed,
-		workers:       opt.Workers,
-	}
-	var spec extfs.FileSpec
-	cl, err := cs.build(func(f *extfs.Formatter) error {
-		var err error
-		spec, err = f.AddFile("bigfile", uint64(fileBlocks)*extfs.BlockSize, nil)
-		return err
+// fig4 reproduces Figure 4: the all-miss workload (sequential read of a
+// 384 MB file, far larger than any cache, so the measured window never wraps
+// into cached territory) across the three configurations, sweeping the NFS
+// request size. Reported: throughput (a) and NFS server CPU utilization
+// (b); storage CPU shows who saturates.
+func fig4(h *harness) ([]NFSPoint, error) {
+	return sweep("fig4", RequestSizesKB, func(mode passthru.Mode, kb int) (NFSPoint, error) {
+		return fig4Point(h, mode, kb, 96*1024)
 	})
+}
+
+func fig4Point(h *harness, mode passthru.Mode, reqKB int, fileBlocks int64) (NFSPoint, error) {
+	cl, load, err := h.missRig(h.withFaults(passthru.ClusterConfig{Mode: mode}), fileBlocks, reqKB, nil)
 	if err != nil {
 		return NFSPoint{}, err
 	}
-	defer cl.Close()
-	fh, err := lookupFH(cl, 0, "bigfile")
+	return h.nfsPoint(cl, load)
+}
+
+// fig5 reproduces Figure 5: the all-hit workload (5 MB hot file). With one
+// NIC (5a) the link is the bottleneck and the interesting output is the
+// server CPU each configuration saves; with two NICs and the clients split
+// across them (5b) the CPU becomes the bottleneck and the copy savings
+// convert into throughput.
+func fig5(nics int) func(*harness) ([]NFSPoint, error) {
+	return func(h *harness) ([]NFSPoint, error) {
+		return sweep(fmt.Sprintf("fig5 nics=%d", nics), RequestSizesKB, func(mode passthru.Mode, kb int) (NFSPoint, error) {
+			return fig5Point(h, mode, kb, nics)
+		})
+	}
+}
+
+func fig5Point(h *harness, mode passthru.Mode, reqKB, nics int) (NFSPoint, error) {
+	cl, load, err := h.hitRig(h.withFaults(passthru.ClusterConfig{Mode: mode, ServerNICs: nics}), reqKB, nil)
 	if err != nil {
 		return NFSPoint{}, err
 	}
-	clients := make([]*nfs.Client, 0, len(cl.Clients))
-	for _, h := range cl.Clients {
-		clients = append(clients, h.NFS)
-	}
-	load := &workload.NFSReadLoad{
-		Clients:     clients,
-		FH:          fh,
-		FileSize:    spec.Size,
-		RequestSize: reqKB * 1024,
-		Pattern:     workload.Sequential,
-		Concurrency: opt.Concurrency,
-	}
-	return runNFSLoad(cl, load, opt, reqKB)
-}
-
-// RunFig5a reproduces Figure 5(a): the all-hit workload (5 MB hot file)
-// with a single NIC — the link is the bottleneck; the interesting output is
-// the server CPU utilization saved by each configuration.
-func RunFig5a(opt Options) ([]NFSPoint, error) {
-	return runFig5(opt, 1)
-}
-
-// RunFig5b reproduces Figure 5(b): the same all-hit workload with two NICs
-// (and clients split across them) — the CPU becomes the bottleneck and the
-// copy savings convert into throughput.
-func RunFig5b(opt Options) ([]NFSPoint, error) {
-	return runFig5(opt, 2)
-}
-
-func runFig5(opt Options, nics int) ([]NFSPoint, error) {
-	opt = opt.withDefaults()
-	var out []NFSPoint
-	for _, mode := range Modes {
-		for _, kb := range RequestSizesKB {
-			p, err := runFig5Point(opt, mode, kb, nics)
-			if err != nil {
-				return nil, fmt.Errorf("fig5 %s %dKB nics=%d: %w", mode, kb, nics, err)
-			}
-			out = append(out, p)
-		}
-	}
-	return out, nil
-}
-
-func runFig5Point(opt Options, mode passthru.Mode, reqKB, nics int) (NFSPoint, error) {
-	const hotBytes = 5 << 20 // the paper's 5 MB hot set
-	cs := clusterSpec{
-		mode:          mode,
-		nics:          nics,
-		clients:       2,
-		blocksPerDisk: 16 * 1024,
-		fsCacheBlocks: 8192, // 32 MB: the hot set always fits
-		ncacheBytes:   64 << 20,
-		faultSpec:     opt.FaultSpec,
-		faultSeed:     opt.FaultSeed,
-		workers:       opt.Workers,
-	}
-	cl, err := cs.build(func(f *extfs.Formatter) error {
-		_, err := f.AddFile("hotfile", hotBytes, nil)
-		return err
-	})
-	if err != nil {
-		return NFSPoint{}, err
-	}
-	defer cl.Close()
-	fh, err := lookupFH(cl, 0, "hotfile")
-	if err != nil {
-		return NFSPoint{}, err
-	}
-	if err := prefill(cl, fh, hotBytes); err != nil {
-		return NFSPoint{}, err
-	}
-	clients := make([]*nfs.Client, 0, len(cl.Clients))
-	for _, h := range cl.Clients {
-		clients = append(clients, h.NFS)
-	}
-	load := &workload.NFSReadLoad{
-		Clients:     clients,
-		FH:          fh,
-		FileSize:    hotBytes,
-		RequestSize: reqKB * 1024,
-		Pattern:     workload.HotSet,
-		Concurrency: opt.Concurrency,
-	}
-	return runNFSLoad(cl, load, opt, reqKB)
+	return h.nfsPoint(cl, load)
 }

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"ncache/internal/extfs"
-	"ncache/internal/nfs"
 	"ncache/internal/passthru"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
-	"ncache/internal/workload"
 )
 
 // OverheadRow is one component of NCache's per-request CPU overhead — the
@@ -35,15 +32,12 @@ type OverheadReport struct {
 	AccountedPct float64
 }
 
-// RunOverheadBreakdown measures the all-hit 32 KB point in NCache and
-// Baseline modes, then attributes the CPU-per-request gap to NCache's
-// mechanism components using the module's activity counters and the cost
-// profile's constants.
-func RunOverheadBreakdown(opt Options) (OverheadReport, error) {
-	opt = opt.withDefaults()
-	const hotBytes = 5 << 20
-	const reqKB = 32
-
+// overhead measures the all-hit 32 KB point in NCache and Baseline modes,
+// then attributes the CPU-per-request gap to NCache's mechanism components
+// using the module's activity counters and the cost profile's constants.
+func overhead(h *harness) (OverheadReport, error) {
+	// counters snapshots the mechanism activity the model charges for.
+	type counters struct{ subst, substBufs, captures, l2, logical uint64 }
 	type sample struct {
 		cpuPerOp float64
 		lookups  float64 // hash ops per request
@@ -52,74 +46,36 @@ func RunOverheadBreakdown(opt Options) (OverheadReport, error) {
 		logical  float64
 	}
 	measure := func(mode passthru.Mode) (sample, error) {
-		cs := clusterSpec{
-			mode:          mode,
-			nics:          2,
-			clients:       2,
-			blocksPerDisk: 16 * 1024,
-			fsCacheBlocks: 8192,
-			ncacheBytes:   64 << 20,
-		}
-		cl, err := cs.build(func(f *extfs.Formatter) error {
-			_, err := f.AddFile("hotfile", hotBytes, nil)
-			return err
-		})
+		cl, load, err := h.hitRig(passthru.ClusterConfig{Mode: mode, ServerNICs: 2}, 32, nil)
 		if err != nil {
 			return sample{}, err
 		}
-		fh, err := lookupFH(cl, 0, "hotfile")
-		if err != nil {
-			return sample{}, err
-		}
-		if err := prefill(cl, fh, hotBytes); err != nil {
-			return sample{}, err
-		}
-		clients := make([]*nfs.Client, 0, len(cl.Clients))
-		for _, h := range cl.Clients {
-			clients = append(clients, h.NFS)
-		}
-		load := &workload.NFSReadLoad{
-			Clients: clients, FH: fh, FileSize: hotBytes,
-			RequestSize: reqKB * 1024, Pattern: workload.HotSet,
-			Concurrency: opt.Concurrency,
-		}
-		runner := &workload.Runner{Eng: cl.Eng, Warmup: opt.Warmup, Window: opt.Window}
-		var s sample
-		var statsBefore, statsAfter struct {
-			subst, substBufs, captures, l2, logical uint64
-		}
-		snap := func(dst *struct{ subst, substBufs, captures, l2, logical uint64 }) {
-			if cl.App.Module != nil {
-				dst.subst = cl.App.Module.Stats.Substitutions
-				dst.substBufs = cl.App.Module.Stats.SubstBufs
-				dst.captures = cl.App.Module.Stats.Captures
-				dst.l2 = cl.App.Module.Stats.L2Hits
+		snap := func() (c counters) {
+			if m := cl.App.Module; m != nil {
+				c = counters{m.Stats.Substitutions, m.Stats.SubstBufs, m.Stats.Captures, m.Stats.L2Hits, 0}
 			}
-			dst.logical = cl.App.Node.Copies.LogicalOps
+			c.logical = cl.App.Node.Copies.LogicalOps
+			return c
 		}
+		var before, after counters
 		var busy sim.Duration
-		m, err := runner.Run(load,
-			func() {
-				resetClusterStats(cl)
-				snap(&statsBefore)
-			},
-			func() {
-				busy = cl.App.Node.CPU.Busy()
-				snap(&statsAfter)
-			})
+		w, err := h.measure(cl, load, nil,
+			func() { before = snap() },
+			func() { busy, after = cl.App.Node.CPU.Busy(), snap() })
 		if err != nil {
 			return sample{}, err
 		}
-		if m.Ops == 0 {
+		if w.Ops == 0 {
 			return sample{}, fmt.Errorf("overhead: no ops measured")
 		}
-		ops := float64(m.Ops)
-		s.cpuPerOp = float64(busy) / ops
-		s.lookups = float64(statsAfter.subst-statsBefore.subst+statsAfter.l2-statsBefore.l2) / ops
-		s.substBuf = float64(statsAfter.substBufs-statsBefore.substBufs) / ops
-		s.mgmt = float64(statsAfter.captures-statsBefore.captures) / ops
-		s.logical = float64(statsAfter.logical-statsBefore.logical) / ops
-		return s, nil
+		ops := float64(w.Ops)
+		return sample{
+			cpuPerOp: float64(busy) / ops,
+			lookups:  float64(after.subst-before.subst+after.l2-before.l2) / ops,
+			substBuf: float64(after.substBufs-before.substBufs) / ops,
+			mgmt:     float64(after.captures-before.captures) / ops,
+			logical:  float64(after.logical-before.logical) / ops,
+		}, nil
 	}
 
 	nc, err := measure(passthru.NCache)
@@ -131,7 +87,7 @@ func RunOverheadBreakdown(opt Options) (OverheadReport, error) {
 		return OverheadReport{}, err
 	}
 
-	cost := simProfile()
+	cost := simnet.DefaultProfile()
 	rows := []OverheadRow{
 		{Component: "hash lookups (LBN/FHO)", NsPerOp: nc.lookups * float64(cost.NCacheLookupNs)},
 		{Component: "packet substitution", NsPerOp: nc.substBuf * float64(cost.NCacheSubstNs)},
@@ -156,9 +112,6 @@ func RunOverheadBreakdown(opt Options) (OverheadReport, error) {
 	}
 	return rep, nil
 }
-
-// simProfile exposes the calibrated constants for attribution.
-func simProfile() simnet.CostProfile { return simnet.DefaultProfile() }
 
 // FormatOverhead renders the breakdown.
 func FormatOverhead(r OverheadReport) string {

@@ -67,20 +67,19 @@ type ScaleoutPoint struct {
 	SimEvents uint64
 }
 
-// RunScaleout sweeps the pass-through cluster across ScaleoutCounts
-// front-end servers over ScaleoutTargets shards, reporting aggregate
-// throughput and latency per server count (the scale-out figure).
-func RunScaleout(opt Options) ([]ScaleoutPoint, error) {
-	return RunScaleoutCounts(opt, ScaleoutCounts, ScaleoutTargets)
+// scaleout sweeps the pass-through cluster across ScaleoutCounts front-end
+// servers over ScaleoutTargets shards, reporting aggregate throughput and
+// latency per server count (the scale-out figure).
+func scaleout(h *harness) ([]ScaleoutPoint, error) {
+	return scaleoutCounts(h, ScaleoutCounts)
 }
 
-// RunScaleoutCounts runs the sweep over an explicit server-count list
-// (tests use small lists at short windows).
-func RunScaleoutCounts(opt Options, counts []int, targets int) ([]ScaleoutPoint, error) {
-	opt = opt.withDefaults()
+// scaleoutCounts runs the sweep over an explicit server-count list (tests
+// use small lists at short windows).
+func scaleoutCounts(h *harness, counts []int) ([]ScaleoutPoint, error) {
 	var out []ScaleoutPoint
 	for _, n := range counts {
-		p, err := runScaleoutPoint(opt, n, targets)
+		p, err := scaleoutPoint(h, n, ScaleoutTargets)
 		if err != nil {
 			return nil, fmt.Errorf("scaleout %d servers: %w", n, err)
 		}
@@ -89,12 +88,13 @@ func RunScaleoutCounts(opt Options, counts []int, targets int) ([]ScaleoutPoint,
 	return out, nil
 }
 
-// runScaleoutPoint measures one (server count, target count) topology: a
+// scaleoutPoint measures one (server count, target count) topology: a
 // hot-set read/write mix routed per file handle through each client host's
 // control-plane resolver, with client population scaled with the server
 // count (the paper's scale-out methodology: offered load grows with the
 // tier, so a flat curve means the tier does not scale).
-func runScaleoutPoint(opt Options, servers, targets int) (ScaleoutPoint, error) {
+func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
+	opt := h.opt
 	hosts := 2 * servers
 	procsPerHost := 32 / opt.Scale
 	if procsPerHost < 1 {
@@ -113,18 +113,15 @@ func runScaleoutPoint(opt Options, servers, targets int) (ScaleoutPoint, error) 
 	}
 	numFiles := 8 * servers
 	fileBlocks := int64(fileSize / extfs.BlockSize)
-	cs := clusterSpec{
-		mode:          passthru.NCache,
-		nics:          1,
-		servers:       servers,
-		targets:       targets,
-		clients:       hosts,
-		blocksPerDisk: int64(numFiles)*fileBlocks + 8192,
-		fsCacheBlocks: 4096,
-		ncacheBytes:   64 << 20,
-		faultSpec:     opt.FaultSpec,
-		faultSeed:     opt.FaultSeed,
-		workers:       opt.Workers,
+	names := make([]string, numFiles)
+	cl, err := h.build(h.withFaults(passthru.ClusterConfig{
+		Mode:          passthru.NCache,
+		NumServers:    servers,
+		NumTargets:    targets,
+		NumClients:    hosts,
+		BlocksPerDisk: int64(numFiles)*fileBlocks + 8192,
+		FSCacheBlocks: 4096,
+		NCacheBytes:   64 << 20,
 		// Clients reach the testbed over a LAN hop, not a fabric port:
 		// 50µs of access latency (vs the 5µs switch) is the paper's
 		// client RTT scale, and hands every client shard 10× the
@@ -132,11 +129,9 @@ func runScaleoutPoint(opt Options, servers, targets int) (ScaleoutPoint, error) 
 		// same LAN tier — it is management traffic with a 10 ms retry
 		// protocol, not data path — which keeps its busy message stream
 		// from capping every server shard's epoch at the fabric floor.
-		clientLinkLatency:  50 * sim.Microsecond,
-		controlLinkLatency: 50 * sim.Microsecond,
-	}
-	names := make([]string, numFiles)
-	cl, err := cs.build(func(f *extfs.Formatter) error {
+		ClientLinkLatency:  50 * sim.Microsecond,
+		ControlLinkLatency: 50 * sim.Microsecond,
+	}), func(f *extfs.Formatter) error {
 		for i := range names {
 			names[i] = fmt.Sprintf("hot%03d", i)
 			if _, err := f.AddFile(names[i], fileSize, nil); err != nil {
@@ -148,7 +143,6 @@ func runScaleoutPoint(opt Options, servers, targets int) (ScaleoutPoint, error) 
 	if err != nil {
 		return ScaleoutPoint{}, err
 	}
-	defer cl.Close()
 	files := make([]nfs.FH, numFiles)
 	for i, name := range names {
 		if files[i], err = lookupFH(cl, i%hosts, name); err != nil {
@@ -216,50 +210,26 @@ func runScaleoutPoint(opt Options, servers, targets int) (ScaleoutPoint, error) 
 		eng.Schedule(scaleoutFlushPeriod+sim.Duration(i)*sim.Millisecond, tick)
 	}
 
-	p := ScaleoutPoint{
-		Servers: servers,
-		Targets: targets,
-		Streams: len(routes) * opt.Concurrency,
-	}
-	runner := &workload.Runner{Eng: cl.Eng, Warmup: opt.Warmup, Window: opt.Window}
-	cl.Faults.Arm()
-	m, err := runner.Run(load,
-		func() {
-			resetClusterStats(cl)
-			tr.ResetStats()
-		},
-		func() {
-			for _, app := range cl.Apps {
-				if u := app.Node.CPU.Utilization(); u > p.ServerCPUMax {
-					p.ServerCPUMax = u
-				}
-			}
-			if cl.Control != nil {
-				p.ControlCPU = cl.Control.Node().CPU.Utilization()
-			}
-			p.LinkUtil = maxLinkUtil(cl)
-			tr.Freeze()
-			cl.Faults.Quiesce()
-			// Stop the flushers so the post-window drain terminates.
-			flushing = false
-		})
+	// Stop the flushers at the window's end so the post-window drain
+	// terminates.
+	w, err := h.measure(cl, load, tr, nil, func() { flushing = false })
 	if err != nil {
 		return ScaleoutPoint{}, err
 	}
-	p.ThroughputMBs = m.Throughput() / 1e6
-	p.OpsPerSec = m.OpsPerSec()
-	p.Errors = m.Errors
-	p.RouteErrors = load.RouteErrors()
-	if s := tr.Summary(); s != nil {
-		for _, op := range s.Ops {
-			switch op.Op {
-			case "read":
-				p.ReadP99Us = float64(op.P99) / 1e3
-			case "write":
-				p.WriteP99Us = float64(op.P99) / 1e3
-			}
-		}
+	p := ScaleoutPoint{
+		Servers:       servers,
+		Targets:       targets,
+		Streams:       len(routes) * opt.Concurrency,
+		ThroughputMBs: w.Throughput() / 1e6,
+		OpsPerSec:     w.OpsPerSec(),
+		ServerCPUMax:  w.ServerCPU,
+		ControlCPU:    w.ControlCPU,
+		LinkUtil:      w.LinkUtil,
+		Errors:        w.Errors,
 	}
+	p.RouteErrors = load.RouteErrors()
+	sum := tr.Summary()
+	p.ReadP99Us, p.WriteP99Us = opP99Us(sum, "read"), opP99Us(sum, "write")
 	if cl.Control != nil {
 		p.CPLookups = cl.Control.Stats.LookupsFH
 		p.CPMembers = cl.Control.Stats.LookupsMembers
@@ -280,9 +250,8 @@ func runScaleoutPoint(opt Options, servers, targets int) (ScaleoutPoint, error) 
 			p.EpochFlushes += sc.Resolver.Stats.EpochFlush
 		}
 	}
-	// Read the engine's own counters (not the package tally, which ncbench
-	// drains per record): per-point epoch counts survive alongside the
-	// sweep-wide aggregate.
+	// Per-point epoch counts sit alongside the run-wide sum the harness
+	// keeps.
 	st := cl.Eng.RunStats()
 	p.Epochs, p.SimEvents = st.Epochs, st.Events
 	opt.Chrome.Add(tr)

@@ -21,50 +21,65 @@ const (
 	sfsFileSize  = 800 * 1024 // 256 × 800 KB ≈ 200 MB at Scale=1
 )
 
-// RunFig7 reproduces Figure 7: SPECsfs-like throughput (ops/s) for the
-// three configurations as the regular-data fraction of the op mix grows.
-func RunFig7(opt Options) ([]SFSPoint, error) {
-	opt = opt.withDefaults()
-	var out []SFSPoint
-	for _, mode := range Modes {
-		for _, pct := range Fig7RegularDataPcts {
-			p, err := runFig7Point(opt, mode, pct)
-			if err != nil {
-				return nil, fmt.Errorf("fig7 %s %d%%: %w", mode, pct, err)
-			}
-			out = append(out, p)
+// fig7 reproduces Figure 7: SPECsfs-like throughput (ops/s) for the three
+// configurations as the regular-data fraction of the op mix grows.
+func fig7(h *harness) ([]SFSPoint, error) {
+	return sweep("fig7", Fig7RegularDataPcts, func(mode passthru.Mode, pct int) (SFSPoint, error) {
+		cfg := passthru.ClusterConfig{Mode: mode}
+		if mode != passthru.NCache {
+			// The SFS steady state is cache-resident (the accessed set is
+			// 10% of the file system precisely so the server works from
+			// memory). NCache keeps sfsRig's small FS cache instead:
+			// double-buffering control, NCache as L2.
+			cfg.FSCacheBlocks = int(sfsTotalBlocks(h.opt)) + 8192
 		}
-	}
-	return out, nil
+		cl, load, err := h.sfsRig(cfg, "sfs", workload.SFSConfig{RegularDataPct: pct})
+		if err != nil {
+			return SFSPoint{}, err
+		}
+		w, err := h.measure(cl, load, nil, nil, nil)
+		return SFSPoint{
+			Mode:           mode,
+			RegularDataPct: pct,
+			OpsPerSec:      w.OpsPerSec(),
+			ServerCPU:      w.ServerCPU,
+			Errors:         w.Errors,
+		}, err
+	})
 }
 
-func runFig7Point(opt Options, mode passthru.Mode, pct int) (SFSPoint, error) {
-	fileSize := uint64(sfsFileSize / opt.Scale)
-	fileSize -= fileSize % extfs.BlockSize
-	if fileSize == 0 {
-		fileSize = extfs.BlockSize
+// sfsFileBytes is the scaled size of one file of the SFS set.
+func sfsFileBytes(opt Options) uint64 {
+	size := uint64(sfsFileSize / opt.Scale)
+	size -= size % extfs.BlockSize
+	if size == 0 {
+		size = extfs.BlockSize
 	}
-	totalBlocks := int64(sfsFileCount) * int64(fileSize/extfs.BlockSize)
+	return size
+}
 
-	// The SFS steady state is cache-resident (the accessed set is 10% of
-	// the file system precisely so the server works from memory); the
-	// peak-throughput point the paper reports is server-CPU-bound.
-	cs := clusterSpec{
-		mode:          mode,
-		nics:          1,
-		clients:       2,
-		blocksPerDisk: totalBlocks/4 + 16384,
-		fsCacheBlocks: int(totalBlocks) + 8192,
-		ncacheBytes:   (int64(totalBlocks)*extfs.BlockSize*3)/2 + (64 << 20),
+// sfsTotalBlocks is the SFS file set's footprint in blocks.
+func sfsTotalBlocks(opt Options) int64 {
+	return sfsFileCount * int64(sfsFileBytes(opt)/extfs.BlockSize)
+}
+
+// sfsRig builds the SFS testbed: the file set laid down as <prefix>-NNNN,
+// every handle resolved through the protocol (warming directory metadata)
+// and every file prefilled so the window starts from steady state, driven at
+// the sustained peak the paper reports — enough streams to push the server
+// to its CPU limit. Unset cache sizes get the NCache arrangement: a 16 MB FS
+// cache in front of an NCache that holds the whole set.
+func (h *harness) sfsRig(cfg passthru.ClusterConfig, prefix string, mix workload.SFSConfig) (*passthru.Cluster, *workload.SFSLoad, error) {
+	fileSize, totalBlocks := sfsFileBytes(h.opt), sfsTotalBlocks(h.opt)
+	cfg.BlocksPerDisk = totalBlocks/4 + 16384
+	if cfg.FSCacheBlocks == 0 {
+		cfg.FSCacheBlocks = 4096
 	}
-	if mode == passthru.NCache {
-		// Double-buffering control: small FS cache, NCache as L2.
-		cs.fsCacheBlocks = 4096
-	}
+	cfg.NCacheBytes = (totalBlocks*extfs.BlockSize*3)/2 + (64 << 20)
 	var specs []extfs.FileSpec
-	cl, err := cs.build(func(f *extfs.Formatter) error {
+	cl, err := h.build(cfg, func(f *extfs.Formatter) error {
 		for i := 0; i < sfsFileCount; i++ {
-			spec, err := f.AddFile(fmt.Sprintf("sfs-%04d", i), fileSize, nil)
+			spec, err := f.AddFile(fmt.Sprintf("%s-%04d", prefix, i), fileSize, nil)
 			if err != nil {
 				return err
 			}
@@ -74,47 +89,19 @@ func runFig7Point(opt Options, mode passthru.Mode, pct int) (SFSPoint, error) {
 		return err
 	})
 	if err != nil {
-		return SFSPoint{}, err
+		return nil, nil, err
 	}
-
-	// Resolve handles through the protocol (warming directory metadata)
-	// and prefill each file so the window starts from steady state.
-	files := make([]workload.FileRef, 0, len(specs))
 	for _, spec := range specs {
 		fh, err := lookupFH(cl, 0, spec.Name)
 		if err != nil {
-			return SFSPoint{}, err
+			return nil, nil, err
 		}
 		if err := prefill(cl, fh, spec.Size); err != nil {
-			return SFSPoint{}, err
+			return nil, nil, err
 		}
-		files = append(files, workload.FileRef{FH: fh, Size: spec.Size})
+		mix.Files = append(mix.Files, workload.FileRef{FH: fh, Size: spec.Size})
 	}
-
-	clients := make([]*nfs.Client, 0, len(cl.Clients))
-	for _, h := range cl.Clients {
-		clients = append(clients, h.NFS)
-	}
-	load := &workload.SFSLoad{
-		Clients: clients,
-		Cfg: workload.SFSConfig{
-			RegularDataPct: pct,
-			Files:          files,
-			ScratchDir:     nfs.RootFH(),
-			// The paper reports the sustained peak: drive the server
-			// to its CPU limit.
-			Concurrency: opt.Concurrency * 4,
-		},
-	}
-	runner := &workload.Runner{Eng: cl.Eng, Warmup: opt.Warmup, Window: opt.Window}
-	p := SFSPoint{Mode: mode, RegularDataPct: pct}
-	m, err := runner.Run(load,
-		func() { resetClusterStats(cl) },
-		func() { p.ServerCPU = cl.App.Node.CPU.Utilization() })
-	if err != nil {
-		return SFSPoint{}, err
-	}
-	p.OpsPerSec = m.OpsPerSec()
-	p.Errors = m.Errors
-	return p, nil
+	mix.ScratchDir = nfs.RootFH()
+	mix.Concurrency = h.opt.Concurrency * 4
+	return cl, &workload.SFSLoad{Clients: nfsClients(cl), Cfg: mix}, nil
 }

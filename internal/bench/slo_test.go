@@ -18,7 +18,7 @@ func TestLatencySLOGate(t *testing.T) {
 	opt.Latency = true
 	byMode := make(map[passthru.Mode]NFSPoint)
 	for _, b := range Fig5bSLOs {
-		p, err := runFig5Point(opt, b.Mode, 16, 2)
+		p, err := fig5Point(testHarness(t, opt), b.Mode, 16, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

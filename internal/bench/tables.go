@@ -54,31 +54,15 @@ type Table2Row struct {
 	Want   uint64 // the paper's count
 }
 
-// Table2 measures the number of physical copy operations per request on the
+// table2 measures the number of physical copy operations per request on the
 // Original configuration's four NFS paths and two kHTTPd paths, reproducing
 // Table 2. Metadata is warmed first so the deltas are pure data path.
-func Table2() ([]Table2Row, error) {
-	cl, err := passthru.NewCluster(passthru.ClusterConfig{
-		Mode:          passthru.Original,
-		NumClients:    1,
-		BlocksPerDisk: 16 * 1024,
-		EnableWeb:     true,
+func table2(h *harness) ([]Table2Row, error) {
+	cl, err := h.build(table2Config, func(f *extfs.Formatter) error {
+		_, err := f.AddFile("t2file", 64*extfs.BlockSize, nil)
+		return err
 	})
 	if err != nil {
-		return nil, err
-	}
-	fmtr, err := extfs.Format(cl.Storage.Array, 512)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fmtr.AddFile("t2file", 64*extfs.BlockSize, nil); err != nil {
-		return nil, err
-	}
-	if err := fmtr.Flush(); err != nil {
-		return nil, err
-	}
-	cl.Storage.Array.SetSynthesize(synthContent)
-	if err := cl.Start(); err != nil {
 		return nil, err
 	}
 	fh, err := lookupFH(cl, 0, "t2file")
@@ -171,7 +155,7 @@ func Table2() ([]Table2Row, error) {
 	rows = append(rows, Table2Row{Server: "NFS server", Path: "write flushed", Copies: d.PhysicalOps - 1, Want: 2})
 
 	// kHTTPd: one-copy sendfile path. Use a fresh single-block page.
-	webRows, err := table2Web()
+	webRows, err := table2Web(h)
 	if err != nil {
 		return nil, err
 	}
@@ -179,33 +163,26 @@ func Table2() ([]Table2Row, error) {
 	return rows, nil
 }
 
+// table2Config is the one-client Original testbed both halves of Table 2
+// measure.
+var table2Config = passthru.ClusterConfig{
+	Mode:          passthru.Original,
+	NumClients:    1,
+	BlocksPerDisk: 16 * 1024,
+	EnableWeb:     true,
+}
+
 // table2Web measures the kHTTPd read paths on a fresh cluster.
-func table2Web() ([]Table2Row, error) {
-	cl, err := passthru.NewCluster(passthru.ClusterConfig{
-		Mode:          passthru.Original,
-		NumClients:    1,
-		BlocksPerDisk: 16 * 1024,
-		EnableWeb:     true,
+func table2Web(h *harness) ([]Table2Row, error) {
+	// Two one-block pages: one to warm metadata, one to measure.
+	cl, err := h.build(table2Config, func(f *extfs.Formatter) error {
+		if _, err := f.AddFile("warm.html", extfs.BlockSize, nil); err != nil {
+			return err
+		}
+		_, err := f.AddFile("page.html", extfs.BlockSize, nil)
+		return err
 	})
 	if err != nil {
-		return nil, err
-	}
-	fmtr, err := extfs.Format(cl.Storage.Array, 512)
-	if err != nil {
-		return nil, err
-	}
-	// Two one-block pages: one to warm metadata, one to measure.
-	if _, err := fmtr.AddFile("warm.html", extfs.BlockSize, nil); err != nil {
-		return nil, err
-	}
-	if _, err := fmtr.AddFile("page.html", extfs.BlockSize, nil); err != nil {
-		return nil, err
-	}
-	if err := fmtr.Flush(); err != nil {
-		return nil, err
-	}
-	cl.Storage.Array.SetSynthesize(synthContent)
-	if err := cl.Start(); err != nil {
 		return nil, err
 	}
 	var conn *passthru.HTTPConn

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"ncache/internal/extfs"
 	"ncache/internal/nfs"
 	"ncache/internal/passthru"
-	"ncache/internal/workload"
 )
 
 // TransportPoint is one measured transport-comparison point.
@@ -44,53 +42,45 @@ var NFSTransports = []NFSTransport{
 
 // connectNFSUDP uses each host's mounted datagram client (the paper's NFS
 // transport).
-func connectNFSUDP(cl *passthru.Cluster) ([]*nfs.Client, error) {
-	clients := make([]*nfs.Client, 0, len(cl.Clients))
-	for _, h := range cl.Clients {
-		clients = append(clients, h.NFS)
-	}
-	return clients, nil
-}
+func connectNFSUDP(cl *passthru.Cluster) ([]*nfs.Client, error) { return nfsClients(cl), nil }
 
 // connectNFSTCP dials a record-marked stream client per host, spread across
 // the server NICs like the datagram clients are.
 func connectNFSTCP(cl *passthru.Cluster) ([]*nfs.Client, error) {
-	clients := make([]*nfs.Client, 0, len(cl.Clients))
-	var dialErr error
+	// Each dial completes on its own host's shard, into its own slot.
+	clients := make([]*nfs.Client, len(cl.Clients))
+	errs := make([]error, len(cl.Clients))
 	for i, h := range cl.Clients {
+		i := i
 		nic := cl.App.Node.NICs()[i%len(cl.App.Node.NICs())]
-		h.DialNFSTCP(nic.Addr, func(c *nfs.Client, err error) {
-			if err != nil {
-				if dialErr == nil {
-					dialErr = err
-				}
-				return
-			}
-			clients = append(clients, c)
-		})
+		h.DialNFSTCP(nic.Addr, func(c *nfs.Client, err error) { clients[i], errs[i] = c, err })
 	}
 	if err := cl.Eng.Run(); err != nil {
 		return nil, err
 	}
-	if dialErr != nil {
-		return nil, dialErr
+	for i, c := range clients {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		if c == nil {
+			return nil, fmt.Errorf("bench: NFS/TCP dial from client %d did not complete", i)
+		}
 	}
 	return clients, nil
 }
 
-// RunTransportComparison measures the all-hit 32 KB workload over each
-// NFSTransports entry in the Original and NCache configurations. The paper
-// explains kHTTPd's smaller gains partly by TCP's higher per-packet overhead
-// (§5.5); running the *same* NFS service over both transports isolates
-// exactly that effect. With Options.FaultSpec set the run additionally
-// exercises loss recovery: datagram RPC retransmission over UDP against TCP
+// transport measures the all-hit 32 KB workload over each NFSTransports
+// entry in the Original and NCache configurations. The paper explains
+// kHTTPd's smaller gains partly by TCP's higher per-packet overhead (§5.5);
+// running the *same* NFS service over both transports isolates exactly that
+// effect. With Options.FaultSpec set the run additionally exercises loss
+// recovery: datagram RPC retransmission over UDP against TCP
 // RTO/fast-retransmit, with every escaped error counted.
-func RunTransportComparison(opt Options) ([]TransportPoint, error) {
-	opt = opt.withDefaults()
+func transport(h *harness) ([]TransportPoint, error) {
 	var out []TransportPoint
 	for _, mode := range []passthru.Mode{passthru.Original, passthru.NCache} {
 		for _, tr := range NFSTransports {
-			p, err := runTransportPoint(opt, mode, tr)
+			p, err := transportPoint(h, mode, tr)
 			if err != nil {
 				return nil, fmt.Errorf("transport %s/%s: %w", mode, tr.Name, err)
 			}
@@ -100,79 +90,36 @@ func RunTransportComparison(opt Options) ([]TransportPoint, error) {
 	return out, nil
 }
 
-func runTransportPoint(opt Options, mode passthru.Mode, tr NFSTransport) (TransportPoint, error) {
-	const hotBytes = 5 << 20
-	cs := clusterSpec{
-		mode:          mode,
-		nics:          2,
-		clients:       2,
-		blocksPerDisk: 16 * 1024,
-		fsCacheBlocks: 8192,
-		ncacheBytes:   64 << 20,
-		faultSpec:     opt.FaultSpec,
-		faultSeed:     opt.FaultSeed,
-		workers:       opt.Workers,
-	}
-	cl, err := cs.build(func(f *extfs.Formatter) error {
-		_, err := f.AddFile("hotfile", hotBytes, nil)
-		return err
-	})
+func transportPoint(h *harness, mode passthru.Mode, tr NFSTransport) (TransportPoint, error) {
+	cl, load, err := h.hitRig(h.withFaults(passthru.ClusterConfig{Mode: mode, ServerNICs: 2}), 32, nil)
 	if err != nil {
 		return TransportPoint{}, err
 	}
-	defer cl.Close()
-	fh, err := lookupFH(cl, 0, "hotfile")
-	if err != nil {
-		return TransportPoint{}, err
-	}
-	if err := prefill(cl, fh, hotBytes); err != nil {
-		return TransportPoint{}, err
-	}
-
 	// Connections are established fault-free; injection covers the load.
-	clients, err := tr.Connect(cl)
-	if err != nil {
+	if load.Clients, err = tr.Connect(cl); err != nil {
 		return TransportPoint{}, err
 	}
-
-	load := &workload.NFSReadLoad{
-		Clients:     clients,
-		FH:          fh,
-		FileSize:    hotBytes,
-		RequestSize: 32 * 1024,
-		Pattern:     workload.HotSet,
-		Concurrency: opt.Concurrency,
-	}
-	runner := &workload.Runner{Eng: cl.Eng, Warmup: opt.Warmup, Window: opt.Window}
-	p := TransportPoint{Mode: mode, Transport: tr.Name}
-	var pktsBefore uint64
-	cl.Faults.Arm()
-	m, err := runner.Run(load,
-		func() {
-			resetClusterStats(cl)
-			t := cl.App.Node.NetTotals()
-			pktsBefore = t.PacketsTx + t.PacketsRx
-		},
-		func() {
-			p.ServerCPU = cl.App.Node.CPU.Utilization()
-			t := cl.App.Node.NetTotals()
-			if ops, _, _ := load.Counters(); ops > 0 {
-				// Approximate per-request packets over the window.
-				p.ServerPkts = float64(t.PacketsTx+t.PacketsRx-pktsBefore) / float64(ops)
-			}
-			cl.Faults.Quiesce()
-		})
-	if err != nil {
-		return TransportPoint{}, err
-	}
-	p.ThroughputMBs = m.Throughput() / 1e6
-	p.OpsPerSec = m.OpsPerSec()
-	p.Errors = m.Errors
-	if m.Ops > 0 && p.ServerPkts > 0 {
-		// Correct the per-request packet estimate using the measured op
-		// count (the load counter is cumulative; window ops are m.Ops).
+	packets := func() uint64 {
 		t := cl.App.Node.NetTotals()
-		p.ServerPkts = float64(t.PacketsTx+t.PacketsRx-pktsBefore) / float64(m.Ops)
+		return t.PacketsTx + t.PacketsRx
+	}
+	var pktsBefore uint64
+	w, err := h.measure(cl, load, nil, func() { pktsBefore = packets() }, nil)
+	if err != nil {
+		return TransportPoint{}, err
+	}
+	p := TransportPoint{
+		Mode:          mode,
+		Transport:     tr.Name,
+		ThroughputMBs: w.Throughput() / 1e6,
+		OpsPerSec:     w.OpsPerSec(),
+		ServerCPU:     w.ServerCPU,
+		Errors:        w.Errors,
+	}
+	if w.Ops > 0 {
+		// Read after the drain, so the tail of the in-flight requests is
+		// counted against the window's operations.
+		p.ServerPkts = float64(packets()-pktsBefore) / float64(w.Ops)
 	}
 	if cl.Faults != nil {
 		p.TCPRetransmits, p.TCPRTOs, p.TCPFastRtx, _, _ = cl.TCPCounters()

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 
 	"ncache/internal/extfs"
 	"ncache/internal/passthru"
+	"ncache/internal/sim"
 	"ncache/internal/workload"
 )
 
@@ -21,48 +23,37 @@ var Fig6bRequestKB = []int{16, 32, 64, 128}
 // rest), split between the FS buffer cache and NCache.
 const serverMemoryMB = 448
 
-// RunFig6a reproduces Figure 6(a): kHTTPd under the SPECweb99-like Zipf
-// load, sweeping the working-set size. NCache's metadata footprint shrinks
-// its effective cache, so its curve falls off earlier at large sets.
-func RunFig6a(opt Options) ([]WebPoint, error) {
-	opt = opt.withDefaults()
-	var out []WebPoint
-	for _, mode := range Modes {
-		for _, wsMB := range Fig6aWorkingSetsMB {
-			p, err := runFig6aPoint(opt, mode, wsMB)
-			if err != nil {
-				return nil, fmt.Errorf("fig6a %s %dMB: %w", mode, wsMB, err)
-			}
-			out = append(out, p)
+// fig6a reproduces Figure 6(a): kHTTPd under the SPECweb99-like Zipf load,
+// sweeping the working-set size. NCache's metadata footprint shrinks its
+// effective cache, so its curve falls off earlier at large sets.
+func fig6a(h *harness) ([]WebPoint, error) {
+	return sweep("fig6a", Fig6aWorkingSetsMB, func(mode passthru.Mode, wsMB int) (WebPoint, error) {
+		scale := int64(h.opt.Scale)
+		memBytes := int64(serverMemoryMB) << 20 / scale
+		cfg := passthru.ClusterConfig{Mode: mode, FSCacheBlocks: int(memBytes / extfs.BlockSize)}
+		if mode == passthru.NCache {
+			// Small FS cache; NCache takes the rest of the memory budget.
+			fsBytes := memBytes / 16
+			cfg.FSCacheBlocks = int(fsBytes / extfs.BlockSize)
+			cfg.NCacheBytes = memBytes - fsBytes
 		}
-	}
-	return out, nil
+		cl, load, err := h.webRig(cfg, int64(wsMB)<<20/scale)
+		if err != nil {
+			return WebPoint{}, err
+		}
+		return h.webPoint(cl, load, wsMB)
+	})
 }
 
-func runFig6aPoint(opt Options, mode passthru.Mode, wsMB int) (WebPoint, error) {
-	scale := int64(opt.Scale)
-	wsBytes := int64(wsMB) << 20 / scale
-	memBytes := int64(serverMemoryMB) << 20 / scale
-
-	cs := clusterSpec{
-		mode:          mode,
-		nics:          2, // CPU-limited, as the paper's throughput gaps imply
-		clients:       2,
-		blocksPerDisk: wsBytes/4096/4 + 16384,
-		web:           true,
-	}
-	switch mode {
-	case passthru.NCache:
-		// Small FS cache; NCache takes the rest of the memory budget.
-		fsBytes := memBytes / 16
-		cs.fsCacheBlocks = int(fsBytes / extfs.BlockSize)
-		cs.ncacheBytes = memBytes - fsBytes
-	default:
-		cs.fsCacheBlocks = int(memBytes / extfs.BlockSize)
-	}
-
+// webRig builds the SPECweb99-like testbed: a page set of wsBytes served by
+// kHTTPd over two NICs (CPU-limited, as the paper's throughput gaps imply),
+// persistent connections dialed, and every page fetched once.
+func (h *harness) webRig(cfg passthru.ClusterConfig, wsBytes int64) (*passthru.Cluster, *workload.WebLoad, error) {
+	cfg.ServerNICs = 2
+	cfg.EnableWeb = true
+	cfg.BlocksPerDisk = wsBytes/4096/4 + 16384
 	pages := workload.BuildPageSet(wsBytes)
-	cl, err := cs.build(func(f *extfs.Formatter) error {
+	cl, err := h.build(cfg, func(f *extfs.Formatter) error {
 		for i, name := range pages.Names {
 			if _, err := f.AddFile(name, uint64(pages.Sizes[i]), nil); err != nil {
 				return err
@@ -71,20 +62,19 @@ func runFig6aPoint(opt Options, mode passthru.Mode, wsMB int) (WebPoint, error) 
 		return nil
 	})
 	if err != nil {
-		return WebPoint{}, err
+		return nil, nil, err
 	}
-	conns, err := dialWebConns(cl, opt.Concurrency)
+	conns, err := dialWebConns(cl, h.opt.Concurrency)
 	if err != nil {
-		return WebPoint{}, err
+		return nil, nil, err
 	}
 	if err := prefillWeb(cl, conns[0], pages); err != nil {
-		return WebPoint{}, err
+		return nil, nil, err
 	}
 	// SPECweb99 popularity is Zipf-like but flatter than s=1 across its
 	// class/rotation structure; 0.75 yields the paper's declining hit
 	// ratios at large working sets.
-	load := &workload.WebLoad{Conns: conns, Pages: pages, ZipfS: 0.75}
-	return runWebLoad(cl, load, opt, wsMB)
+	return cl, &workload.WebLoad{Conns: conns, Pages: pages, ZipfS: 0.75}, nil
 }
 
 // prefillWeb fetches every page once, least-popular first, so the server's
@@ -119,95 +109,84 @@ func prefillWeb(cl *passthru.Cluster, conn *passthru.HTTPConn, pages workload.Pa
 	return nil
 }
 
-// RunFig6b reproduces Figure 6(b): the all-hit web micro-benchmark,
-// sweeping the requested page size 16–128 KB.
-func RunFig6b(opt Options) ([]WebPoint, error) {
-	opt = opt.withDefaults()
-	var out []WebPoint
-	for _, mode := range Modes {
-		for _, kb := range Fig6bRequestKB {
-			p, err := runFig6bPoint(opt, mode, kb)
-			if err != nil {
-				return nil, fmt.Errorf("fig6b %s %dKB: %w", mode, kb, err)
-			}
-			out = append(out, p)
+// fig6b reproduces Figure 6(b): the all-hit web micro-benchmark, sweeping
+// the requested page size 16–128 KB.
+func fig6b(h *harness) ([]WebPoint, error) {
+	return sweep("fig6b", Fig6bRequestKB, func(mode passthru.Mode, reqKB int) (WebPoint, error) {
+		cl, err := h.build(passthru.ClusterConfig{
+			Mode:          mode,
+			ServerNICs:    2, // expose the CPU limit, as in Fig 5(b)
+			BlocksPerDisk: 16 * 1024,
+			FSCacheBlocks: 8192,
+			NCacheBytes:   64 << 20,
+			EnableWeb:     true,
+		}, func(f *extfs.Formatter) error {
+			_, err := f.AddFile("hotpage", uint64(reqKB)*1024, nil)
+			return err
+		})
+		if err != nil {
+			return WebPoint{}, err
 		}
-	}
-	return out, nil
-}
-
-func runFig6bPoint(opt Options, mode passthru.Mode, reqKB int) (WebPoint, error) {
-	cs := clusterSpec{
-		mode:          mode,
-		nics:          2, // expose the CPU limit, as in Fig 5(b)
-		clients:       2,
-		blocksPerDisk: 16 * 1024,
-		fsCacheBlocks: 8192,
-		ncacheBytes:   64 << 20,
-		web:           true,
-	}
-	name := "hotpage"
-	cl, err := cs.build(func(f *extfs.Formatter) error {
-		_, err := f.AddFile(name, uint64(reqKB)*1024, nil)
-		return err
+		conns, err := dialWebConns(cl, h.opt.Concurrency)
+		if err != nil {
+			return WebPoint{}, err
+		}
+		load := &workload.WebLoad{Conns: conns, Pages: workload.PageSet{Names: []string{"hotpage"}}}
+		return h.webPoint(cl, load, reqKB)
 	})
-	if err != nil {
-		return WebPoint{}, err
-	}
-	conns, err := dialWebConns(cl, opt.Concurrency)
-	if err != nil {
-		return WebPoint{}, err
-	}
-	load := &workload.FixedWebLoad{Conns: conns, Page: name}
-	return runWebLoad(cl, load, opt, reqKB)
 }
 
 // dialWebConns opens n persistent connections per client host, spread
-// across server NICs.
+// across server NICs, returned in the order they were established. Each
+// dial completes on its own host's shard into its own slot; ordering the
+// slots by completion instant reproduces the sequential engine's completion
+// order on any engine.
 func dialWebConns(cl *passthru.Cluster, perHost int) ([]*passthru.HTTPConn, error) {
-	var conns []*passthru.HTTPConn
-	var dialErr error
-	want := 0
+	type dialed struct {
+		conn *passthru.HTTPConn
+		err  error
+		at   sim.Time
+	}
+	slots := make([]dialed, len(cl.Clients)*perHost)
 	for ci, host := range cl.Clients {
 		for k := 0; k < perHost; k++ {
+			host, slot := host, &slots[ci*perHost+k]
 			nic := cl.App.Node.NICs()[ci%len(cl.App.Node.NICs())]
-			want++
 			host.DialHTTP(nic.Addr, func(h *passthru.HTTPConn, err error) {
-				if err != nil && dialErr == nil {
-					dialErr = err
-					return
-				}
-				conns = append(conns, h)
+				*slot = dialed{h, err, host.Node.Eng.Now()}
 			})
 		}
 	}
 	if err := cl.Eng.Run(); err != nil {
 		return nil, err
 	}
-	if dialErr != nil {
-		return nil, dialErr
-	}
-	if len(conns) != want {
-		return nil, fmt.Errorf("bench: dialed %d/%d web connections", len(conns), want)
+	sort.SliceStable(slots, func(i, j int) bool { return slots[i].at < slots[j].at })
+	conns := make([]*passthru.HTTPConn, 0, len(slots))
+	for _, d := range slots {
+		if d.err != nil {
+			return nil, d.err
+		}
+		if d.conn == nil {
+			return nil, fmt.Errorf("bench: dialed %d/%d web connections", len(conns), len(slots))
+		}
+		conns = append(conns, d.conn)
 	}
 	return conns, nil
 }
 
-// runWebLoad measures one web point.
-func runWebLoad(cl *passthru.Cluster, load workload.Load, opt Options, param int) (WebPoint, error) {
-	runner := &workload.Runner{Eng: cl.Eng, Warmup: opt.Warmup, Window: opt.Window}
-	p := WebPoint{Mode: cl.App.Mode, ParamKB: param}
-	m, err := runner.Run(load,
-		func() { resetClusterStats(cl) },
-		func() {
-			p.ServerCPU = cl.App.Node.CPU.Utilization()
-			p.HitRatio = cl.App.Cache.Stats.HitRatio()
-		})
+// webPoint measures one web point.
+func (h *harness) webPoint(cl *passthru.Cluster, load workload.Load, param int) (WebPoint, error) {
+	w, err := h.measure(cl, load, nil, nil, nil)
 	if err != nil {
 		return WebPoint{}, err
 	}
-	p.ThroughputMBs = m.Throughput() / 1e6
-	p.OpsPerSec = m.OpsPerSec()
-	p.Errors = m.Errors
-	return p, nil
+	return WebPoint{
+		Mode:          cl.App.Mode,
+		ParamKB:       param,
+		ThroughputMBs: w.Throughput() / 1e6,
+		OpsPerSec:     w.OpsPerSec(),
+		ServerCPU:     w.ServerCPU,
+		HitRatio:      w.HitRatio,
+		Errors:        w.Errors,
+	}, nil
 }

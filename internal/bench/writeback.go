@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ncache/internal/extfs"
-	"ncache/internal/nfs"
 	"ncache/internal/passthru"
 	"ncache/internal/workload"
 )
@@ -48,14 +46,13 @@ type WritebackPoint struct {
 	StallMs         float64
 }
 
-// RunWriteback measures the write-back pipeline against the synchronous
+// writeback measures the write-back pipeline against the synchronous
 // dirty-data path at equal durability: the same write-heavy SFS load on the
 // same NCache testbed, acked-means-durable on both arms.
-func RunWriteback(opt Options) ([]WritebackPoint, error) {
-	opt = opt.withDefaults()
+func writeback(h *harness) ([]WritebackPoint, error) {
 	var out []WritebackPoint
 	for _, arm := range WritebackArms {
-		p, err := runWritebackPoint(opt, arm)
+		p, err := writebackPoint(h, arm)
 		if err != nil {
 			return nil, fmt.Errorf("fig-writeback %s: %w", arm, err)
 		}
@@ -64,81 +61,27 @@ func RunWriteback(opt Options) ([]WritebackPoint, error) {
 	return out, nil
 }
 
-func runWritebackPoint(opt Options, arm string) (WritebackPoint, error) {
-	fileSize := uint64(sfsFileSize / opt.Scale)
-	fileSize -= fileSize % extfs.BlockSize
-	if fileSize == 0 {
-		fileSize = extfs.BlockSize
-	}
-	totalBlocks := int64(sfsFileCount) * int64(fileSize/extfs.BlockSize)
-
-	cs := clusterSpec{
-		mode:          passthru.NCache,
-		nics:          1,
-		clients:       2,
-		blocksPerDisk: totalBlocks/4 + 16384,
-		fsCacheBlocks: 4096,
-		ncacheBytes:   (int64(totalBlocks)*extfs.BlockSize*3)/2 + (64 << 20),
-		workers:       opt.Workers,
-		writeback: passthru.WritebackConfig{
-			Enabled:      true,
-			WriteThrough: arm == "sync",
-		},
-	}
-	var specs []extfs.FileSpec
-	cl, err := cs.build(func(f *extfs.Formatter) error {
-		for i := 0; i < sfsFileCount; i++ {
-			spec, err := f.AddFile(fmt.Sprintf("wb-%04d", i), fileSize, nil)
-			if err != nil {
-				return err
-			}
-			specs = append(specs, spec)
-		}
-		_, err := f.AddFile("scratch-marker", extfs.BlockSize, nil)
-		return err
-	})
+func writebackPoint(h *harness, arm string) (WritebackPoint, error) {
+	cl, load, err := h.sfsRig(passthru.ClusterConfig{
+		Mode:      passthru.NCache,
+		Writeback: passthru.WritebackConfig{Enabled: true, WriteThrough: arm == "sync"},
+	}, "wb", workload.SFSConfig{RegularDataPct: 75, WriteMixPct: writebackWriteMixPct})
 	if err != nil {
 		return WritebackPoint{}, err
 	}
-	defer cl.Close()
-
-	files := make([]workload.FileRef, 0, len(specs))
-	for _, spec := range specs {
-		fh, err := lookupFH(cl, 0, spec.Name)
-		if err != nil {
-			return WritebackPoint{}, err
-		}
-		if err := prefill(cl, fh, spec.Size); err != nil {
-			return WritebackPoint{}, err
-		}
-		files = append(files, workload.FileRef{FH: fh, Size: spec.Size})
-	}
-
-	clients := make([]*nfs.Client, 0, len(cl.Clients))
-	for _, h := range cl.Clients {
-		clients = append(clients, h.NFS)
-	}
-	load := &workload.SFSLoad{
-		Clients: clients,
-		Cfg: workload.SFSConfig{
-			RegularDataPct: 75,
-			WriteMixPct:    writebackWriteMixPct,
-			Files:          files,
-			ScratchDir:     nfs.RootFH(),
-			Concurrency:    opt.Concurrency * 4,
-		},
-	}
-	runner := &workload.Runner{Eng: cl.Eng, Warmup: opt.Warmup, Window: opt.Window}
-	p := WritebackPoint{Arm: arm, RegularDataPct: 75, WriteMixPct: writebackWriteMixPct}
-	m, err := runner.Run(load,
-		func() { resetClusterStats(cl) },
-		func() { p.ServerCPU = cl.App.Node.CPU.Utilization() })
+	w, err := h.measure(cl, load, nil, nil, nil)
 	if err != nil {
 		return WritebackPoint{}, err
 	}
-	p.OpsPerSec = m.OpsPerSec()
-	p.ThroughputMBs = m.Throughput() / 1e6
-	p.Errors = m.Errors
+	p := WritebackPoint{
+		Arm:            arm,
+		RegularDataPct: 75,
+		WriteMixPct:    writebackWriteMixPct,
+		OpsPerSec:      w.OpsPerSec(),
+		ThroughputMBs:  w.Throughput() / 1e6,
+		ServerCPU:      w.ServerCPU,
+		Errors:         w.Errors,
+	}
 	if wb := cl.App.WB; wb != nil {
 		p.WALCommits = wb.WALCommits
 		p.MeanCommitRecs = wb.MeanCommitSize()

@@ -10,10 +10,7 @@ import (
 // apply+flush path, and its pipeline counters must show the machinery
 // actually ran (group commits batching records, flushes batching blocks).
 func TestWritebackBeatsSyncAtEqualDurability(t *testing.T) {
-	pts, err := RunWriteback(quickOpts())
-	if err != nil {
-		t.Fatalf("RunWriteback: %v", err)
-	}
+	pts := points[[]WritebackPoint](t, "writeback", quickOpts())
 	byArm := map[string]WritebackPoint{}
 	for _, p := range pts {
 		byArm[p.Arm] = p
@@ -41,29 +38,4 @@ func TestWritebackBeatsSyncAtEqualDurability(t *testing.T) {
 	t.Logf("sync %.0f ops/s vs wal %.0f ops/s (%+.1f%%), %.1f recs/commit, %.1f blocks/batch, %d stalls",
 		sync.OpsPerSec, wal.OpsPerSec, gainPct(wal.OpsPerSec, sync.OpsPerSec),
 		wal.MeanCommitRecs, wal.MeanBatchBlocks, wal.Stalls)
-}
-
-// TestWritebackSeedReplay: the fig-writeback experiment replays bit-for-bit
-// at equal options on the classic engine.
-func TestWritebackSeedReplay(t *testing.T) {
-	opt := quickOpts()
-	first, err := RunWriteback(opt)
-	if err != nil {
-		t.Fatalf("fig-writeback first run: %v", err)
-	}
-	second, err := RunWriteback(opt)
-	if err != nil {
-		t.Fatalf("fig-writeback second run: %v", err)
-	}
-	diffPoints(t, "fig-writeback", first, second)
-}
-
-// TestParallelReplayWriteback: the write-back pipeline — WAL group-commit
-// timers, the batching flusher, watermark admission — runs on each server's
-// own shard, so the fig-writeback points are bit-identical for any worker
-// count.
-func TestParallelReplayWriteback(t *testing.T) {
-	runParallelSweep(t, "fig-writeback", parOpts(), func(o Options) (interface{}, error) {
-		return RunWriteback(o)
-	})
 }

@@ -67,8 +67,6 @@ type ServerConfig struct {
 	MirrorAddrs [][]eth.Addr
 	// ArmPolicy selects which healthy mirror arm serves reads.
 	ArmPolicy storage.Policy
-	// ArmQuorum is the mirror write quorum (0 = 1).
-	ArmQuorum int
 	// Breaker tunes the per-arm circuit breaker (zero values = defaults).
 	Breaker storage.BreakerConfig
 	// ControlAddr, when nonzero, is the control-plane service this server
@@ -256,7 +254,6 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ServerConfig) (*AppSe
 				arms[a] = ini
 			}
 			m, err := storage.NewMirror(node, names, arms, storage.MirrorConfig{
-				Quorum:  cfg.ArmQuorum,
 				Policy:  cfg.ArmPolicy,
 				Breaker: cfg.Breaker,
 			})

@@ -3,7 +3,6 @@ package passthru
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"strconv"
 	"sync"
 
@@ -100,6 +99,10 @@ func (c *ClientHost) DialHTTP(server eth.Addr, done func(*HTTPConn, error)) {
 		done(h, nil)
 	})
 }
+
+// Node returns the client host's node (its Eng is the shard the
+// connection's completions run on).
+func (h *HTTPConn) Node() *simnet.Node { return h.host.Node }
 
 // Get requests a path; done receives the body length. One request may be
 // outstanding per connection.
@@ -236,8 +239,6 @@ type Cluster struct {
 	// experiments call Faults.Arm() once setup is done and Faults.Quiesce()
 	// before the final drain.
 	Faults *fault.Injector
-
-	statsNoted bool
 }
 
 // ClusterConfig sizes a testbed.
@@ -260,8 +261,6 @@ type ClusterConfig struct {
 	// ArmPolicy is the mirror read-selection policy: "primary-first"
 	// (default), "round-robin" or "least-latency".
 	ArmPolicy string
-	// ArmQuorum is the mirror write quorum (0 = 1).
-	ArmQuorum int
 	// Breaker tunes the mirror circuit breaker (zero values = defaults).
 	Breaker       storage.BreakerConfig
 	NumClients    int
@@ -294,11 +293,6 @@ type ClusterConfig struct {
 	// RTO — so placing it a LAN hop away costs nothing and keeps its shard's
 	// message stream from capping every server's epoch at the fabric floor.
 	ControlLinkLatency sim.Duration
-	// UniformLookahead disables the topology-derived per-pair lookahead
-	// matrix on the parallel engine, pinning every shard pair to the
-	// FabricLatency floor (the PR 7 epoch schedule). Differential-testing
-	// knob; also forced by NCACHE_UNIFORM_LOOKAHEAD=1.
-	UniformLookahead bool
 	// Writeback enables the asynchronous write-back pipeline on every
 	// front-end server (see WritebackConfig).
 	Writeback WritebackConfig
@@ -360,9 +354,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.ControlLinkLatency <= 0 {
 		cfg.ControlLinkLatency = FabricLatency
-	}
-	if os.Getenv("NCACHE_UNIFORM_LOOKAHEAD") == "1" {
-		cfg.UniformLookahead = true
 	}
 	var eng *sim.Engine
 	if cfg.Workers > 0 {
@@ -472,7 +463,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		acfg.Targets = cl.Targets
 		acfg.MirrorAddrs = mirrorAddrs
 		acfg.ArmPolicy = armPolicy
-		acfg.ArmQuorum = cfg.ArmQuorum
 		acfg.Breaker = cfg.Breaker
 		acfg.Cost = cfg.Cost
 		acfg.EnableWeb = cfg.EnableWeb
@@ -505,7 +495,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		cl.Clients = append(cl.Clients, host)
 	}
-	if cfg.Workers > 0 && !cfg.UniformLookahead {
+	if cfg.Workers > 0 {
 		cl.wireLookahead()
 	}
 	if cfg.FaultSpec != "" {
@@ -688,47 +678,9 @@ func (c *Cluster) Start() error {
 	return nil
 }
 
-// engineStats tallies sharded-engine run statistics across every cluster
-// closed since the last TakeEngineStats call, so the bench harness can
-// report epoch counts per experiment without threading engine handles
-// through every Run* signature.
-var engineStats struct {
-	sync.Mutex
-	stats    sim.RunStats
-	clusters int
-}
-
-// TakeEngineStats returns the RunStats accumulated over every cluster
-// closed since the previous call (and how many clusters contributed), then
-// resets the tally.
-func TakeEngineStats() (sim.RunStats, int) {
-	engineStats.Lock()
-	defer engineStats.Unlock()
-	st, n := engineStats.stats, engineStats.clusters
-	engineStats.stats, engineStats.clusters = sim.RunStats{}, 0
-	return st, n
-}
-
-// Close releases the parallel engine's worker pool and folds the engine's
-// run statistics into the process-wide tally (see TakeEngineStats). It is
-// safe to call more than once; the statistics count once.
-func (c *Cluster) Close() {
-	if !c.statsNoted {
-		c.statsNoted = true
-		st := c.Eng.RunStats()
-		engineStats.Lock()
-		s := &engineStats.stats
-		s.Epochs += st.Epochs
-		s.Events += st.Events
-		s.StagedAdmits += st.StagedAdmits
-		s.ExclusiveRuns += st.ExclusiveRuns
-		s.Wakes += st.Wakes
-		s.BarrierNs += st.BarrierNs
-		engineStats.clusters++
-		engineStats.Unlock()
-	}
-	c.Eng.Close()
-}
+// Close releases the parallel engine's worker pool. It is safe to call more
+// than once.
+func (c *Cluster) Close() { c.Eng.Close() }
 
 // FaultCounters aggregates recovery activity across the testbed: RPC
 // retransmissions, abandoned calls and suppressed duplicate replies over all

@@ -89,9 +89,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 
 // MirrorConfig assembles a mirror volume.
 type MirrorConfig struct {
-	// Quorum is how many primary (closed-at-issue) arm writes must
-	// succeed for a logical write to succeed. Default 1.
-	Quorum int
 	// Policy selects the read arm.
 	Policy Policy
 	// Breaker tunes ejection and recovery.
@@ -121,9 +118,9 @@ type arm struct {
 
 // Mirror replicates one LBN range across N arms. Writes fan out to every
 // closed (and resyncing) arm as cloned chains — tagged "storage.mirror" so
-// pool-leak attribution can see them — and succeed at write-quorum, though
-// completion waits for all issued legs to settle so a subsequent read can
-// never observe a half-landed write. Reads pick one healthy arm by policy
+// pool-leak attribution can see them — and succeed once any closed arm took
+// the write, though completion waits for all issued legs to settle so a
+// subsequent read can never observe a half-landed write. Reads pick one healthy arm by policy
 // and fail over on error. A per-arm circuit breaker (closed -> open ->
 // half-open probe -> resync -> closed) ejects dead or slow arms so the
 // cluster keeps serving from the surviving arm plus cache; the dirty-region
@@ -155,12 +152,6 @@ func NewMirror(node *simnet.Node, names []string, inis []Initiator, cfg MirrorCo
 	}
 	if len(names) != len(inis) {
 		return nil, errors.New("storage: mirror arm names must parallel initiators")
-	}
-	if cfg.Quorum <= 0 {
-		cfg.Quorum = 1
-	}
-	if cfg.Quorum > len(inis) {
-		return nil, fmt.Errorf("storage: quorum %d exceeds %d arms", cfg.Quorum, len(inis))
 	}
 	cfg.Breaker = cfg.Breaker.withDefaults()
 	m := &Mirror{node: node, cfg: cfg}
@@ -481,8 +472,8 @@ func (m *Mirror) readFrom(order []int, at int, lbn int64, blocks int, meta bool,
 
 // WriteAt implements Volume: run the write hook once, fan clones out to
 // every closed and resyncing arm, log dirty regions for ejected arms, and
-// complete once every issued leg settles — success if the closed-arm
-// quorum held.
+// complete once every issued leg settles — success if at least one
+// closed-arm write landed.
 func (m *Mirror) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
 	bs := m.BlockSize()
 	blocks := data.Len() / bs
@@ -513,7 +504,7 @@ func (m *Mirror) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(err
 		if remaining > 0 {
 			return
 		}
-		if successes >= m.cfg.Quorum {
+		if successes > 0 {
 			done(nil)
 			return
 		}

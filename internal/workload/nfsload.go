@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"sync/atomic"
-
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/sim"
@@ -22,40 +20,6 @@ const (
 	HotSet
 )
 
-// patState is one issuing stream's private pattern state. A sequential run
-// shares a single state across all clients (the classic behaviour); a
-// sharded run gives each client its own, so the stream a client draws is
-// owned by its node's shard and replays identically for any worker count.
-type patState struct {
-	rng  *sim.RNG
-	next uint64
-}
-
-// perClientStates builds the pattern-state table for a load: shared on a
-// sequential engine, per-client (with seeds derived from the client index,
-// independent of execution order) on a sharded one.
-func perClientStates(clients []*nfs.Client, shared *sim.RNG, base uint64) []*patState {
-	states := make([]*patState, len(clients))
-	sharded := len(clients) > 0 && clients[0].Node().Eng.Sharded()
-	if !sharded {
-		st := &patState{rng: shared}
-		for i := range states {
-			states[i] = st
-		}
-		return states
-	}
-	for i := range states {
-		states[i] = &patState{rng: sim.NewRNG(base ^ uint64(i+1)*0x9e3779b97f4a7c15)}
-	}
-	return states
-}
-
-// spanOn opens a span on the client's own shard (on a sequential engine
-// this is the tracer's engine, exactly the old Begin).
-func spanOn(t *trace.Tracer, c *nfs.Client, op string) *trace.Span {
-	return t.BeginOn(c.Node().Eng, op)
-}
-
 // NFSReadLoad is a closed-loop NFS read generator: Concurrency workers per
 // client, each issuing the next read as soon as the previous completes
 // (the paper adjusts the number of NFS daemons / outstanding requests the
@@ -67,14 +31,12 @@ type NFSReadLoad struct {
 	RequestSize int
 	Pattern     AccessPattern
 	Concurrency int // workers per client
-	RNG         *sim.RNG
+	// RNG is the shared stream's source (sequential engine; default seed 1).
+	RNG *sim.RNG
 	// Tracer, when set, opens a span per request. Nil-safe.
 	Tracer *trace.Tracer
 
-	// Counters are atomics: completions land on each client's shard.
-	ops, bytes, errs uint64
-	stopped          bool
-	states           []*patState
+	loop
 }
 
 var _ Load = (*NFSReadLoad)(nil)
@@ -90,76 +52,45 @@ func (l *NFSReadLoad) Start() {
 	if l.RNG == nil {
 		l.RNG = sim.NewRNG(1)
 	}
-	l.states = perClientStates(l.Clients, l.RNG, 1)
-	for i := range l.Clients {
-		for w := 0; w < l.Concurrency; w++ {
-			l.issue(i)
-		}
-	}
+	l.start(clientEng(l.Clients), len(l.Clients), l.Concurrency, &stream{rng: l.RNG}, laneSeed(1),
+		func(i int, st *stream, done func(int, error)) {
+			c := l.Clients[i]
+			off := nextOffset(st, l.Pattern, l.FileSize, l.RequestSize)
+			sp := spanOn(l.Tracer, c, "read")
+			c.Read(l.FH, off, l.RequestSize, func(data *netbuf.Chain, _ nfs.Attr, err error) {
+				sp.Finish()
+				done(consume(data), err)
+			})
+		})
 }
 
-// Stop implements Load.
-func (l *NFSReadLoad) Stop() { l.stopped = true }
-
-// Counters implements Load.
-func (l *NFSReadLoad) Counters() (uint64, uint64, uint64) {
-	return atomic.LoadUint64(&l.ops), atomic.LoadUint64(&l.bytes), atomic.LoadUint64(&l.errs)
-}
-
-// nextOffset advances the access pattern of one issuing stream.
-func (l *NFSReadLoad) nextOffset(st *patState) uint64 {
-	req := uint64(l.RequestSize)
-	span := l.FileSize / req
+// nextOffset advances one stream's access pattern over a file.
+func nextOffset(st *stream, pattern AccessPattern, fileSize uint64, reqSize int) uint64 {
+	req := uint64(reqSize)
+	span := fileSize / req
 	if span == 0 {
 		span = 1
 	}
-	var off uint64
-	switch l.Pattern {
-	case HotSet:
-		off = uint64(st.rng.Int63n(int64(span))) * req
-	default:
-		off = (st.next % span) * req
-		st.next++
+	if pattern == HotSet {
+		return uint64(st.rng.Int63n(int64(span))) * req
 	}
+	off := (st.seq % span) * req
+	st.seq++
 	return off
 }
 
-// issue sends one read and chains the next.
-func (l *NFSReadLoad) issue(i int) {
-	if l.stopped {
-		return
-	}
-	c := l.Clients[i]
-	off := l.nextOffset(l.states[i])
-	sp := spanOn(l.Tracer, c, "read")
-	c.Read(l.FH, off, l.RequestSize, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-		sp.Finish()
-		if err != nil {
-			atomic.AddUint64(&l.errs, 1)
-		} else {
-			atomic.AddUint64(&l.ops, 1)
-			atomic.AddUint64(&l.bytes, uint64(data.Len()))
-			data.Release()
-		}
-		l.issue(i)
-	})
-}
-
-// NFSWriteLoad is a closed-loop NFS write generator.
+// NFSWriteLoad is a closed-loop NFS write generator streaming sequentially
+// through the file.
 type NFSWriteLoad struct {
 	Clients     []*nfs.Client
 	FH          nfs.FH
 	FileSize    uint64
 	RequestSize int
 	Concurrency int
-	RNG         *sim.RNG
 	// Tracer, when set, opens a span per request. Nil-safe.
 	Tracer *trace.Tracer
 
-	// Counters are atomics: completions land on each client's shard.
-	ops, bytes, errs uint64
-	stopped          bool
-	states           []*patState
+	loop
 }
 
 var _ Load = (*NFSWriteLoad)(nil)
@@ -172,48 +103,14 @@ func (l *NFSWriteLoad) Start() {
 	if l.Concurrency <= 0 {
 		l.Concurrency = 4
 	}
-	if l.RNG == nil {
-		l.RNG = sim.NewRNG(2)
-	}
-	l.states = perClientStates(l.Clients, l.RNG, 2)
-	for i := range l.Clients {
-		for w := 0; w < l.Concurrency; w++ {
-			l.issue(i)
-		}
-	}
-}
-
-// Stop implements Load.
-func (l *NFSWriteLoad) Stop() { l.stopped = true }
-
-// Counters implements Load.
-func (l *NFSWriteLoad) Counters() (uint64, uint64, uint64) {
-	return atomic.LoadUint64(&l.ops), atomic.LoadUint64(&l.bytes), atomic.LoadUint64(&l.errs)
-}
-
-// issue sends one write and chains the next.
-func (l *NFSWriteLoad) issue(i int) {
-	if l.stopped {
-		return
-	}
-	c := l.Clients[i]
-	st := l.states[i]
-	req := uint64(l.RequestSize)
-	span := l.FileSize / req
-	if span == 0 {
-		span = 1
-	}
-	off := (st.next % span) * req
-	st.next++
-	sp := spanOn(l.Tracer, c, "write")
-	c.Write(l.FH, off, junkChain(c, l.RequestSize), func(n int, _ nfs.Attr, err error) {
-		sp.Finish()
-		if err != nil {
-			atomic.AddUint64(&l.errs, 1)
-		} else {
-			atomic.AddUint64(&l.ops, 1)
-			atomic.AddUint64(&l.bytes, uint64(n))
-		}
-		l.issue(i)
-	})
+	l.start(clientEng(l.Clients), len(l.Clients), l.Concurrency, &stream{}, nil,
+		func(i int, st *stream, done func(int, error)) {
+			c := l.Clients[i]
+			off := nextOffset(st, Sequential, l.FileSize, l.RequestSize)
+			sp := spanOn(l.Tracer, c, "write")
+			c.Write(l.FH, off, junkChain(c, l.RequestSize), func(n int, _ nfs.Attr, err error) {
+				sp.Finish()
+				done(n, err)
+			})
+		})
 }

@@ -1,11 +1,8 @@
 package workload
 
 import (
-	"sync/atomic"
-
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
-	"ncache/internal/sim"
 	"ncache/internal/trace"
 )
 
@@ -37,15 +34,7 @@ type RoutedMixLoad struct {
 	// Tracer, when set, opens a "read"/"write" span per request. Nil-safe.
 	Tracer *trace.Tracer
 
-	rngs []*sim.RNG
-	// Counters are atomics: each route's completions land on its own
-	// client host's shard. The sums are commutative, so totals replay
-	// identically for any worker count.
-	ops     uint64
-	bytes   uint64
-	errs    uint64
-	routeEs uint64
-	stopped bool
+	loop
 }
 
 var _ Load = (*RoutedMixLoad)(nil)
@@ -53,7 +42,9 @@ var _ Load = (*RoutedMixLoad)(nil)
 // SetTracer installs per-request span tracing.
 func (l *RoutedMixLoad) SetTracer(t *trace.Tracer) { l.Tracer = t }
 
-// Start implements Load.
+// Start implements Load. Routes never share a stream, on either engine:
+// several client processes live on one host, and the per-route seeds are
+// what the committed fig-scaleout results were produced with.
 func (l *RoutedMixLoad) Start() {
 	if l.Concurrency <= 0 {
 		l.Concurrency = 4
@@ -61,32 +52,21 @@ func (l *RoutedMixLoad) Start() {
 	if l.WriteSize <= 0 {
 		l.WriteSize = l.RequestSize
 	}
-	l.rngs = make([]*sim.RNG, len(l.Routes))
-	for i := range l.Routes {
-		l.rngs[i] = sim.NewRNG(l.Seed + uint64(i)*0x9e3779b9)
-		for w := 0; w < l.Concurrency; w++ {
-			l.issue(i)
-		}
-	}
-}
-
-// Stop implements Load.
-func (l *RoutedMixLoad) Stop() { l.stopped = true }
-
-// Counters implements Load.
-func (l *RoutedMixLoad) Counters() (uint64, uint64, uint64) {
-	return atomic.LoadUint64(&l.ops), atomic.LoadUint64(&l.bytes), atomic.LoadUint64(&l.errs)
+	seed := func(route int) uint64 { return l.Seed + uint64(route)*0x9e3779b9 }
+	l.start(nil, len(l.Routes), l.Concurrency, nil, seed, l.next)
 }
 
 // RouteErrors counts operations that failed at the routing step.
-func (l *RoutedMixLoad) RouteErrors() uint64 { return atomic.LoadUint64(&l.routeEs) }
-
-// issue resolves a route and runs one operation, then chains the next.
-func (l *RoutedMixLoad) issue(route int) {
-	if l.stopped {
-		return
+func (l *RoutedMixLoad) RouteErrors() (n uint64) {
+	for _, st := range l.streams {
+		n += st.routeErrs
 	}
-	rng := l.rngs[route]
+	return n
+}
+
+// next resolves a route and runs one operation.
+func (l *RoutedMixLoad) next(route int, st *stream, done func(int, error)) {
+	rng := st.rng
 	fh := l.Files[rng.Intn(len(l.Files))]
 	isWrite := rng.Intn(100) < l.WritePct
 	size := l.RequestSize
@@ -101,38 +81,24 @@ func (l *RoutedMixLoad) issue(route int) {
 	// in place (no read-modify-write tail).
 	off := uint64(rng.Int63n(int64(span))) * uint64(size)
 
-	finish := func(n int, err error) {
-		if err != nil {
-			atomic.AddUint64(&l.errs, 1)
-		} else {
-			atomic.AddUint64(&l.ops, 1)
-			atomic.AddUint64(&l.bytes, uint64(n))
-		}
-		l.issue(route)
-	}
 	l.Routes[route](fh, func(c *nfs.Client, err error) {
 		if err != nil {
-			atomic.AddUint64(&l.routeEs, 1)
-			finish(0, err)
+			st.routeErrs++
+			done(0, err)
 			return
 		}
 		if isWrite {
 			sp := spanOn(l.Tracer, c, "write")
 			c.Write(fh, off, junkChain(c, size), func(n int, _ nfs.Attr, err error) {
 				sp.Finish()
-				finish(n, err)
+				done(n, err)
 			})
 			return
 		}
 		sp := spanOn(l.Tracer, c, "read")
 		c.Read(fh, off, size, func(data *netbuf.Chain, _ nfs.Attr, err error) {
 			sp.Finish()
-			n := 0
-			if data != nil {
-				n = data.Len()
-				data.Release()
-			}
-			finish(n, err)
+			done(consume(data), err)
 		})
 	})
 }

@@ -51,12 +51,7 @@ type SFSLoad struct {
 	Clients []*nfs.Client
 	Cfg     SFSConfig
 
-	rng     *sim.RNG
-	ops     uint64
-	bytes   uint64
-	errs    uint64
-	stopped bool
-	scratch uint64
+	loop
 }
 
 var _ Load = (*SFSLoad)(nil)
@@ -66,29 +61,18 @@ func (l *SFSLoad) Start() {
 	if l.Cfg.Concurrency <= 0 {
 		l.Cfg.Concurrency = 4
 	}
-	l.rng = sim.NewRNG(l.Cfg.Seed + 7)
-	for _, c := range l.Clients {
-		for w := 0; w < l.Cfg.Concurrency; w++ {
-			l.issue(c)
-		}
-	}
-}
-
-// Stop implements Load.
-func (l *SFSLoad) Stop() { l.stopped = true }
-
-// Counters implements Load.
-func (l *SFSLoad) Counters() (uint64, uint64, uint64) {
-	return l.ops, l.bytes, l.errs
+	seed := l.Cfg.Seed + 7
+	l.start(clientEng(l.Clients), len(l.Clients), l.Cfg.Concurrency,
+		&stream{rng: sim.NewRNG(seed)}, laneSeed(seed), l.next)
 }
 
 // pickSize draws a request size from the SFS distribution.
-func (l *SFSLoad) pickSize() int {
+func pickSize(rng *sim.RNG) int {
 	total := 0
 	for _, s := range sfsSizes {
 		total += s.weight
 	}
-	v := l.rng.Intn(total)
+	v := rng.Intn(total)
 	for _, s := range sfsSizes {
 		if v < s.weight {
 			return s.size
@@ -98,81 +82,64 @@ func (l *SFSLoad) pickSize() int {
 	return sfsSizes[0].size
 }
 
-// pickFile draws a file uniformly from the set.
-func (l *SFSLoad) pickFile() FileRef {
-	return l.Cfg.Files[l.rng.Intn(len(l.Cfg.Files))]
-}
-
-// issue performs one operation from the mix and chains the next.
-func (l *SFSLoad) issue(c *nfs.Client) {
-	if l.stopped {
-		return
-	}
-	finish := func(n int, err error) {
-		if err != nil {
-			l.errs++
-		} else {
-			l.ops++
-			l.bytes += uint64(n)
-		}
-		l.issue(c)
-	}
-	if l.rng.Intn(100) < l.Cfg.RegularDataPct {
+// next performs one operation from the mix.
+func (l *SFSLoad) next(i int, st *stream, done func(int, error)) {
+	c, rng := l.Clients[i], st.rng
+	pickFile := func() FileRef { return l.Cfg.Files[rng.Intn(len(l.Cfg.Files))] }
+	if rng.Intn(100) < l.Cfg.RegularDataPct {
 		// Regular data: 5:1 read:write.
-		f := l.pickFile()
-		size := l.pickSize()
+		f := pickFile()
+		size := pickSize(rng)
 		blocks := f.Size / uint64(size)
 		if blocks == 0 {
 			blocks = 1
 		}
-		off := uint64(l.rng.Int63n(int64(blocks))) * uint64(size)
-		isRead := l.rng.Intn(6) < 5
+		off := uint64(rng.Int63n(int64(blocks))) * uint64(size)
+		isRead := rng.Intn(6) < 5
 		if l.Cfg.WriteMixPct > 0 {
 			// One extra draw, only on the non-default mix — the default
 			// stream stays bit-identical to the seed replays.
-			isRead = l.rng.Intn(100) >= l.Cfg.WriteMixPct
+			isRead = rng.Intn(100) >= l.Cfg.WriteMixPct
 		}
 		if isRead {
 			c.Read(f.FH, off, size, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-				n := 0
-				if data != nil {
-					n = data.Len()
-					data.Release()
-				}
-				finish(n, err)
+				done(consume(data), err)
 			})
 			return
 		}
-		c.Write(f.FH, off, junkChain(c, size), func(n int, _ nfs.Attr, err error) {
-			finish(n, err)
-		})
+		c.Write(f.FH, off, junkChain(c, size), func(n int, _ nfs.Attr, err error) { done(n, err) })
 		return
 	}
 	// Metadata: getattr / lookup / readdir / create+remove.
-	switch v := l.rng.Intn(100); {
+	switch v := rng.Intn(100); {
 	case v < 45:
-		f := l.pickFile()
-		c.Getattr(f.FH, func(_ nfs.Attr, err error) { finish(0, err) })
+		c.Getattr(pickFile().FH, func(_ nfs.Attr, err error) { done(0, err) })
 	case v < 80:
 		c.Lookup(l.Cfg.ScratchDir, "nonexistent-probe", func(_ nfs.FH, _ nfs.Attr, err error) {
 			// ENOENT is the expected, successful outcome of the probe.
 			if _, isOp := err.(*nfs.OpError); isOp {
 				err = nil
 			}
-			finish(0, err)
+			done(0, err)
 		})
 	case v < 90:
-		c.Readdir(l.Cfg.ScratchDir, func(_ []string, err error) { finish(0, err) })
+		c.Readdir(l.Cfg.ScratchDir, func(_ []string, err error) { done(0, err) })
 	default:
-		l.scratch++
-		name := "sfs-tmp-" + strconv.FormatUint(l.scratch, 36)
+		st.seq++
+		name := "sfs-tmp-" + strconv.FormatUint(st.seq, 36)
+		if st.id > 0 {
+			// A per-client stream numbers its own scratch files; the
+			// suffix keeps them apart from stream 0's in the shared
+			// directory. (The sequential engine's one stream is id 0.)
+			name += "." + strconv.Itoa(st.id)
+		}
 		c.Create(l.Cfg.ScratchDir, name, func(fh nfs.FH, _ nfs.Attr, err error) {
 			if err != nil {
-				finish(0, err)
+				done(0, err)
 				return
 			}
-			l.ops++ // the create itself
-			c.Remove(l.Cfg.ScratchDir, name, func(err error) { finish(0, err) })
+			st.ops++ // the create itself
+			c.Remove(l.Cfg.ScratchDir, name, func(err error) { done(0, err) })
 		})
 	}
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"sync"
+
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/sim"
@@ -76,21 +78,23 @@ func GenMixed(fh nfs.FH, fileSize uint64, reqSize, n int, writePct int, seed uin
 
 // TracePlayer replays a trace closed-loop with the given concurrency,
 // looping when it reaches the end (so it can drive steady-state windows).
+// Streams deal the records out round-robin: the one shared stream of a
+// sequential run walks the whole trace, per-client streams of a sharded run
+// each take every len(streams)-th record.
 type TracePlayer struct {
 	Clients     []*nfs.Client
 	Trace       Trace
 	Concurrency int
 	Loop        bool
-
-	cursor  int
-	ops     uint64
-	bytes   uint64
-	errs    uint64
-	stopped bool
 	// Done fires once when a non-looping replay exhausts the trace and
 	// all workers have drained.
-	Done     func()
-	inFlight int
+	Done func()
+
+	loop
+	// mu guards retired, the count of drained streams: streams drain on
+	// their own clients' shards.
+	mu      sync.Mutex
+	retired int
 }
 
 var _ Load = (*TracePlayer)(nil)
@@ -100,77 +104,45 @@ func (p *TracePlayer) Start() {
 	if p.Concurrency <= 0 {
 		p.Concurrency = 4
 	}
-	for _, c := range p.Clients {
-		for w := 0; w < p.Concurrency; w++ {
-			p.issue(c)
-		}
-	}
+	p.start(clientEng(p.Clients), len(p.Clients), p.Concurrency, &stream{}, nil, p.next)
 }
 
-// Stop implements Load.
-func (p *TracePlayer) Stop() { p.stopped = true }
-
-// Counters implements Load.
-func (p *TracePlayer) Counters() (uint64, uint64, uint64) {
-	return p.ops, p.bytes, p.errs
-}
-
-// nextOp fetches the next trace record.
-func (p *TracePlayer) nextOp() (TraceOp, bool) {
-	if len(p.Trace.Ops) == 0 {
-		return TraceOp{}, false
+// next replays the stream's next record, or retires the worker at the end
+// of a non-looping trace.
+func (p *TracePlayer) next(i int, st *stream, done func(int, error)) {
+	ops, stride := p.Trace.Ops, len(p.streams)
+	idx := st.id + int(st.seq)*stride
+	if idx >= len(ops) && p.Loop {
+		st.seq, idx = 0, st.id
 	}
-	if p.cursor >= len(p.Trace.Ops) {
-		if !p.Loop {
-			return TraceOp{}, false
-		}
-		p.cursor = 0
-	}
-	op := p.Trace.Ops[p.cursor]
-	p.cursor++
-	return op, true
-}
-
-// issue replays one record and chains the next.
-func (p *TracePlayer) issue(c *nfs.Client) {
-	if p.stopped {
-		return
-	}
-	op, ok := p.nextOp()
-	if !ok {
-		if p.inFlight == 0 && p.Done != nil {
-			done := p.Done
-			p.Done = nil
-			done()
+	if idx >= len(ops) {
+		if st.inFlight == 0 && !st.drained {
+			st.drained = true
+			p.mu.Lock()
+			p.retired++
+			last := p.retired == len(p.streams)
+			p.mu.Unlock()
+			if last && p.Done != nil {
+				p.Done()
+			}
 		}
 		return
 	}
-	p.inFlight++
+	st.seq++
+	st.inFlight++
+	op, c := ops[idx], p.Clients[i]
 	finish := func(n int, err error) {
-		p.inFlight--
-		if err != nil {
-			p.errs++
-		} else {
-			p.ops++
-			p.bytes += uint64(n)
-		}
-		p.issue(c)
+		st.inFlight--
+		done(n, err)
 	}
 	switch op.Kind {
 	case OpWrite:
-		c.Write(p.Trace.FH, op.Off, junkChain(c, op.Len), func(n int, _ nfs.Attr, err error) {
-			finish(n, err)
-		})
+		c.Write(p.Trace.FH, op.Off, junkChain(c, op.Len), func(n int, _ nfs.Attr, err error) { finish(n, err) })
 	case OpGetattr:
 		c.Getattr(p.Trace.FH, func(_ nfs.Attr, err error) { finish(0, err) })
 	default:
 		c.Read(p.Trace.FH, op.Off, op.Len, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-			n := 0
-			if data != nil {
-				n = data.Len()
-				data.Release()
-			}
-			finish(n, err)
+			finish(consume(data), err)
 		})
 	}
 }

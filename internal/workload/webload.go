@@ -80,7 +80,8 @@ func itoa(v int) string {
 
 // WebLoad drives Zipf-distributed GETs over persistent connections, one
 // outstanding request per connection (SPECweb99's simultaneous-connection
-// model).
+// model). A one-page set is the fixed-page all-hit micro-benchmark of
+// Figure 6(b), where the page size is the sweep variable.
 type WebLoad struct {
 	Conns []*passthru.HTTPConn
 	Pages PageSet
@@ -88,11 +89,7 @@ type WebLoad struct {
 	ZipfS float64
 	Seed  uint64
 
-	zipf    *Zipf
-	ops     uint64
-	bytes   uint64
-	errs    uint64
-	stopped bool
+	loop
 }
 
 var _ Load = (*WebLoad)(nil)
@@ -102,76 +99,14 @@ func (l *WebLoad) Start() {
 	if l.ZipfS == 0 {
 		l.ZipfS = 1.0
 	}
-	l.zipf = NewZipf(sim.NewRNG(l.Seed+11), len(l.Pages.Names), l.ZipfS)
-	for _, c := range l.Conns {
-		l.issue(c)
+	var eng *sim.Engine
+	if len(l.Conns) > 0 {
+		eng = l.Conns[0].Node().Eng
 	}
-}
-
-// Stop implements Load.
-func (l *WebLoad) Stop() { l.stopped = true }
-
-// Counters implements Load.
-func (l *WebLoad) Counters() (uint64, uint64, uint64) {
-	return l.ops, l.bytes, l.errs
-}
-
-// issue requests one page and chains the next.
-func (l *WebLoad) issue(c *passthru.HTTPConn) {
-	if l.stopped {
-		return
-	}
-	page := l.zipf.Next()
-	c.Get(l.Pages.Names[page], func(n int, err error) {
-		if err != nil {
-			l.errs++
-		} else {
-			l.ops++
-			l.bytes += uint64(n)
-		}
-		l.issue(c)
-	})
-}
-
-// FixedWebLoad drives GETs for one fixed page repeatedly — the all-hit web
-// micro-benchmark of Figure 6(b), where the request size is the sweep
-// variable.
-type FixedWebLoad struct {
-	Conns []*passthru.HTTPConn
-	Page  string
-
-	ops, bytes, errs uint64
-	stopped          bool
-}
-
-var _ Load = (*FixedWebLoad)(nil)
-
-// Start implements Load.
-func (l *FixedWebLoad) Start() {
-	for _, c := range l.Conns {
-		l.issue(c)
-	}
-}
-
-// Stop implements Load.
-func (l *FixedWebLoad) Stop() { l.stopped = true }
-
-// Counters implements Load.
-func (l *FixedWebLoad) Counters() (uint64, uint64, uint64) {
-	return l.ops, l.bytes, l.errs
-}
-
-func (l *FixedWebLoad) issue(c *passthru.HTTPConn) {
-	if l.stopped {
-		return
-	}
-	c.Get(l.Page, func(n int, err error) {
-		if err != nil {
-			l.errs++
-		} else {
-			l.ops++
-			l.bytes += uint64(n)
-		}
-		l.issue(c)
-	})
+	seed := l.Seed + 11
+	zipf := NewZipf(nil, len(l.Pages.Names), l.ZipfS)
+	l.start(eng, len(l.Conns), 1, &stream{rng: sim.NewRNG(seed)}, laneSeed(seed),
+		func(i int, st *stream, done func(int, error)) {
+			l.Conns[i].Get(l.Pages.Names[zipf.Draw(st.rng)], done)
+		})
 }

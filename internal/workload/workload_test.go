@@ -122,11 +122,10 @@ func TestGenTracesDeterministic(t *testing.T) {
 }
 
 func TestSFSSizeDistribution(t *testing.T) {
-	l := &SFSLoad{Cfg: SFSConfig{}}
-	l.rng = sim.NewRNG(9)
+	rng := sim.NewRNG(9)
 	counts := map[int]int{}
 	for i := 0; i < 10000; i++ {
-		counts[l.pickSize()]++
+		counts[pickSize(rng)]++
 	}
 	if counts[4096] < counts[8192] || counts[8192] < counts[16384] || counts[16384] < counts[32768] {
 		t.Fatalf("size distribution not dominated by small requests: %v", counts)

@@ -35,8 +35,12 @@ func NewZipf(rng *sim.RNG, n int, s float64) *Zipf {
 }
 
 // Next returns an item index in [0, n), rank-0 most popular.
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
+func (z *Zipf) Next() int { return z.Draw(z.rng) }
+
+// Draw samples with the caller's random source, so streams that must not
+// share an RNG can share one table.
+func (z *Zipf) Draw(rng *sim.RNG) int {
+	u := rng.Float64()
 	// Binary search the CDF.
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {
