@@ -31,7 +31,7 @@
 // produced with the same flags as the gated run):
 //
 //	ncbench -exp fig5b -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	ncbench -exp fig5b -benchgate BENCH_PR13.json
+//	ncbench -exp fig5b,fig4 -benchgate BENCH_PR15.json
 //
 // -fault injects a deterministic fault schedule (a preset name or the
 // fault.ParseSpec grammar) into the NFS experiments, replayable via
@@ -68,7 +68,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ncbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: "+bench.Usage())
+	exp := fs.String("exp", "all", "experiments, comma-separated: "+bench.Usage())
 	warmup := fs.Duration("warmup", 150*time.Millisecond, "steady-state warm-up (virtual time)")
 	window := fs.Duration("window", 600*time.Millisecond, "measurement window (virtual time)")
 	concurrency := fs.Int("concurrency", 8, "outstanding requests per client host")

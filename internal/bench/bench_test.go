@@ -275,8 +275,11 @@ func TestRegistryIsTheOneList(t *testing.T) {
 	if !reflect.DeepEqual(all, inAll) || !strings.HasSuffix(Usage(), ",all") {
 		t.Errorf("-exp all = %v, want the InAll entries %v in registry order", all, inAll)
 	}
-	if Select("no-such-experiment") != nil {
+	if Select("no-such-experiment") != nil || Select("fig4,no-such-experiment") != nil {
 		t.Error("Select resolves an unregistered name")
+	}
+	if got := Select("fig5b,fig4"); len(got) != 2 || got[0].Name != "fig5b" || got[1].Name != "fig4" {
+		t.Errorf("Select of a list = %+v", got)
 	}
 	rows := replayRows()
 	for i, e := range Experiments {

@@ -244,13 +244,20 @@ func webFigure(title, param string, at int, unit string) func([]WebPoint, Option
 	}
 }
 
-// Select resolves an -exp argument: "all" is every InAll experiment in
-// registry order, a name is that experiment, anything else is nil.
-func Select(name string) []Experiment {
+// Select resolves an -exp argument, a comma-separated list: "all" is every
+// InAll experiment in registry order, a name is that experiment. A list
+// with an element that is neither resolves to nil.
+func Select(names string) []Experiment {
 	var out []Experiment
-	for _, e := range Experiments {
-		if e.Name == name || (name == "all" && e.InAll) {
-			out = append(out, e)
+	for _, name := range strings.Split(names, ",") {
+		n := len(out)
+		for _, e := range Experiments {
+			if e.Name == name || (name == "all" && e.InAll) {
+				out = append(out, e)
+			}
+		}
+		if len(out) == n {
+			return nil
 		}
 	}
 	return out

@@ -27,6 +27,24 @@ type Geometry struct {
 // Bytes returns the device capacity in bytes.
 func (g Geometry) Bytes() int64 { return g.NumBlocks * int64(g.BlockSize) }
 
+// Span validates a Device request against the geometry — every buffer a
+// whole number of blocks, the blocks they cover inside the device — and
+// returns how many blocks that is.
+func (g Geometry) Span(lbn int64, bufs [][]byte) (int, error) {
+	n := 0
+	for _, b := range bufs {
+		if len(b)%g.BlockSize != 0 {
+			return 0, fmt.Errorf("%w: %d", ErrBadLength, len(b))
+		}
+		n += len(b)
+	}
+	count := n / g.BlockSize
+	if lbn < 0 || lbn+int64(count) > g.NumBlocks {
+		return 0, fmt.Errorf("%w: [%d,+%d) of %d", ErrOutOfRange, lbn, count, g.NumBlocks)
+	}
+	return count, nil
+}
+
 // Errors returned by devices.
 var (
 	ErrOutOfRange = errors.New("blockdev: block out of range")
@@ -38,12 +56,18 @@ var (
 
 // Device is an asynchronous block store. Completion callbacks fire in
 // simulation-event context after the modeled service time elapses.
+//
+// Payloads cross the interface in the caller's memory, as a vector of
+// buffers that each hold a whole number of blocks and together cover
+// consecutive blocks starting at lbn. The caller's buffers (and the vector
+// itself) belong to the device until done runs; the device retains nothing
+// after. A failed read leaves the buffers' contents unspecified.
 type Device interface {
 	Geometry() Geometry
-	// ReadBlocks delivers count blocks starting at lbn as one slab.
-	ReadBlocks(lbn int64, count int, done func([]byte, error))
-	// WriteBlocks stores block-aligned data starting at lbn.
-	WriteBlocks(lbn int64, data []byte, done func(error))
+	// ReadBlocks fills dsts with the blocks starting at lbn.
+	ReadBlocks(lbn int64, dsts [][]byte, done func(error))
+	// WriteBlocks stores the blocks in srcs starting at lbn.
+	WriteBlocks(lbn int64, srcs [][]byte, done func(error))
 }
 
 // Model is a disk service-time model: a fixed per-request overhead (seek +
@@ -80,6 +104,7 @@ type MemDisk struct {
 	arm    *sim.Resource
 	faults *fault.Injector
 	blocks map[int64][]byte
+	free   []*diskIO // completed transfer records, reused by submit
 	// lastEnd tracks the block after the previous I/O: a request starting
 	// exactly there is sequential and skips the positioning overhead
 	// (track buffer + read-ahead make streaming transfers seek-free).
@@ -127,14 +152,6 @@ func (d *MemDisk) ResetStats() {
 	d.Reads, d.Writes, d.BytesRead, d.BytesWritten = 0, 0, 0, 0
 }
 
-// check validates a block range.
-func (d *MemDisk) check(lbn int64, count int) error {
-	if lbn < 0 || count < 0 || lbn+int64(count) > d.geom.NumBlocks {
-		return fmt.Errorf("%w: [%d,+%d) of %d", ErrOutOfRange, lbn, count, d.geom.NumBlocks)
-	}
-	return nil
-}
-
 // serviceTime models one transfer, charging the positioning overhead only
 // for non-sequential access.
 func (d *MemDisk) serviceTime(lbn int64, n int) sim.Duration {
@@ -146,85 +163,123 @@ func (d *MemDisk) serviceTime(lbn int64, n int) sim.Duration {
 	return t
 }
 
-// ReadBlocks implements Device.
-func (d *MemDisk) ReadBlocks(lbn int64, count int, done func([]byte, error)) {
-	if err := d.check(lbn, count); err != nil {
-		done(nil, err)
-		return
-	}
-	n := count * d.geom.BlockSize
-	trace.To(d.eng, trace.LDisk)
-	fd := d.faults.Disk(d.eng, d.name)
-	d.arm.Use(d.serviceTime(lbn, n)+fd.Delay, func() {
-		if fd.Err {
-			d.FaultErrors++
-			done(nil, ErrTransient)
-			return
-		}
-		out := make([]byte, n)
-		for i := 0; i < count; i++ {
-			b := lbn + int64(i)
-			dst := out[i*d.geom.BlockSize : (i+1)*d.geom.BlockSize]
-			if stored, ok := d.blocks[b]; ok {
-				copy(dst, stored)
-			} else if d.Synthesize != nil {
-				d.Synthesize(b, dst)
-			}
-		}
-		d.Reads++
-		d.BytesRead += uint64(n)
-		done(out, nil)
-	})
+// diskIO is one queued transfer. The disk recycles them (with the completion
+// closure the arm calls, built once), so a steady-state I/O allocates
+// nothing on the host.
+type diskIO struct {
+	d     *MemDisk
+	write bool
+	lbn   int64
+	bufs  [][]byte
+	n     int
+	fail  bool
+	done  func(error)
+	fire  func()
 }
 
-// WriteBlocks implements Device.
-func (d *MemDisk) WriteBlocks(lbn int64, data []byte, done func(error)) {
-	if len(data)%d.geom.BlockSize != 0 {
-		done(fmt.Errorf("%w: %d", ErrBadLength, len(data)))
-		return
-	}
-	count := len(data) / d.geom.BlockSize
-	if err := d.check(lbn, count); err != nil {
+// submit validates a transfer and queues it on the arm.
+func (d *MemDisk) submit(write bool, lbn int64, bufs [][]byte, done func(error)) {
+	count, err := d.geom.Span(lbn, bufs)
+	if err != nil {
 		done(err)
 		return
 	}
+	n := count * d.geom.BlockSize
+	var io *diskIO
+	if k := len(d.free); k > 0 {
+		io, d.free = d.free[k-1], d.free[:k-1]
+	} else {
+		io = &diskIO{d: d}
+		io.fire = io.complete
+	}
 	trace.To(d.eng, trace.LDisk)
 	fd := d.faults.Disk(d.eng, d.name)
-	d.arm.Use(d.serviceTime(lbn, len(data))+fd.Delay, func() {
-		if fd.Err {
-			d.FaultErrors++
-			done(ErrTransient)
-			return
-		}
-		for i := 0; i < count; i++ {
-			b := make([]byte, d.geom.BlockSize)
-			copy(b, data[i*d.geom.BlockSize:(i+1)*d.geom.BlockSize])
-			d.blocks[lbn+int64(i)] = b
-		}
+	io.write, io.lbn, io.bufs, io.n, io.fail, io.done = write, lbn, bufs, n, fd.Err, done
+	d.arm.Use(d.serviceTime(lbn, n)+fd.Delay, io.fire)
+}
+
+// complete runs when the arm finishes the transfer: it moves the bytes
+// between the caller's buffers and the sparse image, then hands the
+// buffers back by calling done.
+func (io *diskIO) complete() {
+	d, done := io.d, io.done
+	var err error
+	switch {
+	case io.fail:
+		d.FaultErrors++
+		err = ErrTransient
+	case io.write:
+		d.transfer(true, io.lbn, io.bufs)
 		d.Writes++
-		d.BytesWritten += uint64(len(data))
-		done(nil)
-	})
+		d.BytesWritten += uint64(io.n)
+	default:
+		d.transfer(false, io.lbn, io.bufs)
+		d.Reads++
+		d.BytesRead += uint64(io.n)
+	}
+	io.bufs, io.done = nil, nil
+	d.free = append(d.free, io)
+	done(err)
+}
+
+// transfer moves consecutive blocks between bufs and the image.
+func (d *MemDisk) transfer(write bool, lbn int64, bufs [][]byte) {
+	bs := d.geom.BlockSize
+	for _, buf := range bufs {
+		for off := 0; off < len(buf); off += bs {
+			if write {
+				d.PokeBlock(lbn, buf[off:off+bs])
+			} else {
+				d.peek(lbn, buf[off:off+bs])
+			}
+			lbn++
+		}
+	}
+}
+
+// peek fills dst with one block's content. A never-written block is
+// synthesized over zeros, whatever dst held before.
+func (d *MemDisk) peek(lbn int64, dst []byte) {
+	if stored, ok := d.blocks[lbn]; ok {
+		copy(dst, stored)
+		return
+	}
+	clear(dst)
+	if d.Synthesize != nil {
+		d.Synthesize(lbn, dst)
+	}
+}
+
+// ReadBlocks implements Device.
+func (d *MemDisk) ReadBlocks(lbn int64, dsts [][]byte, done func(error)) {
+	d.submit(false, lbn, dsts, done)
+}
+
+// WriteBlocks implements Device.
+func (d *MemDisk) WriteBlocks(lbn int64, srcs [][]byte, done func(error)) {
+	d.submit(true, lbn, srcs, done)
 }
 
 // PeekBlock returns a block's current content without charging service time
 // (setup and verification hook, not a data-path operation).
 func (d *MemDisk) PeekBlock(lbn int64) []byte {
 	out := make([]byte, d.geom.BlockSize)
-	if stored, ok := d.blocks[lbn]; ok {
-		copy(out, stored)
-	} else if d.Synthesize != nil {
-		d.Synthesize(lbn, out)
-	}
+	d.peek(lbn, out)
 	return out
 }
 
 // PokeBlock stores a block's content without charging service time (setup
-// hook used by mkfs; not a data-path operation).
+// hook used by mkfs; not a data-path operation). A block already in the
+// image is overwritten in place; the image grows only on a first write.
 func (d *MemDisk) PokeBlock(lbn int64, data []byte) {
-	b := make([]byte, d.geom.BlockSize)
-	copy(b, data)
-	d.blocks[lbn] = b
+	b, ok := d.blocks[lbn]
+	if !ok {
+		b = make([]byte, d.geom.BlockSize)
+		d.blocks[lbn] = b
+	}
+	if n := copy(b, data); n < len(b) {
+		clear(b[n:])
+	}
 }
 
 // DirectAccess is the zero-time setup interface mkfs and experiment

@@ -20,12 +20,14 @@ func TestMemDiskWriteReadRoundTrip(t *testing.T) {
 	d := newDisk(eng, 1000)
 	data := bytes.Repeat([]byte("AB"), 512) // 2 blocks
 	wrote := false
-	d.WriteBlocks(10, data, func(err error) {
+	d.WriteBlocks(10, [][]byte{data}, func(err error) {
 		if err != nil {
 			t.Errorf("Write: %v", err)
 		}
 		wrote = true
-		d.ReadBlocks(10, 2, func(got []byte, err error) {
+		// Read back into two buffers dirtied by an earlier owner.
+		got := bytes.Repeat([]byte{0xEE}, 1024)
+		d.ReadBlocks(10, [][]byte{got[:512], got[512:]}, func(err error) {
 			if err != nil {
 				t.Errorf("Read: %v", err)
 			}
@@ -53,7 +55,8 @@ func TestMemDiskSynthesizedContent(t *testing.T) {
 			dst[i] = byte(lbn)
 		}
 	}
-	d.ReadBlocks(7, 1, func(got []byte, err error) {
+	got := make([]byte, 512)
+	d.ReadBlocks(7, [][]byte{got}, func(err error) {
 		if err != nil {
 			t.Errorf("Read: %v", err)
 		}
@@ -65,8 +68,8 @@ func TestMemDiskSynthesizedContent(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	// Written blocks override synthesis.
-	d.WriteBlocks(7, make([]byte, 512), func(err error) {
-		d.ReadBlocks(7, 1, func(got []byte, err error) {
+	d.WriteBlocks(7, [][]byte{make([]byte, 512)}, func(err error) {
+		d.ReadBlocks(7, [][]byte{got}, func(err error) {
 			if got[0] != 0 {
 				t.Error("written block did not override synthesis")
 			}
@@ -81,7 +84,7 @@ func TestMemDiskServiceTime(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newDisk(eng, 1_000_000)
 	var doneAt sim.Time
-	d.ReadBlocks(0, 72, func(_ []byte, err error) { doneAt = eng.Now() }) // 36864 bytes
+	d.ReadBlocks(0, [][]byte{make([]byte, 72*512)}, func(error) { doneAt = eng.Now() }) // 36864 bytes
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -97,7 +100,7 @@ func TestMemDiskSerializesRequests(t *testing.T) {
 	var finish []sim.Time
 	// Non-sequential requests: each pays the positioning overhead.
 	for _, lbn := range []int64{0, 100, 200} {
-		d.ReadBlocks(lbn, 1, func(_ []byte, err error) {
+		d.ReadBlocks(lbn, [][]byte{make([]byte, 512)}, func(error) {
 			finish = append(finish, eng.Now())
 		})
 	}
@@ -119,7 +122,7 @@ func TestMemDiskSequentialSkipsSeek(t *testing.T) {
 	var finish []sim.Time
 	// Block 0, then 1, then 2: streaming — only the first pays the seek.
 	for i := int64(0); i < 3; i++ {
-		d.ReadBlocks(i, 1, func(_ []byte, err error) {
+		d.ReadBlocks(i, [][]byte{make([]byte, 512)}, func(error) {
 			finish = append(finish, eng.Now())
 		})
 	}
@@ -138,17 +141,116 @@ func TestMemDiskSequentialSkipsSeek(t *testing.T) {
 func TestMemDiskBoundsAndAlignment(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newDisk(eng, 10)
-	d.ReadBlocks(9, 2, func(_ []byte, err error) {
+	d.ReadBlocks(9, [][]byte{make([]byte, 1024)}, func(err error) {
 		if !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("out-of-range read err = %v", err)
 		}
 	})
-	d.WriteBlocks(0, make([]byte, 100), func(err error) {
+	d.WriteBlocks(0, [][]byte{make([]byte, 100)}, func(err error) {
 		if !errors.Is(err, ErrBadLength) {
 			t.Errorf("misaligned write err = %v", err)
 		}
 	})
+	d.ReadBlocks(0, [][]byte{make([]byte, 512), make([]byte, 100)}, func(err error) {
+		if !errors.Is(err, ErrBadLength) {
+			t.Errorf("misaligned read buffer err = %v", err)
+		}
+	})
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestMemDiskSynthesizesOverZeros: a never-written block read into a dirtied
+// buffer is the synthesized content over zeros — nothing of the buffer's
+// previous owner survives, with or without a Synthesize function.
+func TestMemDiskSynthesizesOverZeros(t *testing.T) {
+	eng := sim.NewEngine()
+	d := newDisk(eng, 100)
+	read := func() []byte {
+		buf := bytes.Repeat([]byte{0xEE}, 512)
+		d.ReadBlocks(3, [][]byte{buf}, func(err error) {
+			if err != nil {
+				t.Errorf("Read: %v", err)
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return buf
+	}
+	if got := read(); !bytes.Equal(got, make([]byte, 512)) {
+		t.Error("unwritten block without Synthesize is not zero-filled")
+	}
+	d.Synthesize = func(lbn int64, dst []byte) { dst[0] = byte(lbn) } // sparse: leaves the rest alone
+	want := make([]byte, 512)
+	want[0] = 3
+	if got := read(); !bytes.Equal(got, want) {
+		t.Error("synthesized block kept bytes of the buffer's previous owner")
+	}
+}
+
+// TestMemDiskOverwritesInPlace: the image grows on a block's first write
+// only; an overwrite reuses the stored block and the caller's buffer is
+// never retained.
+func TestMemDiskOverwritesInPlace(t *testing.T) {
+	eng := sim.NewEngine()
+	d := newDisk(eng, 100)
+	src := bytes.Repeat([]byte{1}, 1024)
+	write := func() {
+		d.WriteBlocks(4, [][]byte{src}, func(err error) {
+			if err != nil {
+				t.Errorf("Write: %v", err)
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	write()
+	first := &d.blocks[4][0]
+	for i := range src {
+		src[i] = 2
+	}
+	if d.PeekBlock(4)[0] != 1 {
+		t.Fatal("disk retained the caller's write buffer")
+	}
+	write()
+	if &d.blocks[4][0] != first || len(d.blocks) != 2 {
+		t.Fatal("overwrite grew the image")
+	}
+	if d.PeekBlock(5)[511] != 2 {
+		t.Fatal("overwrite did not land")
+	}
+	d.PokeBlock(5, []byte{9}) // short poke: the rest of the block is zero
+	if got := d.PeekBlock(5); got[0] != 9 || got[1] != 0 {
+		t.Fatal("short PokeBlock left stale bytes")
+	}
+}
+
+// TestMemDiskReadWriteAllocFree: after priming, a read into caller-owned
+// buffers and an overwrite allocate nothing on the host.
+func TestMemDiskReadWriteAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	d := newDisk(eng, 1000)
+	d.Synthesize = func(lbn int64, dst []byte) { dst[0] = byte(lbn) }
+	buf := make([]byte, 8*512)
+	vec := [][]byte{buf[:1024], buf[1024:]}
+	done := func(err error) {
+		if err != nil {
+			t.Errorf("I/O: %v", err)
+		}
+	}
+	step := func() {
+		d.WriteBlocks(16, vec, done)
+		d.ReadBlocks(16, vec, done) // stored blocks
+		d.ReadBlocks(64, vec, done) // synthesized blocks
+		if err := eng.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	step()
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Errorf("steady-state disk I/O allocates %.1f objects per write+2 reads, want 0", avg)
 	}
 }

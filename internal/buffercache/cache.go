@@ -13,7 +13,6 @@
 package buffercache
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 
@@ -55,9 +54,12 @@ type Block struct {
 
 	pins     int
 	flushing bool
-	elem     *list.Element
 	pending  []func(*Block, error)
 	loaded   bool
+	// prev/next link the block into the cache's LRU ring while resident
+	// (both nil otherwise), so a block, its page and its LRU position are
+	// one object and recycle together.
+	prev, next *Block
 }
 
 // Key parses the block's logical key. Valid only when Logical.
@@ -71,7 +73,12 @@ type Cache struct {
 	capacity int
 
 	blocks map[int64]*Block
-	lru    *list.List // front = most recent
+	// lru is the sentinel of the LRU ring: lru.next is the most recently
+	// used block, lru.prev the eviction candidate.
+	lru Block
+	// free holds blocks evicted clean with nothing referring to them;
+	// insert reuses them (page zeroed) before it allocates.
+	free []*Block
 
 	// Stats is hit/miss/eviction accounting.
 	Stats metrics.Cache
@@ -94,16 +101,17 @@ type Cache struct {
 
 // New creates a cache of capacityBlocks blocks over lower.
 func New(node *simnet.Node, lower Lower, capacityBlocks int) *Cache {
-	return &Cache{
+	c := &Cache{
 		node:          node,
 		lower:         lower,
 		bs:            lower.BlockSize(),
 		capacity:      capacityBlocks,
 		blocks:        make(map[int64]*Block, capacityBlocks),
-		lru:           list.New(),
 		LogicalCopyNs: 150,
 		wb:            &metrics.Writeback{},
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // BlockSize returns the block size in bytes.
@@ -119,21 +127,41 @@ func (c *Cache) Len() int { return len(c.blocks) }
 // incrementally on every dirty transition).
 func (c *Cache) DirtyCount() int { return c.nDirty }
 
+// unlink takes a resident block out of the LRU ring.
+func (b *Block) unlink() {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+}
+
+// pushFront links a block in at the MRU position.
+func (c *Cache) pushFront(b *Block) {
+	b.prev, b.next = &c.lru, c.lru.next
+	b.prev.next, b.next.prev = b, b
+}
+
 // touch moves a block to the MRU position.
 func (c *Cache) touch(b *Block) {
-	if b.elem != nil {
-		c.lru.MoveToFront(b.elem)
+	if b.next != nil {
+		b.unlink()
+		c.pushFront(b)
 	}
 }
 
-// insert creates a resident block entry (pinned once for the caller chain).
+// insert creates a resident block entry (pinned once for the caller chain),
+// from the free list when it has one: a recycled page is zeroed, so it is
+// indistinguishable from a fresh one (logical blocks overwrite only their
+// first lkey.Size bytes).
 func (c *Cache) insert(lbn int64, meta bool) *Block {
-	b := &Block{
-		LBN:  lbn,
-		Data: make([]byte, c.bs),
-		Meta: meta,
+	var b *Block
+	if k := len(c.free); k > 0 {
+		b, c.free = c.free[k-1], c.free[:k-1]
+		clear(b.Data)
+		*b = Block{Data: b.Data}
+	} else {
+		b = &Block{Data: make([]byte, c.bs)}
 	}
-	b.elem = c.lru.PushFront(b)
+	b.LBN, b.Meta = lbn, meta
+	c.pushFront(b)
 	c.blocks[lbn] = b
 	return b
 }
@@ -145,9 +173,21 @@ func (c *Cache) drop(b *Block) {
 		c.noteClean()
 	}
 	delete(c.blocks, b.LBN)
-	if b.elem != nil {
-		c.lru.Remove(b.elem)
-		b.elem = nil
+	if b.next != nil {
+		b.unlink()
+	}
+}
+
+// recycle drops a block and, when nothing can refer to it any more —
+// unpinned, loaded (so no fill holds it) and not mid-flush (so no write-back
+// completion holds it) — keeps it for the next insert. Callers that hand
+// the pointer on after the drop (Reset's orphans, the read-error path's
+// waiters) use drop alone.
+func (c *Cache) recycle(b *Block) {
+	idle := b.pins == 0 && !b.flushing && b.loaded
+	c.drop(b)
+	if idle && netbuf.Recycle(b.Data) {
+		c.free = append(c.free, b)
 	}
 }
 
@@ -159,30 +199,21 @@ func (c *Cache) evictForRoom() {
 	if c.capacity <= 0 {
 		return
 	}
-	e := c.lru.Back()
-	for e != nil && len(c.blocks) > c.capacity {
-		b, ok := e.Value.(*Block)
-		prev := e.Prev()
-		if !ok {
-			e = prev
-			continue
-		}
-		if b.pins > 0 || b.flushing || !b.loaded {
-			e = prev
-			continue
-		}
-		if b.Dirty {
+	for b := c.lru.prev; b != &c.lru && len(c.blocks) > c.capacity; {
+		prev := b.prev
+		switch {
+		case b.pins > 0 || b.flushing || !b.loaded:
+		case b.Dirty:
 			c.flushBatches([]*Block{b}, func(error) {
 				// Re-run eviction once the flush lands; the block is
 				// clean (or still dirty on error) and unpinned.
 				c.evictForRoom()
 			})
-			e = prev
-			continue
+		default:
+			c.Stats.Evictions++
+			c.recycle(b)
 		}
-		c.Stats.Evictions++
-		c.drop(b)
-		e = prev
+		b = prev
 	}
 }
 
@@ -466,7 +497,7 @@ func (c *Cache) Drop(lbn int64) bool {
 	if b.pins > 0 {
 		return false
 	}
-	c.drop(b)
+	c.recycle(b)
 	return true
 }
 

@@ -552,7 +552,118 @@ func TestCacheGetResidentZeroAllocs(t *testing.T) {
 	if want := uint64(201 + 4*201); c.Stats.Hits != want || c.Stats.Misses != 4 || len(lower.reads) != 1 {
 		t.Fatalf("hits %d (want %d), misses %d, lower reads %d", c.Stats.Hits, want, c.Stats.Misses, len(lower.reads))
 	}
-	if front := c.lru.Front().Value.(*Block); front.LBN != 11 {
+	if front := c.lru.next; front.LBN != 11 {
 		t.Fatalf("MRU block is %d, want 11 (last touched by the range)", front.LBN)
+	}
+}
+
+// TestCacheEvictInsertZeroAllocs gates steady-state churn: once the cache
+// is full, bringing in a new block evicts a clean one and reuses it —
+// block, page and LRU link together — so the pair allocates nothing.
+func TestCacheEvictInsertZeroAllocs(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	_, _, _, c := rigCache(t, 8)
+	next := int64(0)
+	unpin := func(b *Block, err error) { c.Unpin(b) }
+	churn := func() {
+		c.GetForWrite(next, false, unpin)
+		next++
+	}
+	for i := 0; i < 16; i++ {
+		churn() // fill, then prime the free list
+	}
+	if avg := testing.AllocsPerRun(500, churn); avg != 0 {
+		t.Errorf("evict+insert allocates %.1f objects, want 0", avg)
+	}
+	if c.Len() != 8 || c.Stats.Evictions == 0 {
+		t.Fatalf("len %d, evictions %d", c.Len(), c.Stats.Evictions)
+	}
+}
+
+// TestRecycledBlockLooksFresh: an evicted block comes back from the next
+// insert with a zeroed page and no trace of its previous life, while blocks
+// somebody may still refer to — dropped mid-flush, orphaned by Reset — are
+// never reused.
+func TestRecycledBlockLooksFresh(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, _, _, c := rigCache(t, 2)
+	var old *Block
+	c.GetForWrite(1, true, func(b *Block, err error) {
+		old = b
+		for i := range b.Data {
+			b.Data[i] = 0xAB
+		}
+		b.Logical = true
+		c.Unpin(b)
+	})
+	for lbn := int64(2); lbn <= 3; lbn++ { // push block 1 out
+		c.GetForWrite(lbn, false, func(b *Block, err error) { c.Unpin(b) })
+	}
+	if len(c.free) != 1 || c.free[0] != old {
+		t.Fatalf("evicted block not on the free list (%d entries)", len(c.free))
+	}
+	c.GetForWrite(9, false, func(b *Block, err error) {
+		if b != old {
+			t.Error("insert did not reuse the evicted block")
+		}
+		if b.LBN != 9 || b.Meta || b.Logical || b.Dirty || b.pins != 1 || !bytes.Equal(b.Data, make([]byte, 4096)) {
+			t.Errorf("recycled block carries its previous life: %+v", b)
+		}
+		c.Unpin(b)
+	})
+
+	// A block dropped while its write-back is in flight stays with that
+	// write's completion.
+	c.GetForWrite(20, false, func(b *Block, err error) {
+		c.MarkDirty(b)
+		c.Unpin(b)
+	})
+	c.Sync(func(error) {})
+	free := len(c.free)
+	if !c.Drop(20) || len(c.free) != free {
+		t.Fatal("a mid-flush block was recycled by Drop")
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// A clean, idle one is recycled by Drop.
+	if resident := c.blocks[9]; !c.Drop(9) || c.free[len(c.free)-1] != resident {
+		t.Fatal("Drop of a clean block did not recycle it")
+	}
+	// Reset orphans every resident block: in-flight completions may still
+	// hold them.
+	free = len(c.free)
+	c.Reset()
+	if len(c.free) != free || c.Len() != 0 {
+		t.Fatal("Reset recycled blocks it orphaned")
+	}
+}
+
+// TestDebugModePoisonsEvictedBlocks: under netbuf debug mode an evicted
+// block is poisoned and abandoned instead of recycled, so a reader that
+// kept the pointer past its Unpin sees poison, not the next block's bytes.
+func TestDebugModePoisonsEvictedBlocks(t *testing.T) {
+	was := netbuf.DebugEnabled()
+	netbuf.SetDebug(true)
+	defer netbuf.SetDebug(was)
+	_, _, _, c := rigCache(t, 1)
+	var stale *Block
+	c.GetForWrite(1, false, func(b *Block, err error) {
+		stale = b
+		b.Data[0] = 7
+		c.Unpin(b)
+	})
+	c.GetForWrite(2, false, func(b *Block, err error) {
+		if b == stale {
+			t.Error("debug mode recycled an evicted block")
+		}
+		c.Unpin(b)
+	})
+	if len(c.free) != 0 || stale.Data[0] == 7 || stale.Data[0] != stale.Data[4095] {
+		t.Fatalf("evicted block not poisoned: free %d, data %#x..%#x", len(c.free), stale.Data[0], stale.Data[4095])
 	}
 }

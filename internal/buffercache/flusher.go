@@ -317,10 +317,10 @@ func (c *Cache) Reset() {
 	c.gen++
 	for _, b := range c.blocks { // det: commutative (unconditional detach)
 		b.pending = nil
-		b.elem = nil
+		b.prev, b.next = nil, nil
 	}
 	c.blocks = make(map[int64]*Block)
-	c.lru.Init()
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	if c.nDirty > 0 {
 		c.wb.AddDirty(-int64(c.nDirty) * int64(c.bs))
 		c.nDirty = 0

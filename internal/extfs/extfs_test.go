@@ -22,7 +22,8 @@ func (l *diskLower) BlockSize() int   { return l.dev.Geometry().BlockSize }
 func (l *diskLower) NumBlocks() int64 { return l.dev.Geometry().NumBlocks }
 
 func (l *diskLower) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Chain, error)) {
-	l.dev.ReadBlocks(lbn, count, func(data []byte, err error) {
+	data := make([]byte, count*l.BlockSize())
+	l.dev.ReadBlocks(lbn, [][]byte{data}, func(err error) {
 		if err != nil {
 			done(nil, err)
 			return
@@ -34,7 +35,7 @@ func (l *diskLower) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Ch
 func (l *diskLower) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
 	flat := data.Flatten()
 	data.Release()
-	l.dev.WriteBlocks(lbn, flat, done)
+	l.dev.WriteBlocks(lbn, [][]byte{flat}, done)
 }
 
 type fsRig struct {

@@ -84,6 +84,28 @@ func recordChainDoubleFree(c *Chain) {
 	globalDoubleFrees.Add(1)
 }
 
+// poisonByte fills payload memory retired in debug mode. 0xDB is no valid
+// lkey marker, XDR length or block of synthesized content, so whatever
+// reads a retired payload fails its own integrity check.
+const poisonByte = 0xDB
+
+// Recycle reports whether a payload buffer whose owner is done with it may
+// join a free list — the rule descriptors and chains follow, for the flat
+// buffers other packages recycle (iSCSI staging buffers, WAL payloads,
+// buffer-cache pages). In debug mode it may not: the buffer is poisoned and
+// abandoned to the collector, so a reader that kept it past the hand-back
+// sees poison instead of the next owner's bytes.
+func Recycle(p []byte) bool {
+	if !debugMode {
+		return true
+	}
+	p = p[:cap(p)]
+	for i := range p {
+		p[i] = poisonByte
+	}
+	return false
+}
+
 // descFree recycles Buf descriptors (clone descriptors and standalone
 // buffers whose backing is gone). Disabled in debug mode so released
 // descriptors stay poisoned.

@@ -63,7 +63,12 @@ func (e *ErrPoolExhausted) Error() string {
 
 // Get returns an empty buffer (payload window at the headroom mark), or an
 // *ErrPoolExhausted when the budget is spent.
-func (p *Pool) Get() (*Buf, error) {
+func (p *Pool) Get() (*Buf, error) { return p.get(0) }
+
+// get is Get for a caller about to overwrite the first fill payload bytes:
+// a recycled buffer is zeroed everywhere else — headroom and the tail the
+// fill does not cover — and those fill bytes are left for the caller.
+func (p *Pool) get(fill int) (*Buf, error) {
 	p.mu.Lock()
 	if p.capacity > 0 && p.outstanding >= p.capacity {
 		p.mu.Unlock()
@@ -84,10 +89,11 @@ func (p *Pool) Get() (*Buf, error) {
 		b.tail = p.headroom
 		setRefs(b, 1)
 		b.owner = p.name
-		// Zero the whole backing array: a recycled buffer must never
-		// expose its previous owner's bytes (requests are isolated), and
-		// a pooled buffer then looks exactly like a fresh allocation.
-		clear(b.backing)
+		// A recycled buffer must never expose its previous owner's bytes
+		// (requests are isolated): once the caller has written its fill,
+		// a pooled buffer looks exactly like a fresh allocation.
+		clear(b.backing[:p.headroom])
+		clear(b.backing[p.headroom+fill:])
 		return b, nil
 	}
 	p.allocs++
@@ -125,7 +131,7 @@ func (p *Pool) GetData(payload []byte) (*Buf, error) {
 	if len(payload) > p.bufSize {
 		return nil, fmt.Errorf("netbuf: payload %d exceeds pool buf size %d", len(payload), p.bufSize)
 	}
-	b, err := p.Get()
+	b, err := p.get(len(payload))
 	if err != nil {
 		return nil, err
 	}

@@ -63,6 +63,45 @@ func TestRecycledBufferExposesNoStaleBytes(t *testing.T) {
 	nb.Release()
 }
 
+// TestGetDataClearsAroundThePayload: GetData and GetChain overwrite the
+// payload window, so the pool clears only around it — and after reuse of a
+// fully dirtied buffer every byte outside the new payload still reads zero,
+// exactly as in a fresh allocation.
+func TestGetDataClearsAroundThePayload(t *testing.T) {
+	p := NewPool("around", 8, 32, 0)
+	dirty := func() {
+		b, err := p.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range b.backing {
+			b.backing[i] = 0xCC
+		}
+		b.Release()
+	}
+	for _, n := range []int{0, 5, 32} {
+		dirty()
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i + 1)
+		}
+		c, err := p.GetChain(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := c.Bufs()[0]
+		if p.Reuses() == 0 || string(b.Bytes()) != string(payload) {
+			t.Fatalf("payload %d: reuses %d, bytes %v", n, p.Reuses(), b.Bytes())
+		}
+		for i, v := range b.backing {
+			if (i < 8 || i >= 8+n) && v != 0 {
+				t.Fatalf("payload %d: backing[%d] = %#x leaked from the previous owner", n, i, v)
+			}
+		}
+		c.Release()
+	}
+}
+
 // TestGetZeroChainIsZero checks the zero-fill chain constructor end to end
 // through a reuse cycle.
 func TestGetZeroChainIsZero(t *testing.T) {

@@ -749,8 +749,8 @@ func (b *fsBackend) writeJournaled(fh nfs.FH, ino uint32, off uint64, data *netb
 		}
 		// Capture the payload for the journal before applyWrite consumes
 		// the chain (NCache mode keeps only logical keys in the cache).
-		buf := make([]byte, n)
-		data.GatherRange(0, buf)
+		rec := srv.WAL.NewRecord(n)
+		data.GatherRange(0, rec.Data)
 		trace.To(srv.Node.Eng, trace.LFS)
 		srv.path.applyWrite(srv.FS, ino, fh, off, data, func(wn int, st uint32) {
 			trace.To(srv.Node.Eng, trace.LServer)
@@ -773,14 +773,9 @@ func (b *fsBackend) writeJournaled(fh nfs.FH, ino uint32, off uint64, data *netb
 				if srv.Agent != nil {
 					epoch = srv.Agent.Epoch()
 				}
-				srv.WAL.Append(&wal.Record{
-					Ino:   ino,
-					Off:   off,
-					Epoch: epoch,
-					Sum:   netbuf.Sum(buf),
-					LBNs:  lbns,
-					Data:  buf,
-				}, func() {
+				rec.Ino, rec.Off, rec.Epoch = ino, off, epoch
+				rec.Sum, rec.LBNs = netbuf.Sum(rec.Data), lbns
+				srv.WAL.Append(rec, func() {
 					if srv.crashed {
 						return
 					}

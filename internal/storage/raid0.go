@@ -2,7 +2,6 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 
 	"ncache/internal/blockdev"
 )
@@ -22,6 +21,7 @@ type RAID0 struct {
 	geom       blockdev.Geometry
 	// Requests counts top-level I/Os (not per-member operations).
 	Requests uint64
+	free     []*arrayIO // completed request records, reused by split
 }
 
 var (
@@ -118,22 +118,29 @@ type extent struct {
 	segs  []seg
 }
 
-// stripeExtents splits an array request into one coalesced request per
-// member, for a stripe layout of n members with the given unit.
-func stripeExtents(n, unit int, lbn int64, count int) []extent {
-	perDisk := make([]*extent, n)
-	var order []*extent
-	i := 0
-	for i < count {
+// stripeRuns walks a request over a stripe layout of n members with the
+// given unit, in address order: one visit per maximal run of blocks inside
+// one stripe unit, with its member, its first member LBN, its offset in the
+// request and its length (all in blocks).
+func stripeRuns(n, unit int, lbn int64, count int, visit func(disk int, member int64, reqStart, run int)) {
+	for i := 0; i < count; {
 		at := lbn + int64(i)
-		stripe := at / int64(unit)
-		within := at % int64(unit)
-		disk := int(stripe % int64(n))
-		member := (stripe/int64(n))*int64(unit) + within
+		stripe, within := at/int64(unit), at%int64(unit)
 		run := int(int64(unit) - within)
 		if run > count-i {
 			run = count - i
 		}
+		visit(int(stripe%int64(n)), (stripe/int64(n))*int64(unit)+within, i, run)
+		i += run
+	}
+}
+
+// stripeExtents splits an array request into one coalesced request per
+// member, in first-touch order.
+func stripeExtents(n, unit int, lbn int64, count int) []extent {
+	perDisk := make([]*extent, n)
+	var order []*extent
+	stripeRuns(n, unit, lbn, count, func(disk int, member int64, reqStart, run int) {
 		ex := perDisk[disk]
 		if ex == nil {
 			ex = &extent{disk: disk, lbn: member}
@@ -142,10 +149,9 @@ func stripeExtents(n, unit int, lbn int64, count int) []extent {
 		}
 		// Member runs for a contiguous array request are contiguous on
 		// each member by construction.
-		ex.segs = append(ex.segs, seg{memberOff: ex.count, reqStart: i, count: run})
+		ex.segs = append(ex.segs, seg{memberOff: ex.count, reqStart: reqStart, count: run})
 		ex.count += run
-		i += run
-	}
+	})
 	out := make([]extent, len(order))
 	for j, ex := range order {
 		out[j] = *ex
@@ -153,84 +159,120 @@ func stripeExtents(n, unit int, lbn int64, count int) []extent {
 	return out
 }
 
-// extents splits an array request into one coalesced request per member.
-func (r *RAID0) extents(lbn int64, count int) []extent {
-	return stripeExtents(len(r.disks), r.stripeUnit, lbn, count)
+// arrayIO is one array request in flight: the per-member vectors of
+// sub-slices of the caller's buffers, and the join of the member
+// completions. The array recycles them, so a steady-state request allocates
+// nothing on the host.
+type arrayIO struct {
+	r         *RAID0
+	members   []memberIO // indexed by disk
+	order     []int      // disks in first-touch order, the issue order
+	remaining int
+	err       error
+	done      func(error)
+	join      func(error)
 }
 
-// ReadBlocks implements Device by fanning out to member disks.
-func (r *RAID0) ReadBlocks(lbn int64, count int, done func([]byte, error)) {
-	if lbn < 0 || count < 0 || lbn+int64(count) > r.geom.NumBlocks {
-		done(nil, fmt.Errorf("%w: [%d,+%d) of %d", blockdev.ErrOutOfRange, lbn, count, r.geom.NumBlocks))
-		return
+// memberIO is one coalesced member request: successive stripe units on the
+// same member are contiguous in member-LBN space, so the runs of a
+// contiguous array request append to one vector per member.
+type memberIO struct {
+	lbn  int64
+	bufs [][]byte
+}
+
+// split validates an array request and maps it onto the members: each
+// member's vector receives, in member-LBN order, the sub-slices of bufs its
+// stripe units cover — the same member requests, in the same order, that
+// stripeExtents describes, with the caller's memory in place of a staging
+// slab. A nil arrayIO with a nil error is the empty request.
+func (r *RAID0) split(lbn int64, bufs [][]byte) (*arrayIO, error) {
+	count, err := r.geom.Span(lbn, bufs)
+	if err != nil {
+		return nil, err
 	}
 	r.Requests++
 	if count == 0 {
-		done(nil, nil)
-		return
+		return nil, nil
 	}
-	exts := r.extents(lbn, count)
-	out := make([]byte, count*r.geom.BlockSize)
-	remaining := len(exts)
-	var firstErr error
-	for _, ex := range exts {
-		ex := ex
-		r.disks[ex.disk].ReadBlocks(ex.lbn, ex.count, func(data []byte, err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err == nil {
-				for _, sg := range ex.segs {
-					copy(out[sg.reqStart*r.geom.BlockSize:(sg.reqStart+sg.count)*r.geom.BlockSize],
-						data[sg.memberOff*r.geom.BlockSize:])
-				}
-			}
-			remaining--
-			if remaining == 0 {
-				if firstErr != nil {
-					done(nil, firstErr)
-					return
-				}
-				done(out, nil)
-			}
-		})
+	var io *arrayIO
+	if k := len(r.free); k > 0 {
+		io, r.free = r.free[k-1], r.free[:k-1]
+	} else {
+		io = &arrayIO{r: r, members: make([]memberIO, len(r.disks))}
+		io.join = io.memberDone
 	}
-}
-
-// WriteBlocks implements Device by fanning out to member disks.
-func (r *RAID0) WriteBlocks(lbn int64, data []byte, done func(error)) {
-	if len(data)%r.geom.BlockSize != 0 {
-		done(fmt.Errorf("%w: %d", blockdev.ErrBadLength, len(data)))
-		return
-	}
-	count := len(data) / r.geom.BlockSize
-	if lbn < 0 || lbn+int64(count) > r.geom.NumBlocks {
-		done(fmt.Errorf("%w: [%d,+%d) of %d", blockdev.ErrOutOfRange, lbn, count, r.geom.NumBlocks))
-		return
-	}
-	r.Requests++
-	if count == 0 {
-		done(nil)
-		return
-	}
-	exts := r.extents(lbn, count)
-	remaining := len(exts)
-	var firstErr error
-	for _, ex := range exts {
-		ex := ex
-		chunk := make([]byte, ex.count*r.geom.BlockSize)
-		for _, sg := range ex.segs {
-			copy(chunk[sg.memberOff*r.geom.BlockSize:],
-				data[sg.reqStart*r.geom.BlockSize:(sg.reqStart+sg.count)*r.geom.BlockSize])
+	cur, off := 0, 0 // cursor over bufs
+	stripeRuns(len(r.disks), r.stripeUnit, lbn, count, func(disk int, member int64, _, run int) {
+		m := &io.members[disk]
+		if len(m.bufs) == 0 {
+			m.lbn = member
+			io.order = append(io.order, disk)
 		}
-		r.disks[ex.disk].WriteBlocks(ex.lbn, chunk, func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
+		for want := run * r.geom.BlockSize; want > 0; {
+			if off == len(bufs[cur]) {
+				cur, off = cur+1, 0
+				continue
 			}
-			remaining--
-			if remaining == 0 {
-				done(firstErr)
-			}
-		})
+			take := min(len(bufs[cur])-off, want)
+			m.bufs = append(m.bufs, bufs[cur][off:off+take])
+			off += take
+			want -= take
+		}
+	})
+	return io, nil
+}
+
+// issue fans the request out, one I/O per member in first-touch order;
+// done fires at the slowest member's completion with the first error.
+func (io *arrayIO) issue(op func(*blockdev.MemDisk, int64, [][]byte, func(error)), done func(error)) {
+	io.done, io.remaining = done, len(io.order)
+	r, order := io.r, io.order
+	for _, disk := range order {
+		m := &io.members[disk]
+		op(r.disks[disk], m.lbn, m.bufs, io.join)
 	}
+}
+
+// memberDone joins one member completion. The last one hands the caller's
+// buffers back: the vectors are emptied before done runs.
+func (io *arrayIO) memberDone(err error) {
+	if err != nil && io.err == nil {
+		io.err = err
+	}
+	io.remaining--
+	if io.remaining > 0 {
+		return
+	}
+	done, err := io.done, io.err
+	for _, disk := range io.order {
+		m := &io.members[disk]
+		clear(m.bufs)
+		m.bufs = m.bufs[:0]
+	}
+	io.order, io.done, io.err = io.order[:0], nil, nil
+	io.r.free = append(io.r.free, io)
+	done(err)
+}
+
+// ReadBlocks implements Device by fanning out to member disks, each filling
+// its share of dsts directly.
+func (r *RAID0) ReadBlocks(lbn int64, dsts [][]byte, done func(error)) {
+	io, err := r.split(lbn, dsts)
+	if io == nil {
+		done(err)
+		return
+	}
+	io.issue((*blockdev.MemDisk).ReadBlocks, done)
+}
+
+// WriteBlocks implements Device by fanning out to member disks, each
+// storing its share of srcs directly.
+func (r *RAID0) WriteBlocks(lbn int64, srcs [][]byte, done func(error)) {
+	io, err := r.split(lbn, srcs)
+	if io == nil {
+		done(err)
+		return
+	}
+	io.issue((*blockdev.MemDisk).WriteBlocks, done)
 }

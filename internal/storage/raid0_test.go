@@ -30,11 +30,12 @@ func TestRAID0RoundTrip(t *testing.T) {
 	}
 	data := make([]byte, 512*50) // spans many stripe units
 	sim.NewRNG(5).Fill(data)
-	r.WriteBlocks(13, data, func(err error) {
+	r.WriteBlocks(13, [][]byte{data}, func(err error) {
 		if err != nil {
 			t.Errorf("Write: %v", err)
 		}
-		r.ReadBlocks(13, 50, func(got []byte, err error) {
+		got := make([]byte, len(data))
+		r.ReadBlocks(13, [][]byte{got}, func(err error) {
 			if err != nil {
 				t.Errorf("Read: %v", err)
 			}
@@ -53,7 +54,7 @@ func TestRAID0DistributesAcrossDisks(t *testing.T) {
 	r := newArray(t, eng, 4, 8)
 	// 64 blocks starting at 0 covers stripes 0..7: 16 blocks per disk,
 	// coalesced into exactly one member request each.
-	r.ReadBlocks(0, 64, func(_ []byte, err error) {
+	r.ReadBlocks(0, [][]byte{make([]byte, 64*512)}, func(err error) {
 		if err != nil {
 			t.Errorf("Read: %v", err)
 		}
@@ -79,8 +80,8 @@ func TestRAID0ParallelismBeatsSingleDisk(t *testing.T) {
 	var tSingle, tArray sim.Duration
 	start := eng.Now()
 	n := 512 // 256 KB
-	single.ReadBlocks(0, n, func(_ []byte, err error) { tSingle = eng.Now().Sub(start) })
-	array.ReadBlocks(0, n, func(_ []byte, err error) { tArray = eng.Now().Sub(start) })
+	single.ReadBlocks(0, [][]byte{make([]byte, n*512)}, func(error) { tSingle = eng.Now().Sub(start) })
+	array.ReadBlocks(0, [][]byte{make([]byte, n*512)}, func(error) { tArray = eng.Now().Sub(start) })
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -124,11 +125,12 @@ func TestRAID0PropertyRoundTrip(t *testing.T) {
 		data := make([]byte, count*64)
 		sim.NewRNG(seed).Fill(data)
 		ok := false
-		r.WriteBlocks(lbn, data, func(err error) {
+		r.WriteBlocks(lbn, [][]byte{data}, func(err error) {
 			if err != nil {
 				return
 			}
-			r.ReadBlocks(lbn, count, func(got []byte, err error) {
+			got := make([]byte, len(data))
+			r.ReadBlocks(lbn, [][]byte{got}, func(err error) {
 				ok = err == nil && bytes.Equal(got, data)
 			})
 		})

@@ -21,6 +21,7 @@ package wal
 
 import (
 	"ncache/internal/metrics"
+	"ncache/internal/netbuf"
 	"ncache/internal/sim"
 )
 
@@ -40,6 +41,11 @@ type Record struct {
 	LBNs []int64
 	// Data is the redo payload: the write's bytes, block-aligned.
 	Data []byte
+
+	// pooled marks a record NewRecord handed out: the log owns it from
+	// Append on, and Truncate recycles it. A record the caller built
+	// itself is left to the collector.
+	pooled bool
 }
 
 // Config tunes the group-commit protocol.
@@ -82,6 +88,8 @@ type Log struct {
 	inflight    []*Record
 	inflightFns []func()
 	durable     []*Record
+	// free holds the pooled records Truncate retired.
+	free []*Record
 
 	timerSet bool
 	timer    sim.EventID
@@ -107,6 +115,25 @@ func (l *Log) Depth() int { return len(l.staged) + len(l.inflight) + len(l.durab
 
 // DurableRecords returns the records replay must apply, in sequence order.
 func (l *Log) DurableRecords() []*Record { return l.durable }
+
+// NewRecord returns a record whose Data is n bytes long, for the caller to
+// fill (every field, and all of Data: a recycled record's payload is stale)
+// and Append. Journaled payloads only pass through the log — captured at
+// the WRITE, dropped at truncation — so their memory cycles through here
+// instead of being allocated per write.
+func (l *Log) NewRecord(n int) *Record {
+	var r *Record
+	if k := len(l.free); k > 0 {
+		r, l.free = l.free[k-1], l.free[:k-1]
+	} else {
+		r = &Record{pooled: true}
+	}
+	if cap(r.Data) < n {
+		r.Data = make([]byte, n)
+	}
+	r.Data = r.Data[:n]
+	return r
+}
 
 // Append stages a record and returns its sequence number. committed fires
 // once the record's group commit lands — the caller releases the client
@@ -193,6 +220,10 @@ scan:
 	bytes := 0
 	for _, r := range l.durable[:n] {
 		bytes += len(r.Data)
+		if r.pooled && netbuf.Recycle(r.Data) {
+			*r = Record{Data: r.Data, pooled: true}
+			l.free = append(l.free, r)
+		}
 	}
 	l.durable = l.durable[n:]
 	l.wb.WALTruncates += uint64(n)

@@ -163,3 +163,59 @@ func TestPipelinedGroups(t *testing.T) {
 		t.Fatalf("commits = %d, want 2 pipelined groups", wb.WALCommits)
 	}
 }
+
+// TestNewRecordCyclesThroughTruncate: a record NewRecord handed out comes
+// back from NewRecord once Truncate has retired it — struct and payload —
+// while a record the caller built around its own buffer is never taken.
+func TestNewRecordCyclesThroughTruncate(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, _, l := rig()
+	pooled := l.NewRecord(8192)
+	pooled.Ino, pooled.LBNs = 2, []int64{1, 2}
+	payload := &pooled.Data[0]
+	own := rec(3, 9)
+	l.Append(pooled, nil)
+	l.Append(own, nil)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Truncate(func(int64) bool { return false }); got != 2 {
+		t.Fatalf("truncated %d records, want 2", got)
+	}
+	if len(l.free) != 1 || own.Data[0] != 9 {
+		t.Fatalf("free list holds %d records; a caller-built record must stay the caller's", len(l.free))
+	}
+	again := l.NewRecord(4096)
+	if again != pooled || &again.Data[0] != payload || len(again.Data) != 4096 {
+		t.Fatal("NewRecord did not reuse the retired record and its payload")
+	}
+	if again.Seq != 0 || again.Ino != 0 || again.LBNs != nil {
+		t.Fatalf("recycled record carries its previous life: %+v", again)
+	}
+	if bigger := l.NewRecord(16384); len(bigger.Data) != 16384 {
+		t.Fatalf("NewRecord(16384) returned %d bytes", len(bigger.Data))
+	}
+}
+
+// TestDebugModePoisonsRetiredPayloads: under netbuf debug mode a retired
+// pooled record is poisoned and abandoned, so a reader that kept it past
+// truncation sees poison instead of a later write's payload.
+func TestDebugModePoisonsRetiredPayloads(t *testing.T) {
+	was := netbuf.DebugEnabled()
+	netbuf.SetDebug(true)
+	defer netbuf.SetDebug(was)
+	eng, _, l := rig()
+	r := l.NewRecord(4096)
+	r.LBNs = []int64{1}
+	r.Data[0] = 7
+	l.Append(r, nil)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	l.Truncate(func(int64) bool { return false })
+	if len(l.free) != 0 || r.Data[0] == 7 || r.Data[0] != r.Data[4095] {
+		t.Fatalf("retired payload not poisoned: free %d, data %#x..%#x", len(l.free), r.Data[0], r.Data[4095])
+	}
+}
