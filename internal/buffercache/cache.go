@@ -127,6 +127,17 @@ func (c *Cache) Len() int { return len(c.blocks) }
 // incrementally on every dirty transition).
 func (c *Cache) DirtyCount() int { return c.nDirty }
 
+// ResidentLBNs lists the resident blocks, most recently used first. Test
+// only: the LRU order is what extfs's differential walk tests compare, and
+// they live in another package; nothing in the simulation calls it.
+func (c *Cache) ResidentLBNs() []int64 {
+	out := make([]int64, 0, len(c.blocks))
+	for b := c.lru.next; b != &c.lru; b = b.next {
+		out = append(out, b.LBN)
+	}
+	return out
+}
+
 // unlink takes a resident block out of the LRU ring.
 func (b *Block) unlink() {
 	b.prev.next, b.next.prev = b.next, b.prev
@@ -234,30 +245,26 @@ func (c *Cache) Get(lbn int64, meta bool, done func(*Block, error)) {
 		c.evictForRoom()
 		return
 	}
-	c.GetRange(lbn, 1, meta, func(bs []*Block, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		done(bs[0], nil)
-	})
+	out := make([]*Block, 1)
+	c.GetRange(lbn, out, meta, func(err error) { done(out[0], err) })
 }
 
-// GetRange returns count pinned blocks starting at lbn, reading missing
-// runs from the lower store in as few requests as possible (the read-ahead
-// behaviour the paper tunes so the average disk request matches the NFS
-// request size).
-func (c *Cache) GetRange(lbn int64, count int, meta bool, done func([]*Block, error)) {
-	if count <= 0 {
-		done(nil, fmt.Errorf("buffercache: bad range count %d", count))
+// GetRange fills out with the len(out) pinned blocks starting at lbn,
+// reading missing runs from the lower store in as few requests as possible
+// (the read-ahead behaviour the paper tunes so the average disk request
+// matches the NFS request size). out is the caller's and must stay untouched
+// until done; on failure nothing is left pinned and out is cleared.
+func (c *Cache) GetRange(lbn int64, out []*Block, meta bool, done func(error)) {
+	count := len(out)
+	if count == 0 {
+		done(fmt.Errorf("buffercache: empty range"))
 		return
 	}
-	out := make([]*Block, count)
 	if c.resident(lbn, out) {
 		for _, b := range out {
 			c.hit(b)
 		}
-		done(out, nil)
+		done(nil)
 		c.evictForRoom()
 		return
 	}
@@ -275,10 +282,9 @@ func (c *Cache) GetRange(lbn int64, count int, meta bool, done func([]*Block, er
 						c.Unpin(b)
 					}
 				}
-				done(nil, failed)
-				return
+				clear(out)
 			}
-			done(out, nil)
+			done(failed)
 		}
 	}
 	waiting = 1 // guard so synchronous hits don't complete early

@@ -139,7 +139,8 @@ func TestRangeCoalescesMissRuns(t *testing.T) {
 	lower.reads = nil
 
 	var got [][]byte
-	c.GetRange(10, 8, false, func(bs []*Block, err error) {
+	bs := make([]*Block, 8)
+	c.GetRange(10, bs, false, func(err error) {
 		if err != nil {
 			t.Errorf("GetRange: %v", err)
 			return
@@ -470,10 +471,10 @@ func simnetNode(eng *sim.Engine) *simnet.Node {
 func TestGetRangeRejectsBadCount(t *testing.T) {
 	eng, _, _, c := rigCache(t, 8)
 	called := false
-	c.GetRange(0, 0, false, func(_ []*Block, err error) {
+	c.GetRange(0, nil, false, func(err error) {
 		called = true
 		if err == nil {
-			t.Fatal("zero-count range accepted")
+			t.Fatal("empty range accepted")
 		}
 	})
 	if err := eng.Run(); err != nil {
@@ -511,11 +512,12 @@ func TestDropInvalidates(t *testing.T) {
 
 // TestCacheGetResidentZeroAllocs gates the resident-hit fast path: returning
 // a block that is already in the map pins it, counts the hit, touches the
-// LRU, calls done and runs eviction — and allocates nothing. A resident
-// range pays only for the slice it returns.
+// LRU, calls done and runs eviction — and allocates nothing; nor does a
+// resident range, which lands in the caller's slice.
 func TestCacheGetResidentZeroAllocs(t *testing.T) {
 	eng, _, lower, c := rigCache(t, 16)
-	c.GetRange(8, 4, false, func(bs []*Block, err error) {
+	bs := make([]*Block, 4)
+	c.GetRange(8, bs, false, func(err error) {
 		if err != nil {
 			t.Errorf("prefill: %v", err)
 		}
@@ -535,14 +537,14 @@ func TestCacheGetResidentZeroAllocs(t *testing.T) {
 		t.Fatalf("Get returned %+v", got)
 	}
 	n := 0
-	many := func(bs []*Block, err error) {
+	many := func(err error) {
 		n = len(bs)
 		for _, b := range bs {
 			c.Unpin(b)
 		}
 	}
-	if avg := testing.AllocsPerRun(200, func() { c.GetRange(8, 4, false, many) }); avg > 1 {
-		t.Errorf("resident GetRange allocates %.0f objects, want 1 (the result slice)", avg)
+	if avg := testing.AllocsPerRun(200, func() { c.GetRange(8, bs, false, many) }); avg != 0 {
+		t.Errorf("resident GetRange allocates %.0f objects, want 0", avg)
 	}
 	if n != 4 {
 		t.Fatalf("GetRange returned %d blocks", n)

@@ -517,3 +517,53 @@ func TestManyFilesInRoot(t *testing.T) {
 func fmtName(i int) string {
 	return "file-" + string(rune('a'+i/26)) + string(rune('a'+i%26))
 }
+
+// TestCorruptDirentLength: a slot whose length byte exceeds MaxNameLen names
+// nothing — not its full name, and not the MaxNameLen-byte prefix the decoder
+// used to truncate it to — and Fsck reports it.
+func TestCorruptDirentLength(t *testing.T) {
+	r := newFsRig(t, 64)
+	long := string(bytes.Repeat([]byte("n"), MaxNameLen))
+	victim := r.create(t, long)
+	r.create(t, "bystander")
+
+	root := r.inode(t, RootIno)
+	r.cache.Get(int64(root.Direct[0]), true, func(b *buffercache.Block, err error) {
+		if err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		for so := 0; so < BlockSize; so += DirentSize {
+			if slot := b.Data[so : so+DirentSize]; slotIno(slot) == victim {
+				slot[4] = MaxNameLen + 1 // hand-corrupt the length byte
+				r.cache.MarkDirty(b)
+			}
+		}
+		r.cache.Unpin(b)
+	})
+	r.run(t)
+
+	if name, ok := slotName(append(make([]byte, 4), MaxNameLen+1)); ok {
+		t.Errorf("slotName(over-long) = %q, want not ok", name)
+	}
+	r.fs.Lookup(RootIno, long, func(ino uint32, err error) {
+		if err != ErrNotFound {
+			t.Errorf("Lookup of the corrupt slot's name = %d, %v; want ErrNotFound", ino, err)
+		}
+	})
+	r.fs.Lookup(RootIno, "bystander", func(_ uint32, err error) {
+		if err != nil {
+			t.Errorf("Lookup(bystander): %v", err)
+		}
+	})
+	r.fs.Readdir(RootIno, func(ents []Dirent, err error) {
+		if err != nil || len(ents) != 1 || ents[0].Name != "bystander" {
+			t.Errorf("Readdir = %+v, %v; want only bystander", ents, err)
+		}
+	})
+	r.fs.Fsck(func(err error) {
+		if !errors.Is(err, ErrBadDirent) {
+			t.Errorf("Fsck = %v, want ErrBadDirent", err)
+		}
+	})
+	r.run(t)
+}

@@ -25,6 +25,9 @@ type FS struct {
 	// zeroing). The pass-through assembly installs the NCache-aware
 	// implementation; the default zero-fills.
 	materializer func(*buffercache.Block)
+
+	// walks is the free list of operation records (see walk).
+	walks []*walk
 }
 
 // SetMaterializer installs the logical-block materializer.
@@ -52,6 +55,9 @@ type Attr struct {
 	Size  uint64
 }
 
+// attr extracts the served attributes from an inode.
+func (in *Inode) attr() Attr { return Attr{Mode: in.Mode, Links: in.Links, Size: in.Size} }
+
 // Extent is one piece of a read result: a byte range within a pinned cache
 // block, or a hole. The caller must Unpin non-hole extents via Done.
 type Extent struct {
@@ -61,7 +67,7 @@ type Extent struct {
 	Off, Len int
 }
 
-// ReadResult carries a completed read.
+// ReadResult carries a completed read. It is valid until Done.
 type ReadResult struct {
 	Extents []Extent
 	// N is the number of bytes covered (may be less than requested at EOF).
@@ -70,16 +76,21 @@ type ReadResult struct {
 	EOF bool
 	// Attr carries the file's attributes (NFS replies include them).
 	Attr Attr
+
+	w *walk // the operation record the result lives in
 }
 
-// Done unpins every extent. Call exactly once when finished with the data.
+// Done unpins every extent and retires the read's record, the result with
+// it. Call exactly once when finished with the data.
 func (r *ReadResult) Done(fs *FS) {
 	for _, e := range r.Extents {
 		if e.Block != nil {
 			fs.cache.Unpin(e.Block)
 		}
 	}
-	r.Extents = nil
+	if r.w != nil {
+		r.w.retire()
+	}
 }
 
 // Filler moves payload into a cache block during a write: blockOff/count
@@ -124,56 +135,35 @@ func (fs *FS) charge(blocks int, then func()) {
 	fs.node.Charge(sim.Duration(blocks)*fs.node.Cost.FSBlockNs, then)
 }
 
-// ---- inode table access ----
+// ---- inode table access (walk.go holds the per-operation form) ----
 
 // GetInode reads an inode.
 func (fs *FS) GetInode(ino uint32, done func(Inode, error)) {
-	if ino == 0 || ino >= fs.sb.NumInodes {
-		done(Inode{}, fmt.Errorf("%w: %d", ErrBadIno, ino))
-		return
-	}
-	blk := fs.sb.InodeTableStart + int64(ino)/InodesPerBlock
-	off := (int64(ino) % InodesPerBlock) * InodeSize
-	fs.cache.Get(blk, true, func(b *buffercache.Block, err error) {
-		if err != nil {
-			done(Inode{}, err)
-			return
-		}
-		node := DecodeInode(b.Data[off : off+InodeSize])
-		fs.cache.Unpin(b)
-		done(node, nil)
-	})
+	w := fs.walk()
+	w.doneInode = done
+	w.loadInode(ino, (*walk).ended)
 }
 
 // putInode writes an inode back.
 func (fs *FS) putInode(ino uint32, in Inode, done func(error)) {
-	blk := fs.sb.InodeTableStart + int64(ino)/InodesPerBlock
-	off := (int64(ino) % InodesPerBlock) * InodeSize
-	fs.cache.Get(blk, true, func(b *buffercache.Block, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		EncodeInode(in, b.Data[off:off+InodeSize])
-		fs.cache.MarkDirty(b)
-		fs.cache.Unpin(b)
-		done(nil)
-	})
+	w := fs.walk()
+	w.ino, w.in, w.doneErr = ino, in, done
+	w.storeInode()
 }
 
 // Getattr returns a file's attributes.
 func (fs *FS) Getattr(ino uint32, done func(Attr, error)) {
-	fs.GetInode(ino, func(in Inode, err error) {
-		if err != nil {
-			done(Attr{}, err)
-			return
-		}
-		if in.Mode == ModeFree {
-			done(Attr{}, ErrNotFound)
-			return
-		}
-		done(Attr{Mode: in.Mode, Links: in.Links, Size: in.Size}, nil)
-	})
+	w := fs.walk()
+	w.doneAttr = done
+	w.loadInode(ino, (*walk).attrLoaded)
+}
+
+func (w *walk) attrLoaded() {
+	if w.in.Mode == ModeFree {
+		w.finish(ErrNotFound)
+		return
+	}
+	w.finish(nil)
 }
 
 // ---- bitmap allocation ----
@@ -318,189 +308,4 @@ func (fs *FS) allocZeroedBlock(done func(int64, error)) {
 			done(lbn, nil)
 		})
 	})
-}
-
-// ---- block mapping ----
-
-// bmap resolves a file block number to a device block, optionally
-// allocating. It returns (0, nil) for holes when alloc is false. The inode
-// is updated in place; the caller persists it if modified (reported via
-// changed). fresh reports that this call allocated the data block — its
-// on-disk content is stale (possibly a freed block's old bytes) and the
-// caller must not read-fill it.
-func (fs *FS) bmap(in *Inode, fbn int64, alloc bool, done func(lbn int64, changed, fresh bool, err error)) {
-	switch {
-	case fbn < 0 || fbn >= MaxFileBlocks:
-		done(0, false, false, fmt.Errorf("%w: block %d", ErrFileTooBig, fbn))
-
-	case fbn < NDirect:
-		cur := int64(in.Direct[fbn])
-		if cur != 0 || !alloc {
-			done(cur, false, false, nil)
-			return
-		}
-		fs.allocBlock(func(lbn int64, err error) {
-			if err != nil {
-				done(0, false, false, err)
-				return
-			}
-			in.Direct[fbn] = uint32(lbn)
-			done(lbn, true, true, nil)
-		})
-
-	case fbn < NDirect+PtrsPerBlock:
-		idx := fbn - NDirect
-		fs.withPtrBlock(int64(in.Indirect), alloc, func(ind int64, inoChanged bool, err error) {
-			if err != nil {
-				done(0, false, false, err)
-				return
-			}
-			if ind == 0 {
-				done(0, false, false, nil) // hole
-				return
-			}
-			if inoChanged {
-				in.Indirect = uint32(ind)
-			}
-			fs.ptrEntry(ind, idx, alloc, func(lbn int64, fresh bool, err error) {
-				done(lbn, inoChanged, fresh, err)
-			})
-		})
-
-	default:
-		idx := fbn - NDirect - PtrsPerBlock
-		outer := idx / PtrsPerBlock
-		inner := idx % PtrsPerBlock
-		fs.withPtrBlock(int64(in.DIndirect), alloc, func(dind int64, inoChanged bool, err error) {
-			if err != nil {
-				done(0, false, false, err)
-				return
-			}
-			if dind == 0 {
-				done(0, false, false, nil)
-				return
-			}
-			if inoChanged {
-				in.DIndirect = uint32(dind)
-			}
-			fs.ptrEntryOrAlloc(dind, outer, alloc, func(ind int64, err error) {
-				if err != nil {
-					done(0, false, false, err)
-					return
-				}
-				if ind == 0 {
-					done(0, inoChanged, false, nil)
-					return
-				}
-				fs.ptrEntry(ind, inner, alloc, func(lbn int64, fresh bool, err error) {
-					done(lbn, inoChanged, fresh, err)
-				})
-			})
-		})
-	}
-}
-
-// withPtrBlock ensures a pointer block exists (allocating if requested).
-func (fs *FS) withPtrBlock(cur int64, alloc bool, done func(lbn int64, changed bool, err error)) {
-	if cur != 0 || !alloc {
-		done(cur, false, nil)
-		return
-	}
-	fs.allocZeroedBlock(func(lbn int64, err error) {
-		done(lbn, true, err)
-	})
-}
-
-// ptrEntry reads (and optionally allocates) entry idx of a pointer block.
-// fresh reports a new allocation.
-func (fs *FS) ptrEntry(ptrBlk, idx int64, alloc bool, done func(int64, bool, error)) {
-	fs.cache.Get(ptrBlk, true, func(b *buffercache.Block, err error) {
-		if err != nil {
-			done(0, false, err)
-			return
-		}
-		off := idx * 4
-		cur := int64(uint32(b.Data[off])<<24 | uint32(b.Data[off+1])<<16 | uint32(b.Data[off+2])<<8 | uint32(b.Data[off+3]))
-		if cur != 0 || !alloc {
-			fs.cache.Unpin(b)
-			done(cur, false, nil)
-			return
-		}
-		fs.allocBlock(func(lbn int64, aerr error) {
-			if aerr != nil {
-				fs.cache.Unpin(b)
-				done(0, false, aerr)
-				return
-			}
-			v := uint32(lbn)
-			b.Data[off] = byte(v >> 24)
-			b.Data[off+1] = byte(v >> 16)
-			b.Data[off+2] = byte(v >> 8)
-			b.Data[off+3] = byte(v)
-			fs.cache.MarkDirty(b)
-			fs.cache.Unpin(b)
-			done(lbn, true, nil)
-		})
-	})
-}
-
-// ptrEntryOrAlloc is ptrEntry but allocates a zeroed pointer block as the
-// entry (for the outer level of double indirection).
-func (fs *FS) ptrEntryOrAlloc(ptrBlk, idx int64, alloc bool, done func(int64, error)) {
-	fs.cache.Get(ptrBlk, true, func(b *buffercache.Block, err error) {
-		if err != nil {
-			done(0, err)
-			return
-		}
-		off := idx * 4
-		cur := int64(uint32(b.Data[off])<<24 | uint32(b.Data[off+1])<<16 | uint32(b.Data[off+2])<<8 | uint32(b.Data[off+3]))
-		if cur != 0 || !alloc {
-			fs.cache.Unpin(b)
-			done(cur, nil)
-			return
-		}
-		fs.allocZeroedBlock(func(lbn int64, aerr error) {
-			if aerr != nil {
-				fs.cache.Unpin(b)
-				done(0, aerr)
-				return
-			}
-			v := uint32(lbn)
-			b.Data[off] = byte(v >> 24)
-			b.Data[off+1] = byte(v >> 16)
-			b.Data[off+2] = byte(v >> 8)
-			b.Data[off+3] = byte(v)
-			fs.cache.MarkDirty(b)
-			fs.cache.Unpin(b)
-			done(lbn, nil)
-		})
-	})
-}
-
-// bmapRange resolves a run of file blocks to device blocks sequentially.
-// freshs marks blocks allocated by this call (stale on-disk content).
-func (fs *FS) bmapRange(in *Inode, fbn int64, count int, alloc bool, done func(lbns []int64, freshs []bool, changed bool, err error)) {
-	lbns := make([]int64, count)
-	freshs := make([]bool, count)
-	anyChanged := false
-	var step func(i int)
-	step = func(i int) {
-		if i == count {
-			done(lbns, freshs, anyChanged, nil)
-			return
-		}
-		fs.bmap(in, fbn+int64(i), alloc, func(lbn int64, changed, fresh bool, err error) {
-			if err != nil {
-				done(nil, nil, anyChanged, err)
-				return
-			}
-			if changed {
-				anyChanged = true
-			}
-			lbns[i] = lbn
-			freshs[i] = fresh
-			step(i + 1)
-		})
-	}
-	step(0)
 }

@@ -63,6 +63,7 @@ var (
 	ErrFileTooBig  = errors.New("extfs: file too large")
 	ErrNotEmpty    = errors.New("extfs: directory not empty")
 	ErrBadIno      = errors.New("extfs: bad inode number")
+	ErrBadDirent   = errors.New("extfs: corrupt directory entry")
 )
 
 // SuperBlock describes the volume layout.
@@ -177,16 +178,24 @@ func EncodeDirent(d Dirent, dst []byte) error {
 	return nil
 }
 
-// DecodeDirent parses a directory slot. A zero inode marks a free slot.
-func DecodeDirent(src []byte) Dirent {
-	n := int(src[4])
+// slotIno returns the inode a directory slot binds; zero marks a free slot.
+func slotIno(slot []byte) uint32 { return binary.BigEndian.Uint32(slot) }
+
+// slotName returns a slot's name as a view into it. ok is false when the
+// length byte exceeds MaxNameLen: the slot is corrupt and names nothing.
+func slotName(slot []byte) (name []byte, ok bool) {
+	n := int(slot[4])
 	if n > MaxNameLen {
-		n = MaxNameLen
+		return nil, false
 	}
-	return Dirent{
-		Ino:  binary.BigEndian.Uint32(src[0:]),
-		Name: string(src[5 : 5+n]),
-	}
+	return slot[5 : 5+n], true
+}
+
+// slotNamed compares a slot's name in place (the conversion does not
+// allocate), so scanning a directory costs no object per slot.
+func slotNamed(slot []byte, name string) bool {
+	n, ok := slotName(slot)
+	return ok && string(n) == name
 }
 
 // Layout computes a volume layout for a device of numBlocks blocks with the

@@ -1,122 +1,100 @@
 package extfs
 
-import (
-	"fmt"
+import "fmt"
 
-	"ncache/internal/buffercache"
-)
+// span returns the file blocks covering bytes [off, off+n), n > 0.
+func span(off uint64, n int) (first int64, count int) {
+	first = int64(off / BlockSize)
+	return first, int(int64((off+uint64(n)-1)/BlockSize) - first + 1)
+}
+
+// ---- read ----
 
 // Read resolves [off, off+n) of a file into pinned cache-block extents,
 // reading missing runs through the cache with request-sized read-ahead. The
 // caller consumes the extents (copying or key-stamping per its
 // configuration) and must call result.Done.
 func (fs *FS) Read(ino uint32, off uint64, n int, done func(*ReadResult, error)) {
-	fs.GetInode(ino, func(in Inode, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		if in.Mode != ModeFile {
-			done(nil, ErrIsDir)
-			return
-		}
-		attr := Attr{Mode: in.Mode, Links: in.Links, Size: in.Size}
-		if off >= in.Size || n == 0 {
-			done(&ReadResult{EOF: true, Attr: attr}, nil)
-			return
-		}
-		if uint64(n) > in.Size-off {
-			n = int(in.Size - off)
-		}
-		first := int64(off / BlockSize)
-		last := int64((off + uint64(n) - 1) / BlockSize)
-		count := int(last - first + 1)
-		fs.bmapRange(&in, first, count, false, func(lbns []int64, _ []bool, _ bool, err error) {
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			fs.charge(count, func() {
-				fs.readExtents(off, n, first, lbns, attr, done)
-			})
-		})
-	})
+	w := fs.walk()
+	w.off, w.n, w.doneRead = off, n, done
+	w.loadInode(ino, (*walk).readInode)
 }
 
-// readExtents fetches the resolved blocks (coalescing contiguous device
-// runs) and assembles the extent list.
-func (fs *FS) readExtents(off uint64, n int, firstFbn int64, lbns []int64, attr Attr, done func(*ReadResult, error)) {
-	res := &ReadResult{N: n, EOF: off+uint64(n) >= attr.Size, Attr: attr}
-	type slot struct {
-		blk *buffercache.Block
+func (w *walk) readInode() {
+	in := &w.in
+	if in.Mode != ModeFile {
+		w.finish(ErrIsDir)
+		return
 	}
-	slots := make([]slot, len(lbns))
-	waiting := 1
-	var failed error
-	finish := func(err error) {
-		if err != nil && failed == nil {
-			failed = err
-		}
-		waiting--
-		if waiting != 0 {
-			return
-		}
-		if failed != nil {
-			for _, s := range slots {
-				if s.blk != nil {
-					fs.cache.Unpin(s.blk)
-				}
-			}
-			done(nil, failed)
-			return
-		}
-		// Build extents over the byte range.
-		remaining := n
-		pos := off
-		for i := range lbns {
-			blockOff := 0
-			if i == 0 {
-				blockOff = int(pos % BlockSize)
-			}
-			l := BlockSize - blockOff
-			if l > remaining {
-				l = remaining
-			}
-			res.Extents = append(res.Extents, Extent{Block: slots[i].blk, Off: blockOff, Len: l})
-			remaining -= l
-			pos += uint64(l)
-		}
-		done(res, nil)
+	w.res = ReadResult{Extents: w.res.Extents[:0], Attr: in.attr(), w: w}
+	if w.off >= in.Size || w.n == 0 {
+		w.res.EOF = true
+		w.finish(nil)
+		return
 	}
+	if uint64(w.n) > in.Size-w.off {
+		w.n = int(in.Size - w.off)
+	}
+	first, count := span(w.off, w.n)
+	w.resolve(first, count, false, (*walk).readMapped)
+}
 
-	i := 0
-	for i < len(lbns) {
+func (w *walk) readMapped() {
+	w.pc = (*walk).readFetch
+	w.fs.charge(w.count, w.onCharged)
+}
+
+// readFetch fetches the resolved blocks into w.blks, one request per
+// contiguous device run, all issued at once; readRun counts them in.
+func (w *walk) readFetch() {
+	lbns := w.lbns
+	w.blks = sized(w.blks, len(lbns))
+	w.waiting = 1 // guard so inline hits don't complete early
+	for i := 0; i < len(lbns); {
 		if lbns[i] == 0 {
-			// Hole: zero bytes, no block.
-			i++
+			i++ // hole: zero bytes, no block
 			continue
 		}
-		// Contiguous device run.
 		start := i
-		for i+1 < len(lbns) && lbns[i+1] == lbns[i]+1 {
-			i++
+		for i++; i < len(lbns) && lbns[i] == lbns[i-1]+1; i++ {
 		}
-		i++
-		runStart, runLen := start, i-start
-		waiting++
-		fs.cache.GetRange(lbns[runStart], runLen, false, func(bs []*buffercache.Block, err error) {
-			if err != nil {
-				finish(err)
-				return
-			}
-			for j, b := range bs {
-				slots[runStart+j].blk = b
-			}
-			finish(nil)
-		})
+		w.waiting++
+		w.fs.cache.GetRange(lbns[start], w.blks[start:i], false, w.onRun)
 	}
-	finish(nil)
+	w.readRun(nil)
 }
+
+// readRun notes one run's arrival and, after the last, assembles the extent
+// list.
+func (w *walk) readRun(err error) {
+	if err != nil && w.readErr == nil {
+		w.readErr = err
+	}
+	if w.waiting--; w.waiting != 0 {
+		return
+	}
+	if w.readErr != nil {
+		for _, b := range w.blks {
+			if b != nil {
+				w.fs.cache.Unpin(b)
+			}
+		}
+		w.finish(w.readErr)
+		return
+	}
+	res := &w.res
+	res.N, res.EOF = w.n, w.off+uint64(w.n) >= res.Attr.Size
+	remaining, blockOff := w.n, int(w.off%BlockSize)
+	for _, b := range w.blks {
+		l := min(BlockSize-blockOff, remaining)
+		res.Extents = append(res.Extents, Extent{Block: b, Off: blockOff, Len: l})
+		remaining -= l
+		blockOff = 0
+	}
+	w.finish(nil)
+}
+
+// ---- write ----
 
 // Write applies a filler to [off, off+n) of a file, allocating blocks and
 // growing the file as needed. Whole-block writes skip the read-fill; partial
@@ -126,307 +104,363 @@ func (fs *FS) Write(ino uint32, off uint64, n int, filler Filler, done func(erro
 		done(nil)
 		return
 	}
-	fs.GetInode(ino, func(in Inode, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		if in.Mode != ModeFile {
-			done(ErrIsDir)
-			return
-		}
-		first := int64(off / BlockSize)
-		last := int64((off + uint64(n) - 1) / BlockSize)
-		count := int(last - first + 1)
-		proceed := func() {
-			fs.bmapRange(&in, first, count, true, func(lbns []int64, freshs []bool, changed bool, err error) {
-				if err != nil {
-					done(err)
-					return
-				}
-				fs.charge(count, func() {
-					fs.writeBlocks(&in, off, n, lbns, freshs, filler, func(err error) {
-						if err != nil {
-							done(err)
-							return
-						}
-						end := off + uint64(n)
-						if end > in.Size {
-							in.Size = end
-							changed = true
-						}
-						if changed {
-							fs.putInode(ino, in, done)
-							return
-						}
-						done(nil)
-					})
-				})
-			})
-		}
-		// A write starting beyond a partial EOF block (and not touching
-		// it) makes that block's stale tail readable: zero it first.
-		if off > in.Size && in.Size%BlockSize != 0 && first > int64(in.Size/BlockSize) {
-			fs.zeroTailBeyondEOF(&in, proceed, done)
-			return
-		}
-		proceed()
-	})
+	w := fs.walk()
+	w.off, w.n, w.filler, w.doneErr = off, n, filler, done
+	w.loadInode(ino, (*walk).writeInode)
 }
 
-// zeroTailBeyondEOF zeroes the readable-after-extension tail of the old EOF
-// boundary block, materializing logical blocks first.
-func (fs *FS) zeroTailBeyondEOF(in *Inode, proceed func(), done func(error)) {
-	boundary := int64(in.Size / BlockSize)
-	fs.bmap(in, boundary, false, func(lbn int64, _, _ bool, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		if lbn == 0 {
-			proceed()
-			return
-		}
-		fs.cache.Get(lbn, false, func(b *buffercache.Block, err error) {
-			if err != nil {
-				done(err)
-				return
-			}
-			fs.materialize(b)
-			for j := int(in.Size % BlockSize); j < BlockSize; j++ {
-				b.Data[j] = 0
-			}
-			fs.cache.MarkDirty(b)
-			fs.cache.Unpin(b)
-			proceed()
-		})
-	})
+func (w *walk) writeInode() {
+	in := &w.in
+	if in.Mode != ModeFile {
+		w.finish(ErrIsDir)
+		return
+	}
+	// A write starting beyond a partial EOF block (and not touching it)
+	// makes that block's stale tail readable: zero it first.
+	if w.off > in.Size && in.Size%BlockSize != 0 && w.off/BlockSize > in.Size/BlockSize {
+		w.zeroTail((*walk).writeMap)
+		return
+	}
+	w.writeMap()
 }
 
-// writeBlocks walks the affected blocks, applying the filler.
-func (fs *FS) writeBlocks(in *Inode, off uint64, n int, lbns []int64, freshs []bool, filler Filler, done func(error)) {
-	srcOff := 0
-	pos := off
-	remaining := n
-	var step func(i int)
-	step = func(i int) {
-		if i == len(lbns) {
-			done(nil)
+// zeroTail zeroes what an extension to w.off exposes of the block holding
+// the current EOF — its tail beyond EOF, up to w.off — then runs next. A
+// write materializes a logical (key-carrying) block first; a truncate leaves
+// those to the data path: the NFS backend grows them with a zero-write
+// through the mode's filler.
+func (w *walk) zeroTail(next func(*walk)) {
+	w.next = next
+	w.resolve(int64(w.in.Size/BlockSize), 1, false, (*walk).tailMapped)
+}
+
+func (w *walk) tailMapped() {
+	if w.lbns[0] == 0 {
+		w.goTo(w.next)
+		return
+	}
+	w.pc = (*walk).tailLoaded
+	w.fs.cache.Get(w.lbns[0], false, w.onBlock)
+}
+
+func (w *walk) tailLoaded() {
+	b, size := w.blk, w.in.Size
+	if w.filler != nil { // a write
+		w.fs.materialize(b)
+	}
+	if blockStart := size / BlockSize * BlockSize; !b.Logical {
+		clear(b.Data[size-blockStart : min(w.off-blockStart, BlockSize)])
+		w.fs.cache.MarkDirty(b)
+	}
+	w.fs.cache.Unpin(b)
+	w.goTo(w.next)
+}
+
+func (w *walk) writeMap() {
+	first, count := span(w.off, w.n)
+	w.resolve(first, count, true, (*walk).writeMapped)
+}
+
+func (w *walk) writeMapped() {
+	w.i, w.pos, w.srcOff = 0, w.off, 0
+	w.pc = (*walk).writeBlock
+	w.fs.charge(w.count, w.onCharged)
+}
+
+// writeGeom describes block i of the write: the byte range within it, and
+// whether it needs no read-fill — a whole-block overwrite, a block lying
+// entirely beyond the current end of file, or a freshly allocated block
+// (whose on-disk content is stale: a reused freed block must read back as
+// zeros outside the written range).
+func (w *walk) writeGeom() (blockOff, l int, whole, stale bool) {
+	blockOff = int(w.pos % BlockSize)
+	l = min(BlockSize-blockOff, w.n-w.srcOff)
+	whole = blockOff == 0 && l == BlockSize
+	stale = w.freshs[w.i] || w.pos-uint64(blockOff) >= w.in.Size
+	return
+}
+
+// writeBlock fetches block i of the write, or finishes after the last.
+func (w *walk) writeBlock() {
+	if w.i == w.count {
+		if end := w.off + uint64(w.n); end > w.in.Size {
+			w.in.Size, w.changed = end, true
+		}
+		if w.changed {
+			w.storeInode()
 			return
 		}
-		blockOff := int(pos % BlockSize)
-		l := BlockSize - blockOff
-		if l > remaining {
-			l = remaining
-		}
-		whole := blockOff == 0 && l == BlockSize
-		// A whole-block overwrite needs no fill; neither does a block
-		// lying entirely beyond the current end of file, nor a freshly
-		// allocated block (whose on-disk content is stale — a reused
-		// freed block must read back as zeros outside the written range).
-		blockStart := pos - uint64(blockOff)
-		beyond := blockStart >= in.Size
-		fresh := freshs[i]
-		apply := func(b *buffercache.Block, err error) {
-			if err != nil {
-				done(err)
-				return
+		w.finish(nil)
+		return
+	}
+	_, _, whole, stale := w.writeGeom()
+	w.pc = (*walk).writeApply
+	if whole || stale {
+		w.fs.cache.GetForWrite(w.lbns[w.i], false, w.onBlock)
+	} else {
+		w.fs.cache.Get(w.lbns[w.i], false, w.onBlock)
+	}
+}
+
+// writeApply runs the filler over block i.
+func (w *walk) writeApply() {
+	b, size := w.blk, w.in.Size
+	blockOff, l, whole, stale := w.writeGeom()
+	if stale && !whole {
+		// Anything the filler doesn't cover must read back as zeros.
+		clear(b.Data)
+		b.Logical = false
+	}
+	w.filler(b, blockOff, l, w.srcOff)
+	if blockStart := w.pos - uint64(blockOff); !whole && !stale && size < w.pos {
+		// The write starts past the old EOF within this block: the gap
+		// [oldEOF, writeStart) becomes file content and must read as
+		// zeros. This runs after the filler, which may have materialized
+		// a logical block's stale bytes.
+		clear(b.Data[size-blockStart : blockOff])
+	}
+	w.fs.cache.MarkDirty(b)
+	w.fs.cache.Unpin(b)
+	w.srcOff += l
+	w.pos += uint64(l)
+	w.i++
+	w.goTo((*walk).writeBlock)
+}
+
+// ---- truncate ----
+
+// Truncate frees a file's blocks beyond newSize and updates its size.
+func (fs *FS) Truncate(ino uint32, newSize uint64, done func(error)) {
+	w := fs.walk()
+	w.off, w.doneErr = newSize, done
+	w.loadInode(ino, (*walk).truncInode)
+}
+
+func (w *walk) truncInode() {
+	in, newSize := &w.in, w.off
+	if in.Mode != ModeFile {
+		w.finish(ErrIsDir)
+		return
+	}
+	w.cur = int64((newSize + BlockSize - 1) / BlockSize)
+	w.end = int64((in.Size + BlockSize - 1) / BlockSize)
+	// Growing across a partial last block exposes its tail.
+	if newSize > in.Size && in.Size%BlockSize != 0 {
+		w.zeroTail((*walk).truncBlock)
+		return
+	}
+	w.truncBlock()
+}
+
+// truncBlock frees file blocks [cur, end) one at a time (map, then free, so
+// the pointer blocks and the bitmap are touched in turn), then persists the
+// new size — or, for a removed directory, reaps the inode.
+func (w *walk) truncBlock() {
+	if w.cur < w.end {
+		w.resolve(w.cur, 1, false, (*walk).truncMapped)
+		return
+	}
+	fs, in := w.fs, &w.in
+	if w.reap {
+		ino, done := w.ino, w.doneErr
+		w.retire()
+		fs.reapInode(ino, done)
+		return
+	}
+	in.Size = w.off
+	// Drop pointer blocks that are now entirely unused.
+	if in.Size <= NDirect*BlockSize {
+		for _, p := range []*uint32{&in.Indirect, &in.DIndirect} {
+			if *p != 0 {
+				fs.freeBlock(int64(*p), func(error) {})
+				*p = 0
 			}
-			if (fresh || beyond) && !whole {
-				// Stale content (reused freed block, or a no-fill
-				// beyond-EOF block): anything the filler doesn't cover
-				// must read back as zeros.
-				for j := range b.Data {
-					b.Data[j] = 0
-				}
-				b.Logical = false
-			}
-			filler(b, blockOff, l, srcOff)
-			if !whole && !fresh && !beyond && blockStart < in.Size && in.Size < pos {
-				// The write starts past the old EOF within this block:
-				// the gap [oldEOF, writeStart) becomes file content and
-				// must read as zeros. This runs after the filler, which
-				// may have materialized a logical block's stale bytes.
-				gapStart := int(in.Size - blockStart)
-				for j := gapStart; j < blockOff; j++ {
-					b.Data[j] = 0
-				}
-			}
-			fs.cache.MarkDirty(b)
-			fs.cache.Unpin(b)
-			srcOff += l
-			pos += uint64(l)
-			remaining -= l
-			step(i + 1)
-		}
-		if whole || beyond || fresh {
-			fs.cache.GetForWrite(lbns[i], false, apply)
-		} else {
-			fs.cache.Get(lbns[i], false, apply)
 		}
 	}
-	step(0)
+	w.storeInode()
+}
+
+func (w *walk) truncMapped() {
+	if w.lbns[0] == 0 {
+		w.cur++
+		w.goTo((*walk).truncBlock)
+		return
+	}
+	if w.cur < NDirect {
+		w.in.Direct[w.cur] = 0
+	}
+	w.pc = (*walk).truncFreed
+	w.fs.freeBlock(w.lbns[0], w.onErr)
+}
+
+func (w *walk) truncFreed() {
+	w.cur++
+	w.truncBlock()
 }
 
 // ---- directories ----
 
-// dirScan walks a directory's entries. visit returns true to stop; stopped
-// reports whether visit stopped the scan. visit may mutate the block (the
-// scanner marks it dirty when mutate is returned true).
-func (fs *FS) dirScan(in *Inode, visit func(d Dirent, b *buffercache.Block, slotOff int) (stop, mutate bool), done func(stopped bool, err error)) {
-	nblocks := int64((in.Size + BlockSize - 1) / BlockSize)
-	var step func(fbn int64)
-	step = func(fbn int64) {
-		if fbn == nblocks {
-			done(false, nil)
-			return
-		}
-		fs.bmap(in, fbn, false, func(lbn int64, _, _ bool, err error) {
-			if err != nil {
-				done(false, err)
-				return
-			}
-			if lbn == 0 {
-				step(fbn + 1)
-				return
-			}
-			fs.cache.Get(lbn, true, func(b *buffercache.Block, err error) {
-				if err != nil {
-					done(false, err)
-					return
-				}
-				limit := int(in.Size - uint64(fbn)*BlockSize)
-				if limit > BlockSize {
-					limit = BlockSize
-				}
-				for so := 0; so+DirentSize <= limit; so += DirentSize {
-					d := DecodeDirent(b.Data[so : so+DirentSize])
-					stop, mutate := visit(d, b, so)
-					if mutate {
-						fs.cache.MarkDirty(b)
-					}
-					if stop {
-						fs.cache.Unpin(b)
-						done(true, nil)
-						return
-					}
-				}
-				fs.cache.Unpin(b)
-				step(fbn + 1)
-			})
-		})
+// scan walks the directory w.in's slots in order. visit returns stop to end
+// the scan (w.stopped reports it to scanned) and mutate when it changed the
+// slot, which marks the block dirty. It sees the slot in place, in the pinned
+// block: nothing is decoded, so a scan allocates nothing.
+func (w *walk) scan(visit func(w *walk, slot []byte) (stop, mutate bool), scanned func(*walk)) {
+	w.visit, w.scanned, w.stopped = visit, scanned, false
+	w.cur, w.end = 0, int64((w.in.Size+BlockSize-1)/BlockSize)
+	w.scanBlock()
+}
+
+func (w *walk) scanBlock() {
+	if w.cur == w.end {
+		w.goTo(w.scanned)
+		return
 	}
-	step(0)
+	w.resolve(w.cur, 1, false, (*walk).scanMapped)
+}
+
+func (w *walk) scanMapped() {
+	if w.lbns[0] == 0 {
+		w.cur++
+		w.goTo((*walk).scanBlock)
+		return
+	}
+	w.pc = (*walk).scanLoaded
+	w.fs.cache.Get(w.lbns[0], true, w.onBlock)
+}
+
+func (w *walk) scanLoaded() {
+	b, cache := w.blk, w.fs.cache
+	limit := min(int(w.in.Size-uint64(w.cur)*BlockSize), BlockSize)
+	for so := 0; so+DirentSize <= limit && !w.stopped; so += DirentSize {
+		stop, mutate := w.visit(w, b.Data[so:so+DirentSize])
+		if mutate {
+			cache.MarkDirty(b)
+		}
+		w.stopped = stop
+	}
+	cache.Unpin(b)
+	if w.stopped {
+		w.goTo(w.scanned)
+		return
+	}
+	w.cur++
+	w.goTo((*walk).scanBlock)
+}
+
+// scanDir loads directory dirIno and scans it.
+func (w *walk) scanDir(dirIno uint32, visit func(w *walk, slot []byte) (stop, mutate bool), scanned func(*walk)) {
+	w.visit, w.scanned = visit, scanned
+	w.loadInode(dirIno, (*walk).scanInode)
+}
+
+func (w *walk) scanInode() {
+	if w.in.Mode != ModeDir {
+		w.finish(ErrNotDir)
+		return
+	}
+	w.scan(w.visit, w.scanned)
 }
 
 // Lookup resolves name within a directory.
 func (fs *FS) Lookup(dirIno uint32, name string, done func(uint32, error)) {
-	fs.GetInode(dirIno, func(in Inode, err error) {
-		if err != nil {
-			done(0, err)
-			return
-		}
-		if in.Mode != ModeDir {
-			done(0, ErrNotDir)
-			return
-		}
-		var found uint32
-		fs.dirScan(&in, func(d Dirent, _ *buffercache.Block, _ int) (bool, bool) {
-			if d.Ino != 0 && d.Name == name {
-				found = d.Ino
-				return true, false
-			}
-			return false, false
-		}, func(stopped bool, err error) {
-			if err != nil {
-				done(0, err)
-				return
-			}
-			if !stopped {
-				done(0, ErrNotFound)
-				return
-			}
-			done(found, nil)
-		})
-	})
+	w := fs.walk()
+	w.name, w.doneIno = name, done
+	w.scanDir(dirIno, visitMatch, (*walk).matchScanned)
+}
+
+// visitMatch stops at the live slot named w.name (and, when w.found is
+// preset, holding that inode), leaving its inode in w.found.
+func visitMatch(w *walk, slot []byte) (stop, mutate bool) {
+	ino := slotIno(slot)
+	if ino == 0 || (w.found != 0 && ino != w.found) || !slotNamed(slot, w.name) {
+		return false, false
+	}
+	w.found = ino
+	return true, false
+}
+
+func (w *walk) matchScanned() {
+	if !w.stopped {
+		w.finish(ErrNotFound)
+		return
+	}
+	w.finish(nil)
 }
 
 // Readdir lists a directory.
 func (fs *FS) Readdir(dirIno uint32, done func([]Dirent, error)) {
-	fs.GetInode(dirIno, func(in Inode, err error) {
-		if err != nil {
-			done(nil, err)
-			return
+	w := fs.walk()
+	w.doneEnts = done
+	w.scanDir(dirIno, visitList, (*walk).listScanned)
+}
+
+// visitList collects live entries — the one scan that materializes names,
+// and it gathers them in w.names to materialize them all at once.
+func visitList(w *walk, slot []byte) (stop, mutate bool) {
+	if name, ok := slotName(slot); ok && slotIno(slot) != 0 {
+		if w.ents == nil {
+			w.ents = make([]Dirent, 0, w.in.Size/DirentSize)
 		}
-		if in.Mode != ModeDir {
-			done(nil, ErrNotDir)
-			return
-		}
-		var out []Dirent
-		fs.dirScan(&in, func(d Dirent, _ *buffercache.Block, _ int) (bool, bool) {
-			if d.Ino != 0 {
-				out = append(out, d)
-			}
-			return false, false
-		}, func(_ bool, err error) {
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			done(out, nil)
-		})
-	})
+		w.ents = append(w.ents, Dirent{Ino: slotIno(slot)})
+		w.names = append(w.names, name...)
+		w.ends = append(w.ends, len(w.names))
+	}
+	return false, false
+}
+
+// listScanned cuts the entries' names out of one string: a listing costs two
+// objects, not one per name.
+func (w *walk) listScanned() {
+	all, start := string(w.names), 0
+	for i, end := range w.ends {
+		w.ents[i].Name, start = all[start:end], end
+	}
+	w.finish(nil)
 }
 
 // addDirent inserts an entry, reusing a free slot or extending the
 // directory.
 func (fs *FS) addDirent(dirIno uint32, in Inode, ent Dirent, done func(error)) {
-	inserted := false
-	fs.dirScan(&in, func(d Dirent, b *buffercache.Block, so int) (bool, bool) {
-		if d.Ino == 0 {
-			if err := EncodeDirent(ent, b.Data[so:so+DirentSize]); err != nil {
-				return true, false
-			}
-			inserted = true
-			return true, true
-		}
+	if len(ent.Name) > MaxNameLen {
+		done(fmt.Errorf("%w: %q", ErrNameTooLong, ent.Name))
+		return
+	}
+	w := fs.walk()
+	w.ino, w.in, w.ent, w.doneErr = dirIno, in, ent, done
+	w.scan(visitInsert, (*walk).insertScanned)
+}
+
+// visitInsert fills the first free slot with w.ent.
+func visitInsert(w *walk, slot []byte) (stop, mutate bool) {
+	if slotIno(slot) != 0 {
 		return false, false
-	}, func(stopped bool, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		if inserted {
-			done(nil)
-			return
-		}
-		// Extend the directory by one block.
-		fbn := int64(in.Size / BlockSize)
-		fs.bmap(&in, fbn, true, func(lbn int64, _, _ bool, err error) {
-			if err != nil {
-				done(err)
-				return
-			}
-			fs.cache.GetForWrite(lbn, true, func(b *buffercache.Block, err error) {
-				if err != nil {
-					done(err)
-					return
-				}
-				for i := range b.Data {
-					b.Data[i] = 0
-				}
-				if err := EncodeDirent(ent, b.Data[0:DirentSize]); err != nil {
-					fs.cache.Unpin(b)
-					done(err)
-					return
-				}
-				fs.cache.MarkDirty(b)
-				fs.cache.Unpin(b)
-				in.Size += BlockSize
-				fs.putInode(dirIno, in, done)
-			})
-		})
-	})
+	}
+	_ = EncodeDirent(w.ent, slot) // the name was checked on entry
+	return true, true
+}
+
+func (w *walk) insertScanned() {
+	if w.stopped {
+		w.finish(nil)
+		return
+	}
+	// Extend the directory by one block.
+	w.resolve(int64(w.in.Size/BlockSize), 1, true, (*walk).insertMapped)
+}
+
+func (w *walk) insertMapped() {
+	w.pc = (*walk).insertLoaded
+	w.fs.cache.GetForWrite(w.lbns[0], true, w.onBlock)
+}
+
+func (w *walk) insertLoaded() {
+	b := w.blk
+	clear(b.Data)
+	_ = EncodeDirent(w.ent, b.Data[:DirentSize])
+	w.fs.cache.MarkDirty(b)
+	w.fs.cache.Unpin(b)
+	w.in.Size += BlockSize
+	w.storeInode()
 }
 
 // Create makes a new file or directory entry in dirIno.
@@ -476,102 +510,6 @@ func (fs *FS) Create(dirIno uint32, name string, mode uint16, done func(uint32, 
 	})
 }
 
-// Truncate frees a file's blocks beyond newSize and updates its size.
-func (fs *FS) Truncate(ino uint32, newSize uint64, done func(error)) {
-	fs.GetInode(ino, func(in Inode, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		if in.Mode != ModeFile {
-			done(ErrIsDir)
-			return
-		}
-		keep := int64((newSize + BlockSize - 1) / BlockSize)
-		nblocks := int64((in.Size + BlockSize - 1) / BlockSize)
-		// Growing across a partial last block exposes its tail: zero it
-		// for literal blocks. Logical (key-carrying) blocks are the data
-		// path's business — the NFS backend grows them with a zero-write
-		// through the mode's filler, which materializes first.
-		if newSize > in.Size && in.Size%BlockSize != 0 {
-			boundary := int64(in.Size / BlockSize)
-			fs.bmap(&in, boundary, false, func(lbn int64, _, _ bool, err error) {
-				if err != nil || lbn == 0 {
-					fs.truncateTo(ino, in, keep, nblocks, newSize, done)
-					return
-				}
-				fs.cache.Get(lbn, false, func(b *buffercache.Block, gerr error) {
-					if gerr == nil {
-						if !b.Logical {
-							start := int(in.Size % BlockSize)
-							end := int(newSize - uint64(boundary)*BlockSize)
-							if end > BlockSize {
-								end = BlockSize
-							}
-							for j := start; j < end; j++ {
-								b.Data[j] = 0
-							}
-							fs.cache.MarkDirty(b)
-						}
-						fs.cache.Unpin(b)
-					}
-					fs.truncateTo(ino, in, keep, nblocks, newSize, done)
-				})
-			})
-			return
-		}
-		fs.truncateTo(ino, in, keep, nblocks, newSize, done)
-	})
-}
-
-// truncateTo frees blocks past keep and persists the new size.
-func (fs *FS) truncateTo(ino uint32, in Inode, keep, nblocks int64, newSize uint64, done func(error)) {
-	var step func(fbn int64)
-	step = func(fbn int64) {
-		if fbn >= nblocks {
-			in.Size = newSize
-			// Drop pointer blocks that are now entirely unused.
-			if keep <= NDirect {
-				if in.Indirect != 0 {
-					fs.cache.Drop(int64(in.Indirect))
-					ind := int64(in.Indirect)
-					in.Indirect = 0
-					fs.freeBlock(ind, func(error) {})
-				}
-				if in.DIndirect != 0 {
-					fs.cache.Drop(int64(in.DIndirect))
-					dind := int64(in.DIndirect)
-					in.DIndirect = 0
-					fs.freeBlock(dind, func(error) {})
-				}
-			}
-			fs.putInode(ino, in, done)
-			return
-		}
-		fs.bmap(&in, fbn, false, func(lbn int64, _, _ bool, err error) {
-			if err != nil {
-				done(err)
-				return
-			}
-			if lbn == 0 {
-				step(fbn + 1)
-				return
-			}
-			if fbn < NDirect {
-				in.Direct[fbn] = 0
-			}
-			fs.freeBlock(lbn, func(err error) {
-				if err != nil {
-					done(err)
-					return
-				}
-				step(fbn + 1)
-			})
-		})
-	}
-	step(keep)
-}
-
 // Remove unlinks a name and frees its inode and blocks. Directories must be
 // empty. Validation happens before the directory entry is cleared, so a
 // failed removal leaves the tree intact.
@@ -587,31 +525,16 @@ func (fs *FS) Remove(dirIno uint32, name string, done func(error)) {
 				return
 			}
 			unlink := func() {
-				fs.GetInode(dirIno, func(dir Inode, err error) {
+				w := fs.walk()
+				w.name, w.found = name, target
+				w.doneIno = func(_ uint32, err error) {
 					if err != nil {
 						done(err)
 						return
 					}
-					fs.dirScan(&dir, func(d Dirent, b *buffercache.Block, so int) (bool, bool) {
-						if d.Ino == target && d.Name == name {
-							for i := so; i < so+DirentSize; i++ {
-								b.Data[i] = 0
-							}
-							return true, true
-						}
-						return false, false
-					}, func(stopped bool, err error) {
-						if err != nil {
-							done(err)
-							return
-						}
-						if !stopped {
-							done(ErrNotFound)
-							return
-						}
-						fs.destroyInode(target, in, done)
-					})
-				})
+					fs.destroyInode(target, in, done)
+				}
+				w.scanDir(dirIno, visitUnlink, (*walk).matchScanned)
 			}
 			if in.Mode == ModeDir {
 				fs.ensureDirEmpty(target, func(err error) {
@@ -628,19 +551,35 @@ func (fs *FS) Remove(dirIno uint32, name string, done func(error)) {
 	})
 }
 
+// visitUnlink clears the slot binding w.name to inode w.found.
+func visitUnlink(w *walk, slot []byte) (stop, mutate bool) {
+	if stop, _ = visitMatch(w, slot); stop {
+		clear(slot)
+	}
+	return stop, stop
+}
+
 // ensureDirEmpty fails with ErrNotEmpty if the directory has live entries.
 func (fs *FS) ensureDirEmpty(ino uint32, done func(error)) {
-	fs.Readdir(ino, func(ents []Dirent, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		if len(ents) != 0 {
-			done(ErrNotEmpty)
-			return
-		}
-		done(nil)
-	})
+	w := fs.walk()
+	w.doneErr = done
+	w.scanDir(ino, visitLive, (*walk).liveScanned)
+}
+
+// visitLive counts live slots (the whole directory is walked either way).
+func visitLive(w *walk, slot []byte) (stop, mutate bool) {
+	if slotIno(slot) != 0 {
+		w.found++
+	}
+	return false, false
+}
+
+func (w *walk) liveScanned() {
+	if w.found != 0 {
+		w.finish(ErrNotEmpty)
+		return
+	}
+	w.finish(nil)
 }
 
 // destroyInode frees an inode's data blocks and the inode itself.
@@ -656,32 +595,10 @@ func (fs *FS) destroyInode(ino uint32, in Inode, done func(error)) {
 		return
 	}
 	// Directory: free its blocks directly.
-	nblocks := int64((in.Size + BlockSize - 1) / BlockSize)
-	var step func(fbn int64)
-	step = func(fbn int64) {
-		if fbn == nblocks {
-			fs.reapInode(ino, done)
-			return
-		}
-		fs.bmap(&in, fbn, false, func(lbn int64, _, _ bool, err error) {
-			if err != nil {
-				done(err)
-				return
-			}
-			if lbn == 0 {
-				step(fbn + 1)
-				return
-			}
-			fs.freeBlock(lbn, func(err error) {
-				if err != nil {
-					done(err)
-					return
-				}
-				step(fbn + 1)
-			})
-		})
-	}
-	step(0)
+	w := fs.walk()
+	w.ino, w.in, w.doneErr, w.reap = ino, in, done, true
+	w.cur, w.end = 0, int64((in.Size+BlockSize-1)/BlockSize)
+	w.truncBlock()
 }
 
 // reapInode marks an inode free on disk and in the bitmap.
@@ -701,46 +618,52 @@ func (fs *FS) Sync(done func(error)) { fs.cache.Sync(done) }
 // Map resolves the device blocks backing [off, off+n) of a file without
 // allocating (holes come back as 0). The write-ahead log journals a write's
 // resolved LBN list alongside its payload, so replay and truncation can
-// speak the block layer's language.
+// speak the block layer's language. The list is valid only during done.
 func (fs *FS) Map(ino uint32, off uint64, n int, done func([]int64, error)) {
 	if n <= 0 {
 		done(nil, nil)
 		return
 	}
-	fs.GetInode(ino, func(in Inode, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		first := int64(off / BlockSize)
-		last := int64((off + uint64(n) - 1) / BlockSize)
-		count := int(last - first + 1)
-		fs.bmapRange(&in, first, count, false, func(lbns []int64, _ []bool, _ bool, err error) {
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			done(lbns, nil)
-		})
-	})
+	w := fs.walk()
+	w.off, w.n, w.doneLBNs = off, n, done
+	w.loadInode(ino, (*walk).mapInode)
 }
 
-// Fsck sanity-checks reachable metadata (superblock bounds, inode modes).
-// It is a testing aid, not a repair tool.
+func (w *walk) mapInode() {
+	first, count := span(w.off, w.n)
+	w.resolve(first, count, false, (*walk).ended)
+}
+
+// Fsck sanity-checks reachable metadata (superblock bounds, the root inode's
+// mode, the root directory's slots). It is a testing aid, not a repair tool.
 func (fs *FS) Fsck(done func(error)) {
 	if fs.sb.DataStart <= 0 || fs.sb.DataStart >= fs.sb.NumBlocks {
 		done(fmt.Errorf("extfs: corrupt layout: data start %d of %d", fs.sb.DataStart, fs.sb.NumBlocks))
 		return
 	}
-	fs.GetInode(RootIno, func(in Inode, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		if in.Mode != ModeDir {
-			done(fmt.Errorf("extfs: root inode is not a directory"))
-			return
-		}
-		done(nil)
-	})
+	w := fs.walk()
+	w.doneErr = done
+	w.loadInode(RootIno, (*walk).checkInode)
+}
+
+func (w *walk) checkInode() {
+	if w.in.Mode != ModeDir {
+		w.finish(fmt.Errorf("extfs: root inode is not a directory"))
+		return
+	}
+	w.scan(visitCheck, (*walk).checkScanned)
+}
+
+// visitCheck stops at a live slot with a corrupt name length.
+func visitCheck(_ *walk, slot []byte) (stop, mutate bool) {
+	_, ok := slotName(slot)
+	return slotIno(slot) != 0 && !ok, false
+}
+
+func (w *walk) checkScanned() {
+	if w.stopped {
+		w.finish(fmt.Errorf("%w: root directory block %d", ErrBadDirent, w.cur))
+		return
+	}
+	w.finish(nil)
 }

@@ -195,12 +195,12 @@ func (f *Framer) Push(data *netbuf.Chain) {
 			if f.stream.Len() < BHSLen {
 				return
 			}
-			raw, err := f.stream.PullHeader(BHSLen)
-			if err != nil {
+			var bhs [BHSLen]byte
+			if err := f.stream.PullHeaderInto(bhs[:]); err != nil {
 				f.Errors++
 				return
 			}
-			p, dlen := decodeBHS(raw)
+			p, dlen := decodeBHS(bhs[:])
 			f.pendingHdr = &p
 			f.pendingDataLen = dlen
 		}

@@ -156,45 +156,30 @@ func (c *Chain) Slice(off, n int) (*Chain, error) {
 	return c.SubChain(off, n)
 }
 
-// PullHeader removes the first n payload bytes from the chain and returns
-// them. Fully consumed buffers (including leading empty header buffers left
-// behind by lower layers) are released and removed from the chain. When the
-// requested bytes sit in one buffer that the pull does not empty, the
-// returned slice aliases it; otherwise they are copied into a fresh slice —
-// headers are small, so this never copies payload-scale data. The copy in
-// the emptied case is load-bearing: releasing the drained buffer can return
-// its root to a pool owned by another node's shard, which may recycle the
-// backing array while the caller is still reading the returned header.
-func (c *Chain) PullHeader(n int) ([]byte, error) {
+// PullHeaderInto removes the first len(dst) payload bytes from the chain and
+// copies them to dst — a stack array at every fixed-size call site, so a pull
+// never allocates. Fully consumed buffers (including leading empty header
+// buffers left behind by lower layers) are released and removed from the
+// chain. The copy is load-bearing: releasing a drained buffer can return its
+// root to a pool owned by another node's shard, which may recycle the backing
+// array while the caller is still reading the header, so the header must
+// never alias the chain. Headers are small; this never copies payload-scale
+// data.
+func (c *Chain) PullHeaderInto(dst []byte) error {
+	if len(dst) > c.Len() {
+		return fmt.Errorf("netbuf: pull header %d, chain len %d", len(dst), c.Len())
+	}
 	c.invalidatePartial()
-	if n < 0 || n > c.Len() {
-		return nil, fmt.Errorf("netbuf: pull header %d, chain len %d", n, c.Len())
-	}
 	c.compact()
-	if len(c.bufs) > 0 && c.bufs[0].Len() > n {
-		p, err := c.bufs[0].Pull(n)
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-	out := make([]byte, n)
-	got := 0
-	for got < n {
+	for got := 0; got < len(dst); c.compact() {
 		b := c.bufs[0]
-		take := b.Len()
-		if take > n-got {
-			take = n - got
-		}
-		p, err := b.Pull(take)
+		p, err := b.Pull(min(b.Len(), len(dst)-got))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		copy(out[got:], p)
-		got += take
-		c.compact()
+		got += copy(dst[got:], p)
 	}
-	return out, nil
+	return nil
 }
 
 // PullChain removes the first n payload bytes from the chain and returns

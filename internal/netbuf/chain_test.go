@@ -127,9 +127,9 @@ func TestChainPropertySliceMatchesByteSlice(t *testing.T) {
 
 func TestChainPullHeaderSingleBuf(t *testing.T) {
 	c := ChainFromBytes([]byte("HDRpayload"), 1500)
-	h, err := c.PullHeader(3)
-	if err != nil {
-		t.Fatalf("PullHeader: %v", err)
+	h := make([]byte, 3)
+	if err := c.PullHeaderInto(h); err != nil {
+		t.Fatalf("PullHeaderInto: %v", err)
 	}
 	if string(h) != "HDR" || string(c.Flatten()) != "payload" {
 		t.Fatalf("h=%q rest=%q", h, c.Flatten())
@@ -139,9 +139,9 @@ func TestChainPullHeaderSingleBuf(t *testing.T) {
 func TestChainPullHeaderSkipsEmptyLeaders(t *testing.T) {
 	empty := New(32, 0)
 	c := ChainOf(empty, FromBytes([]byte("abcdef")))
-	h, err := c.PullHeader(4)
-	if err != nil {
-		t.Fatalf("PullHeader: %v", err)
+	h := make([]byte, 4)
+	if err := c.PullHeaderInto(h); err != nil {
+		t.Fatalf("PullHeaderInto: %v", err)
 	}
 	if string(h) != "abcd" {
 		t.Fatalf("h = %q", h)
@@ -151,7 +151,7 @@ func TestChainPullHeaderSkipsEmptyLeaders(t *testing.T) {
 	}
 }
 
-// A pull that drains its buffer must return an owned copy: releasing the
+// A pull that drains its buffer must leave the caller an owned copy: releasing the
 // drained buffer can send its root back to a pool that another shard's node
 // owns, and under the parallel engine that shard may recycle the backing
 // array while the caller is still reading the header. (This is how a UDP
@@ -170,9 +170,9 @@ func TestChainPullHeaderExactDrainCopies(t *testing.T) {
 	cl := root.Clone() // the fragment's aliasing descriptor
 	root.Release()     // sender's ref gone; the clone keeps the root alive
 	c := ChainOf(cl, FromBytes([]byte("rest")))
-	h, err := c.PullHeader(8)
-	if err != nil {
-		t.Fatalf("PullHeader: %v", err)
+	h := make([]byte, 8)
+	if err := c.PullHeaderInto(h); err != nil {
+		t.Fatalf("PullHeaderInto: %v", err)
 	}
 	// The drained clone (and the root) must have been released...
 	if got := p.Outstanding(); got != 0 {
@@ -195,18 +195,21 @@ func TestChainPullHeaderExactDrainCopies(t *testing.T) {
 
 func TestChainPullHeaderSpansBuffers(t *testing.T) {
 	c := ChainFromBytes([]byte("abcdefghij"), 3)
-	h, err := c.PullHeader(7)
-	if err != nil {
-		t.Fatalf("PullHeader: %v", err)
+	h := make([]byte, 7)
+	if err := c.PullHeaderInto(h); err != nil {
+		t.Fatalf("PullHeaderInto: %v", err)
 	}
 	if string(h) != "abcdefg" || string(c.Flatten()) != "hij" {
 		t.Fatalf("h=%q rest=%q", h, c.Flatten())
 	}
-	if _, err := c.PullHeader(4); err == nil {
-		t.Fatal("PullHeader beyond chain length succeeded")
+	if err := c.PullHeaderInto(make([]byte, 4)); err == nil {
+		t.Fatal("PullHeaderInto beyond chain length succeeded")
 	}
-	h2, err := c.PullHeader(3)
-	if err != nil || string(h2) != "hij" {
+	if c.Len() != 3 {
+		t.Fatalf("failed pull consumed bytes: Len = %d", c.Len())
+	}
+	h2 := make([]byte, 3)
+	if err := c.PullHeaderInto(h2); err != nil || string(h2) != "hij" {
 		t.Fatalf("drain: %q, %v", h2, err)
 	}
 	if c.Len() != 0 {
@@ -303,11 +306,11 @@ func TestChainCachedPartialLifecycle(t *testing.T) {
 		t.Fatal("Append did not invalidate the partial")
 	}
 	c.SetPartial(PartialOfChain(c))
-	if _, err := c.PullHeader(3); err != nil {
+	if err := c.PullHeaderInto(make([]byte, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.CachedPartial(); ok {
-		t.Fatal("PullHeader did not invalidate the partial")
+		t.Fatal("PullHeaderInto did not invalidate the partial")
 	}
 	c.SetPartial(PartialOfChain(c))
 	if _, err := c.PullChain(2); err != nil {
@@ -334,7 +337,7 @@ func TestChecksumPropertySplitInvariance(t *testing.T) {
 }
 
 // TestChainDrainedFromHeadKeepsCapacity covers the head-advance rule: a chain
-// drained by PullHeader / PullChain (which used to re-slice c.bufs from the
+// drained by PullHeaderInto / PullChain (which used to re-slice c.bufs from the
 // front, eating capacity and leaving released descriptors in the vacated
 // slots) comes back from the free list with its full slice capacity and no
 // stale pointers.
@@ -345,7 +348,7 @@ func TestChainDrainedFromHeadKeepsCapacity(t *testing.T) {
 	payload := make([]byte, 22*64)
 	c := ChainFromBytes(payload, 64)
 	full := cap(c.bufs)
-	if _, err := c.PullHeader(64); err != nil { // drains buffer 0 exactly
+	if err := c.PullHeaderInto(make([]byte, 64)); err != nil { // drains buffer 0 exactly
 		t.Fatal(err)
 	}
 	head, err := c.PullChain(10*64 + 7) // ten whole buffers and a split one
@@ -408,7 +411,7 @@ func TestChainHandOffAllocFree(t *testing.T) {
 		frame.AppendChain(payload)
 		wire := frame.Clone()
 		frame.Release()
-		if _, err := wire.PullHeader(0); err != nil { // compacts the empty header
+		if err := wire.PullHeaderInto(nil); err != nil { // compacts the empty header
 			t.Fatal(err)
 		}
 		body, err := wire.PullChain(wire.Len())

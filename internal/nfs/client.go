@@ -20,7 +20,7 @@ func RootFH() FH {
 
 // rpcCaller abstracts the datagram and stream RPC clients.
 type rpcCaller interface {
-	Call(dst eth.Addr, dstPort uint16, prog, vers, proc uint32, args []byte, payload *netbuf.Chain, done func(sunrpc.Reply, error)) error
+	Call(dst eth.Addr, dstPort uint16, prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.Chain, done func(sunrpc.Reply, error)) error
 	Pending() int
 	Node() *simnet.Node
 }
@@ -74,9 +74,31 @@ func DialClientStream(node *simnet.Node, dial proto.Dialer, local, server eth.Ad
 	})
 }
 
+// args starts a call whose XDR argument head is n bytes: the encoder writes
+// straight into the pooled buffer the call goes out in.
+func (c *Client) args(n int) (*netbuf.Buf, xdr.Encoder) {
+	msg, p := sunrpc.CallBuf(c.rpc.Node(), n)
+	return msg, xdr.Over(p)
+}
+
+// fhArgs starts a call whose arguments are a file handle and extra bytes
+// more.
+func (c *Client) fhArgs(fh FH, extra int) (*netbuf.Buf, xdr.Encoder) {
+	msg, e := c.args(FHLen + extra)
+	e.FixedOpaque(fh[:])
+	return msg, e
+}
+
+// nameArgs starts a call whose arguments are a directory handle and a name.
+func (c *Client) nameArgs(dir FH, name string) *netbuf.Buf {
+	msg, e := c.fhArgs(dir, 4+(len(name)+3)&^3)
+	e.String(name)
+	return msg
+}
+
 // call issues one NFS RPC.
-func (c *Client) call(proc uint32, args []byte, payload *netbuf.Chain, done func(*netbuf.Chain, error)) {
-	err := c.rpc.Call(c.server, Port, Prog, Vers, proc, args, payload, func(r sunrpc.Reply, err error) {
+func (c *Client) call(proc uint32, msg *netbuf.Buf, payload *netbuf.Chain, done func(*netbuf.Chain, error)) {
+	err := c.rpc.Call(c.server, Port, Prog, Vers, proc, msg, payload, func(r sunrpc.Reply, err error) {
 		if err != nil {
 			done(nil, err)
 			return
@@ -95,22 +117,23 @@ func (c *Client) call(proc uint32, args []byte, payload *netbuf.Chain, done func
 	}
 }
 
-// statusOf pulls the leading status word from a reply body.
+// statusOf pulls the next 32-bit word from a reply body: its leading status,
+// or a length or count further in.
 func statusOf(body *netbuf.Chain) (uint32, bool) {
-	raw, err := body.PullHeader(4)
-	if err != nil {
+	var raw [4]byte
+	if err := body.PullHeaderInto(raw[:]); err != nil {
 		return ErrIO, false
 	}
-	return be32(raw), true
+	return be32(raw[:]), true
 }
 
 // attrOf pulls an attribute block.
 func attrOf(body *netbuf.Chain) (Attr, bool) {
-	raw, err := body.PullHeader(AttrLen)
-	if err != nil {
+	var raw [AttrLen]byte
+	if err := body.PullHeaderInto(raw[:]); err != nil {
 		return Attr{}, false
 	}
-	return Attr{Type: be32(raw), Links: be32(raw[4:]), Size: be64(raw[8:])}, true
+	return Attr{Type: be32(raw[:]), Links: be32(raw[4:]), Size: be64(raw[8:])}, true
 }
 
 // finishStatus releases the body and maps a status to an error.
@@ -125,7 +148,8 @@ func finishStatus(body *netbuf.Chain, st uint32, ok bool, done func(error)) {
 
 // Getattr fetches attributes.
 func (c *Client) Getattr(fh FH, done func(Attr, error)) {
-	c.call(ProcGetattr, fh[:], nil, func(body *netbuf.Chain, err error) {
+	msg, _ := c.fhArgs(fh, 0)
+	c.call(ProcGetattr, msg, nil, func(body *netbuf.Chain, err error) {
 		if err != nil {
 			done(Attr{}, err)
 			return
@@ -148,10 +172,9 @@ func (c *Client) Getattr(fh FH, done func(Attr, error)) {
 
 // Setattr sets the file size (truncate).
 func (c *Client) Setattr(fh FH, size uint64, done func(Attr, error)) {
-	e := xdr.NewEncoder(FHLen + 8)
-	e.FixedOpaque(fh[:])
+	msg, e := c.fhArgs(fh, 8)
 	e.Uint64(size)
-	c.call(ProcSetattr, e.Bytes(), nil, func(body *netbuf.Chain, err error) {
+	c.call(ProcSetattr, msg, nil, func(body *netbuf.Chain, err error) {
 		if err != nil {
 			done(Attr{}, err)
 			return
@@ -174,10 +197,7 @@ func (c *Client) Setattr(fh FH, size uint64, done func(Attr, error)) {
 
 // Lookup resolves a name.
 func (c *Client) Lookup(dir FH, name string, done func(FH, Attr, error)) {
-	e := xdr.NewEncoder(FHLen + 4 + len(name) + 4)
-	e.FixedOpaque(dir[:])
-	e.String(name)
-	c.call(ProcLookup, e.Bytes(), nil, func(body *netbuf.Chain, err error) {
+	c.call(ProcLookup, c.nameArgs(dir, name), nil, func(body *netbuf.Chain, err error) {
 		var fh FH
 		if err != nil {
 			done(fh, Attr{}, err)
@@ -189,13 +209,11 @@ func (c *Client) Lookup(dir FH, name string, done func(FH, Attr, error)) {
 			done(fh, Attr{}, orIO(st, ok))
 			return
 		}
-		raw, err := body.PullHeader(FHLen)
-		if err != nil {
+		if err := body.PullHeaderInto(fh[:]); err != nil {
 			body.Release()
 			done(fh, Attr{}, &OpError{Status: ErrIO})
 			return
 		}
-		copy(fh[:], raw)
 		a, ok := attrOf(body)
 		body.Release()
 		if !ok {
@@ -209,11 +227,10 @@ func (c *Client) Lookup(dir FH, name string, done func(FH, Attr, error)) {
 // Read fetches [off, off+n). The returned chain holds the data portion of
 // the reply in its original wire buffers; the caller owns it.
 func (c *Client) Read(fh FH, off uint64, n int, done func(*netbuf.Chain, Attr, error)) {
-	e := xdr.NewEncoder(FHLen + 12)
-	e.FixedOpaque(fh[:])
+	msg, e := c.fhArgs(fh, 12)
 	e.Uint64(off)
 	e.Uint32(uint32(n))
-	c.call(ProcRead, e.Bytes(), nil, func(body *netbuf.Chain, err error) {
+	c.call(ProcRead, msg, nil, func(body *netbuf.Chain, err error) {
 		if err != nil {
 			done(nil, Attr{}, err)
 			return
@@ -230,13 +247,13 @@ func (c *Client) Read(fh FH, off uint64, n int, done func(*netbuf.Chain, Attr, e
 			done(nil, Attr{}, &OpError{Status: ErrIO})
 			return
 		}
-		lraw, err := body.PullHeader(4)
-		if err != nil {
+		word, ok := statusOf(body)
+		if !ok {
 			body.Release()
 			done(nil, Attr{}, &OpError{Status: ErrIO})
 			return
 		}
-		dlen := int(be32(lraw))
+		dlen := int(word)
 		if body.Len() < dlen {
 			body.Release()
 			done(nil, Attr{}, &OpError{Status: ErrIO})
@@ -255,12 +272,11 @@ func (c *Client) Read(fh FH, off uint64, n int, done func(*netbuf.Chain, Attr, e
 // Write stores a payload chain at off. The client takes ownership of data.
 func (c *Client) Write(fh FH, off uint64, data *netbuf.Chain, done func(int, Attr, error)) {
 	n := data.Len()
-	e := xdr.NewEncoder(FHLen + 16)
-	e.FixedOpaque(fh[:])
+	msg, e := c.fhArgs(fh, 16)
 	e.Uint64(off)
 	e.Uint32(uint32(n))
 	e.Uint32(uint32(n)) // XDR opaque length prefix
-	c.call(ProcWrite, e.Bytes(), data, func(body *netbuf.Chain, err error) {
+	c.call(ProcWrite, msg, data, func(body *netbuf.Chain, err error) {
 		if err != nil {
 			done(0, Attr{}, err)
 			return
@@ -277,13 +293,13 @@ func (c *Client) Write(fh FH, off uint64, data *netbuf.Chain, done func(int, Att
 			done(0, Attr{}, &OpError{Status: ErrIO})
 			return
 		}
-		nraw, err := body.PullHeader(4)
+		count, ok := statusOf(body)
 		body.Release()
-		if err != nil {
+		if !ok {
 			done(0, Attr{}, &OpError{Status: ErrIO})
 			return
 		}
-		done(int(be32(nraw)), a, nil)
+		done(int(count), a, nil)
 	})
 }
 
@@ -309,10 +325,7 @@ func (c *Client) Mkdir(dir FH, name string, done func(FH, Attr, error)) {
 }
 
 func (c *Client) createOrMkdir(proc uint32, dir FH, name string, done func(FH, Attr, error)) {
-	e := xdr.NewEncoder(FHLen + 4 + len(name) + 4)
-	e.FixedOpaque(dir[:])
-	e.String(name)
-	c.call(proc, e.Bytes(), nil, func(body *netbuf.Chain, err error) {
+	c.call(proc, c.nameArgs(dir, name), nil, func(body *netbuf.Chain, err error) {
 		var fh FH
 		if err != nil {
 			done(fh, Attr{}, err)
@@ -324,13 +337,11 @@ func (c *Client) createOrMkdir(proc uint32, dir FH, name string, done func(FH, A
 			done(fh, Attr{}, orIO(st, ok))
 			return
 		}
-		raw, err := body.PullHeader(FHLen)
-		if err != nil {
+		if err := body.PullHeaderInto(fh[:]); err != nil {
 			body.Release()
 			done(fh, Attr{}, &OpError{Status: ErrIO})
 			return
 		}
-		copy(fh[:], raw)
 		a, ok := attrOf(body)
 		body.Release()
 		if !ok {
@@ -343,10 +354,7 @@ func (c *Client) createOrMkdir(proc uint32, dir FH, name string, done func(FH, A
 
 // Remove unlinks a file.
 func (c *Client) Remove(dir FH, name string, done func(error)) {
-	e := xdr.NewEncoder(FHLen + 4 + len(name) + 4)
-	e.FixedOpaque(dir[:])
-	e.String(name)
-	c.call(ProcRemove, e.Bytes(), nil, func(body *netbuf.Chain, err error) {
+	c.call(ProcRemove, c.nameArgs(dir, name), nil, func(body *netbuf.Chain, err error) {
 		if err != nil {
 			done(err)
 			return
@@ -358,7 +366,8 @@ func (c *Client) Remove(dir FH, name string, done func(error)) {
 
 // Readdir lists a directory.
 func (c *Client) Readdir(dir FH, done func([]string, error)) {
-	c.call(ProcReaddir, dir[:], nil, func(body *netbuf.Chain, err error) {
+	msg, _ := c.fhArgs(dir, 0)
+	c.call(ProcReaddir, msg, nil, func(body *netbuf.Chain, err error) {
 		if err != nil {
 			done(nil, err)
 			return
@@ -372,7 +381,8 @@ func (c *Client) Readdir(dir FH, done func([]string, error)) {
 		flat := make([]byte, body.Len())
 		body.Gather(flat)
 		body.Release()
-		d := xdr.NewDecoder(flat)
+		// Every name is cut out of one string copy of the reply.
+		all, d := string(flat), xdr.NewDecoder(flat)
 		count, err := d.Uint32()
 		if err != nil {
 			done(nil, &OpError{Status: ErrIO})
@@ -380,12 +390,13 @@ func (c *Client) Readdir(dir FH, done func([]string, error)) {
 		}
 		names := make([]string, 0, count)
 		for i := uint32(0); i < count; i++ {
-			s, err := d.String(MaxReadSize)
+			start := d.Offset() + 4 // past the length word
+			p, err := d.Opaque(MaxReadSize)
 			if err != nil {
 				done(nil, &OpError{Status: ErrIO})
 				return
 			}
-			names = append(names, s)
+			names = append(names, all[start:start+len(p)])
 		}
 		done(names, nil)
 	})

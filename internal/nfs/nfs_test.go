@@ -356,3 +356,43 @@ func TestRootFH(t *testing.T) {
 		t.Fatalf("root fh = %v", RootFH())
 	}
 }
+
+// TestGetattrAllocBudget: a GETATTR round trip — arguments and result head
+// encoded in the buffers they are sent in, every fixed-size header pulled
+// into a stack array — costs the per-call state of the two RPC layers and
+// the protocol client and server (closures and the pending-call record, the
+// budget below), and no encoder, scratch buffer or header copy.
+func TestGetattrAllocBudget(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, c, _, _ := loop(t)
+	got := 0
+	done := func(a Attr, err error) {
+		if err != nil || a.Type != TypeDir {
+			t.Errorf("Getattr: %+v, %v", a, err)
+		}
+		got++
+	}
+	call := func() {
+		c.Getattr(RootFH(), done)
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		call()
+	}
+	avg := testing.AllocsPerRun(200, call)
+	t.Logf("GETATTR round trip: %.1f objects", avg)
+	if avg > getattrObjects {
+		t.Fatalf("a GETATTR round trip allocates %.1f objects, budget %d", avg, getattrObjects)
+	}
+	if got != 8+201 {
+		t.Fatalf("%d replies, want %d", got, 8+201)
+	}
+}
+
+// getattrObjects is the measured cost: the continuations of the protocol
+// client and server and of the two RPC layers, and the pending-call record.
+const getattrObjects = 8

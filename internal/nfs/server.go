@@ -93,19 +93,28 @@ func (s *Server) ServeStream(ln proto.Listener) error {
 // SetTxFilter installs the reply-payload hook.
 func (s *Server) SetTxFilter(f TxFilter) { s.filter = f }
 
-// reply sends head+payload through the tx filter.
-func (s *Server) reply(c sunrpc.Call, head []byte, payload *netbuf.Chain) {
+// head starts a reply whose XDR result head is n bytes, the status word
+// first: the encoder writes straight into the pooled buffer the reply goes
+// out in.
+func head(c sunrpc.Call, n int, st uint32) (*netbuf.Buf, xdr.Encoder) {
+	hb, p := c.ReplyBuf(n)
+	e := xdr.Over(p)
+	e.Uint32(st)
+	return hb, e
+}
+
+// send transmits a reply begun with head, its payload through the tx filter.
+func (s *Server) send(c sunrpc.Call, hb *netbuf.Buf, payload *netbuf.Chain) {
 	if s.filter != nil && payload != nil {
 		payload = s.filter(payload)
 	}
-	_ = c.Reply(head, payload)
+	_ = c.Send(hb, payload)
 }
 
 // replyStatus sends a bare status reply.
 func (s *Server) replyStatus(c sunrpc.Call, st uint32) {
-	e := xdr.NewEncoder(4)
-	e.Uint32(st)
-	s.reply(c, e.Bytes(), nil)
+	hb, _ := head(c, 4, st)
+	s.send(c, hb, nil)
 }
 
 // encodeAttr appends an attribute block.
@@ -130,7 +139,8 @@ func (s *Server) dispatch(proc uint32, c sunrpc.Call) {
 		switch proc {
 		case ProcNull:
 			body.Release()
-			s.reply(c, nil, nil)
+			hb, _ := c.ReplyBuf(0)
+			_ = c.Send(hb, nil)
 
 		case ProcGetattr:
 			fh, ok := pullFH(body)
@@ -145,8 +155,8 @@ func (s *Server) dispatch(proc uint32, c sunrpc.Call) {
 			})
 
 		case ProcSetattr:
-			raw, err := body.PullHeader(FHLen + 8)
-			if err != nil {
+			var raw [FHLen + 8]byte
+			if err := body.PullHeaderInto(raw[:]); err != nil {
 				fail(ErrIO)
 				return
 			}
@@ -172,8 +182,8 @@ func (s *Server) dispatch(proc uint32, c sunrpc.Call) {
 			})
 
 		case ProcRead:
-			raw, err := body.PullHeader(FHLen + 12)
-			if err != nil {
+			var raw [FHLen + 12]byte
+			if err := body.PullHeaderInto(raw[:]); err != nil {
 				fail(ErrIO)
 				return
 			}
@@ -194,9 +204,8 @@ func (s *Server) dispatch(proc uint32, c sunrpc.Call) {
 					s.replyStatus(c, st)
 					return
 				}
-				e := xdr.NewEncoder(4 + AttrLen + 4)
-				e.Uint32(OK)
-				encodeAttr(e, a)
+				hb, e := head(c, 4+AttrLen+4, OK)
+				encodeAttr(&e, a)
 				dlen := 0
 				if data != nil {
 					dlen = data.Len()
@@ -212,12 +221,12 @@ func (s *Server) dispatch(proc uint32, c sunrpc.Call) {
 					_ = pb.Put(pad)
 					data.Append(pb)
 				}
-				s.reply(c, e.Bytes(), data)
+				s.send(c, hb, data)
 			})
 
 		case ProcWrite:
-			raw, err := body.PullHeader(FHLen + 16)
-			if err != nil {
+			var raw [FHLen + 16]byte
+			if err := body.PullHeaderInto(raw[:]); err != nil {
 				fail(ErrIO)
 				return
 			}
@@ -243,11 +252,10 @@ func (s *Server) dispatch(proc uint32, c sunrpc.Call) {
 					s.replyStatus(c, st)
 					return
 				}
-				e := xdr.NewEncoder(4 + AttrLen + 4)
-				e.Uint32(OK)
-				encodeAttr(e, a)
+				hb, e := head(c, 4+AttrLen+4, OK)
+				encodeAttr(&e, a)
 				e.Uint32(uint32(n))
-				s.reply(c, e.Bytes(), nil)
+				s.send(c, hb, nil)
 			})
 
 		case ProcCreate, ProcMkdir:
@@ -287,13 +295,16 @@ func (s *Server) dispatch(proc uint32, c sunrpc.Call) {
 					s.replyStatus(c, st)
 					return
 				}
-				e := xdr.NewEncoder(64 * (len(names) + 1))
-				e.Uint32(OK)
+				size := 8
+				for _, n := range names {
+					size += 4 + (len(n)+3)&^3
+				}
+				hb, e := head(c, size, OK)
 				e.Uint32(uint32(len(names)))
 				for _, n := range names {
 					e.String(n)
 				}
-				s.reply(c, e.Bytes(), nil)
+				s.send(c, hb, nil)
 			})
 
 		default:
@@ -308,10 +319,9 @@ func (s *Server) replyAttr(c sunrpc.Call, st uint32, a Attr) {
 		s.replyStatus(c, st)
 		return
 	}
-	e := xdr.NewEncoder(4 + AttrLen)
-	e.Uint32(OK)
-	encodeAttr(e, a)
-	s.reply(c, e.Bytes(), nil)
+	hb, e := head(c, 4+AttrLen, OK)
+	encodeAttr(&e, a)
+	s.send(c, hb, nil)
 }
 
 // replyFHAttr sends status+fh+attr.
@@ -320,22 +330,17 @@ func (s *Server) replyFHAttr(c sunrpc.Call, st uint32, fh FH, a Attr) {
 		s.replyStatus(c, st)
 		return
 	}
-	e := xdr.NewEncoder(4 + FHLen + AttrLen)
-	e.Uint32(OK)
+	hb, e := head(c, 4+FHLen+AttrLen, OK)
 	e.FixedOpaque(fh[:])
-	encodeAttr(e, a)
-	s.reply(c, e.Bytes(), nil)
+	encodeAttr(&e, a)
+	s.send(c, hb, nil)
 }
 
 // pullFH extracts a file handle from the argument chain.
 func pullFH(body *netbuf.Chain) (FH, bool) {
 	var fh FH
-	raw, err := body.PullHeader(FHLen)
-	if err != nil {
-		return fh, false
-	}
-	copy(fh[:], raw)
-	return fh, true
+	ok := body.PullHeaderInto(fh[:]) == nil
+	return fh, ok
 }
 
 // pullFHName extracts fh + XDR string arguments.
@@ -344,17 +349,22 @@ func pullFHName(body *netbuf.Chain) (FH, string, bool) {
 	if !ok {
 		return fh, "", false
 	}
-	lraw, err := body.PullHeader(4)
-	if err != nil {
+	var lraw [4]byte
+	if body.PullHeaderInto(lraw[:]) != nil {
 		return fh, "", false
 	}
-	n := int(be32(lraw))
+	n := int(be32(lraw[:]))
 	padded := n + (4-n%4)%4
 	if n < 0 || body.Len() < padded {
 		return fh, "", false
 	}
-	raw, err := body.PullHeader(padded)
-	if err != nil {
+	// Names are short: a stack array holds all but the pathological ones.
+	var short [64]byte
+	raw := short[:]
+	if padded > len(raw) {
+		raw = make([]byte, padded)
+	}
+	if body.PullHeaderInto(raw[:padded]) != nil {
 		return fh, "", false
 	}
 	return fh, string(raw[:n]), true

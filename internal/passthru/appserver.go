@@ -647,9 +647,9 @@ func (b *fsBackend) Read(fh nfs.FH, off uint64, n int, done func(*netbuf.Chain, 
 		}
 		// Back in the daemon: compose and transmit the reply.
 		trace.To(srv.Node.Eng, trace.LServer)
-		chain := srv.path.replyChain(res, false)
+		chain, attr := srv.path.replyChain(res, false), attrOf(res.Attr)
 		res.Done(srv.FS)
-		done(chain, attrOf(res.Attr), nfs.OK)
+		done(chain, attr, nfs.OK)
 	})
 }
 
@@ -774,7 +774,8 @@ func (b *fsBackend) writeJournaled(fh nfs.FH, ino uint32, off uint64, data *netb
 					epoch = srv.Agent.Epoch()
 				}
 				rec.Ino, rec.Off, rec.Epoch = ino, off, epoch
-				rec.Sum, rec.LBNs = netbuf.Sum(rec.Data), lbns
+				// lbns is Map's own array: the record keeps a copy.
+				rec.Sum, rec.LBNs = netbuf.Sum(rec.Data), append(rec.LBNs[:0], lbns...)
 				srv.WAL.Append(rec, func() {
 					if srv.crashed {
 						return

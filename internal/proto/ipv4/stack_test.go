@@ -131,9 +131,9 @@ func TestStackAddrs(t *testing.T) {
 
 // TestStackPacketAllocFree gates the per-packet path through the network
 // layer: an unfragmented datagram — header buffer, Charge on transmit, the
-// wire, Charge on receive, parse, deliver — costs at most the one object the
-// frame's shard crossing allocates (see simnet's TestFrameHopAllocFree); the
-// stack itself adds no closure per packet in either direction.
+// wire, Charge on receive, parse, deliver — costs no object: the frame hop
+// below is free (see simnet's TestFrameHopAllocFree) and the stack adds no
+// closure per packet in either direction.
 func TestStackPacketAllocFree(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -160,8 +160,8 @@ func TestStackPacketAllocFree(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		packet()
 	}
-	if avg := testing.AllocsPerRun(200, packet); avg > 1 {
-		t.Fatalf("one datagram allocates %.0f objects end to end, want at most 1", avg)
+	if avg := testing.AllocsPerRun(200, packet); avg != 0 {
+		t.Fatalf("one datagram allocates %.0f objects end to end, want 0", avg)
 	}
 	if delivered != (4+201)*len(body) {
 		t.Fatalf("delivered %d bytes, want %d", delivered, (4+201)*len(body))

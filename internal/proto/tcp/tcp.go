@@ -581,8 +581,9 @@ func (t *Transport) receive(ih ipv4.Header, payload *netbuf.Chain) {
 		payload.Release()
 		return
 	}
-	raw, err := payload.PullHeader(HeaderLen)
-	if err != nil {
+	var hdr [HeaderLen]byte
+	raw := hdr[:]
+	if err := payload.PullHeaderInto(raw); err != nil {
 		payload.Release()
 		return
 	}

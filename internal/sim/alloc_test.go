@@ -173,3 +173,46 @@ func TestResourceUseZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPostToArgsZeroAllocs gates the argument-carrying post: with the handler
+// bound ahead of time, the pooled event (sequential engine) or the outbox
+// entry (sharded engine) carries the arguments, so a cross-node hop costs no
+// object once the free list and the outbox are primed.
+func TestPostToArgsZeroAllocs(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		ctl := NewEngine()
+		src, dst := ctl, ctl
+		if sharded {
+			ctl = NewSharded(Config{Workers: 2, Lookahead: testLookahead})
+			defer ctl.Close()
+			src, dst = ctl.NewShard("a"), ctl.NewShard("b")
+		}
+		type frame struct{ hops int }
+		got, sum := 0, int64(0)
+		h := Handler(func(a, b any, n int64) {
+			a.(*frame).hops++
+			got += b.(*frame).hops
+			sum += n
+		})
+		fa, fb := &frame{}, &frame{hops: 1}
+		const posts = 32
+		burst := func() {
+			src.Schedule(0, func() {
+				for i := 0; i < posts; i++ {
+					src.PostTo(dst, testLookahead+Duration(i), h, fa, fb, int64(i))
+				}
+			})
+			if err := ctl.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}
+		burst() // prime the event free list, the heap slice and the outbox
+		// The scheduling closure in burst is the one object a run may cost.
+		if avg := testing.AllocsPerRun(100, burst); avg > 1 {
+			t.Errorf("sharded=%v: %d PostTo calls allocate %.1f objects, want 0 (+1 for the test's own closure)", sharded, posts, avg)
+		}
+		if want := 102 * posts; fa.hops != want || got != want || sum != int64(102*posts*(posts-1)/2) {
+			t.Errorf("sharded=%v: handler ran %d times (want %d), args %d/%d", sharded, fa.hops, want, got, sum)
+		}
+	}
+}

@@ -74,7 +74,17 @@ type event struct {
 	// it settles the resource's queue accounting before fn runs, so
 	// Resource.Use needs no closure of its own.
 	res *Resource
+	// h, when set, runs instead of fn with the arguments PostTo carried, so
+	// a post needs no closure either.
+	h    Handler
+	a, b any
+	n    int64
 }
+
+// Handler is the receiving side of PostTo: a function bound once (per
+// network, say) that is handed the arguments each post carried. Pointers
+// travel in a and b without boxing.
+type Handler func(a, b any, n int64)
 
 // EventID identifies a scheduled event so it can be canceled. It pins the
 // event's incarnation: after the event fires (or is canceled) and its object
@@ -241,6 +251,9 @@ func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.ctx = nil
 	ev.res = nil
+	if ev.h != nil {
+		ev.h, ev.a, ev.b = nil, nil, nil
+	}
 	ev.idx = -1
 	ev.gen++
 	e.free = append(e.free, ev)
@@ -377,12 +390,18 @@ func (e *Engine) step(until Time) (bool, error) {
 // EventID is fenced off by the generation bump.
 func (e *Engine) fire(ev *event) {
 	fn, ctx, res := ev.fn, ev.ctx, ev.res
+	h, a, b, n := ev.h, ev.a, ev.b, ev.n
 	e.recycle(ev)
 	if res != nil {
 		res.queued--
 		res.jobs++
 	}
-	if fn != nil {
+	switch {
+	case h != nil:
+		e.cur = ctx
+		h(a, b, n)
+		e.cur = nil
+	case fn != nil:
 		e.cur = ctx
 		fn()
 		e.cur = nil

@@ -95,8 +95,10 @@ const NoPost = Duration(math.MaxInt64 / 4)
 type staged struct {
 	at     Time
 	srcSeq uint64
-	fn     func()
 	ctx    any
+	h      Handler
+	a, b   any
+	n      int64
 }
 
 // exclusive is one RunExclusive callback awaiting its barrier.
@@ -383,18 +385,21 @@ func (e *Engine) RunExclusive(d Duration, fn func()) {
 	co.exSeq++
 }
 
-// PostTo schedules fn on shard dst after delay d, carrying the calling
-// shard's current event context. It is the only legal way for one shard's
-// event to reach another shard: the event lands in the sender's
+// PostTo schedules h(a, b, n) on shard dst after delay d, carrying the
+// calling shard's current event context. It is the only legal way for one
+// shard's event to reach another shard: the event lands in the sender's
 // per-destination outbox and becomes visible at the next barrier, so d must
-// be at least the pair's lookahead. On a non-sharded engine (or when
-// dst == e) it degenerates to dst.Schedule with the source context.
-func (e *Engine) PostTo(dst *Engine, d Duration, fn func()) {
+// be at least the pair's lookahead. The arguments ride in the pooled event
+// (or the outbox entry), so a post with a handler bound ahead of time
+// allocates nothing. On a non-sharded engine (or when dst == e) it
+// degenerates to a local schedule with the source context.
+func (e *Engine) PostTo(dst *Engine, d Duration, h Handler, a, b any, n int64) {
 	if e.co == nil || dst == e {
 		if d < 0 {
 			d = 0
 		}
-		dst.insertAt(dst.now.Add(d), fn, e.cur, nil)
+		ev := dst.insertAt(dst.now.Add(d), nil, e.cur, nil).ev
+		ev.h, ev.a, ev.b, ev.n = h, a, b, n
 		return
 	}
 	if dst.co != e.co {
@@ -413,8 +418,8 @@ func (e *Engine) PostTo(dst *Engine, d Duration, fn func()) {
 	e.out[dst.id] = append(e.out[dst.id], staged{
 		at:     e.now.Add(d),
 		srcSeq: e.postSeq,
-		fn:     fn,
 		ctx:    e.cur,
+		h:      h, a: a, b: b, n: n,
 	})
 	e.postSeq++
 }
@@ -475,8 +480,8 @@ func (e *Engine) appendEvent(s *staged) {
 	}
 	ev.at = t
 	ev.seq = e.seq
-	ev.fn = s.fn
 	ev.ctx = s.ctx
+	ev.h, ev.a, ev.b, ev.n = s.h, s.a, s.b, s.n
 	e.seq++
 	ev.idx = len(e.events)
 	e.events = append(e.events, ev)
@@ -553,10 +558,7 @@ func (co *coord) admitStagedTo(dst *Engine) {
 	}
 	for i := range runs {
 		q := runs[i].q
-		for j := range q {
-			q[j].fn = nil
-			q[j].ctx = nil
-		}
+		clear(q) // drop the references the entries carried
 		co.shards[runs[i].src].out[dst.id] = q[:0]
 	}
 	co.mergeRuns = runs[:0]

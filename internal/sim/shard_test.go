@@ -31,7 +31,7 @@ func buildPingPong(t *testing.T, workers, nShards, rounds int) []string {
 	var hop func(from, to, left int)
 	hop = func(from, to, left int) {
 		src := shards[from]
-		src.PostTo(shards[to], testLookahead+Duration(from+1)*Microsecond, func() {
+		postFn(src, shards[to], testLookahead+Duration(from+1)*Microsecond, func() {
 			record(shards[to], fmt.Sprintf("recv<-%d(left=%d)", from, left))
 			if left > 0 {
 				hop(to, (to+1)%nShards, left-1)
@@ -98,7 +98,7 @@ func TestPostToVisibleNextEpoch(t *testing.T) {
 	b := ctl.NewShard("b")
 	var at Time
 	a.Schedule(7*Microsecond, func() {
-		a.PostTo(b, testLookahead, func() { at = b.Now() })
+		postFn(a, b, testLookahead, func() { at = b.Now() })
 	})
 	if err := ctl.Run(); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestPostToBelowLookaheadPanics(t *testing.T) {
 				t.Error("PostTo below lookahead did not panic")
 			}
 		}()
-		a.PostTo(b, testLookahead-1, func() {})
+		postFn(a, b, testLookahead-1, func() {})
 	})
 	if err := ctl.Run(); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestPostToCarriesContext(t *testing.T) {
 	var got any
 	a.Schedule(0, func() {
 		a.SetContext("req-42")
-		a.PostTo(b, testLookahead, func() {
+		postFn(a, b, testLookahead, func() {
 			got = b.Context()
 			// And it keeps propagating locally on the new shard.
 			b.Schedule(Microsecond, func() {
@@ -364,7 +364,7 @@ func buildPingPongLA(t *testing.T, workers, nShards, rounds int, wire func(ctl *
 	var hop func(from, to, left int)
 	hop = func(from, to, left int) {
 		src := shards[from]
-		src.PostTo(shards[to], testLookahead+Duration(from+1)*Microsecond, func() {
+		postFn(src, shards[to], testLookahead+Duration(from+1)*Microsecond, func() {
 			record(shards[to], fmt.Sprintf("recv<-%d(left=%d)", from, left))
 			if left > 0 {
 				hop(to, (to+1)%nShards, left-1)
@@ -479,7 +479,7 @@ func TestNoPostDiagonalWidensEpochs(t *testing.T) {
 			s.Schedule(0, tick)
 		}
 		// One cross-shard exchange so the pair is genuinely connected.
-		a.Schedule(0, func() { a.PostTo(b, Millisecond, func() {}) })
+		a.Schedule(0, func() { postFn(a, b, Millisecond, func() {}) })
 		if err := ctl.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -536,7 +536,7 @@ func TestRunStatsDeterministic(t *testing.T) {
 			tick = func() {
 				n++
 				if n%3 == 0 {
-					s.PostTo(next, testLookahead, func() {})
+					postFn(s, next, testLookahead, func() {})
 				}
 				if n < 50 {
 					s.Schedule(Microsecond, tick)
@@ -570,11 +570,17 @@ func TestLegacyEngineUnaffected(t *testing.T) {
 		t.Fatal("legacy engine misreports shard metadata")
 	}
 	fired := false
-	e.Schedule(0, func() { e.PostTo(e, Microsecond, func() { fired = true }) })
+	e.Schedule(0, func() { postFn(e, e, Microsecond, func() { fired = true }) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !fired {
 		t.Fatal("PostTo on a legacy engine did not degrade to Schedule")
 	}
+}
+
+// postFn posts a plain func(): the func value rides in the event as the
+// handler's first argument.
+func postFn(e, dst *Engine, d Duration, fn func()) {
+	e.PostTo(dst, d, func(fn, _ any, _ int64) { fn.(func())() }, fn, nil, 0)
 }

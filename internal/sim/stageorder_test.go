@@ -71,18 +71,14 @@ func admitOrder(batch []tagged) []tagged {
 			shards[src].out[dst.id] = append(shards[src].out[dst.id], staged{
 				at:     tg.at,
 				srcSeq: tg.seq,
-				fn:     func() { out = append(out, tg) },
+				h:      func(fn, _ any, _ int64) { fn.(func())() },
+				a:      func() { out = append(out, tg) },
 			})
 		}
 	}
 	ctl.co.admitStagedTo(dst)
 	for len(dst.events) > 0 {
-		ev := dst.pop()
-		fn := ev.fn
-		dst.recycle(ev)
-		if fn != nil {
-			fn()
-		}
+		dst.fire(dst.pop())
 	}
 	return out
 }
@@ -237,7 +233,7 @@ func FuzzPostToPairBound(f *testing.F) {
 					t.Fatalf("PostTo(%v) below pair bound %v did not panic", delay, pair)
 				}
 			}()
-			a.PostTo(b, delay, func() {})
+			postFn(a, b, delay, func() {})
 		})
 		if err := ctl.Run(); err != nil {
 			t.Fatal(err)

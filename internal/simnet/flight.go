@@ -13,9 +13,10 @@ import (
 // it to Resource.Use or Schedule costs nothing.
 //
 // A record is taken from and returned to the free list of the node whose
-// shard runs it, so the lists need no lock: the frame crosses shards inside
-// the one PostTo closure in run, never inside a record. In netbuf debug mode
-// records are not recycled, like descriptors.
+// shard runs it, so the lists need no lock: the frame crosses shards as the
+// arguments of the one PostTo in run (handled by Network.onArrive), never
+// inside a record. In netbuf debug mode records are not recycled, like
+// descriptors.
 type flight struct {
 	node    *Node
 	stage   flightStage
@@ -69,7 +70,11 @@ func (f *flight) run() {
 		}
 		delay := f.delay + p.lat
 		f.recycle()
-		eng.PostTo(p.nic.node.Eng, delay, func() { nic.net.arrive(p, frame, corrupt) })
+		var flags int64
+		if corrupt {
+			flags = 1
+		}
+		eng.PostTo(p.nic.node.Eng, delay, nic.net.onArrive, p, frame, flags)
 	case flightDown:
 		f.stage, f.nic = flightDeliver, p.nic
 		eng.Schedule(f.delay, f.step)

@@ -33,6 +33,9 @@ type Network struct {
 	// faultDuped counts extra frame copies the injector created at switch
 	// downlinks.
 	faultDuped atomic.Uint64
+	// onArrive is arrive as a sim.Handler, bound once so a frame's shard
+	// crossing carries (port, frame, corrupt) as arguments, not a closure.
+	onArrive sim.Handler
 }
 
 // port is the switch side of one attachment: a downlink serializer toward
@@ -47,11 +50,15 @@ type port struct {
 
 // NewNetwork returns an empty switch with the given one-way port latency.
 func NewNetwork(eng *sim.Engine, latency sim.Duration) *Network {
-	return &Network{
+	nw := &Network{
 		eng:     eng,
 		latency: latency,
 		ports:   make(map[eth.Addr]*port),
 	}
+	nw.onArrive = func(p, frame any, corrupt int64) {
+		nw.arrive(p.(*port), frame.(*netbuf.Chain), corrupt != 0)
+	}
+	return nw
 }
 
 // Attach creates a NIC on node, connected to this switch at the given

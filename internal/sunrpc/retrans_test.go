@@ -52,7 +52,7 @@ func doubler(t *testing.T, sv *host) *int {
 		v, _ := d.Uint32()
 		e := xdr.NewEncoder(8)
 		e.Uint32(v * 2)
-		if err := c.Reply(e.Bytes(), nil); err != nil {
+		if err := reply(c, e.Bytes(), nil); err != nil {
 			t.Errorf("Reply: %v", err)
 		}
 	})
@@ -66,7 +66,7 @@ func callOnce(t *testing.T, eng *sim.Engine, cl *host, dst eth.Addr, rpc *Client
 	e.Uint32(21)
 	replies, result := 0, uint32(0)
 	var cerr error
-	err := rpc.Call(dst, 2049, progTest, versTest, 7, e.Bytes(), nil, func(r Reply, err error) {
+	err := rpc.Call(dst, 2049, progTest, versTest, 7, argsMsg(rpc.Node(), e.Bytes()), nil, func(r Reply, err error) {
 		replies++
 		cerr = err
 		if err == nil {

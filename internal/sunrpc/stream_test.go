@@ -86,7 +86,7 @@ func TestStreamRPCEndToEnd(t *testing.T) {
 		args := c.Body.Flatten()
 		c.Body.Release()
 		payload := netbuf.ChainFromBytes(bytes.Repeat([]byte{0xEE}, 10000), netbuf.DefaultBufSize)
-		if err := c.Reply(args, payload); err != nil {
+		if err := reply(c, args, payload); err != nil {
 			t.Errorf("Reply: %v", err)
 		}
 	})
@@ -109,7 +109,7 @@ func TestStreamRPCEndToEnd(t *testing.T) {
 	e.Uint32(0xfeedface)
 	var gotHead uint32
 	var gotBody int
-	if err := client.Call(0, 0, 7, 1, 3, e.Bytes(), nil, func(r Reply, err error) {
+	if err := client.Call(0, 0, 7, 1, 3, argsMsg(client.Node(), e.Bytes()), nil, func(r Reply, err error) {
 		if err != nil {
 			t.Fatalf("reply: %v", err)
 		}
@@ -158,7 +158,7 @@ func TestStreamRPCUnknownProc(t *testing.T) {
 		t.Fatal(err)
 	}
 	var accept uint32 = 999
-	if err := client.Call(0, 0, 7, 1, 42, nil, nil, func(r Reply, err error) {
+	if err := client.Call(0, 0, 7, 1, 42, argsMsg(client.Node(), nil), nil, func(r Reply, err error) {
 		if err == nil {
 			accept = r.Accept
 			if r.Body != nil {

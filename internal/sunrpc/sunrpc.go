@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"ncache/internal/netbuf"
+	"ncache/internal/proto"
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/udp"
 	"ncache/internal/sim"
@@ -73,11 +74,21 @@ type Call struct {
 	// requires aliasing via Slice/SubChain or Acquire.
 	Body *netbuf.Chain
 
-	// send transmits a composed reply on the call's transport (datagram
-	// or record-marked stream).
-	send func(*netbuf.Chain) error
+	// The call's transport, which its reply goes back on: the datagram
+	// server's socket (udp, port) or the stream connection (conn).
+	udp  *udp.Transport
+	port uint16
+	conn proto.Conn
 	// pool recycles reply header buffers (the serving node's transmit pool).
 	pool *netbuf.Pool
+}
+
+// send transmits a composed reply on the call's transport.
+func (c Call) send(out *netbuf.Chain) error {
+	if c.conn != nil {
+		return markAndSend(c.conn, out)
+	}
+	return c.udp.SendChain(c.Dst, c.port, c.Src, c.SrcPort, out)
 }
 
 // poolBuf draws a header buffer from a transmit pool, falling back to a
@@ -91,33 +102,51 @@ func poolBuf(p *netbuf.Pool, capacity int) *netbuf.Buf {
 	return netbuf.New(netbuf.DefaultHeadroom, capacity)
 }
 
-// Reply sends a successful reply: header bytes (XDR-encoded result head)
-// followed by an optional payload chain appended without copying. The
-// callee takes ownership of payload.
-func (c Call) Reply(header []byte, payload *netbuf.Chain) error {
-	e := xdr.NewEncoder(replyHeaderLen + len(header))
-	e.Uint32(c.Xid)
+// messageBuf draws the header buffer of one RPC message: hdr bytes of RPC
+// header, then n bytes of XDR head for the layer above, both encoded in
+// place. poolBuf sized it, so the Put cannot fail.
+func messageBuf(p *netbuf.Pool, hdr, n int) (hb *netbuf.Buf, rpc, head []byte) {
+	hb = poolBuf(p, hdr+n)
+	_ = hb.Put(hdr + n)
+	return hb, hb.Bytes()[:hdr], hb.Bytes()[hdr:]
+}
+
+// putReplyHeader encodes an accepted-reply header (AUTH_NONE verifier).
+func putReplyHeader(p []byte, xid, acceptStat uint32) {
+	e := xdr.Over(p)
+	e.Uint32(xid)
 	e.Uint32(msgReply)
 	e.Uint32(0) // MSG_ACCEPTED
 	e.Uint32(0) // verf flavor AUTH_NONE
 	e.Uint32(0) // verf length
-	e.Uint32(AcceptSuccess)
+	e.Uint32(acceptStat)
+}
 
-	hb := poolBuf(c.pool, replyHeaderLen+len(header))
-	if err := hb.Append(e.Bytes()); err != nil {
-		hb.Release()
-		if payload != nil {
-			payload.Release()
-		}
-		return err
-	}
-	if err := hb.Append(header); err != nil {
-		hb.Release()
-		if payload != nil {
-			payload.Release()
-		}
-		return err
-	}
+// putCallHeader encodes a call header (AUTH_NONE credentials and verifier).
+func putCallHeader(p []byte, xid, prog, vers, proc uint32) {
+	e := xdr.Over(p)
+	e.Uint32(xid)
+	e.Uint32(msgCall)
+	e.Uint32(rpcVersion)
+	e.Uint32(prog)
+	e.Uint32(vers)
+	e.Uint32(proc)
+	e.Uint64(0) // cred AUTH_NONE, length 0
+	e.Uint64(0) // verf AUTH_NONE, length 0
+}
+
+// ReplyBuf starts a successful reply: a pooled header buffer holding the
+// RPC reply header, and the n bytes after it, which the caller fills with
+// its XDR result head before passing the buffer to Send.
+func (c Call) ReplyBuf(n int) (*netbuf.Buf, []byte) {
+	hb, rpc, head := messageBuf(c.pool, replyHeaderLen, n)
+	putReplyHeader(rpc, c.Xid, AcceptSuccess)
+	return hb, head
+}
+
+// Send transmits a reply begun with ReplyBuf, followed by an optional payload
+// chain appended without copying. The callee takes ownership of both.
+func (c Call) Send(hb *netbuf.Buf, payload *netbuf.Chain) error {
 	out := netbuf.ChainOf(hb)
 	var inherited netbuf.Partial
 	inherit := false
@@ -140,19 +169,34 @@ func (c Call) Reply(header []byte, payload *netbuf.Chain) error {
 
 // ReplyError sends a non-success accepted reply.
 func (c Call) ReplyError(acceptStat uint32) error {
-	e := xdr.NewEncoder(replyHeaderLen)
-	e.Uint32(c.Xid)
-	e.Uint32(msgReply)
-	e.Uint32(0)
-	e.Uint32(0)
-	e.Uint32(0)
-	e.Uint32(acceptStat)
-	hb := poolBuf(c.pool, replyHeaderLen)
-	if err := hb.Append(e.Bytes()); err != nil {
-		hb.Release()
-		return err
-	}
+	hb, rpc, _ := messageBuf(c.pool, replyHeaderLen, 0)
+	putReplyHeader(rpc, c.Xid, acceptStat)
 	return c.send(netbuf.ChainOf(hb))
+}
+
+// parseCall decodes a call header (callHeaderLen bytes).
+func parseCall(raw []byte) (c Call, ok bool) {
+	d := xdr.NewDecoder(raw)
+	c.Xid, _ = d.Uint32()
+	mtype, _ := d.Uint32()
+	rpcv, _ := d.Uint32()
+	c.Prog, _ = d.Uint32()
+	c.Vers, _ = d.Uint32()
+	proc, err := d.Uint32()
+	c.Proc = proc
+	return c, err == nil && mtype == msgCall && rpcv == rpcVersion
+}
+
+// parseReply decodes a reply header (replyHeaderLen bytes).
+func parseReply(raw []byte) (xid, replyStat, accept uint32, ok bool) {
+	d := xdr.NewDecoder(raw)
+	xid, _ = d.Uint32()
+	mtype, _ := d.Uint32()
+	replyStat, _ = d.Uint32()
+	d.Uint32() // verf flavor
+	d.Uint32() // verf len
+	accept, err := d.Uint32()
+	return xid, replyStat, accept, err == nil && mtype == msgReply
 }
 
 // Handler processes one inbound call.
@@ -202,40 +246,27 @@ func (s *Server) receive(dg udp.Datagram) {
 		body.Release()
 		return
 	}
-	raw, err := body.PullHeader(callHeaderLen)
-	if err != nil {
+	var raw [callHeaderLen]byte
+	if err := body.PullHeaderInto(raw[:]); err != nil {
 		body.Release()
 		return
 	}
-	d := xdr.NewDecoder(raw)
-	xid, _ := d.Uint32()
-	mtype, _ := d.Uint32()
-	rpcv, _ := d.Uint32()
-	prog, _ := d.Uint32()
-	vers, _ := d.Uint32()
-	proc, err := d.Uint32()
-	if err != nil || mtype != msgCall || rpcv != rpcVersion {
+	call, ok := parseCall(raw[:])
+	if !ok {
 		s.BadCalls++
 		body.Release()
 		return
 	}
-	call := Call{
-		Xid: xid, Prog: prog, Vers: vers, Proc: proc,
-		Src: dg.Src, SrcPort: dg.SrcPort, Dst: dg.Dst,
-		Body: body,
-		send: func(out *netbuf.Chain) error {
-			return s.udp.SendChain(dg.Dst, s.port, dg.Src, dg.SrcPort, out)
-		},
-		pool: s.udp.Node().TxPool,
-	}
-	procs, ok := s.programs[progVers{prog, vers}]
+	call.Src, call.SrcPort, call.Dst, call.Body = dg.Src, dg.SrcPort, dg.Dst, body
+	call.udp, call.port, call.pool = s.udp, s.port, s.udp.Node().TxPool
+	procs, ok := s.programs[progVers{call.Prog, call.Vers}]
 	if !ok {
 		s.BadCalls++
 		_ = call.ReplyError(AcceptProgUnavail)
 		body.Release()
 		return
 	}
-	h, ok := procs[proc]
+	h, ok := procs[call.Proc]
 	if !ok {
 		s.BadCalls++
 		_ = call.ReplyError(AcceptProcUnavail)
@@ -340,45 +371,34 @@ func (c *Client) SetRetransmit(rto sim.Duration, maxTries int) {
 	}
 }
 
-// Call issues one RPC. args is the XDR-encoded argument head; payload (may
-// be nil) is appended without copying — how a zero-copy NFS WRITE travels.
-// done fires when the matching reply arrives.
-func (c *Client) Call(dst eth.Addr, dstPort uint16, prog, vers, proc uint32, args []byte, payload *netbuf.Chain, done func(Reply, error)) error {
-	trace.To(c.udp.Node().Eng, trace.LRPC)
-	xid := c.nextXid
-	c.nextXid++
+// CallBuf starts a call from node: a pooled header buffer with room for the
+// RPC call header, and the n bytes after it, which the caller fills with its
+// XDR argument head before passing the buffer to a client's Call.
+func CallBuf(node *simnet.Node, n int) (*netbuf.Buf, []byte) {
+	hb, _, args := messageBuf(node.TxPool, callHeaderLen, n)
+	return hb, args
+}
 
-	e := xdr.NewEncoder(callHeaderLen)
-	e.Uint32(xid)
-	e.Uint32(msgCall)
-	e.Uint32(rpcVersion)
-	e.Uint32(prog)
-	e.Uint32(vers)
-	e.Uint32(proc)
-	e.Uint32(0) // cred AUTH_NONE
-	e.Uint32(0)
-	e.Uint32(0) // verf AUTH_NONE
-	e.Uint32(0)
-
-	hb := poolBuf(c.udp.Node().TxPool, callHeaderLen+len(args))
-	if err := hb.Append(e.Bytes()); err != nil {
-		hb.Release()
-		if payload != nil {
-			payload.Release()
-		}
-		return err
-	}
-	if err := hb.Append(args); err != nil {
-		hb.Release()
-		if payload != nil {
-			payload.Release()
-		}
-		return err
-	}
-	out := netbuf.ChainOf(hb)
+// composeCall finishes a message begun with CallBuf: the call header goes in
+// front of the arguments, the payload (may be nil) behind them by reference.
+func composeCall(msg *netbuf.Buf, xid, prog, vers, proc uint32, payload *netbuf.Chain) *netbuf.Chain {
+	putCallHeader(msg.Bytes()[:callHeaderLen], xid, prog, vers, proc)
+	out := netbuf.ChainOf(msg)
 	if payload != nil {
 		out.AppendChain(payload)
 	}
+	return out
+}
+
+// Call issues one RPC. msg is a CallBuf buffer holding the XDR-encoded
+// argument head; payload (may be nil) is appended without copying — how a
+// zero-copy NFS WRITE travels. The client takes ownership of both. done
+// fires when the matching reply arrives.
+func (c *Client) Call(dst eth.Addr, dstPort uint16, prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.Chain, done func(Reply, error)) error {
+	trace.To(c.udp.Node().Eng, trace.LRPC)
+	xid := c.nextXid
+	c.nextXid++
+	out := composeCall(msg, xid, prog, vers, proc, payload)
 	pc := &pendingCall{done: done, dst: dst, dstPort: dstPort}
 	if c.maxTries > 0 {
 		// The retained wire image aliases the outgoing buffers via clone
@@ -448,19 +468,13 @@ func (c *Client) receive(dg udp.Datagram) {
 		body.Release()
 		return
 	}
-	raw, err := body.PullHeader(replyHeaderLen)
-	if err != nil {
+	var raw [replyHeaderLen]byte
+	if err := body.PullHeaderInto(raw[:]); err != nil {
 		body.Release()
 		return
 	}
-	d := xdr.NewDecoder(raw)
-	xid, _ := d.Uint32()
-	mtype, _ := d.Uint32()
-	replyStat, _ := d.Uint32()
-	d.Uint32() // verf flavor
-	d.Uint32() // verf len
-	accept, err := d.Uint32()
-	if err != nil || mtype != msgReply {
+	xid, replyStat, accept, ok := parseReply(raw[:])
+	if !ok {
 		c.BadReplies++
 		body.Release()
 		return

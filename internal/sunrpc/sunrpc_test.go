@@ -54,7 +54,7 @@ func TestCallReplyRoundTrip(t *testing.T) {
 		}
 		e := xdr.NewEncoder(8)
 		e.Uint32(v * 2)
-		if err := c.Reply(e.Bytes(), nil); err != nil {
+		if err := reply(c, e.Bytes(), nil); err != nil {
 			t.Errorf("Reply: %v", err)
 		}
 	})
@@ -66,7 +66,7 @@ func TestCallReplyRoundTrip(t *testing.T) {
 	e := xdr.NewEncoder(8)
 	e.Uint32(21)
 	var result uint32
-	err = rpc.Call(sv.addr, 2049, progTest, versTest, 7, e.Bytes(), nil, func(r Reply, err error) {
+	err = rpc.Call(sv.addr, 2049, progTest, versTest, 7, argsMsg(rpc.Node(), e.Bytes()), nil, func(r Reply, err error) {
 		if err != nil {
 			t.Errorf("reply err: %v", err)
 			return
@@ -105,7 +105,7 @@ func TestPayloadChainsTravelUncopied(t *testing.T) {
 		if got.Len() != len(blob) {
 			t.Errorf("server got %d bytes", got.Len())
 		}
-		if err := c.Reply(nil, got); err != nil {
+		if err := reply(c, nil, got); err != nil {
 			t.Errorf("Reply: %v", err)
 		}
 	})
@@ -115,7 +115,7 @@ func TestPayloadChainsTravelUncopied(t *testing.T) {
 	}
 	payload := netbuf.ChainFromBytes(blob, netbuf.DefaultBufSize)
 	var echoed []byte
-	if err := rpc.Call(sv.addr, 2049, progTest, versTest, 1, nil, payload, func(r Reply, err error) {
+	if err := rpc.Call(sv.addr, 2049, progTest, versTest, 1, argsMsg(rpc.Node(), nil), payload, func(r Reply, err error) {
 		if err != nil {
 			t.Errorf("reply err: %v", err)
 			return
@@ -157,10 +157,10 @@ func TestUnknownProgramAndProc(t *testing.T) {
 			}
 		}
 	}
-	if err := rpc.Call(sv.addr, 2049, 999999, 1, 1, nil, nil, record); err != nil {
+	if err := rpc.Call(sv.addr, 2049, 999999, 1, 1, argsMsg(rpc.Node(), nil), nil, record); err != nil {
 		t.Fatal(err)
 	}
-	if err := rpc.Call(sv.addr, 2049, progTest, versTest, 99, nil, nil, record); err != nil {
+	if err := rpc.Call(sv.addr, 2049, progTest, versTest, 99, argsMsg(rpc.Node(), nil), nil, record); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(); err != nil {
@@ -233,7 +233,7 @@ func TestManyOutstandingCalls(t *testing.T) {
 	srv.Register(progTest, versTest, 2, func(c Call) {
 		body := c.Body.Flatten()
 		c.Body.Release()
-		if err := c.Reply(body, nil); err != nil { // echo args
+		if err := reply(c, body, nil); err != nil { // echo args
 			t.Errorf("Reply: %v", err)
 		}
 	})
@@ -246,7 +246,7 @@ func TestManyOutstandingCalls(t *testing.T) {
 	for i := uint32(0); i < n; i++ {
 		e := xdr.NewEncoder(4)
 		e.Uint32(i)
-		if err := rpc.Call(sv.addr, 2049, progTest, versTest, 2, e.Bytes(), nil, func(r Reply, err error) {
+		if err := rpc.Call(sv.addr, 2049, progTest, versTest, 2, argsMsg(rpc.Node(), e.Bytes()), nil, func(r Reply, err error) {
 			if err != nil {
 				t.Errorf("reply err: %v", err)
 				return
@@ -264,5 +264,76 @@ func TestManyOutstandingCalls(t *testing.T) {
 	}
 	if len(results) != n {
 		t.Fatalf("distinct replies = %d, want %d", len(results), n)
+	}
+}
+
+// argsMsg wraps an encoded argument head in a call buffer.
+func argsMsg(node *simnet.Node, args []byte) *netbuf.Buf {
+	msg, p := CallBuf(node, len(args))
+	copy(p, args)
+	return msg
+}
+
+// reply sends an already-encoded result head as a successful reply.
+func reply(c Call, header []byte, payload *netbuf.Chain) error {
+	hb, p := c.ReplyBuf(len(header))
+	copy(p, header)
+	return c.Send(hb, payload)
+}
+
+// TestCallReplyAllocBudget: with both headers encoded in the pooled buffers
+// they are sent in and pulled into stack arrays on receipt, an RPC round trip
+// costs the per-call state only — the client's pending-call record and three
+// continuations (dispatch on the server, completion and its charge on the
+// client), five objects with the test's own closure; the encoders, scratch
+// buffers and header copies are gone.
+func TestCallReplyAllocBudget(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, cl, sv := rig(t)
+	srv, err := NewServer(sv.udp, 2049)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Register(progTest, versTest, 7, func(c Call) {
+		c.Body.Release()
+		hb, head := c.ReplyBuf(4)
+		e := xdr.Over(head)
+		e.Uint32(42)
+		if err := c.Send(hb, nil); err != nil {
+			t.Errorf("Send: %v", err)
+		}
+	})
+	rpc, err := NewClient(cl.udp, cl.addr, 700)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	call := func() {
+		msg, args := CallBuf(rpc.Node(), 4)
+		e := xdr.Over(args)
+		e.Uint32(21)
+		if err := rpc.Call(sv.addr, 2049, progTest, versTest, 7, msg, nil, func(r Reply, err error) {
+			if err != nil || r.Accept != AcceptSuccess || r.Body.Len() != 4 {
+				t.Errorf("reply: %+v, %v", r, err)
+			}
+			r.Body.Release()
+			got++
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		call()
+	}
+	if avg := testing.AllocsPerRun(200, call); avg > 5 {
+		t.Fatalf("one RPC round trip allocates %.1f objects, budget 5", avg)
+	}
+	if got != 8+201 {
+		t.Fatalf("%d replies, want %d", got, 8+201)
 	}
 }

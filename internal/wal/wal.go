@@ -221,7 +221,7 @@ scan:
 	for _, r := range l.durable[:n] {
 		bytes += len(r.Data)
 		if r.pooled && netbuf.Recycle(r.Data) {
-			*r = Record{Data: r.Data, pooled: true}
+			*r = Record{Data: r.Data, LBNs: r.LBNs[:0], pooled: true}
 			l.free = append(l.free, r)
 		}
 	}

@@ -191,8 +191,8 @@ func TestNewRecordCyclesThroughTruncate(t *testing.T) {
 	if again != pooled || &again.Data[0] != payload || len(again.Data) != 4096 {
 		t.Fatal("NewRecord did not reuse the retired record and its payload")
 	}
-	if again.Seq != 0 || again.Ino != 0 || again.LBNs != nil {
-		t.Fatalf("recycled record carries its previous life: %+v", again)
+	if again.Seq != 0 || again.Ino != 0 || len(again.LBNs) != 0 {
+		t.Fatalf("recycled record carries its previous life: seq %d ino %d lbns %v", again.Seq, again.Ino, again.LBNs)
 	}
 	if bigger := l.NewRecord(16384); len(bigger.Data) != 16384 {
 		t.Fatalf("NewRecord(16384) returned %d bytes", len(bigger.Data))

@@ -20,14 +20,33 @@ var (
 // pad returns the number of padding bytes after n data bytes.
 func pad(n int) int { return (4 - n%4) % 4 }
 
-// Encoder serializes XDR items into a growing byte slice.
+// Encoder serializes XDR items by appending to a byte slice: its own
+// (NewEncoder), which grows, or the caller's (Over), which does not.
 type Encoder struct {
-	buf []byte
+	buf   []byte
+	fixed bool // over the caller's slice: encoding past its length panics
 }
 
 // NewEncoder returns an encoder with the given capacity hint.
 func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
+}
+
+// Over returns an encoder that writes into p from its start — in practice
+// the tail of a pooled header buffer — so a message is encoded where it is
+// sent, with no encoder object, scratch buffer or copy. Held as a local
+// value the encoder itself does not allocate. (p should already live on the
+// heap: the methods append through a pointer, so the compiler would move a
+// stack array there.) The caller reserved len(p) bytes in the outgoing
+// message before encoding; an item that does not fit would leave the
+// message truncated with nothing to report it, so it panics instead.
+func Over(p []byte) Encoder { return Encoder{buf: p[:0:len(p)], fixed: true} }
+
+// room is the one place a sizing mistake at an Over call site surfaces.
+func (e *Encoder) room(n int) {
+	if e.fixed && len(e.buf)+n > cap(e.buf) {
+		panic(fmt.Sprintf("xdr: encoding %d bytes at %d overruns the %d reserved", n, len(e.buf), cap(e.buf)))
+	}
 }
 
 // Bytes returns the encoded buffer.
@@ -38,9 +57,8 @@ func (e *Encoder) Len() int { return len(e.buf) }
 
 // Uint32 encodes a 32-bit unsigned integer.
 func (e *Encoder) Uint32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+	e.room(4)
+	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
 }
 
 // Int32 encodes a 32-bit signed integer.
@@ -48,9 +66,8 @@ func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
 
 // Uint64 encodes a 64-bit unsigned hyper integer.
 func (e *Encoder) Uint64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+	e.room(8)
+	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
 }
 
 // Bool encodes a boolean.
@@ -65,22 +82,26 @@ func (e *Encoder) Bool(v bool) {
 // Opaque encodes variable-length opaque data (length prefix + padding).
 func (e *Encoder) Opaque(p []byte) {
 	e.Uint32(uint32(len(p)))
-	e.buf = append(e.buf, p...)
-	for i := 0; i < pad(len(p)); i++ {
-		e.buf = append(e.buf, 0)
-	}
+	e.FixedOpaque(p)
 }
 
 // FixedOpaque encodes fixed-length opaque data (no length prefix).
 func (e *Encoder) FixedOpaque(p []byte) {
+	e.room(len(p) + pad(len(p)))
 	e.buf = append(e.buf, p...)
-	for i := 0; i < pad(len(p)); i++ {
-		e.buf = append(e.buf, 0)
-	}
+	e.buf = append(e.buf, zeros[:pad(len(p))]...)
 }
 
 // String encodes a string as variable-length opaque data.
-func (e *Encoder) String(s string) { e.Opaque([]byte(s)) }
+func (e *Encoder) String(s string) {
+	e.Uint32(uint32(len(s)))
+	e.room(len(s) + pad(len(s)))
+	e.buf = append(e.buf, s...)
+	e.buf = append(e.buf, zeros[:pad(len(s))]...)
+}
+
+// zeros is the alignment padding.
+var zeros [3]byte
 
 // Decoder deserializes XDR items from a byte slice.
 type Decoder struct {

@@ -154,3 +154,54 @@ func TestPropertyOpaqueRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOverZeroAllocs: an encoder held as a value over the caller's storage —
+// a pooled buffer's tail in sunrpc and nfs — encodes a header with no encoder
+// object, scratch buffer or copy.
+func TestOverZeroAllocs(t *testing.T) {
+	hdr := make([]byte, 28)
+	n, inPlace := 0, false
+	avg := testing.AllocsPerRun(1000, func() {
+		clear(hdr)
+		e := Over(hdr)
+		e.Uint32(7)
+		e.Uint64(1 << 40)
+		e.FixedOpaque([]byte{1, 2, 3, 4, 5})
+		e.String("name")
+		n, inPlace = e.Len(), hdr[3] == 7 && hdr[27] == 'e'
+	})
+	if n != 28 || !inPlace {
+		t.Fatalf("encoded %d bytes, into the caller's array: %v", n, inPlace)
+	}
+	if avg != 0 {
+		t.Fatalf("encoding over the caller's buffer allocates %.0f objects, want 0", avg)
+	}
+	// Over starts at the beginning of its storage, whatever it held.
+	e := Over([]byte{9, 9, 9, 9})
+	e.Uint32(1)
+	if !bytes.Equal(e.Bytes(), []byte{0, 0, 0, 1}) {
+		t.Fatalf("Over appended after the old contents: %v", e.Bytes())
+	}
+}
+
+// TestOverOverrunPanics: an Over call site that reserved too few bytes fails
+// at the item that does not fit, rather than sending a truncated message.
+func TestOverOverrunPanics(t *testing.T) {
+	for name, enc := range map[string]func(e *Encoder){
+		"uint32": func(e *Encoder) { e.Uint32(1); e.Uint32(2); e.Uint32(3) },
+		"uint64": func(e *Encoder) { e.Uint32(1); e.Uint64(2) },
+		"opaque": func(e *Encoder) { e.FixedOpaque(make([]byte, 7)); e.FixedOpaque(make([]byte, 1)) },
+		"string": func(e *Encoder) { e.String("abcde") }, // 4 + 5 + 3 pad
+	} {
+		t.Run(name, func(t *testing.T) {
+			backing := make([]byte, 8, 64) // spare capacity must not be used
+			defer func() {
+				if recover() == nil {
+					t.Fatal("encoding past the reserved length did not panic")
+				}
+			}()
+			e := Over(backing)
+			enc(&e)
+		})
+	}
+}
