@@ -15,14 +15,6 @@
 //
 //	ncbench -exp scaleout -window 200ms -scale 8
 //
-// -workers N runs every cluster on the parallel discrete-event engine with
-// N worker threads (one shard per simulated node, conservative epochs at
-// the 5 µs fabric latency). Results are bit-identical for any N >= 1; only
-// wall-clock changes. Parallel runs record -benchjson entries under a
-// "-wN" name suffix:
-//
-//	ncbench -exp scaleout -workers 4 -benchjson BENCH_PR7.json
-//
 // -cpuprofile/-memprofile write pprof profiles of the run; -benchjson
 // records per-experiment wall-clock, allocations and the simulated headline;
 // -benchgate compares the run's allocations against a committed -benchjson
@@ -31,7 +23,7 @@
 // produced with the same flags as the gated run):
 //
 //	ncbench -exp fig5b -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	ncbench -exp fig5b,fig4,fig7 -benchgate BENCH_PR16.json
+//	ncbench -exp fig5b,fig4,fig7 -benchgate BENCH.json
 //
 // -fault injects a deterministic fault schedule (a preset name or the
 // fault.ParseSpec grammar) into the NFS experiments, replayable via
@@ -77,13 +69,10 @@ func run(args []string) error {
 	traceOut := fs.String("trace", "", "write traced request timelines as chrome://tracing JSON to this file (implies tracing)")
 	faultSpec := fs.String("fault", "", "fault schedule for the NFS experiments: a preset (frame-loss, slow-disk, cpu-burst) or fault.ParseSpec grammar")
 	faultSeed := fs.Uint64("faultseed", 1, "seed for the fault injector's random streams (runs replay bit-for-bit per seed)")
-	workers := fs.Int("workers", 0, "parallel-engine worker threads (0 = legacy single engine; results are identical for any value >= 1, only wall-clock changes)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
 	benchJSON := fs.String("benchjson", "", "write per-experiment wall-clock, allocation and headline metrics as JSON to this file")
 	benchGate := fs.String("benchgate", "", "compare this run's allocation metrics against a baseline -benchjson file; exit non-zero on an alloc_bytes or allocs regression above 5%")
-	speedupGate := fs.String("speedupgate", "", "compare this run's wall_ms against a baseline -benchjson file (matching experiments by name with any -wN suffix stripped); exit non-zero unless baseline/this >= -speedupmin")
-	speedupMin := fs.Float64("speedupmin", 1.5, "minimum wall-clock speedup demanded by -speedupgate")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -127,7 +116,6 @@ func run(args []string) error {
 		Latency:     *latency,
 		FaultSpec:   *faultSpec,
 		FaultSeed:   *faultSeed,
-		Workers:     *workers,
 	}
 	if *traceOut != "" {
 		opt.Chrome = trace.NewChromeTrace()
@@ -152,11 +140,6 @@ func run(args []string) error {
 	}
 	if *benchGate != "" {
 		if err := gateAllocations(*benchGate, records); err != nil {
-			return err
-		}
-	}
-	if *speedupGate != "" {
-		if err := gateSpeedup(*speedupGate, *speedupMin, records); err != nil {
 			return err
 		}
 	}
@@ -202,99 +185,50 @@ type benchReport struct {
 	Experiments []bench.Record `json:"experiments"`
 }
 
-// gate compares this run's records with a baseline -benchjson report,
-// matching names through key. check prints its comparison and returns the
-// bounds the pair violates; ok is false when the pair cannot be compared.
-func gate(what, path string, key func(string) string, records []bench.Record,
-	check func(r, b bench.Record) (bad []string, ok bool)) error {
+// gateAllocations enforces the allocation-regression gate: every experiment
+// this run shares with the baseline -benchjson report must stay within 5% of
+// the baseline's alloc_bytes and of its allocs. Wall-clock is reported but
+// never gated (too noisy on shared CI runners); both allocation counts are
+// deterministic for the single-threaded simulation.
+func gateAllocations(path string, records []bench.Record) error {
+	const tolerancePct = 5.0
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("%s: %w", what, err)
+		return fmt.Errorf("benchgate: %w", err)
 	}
 	var base benchReport
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %s: %w", what, path, err)
+		return fmt.Errorf("benchgate: %s: %w", path, err)
 	}
 	baseline := make(map[string]bench.Record, len(base.Experiments))
 	for _, e := range base.Experiments {
-		baseline[key(e.Name)] = e
+		baseline[e.Name] = e
 	}
 	var bad []string
 	checked := 0
 	for _, r := range records {
-		if b, found := baseline[key(r.Name)]; found {
-			if v, ok := check(r, b); ok {
-				checked++
-				bad = append(bad, v...)
+		b, found := baseline[r.Name]
+		if !found || b.AllocBytes == 0 || b.Allocs == 0 {
+			continue
+		}
+		checked++
+		for _, m := range []struct {
+			metric    string
+			got, base uint64
+		}{{"alloc_bytes", r.AllocBytes, b.AllocBytes}, {"allocs", r.Allocs, b.Allocs}} {
+			deltaPct := (float64(m.got)/float64(m.base) - 1) * 100
+			fmt.Printf("benchgate: %-20s %-11s %14d vs baseline %14d (%+.2f%%)\n",
+				r.Name, m.metric, m.got, m.base, deltaPct)
+			if deltaPct > tolerancePct {
+				bad = append(bad, fmt.Sprintf("%s %s regressed %+.2f%% (limit %.0f%%)", r.Name, m.metric, deltaPct, tolerancePct))
 			}
 		}
 	}
 	if checked == 0 {
-		return fmt.Errorf("%s: no experiments in common with %s", what, path)
+		return fmt.Errorf("benchgate: no experiments in common with %s", path)
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("%s: %s", what, strings.Join(bad, ", "))
+		return fmt.Errorf("benchgate: %s", strings.Join(bad, ", "))
 	}
 	return nil
-}
-
-// gateAllocations enforces the allocation-regression gate: every experiment
-// this run shares with the baseline report must stay within 5% of the
-// baseline's alloc_bytes and of its allocs. Wall-clock is reported but never
-// gated (too noisy on shared CI runners); both allocation counts are
-// deterministic for the single-threaded simulation.
-func gateAllocations(path string, records []bench.Record) error {
-	const tolerancePct = 5.0
-	return gate("benchgate", path, func(name string) string { return name }, records,
-		func(r, b bench.Record) (bad []string, ok bool) {
-			if b.AllocBytes == 0 || b.Allocs == 0 {
-				return nil, false
-			}
-			for _, m := range []struct {
-				metric    string
-				got, base uint64
-			}{{"alloc_bytes", r.AllocBytes, b.AllocBytes}, {"allocs", r.Allocs, b.Allocs}} {
-				deltaPct := (float64(m.got)/float64(m.base) - 1) * 100
-				fmt.Printf("benchgate: %-20s %-11s %14d vs baseline %14d (%+.2f%%)\n",
-					r.Name, m.metric, m.got, m.base, deltaPct)
-				if deltaPct > tolerancePct {
-					bad = append(bad, fmt.Sprintf("%s %s regressed %+.2f%% (limit %.0f%%)", r.Name, m.metric, deltaPct, tolerancePct))
-				}
-			}
-			return bad, true
-		})
-}
-
-// stripWorkers removes a -wN worker suffix from a record name, so a parallel
-// run ("scaleout-w4") matches its sequential baseline ("scaleout" or
-// "scaleout-w1") across reports.
-func stripWorkers(name string) string {
-	if i := strings.LastIndex(name, "-w"); i > 0 {
-		digits := name[i+2:]
-		if len(digits) > 0 && strings.Trim(digits, "0123456789") == "" {
-			return name[:i]
-		}
-	}
-	return name
-}
-
-// gateSpeedup enforces the parallel-engine wall-clock gate: every experiment
-// this run shares with the baseline (worker suffixes stripped on both sides)
-// must run at least min times faster than the baseline recorded. Used by CI
-// to hold the Workers=N engine against the sequential engine on the same
-// topology; meaningful only on a multi-core runner.
-func gateSpeedup(path string, min float64, records []bench.Record) error {
-	return gate("speedupgate", path, stripWorkers, records,
-		func(r, b bench.Record) (bad []string, ok bool) {
-			if b.WallMs == 0 || r.WallMs == 0 {
-				return nil, false
-			}
-			speedup := b.WallMs / r.WallMs
-			fmt.Printf("speedupgate: %-20s wall_ms %10.1f vs baseline %10.1f (%.2fx)\n",
-				r.Name, r.WallMs, b.WallMs, speedup)
-			if speedup < min {
-				bad = append(bad, fmt.Sprintf("%s wall-clock speedup %.2fx < %.2fx", r.Name, speedup, min))
-			}
-			return bad, true
-		})
 }

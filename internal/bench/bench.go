@@ -45,12 +45,6 @@ type Options struct {
 	// streams (zero means seed 1).
 	FaultSpec string
 	FaultSeed uint64
-	// Workers runs every cluster on the parallel discrete-event engine with
-	// this many workers (one shard per node, conservative epoch sync).
-	// 1 is the sequential oracle of the sharded semantics; 0 keeps the
-	// classic single engine. Results are bit-identical across worker
-	// counts >= 1; only wall-clock time changes.
-	Workers int
 }
 
 // withDefaults fills unset options.
@@ -153,32 +147,25 @@ func sweep[P any](what string, params []int, point func(passthru.Mode, int) (P, 
 
 // harness is one experiment run: the options with defaults applied, the
 // cluster currently alive (experiments measure one testbed at a time, so
-// building the next retires the previous), and the engine statistics summed
+// building the next retires the previous), and the events executed, summed
 // over every cluster the run built.
 type harness struct {
-	opt   Options // defaults applied
-	cl    *passthru.Cluster
-	stats sim.RunStats
-	// preStart is a test hook: it sees every cluster between assembly and
-	// bring-up, the only point where the lookahead matrix is still open.
-	preStart func(*passthru.Cluster)
+	opt    Options // defaults applied
+	cl     *passthru.Cluster
+	events uint64
 }
 
 func newHarness(opt Options) *harness { return &harness{opt: opt.withDefaults()} }
 
 // build retires the previous cluster, then creates, formats and starts the
-// next on the engine Options.Workers selects; layout adds files.
+// next; layout adds files.
 func (h *harness) build(cfg passthru.ClusterConfig, layout func(*extfs.Formatter) error) (*passthru.Cluster, error) {
 	h.retire()
-	cfg.Workers = h.opt.Workers
 	cl, err := passthru.NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
 	h.cl = cl
-	if h.preStart != nil {
-		h.preStart(cl)
-	}
 	cl.SetSynthesize(synthContent)
 	fmtr, err := extfs.Format(cl.DirectAccess(), 8192)
 	if err != nil {
@@ -196,21 +183,12 @@ func (h *harness) build(cfg passthru.ClusterConfig, layout func(*extfs.Formatter
 	return cl, nil
 }
 
-// retire folds the live cluster's engine statistics into the run's tally
-// and releases its worker pool.
+// retire folds the live cluster's event count into the run's tally.
 func (h *harness) retire() {
-	if h.cl == nil {
-		return
+	if h.cl != nil {
+		h.events += h.cl.Eng.Processed()
+		h.cl = nil
 	}
-	st := h.cl.Eng.RunStats()
-	h.stats.Epochs += st.Epochs
-	h.stats.Events += st.Events
-	h.stats.StagedAdmits += st.StagedAdmits
-	h.stats.ExclusiveRuns += st.ExclusiveRuns
-	h.stats.Wakes += st.Wakes
-	h.stats.BarrierNs += st.BarrierNs
-	h.cl.Close()
-	h.cl = nil
 }
 
 // withFaults wires the run's fault schedule into a cluster config.

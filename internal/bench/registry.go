@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ncache/internal/passthru"
-	"ncache/internal/sim"
 )
 
 // Experiment is one entry of the registry: everything cmd/ncbench, the
@@ -36,8 +35,8 @@ type Result struct {
 	// reports as custom metrics and -benchjson records next to the host
 	// cost.
 	Headline map[string]float64
-	// Engine sums the engine statistics of every cluster the run built.
-	Engine sim.RunStats
+	// SimEvents sums the events executed by every cluster the run built.
+	SimEvents uint64
 }
 
 // Experiments is the registry, in `-exp all` print order. Adding an
@@ -192,8 +191,8 @@ var Experiments = []Experiment{
 }
 
 // run adapts a typed experiment function and its renderer to
-// Experiment.Run: defaults applied once, every cluster retired, the engine
-// statistics summed over all of them.
+// Experiment.Run: defaults applied once, every cluster retired, the events
+// executed summed over all of them.
 func run[P any](fn func(*harness) (P, error), render func(P, Options) Result) func(Options) (Result, error) {
 	return func(opt Options) (Result, error) {
 		h := newHarness(opt)
@@ -203,7 +202,7 @@ func run[P any](fn func(*harness) (P, error), render func(P, Options) Result) fu
 			return Result{}, err
 		}
 		res := render(pts, h.opt)
-		res.Points, res.Engine = pts, h.stats
+		res.Points, res.SimEvents = pts, h.events
 		return res, nil
 	}
 }
@@ -273,34 +272,24 @@ func Usage() string {
 }
 
 // Record is one experiment's -benchjson line: the host cost of the run
-// (wall-clock, heap-allocation deltas from runtime.MemStats), the engine
-// statistics summed over the experiment's clusters, and the simulated
-// headline. Epochs/SimEvents/StagedAdmits/ExclusiveRuns and the headline are
-// pure functions of the simulated schedule (host-independent, identical for
-// any worker count); WallMs and BarrierMs depend on the host, which is why
-// the report also carries its CPU topology.
+// (wall-clock, heap-allocation deltas from runtime.MemStats), the events
+// executed summed over the experiment's clusters, and the simulated
+// headline. SimEvents and the headline are pure functions of the simulated
+// schedule (host-independent); WallMs depends on the host, which is why the
+// report also carries its CPU topology.
 type Record struct {
-	Name          string             `json:"name"`
-	WallMs        float64            `json:"wall_ms"`
-	AllocBytes    uint64             `json:"alloc_bytes"`
-	Allocs        uint64             `json:"allocs"`
-	Epochs        uint64             `json:"epochs,omitempty"`
-	SimEvents     uint64             `json:"sim_events,omitempty"`
-	StagedAdmits  uint64             `json:"staged_admits,omitempty"`
-	ExclusiveRuns uint64             `json:"exclusive_runs,omitempty"`
-	BarrierMs     float64            `json:"barrier_ms,omitempty"`
-	Headline      map[string]float64 `json:"headline,omitempty"`
+	Name       string             `json:"name"`
+	WallMs     float64            `json:"wall_ms"`
+	AllocBytes uint64             `json:"alloc_bytes"`
+	Allocs     uint64             `json:"allocs"`
+	SimEvents  uint64             `json:"sim_events,omitempty"`
+	Headline   map[string]float64 `json:"headline,omitempty"`
 }
 
 // Measure runs the experiment and returns its result with the record of
-// what the run cost. Parallel runs record under a -wN suffix so worker
-// counts never gate against each other (allocation totals differ with the
-// shard layout even though results are bit-identical).
+// what the run cost.
 func (e Experiment) Measure(opt Options) (Result, Record, error) {
 	rec := Record{Name: e.Name}
-	if opt.Workers > 0 {
-		rec.Name = fmt.Sprintf("%s-w%d", e.Name, opt.Workers)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -309,10 +298,7 @@ func (e Experiment) Measure(opt Options) (Result, Record, error) {
 	runtime.ReadMemStats(&after)
 	rec.AllocBytes = after.TotalAlloc - before.TotalAlloc
 	rec.Allocs = after.Mallocs - before.Mallocs
-	rec.Epochs, rec.SimEvents = res.Engine.Epochs, res.Engine.Events
-	rec.StagedAdmits, rec.ExclusiveRuns = res.Engine.StagedAdmits, res.Engine.ExclusiveRuns
-	rec.BarrierMs = float64(res.Engine.BarrierNs) / 1e6
-	rec.Headline = res.Headline
+	rec.SimEvents, rec.Headline = res.SimEvents, res.Headline
 	if err != nil {
 		err = fmt.Errorf("%s: %w", e.Name, err)
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"ncache/internal/extfs"
 	"ncache/internal/netbuf"
@@ -59,11 +58,8 @@ type ScaleoutPoint struct {
 	InvalsApplied   uint64
 	ResolverRetries uint64
 	EpochFlushes    uint64
-	// Epochs/SimEvents are this point's sharded-engine barrier count and
-	// executed-event count over the whole run (zero on the legacy engine).
-	// Both are pure functions of the schedule, so replay suites may compare
-	// them; Epochs/point is the per-topology view of the epoch-count gate.
-	Epochs    uint64
+	// SimEvents is this point's executed-event count over the whole run — a
+	// pure function of the schedule, so replay suites compare it.
 	SimEvents uint64
 }
 
@@ -124,11 +120,9 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 		NCacheBytes:   64 << 20,
 		// Clients reach the testbed over a LAN hop, not a fabric port:
 		// 50µs of access latency (vs the 5µs switch) is the paper's
-		// client RTT scale, and hands every client shard 10× the
-		// lookahead of a fabric link. The control-plane node sits on the
-		// same LAN tier — it is management traffic with a 10 ms retry
-		// protocol, not data path — which keeps its busy message stream
-		// from capping every server shard's epoch at the fabric floor.
+		// client RTT scale. The control-plane node sits on the same LAN
+		// tier — it is management traffic with a 10 ms retry protocol,
+		// not data path.
 		ClientLinkLatency:  50 * sim.Microsecond,
 		ControlLinkLatency: 50 * sim.Microsecond,
 	}), func(f *extfs.Formatter) error {
@@ -189,16 +183,11 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 	// Background flushers: every server syncs its dirty buffer cache on a
 	// staggered period, so dirty FHO-indexed blocks get written out (and
 	// re-indexed by LBN) while the window runs — the remap protocol is on
-	// the measured path, not just an idle-time cleanup. Each flusher ticks
-	// on its own server's shard (the Sync must mutate that server's cache
-	// from its own event stream under the parallel engine); the harness
-	// control shard stays off the per-epoch critical path. flushing is only
-	// written between runs, with every shard quiescent, so the app shards
-	// read it barrier-ordered.
+	// the measured path, not just an idle-time cleanup.
 	flushing := true
+	eng := cl.Eng
 	for i, app := range cl.Apps {
 		app := app
-		eng := app.Node.Eng
 		var tick func()
 		tick = func() {
 			if !flushing {
@@ -250,28 +239,20 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 			p.EpochFlushes += sc.Resolver.Stats.EpochFlush
 		}
 	}
-	// Per-point epoch counts sit alongside the run-wide sum the harness
-	// keeps.
-	st := cl.Eng.RunStats()
-	p.Epochs, p.SimEvents = st.Epochs, st.Events
+	p.SimEvents = cl.Eng.Processed()
 	opt.Chrome.Add(tr)
 	return p, nil
 }
 
-// prefillRouted streams every file once through its owning server. The
-// completion tallies are mutex-guarded: each file's chain of callbacks runs
-// on its issuing host's shard under the parallel engine.
+// prefillRouted streams every file once through its owning server.
 func prefillRouted(cl *passthru.Cluster, scs []*passthru.ScaleClient, files []nfs.FH, fileSize uint64, reqSize int) error {
-	var mu sync.Mutex
 	pending := len(files)
 	var werr error
 	fileDone := func(err error) {
-		mu.Lock()
 		if err != nil && werr == nil {
 			werr = err
 		}
 		pending--
-		mu.Unlock()
 	}
 	for i, fh := range files {
 		fh := fh
@@ -343,14 +324,13 @@ func FormatScaleoutPoints(points []ScaleoutPoint) string {
 			p.Errors+p.RouteErrors)
 	}
 	b.WriteString("\ncontrol-plane activity (whole run):\n")
-	fmt.Fprintf(&b, "%-7s %9s %8s %9s %7s %7s %8s %8s %7s %7s %9s\n",
-		"servers", "lookups", "members", "ringHits", "remaps", "sent", "retries", "invals", "rslvRtr", "epFlush", "epochs")
+	fmt.Fprintf(&b, "%-7s %9s %8s %9s %7s %7s %8s %8s %7s %7s\n",
+		"servers", "lookups", "members", "ringHits", "remaps", "sent", "retries", "invals", "rslvRtr", "epFlush")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%-7d %9d %8d %9d %7d %7d %8d %8d %7d %7d %9d\n",
+		fmt.Fprintf(&b, "%-7d %9d %8d %9d %7d %7d %8d %8d %7d %7d\n",
 			p.Servers, p.CPLookups, p.CPMembers, p.LocalRouteHits,
 			p.RemapsStarted, p.RemapsSent,
-			p.RemapRetries, p.InvalsApplied, p.ResolverRetries, p.EpochFlushes,
-			p.Epochs)
+			p.RemapRetries, p.InvalsApplied, p.ResolverRetries, p.EpochFlushes)
 	}
 	return b.String()
 }

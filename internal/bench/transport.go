@@ -47,7 +47,7 @@ func connectNFSUDP(cl *passthru.Cluster) ([]*nfs.Client, error) { return nfsClie
 // connectNFSTCP dials a record-marked stream client per host, spread across
 // the server NICs like the datagram clients are.
 func connectNFSTCP(cl *passthru.Cluster) ([]*nfs.Client, error) {
-	// Each dial completes on its own host's shard, into its own slot.
+	// Each dial completes into its own slot.
 	clients := make([]*nfs.Client, len(cl.Clients))
 	errs := make([]error, len(cl.Clients))
 	for i, h := range cl.Clients {

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"ncache/internal/extfs"
 	"ncache/internal/passthru"
-	"ncache/internal/sim"
 	"ncache/internal/workload"
 )
 
@@ -137,39 +135,33 @@ func fig6b(h *harness) ([]WebPoint, error) {
 }
 
 // dialWebConns opens n persistent connections per client host, spread
-// across server NICs, returned in the order they were established. Each
-// dial completes on its own host's shard into its own slot; ordering the
-// slots by completion instant reproduces the sequential engine's completion
-// order on any engine.
+// across server NICs, returned in the order they were established.
 func dialWebConns(cl *passthru.Cluster, perHost int) ([]*passthru.HTTPConn, error) {
-	type dialed struct {
-		conn *passthru.HTTPConn
-		err  error
-		at   sim.Time
-	}
-	slots := make([]dialed, len(cl.Clients)*perHost)
+	var conns []*passthru.HTTPConn
+	var dialErr error
+	want := len(cl.Clients) * perHost
 	for ci, host := range cl.Clients {
 		for k := 0; k < perHost; k++ {
-			host, slot := host, &slots[ci*perHost+k]
 			nic := cl.App.Node.NICs()[ci%len(cl.App.Node.NICs())]
 			host.DialHTTP(nic.Addr, func(h *passthru.HTTPConn, err error) {
-				*slot = dialed{h, err, host.Node.Eng.Now()}
+				if err != nil {
+					if dialErr == nil {
+						dialErr = err
+					}
+					return
+				}
+				conns = append(conns, h)
 			})
 		}
 	}
 	if err := cl.Eng.Run(); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(slots, func(i, j int) bool { return slots[i].at < slots[j].at })
-	conns := make([]*passthru.HTTPConn, 0, len(slots))
-	for _, d := range slots {
-		if d.err != nil {
-			return nil, d.err
-		}
-		if d.conn == nil {
-			return nil, fmt.Errorf("bench: dialed %d/%d web connections", len(conns), len(slots))
-		}
-		conns = append(conns, d.conn)
+	if dialErr != nil {
+		return nil, dialErr
+	}
+	if len(conns) != want {
+		return nil, fmt.Errorf("bench: dialed %d/%d web connections", len(conns), want)
 	}
 	return conns, nil
 }

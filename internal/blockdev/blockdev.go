@@ -193,7 +193,7 @@ func (d *MemDisk) submit(write bool, lbn int64, bufs [][]byte, done func(error))
 		io.fire = io.complete
 	}
 	trace.To(d.eng, trace.LDisk)
-	fd := d.faults.Disk(d.eng, d.name)
+	fd := d.faults.Disk(d.name)
 	io.write, io.lbn, io.bufs, io.n, io.fail, io.done = write, lbn, bufs, n, fd.Err, done
 	d.arm.Use(d.serviceTime(lbn, n)+fd.Delay, io.fire)
 }

@@ -33,8 +33,8 @@ type FlusherConfig struct {
 }
 
 // flusher is the cache's background write-back state. All of it runs on the
-// cache's node engine — its own shard under the parallel engine — so flush
-// scheduling is part of the deterministic event schedule.
+// cache's node engine, so flush scheduling is part of the deterministic
+// event schedule.
 type flusher struct {
 	cfg      FlusherConfig
 	timerSet bool

@@ -16,9 +16,9 @@ import (
 	"testing"
 )
 
-// listPackages resolves every internal package's directory and the export
-// data of the full dependency graph, using the go tool itself so the guard
-// sees exactly what the build sees.
+// listPackages resolves the directory of every package under internal/ and
+// cmd/ and the export data of the full dependency graph, using the go tool
+// itself so the guards see exactly what the build sees.
 func listPackages(t *testing.T) (pkgDirs map[string]string, exports map[string]string) {
 	t.Helper()
 	out, err := exec.Command("go", "env", "GOMOD").Output()
@@ -46,21 +46,84 @@ func listPackages(t *testing.T) (pkgDirs map[string]string, exports map[string]s
 		if export != "" {
 			exports[path] = export
 		}
-		if strings.HasPrefix(path, "ncache/internal/") {
+		if strings.HasPrefix(path, "ncache/internal/") || strings.HasPrefix(path, "ncache/cmd/") {
 			pkgDirs[path] = dir
 		}
 	}
 	if len(pkgDirs) == 0 {
-		t.Fatal("go list resolved no ncache/internal packages")
+		t.Fatal("go list resolved no ncache/internal or ncache/cmd packages")
 	}
 	return pkgDirs, exports
 }
 
+// sourceFiles parses the non-test Go files of one package directory.
+func sourceFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("%s: %v", dir, err)
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		full := filepath.Join(dir, name)
+		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", full, err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// relPos renders a position relative to the module root.
+func relPos(pos token.Position) string {
+	rel := pos.Filename
+	for _, top := range []string{"internal", "cmd"} {
+		if i := strings.Index(rel, top+string(filepath.Separator)); i >= 0 {
+			rel = rel[i:]
+			break
+		}
+	}
+	return fmt.Sprintf("%s:%d", rel, pos.Line)
+}
+
+// TestNoGoroutines is the single-goroutine guard: no non-test file under
+// internal/ or cmd/ may contain a go statement. Pools, RX rings, refcounts
+// and every counter of a cluster are plain fields because nothing but the
+// caller's goroutine ever touches a cluster (DESIGN.md §11); a goroutine
+// inside the simulator would make each of them a data race.
+func TestNoGoroutines(t *testing.T) {
+	pkgDirs, _ := listPackages(t)
+	fset := token.NewFileSet()
+	var violations []string
+	for _, dir := range pkgDirs { // det: sorted below
+		for _, f := range sourceFiles(t, fset, dir) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					violations = append(violations, relPos(fset.Position(g.Pos())))
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(violations)
+	if len(violations) > 0 {
+		t.Errorf("go statements in simulator code (a cluster is single-goroutine by "+
+			"design and its state is unsynchronised — see DESIGN.md §11, \"One engine, "+
+			"and why\"; run clusters concurrently from tests instead):\n  %s",
+			strings.Join(violations, "\n  "))
+	}
+}
+
 // TestNoUnannotatedMapRanges is the determinism guard: every `for ... range`
-// over a map in every internal package must carry a `// det:` annotation on
-// its own or the preceding line, stating why the unordered iteration cannot
-// perturb the replayed schedule (see the package comment for the
-// vocabulary). The check is type-based — renaming a variable or aliasing a
+// over a map in every internal/ and cmd/ package must carry a `// det:`
+// annotation on its own or the preceding line, stating why the unordered
+// iteration cannot perturb the replayed schedule (see the package comment for
+// the vocabulary). The check is type-based — renaming a variable or aliasing a
 // map type does not evade it.
 func TestNoUnannotatedMapRanges(t *testing.T) {
 	pkgDirs, exports := listPackages(t)
@@ -82,25 +145,13 @@ func TestNoUnannotatedMapRanges(t *testing.T) {
 
 	var violations []string
 	for _, path := range paths {
-		dir := pkgDirs[path]
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
+		files := sourceFiles(t, fset, pkgDirs[path])
+		if len(files) == 0 {
+			continue
 		}
-		var files []*ast.File
 		// detLines[filename] holds the lines carrying a det: annotation.
 		detLines := map[string]map[int]bool{}
-		for _, e := range entries {
-			name := e.Name()
-			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			full := filepath.Join(dir, name)
-			f, err := parser.ParseFile(fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatalf("parse %s: %v", full, err)
-			}
-			files = append(files, f)
+		for _, f := range files {
 			lines := map[int]bool{}
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
@@ -109,10 +160,7 @@ func TestNoUnannotatedMapRanges(t *testing.T) {
 					}
 				}
 			}
-			detLines[full] = lines
-		}
-		if len(files) == 0 {
-			continue
+			detLines[fset.Position(f.Pos()).Filename] = lines
 		}
 		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
 		conf := types.Config{Importer: imp, FakeImportC: true}
@@ -135,11 +183,7 @@ func TestNoUnannotatedMapRanges(t *testing.T) {
 				pos := fset.Position(rs.Pos())
 				annotated := detLines[pos.Filename][pos.Line] || detLines[pos.Filename][pos.Line-1]
 				if !annotated {
-					rel := pos.Filename
-					if i := strings.Index(rel, "internal"+string(filepath.Separator)); i >= 0 {
-						rel = rel[i:]
-					}
-					violations = append(violations, fmt.Sprintf("%s:%d", rel, pos.Line))
+					violations = append(violations, relPos(pos))
 				}
 				return true
 			})

@@ -1,4 +1,5 @@
-// Package detguard holds the repository's map-iteration determinism guard.
+// Package detguard holds the repository's source-level determinism guards:
+// annotated map iteration, and no goroutines inside the simulator.
 //
 // Go randomizes map iteration order. On the simulation's event path an
 // unordered iteration that schedules events, mutates model state, or formats
@@ -18,4 +19,8 @@
 //
 // New map ranges without an annotation fail the guard, forcing the claim to
 // be stated — and reviewed — where the iteration happens.
+//
+// The second guard, TestNoGoroutines, fails on any go statement in non-test
+// code under internal/ or cmd/: a cluster's state is unsynchronised because
+// only the caller's goroutine ever touches it (DESIGN.md §11).
 package detguard

@@ -20,10 +20,8 @@ package fault
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
-	"sync"
 
 	"ncache/internal/sim"
 	"ncache/internal/trace"
@@ -168,77 +166,27 @@ func (s Schedule) matches(site string) bool {
 	return site == t
 }
 
-// fstate is one random stream plus its injection counters: a schedule has
-// exactly one on a sequential engine, and one per injection site on a
-// sharded engine (each site belongs to one shard, so its stream advances
-// deterministically regardless of what other shards do concurrently).
-type fstate struct {
-	rng *sim.RNG
-	// injected counts faults fired from this stream.
-	injected uint64
-	// delayed accumulates the virtual time this stream injected.
-	delayed sim.Duration
-	// burst tracks the pending CPU-burst event for Quiesce, together with
-	// the engine (shard) it was scheduled on.
-	burst    sim.EventID
-	burstEng *sim.Engine
-}
-
-// schedState is one schedule plus its random-stream state.
+// schedState is one schedule plus its random stream and injection counters.
 type schedState struct {
 	Schedule
-	// seed is this schedule's stream seed (per-site streams derive from it
-	// by hashing the site name, so stream identity is independent of the
-	// order sites first fire).
-	seed uint64
-	// legacy is the single shared stream used on sequential engines — the
-	// original per-schedule stream, byte-identical to prior releases.
-	legacy fstate
-	// sites holds the per-site streams of a sharded run. mu guards only
-	// the map shape (lazy creation); each entry is owned by its site's
-	// shard afterwards.
-	mu    sync.RWMutex
-	sites map[string]*fstate
+	rng *sim.RNG
+	// injected counts faults fired by this schedule.
+	injected uint64
+	// delayed accumulates the virtual time this schedule injected.
+	delayed sim.Duration
+	// burst tracks the pending CPU-burst or kill event for Quiesce.
+	burst sim.EventID
 }
 
-// state returns the stream that decides for site: the schedule's shared
-// stream on a sequential engine, the site's own stream on a sharded one.
-func (st *schedState) state(site string, sharded bool) *fstate {
-	if !sharded {
-		return &st.legacy
-	}
-	st.mu.RLock()
-	fs := st.sites[site]
-	st.mu.RUnlock()
-	if fs != nil {
-		return fs
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if fs = st.sites[site]; fs != nil {
-		return fs
-	}
-	h := fnv.New64a()
-	h.Write([]byte(site))
-	fs = &fstate{rng: sim.NewRNG(st.seed ^ h.Sum64())}
-	if st.sites == nil {
-		st.sites = make(map[string]*fstate)
-	}
-	st.sites[site] = fs
-	return fs
-}
-
-// active reports whether the schedule may fire at time now from stream fs
-// (the Count cap is per stream: per schedule sequentially, per site on a
-// sharded engine).
-func (st *schedState) active(now sim.Time, fs *fstate) bool {
+// active reports whether the schedule may fire at time now.
+func (st *schedState) active(now sim.Time) bool {
 	if now < st.Start {
 		return false
 	}
 	if st.End > 0 && now > st.End {
 		return false
 	}
-	if st.Count > 0 && fs.injected >= st.Count {
+	if st.Count > 0 && st.injected >= st.Count {
 		return false
 	}
 	return true
@@ -266,10 +214,9 @@ type cpuSite struct {
 }
 
 // killSite is one node registered for NodeKill schedules: fn crashes the
-// node, on its own engine (shard).
+// node.
 type killSite struct {
 	site string
-	eng  *sim.Engine
 	fn   func()
 }
 
@@ -278,15 +225,11 @@ type killSite struct {
 // bring-up, formatting and prefill run fault-free; Arm starts injection and
 // Quiesce stops it again before the post-window drain.
 type Injector struct {
-	eng  *sim.Engine
-	seed uint64
-	// sharded mirrors eng.Sharded(): per-site random streams and per-shard
-	// burst scheduling, so decisions stay deterministic under the parallel
-	// engine.
-	sharded bool
-	scheds  []*schedState
-	cpus    []cpuSite
-	kills   []killSite
+	eng    *sim.Engine
+	seed   uint64
+	scheds []*schedState
+	cpus   []cpuSite
+	kills  []killSite
 	// armed gates all injection; quiesced is the terminal off state (set
 	// before the post-window drain so recovery completes and the event
 	// loop terminates).
@@ -301,7 +244,7 @@ func New(eng *sim.Engine, seed uint64) *Injector {
 	if seed == 0 {
 		seed = 1
 	}
-	return &Injector{eng: eng, seed: seed, sharded: eng.Sharded()}
+	return &Injector{eng: eng, seed: seed}
 }
 
 // Seed returns the injector's seed.
@@ -319,9 +262,7 @@ func (in *Injector) Add(s Schedule) {
 	}
 	idx := uint64(len(in.scheds))
 	seed := in.seed ^ (0x9e3779b97f4a7c15 * (idx + 1))
-	st := &schedState{Schedule: s, seed: seed}
-	st.legacy.rng = sim.NewRNG(seed)
-	in.scheds = append(in.scheds, st)
+	in.scheds = append(in.scheds, &schedState{Schedule: s, rng: sim.NewRNG(seed)})
 }
 
 // Schedules returns copies of the installed schedules.
@@ -379,16 +320,9 @@ func (in *Injector) Quiesce() {
 	}
 	in.quiesced = true
 	for _, st := range in.scheds {
-		if in.eng.Cancel(st.legacy.burst) {
-			st.legacy.burst = sim.EventID{}
+		if in.eng.Cancel(st.burst) {
+			st.burst = sim.EventID{}
 		}
-		st.mu.RLock()
-		for _, fs := range st.sites { // det:commutative — independent cancels
-			if fs.burstEng != nil && fs.burstEng.Cancel(fs.burst) {
-				fs.burst = sim.EventID{}
-			}
-		}
-		st.mu.RUnlock()
 	}
 }
 
@@ -396,11 +330,12 @@ func (in *Injector) Quiesce() {
 // classes and folds the outcomes into one Decision. Each matching schedule
 // draws exactly once per opportunity whether or not it fires, keeping each
 // stream's consumption independent of other schedules' outcomes.
-func (in *Injector) decide(eng *sim.Engine, site string, classes ...Class) Decision {
+func (in *Injector) decide(site string, classes ...Class) Decision {
 	var d Decision
 	if in == nil || !in.armed || in.quiesced {
 		return d
 	}
+	eng := in.eng
 	now := eng.Now()
 	for _, st := range in.scheds {
 		wanted := false
@@ -413,14 +348,13 @@ func (in *Injector) decide(eng *sim.Engine, site string, classes ...Class) Decis
 		if !wanted || !st.matches(site) {
 			continue
 		}
-		fs := st.state(site, in.sharded)
-		if !st.active(now, fs) {
+		if !st.active(now) {
 			continue
 		}
-		if st.Rate <= 0 || fs.rng.Float64() >= st.Rate {
+		if st.Rate <= 0 || st.rng.Float64() >= st.Rate {
 			continue
 		}
-		fs.injected++
+		st.injected++
 		switch st.Class {
 		case FrameDrop:
 			d.Drop = true
@@ -433,7 +367,7 @@ func (in *Injector) decide(eng *sim.Engine, site string, classes ...Class) Decis
 			trace.Fault(eng, trace.LNet, 0)
 		case FrameDelay, DiskSlow:
 			d.Delay += st.Delay
-			fs.delayed += st.Delay
+			st.delayed += st.Delay
 			trace.Fault(eng, layerOf(st.Class), st.Delay)
 		case DiskError:
 			d.Err = true
@@ -444,21 +378,20 @@ func (in *Injector) decide(eng *sim.Engine, site string, classes ...Class) Decis
 }
 
 // FrameTx is consulted by a NIC for each outgoing frame; site is
-// "<node>.tx". eng is the shard the query runs on (the NIC's node engine).
-func (in *Injector) FrameTx(eng *sim.Engine, site string) Decision {
-	return in.decide(eng, site, FrameDrop, FrameCorrupt, FrameDelay, FrameDup)
+// "<node>.tx".
+func (in *Injector) FrameTx(site string) Decision {
+	return in.decide(site, FrameDrop, FrameCorrupt, FrameDelay, FrameDup)
 }
 
 // FrameRx is consulted by the switch for each frame heading to a port; site
-// is "<node>.rx", eng the destination node's engine.
-func (in *Injector) FrameRx(eng *sim.Engine, site string) Decision {
-	return in.decide(eng, site, FrameDrop, FrameCorrupt, FrameDelay, FrameDup)
+// is "<node>.rx".
+func (in *Injector) FrameRx(site string) Decision {
+	return in.decide(site, FrameDrop, FrameCorrupt, FrameDelay, FrameDup)
 }
 
-// Disk is consulted by a disk arm for each I/O; site is the disk name, eng
-// the arm's engine.
-func (in *Injector) Disk(eng *sim.Engine, site string) Decision {
-	return in.decide(eng, site, DiskSlow, DiskError)
+// Disk is consulted by a disk arm for each I/O; site is the disk name.
+func (in *Injector) Disk(site string) Decision {
+	return in.decide(site, DiskSlow, DiskError)
 }
 
 // AttachCPU registers a node's scheduler resource as a CPU-burst site; site
@@ -471,61 +404,57 @@ func (in *Injector) AttachCPU(site string, cpu *sim.Resource) {
 	in.cpus = append(in.cpus, cpuSite{site: site, cpu: cpu})
 }
 
-// AttachKill registers a node as a NodeKill site; site is the node's name,
-// eng its engine (shard) and fn its crash handler. Call once per killable
-// node at testbed assembly — the one-shot kill event is armed at Arm.
-func (in *Injector) AttachKill(site string, eng *sim.Engine, fn func()) {
+// AttachKill registers a node as a NodeKill site; site is the node's name
+// and fn its crash handler. Call once per killable node at testbed assembly
+// — the one-shot kill event is armed at Arm.
+func (in *Injector) AttachKill(site string, fn func()) {
 	if in == nil {
 		return
 	}
-	in.kills = append(in.kills, killSite{site: site, eng: eng, fn: fn})
+	in.kills = append(in.kills, killSite{site: site, fn: fn})
 }
 
-// scheduleKill arms one deterministic crash at the schedule's Start instant
-// on the victim's own shard. The event is tracked in the site's stream
-// state so Quiesce cancels a kill that has not fired yet.
+// scheduleKill arms one deterministic crash at the schedule's Start
+// instant. The event is tracked in the schedule's state so Quiesce cancels a
+// kill that has not fired yet.
 func (in *Injector) scheduleKill(st *schedState, ks killSite) {
-	fs := st.state(ks.site, in.sharded)
+	eng := in.eng
 	at := st.Start
-	if at < ks.eng.Now() {
-		at = ks.eng.Now()
+	if at < eng.Now() {
+		at = eng.Now()
 	}
-	fs.burstEng = ks.eng
-	fs.burst = ks.eng.At(at, func() {
-		if in.quiesced || !st.active(ks.eng.Now(), fs) {
+	st.burst = eng.At(at, func() {
+		if in.quiesced || !st.active(eng.Now()) {
 			return
 		}
-		fs.injected++
+		st.injected++
 		ks.fn()
 	})
 }
 
 // scheduleBurst arms one burst at a jittered offset within the period
-// starting at from. Bursts run on the CPU's own shard, drawing from the
-// site's stream.
+// starting at from.
 func (in *Injector) scheduleBurst(st *schedState, cs cpuSite, from sim.Time) {
 	if !in.armed || in.quiesced {
 		return
 	}
-	eng := cs.cpu.Engine()
-	fs := st.state(cs.site, in.sharded)
+	eng := in.eng
 	if from < eng.Now() {
 		from = eng.Now()
 	}
-	at := from.Add(sim.Duration(float64(st.Period) * fs.rng.Float64()))
+	at := from.Add(sim.Duration(float64(st.Period) * st.rng.Float64()))
 	if st.End > 0 && at > st.End {
 		return
 	}
-	if st.Count > 0 && fs.injected >= st.Count {
+	if st.Count > 0 && st.injected >= st.Count {
 		return
 	}
-	fs.burstEng = eng
-	fs.burst = eng.At(at, func() {
-		if in.quiesced || !st.active(eng.Now(), fs) {
+	st.burst = eng.At(at, func() {
+		if in.quiesced || !st.active(eng.Now()) {
 			return
 		}
-		fs.injected++
-		fs.delayed += st.Delay
+		st.injected++
+		st.delayed += st.Delay
 		cs.cpu.Use(st.Delay, nil)
 		in.scheduleBurst(st, cs, from.Add(st.Period))
 	})
@@ -548,18 +477,11 @@ func (in *Injector) Report() []ScheduleReport {
 	}
 	out := make([]ScheduleReport, 0, len(in.scheds))
 	for _, st := range in.scheds {
-		r := ScheduleReport{
+		out = append(out, ScheduleReport{
 			Spec:     st.Schedule.String(),
-			Injected: st.legacy.injected,
-			Delayed:  st.legacy.delayed,
-		}
-		st.mu.RLock()
-		for _, fs := range st.sites { // det:commutative — summing counters
-			r.Injected += fs.injected
-			r.Delayed += fs.delayed
-		}
-		st.mu.RUnlock()
-		out = append(out, r)
+			Injected: st.injected,
+			Delayed:  st.delayed,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Spec < out[j].Spec })
 	return out

@@ -78,14 +78,13 @@ func TestParseSpecErrors(t *testing.T) {
 // TestNilInjector checks the disabled state declines everything safely.
 func TestNilInjector(t *testing.T) {
 	var in *Injector
-	eng := sim.NewEngine()
 	if in.Enabled() {
 		t.Error("nil injector reports enabled")
 	}
-	if d := in.FrameTx(eng, "x.tx"); d != (Decision{}) {
+	if d := in.FrameTx("x.tx"); d != (Decision{}) {
 		t.Errorf("nil FrameTx = %+v", d)
 	}
-	if d := in.Disk(eng, "disk0"); d != (Decision{}) {
+	if d := in.Disk("disk0"); d != (Decision{}) {
 		t.Errorf("nil Disk = %+v", d)
 	}
 	in.Arm()
@@ -105,7 +104,7 @@ func dropPattern(seed uint64, n int) string {
 	in.Arm()
 	var b strings.Builder
 	for i := 0; i < n; i++ {
-		if in.FrameTx(eng, "app.tx").Drop {
+		if in.FrameTx("app.tx").Drop {
 			b.WriteByte('1')
 		} else {
 			b.WriteByte('0')
@@ -143,12 +142,12 @@ func TestSchedulesIndependent(t *testing.T) {
 		in.Arm()
 		var b strings.Builder
 		for i := 0; i < 512; i++ {
-			if in.FrameTx(eng, "app.tx").Drop {
+			if in.FrameTx("app.tx").Drop {
 				b.WriteByte('1')
 			} else {
 				b.WriteByte('0')
 			}
-			in.Disk(eng, "disk0") // interleave opportunities for the other class
+			in.Disk("disk0") // interleave opportunities for the other class
 		}
 		return b.String()
 	}
@@ -189,16 +188,16 @@ func TestWindowAndCount(t *testing.T) {
 	in.Add(MustParseSpec("diskerr:disk0:rate=1:count=2")[0])
 	in.Arm()
 
-	if in.FrameTx(eng, "a.tx").Drop {
+	if in.FrameTx("a.tx").Drop {
 		t.Error("schedule fired before its start")
 	}
 	eng.Schedule(sim.Duration(1500*sim.Microsecond), func() {
-		if !in.FrameTx(eng, "a.tx").Drop {
+		if !in.FrameTx("a.tx").Drop {
 			t.Error("schedule inactive inside its window")
 		}
 	})
 	eng.Schedule(sim.Duration(3*sim.Millisecond), func() {
-		if in.FrameTx(eng, "a.tx").Drop {
+		if in.FrameTx("a.tx").Drop {
 			t.Error("schedule fired after its end")
 		}
 	})
@@ -208,7 +207,7 @@ func TestWindowAndCount(t *testing.T) {
 
 	fired := 0
 	for i := 0; i < 10; i++ {
-		if in.Disk(eng, "disk0").Err {
+		if in.Disk("disk0").Err {
 			fired++
 		}
 	}

@@ -17,7 +17,6 @@ package netbuf
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // Default geometry, matching the testbed in the paper: 1500-byte Ethernet
@@ -52,11 +51,8 @@ type Buf struct {
 	backing []byte
 	head    int
 	tail    int
-	// refs is manipulated atomically: under the sharded engine, clones of
-	// a cached buffer are retained and released from whichever shard the
-	// request chain is on, concurrently with the owning shard.
-	refs int32
-	pool *Pool
+	refs    int32
+	pool    *Pool
 	// shared marks descriptors that alias another Buf's backing array
 	// (created by Clone). Shared descriptors must not move payload bytes
 	// in place, only adjust their own window.
@@ -85,15 +81,9 @@ func New(headroom, capacity int) *Buf {
 	b.backing = make([]byte, headroom+capacity)
 	b.head = headroom
 	b.tail = headroom
-	setRefs(b, 1)
+	b.refs = 1
 	return b
 }
-
-// setRefs and loadRefs wrap the atomic refcount accesses; addRefs returns
-// the new count.
-func setRefs(b *Buf, n int32)       { atomic.StoreInt32(&b.refs, n) }
-func loadRefs(b *Buf) int32         { return atomic.LoadInt32(&b.refs) }
-func addRefs(b *Buf, d int32) int32 { return atomic.AddInt32(&b.refs, d) }
 
 // FromBytes allocates a standalone Buf whose payload is a copy of p, with
 // DefaultHeadroom of header space.
@@ -121,7 +111,7 @@ func (b *Buf) Tailroom() int { return len(b.backing) - b.tail }
 func (b *Buf) Capacity() int { return len(b.backing) }
 
 // Refs returns the current reference count (for tests and pool accounting).
-func (b *Buf) Refs() int32 { return loadRefs(b) }
+func (b *Buf) Refs() int32 { return b.refs }
 
 // Push grows the payload at the front by n bytes and returns the newly
 // exposed region, analogous to skb_push. Protocol layers write their header
@@ -176,9 +166,9 @@ func (b *Buf) Append(p []byte) error {
 
 // Retain increments the reference count and returns b for chaining.
 func (b *Buf) Retain() *Buf {
-	addRefs(b, 1)
+	b.refs++
 	if b.shared != nil {
-		addRefs(b.shared, 1)
+		b.shared.refs++
 	}
 	return b
 }
@@ -240,11 +230,12 @@ func (b *Buf) Shared() bool { return b.shared != nil }
 // panics in debug mode and is otherwise recorded as a double free; tests
 // assert the counters stay zero.
 func (b *Buf) Release() {
-	if b.freed || loadRefs(b) <= 0 {
+	if b.freed || b.refs <= 0 {
 		recordDoubleFree(b)
 		return
 	}
-	n := addRefs(b, -1)
+	b.refs--
+	n := b.refs
 	if b.shared != nil {
 		root := b.shared
 		root.Release()
@@ -278,12 +269,12 @@ func (b *Buf) Clone() *Buf {
 	if b.shared != nil {
 		root = b.shared
 	}
-	addRefs(root, 1)
+	root.refs++
 	cl := getDesc()
 	cl.backing = b.backing
 	cl.head = b.head
 	cl.tail = b.tail
-	setRefs(cl, 1)
+	cl.refs = 1
 	cl.shared = root
 	return cl
 }
@@ -302,5 +293,5 @@ func (b *Buf) Copy() (*Buf, int) {
 // String summarizes the buffer geometry for debugging.
 func (b *Buf) String() string {
 	return fmt.Sprintf("Buf{len=%d headroom=%d tailroom=%d refs=%d}",
-		b.Len(), b.Headroom(), b.Tailroom(), loadRefs(b))
+		b.Len(), b.Headroom(), b.Tailroom(), b.refs)
 }

@@ -161,10 +161,9 @@ func (c *Chain) Slice(off, n int) (*Chain, error) {
 // never allocates. Fully consumed buffers (including leading empty header
 // buffers left behind by lower layers) are released and removed from the
 // chain. The copy is load-bearing: releasing a drained buffer can return its
-// root to a pool owned by another node's shard, which may recycle the backing
-// array while the caller is still reading the header, so the header must
-// never alias the chain. Headers are small; this never copies payload-scale
-// data.
+// root to its pool, whose next Get recycles the backing array while the
+// caller still holds the header, so the header must never alias the chain.
+// Headers are small; this never copies payload-scale data.
 func (c *Chain) PullHeaderInto(dst []byte) error {
 	if len(dst) > c.Len() {
 		return fmt.Errorf("netbuf: pull header %d, chain len %d", len(dst), c.Len())

@@ -152,9 +152,8 @@ func TestChainPullHeaderSkipsEmptyLeaders(t *testing.T) {
 }
 
 // A pull that drains its buffer must leave the caller an owned copy: releasing the
-// drained buffer can send its root back to a pool that another shard's node
-// owns, and under the parallel engine that shard may recycle the backing
-// array while the caller is still reading the header. (This is how a UDP
+// drained buffer can send its root back to its pool, whose next Get recycles
+// the backing array while the caller still holds the header. (This is how a UDP
 // header clone from a fragmented datagram gets corrupted: the pull empties
 // the 8-byte clone, the release returns the sender's root to its TxPool,
 // and the sender reuses the backing for the next frame's headers.)

@@ -25,10 +25,10 @@ func init() {
 // recycled descriptor, and pools can report exactly who leaked what.
 //
 // The descriptor and chain free lists are process-global and therefore
-// shared across the sharded engine's worker goroutines; descMu guards
-// them. Descriptor identity never affects simulated results (a recycled
-// descriptor is indistinguishable from a fresh one), so the free-list
-// order being interleaving-dependent is harmless.
+// shared by clusters that run on different goroutines (parallel subtests);
+// descMu guards them. Descriptor identity never affects simulated results
+// (a recycled descriptor is indistinguishable from a fresh one), so the
+// free-list order being interleaving-dependent is harmless.
 
 // debugMode switches the substrate from recycle-on-release to
 // poison-on-release. See SetDebug.
@@ -68,9 +68,7 @@ func recordDoubleFree(b *Buf) {
 		panic(fmt.Sprintf("netbuf: double free of %s (owner %q)", b, b.owner))
 	}
 	if p := b.pool; p != nil {
-		p.mu.Lock()
 		p.doubleFrees++
-		p.mu.Unlock()
 		return
 	}
 	globalDoubleFrees.Add(1)

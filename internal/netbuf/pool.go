@@ -1,9 +1,6 @@
 package netbuf
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Pool is a bounded allocator of fixed-geometry network buffers, standing in
 // for the device driver's receive-ring allocation in the paper. Buffers from
@@ -16,15 +13,9 @@ type Pool struct {
 	bufSize  int
 	capacity int // max outstanding buffers; 0 = unlimited
 
-	// mu guards the free list and counters. Pools are shared-mutable state
-	// under the sharded engine: registered-receive adoption and lend-back
-	// move buffers between pools owned by different shards mid-epoch. The
-	// critical sections are a few loads and stores; the payload zeroing in
-	// Get happens outside the lock. Order-sensitive counters (peak, allocs,
-	// reuses) are diagnostics only and are never captured by seed-replay
-	// experiments.
-	mu sync.Mutex
-
+	// The fields below are unsynchronised: a pool belongs to one node of one
+	// cluster, and a cluster is only ever touched by one goroutine
+	// (DESIGN.md §11).
 	free        []*Buf
 	outstanding int
 	allocs      uint64
@@ -69,9 +60,7 @@ func (p *Pool) Get() (*Buf, error) { return p.get(0) }
 // a recycled buffer is zeroed everywhere else — headroom and the tail the
 // fill does not cover — and those fill bytes are left for the caller.
 func (p *Pool) get(fill int) (*Buf, error) {
-	p.mu.Lock()
 	if p.capacity > 0 && p.outstanding >= p.capacity {
-		p.mu.Unlock()
 		return nil, &ErrPoolExhausted{Pool: p.name, Cap: p.capacity}
 	}
 	p.outstanding++
@@ -84,10 +73,9 @@ func (p *Pool) get(fill int) (*Buf, error) {
 		p.free = p.free[:n-1]
 		p.reuses++
 		p.track(b)
-		p.mu.Unlock()
 		b.head = p.headroom
 		b.tail = p.headroom
-		setRefs(b, 1)
+		b.refs = 1
 		b.owner = p.name
 		// A recycled buffer must never expose its previous owner's bytes
 		// (requests are isolated): once the caller has written its fill,
@@ -97,13 +85,10 @@ func (p *Pool) get(fill int) (*Buf, error) {
 		return b, nil
 	}
 	p.allocs++
-	p.mu.Unlock()
 	b := New(p.headroom, p.bufSize)
 	b.pool = p
 	b.owner = p.name
-	p.mu.Lock()
 	p.track(b)
-	p.mu.Unlock()
 	return b, nil
 }
 
@@ -196,11 +181,9 @@ func (p *Pool) GetZeroChain(n int) (*Chain, error) {
 
 // put returns a buffer to the free list. Called from Buf.Release.
 func (p *Pool) put(b *Buf) {
-	p.mu.Lock()
 	p.outstanding--
 	p.untrack(b)
 	p.free = append(p.free, b)
-	p.mu.Unlock()
 }
 
 // Adopt re-homes an unshared pool-owned buffer into p: the buffer's
@@ -215,29 +198,22 @@ func (p *Pool) put(b *Buf) {
 // changing nothing, when the buffer is not adoptable.
 func (p *Pool) Adopt(b *Buf) bool {
 	src := b.pool
-	if src == nil || src == p || b.shared != nil || loadRefs(b) <= 0 || b.freed {
+	if src == nil || src == p || b.shared != nil || b.refs <= 0 || b.freed {
 		return false
 	}
 	if len(b.backing) != p.headroom+p.bufSize {
 		return false
 	}
-	// Two pools, two phases, never both locks at once: the caller holds
-	// the buffer exclusively, so the transient where it is charged to
-	// neither pool is invisible to anyone else.
-	src.mu.Lock()
 	src.outstanding--
 	src.untrack(b)
-	src.mu.Unlock()
 	b.pool = p
 	b.owner = p.name
-	p.mu.Lock()
 	p.outstanding++
 	if p.outstanding > p.peak {
 		p.peak = p.outstanding
 	}
 	p.adopted++
 	p.track(b)
-	p.mu.Unlock()
 	return true
 }
 
@@ -252,31 +228,23 @@ func (p *Pool) Lend(dst *Pool) {
 		return
 	}
 	var b *Buf
-	p.mu.Lock()
+	p.lent++
 	if n := len(p.free); n > 0 {
 		b = p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		p.lent++
-		p.mu.Unlock()
 	} else {
 		p.allocs++
-		p.lent++
-		p.mu.Unlock()
 		b = New(p.headroom, p.bufSize)
-		setRefs(b, 0)
+		b.refs = 0
 	}
 	b.pool = dst
-	dst.mu.Lock()
 	dst.free = append(dst.free, b)
-	dst.mu.Unlock()
 }
 
 // LeakReport lists the owner tags of outstanding buffers (debug mode only;
 // returns nil otherwise). Tags repeat once per leaked buffer.
 func (p *Pool) LeakReport() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.live == nil {
 		return nil
 	}
@@ -291,71 +259,40 @@ func (p *Pool) LeakReport() []string {
 // owners in debug mode — the leak analogue of the debug-mode double-free
 // panic. Tests call it at quiesce points.
 func (p *Pool) MustBeDrained() {
-	p.mu.Lock()
-	n := p.outstanding
-	p.mu.Unlock()
-	if n == 0 {
+	if p.outstanding == 0 {
 		return
 	}
 	panic(fmt.Sprintf("netbuf: pool %q leaked %d buffers (owners %v)",
-		p.name, n, p.LeakReport()))
+		p.name, p.outstanding, p.LeakReport()))
 }
 
 // Outstanding returns the number of buffers currently held by callers.
-func (p *Pool) Outstanding() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.outstanding
-}
+func (p *Pool) Outstanding() int { return p.outstanding }
 
 // OutstandingBytes returns the pinned memory represented by outstanding
 // buffers, counting full backing arrays as a driver would.
 func (p *Pool) OutstandingBytes() int { return p.Outstanding() * (p.headroom + p.bufSize) }
 
 // Peak returns the high-water mark of outstanding buffers.
-func (p *Pool) Peak() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
-}
+func (p *Pool) Peak() int { return p.peak }
 
 // Allocs returns the number of fresh backing-array allocations.
-func (p *Pool) Allocs() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.allocs
-}
+func (p *Pool) Allocs() uint64 { return p.allocs }
 
 // Reuses returns the number of Get calls satisfied from the free list.
-func (p *Pool) Reuses() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reuses
-}
+func (p *Pool) Reuses() uint64 { return p.reuses }
 
 // DoubleFrees returns the number of Release calls on already-free buffers.
 // Tests assert this stays zero.
-func (p *Pool) DoubleFrees() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.doubleFrees
-}
+func (p *Pool) DoubleFrees() uint64 { return p.doubleFrees }
 
 // Adopted returns the number of buffers re-homed into this pool by Adopt
 // (the registered-receive DMA count).
-func (p *Pool) Adopted() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.adopted
-}
+func (p *Pool) Adopted() uint64 { return p.adopted }
 
 // Lent returns the number of replacement buffers this pool donated to
 // senders via Lend.
-func (p *Pool) Lent() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lent
-}
+func (p *Pool) Lent() uint64 { return p.lent }
 
 // Name returns the pool's diagnostic name.
 func (p *Pool) Name() string { return p.name }

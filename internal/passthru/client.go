@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"ncache/internal/controlplane"
 	"ncache/internal/fault"
@@ -99,10 +98,6 @@ func (c *ClientHost) DialHTTP(server eth.Addr, done func(*HTTPConn, error)) {
 		done(h, nil)
 	})
 }
-
-// Node returns the client host's node (its Eng is the shard the
-// connection's completions run on).
-func (h *HTTPConn) Node() *simnet.Node { return h.host.Node }
 
 // Get requests a path; done receives the body length. One request may be
 // outstanding per connection.
@@ -208,8 +203,7 @@ func contentLength(header string) int {
 	return n
 }
 
-// FabricLatency is the switch's one-way port latency — and therefore the
-// sharded engine's lookahead: no frame crosses nodes in less time.
+// FabricLatency is the switch's one-way port latency.
 const FabricLatency = 5 * sim.Microsecond
 
 // Cluster bundles a full testbed: storage, app server(s), clients, fabric.
@@ -275,23 +269,18 @@ type ClusterConfig struct {
 	// random streams (zero means seed 1).
 	FaultSpec string
 	FaultSeed uint64
-	// Workers selects the parallel discrete-event engine: every node gets
-	// its own shard, executed by this many workers under conservative
-	// epoch synchronization (default lookahead = FabricLatency, widened
-	// per shard pair from the link topology). Workers == 1 is the
-	// sequential oracle of the same sharded semantics; 0 keeps the
-	// classic single engine.
+	// Workers is accepted and ignored. Inert shim: it selected the deleted
+	// sharded engine's worker count, and benchmarks/ncmark still sets it
+	// (DESIGN.md §11).
 	Workers int
 	// ClientLinkLatency is the one-way latency of every client's link into
 	// the fabric (0 = FabricLatency). Slower client links model clients one
-	// LAN hop away — and widen the parallel engine's epochs between client
-	// and server shards by the same factor.
+	// LAN hop away.
 	ClientLinkLatency sim.Duration
 	// ControlLinkLatency is the one-way latency of the control-plane node's
 	// link (0 = FabricLatency). The control plane is a management node off
 	// the data path — its protocol is idempotent and retried on a 10 ms
-	// RTO — so placing it a LAN hop away costs nothing and keeps its shard's
-	// message stream from capping every server's epoch at the fabric floor.
+	// RTO — so it may sit a LAN hop away.
 	ControlLinkLatency sim.Duration
 	// Writeback enables the asynchronous write-back pipeline on every
 	// front-end server (see WritebackConfig).
@@ -355,20 +344,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.ControlLinkLatency <= 0 {
 		cfg.ControlLinkLatency = FabricLatency
 	}
-	var eng *sim.Engine
-	if cfg.Workers > 0 {
-		eng = sim.NewSharded(sim.Config{Workers: cfg.Workers, Lookahead: FabricLatency})
-	} else {
-		eng = sim.NewEngine()
-	}
-	// nodeEng returns the engine a node's events run on: its own shard on a
-	// parallel cluster, the shared engine otherwise.
-	nodeEng := func(name string) *sim.Engine {
-		if cfg.Workers > 0 {
-			return eng.NewShard(name)
-		}
-		return eng
-	}
+	eng := sim.NewEngine()
 	nw := simnet.NewNetwork(eng, FabricLatency)
 
 	cl := &Cluster{Eng: eng, Net: nw}
@@ -393,7 +369,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			scfg.Name = fmt.Sprintf("storage%d", j)
 			scfg.DiskPrefix = fmt.Sprintf("s%d.disk", j)
 		}
-		ss, err := NewStorageServer(nodeEng(scfg.Name), nw, scfg)
+		ss, err := NewStorageServer(eng, nw, scfg)
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +390,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				scfg.Cost = cfg.Cost
 				scfg.Name = fmt.Sprintf("storage%dm%d", j, a)
 				scfg.DiskPrefix = fmt.Sprintf("s%dm%d.disk", j, a)
-				ss, err := NewStorageServer(nodeEng(scfg.Name), nw, scfg)
+				ss, err := NewStorageServer(eng, nw, scfg)
 				if err != nil {
 					return nil, err
 				}
@@ -432,7 +408,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.NumServers > 1 {
 		// The control plane comes up before any server so registrations
 		// land on a bound port.
-		cpNode := simnet.NewNode(nodeEng("cp"), "cp", cfg.Cost)
+		cpNode := simnet.NewNode(eng, "cp", cfg.Cost)
 		if _, err := nw.AttachAt(cpNode, ControlAddr, simnet.Gbps, cfg.ControlLinkLatency); err != nil {
 			return nil, fmt.Errorf("cp attach: %w", err)
 		}
@@ -479,7 +455,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.NCacheBytes > 0 {
 			acfg.NCacheBytes = cfg.NCacheBytes
 		}
-		app, err := NewAppServer(nodeEng(acfg.Name), nw, acfg)
+		app, err := NewAppServer(eng, nw, acfg)
 		if err != nil {
 			return nil, err
 		}
@@ -488,15 +464,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cl.App = cl.Apps[0]
 
 	for i := 0; i < cfg.NumClients; i++ {
-		host, err := NewClientHost(nodeEng(fmt.Sprintf("client%d", i)), nw, fmt.Sprintf("client%d", i),
+		host, err := NewClientHost(eng, nw, fmt.Sprintf("client%d", i),
 			ClientAddr0+eth.Addr(i), cfg.Cost, simnet.Gbps, cfg.ClientLinkLatency)
 		if err != nil {
 			return nil, err
 		}
 		cl.Clients = append(cl.Clients, host)
-	}
-	if cfg.Workers > 0 {
-		cl.wireLookahead()
 	}
 	if cfg.FaultSpec != "" {
 		if _, err := cl.InstallFaults(cfg.FaultSeed, cfg.FaultSpec); err != nil {
@@ -533,7 +506,7 @@ func (c *Cluster) InstallFaults(seed uint64, spec string) (*fault.Injector, erro
 	for _, app := range c.Apps {
 		app := app
 		in.AttachCPU(app.Node.Name+".cpu", app.Node.CPU)
-		in.AttachKill(app.Node.Name, app.Node.Eng, app.Crash)
+		in.AttachKill(app.Node.Name, app.Crash)
 		for _, ini := range app.Initiators {
 			ini.SetRetry(faultISCSITries, faultISCSIRetry)
 		}
@@ -551,106 +524,18 @@ func (c *Cluster) InstallFaults(seed uint64, spec string) (*fault.Injector, erro
 	return in, nil
 }
 
-// wireLookahead derives the parallel engine's per-pair lookahead matrix
-// from the link topology AND the protocol flow graph. Every cross-shard
-// event is a frame leaving the source through one of its NICs and landing
-// through one of the destination's, so (src min uplink latency + dst min
-// downlink latency) lower-bounds the pair's signal delay — NIC.launch pays
-// both on the shard crossing. Pairs that exchange no frames at all are
-// NoPost and drop out of the horizon minimum entirely: the testbed's flows
-// are clients↔servers, clients↔control, servers↔storage and
-// servers↔control; storage nodes never address each other, clients never
-// address storage, and servers never address servers. Self-pairs are
-// NoPost too (local schedules never cross the fabric), as is the harness
-// control shard's whole row (RunExclusive synchronizes at barriers, not
-// through the fabric). A frame on a NoPost pair — a model change breaking
-// these invariants — panics loudly in PostTo rather than corrupting the
-// schedule.
-func (c *Cluster) wireLookahead() {
-	type role int
-	const (
-		rStorage role = iota
-		rControl
-		rApp
-		rClient
-	)
-	type row struct {
-		eng  *sim.Engine
-		la   sim.Duration // min attach latency across the node's NICs
-		role role
-	}
-	var rows []row
-	addNode := func(n *simnet.Node, ro role) {
-		min := sim.NoPost
-		for _, nic := range n.NICs() {
-			if l := nic.Latency(); l < min {
-				min = l
-			}
-		}
-		rows = append(rows, row{n.Eng, min, ro})
-	}
-	for _, s := range c.Storages {
-		addNode(s.Node, rStorage)
-	}
-	if c.Control != nil {
-		addNode(c.Control.Node(), rControl)
-	}
-	for _, a := range c.Apps {
-		addNode(a.Node, rApp)
-	}
-	for _, h := range c.Clients {
-		addNode(h.Node, rClient)
-	}
-	talks := func(a, b role) bool {
-		if a > b {
-			a, b = b, a
-		}
-		switch {
-		case a == rStorage && b == rApp: // iSCSI
-			return true
-		case a == rControl && b == rApp: // register/remap/invalidate
-			return true
-		case a == rControl && b == rClient: // routing lookups
-			return true
-		case a == rApp && b == rClient: // NFS / HTTP
-			return true
-		}
-		return false
-	}
-	for _, r := range rows {
-		c.Eng.SetLookahead(c.Eng, r.eng, sim.NoPost)
-		c.Eng.SetLookahead(r.eng, c.Eng, sim.NoPost)
-	}
-	c.Eng.SetLookahead(c.Eng, c.Eng, sim.NoPost)
-	for i, src := range rows {
-		for j, dst := range rows {
-			if i == j || !talks(src.role, dst.role) {
-				c.Eng.SetLookahead(src.eng, dst.eng, sim.NoPost)
-				continue
-			}
-			c.Eng.SetLookahead(src.eng, dst.eng, src.la+dst.la)
-		}
-	}
-}
-
 // Start completes the asynchronous bring-up and runs the engine until every
 // server is serving (and, on scale-out clusters, registered with the
 // control plane).
 func (c *Cluster) Start() error {
-	// The completion callbacks fire on each app server's shard; the mutex
-	// makes the tallies safe under the parallel engine (counts are
-	// commutative, so the outcome stays deterministic).
-	var mu sync.Mutex
 	pending := len(c.Apps)
 	var startErr error
 	for _, app := range c.Apps {
 		app.Start(func(err error) {
-			mu.Lock()
 			if err != nil && startErr == nil {
 				startErr = err
 			}
 			pending--
-			mu.Unlock()
 		})
 	}
 	if err := c.Eng.Run(); err != nil {
@@ -678,9 +563,9 @@ func (c *Cluster) Start() error {
 	return nil
 }
 
-// Close releases the parallel engine's worker pool. It is safe to call more
-// than once.
-func (c *Cluster) Close() { c.Eng.Close() }
+// Close does nothing. Inert shim: it released the deleted sharded engine's
+// worker pool, and benchmarks/ncmark still calls it (DESIGN.md §11).
+func (c *Cluster) Close() {}
 
 // FaultCounters aggregates recovery activity across the testbed: RPC
 // retransmissions, abandoned calls and suppressed duplicate replies over all

@@ -2,6 +2,7 @@ package passthru
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 
 	"ncache/internal/extfs"
@@ -774,18 +775,32 @@ func TestOriginalPaysChecksumWithoutOffload(t *testing.T) {
 	}
 }
 
+// TestClusterDeterminism runs the same small cluster twice, concurrently.
+// The runs must agree — and under -race the pair exercises the only state
+// two clusters share, netbuf's process-global descriptor and chain free
+// lists, without waiting for the replay sweep's parallel subtests.
 func TestClusterDeterminism(t *testing.T) {
-	runOnce := func() (uint64, sim.Time) {
-		cl, _ := testCluster(t, NCache, false)
-		fh := lookupFile(t, cl, "data.bin")
-		for i := 0; i < 5; i++ {
-			readFile(t, cl, fh, uint64(i)*8192, 8192)
-		}
-		return cl.App.Node.Reqs.Ops, cl.Eng.Now()
+	type outcome struct {
+		ops, events uint64
+		now         sim.Time
 	}
-	ops1, t1 := runOnce()
-	ops2, t2 := runOnce()
-	if ops1 != ops2 || t1 != t2 {
-		t.Fatalf("nondeterministic: ops %d/%d, time %v/%v", ops1, ops2, t1, t2)
+	var got [2]outcome
+	t.Run("pair", func(t *testing.T) {
+		for i := range got {
+			i := i
+			t.Run(strconv.Itoa(i), func(t *testing.T) {
+				t.Parallel()
+				cl, _ := testCluster(t, NCache, false)
+				fh := lookupFile(t, cl, "data.bin")
+				for j := 0; j < 5; j++ {
+					readFile(t, cl, fh, uint64(j)*8192, 8192)
+					writeFile(t, cl, fh, uint64(j)*8192, bytes.Repeat([]byte{byte(j)}, 8192))
+				}
+				got[i] = outcome{cl.App.Node.Reqs.Ops, cl.Eng.Processed(), cl.Eng.Now()}
+			})
+		}
+	})
+	if got[0] != got[1] || got[0].ops == 0 {
+		t.Fatalf("nondeterministic: %+v vs %+v", got[0], got[1])
 	}
 }

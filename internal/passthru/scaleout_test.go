@@ -14,13 +14,6 @@ import (
 // preformatted file and a disarmed fault injector.
 func scaleCluster(t *testing.T, servers, targets int, faultSpec string) (*Cluster, extfs.FileSpec) {
 	t.Helper()
-	return scaleClusterW(t, servers, targets, faultSpec, 0)
-}
-
-// scaleClusterW is scaleCluster on the parallel engine (workers > 0 shards
-// the cluster one node per shard; 0 keeps the classic sequential engine).
-func scaleClusterW(t *testing.T, servers, targets int, faultSpec string, workers int) (*Cluster, extfs.FileSpec) {
-	t.Helper()
 	cl, err := NewCluster(ClusterConfig{
 		Mode:          NCache,
 		NumServers:    servers,
@@ -30,7 +23,6 @@ func scaleClusterW(t *testing.T, servers, targets int, faultSpec string, workers
 		BlocksPerDisk: 16 * 1024,
 		FaultSpec:     faultSpec,
 		FaultSeed:     7,
-		Workers:       workers,
 	})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
@@ -49,7 +41,6 @@ func scaleClusterW(t *testing.T, servers, targets int, faultSpec string, workers
 	if err := cl.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	t.Cleanup(cl.Close)
 	return cl, fs
 }
 
@@ -204,13 +195,28 @@ func TestScaleoutRemapInvariantUnderFrameLoss(t *testing.T) {
 // NCACHE_NETBUF_DEBUG pass: after routed traffic, cross-server flushes and
 // the remap/invalidate exchange, every node in the 2×2 cluster — both
 // front-ends, both targets, the control-plane node and the clients — must
-// return every pooled buffer.
+// return every pooled buffer and every RX-ring credit.
 func TestScaleoutPoolsDrain(t *testing.T) {
-	cl, _ := scaleCluster(t, 2, 2, "")
+	testScaleoutPoolsDrain(t, "")
+}
+
+// TestScaleoutPoolsDrainUnderFrameLoss re-runs the leak check with frames
+// dropped on the front-end servers' links, so datagram RPC retransmission,
+// TCP loss recovery and remap retries all release what they retained.
+func TestScaleoutPoolsDrainUnderFrameLoss(t *testing.T) {
+	testScaleoutPoolsDrain(t, "drop:app*:rate=0.05")
+}
+
+func testScaleoutPoolsDrain(t *testing.T, faultSpec string) {
+	cl, _ := scaleCluster(t, 2, 2, faultSpec)
 	fh := lookupFile(t, cl, "data.bin")
 	scA, err := cl.NewScaleClient(cl.Clients[0])
 	if err != nil {
 		t.Fatalf("NewScaleClient: %v", err)
+	}
+	if cl.Faults != nil {
+		scA.SetRetransmit(faultRPCRTO, faultRPCTries)
+		cl.Faults.Arm()
 	}
 
 	// Routed reads (cold route cache exercises the resolver), direct reads
@@ -242,7 +248,23 @@ func TestScaleoutPoolsDrain(t *testing.T) {
 			t.Fatalf("sync: %v", err)
 		}
 	}
+	if cl.Faults != nil {
+		cl.Faults.Quiesce()
+	}
 	run(t, cl)
+
+	if cl.Faults != nil {
+		var injected uint64
+		for _, r := range cl.Faults.Report() {
+			injected += r.Injected
+		}
+		if injected == 0 {
+			t.Error("the injector dropped no frames; the faulted phase did not run")
+		}
+		if _, _, _, _, aborted := cl.TCPCounters(); aborted != 0 {
+			t.Errorf("loss recovery aborted %d connections", aborted)
+		}
+	}
 
 	for _, app := range cl.Apps {
 		if app.Module != nil {
@@ -250,93 +272,6 @@ func TestScaleoutPoolsDrain(t *testing.T) {
 		}
 		if app.InvalDropGiveups != 0 {
 			t.Errorf("%s: %d invalidations gave up on pinned blocks", app.Node.Name, app.InvalDropGiveups)
-		}
-	}
-	nodes := []*simnet.Node{cl.Control.Node()}
-	for _, app := range cl.Apps {
-		nodes = append(nodes, app.Node)
-	}
-	for _, st := range cl.Storages {
-		nodes = append(nodes, st.Node)
-	}
-	for _, h := range cl.Clients {
-		nodes = append(nodes, h.Node)
-	}
-	for _, n := range nodes {
-		checkPoolDrained(t, n.RxPool)
-		checkPoolDrained(t, n.TxPool)
-		checkPoolDrained(t, n.BlkPool)
-		for _, nic := range n.NICs() {
-			if got := nic.Ring().Outstanding(); got != 0 {
-				t.Errorf("%s %s: RX ring %d credits outstanding", n.Name, nic.Addr, got)
-			}
-		}
-	}
-	if df := netbuf.GlobalDoubleFrees(); df != 0 {
-		t.Errorf("global double frees = %d", df)
-	}
-}
-
-// TestScaleoutPoolsDrainParallelFaults is the parallel-engine leak check
-// the determinism harness gates on: a Workers=4 sharded 2×2 cluster under
-// injected frame loss — datagram RPC retransmission, TCP loss recovery and
-// the remap protocol all crossing shards — must still return every pooled
-// buffer and every RX-ring credit on every node after the drain.
-func TestScaleoutPoolsDrainParallelFaults(t *testing.T) {
-	cl, _ := scaleClusterW(t, 2, 2, "drop:app*:rate=0.05", 4)
-	fh := lookupFile(t, cl, "data.bin")
-	scA, err := cl.NewScaleClient(cl.Clients[0])
-	if err != nil {
-		t.Fatalf("NewScaleClient: %v", err)
-	}
-	scA.SetRetransmit(faultRPCRTO, faultRPCTries)
-	cl.Faults.Arm()
-
-	routedRead := func(off uint64, n int) {
-		scA.Route(fh, func(c *nfs.Client, err error) {
-			if err != nil {
-				t.Errorf("route: %v", err)
-				return
-			}
-			c.Read(fh, off, n, func(ch *netbuf.Chain, _ nfs.Attr, err error) {
-				if err != nil {
-					t.Errorf("routed read: %v", err)
-					return
-				}
-				ch.Release()
-			})
-		})
-	}
-	routedRead(0, 16384)
-	routedRead(32768, 16384)
-	run(t, cl)
-	for i, c := range scA.NFS {
-		readVia(t, cl, c, fh, uint64(i)*8192, 16384)
-		writeVia(t, cl, c, fh, uint64(i)*8192, bytes.Repeat([]byte{byte(0x40 + i)}, 8192))
-	}
-	for _, app := range cl.Apps {
-		if err := syncApp(t, cl, app); err != nil {
-			t.Fatalf("sync: %v", err)
-		}
-	}
-	cl.Faults.Quiesce()
-	run(t, cl)
-
-	var injected uint64
-	for _, r := range cl.Faults.Report() {
-		injected += r.Injected
-	}
-	if injected == 0 {
-		t.Error("the injector dropped no frames; the faulted phase did not run")
-	}
-	_, _, _, _, aborted := cl.TCPCounters()
-	if aborted != 0 {
-		t.Errorf("loss recovery aborted %d connections", aborted)
-	}
-
-	for _, app := range cl.Apps {
-		if app.Module != nil {
-			app.Module.DropClean()
 		}
 	}
 	nodes := []*simnet.Node{cl.Control.Node()}

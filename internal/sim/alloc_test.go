@@ -139,80 +139,60 @@ func BenchmarkEventCancel(b *testing.B) {
 
 // TestResourceUseZeroAllocs gates Resource.Use: the pooled completion event
 // settles the queue accounting itself, so a job costs no object beyond the
-// caller's own done — on the plain engine and on a shard alike.
+// caller's own done.
 func TestResourceUseZeroAllocs(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		ctl := NewEngine()
-		eng := ctl
-		if sharded {
-			ctl = NewSharded(Config{Workers: 2, Lookahead: testLookahead})
-			defer ctl.Close()
-			eng = ctl.NewShard("node")
+	eng := NewEngine()
+	r := NewResource(eng, "cpu")
+	fired := 0
+	done := func() { fired++ }
+	const jobs = 64
+	burst := func() {
+		for i := 0; i < jobs; i++ {
+			r.Use(Duration(i), done)
 		}
-		r := NewResource(eng, "cpu")
-		fired := 0
-		done := func() { fired++ }
-		const jobs = 64
-		burst := func() {
-			for i := 0; i < jobs; i++ {
-				r.Use(Duration(i), done)
-			}
-			r.Use(1, nil)
-			if err := ctl.Run(); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+		r.Use(1, nil)
+		if err := eng.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
 		}
-		burst() // prime the event free list and the heap slice
-		if avg := testing.AllocsPerRun(100, burst); avg != 0 {
-			t.Errorf("sharded=%v: %d Resource.Use jobs allocate %.0f objects, want 0", sharded, jobs+1, avg)
-		}
-		// AllocsPerRun adds one warm-up call of its own.
-		if want := 102 * (jobs + 1); r.Jobs() != uint64(want) || fired != 102*jobs || r.QueueLen() != 0 {
-			t.Errorf("sharded=%v: jobs %d (want %d), done fired %d (want %d), queued %d",
-				sharded, r.Jobs(), want, fired, 102*jobs, r.QueueLen())
-		}
+	}
+	burst() // prime the event free list and the heap slice
+	if avg := testing.AllocsPerRun(100, burst); avg != 0 {
+		t.Errorf("%d Resource.Use jobs allocate %.0f objects, want 0", jobs+1, avg)
+	}
+	// AllocsPerRun adds one warm-up call of its own.
+	if want := 102 * (jobs + 1); r.Jobs() != uint64(want) || fired != 102*jobs || r.QueueLen() != 0 {
+		t.Errorf("jobs %d (want %d), done fired %d (want %d), queued %d",
+			r.Jobs(), want, fired, 102*jobs, r.QueueLen())
 	}
 }
 
 // TestPostToArgsZeroAllocs gates the argument-carrying post: with the handler
-// bound ahead of time, the pooled event (sequential engine) or the outbox
-// entry (sharded engine) carries the arguments, so a cross-node hop costs no
-// object once the free list and the outbox are primed.
+// bound ahead of time the pooled event carries the arguments, so a cross-node
+// hop costs no object once the free list is primed.
 func TestPostToArgsZeroAllocs(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		ctl := NewEngine()
-		src, dst := ctl, ctl
-		if sharded {
-			ctl = NewSharded(Config{Workers: 2, Lookahead: testLookahead})
-			defer ctl.Close()
-			src, dst = ctl.NewShard("a"), ctl.NewShard("b")
+	eng := NewEngine()
+	type frame struct{ hops int }
+	got, sum := 0, int64(0)
+	h := Handler(func(a, b any, n int64) {
+		a.(*frame).hops++
+		got += b.(*frame).hops
+		sum += n
+	})
+	fa, fb := &frame{}, &frame{hops: 1}
+	const posts = 32
+	burst := func() {
+		for i := 0; i < posts; i++ {
+			eng.Post(Duration(i), h, fa, fb, int64(i))
 		}
-		type frame struct{ hops int }
-		got, sum := 0, int64(0)
-		h := Handler(func(a, b any, n int64) {
-			a.(*frame).hops++
-			got += b.(*frame).hops
-			sum += n
-		})
-		fa, fb := &frame{}, &frame{hops: 1}
-		const posts = 32
-		burst := func() {
-			src.Schedule(0, func() {
-				for i := 0; i < posts; i++ {
-					src.PostTo(dst, testLookahead+Duration(i), h, fa, fb, int64(i))
-				}
-			})
-			if err := ctl.Run(); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+		if err := eng.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
 		}
-		burst() // prime the event free list, the heap slice and the outbox
-		// The scheduling closure in burst is the one object a run may cost.
-		if avg := testing.AllocsPerRun(100, burst); avg > 1 {
-			t.Errorf("sharded=%v: %d PostTo calls allocate %.1f objects, want 0 (+1 for the test's own closure)", sharded, posts, avg)
-		}
-		if want := 102 * posts; fa.hops != want || got != want || sum != int64(102*posts*(posts-1)/2) {
-			t.Errorf("sharded=%v: handler ran %d times (want %d), args %d/%d", sharded, fa.hops, want, got, sum)
-		}
+	}
+	burst() // prime the event free list and the heap slice
+	if avg := testing.AllocsPerRun(100, burst); avg != 0 {
+		t.Errorf("%d Post calls allocate %.1f objects, want 0", posts, avg)
+	}
+	if want := 102 * posts; fa.hops != want || got != want || sum != int64(102*posts*(posts-1)/2) {
+		t.Errorf("handler ran %d times (want %d), args %d/%d", fa.hops, want, got, sum)
 	}
 }

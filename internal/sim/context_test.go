@@ -43,6 +43,26 @@ func TestContextPropagation(t *testing.T) {
 	}
 }
 
+// TestPostToCarriesContext verifies a post inherits the request context like
+// a local schedule, and keeps propagating it from the handler.
+func TestPostToCarriesContext(t *testing.T) {
+	e := NewEngine()
+	var got, next any
+	e.Schedule(0, func() {
+		e.SetContext("req-42")
+		e.Post(Microsecond, func(_, _ any, _ int64) {
+			got = e.Context()
+			e.Schedule(Microsecond, func() { next = e.Context() })
+		}, nil, nil, 0)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != "req-42" || next != "req-42" {
+		t.Fatalf("posted context = %v, then %v; want req-42 twice", got, next)
+	}
+}
+
 // TestContextClearedBetweenEvents checks the engine resets the context when
 // an event completes, so top-level scheduling stays context-free.
 func TestContextClearedBetweenEvents(t *testing.T) {

@@ -74,14 +74,14 @@ type event struct {
 	// it settles the resource's queue accounting before fn runs, so
 	// Resource.Use needs no closure of its own.
 	res *Resource
-	// h, when set, runs instead of fn with the arguments PostTo carried, so
-	// a post needs no closure either.
+	// h, when set, runs instead of fn with the arguments Post carried, so a
+	// post needs no closure either.
 	h    Handler
 	a, b any
 	n    int64
 }
 
-// Handler is the receiving side of PostTo: a function bound once (per
+// Handler is the receiving side of Post: a function bound once (per
 // network, say) that is handed the arguments each post carried. Pointers
 // travel in a and b without boxing.
 type Handler func(a, b any, n int64)
@@ -115,19 +115,6 @@ type Engine struct {
 	// usage, when set, observes every Resource.Use admission (queueing
 	// delay and service demand, together with the admitting context).
 	usage UsageObserver
-
-	// Sharded-mode fields (nil/zero on a plain NewEngine engine; see
-	// shard.go). co links every shard of one parallel cluster; id is this
-	// shard's index; out holds cross-shard sends awaiting the next barrier,
-	// one outbox per destination shard — only this shard appends (during
-	// its own event execution) and only the coordinator drains (at
-	// barriers), so no lock is needed; postSeq numbers this shard's PostTo
-	// calls for the deterministic admission order.
-	co      *coord
-	id      int
-	name    string
-	out     [][]staged
-	postSeq uint64
 }
 
 // UsageObserver sees each job admitted to a Resource: the resource itself,
@@ -137,18 +124,7 @@ type Engine struct {
 type UsageObserver func(r *Resource, ctx any, wait, service Duration)
 
 // SetUsageObserver installs the resource accounting hook (nil to remove).
-// On a sharded engine the hook is installed on every shard; it then runs
-// concurrently from worker goroutines and must be shard-safe (e.g. append
-// to per-shard state keyed by r.Engine().ShardID()).
-func (e *Engine) SetUsageObserver(o UsageObserver) {
-	if e.co != nil {
-		for _, s := range e.co.shards {
-			s.usage = o
-		}
-		return
-	}
-	e.usage = o
-}
+func (e *Engine) SetUsageObserver(o UsageObserver) { e.usage = o }
 
 // Context returns the request context of the currently executing event, or
 // nil outside event execution (and for events scheduled outside one).
@@ -167,30 +143,25 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed reports how many events have been executed so far. On a
-// sharded engine it aggregates across all shards (call between runs).
-func (e *Engine) Processed() uint64 {
-	if e.co != nil {
-		var total uint64
-		for _, s := range e.co.shards {
-			total += s.processed
-		}
-		return total
-	}
-	return e.processed
+// Processed reports how many events have been executed so far.
+func (e *Engine) Processed() uint64 { return e.processed }
+
+// RunStats is the engine's counter snapshot. Only Events is ever non-zero;
+// the other fields are inert shims for benchmarks/ncmark, which reads the
+// epoch counters of the deleted sharded engine (DESIGN.md §11).
+type RunStats struct {
+	Events       uint64
+	Epochs       uint64
+	StagedAdmits uint64
+	BarrierNs    int64
 }
 
+// RunStats reports the events executed so far.
+func (e *Engine) RunStats() RunStats { return RunStats{Events: e.processed} }
+
 // SetEventLimit aborts Run after n events. Zero means unlimited. It exists
-// as a guard against accidental non-terminating experiment loops. On a
-// sharded engine the limit applies to the aggregate count, checked at
-// epoch barriers.
-func (e *Engine) SetEventLimit(n uint64) {
-	if e.co != nil {
-		e.co.limit = n
-		return
-	}
-	e.limit = n
-}
+// as a guard against accidental non-terminating experiment loops.
+func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero.
 // Events scheduled for the same instant run in scheduling order.
@@ -204,7 +175,41 @@ func (e *Engine) Schedule(d Duration, fn func()) EventID {
 // At runs fn at absolute time t. If t is in the past, fn runs at the current
 // time (but never before events already due).
 func (e *Engine) At(t Time, fn func()) EventID {
-	return e.insertAt(t, fn, e.cur, nil)
+	return e.insertAt(t, fn, nil)
+}
+
+// Post schedules h(a, b, n) after delay d. The arguments ride in the pooled
+// event, so a post with a handler bound ahead of time allocates nothing.
+func (e *Engine) Post(d Duration, h Handler, a, b any, n int64) {
+	if d < 0 {
+		d = 0
+	}
+	ev := e.insertAt(e.now.Add(d), nil, nil).ev
+	ev.h, ev.a, ev.b, ev.n = h, a, b, n
+}
+
+// insertAt is At with an optional resource whose job the event completes
+// (see Resource.Use). The event inherits the current request context.
+func (e *Engine) insertAt(t Time, fn func(), res *Resource) EventID {
+	if t < e.now {
+		t = e.now
+	}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{}
+	}
+	ev.at = t
+	ev.seq = e.seq
+	ev.fn = fn
+	ev.ctx = e.cur
+	ev.res = res
+	e.seq++
+	e.push(ev)
+	return EventID{ev: ev, gen: ev.gen}
 }
 
 // Cancel removes a pending event. Canceling an already-fired or canceled
@@ -219,32 +224,11 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// Stop makes Run return after the current event completes. On a sharded
-// engine the request is honored at the next epoch barrier (the epoch
-// completes in full so the stopping point is deterministic).
-func (e *Engine) Stop() {
-	if e.co != nil {
-		e.co.stopReq.Store(true)
-		return
-	}
-	e.stopped = true
-}
+// Stop makes Run return after the current event completes.
+func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of events waiting to fire, including staged
-// cross-shard sends on a sharded engine (call between runs).
-func (e *Engine) Pending() int {
-	if e.co != nil {
-		n := 0
-		for _, s := range e.co.shards {
-			n += len(s.events)
-			for _, q := range s.out {
-				n += len(q)
-			}
-		}
-		return n
-	}
-	return len(e.events)
-}
+// Pending reports the number of events waiting to fire.
+func (e *Engine) Pending() int { return len(e.events) }
 
 // recycle resets a popped or canceled event and returns it to the free list.
 func (e *Engine) recycle(ev *event) {
@@ -408,12 +392,8 @@ func (e *Engine) fire(ev *event) {
 	}
 }
 
-// Run executes events until none remain or Stop is called. On a sharded
-// engine it drives all shards through the epoch loop.
+// Run executes events until none remain or Stop is called.
 func (e *Engine) Run() error {
-	if e.co != nil {
-		return e.co.runEpochs(MaxTime)
-	}
 	e.stopped = false
 	for {
 		more, err := e.step(MaxTime)
@@ -427,13 +407,8 @@ func (e *Engine) Run() error {
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
-// exactly t. Events scheduled beyond t remain pending. On a sharded engine
-// every shard's clock lands on exactly t, so experiment boundaries observe
-// uniform time.
+// exactly t. Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) error {
-	if e.co != nil {
-		return e.co.runEpochs(t)
-	}
 	e.stopped = false
 	for {
 		more, err := e.step(t)

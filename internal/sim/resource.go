@@ -33,9 +33,6 @@ func NewResource(eng *Engine, name string) *Resource {
 // Name returns the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Engine returns the engine (shard) this resource lives on.
-func (r *Resource) Engine() *Engine { return r.eng }
-
 // Use enqueues a job needing d of service time and invokes done when the job
 // completes. A non-positive d completes after any queued work with zero
 // service time. done may be nil.
@@ -62,7 +59,7 @@ func (r *Resource) Use(d Duration, done func()) {
 	}
 	// The completion event settles queued/jobs itself (event.res), so a
 	// job costs no object beyond the caller's own done.
-	r.eng.insertAt(finish, done, r.eng.cur, r)
+	r.eng.insertAt(finish, done, r)
 }
 
 // Busy returns the cumulative service time granted since the last ResetStats.

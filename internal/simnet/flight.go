@@ -12,11 +12,10 @@ import (
 // side. step is bound once, when the record is first allocated, so handing
 // it to Resource.Use or Schedule costs nothing.
 //
-// A record is taken from and returned to the free list of the node whose
-// shard runs it, so the lists need no lock: the frame crosses shards as the
-// arguments of the one PostTo in run (handled by Network.onArrive), never
-// inside a record. In netbuf debug mode records are not recycled, like
-// descriptors.
+// A record is taken from and returned to the free list of the node it runs
+// on; the frame crosses to the receiving node as the arguments of the one
+// Post in run (handled by Network.onArrive), never inside a record. In netbuf
+// debug mode records are not recycled, like descriptors.
 type flight struct {
 	node    *Node
 	stage   flightStage
@@ -74,7 +73,7 @@ func (f *flight) run() {
 		if corrupt {
 			flags = 1
 		}
-		eng.PostTo(p.nic.node.Eng, delay, nic.net.onArrive, p, frame, flags)
+		eng.Post(delay, nic.net.onArrive, p, frame, flags)
 	case flightDown:
 		f.stage, f.nic = flightDeliver, p.nic
 		eng.Schedule(f.delay, f.step)

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ncache/internal/fault"
 	"ncache/internal/netbuf"
@@ -18,22 +17,17 @@ import (
 type Network struct {
 	eng     *sim.Engine
 	latency sim.Duration
-	// ports is immutable once traffic starts (attachments happen at build
-	// time), so route lookups are safe from any shard without locking.
-	ports map[eth.Addr]*port
+	ports   map[eth.Addr]*port
 	// dropped counts frames discarded for unknown or self destinations.
-	// The drop/arrive counters are atomics because frames from different
-	// source shards account concurrently; they are commutative sums, so
-	// totals are deterministic for any worker count.
-	dropped atomic.Uint64
+	dropped uint64
 	faults  *fault.Injector
 	// faultDropped counts frames the injector discarded at switch
 	// downlinks (transmit-side drops land on the NIC's own stats).
-	faultDropped atomic.Uint64
+	faultDropped uint64
 	// faultDuped counts extra frame copies the injector created at switch
 	// downlinks.
-	faultDuped atomic.Uint64
-	// onArrive is arrive as a sim.Handler, bound once so a frame's shard
+	faultDuped uint64
+	// onArrive is arrive as a sim.Handler, bound once so a frame's link
 	// crossing carries (port, frame, corrupt) as arguments, not a closure.
 	onArrive sim.Handler
 }
@@ -71,16 +65,10 @@ func (nw *Network) Attach(node *Node, addr eth.Addr, bw Bandwidth) (*NIC, error)
 
 // AttachAt is Attach with an explicit one-way link latency for this port —
 // a client reaching the fabric over a longer path (LAN hop, WAN link) pays
-// it in both directions. It must be at least the switch latency: the
-// fabric latency is the global floor the sharded engine's default
-// lookahead is derived from, and a faster-than-fabric link would break
-// that contract.
+// it in both directions.
 func (nw *Network) AttachAt(node *Node, addr eth.Addr, bw Bandwidth, latency sim.Duration) (*NIC, error) {
 	if _, exists := nw.ports[addr]; exists {
 		return nil, fmt.Errorf("simnet: address %s already attached", addr)
-	}
-	if latency < nw.latency {
-		return nil, fmt.Errorf("simnet: link latency %s below switch latency %s", latency, nw.latency)
 	}
 	nic := &NIC{
 		Addr:            addr,
@@ -95,9 +83,6 @@ func (nw *Network) AttachAt(node *Node, addr eth.Addr, bw Bandwidth, latency sim
 		rxSite:          node.Name + ".rx",
 	}
 	nic.ring = newRxRing(nic, DefaultRxRingSize)
-	// The downlink serializer lives on the destination node's shard: frames
-	// arriving for this port are clocked in destination-shard time. On a
-	// sequential engine node.Eng is the switch engine, as before.
 	nw.ports[addr] = &port{
 		nic:  nic,
 		down: sim.NewResource(node.Eng, fmt.Sprintf("sw.%s.down", addr)),
@@ -109,11 +94,7 @@ func (nw *Network) AttachAt(node *Node, addr eth.Addr, bw Bandwidth, latency sim
 }
 
 // Dropped reports frames discarded for unknown destinations.
-func (nw *Network) Dropped() uint64 { return nw.dropped.Load() }
-
-// Latency returns the one-way port latency — the sharded engine's lookahead
-// floor, since no frame crosses nodes in less than one port traversal.
-func (nw *Network) Latency() sim.Duration { return nw.latency }
+func (nw *Network) Dropped() uint64 { return nw.dropped }
 
 // SetFaults installs the fault injector consulted on every frame. Nil (the
 // default) disables injection.
@@ -123,16 +104,15 @@ func (nw *Network) SetFaults(in *fault.Injector) { nw.faults = in }
 func (nw *Network) Faults() *fault.Injector { return nw.faults }
 
 // FaultDropped reports frames the injector discarded at switch downlinks.
-func (nw *Network) FaultDropped() uint64 { return nw.faultDropped.Load() }
+func (nw *Network) FaultDropped() uint64 { return nw.faultDropped }
 
 // FaultDuped reports extra frame copies the injector created at switch
 // downlinks.
-func (nw *Network) FaultDuped() uint64 { return nw.faultDuped.Load() }
+func (nw *Network) FaultDuped() uint64 { return nw.faultDuped }
 
 // route resolves the egress port for a frame, or nil when the switch would
 // discard it (unparseable header, unknown destination, or hairpin to the
-// sender). Pure lookup against the immutable port table, so the sending
-// shard can resolve the destination at transmit time.
+// sender).
 func (nw *Network) route(from *NIC, frame *netbuf.Chain) *port {
 	hdr, err := eth.Peek(frame)
 	if err != nil {
@@ -147,21 +127,19 @@ func (nw *Network) route(from *NIC, frame *netbuf.Chain) *port {
 
 // drop discards an unroutable frame once it has paid its wire time.
 func (nw *Network) drop(frame *netbuf.Chain) {
-	nw.dropped.Add(1)
+	nw.dropped++
 	frame.Release()
 }
 
-// arrive runs on the destination node's shard when a frame reaches the
-// switch egress: the receive-side fault decision and downlink
-// serialization unfold in destination-shard time — byte-identical to the
-// old single-engine forward, since the port's downlink lives on node.Eng.
-// The port latency was already paid on the shard crossing (see
-// NIC.launch), so delivery happens straight off the serializer.
+// arrive runs when a frame reaches the switch egress: the receive-side fault
+// decision, then downlink serialization. The port latency was already paid
+// with the uplink's (see NIC.launch), so delivery happens straight off the
+// serializer.
 func (nw *Network) arrive(p *port, frame *netbuf.Chain, corrupt bool) {
 	node := p.nic.node
-	d := nw.faults.FrameRx(node.Eng, p.nic.rxSite)
+	d := nw.faults.FrameRx(p.nic.rxSite)
 	if d.Drop {
-		nw.faultDropped.Add(1)
+		nw.faultDropped++
 		frame.Release()
 		return
 	}
@@ -174,7 +152,7 @@ func (nw *Network) arrive(p *port, frame *netbuf.Chain, corrupt bool) {
 		// Injected duplicate at the downlink: a by-reference copy clocked
 		// after the original.
 		dup := frame.Clone()
-		nw.faultDuped.Add(1)
+		nw.faultDuped++
 		f := node.flight(flightDown, dup)
 		f.port, f.corrupt = p, corrupt
 		p.down.Use(p.bw.serialization(wire), f.step)

@@ -83,11 +83,6 @@ func (n *NIC) Node() *Node { return n.node }
 // Bandwidth returns the attached link speed.
 func (n *NIC) Bandwidth() Bandwidth { return n.bw }
 
-// Latency returns this link's one-way latency — the minimum delay any
-// frame sent from this NIC pays before reaching another node, and thus the
-// lookahead this node's shard offers every destination.
-func (n *NIC) Latency() sim.Duration { return n.latency }
-
 // TxUtilization reports the transmit serializer's utilization since its
 // stats were last reset — how close this NIC is to line rate.
 func (n *NIC) TxUtilization() float64 { return n.tx.Utilization() }
@@ -109,7 +104,7 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 	if size > n.MTU+eth.HeaderLen {
 		return fmt.Errorf("simnet: frame %d bytes exceeds MTU %d on %s", size, n.MTU, n.Addr)
 	}
-	d := n.net.faults.FrameTx(n.node.Eng, n.txSite)
+	d := n.net.faults.FrameTx(n.txSite)
 	if d.Drop {
 		n.Stats.FaultDropTx++
 		frame.Release()
@@ -120,9 +115,6 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 	// From here the request is on the wire: transmit queueing,
 	// serialization and link latency all belong to the network.
 	trace.To(n.node.Eng, trace.LNet)
-	// Resolve the egress port now (the table is immutable): the uplink
-	// traversal below is the shard crossing, so the destination must be
-	// known before the frame leaves this node's shard.
 	p := n.net.route(n, frame)
 	wire := size + FrameOverheadBytes
 	n.launch(p, frame, wire, n.latency+d.Delay, d.Corrupt)
@@ -140,17 +132,13 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 }
 
 // launch clocks one frame copy onto the uplink. When the serializer is done
-// (flight.run, flightTx) the frame crosses into the destination node's shard
-// after the uplink AND downlink latencies (plus any injected delay), or — for
-// unroutable frames — pays the same wire time locally and lets the switch
-// count the discard.
+// (flight.run, flightTx) the frame reaches the egress port after the uplink
+// AND downlink latencies (plus any injected delay), or — for unroutable
+// frames — pays the same wire time and lets the switch count the discard.
 //
-// Paying the egress port's latency on the sending side is timing-identical
-// to paying it after downlink serialization (every frame into a port pays
-// the same constant, so queue waits commute with it), but it doubles the
-// shard pair's signal delay — and therefore the parallel engine's
-// lookahead: a frame from A to B can never land sooner than A's uplink
-// plus B's downlink.
+// The egress port's latency is paid here, with the uplink's, rather than
+// after downlink serialization: every frame into a port pays the same
+// constant, so queue waits commute with it and the timing is identical.
 func (n *NIC) launch(p *port, frame *netbuf.Chain, wire int, delay sim.Duration, corrupt bool) {
 	f := n.node.flight(flightTx, frame)
 	f.nic, f.port, f.delay, f.corrupt = n, p, delay, corrupt

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
 
 	"ncache/internal/netbuf"
 )
@@ -29,12 +28,6 @@ type RxRing struct {
 	// currently free. The driver replenishes on exhaustion (counted in
 	// Refills) rather than dropping — the fabric stays lossless so the
 	// registered path is behaviorally identical to the legacy one.
-	//
-	// mu guards posted and Refills: an adopted buffer's last reference can
-	// drop on whichever shard holds it, so the credit return in bufReleased
-	// may race the owning shard's adopt. Credits are pure counts — the
-	// order they return in never affects simulated results.
-	mu     sync.Mutex
 	size   int
 	posted int
 
@@ -71,11 +64,7 @@ func (r *RxRing) Size() int { return r.size }
 // Outstanding returns the ring credits currently consumed by adopted buffers
 // that have not yet been released back to their pool. Leak tests assert this
 // returns to zero after a drained workload.
-func (r *RxRing) Outstanding() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.size - r.posted + int(r.Refills)
-}
+func (r *RxRing) Outstanding() int { return r.size - r.posted + int(r.Refills) }
 
 // adopt runs the simulated receive DMA for one delivered frame: every
 // unshared pool-owned buffer in the frame is re-homed into the receiving
@@ -101,7 +90,6 @@ func (r *RxRing) adopt(frame *netbuf.Chain) {
 			}
 		}
 		dst.Lend(src)
-		r.mu.Lock()
 		if r.posted == 0 {
 			// Ring exhausted: the driver replenishes instead of dropping,
 			// keeping the fabric lossless (results stay bit-identical).
@@ -109,7 +97,6 @@ func (r *RxRing) adopt(frame *netbuf.Chain) {
 		} else {
 			r.posted--
 		}
-		r.mu.Unlock()
 		// A buffer forwarded wholesale from another node may still carry
 		// that node's ring hook; fire it so the old ring's credit returns.
 		if old := b.TakeRecycleHook(); old != nil {
@@ -125,10 +112,8 @@ func (r *RxRing) adopt(frame *netbuf.Chain) {
 }
 
 // bufReleased returns a ring credit when an adopted buffer's last reference
-// is dropped. It runs on whichever shard released the reference.
+// is dropped.
 func (r *RxRing) bufReleased(*netbuf.Buf) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.posted < r.size {
 		r.posted++
 		return

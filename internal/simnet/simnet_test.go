@@ -278,9 +278,8 @@ func TestEthHeaderRoundTrip(t *testing.T) {
 // MTU frame from a transmit pool through ChargeSend, the uplink serializer,
 // the switch, the downlink serializer, ring adoption and the receive
 // handler's ChargeFrame costs no object in steady state: the frame crosses
-// the (potential) shard boundary as the arguments of PostTo, and the
-// in-flight records, the Resource jobs, the fault-site names and the buffers
-// all recycle.
+// to the receiving node as the arguments of Post, and the in-flight records,
+// the Resource jobs, the fault-site names and the buffers all recycle.
 func TestFrameHopAllocFree(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")

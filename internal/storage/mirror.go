@@ -127,9 +127,8 @@ type arm struct {
 // log accumulated while an arm is out drives the catch-up copy that brings
 // it back.
 //
-// All state is mutated in event callbacks on the owning node's shard, so
-// the mirror is deterministic under the parallel engine for any worker
-// count.
+// All state is mutated in event callbacks on the owning node's engine, so
+// the mirror is part of the deterministic event schedule.
 type Mirror struct {
 	node *simnet.Node
 	arms []*arm

@@ -116,9 +116,8 @@ func newTwin(t *testing.T, faults bool) twin {
 	eng := sim.NewEngine()
 	var in *fault.Injector
 	if faults {
-		// One unsharded stream per schedule, shared by the members, so
-		// the members a fault strikes depend on the order they were
-		// issued in.
+		// One stream per schedule, shared by the members, so the members
+		// a fault strikes depend on the order they were issued in.
 		var err error
 		in, err = fault.NewFromSpec(eng, 7, "diskerr:d*:rate=0.08,slowdisk:d*:rate=0.2:delay=700us")
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 // Volume is the lower storage tier seen by the buffer cache and WAL replay.
 // Payloads travel as netbuf chains (zero-copy: implementations clone, never
 // flatten); meta marks file-system metadata, which bypasses NCache hooks.
-// All completion callbacks run on the owning node's event shard.
+// All completion callbacks run as events on the owning node's engine.
 type Volume interface {
 	// BlockSize returns the device block size in bytes (valid once the
 	// underlying initiators are connected).

@@ -122,11 +122,7 @@ type Span struct {
 	start sim.Time
 	end   sim.Time
 
-	tracer *Tracer
-	// eng is the shard the span began on (where its requests issue and
-	// complete). Mid-request attribution from other shards arrives via the
-	// package-level helpers, which carry the acting shard's engine.
-	eng        *sim.Engine
+	tracer     *Tracer
 	cur        Layer
 	lastSwitch sim.Time
 	done       bool
@@ -218,27 +214,10 @@ func (s *Span) Phases() []Phase {
 // and makes l the active layer. Call it just before starting asynchronous
 // work on behalf of the request. No-op on nil or finished spans.
 func (s *Span) To(l Layer) {
-	if s == nil {
-		return
-	}
-	s.toOn(s.eng, l)
-}
-
-// toOn is To with an explicit acting engine: the clock to read and, on a
-// sharded tracer, the shard log to record into. Direct mutation is only
-// legal single-threaded (legacy engines); sharded runs defer every span
-// mutation into per-shard logs that the tracer merges at epoch barriers in
-// (time, shard, sequence) order — the same canonical order the engine uses
-// for staged events — so attribution is bit-identical for any worker count.
-func (s *Span) toOn(eng *sim.Engine, l Layer) {
 	if s == nil || s.done || l >= NumLayers {
 		return
 	}
-	if s.tracer.par {
-		s.tracer.log(eng, rec{span: s, kind: rTo, at: eng.Now(), layer: l})
-		return
-	}
-	s.closeSegment(eng.Now())
+	s.closeSegment(s.tracer.eng.Now())
 	s.cur = l
 }
 
@@ -256,18 +235,7 @@ func (s *Span) closeSegment(now sim.Time) {
 // Account records fire-and-forget CPU demand billed for this request in
 // layer l. It is bookkeeping only — no timeline impact.
 func (s *Span) Account(l Layer, d sim.Duration) {
-	if s == nil {
-		return
-	}
-	s.accountOn(s.eng, l, d)
-}
-
-func (s *Span) accountOn(eng *sim.Engine, l Layer, d sim.Duration) {
 	if s == nil || s.done || l >= NumLayers || d <= 0 {
-		return
-	}
-	if s.tracer.par {
-		s.tracer.log(eng, rec{span: s, kind: rAccount, at: eng.Now(), layer: l, d: d})
 		return
 	}
 	s.charged[l] += d
@@ -278,18 +246,7 @@ func (s *Span) accountOn(eng *sim.Engine, l Layer, d sim.Duration) {
 // the delay itself reaches the timeline through whatever the fault slowed
 // down, so fault attribution never double-enters the layer partition.
 func (s *Span) Fault(l Layer, d sim.Duration) {
-	if s == nil {
-		return
-	}
-	s.faultOn(s.eng, l, d)
-}
-
-func (s *Span) faultOn(eng *sim.Engine, l Layer, d sim.Duration) {
 	if s == nil || s.done || l >= NumLayers || d < 0 {
-		return
-	}
-	if s.tracer.par {
-		s.tracer.log(eng, rec{span: s, kind: rFault, at: eng.Now(), layer: l, d: d})
 		return
 	}
 	s.faults[l] += d
@@ -318,13 +275,7 @@ func (s *Span) Finish() {
 	if s == nil || s.done {
 		return
 	}
-	if s.tracer.par {
-		// Finish runs on the span's origin shard (requests complete back
-		// at their issuing client); the record applies at the barrier.
-		s.tracer.log(s.eng, rec{span: s, kind: rFinish, at: s.eng.Now()})
-		return
-	}
-	now := s.eng.Now()
+	now := s.tracer.eng.Now()
 	s.closeSegment(now)
 	s.end = now
 	s.done = true
@@ -338,17 +289,17 @@ func Active(eng *sim.Engine) *Span {
 	return s
 }
 
-// To switches the active span (if any) to layer l, reading eng's clock.
+// To switches the active span (if any) to layer l.
 func To(eng *sim.Engine, l Layer) {
-	Active(eng).toOn(eng, l)
+	Active(eng).To(l)
 }
 
 // Account books fire-and-forget CPU demand on the active span (if any).
 func Account(eng *sim.Engine, l Layer, d sim.Duration) {
-	Active(eng).accountOn(eng, l, d)
+	Active(eng).Account(l, d)
 }
 
 // Fault books injected-fault latency on the active span (if any).
 func Fault(eng *sim.Engine, l Layer, d sim.Duration) {
-	Active(eng).faultOn(eng, l, d)
+	Active(eng).Fault(l, d)
 }

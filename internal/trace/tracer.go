@@ -16,49 +16,12 @@ type Tracer struct {
 	keep   bool
 	frozen bool
 
-	// par marks a tracer attached to a sharded engine. Span mutations are
-	// then deferred into per-shard logs (shards, indexed by ShardID) and
-	// applied single-threaded at every epoch barrier in canonical
-	// (time, shard, sequence) order, so the aggregates — and therefore the
-	// histograms and percentiles — are identical for any worker count.
-	par     bool
-	shards  []*shardLog
-	scratch []rec
-
 	spans []*Span
 	agg   map[string]*opAgg
 	// attrErrs counts spans whose layer attribution failed to sum to the
 	// end-to-end duration — zero by construction; exported as a self-check.
 	attrErrs uint64
 }
-
-// shardLog is one shard's deferred span-mutation buffer. Only the owning
-// shard appends (during its epoch slice); only the barrier drains.
-type shardLog struct {
-	recs   []rec
-	nextID uint64
-}
-
-// rec is one deferred span mutation.
-type rec struct {
-	span  *Span
-	at    sim.Time
-	d, d2 sim.Duration
-	seq   uint32
-	shard int16
-	kind  uint8
-	layer Layer
-	class ResClass
-}
-
-// Deferred mutation kinds.
-const (
-	rTo uint8 = iota
-	rAccount
-	rFault
-	rUsage
-	rFinish
-)
 
 // opAgg accumulates window statistics for one operation type.
 type opAgg struct {
@@ -77,99 +40,8 @@ type opAgg struct {
 // exported trace processes), e.g. "NFS-NCache/32KB".
 func NewTracer(eng *sim.Engine, label string) *Tracer {
 	t := &Tracer{eng: eng, label: label, agg: make(map[string]*opAgg)}
-	if eng.Sharded() {
-		t.par = true
-		t.shards = make([]*shardLog, eng.ShardCount())
-		for i := range t.shards {
-			t.shards[i] = &shardLog{}
-		}
-		eng.OnBarrier(t.applyLogs)
-	}
 	eng.SetUsageObserver(t.observe)
 	return t
-}
-
-// log appends a deferred mutation to the acting shard's buffer.
-func (t *Tracer) log(eng *sim.Engine, r rec) {
-	sl := t.shards[eng.ShardID()]
-	r.shard = int16(eng.ShardID())
-	r.seq = uint32(len(sl.recs))
-	sl.recs = append(sl.recs, r)
-}
-
-// applyLogs runs at each epoch barrier (and at run end): it merges every
-// shard's deferred mutations into (at, shard, seq) order and applies them.
-// Per-shard buffers are already time-ordered, so the sort is near-linear;
-// the canonical order makes span state a pure function of the simulated
-// schedule, independent of worker interleaving.
-func (t *Tracer) applyLogs() {
-	t.scratch = t.scratch[:0]
-	contributed := 0
-	for _, sl := range t.shards {
-		if len(sl.recs) > 0 {
-			contributed++
-		}
-		t.scratch = append(t.scratch, sl.recs...)
-		for i := range sl.recs {
-			sl.recs[i].span = nil
-		}
-		sl.recs = sl.recs[:0]
-	}
-	if len(t.scratch) == 0 {
-		return
-	}
-	if contributed == 1 {
-		// Wide epochs often see a single shard burn a long local chain
-		// between barriers; its buffer is already in (at, seq) order, so
-		// the merge sort would be a no-op pass over a large slice.
-		for i := range t.scratch {
-			t.apply(&t.scratch[i])
-			t.scratch[i].span = nil
-		}
-		return
-	}
-	sort.Slice(t.scratch, func(i, j int) bool {
-		a, b := &t.scratch[i], &t.scratch[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.shard != b.shard {
-			return a.shard < b.shard
-		}
-		return a.seq < b.seq
-	})
-	for i := range t.scratch {
-		t.apply(&t.scratch[i])
-		t.scratch[i].span = nil
-	}
-}
-
-// apply replays one deferred mutation against its span. Mutations landing
-// after the span's Finish (in canonical order) are dropped, mirroring the
-// done-span no-ops of the direct path.
-func (t *Tracer) apply(r *rec) {
-	s := r.span
-	if s == nil || s.done {
-		return
-	}
-	switch r.kind {
-	case rTo:
-		s.closeSegment(r.at)
-		s.cur = r.layer
-	case rAccount:
-		s.charged[r.layer] += r.d
-	case rFault:
-		s.faults[r.layer] += r.d
-		s.faultN[r.layer]++
-	case rUsage:
-		s.wait[r.class] += r.d
-		s.service[r.class] += r.d2
-	case rFinish:
-		s.closeSegment(r.at)
-		s.end = r.at
-		s.done = true
-		t.finish(s)
-	}
 }
 
 // Label returns the configuration label.
@@ -195,38 +67,23 @@ func (t *Tracer) Begin(op string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.BeginOn(t.eng, op)
-}
-
-// BeginOn starts a span on a specific shard's engine — the one whose event
-// is issuing the request. Shard-tagged span IDs (shard index in the high
-// bits) keep IDs unique and deterministic without cross-shard coordination;
-// on a non-sharded engine IDs are the plain sequence, as before.
-func (t *Tracer) BeginOn(eng *sim.Engine, op string) *Span {
-	if t == nil {
-		return nil
-	}
-	var id uint64
-	if t.par {
-		sl := t.shards[eng.ShardID()]
-		sl.nextID++
-		id = uint64(eng.ShardID()+1)<<48 | sl.nextID
-	} else {
-		t.nextID++
-		id = t.nextID
-	}
+	t.nextID++
+	now := t.eng.Now()
 	s := &Span{
-		id:         id,
+		id:         t.nextID,
 		op:         op,
-		start:      eng.Now(),
+		start:      now,
 		tracer:     t,
-		eng:        eng,
 		cur:        LClient,
-		lastSwitch: eng.Now(),
+		lastSwitch: now,
 	}
-	eng.SetContext(s)
+	t.eng.SetContext(s)
 	return s
 }
+
+// BeginOn is Begin. Inert shim: a cluster has one engine, the tracer's own;
+// it stays only because benchmarks/ncmark calls it (DESIGN.md §11).
+func (t *Tracer) BeginOn(_ *sim.Engine, op string) *Span { return t.Begin(op) }
 
 // observe is the engine usage hook: queueing delay and service demand land
 // on the admitting span, classified by resource kind.
@@ -236,11 +93,6 @@ func (t *Tracer) observe(r *sim.Resource, ctx any, wait, service sim.Duration) {
 		return
 	}
 	c := classifyResource(r.Name())
-	if t.par {
-		eng := r.Engine()
-		t.log(eng, rec{span: s, kind: rUsage, at: eng.Now(), class: c, d: wait, d2: service})
-		return
-	}
 	s.wait[c] += wait
 	s.service[c] += service
 }
@@ -290,9 +142,6 @@ func (t *Tracer) ResetStats() {
 	t.agg = make(map[string]*opAgg)
 	t.attrErrs = 0
 	t.frozen = false
-	for _, sl := range t.shards {
-		sl.recs = sl.recs[:0]
-	}
 }
 
 // Freeze stops recording: spans finishing later (the post-window drain) are

@@ -75,7 +75,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Log is one server's write-ahead log. All scheduling runs on the owning
-// node's engine (its own shard under the parallel engine).
+// node's engine.
 type Log struct {
 	eng *sim.Engine
 	cfg Config

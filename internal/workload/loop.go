@@ -4,16 +4,12 @@ import (
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/sim"
-	"ncache/internal/trace"
 )
 
 // stream is everything one issuing stream owns: its random source, its
 // cursor and its completion counters. A generator draws from and counts into
-// the stream it is handed and nothing else, so a stream only ever touched
-// from one shard is race-free by construction.
+// the stream it is handed and nothing else.
 type stream struct {
-	// id indexes the loop's distinct streams (0 for the shared stream).
-	id  int
 	rng *sim.RNG
 	// seq is the generator's cursor: the next sequential offset, trace
 	// record or scratch-file number.
@@ -35,27 +31,21 @@ type nextFn func(lane int, st *stream, done func(n int, err error))
 // connection, a routed client process) keeps a fixed number of operations
 // outstanding, re-issuing on completion until Stop.
 //
-// The stream rule lives here and nowhere else. On the sequential engine all
-// lanes draw from ONE shared stream in global completion order — the
-// schedule every committed result was produced with. On a sharded engine
-// lanes complete concurrently on their hosts' shards, so every lane owns its
-// stream, seeded from the lane index: the draw sequence is independent of
-// execution order and identical for any worker count. Counters are plain
-// fields summed at quiesce (Counters is only called between runs); sums are
-// order-independent, so they need no atomics.
+// The stream rule lives here and nowhere else: a generator that hands start a
+// shared stream has all its lanes draw from it in global completion order;
+// one that hands it none gets a stream per lane, seeded from the lane index.
 type loop struct {
 	lanes   []*stream // lane → its stream; every entry aliases streams[0] when shared
 	streams []*stream
 	stopped bool
 }
 
-// start launches perLane workers on each of n lanes. shared is the stream
-// all lanes use on the sequential engine (nil: lanes never share); on a
-// sharded engine, or without a shared stream, lane i gets its own stream
-// with an RNG seeded seed(i) (nil: the generator draws nothing random).
-func (l *loop) start(eng *sim.Engine, n, perLane int, shared *stream, seed func(lane int) uint64, next nextFn) {
+// start launches perLane workers on each of n lanes. Every lane uses shared
+// when it is set; otherwise lane i gets its own stream with an RNG seeded
+// seed(i).
+func (l *loop) start(n, perLane int, shared *stream, seed func(lane int) uint64, next nextFn) {
 	l.lanes = make([]*stream, n)
-	if shared != nil && (eng == nil || !eng.Sharded()) {
+	if shared != nil {
 		l.streams = []*stream{shared}
 		for i := range l.lanes {
 			l.lanes[i] = shared
@@ -63,10 +53,7 @@ func (l *loop) start(eng *sim.Engine, n, perLane int, shared *stream, seed func(
 	} else {
 		l.streams = make([]*stream, n)
 		for i := range l.lanes {
-			st := &stream{id: i}
-			if seed != nil {
-				st.rng = sim.NewRNG(seed(i))
-			}
+			st := &stream{rng: sim.NewRNG(seed(i))}
 			l.lanes[i], l.streams[i] = st, st
 		}
 	}
@@ -84,8 +71,6 @@ func (l *loop) spawn(lane int, next nextFn) {
 	st := l.lanes[lane]
 	var done func(int, error)
 	issue := func() {
-		// stopped is only written between runs, with every shard
-		// quiescent, so the lanes' shards read it barrier-ordered.
 		if !l.stopped {
 			next(lane, st, done)
 		}
@@ -113,26 +98,6 @@ func (l *loop) Counters() (ops, bytes, errs uint64) {
 		errs += st.errs
 	}
 	return ops, bytes, errs
-}
-
-// laneSeed derives per-lane seeds from a generator's base seed,
-// independently of execution order.
-func laneSeed(base uint64) func(int) uint64 {
-	return func(lane int) uint64 { return base ^ uint64(lane+1)*0x9e3779b97f4a7c15 }
-}
-
-// clientEng returns the engine deciding the stream rule for NFS lanes.
-func clientEng(clients []*nfs.Client) *sim.Engine {
-	if len(clients) == 0 {
-		return nil
-	}
-	return clients[0].Node().Eng
-}
-
-// spanOn opens a span on the client's own shard (on a sequential engine
-// this is the tracer's engine, exactly the old Begin).
-func spanOn(t *trace.Tracer, c *nfs.Client, op string) *trace.Span {
-	return t.BeginOn(c.Node().Eng, op)
 }
 
 // consume releases a READ reply and returns its length (nil-safe: failed

@@ -31,7 +31,7 @@ type NFSReadLoad struct {
 	RequestSize int
 	Pattern     AccessPattern
 	Concurrency int // workers per client
-	// RNG is the shared stream's source (sequential engine; default seed 1).
+	// RNG is the shared stream's source (default seed 1).
 	RNG *sim.RNG
 	// Tracer, when set, opens a span per request. Nil-safe.
 	Tracer *trace.Tracer
@@ -52,11 +52,11 @@ func (l *NFSReadLoad) Start() {
 	if l.RNG == nil {
 		l.RNG = sim.NewRNG(1)
 	}
-	l.start(clientEng(l.Clients), len(l.Clients), l.Concurrency, &stream{rng: l.RNG}, laneSeed(1),
+	l.start(len(l.Clients), l.Concurrency, &stream{rng: l.RNG}, nil,
 		func(i int, st *stream, done func(int, error)) {
 			c := l.Clients[i]
 			off := nextOffset(st, l.Pattern, l.FileSize, l.RequestSize)
-			sp := spanOn(l.Tracer, c, "read")
+			sp := l.Tracer.Begin("read")
 			c.Read(l.FH, off, l.RequestSize, func(data *netbuf.Chain, _ nfs.Attr, err error) {
 				sp.Finish()
 				done(consume(data), err)
@@ -103,11 +103,11 @@ func (l *NFSWriteLoad) Start() {
 	if l.Concurrency <= 0 {
 		l.Concurrency = 4
 	}
-	l.start(clientEng(l.Clients), len(l.Clients), l.Concurrency, &stream{}, nil,
+	l.start(len(l.Clients), l.Concurrency, &stream{}, nil,
 		func(i int, st *stream, done func(int, error)) {
 			c := l.Clients[i]
 			off := nextOffset(st, Sequential, l.FileSize, l.RequestSize)
-			sp := spanOn(l.Tracer, c, "write")
+			sp := l.Tracer.Begin("write")
 			c.Write(l.FH, off, junkChain(c, l.RequestSize), func(n int, _ nfs.Attr, err error) {
 				sp.Finish()
 				done(n, err)

@@ -42,9 +42,9 @@ var _ Load = (*RoutedMixLoad)(nil)
 // SetTracer installs per-request span tracing.
 func (l *RoutedMixLoad) SetTracer(t *trace.Tracer) { l.Tracer = t }
 
-// Start implements Load. Routes never share a stream, on either engine:
-// several client processes live on one host, and the per-route seeds are
-// what the committed fig-scaleout results were produced with.
+// Start implements Load. Routes never share a stream: each is a client
+// process of its own, and the per-route seeds are what the committed
+// fig-scaleout results were produced with.
 func (l *RoutedMixLoad) Start() {
 	if l.Concurrency <= 0 {
 		l.Concurrency = 4
@@ -53,7 +53,7 @@ func (l *RoutedMixLoad) Start() {
 		l.WriteSize = l.RequestSize
 	}
 	seed := func(route int) uint64 { return l.Seed + uint64(route)*0x9e3779b9 }
-	l.start(nil, len(l.Routes), l.Concurrency, nil, seed, l.next)
+	l.start(len(l.Routes), l.Concurrency, nil, seed, l.next)
 }
 
 // RouteErrors counts operations that failed at the routing step.
@@ -88,14 +88,14 @@ func (l *RoutedMixLoad) next(route int, st *stream, done func(int, error)) {
 			return
 		}
 		if isWrite {
-			sp := spanOn(l.Tracer, c, "write")
+			sp := l.Tracer.Begin("write")
 			c.Write(fh, off, junkChain(c, size), func(n int, _ nfs.Attr, err error) {
 				sp.Finish()
 				done(n, err)
 			})
 			return
 		}
-		sp := spanOn(l.Tracer, c, "read")
+		sp := l.Tracer.Begin("read")
 		c.Read(fh, off, size, func(data *netbuf.Chain, _ nfs.Attr, err error) {
 			sp.Finish()
 			done(consume(data), err)

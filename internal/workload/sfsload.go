@@ -61,9 +61,8 @@ func (l *SFSLoad) Start() {
 	if l.Cfg.Concurrency <= 0 {
 		l.Cfg.Concurrency = 4
 	}
-	seed := l.Cfg.Seed + 7
-	l.start(clientEng(l.Clients), len(l.Clients), l.Cfg.Concurrency,
-		&stream{rng: sim.NewRNG(seed)}, laneSeed(seed), l.next)
+	l.start(len(l.Clients), l.Cfg.Concurrency,
+		&stream{rng: sim.NewRNG(l.Cfg.Seed + 7)}, nil, l.next)
 }
 
 // pickSize draws a request size from the SFS distribution.
@@ -127,12 +126,6 @@ func (l *SFSLoad) next(i int, st *stream, done func(int, error)) {
 	default:
 		st.seq++
 		name := "sfs-tmp-" + strconv.FormatUint(st.seq, 36)
-		if st.id > 0 {
-			// A per-client stream numbers its own scratch files; the
-			// suffix keeps them apart from stream 0's in the shared
-			// directory. (The sequential engine's one stream is id 0.)
-			name += "." + strconv.Itoa(st.id)
-		}
 		c.Create(l.Cfg.ScratchDir, name, func(fh nfs.FH, _ nfs.Attr, err error) {
 			if err != nil {
 				done(0, err)

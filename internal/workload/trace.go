@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"sync"
-
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/sim"
@@ -78,9 +76,7 @@ func GenMixed(fh nfs.FH, fileSize uint64, reqSize, n int, writePct int, seed uin
 
 // TracePlayer replays a trace closed-loop with the given concurrency,
 // looping when it reaches the end (so it can drive steady-state windows).
-// Streams deal the records out round-robin: the one shared stream of a
-// sequential run walks the whole trace, per-client streams of a sharded run
-// each take every len(streams)-th record.
+// Every client's workers draw the next record from one shared cursor.
 type TracePlayer struct {
 	Clients     []*nfs.Client
 	Trace       Trace
@@ -91,10 +87,6 @@ type TracePlayer struct {
 	Done func()
 
 	loop
-	// mu guards retired, the count of drained streams: streams drain on
-	// their own clients' shards.
-	mu      sync.Mutex
-	retired int
 }
 
 var _ Load = (*TracePlayer)(nil)
@@ -104,25 +96,21 @@ func (p *TracePlayer) Start() {
 	if p.Concurrency <= 0 {
 		p.Concurrency = 4
 	}
-	p.start(clientEng(p.Clients), len(p.Clients), p.Concurrency, &stream{}, nil, p.next)
+	p.start(len(p.Clients), p.Concurrency, &stream{}, nil, p.next)
 }
 
-// next replays the stream's next record, or retires the worker at the end
-// of a non-looping trace.
+// next replays the trace's next record, or retires the worker at the end of
+// a non-looping trace.
 func (p *TracePlayer) next(i int, st *stream, done func(int, error)) {
-	ops, stride := p.Trace.Ops, len(p.streams)
-	idx := st.id + int(st.seq)*stride
-	if idx >= len(ops) && p.Loop {
-		st.seq, idx = 0, st.id
+	ops := p.Trace.Ops
+	if int(st.seq) >= len(ops) && p.Loop {
+		st.seq = 0
 	}
+	idx := int(st.seq)
 	if idx >= len(ops) {
 		if st.inFlight == 0 && !st.drained {
 			st.drained = true
-			p.mu.Lock()
-			p.retired++
-			last := p.retired == len(p.streams)
-			p.mu.Unlock()
-			if last && p.Done != nil {
+			if p.Done != nil {
 				p.Done()
 			}
 		}

@@ -99,13 +99,8 @@ func (l *WebLoad) Start() {
 	if l.ZipfS == 0 {
 		l.ZipfS = 1.0
 	}
-	var eng *sim.Engine
-	if len(l.Conns) > 0 {
-		eng = l.Conns[0].Node().Eng
-	}
-	seed := l.Seed + 11
 	zipf := NewZipf(nil, len(l.Pages.Names), l.ZipfS)
-	l.start(eng, len(l.Conns), 1, &stream{rng: sim.NewRNG(seed)}, laneSeed(seed),
+	l.start(len(l.Conns), 1, &stream{rng: sim.NewRNG(l.Seed + 11)}, nil,
 		func(i int, st *stream, done func(int, error)) {
 			l.Conns[i].Get(l.Pages.Names[zipf.Draw(st.rng)], done)
 		})
