@@ -12,6 +12,7 @@ import (
 
 	"ncache/internal/extfs"
 	"ncache/internal/fault"
+	"ncache/internal/metrics"
 	"ncache/internal/nfs"
 	"ncache/internal/passthru"
 	"ncache/internal/sim"
@@ -205,7 +206,7 @@ func resetClusterStats(cl *passthru.Cluster) {
 			nic.ResetStats()
 		}
 		if app.Cache != nil {
-			app.Cache.Stats = app.Cache.Stats.Sub(app.Cache.Stats)
+			app.Cache.Stats = metrics.Cache{}
 		}
 	}
 	for _, storage := range cl.Storages {

@@ -49,6 +49,10 @@ func TestTable1Inventory(t *testing.T) {
 			t.Fatalf("row %d paper = %q, want None", i, rows[i].Paper)
 		}
 	}
+	// The iSCSI row names the one interception point of the lower tier.
+	if !strings.Contains(rows[2].ThisRepo, "passthru.interceptVolume.ReadAt + WriteAt") {
+		t.Fatalf("iSCSI row = %q, want the one volume decorator", rows[2].ThisRepo)
+	}
 	out := FormatTable1(rows)
 	if !strings.Contains(out, "buffer cache") || !strings.Contains(out, "iSCSI initiator") {
 		t.Fatal("formatted table missing modules")

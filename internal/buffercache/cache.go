@@ -24,7 +24,7 @@ import (
 )
 
 // Lower is the block store beneath the cache. It is the data-path subset
-// of storage.Volume, so any volume (single-arm, mirrored, striped, sharded)
+// of storage.Volume, so any volume (single-arm, mirrored, sharded)
 // plugs in directly.
 type Lower interface {
 	BlockSize() int

@@ -9,34 +9,29 @@ import (
 	"ncache/internal/sim"
 )
 
-// maxBatchBlocksDefault caps one coalesced write-back I/O when no flusher
-// configuration overrides it: 64 blocks (256 KB at 4 KB blocks) keeps one
-// scatter-gather write inside a single iSCSI command's comfortable range.
-const maxBatchBlocksDefault = 64
+// maxBatchBlocks caps one coalesced write-back I/O: 64 blocks (256 KB at
+// 4 KB blocks) keeps one scatter-gather write inside a single iSCSI
+// command's comfortable range.
+const maxBatchBlocks = 64
 
-// FlusherConfig tunes the background write-back flusher.
-type FlusherConfig struct {
-	// Interval is the dirty-hold time: a block marked dirty is written back
-	// at most Interval later. The timer arms on the 0→dirty transition and
-	// stays disarmed while the cache is clean, so an idle engine run
-	// terminates.
-	Interval sim.Duration
-	// MaxBatchBlocks caps one coalesced scatter-gather write (default 64).
-	MaxBatchBlocks int
-	// HighWaterBlocks/LowWaterBlocks bound dirty memory: at the high
-	// watermark Admit queues new work (backpressure) and an immediate flush
-	// is kicked; queued admissions resume once dirty drains to the low
-	// watermark (HighWaterBlocks/2 when zero). Zero high watermark disables
-	// the gate.
-	HighWaterBlocks int
-	LowWaterBlocks  int
-}
+// defaultFlushInterval is the flusher's dirty-hold time unless EnableFlusher
+// is given another.
+const defaultFlushInterval = 500 * sim.Microsecond
 
 // flusher is the cache's background write-back state. All of it runs on the
 // cache's node engine, so flush scheduling is part of the deterministic
 // event schedule.
 type flusher struct {
-	cfg      FlusherConfig
+	// interval is the dirty-hold time: a block marked dirty is written back
+	// at most interval later. The timer arms on the 0→dirty transition and
+	// stays disarmed while the cache is clean, so an idle engine run
+	// terminates.
+	interval sim.Duration
+	// high bounds dirty memory, in blocks: at the high watermark Admit
+	// queues new work (backpressure) and an immediate flush is kicked;
+	// queued admissions resume once dirty drains to the low watermark,
+	// high/2. Zero disables the gate.
+	high     int
 	timerSet bool
 	timer    sim.EventID
 	kickSet  bool
@@ -51,10 +46,14 @@ type admitWaiter struct {
 }
 
 // EnableFlusher turns on background write-back: dirty blocks flush in
-// coalesced batches at most cfg.Interval after they are dirtied, and dirty
-// memory is bounded by the watermark admission gate. Call before traffic.
-func (c *Cache) EnableFlusher(cfg FlusherConfig) {
-	c.fl = &flusher{cfg: cfg}
+// coalesced batches at most interval (0 = 500 µs) after they are dirtied,
+// and dirty memory is bounded by the admission gate at highWaterBlocks. Call
+// before traffic.
+func (c *Cache) EnableFlusher(interval sim.Duration, highWaterBlocks int) {
+	if interval <= 0 {
+		interval = defaultFlushInterval
+	}
+	c.fl = &flusher{interval: interval, high: highWaterBlocks}
 }
 
 // SetWritebackStats shares a pipeline-counter struct (a server wires the
@@ -87,7 +86,7 @@ func (c *Cache) SetFlushObserver(fn func()) { c.onFlush = fn }
 // run if the cache is reset (crash) while queued.
 func (c *Cache) Admit(run, cancel func()) {
 	fl := c.fl
-	if fl == nil || fl.cfg.HighWaterBlocks <= 0 || c.nDirty < fl.cfg.HighWaterBlocks {
+	if fl == nil || fl.high <= 0 || c.nDirty < fl.high {
 		run()
 		return
 	}
@@ -113,14 +112,14 @@ func (fl *flusher) onDirty(c *Cache) {
 	if fl == nil {
 		return
 	}
-	if fl.cfg.HighWaterBlocks > 0 && c.nDirty >= fl.cfg.HighWaterBlocks {
+	if fl.high > 0 && c.nDirty >= fl.high {
 		fl.kick(c)
 	}
-	if fl.cfg.Interval <= 0 || fl.timerSet {
+	if fl.timerSet {
 		return
 	}
 	fl.timerSet = true
-	fl.timer = c.node.Eng.Schedule(fl.cfg.Interval, func() { fl.tick(c) })
+	fl.timer = c.node.Eng.Schedule(fl.interval, func() { fl.tick(c) })
 }
 
 // tick is the hold-timer body: flush everything dirty, then re-arm while
@@ -129,9 +128,9 @@ func (fl *flusher) onDirty(c *Cache) {
 func (fl *flusher) tick(c *Cache) {
 	fl.timerSet = false
 	fl.flushNow(c)
-	if c.nDirty > 0 && fl.cfg.Interval > 0 {
+	if c.nDirty > 0 {
 		fl.timerSet = true
-		fl.timer = c.node.Eng.Schedule(fl.cfg.Interval, func() { fl.tick(c) })
+		fl.timer = c.node.Eng.Schedule(fl.interval, func() { fl.tick(c) })
 	}
 }
 
@@ -165,14 +164,10 @@ func (fl *flusher) batchLanded(c *Cache) {
 	if fl == nil || len(fl.admitQ) == 0 {
 		return
 	}
-	low := fl.cfg.LowWaterBlocks
-	if low <= 0 {
-		low = fl.cfg.HighWaterBlocks / 2
-	}
-	if c.nDirty > low {
+	if c.nDirty > fl.high/2 {
 		return
 	}
-	for len(fl.admitQ) > 0 && c.nDirty < fl.cfg.HighWaterBlocks {
+	for len(fl.admitQ) > 0 && c.nDirty < fl.high {
 		w := fl.admitQ[0]
 		fl.admitQ = fl.admitQ[1:]
 		c.wb.StallNs += int64(c.node.Eng.Now() - w.since)
@@ -194,14 +189,6 @@ func (c *Cache) collectDirty() []*Block {
 	return dirty
 }
 
-// maxBatchBlocks returns the configured batch cap.
-func (c *Cache) maxBatchBlocks() int {
-	if c.fl != nil && c.fl.cfg.MaxBatchBlocks > 0 {
-		return c.fl.cfg.MaxBatchBlocks
-	}
-	return maxBatchBlocksDefault
-}
-
 // flushBatches coalesces dirty (LBN-sorted, non-flushing) blocks into
 // adjacent-LBN scatter-gather writes and issues them concurrently; done
 // fires once every batch lands, with the first error.
@@ -210,11 +197,10 @@ func (c *Cache) flushBatches(dirty []*Block, done func(error)) {
 		done(nil)
 		return
 	}
-	max := c.maxBatchBlocks()
 	var batches [][]*Block
 	for i := 0; i < len(dirty); {
 		j := i + 1
-		for j < len(dirty) && j-i < max &&
+		for j < len(dirty) && j-i < maxBatchBlocks &&
 			dirty[j].LBN == dirty[j-1].LBN+1 && dirty[j].Meta == dirty[i].Meta {
 			j++
 		}

@@ -5,7 +5,6 @@ import (
 
 	"ncache/internal/proto"
 	"ncache/internal/proto/eth"
-	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
 
@@ -52,22 +51,12 @@ type Agent struct {
 	onReady  func(error)
 	regTries int
 
-	// staged collects the LBNs the cache module re-indexed during the
-	// current flush; the data path takes them after the write that carried
-	// the blocks commits.
-	staged []int64
-
 	epoch   uint64
 	seq     uint64
 	pending map[uint64]*pendingRemap
 	seen    map[invalID]bool
 
 	invalidate func([]int64)
-
-	// RetryRTO/RetryMax bound remap retransmission (defaults applied at
-	// NewAgent).
-	RetryRTO sim.Duration
-	RetryMax int
 
 	Stats AgentStats
 }
@@ -76,15 +65,13 @@ type Agent struct {
 // control plane at cp over the given transport.
 func NewAgent(node *simnet.Node, dial proto.Dialer, local, cp eth.Addr, server int) *Agent {
 	return &Agent{
-		node:     node,
-		dial:     dial,
-		local:    local,
-		cpAddr:   cp,
-		server:   server,
-		pending:  make(map[uint64]*pendingRemap),
-		seen:     make(map[invalID]bool),
-		RetryRTO: DefaultRetryRTO,
-		RetryMax: DefaultRetryMax,
+		node:    node,
+		dial:    dial,
+		local:   local,
+		cpAddr:  cp,
+		server:  server,
+		pending: make(map[uint64]*pendingRemap),
+		seen:    make(map[invalID]bool),
 	}
 }
 
@@ -132,13 +119,13 @@ func (a *Agent) sendRegister() {
 	if a.onReady == nil {
 		return
 	}
-	if a.regTries >= a.RetryMax*4 {
+	if a.regTries >= DefaultRetryMax*4 {
 		a.finishReady(fmt.Errorf("%s: register: no ack after %d tries", a, a.regTries))
 		return
 	}
 	a.regTries++
 	a.send(Msg{Type: MsgRegister, Server: uint16(a.server)})
-	a.node.Eng.Schedule(a.RetryRTO, func() {
+	a.node.Eng.Schedule(DefaultRetryRTO, func() {
 		if a.onReady != nil {
 			a.sendRegister()
 		}
@@ -170,19 +157,6 @@ func (a *Agent) send(m Msg) {
 	}
 }
 
-// ObserveRemap stages LBNs the cache module re-indexed; wired as the
-// module's remap observer, it runs synchronously inside the flush write.
-func (a *Agent) ObserveRemap(lbns []int64) {
-	a.staged = append(a.staged, lbns...)
-}
-
-// TakeStaged returns and clears the staged set.
-func (a *Agent) TakeStaged() []int64 {
-	s := a.staged
-	a.staged = nil
-	return s
-}
-
 // SendRemap announces remapped LBNs to the control plane, chunked to the
 // message limit, each chunk retried until acknowledged.
 func (a *Agent) SendRemap(lbns []int64) {
@@ -200,7 +174,7 @@ func (a *Agent) SendRemap(lbns []int64) {
 }
 
 // transmitRemap sends one chunk and arms its retry timer. The timer does
-// not re-arm after the ack or after RetryMax tries, so engine drains
+// not re-arm after the ack or after DefaultRetryMax tries, so engine drains
 // terminate; exhausting the retries is counted, never silent.
 func (a *Agent) transmitRemap(p *pendingRemap) {
 	if p.tries == 0 {
@@ -210,11 +184,11 @@ func (a *Agent) transmitRemap(p *pendingRemap) {
 	}
 	p.tries++
 	a.send(Msg{Type: MsgRemap, Server: uint16(a.server), Epoch: a.epoch, Seq: p.seq, LBNs: p.lbns})
-	a.node.Eng.Schedule(a.RetryRTO, func() {
+	a.node.Eng.Schedule(DefaultRetryRTO, func() {
 		if p.acked {
 			return
 		}
-		if p.tries >= a.RetryMax {
+		if p.tries >= DefaultRetryMax {
 			a.Stats.RemapsAbandoned++
 			p.acked = true
 			return

@@ -42,11 +42,7 @@ func buildCPNet(t *testing.T, stream bool) *cpNet {
 		t.Fatal(err)
 	}
 	cpStack := ipv4.NewStack(cpNode)
-	n.cp = NewServer(cpNode, Config{
-		Servers:     []eth.Addr{tServer0, tServer1},
-		NumTargets:  2,
-		RangeBlocks: 8,
-	})
+	n.cp = NewServer(cpNode, []eth.Addr{tServer0, tServer1})
 	if err := n.cp.ServeUDP(udp.NewTransport(cpStack)); err != nil {
 		t.Fatal(err)
 	}

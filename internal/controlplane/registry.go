@@ -20,10 +20,10 @@ type Registry struct {
 }
 
 // NewRegistry places all servers as active members at epoch 1.
-func NewRegistry(servers []eth.Addr, vnodes int) *Registry {
+func NewRegistry(servers []eth.Addr) *Registry {
 	g := &Registry{
 		servers:   append([]eth.Addr(nil), servers...),
-		ring:      NewRing(vnodes),
+		ring:      NewRing(DefaultVNodes),
 		overrides: make(map[lkey.FH]int),
 		epoch:     1,
 	}
@@ -117,14 +117,14 @@ type TargetMap struct {
 }
 
 // NewTargetMap builds the placement for numTargets targets.
-func NewTargetMap(numTargets int, rangeBlocks int64, vnodes int) *TargetMap {
+func NewTargetMap(numTargets int, rangeBlocks int64) *TargetMap {
 	if numTargets <= 0 {
 		numTargets = 1
 	}
 	if rangeBlocks <= 0 {
 		rangeBlocks = DefaultRangeBlocks
 	}
-	m := &TargetMap{numTargets: numTargets, rangeBlocks: rangeBlocks, ring: NewRing(vnodes)}
+	m := &TargetMap{numTargets: numTargets, rangeBlocks: rangeBlocks, ring: NewRing(DefaultVNodes)}
 	for t := 0; t < numTargets; t++ {
 		m.ring.Add(t)
 	}

@@ -6,7 +6,6 @@ import (
 	"ncache/internal/lkey"
 	"ncache/internal/proto"
 	"ncache/internal/proto/eth"
-	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
 
@@ -91,9 +90,6 @@ type Resolver struct {
 	members      *membersWait
 	bootQ        []bootEntry
 
-	RetryRTO sim.Duration
-	RetryMax int
-
 	Stats ResolverStats
 }
 
@@ -107,8 +103,6 @@ func NewResolver(node *simnet.Node, dial proto.Dialer, local, cp eth.Addr) *Reso
 		cpAddr:   cp,
 		cache:    make(map[lkey.FH]routeEntry),
 		inflight: make(map[lkey.FH]*lookupWait),
-		RetryRTO: DefaultRetryRTO,
-		RetryMax: DefaultRetryMax,
 	}
 }
 
@@ -193,7 +187,7 @@ func (r *Resolver) transmitMembers(w *membersWait) {
 	if r.members != w {
 		return
 	}
-	if w.tries >= r.RetryMax {
+	if w.tries >= DefaultRetryMax {
 		r.bootFallback(w)
 		return
 	}
@@ -210,7 +204,7 @@ func (r *Resolver) transmitMembers(w *membersWait) {
 		r.bootFallback(w)
 		return
 	}
-	r.node.Eng.Schedule(r.RetryRTO, func() { r.transmitMembers(w) })
+	r.node.Eng.Schedule(DefaultRetryRTO, func() { r.transmitMembers(w) })
 }
 
 // bootFallback abandons the replica and drains the parked lookups through
@@ -237,7 +231,7 @@ func (r *Resolver) ensureConn(ready func(error)) {
 	if r.dialing {
 		// A concurrent Resolve is already dialing; poll on the retry
 		// granularity (dials in the sim complete quickly or not at all).
-		r.node.Eng.Schedule(r.RetryRTO, func() { r.ensureConn(ready) })
+		r.node.Eng.Schedule(DefaultRetryRTO, func() { r.ensureConn(ready) })
 		return
 	}
 	r.dialing = true
@@ -261,7 +255,7 @@ func (r *Resolver) transmit(w *lookupWait) {
 	if _, live := r.inflight[w.fh]; !live || r.inflight[w.fh] != w {
 		return
 	}
-	if w.tries >= r.RetryMax {
+	if w.tries >= DefaultRetryMax {
 		r.fail(w, fmt.Errorf("controlplane: lookup fh=%x: no response after %d tries", w.fh, w.tries))
 		return
 	}
@@ -278,7 +272,7 @@ func (r *Resolver) transmit(w *lookupWait) {
 		r.fail(w, err)
 		return
 	}
-	r.node.Eng.Schedule(r.RetryRTO, func() { r.transmit(w) })
+	r.node.Eng.Schedule(DefaultRetryRTO, func() { r.transmit(w) })
 }
 
 // fail completes a lookup's waiters with an error.

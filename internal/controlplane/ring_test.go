@@ -122,7 +122,7 @@ func TestRingDeterministic(t *testing.T) {
 // every placement change so routing caches can tell stale answers apart.
 func TestRegistryPlacement(t *testing.T) {
 	addrs := []eth.Addr{0x0a000010, 0x0a000018, 0x0a000020, 0x0a000028}
-	g := NewRegistry(addrs, DefaultVNodes)
+	g := NewRegistry(addrs)
 	if g.Epoch() != 1 {
 		t.Fatalf("fresh registry epoch = %d, want 1", g.Epoch())
 	}
@@ -162,7 +162,7 @@ func TestRegistryPlacement(t *testing.T) {
 // same-target pieces merge, and every block lands on the target TargetOf
 // names for it.
 func TestTargetMapSplit(t *testing.T) {
-	tm := NewTargetMap(4, 8, DefaultVNodes)
+	tm := NewTargetMap(4, 8)
 	const start, blocks = int64(3), 64
 	exts := tm.Split(start, blocks)
 	covered := int64(0)
@@ -193,7 +193,7 @@ func TestTargetMapSplit(t *testing.T) {
 	if tm.TargetOf(5) < 0 || tm.TargetOf(5) >= 4 {
 		t.Fatalf("TargetOf out of range")
 	}
-	one := NewTargetMap(1, 8, DefaultVNodes)
+	one := NewTargetMap(1, 8)
 	if got := one.Split(0, 100); len(got) != 1 || got[0].Target != 0 || got[0].Blocks != 100 {
 		t.Fatalf("single-target split: %+v", got)
 	}

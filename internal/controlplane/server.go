@@ -8,27 +8,10 @@ import (
 	"ncache/internal/simnet"
 )
 
-// Config parameterizes a control-plane server.
-type Config struct {
-	// Servers lists the front-end servers' fabric addresses by index; the
-	// index is the protocol's server ID.
-	Servers []eth.Addr
-	// NumTargets and RangeBlocks shape the LBN→target placement.
-	NumTargets  int
-	RangeBlocks int64
-	// VNodes is the consistent-hash virtual-node count (0 = default).
-	VNodes int
-	// RetryRTO/RetryMax bound invalidation retransmission under frame
-	// loss. Zero values select defaults.
-	RetryRTO sim.Duration
-	RetryMax int
-}
-
 // Stats counts control-plane activity.
 type Stats struct {
 	Registers           uint64
 	LookupsFH           uint64
-	LookupsLBN          uint64
 	LookupsMembers      uint64
 	RemapsStarted       uint64
 	RemapDups           uint64
@@ -36,7 +19,7 @@ type Stats struct {
 	InvalidationsSent   uint64
 	InvalidationResends uint64
 	InvalidationAcks    uint64
-	// Abandoned counts invalidations given up after RetryMax tries; the
+	// Abandoned counts invalidations given up after DefaultRetryMax tries; the
 	// remap still completes (the sim has no permanently dead peers, so a
 	// nonzero count under bounded loss indicates miscalibrated retries).
 	Abandoned uint64
@@ -71,9 +54,7 @@ type remapState struct {
 // Single-homed on its own node so its CPU saturation is measurable.
 type Server struct {
 	node *simnet.Node
-	cfg  Config
 	reg  *Registry
-	tm   *TargetMap
 
 	// routes[i] sends one message to registered server i (nil until it
 	// registers). Indexed by server ID so fan-out order is deterministic.
@@ -85,26 +66,22 @@ type Server struct {
 	Stats   Stats
 }
 
-// Default retransmission bounds for the invalidation fan-out.
+// The protocol's retransmission bounds: the server's invalidation fan-out,
+// an agent's registration and remap announcements and a resolver's lookups
+// all resend every DefaultRetryRTO, at most DefaultRetryMax times.
 const (
 	DefaultRetryRTO = 10 * sim.Millisecond
 	DefaultRetryMax = 6
 )
 
-// NewServer creates the control-plane service on node.
-func NewServer(node *simnet.Node, cfg Config) *Server {
-	if cfg.RetryRTO <= 0 {
-		cfg.RetryRTO = DefaultRetryRTO
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = DefaultRetryMax
-	}
+// NewServer creates the control-plane service on node. servers lists the
+// front-end servers' fabric addresses by index; the index is the protocol's
+// server ID.
+func NewServer(node *simnet.Node, servers []eth.Addr) *Server {
 	return &Server{
 		node:    node,
-		cfg:     cfg,
-		reg:     NewRegistry(cfg.Servers, cfg.VNodes),
-		tm:      NewTargetMap(cfg.NumTargets, cfg.RangeBlocks, cfg.VNodes),
-		routes:  make([]func(Msg), len(cfg.Servers)),
+		reg:     NewRegistry(servers),
+		routes:  make([]func(Msg), len(servers)),
 		remaps:  make(map[remapID]*remapState),
 		scratch: make([]byte, frameLenBytes+headerLen+8*MaxLBNs),
 	}
@@ -113,9 +90,6 @@ func NewServer(node *simnet.Node, cfg Config) *Server {
 // Registry exposes the placement authority (tests and benches reconfigure
 // placement through it).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// Targets exposes the LBN→target placement shared with the data path.
-func (s *Server) Targets() *TargetMap { return s.tm }
 
 // Node returns the server's node.
 func (s *Server) Node() *simnet.Node { return s.node }
@@ -225,16 +199,6 @@ func (s *Server) handle(m Msg, reply func(Msg)) {
 		}
 		reply(r)
 
-	case MsgLookupLBN:
-		s.Stats.LookupsLBN++
-		reply(Msg{
-			Type:   MsgLookupLBNResp,
-			Server: uint16(s.tm.TargetOf(m.LBN)),
-			Epoch:  s.reg.Epoch(),
-			LBN:    m.LBN,
-			Seq:    m.Seq,
-		})
-
 	case MsgRemap:
 		s.handleRemap(m)
 
@@ -305,11 +269,11 @@ func (s *Server) sendInvalidate(st *remapState, p *remapPeer) {
 		route(s.invalidateMsg(st))
 	}
 	p.tries++
-	s.node.Eng.Schedule(s.cfg.RetryRTO, func() {
+	s.node.Eng.Schedule(DefaultRetryRTO, func() {
 		if st.done || p.acked {
 			return
 		}
-		if p.tries >= s.cfg.RetryMax {
+		if p.tries >= DefaultRetryMax {
 			s.Stats.Abandoned++
 			p.acked = true
 			s.completeIfAcked(st)

@@ -25,8 +25,6 @@ const (
 	MsgRegisterAck
 	MsgLookupFH
 	MsgLookupFHResp
-	MsgLookupLBN
-	MsgLookupLBNResp
 	MsgRemap
 	MsgRemapAck
 	MsgInvalidate

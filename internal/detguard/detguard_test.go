@@ -16,26 +16,29 @@ import (
 	"testing"
 )
 
-// listPackages resolves the directory of every package under internal/ and
-// cmd/ and the export data of the full dependency graph, using the go tool
-// itself so the guards see exactly what the build sees.
-func listPackages(t *testing.T) (pkgDirs map[string]string, exports map[string]string) {
+// goList runs `go list -deps -export` (plus flags) over the module, using the
+// go tool itself so the guards see exactly what the build sees. It returns
+// the module root, the directory of every package of this module and the
+// export data of the full dependency graph, both keyed by import path. The
+// recompiled test variants `-test` adds ("p [p.test]", "p.test") are skipped:
+// with that flag the listing only gains the packages tests alone import.
+func goList(t *testing.T, flags ...string) (root string, dirs, exports map[string]string) {
 	t.Helper()
 	out, err := exec.Command("go", "env", "GOMOD").Output()
 	if err != nil {
 		t.Fatalf("go env GOMOD: %v", err)
 	}
-	root := filepath.Dir(strings.TrimSpace(string(out)))
+	root = filepath.Dir(strings.TrimSpace(string(out)))
 
-	cmd := exec.Command("go", "list", "-deps", "-export",
-		"-f", "{{.ImportPath}}\t{{.Dir}}\t{{.Export}}", "./...")
+	args := append([]string{"list", "-deps", "-export"}, flags...)
+	cmd := exec.Command("go", append(args, "-f", "{{.ImportPath}}\t{{.Dir}}\t{{.Export}}", "./...")...)
 	cmd.Dir = root
 	cmd.Stderr = os.Stderr
 	out, err = cmd.Output()
 	if err != nil {
-		t.Fatalf("go list -deps -export: %v", err)
+		t.Fatalf("go %s: %v", strings.Join(args, " "), err)
 	}
-	pkgDirs = map[string]string{}
+	dirs = map[string]string{}
 	exports = map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		parts := strings.Split(line, "\t")
@@ -43,17 +46,44 @@ func listPackages(t *testing.T) (pkgDirs map[string]string, exports map[string]s
 			continue
 		}
 		path, dir, export := parts[0], parts[1], parts[2]
+		if strings.Contains(path, " ") || strings.HasSuffix(path, ".test") {
+			continue
+		}
 		if export != "" {
 			exports[path] = export
 		}
-		if strings.HasPrefix(path, "ncache/internal/") || strings.HasPrefix(path, "ncache/cmd/") {
-			pkgDirs[path] = dir
+		if path == "ncache" || strings.HasPrefix(path, "ncache/") {
+			dirs[path] = dir
+		}
+	}
+	return root, dirs, exports
+}
+
+// listPackages resolves the directory of every package under internal/ and
+// cmd/ and the export data of the full dependency graph.
+func listPackages(t *testing.T) (pkgDirs map[string]string, exports map[string]string) {
+	t.Helper()
+	_, pkgDirs, exports = goList(t)
+	for path := range pkgDirs { // det: commutative (filter)
+		if !strings.HasPrefix(path, "ncache/internal/") && !strings.HasPrefix(path, "ncache/cmd/") {
+			delete(pkgDirs, path)
 		}
 	}
 	if len(pkgDirs) == 0 {
 		t.Fatal("go list resolved no ncache/internal or ncache/cmd packages")
 	}
 	return pkgDirs, exports
+}
+
+// exportImporter imports packages from the export data goList resolved.
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(f)
+	})
 }
 
 // sourceFiles parses the non-test Go files of one package directory.
@@ -129,13 +159,7 @@ func TestNoUnannotatedMapRanges(t *testing.T) {
 	pkgDirs, exports := listPackages(t)
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
+	imp := exportImporter(fset, exports)
 
 	paths := make([]string, 0, len(pkgDirs))
 	for p := range pkgDirs {

@@ -1,5 +1,6 @@
-// Package detguard holds the repository's source-level determinism guards:
-// annotated map iteration, and no goroutines inside the simulator.
+// Package detguard holds the repository's source-level guards: annotated map
+// iteration and no goroutines inside the simulator (determinism), and no
+// configuration field that nothing turns.
 //
 // Go randomizes map iteration order. On the simulation's event path an
 // unordered iteration that schedules events, mutates model state, or formats
@@ -23,4 +24,10 @@
 // The second guard, TestNoGoroutines, fails on any go statement in non-test
 // code under internal/ or cmd/: a cluster's state is unsynchronised because
 // only the caller's goroutine ever touches it (DESIGN.md §11).
+//
+// The third, TestEveryKnobIsTurned (knobs_test.go), is not about determinism
+// but shares the machinery: it type-checks every package of the module, tests
+// included, and fails on an exported field of a *Config or Options struct
+// under internal/ that no file but its own ever sets — ROADMAP aim 3's "a
+// knob survives only if an experiment or a test needs it", held mechanically.
 package detguard

@@ -1,0 +1,217 @@
+package detguard
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// knob names one independently settable value: an exported field of a
+// configuration struct.
+type knob struct{ pkg, typ, field string }
+
+func (k knob) String() string {
+	return strings.TrimPrefix(k.pkg, "ncache/internal/") + "." + k.typ + "." + k.field
+}
+
+// isKnobStruct reports whether a struct of this name holds knobs.
+func isKnobStruct(name string) bool {
+	return strings.HasSuffix(name, "Config") || name == "Options"
+}
+
+// structOf returns the named struct type behind t (through one pointer), or
+// nil.
+func structOf(t types.Type) *types.Named {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return nil
+	}
+	if _, ok := n.Underlying().(*types.Struct); !ok {
+		return nil
+	}
+	return n
+}
+
+// fieldOwner returns the named struct that declares the field a selection
+// resolves to, following the embedding path of a promoted field.
+func fieldOwner(sel *types.Selection) *types.Named {
+	owner := structOf(sel.Recv())
+	for _, i := range sel.Index()[:len(sel.Index())-1] {
+		if owner == nil {
+			return nil
+		}
+		owner = structOf(owner.Underlying().(*types.Struct).Field(i).Type())
+	}
+	return owner
+}
+
+// TestEveryKnobIsTurned is the option census: for every exported field of a
+// struct declared in non-test code under internal/ whose name ends in Config
+// or is Options, some Go file other than the declaring one — a command, an
+// experiment, an example, the benchmark or a test — must set it, as a keyed
+// composite-literal element or as the target of an assignment. A field that
+// only its own file's defaults ever write has one value in use and should be
+// the constant it is.
+//
+// Fields are resolved through the type checker, so wal.Config.CommitInterval
+// does not vouch for a CommitInterval elsewhere. benchmarks/ncmark is a
+// module of its own that this one cannot type-check; there a keyed literal
+// of a type with the same name counts.
+func TestEveryKnobIsTurned(t *testing.T) {
+	root, dirs, exports := goList(t, "-test")
+	fset := token.NewFileSet()
+	imp := exportImporter(fset, exports)
+
+	paths := make([]string, 0, len(dirs))
+	for p := range dirs {
+		paths = append(paths, p) // det: sorted
+	}
+	sort.Strings(paths)
+
+	declared := map[knob]string{}          // knob -> declaring file
+	turnedIn := map[knob]map[string]bool{} // knob -> files that set it
+	turn := func(n *types.Named, field, file string) {
+		if n == nil || !isKnobStruct(n.Obj().Name()) {
+			return
+		}
+		k := knob{n.Obj().Pkg().Path(), n.Obj().Name(), field}
+		if turnedIn[k] == nil {
+			turnedIn[k] = map[string]bool{}
+		}
+		turnedIn[k][file] = true
+	}
+
+	for _, path := range paths {
+		entries, err := os.ReadDir(dirs[path])
+		if err != nil {
+			t.Fatalf("%s: %v", dirs[path], err)
+		}
+		// One package per package clause: the package with its in-package
+		// tests, and its external test package if it has one.
+		groups := map[string][]*ast.File{}
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), ".go") {
+				continue
+			}
+			full := filepath.Join(dirs[path], e.Name())
+			f, err := parser.ParseFile(fset, full, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatalf("parse %s: %v", full, err)
+			}
+			groups[f.Name.Name] = append(groups[f.Name.Name], f)
+		}
+		for name, files := range groups { // det: commutative (set inserts)
+			info := &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}
+			checkPath := path
+			if strings.HasSuffix(name, "_test") {
+				checkPath += "_test"
+			}
+			conf := types.Config{Importer: imp, FakeImportC: true}
+			if _, err := conf.Check(checkPath, fset, files, info); err != nil {
+				t.Fatalf("typecheck %s: %v", checkPath, err)
+			}
+			for _, f := range files {
+				file := fset.Position(f.Pos()).Filename
+				declares := strings.HasPrefix(path, "ncache/internal/") && !strings.HasSuffix(file, "_test.go")
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.TypeSpec:
+						st, ok := n.Type.(*ast.StructType)
+						if !ok || !declares || !isKnobStruct(n.Name.Name) {
+							return true
+						}
+						for _, fld := range st.Fields.List {
+							for _, id := range fld.Names {
+								if id.IsExported() {
+									declared[knob{path, n.Name.Name, id.Name}] = file
+								}
+							}
+						}
+					case *ast.CompositeLit:
+						owner := structOf(info.Types[n].Type)
+						for _, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									turn(owner, id.Name, file)
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if se, ok := lhs.(*ast.SelectorExpr); ok {
+								if sel := info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+									turn(fieldOwner(sel), se.Sel.Name, file)
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	// benchmarks/ncmark: keyed literals of pkg.Type, by type and field name.
+	ncmark := map[[2]string]bool{}
+	bench, _ := filepath.Glob(filepath.Join(root, "benchmarks", "ncmark", "*.go"))
+	for _, full := range bench {
+		f, err := parser.ParseFile(fset, full, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", full, err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			se, ok := lit.Type.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			for _, el := range lit.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						ncmark[[2]string{se.Sel.Name, id.Name}] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	if len(declared) == 0 {
+		t.Fatal("found no configuration struct under internal/: the census checked nothing")
+	}
+	var unturned []string
+	for k, file := range declared { // det: sorted below
+		turned := ncmark[[2]string{k.typ, k.field}]
+		for setter := range turnedIn[k] { // det: commutative (any)
+			turned = turned || setter != file
+		}
+		if !turned {
+			rel, _ := filepath.Rel(root, file)
+			unturned = append(unturned, fmt.Sprintf("%s (%s)", k, rel))
+		}
+	}
+	sort.Strings(unturned)
+	if len(unturned) > 0 {
+		t.Errorf("configuration fields nothing outside their declaring file sets — no command, "+
+			"experiment, example, benchmark or test. ROADMAP aim 3: \"One way to do each thing … "+
+			"A mode, flag or knob survives only if an experiment or a test needs it.\" Make each a "+
+			"constant in the package that owns the mechanism, or add the test that turns it:\n  %s",
+			strings.Join(unturned, "\n  "))
+	}
+}

@@ -14,26 +14,6 @@ import (
 	"ncache/internal/trace"
 )
 
-// ReadHook intercepts the payload of a completed non-metadata READ before it
-// is handed up to the file system. The NCache module installs one to capture
-// the wire buffers into its LBN cache; the returned chain (possibly a
-// key-carrying placeholder) is what the upper layer sees. This is the
-// receive half of the "two functions invoking socket interface changed"
-// modification (Table 1).
-type ReadHook func(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain
-
-// WriteHook intercepts the payload of a non-metadata WRITE before it goes to
-// the target. The NCache module uses it to recognize key-carrying flush
-// payloads, substitute the real cached data, and remap FHO entries to LBN
-// entries. The returned chain is transmitted.
-type WriteHook func(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain
-
-// ReadCache can satisfy a non-metadata READ locally before any command is
-// issued — the network-centric cache serving as a second level below the
-// file-system buffer cache (§3.4). A true return means the chain is the
-// payload and no storage traffic occurs.
-type ReadCache func(lba int64, blocks int) (*netbuf.Chain, bool)
-
 // Errors surfaced by the initiator.
 var (
 	ErrNotConnected = errors.New("iscsi: not connected")
@@ -45,11 +25,9 @@ var (
 type task struct {
 	lba    int64
 	blocks int
-	meta   bool
 	write  bool
-	// payload is a retained image of the (post-hook) write data so a
-	// retry re-sends exactly the bytes of the first attempt — the write
-	// hook must not run twice.
+	// payload is a retained image of the write data so a retry re-sends
+	// exactly the bytes of the first attempt.
 	payload *netbuf.Chain
 	tries   int
 	onData  func(*netbuf.Chain, error)
@@ -82,10 +60,6 @@ type Initiator struct {
 	pending map[uint32]*task
 	geom    blockdev.Geometry
 
-	readHook  ReadHook
-	writeHook WriteHook
-	readCache ReadCache
-
 	// retryMax/retryBackoff configure CHECK CONDITION retries (off while
 	// retryMax is zero).
 	retryMax     int
@@ -110,15 +84,6 @@ func NewInitiator(node *simnet.Node, dial proto.Dialer, local eth.Addr) *Initiat
 		pending: make(map[uint32]*task),
 	}
 }
-
-// SetReadHook installs the receive-side interception point.
-func (i *Initiator) SetReadHook(h ReadHook) { i.readHook = h }
-
-// SetWriteHook installs the transmit-side interception point.
-func (i *Initiator) SetWriteHook(h WriteHook) { i.writeHook = h }
-
-// SetReadCache installs the local second-level read cache.
-func (i *Initiator) SetReadCache(h ReadCache) { i.readCache = h }
 
 // SetRetry makes the initiator re-issue a command up to max times when the
 // target reports CHECK CONDITION, waiting backoff before each attempt. Off
@@ -183,27 +148,18 @@ func (i *Initiator) readCapacity(done func(error)) {
 }
 
 // Read fetches blocks from the target. meta marks file-system metadata
-// (inodes, directories, bitmaps), which bypasses the NCache read hook. The
+// (inodes, directories, bitmaps); the tag is acted on above the transport,
+// at the pass-through server's one interception point, and ignored here. The
 // callback owns the returned chain.
 func (i *Initiator) Read(lba int64, blocks int, meta bool, done func(*netbuf.Chain, error)) {
 	if i.conn == nil {
 		done(nil, ErrNotConnected)
 		return
 	}
-	if !meta && i.readCache != nil {
-		if data, ok := i.readCache(lba, blocks); ok {
-			// Served locally: no iSCSI command, no storage traffic.
-			trace.To(i.node.Eng, trace.LNCache)
-			i.node.Charge(i.node.Cost.NCacheLookupNs, func() {
-				done(data, nil)
-			})
-			return
-		}
-	}
 	trace.To(i.node.Eng, trace.LISCSI)
 	i.ReadCmds++
 	itt := i.allocITT(nil)
-	i.pending[itt] = &task{lba: lba, blocks: blocks, meta: meta, onData: done}
+	i.pending[itt] = &task{lba: lba, blocks: blocks, onData: done}
 	cdb := scsi.CDB{Op: scsi.OpRead10, LBA: uint32(lba), Blocks: uint16(blocks)}.Encode()
 	i.send(PDU{
 		Op: OpSCSICmd, Final: true, ITT: itt,
@@ -223,10 +179,7 @@ func (i *Initiator) Write(lba int64, data *netbuf.Chain, meta bool, done func(er
 	trace.To(i.node.Eng, trace.LISCSI)
 	i.WriteCmds++
 	blocks := data.Len() / i.geom.BlockSize
-	if !meta && i.writeHook != nil {
-		data = i.writeHook(lba, blocks, data)
-	}
-	t := &task{lba: lba, blocks: blocks, meta: meta, write: true, onDone: done}
+	t := &task{lba: lba, blocks: blocks, write: true, onDone: done}
 	if i.retryMax > 0 {
 		t.payload = data.Clone()
 		t.payload.SetOwner("iscsi.retry")
@@ -335,9 +288,6 @@ func (i *Initiator) handlePDU(p PDU) {
 				}
 				t.onData(nil, fmt.Errorf("%w: status %#x", ErrCheckCond, p.Status))
 				return
-			}
-			if !t.meta && i.readHook != nil {
-				data = i.readHook(t.lba, t.blocks, data)
 			}
 			t.onData(data, nil)
 		case OpSCSIResp:

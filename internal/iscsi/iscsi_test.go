@@ -325,68 +325,6 @@ func TestReadSynthesizedBlocks(t *testing.T) {
 	}
 }
 
-func TestReadHookInterceptsRegularDataOnly(t *testing.T) {
-	r := newRig(t)
-	r.connect(t)
-	var hooked []int64
-	r.initiator.SetReadHook(func(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain {
-		hooked = append(hooked, lba)
-		return data
-	})
-	reads := 0
-	readDone := func(data *netbuf.Chain, err error) {
-		if err != nil {
-			t.Errorf("Read: %v", err)
-			return
-		}
-		reads++
-		data.Release()
-	}
-	r.initiator.Read(10, 1, false, readDone) // regular data → hooked
-	r.initiator.Read(20, 1, true, readDone)  // metadata → not hooked
-	if err := r.eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if reads != 2 {
-		t.Fatalf("reads completed = %d", reads)
-	}
-	if len(hooked) != 1 || hooked[0] != 10 {
-		t.Fatalf("hooked = %v, want [10]", hooked)
-	}
-}
-
-func TestWriteHookSubstitutesPayload(t *testing.T) {
-	r := newRig(t)
-	r.connect(t)
-	real := bytes.Repeat([]byte{0xAA}, 4096)
-	r.initiator.SetWriteHook(func(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain {
-		data.Release()
-		return netbuf.ChainFromBytes(real, netbuf.DefaultBufSize)
-	})
-	junk := make([]byte, 4096)
-	var got []byte
-	r.initiator.Write(50, netbuf.ChainFromBytes(junk, netbuf.DefaultBufSize), false, func(err error) {
-		if err != nil {
-			t.Errorf("Write: %v", err)
-			return
-		}
-		r.initiator.Read(50, 1, false, func(data *netbuf.Chain, err error) {
-			if err != nil {
-				t.Errorf("Read: %v", err)
-				return
-			}
-			got = data.Flatten()
-			data.Release()
-		})
-	})
-	if err := r.eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !bytes.Equal(got, real) {
-		t.Fatal("write hook substitution did not reach the target")
-	}
-}
-
 func TestOutOfRangeReadFails(t *testing.T) {
 	r := newRig(t)
 	r.connect(t)

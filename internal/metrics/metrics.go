@@ -65,19 +65,6 @@ type Net struct {
 	FaultDupTx uint64
 }
 
-// Sub returns the difference n - o.
-func (n Net) Sub(o Net) Net {
-	return Net{
-		PacketsTx:      n.PacketsTx - o.PacketsTx,
-		PacketsRx:      n.PacketsRx - o.PacketsRx,
-		BytesTx:        n.BytesTx - o.BytesTx,
-		BytesRx:        n.BytesRx - o.BytesRx,
-		FaultDropTx:    n.FaultDropTx - o.FaultDropTx,
-		FaultCorruptRx: n.FaultCorruptRx - o.FaultCorruptRx,
-		FaultDupTx:     n.FaultDupTx - o.FaultDupTx,
-	}
-}
-
 // Cache tallies hit/miss behaviour of a cache layer.
 type Cache struct {
 	Hits      uint64
@@ -93,16 +80,6 @@ func (c Cache) HitRatio() float64 {
 		return 0
 	}
 	return float64(c.Hits) / float64(total)
-}
-
-// Sub returns the difference c - o.
-func (c Cache) Sub(o Cache) Cache {
-	return Cache{
-		Hits:      c.Hits - o.Hits,
-		Misses:    c.Misses - o.Misses,
-		Evictions: c.Evictions - o.Evictions,
-		Writeback: c.Writeback - o.Writeback,
-	}
 }
 
 // Writeback tallies the asynchronous dirty-data pipeline: bounded dirty
@@ -239,18 +216,4 @@ type Requests struct {
 	ReadBytes uint64
 	// WriteBytes counts payload bytes written by clients.
 	WriteBytes uint64
-}
-
-// Sub returns the difference r - o.
-func (r Requests) Sub(o Requests) Requests {
-	return Requests{
-		Ops:        r.Ops - o.Ops,
-		OpBytes:    r.OpBytes - o.OpBytes,
-		Errors:     r.Errors - o.Errors,
-		ReadOps:    r.ReadOps - o.ReadOps,
-		WriteOps:   r.WriteOps - o.WriteOps,
-		MetaOps:    r.MetaOps - o.MetaOps,
-		ReadBytes:  r.ReadBytes - o.ReadBytes,
-		WriteBytes: r.WriteBytes - o.WriteBytes,
-	}
 }

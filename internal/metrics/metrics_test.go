@@ -24,15 +24,6 @@ func TestCopiesAccounting(t *testing.T) {
 	}
 }
 
-func TestNetSub(t *testing.T) {
-	a := Net{PacketsTx: 10, PacketsRx: 20, BytesTx: 100, BytesRx: 200}
-	b := Net{PacketsTx: 4, PacketsRx: 5, BytesTx: 40, BytesRx: 50}
-	d := a.Sub(b)
-	if d.PacketsTx != 6 || d.PacketsRx != 15 || d.BytesTx != 60 || d.BytesRx != 150 {
-		t.Fatalf("delta = %+v", d)
-	}
-}
-
 func TestCacheHitRatio(t *testing.T) {
 	c := Cache{Hits: 75, Misses: 25}
 	if c.HitRatio() != 0.75 {
@@ -40,17 +31,5 @@ func TestCacheHitRatio(t *testing.T) {
 	}
 	if (Cache{}).HitRatio() != 0 {
 		t.Fatal("empty cache ratio != 0")
-	}
-	d := Cache{Hits: 100, Misses: 30, Evictions: 5, Writeback: 2}.Sub(c)
-	if d.Hits != 25 || d.Misses != 5 || d.Evictions != 5 || d.Writeback != 2 {
-		t.Fatalf("delta = %+v", d)
-	}
-}
-
-func TestRequestsSub(t *testing.T) {
-	a := Requests{Ops: 10, ReadOps: 5, WriteOps: 2, MetaOps: 3, ReadBytes: 500, WriteBytes: 200}
-	d := a.Sub(Requests{Ops: 4, ReadOps: 2, WriteOps: 1, MetaOps: 1, ReadBytes: 100, WriteBytes: 50})
-	if d.Ops != 6 || d.ReadOps != 3 || d.WriteOps != 1 || d.MetaOps != 2 || d.ReadBytes != 400 || d.WriteBytes != 150 {
-		t.Fatalf("delta = %+v", d)
 	}
 }

@@ -95,11 +95,6 @@ type Module struct {
 	lru  *list.List // front = most recent
 	used int64
 
-	// remapObserver, when set, receives the LBNs WriteOut re-indexed in
-	// one flush — the control-plane agent stages them there so peer
-	// servers can be told to invalidate their stale copies.
-	remapObserver func([]int64)
-
 	// Stats is the module's activity counters.
 	Stats Stats
 }
@@ -419,15 +414,17 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 // buffer, the outgoing payload is stamped junk. The module substitutes the
 // real cached data and — for FHO entries — performs the remap: the entry is
 // re-indexed under its now-known LBN, replacing any stale LBN entry, and
-// marked clean (the write carrying its data is on its way to storage).
-func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain {
+// marked clean (the write carrying its data is on its way to storage). It
+// returns the chain to transmit and the LBNs it re-indexed: once the write
+// commits the caller announces them to peer servers, and if the write fails
+// it hands them back to Repin.
+func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain) (out *netbuf.Chain, remapped []int64) {
 	bs := m.cfg.BlockSize
 	if data.Len() != blocks*bs {
-		return data
+		return data, nil
 	}
-	out := netbuf.NewChain()
+	out = netbuf.NewChain()
 	touched := 0
-	var remapped []int64
 	for i := 0; i < blocks; i++ {
 		sub, err := data.Slice(i*bs, bs)
 		if err != nil {
@@ -478,16 +475,22 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain) *netbuf.Cha
 		m.node.Charge(sim.Duration(touched)*m.node.Cost.NCacheSubstNs, nil)
 		m.node.Copies.Substitutions += uint64(touched)
 	}
-	if len(remapped) > 0 && m.remapObserver != nil {
-		m.remapObserver(remapped)
-	}
 	data.Release()
 	m.evict()
-	return out
+	return out, remapped
 }
 
-// SetRemapObserver installs the per-flush remap notification hook.
-func (m *Module) SetRemapObserver(fn func([]int64)) { m.remapObserver = fn }
+// Repin undoes WriteOut's "marked clean" for a write that failed: every
+// entry still indexed at one of lbns that carries a file identity is dirty
+// again — the only copy of an acknowledged client write, pinned until a
+// later flush remaps it afresh and lands.
+func (m *Module) Repin(lbns []int64) {
+	for _, lbn := range lbns {
+		if e, ok := m.lbn[lbn]; ok && e.key.Flags&lkey.HasFHO != 0 {
+			e.dirty = true
+		}
+	}
+}
 
 // ServeRead attempts to satisfy a block-read entirely from the LBN cache —
 // the second-level-cache role (§3.4): a file-system buffer-cache miss whose

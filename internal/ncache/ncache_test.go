@@ -150,18 +150,34 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	// The file system flushes: stamped junk goes down the iSCSI write
 	// path; the hook must substitute real data and remap.
 	flush := lkey.StampChain(lkey.ForFHO(fh, 0), bs)
-	wire := m.WriteOut(700, 1, flush)
+	wire, remapped := m.WriteOut(700, 1, flush)
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("flush payload not substituted with real data")
 	}
-	if m.Stats.Remaps != 1 {
-		t.Fatalf("remaps = %d", m.Stats.Remaps)
+	if m.Stats.Remaps != 1 || len(remapped) != 1 || remapped[0] != 700 {
+		t.Fatalf("remaps = %d, reported %v, want one at LBN 700", m.Stats.Remaps, remapped)
 	}
 	if m.PinnedBytes() != 0 {
 		t.Fatal("entry still pinned after remap")
+	}
+
+	// The write carrying the data fails: the entry is pinned again, and the
+	// retried flush (still stamped with the file identity only) remaps it
+	// afresh and reports the same LBN.
+	m.Repin(remapped)
+	if m.PinnedBytes() == 0 {
+		t.Fatal("failed write left the only copy of the data unpinned")
+	}
+	wire, remapped = m.WriteOut(700, 1, lkey.StampChain(lkey.ForFHO(fh, 0), bs))
+	if !bytes.Equal(wire.Flatten(), data) {
+		t.Fatal("retried flush not substituted with real data")
+	}
+	if m.Stats.Remaps != 2 || len(remapped) != 1 || remapped[0] != 700 || m.PinnedBytes() != 0 || m.Len() != 1 {
+		t.Fatalf("retry: remaps = %d, reported %v, pinned %d, entries %d",
+			m.Stats.Remaps, remapped, m.PinnedBytes(), m.Len())
 	}
 
 	// The data is now reachable under its LBN.
@@ -281,7 +297,7 @@ func TestDisableRemapAblation(t *testing.T) {
 	fh := lkey.FH{8}
 	data := blockData(5, bs)
 	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
-	wire := m.WriteOut(50, 1, lkey.StampChain(lkey.ForFHO(fh, 0), bs))
+	wire, _ := m.WriteOut(50, 1, lkey.StampChain(lkey.ForFHO(fh, 0), bs))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"ncache/internal/controlplane"
 	"ncache/internal/extfs"
 	"ncache/internal/iscsi"
-	"ncache/internal/lkey"
 	"ncache/internal/metrics"
 	"ncache/internal/ncache"
 	"ncache/internal/netbuf"
@@ -34,78 +33,9 @@ type WritebackConfig struct {
 	// the equal-durability comparison arm: every aligned WRITE applies and
 	// syncs before its ack.
 	WriteThrough bool
-	// CommitInterval / CommitBytes / CommitLatency tune the WAL's group
-	// commit (zero = wal package defaults).
-	CommitInterval sim.Duration
-	CommitBytes    int
-	CommitLatency  sim.Duration
-	// FlushInterval is the background flusher period (0 = 500 µs).
+	// FlushInterval is the background flusher period (0 = the flusher's
+	// default, 500 µs).
 	FlushInterval sim.Duration
-	// MaxBatchBlocks caps one coalesced flush write (0 = 64).
-	MaxBatchBlocks int
-	// DirtyHighBlocks / DirtyLowBlocks are the dirty-memory watermarks:
-	// admission stalls at high and resumes at low (0 = FSCacheBlocks/4
-	// and high/2).
-	DirtyHighBlocks int
-	DirtyLowBlocks  int
-}
-
-// ServerConfig sizes the pass-through application server.
-type ServerConfig struct {
-	Mode        Mode
-	Addrs       []eth.Addr // one NIC per address (Fig 5(b) uses two)
-	StorageAddr eth.Addr
-	// StorageAddrs lists every iSCSI target for a sharded backend; empty
-	// means the single target at StorageAddr. Targets() routes blocks.
-	StorageAddrs []eth.Addr
-	// Targets places LBN ranges onto StorageAddrs (nil = single target).
-	Targets *controlplane.TargetMap
-	// MirrorAddrs lists additional replica targets per entry of
-	// StorageAddrs: MirrorAddrs[t] are target t's extra mirror arms.
-	// Empty (or a short list) means the corresponding target is a plain
-	// single-arm volume.
-	MirrorAddrs [][]eth.Addr
-	// ArmPolicy selects which healthy mirror arm serves reads.
-	ArmPolicy storage.Policy
-	// Breaker tunes the per-arm circuit breaker (zero values = defaults).
-	Breaker storage.BreakerConfig
-	// ControlAddr, when nonzero, is the control-plane service this server
-	// registers with (scale-out clusters); ServerIndex is its protocol ID.
-	ControlAddr eth.Addr
-	ServerIndex int
-	// Name labels the node ("app" when empty — the single-server testbed).
-	Name string
-	// FSCacheBlocks bounds the file-system buffer cache. The paper keeps
-	// it small under NCache to control double buffering (§3.4).
-	FSCacheBlocks int
-	// NCacheBytes sizes the network-centric cache (NCache mode only).
-	NCacheBytes int64
-	// DisableRemap is the remapping ablation switch.
-	DisableRemap  bool
-	Cost          simnet.CostProfile
-	LinkBandwidth simnet.Bandwidth
-	// EnableWeb starts the kHTTPd service alongside NFS.
-	EnableWeb bool
-	// Writeback configures the asynchronous dirty-data pipeline.
-	Writeback WritebackConfig
-}
-
-// DefaultServerConfig mirrors the testbed's application server.
-func DefaultServerConfig(mode Mode, addr, storage eth.Addr) ServerConfig {
-	cfg := ServerConfig{
-		Mode:          mode,
-		Addrs:         []eth.Addr{addr},
-		StorageAddr:   storage,
-		FSCacheBlocks: 32768, // 128 MB page cache
-		Cost:          simnet.DefaultProfile(),
-		LinkBandwidth: simnet.Gbps,
-	}
-	if mode == NCache {
-		// Small FS cache, large network-centric cache (§3.4/§4.1).
-		cfg.FSCacheBlocks = 4096 // 16 MB
-		cfg.NCacheBytes = 512 << 20
-	}
-	return cfg
 }
 
 // AppServer is the pass-through server under test.
@@ -120,14 +50,12 @@ type AppServer struct {
 	Initiator  *iscsi.Initiator
 	Initiators []*iscsi.Initiator
 	// Volume is the storage lower tier: per-target single-arm or mirror
-	// volumes, sharded by the TargetMap when the backend has several
-	// targets. Everything above (buffer cache, WAL replay) writes here.
+	// volumes under the mode's interception, sharded by the TargetMap when
+	// the backend has several targets. Everything above (buffer cache, WAL
+	// replay) writes here.
 	Volume storage.Volume
-	// Mirrors holds each target's mirror volume (nil entries for
-	// single-arm targets), for health stats and tests.
-	Mirrors []*storage.Mirror
-	Cache   *buffercache.Cache
-	FS      *extfs.FS
+	Cache  *buffercache.Cache
+	FS     *extfs.FS
 	// NFS is one protocol server facing both transports: datagram RPC over
 	// UDP and record-marked RPC over TCP (the transport-comparison
 	// extension). One tx filter covers both.
@@ -147,65 +75,37 @@ type AppServer struct {
 	InvalDeferred    uint64
 	InvalDropGiveups uint64
 
-	cfg          ServerConfig
+	cfg          ClusterConfig
 	path         *dataPath
-	connectAddrs []eth.Addr
+	connectAddrs []eth.Addr // parallels Initiators
 	crashed      bool
 }
 
-// NewAppServer builds and attaches the application server; Start completes
-// the iSCSI login and mount.
-func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ServerConfig) (*AppServer, error) {
-	if len(cfg.Addrs) == 0 {
-		return nil, fmt.Errorf("passthru: server needs at least one address")
+// NewAppServer builds and attaches front-end server index of the cluster
+// cfg describes (cfg as NewCluster completed it: every default applied);
+// Start completes the iSCSI login and mount. targets places LBN ranges onto
+// the cluster's storage targets (nil = a single target).
+func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index int, targets *controlplane.TargetMap) (*AppServer, error) {
+	armPolicy, err := storage.ParsePolicy(cfg.ArmPolicy)
+	if err != nil {
+		return nil, err
 	}
-	name := cfg.Name
-	if name == "" {
-		name = "app"
+	name := "app" // the single-server testbed
+	if cfg.NumServers > 1 {
+		name = fmt.Sprintf("app%d", index)
 	}
 	node := simnet.NewNode(eng, name, cfg.Cost)
-	for _, a := range cfg.Addrs {
-		if _, err := nw.Attach(node, a, cfg.LinkBandwidth); err != nil {
+	local := ServerAddrOf(index)
+	for n := 0; n < cfg.ServerNICs; n++ { // Fig 5(b) uses two
+		if _, err := nw.Attach(node, local+eth.Addr(n), simnet.Gbps); err != nil {
 			return nil, fmt.Errorf("app attach: %w", err)
 		}
 	}
 	ip := ipv4.NewStack(node)
 	udpT := udp.NewTransport(ip)
 	tcpT := tcp.NewTransport(ip)
-	storageAddrs := cfg.StorageAddrs
-	if len(storageAddrs) == 0 {
-		storageAddrs = []eth.Addr{cfg.StorageAddr}
-	}
-	// One session per (target, arm): sessions[t][0] talks to the primary
-	// target, sessions[t][1:] to its mirror arms. connectAddrs parallels
-	// the flat Initiators list for login.
-	sessions := make([][]*iscsi.Initiator, len(storageAddrs))
-	var flat []*iscsi.Initiator
-	var connectAddrs []eth.Addr
-	for t, addr := range storageAddrs {
-		armAddrs := []eth.Addr{addr}
-		if t < len(cfg.MirrorAddrs) {
-			armAddrs = append(armAddrs, cfg.MirrorAddrs[t]...)
-		}
-		for _, aa := range armAddrs {
-			ini := iscsi.NewInitiator(node, tcpT.DialConn, cfg.Addrs[0])
-			sessions[t] = append(sessions[t], ini)
-			flat = append(flat, ini)
-			connectAddrs = append(connectAddrs, aa)
-		}
-	}
 
-	s := &AppServer{
-		Node:         node,
-		Mode:         cfg.Mode,
-		UDP:          udpT,
-		TCP:          tcpT,
-		Initiator:    flat[0],
-		Initiators:   flat,
-		cfg:          cfg,
-		connectAddrs: connectAddrs,
-	}
-	s.cfg.StorageAddrs = storageAddrs
+	s := &AppServer{Node: node, Mode: cfg.Mode, UDP: udpT, TCP: tcpT, cfg: cfg}
 	if cfg.Mode == NCache {
 		s.Module = ncache.New(node, ncache.Config{
 			CapacityBytes: cfg.NCacheBytes,
@@ -213,75 +113,34 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ServerConfig) (*AppSe
 			DisableRemap:  cfg.DisableRemap,
 		})
 	}
-	// junkHook is the Baseline comparator's receive filter: regular-data
-	// payloads are dropped at the socket boundary; identity-free junk
-	// flows instead.
-	junkHook := func(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain {
-		if blocks <= 0 {
-			return data
+	s.path = &dataPath{srv: s, mode: cfg.Mode, node: node, mod: s.Module, bs: extfs.BlockSize}
+
+	// One session per (target, arm), and one volume per target: the single
+	// session, or a mirror over the target's arms.
+	vols := make([]storage.Volume, cfg.NumTargets)
+	for t := range vols {
+		names := make([]string, cfg.Arms)
+		arms := make([]storage.Initiator, cfg.Arms)
+		for a := range arms {
+			ini := iscsi.NewInitiator(node, tcpT.DialConn, local)
+			s.Initiators = append(s.Initiators, ini)
+			s.connectAddrs = append(s.connectAddrs, StorageAddrOf(t, a, cfg.NumTargets))
+			names[a], arms[a] = fmt.Sprintf("t%dm%d", t, a), ini
 		}
-		data.Release()
-		out := netbuf.NewChain()
-		for i := 0; i < blocks; i++ {
-			out.AppendChain(lkey.StampChainPool(node.BlkPool, lkey.Key{}, extfs.BlockSize))
-		}
-		return out
-	}
-	// Build the per-target volumes. A single-arm target keeps its hooks on
-	// the initiator — byte-identical to the pre-volume path. A mirrored
-	// target hoists them to the volume so they run exactly once per
-	// logical I/O regardless of arm fan-out (the write hook remaps
-	// FHO->LBN entries and must not run per arm).
-	s.Mirrors = make([]*storage.Mirror, len(storageAddrs))
-	vols := make([]storage.Volume, len(storageAddrs))
-	for t := range storageAddrs {
-		if len(sessions[t]) == 1 {
-			ini := sessions[t][0]
-			switch cfg.Mode {
-			case NCache:
-				ini.SetReadHook(s.Module.CaptureLBN)
-				ini.SetWriteHook(s.Module.WriteOut)
-				ini.SetReadCache(s.Module.ServeRead)
-			case Baseline:
-				ini.SetReadHook(junkHook)
-			}
-			vols[t] = storage.NewSingleArm(fmt.Sprintf("t%d", t), ini)
-		} else {
-			names := make([]string, len(sessions[t]))
-			arms := make([]storage.Initiator, len(sessions[t]))
-			for a, ini := range sessions[t] {
-				names[a] = fmt.Sprintf("t%dm%d", t, a)
-				arms[a] = ini
-			}
-			m, err := storage.NewMirror(node, names, arms, storage.MirrorConfig{
-				Policy:  cfg.ArmPolicy,
-				Breaker: cfg.Breaker,
-			})
-			if err != nil {
+		var vol storage.Volume = storage.NewSingleArm(fmt.Sprintf("t%d", t), arms[0])
+		if cfg.Arms > 1 {
+			if vol, err = storage.NewMirror(node, names, arms, storage.MirrorConfig{Policy: armPolicy}); err != nil {
 				return nil, err
 			}
-			switch cfg.Mode {
-			case NCache:
-				m.SetReadHook(s.Module.CaptureLBN)
-				m.SetWriteHook(s.Module.WriteOut)
-				m.SetReadCache(s.Module.ServeRead)
-			case Baseline:
-				m.SetReadHook(junkHook)
-			}
-			s.Mirrors[t] = m
-			vols[t] = m
 		}
-		// The control-plane decorator announces each extent's remapped
-		// LBNs after its write commits, per target — below the shard
-		// router, preserving the pre-volume announcement granularity.
-		vols[t] = &agentVolume{Volume: vols[t], srv: s}
+		vols[t] = s.path.intercept(vol)
 	}
+	s.Initiator = s.Initiators[0]
 	if len(vols) == 1 {
 		s.Volume = vols[0]
 	} else {
-		tm := cfg.Targets
 		s.Volume = storage.NewSharded(vols, func(lbn int64, blocks int) []storage.Extent {
-			exts := tm.Split(lbn, blocks)
+			exts := targets.Split(lbn, blocks)
 			out := make([]storage.Extent, len(exts))
 			for i, e := range exts {
 				out[i] = storage.Extent{Member: e.Target, LBN: e.LBN, Blocks: e.Blocks}
@@ -289,13 +148,9 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ServerConfig) (*AppSe
 			return out
 		})
 	}
-	s.path = &dataPath{mode: cfg.Mode, node: node, mod: s.Module, bs: extfs.BlockSize}
-	if cfg.ControlAddr != 0 {
-		s.Agent = controlplane.NewAgent(node, udpT.DialConn, cfg.Addrs[0], cfg.ControlAddr, cfg.ServerIndex)
+	if cfg.NumServers > 1 {
+		s.Agent = controlplane.NewAgent(node, udpT.DialConn, local, ControlAddr, index)
 		s.Agent.SetInvalidate(s.ApplyInvalidate)
-		if s.Module != nil {
-			s.Module.SetRemapObserver(s.Agent.ObserveRemap)
-		}
 	}
 	return s, nil
 }
@@ -366,26 +221,11 @@ func (s *AppServer) startServices(done func(error)) {
 	if wbc := s.cfg.Writeback; wbc.Enabled {
 		s.WB = &metrics.Writeback{}
 		s.Cache.SetWritebackStats(s.WB)
-		flushEvery := wbc.FlushInterval
-		if flushEvery <= 0 {
-			flushEvery = 500 * sim.Microsecond
-		}
-		high := wbc.DirtyHighBlocks
-		if high <= 0 {
-			high = s.cfg.FSCacheBlocks / 4
-		}
-		s.Cache.EnableFlusher(buffercache.FlusherConfig{
-			Interval:        flushEvery,
-			MaxBatchBlocks:  wbc.MaxBatchBlocks,
-			HighWaterBlocks: high,
-			LowWaterBlocks:  wbc.DirtyLowBlocks,
-		})
+		// Admission stalls with a quarter of the cache dirty and resumes
+		// at an eighth.
+		s.Cache.EnableFlusher(wbc.FlushInterval, s.cfg.FSCacheBlocks/4)
 		if !wbc.WriteThrough {
-			s.WAL = wal.New(s.Node.Eng, wal.Config{
-				CommitInterval: wbc.CommitInterval,
-				CommitBytes:    wbc.CommitBytes,
-				CommitLatency:  wbc.CommitLatency,
-			}, s.WB)
+			s.WAL = wal.New(s.Node.Eng, wal.Config{}, s.WB)
 			// Each landed batch retires the WAL prefix whose blocks are
 			// all clean again.
 			s.Cache.SetFlushObserver(func() { s.WAL.Truncate(s.Cache.IsDirty) })
@@ -524,35 +364,6 @@ func (s *AppServer) Restart(done func(error)) {
 		writeRun(0)
 	}
 	next(0)
-}
-
-// agentVolume decorates one target's volume with the control-plane remap
-// handshake: the write hook runs synchronously inside WriteAt, so the LBNs
-// the cache module remapped within this write are staged by the time
-// WriteAt returns, and they are announced only after the write carrying the
-// data committed — a peer acting on the invalidation can never re-read
-// stale bytes from storage. Wrapping per target (below the shard router)
-// preserves the pre-volume per-extent announcement granularity.
-type agentVolume struct {
-	storage.Volume
-	srv *AppServer
-}
-
-func (v *agentVolume) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
-	srv := v.srv
-	ag := srv.Agent
-	if ag == nil {
-		v.Volume.WriteAt(lbn, data, meta, done)
-		return
-	}
-	var staged []int64
-	v.Volume.WriteAt(lbn, data, meta, func(err error) {
-		if err == nil && len(staged) > 0 && !srv.crashed {
-			ag.SendRemap(staged)
-		}
-		done(err)
-	})
-	staged = ag.TakeStaged()
 }
 
 // inoFH converts an inode number to a file handle.

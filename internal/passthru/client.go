@@ -15,7 +15,6 @@ import (
 	"ncache/internal/proto/udp"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
-	"ncache/internal/storage"
 )
 
 // ClientHost is one client machine: a node with full protocol stacks, an
@@ -254,12 +253,14 @@ type ClusterConfig struct {
 	Arms int
 	// ArmPolicy is the mirror read-selection policy: "primary-first"
 	// (default), "round-robin" or "least-latency".
-	ArmPolicy string
-	// Breaker tunes the mirror circuit breaker (zero values = defaults).
-	Breaker       storage.BreakerConfig
+	ArmPolicy     string
 	NumClients    int
 	BlocksPerDisk int64
-	FSCacheBlocks int // 0 = mode default
+	// FSCacheBlocks bounds each server's file-system buffer cache (0 = 128 MB;
+	// 16 MB under NCache, which keeps it small to control double buffering,
+	// §3.4). NCacheBytes sizes the network-centric cache (NCache mode only;
+	// 0 = 512 MB).
+	FSCacheBlocks int
 	NCacheBytes   int64
 	DisableRemap  bool
 	EnableWeb     bool
@@ -312,6 +313,13 @@ const ServerAddrStride = 8
 // ServerAddrOf returns front-end server i's first NIC address.
 func ServerAddrOf(i int) eth.Addr { return ServerAddr + eth.Addr(i*ServerAddrStride) }
 
+// StorageAddrOf returns the address of mirror arm `arm` of storage target
+// `target` in a cluster of numTargets targets: the primaries (arm 0) first,
+// then arm 1 of every target, then arm 2, ...
+func StorageAddrOf(target, arm, numTargets int) eth.Addr {
+	return StorageAddr + eth.Addr(target+numTargets*arm)
+}
+
 // NewCluster assembles the testbed of §5.2 — or, with NumServers/NumTargets
 // above one, the scale-out cluster: N front-end servers over M sharded
 // targets coordinated by a control-plane node. Call Start to log in and
@@ -344,67 +352,52 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.ControlLinkLatency <= 0 {
 		cfg.ControlLinkLatency = FabricLatency
 	}
+	if cfg.Arms <= 0 {
+		cfg.Arms = 1
+	}
+	if cfg.FSCacheBlocks <= 0 {
+		cfg.FSCacheBlocks = 32768 // 128 MB page cache
+		if cfg.Mode == NCache {
+			// Small FS cache, large network-centric cache (§3.4/§4.1).
+			cfg.FSCacheBlocks = 4096 // 16 MB
+		}
+	}
+	if cfg.NCacheBytes <= 0 {
+		cfg.NCacheBytes = 512 << 20
+	}
 	eng := sim.NewEngine()
 	nw := simnet.NewNetwork(eng, FabricLatency)
 
 	cl := &Cluster{Eng: eng, Net: nw}
 	if cfg.NumServers > 1 || cfg.NumTargets > 1 {
-		cl.Targets = controlplane.NewTargetMap(cfg.NumTargets, cfg.RangeBlocks, 0)
+		cl.Targets = controlplane.NewTargetMap(cfg.NumTargets, cfg.RangeBlocks)
 	}
 
-	if cfg.Arms <= 0 {
-		cfg.Arms = 1
-	}
-	armPolicy, err := storage.ParsePolicy(cfg.ArmPolicy)
-	if err != nil {
-		return nil, err
-	}
-	storageAddrs := make([]eth.Addr, cfg.NumTargets)
+	// Every mirror arm is a full storage node of its own (disks, target,
+	// fabric port): arm 0 of target t is storage<t> with fault sites
+	// s<t>.disk* (plain "storage"/"disk*" for target 0, the testbed's
+	// names), arm a > 0 is storage<t>m<a> with s<t>m<a>.disk*, so injection
+	// can kill one replica precisely.
 	cl.StorageArms = make([][]*StorageServer, cfg.NumTargets)
-	for j := 0; j < cfg.NumTargets; j++ {
-		storageAddrs[j] = StorageAddr + eth.Addr(j)
-		scfg := DefaultStorageConfig(storageAddrs[j], cfg.BlocksPerDisk)
-		scfg.Cost = cfg.Cost
-		if j > 0 {
-			scfg.Name = fmt.Sprintf("storage%d", j)
-			scfg.DiskPrefix = fmt.Sprintf("s%d.disk", j)
+	for a := 0; a < cfg.Arms; a++ {
+		for j := 0; j < cfg.NumTargets; j++ {
+			name, disks := "storage", "disk"
+			switch {
+			case a > 0:
+				name, disks = fmt.Sprintf("storage%dm%d", j, a), fmt.Sprintf("s%dm%d.disk", j, a)
+			case j > 0:
+				name, disks = fmt.Sprintf("storage%d", j), fmt.Sprintf("s%d.disk", j)
+			}
+			ss, err := NewStorageServer(eng, nw, name, disks, StorageAddrOf(j, a, cfg.NumTargets), cfg.BlocksPerDisk, cfg.Cost)
+			if err != nil {
+				return nil, err
+			}
+			cl.Storages = append(cl.Storages, ss)
+			cl.StorageArms[j] = append(cl.StorageArms[j], ss)
 		}
-		ss, err := NewStorageServer(eng, nw, scfg)
-		if err != nil {
-			return nil, err
-		}
-		cl.Storages = append(cl.Storages, ss)
-		cl.StorageArms[j] = []*StorageServer{ss}
 	}
 	cl.Storage = cl.Storages[0]
-	// Mirror arms: every extra arm is a full storage node of its own
-	// (disks, target, fabric port), named storage<t>m<a> with fault sites
-	// s<t>m<a>.disk* so injection can kill one replica precisely.
-	var mirrorAddrs [][]eth.Addr
-	if cfg.Arms > 1 {
-		mirrorAddrs = make([][]eth.Addr, cfg.NumTargets)
-		for a := 1; a < cfg.Arms; a++ {
-			for j := 0; j < cfg.NumTargets; j++ {
-				addr := StorageAddr + eth.Addr(j+cfg.NumTargets*a)
-				scfg := DefaultStorageConfig(addr, cfg.BlocksPerDisk)
-				scfg.Cost = cfg.Cost
-				scfg.Name = fmt.Sprintf("storage%dm%d", j, a)
-				scfg.DiskPrefix = fmt.Sprintf("s%dm%d.disk", j, a)
-				ss, err := NewStorageServer(eng, nw, scfg)
-				if err != nil {
-					return nil, err
-				}
-				cl.Storages = append(cl.Storages, ss)
-				cl.StorageArms[j] = append(cl.StorageArms[j], ss)
-				mirrorAddrs[j] = append(mirrorAddrs[j], addr)
-			}
-		}
-	}
 
-	serverAddrs := make([]eth.Addr, cfg.NumServers)
-	for i := range serverAddrs {
-		serverAddrs[i] = ServerAddrOf(i)
-	}
 	if cfg.NumServers > 1 {
 		// The control plane comes up before any server so registrations
 		// land on a bound port.
@@ -415,11 +408,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cpIP := ipv4.NewStack(cpNode)
 		cpUDP := udp.NewTransport(cpIP)
 		cpTCP := tcp.NewTransport(cpIP)
-		cl.Control = controlplane.NewServer(cpNode, controlplane.Config{
-			Servers:     serverAddrs,
-			NumTargets:  cfg.NumTargets,
-			RangeBlocks: cfg.RangeBlocks,
-		})
+		serverAddrs := make([]eth.Addr, cfg.NumServers)
+		for i := range serverAddrs {
+			serverAddrs[i] = ServerAddrOf(i)
+		}
+		cl.Control = controlplane.NewServer(cpNode, serverAddrs)
 		if err := cl.Control.ServeUDP(cpUDP); err != nil {
 			return nil, err
 		}
@@ -429,33 +422,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	for i := 0; i < cfg.NumServers; i++ {
-		addrs := make([]eth.Addr, cfg.ServerNICs)
-		for n := range addrs {
-			addrs[n] = serverAddrs[i] + eth.Addr(n)
-		}
-		acfg := DefaultServerConfig(cfg.Mode, addrs[0], storageAddrs[0])
-		acfg.Addrs = addrs
-		acfg.StorageAddrs = storageAddrs
-		acfg.Targets = cl.Targets
-		acfg.MirrorAddrs = mirrorAddrs
-		acfg.ArmPolicy = armPolicy
-		acfg.Breaker = cfg.Breaker
-		acfg.Cost = cfg.Cost
-		acfg.EnableWeb = cfg.EnableWeb
-		acfg.DisableRemap = cfg.DisableRemap
-		acfg.Writeback = cfg.Writeback
-		if cfg.NumServers > 1 {
-			acfg.Name = fmt.Sprintf("app%d", i)
-			acfg.ControlAddr = ControlAddr
-			acfg.ServerIndex = i
-		}
-		if cfg.FSCacheBlocks > 0 {
-			acfg.FSCacheBlocks = cfg.FSCacheBlocks
-		}
-		if cfg.NCacheBytes > 0 {
-			acfg.NCacheBytes = cfg.NCacheBytes
-		}
-		app, err := NewAppServer(eng, nw, acfg)
+		app, err := NewAppServer(eng, nw, cfg, i, cl.Targets)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"ncache/internal/nfs"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
+	"ncache/internal/storage"
 	"ncache/internal/trace"
 )
 
@@ -17,10 +18,103 @@ import (
 // the three configurations is running; everything above and below moves
 // chains and keys obliviously.
 type dataPath struct {
+	srv  *AppServer
 	mode Mode
 	node *simnet.Node
 	mod  *ncache.Module // non-nil only in NCache mode
 	bs   int
+}
+
+// intercept puts the mode's lower-tier interception above one target's
+// volume. Original mode has no module, so nothing to consult, capture, remap
+// or announce: its volume is returned as it is.
+func (p *dataPath) intercept(lower storage.Volume) storage.Volume {
+	if p.mode == Original {
+		return lower
+	}
+	return &interceptVolume{Volume: lower, p: p}
+}
+
+// interceptVolume is Table 1's iSCSI modification — the "two functions
+// invoking socket interface" — and the only place regular data is
+// intercepted below the file system: NCache's second-level read cache, its
+// capture of read payloads and its write-out substitution and remap, or the
+// Baseline comparator's junk filter. Metadata passes through untouched.
+//
+// It wraps one target's volume: above the initiator's CHECK CONDITION retry
+// and a mirror's arm fan-out, failover and resync, so each hook runs exactly
+// once per logical I/O by construction; below the shard router, so capture,
+// consult and remap announcement keep per-extent granularity.
+type interceptVolume struct {
+	storage.Volume
+	p *dataPath
+}
+
+// ReadAt serves a regular-data read from the network-centric cache when
+// every block is resident (no command, no storage traffic); otherwise the
+// payload the lower volume returns is captured (NCache) or dropped for junk
+// (Baseline) before the file system sees it.
+func (v *interceptVolume) ReadAt(lbn int64, blocks int, meta bool, done func(*netbuf.Chain, error)) {
+	p := v.p
+	if meta {
+		v.Volume.ReadAt(lbn, blocks, meta, done)
+		return
+	}
+	if p.mode == NCache {
+		if data, ok := p.mod.ServeRead(lbn, blocks); ok {
+			trace.To(p.node.Eng, trace.LNCache)
+			p.node.Charge(p.node.Cost.NCacheLookupNs, func() { done(data, nil) })
+			return
+		}
+	}
+	v.Volume.ReadAt(lbn, blocks, meta, func(data *netbuf.Chain, err error) {
+		if err == nil {
+			if p.mode == NCache {
+				data = p.mod.CaptureLBN(lbn, blocks, data)
+			} else {
+				data = p.junk(blocks, data)
+			}
+		}
+		done(data, err)
+	})
+}
+
+// WriteAt runs NCache's write-out once per regular-data write — stamped
+// junk becomes the cached payload, FHO entries remap to their LBNs — and
+// settles the remap when the write completes: committed, the re-indexed
+// LBNs are announced to the control plane (only then, so a peer acting on
+// the invalidation can never re-read stale bytes from storage); failed, the
+// entries are pinned again, because the buffer cache keeps the blocks dirty
+// and the flush that retries them must find their data and remap afresh.
+func (v *interceptVolume) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
+	p := v.p
+	if meta || p.mode != NCache {
+		v.Volume.WriteAt(lbn, data, meta, done)
+		return
+	}
+	data, remapped := p.mod.WriteOut(lbn, data.Len()/p.bs, data)
+	v.Volume.WriteAt(lbn, data, meta, func(err error) {
+		if err != nil {
+			p.mod.Repin(remapped)
+		} else if ag := p.srv.Agent; ag != nil && len(remapped) > 0 && !p.srv.crashed {
+			ag.SendRemap(remapped)
+		}
+		done(err)
+	})
+}
+
+// junk is the Baseline comparator's receive filter: regular-data payloads
+// are dropped at the socket boundary; identity-free junk flows instead.
+func (p *dataPath) junk(blocks int, data *netbuf.Chain) *netbuf.Chain {
+	if blocks <= 0 {
+		return data
+	}
+	data.Release()
+	out := netbuf.NewChain()
+	for i := 0; i < blocks; i++ {
+		out.AppendChain(lkey.StampChainPool(p.node.BlkPool, lkey.Key{}, p.bs))
+	}
+	return out
 }
 
 // chargePhysical records n bytes moved in `stages` copy operations (the

@@ -58,7 +58,7 @@ func TestFaultControlPlaneLookupMount(t *testing.T) {
 	// one call in five loses a frame and must be retransmitted; with the
 	// deterministic seed the retry budget (faultRPCTries) is never
 	// exhausted.
-	cl, _ := faultCluster(t, "drop:client0*:rate=0.1")
+	cl, _ := faultCluster(t, "drop:client0*:rate=0.1", 0)
 	host := cl.Clients[0]
 
 	// Mount and resolve once loss-free to establish the expected handle.

@@ -5,15 +5,19 @@ import (
 	"testing"
 
 	"ncache/internal/extfs"
+	"ncache/internal/lkey"
+	"ncache/internal/ncache"
 )
 
-// faultCluster brings up an NCache cluster with a disarmed fault injector.
-func faultCluster(t *testing.T, spec string) (*Cluster, extfs.FileSpec) {
+// faultCluster brings up an NCache cluster with a disarmed fault injector
+// and a network-centric cache of ncacheBytes (0 = the default size).
+func faultCluster(t *testing.T, spec string, ncacheBytes int64) (*Cluster, extfs.FileSpec) {
 	t.Helper()
 	cl, err := NewCluster(ClusterConfig{
 		Mode:          NCache,
 		NumClients:    1,
 		BlocksPerDisk: 16 * 1024,
+		NCacheBytes:   ncacheBytes,
 		FaultSpec:     spec,
 		FaultSeed:     7,
 	})
@@ -59,7 +63,7 @@ func syncCache(t *testing.T, cl *Cluster) error {
 // The schedule rate=1:count=3 deterministically fails the first three disk
 // write attempts (within the initiator's retry budget) and nothing after.
 func TestFaultFlushRetryRemapIntegrity(t *testing.T) {
-	cl, spec := faultCluster(t, "diskerr:disk*:rate=1:count=3")
+	cl, spec := faultCluster(t, "diskerr:disk*:rate=1:count=3", 0)
 	fh := lookupFile(t, cl, "data.bin")
 
 	const blocks = 8
@@ -110,13 +114,16 @@ func TestFaultFlushRetryRemapIntegrity(t *testing.T) {
 	}
 }
 
-// TestFaultFlushGivesUpCleanly checks the failure path terminates: with
-// every disk write erroring forever, the initiator exhausts its retry
-// budget and Sync reports the error instead of hanging or corrupting state.
+// TestFaultFlushGivesUpCleanly checks the failure path terminates and loses
+// nothing: with every disk write erroring forever, the initiator exhausts
+// its retry budget and Sync reports the error instead of hanging — and the
+// written data, whose remap the failed write had started, is pinned again
+// until a later flush lands it.
 func TestFaultFlushGivesUpCleanly(t *testing.T) {
-	cl, _ := faultCluster(t, "diskerr:disk*:rate=1")
+	cl, spec := faultCluster(t, "diskerr:disk*:rate=1", 0)
 	fh := lookupFile(t, cl, "data.bin")
-	writeFile(t, cl, fh, 0, bytes.Repeat([]byte{0x5A}, extfs.BlockSize))
+	want := bytes.Repeat([]byte{0x5A}, extfs.BlockSize)
+	writeFile(t, cl, fh, 0, want)
 
 	cl.Faults.Arm()
 	err := syncCache(t, cl)
@@ -126,5 +133,93 @@ func TestFaultFlushGivesUpCleanly(t *testing.T) {
 	}
 	if cl.App.Initiator.Retries == 0 {
 		t.Fatal("initiator gave up without retrying")
+	}
+	if cl.App.Module.PinnedBytes() == 0 {
+		t.Fatal("failed flush left the only copy of an acknowledged write unpinned")
+	}
+
+	if err := syncCache(t, cl); err != nil {
+		t.Fatalf("sync after the errors stopped: %v", err)
+	}
+	if !bytes.Equal(cl.Storage.Array.PeekBlock(spec.StartLBN), want) {
+		t.Fatal("platter does not hold the written bytes after the retried flush")
+	}
+	if p := cl.App.Module.PinnedBytes(); p != 0 {
+		t.Fatalf("%d bytes still pinned after the retried flush landed", p)
+	}
+}
+
+// TestFaultFlushGiveUpSurvivesCachePressure is the same failed-then-retried
+// flush with a network-centric cache of a few blocks and reads of other data
+// in between: the unflushed write must not be reclaimed to make room, or the
+// retried flush has nothing to substitute and lands stamped junk.
+func TestFaultFlushGiveUpSurvivesCachePressure(t *testing.T) {
+	cl, spec := faultCluster(t, "diskerr:disk*:rate=1", 8*(extfs.BlockSize+ncache.EntryOverheadBytes))
+	fh := lookupFile(t, cl, "data.bin")
+	want := bytes.Repeat([]byte{0x5A}, extfs.BlockSize)
+	writeFile(t, cl, fh, 0, want)
+
+	cl.Faults.Arm()
+	if err := syncCache(t, cl); err == nil {
+		t.Fatal("sync succeeded with a 100% disk error rate")
+	}
+	cl.Faults.Quiesce()
+
+	// Three cache-fulls of other blocks pass through, half a cache per
+	// read so no reply loses a block it was built from.
+	const span = 4 * extfs.BlockSize
+	for off := uint64(4 * span); off < 10*span; off += span {
+		if got := readFile(t, cl, fh, off, span); !bytes.Equal(got, expect(off, span)) {
+			t.Fatalf("read of other data at %d returned wrong bytes", off)
+		}
+	}
+	if cl.App.Module.Stats.Evictions == 0 {
+		t.Fatal("no eviction: the cache was never under pressure")
+	}
+
+	if err := syncCache(t, cl); err != nil {
+		t.Fatalf("sync after the errors stopped: %v", err)
+	}
+	if got := cl.Storage.Array.PeekBlock(spec.StartLBN); !bytes.Equal(got, want) {
+		_, junk := lkey.Parse(got)
+		t.Fatalf("platter does not hold the acknowledged bytes (stamped junk: %v)", junk)
+	}
+	if got := readFile(t, cl, fh, 0, extfs.BlockSize); !bytes.Equal(got, want) {
+		t.Fatal("acknowledged write not readable after the retried flush")
+	}
+}
+
+// TestFaultFlushGiveUpStillAnnouncesRemap is the scale-out row: the remap a
+// failed flush started is announced to the control plane once the retried
+// flush lands, so a peer caching the old block is invalidated.
+func TestFaultFlushGiveUpStillAnnouncesRemap(t *testing.T) {
+	cl, _ := scaleCluster(t, 2, 1, "diskerr:disk*:rate=1")
+	fh := lookupFile(t, cl, "data.bin")
+	appA, appB := cl.Apps[0], cl.Apps[1]
+	scB, err := cl.NewScaleClient(cl.Clients[1])
+	if err != nil {
+		t.Fatalf("NewScaleClient: %v", err)
+	}
+	readVia(t, cl, scB.NFS[1], fh, 0, extfs.BlockSize) // B caches the old block
+	want := bytes.Repeat([]byte{0x5A}, extfs.BlockSize)
+	writeFile(t, cl, fh, 0, want) // client 0 is mounted on server A
+
+	cl.Faults.Arm()
+	if err := syncApp(t, cl, appA); err == nil {
+		t.Fatal("sync succeeded with a 100% disk error rate")
+	}
+	cl.Faults.Quiesce()
+	if n := appA.Agent.Stats.RemapsSent; n != 0 {
+		t.Fatalf("%d remaps announced for a write that never committed", n)
+	}
+	if err := syncApp(t, cl, appA); err != nil {
+		t.Fatalf("sync after the errors stopped: %v", err)
+	}
+	run(t, cl)
+	if appA.Agent.Stats.RemapsSent == 0 || appB.Agent.Stats.InvalidationsApplied == 0 {
+		t.Fatalf("retried flush landed unannounced: origin %+v, peer %+v", appA.Agent.Stats, appB.Agent.Stats)
+	}
+	if got := readVia(t, cl, scB.NFS[1], fh, 0, extfs.BlockSize); !bytes.Equal(got, want) {
+		t.Fatal("peer serves the pre-write block after the flush landed")
 	}
 }

@@ -65,7 +65,7 @@ func (c *Cluster) DirectAccess() blockdev.DirectAccess {
 }
 
 // SetSynthesize installs a content function on every target's array (see
-// blockdev.RAID0.SetSynthesize).
+// storage.RAID0.SetSynthesize).
 func (c *Cluster) SetSynthesize(fn func(arrayLBN int64, dst []byte)) {
 	for _, s := range c.Storages {
 		s.Array.SetSynthesize(fn)

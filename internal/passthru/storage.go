@@ -13,36 +13,13 @@ import (
 	"ncache/internal/storage"
 )
 
-// StorageConfig sizes the storage server (the paper's PIII-1GHz node with a
-// 4-disk RAID-0).
-type StorageConfig struct {
-	Addr             eth.Addr
-	NumDisks         int
-	BlocksPerDisk    int64
-	StripeUnitBlocks int
-	DiskModel        blockdev.Model
-	Cost             simnet.CostProfile
-	LinkBandwidth    simnet.Bandwidth
-	// Name and DiskPrefix label the node and its disks; empty keeps the
-	// single-target testbed's "storage"/"disk" names, scale-out targets
-	// pass "storage1"/"s1.disk" etc. so fault sites and metrics stay
-	// distinguishable.
-	Name       string
-	DiskPrefix string
-}
-
-// DefaultStorageConfig mirrors the testbed: 4 IDE disks, RAID-0, gigabit.
-func DefaultStorageConfig(addr eth.Addr, blocksPerDisk int64) StorageConfig {
-	return StorageConfig{
-		Addr:             addr,
-		NumDisks:         4,
-		BlocksPerDisk:    blocksPerDisk,
-		StripeUnitBlocks: 16, // 64 KB stripes
-		DiskModel:        blockdev.IDE2000(),
-		Cost:             simnet.DefaultProfile(),
-		LinkBandwidth:    simnet.Gbps,
-	}
-}
+// The storage node of the testbed (the paper's PIII-1GHz node): four IDE
+// disks in a RAID-0 with 64 KB stripes, on a gigabit port.
+const (
+	storageDisks       = 4
+	storageStripeUnit  = 16 // blocks
+	storageDiskBlockSz = 4096
+)
 
 // StorageServer is the iSCSI storage node.
 type StorageServer struct {
@@ -53,29 +30,26 @@ type StorageServer struct {
 	TCP    *tcp.Transport
 }
 
-// NewStorageServer builds and attaches the storage node to the fabric.
-func NewStorageServer(eng *sim.Engine, nw *simnet.Network, cfg StorageConfig) (*StorageServer, error) {
-	if cfg.Name == "" {
-		cfg.Name = "storage"
-	}
-	if cfg.DiskPrefix == "" {
-		cfg.DiskPrefix = "disk"
-	}
-	node := simnet.NewNode(eng, cfg.Name, cfg.Cost)
-	if _, err := nw.Attach(node, cfg.Addr, cfg.LinkBandwidth); err != nil {
+// NewStorageServer builds the storage node and attaches it to the fabric at
+// addr. name labels the node and diskPrefix its disks ("storage"/"disk" on
+// the single-target testbed, "storage1"/"s1.disk" etc. on scale-out targets
+// and mirror arms), so fault sites and metrics stay distinguishable.
+func NewStorageServer(eng *sim.Engine, nw *simnet.Network, name, diskPrefix string, addr eth.Addr, blocksPerDisk int64, cost simnet.CostProfile) (*StorageServer, error) {
+	node := simnet.NewNode(eng, name, cost)
+	if _, err := nw.Attach(node, addr, simnet.Gbps); err != nil {
 		return nil, fmt.Errorf("storage attach: %w", err)
 	}
 	ip := ipv4.NewStack(node)
 	tcpT := tcp.NewTransport(ip)
 
-	disks := make([]*blockdev.MemDisk, cfg.NumDisks)
+	disks := make([]*blockdev.MemDisk, storageDisks)
 	for i := range disks {
-		disks[i] = blockdev.NewMemDisk(eng, fmt.Sprintf("%s%d", cfg.DiskPrefix, i), blockdev.Geometry{
-			BlockSize: 4096,
-			NumBlocks: cfg.BlocksPerDisk,
-		}, cfg.DiskModel)
+		disks[i] = blockdev.NewMemDisk(eng, fmt.Sprintf("%s%d", diskPrefix, i), blockdev.Geometry{
+			BlockSize: storageDiskBlockSz,
+			NumBlocks: blocksPerDisk,
+		}, blockdev.IDE2000())
 	}
-	array, err := storage.NewRAID0(disks, cfg.StripeUnitBlocks)
+	array, err := storage.NewRAID0(disks, storageStripeUnit)
 	if err != nil {
 		return nil, err
 	}
@@ -83,5 +57,5 @@ func NewStorageServer(eng *sim.Engine, nw *simnet.Network, cfg StorageConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	return &StorageServer{Node: node, Target: target, Array: array, Addr: cfg.Addr, TCP: tcpT}, nil
+	return &StorageServer{Node: node, Target: target, Array: array, Addr: addr, TCP: tcpT}, nil
 }

@@ -30,7 +30,8 @@ const (
 	PolicyLeastLatency
 )
 
-// ParsePolicy maps the -armpolicy flag spelling to a Policy.
+// ParsePolicy maps a policy's name (ClusterConfig.ArmPolicy, the fig-avail
+// table) to a Policy.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "", "primary-first":
@@ -54,37 +55,27 @@ func (p Policy) String() string {
 	return "primary-first"
 }
 
+// The breaker's fixed calibration.
+const (
+	// breakerErrorThreshold opens the breaker after this many consecutive
+	// command failures (each already past initiator-level retries).
+	breakerErrorThreshold = 3
+	// breakerOpenTimeout is BreakerConfig.OpenTimeout's default.
+	breakerOpenTimeout = 5 * sim.Millisecond
+	// ewmaAlpha is the smoothing factor of the command-latency estimate.
+	ewmaAlpha = 0.2
+	// resyncBatchBlocks bounds one catch-up copy round.
+	resyncBatchBlocks = 64
+)
+
 // BreakerConfig tunes the per-arm circuit breaker.
 type BreakerConfig struct {
-	// ErrorThreshold opens the breaker after this many consecutive
-	// command failures (each already past initiator-level retries).
-	ErrorThreshold int
 	// OpenTimeout is how long an open arm waits before a half-open probe,
-	// and how long a stalled resync waits before retrying.
+	// and how long a stalled resync waits before retrying (0 = 5 ms).
 	OpenTimeout sim.Duration
 	// LatencyOpenUs opens the breaker when the EWMA command latency
 	// exceeds this many microseconds. Zero disables latency ejection.
 	LatencyOpenUs float64
-	// EWMAAlpha is the smoothing factor for the latency estimate.
-	EWMAAlpha float64
-	// ResyncBatchBlocks bounds one catch-up copy round.
-	ResyncBatchBlocks int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.ErrorThreshold <= 0 {
-		c.ErrorThreshold = 3
-	}
-	if c.OpenTimeout <= 0 {
-		c.OpenTimeout = 5 * sim.Millisecond
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.2
-	}
-	if c.ResyncBatchBlocks <= 0 {
-		c.ResyncBatchBlocks = 64
-	}
-	return c
 }
 
 // MirrorConfig assembles a mirror volume.
@@ -135,10 +126,6 @@ type Mirror struct {
 	cfg  MirrorConfig
 	rr   int
 	gen  uint64
-
-	readHook  ReadHook
-	writeHook WriteHook
-	readCache ReadCache
 }
 
 var _ Volume = (*Mirror)(nil)
@@ -152,7 +139,9 @@ func NewMirror(node *simnet.Node, names []string, inis []Initiator, cfg MirrorCo
 	if len(names) != len(inis) {
 		return nil, errors.New("storage: mirror arm names must parallel initiators")
 	}
-	cfg.Breaker = cfg.Breaker.withDefaults()
+	if cfg.Breaker.OpenTimeout <= 0 {
+		cfg.Breaker.OpenTimeout = breakerOpenTimeout
+	}
 	m := &Mirror{node: node, cfg: cfg}
 	for i, ini := range inis {
 		m.arms = append(m.arms, &arm{
@@ -164,17 +153,6 @@ func NewMirror(node *simnet.Node, names []string, inis []Initiator, cfg MirrorCo
 	}
 	return m, nil
 }
-
-// SetReadHook installs the volume-level receive interception (runs once per
-// logical read; per-arm initiators must have no hooks of their own).
-func (m *Mirror) SetReadHook(h ReadHook) { m.readHook = h }
-
-// SetWriteHook installs the volume-level transmit interception (runs once
-// per logical write, before fan-out).
-func (m *Mirror) SetWriteHook(h WriteHook) { m.writeHook = h }
-
-// SetReadCache installs the volume-level local read cache.
-func (m *Mirror) SetReadCache(h ReadCache) { m.readCache = h }
 
 // Policy reports the configured read-selection policy.
 func (m *Mirror) Policy() Policy { return m.cfg.Policy }
@@ -253,8 +231,7 @@ func (m *Mirror) sample(a *arm, start sim.Time) {
 	if a.ewmaUs == 0 {
 		a.ewmaUs = us
 	} else {
-		al := m.cfg.Breaker.EWMAAlpha
-		a.ewmaUs = al*us + (1-al)*a.ewmaUs
+		a.ewmaUs = ewmaAlpha*us + (1-ewmaAlpha)*a.ewmaUs
 	}
 	if th := m.cfg.Breaker.LatencyOpenUs; th > 0 && a.state == ArmClosed && a.ewmaUs > th {
 		m.eject(a)
@@ -268,7 +245,7 @@ func (m *Mirror) armError(a *arm) {
 		return
 	}
 	a.consecErrs++
-	if a.consecErrs >= m.cfg.Breaker.ErrorThreshold {
+	if a.consecErrs >= breakerErrorThreshold {
 		m.eject(a)
 	}
 }
@@ -311,11 +288,11 @@ func (m *Mirror) probe(a *arm) {
 }
 
 // resyncStep drains one batch of the dirty-region log: coalesced runs are
-// read from a closed source arm and written back (both as metadata, so no
-// NCache hooks fire on raw replica copies). A dirty entry is cleared only
-// if its generation is unchanged since the copy started; concurrent
-// write-throughs re-dirty blocks, and the next step picks them up. When the
-// log is empty the arm closes.
+// read from a closed source arm and written back (raw replica copies, below
+// any interception). A dirty entry is cleared only if its generation is
+// unchanged since the copy started; concurrent write-throughs re-dirty
+// blocks, and the next step picks them up. When the log is empty the arm
+// closes.
 func (m *Mirror) resyncStep(a *arm) {
 	if a.state != ArmResync {
 		return
@@ -343,8 +320,8 @@ func (m *Mirror) resyncStep(a *arm) {
 		lbns = append(lbns, b)
 	}
 	sort.Slice(lbns, func(i, j int) bool { return lbns[i] < lbns[j] })
-	if len(lbns) > m.cfg.Breaker.ResyncBatchBlocks {
-		lbns = lbns[:m.cfg.Breaker.ResyncBatchBlocks]
+	if len(lbns) > resyncBatchBlocks {
+		lbns = lbns[:resyncBatchBlocks]
 	}
 	// Coalesce adjacent LBNs into runs, one copy I/O per run.
 	type run struct {
@@ -419,18 +396,9 @@ func (m *Mirror) markDirty(a *arm, lbn int64, blocks int) {
 	}
 }
 
-// ReadAt implements Volume: consult the local cache, then read from the
-// policy-selected arm, failing over to the remaining eligible arms.
+// ReadAt implements Volume: read from the policy-selected arm, failing over
+// to the remaining eligible arms.
 func (m *Mirror) ReadAt(lbn int64, blocks int, meta bool, done func(*netbuf.Chain, error)) {
-	if !meta && m.readCache != nil {
-		if data, ok := m.readCache(lbn, blocks); ok {
-			trace.To(m.node.Eng, trace.LNCache)
-			m.node.Charge(m.node.Cost.NCacheLookupNs, func() {
-				done(data, nil)
-			})
-			return
-		}
-	}
 	eligible := m.readEligible(lbn, blocks)
 	first := m.pick(eligible)
 	order := []int{first}
@@ -462,23 +430,16 @@ func (m *Mirror) readFrom(order []int, at int, lbn int64, blocks int, meta bool,
 		}
 		a.consecErrs = 0
 		m.sample(a, start)
-		if !meta && m.readHook != nil {
-			data = m.readHook(lbn, blocks, data)
-		}
 		done(data, nil)
 	})
 }
 
-// WriteAt implements Volume: run the write hook once, fan clones out to
-// every closed and resyncing arm, log dirty regions for ejected arms, and
-// complete once every issued leg settles — success if at least one
-// closed-arm write landed.
+// WriteAt implements Volume: fan clones out to every closed and resyncing
+// arm, log dirty regions for ejected arms, and complete once every issued
+// leg settles — success if at least one closed-arm write landed.
 func (m *Mirror) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
 	bs := m.BlockSize()
 	blocks := data.Len() / bs
-	if !meta && m.writeHook != nil {
-		data = m.writeHook(lbn, blocks, data)
-	}
 	var primaries, secondaries []*arm
 	for _, a := range m.arms {
 		switch a.state {

@@ -11,10 +11,8 @@ import (
 // member disks concurrently; completion is the slowest member's completion,
 // which is what gives RAID-0 its aggregate streaming bandwidth.
 //
-// It lives in the storage package (migrated from blockdev) because striping
-// is a volume-layout concern, not a device-model one: the same extent math
-// backs the Striped volume below, and the iSCSI target serves a RAID0 as
-// its backing Device.
+// It lives in the storage package because striping is a layout concern, not
+// a device-model one; the iSCSI target serves a RAID0 as its backing Device.
 type RAID0 struct {
 	disks      []*blockdev.MemDisk
 	stripeUnit int // in blocks
@@ -99,25 +97,6 @@ func (r *RAID0) locate(lbn int64) (int, int64) {
 	return disk, memberStripe*int64(r.stripeUnit) + within
 }
 
-// seg maps a run of blocks within a member request back to its position in
-// the array request.
-type seg struct {
-	memberOff int // offset within the member request, in blocks
-	reqStart  int // offset within the array request, in blocks
-	count     int
-}
-
-// extent is one coalesced per-member request: successive stripe units on the
-// same member are contiguous in member-LBN space, so a large sequential
-// array request becomes exactly one I/O per member (each paying the
-// positioning overhead once) — the coalescing a real striping driver does.
-type extent struct {
-	disk  int
-	lbn   int64
-	count int
-	segs  []seg
-}
-
 // stripeRuns walks a request over a stripe layout of n members with the
 // given unit, in address order: one visit per maximal run of blocks inside
 // one stripe unit, with its member, its first member LBN, its offset in the
@@ -133,30 +112,6 @@ func stripeRuns(n, unit int, lbn int64, count int, visit func(disk int, member i
 		visit(int(stripe%int64(n)), (stripe/int64(n))*int64(unit)+within, i, run)
 		i += run
 	}
-}
-
-// stripeExtents splits an array request into one coalesced request per
-// member, in first-touch order.
-func stripeExtents(n, unit int, lbn int64, count int) []extent {
-	perDisk := make([]*extent, n)
-	var order []*extent
-	stripeRuns(n, unit, lbn, count, func(disk int, member int64, reqStart, run int) {
-		ex := perDisk[disk]
-		if ex == nil {
-			ex = &extent{disk: disk, lbn: member}
-			perDisk[disk] = ex
-			order = append(order, ex)
-		}
-		// Member runs for a contiguous array request are contiguous on
-		// each member by construction.
-		ex.segs = append(ex.segs, seg{memberOff: ex.count, reqStart: reqStart, count: run})
-		ex.count += run
-	})
-	out := make([]extent, len(order))
-	for j, ex := range order {
-		out[j] = *ex
-	}
-	return out
 }
 
 // arrayIO is one array request in flight: the per-member vectors of
@@ -184,8 +139,8 @@ type memberIO struct {
 // split validates an array request and maps it onto the members: each
 // member's vector receives, in member-LBN order, the sub-slices of bufs its
 // stripe units cover — the same member requests, in the same order, that
-// stripeExtents describes, with the caller's memory in place of a staging
-// slab. A nil arrayIO with a nil error is the empty request.
+// the test oracle's stripeExtents describes, with the caller's memory in
+// place of a staging slab. A nil arrayIO with a nil error is the empty request.
 func (r *RAID0) split(lbn int64, bufs [][]byte) (*arrayIO, error) {
 	count, err := r.geom.Span(lbn, bufs)
 	if err != nil {

@@ -16,6 +16,49 @@ import (
 // per request, and a copy between them. It is kept as the reference the
 // in-place fan-out is checked against.
 
+// seg maps a run of blocks within a member request back to its position in
+// the array request.
+type seg struct {
+	memberOff int // offset within the member request, in blocks
+	reqStart  int // offset within the array request, in blocks
+	count     int
+}
+
+// extent is one coalesced per-member request: successive stripe units on the
+// same member are contiguous in member-LBN space, so a large sequential
+// array request becomes exactly one I/O per member (each paying the
+// positioning overhead once) — the coalescing a real striping driver does.
+type extent struct {
+	disk  int
+	lbn   int64
+	count int
+	segs  []seg
+}
+
+// stripeExtents splits an array request into one coalesced request per
+// member, in first-touch order.
+func stripeExtents(n, unit int, lbn int64, count int) []extent {
+	perDisk := make([]*extent, n)
+	var order []*extent
+	stripeRuns(n, unit, lbn, count, func(disk int, member int64, reqStart, run int) {
+		ex := perDisk[disk]
+		if ex == nil {
+			ex = &extent{disk: disk, lbn: member}
+			perDisk[disk] = ex
+			order = append(order, ex)
+		}
+		// Member runs for a contiguous array request are contiguous on
+		// each member by construction.
+		ex.segs = append(ex.segs, seg{memberOff: ex.count, reqStart: reqStart, count: run})
+		ex.count += run
+	})
+	out := make([]extent, len(order))
+	for j, ex := range order {
+		out[j] = *ex
+	}
+	return out
+}
+
 func oracleCheck(r *RAID0, lbn int64, count int) error {
 	if lbn < 0 || count < 0 || lbn+int64(count) > r.geom.NumBlocks {
 		return fmt.Errorf("%w: [%d,+%d) of %d", blockdev.ErrOutOfRange, lbn, count, r.geom.NumBlocks)

@@ -42,36 +42,6 @@ func volRead(t *testing.T, eng *sim.Engine, v Volume, lbn int64, blocks int) []b
 	return flat
 }
 
-func TestStripedRoundTrip(t *testing.T) {
-	eng := sim.NewEngine()
-	var members []Volume
-	var backs []*fakeIni
-	for i := 0; i < 3; i++ {
-		f := newFakeIni(eng, 128, 10*sim.Microsecond)
-		backs = append(backs, f)
-		members = append(members, NewSingleArm("m", f))
-	}
-	st, err := NewStriped(members, 4)
-	if err != nil {
-		t.Fatalf("NewStriped: %v", err)
-	}
-	if st.NumBlocks() != 3*128 {
-		t.Fatalf("NumBlocks = %d", st.NumBlocks())
-	}
-	// 30 blocks from LBN 5 spans several stripe units on every member.
-	data := make([]byte, 30*512)
-	sim.NewRNG(9).Fill(data)
-	volWrite(t, eng, st, 5, data)
-	if got := volRead(t, eng, st, 5, 30); !bytes.Equal(got, data) {
-		t.Fatal("striped read-back mismatch")
-	}
-	for i, b := range backs {
-		if b.writes == 0 || b.reads == 0 {
-			t.Fatalf("member %d untouched: %d writes, %d reads", i, b.writes, b.reads)
-		}
-	}
-}
-
 func TestShardedRoutesBySplit(t *testing.T) {
 	eng := sim.NewEngine()
 	a := newFakeIni(eng, 256, 10*sim.Microsecond)

@@ -3,9 +3,8 @@ package storage
 import "ncache/internal/netbuf"
 
 // SingleArm adapts one connected initiator to the Volume surface with no
-// behavioral change: every existing single-target config routes through it
-// and stays byte-identical to the direct-initiator path (hooks, retries and
-// the NCache read-cache consult all remain inside the initiator).
+// behavioral change: every single-target config routes through it (retries
+// stay inside the initiator). Its counters are commands issued to the arm.
 type SingleArm struct {
 	name string
 	ini  Initiator

@@ -1,12 +1,11 @@
 // Package storage is the transport-neutral lower tier of the pass-through
 // server: everything above it (the buffer-cache flusher, WAL replay, the
 // sync write-through arm) talks to a Volume, and everything below it (one
-// iSCSI initiator, a mirrored pair, a striped set, a sharded fan-out) is an
-// implementation detail. The redesign collapses the three near-duplicate
-// lower-write paths that used to talk to iscsi.Initiator directly onto this
-// one call surface, and is what makes multi-arm volumes (replication,
-// initiator failover, circuit breaking) possible without the upper layers
-// knowing.
+// iSCSI initiator, a mirrored pair, a sharded fan-out) is an implementation
+// detail. Volumes here are plain transports: the NCache/Baseline
+// interception is one decorator in internal/passthru, above a target's
+// volume, so it runs once per logical I/O whatever the arms below retry or
+// fan out.
 package storage
 
 import (
@@ -16,7 +15,8 @@ import (
 
 // Volume is the lower storage tier seen by the buffer cache and WAL replay.
 // Payloads travel as netbuf chains (zero-copy: implementations clone, never
-// flatten); meta marks file-system metadata, which bypasses NCache hooks.
+// flatten); meta marks file-system metadata, which the interception above
+// a volume leaves alone and the volumes themselves only pass down.
 // All completion callbacks run as events on the owning node's engine.
 type Volume interface {
 	// BlockSize returns the device block size in bytes (valid once the
@@ -98,18 +98,3 @@ type Initiator interface {
 	Read(lba int64, blocks int, meta bool, done func(*netbuf.Chain, error))
 	Write(lba int64, data *netbuf.Chain, meta bool, done func(error))
 }
-
-// ReadHook mirrors iscsi.ReadHook at the volume level: it intercepts a
-// completed non-metadata read exactly once per logical read, regardless of
-// how many arms served or retried it.
-type ReadHook func(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain
-
-// WriteHook mirrors iscsi.WriteHook at the volume level: it runs exactly
-// once per logical write, before the payload fans out to arms. This is the
-// invariant that makes mirroring safe — the NCache module's write-out hook
-// remaps FHO entries to LBN entries and must not run per-arm.
-type WriteHook func(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain
-
-// ReadCache mirrors iscsi.ReadCache at the volume level: a true return
-// serves the read locally and no arm traffic occurs.
-type ReadCache func(lba int64, blocks int) (*netbuf.Chain, bool)

@@ -57,13 +57,18 @@ func TestGroupCommitTimer(t *testing.T) {
 }
 
 // TestCommitBytesThreshold: a group reaching CommitBytes commits without
-// waiting out the interval.
+// waiting out the interval, and is acknowledged one CommitLatency — the log
+// device's write — later, not before.
 func TestCommitBytesThreshold(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, Config{CommitInterval: sim.Second, CommitBytes: 2 * 4096}, nil)
+	l := New(eng, Config{CommitInterval: sim.Second, CommitBytes: 2 * 4096, CommitLatency: 300 * sim.Microsecond}, nil)
 	committed := 0
 	l.Append(rec(0, 1), func() { committed++ })
 	l.Append(rec(1, 2), func() { committed++ })
+	eng.RunFor(299 * sim.Microsecond)
+	if committed != 0 {
+		t.Fatalf("committed = %d before the log write could land, want 0", committed)
+	}
 	eng.RunFor(sim.Millisecond)
 	if committed != 2 {
 		t.Fatalf("committed = %d before a 1 s timer could fire, want 2 (size threshold)", committed)

@@ -27,12 +27,14 @@ type SFSConfig struct {
 	// ScratchDir receives create/remove churn.
 	ScratchDir  nfs.FH
 	Concurrency int
-	Seed        uint64
 	// WriteMixPct is the percentage of regular-data operations that are
 	// writes (0 = the SPECsfs default 5:1 read:write mix). The write-back
 	// experiments sweep write-heavy mixes through here.
 	WriteMixPct int
 }
+
+// sfsSeed seeds the one operation stream every SFS run draws from.
+const sfsSeed = 7
 
 // sfsSizes is the request-size distribution: small requests dominate, as in
 // the SPECsfs default the paper uses.
@@ -62,7 +64,7 @@ func (l *SFSLoad) Start() {
 		l.Cfg.Concurrency = 4
 	}
 	l.start(len(l.Clients), l.Cfg.Concurrency,
-		&stream{rng: sim.NewRNG(l.Cfg.Seed + 7)}, nil, l.next)
+		&stream{rng: sim.NewRNG(sfsSeed)}, nil, l.next)
 }
 
 // pickSize draws a request size from the SFS distribution.
