@@ -114,12 +114,6 @@ func New(node *simnet.Node, lower Lower, capacityBlocks int) *Cache {
 	return c
 }
 
-// BlockSize returns the block size in bytes.
-func (c *Cache) BlockSize() int { return c.bs }
-
-// Capacity returns the cache capacity in blocks.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Len returns the number of resident blocks.
 func (c *Cache) Len() int { return len(c.blocks) }
 

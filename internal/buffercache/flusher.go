@@ -60,13 +60,6 @@ func (c *Cache) EnableFlusher(interval sim.Duration, highWaterBlocks int) {
 // same instance into its WAL so one report covers the whole dirty path).
 func (c *Cache) SetWritebackStats(wb *metrics.Writeback) { c.wb = wb }
 
-// WritebackStats returns the cache's pipeline counters.
-func (c *Cache) WritebackStats() *metrics.Writeback { return c.wb }
-
-// DirtyBlocks returns the dirty-block gauge (maintained incrementally; the
-// admission gate compares it against the watermarks).
-func (c *Cache) DirtyBlocks() int { return c.nDirty }
-
 // IsDirty reports whether lbn is resident and dirty — the WAL truncation
 // predicate: a journaled record may retire only when none of its blocks
 // still awaits write-back.

@@ -3,8 +3,8 @@ package controlplane
 import (
 	"fmt"
 
-	"ncache/internal/proto"
 	"ncache/internal/proto/eth"
+	"ncache/internal/proto/udp"
 	"ncache/internal/simnet"
 )
 
@@ -41,13 +41,9 @@ type pendingRemap struct {
 // (and acknowledges) invalidations for remaps other servers performed.
 type Agent struct {
 	node   *simnet.Node
-	dial   proto.Dialer
-	local  eth.Addr
-	cpAddr eth.Addr
+	ep     *endpoint
 	server int
 
-	conn     proto.Conn
-	framer   *Framer
 	onReady  func(error)
 	regTries int
 
@@ -61,18 +57,17 @@ type Agent struct {
 	Stats AgentStats
 }
 
-// NewAgent creates the endpoint for server index `server`, dialing the
-// control plane at cp over the given transport.
-func NewAgent(node *simnet.Node, dial proto.Dialer, local, cp eth.Addr, server int) *Agent {
-	return &Agent{
+// NewAgent creates the endpoint for server index `server`: a datagram socket
+// on the server's UDP transport, talking to the control plane at cp.
+func NewAgent(node *simnet.Node, t *udp.Transport, local, cp eth.Addr, server int) *Agent {
+	a := &Agent{
 		node:    node,
-		dial:    dial,
-		local:   local,
-		cpAddr:  cp,
 		server:  server,
 		pending: make(map[uint64]*pendingRemap),
 		seen:    make(map[invalID]bool),
 	}
+	a.ep = openEndpoint(t, local, cp, a.handle)
+	return a
 }
 
 // SetInvalidate installs the callback that drops remapped blocks from this
@@ -82,34 +77,13 @@ func (a *Agent) SetInvalidate(fn func([]int64)) { a.invalidate = fn }
 // Epoch reports the highest placement epoch the agent has seen.
 func (a *Agent) Epoch() uint64 { return a.epoch }
 
-// Pending counts unacknowledged remap announcements (drain assertions).
-func (a *Agent) Pending() int {
-	n := 0
-	for _, p := range a.pending { // det: commutative (count)
-		if !p.acked {
-			n++
-		}
-	}
-	return n
-}
-
-// Register connects to the control plane and binds this server's route.
-// done fires once the RegisterAck arrives (the registration itself rides
-// the reliable path: a lost datagram register is retried on the remap
-// timer granularity by re-calling Register — the passthru wiring runs it
-// before any client traffic, so in practice one round trip).
+// Register binds this server's return route at the control plane. done fires
+// once the RegisterAck arrives, or with an error once sendRegister has given
+// up (the passthru wiring runs it before any client traffic, so in practice
+// one round trip).
 func (a *Agent) Register(done func(error)) {
 	a.onReady = done
-	a.dial(a.local, a.cpAddr, Port, func(c proto.Conn, err error) {
-		if err != nil {
-			a.finishReady(err)
-			return
-		}
-		a.conn = c
-		a.framer = NewFramer(a.handle)
-		c.SetReceiver(a.framer.Push)
-		a.sendRegister()
-	})
+	a.sendRegister()
 }
 
 // sendRegister transmits the registration, re-arming a bounded retry until
@@ -141,18 +115,9 @@ func (a *Agent) finishReady(err error) {
 	}
 }
 
-// send encodes and transmits one message on the agent's connection.
+// send transmits one message to the control plane.
 func (a *Agent) send(m Msg) {
-	if a.conn == nil {
-		a.Stats.Errors++
-		return
-	}
-	ch, err := Encode(a.node.TxPool, m)
-	if err != nil {
-		a.Stats.Errors++
-		return
-	}
-	if err := a.conn.SendChain(ch); err != nil {
+	if err := a.ep.send(m); err != nil {
 		a.Stats.Errors++
 	}
 }
@@ -247,14 +212,6 @@ func (a *Agent) handleInvalidate(m Msg) {
 		Epoch:  m.Epoch,
 		Seq:    m.Seq,
 	})
-}
-
-// Close tears down the agent's connection.
-func (a *Agent) Close() {
-	if a.conn != nil {
-		a.conn.Close()
-		a.conn = nil
-	}
 }
 
 // String identifies the agent in diagnostics.

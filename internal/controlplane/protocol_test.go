@@ -3,20 +3,22 @@ package controlplane
 import (
 	"testing"
 
-	"ncache/internal/proto"
+	"ncache/internal/fault"
+	"ncache/internal/netbuf"
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/ipv4"
-	"ncache/internal/proto/tcp"
 	"ncache/internal/proto/udp"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
 
-// cpNet is a little control-plane testbed: the CP node serving both
-// transports, two front-end agents, and one resolver host.
+// cpNet is a little control-plane testbed: the CP node, two front-end
+// agents, and one resolver host.
 type cpNet struct {
 	eng      *sim.Engine
+	nw       *simnet.Network
 	cp       *Server
+	cpUDP    *udp.Transport
 	agents   []*Agent
 	invals   [][]int64 // per-agent invalidated LBNs
 	resolver *Resolver
@@ -29,61 +31,56 @@ const (
 	tClientAddr = eth.Addr(0x100)
 )
 
-// buildCPNet wires the testbed; stream selects TCP (vs UDP) for the agents
-// and the resolver.
-func buildCPNet(t *testing.T, stream bool) *cpNet {
+// buildCPNet wires the testbed; servers lists the registry's front-end
+// servers (an agent comes up on each of the first two).
+func buildCPNet(t *testing.T, servers ...eth.Addr) *cpNet {
 	t.Helper()
+	if len(servers) == 0 {
+		servers = []eth.Addr{tServer0, tServer1}
+	}
 	eng := sim.NewEngine()
 	nw := simnet.NewNetwork(eng, 5*sim.Microsecond)
-	n := &cpNet{eng: eng}
+	n := &cpNet{eng: eng, nw: nw}
+	host := func(name string, addr eth.Addr) (*simnet.Node, *udp.Transport) {
+		node := simnet.NewNode(eng, name, simnet.DefaultProfile())
+		if _, err := nw.Attach(node, addr, simnet.Gbps); err != nil {
+			t.Fatal(err)
+		}
+		return node, udp.NewTransport(ipv4.NewStack(node))
+	}
 
-	cpNode := simnet.NewNode(eng, "cp", simnet.DefaultProfile())
-	if _, err := nw.Attach(cpNode, tCPAddr, simnet.Gbps); err != nil {
-		t.Fatal(err)
-	}
-	cpStack := ipv4.NewStack(cpNode)
-	n.cp = NewServer(cpNode, []eth.Addr{tServer0, tServer1})
-	if err := n.cp.ServeUDP(udp.NewTransport(cpStack)); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.cp.ServeStream(tcp.NewTransport(cpStack)); err != nil {
+	cpNode, cpUDP := host("cp", tCPAddr)
+	n.cp, n.cpUDP = NewServer(cpNode, servers), cpUDP
+	if err := n.cp.ServeUDP(cpUDP); err != nil {
 		t.Fatal(err)
 	}
 
 	n.invals = make([][]int64, 2)
-	for i, addr := range []eth.Addr{tServer0, tServer1} {
-		node := simnet.NewNode(eng, "srv", simnet.DefaultProfile())
-		if _, err := nw.Attach(node, addr, simnet.Gbps); err != nil {
-			t.Fatal(err)
-		}
-		stack := ipv4.NewStack(node)
-		var dial proto.Dialer
-		if stream {
-			dial = tcp.NewTransport(stack).DialConn
-		} else {
-			dial = udp.NewTransport(stack).DialConn
-		}
-		ag := NewAgent(node, dial, addr, tCPAddr, i)
+	for i, addr := range servers[:2] {
 		i := i
+		node, t := host("srv", addr)
+		ag := NewAgent(node, t, addr, tCPAddr, i)
 		ag.SetInvalidate(func(lbns []int64) {
 			n.invals[i] = append(n.invals[i], lbns...)
 		})
 		n.agents = append(n.agents, ag)
 	}
 
-	clNode := simnet.NewNode(eng, "client", simnet.DefaultProfile())
-	if _, err := nw.Attach(clNode, tClientAddr, simnet.Gbps); err != nil {
+	clNode, clUDP := host("client", tClientAddr)
+	n.resolver = NewResolver(clNode, clUDP, tClientAddr, tCPAddr)
+	return n
+}
+
+// runt sends a 3-byte datagram from the control plane's service port to an
+// endpoint and lets it land.
+func (n *cpNet) runt(t *testing.T, to *endpoint) {
+	t.Helper()
+	if err := n.cpUDP.Send(tCPAddr, Port, to.local, to.port, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	clStack := ipv4.NewStack(clNode)
-	var clDial proto.Dialer
-	if stream {
-		clDial = tcp.NewTransport(clStack).DialConn
-	} else {
-		clDial = udp.NewTransport(clStack).DialConn
+	if err := n.eng.Run(); err != nil {
+		t.Fatal(err)
 	}
-	n.resolver = NewResolver(clNode, clDial, tClientAddr, tCPAddr)
-	return n
 }
 
 // register runs both agents' registration to completion.
@@ -105,8 +102,9 @@ func (n *cpNet) register(t *testing.T) {
 	}
 }
 
-// TestWireRoundTrip: every field of a message survives Encode → Framer,
-// including a chunked LBN list, over a reassembly split mid-frame.
+// TestWireRoundTrip: every field of a message survives Encode → decode,
+// including an LBN list; a datagram whose length prefix disagrees with its
+// size, and a runt, decode to nothing.
 func TestWireRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	node := simnet.NewNode(eng, "n", simnet.DefaultProfile())
@@ -126,13 +124,11 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	var got []Msg
-	f := NewFramer(func(m Msg) { got = append(got, m) })
-	f.Push(ch)
-	if len(got) != 1 {
-		t.Fatalf("framer produced %d messages, want 1", len(got))
+	wire := ch.Flatten()
+	out, ok := decode(ch)
+	if !ok {
+		t.Fatal("decode rejected an encoded message")
 	}
-	out := got[0]
 	if out.Type != in.Type || out.Status != in.Status || out.Server != in.Server ||
 		out.From != in.From || out.Addr != in.Addr || out.Epoch != in.Epoch ||
 		out.Seq != in.Seq || out.FH != in.FH || out.LBN != in.LBN {
@@ -146,12 +142,16 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("LBNs[%d]: %d != %d", i, out.LBNs[i], in.LBNs[i])
 		}
 	}
+	for _, bad := range [][]byte{wire[:len(wire)-1], append(wire[:len(wire):len(wire)], 0), wire[:3]} {
+		if _, ok := decode(netbuf.ChainFromBytes(bad, netbuf.DefaultBufSize)); ok {
+			t.Fatalf("decode accepted a %d-byte datagram of a %d-byte frame", len(bad), len(wire))
+		}
+	}
 }
 
-// runProtocol exercises register → lookup → remap → invalidate → ack over
-// one transport.
-func runProtocol(t *testing.T, stream bool) {
-	n := buildCPNet(t, stream)
+// TestProtocolUDP exercises register → lookup → remap → invalidate → ack.
+func TestProtocolUDP(t *testing.T) {
+	n := buildCPNet(t)
 	n.register(t)
 
 	// Routing lookups agree with the placement authority, and repeat
@@ -206,13 +206,93 @@ func runProtocol(t *testing.T, stream bool) {
 	}
 }
 
-func TestProtocolUDP(t *testing.T) { runProtocol(t, false) }
-func TestProtocolTCP(t *testing.T) { runProtocol(t, true) }
+// TestRuntDatagramCostsNoResend: a runt from the control-plane address is
+// dropped alone — the valid message after it is applied on its first
+// transmission, at an agent (MsgInvalidate) and at a resolver
+// (MsgMembersResp). A receive path that keeps bytes across datagrams glues
+// the runt to the next frame and the sender pays a retry timeout.
+func TestRuntDatagramCostsNoResend(t *testing.T) {
+	n := buildCPNet(t)
+	n.register(t)
+
+	n.runt(t, n.agents[1].ep)
+	n.agents[0].SendRemap([]int64{5, 6, 7})
+	if err := n.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.invals[1]; len(got) != 3 {
+		t.Fatalf("peer invalidations = %v, want [5 6 7]", got)
+	}
+	if n.cp.Stats.InvalidationResends != 0 {
+		t.Fatalf("InvalidationResends = %d, want 0: the runt cost the next invalidation a retry",
+			n.cp.Stats.InvalidationResends)
+	}
+
+	n.runt(t, n.resolver.ep)
+	n.resolver.Resolve(fhOf(42), func(_ int, _ eth.Addr, err error) {
+		if err != nil {
+			t.Errorf("resolve: %v", err)
+		}
+	})
+	if err := n.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n.resolver.Stats.MemberFetches != 1 || n.resolver.Stats.Retries != 0 {
+		t.Fatalf("MemberFetches = %d, Retries = %d; want 1, 0: the runt cost the member-set response a retry",
+			n.resolver.Stats.MemberFetches, n.resolver.Stats.Retries)
+	}
+}
+
+// TestFaultBootstrapOutageHeals: a control-plane outage at first use, longer
+// than the bootstrap's retry budget, must not cost the client a control-plane
+// round trip per cold handle for the rest of the run. The first handle is
+// answered per-FH once the outage ends; that response re-enables the
+// bootstrap, so the next cold handle fetches the member set and every later
+// one is answered locally.
+func TestFaultBootstrapOutageHeals(t *testing.T) {
+	n := buildCPNet(t)
+	n.register(t)
+	// Both directions of the control plane's link drop everything from now
+	// until half a retry period past the bootstrap's budget.
+	in := fault.New(n.eng, 1)
+	in.Add(fault.Schedule{
+		Class: fault.FrameDrop, Target: "cp*", Rate: 1, Start: n.eng.Now(),
+		End: n.eng.Now().Add(DefaultRetryRTO*DefaultRetryMax + DefaultRetryRTO/2),
+	})
+	n.nw.SetFaults(in)
+	in.Arm()
+
+	resolve := func(i uint64) {
+		n.resolver.Resolve(fhOf(i), func(server int, _ eth.Addr, err error) {
+			if err != nil || server != n.cp.Registry().ServerFor(fhOf(i)) {
+				t.Errorf("resolve %d: server=%d err=%v", i, server, err)
+			}
+		})
+		if err := n.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resolve(0)
+	if n.resolver.Stats.MemberFetches != 0 || n.cp.Stats.LookupsFH != 1 {
+		t.Fatalf("through the outage: MemberFetches = %d, per-FH lookups served = %d; want 0, 1",
+			n.resolver.Stats.MemberFetches, n.cp.Stats.LookupsFH)
+	}
+	for i := uint64(1); i <= 8; i++ {
+		resolve(i)
+	}
+	if n.resolver.Stats.MemberFetches != 1 {
+		t.Fatalf("MemberFetches = %d after the outage healed, want 1", n.resolver.Stats.MemberFetches)
+	}
+	if n.resolver.Stats.LocalHits != 8 || n.cp.Stats.LookupsFH != 1 {
+		t.Fatalf("LocalHits = %d, per-FH lookups served = %d; want 8, 1: cold handles still cost a round trip",
+			n.resolver.Stats.LocalHits, n.cp.Stats.LookupsFH)
+	}
+}
 
 // TestRemapDuplicateIdempotent: redelivering a completed remap (same
 // server/epoch/seq triple) must re-ack without a second invalidation round.
 func TestRemapDuplicateIdempotent(t *testing.T) {
-	n := buildCPNet(t, false)
+	n := buildCPNet(t)
 	n.register(t)
 	n.agents[0].SendRemap([]int64{11, 12})
 	if err := n.eng.Run(); err != nil {
@@ -234,7 +314,7 @@ func TestRemapDuplicateIdempotent(t *testing.T) {
 		Epoch:  n.agents[0].Epoch(),
 		Seq:    1,
 		LBNs:   []int64{11, 12},
-	}, func(Msg) {})
+	}, peer{})
 	if err := n.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +337,7 @@ func TestRemapDuplicateIdempotent(t *testing.T) {
 // answers every cold lookup from its local ring replica — bit-identically
 // to the registry — and the control plane never sees a per-FH lookup.
 func TestResolverLocalRing(t *testing.T) {
-	n := buildCPNet(t, false)
+	n := buildCPNet(t)
 	n.register(t)
 	const handles = 64
 	got := make([]int, handles)
@@ -295,15 +375,16 @@ func TestResolverLocalRing(t *testing.T) {
 	}
 }
 
-// TestResolverOverridesFallback: a registry with placement overrides marks
-// its member-set response non-authoritative, so the resolver falls back to
-// per-FH lookups — and the override is honored.
-func TestResolverOverridesFallback(t *testing.T) {
-	n := buildCPNet(t, false)
-	n.register(t)
+// TestResolverTooManyMembersFallback: a member set that does not fit one
+// message is left out of the response, so the resolver falls back to per-FH
+// lookups — and they agree with the registry.
+func TestResolverTooManyMembersFallback(t *testing.T) {
+	servers := make([]eth.Addr, MaxLBNs+1)
+	for i := range servers {
+		servers[i] = tServer0 + eth.Addr(8*i)
+	}
+	n := buildCPNet(t, servers...)
 	fh := fhOf(7)
-	pinned := 1 - n.cp.Registry().ServerFor(fh) // force the non-hash answer
-	n.cp.Registry().Pin(fh, pinned)
 	gotServer := -2
 	n.resolver.Resolve(fh, func(server int, _ eth.Addr, err error) {
 		if err != nil {
@@ -314,14 +395,15 @@ func TestResolverOverridesFallback(t *testing.T) {
 	if err := n.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if gotServer != pinned {
-		t.Fatalf("resolver placed pinned fh on %d, want %d", gotServer, pinned)
+	if want := n.cp.Registry().ServerFor(fh); gotServer != want {
+		t.Fatalf("resolver placed fh on %d, registry says %d", gotServer, want)
 	}
-	if n.cp.Stats.LookupsFH == 0 {
-		t.Fatal("resolver answered an overridden placement locally")
+	if n.cp.Stats.LookupsFH != 1 || n.resolver.Stats.MemberFetches != 1 {
+		t.Fatalf("per-FH lookups served = %d, MemberFetches = %d; want 1, 1",
+			n.cp.Stats.LookupsFH, n.resolver.Stats.MemberFetches)
 	}
 	if n.resolver.Stats.LocalHits != 0 {
-		t.Fatalf("LocalHits = %d, want 0 under overrides", n.resolver.Stats.LocalHits)
+		t.Fatalf("LocalHits = %d, want 0 without a replica", n.resolver.Stats.LocalHits)
 	}
 }
 
@@ -329,7 +411,7 @@ func TestResolverOverridesFallback(t *testing.T) {
 // change refetches the member set at the new epoch, and the rebuilt
 // replica agrees with the shrunken registry.
 func TestResolverInvalidateRefetches(t *testing.T) {
-	n := buildCPNet(t, false)
+	n := buildCPNet(t)
 	n.register(t)
 	fh := fhOf(3)
 	n.resolver.Resolve(fh, func(int, eth.Addr, error) {})

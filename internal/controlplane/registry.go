@@ -7,25 +7,21 @@ import (
 
 // Registry is the control plane's placement authority: which front-end
 // server owns each file handle, at which epoch. Placement is consistent
-// hashing over the active member set by default, with a registry-driven
-// override table on top (the pluggable policy: operators or rebalancers pin
-// individual handles without touching the hash ring). Every change bumps the
-// epoch; lookup responses carry it so client-side route caches built at an
-// older epoch flush themselves.
+// hashing over the active member set. Every change bumps the epoch; lookup
+// responses carry it so client-side route caches built at an older epoch
+// flush themselves.
 type Registry struct {
-	servers   []eth.Addr
-	ring      *Ring
-	overrides map[lkey.FH]int
-	epoch     uint64
+	servers []eth.Addr
+	ring    *Ring
+	epoch   uint64
 }
 
 // NewRegistry places all servers as active members at epoch 1.
 func NewRegistry(servers []eth.Addr) *Registry {
 	g := &Registry{
-		servers:   append([]eth.Addr(nil), servers...),
-		ring:      NewRing(DefaultVNodes),
-		overrides: make(map[lkey.FH]int),
-		epoch:     1,
+		servers: append([]eth.Addr(nil), servers...),
+		ring:    NewRing(DefaultVNodes),
+		epoch:   1,
 	}
 	for i := range servers {
 		g.ring.Add(i)
@@ -35,9 +31,6 @@ func NewRegistry(servers []eth.Addr) *Registry {
 
 // Epoch returns the current placement epoch.
 func (g *Registry) Epoch() uint64 { return g.epoch }
-
-// NumServers reports the configured server count (active or not).
-func (g *Registry) NumServers() int { return len(g.servers) }
 
 // AddrOf returns a server's fabric address.
 func (g *Registry) AddrOf(idx int) eth.Addr {
@@ -54,18 +47,9 @@ func (g *Registry) Members() []int { return g.ring.Members() }
 // use to reproduce the placement exactly).
 func (g *Registry) VNodes() int { return g.ring.VNodes() }
 
-// HasOverrides reports whether any per-handle placement override is
-// installed — if so, the hash ring alone is not authoritative.
-func (g *Registry) HasOverrides() bool { return len(g.overrides) > 0 }
-
-// ServerFor maps a file handle to its owning server index: the override
-// table first, then the hash ring. Returns -1 when no server is active.
-func (g *Registry) ServerFor(fh lkey.FH) int {
-	if idx, ok := g.overrides[fh]; ok {
-		return idx
-	}
-	return g.ring.LookupFH(fh)
-}
+// ServerFor maps a file handle to its owning server index on the hash ring.
+// Returns -1 when no server is active.
+func (g *Registry) ServerFor(fh lkey.FH) int { return g.ring.LookupFH(fh) }
 
 // SetActive replaces the active member set (topology change: servers joining
 // or leaving the placement). Bumps the epoch.
@@ -79,20 +63,6 @@ func (g *Registry) SetActive(members []int) {
 		}
 	}
 	g.epoch++
-}
-
-// Pin installs a registry-driven placement override for one handle.
-func (g *Registry) Pin(fh lkey.FH, server int) {
-	g.overrides[fh] = server
-	g.epoch++
-}
-
-// Unpin removes an override, returning the handle to hash placement.
-func (g *Registry) Unpin(fh lkey.FH) {
-	if _, ok := g.overrides[fh]; ok {
-		delete(g.overrides, fh)
-		g.epoch++
-	}
 }
 
 // DefaultRangeBlocks is the LBN-range granularity of target placement:
@@ -130,12 +100,6 @@ func NewTargetMap(numTargets int, rangeBlocks int64) *TargetMap {
 	}
 	return m
 }
-
-// NumTargets reports the target count.
-func (m *TargetMap) NumTargets() int { return m.numTargets }
-
-// RangeBlocks reports the placement granularity.
-func (m *TargetMap) RangeBlocks() int64 { return m.rangeBlocks }
 
 // TargetOf maps one block to its serving target.
 func (m *TargetMap) TargetOf(lbn int64) int {

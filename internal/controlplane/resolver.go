@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"ncache/internal/lkey"
-	"ncache/internal/proto"
 	"ncache/internal/proto/eth"
+	"ncache/internal/proto/udp"
 	"ncache/internal/simnet"
 )
 
@@ -59,51 +59,45 @@ type bootEntry struct {
 // set, virtual-node count and key, so the replica answers bit-identically);
 // from then on FH lookups are client-local and the control-plane CPU sees
 // one message per client per placement epoch instead of one per cold
-// route. Per-FH lookups remain the fallback whenever the ring is not
-// authoritative — the registry holds overrides, the member set does not
-// fit one message, or the bootstrap exhausted its retries. Responses carry
+// route. Per-FH lookups remain the fallback whenever there is no replica —
+// the member set does not fit one message, or the bootstrap exhausted its
+// retries and no response has arrived since. Responses carry
 // the placement epoch; any response newer than the cache flushes both the
 // route cache and the ring replica, so stale placements die on the next
 // answer rather than lingering.
 type Resolver struct {
-	node   *simnet.Node
-	dial   proto.Dialer
-	local  eth.Addr
-	cpAddr eth.Addr
-
-	conn    proto.Conn
-	dialErr error
-	dialing bool
-	framer  *Framer
+	node *simnet.Node
+	ep   *endpoint
 
 	cache    map[lkey.FH]routeEntry
 	epoch    uint64
 	inflight map[lkey.FH]*lookupWait
 	nextSeq  uint64
 
-	// ring/addrs is the local placement replica (nil until bootstrapped,
-	// or when the server said it is not authoritative).
-	ring         *Ring
-	addrs        map[int]eth.Addr
-	hasOverrides bool
-	bootFailed   bool
-	members      *membersWait
-	bootQ        []bootEntry
+	// ring/addrs is the local placement replica (nil until bootstrapped).
+	// tooManyMembers records that the control plane could not send its
+	// member set, bootFailed that a bootstrap went unanswered: either way
+	// there is no replica to wait for, and lookups go out per handle.
+	ring           *Ring
+	addrs          map[int]eth.Addr
+	tooManyMembers bool
+	bootFailed     bool
+	members        *membersWait
+	bootQ          []bootEntry
 
 	Stats ResolverStats
 }
 
-// NewResolver creates a resolver on a client host dialing the control
-// plane at cp.
-func NewResolver(node *simnet.Node, dial proto.Dialer, local, cp eth.Addr) *Resolver {
-	return &Resolver{
+// NewResolver creates a resolver on a client host: a datagram socket on the
+// host's UDP transport, talking to the control plane at cp.
+func NewResolver(node *simnet.Node, t *udp.Transport, local, cp eth.Addr) *Resolver {
+	r := &Resolver{
 		node:     node,
-		dial:     dial,
-		local:    local,
-		cpAddr:   cp,
 		cache:    make(map[lkey.FH]routeEntry),
 		inflight: make(map[lkey.FH]*lookupWait),
 	}
+	r.ep = openEndpoint(t, local, cp, r.handle)
+	return r
 }
 
 // Epoch reports the highest placement epoch the resolver has seen.
@@ -125,7 +119,7 @@ func (r *Resolver) answer(fh lkey.FH, done func(server int, addr eth.Addr, err e
 		done(e.server, e.addr, nil)
 		return
 	}
-	if r.ring != nil && !r.hasOverrides {
+	if r.ring != nil {
 		if idx := r.ring.LookupFH(fh); idx >= 0 {
 			e := routeEntry{server: idx, addr: r.addrs[idx], epoch: r.epoch}
 			r.cache[fh] = e
@@ -134,7 +128,7 @@ func (r *Resolver) answer(fh lkey.FH, done func(server int, addr eth.Addr, err e
 			return
 		}
 	}
-	if r.ring == nil && !r.hasOverrides && !r.bootFailed {
+	if r.ring == nil && !r.tooManyMembers && !r.bootFailed {
 		// Cold replica: park the lookup behind one member-set fetch.
 		r.bootQ = append(r.bootQ, bootEntry{fh: fh, done: done})
 		r.fetchMembers()
@@ -143,9 +137,8 @@ func (r *Resolver) answer(fh lkey.FH, done func(server int, addr eth.Addr, err e
 	r.lookupRemote(fh, done)
 }
 
-// lookupRemote asks the control plane for one handle's owner (the
-// pre-replica path, and the permanent fallback when the ring is not
-// authoritative).
+// lookupRemote asks the control plane for one handle's owner (the fallback
+// while there is no replica).
 func (r *Resolver) lookupRemote(fh lkey.FH, done func(server int, addr eth.Addr, err error)) {
 	if w, ok := r.inflight[fh]; ok {
 		w.done = append(w.done, done)
@@ -154,13 +147,7 @@ func (r *Resolver) lookupRemote(fh lkey.FH, done func(server int, addr eth.Addr,
 	r.nextSeq++
 	w := &lookupWait{fh: fh, seq: r.nextSeq, done: []func(int, eth.Addr, error){done}}
 	r.inflight[fh] = w
-	r.ensureConn(func(err error) {
-		if err != nil {
-			r.fail(w, err)
-			return
-		}
-		r.transmit(w)
-	})
+	r.transmit(w)
 }
 
 // fetchMembers starts (or joins) the member-set bootstrap.
@@ -171,18 +158,12 @@ func (r *Resolver) fetchMembers() {
 	r.nextSeq++
 	w := &membersWait{seq: r.nextSeq}
 	r.members = w
-	r.ensureConn(func(err error) {
-		if err != nil {
-			r.bootFallback(w)
-			return
-		}
-		r.transmitMembers(w)
-	})
+	r.transmitMembers(w)
 }
 
 // transmitMembers sends one member-set request and arms its retry timer;
-// exhausting the tries falls back to per-FH lookups for good rather than
-// failing the parked lookups (the per-FH path has its own retry budget).
+// exhausting the tries falls back to per-FH lookups rather than failing the
+// parked lookups (the per-FH path has its own retry budget).
 func (r *Resolver) transmitMembers(w *membersWait) {
 	if r.members != w {
 		return
@@ -195,20 +176,16 @@ func (r *Resolver) transmitMembers(w *membersWait) {
 		r.Stats.Retries++
 	}
 	w.tries++
-	ch, err := Encode(r.node.TxPool, Msg{Type: MsgMembers, Seq: w.seq})
-	if err != nil {
-		r.bootFallback(w)
-		return
-	}
-	if err := r.conn.SendChain(ch); err != nil {
+	if err := r.ep.send(Msg{Type: MsgMembers, Seq: w.seq}); err != nil {
 		r.bootFallback(w)
 		return
 	}
 	r.node.Eng.Schedule(DefaultRetryRTO, func() { r.transmitMembers(w) })
 }
 
-// bootFallback abandons the replica and drains the parked lookups through
-// the per-FH path.
+// bootFallback abandons the bootstrap and drains the parked lookups through
+// the per-FH path. The next response to arrive clears bootFailed, so an
+// outage costs per-FH round trips only while it lasts.
 func (r *Resolver) bootFallback(w *membersWait) {
 	if r.members != w {
 		return
@@ -220,33 +197,6 @@ func (r *Resolver) bootFallback(w *membersWait) {
 	for _, e := range q {
 		r.lookupRemote(e.fh, e.done)
 	}
-}
-
-// ensureConn dials the control plane once and reuses the connection.
-func (r *Resolver) ensureConn(ready func(error)) {
-	if r.conn != nil || r.dialErr != nil {
-		ready(r.dialErr)
-		return
-	}
-	if r.dialing {
-		// A concurrent Resolve is already dialing; poll on the retry
-		// granularity (dials in the sim complete quickly or not at all).
-		r.node.Eng.Schedule(DefaultRetryRTO, func() { r.ensureConn(ready) })
-		return
-	}
-	r.dialing = true
-	r.dial(r.local, r.cpAddr, Port, func(c proto.Conn, err error) {
-		r.dialing = false
-		if err != nil {
-			r.dialErr = err
-			ready(err)
-			return
-		}
-		r.conn = c
-		r.framer = NewFramer(r.handle)
-		c.SetReceiver(r.framer.Push)
-		ready(nil)
-	})
 }
 
 // transmit sends one lookup and arms its retry timer (bounded; a lookup
@@ -263,12 +213,7 @@ func (r *Resolver) transmit(w *lookupWait) {
 		r.Stats.Retries++
 	}
 	w.tries++
-	ch, err := Encode(r.node.TxPool, Msg{Type: MsgLookupFH, FH: w.fh, Seq: w.seq})
-	if err != nil {
-		r.fail(w, err)
-		return
-	}
-	if err := r.conn.SendChain(ch); err != nil {
+	if err := r.ep.send(Msg{Type: MsgLookupFH, FH: w.fh, Seq: w.seq}); err != nil {
 		r.fail(w, err)
 		return
 	}
@@ -307,7 +252,7 @@ func (r *Resolver) advanceEpoch(epoch uint64) bool {
 			r.Stats.EpochFlush++
 		}
 		r.cache = make(map[lkey.FH]routeEntry)
-		r.ring, r.addrs, r.hasOverrides = nil, nil, false
+		r.ring, r.addrs, r.tooManyMembers, r.bootFailed = nil, nil, false, false
 		r.epoch = epoch
 	} else if epoch < r.epoch {
 		r.Stats.StaleEpochs++
@@ -327,10 +272,10 @@ func (r *Resolver) handleMembers(m Msg) {
 	}
 	r.members = nil
 	r.Stats.MemberFetches++
-	if m.Status&StatusOverrides != 0 {
-		// Ring not authoritative: remember that and use per-FH lookups
-		// until the next epoch bump.
-		r.hasOverrides = true
+	if m.Status&StatusTooManyMembers != 0 {
+		// No replica to be had at this epoch: use per-FH lookups until
+		// the next one.
+		r.tooManyMembers = true
 	} else {
 		ring := NewRing(int(m.LBN))
 		addrs := make(map[int]eth.Addr, len(m.LBNs))
@@ -353,6 +298,8 @@ func (r *Resolver) handleLookup(m Msg) {
 	if !r.advanceEpoch(m.Epoch) {
 		return
 	}
+	// The control plane answers again: the next cold lookup may bootstrap.
+	r.bootFailed = false
 	w, ok := r.inflight[m.FH]
 	if !ok {
 		return
@@ -379,12 +326,4 @@ func (r *Resolver) handleLookup(m Msg) {
 func (r *Resolver) Invalidate(fh lkey.FH) {
 	delete(r.cache, fh)
 	r.ring, r.addrs = nil, nil
-}
-
-// Close tears down the resolver's connection.
-func (r *Resolver) Close() {
-	if r.conn != nil {
-		r.conn.Close()
-		r.conn = nil
-	}
 }

@@ -1,8 +1,8 @@
 // Package controlplane shards the pass-through tier: a registry of
 // file-handle → front-end-server and LBN-range → iSCSI-target placements
 // built on consistent hashing, a small control-plane service that answers
-// routing lookups over the transport-neutral proto.Conn API (UDP and TCP),
-// and the remap protocol that keeps FHO→LBN re-indexing coherent when the
+// routing lookups over UDP (a datagram protocol: every message carries its own
+// application-level retry), and the remap protocol that keeps FHO→LBN re-indexing coherent when the
 // server flushing a block is not the server caching it: epoch-stamped remap
 // messages fan out as invalidations, are acknowledged individually, and are
 // retried idempotently under frame loss.
@@ -98,9 +98,6 @@ func (r *Ring) sortPoints() {
 		return r.points[i].member < r.points[j].member
 	})
 }
-
-// Len reports the member count.
-func (r *Ring) Len() int { return len(r.members) }
 
 // VNodes reports the virtual-node count per member — replicas built with
 // the same count (and member set) are point-for-point identical rings.

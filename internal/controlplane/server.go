@@ -1,7 +1,6 @@
 package controlplane
 
 import (
-	"ncache/internal/proto"
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/udp"
 	"ncache/internal/sim"
@@ -49,6 +48,13 @@ type remapState struct {
 	done  bool
 }
 
+// peer is a datagram return route: where a request came from, and the local
+// address it arrived on, which the answer is sourced from.
+type peer struct {
+	local, addr eth.Addr
+	port        uint16
+}
+
 // Server is the control-plane service: placement lookups for clients,
 // registration and the remap/invalidate protocol for front-end servers.
 // Single-homed on its own node so its CPU saturation is measurable.
@@ -56,14 +62,13 @@ type Server struct {
 	node *simnet.Node
 	reg  *Registry
 
-	// routes[i] sends one message to registered server i (nil until it
-	// registers). Indexed by server ID so fan-out order is deterministic.
-	routes []func(Msg)
+	// routes[i] is where server i registered from (nil until it does).
+	// Indexed by server ID so fan-out order is deterministic.
+	routes []*peer
 	remaps map[remapID]*remapState
 
-	udpT    *udp.Transport
-	scratch []byte
-	Stats   Stats
+	udp   *udp.Transport
+	Stats Stats
 }
 
 // The protocol's retransmission bounds: the server's invalidation fan-out,
@@ -79,11 +84,10 @@ const (
 // server ID.
 func NewServer(node *simnet.Node, servers []eth.Addr) *Server {
 	return &Server{
-		node:    node,
-		reg:     NewRegistry(servers),
-		routes:  make([]func(Msg), len(servers)),
-		remaps:  make(map[remapID]*remapState),
-		scratch: make([]byte, frameLenBytes+headerLen+8*MaxLBNs),
+		node:   node,
+		reg:    NewRegistry(servers),
+		routes: make([]*peer, len(servers)),
+		remaps: make(map[remapID]*remapState),
 	}
 }
 
@@ -94,73 +98,37 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Node returns the server's node.
 func (s *Server) Node() *simnet.Node { return s.node }
 
-// ServeUDP binds the datagram endpoint.
+// ServeUDP binds the service port.
 func (s *Server) ServeUDP(t *udp.Transport) error {
-	s.udpT = t
+	s.udp = t
 	return t.Bind(Port, func(dg udp.Datagram) {
-		n := dg.Payload.Len()
-		if n > len(s.scratch) {
-			dg.Payload.Release()
+		m, ok := decode(dg.Payload)
+		if !ok {
 			s.Stats.Errors++
 			return
 		}
-		dg.Payload.Gather(s.scratch[:n])
-		dg.Payload.Release()
-		if n < frameLenBytes+headerLen {
-			s.Stats.Errors++
-			return
-		}
-		m, err := unmarshal(s.scratch[frameLenBytes:n])
-		if err != nil {
-			s.Stats.Errors++
-			return
-		}
-		src, srcPort, dst := dg.Src, dg.SrcPort, dg.Dst
-		s.dispatch(m, func(r Msg) { s.sendUDP(dst, src, srcPort, r) })
+		s.dispatch(m, peer{local: dg.Dst, addr: dg.Src, port: dg.SrcPort})
 	})
 }
 
-// sendUDP transmits one framed message from the service port.
-func (s *Server) sendUDP(local, dst eth.Addr, dstPort uint16, m Msg) {
-	ch, err := Encode(s.node.TxPool, m)
-	if err != nil {
-		s.Stats.Errors++
-		return
-	}
-	if err := s.udpT.SendChain(local, Port, dst, dstPort, ch); err != nil {
+// send transmits one message from the service port.
+func (s *Server) send(to peer, m Msg) {
+	if err := sendMsg(s.udp, to.local, Port, to.addr, to.port, m); err != nil {
 		s.Stats.Errors++
 	}
-}
-
-// ServeStream accepts framed control connections (the TCP path).
-func (s *Server) ServeStream(ln proto.Listener) error {
-	return ln.ListenConn(Port, func(c proto.Conn) {
-		reply := func(r Msg) {
-			ch, err := Encode(s.node.TxPool, r)
-			if err != nil {
-				s.Stats.Errors++
-				return
-			}
-			if err := c.SendChain(ch); err != nil {
-				s.Stats.Errors++
-			}
-		}
-		f := NewFramer(func(m Msg) { s.dispatch(m, reply) })
-		c.SetReceiver(f.Push)
-	})
 }
 
 // dispatch charges the control CPU and handles one message. The charge
 // models RPC decode plus one placement-table operation, so control-plane
 // saturation shows up in the scale-out sweep like any other CPU.
-func (s *Server) dispatch(m Msg, reply func(Msg)) {
+func (s *Server) dispatch(m Msg, from peer) {
 	s.node.Charge(s.node.Cost.RPCNs+s.node.Cost.NCacheLookupNs, func() {
-		s.handle(m, reply)
+		s.handle(m, from)
 	})
 }
 
-// handle runs one message against the protocol state machine.
-func (s *Server) handle(m Msg, reply func(Msg)) {
+// handle runs one message from a peer against the protocol state machine.
+func (s *Server) handle(m Msg, from peer) {
 	switch m.Type {
 	case MsgRegister:
 		idx := int(m.Server)
@@ -169,8 +137,9 @@ func (s *Server) handle(m Msg, reply func(Msg)) {
 			return
 		}
 		s.Stats.Registers++
-		s.routes[idx] = reply
-		reply(Msg{Type: MsgRegisterAck, Server: m.Server, Epoch: s.reg.Epoch()})
+		route := from
+		s.routes[idx] = &route
+		s.send(from, Msg{Type: MsgRegisterAck, Server: m.Server, Epoch: s.reg.Epoch()})
 
 	case MsgLookupFH:
 		s.Stats.LookupsFH++
@@ -182,22 +151,20 @@ func (s *Server) handle(m Msg, reply func(Msg)) {
 			r.Server = uint16(idx)
 			r.Addr = s.reg.AddrOf(idx)
 		}
-		reply(r)
+		s.send(from, r)
 
 	case MsgMembers:
 		s.Stats.LookupsMembers++
 		r := Msg{Type: MsgMembersResp, Epoch: s.reg.Epoch(), Seq: m.Seq, LBN: int64(s.reg.VNodes())}
 		members := s.reg.Members()
-		if s.reg.HasOverrides() || len(members) > MaxLBNs {
-			// The ring alone does not decide placement (or does not fit
-			// one message): clients must keep asking per handle.
-			r.Status |= StatusOverrides
+		if len(members) > MaxLBNs {
+			r.Status |= StatusTooManyMembers
 		} else {
 			for _, idx := range members {
 				r.LBNs = append(r.LBNs, int64(uint64(idx)<<32|uint64(uint32(s.reg.AddrOf(idx)))))
 			}
 		}
-		reply(r)
+		s.send(from, r)
 
 	case MsgRemap:
 		s.handleRemap(m)
@@ -266,7 +233,7 @@ func (s *Server) sendInvalidate(st *remapState, p *remapPeer) {
 		} else {
 			s.Stats.InvalidationResends++
 		}
-		route(s.invalidateMsg(st))
+		s.send(*route, s.invalidateMsg(st))
 	}
 	p.tries++
 	s.node.Eng.Schedule(DefaultRetryRTO, func() {
@@ -324,7 +291,7 @@ func (s *Server) complete(st *remapState) {
 func (s *Server) ackOrigin(st *remapState) {
 	if route := s.routes[st.id.server]; route != nil {
 		s.Stats.RemapAcksSent++
-		route(Msg{Type: MsgRemapAck, Server: st.id.server, Epoch: st.id.epoch, Seq: st.id.seq})
+		s.send(*route, Msg{Type: MsgRemapAck, Server: st.id.server, Epoch: st.id.epoch, Seq: st.id.seq})
 	}
 }
 

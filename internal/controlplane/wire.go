@@ -1,7 +1,6 @@
 package controlplane
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,9 +8,10 @@ import (
 	"ncache/internal/lkey"
 	"ncache/internal/netbuf"
 	"ncache/internal/proto/eth"
+	"ncache/internal/proto/udp"
 )
 
-// Port is the control-plane service's well-known port (UDP and TCP).
+// Port is the control-plane service's well-known UDP port.
 const Port uint16 = 964
 
 // MsgType enumerates the control-plane protocol messages.
@@ -30,18 +30,18 @@ const (
 	MsgInvalidate
 	MsgInvalidateAck
 	// MsgMembers asks for the active member set; the response carries one
-	// packed (serverID<<32 | fabricAddr) entry per member in LBNs, the
-	// ring's virtual-node count in LBN, and the overrides-present flag in
-	// Status — everything a client needs to replicate the placement ring
-	// locally and answer FH lookups without a control-plane round trip.
+	// packed (serverID<<32 | fabricAddr) entry per member in LBNs and the
+	// ring's virtual-node count in LBN — everything a client needs to
+	// replicate the placement ring locally and answer FH lookups without
+	// a control-plane round trip.
 	MsgMembers
 	MsgMembersResp
 )
 
-// StatusOverrides flags a MsgMembersResp whose registry holds placement
-// overrides (or more members than one message carries): the hash ring alone
-// is not authoritative, so clients must keep using per-FH lookups.
-const StatusOverrides uint8 = 1 << 0
+// StatusTooManyMembers flags a MsgMembersResp whose member set does not fit
+// one message and was left out: the client cannot replicate the ring and must
+// keep using per-FH lookups.
+const StatusTooManyMembers uint8 = 1 << 0
 
 // MaxLBNs bounds the block list of one remap/invalidate message; larger
 // remap sets are chunked by the sender so every message fits one transmit
@@ -128,10 +128,12 @@ func unmarshal(p []byte) (Msg, error) {
 	return m, nil
 }
 
-// frameLenBytes prefixes every message on the wire (both transports carry
-// the same framing: UDP datagrams hold exactly one frame, streams
-// concatenate them).
+// frameLenBytes prefixes every message on the wire: a datagram holds exactly
+// one frame, its body length first.
 const frameLenBytes = 4
+
+// maxFrame is the largest frame: the prefix, the header and a full LBN list.
+const maxFrame = frameLenBytes + headerLen + 8*MaxLBNs
 
 // Encode renders a message as one length-prefixed frame in a pooled transmit
 // buffer (owner "cp.msg" — transient control-message memory per the §9
@@ -161,51 +163,62 @@ func Encode(pool *netbuf.Pool, m Msg) (*netbuf.Chain, error) {
 	return ch, nil
 }
 
-// Framer reassembles length-prefixed control messages from a transport
-// receiver. Control messages are header-only (no payload data rides them),
-// so the parse copies the few dozen bytes out of the wire buffers and
-// releases them immediately — the zero-copy discipline applies to block
-// payloads, not to the control plane.
-type Framer struct {
-	onMsg func(Msg)
-	buf   bytes.Buffer
+// decode parses one received datagram and releases it. It keeps nothing
+// between datagrams: a runt, or a datagram whose length prefix disagrees with
+// its size, is dropped alone. Control messages are header-only (no payload
+// data rides them), so the parse copies the few dozen bytes out of the wire
+// buffers — the zero-copy discipline applies to block payloads, not to the
+// control plane.
+func decode(dg *netbuf.Chain) (Msg, bool) {
+	defer dg.Release()
+	var raw [maxFrame]byte
+	n := dg.Len()
+	if n < frameLenBytes+headerLen || n > len(raw) {
+		return Msg{}, false
+	}
+	dg.Gather(raw[:n])
+	if int(binary.BigEndian.Uint32(raw[:])) != n-frameLenBytes {
+		return Msg{}, false
+	}
+	m, err := unmarshal(raw[frameLenBytes:n])
+	return m, err == nil
 }
 
-// NewFramer creates a framer delivering parsed messages to onMsg.
-func NewFramer(onMsg func(Msg)) *Framer {
-	return &Framer{onMsg: onMsg}
+// sendMsg transmits m as one datagram.
+func sendMsg(t *udp.Transport, src eth.Addr, srcPort uint16, dst eth.Addr, dstPort uint16, m Msg) error {
+	ch, err := Encode(t.Node().TxPool, m)
+	if err != nil {
+		return err
+	}
+	return t.SendChain(src, srcPort, dst, dstPort, ch)
 }
 
-// Push consumes one received chain (a datagram payload or a stream segment),
-// releasing it, and delivers every complete frame.
-func (f *Framer) Push(data *netbuf.Chain) {
-	if data != nil {
-		_ = data.Range(0, data.Len(), func(p []byte) bool {
-			f.buf.Write(p)
-			return true
-		})
-		data.Release()
-	}
-	for {
-		raw := f.buf.Bytes()
-		if len(raw) < frameLenBytes {
+// endpoint is a host's socket to the control plane: an ephemeral UDP port that
+// talks to the service port at cp and hears nobody else.
+type endpoint struct {
+	udp   *udp.Transport
+	local eth.Addr
+	cp    eth.Addr
+	port  uint16
+}
+
+// openEndpoint binds the socket; handle receives every well-formed message
+// the control plane sends to it.
+func openEndpoint(t *udp.Transport, local, cp eth.Addr, handle func(Msg)) *endpoint {
+	e := &endpoint{udp: t, local: local, cp: cp}
+	e.port = t.BindEphemeral(func(dg udp.Datagram) {
+		if dg.Src != cp || dg.SrcPort != Port {
+			dg.Payload.Release()
 			return
 		}
-		n := int(binary.BigEndian.Uint32(raw[0:4]))
-		if n < headerLen || n > headerLen+8*MaxLBNs {
-			// Corrupt framing: drop the buffered stream (a datagram
-			// transport re-syncs on the next datagram).
-			f.buf.Reset()
-			return
+		if m, ok := decode(dg.Payload); ok {
+			handle(m)
 		}
-		if len(raw) < frameLenBytes+n {
-			return
-		}
-		m, err := unmarshal(raw[frameLenBytes : frameLenBytes+n])
-		f.buf.Next(frameLenBytes + n)
-		if err != nil {
-			continue
-		}
-		f.onMsg(m)
-	}
+	})
+	return e
+}
+
+// send transmits one message to the control plane.
+func (e *endpoint) send(m Msg) error {
+	return sendMsg(e.udp, e.local, e.port, e.cp, Port, m)
 }

@@ -86,6 +86,127 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	})
 }
 
+// moduleImporter resolves this module's packages by type-checking their
+// non-test source, once each, and everything else from export data: every
+// package then sees the same objects for the module's types, which is what
+// lets an interface declared in one package be tested against a type declared
+// in another.
+type moduleImporter struct {
+	t    *testing.T
+	fset *token.FileSet
+	dirs map[string]string
+	std  types.Importer
+	pkgs map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	dir, ours := m.dirs[path]
+	if !ours {
+		return m.std.Import(path)
+	}
+	if pkg := m.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	conf := types.Config{Importer: m, FakeImportC: true}
+	pkg, err := conf.Check(path, m.fset, sourceFiles(m.t, m.fset, dir), nil)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// checkedPkg is one type-checked package clause: a package with its
+// in-package tests, or its external test package.
+type checkedPkg struct {
+	path  string
+	files []*ast.File
+	info  *types.Info
+}
+
+// checkModule type-checks every package of the module with its tests — the
+// commands, the examples and the packages only tests import included — and
+// returns the module root, the checked package clauses in import-path order,
+// and the importer, which holds the file set and whose Import answers any
+// module package without its tests.
+func checkModule(t *testing.T) (root string, pkgs []checkedPkg, imp *moduleImporter) {
+	t.Helper()
+	root, dirs, exports := goList(t, "-test")
+	fset := token.NewFileSet()
+	imp = &moduleImporter{t: t, fset: fset, dirs: dirs, std: exportImporter(fset, exports), pkgs: map[string]*types.Package{}}
+
+	paths := make([]string, 0, len(dirs))
+	for p := range dirs {
+		paths = append(paths, p) // det: sorted
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		entries, err := os.ReadDir(dirs[path])
+		if err != nil {
+			t.Fatalf("%s: %v", dirs[path], err)
+		}
+		// One package per package clause: the package with its in-package
+		// tests, and its external test package if it has one.
+		groups := map[string][]*ast.File{}
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), ".go") {
+				continue
+			}
+			full := filepath.Join(dirs[path], e.Name())
+			f, err := parser.ParseFile(fset, full, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatalf("parse %s: %v", full, err)
+			}
+			groups[f.Name.Name] = append(groups[f.Name.Name], f)
+		}
+		names := make([]string, 0, len(groups))
+		for name := range groups {
+			names = append(names, name) // det: sorted
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			info := &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}
+			checkPath := path
+			if strings.HasSuffix(name, "_test") {
+				checkPath += "_test"
+			}
+			conf := types.Config{Importer: imp, FakeImportC: true}
+			if _, err := conf.Check(checkPath, fset, groups[name], info); err != nil {
+				t.Fatalf("typecheck %s: %v", checkPath, err)
+			}
+			pkgs = append(pkgs, checkedPkg{path: path, files: groups[name], info: info})
+		}
+	}
+	return root, pkgs, imp
+}
+
+// declaresAPI reports whether a file of the package at path is non-test code
+// under internal/ — where the censuses look for declarations.
+func declaresAPI(path, file string) bool {
+	return strings.HasPrefix(path, "ncache/internal/") && !strings.HasSuffix(file, "_test.go")
+}
+
+// ncmarkFiles parses benchmarks/ncmark, a module of its own that this one
+// cannot type-check: the censuses match what it uses by name.
+func ncmarkFiles(t *testing.T, root string) []*ast.File {
+	t.Helper()
+	names, _ := filepath.Glob(filepath.Join(root, "benchmarks", "ncmark", "*.go"))
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, full := range names {
+		f, err := parser.ParseFile(fset, full, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", full, err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
 // sourceFiles parses the non-test Go files of one package directory.
 func sourceFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 	t.Helper()

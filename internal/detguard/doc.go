@@ -1,6 +1,7 @@
 // Package detguard holds the repository's source-level guards: annotated map
-// iteration and no goroutines inside the simulator (determinism), and no
-// configuration field that nothing turns.
+// iteration and no goroutines inside the simulator (determinism), no
+// configuration field that nothing turns and no exported function that
+// nothing calls.
 //
 // Go randomizes map iteration order. On the simulation's event path an
 // unordered iteration that schedules events, mutates model state, or formats
@@ -30,4 +31,9 @@
 // included, and fails on an exported field of a *Config or Options struct
 // under internal/ that no file but its own ever sets — ROADMAP aim 3's "a
 // knob survives only if an experiment or a test needs it", held mechanically.
+//
+// The fourth, TestNoUncalledExports (exports_test.go), is the same census for
+// code: an exported function or method under internal/ that no Go file of the
+// repository references — a method reached through an interface of this
+// module, String/Error and the three DESIGN.md §11 shims excepted — fails it.
 package detguard

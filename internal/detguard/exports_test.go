@@ -1,0 +1,193 @@
+package detguard
+
+import (
+	"fmt"
+	"go/ast"
+	"go/types"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// export names one exported function (recv empty) or method.
+type export struct{ pkg, recv, name string }
+
+func (e export) String() string {
+	s := strings.TrimPrefix(e.pkg, "ncache/internal/") + "."
+	if e.recv != "" {
+		s += e.recv + "."
+	}
+	return s + e.name
+}
+
+// exportOf names the function or method a *types.Func is, by the named type
+// that declares it — a promoted method is its embedded type's.
+func exportOf(fn *types.Func) export {
+	e := export{name: fn.Name()}
+	if fn.Pkg() != nil {
+		e.pkg = fn.Pkg().Path()
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			e.recv = n.Obj().Name()
+		}
+	}
+	return e
+}
+
+// recvName returns the receiver type's name of a method declaration.
+func recvName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return ""
+	}
+	t := fd.Recv.List[0].Type
+	if s, ok := t.(*ast.StarExpr); ok {
+		t = s.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// isStringer reports a `String() string` or `Error() string` method: fmt and
+// the error interface call those without naming them.
+func isStringer(fd *ast.FuncDecl) bool {
+	if fd.Recv == nil || (fd.Name.Name != "String" && fd.Name.Name != "Error") {
+		return false
+	}
+	ft := fd.Type
+	if len(ft.Params.List) != 0 || ft.Results == nil || len(ft.Results.List) != 1 {
+		return false
+	}
+	id, ok := ft.Results.List[0].Type.(*ast.Ident)
+	return ok && id.Name == "string"
+}
+
+// keptUncalled lists the exported functions nothing in this module calls that
+// stay anyway: exactly the function-shaped DESIGN.md §11 shims, inert since the
+// sharded engine went, which benchmarks/ncmark still compiles against and no
+// PR may edit. Each goes with the scaleout-par workload. The census fails on
+// an entry that is gone or that this module has started to call, so the list
+// cannot outlive the shims.
+var keptUncalled = map[export]string{
+	{"ncache/internal/passthru", "Cluster", "Close"}: "ncmark/rep.go defers it; there is nothing left to stop",
+	{"ncache/internal/sim", "Engine", "RunStats"}:    "ncmark/rep.go reads Events and the epoch counters, which stay 0",
+	{"ncache/internal/trace", "Tracer", "BeginOn"}:   "ncmark/driver.go begins spans with it; it is Begin",
+}
+
+// TestNoUncalledExports is the dead-export census: every exported function or
+// method declared in non-test code under internal/ must be referenced from
+// some Go file of the repository — a command, an experiment, an example, a
+// test, or benchmarks/ncmark (a module this one cannot type-check, so there a
+// selector of the same name counts). Exempt are a method that satisfies an
+// interface declared in this module (it is called through the interface),
+// String() string and Error() string, and the keptUncalled allowlist.
+func TestNoUncalledExports(t *testing.T) {
+	root, pkgs, imp := checkModule(t)
+
+	declared := map[export]string{} // export -> declaring file
+	used := map[export]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.files {
+			file := imp.fset.Position(f.Pos()).Filename
+			if !declaresAPI(pkg.path, file) {
+				continue
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && !isStringer(fd) {
+					declared[export{pkg.path, recvName(fd), fd.Name.Name}] = file
+				}
+			}
+		}
+		for _, obj := range pkg.info.Uses { // det: commutative (set inserts)
+			if fn, ok := obj.(*types.Func); ok {
+				used[exportOf(fn)] = true
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("found no exported function under internal/: the census checked nothing")
+	}
+
+	// Methods reached through an interface: for every named type and every
+	// interface declared in non-test code of this module, the methods the
+	// type satisfies the interface with.
+	var ifaces []*types.Interface
+	var named []*types.Named
+	for path := range imp.dirs { // det: commutative (set inserts below)
+		pkg, err := imp.Import(path)
+		if err != nil {
+			t.Fatalf("typecheck %s: %v", path, err)
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok || n.TypeParams().Len() > 0 {
+				continue
+			}
+			if iface, ok := n.Underlying().(*types.Interface); ok {
+				if iface.NumMethods() > 0 {
+					ifaces = append(ifaces, iface)
+				}
+			} else if n.NumMethods() > 0 {
+				named = append(named, n)
+			}
+		}
+	}
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		for _, iface := range ifaces {
+			if !types.Implements(ptr, iface) {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				if obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name()); obj != nil {
+					used[exportOf(obj.(*types.Func))] = true
+				}
+			}
+		}
+	}
+
+	ncmark := map[string]bool{}
+	for _, f := range ncmarkFiles(t, root) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if se, ok := call.Fun.(*ast.SelectorExpr); ok {
+					ncmark[se.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	var uncalled []string
+	for e, file := range declared { // det: sorted below
+		if _, kept := keptUncalled[e]; kept || used[e] || ncmark[e.name] {
+			continue
+		}
+		rel, _ := filepath.Rel(root, file)
+		uncalled = append(uncalled, fmt.Sprintf("%s (%s)", e, rel))
+	}
+	sort.Strings(uncalled)
+	if len(uncalled) > 0 {
+		t.Errorf("exported functions nothing references — no command, experiment, example, "+
+			"benchmark or test. ROADMAP aim 3: \"the same results from the simplest design and "+
+			"the least code … One way to do each thing.\" Delete each, or add the test that "+
+			"needs it:\n  %s", strings.Join(uncalled, "\n  "))
+	}
+	for e := range keptUncalled { // det: unordered (diagnostics)
+		if _, ok := declared[e]; !ok || used[e] {
+			t.Errorf("keptUncalled lists %s, which is gone or is called from this module: drop the entry", e)
+		}
+	}
+}

@@ -3,10 +3,7 @@ package detguard
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -68,15 +65,7 @@ func fieldOwner(sel *types.Selection) *types.Named {
 // module of its own that this one cannot type-check; there a keyed literal
 // of a type with the same name counts.
 func TestEveryKnobIsTurned(t *testing.T) {
-	root, dirs, exports := goList(t, "-test")
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-
-	paths := make([]string, 0, len(dirs))
-	for p := range dirs {
-		paths = append(paths, p) // det: sorted
-	}
-	sort.Strings(paths)
+	root, pkgs, imp := checkModule(t)
 
 	declared := map[knob]string{}          // knob -> declaring file
 	turnedIn := map[knob]map[string]bool{} // knob -> files that set it
@@ -91,87 +80,51 @@ func TestEveryKnobIsTurned(t *testing.T) {
 		turnedIn[k][file] = true
 	}
 
-	for _, path := range paths {
-		entries, err := os.ReadDir(dirs[path])
-		if err != nil {
-			t.Fatalf("%s: %v", dirs[path], err)
-		}
-		// One package per package clause: the package with its in-package
-		// tests, and its external test package if it has one.
-		groups := map[string][]*ast.File{}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			full := filepath.Join(dirs[path], e.Name())
-			f, err := parser.ParseFile(fset, full, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatalf("parse %s: %v", full, err)
-			}
-			groups[f.Name.Name] = append(groups[f.Name.Name], f)
-		}
-		for name, files := range groups { // det: commutative (set inserts)
-			info := &types.Info{
-				Types:      map[ast.Expr]types.TypeAndValue{},
-				Selections: map[*ast.SelectorExpr]*types.Selection{},
-			}
-			checkPath := path
-			if strings.HasSuffix(name, "_test") {
-				checkPath += "_test"
-			}
-			conf := types.Config{Importer: imp, FakeImportC: true}
-			if _, err := conf.Check(checkPath, fset, files, info); err != nil {
-				t.Fatalf("typecheck %s: %v", checkPath, err)
-			}
-			for _, f := range files {
-				file := fset.Position(f.Pos()).Filename
-				declares := strings.HasPrefix(path, "ncache/internal/") && !strings.HasSuffix(file, "_test.go")
-				ast.Inspect(f, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.TypeSpec:
-						st, ok := n.Type.(*ast.StructType)
-						if !ok || !declares || !isKnobStruct(n.Name.Name) {
-							return true
-						}
-						for _, fld := range st.Fields.List {
-							for _, id := range fld.Names {
-								if id.IsExported() {
-									declared[knob{path, n.Name.Name, id.Name}] = file
-								}
-							}
-						}
-					case *ast.CompositeLit:
-						owner := structOf(info.Types[n].Type)
-						for _, el := range n.Elts {
-							if kv, ok := el.(*ast.KeyValueExpr); ok {
-								if id, ok := kv.Key.(*ast.Ident); ok {
-									turn(owner, id.Name, file)
-								}
-							}
-						}
-					case *ast.AssignStmt:
-						for _, lhs := range n.Lhs {
-							if se, ok := lhs.(*ast.SelectorExpr); ok {
-								if sel := info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
-									turn(fieldOwner(sel), se.Sel.Name, file)
-								}
+	for _, pkg := range pkgs {
+		path, info := pkg.path, pkg.info
+		for _, f := range pkg.files {
+			file := imp.fset.Position(f.Pos()).Filename
+			declares := declaresAPI(path, file)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok || !declares || !isKnobStruct(n.Name.Name) {
+						return true
+					}
+					for _, fld := range st.Fields.List {
+						for _, id := range fld.Names {
+							if id.IsExported() {
+								declared[knob{path, n.Name.Name, id.Name}] = file
 							}
 						}
 					}
-					return true
-				})
-			}
+				case *ast.CompositeLit:
+					owner := structOf(info.Types[n].Type)
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								turn(owner, id.Name, file)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if se, ok := lhs.(*ast.SelectorExpr); ok {
+							if sel := info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+								turn(fieldOwner(sel), se.Sel.Name, file)
+							}
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 
 	// benchmarks/ncmark: keyed literals of pkg.Type, by type and field name.
 	ncmark := map[[2]string]bool{}
-	bench, _ := filepath.Glob(filepath.Join(root, "benchmarks", "ncmark", "*.go"))
-	for _, full := range bench {
-		f, err := parser.ParseFile(fset, full, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("parse %s: %v", full, err)
-		}
+	for _, f := range ncmarkFiles(t, root) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			lit, ok := n.(*ast.CompositeLit)
 			if !ok {

@@ -127,9 +127,6 @@ func Mount(node *simnet.Node, cache *buffercache.Cache, done func(*FS, error)) {
 // Super returns the superblock.
 func (fs *FS) Super() SuperBlock { return fs.sb }
 
-// Cache returns the underlying buffer cache.
-func (fs *FS) Cache() *buffercache.Cache { return fs.cache }
-
 // charge bills per-block file system logic to the node CPU.
 func (fs *FS) charge(blocks int, then func()) {
 	fs.node.Charge(sim.Duration(blocks)*fs.node.Cost.FSBlockNs, then)

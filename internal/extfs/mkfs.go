@@ -74,9 +74,6 @@ func Format(dev blockdev.DirectAccess, numInodes uint32) (*Formatter, error) {
 	return f, nil
 }
 
-// Super returns the formatted layout.
-func (f *Formatter) Super() SuperBlock { return f.sb }
-
 // setBit marks one bitmap bit through direct access.
 func (f *Formatter) setBit(regionStart, idx int64) { f.setBits(regionStart, idx, 1) }
 
@@ -242,10 +239,6 @@ func (f *Formatter) Flush() error {
 	f.pokeInode(RootIno, root)
 	return nil
 }
-
-// NextDataLBN reports the allocation cursor (where the next file would
-// start), letting experiments reason about contiguity.
-func (f *Formatter) NextDataLBN() int64 { return f.nextData }
 
 // putBE32 writes a big-endian uint32.
 func putBE32(dst []byte, v uint32) {

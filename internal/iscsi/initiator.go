@@ -6,8 +6,8 @@ import (
 
 	"ncache/internal/blockdev"
 	"ncache/internal/netbuf"
-	"ncache/internal/proto"
 	"ncache/internal/proto/eth"
+	"ncache/internal/proto/tcp"
 	"ncache/internal/scsi"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
@@ -50,9 +50,9 @@ func (t *task) releasePayload() {
 // the inode type information").
 type Initiator struct {
 	node   *simnet.Node
-	dial   proto.Dialer
+	tcp    *tcp.Transport
 	local  eth.Addr
-	conn   proto.Conn
+	conn   *tcp.Conn
 	framer *Framer
 
 	nextITT uint32
@@ -71,13 +71,12 @@ type Initiator struct {
 	Retries uint64
 }
 
-// NewInitiator creates an initiator bound to a local address. The dialer
-// picks the transport (iSCSI runs over TCP on the testbed, but the initiator
-// only needs a proto.Conn).
-func NewInitiator(node *simnet.Node, dial proto.Dialer, local eth.Addr) *Initiator {
+// NewInitiator creates an initiator on the node's TCP transport, bound to a
+// local address.
+func NewInitiator(node *simnet.Node, t *tcp.Transport, local eth.Addr) *Initiator {
 	return &Initiator{
 		node:    node,
-		dial:    dial,
+		tcp:     t,
 		local:   local,
 		nextITT: 1,
 		cmdSN:   1,
@@ -100,14 +99,14 @@ func (i *Initiator) Geometry() blockdev.Geometry { return i.geom }
 
 // Connect logs in to the target and discovers its geometry.
 func (i *Initiator) Connect(target eth.Addr, done func(error)) {
-	i.dial(i.local, target, Port, func(c proto.Conn, err error) {
+	i.tcp.Connect(i.local, target, Port, func(c *tcp.Conn, err error) {
 		if err != nil {
 			done(err)
 			return
 		}
 		i.conn = c
 		i.framer = NewFramer(i.handlePDU)
-		c.SetReceiver(func(data *netbuf.Chain) { i.framer.Push(data) })
+		c.SetReceiver(i.framer.Push)
 
 		login := PDU{Op: OpLoginReq, Final: true, ITT: i.allocITT(nil)}
 		i.pending[login.ITT] = &task{onDone: func(err error) {

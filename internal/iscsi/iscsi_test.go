@@ -230,7 +230,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ini := NewInitiator(initNode, initTCP.DialConn, eth.Addr(1))
+	ini := NewInitiator(initNode, initTCP, eth.Addr(1))
 	return &rig{
 		eng: eng, initNode: initNode, tgtNode: tgtNode,
 		initiator: ini, target: target, array: array,

@@ -109,16 +109,6 @@ func Stamp(dst []byte, k Key) {
 	copy(dst, m[:])
 }
 
-// Clear removes a key marker (used when a logical block is overwritten with
-// real data).
-func Clear(dst []byte) {
-	if len(dst) >= 8 {
-		for i := 0; i < 8; i++ {
-			dst[i] = 0
-		}
-	}
-}
-
 // FromChain peeks for a key at the front of a payload chain without
 // consuming it.
 func FromChain(c *netbuf.Chain) (Key, bool) {

@@ -43,7 +43,7 @@ var (
 //
 // Ownership contract: a Buf is born with one reference, owned by whoever
 // allocated it. Passing a Buf down a call that "takes ownership" transfers
-// that reference; retaining a Buf beyond such a call requires Acquire (or
+// that reference; retaining a Buf beyond such a call requires Retain (or
 // Clone for an independent window) and a matching Release. Releasing the
 // last reference recycles the descriptor immediately — holding a Buf after
 // its final Release is a use-after-free, not a harmless stale read.
@@ -110,9 +110,6 @@ func (b *Buf) Tailroom() int { return len(b.backing) - b.tail }
 // Capacity returns the total backing size, headroom included.
 func (b *Buf) Capacity() int { return len(b.backing) }
 
-// Refs returns the current reference count (for tests and pool accounting).
-func (b *Buf) Refs() int32 { return b.refs }
-
 // Push grows the payload at the front by n bytes and returns the newly
 // exposed region, analogous to skb_push. Protocol layers write their header
 // into the returned slice.
@@ -173,17 +170,6 @@ func (b *Buf) Retain() *Buf {
 	return b
 }
 
-// Acquire takes an additional explicit ownership reference: the caller
-// intends to retain b past the current call and promises a matching Release.
-// It is Retain under the ownership-contract name; owner (if non-empty) tags
-// the retention for leak reports.
-func (b *Buf) Acquire(owner string) *Buf {
-	if owner != "" {
-		b.SetOwner(owner)
-	}
-	return b.Retain()
-}
-
 // SetOwner tags the buffer's long-term holder for leak reports. For clone
 // descriptors the tag lands on the root, whose pool tracks the pinned
 // memory.
@@ -193,14 +179,6 @@ func (b *Buf) SetOwner(owner string) {
 		return
 	}
 	b.owner = owner
-}
-
-// Owner returns the current owner tag.
-func (b *Buf) Owner() string {
-	if b.shared != nil {
-		return b.shared.owner
-	}
-	return b.owner
 }
 
 // Pool returns the pool that accounts for this buffer (nil for standalone
@@ -277,17 +255,6 @@ func (b *Buf) Clone() *Buf {
 	cl.refs = 1
 	cl.shared = root
 	return cl
-}
-
-// Copy returns a deep copy of the payload in a fresh standalone buffer with
-// the same headroom. It reports the number of payload bytes physically
-// copied so callers can charge simulated CPU time.
-func (b *Buf) Copy() (*Buf, int) {
-	n := b.Len()
-	nb := New(b.head, n+b.Tailroom())
-	_ = nb.Put(n)
-	copy(nb.Bytes(), b.Bytes())
-	return nb, n
 }
 
 // String summarizes the buffer geometry for debugging.

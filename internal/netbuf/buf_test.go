@@ -120,18 +120,6 @@ func TestBufCloneOfClone(t *testing.T) {
 	b.Release()
 }
 
-func TestBufCopyIsDeep(t *testing.T) {
-	b := FromBytes([]byte("original"))
-	cp, n := b.Copy()
-	if n != 8 {
-		t.Fatalf("Copy reported %d bytes, want 8", n)
-	}
-	b.Bytes()[0] = 'X'
-	if string(cp.Bytes()) != "original" {
-		t.Fatal("Copy aliased the source")
-	}
-}
-
 func TestPoolReuseAndAccounting(t *testing.T) {
 	p := NewPool("rx", 32, 256, 4)
 	var bufs []*Buf

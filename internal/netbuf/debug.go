@@ -18,7 +18,7 @@ func init() {
 
 // This file holds the explicit-ownership machinery behind the PR 4 contract:
 // every Buf and Chain has exactly one owner at a time, ownership transfers
-// are explicit (Acquire/Release), and releases recycle descriptors through
+// are explicit (Retain/Release), and releases recycle descriptors through
 // package-local free lists instead of leaving them to the garbage collector.
 // Debug mode trades the recycling for poisoning: double frees and
 // use-after-free panic with the owner tag instead of silently corrupting a

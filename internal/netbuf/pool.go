@@ -23,7 +23,6 @@ type Pool struct {
 	doubleFrees uint64
 	peak        int
 	adopted     uint64
-	lent        uint64
 	// live tracks every outstanding buffer in debug mode so leaks can be
 	// attributed to their owner tags.
 	live map[*Buf]struct{}
@@ -228,7 +227,6 @@ func (p *Pool) Lend(dst *Pool) {
 		return
 	}
 	var b *Buf
-	p.lent++
 	if n := len(p.free); n > 0 {
 		b = p.free[n-1]
 		p.free[n-1] = nil
@@ -290,15 +288,8 @@ func (p *Pool) DoubleFrees() uint64 { return p.doubleFrees }
 // (the registered-receive DMA count).
 func (p *Pool) Adopted() uint64 { return p.adopted }
 
-// Lent returns the number of replacement buffers this pool donated to
-// senders via Lend.
-func (p *Pool) Lent() uint64 { return p.lent }
-
 // Name returns the pool's diagnostic name.
 func (p *Pool) Name() string { return p.name }
 
 // BufSize returns the payload capacity of buffers from this pool.
 func (p *Pool) BufSize() int { return p.bufSize }
-
-// Capacity returns the maximum outstanding buffers (0 = unlimited).
-func (p *Pool) Capacity() int { return p.capacity }

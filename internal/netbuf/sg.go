@@ -2,12 +2,11 @@ package netbuf
 
 import (
 	"fmt"
-	"io"
 	"slices"
 )
 
-// This file holds the scatter-gather view primitives: ways to read, slice
-// and fill a chain's payload without flattening it. They are what keeps
+// This file holds the scatter-gather view primitives: ways to read and slice
+// a chain's payload without flattening it. They are what keeps
 // payloads crossing protocol layers as buffer descriptors — the only
 // physical copies left on the data path are the ones the paper's model
 // charges (wire ingress and the disk image boundary).
@@ -121,22 +120,6 @@ func (c *Chain) SubChain(off, n int) (*Chain, error) {
 	return out, nil
 }
 
-// Scatter copies src into the chain's existing payload windows from the
-// front (the inverse of Gather) and returns the number of bytes written —
-// short when the chain's payload is smaller than src. The chain's geometry
-// is unchanged; its cached checksum is invalidated.
-func (c *Chain) Scatter(src []byte) int {
-	c.invalidatePartial()
-	n := 0
-	for _, b := range c.bufs {
-		if n >= len(src) {
-			break
-		}
-		n += copy(b.Bytes(), src[n:])
-	}
-	return n
-}
-
 // AppendChain moves every buffer of o to the tail of c and consumes o: a
 // chain whose buffers have been taken is a retired chain, so o's struct goes
 // back to the free list exactly as if released and the caller must not touch
@@ -158,88 +141,4 @@ func (c *Chain) AppendChain(o *Chain) {
 		o.bufs = o.bufs[:0]
 	}
 	putChain(o)
-}
-
-// Reader returns a non-consuming io.Reader over the chain's payload. The
-// chain must not be mutated or released while the reader is in use.
-func (c *Chain) Reader() *ChainReader { return &ChainReader{c: c} }
-
-// ChainReader is a cursor over a chain's payload implementing io.Reader.
-type ChainReader struct {
-	c   *Chain
-	buf int // index of the buffer holding the cursor
-	off int // byte offset within that buffer's payload
-}
-
-// Read copies up to len(p) bytes from the cursor position.
-func (r *ChainReader) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	total := 0
-	for total < len(p) {
-		if r.buf >= len(r.c.bufs) {
-			if total > 0 {
-				return total, nil
-			}
-			return 0, io.EOF
-		}
-		b := r.c.bufs[r.buf].Bytes()
-		if r.off >= len(b) {
-			r.buf++
-			r.off = 0
-			continue
-		}
-		n := copy(p[total:], b[r.off:])
-		total += n
-		r.off += n
-	}
-	return total, nil
-}
-
-// Writer returns an io.Writer that appends to the chain, drawing buffers
-// from pool (or standalone DefaultBufSize buffers when pool is nil). The
-// final partial buffer keeps its tailroom, so consecutive writes pack.
-func (c *Chain) Writer(pool *Pool) *ChainWriter { return &ChainWriter{c: c, pool: pool} }
-
-// ChainWriter appends bytes to a chain as pooled segments.
-type ChainWriter struct {
-	c    *Chain
-	pool *Pool
-}
-
-// Write appends p to the chain, copying into buffer tailroom and taking new
-// buffers as needed.
-func (w *ChainWriter) Write(p []byte) (int, error) {
-	written := 0
-	for written < len(p) {
-		var tail *Buf
-		if n := len(w.c.bufs); n > 0 {
-			if b := w.c.bufs[n-1]; b.Tailroom() > 0 && b.shared == nil {
-				tail = b
-			}
-		}
-		if tail == nil {
-			var err error
-			if w.pool != nil {
-				tail, err = w.pool.Get()
-				if err != nil {
-					return written, err
-				}
-			} else {
-				tail = New(DefaultHeadroom, DefaultBufSize)
-			}
-			w.c.Append(tail)
-		}
-		take := tail.Tailroom()
-		if take > len(p)-written {
-			take = len(p) - written
-		}
-		if err := tail.Append(p[written : written+take]); err != nil {
-			return written, err
-		}
-		written += take
-	}
-	w.c.invalidatePartial()
-	return written, nil
 }

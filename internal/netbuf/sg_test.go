@@ -2,7 +2,6 @@ package netbuf
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -114,97 +113,6 @@ func TestGatherRangeMatchesFlatReference(t *testing.T) {
 			return false
 		}
 		return bytes.Equal(dst[:got], payload[off:off+got])
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReaderMatchesFlatReference(t *testing.T) {
-	prop := func(f fragSpec, readSize uint8) bool {
-		payload, cuts, _, _ := f.normalize()
-		c := chainFrom(payload, cuts)
-		defer c.Release()
-		sz := int(readSize)%7 + 1 // odd read sizes cross buffer boundaries
-		var got []byte
-		buf := make([]byte, sz)
-		r := c.Reader()
-		for {
-			n, err := r.Read(buf)
-			got = append(got, buf[:n]...)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return false
-			}
-		}
-		return bytes.Equal(got, payload)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriterRoundTrips(t *testing.T) {
-	prop := func(payload []byte, chunk uint8) bool {
-		c := NewChain()
-		defer c.Release()
-		w := c.Writer(nil)
-		sz := int(chunk)%11 + 1
-		for off := 0; off < len(payload); off += sz {
-			end := off + sz
-			if end > len(payload) {
-				end = len(payload)
-			}
-			n, err := w.Write(payload[off:end])
-			if err != nil || n != end-off {
-				return false
-			}
-		}
-		return bytes.Equal(c.Flatten(), payload)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriterPoolBacked(t *testing.T) {
-	p := NewPool("w", DefaultHeadroom, 16, 0)
-	c := NewChain()
-	w := c.Writer(p)
-	payload := make([]byte, 100)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	if n, err := w.Write(payload); err != nil || n != len(payload) {
-		t.Fatalf("Write = %d, %v", n, err)
-	}
-	if !bytes.Equal(c.Flatten(), payload) {
-		t.Fatal("pool-backed writer corrupted payload")
-	}
-	if c.NumBufs() != 7 { // ceil(100/16)
-		t.Fatalf("NumBufs = %d, want 7", c.NumBufs())
-	}
-	c.Release()
-	if p.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d after release", p.Outstanding())
-	}
-}
-
-func TestScatterInverseOfGather(t *testing.T) {
-	prop := func(f fragSpec) bool {
-		payload, cuts, _, _ := f.normalize()
-		c := chainFrom(payload, cuts)
-		defer c.Release()
-		src := make([]byte, len(payload))
-		for i := range src {
-			src[i] = byte(255 - i%251)
-		}
-		if n := c.Scatter(src); n != len(payload) {
-			return false
-		}
-		return bytes.Equal(c.Flatten(), src)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

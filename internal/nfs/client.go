@@ -2,8 +2,8 @@ package nfs
 
 import (
 	"ncache/internal/netbuf"
-	"ncache/internal/proto"
 	"ncache/internal/proto/eth"
+	"ncache/internal/proto/tcp"
 	"ncache/internal/proto/udp"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
@@ -18,59 +18,51 @@ func RootFH() FH {
 	return fh
 }
 
-// rpcCaller abstracts the datagram and stream RPC clients.
-type rpcCaller interface {
-	Call(dst eth.Addr, dstPort uint16, prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.Chain, done func(sunrpc.Reply, error)) error
-	Pending() int
-	Node() *simnet.Node
-}
-
 // Client issues NFS calls to one server.
 type Client struct {
-	rpc    rpcCaller
-	server eth.Addr
+	rpc *sunrpc.Client
+	// stream marks a client dialed over TCP (DialClientStream).
+	stream bool
 }
 
 // NewClient binds an NFS client on the UDP transport, talking to server.
 func NewClient(t *udp.Transport, local eth.Addr, localPort uint16, server eth.Addr) (*Client, error) {
-	rpc, err := sunrpc.NewClient(t, local, localPort)
+	rpc, err := sunrpc.NewClient(t, local, localPort, server, Port)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{rpc: rpc, server: server}, nil
+	return &Client{rpc: rpc}, nil
 }
 
-// SetRetransmit enables RPC retransmission when the underlying transport
-// supports it (the datagram client does; streams rely on TCP recovery).
+// SetRetransmit enables RPC retransmission on a datagram client (a stream
+// client ignores it and relies on TCP recovery).
 func (c *Client) SetRetransmit(rto sim.Duration, maxTries int) {
-	if r, ok := c.rpc.(interface {
-		SetRetransmit(sim.Duration, int)
-	}); ok {
-		r.SetRetransmit(rto, maxTries)
-	}
+	c.rpc.SetRetransmit(rto, maxTries)
 }
 
 // Node returns the client host's node — workloads draw zero-copy write
 // payloads from its pools.
 func (c *Client) Node() *simnet.Node { return c.rpc.Node() }
 
-// DatagramRPC returns the underlying datagram RPC client, or nil for stream
-// transports. Fault tests inspect its retransmission counters.
+// DatagramRPC returns the underlying RPC client of a datagram NFS client, or
+// nil for a stream one. Fault tests inspect its retransmission counters.
 func (c *Client) DatagramRPC() *sunrpc.Client {
-	cl, _ := c.rpc.(*sunrpc.Client)
-	return cl
+	if c.stream {
+		return nil
+	}
+	return c.rpc
 }
 
-// DialClientStream connects an NFS client over a stream transport
-// (record-marked RPC) and hands it to done once the connection is
-// established. Pass tcp.Transport.DialConn for the paper's TCP comparison.
-func DialClientStream(node *simnet.Node, dial proto.Dialer, local, server eth.Addr, done func(*Client, error)) {
-	sunrpc.DialStream(node, dial, local, server, Port, func(sc *sunrpc.StreamClient, err error) {
+// DialClientStream connects an NFS client over TCP (record-marked RPC, the
+// paper's transport comparison) and hands it to done once the connection is
+// established.
+func DialClientStream(t *tcp.Transport, local, server eth.Addr, done func(*Client, error)) {
+	sunrpc.DialStream(t, local, server, Port, func(rpc *sunrpc.Client, err error) {
 		if err != nil {
 			done(nil, err)
 			return
 		}
-		done(&Client{rpc: sc, server: server}, nil)
+		done(&Client{rpc: rpc, stream: true}, nil)
 	})
 }
 
@@ -98,7 +90,7 @@ func (c *Client) nameArgs(dir FH, name string) *netbuf.Buf {
 
 // call issues one NFS RPC.
 func (c *Client) call(proc uint32, msg *netbuf.Buf, payload *netbuf.Chain, done func(*netbuf.Chain, error)) {
-	err := c.rpc.Call(c.server, Port, Prog, Vers, proc, msg, payload, func(r sunrpc.Reply, err error) {
+	err := c.rpc.Call(Prog, Vers, proc, msg, payload, func(r sunrpc.Reply, err error) {
 		if err != nil {
 			done(nil, err)
 			return
@@ -314,18 +306,9 @@ func (c *Client) WriteBytes(fh FH, off uint64, p []byte, done func(int, Attr, er
 	c.Write(fh, off, chain, done)
 }
 
-// Create makes a file (or directory via Mkdir).
+// Create makes a file.
 func (c *Client) Create(dir FH, name string, done func(FH, Attr, error)) {
-	c.createOrMkdir(ProcCreate, dir, name, done)
-}
-
-// Mkdir makes a directory.
-func (c *Client) Mkdir(dir FH, name string, done func(FH, Attr, error)) {
-	c.createOrMkdir(ProcMkdir, dir, name, done)
-}
-
-func (c *Client) createOrMkdir(proc uint32, dir FH, name string, done func(FH, Attr, error)) {
-	c.call(proc, c.nameArgs(dir, name), nil, func(body *netbuf.Chain, err error) {
+	c.call(ProcCreate, c.nameArgs(dir, name), nil, func(body *netbuf.Chain, err error) {
 		var fh FH
 		if err != nil {
 			done(fh, Attr{}, err)
@@ -401,9 +384,6 @@ func (c *Client) Readdir(dir FH, done func([]string, error)) {
 		done(names, nil)
 	})
 }
-
-// Pending reports outstanding calls.
-func (c *Client) Pending() int { return c.rpc.Pending() }
 
 // orIO maps a parse failure or non-OK status to an error.
 func orIO(st uint32, ok bool) error {

@@ -2,7 +2,7 @@ package nfs
 
 import (
 	"ncache/internal/netbuf"
-	"ncache/internal/proto"
+	"ncache/internal/proto/tcp"
 	"ncache/internal/proto/udp"
 	"ncache/internal/simnet"
 	"ncache/internal/sunrpc"
@@ -33,62 +33,41 @@ type TxFilter func(*netbuf.Chain) *netbuf.Chain
 type Server struct {
 	backend Backend
 	node    *simnet.Node
+	rpc     *sunrpc.Server
 	filter  TxFilter
 
 	// Ops counts served calls by procedure.
 	Ops map[uint32]uint64
 }
 
-// Registrar is any RPC dispatcher the server can attach to — the datagram
-// and stream sunrpc servers both qualify.
-type Registrar interface {
-	Register(prog, vers, proc uint32, h sunrpc.Handler)
-}
-
-// NewServer creates the protocol server. It serves nothing until attached
-// to one or more RPC dispatchers; a single server (and its single tx
-// filter) can face several transports at once.
+// NewServer creates the protocol server and registers the NFS program's
+// procedures on its RPC server. It serves nothing until put on a transport;
+// a single server (and its single tx filter) can face both at once.
 func NewServer(node *simnet.Node, backend Backend) *Server {
-	return &Server{
+	s := &Server{
 		backend: backend,
 		node:    node,
+		rpc:     sunrpc.NewServer(node),
 		Ops:     make(map[uint32]uint64),
 	}
-}
-
-// Attach registers the NFS program's procedures on an RPC dispatcher.
-func (s *Server) Attach(rpc Registrar) {
 	for _, proc := range []uint32{
 		ProcNull, ProcGetattr, ProcSetattr, ProcLookup, ProcRead,
 		ProcWrite, ProcCreate, ProcRemove, ProcMkdir, ProcRmdir, ProcReaddir,
 	} {
 		proc := proc
-		rpc.Register(Prog, Vers, proc, func(c sunrpc.Call) { s.dispatch(proc, c) })
+		s.rpc.Register(Prog, Vers, proc, func(c sunrpc.Call) { s.dispatch(proc, c) })
 	}
+	return s
 }
 
-// ServeUDP binds a datagram RPC server on t at the NFS port and attaches
-// (the paper's NFS transport).
-func (s *Server) ServeUDP(t *udp.Transport) error {
-	rpc, err := sunrpc.NewServer(t, Port)
-	if err != nil {
-		return err
-	}
-	s.Attach(rpc)
-	return nil
-}
+// ServeUDP serves datagram RPC on t at the NFS port (the paper's NFS
+// transport).
+func (s *Server) ServeUDP(t *udp.Transport) error { return s.rpc.ServeUDP(t, Port) }
 
-// ServeStream listens for record-marked RPC connections at the NFS port —
+// ServeStream serves record-marked RPC connections on t at the NFS port —
 // the transport-comparison extension (§5.5 notes TCP's higher per-packet
 // overhead; this lets the same service run both ways).
-func (s *Server) ServeStream(ln proto.Listener) error {
-	rpc, err := sunrpc.NewStreamServer(s.node, ln, Port)
-	if err != nil {
-		return err
-	}
-	s.Attach(rpc)
-	return nil
-}
+func (s *Server) ServeStream(t *tcp.Transport) error { return s.rpc.ServeStream(t, Port) }
 
 // SetTxFilter installs the reply-payload hook.
 func (s *Server) SetTxFilter(f TxFilter) { s.filter = f }

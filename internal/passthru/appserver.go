@@ -122,7 +122,7 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index 
 		names := make([]string, cfg.Arms)
 		arms := make([]storage.Initiator, cfg.Arms)
 		for a := range arms {
-			ini := iscsi.NewInitiator(node, tcpT.DialConn, local)
+			ini := iscsi.NewInitiator(node, tcpT, local)
 			s.Initiators = append(s.Initiators, ini)
 			s.connectAddrs = append(s.connectAddrs, StorageAddrOf(t, a, cfg.NumTargets))
 			names[a], arms[a] = fmt.Sprintf("t%dm%d", t, a), ini
@@ -149,7 +149,7 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index 
 		})
 	}
 	if cfg.NumServers > 1 {
-		s.Agent = controlplane.NewAgent(node, udpT.DialConn, local, ControlAddr, index)
+		s.Agent = controlplane.NewAgent(node, udpT, local, ControlAddr, index)
 		s.Agent.SetInvalidate(s.ApplyInvalidate)
 	}
 	return s, nil

@@ -70,7 +70,7 @@ func (c *ClientHost) NewNFSClient(server eth.Addr) (*nfs.Client, error) {
 // DialNFSTCP connects an NFS client over TCP (the transport-comparison
 // extension) and hands it to done once established.
 func (c *ClientHost) DialNFSTCP(server eth.Addr, done func(*nfs.Client, error)) {
-	nfs.DialClientStream(c.Node, c.TCP.DialConn, c.Addr, server, done)
+	nfs.DialClientStream(c.TCP, c.Addr, server, done)
 }
 
 // HTTPConn is one persistent web connection issuing sequential GETs.
@@ -405,18 +405,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if _, err := nw.AttachAt(cpNode, ControlAddr, simnet.Gbps, cfg.ControlLinkLatency); err != nil {
 			return nil, fmt.Errorf("cp attach: %w", err)
 		}
-		cpIP := ipv4.NewStack(cpNode)
-		cpUDP := udp.NewTransport(cpIP)
-		cpTCP := tcp.NewTransport(cpIP)
+		cpUDP := udp.NewTransport(ipv4.NewStack(cpNode))
 		serverAddrs := make([]eth.Addr, cfg.NumServers)
 		for i := range serverAddrs {
 			serverAddrs[i] = ServerAddrOf(i)
 		}
 		cl.Control = controlplane.NewServer(cpNode, serverAddrs)
 		if err := cl.Control.ServeUDP(cpUDP); err != nil {
-			return nil, err
-		}
-		if err := cl.Control.ServeStream(cpTCP); err != nil {
 			return nil, err
 		}
 	}

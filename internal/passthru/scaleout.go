@@ -95,7 +95,7 @@ func (c *Cluster) NewScaleClient(host *ClientHost) (*ScaleClient, error) {
 		sc.NFS = append(sc.NFS, nc)
 	}
 	if len(c.Apps) > 1 {
-		sc.Resolver = controlplane.NewResolver(host.Node, host.UDP.DialConn, host.Addr, ControlAddr)
+		sc.Resolver = controlplane.NewResolver(host.Node, host.UDP, host.Addr, ControlAddr)
 	}
 	return sc, nil
 }

@@ -248,7 +248,6 @@ func TestFaultWritebackKillNoStaleCrossServerReads(t *testing.T) {
 	if err := cl.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	t.Cleanup(cl.Close)
 	fh := lookupFile(t, cl, "data.bin")
 
 	scA, err := cl.NewScaleClient(cl.Clients[0])

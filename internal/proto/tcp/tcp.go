@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"ncache/internal/netbuf"
-	"ncache/internal/proto"
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/ipv4"
 	"ncache/internal/sim"
@@ -161,24 +160,6 @@ func (t *Transport) Connect(local, remote eth.Addr, remotePort uint16, done func
 	c.armRTO()
 }
 
-// DialConn is Connect with the transport-neutral proto.Dialer shape.
-func (t *Transport) DialConn(local, remote eth.Addr, port uint16, done func(proto.Conn, error)) {
-	t.Connect(local, remote, port, func(c *Conn, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		done(c, nil)
-	})
-}
-
-// ListenConn is Listen with the transport-neutral proto.Listener shape.
-func (t *Transport) ListenConn(port uint16, accept func(proto.Conn)) error {
-	return t.Listen(port, func(c *Conn) { accept(c) })
-}
-
-var _ proto.Listener = (*Transport)(nil)
-
 // mss returns the maximum segment payload for the node's first NIC.
 func (t *Transport) mss() int {
 	nics := t.node.NICs()
@@ -270,12 +251,6 @@ func (c *Conn) RemoteAddr() eth.Addr { return c.key.remoteAddr }
 // RemotePort returns the connection's remote port.
 func (c *Conn) RemotePort() uint16 { return c.key.remotePort }
 
-// LocalPort returns the connection's local port.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
-
-// MSS returns the maximum segment payload.
-func (c *Conn) MSS() int { return c.mss }
-
 // SetReceiver installs the in-order stream consumer. Data chains passed to
 // the receiver are the original wire buffers (adopted into this node's
 // pools by the registered-receive path). Ownership contract: the receiver
@@ -284,9 +259,6 @@ func (c *Conn) SetReceiver(f func(*netbuf.Chain)) { c.receiver = f }
 
 // SetOnClose installs a callback invoked when the peer closes.
 func (c *Conn) SetOnClose(f func()) { c.onClose = f }
-
-// Established reports whether the connection is open for data.
-func (c *Conn) Established() bool { return c.state == stateEstablished }
 
 // Send queues plain bytes on the stream (they are copied into pooled
 // transmit buffers — the legacy path; the copy cost is the caller's to
@@ -940,6 +912,3 @@ func pseudoHeaderSum(src, dst eth.Addr) netbuf.Partial {
 	s.AddUint16(uint16(ipv4.ProtoTCP))
 	return s
 }
-
-// Conn satisfies the transport-neutral connection interface.
-var _ proto.Conn = (*Conn)(nil)

@@ -76,6 +76,22 @@ func (t *Transport) Bind(port uint16, r Receiver) error {
 	return nil
 }
 
+// BindEphemeral installs a receiver on the next free ephemeral port (49152
+// and up, wrapping back there) and returns the port.
+func (t *Transport) BindEphemeral(r Receiver) uint16 {
+	for {
+		p := t.nextPort
+		if p == 0 {
+			t.nextPort = 49152
+			continue
+		}
+		t.nextPort++
+		if t.Bind(p, r) == nil {
+			return p
+		}
+	}
+}
+
 // Unbind removes a port binding.
 func (t *Transport) Unbind(port uint16) { delete(t.ports, port) }
 

@@ -38,9 +38,6 @@ const (
 // MaxTime is the largest representable virtual time.
 const MaxTime = Time(math.MaxInt64)
 
-// Std converts a virtual duration to a time.Duration for display.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // String formats the duration using time.Duration notation.
 func (d Duration) String() string { return time.Duration(d).String() }
 

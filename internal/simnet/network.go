@@ -100,9 +100,6 @@ func (nw *Network) Dropped() uint64 { return nw.dropped }
 // default) disables injection.
 func (nw *Network) SetFaults(in *fault.Injector) { nw.faults = in }
 
-// Faults returns the installed injector (nil when faults are off).
-func (nw *Network) Faults() *fault.Injector { return nw.faults }
-
 // FaultDropped reports frames the injector discarded at switch downlinks.
 func (nw *Network) FaultDropped() uint64 { return nw.faultDropped }
 

@@ -80,9 +80,6 @@ func (n *NIC) AddTxFilter(f TxFilter) { n.filters = append(n.filters, f) }
 // Node returns the owning node.
 func (n *NIC) Node() *Node { return n.node }
 
-// Bandwidth returns the attached link speed.
-func (n *NIC) Bandwidth() Bandwidth { return n.bw }
-
 // TxUtilization reports the transmit serializer's utilization since its
 // stats were last reset — how close this NIC is to line rate.
 func (n *NIC) TxUtilization() float64 { return n.tx.Utilization() }

@@ -58,9 +58,6 @@ func newRxRing(nic *NIC, size int) *RxRing {
 	return r
 }
 
-// Size returns the number of descriptors the ring posts.
-func (r *RxRing) Size() int { return r.size }
-
 // Outstanding returns the ring credits currently consumed by adopted buffers
 // that have not yet been released back to their pool. Leak tests assert this
 // returns to zero after a drained workload.

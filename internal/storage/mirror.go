@@ -154,9 +154,6 @@ func NewMirror(node *simnet.Node, names []string, inis []Initiator, cfg MirrorCo
 	return m, nil
 }
 
-// Policy reports the configured read-selection policy.
-func (m *Mirror) Policy() Policy { return m.cfg.Policy }
-
 // BlockSize implements Volume.
 func (m *Mirror) BlockSize() int { return m.arms[0].ini.Geometry().BlockSize }
 

@@ -40,9 +40,9 @@ func faultRig(t *testing.T, spec string) (*sim.Engine, *host, *host) {
 // minimal server has no duplicate-request cache).
 func doubler(t *testing.T, sv *host) *int {
 	t.Helper()
-	srv, err := NewServer(sv.udp, 2049)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+	srv := NewServer(sv.node)
+	if err := srv.ServeUDP(sv.udp, 2049); err != nil {
+		t.Fatalf("ServeUDP: %v", err)
 	}
 	execs := new(int)
 	srv.Register(progTest, versTest, 7, func(c Call) {
@@ -60,13 +60,13 @@ func doubler(t *testing.T, sv *host) *int {
 }
 
 // callOnce issues one doubling call and returns (replies seen, result, err).
-func callOnce(t *testing.T, eng *sim.Engine, cl *host, dst eth.Addr, rpc *Client) (int, uint32, error) {
+func callOnce(t *testing.T, eng *sim.Engine, rpc *Client) (int, uint32, error) {
 	t.Helper()
 	e := xdr.NewEncoder(8)
 	e.Uint32(21)
 	replies, result := 0, uint32(0)
 	var cerr error
-	err := rpc.Call(dst, 2049, progTest, versTest, 7, argsMsg(rpc.Node(), e.Bytes()), nil, func(r Reply, err error) {
+	err := rpc.Call(progTest, versTest, 7, argsMsg(rpc.Node(), e.Bytes()), nil, func(r Reply, err error) {
 		replies++
 		cerr = err
 		if err == nil {
@@ -90,13 +90,13 @@ func callOnce(t *testing.T, eng *sim.Engine, cl *host, dst eth.Addr, rpc *Client
 func TestFaultRetransmitRecoversLoss(t *testing.T) {
 	eng, cl, sv := faultRig(t, "drop:client.tx:rate=1:count=2")
 	execs := doubler(t, sv)
-	rpc, err := NewClient(cl.udp, cl.addr, 700)
+	rpc, err := NewClient(cl.udp, cl.addr, 700, sv.addr, 2049)
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
 	rpc.SetRetransmit(sim.Millisecond, 4)
 
-	replies, result, cerr := callOnce(t, eng, cl, sv.addr, rpc)
+	replies, result, cerr := callOnce(t, eng, rpc)
 	if cerr != nil || replies != 1 || result != 42 {
 		t.Fatalf("replies=%d result=%d err=%v", replies, result, cerr)
 	}
@@ -120,13 +120,13 @@ func TestFaultRetransmitRecoversLoss(t *testing.T) {
 func TestFaultRetransmitGivesUp(t *testing.T) {
 	eng, cl, sv := faultRig(t, "drop:client.tx:rate=1")
 	execs := doubler(t, sv)
-	rpc, err := NewClient(cl.udp, cl.addr, 700)
+	rpc, err := NewClient(cl.udp, cl.addr, 700, sv.addr, 2049)
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
 	rpc.SetRetransmit(sim.Millisecond, 3)
 
-	replies, _, cerr := callOnce(t, eng, cl, sv.addr, rpc)
+	replies, _, cerr := callOnce(t, eng, rpc)
 	if replies != 1 || !errors.Is(cerr, ErrTimeout) {
 		t.Fatalf("replies=%d err=%v, want one ErrTimeout", replies, cerr)
 	}
@@ -145,13 +145,13 @@ func TestFaultRetransmitGivesUp(t *testing.T) {
 func TestFaultDuplicateReplySuppressed(t *testing.T) {
 	eng, cl, sv := faultRig(t, "delay:server.tx:rate=1:count=1:delay=2ms")
 	execs := doubler(t, sv)
-	rpc, err := NewClient(cl.udp, cl.addr, 700)
+	rpc, err := NewClient(cl.udp, cl.addr, 700, sv.addr, 2049)
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
 	rpc.SetRetransmit(sim.Millisecond, 4)
 
-	replies, result, cerr := callOnce(t, eng, cl, sv.addr, rpc)
+	replies, result, cerr := callOnce(t, eng, rpc)
 	if cerr != nil || replies != 1 || result != 42 {
 		t.Fatalf("replies=%d result=%d err=%v, want exactly one success", replies, result, cerr)
 	}
@@ -178,11 +178,11 @@ func TestFaultDuplicateReplySuppressed(t *testing.T) {
 func TestFaultRetransmitOffByDefault(t *testing.T) {
 	eng, cl, sv := faultRig(t, "drop:client.tx:rate=1:count=1")
 	doubler(t, sv)
-	rpc, err := NewClient(cl.udp, cl.addr, 700)
+	rpc, err := NewClient(cl.udp, cl.addr, 700, sv.addr, 2049)
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	replies, _, _ := callOnce(t, eng, cl, sv.addr, rpc)
+	replies, _, _ := callOnce(t, eng, rpc)
 	if replies != 0 {
 		t.Fatalf("replies = %d, want 0 (no retransmission configured)", replies)
 	}

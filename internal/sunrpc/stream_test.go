@@ -5,11 +5,6 @@ import (
 	"testing"
 
 	"ncache/internal/netbuf"
-	"ncache/internal/proto/ipv4"
-	"ncache/internal/proto/tcp"
-	"ncache/internal/sim"
-	"ncache/internal/simnet"
-	"ncache/internal/xdr"
 )
 
 func TestRecordStreamFraming(t *testing.T) {
@@ -60,118 +55,5 @@ func TestRecordStreamRejectsNonFinalFragment(t *testing.T) {
 	rs.push(netbuf.ChainFromBytes([]byte{0x00, 0, 0, 4, 1, 2, 3, 4}, 8))
 	if rs.Errors != 1 {
 		t.Fatalf("errors = %d, want 1", rs.Errors)
-	}
-}
-
-func TestStreamRPCEndToEnd(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := simnet.NewNetwork(eng, 5*sim.Microsecond)
-	sn := simnet.NewNode(eng, "server", simnet.DefaultProfile())
-	cn := simnet.NewNode(eng, "client", simnet.DefaultProfile())
-	if _, err := nw.Attach(sn, 1, simnet.Gbps); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Attach(cn, 2, simnet.Gbps); err != nil {
-		t.Fatal(err)
-	}
-	sTCP := tcp.NewTransport(ipv4.NewStack(sn))
-	cTCP := tcp.NewTransport(ipv4.NewStack(cn))
-
-	srv, err := NewStreamServer(sn, sTCP, 111)
-	if err != nil {
-		t.Fatalf("NewStreamServer: %v", err)
-	}
-	srv.Register(7, 1, 3, func(c Call) {
-		// Echo args and payload back, zero-copy.
-		args := c.Body.Flatten()
-		c.Body.Release()
-		payload := netbuf.ChainFromBytes(bytes.Repeat([]byte{0xEE}, 10000), netbuf.DefaultBufSize)
-		if err := reply(c, args, payload); err != nil {
-			t.Errorf("Reply: %v", err)
-		}
-	})
-
-	var client *StreamClient
-	DialStream(cn, cTCP.DialConn, 2, 1, 111, func(c *StreamClient, err error) {
-		if err != nil {
-			t.Fatalf("DialStream: %v", err)
-		}
-		client = c
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if client == nil {
-		t.Fatal("no stream client")
-	}
-
-	e := xdr.NewEncoder(8)
-	e.Uint32(0xfeedface)
-	var gotHead uint32
-	var gotBody int
-	if err := client.Call(0, 0, 7, 1, 3, argsMsg(client.Node(), e.Bytes()), nil, func(r Reply, err error) {
-		if err != nil {
-			t.Fatalf("reply: %v", err)
-		}
-		d := xdr.NewDecoder(r.Body.Flatten())
-		gotHead, _ = d.Uint32()
-		gotBody = r.Body.Len() - 4
-		r.Body.Release()
-	}); err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if gotHead != 0xfeedface {
-		t.Fatalf("echoed head = %#x", gotHead)
-	}
-	if gotBody != 10000 {
-		t.Fatalf("payload = %d, want 10000", gotBody)
-	}
-	if client.Pending() != 0 || srv.BadCalls != 0 || client.BadReplies != 0 {
-		t.Fatalf("counters: pending=%d bad=%d/%d", client.Pending(), srv.BadCalls, client.BadReplies)
-	}
-}
-
-func TestStreamRPCUnknownProc(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := simnet.NewNetwork(eng, sim.Microsecond)
-	sn := simnet.NewNode(eng, "server", simnet.DefaultProfile())
-	cn := simnet.NewNode(eng, "client", simnet.DefaultProfile())
-	if _, err := nw.Attach(sn, 1, simnet.Gbps); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Attach(cn, 2, simnet.Gbps); err != nil {
-		t.Fatal(err)
-	}
-	sTCP := tcp.NewTransport(ipv4.NewStack(sn))
-	cTCP := tcp.NewTransport(ipv4.NewStack(cn))
-	srv, err := NewStreamServer(sn, sTCP, 111)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Register(7, 1, 1, func(c Call) { c.Body.Release() })
-	var client *StreamClient
-	DialStream(cn, cTCP.DialConn, 2, 1, 111, func(c *StreamClient, err error) { client = c })
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var accept uint32 = 999
-	if err := client.Call(0, 0, 7, 1, 42, argsMsg(client.Node(), nil), nil, func(r Reply, err error) {
-		if err == nil {
-			accept = r.Accept
-			if r.Body != nil {
-				r.Body.Release()
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if accept != AcceptProcUnavail {
-		t.Fatalf("accept = %d, want proc-unavail", accept)
 	}
 }

@@ -1,6 +1,9 @@
-// Package sunrpc implements ONC RPC v2 (RFC 5531) over the simulated UDP
-// transport: call/reply framing with AUTH_NONE credentials, a client with
-// xid matching, and a server with program/procedure dispatch.
+// Package sunrpc implements ONC RPC v2 (RFC 5531): call/reply framing with
+// AUTH_NONE credentials, a client with xid matching, and a server with
+// program/procedure dispatch. There is one Server and one Client; each speaks
+// two framings — a message per UDP datagram (the paper's NFS transport) or
+// record-marked messages on a TCP connection (stream.go, the §5.5 transport
+// comparison).
 //
 // Bodies are netbuf chains, not byte slices: an NFS WRITE call arrives with
 // its file data still in the original wire buffers (where the NCache module
@@ -13,8 +16,8 @@ import (
 	"fmt"
 
 	"ncache/internal/netbuf"
-	"ncache/internal/proto"
 	"ncache/internal/proto/eth"
+	"ncache/internal/proto/tcp"
 	"ncache/internal/proto/udp"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
@@ -71,14 +74,14 @@ type Call struct {
 	// delivery. Ownership contract: the handler owns the references and
 	// must either Release the chain or hand it to an API documented to
 	// take ownership; retaining payload past the call (NCache capture)
-	// requires aliasing via Slice/SubChain or Acquire.
+	// requires aliasing via Slice/SubChain.
 	Body *netbuf.Chain
 
 	// The call's transport, which its reply goes back on: the datagram
-	// server's socket (udp, port) or the stream connection (conn).
+	// socket it arrived on (udp, port) or the stream connection (conn).
 	udp  *udp.Transport
 	port uint16
-	conn proto.Conn
+	conn *tcp.Conn
 	// pool recycles reply header buffers (the serving node's transmit pool).
 	pool *netbuf.Pool
 }
@@ -174,8 +177,8 @@ func (c Call) ReplyError(acceptStat uint32) error {
 	return c.send(netbuf.ChainOf(hb))
 }
 
-// parseCall decodes a call header (callHeaderLen bytes).
-func parseCall(raw []byte) (c Call, ok bool) {
+// parseHeader decodes a call header (callHeaderLen bytes) into c.
+func (c *Call) parseHeader(raw []byte) bool {
 	d := xdr.NewDecoder(raw)
 	c.Xid, _ = d.Uint32()
 	mtype, _ := d.Uint32()
@@ -184,7 +187,7 @@ func parseCall(raw []byte) (c Call, ok bool) {
 	c.Vers, _ = d.Uint32()
 	proc, err := d.Uint32()
 	c.Proc = proc
-	return c, err == nil && mtype == msgCall && rpcv == rpcVersion
+	return err == nil && mtype == msgCall && rpcv == rpcVersion
 }
 
 // parseReply decodes a reply header (replyHeaderLen bytes).
@@ -207,26 +210,19 @@ type progVers struct {
 	prog, vers uint32
 }
 
-// Server dispatches RPC calls arriving on one UDP port.
+// Server dispatches RPC calls to the registered programs. It serves nothing
+// until put on a transport — ServeUDP here, ServeStream in stream.go — and one
+// server (one program table) can face both at once.
 type Server struct {
-	udp      *udp.Transport
-	port     uint16
+	node     *simnet.Node
 	programs map[progVers]map[uint32]Handler
 	// BadCalls counts malformed or unroutable calls.
 	BadCalls uint64
 }
 
-// NewServer binds an RPC server to the transport's port.
-func NewServer(t *udp.Transport, port uint16) (*Server, error) {
-	s := &Server{
-		udp:      t,
-		port:     port,
-		programs: make(map[progVers]map[uint32]Handler),
-	}
-	if err := t.Bind(port, s.receive); err != nil {
-		return nil, err
-	}
-	return s, nil
+// NewServer creates an RPC server on node.
+func NewServer(node *simnet.Node) *Server {
+	return &Server{node: node, programs: make(map[progVers]map[uint32]Handler)}
 }
 
 // Register installs the handler for (prog, vers, proc).
@@ -238,9 +234,17 @@ func (s *Server) Register(prog, vers, proc uint32, h Handler) {
 	s.programs[pv][proc] = h
 }
 
-// receive parses the RPC call header and dispatches.
-func (s *Server) receive(dg udp.Datagram) {
-	body := dg.Payload
+// ServeUDP serves calls arriving as datagrams on the transport's port.
+func (s *Server) ServeUDP(t *udp.Transport, port uint16) error {
+	return t.Bind(port, func(dg udp.Datagram) {
+		s.dispatch(Call{Src: dg.Src, SrcPort: dg.SrcPort, Dst: dg.Dst, udp: t, port: port}, dg.Payload)
+	})
+}
+
+// dispatch parses one call message — a datagram payload or a stream record —
+// and runs its handler. call arrives holding what the transport knows: the
+// caller's addresses and the route the reply goes back on.
+func (s *Server) dispatch(call Call, body *netbuf.Chain) {
 	if body.Len() < callHeaderLen {
 		s.BadCalls++
 		body.Release()
@@ -251,14 +255,12 @@ func (s *Server) receive(dg udp.Datagram) {
 		body.Release()
 		return
 	}
-	call, ok := parseCall(raw[:])
-	if !ok {
+	if !call.parseHeader(raw[:]) {
 		s.BadCalls++
 		body.Release()
 		return
 	}
-	call.Src, call.SrcPort, call.Dst, call.Body = dg.Src, dg.SrcPort, dg.Dst, body
-	call.udp, call.port, call.pool = s.udp, s.port, s.udp.Node().TxPool
+	call.Body, call.pool = body, s.node.TxPool
 	procs, ok := s.programs[progVers{call.Prog, call.Vers}]
 	if !ok {
 		s.BadCalls++
@@ -273,10 +275,11 @@ func (s *Server) receive(dg udp.Datagram) {
 		body.Release()
 		return
 	}
-	// Per-message RPC processing cost (XDR walk, dispatch).
-	node := s.udp.Node()
-	trace.To(node.Eng, trace.LRPC)
-	node.Charge(node.Cost.RPCNs, func() { h(call) })
+	// Per-message RPC processing cost (XDR walk, dispatch). The finished
+	// call is copied so the continuation holds it by value: one object.
+	trace.To(s.node.Eng, trace.LRPC)
+	c := call
+	s.node.Charge(s.node.Cost.RPCNs, func() { h(c) })
 }
 
 // Reply is an inbound RPC reply presented to a client callback.
@@ -288,13 +291,20 @@ type Reply struct {
 	Body *netbuf.Chain
 }
 
-// Client issues RPC calls over one UDP port and matches replies by xid.
-// By default it assumes a lossless fabric (the paper's testbed); call
-// SetRetransmit to make it survive injected frame loss.
+// Client issues RPC calls to one server and matches replies by xid: as
+// datagrams from a bound UDP port (NewClient) or as records on a TCP
+// connection (DialStream). By default it assumes a lossless fabric (the
+// paper's testbed); call SetRetransmit to make a datagram client survive
+// injected frame loss.
 type Client struct {
-	udp     *udp.Transport
-	local   eth.Addr
-	port    uint16
+	node *simnet.Node
+	// How a composed call reaches the server: a datagram from local:port
+	// to server:serverPort on udp, or a record on conn when that is set.
+	udp              *udp.Transport
+	local, server    eth.Addr
+	port, serverPort uint16
+	conn             *tcp.Conn
+
 	nextXid uint32
 	pending map[uint32]*pendingCall
 	// BadReplies counts malformed or unmatched replies.
@@ -322,13 +332,11 @@ const recentXids = 4096
 // pendingCall is one outstanding RPC: its completion callback plus, when
 // retransmission is on, everything needed to put the call back on the wire.
 type pendingCall struct {
-	done    func(Reply, error)
-	wire    *netbuf.Chain
-	dst     eth.Addr
-	dstPort uint16
-	timer   sim.EventID
-	rto     sim.Duration
-	tries   int
+	done  func(Reply, error)
+	wire  *netbuf.Chain
+	timer sim.EventID
+	rto   sim.Duration
+	tries int
 }
 
 // release drops the retained wire image.
@@ -340,28 +348,39 @@ func (pc *pendingCall) release() {
 }
 
 // Node returns the node owning the client's transport.
-func (c *Client) Node() *simnet.Node { return c.udp.Node() }
+func (c *Client) Node() *simnet.Node { return c.node }
 
-// NewClient binds an RPC client to a local address and port.
-func NewClient(t *udp.Transport, local eth.Addr, port uint16) (*Client, error) {
-	c := &Client{
-		udp:     t,
-		local:   local,
-		port:    port,
-		nextXid: 1,
-		pending: make(map[uint32]*pendingCall),
-	}
-	if err := t.Bind(port, c.receive); err != nil {
+// newClient creates a client with no route to a server yet.
+func newClient(node *simnet.Node) *Client {
+	return &Client{node: node, nextXid: 1, pending: make(map[uint32]*pendingCall)}
+}
+
+// NewClient binds a datagram RPC client to a local address and port, calling
+// the server at server:serverPort.
+func NewClient(t *udp.Transport, local eth.Addr, port uint16, server eth.Addr, serverPort uint16) (*Client, error) {
+	c := newClient(t.Node())
+	c.udp, c.local, c.port, c.server, c.serverPort = t, local, port, server, serverPort
+	if err := t.Bind(port, func(dg udp.Datagram) { c.receive(dg.Payload) }); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
+// send puts one composed call on the wire, taking ownership of it.
+func (c *Client) send(out *netbuf.Chain) error {
+	if c.conn != nil {
+		return markAndSend(c.conn, out)
+	}
+	return c.udp.SendChain(c.local, c.port, c.server, c.serverPort, out)
+}
+
 // SetRetransmit enables retransmission: an unanswered call is re-sent after
 // rto (doubling each try) and fails with ErrTimeout after maxTries sends.
-// Off by default so lossless-fabric results are untouched by the machinery.
+// Off by default so lossless-fabric results are untouched by the machinery,
+// and always off on a stream client, where TCP recovers the loss below the
+// record stream.
 func (c *Client) SetRetransmit(rto sim.Duration, maxTries int) {
-	if rto <= 0 || maxTries < 1 {
+	if c.conn != nil || rto <= 0 || maxTries < 1 {
 		c.rto, c.maxTries = 0, 0
 		return
 	}
@@ -394,12 +413,12 @@ func composeCall(msg *netbuf.Buf, xid, prog, vers, proc uint32, payload *netbuf.
 // argument head; payload (may be nil) is appended without copying — how a
 // zero-copy NFS WRITE travels. The client takes ownership of both. done
 // fires when the matching reply arrives.
-func (c *Client) Call(dst eth.Addr, dstPort uint16, prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.Chain, done func(Reply, error)) error {
-	trace.To(c.udp.Node().Eng, trace.LRPC)
+func (c *Client) Call(prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.Chain, done func(Reply, error)) error {
+	trace.To(c.node.Eng, trace.LRPC)
 	xid := c.nextXid
 	c.nextXid++
 	out := composeCall(msg, xid, prog, vers, proc, payload)
-	pc := &pendingCall{done: done, dst: dst, dstPort: dstPort}
+	pc := &pendingCall{done: done}
 	if c.maxTries > 0 {
 		// The retained wire image aliases the outgoing buffers via clone
 		// descriptors; the roots stay pinned (and accounted to whoever
@@ -410,7 +429,7 @@ func (c *Client) Call(dst eth.Addr, dstPort uint16, prog, vers, proc uint32, msg
 		pc.tries = 1
 	}
 	c.pending[xid] = pc
-	if err := c.udp.SendChain(c.local, c.port, dst, dstPort, out); err != nil {
+	if err := c.send(out); err != nil {
 		delete(c.pending, xid)
 		pc.release()
 		return err
@@ -425,7 +444,7 @@ func (c *Client) Call(dst eth.Addr, dstPort uint16, prog, vers, proc uint32, msg
 // The timer event rides the caller's request context, so the waited-out RTO
 // is booked as fault-attributed network time on the request's span.
 func (c *Client) armTimer(xid uint32, pc *pendingCall) {
-	eng := c.udp.Node().Eng
+	eng := c.node.Eng
 	pc.timer = eng.Schedule(pc.rto, func() {
 		cur, ok := c.pending[xid]
 		if !ok || cur != pc {
@@ -442,7 +461,7 @@ func (c *Client) armTimer(xid uint32, pc *pendingCall) {
 		pc.tries++
 		c.Retransmits++
 		pc.rto *= 2
-		_ = c.udp.SendChain(c.local, c.port, pc.dst, pc.dstPort, pc.wire.Clone())
+		_ = c.send(pc.wire.Clone())
 		c.armTimer(xid, pc)
 	})
 }
@@ -460,9 +479,9 @@ func (c *Client) remember(xid uint32) {
 	c.recentQ = append(c.recentQ, xid)
 }
 
-// receive matches a reply to its pending call.
-func (c *Client) receive(dg udp.Datagram) {
-	body := dg.Payload
+// receive matches one reply message — a datagram payload or a stream record —
+// to its pending call.
+func (c *Client) receive(body *netbuf.Chain) {
 	if body.Len() < replyHeaderLen {
 		c.BadReplies++
 		body.Release()
@@ -493,7 +512,7 @@ func (c *Client) receive(dg udp.Datagram) {
 		return
 	}
 	delete(c.pending, xid)
-	node := c.udp.Node()
+	node := c.node
 	node.Eng.Cancel(pc.timer)
 	pc.release()
 	c.remember(xid)

@@ -152,14 +152,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.n, h.sum, h.min, h.max = 0, 0, -1, 0
-}
-
 // Equal reports whether two histograms hold identical distributions.
 func (h *Histogram) Equal(o *Histogram) bool {
 	if h.n != o.n || h.sum != o.sum || h.min != o.min || h.max != o.max {

@@ -253,22 +253,6 @@ func (s *Span) Fault(l Layer, d sim.Duration) {
 	s.faultN[l]++
 }
 
-// Faults returns per-layer injected-fault latency.
-func (s *Span) Faults() [NumLayers]sim.Duration {
-	if s == nil {
-		return [NumLayers]sim.Duration{}
-	}
-	return s.faults
-}
-
-// FaultCounts returns per-layer injected-fault counts.
-func (s *Span) FaultCounts() [NumLayers]uint64 {
-	if s == nil {
-		return [NumLayers]uint64{}
-	}
-	return s.faultN
-}
-
 // Finish closes the span at the current virtual time and hands it to its
 // tracer. Further To/Account calls are no-ops.
 func (s *Span) Finish() {

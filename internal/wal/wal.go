@@ -106,9 +106,6 @@ func New(eng *sim.Engine, cfg Config, wb *metrics.Writeback) *Log {
 	return &Log{eng: eng, cfg: cfg.withDefaults(), wb: wb}
 }
 
-// Stats returns the shared pipeline counters.
-func (l *Log) Stats() *metrics.Writeback { return l.wb }
-
 // Depth returns journaled-but-unretired records (staged, committing and
 // durable).
 func (l *Log) Depth() int { return len(l.staged) + len(l.inflight) + len(l.durable) }

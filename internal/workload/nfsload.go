@@ -95,9 +95,6 @@ type NFSWriteLoad struct {
 
 var _ Load = (*NFSWriteLoad)(nil)
 
-// SetTracer installs per-request span tracing.
-func (l *NFSWriteLoad) SetTracer(t *trace.Tracer) { l.Tracer = t }
-
 // Start implements Load.
 func (l *NFSWriteLoad) Start() {
 	if l.Concurrency <= 0 {

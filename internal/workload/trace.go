@@ -40,21 +40,6 @@ func GenSequentialRead(fh nfs.FH, fileSize uint64, reqSize int) Trace {
 	return t
 }
 
-// GenHotSet builds the all-hit trace: n random reads within a hot region.
-func GenHotSet(fh nfs.FH, hotBytes uint64, reqSize, n int, seed uint64) Trace {
-	rng := sim.NewRNG(seed)
-	t := Trace{FH: fh}
-	span := hotBytes / uint64(reqSize)
-	if span == 0 {
-		span = 1
-	}
-	for i := 0; i < n; i++ {
-		off := uint64(rng.Int63n(int64(span))) * uint64(reqSize)
-		t.Ops = append(t.Ops, TraceOp{Kind: OpRead, Off: off, Len: reqSize})
-	}
-	return t
-}
-
 // GenMixed builds a read/write mix trace over the file.
 func GenMixed(fh nfs.FH, fileSize uint64, reqSize, n int, writePct int, seed uint64) Trace {
 	rng := sim.NewRNG(seed)

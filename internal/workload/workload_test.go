@@ -85,18 +85,6 @@ func TestGenSequentialRead(t *testing.T) {
 	}
 }
 
-func TestGenHotSetStaysInRegion(t *testing.T) {
-	tr := GenHotSet(nfs.RootFH(), 5<<20, 8192, 1000, 3)
-	for _, op := range tr.Ops {
-		if op.Off+uint64(op.Len) > 5<<20 {
-			t.Fatalf("op beyond hot set: %+v", op)
-		}
-		if op.Off%8192 != 0 {
-			t.Fatalf("unaligned op: %+v", op)
-		}
-	}
-}
-
 func TestGenMixedWriteFraction(t *testing.T) {
 	tr := GenMixed(nfs.RootFH(), 1<<20, 4096, 10000, 30, 5)
 	writes := 0
