@@ -44,11 +44,9 @@ type ScaleoutPoint struct {
 	LinkUtil     float64
 	Errors       uint64
 	RouteErrors  uint64
-	// Control-plane activity over the whole run. CPLookups counts per-FH
-	// lookups served by the control node; CPMembers counts member-set
-	// bootstraps; LocalRouteHits counts routes the clients answered from
-	// their ring replicas without touching the control plane.
-	CPLookups       uint64
+	// Control-plane activity over the whole run. CPMembers counts member-set
+	// fetches served by the control node; LocalRouteHits counts routes the
+	// clients answered from their ring replicas without touching it.
 	CPMembers       uint64
 	LocalRouteHits  uint64
 	RemapsStarted   uint64
@@ -220,7 +218,6 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 	sum := tr.Summary()
 	p.ReadP99Us, p.WriteP99Us = opP99Us(sum, "read"), opP99Us(sum, "write")
 	if cl.Control != nil {
-		p.CPLookups = cl.Control.Stats.LookupsFH
 		p.CPMembers = cl.Control.Stats.LookupsMembers
 		p.RemapsStarted = cl.Control.Stats.RemapsStarted
 	}
@@ -324,11 +321,11 @@ func FormatScaleoutPoints(points []ScaleoutPoint) string {
 			p.Errors+p.RouteErrors)
 	}
 	b.WriteString("\ncontrol-plane activity (whole run):\n")
-	fmt.Fprintf(&b, "%-7s %9s %8s %9s %7s %7s %8s %8s %7s %7s\n",
-		"servers", "lookups", "members", "ringHits", "remaps", "sent", "retries", "invals", "rslvRtr", "epFlush")
+	fmt.Fprintf(&b, "%-7s %8s %9s %7s %7s %8s %8s %7s %7s\n",
+		"servers", "members", "ringHits", "remaps", "sent", "retries", "invals", "rslvRtr", "epFlush")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%-7d %9d %8d %9d %7d %7d %8d %8d %7d %7d\n",
-			p.Servers, p.CPLookups, p.CPMembers, p.LocalRouteHits,
+		fmt.Fprintf(&b, "%-7d %8d %9d %7d %7d %8d %8d %7d %7d\n",
+			p.Servers, p.CPMembers, p.LocalRouteHits,
 			p.RemapsStarted, p.RemapsSent,
 			p.RemapRetries, p.InvalsApplied, p.ResolverRetries, p.EpochFlushes)
 	}

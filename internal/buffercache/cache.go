@@ -28,7 +28,6 @@ import (
 // plugs in directly.
 type Lower interface {
 	BlockSize() int
-	NumBlocks() int64
 	// ReadAt fetches a contiguous run; meta marks file-system metadata.
 	ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Chain, error))
 	// WriteAt stores a contiguous run; the callee owns the chain.

@@ -34,8 +34,7 @@ func newFakeLower(eng *sim.Engine, bs int) *fakeLower {
 	return &fakeLower{eng: eng, bs: bs, blocks: map[int64][]byte{}, latency: 10 * sim.Microsecond}
 }
 
-func (f *fakeLower) BlockSize() int   { return f.bs }
-func (f *fakeLower) NumBlocks() int64 { return 1 << 20 }
+func (f *fakeLower) BlockSize() int { return f.bs }
 
 func (f *fakeLower) content(lbn int64) []byte {
 	if b, ok := f.blocks[lbn]; ok {

@@ -28,12 +28,22 @@ type invalID struct {
 	seq    uint64
 }
 
-// pendingRemap is one unacknowledged remap announcement.
+// pendingRemap is one unacknowledged remap announcement: a chunk of LBNs and
+// the request that resends it. It leaves Agent.pending when the request
+// settles, acknowledged or abandoned.
 type pendingRemap struct {
-	seq   uint64
-	lbns  []int64
-	tries int
-	acked bool
+	request
+	a    *Agent
+	seq  uint64
+	lbns []int64
+}
+
+// registration is the agent's register request and the callback waiting on
+// it.
+type registration struct {
+	request
+	a    *Agent
+	done func(error)
 }
 
 // Agent is a front-end server's control-plane endpoint: it registers the
@@ -44,8 +54,7 @@ type Agent struct {
 	ep     *endpoint
 	server int
 
-	onReady  func(error)
-	regTries int
+	reg registration
 
 	epoch   uint64
 	seq     uint64
@@ -78,41 +87,21 @@ func (a *Agent) SetInvalidate(fn func([]int64)) { a.invalidate = fn }
 func (a *Agent) Epoch() uint64 { return a.epoch }
 
 // Register binds this server's return route at the control plane. done fires
-// once the RegisterAck arrives, or with an error once sendRegister has given
-// up (the passthru wiring runs it before any client traffic, so in practice
-// one round trip).
+// exactly once: when the RegisterAck arrives, or with an error when the
+// request is abandoned (the passthru wiring registers before any client
+// traffic, so in practice one round trip; the bound keeps engine drains
+// finite if the control plane is down).
 func (a *Agent) Register(done func(error)) {
-	a.onReady = done
-	a.sendRegister()
+	a.reg = registration{a: a, done: done}
+	a.reg.start(a.node.Eng, &a.reg, 4*DefaultRetryMax)
 }
 
-// sendRegister transmits the registration, re-arming a bounded retry until
-// the ack lands (registration happens before measurement, so the timer dies
-// young; the cap keeps engine drains finite if the control plane is down).
-func (a *Agent) sendRegister() {
-	if a.onReady == nil {
-		return
-	}
-	if a.regTries >= DefaultRetryMax*4 {
-		a.finishReady(fmt.Errorf("%s: register: no ack after %d tries", a, a.regTries))
-		return
-	}
-	a.regTries++
-	a.send(Msg{Type: MsgRegister, Server: uint16(a.server)})
-	a.node.Eng.Schedule(DefaultRetryRTO, func() {
-		if a.onReady != nil {
-			a.sendRegister()
-		}
-	})
+func (g *registration) transmit(bool) {
+	g.a.send(Msg{Type: MsgRegister, Server: uint16(g.a.server)})
 }
 
-// finishReady fires the Register callback exactly once.
-func (a *Agent) finishReady(err error) {
-	if a.onReady != nil {
-		done := a.onReady
-		a.onReady = nil
-		done(err)
-	}
+func (g *registration) abandon() {
+	g.done(fmt.Errorf("%s: register: no ack after %d tries", g.a, g.tries))
 }
 
 // send transmits one message to the control plane.
@@ -123,7 +112,7 @@ func (a *Agent) send(m Msg) {
 }
 
 // SendRemap announces remapped LBNs to the control plane, chunked to the
-// message limit, each chunk retried until acknowledged.
+// message limit, each chunk its own request.
 func (a *Agent) SendRemap(lbns []int64) {
 	for len(lbns) > 0 {
 		n := len(lbns)
@@ -131,35 +120,27 @@ func (a *Agent) SendRemap(lbns []int64) {
 			n = MaxLBNs
 		}
 		a.seq++
-		p := &pendingRemap{seq: a.seq, lbns: append([]int64(nil), lbns[:n]...)}
+		p := &pendingRemap{a: a, seq: a.seq, lbns: append([]int64(nil), lbns[:n]...)}
 		a.pending[p.seq] = p
-		a.transmitRemap(p)
+		p.start(a.node.Eng, p, DefaultRetryMax)
 		lbns = lbns[n:]
 	}
 }
 
-// transmitRemap sends one chunk and arms its retry timer. The timer does
-// not re-arm after the ack or after DefaultRetryMax tries, so engine drains
-// terminate; exhausting the retries is counted, never silent.
-func (a *Agent) transmitRemap(p *pendingRemap) {
-	if p.tries == 0 {
-		a.Stats.RemapsSent++
-	} else {
+func (p *pendingRemap) transmit(again bool) {
+	a := p.a
+	if again {
 		a.Stats.RemapRetries++
+	} else {
+		a.Stats.RemapsSent++
 	}
-	p.tries++
 	a.send(Msg{Type: MsgRemap, Server: uint16(a.server), Epoch: a.epoch, Seq: p.seq, LBNs: p.lbns})
-	a.node.Eng.Schedule(DefaultRetryRTO, func() {
-		if p.acked {
-			return
-		}
-		if p.tries >= DefaultRetryMax {
-			a.Stats.RemapsAbandoned++
-			p.acked = true
-			return
-		}
-		a.transmitRemap(p)
-	})
+}
+
+// abandon: exhausting the retries is counted, never silent.
+func (p *pendingRemap) abandon() {
+	p.a.Stats.RemapsAbandoned++
+	delete(p.a.pending, p.seq)
 }
 
 // handle runs one control-plane message against the agent.
@@ -169,11 +150,15 @@ func (a *Agent) handle(m Msg) {
 		if m.Epoch > a.epoch {
 			a.epoch = m.Epoch
 		}
-		a.finishReady(nil)
+		if a.reg.settle() {
+			a.reg.done(nil)
+		}
 
 	case MsgRemapAck:
-		if p, ok := a.pending[m.Seq]; ok && !p.acked {
-			p.acked = true
+		// An ack for a chunk already acknowledged or abandoned finds no
+		// entry and is ignored.
+		if p, ok := a.pending[m.Seq]; ok && p.settle() {
+			delete(a.pending, m.Seq)
 			a.Stats.RemapsAcked++
 		}
 

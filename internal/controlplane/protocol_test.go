@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"fmt"
 	"testing"
 
 	"ncache/internal/fault"
@@ -31,13 +32,11 @@ const (
 	tClientAddr = eth.Addr(0x100)
 )
 
-// buildCPNet wires the testbed; servers lists the registry's front-end
-// servers (an agent comes up on each of the first two).
-func buildCPNet(t *testing.T, servers ...eth.Addr) *cpNet {
+// buildCPNet wires the testbed. The agents' nodes are srv0 and srv1, so a
+// fault schedule can pick one server's link.
+func buildCPNet(t *testing.T) *cpNet {
 	t.Helper()
-	if len(servers) == 0 {
-		servers = []eth.Addr{tServer0, tServer1}
-	}
+	servers := []eth.Addr{tServer0, tServer1}
 	eng := sim.NewEngine()
 	nw := simnet.NewNetwork(eng, 5*sim.Microsecond)
 	n := &cpNet{eng: eng, nw: nw}
@@ -56,9 +55,9 @@ func buildCPNet(t *testing.T, servers ...eth.Addr) *cpNet {
 	}
 
 	n.invals = make([][]int64, 2)
-	for i, addr := range servers[:2] {
+	for i, addr := range servers {
 		i := i
-		node, t := host("srv", addr)
+		node, t := host(fmt.Sprintf("srv%d", i), addr)
 		ag := NewAgent(node, t, addr, tCPAddr, i)
 		ag.SetInvalidate(func(lbns []int64) {
 			n.invals[i] = append(n.invals[i], lbns...)
@@ -102,21 +101,32 @@ func (n *cpNet) register(t *testing.T) {
 	}
 }
 
+// drop arms a schedule that loses every frame crossing target, bounded as
+// limit says (a count, or a window), and returns the injector, whose report
+// counts the frames lost.
+func (n *cpNet) drop(target string, limit fault.Schedule) *fault.Injector {
+	limit.Class, limit.Target, limit.Rate = fault.FrameDrop, target, 1
+	in := fault.New(n.eng, 1)
+	in.Add(limit)
+	n.nw.SetFaults(in)
+	in.Arm()
+	return in
+}
+
 // TestWireRoundTrip: every field of a message survives Encode → decode,
 // including an LBN list; a datagram whose length prefix disagrees with its
-// size, and a runt, decode to nothing.
+// size, and a runt, decode to nothing; and a well-formed datagram of a
+// retired type (3 and 4, the per-handle lookup) is one protocol error at the
+// server and nothing else.
 func TestWireRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	node := simnet.NewNode(eng, "n", simnet.DefaultProfile())
 	in := Msg{
 		Type:   MsgRemap,
-		Status: 3,
 		Server: 1,
 		From:   1,
-		Addr:   tServer1,
 		Epoch:  7,
 		Seq:    9,
-		FH:     fhOf(0xdeadbeef),
 		LBN:    12345,
 		LBNs:   []int64{1, 5, 9, 1 << 40},
 	}
@@ -125,13 +135,15 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 	wire := ch.Flatten()
+	if len(wire) != frameLenBytes+48+8*len(in.LBNs) {
+		t.Fatalf("a %d-LBN message encodes to %d bytes: the header is no longer 48", len(in.LBNs), len(wire))
+	}
 	out, ok := decode(ch)
 	if !ok {
 		t.Fatal("decode rejected an encoded message")
 	}
-	if out.Type != in.Type || out.Status != in.Status || out.Server != in.Server ||
-		out.From != in.From || out.Addr != in.Addr || out.Epoch != in.Epoch ||
-		out.Seq != in.Seq || out.FH != in.FH || out.LBN != in.LBN {
+	if out.Type != in.Type || out.Server != in.Server || out.From != in.From ||
+		out.Epoch != in.Epoch || out.Seq != in.Seq || out.LBN != in.LBN {
 		t.Fatalf("header mismatch: %+v != %+v", out, in)
 	}
 	if len(out.LBNs) != len(in.LBNs) {
@@ -147,6 +159,28 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("decode accepted a %d-byte datagram of a %d-byte frame", len(bad), len(wire))
 		}
 	}
+	if MsgRemap != 5 || MsgMembersResp != 10 {
+		t.Fatalf("MsgRemap = %d, MsgMembersResp = %d; want 5, 10: a surviving type code moved", MsgRemap, MsgMembersResp)
+	}
+
+	n := buildCPNet(t)
+	n.register(t)
+	for _, retired := range []MsgType{3, 4} {
+		before, agent := n.cp.Stats, n.agents[0].Stats
+		if err := n.resolver.ep.send(Msg{Type: retired, Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		before.Errors++
+		if n.cp.Stats != before {
+			t.Fatalf("type %d: server stats %+v, want %+v (one error, nothing else)", retired, n.cp.Stats, before)
+		}
+		if n.resolver.Stats != (ResolverStats{}) || n.agents[0].Stats != agent {
+			t.Fatalf("type %d was answered: resolver %+v, agent %+v", retired, n.resolver.Stats, n.agents[0].Stats)
+		}
+	}
 }
 
 // TestProtocolUDP exercises register → lookup → remap → invalidate → ack.
@@ -159,12 +193,9 @@ func TestProtocolUDP(t *testing.T) {
 	fh := fhOf(42)
 	want := n.cp.Registry().ServerFor(fh)
 	var gotServer = -2
-	n.resolver.Resolve(fh, func(server int, addr eth.Addr, err error) {
+	n.resolver.Resolve(fh, func(server int, err error) {
 		if err != nil {
 			t.Errorf("resolve: %v", err)
-		}
-		if addr != n.cp.Registry().AddrOf(server) {
-			t.Errorf("resolve addr %x != registry addr %x", addr, n.cp.Registry().AddrOf(server))
 		}
 		gotServer = server
 	})
@@ -174,7 +205,7 @@ func TestProtocolUDP(t *testing.T) {
 	if gotServer != want {
 		t.Fatalf("resolver placed fh on %d, registry says %d", gotServer, want)
 	}
-	n.resolver.Resolve(fh, func(server int, _ eth.Addr, err error) {
+	n.resolver.Resolve(fh, func(server int, err error) {
 		if err != nil || server != want {
 			t.Errorf("cached resolve: server=%d err=%v", server, err)
 		}
@@ -204,6 +235,9 @@ func TestProtocolUDP(t *testing.T) {
 	if n.cp.PendingRemaps() != 0 {
 		t.Fatalf("%d remaps still pending after drain", n.cp.PendingRemaps())
 	}
+	if got := len(n.agents[0].pending); got != 0 {
+		t.Fatalf("origin still holds %d acknowledged remap chunks after drain", got)
+	}
 }
 
 // TestRuntDatagramCostsNoResend: a runt from the control-plane address is
@@ -229,7 +263,7 @@ func TestRuntDatagramCostsNoResend(t *testing.T) {
 	}
 
 	n.runt(t, n.resolver.ep)
-	n.resolver.Resolve(fhOf(42), func(_ int, _ eth.Addr, err error) {
+	n.resolver.Resolve(fhOf(42), func(_ int, err error) {
 		if err != nil {
 			t.Errorf("resolve: %v", err)
 		}
@@ -243,27 +277,20 @@ func TestRuntDatagramCostsNoResend(t *testing.T) {
 	}
 }
 
-// TestFaultBootstrapOutageHeals: a control-plane outage at first use, longer
-// than the bootstrap's retry budget, must not cost the client a control-plane
-// round trip per cold handle for the rest of the run. The first handle is
-// answered per-FH once the outage ends; that response re-enables the
-// bootstrap, so the next cold handle fetches the member set and every later
-// one is answered locally.
+// TestFaultBootstrapOutageHeals: a control-plane outage at first use costs
+// the client errors only while it lasts. An outage inside the member-set
+// fetch's budget costs nothing but time: the handle asked for resolves, and
+// every later cold handle is answered locally. One past the budget fails each
+// lookup parked behind the fetch exactly once, and the first Resolve after it
+// fetches afresh — there is no degraded mode to heal from.
 func TestFaultBootstrapOutageHeals(t *testing.T) {
-	n := buildCPNet(t)
-	n.register(t)
-	// Both directions of the control plane's link drop everything from now
-	// until half a retry period past the bootstrap's budget.
-	in := fault.New(n.eng, 1)
-	in.Add(fault.Schedule{
-		Class: fault.FrameDrop, Target: "cp*", Rate: 1, Start: n.eng.Now(),
-		End: n.eng.Now().Add(DefaultRetryRTO*DefaultRetryMax + DefaultRetryRTO/2),
-	})
-	n.nw.SetFaults(in)
-	in.Arm()
-
-	resolve := func(i uint64) {
-		n.resolver.Resolve(fhOf(i), func(server int, _ eth.Addr, err error) {
+	// outage drops everything on both directions of the control plane's
+	// link from now until d has passed.
+	outage := func(n *cpNet, d sim.Duration) {
+		n.drop("cp*", fault.Schedule{Start: n.eng.Now(), End: n.eng.Now().Add(d)})
+	}
+	resolve := func(t *testing.T, n *cpNet, i uint64) {
+		n.resolver.Resolve(fhOf(i), func(server int, err error) {
 			if err != nil || server != n.cp.Registry().ServerFor(fhOf(i)) {
 				t.Errorf("resolve %d: server=%d err=%v", i, server, err)
 			}
@@ -272,21 +299,75 @@ func TestFaultBootstrapOutageHeals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resolve(0)
-	if n.resolver.Stats.MemberFetches != 0 || n.cp.Stats.LookupsFH != 1 {
-		t.Fatalf("through the outage: MemberFetches = %d, per-FH lookups served = %d; want 0, 1",
-			n.resolver.Stats.MemberFetches, n.cp.Stats.LookupsFH)
+	coldHandlesAreLocal := func(t *testing.T, n *cpNet) {
+		for i := uint64(1); i <= 8; i++ {
+			resolve(t, n, i)
+		}
+		if n.resolver.Stats.MemberFetches != 1 || n.resolver.Stats.LocalHits != 9 || n.cp.Stats.LookupsMembers != 1 {
+			t.Fatalf("MemberFetches = %d, LocalHits = %d, member sets served = %d; want 1, 9, 1: cold handles still cost a round trip",
+				n.resolver.Stats.MemberFetches, n.resolver.Stats.LocalHits, n.cp.Stats.LookupsMembers)
+		}
 	}
-	for i := uint64(1); i <= 8; i++ {
-		resolve(i)
-	}
-	if n.resolver.Stats.MemberFetches != 1 {
-		t.Fatalf("MemberFetches = %d after the outage healed, want 1", n.resolver.Stats.MemberFetches)
-	}
-	if n.resolver.Stats.LocalHits != 8 || n.cp.Stats.LookupsFH != 1 {
-		t.Fatalf("LocalHits = %d, per-FH lookups served = %d; want 8, 1: cold handles still cost a round trip",
-			n.resolver.Stats.LocalHits, n.cp.Stats.LookupsFH)
-	}
+
+	t.Run("within the budget", func(t *testing.T) {
+		n := buildCPNet(t)
+		n.register(t)
+		outage(n, 6*DefaultRetryRTO+DefaultRetryRTO/2)
+		resolve(t, n, 0)
+		if n.resolver.Stats.MemberFetches != 1 || n.resolver.Stats.Retries != 7 || n.resolver.Stats.Failures != 0 {
+			t.Fatalf("through a 65 ms outage: MemberFetches = %d, Retries = %d, Failures = %d; want 1, 7, 0",
+				n.resolver.Stats.MemberFetches, n.resolver.Stats.Retries, n.resolver.Stats.Failures)
+		}
+		coldHandlesAreLocal(t, n)
+	})
+
+	t.Run("past the budget", func(t *testing.T) {
+		n := buildCPNet(t)
+		n.register(t)
+		const budget = 2 * DefaultRetryMax * DefaultRetryRTO
+		outage(n, budget+DefaultRetryRTO/2)
+		start := n.eng.Now()
+		const parked = 3
+		var failed [parked]int
+		for i := range failed {
+			i := i
+			n.resolver.Resolve(fhOf(uint64(100+i)), func(server int, err error) {
+				if err == nil || server != -1 {
+					t.Errorf("parked lookup %d: server=%d err=%v, want a failure", i, server, err)
+				}
+				if got := n.eng.Now().Sub(start); got != budget {
+					t.Errorf("parked lookup %d failed after %v, want %v", i, got, budget)
+				}
+				failed[i]++
+			})
+		}
+		if err := n.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if failed != [parked]int{1, 1, 1} || n.resolver.Stats.Failures != parked {
+			t.Fatalf("parked lookups failed %v times, Failures = %d; want once each, %d", failed, n.resolver.Stats.Failures, parked)
+		}
+		if n.resolver.Stats.Retries != 2*DefaultRetryMax-1 || n.resolver.Stats.MemberFetches != 0 {
+			t.Fatalf("Retries = %d, MemberFetches = %d; want %d, 0", n.resolver.Stats.Retries, n.resolver.Stats.MemberFetches, 2*DefaultRetryMax-1)
+		}
+		t.Logf("outage past the budget: %d parked lookups failed once each at +%v; Retries = %d",
+			parked, budget, n.resolver.Stats.Retries)
+		// Half a retry period later the outage is over: the very next
+		// Resolve fetches the member set, first try.
+		n.eng.Schedule(DefaultRetryRTO, func() {})
+		if err := n.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		retries := n.resolver.Stats.Retries
+		resolve(t, n, 0)
+		if n.resolver.Stats.Retries != retries || n.resolver.Stats.Failures != parked {
+			t.Fatalf("after the heal: Retries %d → %d, Failures = %d; want no retry and no new failure",
+				retries, n.resolver.Stats.Retries, n.resolver.Stats.Failures)
+		}
+		coldHandlesAreLocal(t, n)
+		t.Logf("after the heal: the first Resolve fetched the member set (MemberFetches = %d, no retry); it and 8 more cold handles were answered by the replica (LocalHits = %d)",
+			n.resolver.Stats.MemberFetches, n.resolver.Stats.LocalHits)
+	})
 }
 
 // TestRemapDuplicateIdempotent: redelivering a completed remap (same
@@ -335,7 +416,7 @@ func TestRemapDuplicateIdempotent(t *testing.T) {
 
 // TestResolverLocalRing: after one member-set bootstrap the resolver
 // answers every cold lookup from its local ring replica — bit-identically
-// to the registry — and the control plane never sees a per-FH lookup.
+// to the registry — and the control plane hears from the client once.
 func TestResolverLocalRing(t *testing.T) {
 	n := buildCPNet(t)
 	n.register(t)
@@ -343,12 +424,9 @@ func TestResolverLocalRing(t *testing.T) {
 	got := make([]int, handles)
 	for i := 0; i < handles; i++ {
 		i := i
-		n.resolver.Resolve(fhOf(uint64(i)), func(server int, addr eth.Addr, err error) {
+		n.resolver.Resolve(fhOf(uint64(i)), func(server int, err error) {
 			if err != nil {
 				t.Errorf("resolve %d: %v", i, err)
-			}
-			if addr != n.cp.Registry().AddrOf(server) {
-				t.Errorf("resolve %d: addr %x != registry addr %x", i, addr, n.cp.Registry().AddrOf(server))
 			}
 			got[i] = server
 		})
@@ -361,49 +439,15 @@ func TestResolverLocalRing(t *testing.T) {
 			t.Fatalf("handle %d placed on %d, registry says %d", i, got[i], want)
 		}
 	}
-	if n.cp.Stats.LookupsFH != 0 {
-		t.Fatalf("control plane served %d per-FH lookups, want 0 (ring replica)", n.cp.Stats.LookupsFH)
-	}
-	if n.cp.Stats.LookupsMembers != 1 {
-		t.Fatalf("control plane served %d member fetches, want 1", n.cp.Stats.LookupsMembers)
+	if n.cp.Stats.LookupsMembers != 1 || n.cp.Stats.Errors != 0 {
+		t.Fatalf("control plane served %d member fetches and counted %d errors, want 1 and 0",
+			n.cp.Stats.LookupsMembers, n.cp.Stats.Errors)
 	}
 	if n.resolver.Stats.LocalHits != handles {
 		t.Fatalf("LocalHits = %d, want %d", n.resolver.Stats.LocalHits, handles)
 	}
 	if n.resolver.Stats.MemberFetches != 1 {
 		t.Fatalf("MemberFetches = %d, want 1", n.resolver.Stats.MemberFetches)
-	}
-}
-
-// TestResolverTooManyMembersFallback: a member set that does not fit one
-// message is left out of the response, so the resolver falls back to per-FH
-// lookups — and they agree with the registry.
-func TestResolverTooManyMembersFallback(t *testing.T) {
-	servers := make([]eth.Addr, MaxLBNs+1)
-	for i := range servers {
-		servers[i] = tServer0 + eth.Addr(8*i)
-	}
-	n := buildCPNet(t, servers...)
-	fh := fhOf(7)
-	gotServer := -2
-	n.resolver.Resolve(fh, func(server int, _ eth.Addr, err error) {
-		if err != nil {
-			t.Errorf("resolve: %v", err)
-		}
-		gotServer = server
-	})
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := n.cp.Registry().ServerFor(fh); gotServer != want {
-		t.Fatalf("resolver placed fh on %d, registry says %d", gotServer, want)
-	}
-	if n.cp.Stats.LookupsFH != 1 || n.resolver.Stats.MemberFetches != 1 {
-		t.Fatalf("per-FH lookups served = %d, MemberFetches = %d; want 1, 1",
-			n.cp.Stats.LookupsFH, n.resolver.Stats.MemberFetches)
-	}
-	if n.resolver.Stats.LocalHits != 0 {
-		t.Fatalf("LocalHits = %d, want 0 without a replica", n.resolver.Stats.LocalHits)
 	}
 }
 
@@ -414,7 +458,7 @@ func TestResolverInvalidateRefetches(t *testing.T) {
 	n := buildCPNet(t)
 	n.register(t)
 	fh := fhOf(3)
-	n.resolver.Resolve(fh, func(int, eth.Addr, error) {})
+	n.resolver.Resolve(fh, func(int, error) {})
 	if err := n.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +470,7 @@ func TestResolverInvalidateRefetches(t *testing.T) {
 	n.cp.Registry().SetActive([]int{0})
 	n.resolver.Invalidate(fh)
 	gotServer := -2
-	n.resolver.Resolve(fh, func(server int, _ eth.Addr, err error) {
+	n.resolver.Resolve(fh, func(server int, err error) {
 		if err != nil {
 			t.Errorf("resolve after shrink: %v", err)
 		}
@@ -443,5 +487,131 @@ func TestResolverInvalidateRefetches(t *testing.T) {
 	}
 	if n.resolver.Epoch() != n.cp.Registry().Epoch() {
 		t.Fatalf("resolver epoch %d != registry epoch %d", n.resolver.Epoch(), n.cp.Registry().Epoch())
+	}
+}
+
+// loopCounts is what became of one request, read off the testbed once the
+// engine has drained.
+type loopCounts struct {
+	// arrived counts the transmissions that reached their receiver.
+	arrived uint64
+	// first and again are the owner's own send counters; a registration
+	// keeps none.
+	first, again uint64
+	uncounted    bool
+	// abandoned counts how often abandon's effect happened.
+	abandoned uint64
+}
+
+// TestRequestLoop runs the protocol's one resend loop under each of its four
+// owners, with the first k of its transmissions lost: the request goes out
+// min(k+1, max) times, the owner counts one first send and the rest as
+// resends, giving up happens once and only when all max were lost, and the
+// loop leaves no timer behind.
+func TestRequestLoop(t *testing.T) {
+	owners := []struct {
+		name string
+		max  int
+		// lossSite is the fault site the owner's transmissions cross.
+		lossSite string
+		// start issues the request (on registered agents, unless the request
+		// is the registration) and returns how to read the outcome.
+		start func(t *testing.T, n *cpNet) func() loopCounts
+	}{
+		{"registration", 4 * DefaultRetryMax, "cp.rx", func(t *testing.T, n *cpNet) func() loopCounts {
+			var calls, failed uint64
+			n.agents[0].Register(func(err error) {
+				calls++
+				if err != nil {
+					failed++
+				}
+			})
+			return func() loopCounts {
+				if calls != 1 {
+					t.Errorf("Register's callback fired %d times, want 1", calls)
+				}
+				return loopCounts{arrived: n.cp.Stats.Registers, uncounted: true, abandoned: failed}
+			}
+		}},
+		{"remap chunk", DefaultRetryMax, "cp.rx", func(t *testing.T, n *cpNet) func() loopCounts {
+			ag := n.agents[0]
+			ag.SendRemap([]int64{5, 6, 7})
+			return func() loopCounts {
+				if got := len(ag.pending); got != 0 {
+					t.Errorf("%d remap chunks still pending: acked %d, abandoned %d", got, ag.Stats.RemapsAcked, ag.Stats.RemapsAbandoned)
+				}
+				if ag.Stats.RemapsAcked+ag.Stats.RemapsAbandoned != 1 {
+					t.Errorf("chunk acked %d times and abandoned %d times, want one or the other", ag.Stats.RemapsAcked, ag.Stats.RemapsAbandoned)
+				}
+				return loopCounts{arrived: n.cp.Stats.RemapsStarted + n.cp.Stats.RemapDups,
+					first: ag.Stats.RemapsSent, again: ag.Stats.RemapRetries, abandoned: ag.Stats.RemapsAbandoned}
+			}
+		}},
+		{"invalidation to one peer", DefaultRetryMax, "srv1.rx", func(t *testing.T, n *cpNet) func() loopCounts {
+			n.agents[0].SendRemap([]int64{5, 6, 7})
+			return func() loopCounts {
+				if n.cp.PendingRemaps() != 0 {
+					t.Errorf("%d remaps still pending at the server", n.cp.PendingRemaps())
+				}
+				return loopCounts{arrived: n.agents[1].Stats.InvalidationsRcvd,
+					first: n.cp.Stats.InvalidationsSent, again: n.cp.Stats.InvalidationResends, abandoned: n.cp.Stats.Abandoned}
+			}
+		}},
+		{"member-set fetch", 2 * DefaultRetryMax, "cp.rx", func(t *testing.T, n *cpNet) func() loopCounts {
+			var calls uint64
+			n.resolver.Resolve(fhOf(42), func(server int, err error) {
+				calls++
+				if (err == nil) != (server == n.cp.Registry().ServerFor(fhOf(42))) {
+					t.Errorf("resolve: server=%d err=%v", server, err)
+				}
+			})
+			return func() loopCounts {
+				if calls != 1 {
+					t.Errorf("Resolve's callback fired %d times, want 1", calls)
+				}
+				return loopCounts{arrived: n.cp.Stats.LookupsMembers,
+					first: 1, again: n.resolver.Stats.Retries, abandoned: n.resolver.Stats.Failures}
+			}
+		}},
+	}
+	for _, o := range owners {
+		for _, k := range []int{0, 1, o.max - 1, o.max} {
+			o, k := o, k
+			t.Run(fmt.Sprintf("%s/lose %d of %d", o.name, k, o.max), func(t *testing.T) {
+				n := buildCPNet(t)
+				if o.name != "registration" {
+					n.register(t)
+				}
+				var in *fault.Injector // a Count of 0 would mean no limit: to lose nothing, arm nothing
+				if k > 0 {
+					in = n.drop(o.lossSite, fault.Schedule{Count: uint64(k)})
+				}
+				observe := o.start(t, n)
+				if err := n.eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if n.eng.Pending() != 0 {
+					t.Fatalf("%d events still pending after the drain", n.eng.Pending())
+				}
+				got := observe()
+				var lost uint64
+				for _, r := range in.Report() {
+					lost += r.Injected
+				}
+				sends, gaveUp := uint64(k+1), uint64(0)
+				if k == o.max {
+					sends, gaveUp = uint64(o.max), 1
+				}
+				if lost+got.arrived != sends || lost != uint64(k) {
+					t.Errorf("%d transmissions lost + %d arrived, want %d sends of which %d lost", lost, got.arrived, sends, k)
+				}
+				if !got.uncounted && (got.first != 1 || got.again != sends-1) {
+					t.Errorf("owner counted %d first sends and %d resends, want 1 and %d", got.first, got.again, sends-1)
+				}
+				if got.abandoned != gaveUp {
+					t.Errorf("abandon took effect %d times, want %d", got.abandoned, gaveUp)
+				}
+			})
+		}
 	}
 }

@@ -1,11 +1,13 @@
 // Package controlplane shards the pass-through tier: a registry of
-// file-handle → front-end-server and LBN-range → iSCSI-target placements
-// built on consistent hashing, a small control-plane service that answers
-// routing lookups over UDP (a datagram protocol: every message carries its own
-// application-level retry), and the remap protocol that keeps FHO→LBN re-indexing coherent when the
-// server flushing a block is not the server caching it: epoch-stamped remap
-// messages fan out as invalidations, are acknowledged individually, and are
-// retried idempotently under frame loss.
+// file-handle → front-end-server placement built on consistent hashing (the
+// ring also places LBN ranges on iSCSI targets, in package storage), a small
+// control-plane service that hands clients the member set to replicate that
+// placement from, over UDP (a datagram protocol: every request is resent by
+// one application-level loop, request.go), and the remap protocol that keeps
+// FHO→LBN re-indexing coherent when the server flushing a block is not the
+// server caching it: epoch-stamped remap messages fan out as invalidations,
+// are acknowledged individually, and are retried idempotently under frame
+// loss.
 package controlplane
 
 import (

@@ -143,44 +143,3 @@ func TestRegistryPlacement(t *testing.T) {
 		t.Fatalf("ServerFor after shrink = %d, want member of {0,1}", got)
 	}
 }
-
-// TestTargetMapSplit: extents split exactly at range boundaries, adjacent
-// same-target pieces merge, and every block lands on the target TargetOf
-// names for it.
-func TestTargetMapSplit(t *testing.T) {
-	tm := NewTargetMap(4, 8)
-	const start, blocks = int64(3), 64
-	exts := tm.Split(start, blocks)
-	covered := int64(0)
-	next := start
-	for i, e := range exts {
-		if e.LBN != next {
-			t.Fatalf("extent %d starts at %d, want %d", i, e.LBN, next)
-		}
-		if e.Blocks <= 0 {
-			t.Fatalf("extent %d empty", i)
-		}
-		for b := int64(0); b < int64(e.Blocks); b++ {
-			if got := tm.TargetOf(e.LBN + b); got != e.Target {
-				t.Fatalf("lbn %d: extent says target %d, TargetOf says %d",
-					e.LBN+b, e.Target, got)
-			}
-		}
-		if i > 0 && exts[i-1].Target == e.Target {
-			t.Fatalf("adjacent extents %d and %d share target %d (not merged)",
-				i-1, i, e.Target)
-		}
-		next += int64(e.Blocks)
-		covered += int64(e.Blocks)
-	}
-	if covered != blocks {
-		t.Fatalf("extents cover %d blocks, want %d", covered, blocks)
-	}
-	if tm.TargetOf(5) < 0 || tm.TargetOf(5) >= 4 {
-		t.Fatalf("TargetOf out of range")
-	}
-	one := NewTargetMap(1, 8)
-	if got := one.Split(0, 100); len(got) != 1 || got[0].Target != 0 || got[0].Blocks != 100 {
-		t.Fatalf("single-target split: %+v", got)
-	}
-}

@@ -3,14 +3,12 @@ package controlplane
 import (
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/udp"
-	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
 
 // Stats counts control-plane activity.
 type Stats struct {
 	Registers           uint64
-	LookupsFH           uint64
 	LookupsMembers      uint64
 	RemapsStarted       uint64
 	RemapDups           uint64
@@ -33,11 +31,13 @@ type remapID struct {
 	seq    uint64
 }
 
-// remapPeer tracks one peer's invalidation progress within a remap.
+// remapPeer is one peer's invalidation within a remap: the request that
+// resends it, settled by the peer's ack or by giving up on it.
 type remapPeer struct {
-	idx   int
-	acked bool
-	tries int
+	request
+	s   *Server
+	st  *remapState
+	idx int
 }
 
 // remapState is one in-flight (or completed) remap.
@@ -55,7 +55,7 @@ type peer struct {
 	port        uint16
 }
 
-// Server is the control-plane service: placement lookups for clients,
+// Server is the control-plane service: the member set for clients,
 // registration and the remap/invalidate protocol for front-end servers.
 // Single-homed on its own node so its CPU saturation is measurable.
 type Server struct {
@@ -71,17 +71,9 @@ type Server struct {
 	Stats Stats
 }
 
-// The protocol's retransmission bounds: the server's invalidation fan-out,
-// an agent's registration and remap announcements and a resolver's lookups
-// all resend every DefaultRetryRTO, at most DefaultRetryMax times.
-const (
-	DefaultRetryRTO = 10 * sim.Millisecond
-	DefaultRetryMax = 6
-)
-
 // NewServer creates the control-plane service on node. servers lists the
 // front-end servers' fabric addresses by index; the index is the protocol's
-// server ID.
+// server ID. At most MaxLBNs servers: the member set travels in one message.
 func NewServer(node *simnet.Node, servers []eth.Addr) *Server {
 	return &Server{
 		node:   node,
@@ -141,28 +133,11 @@ func (s *Server) handle(m Msg, from peer) {
 		s.routes[idx] = &route
 		s.send(from, Msg{Type: MsgRegisterAck, Server: m.Server, Epoch: s.reg.Epoch()})
 
-	case MsgLookupFH:
-		s.Stats.LookupsFH++
-		idx := s.reg.ServerFor(m.FH)
-		r := Msg{Type: MsgLookupFHResp, FH: m.FH, Epoch: s.reg.Epoch(), Seq: m.Seq}
-		if idx < 0 {
-			r.Status = 1
-		} else {
-			r.Server = uint16(idx)
-			r.Addr = s.reg.AddrOf(idx)
-		}
-		s.send(from, r)
-
 	case MsgMembers:
 		s.Stats.LookupsMembers++
 		r := Msg{Type: MsgMembersResp, Epoch: s.reg.Epoch(), Seq: m.Seq, LBN: int64(s.reg.VNodes())}
-		members := s.reg.Members()
-		if len(members) > MaxLBNs {
-			r.Status |= StatusTooManyMembers
-		} else {
-			for _, idx := range members {
-				r.LBNs = append(r.LBNs, int64(uint64(idx)<<32|uint64(uint32(s.reg.AddrOf(idx)))))
-			}
+		for _, idx := range s.reg.Members() {
+			r.LBNs = append(r.LBNs, int64(uint64(idx)<<32|uint64(uint32(s.reg.AddrOf(idx)))))
 		}
 		s.send(from, r)
 
@@ -199,7 +174,7 @@ func (s *Server) handleRemap(m Msg) {
 		if idx == int(m.Server) || s.routes[idx] == nil {
 			continue
 		}
-		st.peers = append(st.peers, &remapPeer{idx: idx})
+		st.peers = append(st.peers, &remapPeer{s: s, st: st, idx: idx})
 	}
 	s.remaps[id] = st
 	s.Stats.RemapsStarted++
@@ -208,46 +183,27 @@ func (s *Server) handleRemap(m Msg) {
 		return
 	}
 	for _, p := range st.peers {
-		s.sendInvalidate(st, p)
+		p.start(s.node.Eng, p, DefaultRetryMax)
 	}
 }
 
-// invalidateMsg builds the fan-out message for one remap.
-func (s *Server) invalidateMsg(st *remapState) Msg {
-	return Msg{
-		Type:   MsgInvalidate,
-		Server: st.id.server,
-		Epoch:  st.id.epoch,
-		Seq:    st.id.seq,
-		LBNs:   st.lbns,
+// transmit sends the peer its invalidation. The route is there: a remap's
+// peers are the servers registered when it started, and a route is replaced
+// by a re-registration, never withdrawn.
+func (p *remapPeer) transmit(again bool) {
+	s, id := p.s, p.st.id
+	if again {
+		s.Stats.InvalidationResends++
+	} else {
+		s.Stats.InvalidationsSent++
 	}
+	s.send(*s.routes[p.idx], Msg{Type: MsgInvalidate, Server: id.server, Epoch: id.epoch, Seq: id.seq, LBNs: p.st.lbns})
 }
 
-// sendInvalidate transmits one peer's invalidation and arms its retry
-// timer. The timer never re-arms after the peer acked or the tries are
-// exhausted, so a drained engine run always terminates.
-func (s *Server) sendInvalidate(st *remapState, p *remapPeer) {
-	if route := s.routes[p.idx]; route != nil {
-		if p.tries == 0 {
-			s.Stats.InvalidationsSent++
-		} else {
-			s.Stats.InvalidationResends++
-		}
-		s.send(*route, s.invalidateMsg(st))
-	}
-	p.tries++
-	s.node.Eng.Schedule(DefaultRetryRTO, func() {
-		if st.done || p.acked {
-			return
-		}
-		if p.tries >= DefaultRetryMax {
-			s.Stats.Abandoned++
-			p.acked = true
-			s.completeIfAcked(st)
-			return
-		}
-		s.sendInvalidate(st, p)
-	})
+// abandon gives up on the peer; the remap completes without it.
+func (p *remapPeer) abandon() {
+	p.s.Stats.Abandoned++
+	p.s.completeIfAcked(p.st)
 }
 
 // handleInvalidateAck records one peer's acknowledgement.
@@ -260,19 +216,20 @@ func (s *Server) handleInvalidateAck(m Msg) {
 	s.Stats.InvalidationAcks++
 	for _, p := range st.peers {
 		if p.idx == int(m.From) {
-			p.acked = true
+			p.settle()
 		}
 	}
 	s.completeIfAcked(st)
 }
 
-// completeIfAcked finishes the remap once every peer acknowledged.
+// completeIfAcked finishes the remap once every peer's invalidation has
+// settled.
 func (s *Server) completeIfAcked(st *remapState) {
 	if st.done {
 		return
 	}
 	for _, p := range st.peers {
-		if !p.acked {
+		if !p.settled {
 			return
 		}
 	}

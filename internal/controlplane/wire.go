@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ncache/internal/lkey"
 	"ncache/internal/netbuf"
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/udp"
@@ -17,14 +16,17 @@ const Port uint16 = 964
 // MsgType enumerates the control-plane protocol messages.
 type MsgType uint8
 
-// Protocol messages. Lookups are client-side routing; Register binds a
-// front-end agent's return route; Remap/Invalidate/acks are the coherence
-// protocol for FHO→LBN re-indexing across servers.
+// Protocol messages. Register binds a front-end agent's return route;
+// Remap/Invalidate/acks are the coherence protocol for FHO→LBN re-indexing
+// across servers; Members is client-side routing. Codes 3 and 4 were the
+// per-handle lookup and its response: they stay unassigned, so every other
+// message keeps its value on the wire and a peer still sending one is
+// counted as a protocol error.
 const (
 	MsgRegister MsgType = iota + 1
 	MsgRegisterAck
-	MsgLookupFH
-	MsgLookupFHResp
+	_
+	_
 	MsgRemap
 	MsgRemapAck
 	MsgInvalidate
@@ -33,44 +35,38 @@ const (
 	// packed (serverID<<32 | fabricAddr) entry per member in LBNs and the
 	// ring's virtual-node count in LBN — everything a client needs to
 	// replicate the placement ring locally and answer FH lookups without
-	// a control-plane round trip.
+	// a control-plane round trip. (Clients reach servers by index, so the
+	// address half goes unread; it stays for wire compatibility.)
 	MsgMembers
 	MsgMembersResp
 )
 
-// StatusTooManyMembers flags a MsgMembersResp whose member set does not fit
-// one message and was left out: the client cannot replicate the ring and must
-// keep using per-FH lookups.
-const StatusTooManyMembers uint8 = 1 << 0
-
 // MaxLBNs bounds the block list of one remap/invalidate message; larger
 // remap sets are chunked by the sender so every message fits one transmit
-// buffer (and one datagram).
+// buffer (and one datagram). A member set is not chunked, so it also bounds
+// the servers one control plane can place.
 const MaxLBNs = 128
 
 // headerLen is the fixed encoded prefix:
-// type(1) status(1) server(2) from(2) pad(2) addr(4) epoch(8) seq(8) fh(8)
-// lbn(8) count(4).
+// type(1) zero(1) server(2) from(2) zero(6) epoch(8) seq(8) zero(8) lbn(8)
+// count(4). The zero bytes were the per-handle lookup's status, owner address
+// and file handle; the header keeps its length without them.
 const headerLen = 48
 
 // Msg is one control-plane message. Fields are a union over the message
 // types; unused fields encode as zero.
 type Msg struct {
-	Type   MsgType
-	Status uint8
+	Type MsgType
 	// Server is the message's subject server index: the origin of a
-	// remap/invalidate, the owner in a lookup response, the registrant.
+	// remap/invalidate, the registrant.
 	Server uint16
 	// From is the sending server's index on acknowledgements.
 	From uint16
-	// Addr is the owning server's fabric address on lookup responses.
-	Addr eth.Addr
 	// Epoch stamps placement authority; Seq orders one server's remaps
 	// within an epoch. (Epoch, Seq, Server) identifies a remap exactly,
 	// which is what makes retries idempotent.
 	Epoch uint64
 	Seq   uint64
-	FH    lkey.FH
 	LBN   int64
 	LBNs  []int64
 }
@@ -80,15 +76,12 @@ func (m *Msg) encodedLen() int { return headerLen + 8*len(m.LBNs) }
 
 // marshal writes the message body into dst (len(dst) == m.encodedLen()).
 func (m *Msg) marshal(dst []byte) {
+	clear(dst[:headerLen])
 	dst[0] = byte(m.Type)
-	dst[1] = m.Status
 	binary.BigEndian.PutUint16(dst[2:4], m.Server)
 	binary.BigEndian.PutUint16(dst[4:6], m.From)
-	dst[6], dst[7] = 0, 0
-	binary.BigEndian.PutUint32(dst[8:12], uint32(m.Addr))
 	binary.BigEndian.PutUint64(dst[12:20], m.Epoch)
 	binary.BigEndian.PutUint64(dst[20:28], m.Seq)
-	copy(dst[28:36], m.FH[:])
 	binary.BigEndian.PutUint64(dst[36:44], uint64(m.LBN))
 	binary.BigEndian.PutUint32(dst[44:48], uint32(len(m.LBNs)))
 	for i, l := range m.LBNs {
@@ -106,15 +99,12 @@ func unmarshal(p []byte) (Msg, error) {
 	}
 	m := Msg{
 		Type:   MsgType(p[0]),
-		Status: p[1],
 		Server: binary.BigEndian.Uint16(p[2:4]),
 		From:   binary.BigEndian.Uint16(p[4:6]),
-		Addr:   eth.Addr(binary.BigEndian.Uint32(p[8:12])),
 		Epoch:  binary.BigEndian.Uint64(p[12:20]),
 		Seq:    binary.BigEndian.Uint64(p[20:28]),
 		LBN:    int64(binary.BigEndian.Uint64(p[36:44])),
 	}
-	copy(m.FH[:], p[28:36])
 	count := int(binary.BigEndian.Uint32(p[44:48]))
 	if count < 0 || count > MaxLBNs || len(p) < headerLen+8*count {
 		return Msg{}, fmt.Errorf("%w: count %d in %d bytes", errShortMsg, count, len(p))

@@ -34,6 +34,9 @@
 //
 // The fourth, TestNoUncalledExports (exports_test.go), is the same census for
 // code: an exported function or method under internal/ that no Go file of the
-// repository references — a method reached through an interface of this
-// module, String/Error and the three DESIGN.md §11 shims excepted — fails it.
+// repository references fails it — String/Error, the three DESIGN.md §11
+// shims, and a method reached through an interface of this module excepted,
+// where "reached" means the interface method is called somewhere other than
+// inside a method of the same name (an implementation delegating to the next
+// one vouches for nothing).
 package detguard

@@ -69,6 +69,12 @@ func isStringer(fd *ast.FuncDecl) bool {
 	return ok && id.Name == "string"
 }
 
+// isInterfaceMethod reports whether fn is declared by an interface type.
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
 // keptUncalled lists the exported functions nothing in this module calls that
 // stay anyway: exactly the function-shaped DESIGN.md §11 shims, inert since the
 // sharded engine went, which benchmarks/ncmark still compiles against and no
@@ -85,9 +91,12 @@ var keptUncalled = map[export]string{
 // method declared in non-test code under internal/ must be referenced from
 // some Go file of the repository — a command, an experiment, an example, a
 // test, or benchmarks/ncmark (a module this one cannot type-check, so there a
-// selector of the same name counts). Exempt are a method that satisfies an
-// interface declared in this module (it is called through the interface),
-// String() string and Error() string, and the keptUncalled allowlist.
+// selector of the same name counts). Exempt are String() string and Error()
+// string, the keptUncalled allowlist, and a method that satisfies an interface
+// declared in this module — provided that interface method is itself called
+// somewhere other than inside a method of the same name: an implementation
+// delegating to the next one (Sharded.Probe → member.Probe) keeps nothing
+// alive.
 func TestNoUncalledExports(t *testing.T) {
 	root, pkgs, imp := checkModule(t)
 
@@ -96,18 +105,28 @@ func TestNoUncalledExports(t *testing.T) {
 	for _, pkg := range pkgs {
 		for _, f := range pkg.files {
 			file := imp.fset.Position(f.Pos()).Filename
-			if !declaresAPI(pkg.path, file) {
-				continue
-			}
 			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && !isStringer(fd) {
+				fd, isFunc := d.(*ast.FuncDecl)
+				if isFunc && declaresAPI(pkg.path, file) && fd.Name.IsExported() && !isStringer(fd) {
 					declared[export{pkg.path, recvName(fd), fd.Name.Name}] = file
 				}
-			}
-		}
-		for _, obj := range pkg.info.Uses { // det: commutative (set inserts)
-			if fn, ok := obj.(*types.Func); ok {
-				used[exportOf(fn)] = true
+				// Every function this declaration references, except an
+				// interface method referenced from a method of the same name.
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := pkg.info.Uses[id].(*types.Func)
+					if !ok {
+						return true
+					}
+					if isFunc && fd.Recv != nil && fd.Name.Name == fn.Name() && isInterfaceMethod(fn) {
+						return true
+					}
+					used[exportOf(fn)] = true
+					return true
+				})
 			}
 		}
 	}
@@ -117,9 +136,11 @@ func TestNoUncalledExports(t *testing.T) {
 
 	// Methods reached through an interface: for every named type and every
 	// interface declared in non-test code of this module, the methods the
-	// type satisfies the interface with.
-	var ifaces []*types.Interface
-	var named []*types.Named
+	// type satisfies the interface with — where the interface method is
+	// called. unreached names, per method, the interface methods it satisfies
+	// that nothing calls.
+	var ifaces, named []*types.Named
+	unreached := map[export][]string{}
 	for path := range imp.dirs { // det: commutative (set inserts below)
 		pkg, err := imp.Import(path)
 		if err != nil {
@@ -136,7 +157,7 @@ func TestNoUncalledExports(t *testing.T) {
 			}
 			if iface, ok := n.Underlying().(*types.Interface); ok {
 				if iface.NumMethods() > 0 {
-					ifaces = append(ifaces, iface)
+					ifaces = append(ifaces, n)
 				}
 			} else if n.NumMethods() > 0 {
 				named = append(named, n)
@@ -145,14 +166,21 @@ func TestNoUncalledExports(t *testing.T) {
 	}
 	for _, n := range named {
 		ptr := types.NewPointer(n)
-		for _, iface := range ifaces {
+		for _, in := range ifaces {
+			iface := in.Underlying().(*types.Interface)
 			if !types.Implements(ptr, iface) {
 				continue
 			}
 			for i := 0; i < iface.NumMethods(); i++ {
 				m := iface.Method(i)
-				if obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name()); obj != nil {
-					used[exportOf(obj.(*types.Func))] = true
+				obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+				if obj == nil {
+					continue
+				}
+				if impl := exportOf(obj.(*types.Func)); used[exportOf(m)] {
+					used[impl] = true
+				} else {
+					unreached[impl] = append(unreached[impl], export{in.Obj().Pkg().Path(), in.Obj().Name(), m.Name()}.String())
 				}
 			}
 		}
@@ -176,7 +204,12 @@ func TestNoUncalledExports(t *testing.T) {
 			continue
 		}
 		rel, _ := filepath.Rel(root, file)
-		uncalled = append(uncalled, fmt.Sprintf("%s (%s)", e, rel))
+		line := fmt.Sprintf("%s (%s)", e, rel)
+		if via := unreached[e]; len(via) > 0 {
+			sort.Strings(via)
+			line += " — satisfies " + strings.Join(via, ", ") + ", which only its own implementations call"
+		}
+		uncalled = append(uncalled, line)
 	}
 	sort.Strings(uncalled)
 	if len(uncalled) > 0 {

@@ -18,8 +18,7 @@ type diskLower struct {
 	dev *blockdev.MemDisk
 }
 
-func (l *diskLower) BlockSize() int   { return l.dev.Geometry().BlockSize }
-func (l *diskLower) NumBlocks() int64 { return l.dev.Geometry().NumBlocks }
+func (l *diskLower) BlockSize() int { return l.dev.Geometry().BlockSize }
 
 func (l *diskLower) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Chain, error)) {
 	data := make([]byte, count*l.BlockSize())

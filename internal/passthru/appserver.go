@@ -85,7 +85,7 @@ type AppServer struct {
 // cfg describes (cfg as NewCluster completed it: every default applied);
 // Start completes the iSCSI login and mount. targets places LBN ranges onto
 // the cluster's storage targets (nil = a single target).
-func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index int, targets *controlplane.TargetMap) (*AppServer, error) {
+func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index int, targets *storage.TargetMap) (*AppServer, error) {
 	armPolicy, err := storage.ParsePolicy(cfg.ArmPolicy)
 	if err != nil {
 		return nil, err
@@ -139,14 +139,7 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index 
 	if len(vols) == 1 {
 		s.Volume = vols[0]
 	} else {
-		s.Volume = storage.NewSharded(vols, func(lbn int64, blocks int) []storage.Extent {
-			exts := targets.Split(lbn, blocks)
-			out := make([]storage.Extent, len(exts))
-			for i, e := range exts {
-				out[i] = storage.Extent{Member: e.Target, LBN: e.LBN, Blocks: e.Blocks}
-			}
-			return out
-		})
+		s.Volume = storage.NewSharded(vols, targets)
 	}
 	if cfg.NumServers > 1 {
 		s.Agent = controlplane.NewAgent(node, udpT, local, ControlAddr, index)

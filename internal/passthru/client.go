@@ -15,6 +15,7 @@ import (
 	"ncache/internal/proto/udp"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
+	"ncache/internal/storage"
 )
 
 // ClientHost is one client machine: a node with full protocol stacks, an
@@ -226,7 +227,7 @@ type Cluster struct {
 	Clients []*ClientHost
 	// Targets routes LBN ranges to storage targets (nil on a single
 	// target).
-	Targets *controlplane.TargetMap
+	Targets *storage.TargetMap
 	// Faults is the injector wired into every data-path resource when the
 	// config carries a fault spec (nil otherwise). It starts disarmed;
 	// experiments call Faults.Arm() once setup is done and Faults.Quiesce()
@@ -334,6 +335,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.NumServers <= 0 {
 		cfg.NumServers = 1
 	}
+	if cfg.NumServers > controlplane.MaxLBNs {
+		// Clients route by a replica of the member set, which the control
+		// plane sends in one message.
+		return nil, fmt.Errorf("passthru: at most %d servers (controlplane.MaxLBNs: the member set must fit one message)", controlplane.MaxLBNs)
+	}
 	if cfg.NumTargets <= 0 {
 		cfg.NumTargets = 1
 	}
@@ -370,7 +376,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	cl := &Cluster{Eng: eng, Net: nw}
 	if cfg.NumServers > 1 || cfg.NumTargets > 1 {
-		cl.Targets = controlplane.NewTargetMap(cfg.NumTargets, cfg.RangeBlocks)
+		cl.Targets = storage.NewTargetMap(cfg.NumTargets, cfg.RangeBlocks)
 	}
 
 	// Every mirror arm is a full storage node of its own (disks, target,

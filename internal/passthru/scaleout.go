@@ -6,8 +6,8 @@ import (
 	"ncache/internal/blockdev"
 	"ncache/internal/controlplane"
 	"ncache/internal/nfs"
-	"ncache/internal/proto/eth"
 	"ncache/internal/sim"
+	"ncache/internal/storage"
 )
 
 // shardedDirect presents the sharded targets' arrays as one zero-time setup
@@ -16,7 +16,7 @@ import (
 // will serve it.
 type shardedDirect struct {
 	arrays []blockdev.DirectAccess
-	tm     *controlplane.TargetMap
+	tm     *storage.TargetMap
 }
 
 func (d *shardedDirect) Geometry() blockdev.Geometry { return d.arrays[0].Geometry() }
@@ -101,14 +101,14 @@ func (c *Cluster) NewScaleClient(host *ClientHost) (*ScaleClient, error) {
 }
 
 // Route answers the NFS client owning fh. On multi-server clusters the
-// lookup may complete asynchronously (one control-plane round trip on a
-// cold route cache); done can fire synchronously on cache hits.
+// lookup may complete asynchronously (behind the host's one member-set
+// fetch); done can fire synchronously on cache and ring hits.
 func (sc *ScaleClient) Route(fh nfs.FH, done func(*nfs.Client, error)) {
 	if sc.Resolver == nil {
 		done(sc.NFS[0], nil)
 		return
 	}
-	sc.Resolver.Resolve(fh, func(server int, _ eth.Addr, err error) {
+	sc.Resolver.Resolve(fh, func(server int, err error) {
 		if err != nil {
 			done(nil, err)
 			return

@@ -2,8 +2,11 @@ package passthru
 
 import (
 	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 
+	"ncache/internal/controlplane"
 	"ncache/internal/extfs"
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
@@ -42,6 +45,18 @@ func scaleCluster(t *testing.T, servers, targets int, faultSpec string) (*Cluste
 		t.Fatalf("Start: %v", err)
 	}
 	return cl, fs
+}
+
+// TestNewClusterRejectsTooManyServers: clients route by a replica of the
+// member set, which travels in one control-plane message, so a tier that
+// message cannot describe is refused when it is configured — not discovered
+// as routing errors at run time.
+func TestNewClusterRejectsTooManyServers(t *testing.T) {
+	_, err := NewCluster(ClusterConfig{Mode: NCache, NumServers: controlplane.MaxLBNs + 1, NumTargets: 2})
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(controlplane.MaxLBNs)) {
+		t.Fatalf("NewCluster with %d servers: err = %v, want one naming the limit of %d",
+			controlplane.MaxLBNs+1, err, controlplane.MaxLBNs)
+	}
 }
 
 // readVia reads through a specific front-end server's client.
@@ -273,6 +288,9 @@ func testScaleoutPoolsDrain(t *testing.T, faultSpec string) {
 		if app.InvalDropGiveups != 0 {
 			t.Errorf("%s: %d invalidations gave up on pinned blocks", app.Node.Name, app.InvalDropGiveups)
 		}
+	}
+	if got := cl.Control.PendingRemaps(); got != 0 {
+		t.Errorf("control plane: %d remaps still pending at quiesce", got)
 	}
 	nodes := []*simnet.Node{cl.Control.Node()}
 	for _, app := range cl.Apps {

@@ -157,9 +157,6 @@ func NewMirror(node *simnet.Node, names []string, inis []Initiator, cfg MirrorCo
 // BlockSize implements Volume.
 func (m *Mirror) BlockSize() int { return m.arms[0].ini.Geometry().BlockSize }
 
-// NumBlocks implements Volume (arms are identical replicas).
-func (m *Mirror) NumBlocks() int64 { return m.arms[0].ini.Geometry().NumBlocks }
-
 // readEligible returns the arms a read may use, in preference tiers:
 // closed arms; failing that, resyncing arms that are current for the whole
 // range (nothing dirty or mid-copy in it); failing that, any arm at all as
@@ -528,18 +525,6 @@ func (m *Mirror) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(err
 		})
 	}
 	data.Release()
-}
-
-// Probe implements Volume with a metadata read on the preferred arm.
-func (m *Mirror) Probe(done func(error)) {
-	order := m.readEligible(0, 1)
-	a := m.arms[m.pick(order)]
-	a.ini.Read(0, 1, true, func(data *netbuf.Chain, err error) {
-		if data != nil {
-			data.Release()
-		}
-		done(err)
-	})
 }
 
 // Stats implements Volume.

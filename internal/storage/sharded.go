@@ -1,46 +1,110 @@
 package storage
 
-import "ncache/internal/netbuf"
+import (
+	"ncache/internal/controlplane"
+	"ncache/internal/netbuf"
+)
 
-// Extent is one member's portion of a split request.
+// DefaultRangeBlocks is the LBN-range granularity of target placement:
+// 1024 file-system blocks (4 MB) per range.
+const DefaultRangeBlocks = 1024
+
+// Extent is one contiguous per-target run of a split block request.
 type Extent struct {
-	Member int
+	Target int
 	LBN    int64
 	Blocks int
 }
 
-// SplitFunc places a block range onto members (the cluster's TargetMap,
-// adapted). Extents come back in request order.
-type SplitFunc func(lbn int64, blocks int) []Extent
+// TargetMap places LBN ranges onto iSCSI targets by consistent hashing of
+// the range index. Every target exports the full global geometry (the
+// simulated disks are sparse), so a block's LBN is the same on every target
+// and placement only selects which target serves it. It is the storage
+// tier's own: the control-plane protocol never reads it, and only lends it
+// the ring.
+type TargetMap struct {
+	numTargets  int
+	rangeBlocks int64
+	ring        *controlplane.Ring
+}
 
-// Sharded routes each request's extents to per-member volumes — the
+// NewTargetMap builds the placement for numTargets targets.
+func NewTargetMap(numTargets int, rangeBlocks int64) *TargetMap {
+	if numTargets <= 0 {
+		numTargets = 1
+	}
+	if rangeBlocks <= 0 {
+		rangeBlocks = DefaultRangeBlocks
+	}
+	m := &TargetMap{numTargets: numTargets, rangeBlocks: rangeBlocks, ring: controlplane.NewRing(controlplane.DefaultVNodes)}
+	for t := 0; t < numTargets; t++ {
+		m.ring.Add(t)
+	}
+	return m
+}
+
+// TargetOf maps one block to its serving target.
+func (m *TargetMap) TargetOf(lbn int64) int {
+	if m == nil || m.numTargets == 1 {
+		return 0
+	}
+	return m.ring.Lookup(uint64(lbn / m.rangeBlocks))
+}
+
+// Split cuts a contiguous block run at range boundaries into per-target
+// extents, in ascending LBN order.
+func (m *TargetMap) Split(lbn int64, blocks int) []Extent {
+	if m == nil || m.numTargets == 1 {
+		return []Extent{{Target: 0, LBN: lbn, Blocks: blocks}}
+	}
+	var out []Extent
+	for blocks > 0 {
+		boundary := (lbn/m.rangeBlocks + 1) * m.rangeBlocks
+		n := blocks
+		if int64(n) > boundary-lbn {
+			n = int(boundary - lbn)
+		}
+		t := m.TargetOf(lbn)
+		// Merge with the previous extent when adjacent ranges land on the
+		// same target.
+		if len(out) > 0 && out[len(out)-1].Target == t &&
+			out[len(out)-1].LBN+int64(out[len(out)-1].Blocks) == lbn {
+			out[len(out)-1].Blocks += n
+		} else {
+			out = append(out, Extent{Target: t, LBN: lbn, Blocks: n})
+		}
+		lbn += int64(n)
+		blocks -= n
+	}
+	return out
+}
+
+// Sharded routes each request's extents to per-target volumes — the
 // scale-out backend, where every member exports the full global geometry
 // and placement only picks the session. Members are themselves volumes, so
 // a sharded backend of mirrored pairs composes for free.
 type Sharded struct {
 	members []Volume
-	split   SplitFunc
+	targets *TargetMap
 }
 
 var _ Volume = (*Sharded)(nil)
 
-// NewSharded builds the routing volume.
-func NewSharded(members []Volume, split SplitFunc) *Sharded {
-	return &Sharded{members: members, split: split}
+// NewSharded builds the routing volume: members[t] serves what targets
+// places on target t.
+func NewSharded(members []Volume, targets *TargetMap) *Sharded {
+	return &Sharded{members: members, targets: targets}
 }
 
 // BlockSize implements Volume.
 func (s *Sharded) BlockSize() int { return s.members[0].BlockSize() }
 
-// NumBlocks implements Volume (members export the global geometry).
-func (s *Sharded) NumBlocks() int64 { return s.members[0].NumBlocks() }
-
 // ReadAt implements Volume: scatter the extents across their members and
 // reassemble the chains in LBN order once all complete.
 func (s *Sharded) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Chain, error)) {
-	exts := s.split(lbn, count)
+	exts := s.targets.Split(lbn, count)
 	if len(exts) == 1 {
-		s.members[exts[0].Member].ReadAt(lbn, count, meta, done)
+		s.members[exts[0].Target].ReadAt(lbn, count, meta, done)
 		return
 	}
 	parts := make([]*netbuf.Chain, len(exts))
@@ -48,7 +112,7 @@ func (s *Sharded) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Chai
 	var firstErr error
 	for i, ext := range exts {
 		i, ext := i, ext
-		s.members[ext.Member].ReadAt(ext.LBN, ext.Blocks, meta, func(data *netbuf.Chain, err error) {
+		s.members[ext.Target].ReadAt(ext.LBN, ext.Blocks, meta, func(data *netbuf.Chain, err error) {
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -79,9 +143,9 @@ func (s *Sharded) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Chai
 // clones, no copies) and fan out to the members.
 func (s *Sharded) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
 	bs := s.BlockSize()
-	exts := s.split(lbn, data.Len()/bs)
+	exts := s.targets.Split(lbn, data.Len()/bs)
 	if len(exts) == 1 {
-		s.members[exts[0].Member].WriteAt(lbn, data, meta, done)
+		s.members[exts[0].Target].WriteAt(lbn, data, meta, done)
 		return
 	}
 	remaining := len(exts)
@@ -104,27 +168,10 @@ func (s *Sharded) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(er
 			off += n
 			continue
 		}
-		s.members[ext.Member].WriteAt(ext.LBN, sub, meta, finish)
+		s.members[ext.Target].WriteAt(ext.LBN, sub, meta, finish)
 		off += n
 	}
 	data.Release()
-}
-
-// Probe implements Volume: every member must answer.
-func (s *Sharded) Probe(done func(error)) {
-	remaining := len(s.members)
-	var firstErr error
-	for _, m := range s.members {
-		m.Probe(func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 {
-				done(firstErr)
-			}
-		})
-	}
 }
 
 // Stats implements Volume by concatenating member stats.

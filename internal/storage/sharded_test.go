@@ -42,46 +42,75 @@ func volRead(t *testing.T, eng *sim.Engine, v Volume, lbn int64, blocks int) []b
 	return flat
 }
 
+// TestShardedRoutesBySplit: a request straddling a placement boundary is cut
+// there, each piece lands on the member the TargetMap names for it, and the
+// read reassembles them in LBN order.
 func TestShardedRoutesBySplit(t *testing.T) {
 	eng := sim.NewEngine()
-	a := newFakeIni(eng, 256, 10*sim.Microsecond)
-	b := newFakeIni(eng, 256, 10*sim.Microsecond)
-	// Every member exports the global geometry; placement cuts at LBN 100.
-	sh := NewSharded(
-		[]Volume{NewSingleArm("a", a), NewSingleArm("b", b)},
-		func(lbn int64, blocks int) []Extent {
-			var out []Extent
-			if lbn < 100 {
-				n := int(min64(100-lbn, int64(blocks)))
-				out = append(out, Extent{Member: 0, LBN: lbn, Blocks: n})
-				lbn += int64(n)
-				blocks -= n
-			}
-			if blocks > 0 {
-				out = append(out, Extent{Member: 1, LBN: lbn, Blocks: blocks})
-			}
-			return out
-		})
+	inis := []*fakeIni{newFakeIni(eng, 1024, 10*sim.Microsecond), newFakeIni(eng, 1024, 10*sim.Microsecond)}
+	// Every member exports the global geometry; placement is per 4-block
+	// range. cut is the first range boundary where the target changes.
+	tm := NewTargetMap(2, 4)
+	cut := int64(4)
+	for tm.TargetOf(cut) == tm.TargetOf(cut-4) {
+		cut += 4
+	}
+	sh := NewSharded([]Volume{NewSingleArm("a", inis[0]), NewSingleArm("b", inis[1])}, tm)
 	data := make([]byte, 8*512)
 	sim.NewRNG(4).Fill(data)
-	volWrite(t, eng, sh, 96, data) // 4 blocks on member 0, 4 on member 1
-	if got := volRead(t, eng, sh, 96, 8); !bytes.Equal(got, data) {
+	volWrite(t, eng, sh, cut-4, data) // 4 blocks on one member, 4 on the other
+	if got := volRead(t, eng, sh, cut-4, 8); !bytes.Equal(got, data) {
 		t.Fatal("sharded read-back mismatch")
 	}
-	if a.writes != 1 || b.writes != 1 {
-		t.Fatalf("split writes = %d/%d, want 1/1", a.writes, b.writes)
+	lo, hi := inis[tm.TargetOf(cut-4)], inis[tm.TargetOf(cut)]
+	if lo.writes != 1 || hi.writes != 1 {
+		t.Fatalf("split writes = %d/%d, want 1/1", lo.writes, hi.writes)
 	}
-	if !bytes.Equal(a.dat[96*512:100*512], data[:4*512]) {
-		t.Fatal("member 0 holds wrong extent")
+	if !bytes.Equal(lo.dat[(cut-4)*512:cut*512], data[:4*512]) {
+		t.Fatal("the member below the boundary holds the wrong extent")
 	}
-	if !bytes.Equal(b.dat[100*512:104*512], data[4*512:]) {
-		t.Fatal("member 1 holds wrong extent")
+	if !bytes.Equal(hi.dat[cut*512:(cut+4)*512], data[4*512:]) {
+		t.Fatal("the member above the boundary holds the wrong extent")
 	}
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// TestTargetMapSplit: extents split exactly at range boundaries, adjacent
+// same-target pieces merge, and every block lands on the target TargetOf
+// names for it.
+func TestTargetMapSplit(t *testing.T) {
+	tm := NewTargetMap(4, 8)
+	const start, blocks = int64(3), 64
+	exts := tm.Split(start, blocks)
+	covered := int64(0)
+	next := start
+	for i, e := range exts {
+		if e.LBN != next {
+			t.Fatalf("extent %d starts at %d, want %d", i, e.LBN, next)
+		}
+		if e.Blocks <= 0 {
+			t.Fatalf("extent %d empty", i)
+		}
+		for b := int64(0); b < int64(e.Blocks); b++ {
+			if got := tm.TargetOf(e.LBN + b); got != e.Target {
+				t.Fatalf("lbn %d: extent says target %d, TargetOf says %d",
+					e.LBN+b, e.Target, got)
+			}
+		}
+		if i > 0 && exts[i-1].Target == e.Target {
+			t.Fatalf("adjacent extents %d and %d share target %d (not merged)",
+				i-1, i, e.Target)
+		}
+		next += int64(e.Blocks)
+		covered += int64(e.Blocks)
 	}
-	return b
+	if covered != blocks {
+		t.Fatalf("extents cover %d blocks, want %d", covered, blocks)
+	}
+	if tm.TargetOf(5) < 0 || tm.TargetOf(5) >= 4 {
+		t.Fatalf("TargetOf out of range")
+	}
+	one := NewTargetMap(1, 8)
+	if got := one.Split(0, 100); len(got) != 1 || got[0].Target != 0 || got[0].Blocks != 100 {
+		t.Fatalf("single-target split: %+v", got)
+	}
 }

@@ -22,9 +22,6 @@ func NewSingleArm(name string, ini Initiator) *SingleArm {
 // BlockSize implements Volume.
 func (s *SingleArm) BlockSize() int { return s.ini.Geometry().BlockSize }
 
-// NumBlocks implements Volume.
-func (s *SingleArm) NumBlocks() int64 { return s.ini.Geometry().NumBlocks }
-
 // ReadAt implements Volume by pure delegation.
 func (s *SingleArm) ReadAt(lbn int64, blocks int, meta bool, done func(*netbuf.Chain, error)) {
 	s.reads++
@@ -42,16 +39,6 @@ func (s *SingleArm) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(
 	s.ini.Write(lbn, data, meta, func(err error) {
 		if err != nil {
 			s.errors++
-		}
-		done(err)
-	})
-}
-
-// Probe implements Volume with a one-block metadata read of LBA 0.
-func (s *SingleArm) Probe(done func(error)) {
-	s.ini.Read(0, 1, true, func(data *netbuf.Chain, err error) {
-		if data != nil {
-			data.Release()
 		}
 		done(err)
 	})

@@ -22,16 +22,11 @@ type Volume interface {
 	// BlockSize returns the device block size in bytes (valid once the
 	// underlying initiators are connected).
 	BlockSize() int
-	// NumBlocks returns the addressable size of the volume in blocks.
-	NumBlocks() int64
 	// ReadAt fetches blocks starting at lbn. The callback owns the chain.
 	ReadAt(lbn int64, blocks int, meta bool, done func(*netbuf.Chain, error))
 	// WriteAt stores a block-aligned payload at lbn, taking ownership of
 	// the chain.
 	WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error))
-	// Probe issues a minimal health check (one metadata block read) and
-	// reports whether the volume can serve it.
-	Probe(done func(error))
 	// Stats returns a per-arm health/traffic snapshot, one entry per
 	// backend arm in a fixed order.
 	Stats() []ArmStats
