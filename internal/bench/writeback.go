@@ -38,7 +38,8 @@ type WritebackPoint struct {
 	MeanCommitRecs float64
 	WALPeakDepth   int64
 	// Flusher activity: coalesced batches, mean blocks per batch, peak
-	// dirty memory, and admission stalls at the high watermark.
+	// dirty memory, and admission stalls at the high watermark with the
+	// simulated time they spent parked, summed.
 	FlushBatches    uint64
 	MeanBatchBlocks float64
 	DirtyPeakMB     float64
@@ -107,17 +108,17 @@ func FormatWritebackPoints(points []WritebackPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fig-writeback: write-heavy SFS (%d%% data ops, %d%% writes), acked == durable on both arms\n",
 		75, writebackWriteMixPct)
-	fmt.Fprintf(&b, "%-6s %9s %8s %9s %10s %8s %9s %8s %8s %9s %8s %10s\n",
-		"arm", "ops/s", "MB/s", "srvCPU%", "commits", "recs/ci", "walPeak", "batches", "blk/bat", "dirtyMB", "stalls", "vs sync")
+	fmt.Fprintf(&b, "%-6s %9s %8s %9s %10s %8s %9s %8s %8s %9s %8s %9s %10s\n",
+		"arm", "ops/s", "MB/s", "srvCPU%", "commits", "recs/ci", "walPeak", "batches", "blk/bat", "dirtyMB", "stalls", "stallMs", "vs sync")
 	for _, p := range points {
 		gain := ""
 		if p.Arm != "sync" && base.OpsPerSec > 0 {
 			gain = fmt.Sprintf("%+.1f%%", gainPct(p.OpsPerSec, base.OpsPerSec))
 		}
-		fmt.Fprintf(&b, "%-6s %9.0f %8.1f %9.1f %10d %8.1f %9d %8d %8.1f %9.2f %8d %10s\n",
+		fmt.Fprintf(&b, "%-6s %9.0f %8.1f %9.1f %10d %8.1f %9d %8d %8.1f %9.2f %8d %9.0f %10s\n",
 			p.Arm, p.OpsPerSec, p.ThroughputMBs, p.ServerCPU*100,
 			p.WALCommits, p.MeanCommitRecs, p.WALPeakDepth,
-			p.FlushBatches, p.MeanBatchBlocks, p.DirtyPeakMB, p.Stalls, gain)
+			p.FlushBatches, p.MeanBatchBlocks, p.DirtyPeakMB, p.Stalls, p.StallMs, gain)
 	}
 	return b.String()
 }

@@ -86,10 +86,12 @@ type Cache struct {
 	LogicalCopyNs sim.Duration
 
 	// fl is the background write-back flusher (nil until EnableFlusher);
-	// wb the shared dirty-pipeline counters; nDirty the dirty-block gauge.
-	fl     *flusher
-	wb     *metrics.Writeback
-	nDirty int
+	// wb the shared dirty-pipeline counters; nDirty the dirty-block gauge
+	// and nFlushing the part of it already on its way down.
+	fl        *flusher
+	wb        *metrics.Writeback
+	nDirty    int
+	nFlushing int
 	// gen is bumped by Reset (crash) so completions of I/O issued against
 	// a previous incarnation are discarded instead of mutating fresh state.
 	gen uint64
@@ -175,6 +177,9 @@ func (c *Cache) drop(b *Block) {
 	if b.Dirty {
 		b.Dirty = false
 		c.noteClean()
+		if b.flushing {
+			c.nFlushing--
+		}
 	}
 	delete(c.blocks, b.LBN)
 	if b.next != nil {
@@ -467,7 +472,7 @@ func (c *Cache) MarkDirty(b *Block) {
 	if !b.Dirty {
 		b.Dirty = true
 		c.noteDirty()
-		c.fl.onDirty(c)
+		c.fl.onDirty(c, b)
 	}
 	c.touch(b)
 }

@@ -14,6 +14,16 @@ import (
 // command's comfortable range.
 const maxBatchBlocks = 64
 
+// backlogPerBatch sets the flusher's depth: one more batch may be in flight
+// for every backlogPerBatch dirty blocks still waiting. A nearly clean cache
+// trickles one batch at a time, which leaves a stream's next block time to
+// turn dirty beside the last one; a filling cache pushes harder. A fixed low
+// depth instead starves random overwrites (no adjacency to win, and four
+// disks need ≈ 64 I/Os in flight), a longer hold instead releases bursts
+// that head-of-line-block replies on the server NIC. 4 gives up tail
+// latency; 16 already behaves like the longer hold (DESIGN.md §12).
+const backlogPerBatch = 8
+
 // defaultFlushInterval is the flusher's dirty-hold time unless EnableFlusher
 // is given another.
 const defaultFlushInterval = 500 * sim.Microsecond
@@ -22,10 +32,11 @@ const defaultFlushInterval = 500 * sim.Microsecond
 // cache's node engine, so flush scheduling is part of the deterministic
 // event schedule.
 type flusher struct {
-	// interval is the dirty-hold time: a block marked dirty is written back
-	// at most interval later. The timer arms on the 0→dirty transition and
-	// stays disarmed while the cache is clean, so an idle engine run
-	// terminates.
+	// interval is the dirty-hold time: the first batch goes down at most
+	// interval after the cache turns dirty, and the timer then ticks at that
+	// period — topping the flusher up, retrying failed batches — until the
+	// cache is clean again. It stays disarmed while the cache is clean, so
+	// an idle engine run terminates.
 	interval sim.Duration
 	// high bounds dirty memory, in blocks: at the high watermark Admit
 	// queues new work (backpressure) and an immediate flush is kicked;
@@ -36,6 +47,18 @@ type flusher struct {
 	timer    sim.EventID
 	kickSet  bool
 	admitQ   []admitWaiter
+	// queue[head:] is the dirty FIFO: LBNs in the order their blocks turned
+	// dirty. Oldest first is the order the WAL's prefix-only truncation
+	// wants. An entry is only a hint — its block may since have been
+	// flushed beside a neighbour, dropped or evicted — and is checked
+	// against the resident map when popped.
+	queue []int64
+	head  int
+	// inFlight counts the flusher's own batches not yet landed; pumping
+	// guards flushNow against re-entry from a lower that completes
+	// synchronously.
+	inFlight int
+	pumping  bool
 }
 
 // admitWaiter is one admission parked at the high watermark.
@@ -45,10 +68,11 @@ type admitWaiter struct {
 	since  sim.Time
 }
 
-// EnableFlusher turns on background write-back: dirty blocks flush in
-// coalesced batches at most interval (0 = 500 µs) after they are dirtied,
-// and dirty memory is bounded by the admission gate at highWaterBlocks. Call
-// before traffic.
+// EnableFlusher turns on background write-back: dirty blocks flush oldest
+// first in coalesced batches, starting at most interval (0 = 500 µs) after
+// the cache turns dirty and paced by the backlog (see flushNow), and dirty
+// memory is bounded by the admission gate at highWaterBlocks. Call before
+// traffic.
 func (c *Cache) EnableFlusher(interval sim.Duration, highWaterBlocks int) {
 	if interval <= 0 {
 		interval = defaultFlushInterval
@@ -99,12 +123,14 @@ func (c *Cache) noteClean() {
 	c.wb.AddDirty(-int64(c.bs))
 }
 
-// onDirty reacts to a 0→dirty block transition: arm the hold timer, and
-// kick an immediate flush at the high watermark.
-func (fl *flusher) onDirty(c *Cache) {
+// onDirty reacts to a 0→dirty block transition: the block joins the dirty
+// FIFO, the hold timer is armed, and an immediate flush is kicked at the
+// high watermark.
+func (fl *flusher) onDirty(c *Cache, b *Block) {
 	if fl == nil {
 		return
 	}
+	fl.queue = append(fl.queue, b.LBN)
 	if fl.high > 0 && c.nDirty >= fl.high {
 		fl.kick(c)
 	}
@@ -115,9 +141,10 @@ func (fl *flusher) onDirty(c *Cache) {
 	fl.timer = c.node.Eng.Schedule(fl.interval, func() { fl.tick(c) })
 }
 
-// tick is the hold-timer body: flush everything dirty, then re-arm while
-// dirty blocks remain in flight (their completions drain the gauge; a tick
-// that finds the cache clean lets the timer die).
+// tick is the hold-timer body: top the flusher up to its depth, then re-arm
+// while anything is dirty (a tick that finds the cache clean lets the timer
+// die). Between ticks each landing batch pulls the next; the tick starts the
+// first one and retries after a failed one.
 func (fl *flusher) tick(c *Cache) {
 	fl.timerSet = false
 	fl.flushNow(c)
@@ -139,15 +166,70 @@ func (fl *flusher) kick(c *Cache) {
 	})
 }
 
-// flushNow writes back everything dirty and not already in flight.
-// Background-flush errors are swallowed here: the blocks stay dirty and the
-// next tick retries (synchronous callers use Sync, which reports them).
+// flushNow issues batches from the dirty FIFO, oldest block first, until the
+// flusher has 1 + backlog/backlogPerBatch of its own in flight — backlog
+// being the dirty blocks not yet on their way down. While admissions are
+// parked at the gate there is no limit: everything dirty goes, as hard as
+// the lower will take it. Background-flush errors are swallowed here: the
+// blocks rejoin the queue in flushBatch's completion and the next tick
+// retries (synchronous callers use Sync, which reports them).
 func (fl *flusher) flushNow(c *Cache) {
-	dirty := c.collectDirty()
-	if len(dirty) == 0 {
+	if fl.pumping {
 		return
 	}
-	c.flushBatches(dirty, func(error) {})
+	fl.pumping = true
+	// A pass stops at the entries queued when it began: a block whose batch
+	// fails on the spot (a mirror with no arm left) rejoins the queue behind
+	// them and waits for the next tick instead of spinning here.
+	for end := len(fl.queue); fl.head < end; {
+		if len(fl.admitQ) == 0 && fl.inFlight > (c.nDirty-c.nFlushing)/backlogPerBatch {
+			break
+		}
+		b, ok := c.blocks[fl.queue[fl.head]]
+		fl.head++
+		if !ok || !b.Dirty || b.flushing {
+			continue
+		}
+		fl.inFlight++
+		c.flushBatch(c.runAround(b), func(err error) {
+			fl.inFlight--
+			if err == nil {
+				fl.flushNow(c)
+			}
+		})
+	}
+	fl.pumping = false
+	// Reclaim the popped prefix once it outweighs what is still queued.
+	if fl.head > len(fl.queue)/2 {
+		fl.queue = fl.queue[:copy(fl.queue, fl.queue[fl.head:])]
+		fl.head = 0
+	}
+}
+
+// flushable reports whether lbn holds a block that can join a batch of the
+// given kind right now.
+func (c *Cache) flushable(lbn int64, meta bool) bool {
+	b, ok := c.blocks[lbn]
+	return ok && b.Dirty && !b.flushing && b.Meta == meta
+}
+
+// runAround returns the adjacent run of flushable blocks around b in LBN
+// order, whatever their age, at most maxBatchBlocks long. It grows upward
+// first: a stream dirties its blocks front to back, so the oldest block's
+// younger neighbours lie above it.
+func (c *Cache) runAround(b *Block) []*Block {
+	lo, hi := b.LBN, b.LBN
+	for hi-lo+1 < maxBatchBlocks && c.flushable(hi+1, b.Meta) {
+		hi++
+	}
+	for hi-lo+1 < maxBatchBlocks && c.flushable(lo-1, b.Meta) {
+		lo--
+	}
+	run := make([]*Block, 0, hi-lo+1)
+	for lbn := lo; lbn <= hi; lbn++ {
+		run = append(run, c.blocks[lbn])
+	}
+	return run
 }
 
 // batchLanded runs after every write-back batch completes: resume parked
@@ -247,8 +329,11 @@ func (c *Cache) flushBatch(batch []*Block, done func(error)) {
 		} else {
 			chain.AppendChain(part)
 		}
+	}
+	for _, b := range batch {
 		b.flushing = true
 	}
+	c.nFlushing += len(batch)
 	c.node.Charge(cost, nil)
 	c.Stats.Writeback += uint64(len(batch))
 	c.wb.FlushBatches++
@@ -264,8 +349,17 @@ func (c *Cache) flushBatch(batch []*Block, done func(error)) {
 		}
 		for _, b := range batch {
 			b.flushing = false
+			if b.Dirty {
+				c.nFlushing-- // a block dropped in flight left the gauge in drop
+			}
 			if err != nil {
-				continue // stays dirty; a later flush retries
+				// Stays dirty and gets back in line — the one place a block
+				// still dirty after its batch rejoins the FIFO, whoever
+				// issued the batch (flusher, Sync or eviction).
+				if b.Dirty && c.fl != nil {
+					c.fl.queue = append(c.fl.queue, b.LBN)
+				}
+				continue
 			}
 			if b.Dirty {
 				b.Dirty = false
@@ -304,7 +398,9 @@ func (c *Cache) Reset() {
 		c.wb.AddDirty(-int64(c.nDirty) * int64(c.bs))
 		c.nDirty = 0
 	}
+	c.nFlushing = 0
 	if fl := c.fl; fl != nil {
+		fl.queue, fl.head, fl.inFlight = nil, 0, 0
 		if fl.timerSet {
 			c.node.Eng.Cancel(fl.timer)
 			fl.timerSet = false

@@ -1,0 +1,490 @@
+package buffercache
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"ncache/internal/netbuf"
+	"ncache/internal/sim"
+	"ncache/internal/simnet"
+)
+
+// parkedLower records every write and parks its completion until the test
+// lands it, so a test decides how many batches are in flight and how each
+// one ends. onWrite, when set, sees a write before it is parked.
+type parkedLower struct {
+	bs      int
+	writes  []fakeReq
+	parked  []parkedWrite
+	onWrite func()
+}
+
+type parkedWrite struct {
+	count int
+	done  func(error)
+}
+
+func (p *parkedLower) BlockSize() int { return p.bs }
+
+func (p *parkedLower) ReadAt(int64, int, bool, func(*netbuf.Chain, error)) {
+	panic("parkedLower: the flusher tests never read through")
+}
+
+func (p *parkedLower) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
+	count := data.Len() / p.bs
+	data.Release()
+	if p.onWrite != nil {
+		p.onWrite()
+	}
+	p.writes = append(p.writes, fakeReq{lbn: lbn, count: count, meta: meta})
+	p.parked = append(p.parked, parkedWrite{count: count, done: done})
+}
+
+// land completes the oldest parked write with err.
+func (p *parkedLower) land(err error) {
+	w := p.parked[0]
+	p.parked = p.parked[1:]
+	w.done(err)
+}
+
+// landAll completes every parked write, and those their landings pull.
+func (p *parkedLower) landAll() {
+	for len(p.parked) > 0 {
+		p.land(nil)
+	}
+}
+
+// blocksInFlight sums the parked writes' blocks.
+func (p *parkedLower) blocksInFlight() int {
+	n := 0
+	for _, w := range p.parked {
+		n += w.count
+	}
+	return n
+}
+
+// runs spells the writes issued so far as "lbn+count", "m" marking
+// metadata, in issue order — the form the assertions compare.
+func (p *parkedLower) runs() string {
+	var out []string
+	for _, w := range p.writes {
+		r := fmt.Sprintf("%d+%d", w.lbn, w.count)
+		if w.meta {
+			r += "m"
+		}
+		out = append(out, r)
+	}
+	return strings.Join(out, " ")
+}
+
+const testHold = 500 * sim.Microsecond
+
+func rigFlusher(t *testing.T, capacity, highWater int) (*sim.Engine, *parkedLower, *Cache) {
+	t.Helper()
+	eng := sim.NewEngine()
+	lower := &parkedLower{bs: 4096}
+	c := New(simnet.NewNode(eng, "app", simnet.DefaultProfile()), lower, capacity)
+	c.EnableFlusher(testHold, highWater)
+	return eng, lower, c
+}
+
+// dirty turns lbn dirty the way a whole-block write does.
+func dirty(t *testing.T, c *Cache, lbn int64, meta bool) {
+	t.Helper()
+	c.GetForWrite(lbn, meta, func(b *Block, err error) {
+		if err != nil {
+			t.Fatalf("GetForWrite(%d): %v", lbn, err)
+		}
+		c.MarkDirty(b)
+		c.Unpin(b)
+	})
+}
+
+func runFor(t *testing.T, eng *sim.Engine, d sim.Duration) {
+	t.Helper()
+	if err := eng.RunFor(d); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+}
+
+// wantIdle drains the engine and checks what every flusher test ends on:
+// a clean cache, nothing in flight and no timer left armed.
+func wantIdle(t *testing.T, eng *sim.Engine, c *Cache) {
+	t.Helper()
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if c.DirtyCount() != 0 || c.nFlushing != 0 || c.fl.inFlight != 0 {
+		t.Fatalf("not clean: dirty=%d flushing=%d inFlight=%d", c.DirtyCount(), c.nFlushing, c.fl.inFlight)
+	}
+	if c.fl.timerSet || eng.Pending() != 0 {
+		t.Fatalf("engine not idle: timerSet=%v pending=%d", c.fl.timerSet, eng.Pending())
+	}
+}
+
+// (a) Oldest first, and the batch is the maximal adjacent run around the
+// oldest block: never across a Meta change, capped at maxBatchBlocks.
+func TestFlusherOldestFirstMaximalRun(t *testing.T) {
+	eng, lower, c := rigFlusher(t, 0, 0)
+	dirty(t, c, 50, false) // the oldest, alone
+	for _, lbn := range []int64{101, 100, 102} {
+		dirty(t, c, lbn, false) // a run dirtied out of order
+	}
+	dirty(t, c, 103, true) // metadata beside it ends the run
+	dirty(t, c, 104, false)
+	for lbn := int64(300); lbn < 400; lbn++ {
+		dirty(t, c, lbn, false) // longer than one batch may be
+	}
+	// The first tick issues in queue order until 36 blocks are left waiting
+	// behind 5 batches; the first landing pulls the last one.
+	runFor(t, eng, testHold)
+	const first = "50+1 100+3 103+1m 104+1 300+64"
+	if got := lower.runs(); got != first {
+		t.Fatalf("writes on the first tick = %s, want %s", got, first)
+	}
+	lower.land(nil)
+	if got := lower.runs(); got != first+" 364+36" {
+		t.Fatalf("writes = %s, want %s 364+36", got, first)
+	}
+	lower.landAll()
+	wantIdle(t, eng, c)
+}
+
+// (a, continued) A batch never swallows a block that is mid-flush: its
+// neighbours go down on their own, beside it.
+func TestFlusherRunStopsAtMidFlushBlock(t *testing.T) {
+	eng, lower, c := rigFlusher(t, 0, 0)
+	dirty(t, c, 10, false)
+	runFor(t, eng, testHold)
+	if got := lower.runs(); got != "10+1" {
+		t.Fatalf("first writes = %s, want 10+1", got)
+	}
+	// 10 is in flight. Its neighbours turn dirty, and enough scattered
+	// blocks with them that the depth rule lets a second batch go.
+	dirty(t, c, 9, false)
+	dirty(t, c, 11, false)
+	for i := int64(0); i < backlogPerBatch; i++ {
+		dirty(t, c, 1000+2*i, false)
+	}
+	runFor(t, eng, testHold)
+	if got := lower.runs(); got != "10+1 9+1" {
+		t.Fatalf("writes = %s, want 10+1 9+1 (not 9+3 across the in-flight block)", got)
+	}
+	lower.landAll()
+	wantIdle(t, eng, c)
+	seen := map[int64]int{}
+	for _, w := range lower.writes {
+		for j := 0; j < w.count; j++ {
+			seen[w.lbn+int64(j)]++
+		}
+	}
+	if seen[9] != 1 || seen[10] != 1 || seen[11] != 1 {
+		t.Fatalf("blocks 9/10/11 written %d/%d/%d times, want once each", seen[9], seen[10], seen[11])
+	}
+}
+
+// depthAt is how many single-block batches the depth rule lets out of a
+// backlog of n blocks when none is in flight: each one issued is one fewer
+// waiting.
+func depthAt(n int) int {
+	k := 0
+	for k <= (n-k)/backlogPerBatch {
+		k++
+	}
+	return k
+}
+
+// (b) The flusher keeps at most 1 + backlog/backlogPerBatch of its batches
+// in flight while no admission is parked; the limit lifts the moment Admit
+// parks and is back once the gate has let everyone through.
+func TestFlusherDepthFollowsBacklog(t *testing.T) {
+	const high = 64
+	eng, lower, c := rigFlusher(t, 0, high)
+	gateParked := false
+	deepest := 0
+	lower.onWrite = func() {
+		// Seen before this write is counted: the batches and blocks
+		// already in flight, and the backlog it was drawn from.
+		inFlight := len(lower.parked)
+		backlog := c.DirtyCount() - lower.blocksInFlight()
+		if !gateParked && inFlight > backlog/backlogPerBatch {
+			t.Errorf("batch issued with %d in flight at backlog %d: limit is 1+%d", inFlight, backlog, backlog/backlogPerBatch)
+		}
+		if inFlight+1 > deepest {
+			deepest = inFlight + 1
+		}
+	}
+	// Scattered blocks, so every batch is one block and depth is all that
+	// varies. One short of the watermark: the gate stays open.
+	for i := int64(0); i < high-1; i++ {
+		dirty(t, c, 2*i, false)
+	}
+	runFor(t, eng, testHold)
+	if want := depthAt(high - 1); deepest != want {
+		t.Fatalf("deepest = %d batches out of a backlog of %d, want %d", deepest, high-1, want)
+	}
+	for i := 0; i < 8; i++ {
+		lower.land(nil) // each landing pulls the next
+	}
+	if len(lower.parked) == 0 || c.DirtyCount() != high-1-8 {
+		t.Fatalf("after 8 landings: %d in flight, %d dirty", len(lower.parked), c.DirtyCount())
+	}
+
+	// Fill to the watermark and park one admission: everything dirty goes.
+	for i := int64(0); c.DirtyCount() < high; i++ {
+		dirty(t, c, 5000+2*i, false)
+	}
+	admitted := false
+	gateParked = true
+	c.Admit(func() { admitted, gateParked = true, false }, nil)
+	if admitted {
+		t.Fatal("Admit ran at the high watermark")
+	}
+	runFor(t, eng, 0) // the kick is a same-instant event
+	if len(lower.parked) != high {
+		t.Fatalf("%d batches in flight with an admission parked, want all %d", len(lower.parked), high)
+	}
+
+	// Drain to the low watermark: the admission resumes and the limit is
+	// back for whatever turns dirty next.
+	for !admitted {
+		lower.land(nil)
+	}
+	if c.DirtyCount() != high/2 {
+		t.Fatalf("admission resumed at %d dirty, want the low watermark %d", c.DirtyCount(), high/2)
+	}
+	lower.landAll()
+	deepest = 0
+	for i := int64(0); i < 3*backlogPerBatch; i++ {
+		dirty(t, c, 9000+2*i, false)
+	}
+	runFor(t, eng, testHold)
+	if want := depthAt(3 * backlogPerBatch); deepest != want {
+		t.Fatalf("deepest = %d batches after the gate reopened, want %d", deepest, want)
+	}
+	lower.landAll()
+	wantIdle(t, eng, c)
+}
+
+// (c) A failed batch's block stays dirty, gets back in line behind what was
+// already waiting, and is written again — after the next tick, not at once.
+func TestFlusherRetriesFailedBatch(t *testing.T) {
+	eng, lower, c := rigFlusher(t, 0, 0)
+	dirty(t, c, 20, false)
+	dirty(t, c, 40, false)
+	runFor(t, eng, testHold)
+	lower.land(errInjected)
+	if got := lower.runs(); got != "20+1" || c.DirtyCount() != 2 || c.nFlushing != 0 {
+		t.Fatalf("after the failure: writes = %s, dirty=%d flushing=%d, want 20+1 and 2/0", got, c.DirtyCount(), c.nFlushing)
+	}
+	runFor(t, eng, testHold)
+	lower.land(nil) // 40 lands and pulls 20's second try
+	if got := lower.runs(); got != "20+1 40+1 20+1" {
+		t.Fatalf("writes = %s, want 20+1 40+1 20+1", got)
+	}
+	lower.land(nil)
+	wantIdle(t, eng, c)
+}
+
+// Satellite: a block still dirty when its batch completes rejoins the FIFO
+// whoever issued the batch. Here Sync did, while the flusher's own entry for
+// the block was spent on it mid-flush; with no further Sync the flusher
+// writes it again.
+func TestFlusherRequeuesBlockFailedBySync(t *testing.T) {
+	eng, lower, c := rigFlusher(t, 0, 0)
+	dirty(t, c, 7, false)
+	var syncErr error
+	c.Sync(func(err error) { syncErr = err })
+	runFor(t, eng, 2*testHold) // the tick pops 7's entry and finds it mid-flush
+	if got := lower.runs(); got != "7+1" {
+		t.Fatalf("writes = %s, want Sync's 7+1 alone", got)
+	}
+	lower.land(errInjected)
+	if syncErr == nil {
+		t.Fatal("Sync swallowed the failure")
+	}
+	runFor(t, eng, 2*testHold)
+	if got := lower.runs(); got != "7+1 7+1" {
+		t.Fatalf("writes = %s: the flusher never wrote block 7 again", got)
+	}
+	lower.land(nil)
+	wantIdle(t, eng, c)
+}
+
+// The same for a batch issued for an eviction victim, once the cache is no
+// longer over capacity and eviction itself has no reason to try again.
+func TestFlusherRequeuesBlockFailedByEviction(t *testing.T) {
+	eng, lower, c := rigFlusher(t, 2, 0)
+	dirty(t, c, 1, false)
+	for _, lbn := range []int64{2, 3} {
+		c.GetForWrite(lbn, false, func(b *Block, err error) { c.Unpin(b) })
+	}
+	// Over capacity: 1 went down as a dirty victim, 2 was evicted clean.
+	if got := lower.runs(); got != "1+1" || c.Len() != 2 {
+		t.Fatalf("writes = %s, resident = %d: want the victim's 1+1 and 2 resident", got, c.Len())
+	}
+	runFor(t, eng, 2*testHold) // the tick pops 1's entry and finds it mid-flush
+	if !c.Drop(3) {
+		t.Fatal("Drop(3) refused")
+	}
+	lower.land(errInjected) // eviction re-runs, finds room, leaves 1 alone
+	if got := lower.runs(); got != "1+1" || !c.IsDirty(1) {
+		t.Fatalf("writes = %s, dirty(1) = %v: want block 1 still dirty and not yet rewritten", got, c.IsDirty(1))
+	}
+	runFor(t, eng, 2*testHold)
+	if got := lower.runs(); got != "1+1 1+1" {
+		t.Fatalf("writes = %s: the flusher never wrote block 1 again", got)
+	}
+	lower.land(nil)
+	wantIdle(t, eng, c)
+}
+
+// (d) Reset with batches in flight zeroes the flusher, late completions
+// change nothing, and the reborn cache flushes a fresh dirty block.
+func TestFlusherResetWithBatchesInFlight(t *testing.T) {
+	eng, lower, c := rigFlusher(t, 0, 0)
+	for i := int64(0); i < 4*backlogPerBatch; i++ {
+		dirty(t, c, 2*i, false)
+	}
+	runFor(t, eng, testHold)
+	if len(lower.parked) < 2 {
+		t.Fatalf("%d batches in flight, want several", len(lower.parked))
+	}
+	c.Reset()
+	fl := c.fl
+	if c.DirtyCount() != 0 || c.nFlushing != 0 || c.wb.DirtyBytes != 0 || fl.inFlight != 0 || len(fl.queue) != fl.head || fl.timerSet {
+		t.Fatalf("Reset left dirty=%d flushing=%d bytes=%d inFlight=%d queued=%d timer=%v",
+			c.DirtyCount(), c.nFlushing, c.wb.DirtyBytes, fl.inFlight, len(fl.queue)-fl.head, fl.timerSet)
+	}
+	issued := lower.runs()
+	lower.landAll()
+	if c.DirtyCount() != 0 || c.nFlushing != 0 || fl.inFlight != 0 || lower.runs() != issued {
+		t.Fatalf("late completions moved state: dirty=%d flushing=%d inFlight=%d writes = %s",
+			c.DirtyCount(), c.nFlushing, fl.inFlight, lower.runs())
+	}
+	dirty(t, c, 77, false)
+	runFor(t, eng, testHold)
+	if got := lower.runs(); got != issued+" 77+1" {
+		t.Fatalf("writes = %s, want 77+1 after Reset", got)
+	}
+	lower.land(nil)
+	wantIdle(t, eng, c)
+}
+
+// (e) A queue entry is a hint: when its block was dropped — and the *Block
+// recycled under another LBN, or the LBN re-created clean — nothing clean or
+// non-resident is written.
+func TestFlusherSkipsStaleEntries(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, lower, c := rigFlusher(t, 0, 0)
+	var old *Block
+	c.GetForWrite(10, false, func(b *Block, err error) {
+		old = b
+		c.MarkDirty(b)
+		c.Unpin(b)
+	})
+	dirty(t, c, 30, false)
+	if !c.Drop(10) || !c.Drop(30) {
+		t.Fatal("Drop refused")
+	}
+	// 30's block comes back first (the free list is a stack), then 10's
+	// under LBN 20; LBN 30 is re-created, and both stay clean.
+	var reborn *Block
+	c.GetForWrite(30, false, func(b *Block, err error) { c.Unpin(b) })
+	c.GetForWrite(20, false, func(b *Block, err error) {
+		reborn = b
+		c.Unpin(b)
+	})
+	if reborn != old {
+		t.Fatal("the dropped block was not recycled: the test no longer covers a reused *Block")
+	}
+	wantIdle(t, eng, c)
+	if got := lower.runs(); got != "" {
+		t.Fatalf("writes = %s, want none", got)
+	}
+}
+
+// (f) With a lower that simply completes, a burst of dirty blocks drains and
+// the engine goes idle on its own: no timer outlives the dirty data.
+func TestFlusherGoesIdleWhenClean(t *testing.T) {
+	eng, _, lower, c := rigCache(t, 0)
+	c.EnableFlusher(0, 0)
+	for lbn := int64(0); lbn < 200; lbn += 3 {
+		dirty(t, c, lbn, false)
+		dirty(t, c, lbn+1, false)
+	}
+	wantIdle(t, eng, c)
+	blocks := 0
+	for _, w := range lower.writes {
+		blocks += w.count
+	}
+	if blocks != 134 {
+		t.Fatalf("%d blocks written, want each of the 134 once", blocks)
+	}
+}
+
+// (g) One schedule on both sides of the change: n adjacent blocks dirtied
+// one per hold interval over a lower that takes several intervals per write.
+// Flushing everything dirty on every tick sends each block down alone — n
+// writes; pacing by the backlog lets the blocks dirtied during one write
+// share the next.
+func TestFlusherCoalescesSlowStream(t *testing.T) {
+	const n = 32
+	eng, _, lower, c := rigCache(t, 0)
+	lower.latency = 5 * testHold
+	c.EnableFlusher(testHold, 0)
+	for i := 0; i < n; i++ {
+		lbn := int64(i)
+		eng.Schedule(sim.Duration(i)*testHold, func() { dirty(t, c, lbn, false) })
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	blocks := 0
+	for _, w := range lower.writes {
+		blocks += w.count
+	}
+	t.Logf("%d blocks reached the lower in %d writes", blocks, len(lower.writes))
+	if blocks != n || c.DirtyCount() != 0 {
+		t.Fatalf("%d blocks written, %d still dirty: want %d and 0", blocks, c.DirtyCount(), n)
+	}
+	if len(lower.writes) > n/2 {
+		t.Fatalf("%d writes for %d adjacent blocks, want at most %d", len(lower.writes), n, n/2)
+	}
+}
+
+// syncLower completes every write on the spot.
+type syncLower struct{ parkedLower }
+
+func (s *syncLower) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
+	data.Release()
+	done(nil)
+}
+
+// BenchmarkFlusherPass is one flush pass over a cache of 8,192 resident
+// blocks of which one is dirty: the host cost of finding the work.
+func BenchmarkFlusherPass(b *testing.B) {
+	const resident = 8192
+	eng := sim.NewEngine()
+	c := New(simnet.NewNode(eng, "app", simnet.DefaultProfile()), &syncLower{parkedLower{bs: 4096}}, resident)
+	c.EnableFlusher(0, 0)
+	var blk *Block
+	for lbn := int64(0); lbn < resident; lbn++ {
+		c.GetForWrite(lbn, false, func(got *Block, err error) {
+			blk = got
+			c.Unpin(got)
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.MarkDirty(blk)
+		c.fl.flushNow(c)
+		if c.DirtyCount() != 0 {
+			b.Fatal("the pass left the block dirty")
+		}
+	}
+}
