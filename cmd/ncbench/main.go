@@ -23,7 +23,7 @@
 // produced with the same flags as the gated run):
 //
 //	ncbench -exp fig5b -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	ncbench -exp fig5b,fig4,fig7 -benchgate BENCH.json
+//	ncbench -exp fig5b,fig4,fig7,scaleout -benchgate BENCH.json
 //
 // -fault injects a deterministic fault schedule (a preset name or the
 // fault.ParseSpec grammar) into the NFS experiments, replayable via

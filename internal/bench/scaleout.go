@@ -53,6 +53,9 @@ type ScaleoutPoint struct {
 	RemapsSent      uint64
 	RemapRetries    uint64
 	RemapsAbandoned uint64
+	// LBNsAnnounced counts the remapped blocks whose announcement was
+	// acknowledged; per RemapsSent message it is how much the agents batched.
+	LBNsAnnounced   uint64
 	InvalsApplied   uint64
 	ResolverRetries uint64
 	EpochFlushes    uint64
@@ -119,7 +122,7 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 		// Clients reach the testbed over a LAN hop, not a fabric port:
 		// 50µs of access latency (vs the 5µs switch) is the paper's
 		// client RTT scale. The control-plane node sits on the same LAN
-		// tier — it is management traffic with a 10 ms retry protocol,
+		// tier — it is management traffic whose resends start at 10 ms,
 		// not data path.
 		ClientLinkLatency:  50 * sim.Microsecond,
 		ControlLinkLatency: 50 * sim.Microsecond,
@@ -226,6 +229,7 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 			p.RemapsSent += app.Agent.Stats.RemapsSent
 			p.RemapRetries += app.Agent.Stats.RemapRetries
 			p.RemapsAbandoned += app.Agent.Stats.RemapsAbandoned
+			p.LBNsAnnounced += app.Agent.Stats.LBNsAnnounced
 			p.InvalsApplied += app.Agent.Stats.InvalidationsApplied
 		}
 	}
@@ -321,12 +325,16 @@ func FormatScaleoutPoints(points []ScaleoutPoint) string {
 			p.Errors+p.RouteErrors)
 	}
 	b.WriteString("\ncontrol-plane activity (whole run):\n")
-	fmt.Fprintf(&b, "%-7s %8s %9s %7s %7s %8s %8s %7s %7s\n",
-		"servers", "members", "ringHits", "remaps", "sent", "retries", "invals", "rslvRtr", "epFlush")
+	fmt.Fprintf(&b, "%-7s %8s %9s %7s %7s %8s %8s %8s %7s %7s\n",
+		"servers", "members", "ringHits", "remaps", "sent", "lbns/msg", "retries", "invals", "rslvRtr", "epFlush")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%-7d %8d %9d %7d %7d %8d %8d %7d %7d\n",
+		var perMsg float64
+		if p.RemapsSent > 0 {
+			perMsg = float64(p.LBNsAnnounced) / float64(p.RemapsSent)
+		}
+		fmt.Fprintf(&b, "%-7d %8d %9d %7d %7d %8.1f %8d %8d %7d %7d\n",
 			p.Servers, p.CPMembers, p.LocalRouteHits,
-			p.RemapsStarted, p.RemapsSent,
+			p.RemapsStarted, p.RemapsSent, perMsg,
 			p.RemapRetries, p.InvalsApplied, p.ResolverRetries, p.EpochFlushes)
 	}
 	return b.String()

@@ -18,6 +18,13 @@ type AgentStats struct {
 	InvalidationsApplied uint64
 	InvalidationDups     uint64
 	Errors               uint64
+	// LBNsQueued counts the blocks handed to SendRemap; LBNsAnnounced those
+	// whose chunk was acknowledged and LBNsAbandoned those whose chunk was
+	// given up on. What the first exceeds the other two by is waiting for a
+	// round or in one, and is zero once the agent has drained.
+	LBNsQueued    uint64
+	LBNsAnnounced uint64
+	LBNsAbandoned uint64
 }
 
 // invalID dedups invalidations: retransmissions of (origin, epoch, seq) are
@@ -29,8 +36,8 @@ type invalID struct {
 }
 
 // pendingRemap is one unacknowledged remap announcement: a chunk of LBNs and
-// the request that resends it. It leaves Agent.pending when the request
-// settles, acknowledged or abandoned.
+// the request that resends it. It leaves Agent.pending — the round in flight
+// — when the request settles, acknowledged or abandoned.
 type pendingRemap struct {
 	request
 	a    *Agent
@@ -55,9 +62,15 @@ type Agent struct {
 	server int
 
 	reg registration
+	// path estimates the round trip to the control plane; a remap's includes
+	// the invalidation fan-out its ack waits for.
+	path rtt
 
-	epoch   uint64
-	seq     uint64
+	epoch uint64
+	seq   uint64
+	// queue holds the LBNs announced while a round is in flight, in announce
+	// order; pending is that round, one entry per unsettled chunk.
+	queue   []int64
 	pending map[uint64]*pendingRemap
 	seen    map[invalID]bool
 
@@ -93,7 +106,7 @@ func (a *Agent) Epoch() uint64 { return a.epoch }
 // finite if the control plane is down).
 func (a *Agent) Register(done func(error)) {
 	a.reg = registration{a: a, done: done}
-	a.reg.start(a.node.Eng, &a.reg, 4*DefaultRetryMax)
+	a.reg.start(a.node.Eng, &a.reg, &a.path, 4*DefaultRetryMax)
 }
 
 func (g *registration) transmit(bool) {
@@ -111,19 +124,42 @@ func (a *Agent) send(m Msg) {
 	}
 }
 
-// SendRemap announces remapped LBNs to the control plane, chunked to the
-// message limit, each chunk its own request.
+// SendRemap announces remapped LBNs to the control plane, one round of
+// announcements at a time: with none in flight the LBNs leave now, otherwise
+// they wait for the round to settle and leave with everything else announced
+// meanwhile. An idle path therefore announces immediately and a loaded one
+// batches by exactly as much as the load delays it — no timer, no threshold.
 func (a *Agent) SendRemap(lbns []int64) {
+	a.Stats.LBNsQueued += uint64(len(lbns))
+	a.queue = append(a.queue, lbns...)
+	if len(a.pending) == 0 {
+		a.sendRound()
+	}
+}
+
+// sendRound sends everything queued, chunked to the message limit, each
+// chunk its own request.
+func (a *Agent) sendRound() {
+	lbns := a.queue
+	a.queue = nil
 	for len(lbns) > 0 {
-		n := len(lbns)
-		if n > MaxLBNs {
-			n = MaxLBNs
-		}
+		n := min(len(lbns), MaxLBNs)
 		a.seq++
-		p := &pendingRemap{a: a, seq: a.seq, lbns: append([]int64(nil), lbns[:n]...)}
+		p := &pendingRemap{a: a, seq: a.seq, lbns: lbns[:n:n]}
 		a.pending[p.seq] = p
-		p.start(a.node.Eng, p, DefaultRetryMax)
+		p.start(a.node.Eng, p, &a.path, DefaultRetryMax)
 		lbns = lbns[n:]
+	}
+}
+
+// leaveRound ends one chunk's share of the round, acknowledged or abandoned
+// alike — a round that waited for an ack that never comes would hold the
+// queue for ever — and starts the next round when it was the last.
+func (p *pendingRemap) leaveRound() {
+	a := p.a
+	delete(a.pending, p.seq)
+	if len(a.pending) == 0 && len(a.queue) > 0 {
+		a.sendRound()
 	}
 }
 
@@ -140,7 +176,8 @@ func (p *pendingRemap) transmit(again bool) {
 // abandon: exhausting the retries is counted, never silent.
 func (p *pendingRemap) abandon() {
 	p.a.Stats.RemapsAbandoned++
-	delete(p.a.pending, p.seq)
+	p.a.Stats.LBNsAbandoned += uint64(len(p.lbns))
+	p.leaveRound()
 }
 
 // handle runs one control-plane message against the agent.
@@ -158,8 +195,9 @@ func (a *Agent) handle(m Msg) {
 		// An ack for a chunk already acknowledged or abandoned finds no
 		// entry and is ignored.
 		if p, ok := a.pending[m.Seq]; ok && p.settle() {
-			delete(a.pending, m.Seq)
 			a.Stats.RemapsAcked++
+			a.Stats.LBNsAnnounced += uint64(len(p.lbns))
+			p.leaveRound()
 		}
 
 	case MsgInvalidate:

@@ -14,7 +14,7 @@ import (
 )
 
 // cpNet is a little control-plane testbed: the CP node, two front-end
-// agents, and one resolver host.
+// agents (buildCPNetOf builds more), and one resolver host.
 type cpNet struct {
 	eng      *sim.Engine
 	nw       *simnet.Network
@@ -28,15 +28,20 @@ type cpNet struct {
 const (
 	tCPAddr     = eth.Addr(1)
 	tServer0    = eth.Addr(0x10)
-	tServer1    = eth.Addr(0x18)
 	tClientAddr = eth.Addr(0x100)
 )
 
-// buildCPNet wires the testbed. The agents' nodes are srv0 and srv1, so a
+// buildCPNet wires the testbed with two servers.
+func buildCPNet(t *testing.T) *cpNet { return buildCPNetOf(t, 2) }
+
+// buildCPNetOf wires the testbed. The agents' nodes are srv0, srv1, …, so a
 // fault schedule can pick one server's link.
-func buildCPNet(t *testing.T) *cpNet {
+func buildCPNetOf(t *testing.T, numServers int) *cpNet {
 	t.Helper()
-	servers := []eth.Addr{tServer0, tServer1}
+	servers := make([]eth.Addr, numServers)
+	for i := range servers {
+		servers[i] = tServer0 + eth.Addr(8*i)
+	}
 	eng := sim.NewEngine()
 	nw := simnet.NewNetwork(eng, 5*sim.Microsecond)
 	n := &cpNet{eng: eng, nw: nw}
@@ -54,7 +59,7 @@ func buildCPNet(t *testing.T) *cpNet {
 		t.Fatal(err)
 	}
 
-	n.invals = make([][]int64, 2)
+	n.invals = make([][]int64, numServers)
 	for i, addr := range servers {
 		i := i
 		node, t := host(fmt.Sprintf("srv%d", i), addr)
@@ -82,7 +87,7 @@ func (n *cpNet) runt(t *testing.T, to *endpoint) {
 	}
 }
 
-// register runs both agents' registration to completion.
+// register runs every agent's registration to completion.
 func (n *cpNet) register(t *testing.T) {
 	t.Helper()
 	for i, ag := range n.agents {
@@ -96,21 +101,78 @@ func (n *cpNet) register(t *testing.T) {
 	if err := n.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n.cp.Stats.Registers < 2 {
-		t.Fatalf("control plane saw %d registers, want >= 2", n.cp.Stats.Registers)
+	if int(n.cp.Stats.Registers) < len(n.agents) {
+		t.Fatalf("control plane saw %d registers, want >= %d", n.cp.Stats.Registers, len(n.agents))
 	}
 }
 
-// drop arms a schedule that loses every frame crossing target, bounded as
-// limit says (a count, or a window), and returns the injector, whose report
-// counts the frames lost.
-func (n *cpNet) drop(target string, limit fault.Schedule) *fault.Injector {
-	limit.Class, limit.Target, limit.Rate = fault.FrameDrop, target, 1
+// inject replaces the network's fault schedules with scheds, armed, and
+// returns the injector: its report counts the injections, Quiesce lifts them.
+func (n *cpNet) inject(scheds ...fault.Schedule) *fault.Injector {
 	in := fault.New(n.eng, 1)
-	in.Add(limit)
+	for _, s := range scheds {
+		in.Add(s)
+	}
 	n.nw.SetFaults(in)
 	in.Arm()
 	return in
+}
+
+// drop loses every frame crossing target, bounded as limit says (a count, or
+// a window).
+func (n *cpNet) drop(target string, limit fault.Schedule) *fault.Injector {
+	limit.Class, limit.Target, limit.Rate = fault.FrameDrop, target, 1
+	return n.inject(limit)
+}
+
+// delayed is a schedule that holds every frame crossing target back by d.
+func delayed(target string, d sim.Duration) fault.Schedule {
+	return fault.Schedule{Class: fault.FrameDelay, Target: target, Rate: 1, Delay: d}
+}
+
+// run drains the engine.
+func (n *cpNet) run(t *testing.T) {
+	t.Helper()
+	if err := n.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runFor advances the engine by d.
+func (n *cpNet) runFor(t *testing.T, d sim.Duration) {
+	t.Helper()
+	if err := n.eng.RunFor(d); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// budget is how long a request on a path at the floor is resent before it is
+// abandoned: the sum of its waits, each twice the one before up to the cap.
+// budget(k) is also when its k+1'th send leaves.
+func budget(sends int) sim.Duration {
+	var total sim.Duration
+	wait := DefaultRetryRTO
+	for i := 0; i < sends; i++ {
+		total += wait
+		wait = min(2*wait, maxRetryRTO)
+	}
+	return total
+}
+
+// checkDrained: every LBN handed to an agent was announced or abandoned, and
+// no chunk or queue entry is left behind.
+func (n *cpNet) checkDrained(t *testing.T) {
+	t.Helper()
+	for i, ag := range n.agents {
+		st := ag.Stats
+		if st.LBNsQueued != st.LBNsAnnounced+st.LBNsAbandoned || len(ag.queue) != 0 || len(ag.pending) != 0 {
+			t.Errorf("agent %d: %d LBNs queued, %d announced, %d abandoned; %d still queued, %d chunks in flight",
+				i, st.LBNsQueued, st.LBNsAnnounced, st.LBNsAbandoned, len(ag.queue), len(ag.pending))
+		}
+	}
+	if got := n.cp.PendingRemaps(); got != 0 {
+		t.Errorf("%d remaps still pending at the control plane", got)
+	}
 }
 
 // TestWireRoundTrip: every field of a message survives Encode → decode,
@@ -232,12 +294,10 @@ func TestProtocolUDP(t *testing.T) {
 	if got := n.invals[1]; len(got) != 3 || got[0] != 5 || got[1] != 6 || got[2] != 7 {
 		t.Fatalf("peer invalidations = %v, want [5 6 7]", got)
 	}
-	if n.cp.PendingRemaps() != 0 {
-		t.Fatalf("%d remaps still pending after drain", n.cp.PendingRemaps())
+	if st := n.agents[0].Stats; st.LBNsQueued != 3 || st.LBNsAnnounced != 3 {
+		t.Fatalf("origin queued %d LBNs and announced %d, want 3 and 3", st.LBNsQueued, st.LBNsAnnounced)
 	}
-	if got := len(n.agents[0].pending); got != 0 {
-		t.Fatalf("origin still holds %d acknowledged remap chunks after drain", got)
-	}
+	n.checkDrained(t)
 }
 
 // TestRuntDatagramCostsNoResend: a runt from the control-plane address is
@@ -282,8 +342,15 @@ func TestRuntDatagramCostsNoResend(t *testing.T) {
 // fetch's budget costs nothing but time: the handle asked for resolves, and
 // every later cold handle is answered locally. One past the budget fails each
 // lookup parked behind the fetch exactly once, and the first Resolve after it
-// fetches afresh — there is no degraded mode to heal from.
+// fetches afresh — there is no degraded mode to heal from. The budget is 12
+// sends whose waits double from the floor to the cap: the last leaves at
+// 1,270 ms and is given up on at 1,430 ms, the figures DESIGN §10 states.
 func TestFaultBootstrapOutageHeals(t *testing.T) {
+	const sends = 2 * DefaultRetryMax
+	lastSend, giveUp := budget(sends-1), budget(sends)
+	if lastSend != 1270*sim.Millisecond || giveUp != 1430*sim.Millisecond {
+		t.Fatalf("a member-set fetch's last send leaves at %v and is given up on at %v; DESIGN §10 says 1.27 s and 1.43 s", lastSend, giveUp)
+	}
 	// outage drops everything on both directions of the control plane's
 	// link from now until d has passed.
 	outage := func(n *cpNet, d sim.Duration) {
@@ -295,9 +362,7 @@ func TestFaultBootstrapOutageHeals(t *testing.T) {
 				t.Errorf("resolve %d: server=%d err=%v", i, server, err)
 			}
 		})
-		if err := n.eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		n.run(t)
 	}
 	coldHandlesAreLocal := func(t *testing.T, n *cpNet) {
 		for i := uint64(1); i <= 8; i++ {
@@ -310,13 +375,16 @@ func TestFaultBootstrapOutageHeals(t *testing.T) {
 	}
 
 	t.Run("within the budget", func(t *testing.T) {
+		// The longest outage that costs nothing: it ends just before the
+		// last send leaves.
+		longest := lastSend - DefaultRetryRTO/2
 		n := buildCPNet(t)
 		n.register(t)
-		outage(n, 6*DefaultRetryRTO+DefaultRetryRTO/2)
+		outage(n, longest)
 		resolve(t, n, 0)
-		if n.resolver.Stats.MemberFetches != 1 || n.resolver.Stats.Retries != 7 || n.resolver.Stats.Failures != 0 {
-			t.Fatalf("through a 65 ms outage: MemberFetches = %d, Retries = %d, Failures = %d; want 1, 7, 0",
-				n.resolver.Stats.MemberFetches, n.resolver.Stats.Retries, n.resolver.Stats.Failures)
+		if n.resolver.Stats.MemberFetches != 1 || n.resolver.Stats.Retries != sends-1 || n.resolver.Stats.Failures != 0 {
+			t.Fatalf("through a %v outage: MemberFetches = %d, Retries = %d, Failures = %d; want 1, %d, 0", longest,
+				n.resolver.Stats.MemberFetches, n.resolver.Stats.Retries, n.resolver.Stats.Failures, sends-1)
 		}
 		coldHandlesAreLocal(t, n)
 	})
@@ -324,8 +392,7 @@ func TestFaultBootstrapOutageHeals(t *testing.T) {
 	t.Run("past the budget", func(t *testing.T) {
 		n := buildCPNet(t)
 		n.register(t)
-		const budget = 2 * DefaultRetryMax * DefaultRetryRTO
-		outage(n, budget+DefaultRetryRTO/2)
+		outage(n, giveUp+DefaultRetryRTO/2)
 		start := n.eng.Now()
 		const parked = 3
 		var failed [parked]int
@@ -335,29 +402,24 @@ func TestFaultBootstrapOutageHeals(t *testing.T) {
 				if err == nil || server != -1 {
 					t.Errorf("parked lookup %d: server=%d err=%v, want a failure", i, server, err)
 				}
-				if got := n.eng.Now().Sub(start); got != budget {
-					t.Errorf("parked lookup %d failed after %v, want %v", i, got, budget)
+				if got := n.eng.Now().Sub(start); got != giveUp {
+					t.Errorf("parked lookup %d failed after %v, want %v", i, got, giveUp)
 				}
 				failed[i]++
 			})
 		}
-		if err := n.eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		n.run(t)
 		if failed != [parked]int{1, 1, 1} || n.resolver.Stats.Failures != parked {
 			t.Fatalf("parked lookups failed %v times, Failures = %d; want once each, %d", failed, n.resolver.Stats.Failures, parked)
 		}
-		if n.resolver.Stats.Retries != 2*DefaultRetryMax-1 || n.resolver.Stats.MemberFetches != 0 {
-			t.Fatalf("Retries = %d, MemberFetches = %d; want %d, 0", n.resolver.Stats.Retries, n.resolver.Stats.MemberFetches, 2*DefaultRetryMax-1)
+		if n.resolver.Stats.Retries != sends-1 || n.resolver.Stats.MemberFetches != 0 {
+			t.Fatalf("Retries = %d, MemberFetches = %d; want %d, 0", n.resolver.Stats.Retries, n.resolver.Stats.MemberFetches, sends-1)
 		}
 		t.Logf("outage past the budget: %d parked lookups failed once each at +%v; Retries = %d",
-			parked, budget, n.resolver.Stats.Retries)
-		// Half a retry period later the outage is over: the very next
+			parked, giveUp, n.resolver.Stats.Retries)
+		// Half a floor interval later the outage is over: the very next
 		// Resolve fetches the member set, first try.
-		n.eng.Schedule(DefaultRetryRTO, func() {})
-		if err := n.eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		n.runFor(t, DefaultRetryRTO)
 		retries := n.resolver.Stats.Retries
 		resolve(t, n, 0)
 		if n.resolver.Stats.Retries != retries || n.resolver.Stats.Failures != parked {
@@ -507,18 +569,24 @@ type loopCounts struct {
 // owners, with the first k of its transmissions lost: the request goes out
 // min(k+1, max) times, the owner counts one first send and the rest as
 // resends, giving up happens once and only when all max were lost, and the
-// loop leaves no timer behind.
+// loop leaves no timer behind. The path's estimator takes a sample only from
+// the request that was sent once (Karn): one that was resent leaves srtt and
+// rttvar alone and hands its wait — doubled per resend from the floor, up to
+// the cap — to whoever uses the path next.
 func TestRequestLoop(t *testing.T) {
+	agentPath := func(n *cpNet) *rtt { return &n.agents[0].path }
 	owners := []struct {
 		name string
 		max  int
 		// lossSite is the fault site the owner's transmissions cross.
 		lossSite string
+		// path is the estimator the owner's requests belong to.
+		path func(n *cpNet) *rtt
 		// start issues the request (on registered agents, unless the request
 		// is the registration) and returns how to read the outcome.
 		start func(t *testing.T, n *cpNet) func() loopCounts
 	}{
-		{"registration", 4 * DefaultRetryMax, "cp.rx", func(t *testing.T, n *cpNet) func() loopCounts {
+		{"registration", 4 * DefaultRetryMax, "cp.rx", agentPath, func(t *testing.T, n *cpNet) func() loopCounts {
 			var calls, failed uint64
 			n.agents[0].Register(func(err error) {
 				calls++
@@ -533,7 +601,7 @@ func TestRequestLoop(t *testing.T) {
 				return loopCounts{arrived: n.cp.Stats.Registers, uncounted: true, abandoned: failed}
 			}
 		}},
-		{"remap chunk", DefaultRetryMax, "cp.rx", func(t *testing.T, n *cpNet) func() loopCounts {
+		{"remap chunk", DefaultRetryMax, "cp.rx", agentPath, func(t *testing.T, n *cpNet) func() loopCounts {
 			ag := n.agents[0]
 			ag.SendRemap([]int64{5, 6, 7})
 			return func() loopCounts {
@@ -547,7 +615,7 @@ func TestRequestLoop(t *testing.T) {
 					first: ag.Stats.RemapsSent, again: ag.Stats.RemapRetries, abandoned: ag.Stats.RemapsAbandoned}
 			}
 		}},
-		{"invalidation to one peer", DefaultRetryMax, "srv1.rx", func(t *testing.T, n *cpNet) func() loopCounts {
+		{"invalidation to one peer", DefaultRetryMax, "srv1.rx", func(n *cpNet) *rtt { return &n.cp.paths[1] }, func(t *testing.T, n *cpNet) func() loopCounts {
 			n.agents[0].SendRemap([]int64{5, 6, 7})
 			return func() loopCounts {
 				if n.cp.PendingRemaps() != 0 {
@@ -557,7 +625,7 @@ func TestRequestLoop(t *testing.T) {
 					first: n.cp.Stats.InvalidationsSent, again: n.cp.Stats.InvalidationResends, abandoned: n.cp.Stats.Abandoned}
 			}
 		}},
-		{"member-set fetch", 2 * DefaultRetryMax, "cp.rx", func(t *testing.T, n *cpNet) func() loopCounts {
+		{"member-set fetch", 2 * DefaultRetryMax, "cp.rx", func(n *cpNet) *rtt { return &n.resolver.path }, func(t *testing.T, n *cpNet) func() loopCounts {
 			var calls uint64
 			n.resolver.Resolve(fhOf(42), func(server int, err error) {
 				calls++
@@ -586,6 +654,8 @@ func TestRequestLoop(t *testing.T) {
 				if k > 0 {
 					in = n.drop(o.lossSite, fault.Schedule{Count: uint64(k)})
 				}
+				path := o.path(n)
+				before := *path
 				observe := o.start(t, n)
 				if err := n.eng.Run(); err != nil {
 					t.Fatal(err)
@@ -610,6 +680,17 @@ func TestRequestLoop(t *testing.T) {
 				}
 				if got.abandoned != gaveUp {
 					t.Errorf("abandon took effect %d times, want %d", got.abandoned, gaveUp)
+				}
+				if k == 0 {
+					if *path == before || path.srtt <= 0 || path.backed != 0 {
+						t.Errorf("a request sent once left the estimator at %+v (was %+v), want one sample folded in", *path, before)
+					}
+				} else {
+					// The wait behind the last send: what the path hands on.
+					backed := budget(int(sends)) - budget(int(sends)-1)
+					if path.srtt != before.srtt || path.rttvar != before.rttvar || path.backed != backed {
+						t.Errorf("a request sent %d times left the estimator at %+v (was %+v), want no sample and backed = %v", sends, *path, before, backed)
+					}
 				}
 			})
 		}

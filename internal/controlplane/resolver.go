@@ -54,6 +54,8 @@ type bootEntry struct {
 type Resolver struct {
 	node *simnet.Node
 	ep   *endpoint
+	// path estimates the round trip to the control plane.
+	path rtt
 
 	cache   map[lkey.FH]int
 	epoch   uint64
@@ -101,7 +103,7 @@ func (r *Resolver) answer(fh lkey.FH, done func(server int, err error)) {
 		if r.members == nil {
 			r.nextSeq++
 			r.members = &membersWait{r: r, seq: r.nextSeq}
-			r.members.start(r.node.Eng, r.members, 2*DefaultRetryMax)
+			r.members.start(r.node.Eng, r.members, &r.path, 2*DefaultRetryMax)
 		}
 		return
 	}

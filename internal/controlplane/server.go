@@ -63,8 +63,10 @@ type Server struct {
 	reg  *Registry
 
 	// routes[i] is where server i registered from (nil until it does).
-	// Indexed by server ID so fan-out order is deterministic.
+	// Indexed by server ID so fan-out order is deterministic. paths[i]
+	// estimates the round trip to server i, for the invalidations sent to it.
 	routes []*peer
+	paths  []rtt
 	remaps map[remapID]*remapState
 
 	udp   *udp.Transport
@@ -79,6 +81,7 @@ func NewServer(node *simnet.Node, servers []eth.Addr) *Server {
 		node:   node,
 		reg:    NewRegistry(servers),
 		routes: make([]*peer, len(servers)),
+		paths:  make([]rtt, len(servers)),
 		remaps: make(map[remapID]*remapState),
 	}
 }
@@ -183,7 +186,7 @@ func (s *Server) handleRemap(m Msg) {
 		return
 	}
 	for _, p := range st.peers {
-		p.start(s.node.Eng, p, DefaultRetryMax)
+		p.start(s.node.Eng, p, &s.paths[p.idx], DefaultRetryMax)
 	}
 }
 

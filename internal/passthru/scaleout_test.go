@@ -106,6 +106,22 @@ func syncApp(t *testing.T, cl *Cluster, app *AppServer) error {
 	return serr
 }
 
+// checkRemapsDrained: at quiesce every LBN handed to an agent was announced
+// or abandoned — none waits for a round that never comes — and the control
+// plane has no fan-out open.
+func checkRemapsDrained(t *testing.T, cl *Cluster) {
+	t.Helper()
+	for _, app := range cl.Apps {
+		if st := app.Agent.Stats; st.LBNsQueued != st.LBNsAnnounced+st.LBNsAbandoned {
+			t.Errorf("%s: %d LBNs queued for announcement, %d announced, %d abandoned: the rest never left",
+				app.Node.Name, st.LBNsQueued, st.LBNsAnnounced, st.LBNsAbandoned)
+		}
+	}
+	if got := cl.Control.PendingRemaps(); got != 0 {
+		t.Errorf("control plane: %d remaps still pending at quiesce", got)
+	}
+}
+
 // testRemapInvariant drives the cross-server staleness scenario: server A
 // caches blocks (by LBN, via reads), server B dirties and flushes the same
 // blocks (FHO→LBN re-indexing on flush). After the remap protocol drains,
@@ -170,6 +186,7 @@ func testRemapInvariant(t *testing.T, faultSpec string) {
 	if appA.Agent.Stats.InvalidationsApplied == 0 {
 		t.Fatal("server A applied no invalidations")
 	}
+	checkRemapsDrained(t, cl)
 	if faultSpec != "" {
 		retried := appB.Agent.Stats.RemapRetries + cl.Control.Stats.InvalidationResends
 		if retried == 0 {
@@ -289,9 +306,7 @@ func testScaleoutPoolsDrain(t *testing.T, faultSpec string) {
 			t.Errorf("%s: %d invalidations gave up on pinned blocks", app.Node.Name, app.InvalDropGiveups)
 		}
 	}
-	if got := cl.Control.PendingRemaps(); got != 0 {
-		t.Errorf("control plane: %d remaps still pending at quiesce", got)
-	}
+	checkRemapsDrained(t, cl)
 	nodes := []*simnet.Node{cl.Control.Node()}
 	for _, app := range cl.Apps {
 		nodes = append(nodes, app.Node)
