@@ -59,6 +59,17 @@ type ScaleoutPoint struct {
 	InvalsApplied   uint64
 	ResolverRetries uint64
 	EpochFlushes    uint64
+	// Recovery activity over the whole run: datagram RPC calls resent by
+	// the routed clients and replies to calls already completed
+	// (Cluster.FaultCounters), TCP segments resent and the timeouts that
+	// resent them (Cluster.TCPCounters; TCP carries the servers' iSCSI).
+	RPCRetransmits uint64
+	DupReplies     uint64
+	TCPRetransmits uint64
+	TCPRTOs        uint64
+	// PendingCalls counts the routed clients' RPC calls still outstanding
+	// after the post-window drain: a call neither answered nor failed.
+	PendingCalls int
 	// SimEvents is this point's executed-event count over the whole run — a
 	// pure function of the schedule, so replay suites compare it.
 	SimEvents uint64
@@ -234,12 +245,17 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 		}
 	}
 	for _, sc := range scs {
+		for _, nc := range sc.NFS {
+			p.PendingCalls += nc.DatagramRPC().Pending()
+		}
 		if sc.Resolver != nil {
 			p.LocalRouteHits += sc.Resolver.Stats.LocalHits
 			p.ResolverRetries += sc.Resolver.Stats.Retries
 			p.EpochFlushes += sc.Resolver.Stats.EpochFlush
 		}
 	}
+	p.RPCRetransmits, _, p.DupReplies, _ = cl.FaultCounters()
+	p.TCPRetransmits, p.TCPRTOs, _, _, _ = cl.TCPCounters()
 	p.SimEvents = cl.Eng.Processed()
 	opt.Chrome.Add(tr)
 	return p, nil
@@ -300,8 +316,10 @@ func prefillRouted(cl *passthru.Cluster, scs []*passthru.ScaleClient, files []nf
 
 // FormatScaleoutPoints renders the scale-out figure: aggregate throughput
 // and tail latency vs front-end server count, with speedup relative to the
-// one-server run and the control-plane activity that kept the tier
-// coherent while it scaled.
+// one-server run, the control-plane activity that kept the tier coherent
+// while it scaled, and what every retransmission timer resent: with errs 0,
+// rpcRtx and tcpRtx are the faults that were recovered below the clients,
+// dupRx and tcpRTO on a lossless run the resends nothing needed.
 func FormatScaleoutPoints(points []ScaleoutPoint) string {
 	var base float64
 	for _, p := range points {
@@ -324,18 +342,20 @@ func FormatScaleoutPoints(points []ScaleoutPoint) string {
 			p.ReadP99Us, p.WriteP99Us, 100*p.ServerCPUMax, 100*p.ControlCPU,
 			p.Errors+p.RouteErrors)
 	}
-	b.WriteString("\ncontrol-plane activity (whole run):\n")
-	fmt.Fprintf(&b, "%-7s %8s %9s %7s %7s %8s %8s %8s %7s %7s\n",
-		"servers", "members", "ringHits", "remaps", "sent", "lbns/msg", "retries", "invals", "rslvRtr", "epFlush")
+	b.WriteString("\ncontrol-plane and recovery activity (whole run):\n")
+	fmt.Fprintf(&b, "%-7s %8s %9s %7s %7s %8s %8s %8s %7s %7s %7s %7s %7s %7s\n",
+		"servers", "members", "ringHits", "remaps", "sent", "lbns/msg", "retries", "invals", "rslvRtr", "epFlush",
+		"rpcRtx", "dupRx", "tcpRtx", "tcpRTO")
 	for _, p := range points {
 		var perMsg float64
 		if p.RemapsSent > 0 {
 			perMsg = float64(p.LBNsAnnounced) / float64(p.RemapsSent)
 		}
-		fmt.Fprintf(&b, "%-7d %8d %9d %7d %7d %8.1f %8d %8d %7d %7d\n",
+		fmt.Fprintf(&b, "%-7d %8d %9d %7d %7d %8.1f %8d %8d %7d %7d %7d %7d %7d %7d\n",
 			p.Servers, p.CPMembers, p.LocalRouteHits,
 			p.RemapsStarted, p.RemapsSent, perMsg,
-			p.RemapRetries, p.InvalsApplied, p.ResolverRetries, p.EpochFlushes)
+			p.RemapRetries, p.InvalsApplied, p.ResolverRetries, p.EpochFlushes,
+			p.RPCRetransmits, p.DupReplies, p.TCPRetransmits, p.TCPRTOs)
 	}
 	return b.String()
 }

@@ -36,3 +36,44 @@ func TestScaleoutScales(t *testing.T) {
 	}
 	t.Logf("\n%s", FormatScaleoutPoints(pts))
 }
+
+// TestFaultScaleoutLossDoesNotCollapse: frame loss on the client links of a
+// two-server tier is recovered by the routed clients' own resends — which
+// they must have (rpcRtx > 0, no call left pending, no error escapes) — and
+// recovering it must not cost the tier its throughput. The run replays
+// identically. (At these smoke settings a READ takes a few milliseconds; at
+// full settings the median is 24 ms, past the 20 ms resend floor, and what
+// keeps the tier from collapsing is that the timer follows the round trip —
+// EXPERIMENTS.md has that sweep, sunrpc's TestRetransmitFollowsLatency the
+// mechanism.)
+func TestFaultScaleoutLossDoesNotCollapse(t *testing.T) {
+	run := func(spec string) ScaleoutPoint {
+		t.Helper()
+		opt := quickOpts()
+		opt.FaultSpec, opt.FaultSeed = spec, testFaultSeed(t)
+		p, err := scaleoutPoint(testHarness(t, opt), 2, ScaleoutTargets)
+		if err != nil {
+			t.Fatalf("scaleout under %q: %v", spec, err)
+		}
+		return p
+	}
+	lossless, lossy := run(""), run("frame-loss")
+	t.Logf("\n%s", FormatScaleoutPoints([]ScaleoutPoint{lossless, lossy}))
+	if lossy.Errors+lossy.RouteErrors != 0 {
+		t.Errorf("%d request and %d route errors escaped to the clients", lossy.Errors, lossy.RouteErrors)
+	}
+	if lossy.RPCRetransmits == 0 {
+		t.Errorf("no RPC call was resent under frame loss: the routed clients have no retransmission timer")
+	}
+	if lossy.PendingCalls != 0 {
+		t.Errorf("%d calls still pending after the drain", lossy.PendingCalls)
+	}
+	if lossy.ThroughputMBs < 0.7*lossless.ThroughputMBs {
+		t.Errorf("%.1f MB/s under frame loss is %.0f%% of the lossless %.1f MB/s, want at least 70%% (%d calls resent, %d answered twice)",
+			lossy.ThroughputMBs, 100*lossy.ThroughputMBs/lossless.ThroughputMBs, lossless.ThroughputMBs,
+			lossy.RPCRetransmits, lossy.DupReplies)
+	}
+	if again := run("frame-loss"); again != lossy {
+		t.Errorf("rerun diverged:\nfirst:  %+v\nsecond: %+v", lossy, again)
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/udp"
+	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
 
@@ -64,7 +65,7 @@ type Agent struct {
 	reg registration
 	// path estimates the round trip to the control plane; a remap's includes
 	// the invalidation fan-out its ack waits for.
-	path rtt
+	path sim.RTT
 
 	epoch uint64
 	seq   uint64

@@ -58,14 +58,14 @@ func TestRTOColdStartConvergesAndUnlearns(t *testing.T) {
 			sends[announcements-1], lastTen)
 	}
 	path := &n.agents[0].path
-	if got := path.interval(); got <= delay || got > 2*delay {
+	if got := path.Interval(DefaultRetryRTO, maxRetryRTO); got <= delay || got > 2*delay {
 		t.Errorf("interval = %v after %d announcements behind a %v delay, want just above the delay", got, announcements, delay)
 	}
 
 	slow.Quiesce()
 	const handful = 8
 	samples := 0
-	for ; path.interval() > DefaultRetryRTO && samples < 4*handful; samples++ {
+	for ; path.Interval(DefaultRetryRTO, maxRetryRTO) > DefaultRetryRTO && samples < 4*handful; samples++ {
 		if got := n.announce(t, int64(announcements+samples)); got != 1 {
 			t.Fatalf("announcement %d after the delay lifted went out %d times, want 1", samples, got)
 		}
@@ -110,13 +110,13 @@ func TestRTOEstimatorPerPeer(t *testing.T) {
 	if got := n.cp.Stats.InvalidationResends; got != resends {
 		t.Errorf("%d invalidations resent over the last ten remaps, want 0: the delayed peer's path never learned", got-resends)
 	}
-	if got := n.cp.paths[1].interval(); got <= delay {
+	if got := n.cp.paths[1].Interval(DefaultRetryRTO, maxRetryRTO); got <= delay {
 		t.Errorf("path to the delayed peer: interval %v, want above the %v delay", got, delay)
 	}
-	if got := n.cp.paths[2].interval(); got != DefaultRetryRTO || n.cp.paths[2].srtt <= 0 {
+	if got := n.cp.paths[2].Interval(DefaultRetryRTO, maxRetryRTO); got != DefaultRetryRTO || n.cp.paths[2].SRTT <= 0 {
 		t.Errorf("path to the other peer: %+v, interval %v; want sampled, and at the floor", n.cp.paths[2], got)
 	}
-	if n.cp.paths[0] != (rtt{}) {
+	if n.cp.paths[0] != (sim.RTT{}) {
 		t.Errorf("path to the origin: %+v, want untouched", n.cp.paths[0])
 	}
 

@@ -574,14 +574,14 @@ type loopCounts struct {
 // rttvar alone and hands its wait — doubled per resend from the floor, up to
 // the cap — to whoever uses the path next.
 func TestRequestLoop(t *testing.T) {
-	agentPath := func(n *cpNet) *rtt { return &n.agents[0].path }
+	agentPath := func(n *cpNet) *sim.RTT { return &n.agents[0].path }
 	owners := []struct {
 		name string
 		max  int
 		// lossSite is the fault site the owner's transmissions cross.
 		lossSite string
 		// path is the estimator the owner's requests belong to.
-		path func(n *cpNet) *rtt
+		path func(n *cpNet) *sim.RTT
 		// start issues the request (on registered agents, unless the request
 		// is the registration) and returns how to read the outcome.
 		start func(t *testing.T, n *cpNet) func() loopCounts
@@ -615,7 +615,7 @@ func TestRequestLoop(t *testing.T) {
 					first: ag.Stats.RemapsSent, again: ag.Stats.RemapRetries, abandoned: ag.Stats.RemapsAbandoned}
 			}
 		}},
-		{"invalidation to one peer", DefaultRetryMax, "srv1.rx", func(n *cpNet) *rtt { return &n.cp.paths[1] }, func(t *testing.T, n *cpNet) func() loopCounts {
+		{"invalidation to one peer", DefaultRetryMax, "srv1.rx", func(n *cpNet) *sim.RTT { return &n.cp.paths[1] }, func(t *testing.T, n *cpNet) func() loopCounts {
 			n.agents[0].SendRemap([]int64{5, 6, 7})
 			return func() loopCounts {
 				if n.cp.PendingRemaps() != 0 {
@@ -625,7 +625,7 @@ func TestRequestLoop(t *testing.T) {
 					first: n.cp.Stats.InvalidationsSent, again: n.cp.Stats.InvalidationResends, abandoned: n.cp.Stats.Abandoned}
 			}
 		}},
-		{"member-set fetch", 2 * DefaultRetryMax, "cp.rx", func(n *cpNet) *rtt { return &n.resolver.path }, func(t *testing.T, n *cpNet) func() loopCounts {
+		{"member-set fetch", 2 * DefaultRetryMax, "cp.rx", func(n *cpNet) *sim.RTT { return &n.resolver.path }, func(t *testing.T, n *cpNet) func() loopCounts {
 			var calls uint64
 			n.resolver.Resolve(fhOf(42), func(server int, err error) {
 				calls++
@@ -682,13 +682,13 @@ func TestRequestLoop(t *testing.T) {
 					t.Errorf("abandon took effect %d times, want %d", got.abandoned, gaveUp)
 				}
 				if k == 0 {
-					if *path == before || path.srtt <= 0 || path.backed != 0 {
+					if *path == before || path.SRTT <= 0 || path.Backed != 0 {
 						t.Errorf("a request sent once left the estimator at %+v (was %+v), want one sample folded in", *path, before)
 					}
 				} else {
 					// The wait behind the last send: what the path hands on.
 					backed := budget(int(sends)) - budget(int(sends)-1)
-					if path.srtt != before.srtt || path.rttvar != before.rttvar || path.backed != backed {
+					if path.SRTT != before.SRTT || path.RTTVar != before.RTTVar || path.Backed != backed {
 						t.Errorf("a request sent %d times left the estimator at %+v (was %+v), want no sample and backed = %v", sends, *path, before, backed)
 					}
 				}

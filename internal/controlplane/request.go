@@ -3,7 +3,8 @@ package controlplane
 import "ncache/internal/sim"
 
 // The protocol's retransmission bounds. A request is resent after its path's
-// interval (rtt, below) — DefaultRetryRTO on a path that measures less — and
+// interval (a sim.RTT estimate: one per agent, per registered peer on the
+// server, per resolver) — DefaultRetryRTO on a path that measures less — and
 // every resend doubles that request's wait, up to maxRetryRTO, which no
 // round trip the committed sweeps measure comes near (131 ms at 8 servers).
 // DefaultRetryMax sends is the budget of a remap announcement and of one
@@ -16,47 +17,6 @@ const (
 	maxRetryRTO     = 160 * sim.Millisecond
 	DefaultRetryMax = 6
 )
-
-// rttShift is the estimator's smoothing gain as a right shift: a sample moves
-// srtt and rttvar half-way to it. RFC 6298's 1/8 and 1/4 are tuned for a
-// sample per segment; a path here yields one per exchange — some twenty a
-// second under load — and would take over a second to un-learn a load that
-// has gone.
-const rttShift = 1
-
-// rtt estimates the round trip of one path — an agent to the control plane,
-// the control plane to one registered server, a resolver to the control
-// plane — for every request that crosses it (RFC 6298's shape). The zero
-// value is a path nothing is known about: it resends at the floor.
-type rtt struct {
-	srtt, rttvar sim.Duration
-	// backed is the longest interval a request on this path has backed off
-	// to since the last sample. When the true round trip exceeds the
-	// interval every first send is resent, and Karn's rule then never
-	// samples: the next request must start from the backed-off interval,
-	// or the path never learns (RFC 6298 §5.7).
-	backed sim.Duration
-}
-
-// interval is what a request starting now waits before its first resend.
-func (e *rtt) interval() sim.Duration {
-	return min(max(e.srtt+4*e.rttvar, e.backed, DefaultRetryRTO), maxRetryRTO)
-}
-
-// sample folds in one round trip measured on a request that was sent once.
-func (e *rtt) sample(d sim.Duration) {
-	if e.srtt == 0 {
-		e.srtt, e.rttvar = d, d/2
-	} else {
-		dev := e.srtt - d
-		if dev < 0 {
-			dev = -dev
-		}
-		e.rttvar += (dev - e.rttvar) >> rttShift
-		e.srtt += (d - e.srtt) >> rttShift
-	}
-	e.backed = 0
-}
 
 // requester is the state a request belongs to: an agent's registration, a
 // remap chunk, one peer's invalidation, a resolver's member-set fetch.
@@ -78,7 +38,7 @@ type requester interface {
 type request struct {
 	eng     *sim.Engine
 	owner   requester
-	path    *rtt
+	path    *sim.RTT
 	max     int
 	tries   int
 	settled bool
@@ -88,9 +48,9 @@ type request struct {
 }
 
 // start makes the first transmission of at most max over path.
-func (q *request) start(eng *sim.Engine, owner requester, path *rtt, max int) {
+func (q *request) start(eng *sim.Engine, owner requester, path *sim.RTT, max int) {
 	q.eng, q.owner, q.path, q.max, q.tick = eng, owner, path, max, q.fire
-	q.sent, q.wait = eng.Now(), path.interval()
+	q.sent, q.wait = eng.Now(), path.Interval(DefaultRetryRTO, maxRetryRTO)
 	q.send()
 }
 
@@ -106,7 +66,7 @@ func (q *request) fire() {
 	case q.settled:
 	case q.tries < q.max:
 		q.wait = min(2*q.wait, maxRetryRTO)
-		q.path.backed = max(q.path.backed, q.wait)
+		q.path.BackOff(q.wait)
 		q.send()
 	default:
 		q.settled = true
@@ -124,7 +84,7 @@ func (q *request) settle() bool {
 	}
 	q.settled = true
 	if q.tries == 1 {
-		q.path.sample(q.eng.Now().Sub(q.sent))
+		q.path.Sample(q.eng.Now().Sub(q.sent))
 	}
 	return true
 }

@@ -6,6 +6,7 @@ import (
 	"ncache/internal/lkey"
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/udp"
+	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
 
@@ -55,7 +56,7 @@ type Resolver struct {
 	node *simnet.Node
 	ep   *endpoint
 	// path estimates the round trip to the control plane.
-	path rtt
+	path sim.RTT
 
 	cache   map[lkey.FH]int
 	epoch   uint64

@@ -3,6 +3,7 @@ package controlplane
 import (
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/udp"
+	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
 
@@ -66,7 +67,7 @@ type Server struct {
 	// Indexed by server ID so fan-out order is deterministic. paths[i]
 	// estimates the round trip to server i, for the invalidations sent to it.
 	routes []*peer
-	paths  []rtt
+	paths  []sim.RTT
 	remaps map[remapID]*remapState
 
 	udp   *udp.Transport
@@ -81,7 +82,7 @@ func NewServer(node *simnet.Node, servers []eth.Addr) *Server {
 		node:   node,
 		reg:    NewRegistry(servers),
 		routes: make([]*peer, len(servers)),
-		paths:  make([]rtt, len(servers)),
+		paths:  make([]sim.RTT, len(servers)),
 		remaps: make(map[remapID]*remapState),
 	}
 }

@@ -233,6 +233,9 @@ type Cluster struct {
 	// experiments call Faults.Arm() once setup is done and Faults.Quiesce()
 	// before the final drain.
 	Faults *fault.Injector
+	// scaleClients lists the routed client sets NewScaleClient has built, so
+	// fault wiring and the recovery counters reach their per-server clients.
+	scaleClients []*ScaleClient
 }
 
 // ClusterConfig sizes a testbed.
@@ -290,8 +293,10 @@ type ClusterConfig struct {
 }
 
 // Fault-recovery calibration used when a fault spec is present: NFS clients
-// retransmit on a 20 ms timer (doubling, 5 tries) and the iSCSI initiator
-// retries CHECK CONDITION commands 3 times after 500 µs.
+// — the hosts' mounts and the routed per-server sets alike — resend a call
+// after the round trip they have measured to its server and never sooner
+// than 20 ms (doubling, 5 tries; sunrpc.SetRetransmit), and the iSCSI
+// initiator retries CHECK CONDITION commands 3 times after 500 µs.
 const (
 	faultRPCRTO     = 20 * sim.Millisecond
 	faultRPCTries   = 5
@@ -454,8 +459,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // carries a FaultSpec; experiments that need injection windows anchored
 // after setup call it directly once setup's virtual time is known (a
 // schedule's start/end are absolute). The injector starts disarmed; NFS
-// clients already mounted get their retransmission timers here, later
-// mounts get them in Start.
+// clients already mounted or routed get their retransmission timers here,
+// later ones in Start and NewScaleClient.
 func (c *Cluster) InstallFaults(seed uint64, spec string) (*fault.Injector, error) {
 	in, err := fault.NewFromSpec(c.Eng, seed, spec)
 	if err != nil {
@@ -484,9 +489,9 @@ func (c *Cluster) InstallFaults(seed uint64, spec string) (*fault.Injector, erro
 	}
 	for _, host := range c.Clients {
 		in.AttachCPU(host.Node.Name+".cpu", host.Node.CPU)
-		if host.NFS != nil {
-			host.NFS.SetRetransmit(faultRPCRTO, faultRPCTries)
-		}
+	}
+	for _, nc := range c.nfsClients() {
+		nc.SetRetransmit(faultRPCRTO, faultRPCTries)
 	}
 	c.Faults = in
 	return in, nil
@@ -522,11 +527,7 @@ func (c *Cluster) Start() error {
 		if err := host.MountNFS(nic.Addr); err != nil {
 			return err
 		}
-		if c.Faults != nil {
-			// Injected frame loss would hang calls forever on the
-			// testbed's lossless-fabric default.
-			host.NFS.SetRetransmit(faultRPCRTO, faultRPCTries)
-		}
+		c.armRetransmit(host.NFS)
 	}
 	return nil
 }
@@ -535,15 +536,36 @@ func (c *Cluster) Start() error {
 // worker pool, and benchmarks/ncmark still calls it (DESIGN.md §11).
 func (c *Cluster) Close() {}
 
+// armRetransmit gives an NFS client built after InstallFaults its resend
+// timer: injected frame loss would hang calls forever on the testbed's
+// lossless-fabric default.
+func (c *Cluster) armRetransmit(nc *nfs.Client) {
+	if c.Faults != nil {
+		nc.SetRetransmit(faultRPCRTO, faultRPCTries)
+	}
+}
+
+// nfsClients lists every NFS client of the testbed: each host's mount, once
+// it exists, and every routed client set's per-server clients.
+func (c *Cluster) nfsClients() []*nfs.Client {
+	var out []*nfs.Client
+	for _, host := range c.Clients {
+		if host.NFS != nil {
+			out = append(out, host.NFS)
+		}
+	}
+	for _, sc := range c.scaleClients {
+		out = append(out, sc.NFS...)
+	}
+	return out
+}
+
 // FaultCounters aggregates recovery activity across the testbed: RPC
 // retransmissions, abandoned calls and suppressed duplicate replies over all
 // NFS clients, plus iSCSI command retries at the app server.
 func (c *Cluster) FaultCounters() (retrans, timeouts, dups, iscsiRetries uint64) {
-	for _, host := range c.Clients {
-		if host.NFS == nil {
-			continue
-		}
-		if rpc := host.NFS.DatagramRPC(); rpc != nil {
+	for _, nc := range c.nfsClients() {
+		if rpc := nc.DatagramRPC(); rpc != nil {
 			retrans += rpc.Retransmits
 			timeouts += rpc.Timeouts
 			dups += rpc.DupReplies

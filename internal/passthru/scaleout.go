@@ -6,7 +6,6 @@ import (
 	"ncache/internal/blockdev"
 	"ncache/internal/controlplane"
 	"ncache/internal/nfs"
-	"ncache/internal/sim"
 	"ncache/internal/storage"
 )
 
@@ -84,7 +83,8 @@ type ScaleClient struct {
 	Resolver *controlplane.Resolver
 }
 
-// NewScaleClient builds the routed client set on one host.
+// NewScaleClient builds the routed client set on one host. On a testbed with
+// faults installed its clients retransmit like every other NFS client.
 func (c *Cluster) NewScaleClient(host *ClientHost) (*ScaleClient, error) {
 	sc := &ScaleClient{Host: host}
 	for _, app := range c.Apps {
@@ -92,8 +92,10 @@ func (c *Cluster) NewScaleClient(host *ClientHost) (*ScaleClient, error) {
 		if err != nil {
 			return nil, err
 		}
+		c.armRetransmit(nc)
 		sc.NFS = append(sc.NFS, nc)
 	}
+	c.scaleClients = append(c.scaleClients, sc)
 	if len(c.Apps) > 1 {
 		sc.Resolver = controlplane.NewResolver(host.Node, host.UDP, host.Addr, ControlAddr)
 	}
@@ -119,12 +121,4 @@ func (sc *ScaleClient) Route(fh nfs.FH, done func(*nfs.Client, error)) {
 		}
 		done(sc.NFS[server], nil)
 	})
-}
-
-// SetRetransmit applies datagram RPC retransmission to every per-server
-// client (lossy-fabric runs).
-func (sc *ScaleClient) SetRetransmit(rto sim.Duration, tries int) {
-	for _, nc := range sc.NFS {
-		nc.SetRetransmit(rto, tries)
-	}
 }

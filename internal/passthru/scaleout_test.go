@@ -246,10 +246,7 @@ func testScaleoutPoolsDrain(t *testing.T, faultSpec string) {
 	if err != nil {
 		t.Fatalf("NewScaleClient: %v", err)
 	}
-	if cl.Faults != nil {
-		scA.SetRetransmit(faultRPCRTO, faultRPCTries)
-		cl.Faults.Arm()
-	}
+	cl.Faults.Arm()
 
 	// Routed reads (cold route cache exercises the resolver), direct reads
 	// via both servers, writes and flushes via both servers.

@@ -254,7 +254,6 @@ func TestFaultWritebackKillNoStaleCrossServerReads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewScaleClient: %v", err)
 	}
-	scA.SetRetransmit(faultRPCRTO, faultRPCTries)
 	viaA, viaB := scA.NFS[0], scA.NFS[1]
 	appB := cl.Apps[1]
 

@@ -3,15 +3,17 @@
 // MSS segmentation, cumulative acknowledgments with delayed acks, a fixed
 // send window, FIN teardown — and loss recovery: every in-flight segment is
 // retained on a per-connection retransmission queue (refcounted netbuf
-// clones owned by "tcp.retransmit"), an exponential-backoff RTO timer
-// drives go-back-N resend, triple duplicate ACKs trigger fast retransmit,
-// and the receiver tolerates out-of-order segments (buffer-or-drop with
-// cumulative ACK) and suppresses duplicates. Genuinely malformed segments
-// (runts, bad checksums) still count as protocol errors; loss-induced
-// anomalies are counted separately. Per-packet CPU costs of data segments,
-// acks *and retransmissions* are charged through the IP layer, which is
-// what makes TCP-borne workloads carry the higher per-packet overhead the
-// paper notes for HTTP versus NFS-over-UDP.
+// clones owned by "tcp.retransmit"), an RTO timer drives go-back-N resend —
+// its interval the connection's measured round trip (one timed segment per
+// flight, sim.RTT) within [BaseRTO, MaxRTO], doubled per consecutive timeout
+// — triple duplicate ACKs trigger fast retransmit (not those a resend itself
+// provoked: RFC 6582's recover), and the receiver tolerates out-of-order
+// segments (buffer-or-drop with cumulative ACK) and suppresses duplicates.
+// Genuinely malformed segments (runts, bad checksums) still count as protocol
+// errors; loss-induced anomalies are counted separately. Per-packet CPU costs
+// of data segments, acks *and retransmissions* are charged through the IP
+// layer, which is what makes TCP-borne workloads carry the higher per-packet
+// overhead the paper notes for HTTP versus NFS-over-UDP.
 //
 // Like the udp package, it exposes the extended zero-copy interface the
 // NCache kernel modification adds: SendChain transmits payload already in
@@ -38,11 +40,16 @@ const HeaderLen = 16
 // connection.
 const DefaultWindow = 256 * 1024
 
-// Loss-recovery tuning. BaseRTO matches the RPC-layer retransmit timer
-// scale used by the fault calibration in passthru; backoff doubles per
-// consecutive timeout up to MaxRTO. After MaxRetries consecutive timeouts
-// on the same data the connection aborts (ErrTimeout), which bounds
-// simulated time when the peer is gone.
+// Loss-recovery tuning. The RTO is the connection's round-trip estimate
+// (Conn.path) held within [BaseRTO, MaxRTO]: BaseRTO, the floor, matches the
+// RPC-layer retransmit floor used by the fault calibration in passthru and is
+// what every path that measures less waits — a lossless fabric's round trips
+// are microseconds, so there the timer is the constant it used to be. Backoff
+// doubles per consecutive timeout up to MaxRTO (32× the floor). After
+// MaxRetries consecutive timeouts on the same data the connection aborts
+// (ErrTimeout), which bounds simulated time when the peer is gone: from the
+// floor 20 + 40 + … + 640 + 6 × 640 ms ≈ 5.1 s, on a path that has learned a
+// longer interval at most 12 × MaxRTO = 7.7 s.
 const (
 	BaseRTO    = 20 * sim.Millisecond
 	MaxRTO     = 640 * sim.Millisecond
@@ -214,6 +221,24 @@ type Conn struct {
 	rtoArmed bool
 	rtoTries int
 	dupAcks  int
+	// path estimates the round trip rto() is derived from. One segment per
+	// flight is timed: pump stamps the first it sends while none is being
+	// timed (timing, timedEnd, timedAt), ackRtx samples when the cumulative
+	// ack covers it, and any resend abandons the measurement (Karn: the ack
+	// could be for either copy).
+	path     sim.RTT
+	timing   bool
+	timedEnd uint32
+	timedAt  sim.Time
+	// recover is sndNxt at the last timeout (RFC 6582). The receiver answers
+	// every copy the go-back-N resend put on the wire with a duplicate ack;
+	// while recovering — until sndUna passes recover — those say nothing
+	// about a new loss and do not count toward fast retransmit. A fast
+	// retransmit does not start a recovery: it resends one segment, whose one
+	// echo cannot reach dupAckThreshold, and with the guard up a window holed
+	// twice would wait for the timer to fill its second hole.
+	recovering bool
+	recover    uint32
 
 	// oooQ buffers out-of-order received segments, sorted by seq.
 	oooQ []oooSeg
@@ -341,6 +366,9 @@ func (c *Conn) pump() {
 		c.retain(c.sndNxt, uint32(n), flags, seg)
 		c.sendSegmentSeq(flags, c.sndNxt, seg)
 		c.sndNxt = endSeq
+		if !c.timing {
+			c.timing, c.timedEnd, c.timedAt = true, endSeq, c.t.node.Eng.Now()
+		}
 		c.armRTO()
 	}
 	if c.finSent && c.state == stateEstablished && (c.sendQ == nil || c.sendQ.Len() == 0) {
@@ -379,16 +407,14 @@ func (c *Conn) cancelRTO() {
 	}
 }
 
-// rto returns the current backoff-scaled retransmission timeout.
+// rto returns the current retransmission timeout: the path's interval,
+// doubled per consecutive timeout.
 func (c *Conn) rto() sim.Duration {
-	d := BaseRTO
+	d := c.path.Interval(BaseRTO, MaxRTO)
 	for i := 0; i < c.rtoTries && d < MaxRTO; i++ {
 		d *= 2
 	}
-	if d > MaxRTO {
-		d = MaxRTO
-	}
-	return d
+	return min(d, MaxRTO)
 }
 
 // onRTO fires when the oldest unacknowledged segment times out: go-back-N
@@ -408,6 +434,7 @@ func (c *Conn) onRTO() {
 	}
 	c.t.RTOEvents++
 	trace.Fault(c.t.node.Eng, trace.LNet, c.rto())
+	c.recovering, c.recover = true, c.sndNxt
 	for i := range c.rtxQ {
 		c.resend(&c.rtxQ[i])
 	}
@@ -432,6 +459,7 @@ func (c *Conn) fastRetransmit() {
 // a first transmission.
 func (c *Conn) resend(s *rtxSeg) {
 	c.t.Retransmits++
+	c.timing = false
 	var pl *netbuf.Chain
 	if s.payload != nil {
 		pl = s.payload.Clone()
@@ -440,7 +468,10 @@ func (c *Conn) resend(s *rtxSeg) {
 }
 
 // ackRtx drops retained segments fully covered by the cumulative ack and
-// resets the backoff state. Returns true if the ack point advanced.
+// resets the backoff state, which the path remembers until its next sample:
+// if the timer fired only because the round trip outgrew it, the next flight
+// must not start from the same interval. An ack covering the timed segment
+// is that sample.
 func (c *Conn) ackRtx(ack uint32) {
 	i := 0
 	for ; i < len(c.rtxQ); i++ {
@@ -458,7 +489,18 @@ func (c *Conn) ackRtx(ack uint32) {
 			c.rtxQ[j] = rtxSeg{}
 		}
 		c.rtxQ = c.rtxQ[:m]
+		// Backoff before sample: a clean sample supersedes it.
+		if c.rtoTries > 0 {
+			c.path.BackOff(c.rto())
+		}
 		c.rtoTries = 0
+		if c.timing && seqLEQ(c.timedEnd, ack) {
+			c.timing = false
+			c.path.Sample(c.t.node.Eng.Now().Sub(c.timedAt))
+		}
+		if c.recovering && seqLT(c.recover, ack) {
+			c.recovering = false
+		}
 		c.dupAcks = 0
 		if len(c.rtxQ) == 0 {
 			c.cancelRTO()
@@ -690,8 +732,11 @@ func (c *Conn) handle(flags uint8, seq, ack uint32, payload *netbuf.Chain) {
 			c.pump()
 		} else if ack == c.sndUna && payload.Len() == 0 && flags&flagFIN == 0 &&
 			len(c.rtxQ) > 0 && (c.state == stateEstablished || c.state == stateFinWait) {
-			// Pure duplicate ack: the receiver is seeing a gap.
-			c.dupAcks++
+			// Pure duplicate ack: the receiver is seeing a gap — unless it
+			// is seeing the copies of a resend (see recover).
+			if !c.recovering {
+				c.dupAcks++
+			}
 			if c.dupAcks == dupAckThreshold {
 				c.dupAcks = 0
 				c.fastRetransmit()

@@ -20,11 +20,17 @@ type host struct {
 
 func twoHosts(t *testing.T) (*sim.Engine, *host, *host) {
 	t.Helper()
+	return twoHostsAt(t, simnet.Gbps)
+}
+
+// twoHostsAt is twoHosts with both links at bw.
+func twoHostsAt(t *testing.T, bw simnet.Bandwidth) (*sim.Engine, *host, *host) {
+	t.Helper()
 	eng := sim.NewEngine()
 	nw := simnet.NewNetwork(eng, 5*sim.Microsecond)
 	mk := func(name string, addr eth.Addr) *host {
 		n := simnet.NewNode(eng, name, simnet.DefaultProfile())
-		if _, err := nw.Attach(n, addr, simnet.Gbps); err != nil {
+		if _, err := nw.Attach(n, addr, bw); err != nil {
 			t.Fatalf("attach %s: %v", name, err)
 		}
 		ip := ipv4.NewStack(n)

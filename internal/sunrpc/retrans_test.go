@@ -193,3 +193,83 @@ func TestFaultRetransmitOffByDefault(t *testing.T) {
 		t.Fatalf("pending = %d, want the lost call still outstanding", rpc.Pending())
 	}
 }
+
+// TestRetransmitFollowsLatency: a server that takes 30 ms to answer, behind a
+// client whose resend floor is 20 ms. Nothing is known about the path, so the
+// first call is resent and answered twice; it backs off, the next call starts
+// from the backed-off interval, is sent once and measured, and from then on no
+// call is resent — a fixed 20 ms timer resends every one of them, each
+// executed and answered twice. The interval is the server's latency, not a
+// longer constant: a call that is dropped is resent before two round trips
+// have passed, and completes.
+func TestRetransmitFollowsLatency(t *testing.T) {
+	const (
+		floor   = 20 * sim.Millisecond
+		service = 30 * sim.Millisecond
+		warmup  = 4
+		calls   = 60
+	)
+	eng, cl, sv := faultRig(t, "drop:client.tx:rate=1:count=1:start=3s")
+	srv := NewServer(sv.node)
+	if err := srv.ServeUDP(sv.udp, 2049); err != nil {
+		t.Fatalf("ServeUDP: %v", err)
+	}
+	execs := 0
+	srv.Register(progTest, versTest, 7, func(c Call) {
+		execs++
+		c.Body.Release()
+		eng.Schedule(service, func() {
+			if err := reply(c, make([]byte, 8), nil); err != nil {
+				t.Errorf("Reply: %v", err)
+			}
+		})
+	})
+	rpc, err := NewClient(cl.udp, cl.addr, 700, sv.addr, 2049)
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	rpc.SetRetransmit(floor, 5)
+
+	call := func() {
+		t.Helper()
+		replies, _, cerr := callOnce(t, eng, rpc)
+		if replies != 1 || cerr != nil {
+			t.Fatalf("replies=%d err=%v, want one success", replies, cerr)
+		}
+	}
+	call()
+	if rpc.Retransmits == 0 {
+		t.Fatalf("the first call was not resent: the server never outran the %v floor, the test shows nothing", floor)
+	}
+	for i := 1; i < warmup; i++ {
+		call()
+	}
+	resent, dups, ran := rpc.Retransmits, rpc.DupReplies, execs
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	if got := rpc.Retransmits - resent; got != 0 {
+		t.Errorf("%d of %d calls resent after warm-up, want 0: the client never learned the server's %v", got, calls, service)
+	}
+	if got, twice := rpc.DupReplies-dups, execs-ran-calls; got != 0 || twice != 0 {
+		t.Errorf("after warm-up %d duplicate replies and %d calls executed twice, want 0 and 0", got, twice)
+	}
+
+	// The drop schedule opens at 3 s; everything above finished before it.
+	if eng.Now() >= sim.Time(3*sim.Second) {
+		t.Fatalf("clock %v: the warm calls ran into the drop window", eng.Now())
+	}
+	eng.RunUntil(sim.Time(3 * sim.Second))
+	resent = rpc.Retransmits
+	start := eng.Now()
+	call()
+	if got := rpc.Retransmits - resent; got != 1 {
+		t.Errorf("the dropped call was resent %d times, want 1", got)
+	}
+	if took := eng.Now().Sub(start); took >= 3*service {
+		t.Errorf("the dropped call took %v, want under two round trips and a timer (%v): the interval is not following the server", took, 3*service)
+	}
+	if rpc.Pending() != 0 || rpc.Timeouts != 0 {
+		t.Errorf("pending=%d timeouts=%d at the end, want 0 and 0", rpc.Pending(), rpc.Timeouts)
+	}
+}

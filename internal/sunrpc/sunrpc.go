@@ -310,9 +310,12 @@ type Client struct {
 	// BadReplies counts malformed or unmatched replies.
 	BadReplies uint64
 
-	// rto/maxTries configure retransmission (off while maxTries is zero).
+	// rto/maxTries configure retransmission (off while maxTries is zero):
+	// rto is the floor of the resend interval, path the round trip measured
+	// to this client's one server, which the interval follows above it.
 	rto      sim.Duration
 	maxTries int
+	path     sim.RTT
 	// Retransmits counts calls re-sent after a timeout; Timeouts counts
 	// calls abandoned after the last try; DupReplies counts replies
 	// suppressed because their call already completed (a retransmitted
@@ -329,12 +332,22 @@ type Client struct {
 // recentXids bounds the duplicate-suppression window.
 const recentXids = 4096
 
+// rtoCeilFactor bounds a call's resend interval at 32× the configured floor —
+// tcp.MaxRTO over tcp.BaseRTO, so at the fault calibration's 20 ms floor the
+// two transports back off to the same 640 ms. A call's worst-case budget
+// before ErrTimeout is the sum of its waits: from the floor, rto × (2^maxTries
+// − 1) — 20 + 40 + 80 + 160 + 320 = 620 ms at 20 ms × 5 tries — and on a path
+// that has learned a longer interval at most maxTries × 32 × rto (3.2 s).
+const rtoCeilFactor = 32
+
 // pendingCall is one outstanding RPC: its completion callback plus, when
-// retransmission is on, everything needed to put the call back on the wire.
+// retransmission is on, everything needed to put the call back on the wire
+// and to time its reply.
 type pendingCall struct {
 	done  func(Reply, error)
 	wire  *netbuf.Chain
 	timer sim.EventID
+	sent  sim.Time
 	rto   sim.Duration
 	tries int
 }
@@ -375,10 +388,14 @@ func (c *Client) send(out *netbuf.Chain) error {
 }
 
 // SetRetransmit enables retransmission: an unanswered call is re-sent after
-// rto (doubling each try) and fails with ErrTimeout after maxTries sends.
-// Off by default so lossless-fabric results are untouched by the machinery,
-// and always off on a stream client, where TCP recovers the loss below the
-// record stream.
+// the round trip the client has measured to its server, or rto where that is
+// less (every try doubling the call's wait, up to rtoCeilFactor × rto), and
+// fails with ErrTimeout after maxTries sends. Only a reply to a call sent once
+// is a measurement (Karn); a call that had to back off hands its interval to
+// the next, so a server slower than rto is learned rather than resent to for
+// ever. Off by default so lossless-fabric results are untouched by the
+// machinery, and always off on a stream client, where TCP recovers the loss
+// below the record stream.
 func (c *Client) SetRetransmit(rto sim.Duration, maxTries int) {
 	if c.conn != nil || rto <= 0 || maxTries < 1 {
 		c.rto, c.maxTries = 0, 0
@@ -425,7 +442,8 @@ func (c *Client) Call(prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.
 		// owns them) until the call completes and release() drops them.
 		pc.wire = out.Clone()
 		pc.wire.SetOwner("sunrpc.retransmit")
-		pc.rto = c.rto
+		pc.sent = c.node.Eng.Now()
+		pc.rto = c.path.Interval(c.rto, rtoCeilFactor*c.rto)
 		pc.tries = 1
 	}
 	c.pending[xid] = pc
@@ -460,7 +478,8 @@ func (c *Client) armTimer(xid uint32, pc *pendingCall) {
 		}
 		pc.tries++
 		c.Retransmits++
-		pc.rto *= 2
+		pc.rto = min(2*pc.rto, rtoCeilFactor*c.rto)
+		c.path.BackOff(pc.rto)
 		_ = c.send(pc.wire.Clone())
 		c.armTimer(xid, pc)
 	})
@@ -514,6 +533,9 @@ func (c *Client) receive(body *netbuf.Chain) {
 	delete(c.pending, xid)
 	node := c.node
 	node.Eng.Cancel(pc.timer)
+	if pc.tries == 1 {
+		c.path.Sample(node.Eng.Now().Sub(pc.sent))
+	}
 	pc.release()
 	c.remember(xid)
 	trace.To(node.Eng, trace.LRPC)
