@@ -49,6 +49,9 @@ func recvName(fd *ast.FuncDecl) string {
 	if s, ok := t.(*ast.StarExpr); ok {
 		t = s.X
 	}
+	if ix, ok := t.(*ast.IndexExpr); ok { // a generic receiver, FreeList[T]
+		t = ix.X
+	}
 	if id, ok := t.(*ast.Ident); ok {
 		return id.Name
 	}

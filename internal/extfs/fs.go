@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ncache/internal/buffercache"
+	"ncache/internal/netbuf"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
@@ -27,7 +28,7 @@ type FS struct {
 	materializer func(*buffercache.Block)
 
 	// walks is the free list of operation records (see walk).
-	walks []*walk
+	walks netbuf.FreeList[walk]
 }
 
 // SetMaterializer installs the logical-block materializer.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"ncache/internal/buffercache"
-	"ncache/internal/netbuf"
 )
 
 // walk is the recycled record of one file-system operation. The operations
@@ -102,10 +101,7 @@ type walk struct {
 
 // walk takes a blank record off the free list.
 func (fs *FS) walk() *walk {
-	if k := len(fs.walks); k > 0 {
-		w := fs.walks[k-1]
-		fs.walks[k-1] = nil
-		fs.walks = fs.walks[:k-1]
+	if w := fs.walks.Take(); w != nil {
 		return w
 	}
 	w := &walk{fs: fs}
@@ -127,12 +123,10 @@ func (w *walk) retire() {
 		res:     ReadResult{Extents: w.res.Extents[:0]},
 		onBlock: w.onBlock, onRun: w.onRun, onLBN: w.onLBN, onErr: w.onErr, onCharged: w.onCharged,
 	}
-	if netbuf.DebugEnabled() {
+	if !w.fs.walks.Put(w) {
 		w.dead, w.res.w = true, w
 		w.pc = func(*walk) { panic("extfs: walk record used after retire") }
-		return
 	}
-	w.fs.walks = append(w.fs.walks, w)
 }
 
 // resume runs the record's continuation, and keeps running continuations

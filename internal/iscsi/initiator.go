@@ -20,9 +20,18 @@ var (
 	ErrCheckCond    = errors.New("iscsi: check condition")
 )
 
-// task tracks one outstanding command, with what is needed to re-issue it
-// when the target reports a transient CHECK CONDITION.
+// task is the recycled record of one outstanding command: what is needed to
+// issue it (again, when the target reports a transient CHECK CONDITION), the
+// PDU in either direction while the CPU serves its per-command cost, and the
+// caller's completion. transmit, respond and reissue are bound once, when the
+// record is first allocated. A record never leaves its Initiator and retires
+// before the caller's completion runs; a retry keeps it under a fresh task
+// tag. In netbuf debug mode a retired record is poisoned and abandoned, and a
+// second retire panics.
 type task struct {
+	i      *Initiator
+	dead   bool // retired in debug mode
+	itt    uint32
 	lba    int64
 	blocks int
 	write  bool
@@ -32,6 +41,42 @@ type task struct {
 	tries   int
 	onData  func(*netbuf.Chain, error)
 	onDone  func(error)
+
+	// out is the encoded command on its way to the connection; resp the
+	// response being processed (answered while it is, so a second response
+	// under the same tag is dropped, not processed on a recycled record).
+	out      *netbuf.Chain
+	resp     PDU
+	answered bool
+
+	transmit, respond, reissue func()
+}
+
+// task takes a blank record off the free list.
+func (i *Initiator) task() *task {
+	if t := i.free.Take(); t != nil {
+		return t
+	}
+	t := &task{i: i}
+	t.transmit, t.respond, t.reissue = t.sendOut, t.handle, t.issue
+	return t
+}
+
+// finish ends the command: the record retires, then the caller hears.
+func (t *task) finish(data *netbuf.Chain, err error) {
+	if t.dead {
+		panic("iscsi: command record retired twice")
+	}
+	t.releasePayload()
+	onData, onDone := t.onData, t.onDone
+	*t = task{i: t.i, transmit: t.transmit, respond: t.respond, reissue: t.reissue}
+	t.dead = !t.i.free.Put(t)
+	switch {
+	case onData != nil:
+		onData(data, err)
+	case onDone != nil:
+		onDone(err)
+	}
 }
 
 // releasePayload drops the retained write image.
@@ -58,7 +103,9 @@ type Initiator struct {
 	nextITT uint32
 	cmdSN   uint32
 	pending map[uint32]*task
-	geom    blockdev.Geometry
+	// free is the free list of command records (see task).
+	free netbuf.FreeList[task]
+	geom blockdev.Geometry
 
 	// retryMax/retryBackoff configure CHECK CONDITION retries (off while
 	// retryMax is zero).
@@ -108,22 +155,22 @@ func (i *Initiator) Connect(target eth.Addr, done func(error)) {
 		i.framer = NewFramer(i.handlePDU)
 		c.SetReceiver(i.framer.Push)
 
-		login := PDU{Op: OpLoginReq, Final: true, ITT: i.allocITT(nil)}
-		i.pending[login.ITT] = &task{onDone: func(err error) {
+		t := i.task()
+		t.onDone = func(err error) {
 			if err != nil {
 				done(err)
 				return
 			}
 			i.readCapacity(done)
-		}}
-		i.send(login)
+		}
+		i.send(t, PDU{Op: OpLoginReq, Final: true})
 	})
 }
 
 // readCapacity issues READ CAPACITY(10) and stores the geometry.
 func (i *Initiator) readCapacity(done func(error)) {
-	itt := i.allocITT(nil)
-	i.pending[itt] = &task{onData: func(data *netbuf.Chain, err error) {
+	t := i.task()
+	t.onData = func(data *netbuf.Chain, err error) {
 		if err != nil {
 			done(err)
 			return
@@ -141,9 +188,9 @@ func (i *Initiator) readCapacity(done func(error)) {
 			NumBlocks: int64(cap10.LastLBA) + 1,
 		}
 		done(nil)
-	}}
+	}
 	cdb := scsi.CDB{Op: scsi.OpReadCapacity10}.Encode()
-	i.send(PDU{Op: OpSCSICmd, Final: true, ITT: itt, CmdSN: i.allocCmdSN(), CDB: cdb})
+	i.send(t, PDU{Op: OpSCSICmd, Final: true, CmdSN: i.allocCmdSN(), CDB: cdb})
 }
 
 // Read fetches blocks from the target. meta marks file-system metadata
@@ -157,14 +204,9 @@ func (i *Initiator) Read(lba int64, blocks int, meta bool, done func(*netbuf.Cha
 	}
 	trace.To(i.node.Eng, trace.LISCSI)
 	i.ReadCmds++
-	itt := i.allocITT(nil)
-	i.pending[itt] = &task{lba: lba, blocks: blocks, onData: done}
-	cdb := scsi.CDB{Op: scsi.OpRead10, LBA: uint32(lba), Blocks: uint16(blocks)}.Encode()
-	i.send(PDU{
-		Op: OpSCSICmd, Final: true, ITT: itt,
-		ExpectedLen: uint32(blocks * i.geom.BlockSize),
-		CmdSN:       i.allocCmdSN(), CDB: cdb,
-	})
+	t := i.task()
+	t.lba, t.blocks, t.onData = lba, blocks, done
+	t.command(nil)
 }
 
 // Write stores a payload chain at lba. The initiator takes ownership of the
@@ -177,35 +219,54 @@ func (i *Initiator) Write(lba int64, data *netbuf.Chain, meta bool, done func(er
 	}
 	trace.To(i.node.Eng, trace.LISCSI)
 	i.WriteCmds++
-	blocks := data.Len() / i.geom.BlockSize
-	t := &task{lba: lba, blocks: blocks, write: true, onDone: done}
+	t := i.task()
+	t.lba, t.blocks, t.write, t.onDone = lba, data.Len()/i.geom.BlockSize, true, done
 	if i.retryMax > 0 {
 		t.payload = data.Clone()
 		t.payload.SetOwner("iscsi.retry")
 	}
-	itt := i.allocITT(nil)
-	i.pending[itt] = t
-	cdb := scsi.CDB{Op: scsi.OpWrite10, LBA: uint32(lba), Blocks: uint16(blocks)}.Encode()
-	i.send(PDU{
-		Op: OpSCSICmd, Final: true, ITT: itt,
-		ExpectedLen: uint32(data.Len()),
+	t.command(data)
+}
+
+// command sends the task's READ or WRITE, data the WRITE's data segment.
+func (t *task) command(data *netbuf.Chain) {
+	i := t.i
+	op, expected := scsi.OpRead10, t.blocks*i.geom.BlockSize
+	if t.write {
+		op, expected = scsi.OpWrite10, data.Len()
+	}
+	cdb := scsi.CDB{Op: op, LBA: uint32(t.lba), Blocks: uint16(t.blocks)}.Encode()
+	i.send(t, PDU{
+		Op: OpSCSICmd, Final: true,
+		ExpectedLen: uint32(expected),
 		CmdSN:       i.allocCmdSN(), CDB: cdb,
 		Data: data,
 	})
 }
 
-// send encodes and transmits one PDU, charging per-command CPU.
-func (i *Initiator) send(p PDU) {
+// send makes t outstanding under a fresh task tag, then encodes and transmits
+// its PDU, charging per-command CPU.
+func (i *Initiator) send(t *task, p PDU) {
+	t.itt = i.nextITT
+	i.nextITT++
+	i.pending[t.itt] = t
+	p.ITT = t.itt
 	chain, err := p.EncodePool(i.node.TxPool)
 	if err != nil {
-		i.fail(p.ITT, err)
+		i.fail(t.itt, err)
 		return
 	}
-	i.node.Charge(i.node.Cost.ISCSIOpNs, func() {
-		if err := i.conn.SendChain(chain); err != nil {
-			i.fail(p.ITT, err)
-		}
-	})
+	t.out = chain
+	i.node.Charge(i.node.Cost.ISCSIOpNs, t.transmit)
+}
+
+// sendOut hands the encoded command to the connection.
+func (t *task) sendOut() {
+	out := t.out
+	t.out = nil
+	if err := t.i.conn.SendChain(out); err != nil {
+		t.i.fail(t.itt, err)
+	}
 }
 
 // fail completes a task with an error.
@@ -215,12 +276,7 @@ func (i *Initiator) fail(itt uint32, err error) {
 		return
 	}
 	delete(i.pending, itt)
-	t.releasePayload()
-	if t.onData != nil {
-		t.onData(nil, err)
-	} else if t.onDone != nil {
-		t.onDone(err)
-	}
+	t.finish(nil, err)
 }
 
 // retry re-issues a failed command under a fresh task tag after the
@@ -230,103 +286,78 @@ func (i *Initiator) retry(t *task) {
 	t.tries++
 	i.Retries++
 	trace.Fault(i.node.Eng, trace.LISCSI, i.retryBackoff)
-	i.node.Eng.Schedule(i.retryBackoff, func() {
-		itt := i.allocITT(nil)
-		i.pending[itt] = t
-		if t.write {
-			cdb := scsi.CDB{Op: scsi.OpWrite10, LBA: uint32(t.lba), Blocks: uint16(t.blocks)}.Encode()
-			data := t.payload.Clone()
-			i.send(PDU{
-				Op: OpSCSICmd, Final: true, ITT: itt,
-				ExpectedLen: uint32(data.Len()),
-				CmdSN:       i.allocCmdSN(), CDB: cdb,
-				Data: data,
-			})
-			return
-		}
-		cdb := scsi.CDB{Op: scsi.OpRead10, LBA: uint32(t.lba), Blocks: uint16(t.blocks)}.Encode()
-		i.send(PDU{
-			Op: OpSCSICmd, Final: true, ITT: itt,
-			ExpectedLen: uint32(t.blocks * i.geom.BlockSize),
-			CmdSN:       i.allocCmdSN(), CDB: cdb,
-		})
-	})
+	i.node.Eng.Schedule(i.retryBackoff, t.reissue)
 }
 
-// handlePDU processes one response PDU from the target.
+// issue sends the command again, a WRITE with a fresh clone of its image.
+func (t *task) issue() {
+	var data *netbuf.Chain
+	if t.write {
+		data = t.payload.Clone()
+	}
+	t.command(data)
+}
+
+// handlePDU takes in one response PDU from the target.
 func (i *Initiator) handlePDU(p PDU) {
 	t, ok := i.pending[p.ITT]
-	if !ok {
+	if !ok || t.answered {
 		if p.Data != nil {
 			p.Data.Release()
 		}
 		return
 	}
 	trace.To(i.node.Eng, trace.LISCSI)
-	i.node.Charge(i.node.Cost.ISCSIOpNs, func() {
-		switch p.Op {
-		case OpLoginResp, OpLogoutResp:
-			delete(i.pending, p.ITT)
-			if p.Data != nil {
-				p.Data.Release()
-			}
-			if t.onDone != nil {
-				t.onDone(nil)
-			}
-		case OpDataIn:
-			delete(i.pending, p.ITT)
-			data := p.Data
-			if data == nil {
-				data = netbuf.NewChain()
-			}
-			if p.HasStatus && p.Status != scsi.StatusGood {
-				data.Release()
-				if t.tries < i.retryMax {
-					i.retry(t)
-					return
-				}
-				t.onData(nil, fmt.Errorf("%w: status %#x", ErrCheckCond, p.Status))
-				return
-			}
-			t.onData(data, nil)
-		case OpSCSIResp:
-			delete(i.pending, p.ITT)
-			if p.Data != nil {
-				p.Data.Release()
-			}
-			if p.Status != scsi.StatusGood {
-				if t.tries < i.retryMax {
-					i.retry(t)
-					return
-				}
-				t.releasePayload()
-				err := fmt.Errorf("%w: status %#x", ErrCheckCond, p.Status)
-				if t.onDone != nil {
-					t.onDone(err)
-				} else if t.onData != nil {
-					t.onData(nil, err)
-				}
-				return
-			}
-			t.releasePayload()
-			if t.onDone != nil {
-				t.onDone(nil)
-			} else if t.onData != nil {
-				t.onData(nil, nil)
-			}
-		default:
-			if p.Data != nil {
-				p.Data.Release()
-			}
-		}
-	})
+	t.resp, t.answered = p, true
+	i.node.Charge(i.node.Cost.ISCSIOpNs, t.respond)
 }
 
-// allocITT reserves a task tag.
-func (i *Initiator) allocITT(_ *task) uint32 {
-	itt := i.nextITT
-	i.nextITT++
-	return itt
+// handle processes the response once the CPU has served its cost.
+func (t *task) handle() {
+	i, p := t.i, t.resp
+	t.resp, t.answered = PDU{}, false
+	switch p.Op {
+	case OpLoginResp, OpLogoutResp:
+		delete(i.pending, p.ITT)
+		if p.Data != nil {
+			p.Data.Release()
+		}
+		t.finish(nil, nil)
+	case OpDataIn:
+		delete(i.pending, p.ITT)
+		data := p.Data
+		if data == nil {
+			data = netbuf.NewChain()
+		}
+		if p.HasStatus && p.Status != scsi.StatusGood {
+			data.Release()
+			if t.tries < i.retryMax {
+				i.retry(t)
+				return
+			}
+			t.finish(nil, fmt.Errorf("%w: status %#x", ErrCheckCond, p.Status))
+			return
+		}
+		t.finish(data, nil)
+	case OpSCSIResp:
+		delete(i.pending, p.ITT)
+		if p.Data != nil {
+			p.Data.Release()
+		}
+		if p.Status != scsi.StatusGood {
+			if t.tries < i.retryMax {
+				i.retry(t)
+				return
+			}
+			t.finish(nil, fmt.Errorf("%w: status %#x", ErrCheckCond, p.Status))
+			return
+		}
+		t.finish(nil, nil)
+	default:
+		if p.Data != nil {
+			p.Data.Release()
+		}
+	}
 }
 
 // allocCmdSN reserves a command sequence number.

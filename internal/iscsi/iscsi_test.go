@@ -3,6 +3,7 @@ package iscsi
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -446,7 +447,9 @@ func TestTargetPayloadAllocFree(t *testing.T) {
 // buffer is poisoned and abandoned when the command hands it back, so a
 // hand-back before the device's done (or before the copy into transmit
 // buffers) would put poison on the wire — and the round trip still carries
-// the written bytes.
+// the written bytes. The initiator's command records are abandoned likewise
+// (the READ below is issued from the WRITE's completion, where a recycled
+// record would be taken again), and a second completion panics.
 func TestDebugModePoisonsStaging(t *testing.T) {
 	was := netbuf.DebugEnabled()
 	netbuf.SetDebug(true)
@@ -476,7 +479,15 @@ func TestDebugModePoisonsStaging(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("round trip mismatch with poisoned staging buffers")
 	}
-	if len(r.target.free) != 0 {
-		t.Fatalf("debug mode recycled %d staging buffers", len(r.target.free))
+	if len(r.target.free) != 0 || len(r.initiator.free) != 0 {
+		t.Fatalf("debug mode recycled %d staging buffers and %d command records", len(r.target.free), len(r.initiator.free))
 	}
+	cmd := r.initiator.task()
+	cmd.finish(nil, nil)
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(p.(string), "retired twice") {
+			t.Errorf("second completion of a command: recovered %v, want a panic mentioning \"retired twice\"", p)
+		}
+	}()
+	cmd.finish(nil, nil)
 }

@@ -174,8 +174,11 @@ type Framer struct {
 	// Errors counts malformed stream states.
 	Errors uint64
 
-	pendingHdr     *PDU
-	pendingDataLen int // unpadded data segment length
+	// pending is a header whose data segment has not all arrived yet (valid
+	// while havePending), pendingDataLen its unpadded data segment length.
+	pending        PDU
+	havePending    bool
+	pendingDataLen int
 }
 
 // NewFramer returns a framer delivering PDUs to emit.
@@ -191,7 +194,7 @@ func (f *Framer) Buffered() int { return f.stream.Len() }
 func (f *Framer) Push(data *netbuf.Chain) {
 	f.stream.AppendChain(data)
 	for {
-		if f.pendingHdr == nil {
+		if !f.havePending {
 			if f.stream.Len() < BHSLen {
 				return
 			}
@@ -200,17 +203,16 @@ func (f *Framer) Push(data *netbuf.Chain) {
 				f.Errors++
 				return
 			}
-			p, dlen := decodeBHS(bhs[:])
-			f.pendingHdr = &p
-			f.pendingDataLen = dlen
+			f.pending, f.pendingDataLen = decodeBHS(bhs[:])
+			f.havePending = true
 		}
 		dlen := f.pendingDataLen
 		padded := dlen + (4-dlen%4)%4
 		if f.stream.Len() < padded {
 			return
 		}
-		p := *f.pendingHdr
-		f.pendingHdr = nil
+		p := f.pending
+		f.havePending = false
 		f.pendingDataLen = 0
 		if dlen > 0 {
 			seg, err := f.stream.PullChain(dlen)

@@ -23,6 +23,8 @@ type Client struct {
 	rpc *sunrpc.Client
 	// stream marks a client dialed over TCP (DialClientStream).
 	stream bool
+	// calls is the free list of call records (see clientCall).
+	calls netbuf.FreeList[clientCall]
 }
 
 // NewClient binds an NFS client on the UDP transport, talking to server.
@@ -88,24 +90,128 @@ func (c *Client) nameArgs(dir FH, name string) *netbuf.Buf {
 	return msg
 }
 
-// call issues one NFS RPC.
-func (c *Client) call(proc uint32, msg *netbuf.Buf, payload *netbuf.Chain, done func(*netbuf.Chain, error)) {
-	err := c.rpc.Call(Prog, Vers, proc, msg, payload, func(r sunrpc.Reply, err error) {
-		if err != nil {
-			done(nil, err)
-			return
+// replyKind says which result a call's reply carries, and so which of the
+// record's completions hears it.
+type replyKind uint8
+
+const (
+	replyAttr   replyKind = iota // status + attr: GETATTR, SETATTR
+	replyFH                      // status + fh + attr: LOOKUP, CREATE
+	replyRead                    // status + attr + counted data
+	replyWrite                   // status + attr + count
+	replyStatus                  // status alone: REMOVE
+	replyNames                   // status + name list: READDIR
+)
+
+// clientCall is the recycled record of one NFS call: the reply kind and the
+// caller's typed completion, with onReply — what the RPC layer calls — bound
+// once, when the record is first allocated. It never leaves its Client and
+// retires before the caller's completion runs (a closed-loop caller issues its
+// next call from inside it, and that call takes this record): onReply copies
+// the record out first. In netbuf debug mode a retired record is poisoned and
+// abandoned, and a second retire panics.
+type clientCall struct {
+	c    *Client
+	kind replyKind
+	dead bool // retired in debug mode
+
+	doneAttr   func(Attr, error)
+	doneFH     func(FH, Attr, error)
+	doneRead   func(*netbuf.Chain, Attr, error)
+	doneWrite  func(int, Attr, error)
+	doneStatus func(error)
+	doneNames  func([]string, error)
+
+	onReply func(sunrpc.Reply, error)
+}
+
+// newCall takes a blank record off the free list.
+func (c *Client) newCall(kind replyKind) *clientCall {
+	k := c.calls.Take()
+	if k == nil {
+		k = &clientCall{c: c}
+		k.onReply = k.reply
+	}
+	k.kind = kind
+	return k
+}
+
+func (k *clientCall) retire() {
+	if k.dead {
+		panic("nfs: client call record retired twice")
+	}
+	*k = clientCall{c: k.c, onReply: k.onReply}
+	k.dead = !k.c.calls.Put(k)
+}
+
+// call issues one NFS RPC; the record's completion hears the outcome.
+func (k *clientCall) call(proc uint32, msg *netbuf.Buf, payload *netbuf.Chain) {
+	if err := k.c.rpc.Call(Prog, Vers, proc, msg, payload, k.onReply); err != nil {
+		k.reply(sunrpc.Reply{}, err)
+	}
+}
+
+// reply ends the call: it retires the record, maps an RPC-level failure to
+// an error, decodes the result the kind names and tells the caller.
+func (k *clientCall) reply(r sunrpc.Reply, err error) {
+	op := *k
+	k.retire()
+	body := r.Body
+	if err == nil && r.Accept != sunrpc.AcceptSuccess {
+		if body != nil {
+			body.Release()
 		}
-		if r.Accept != sunrpc.AcceptSuccess {
-			if r.Body != nil {
-				r.Body.Release()
+		err = &OpError{Status: ErrIO}
+	}
+	if err == nil {
+		if st, ok := statusOf(body); !ok || st != OK {
+			body.Release()
+			err = orIO(st, ok)
+		}
+	}
+	var (
+		a  Attr
+		fh FH
+	)
+	switch op.kind {
+	case replyAttr:
+		if err == nil {
+			a, err = attrOnly(body)
+		}
+		op.doneAttr(a, err)
+	case replyFH:
+		if err == nil {
+			if body.PullHeaderInto(fh[:]) != nil {
+				body.Release()
+				fh, err = FH{}, &OpError{Status: ErrIO}
+			} else {
+				a, err = attrOnly(body)
 			}
-			done(nil, &OpError{Status: ErrIO})
-			return
 		}
-		done(r.Body, nil)
-	})
-	if err != nil {
-		done(nil, err)
+		op.doneFH(fh, a, err)
+	case replyRead:
+		var data *netbuf.Chain
+		if err == nil {
+			data, a, err = readResult(body)
+		}
+		op.doneRead(data, a, err)
+	case replyWrite:
+		var n int
+		if err == nil {
+			n, a, err = writeResult(body)
+		}
+		op.doneWrite(n, a, err)
+	case replyStatus:
+		if err == nil {
+			body.Release()
+		}
+		op.doneStatus(err)
+	case replyNames:
+		var names []string
+		if err == nil {
+			names, err = namesResult(body)
+		}
+		op.doneNames(names, err)
 	}
 }
 
@@ -128,92 +234,94 @@ func attrOf(body *netbuf.Chain) (Attr, bool) {
 	return Attr{Type: be32(raw[:]), Links: be32(raw[4:]), Size: be64(raw[8:])}, true
 }
 
-// finishStatus releases the body and maps a status to an error.
-func finishStatus(body *netbuf.Chain, st uint32, ok bool, done func(error)) {
+// attrOnly decodes a result that ends in an attribute block, consuming body.
+func attrOnly(body *netbuf.Chain) (Attr, error) {
+	a, ok := attrOf(body)
 	body.Release()
 	if !ok {
-		done(&OpError{Status: ErrIO})
-		return
+		return Attr{}, &OpError{Status: ErrIO}
 	}
-	done(StatusError(st))
+	return a, nil
+}
+
+// readResult decodes a READ result past its status, consuming body: the
+// returned chain holds the data portion in its original wire buffers.
+func readResult(body *netbuf.Chain) (*netbuf.Chain, Attr, error) {
+	a, ok := attrOf(body)
+	if ok {
+		var word uint32
+		if word, ok = statusOf(body); ok && body.Len() >= int(word) {
+			data, err := body.PullChain(int(word))
+			body.Release()
+			if err != nil {
+				return nil, Attr{}, &OpError{Status: ErrIO}
+			}
+			return data, a, nil
+		}
+	}
+	body.Release()
+	return nil, Attr{}, &OpError{Status: ErrIO}
+}
+
+// writeResult decodes a WRITE result past its status, consuming body.
+func writeResult(body *netbuf.Chain) (int, Attr, error) {
+	a, ok := attrOf(body)
+	if ok {
+		var count uint32
+		if count, ok = statusOf(body); ok {
+			body.Release()
+			return int(count), a, nil
+		}
+	}
+	body.Release()
+	return 0, Attr{}, &OpError{Status: ErrIO}
+}
+
+// namesResult decodes a READDIR result past its status, consuming body.
+func namesResult(body *netbuf.Chain) ([]string, error) {
+	flat := make([]byte, body.Len())
+	body.Gather(flat)
+	body.Release()
+	// Every name is cut out of one string copy of the reply.
+	all, d := string(flat), xdr.NewDecoder(flat)
+	count, err := d.Uint32()
+	if err != nil {
+		return nil, &OpError{Status: ErrIO}
+	}
+	names := make([]string, 0, count)
+	for i := uint32(0); i < count; i++ {
+		start := d.Offset() + 4 // past the length word
+		p, err := d.Opaque(MaxReadSize)
+		if err != nil {
+			return nil, &OpError{Status: ErrIO}
+		}
+		names = append(names, all[start:start+len(p)])
+	}
+	return names, nil
 }
 
 // Getattr fetches attributes.
 func (c *Client) Getattr(fh FH, done func(Attr, error)) {
 	msg, _ := c.fhArgs(fh, 0)
-	c.call(ProcGetattr, msg, nil, func(body *netbuf.Chain, err error) {
-		if err != nil {
-			done(Attr{}, err)
-			return
-		}
-		st, ok := statusOf(body)
-		if !ok || st != OK {
-			body.Release()
-			done(Attr{}, orIO(st, ok))
-			return
-		}
-		a, ok := attrOf(body)
-		body.Release()
-		if !ok {
-			done(Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		done(a, nil)
-	})
+	k := c.newCall(replyAttr)
+	k.doneAttr = done
+	k.call(ProcGetattr, msg, nil)
 }
 
 // Setattr sets the file size (truncate).
 func (c *Client) Setattr(fh FH, size uint64, done func(Attr, error)) {
 	msg, e := c.fhArgs(fh, 8)
 	e.Uint64(size)
-	c.call(ProcSetattr, msg, nil, func(body *netbuf.Chain, err error) {
-		if err != nil {
-			done(Attr{}, err)
-			return
-		}
-		st, ok := statusOf(body)
-		if !ok || st != OK {
-			body.Release()
-			done(Attr{}, orIO(st, ok))
-			return
-		}
-		a, ok := attrOf(body)
-		body.Release()
-		if !ok {
-			done(Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		done(a, nil)
-	})
+	k := c.newCall(replyAttr)
+	k.doneAttr = done
+	k.call(ProcSetattr, msg, nil)
 }
 
 // Lookup resolves a name.
 func (c *Client) Lookup(dir FH, name string, done func(FH, Attr, error)) {
-	c.call(ProcLookup, c.nameArgs(dir, name), nil, func(body *netbuf.Chain, err error) {
-		var fh FH
-		if err != nil {
-			done(fh, Attr{}, err)
-			return
-		}
-		st, ok := statusOf(body)
-		if !ok || st != OK {
-			body.Release()
-			done(fh, Attr{}, orIO(st, ok))
-			return
-		}
-		if err := body.PullHeaderInto(fh[:]); err != nil {
-			body.Release()
-			done(fh, Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		a, ok := attrOf(body)
-		body.Release()
-		if !ok {
-			done(fh, Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		done(fh, a, nil)
-	})
+	k := c.newCall(replyFH)
+	k.doneFH = done
+	k.call(ProcLookup, c.nameArgs(dir, name), nil)
 }
 
 // Read fetches [off, off+n). The returned chain holds the data portion of
@@ -222,43 +330,9 @@ func (c *Client) Read(fh FH, off uint64, n int, done func(*netbuf.Chain, Attr, e
 	msg, e := c.fhArgs(fh, 12)
 	e.Uint64(off)
 	e.Uint32(uint32(n))
-	c.call(ProcRead, msg, nil, func(body *netbuf.Chain, err error) {
-		if err != nil {
-			done(nil, Attr{}, err)
-			return
-		}
-		st, ok := statusOf(body)
-		if !ok || st != OK {
-			body.Release()
-			done(nil, Attr{}, orIO(st, ok))
-			return
-		}
-		a, ok := attrOf(body)
-		if !ok {
-			body.Release()
-			done(nil, Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		word, ok := statusOf(body)
-		if !ok {
-			body.Release()
-			done(nil, Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		dlen := int(word)
-		if body.Len() < dlen {
-			body.Release()
-			done(nil, Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		data, err := body.PullChain(dlen)
-		body.Release()
-		if err != nil {
-			done(nil, Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		done(data, a, nil)
-	})
+	k := c.newCall(replyRead)
+	k.doneRead = done
+	k.call(ProcRead, msg, nil)
 }
 
 // Write stores a payload chain at off. The client takes ownership of data.
@@ -268,31 +342,9 @@ func (c *Client) Write(fh FH, off uint64, data *netbuf.Chain, done func(int, Att
 	e.Uint64(off)
 	e.Uint32(uint32(n))
 	e.Uint32(uint32(n)) // XDR opaque length prefix
-	c.call(ProcWrite, msg, data, func(body *netbuf.Chain, err error) {
-		if err != nil {
-			done(0, Attr{}, err)
-			return
-		}
-		st, ok := statusOf(body)
-		if !ok || st != OK {
-			body.Release()
-			done(0, Attr{}, orIO(st, ok))
-			return
-		}
-		a, ok := attrOf(body)
-		if !ok {
-			body.Release()
-			done(0, Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		count, ok := statusOf(body)
-		body.Release()
-		if !ok {
-			done(0, Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		done(int(count), a, nil)
-	})
+	k := c.newCall(replyWrite)
+	k.doneWrite = done
+	k.call(ProcWrite, msg, data)
 }
 
 // WriteBytes is Write with a plain byte payload (copied into pooled transmit
@@ -308,81 +360,24 @@ func (c *Client) WriteBytes(fh FH, off uint64, p []byte, done func(int, Attr, er
 
 // Create makes a file.
 func (c *Client) Create(dir FH, name string, done func(FH, Attr, error)) {
-	c.call(ProcCreate, c.nameArgs(dir, name), nil, func(body *netbuf.Chain, err error) {
-		var fh FH
-		if err != nil {
-			done(fh, Attr{}, err)
-			return
-		}
-		st, ok := statusOf(body)
-		if !ok || st != OK {
-			body.Release()
-			done(fh, Attr{}, orIO(st, ok))
-			return
-		}
-		if err := body.PullHeaderInto(fh[:]); err != nil {
-			body.Release()
-			done(fh, Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		a, ok := attrOf(body)
-		body.Release()
-		if !ok {
-			done(fh, Attr{}, &OpError{Status: ErrIO})
-			return
-		}
-		done(fh, a, nil)
-	})
+	k := c.newCall(replyFH)
+	k.doneFH = done
+	k.call(ProcCreate, c.nameArgs(dir, name), nil)
 }
 
 // Remove unlinks a file.
 func (c *Client) Remove(dir FH, name string, done func(error)) {
-	c.call(ProcRemove, c.nameArgs(dir, name), nil, func(body *netbuf.Chain, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		st, ok := statusOf(body)
-		finishStatus(body, st, ok, done)
-	})
+	k := c.newCall(replyStatus)
+	k.doneStatus = done
+	k.call(ProcRemove, c.nameArgs(dir, name), nil)
 }
 
 // Readdir lists a directory.
 func (c *Client) Readdir(dir FH, done func([]string, error)) {
 	msg, _ := c.fhArgs(dir, 0)
-	c.call(ProcReaddir, msg, nil, func(body *netbuf.Chain, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		st, ok := statusOf(body)
-		if !ok || st != OK {
-			body.Release()
-			done(nil, orIO(st, ok))
-			return
-		}
-		flat := make([]byte, body.Len())
-		body.Gather(flat)
-		body.Release()
-		// Every name is cut out of one string copy of the reply.
-		all, d := string(flat), xdr.NewDecoder(flat)
-		count, err := d.Uint32()
-		if err != nil {
-			done(nil, &OpError{Status: ErrIO})
-			return
-		}
-		names := make([]string, 0, count)
-		for i := uint32(0); i < count; i++ {
-			start := d.Offset() + 4 // past the length word
-			p, err := d.Opaque(MaxReadSize)
-			if err != nil {
-				done(nil, &OpError{Status: ErrIO})
-				return
-			}
-			names = append(names, all[start:start+len(p)])
-		}
-		done(names, nil)
-	})
+	k := c.newCall(replyNames)
+	k.doneNames = done
+	k.call(ProcReaddir, msg, nil)
 }
 
 // orIO maps a parse failure or non-OK status to an error.

@@ -35,6 +35,8 @@ type Server struct {
 	node    *simnet.Node
 	rpc     *sunrpc.Server
 	filter  TxFilter
+	// calls is the free list of call records (see serverCall).
+	calls netbuf.FreeList[serverCall]
 
 	// Ops counts served calls by procedure.
 	Ops map[uint32]uint64
@@ -54,8 +56,7 @@ func NewServer(node *simnet.Node, backend Backend) *Server {
 		ProcNull, ProcGetattr, ProcSetattr, ProcLookup, ProcRead,
 		ProcWrite, ProcCreate, ProcRemove, ProcMkdir, ProcRmdir, ProcReaddir,
 	} {
-		proc := proc
-		s.rpc.Register(Prog, Vers, proc, func(c sunrpc.Call) { s.dispatch(proc, c) })
+		s.rpc.Register(Prog, Vers, proc, s.dispatch)
 	}
 	return s
 }
@@ -90,12 +91,6 @@ func (s *Server) send(c sunrpc.Call, hb *netbuf.Buf, payload *netbuf.Chain) {
 	_ = c.Send(hb, payload)
 }
 
-// replyStatus sends a bare status reply.
-func (s *Server) replyStatus(c sunrpc.Call, st uint32) {
-	hb, _ := head(c, 4, st)
-	s.send(c, hb, nil)
-}
-
 // encodeAttr appends an attribute block.
 func encodeAttr(e *xdr.Encoder, a Attr) {
 	e.Uint32(a.Type)
@@ -103,215 +98,280 @@ func encodeAttr(e *xdr.Encoder, a Attr) {
 	e.Uint64(a.Size)
 }
 
-// dispatch decodes one call and invokes the backend. Per-operation server
-// logic cost is charged here.
-func (s *Server) dispatch(proc uint32, c sunrpc.Call) {
-	s.Ops[proc]++
-	s.node.Reqs.Ops++
-	body := c.Body
-	fail := func(st uint32) {
-		body.Release()
-		s.replyStatus(c, st)
+// serverCall is the recycled record of one NFS call on the server: the RPC
+// call (by value: where the reply goes) and its argument body, with the
+// continuations the CPU charge and the backend are handed — run and one per
+// result shape — bound once, when the record is first allocated. It never
+// leaves its Server and retires where the reply is handed to the RPC layer;
+// a call the backend drops (a crashed server answers nothing) leaves its
+// record to the collector. In netbuf debug mode a retired record is poisoned
+// and abandoned, and a second retire panics: a backend that calls done twice
+// fails there instead of answering another call.
+type serverCall struct {
+	s    *Server
+	c    sunrpc.Call
+	body *netbuf.Chain
+	dead bool // retired in debug mode
+
+	run      func()
+	onAttr   func(Attr, uint32)
+	onFHAttr func(FH, Attr, uint32)
+	onRead   func(*netbuf.Chain, Attr, uint32)
+	onWrite  func(int, Attr, uint32)
+	onStatus func(uint32)
+	onNames  func([]string, uint32)
+}
+
+// call takes a blank record off the free list.
+func (s *Server) call() *serverCall {
+	if k := s.calls.Take(); k != nil {
+		return k
 	}
+	k := &serverCall{s: s}
+	k.run = k.serve
+	k.onAttr, k.onFHAttr, k.onRead = k.replyAttr, k.replyFHAttr, k.replyRead
+	k.onWrite, k.onStatus, k.onNames = k.replyWrite, k.replyStatus, k.replyNames
+	return k
+}
+
+// retire ends the record's call and returns where its reply goes.
+func (k *serverCall) retire() sunrpc.Call {
+	if k.dead {
+		panic("nfs: server call record retired twice (a backend called done twice)")
+	}
+	c := k.c
+	k.c, k.body = sunrpc.Call{}, nil
+	k.dead = !k.s.calls.Put(k)
+	return c
+}
+
+// dispatch takes one call in. Per-operation server logic cost is charged
+// here; serve decodes the arguments and invokes the backend after it.
+func (s *Server) dispatch(c sunrpc.Call) {
+	s.Ops[c.Proc]++
+	s.node.Reqs.Ops++
+	k := s.call()
+	k.c, k.body = c, c.Body
 	trace.To(s.node.Eng, trace.LServer)
-	s.node.Charge(s.node.Cost.NFSOpNs, func() {
-		switch proc {
-		case ProcNull:
-			body.Release()
-			hb, _ := c.ReplyBuf(0)
-			_ = c.Send(hb, nil)
+	s.node.Charge(s.node.Cost.NFSOpNs, k.run)
+}
 
-		case ProcGetattr:
-			fh, ok := pullFH(body)
-			if !ok {
-				fail(ErrIO)
-				return
-			}
-			body.Release()
-			s.node.Reqs.MetaOps++
-			s.backend.Getattr(fh, func(a Attr, st uint32) {
-				s.replyAttr(c, st, a)
-			})
+// fail answers a call whose arguments did not parse.
+func (k *serverCall) fail(st uint32) {
+	k.body.Release()
+	k.replyStatus(st)
+}
 
-		case ProcSetattr:
-			var raw [FHLen + 8]byte
-			if err := body.PullHeaderInto(raw[:]); err != nil {
-				fail(ErrIO)
-				return
-			}
-			var fh FH
-			copy(fh[:], raw[:FHLen])
-			size := be64(raw[FHLen:])
-			body.Release()
-			s.node.Reqs.MetaOps++
-			s.backend.Setattr(fh, size, func(a Attr, st uint32) {
-				s.replyAttr(c, st, a)
-			})
+func (k *serverCall) serve() {
+	s, body := k.s, k.body
+	switch proc := k.c.Proc; proc {
+	case ProcNull:
+		body.Release()
+		c := k.retire()
+		hb, _ := c.ReplyBuf(0)
+		_ = c.Send(hb, nil)
 
-		case ProcLookup:
-			fh, name, ok := pullFHName(body)
-			body.Release()
-			if !ok {
-				s.replyStatus(c, ErrIO)
-				return
-			}
-			s.node.Reqs.MetaOps++
-			s.backend.Lookup(fh, name, func(child FH, a Attr, st uint32) {
-				s.replyFHAttr(c, st, child, a)
-			})
-
-		case ProcRead:
-			var raw [FHLen + 12]byte
-			if err := body.PullHeaderInto(raw[:]); err != nil {
-				fail(ErrIO)
-				return
-			}
-			var fh FH
-			copy(fh[:], raw[:FHLen])
-			off := be64(raw[FHLen:])
-			n := int(be32(raw[FHLen+8:]))
-			body.Release()
-			if n > MaxReadSize {
-				n = MaxReadSize
-			}
-			s.node.Reqs.ReadOps++
-			s.backend.Read(fh, off, n, func(data *netbuf.Chain, a Attr, st uint32) {
-				if st != OK {
-					if data != nil {
-						data.Release()
-					}
-					s.replyStatus(c, st)
-					return
-				}
-				hb, e := head(c, 4+AttrLen+4, OK)
-				encodeAttr(&e, a)
-				dlen := 0
-				if data != nil {
-					dlen = data.Len()
-				}
-				e.Uint32(uint32(dlen))
-				s.node.Reqs.ReadBytes += uint64(dlen)
-				// XDR opaque padding (block payloads are 4-aligned).
-				if pad := (4 - dlen%4) % 4; pad != 0 && data != nil {
-					pb, perr := s.node.TxPool.Get()
-					if perr != nil {
-						pb = netbuf.New(0, pad)
-					}
-					_ = pb.Put(pad)
-					data.Append(pb)
-				}
-				s.send(c, hb, data)
-			})
-
-		case ProcWrite:
-			var raw [FHLen + 16]byte
-			if err := body.PullHeaderInto(raw[:]); err != nil {
-				fail(ErrIO)
-				return
-			}
-			var fh FH
-			copy(fh[:], raw[:FHLen])
-			off := be64(raw[FHLen:])
-			dlen := int(be32(raw[FHLen+8:]))
-			// raw[FHLen+12:] is the XDR opaque length, equal to dlen.
-			if body.Len() < dlen {
-				fail(ErrIO)
-				return
-			}
-			data, err := body.PullChain(dlen)
-			if err != nil {
-				fail(ErrIO)
-				return
-			}
-			body.Release()
-			s.node.Reqs.WriteOps++
-			s.node.Reqs.WriteBytes += uint64(dlen)
-			s.backend.Write(fh, off, data, func(n int, a Attr, st uint32) {
-				if st != OK {
-					s.replyStatus(c, st)
-					return
-				}
-				hb, e := head(c, 4+AttrLen+4, OK)
-				encodeAttr(&e, a)
-				e.Uint32(uint32(n))
-				s.send(c, hb, nil)
-			})
-
-		case ProcCreate, ProcMkdir:
-			fh, name, ok := pullFHName(body)
-			body.Release()
-			if !ok {
-				s.replyStatus(c, ErrIO)
-				return
-			}
-			s.node.Reqs.MetaOps++
-			s.backend.Create(fh, name, proc == ProcMkdir, func(child FH, a Attr, st uint32) {
-				s.replyFHAttr(c, st, child, a)
-			})
-
-		case ProcRemove, ProcRmdir:
-			fh, name, ok := pullFHName(body)
-			body.Release()
-			if !ok {
-				s.replyStatus(c, ErrIO)
-				return
-			}
-			s.node.Reqs.MetaOps++
-			s.backend.Remove(fh, name, func(st uint32) {
-				s.replyStatus(c, st)
-			})
-
-		case ProcReaddir:
-			fh, ok := pullFH(body)
-			body.Release()
-			if !ok {
-				s.replyStatus(c, ErrIO)
-				return
-			}
-			s.node.Reqs.MetaOps++
-			s.backend.Readdir(fh, func(names []string, st uint32) {
-				if st != OK {
-					s.replyStatus(c, st)
-					return
-				}
-				size := 8
-				for _, n := range names {
-					size += 4 + (len(n)+3)&^3
-				}
-				hb, e := head(c, size, OK)
-				e.Uint32(uint32(len(names)))
-				for _, n := range names {
-					e.String(n)
-				}
-				s.send(c, hb, nil)
-			})
-
-		default:
-			fail(ErrIO)
+	case ProcGetattr:
+		fh, ok := pullFH(body)
+		if !ok {
+			k.fail(ErrIO)
+			return
 		}
-	})
+		body.Release()
+		s.node.Reqs.MetaOps++
+		s.backend.Getattr(fh, k.onAttr)
+
+	case ProcSetattr:
+		var raw [FHLen + 8]byte
+		if err := body.PullHeaderInto(raw[:]); err != nil {
+			k.fail(ErrIO)
+			return
+		}
+		var fh FH
+		copy(fh[:], raw[:FHLen])
+		size := be64(raw[FHLen:])
+		body.Release()
+		s.node.Reqs.MetaOps++
+		s.backend.Setattr(fh, size, k.onAttr)
+
+	case ProcLookup:
+		fh, name, ok := pullFHName(body)
+		body.Release()
+		if !ok {
+			k.replyStatus(ErrIO)
+			return
+		}
+		s.node.Reqs.MetaOps++
+		s.backend.Lookup(fh, name, k.onFHAttr)
+
+	case ProcRead:
+		var raw [FHLen + 12]byte
+		if err := body.PullHeaderInto(raw[:]); err != nil {
+			k.fail(ErrIO)
+			return
+		}
+		var fh FH
+		copy(fh[:], raw[:FHLen])
+		off := be64(raw[FHLen:])
+		n := int(be32(raw[FHLen+8:]))
+		body.Release()
+		if n > MaxReadSize {
+			n = MaxReadSize
+		}
+		s.node.Reqs.ReadOps++
+		s.backend.Read(fh, off, n, k.onRead)
+
+	case ProcWrite:
+		var raw [FHLen + 16]byte
+		if err := body.PullHeaderInto(raw[:]); err != nil {
+			k.fail(ErrIO)
+			return
+		}
+		var fh FH
+		copy(fh[:], raw[:FHLen])
+		off := be64(raw[FHLen:])
+		dlen := int(be32(raw[FHLen+8:]))
+		// raw[FHLen+12:] is the XDR opaque length, equal to dlen.
+		if body.Len() < dlen {
+			k.fail(ErrIO)
+			return
+		}
+		data, err := body.PullChain(dlen)
+		if err != nil {
+			k.fail(ErrIO)
+			return
+		}
+		body.Release()
+		s.node.Reqs.WriteOps++
+		s.node.Reqs.WriteBytes += uint64(dlen)
+		s.backend.Write(fh, off, data, k.onWrite)
+
+	case ProcCreate, ProcMkdir:
+		fh, name, ok := pullFHName(body)
+		body.Release()
+		if !ok {
+			k.replyStatus(ErrIO)
+			return
+		}
+		s.node.Reqs.MetaOps++
+		s.backend.Create(fh, name, proc == ProcMkdir, k.onFHAttr)
+
+	case ProcRemove, ProcRmdir:
+		fh, name, ok := pullFHName(body)
+		body.Release()
+		if !ok {
+			k.replyStatus(ErrIO)
+			return
+		}
+		s.node.Reqs.MetaOps++
+		s.backend.Remove(fh, name, k.onStatus)
+
+	case ProcReaddir:
+		fh, ok := pullFH(body)
+		body.Release()
+		if !ok {
+			k.replyStatus(ErrIO)
+			return
+		}
+		s.node.Reqs.MetaOps++
+		s.backend.Readdir(fh, k.onNames)
+
+	default:
+		k.fail(ErrIO)
+	}
+}
+
+// replyStatus sends a bare status reply.
+func (k *serverCall) replyStatus(st uint32) {
+	s, c := k.s, k.retire()
+	hb, _ := head(c, 4, st)
+	s.send(c, hb, nil)
 }
 
 // replyAttr sends status+attr.
-func (s *Server) replyAttr(c sunrpc.Call, st uint32, a Attr) {
+func (k *serverCall) replyAttr(a Attr, st uint32) {
 	if st != OK {
-		s.replyStatus(c, st)
+		k.replyStatus(st)
 		return
 	}
+	s, c := k.s, k.retire()
 	hb, e := head(c, 4+AttrLen, OK)
 	encodeAttr(&e, a)
 	s.send(c, hb, nil)
 }
 
 // replyFHAttr sends status+fh+attr.
-func (s *Server) replyFHAttr(c sunrpc.Call, st uint32, fh FH, a Attr) {
+func (k *serverCall) replyFHAttr(fh FH, a Attr, st uint32) {
 	if st != OK {
-		s.replyStatus(c, st)
+		k.replyStatus(st)
 		return
 	}
+	s, c := k.s, k.retire()
 	hb, e := head(c, 4+FHLen+AttrLen, OK)
 	e.FixedOpaque(fh[:])
 	encodeAttr(&e, a)
+	s.send(c, hb, nil)
+}
+
+// replyRead sends status+attr+counted data, the payload by reference.
+func (k *serverCall) replyRead(data *netbuf.Chain, a Attr, st uint32) {
+	if st != OK {
+		if data != nil {
+			data.Release()
+		}
+		k.replyStatus(st)
+		return
+	}
+	s, c := k.s, k.retire()
+	hb, e := head(c, 4+AttrLen+4, OK)
+	encodeAttr(&e, a)
+	dlen := 0
+	if data != nil {
+		dlen = data.Len()
+	}
+	e.Uint32(uint32(dlen))
+	s.node.Reqs.ReadBytes += uint64(dlen)
+	// XDR opaque padding (block payloads are 4-aligned).
+	if pad := (4 - dlen%4) % 4; pad != 0 && data != nil {
+		pb, perr := s.node.TxPool.Get()
+		if perr != nil {
+			pb = netbuf.New(0, pad)
+		}
+		_ = pb.Put(pad)
+		data.Append(pb)
+	}
+	s.send(c, hb, data)
+}
+
+// replyWrite sends status+attr+count.
+func (k *serverCall) replyWrite(n int, a Attr, st uint32) {
+	if st != OK {
+		k.replyStatus(st)
+		return
+	}
+	s, c := k.s, k.retire()
+	hb, e := head(c, 4+AttrLen+4, OK)
+	encodeAttr(&e, a)
+	e.Uint32(uint32(n))
+	s.send(c, hb, nil)
+}
+
+// replyNames sends status+name list.
+func (k *serverCall) replyNames(names []string, st uint32) {
+	if st != OK {
+		k.replyStatus(st)
+		return
+	}
+	size := 8
+	for _, n := range names {
+		size += 4 + (len(n)+3)&^3
+	}
+	s, c := k.s, k.retire()
+	hb, e := head(c, size, OK)
+	e.Uint32(uint32(len(names)))
+	for _, n := range names {
+		e.String(n)
+	}
 	s.send(c, hb, nil)
 }
 

@@ -19,7 +19,6 @@ import (
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
 	"ncache/internal/storage"
-	"ncache/internal/trace"
 	"ncache/internal/wal"
 )
 
@@ -77,6 +76,7 @@ type AppServer struct {
 
 	cfg          ClusterConfig
 	path         *dataPath
+	backend      *fsBackend
 	connectAddrs []eth.Addr // parallels Initiators
 	crashed      bool
 }
@@ -231,8 +231,8 @@ func (s *AppServer) startServices(done func(error)) {
 		}
 		s.FS = fs
 		fs.SetMaterializer(s.path.materialize)
-		backend := &fsBackend{srv: s}
-		nfsSrv := nfs.NewServer(s.Node, backend)
+		s.backend = &fsBackend{srv: s}
+		nfsSrv := nfs.NewServer(s.Node, s.backend)
 		if err := nfsSrv.ServeUDP(s.UDP); err != nil {
 			done(err)
 			return
@@ -376,263 +376,4 @@ func attrOf(a extfs.Attr) nfs.Attr {
 		t = nfs.TypeDir
 	}
 	return nfs.Attr{Type: t, Links: uint32(a.Links), Size: a.Size}
-}
-
-// fsBackend implements the NFS backend over the mounted file system with
-// the mode's data path.
-type fsBackend struct {
-	srv *AppServer
-}
-
-var _ nfs.Backend = (*fsBackend)(nil)
-
-func (b *fsBackend) Getattr(fh nfs.FH, done func(nfs.Attr, uint32)) {
-	if b.srv.crashed {
-		return
-	}
-	b.srv.FS.Getattr(fhIno(fh), func(a extfs.Attr, err error) {
-		if err != nil {
-			done(nfs.Attr{}, mapErr(err))
-			return
-		}
-		done(attrOf(a), nfs.OK)
-	})
-}
-
-func (b *fsBackend) Setattr(fh nfs.FH, size uint64, done func(nfs.Attr, uint32)) {
-	if b.srv.crashed {
-		return
-	}
-	ino := fhIno(fh)
-	b.srv.FS.Truncate(ino, size, func(err error) {
-		if err != nil {
-			done(nfs.Attr{}, mapErr(err))
-			return
-		}
-		b.Getattr(fh, done)
-	})
-}
-
-func (b *fsBackend) Lookup(dir nfs.FH, name string, done func(nfs.FH, nfs.Attr, uint32)) {
-	if b.srv.crashed {
-		return
-	}
-	b.srv.FS.Lookup(fhIno(dir), name, func(ino uint32, err error) {
-		if err != nil {
-			done(nfs.FH{}, nfs.Attr{}, mapErr(err))
-			return
-		}
-		b.srv.FS.Getattr(ino, func(a extfs.Attr, err error) {
-			if err != nil {
-				done(nfs.FH{}, nfs.Attr{}, mapErr(err))
-				return
-			}
-			done(inoFH(ino), attrOf(a), nfs.OK)
-		})
-	})
-}
-
-func (b *fsBackend) Read(fh nfs.FH, off uint64, n int, done func(*netbuf.Chain, nfs.Attr, uint32)) {
-	srv := b.srv
-	if srv.crashed {
-		return
-	}
-	trace.To(srv.Node.Eng, trace.LFS)
-	srv.FS.Read(fhIno(fh), off, n, func(res *extfs.ReadResult, err error) {
-		if srv.crashed {
-			if res != nil {
-				res.Done(srv.FS)
-			}
-			return
-		}
-		if err != nil {
-			done(nil, nfs.Attr{}, mapErr(err))
-			return
-		}
-		// Back in the daemon: compose and transmit the reply.
-		trace.To(srv.Node.Eng, trace.LServer)
-		chain, attr := srv.path.replyChain(res, false), attrOf(res.Attr)
-		res.Done(srv.FS)
-		done(chain, attr, nfs.OK)
-	})
-}
-
-func (b *fsBackend) Write(fh nfs.FH, off uint64, data *netbuf.Chain, done func(int, nfs.Attr, uint32)) {
-	srv := b.srv
-	if srv.crashed {
-		data.Release()
-		return
-	}
-	ino := fhIno(fh)
-	if srv.WAL != nil {
-		b.writeJournaled(fh, ino, off, data, done)
-		return
-	}
-	if srv.cfg.Writeback.Enabled && srv.cfg.Writeback.WriteThrough {
-		// The equal-durability comparison arm: every WRITE applies and
-		// flushes before its ack, through the same batching flusher.
-		b.writeSyncThrough(fh, ino, off, data, done)
-		return
-	}
-	trace.To(srv.Node.Eng, trace.LFS)
-	srv.path.applyWrite(srv.FS, ino, fh, off, data, func(n int, st uint32) {
-		trace.To(srv.Node.Eng, trace.LServer)
-		if srv.crashed {
-			return
-		}
-		if st != nfs.OK {
-			done(0, nfs.Attr{}, st)
-			return
-		}
-		b.finishWrite(ino, n, done)
-	})
-}
-
-// writeSyncThrough applies a WRITE and flushes the cache before the ack —
-// the synchronous durability path. It serves the write-through comparison
-// arm and the journaled path's unaligned fallback (the WAL is a logical redo
-// log over whole blocks, so a sub-block write is made durable the slow way
-// instead of being journaled).
-func (b *fsBackend) writeSyncThrough(fh nfs.FH, ino uint32, off uint64, data *netbuf.Chain, done func(int, nfs.Attr, uint32)) {
-	srv := b.srv
-	trace.To(srv.Node.Eng, trace.LFS)
-	srv.path.applyWrite(srv.FS, ino, fh, off, data, func(wn int, st uint32) {
-		trace.To(srv.Node.Eng, trace.LServer)
-		if srv.crashed {
-			return
-		}
-		if st != nfs.OK {
-			done(0, nfs.Attr{}, st)
-			return
-		}
-		srv.FS.Sync(func(err error) {
-			if srv.crashed {
-				return
-			}
-			if err != nil {
-				done(0, nfs.Attr{}, mapErr(err))
-				return
-			}
-			b.finishWrite(ino, wn, done)
-		})
-	})
-}
-
-// finishWrite refreshes the post-write attributes and acks the WRITE.
-func (b *fsBackend) finishWrite(ino uint32, n int, done func(int, nfs.Attr, uint32)) {
-	b.srv.FS.Getattr(ino, func(a extfs.Attr, err error) {
-		if err != nil {
-			done(0, nfs.Attr{}, mapErr(err))
-			return
-		}
-		done(n, attrOf(a), nfs.OK)
-	})
-}
-
-// writeJournaled is the write-back pipeline's WRITE path: the payload is
-// copied into a WAL record (its checksum and resolved LBN list alongside),
-// applied to the cache as dirty blocks, and acknowledged only when the log's
-// group commit lands — the data itself flushes to storage later, in
-// coalesced batches. Admission is gated by the cache's dirty-memory
-// watermarks, so a flooded flusher backpressures the NFS path here.
-// Unaligned writes (never issued by the block-aligned workloads; the WAL is
-// a logical redo log over whole blocks) fall back to apply+sync before the
-// ack — equal durability, no journal entry.
-func (b *fsBackend) writeJournaled(fh nfs.FH, ino uint32, off uint64, data *netbuf.Chain, done func(int, nfs.Attr, uint32)) {
-	srv := b.srv
-	n := data.Len()
-	bs := extfs.BlockSize
-	if off%uint64(bs) != 0 || n%bs != 0 || n == 0 {
-		b.writeSyncThrough(fh, ino, off, data, done)
-		return
-	}
-	run := func() {
-		if srv.crashed {
-			data.Release()
-			return
-		}
-		// Capture the payload for the journal before applyWrite consumes
-		// the chain (NCache mode keeps only logical keys in the cache).
-		rec := srv.WAL.NewRecord(n)
-		data.GatherRange(0, rec.Data)
-		trace.To(srv.Node.Eng, trace.LFS)
-		srv.path.applyWrite(srv.FS, ino, fh, off, data, func(wn int, st uint32) {
-			trace.To(srv.Node.Eng, trace.LServer)
-			if srv.crashed {
-				return
-			}
-			if st != nfs.OK {
-				done(0, nfs.Attr{}, st)
-				return
-			}
-			srv.FS.Map(ino, off, wn, func(lbns []int64, err error) {
-				if srv.crashed {
-					return
-				}
-				if err != nil {
-					done(0, nfs.Attr{}, mapErr(err))
-					return
-				}
-				var epoch uint64
-				if srv.Agent != nil {
-					epoch = srv.Agent.Epoch()
-				}
-				rec.Ino, rec.Off, rec.Epoch = ino, off, epoch
-				// lbns is Map's own array: the record keeps a copy.
-				rec.Sum, rec.LBNs = netbuf.Sum(rec.Data), append(rec.LBNs[:0], lbns...)
-				srv.WAL.Append(rec, func() {
-					if srv.crashed {
-						return
-					}
-					b.finishWrite(ino, wn, done)
-				})
-			})
-		})
-	}
-	srv.Cache.Admit(run, func() { data.Release() })
-}
-
-func (b *fsBackend) Create(dir nfs.FH, name string, isDir bool, done func(nfs.FH, nfs.Attr, uint32)) {
-	if b.srv.crashed {
-		return
-	}
-	mode := extfs.ModeFile
-	if isDir {
-		mode = extfs.ModeDir
-	}
-	b.srv.FS.Create(fhIno(dir), name, mode, func(ino uint32, err error) {
-		if err != nil {
-			done(nfs.FH{}, nfs.Attr{}, mapErr(err))
-			return
-		}
-		b.Getattr(inoFH(ino), func(a nfs.Attr, st uint32) {
-			done(inoFH(ino), a, st)
-		})
-	})
-}
-
-func (b *fsBackend) Remove(dir nfs.FH, name string, done func(uint32)) {
-	if b.srv.crashed {
-		return
-	}
-	b.srv.FS.Remove(fhIno(dir), name, func(err error) {
-		done(mapErr(err))
-	})
-}
-
-func (b *fsBackend) Readdir(dir nfs.FH, done func([]string, uint32)) {
-	if b.srv.crashed {
-		return
-	}
-	b.srv.FS.Readdir(fhIno(dir), func(ents []extfs.Dirent, err error) {
-		if err != nil {
-			done(nil, mapErr(err))
-			return
-		}
-		names := make([]string, len(ents))
-		for i, e := range ents {
-			names[i] = e.Name
-		}
-		done(names, nfs.OK)
-	})
 }

@@ -193,65 +193,63 @@ func (p *dataPath) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Chai
 	return out
 }
 
-// applyWrite routes a write payload into the file system with the mode's
-// data movement, then calls done. It owns the payload chain.
-func (p *dataPath) applyWrite(fs *extfs.FS, ino uint32, fh nfs.FH, off uint64, data *netbuf.Chain, done func(n int, st uint32)) {
-	n := data.Len()
-	aligned := off%uint64(p.bs) == 0 && n%p.bs == 0 && n > 0
-
-	finish := func(err error) {
-		if err != nil {
-			done(0, mapErr(err))
-			return
-		}
-		done(n, nfs.OK)
-	}
+// applyWrite routes a WRITE's payload into the file system with the mode's
+// data movement; written hears the end. The fillers are the record's own
+// (bound once, reading the handle, offset and payload it carries), so a write
+// builds no closure here.
+func (k *backendCall) applyWrite() {
+	srv, data := k.b.srv, k.data
+	p, fs := srv.path, srv.FS
+	trace.To(p.node.Eng, trace.LFS)
+	aligned := k.off%uint64(p.bs) == 0 && k.n%p.bs == 0 && k.n > 0
 
 	switch {
 	case p.mode == NCache && aligned:
 		// Capture the wire payload into the FHO cache; the file system
 		// receives only keys (one logical copy per block).
-		blocks := n / p.bs
-		junk := p.mod.CaptureFHO(fh, off, data)
+		k.data = nil
+		junk := p.mod.CaptureFHO(k.fh, k.off, data)
 		junk.Release()
-		p.chargeLogical(blocks)
-		filler := func(b *buffercache.Block, blockOff, count, srcOff int) {
-			lkey.Stamp(b.Data, lkey.ForFHO(fh, off+uint64(srcOff)))
-			b.Logical = true
-		}
-		fs.Write(ino, off, n, filler, finish)
+		p.chargeLogical(k.n / p.bs)
+		fs.Write(k.ino, k.off, k.n, k.fillFHO, k.onWritten)
 
 	case p.mode == Baseline:
 		// Ideal zero-copy: drop the payload, store junk markers.
+		k.data = nil
 		data.Release()
-		filler := func(b *buffercache.Block, blockOff, count, srcOff int) {
-			if blockOff == 0 {
-				lkey.Stamp(b.Data, lkey.Key{})
-				b.Logical = true
-			}
-		}
-		fs.Write(ino, off, n, filler, finish)
+		fs.Write(k.ino, k.off, k.n, k.fillJunk, k.onWritten)
 
 	default:
 		// Physical path (Original, or unaligned writes in NCache mode):
 		// one copy from the wire buffers into the buffer cache
 		// (Table 2: "overwritten" = 1). The wire chain is scattered
 		// straight into cache blocks — no flattened intermediate — and
-		// stays referenced until the last filler has run.
-		p.chargePhysical(1, n)
-		filler := func(b *buffercache.Block, blockOff, count, srcOff int) {
-			if b.Logical {
-				// A partial overwrite of a key-carrying block must
-				// materialize the real bytes first.
-				p.materialize(b)
-			}
-			data.GatherRange(srcOff, b.Data[blockOff:blockOff+count])
-		}
-		fs.Write(ino, off, n, filler, func(err error) {
-			data.Release()
-			finish(err)
-		})
+		// stays referenced until the last filler has run (written
+		// releases it).
+		p.chargePhysical(1, k.n)
+		fs.Write(k.ino, k.off, k.n, k.fillWire, k.onWritten)
 	}
+}
+
+func (k *backendCall) stampFHO(b *buffercache.Block, blockOff, count, srcOff int) {
+	lkey.Stamp(b.Data, lkey.ForFHO(k.fh, k.off+uint64(srcOff)))
+	b.Logical = true
+}
+
+func (k *backendCall) stampJunk(b *buffercache.Block, blockOff, count, srcOff int) {
+	if blockOff == 0 {
+		lkey.Stamp(b.Data, lkey.Key{})
+		b.Logical = true
+	}
+}
+
+func (k *backendCall) copyWire(b *buffercache.Block, blockOff, count, srcOff int) {
+	if b.Logical {
+		// A partial overwrite of a key-carrying block must materialize
+		// the real bytes first.
+		k.b.srv.path.materialize(b)
+	}
+	k.data.GatherRange(srcOff, b.Data[blockOff:blockOff+count])
 }
 
 // materialize turns a logical block back into a real one by pulling the

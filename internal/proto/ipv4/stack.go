@@ -25,6 +25,8 @@ type Stack struct {
 	handlers map[uint8]Handler
 	nextID   uint16
 	reasm    map[flowKey]*reassembly
+	// free is the free list of reassembly records (see reassembly).
+	free netbuf.FreeList[reassembly]
 	// receiveFn is s.receive bound once, so the per-packet path creates no
 	// func value.
 	receiveFn func(*netbuf.Chain)
@@ -53,11 +55,62 @@ type flowKey struct {
 	proto    uint8
 }
 
+// reassembly is the recycled record of one datagram mid-reassembly. It
+// carries its flow key, and expire — the timeout's continuation — is bound
+// once, when the record is first allocated. A record never leaves its Stack
+// and retires on each of the three ways a reassembly ends: completed, evicted,
+// expired. The first two Cancel the timer, and Engine.Cancel removes the
+// event, so an expiry armed for one datagram cannot fire on the record's next;
+// expire checks that the record still holds its flow all the same. In netbuf
+// debug mode a retired record is poisoned and abandoned, and a second retire
+// panics.
 type reassembly struct {
+	s       *Stack
+	key     flowKey
 	id      uint16
 	chain   *netbuf.Chain
 	nextOff uint16
 	expiry  sim.EventID
+	expire  func()
+	dead    bool // retired in debug mode
+}
+
+// reassemble starts a record for the datagram id on flow key and arms its
+// timeout.
+func (s *Stack) reassemble(key flowKey, id uint16) *reassembly {
+	r := s.free.Take()
+	if r == nil {
+		r = &reassembly{s: s}
+		r.expire = r.expired
+	}
+	r.key, r.id, r.chain = key, id, netbuf.NewChain()
+	r.expiry = s.node.Eng.Schedule(ReasmTimeout, r.expire)
+	s.reasm[key] = r
+	return r
+}
+
+// retire takes the record off its flow and returns it to the free list; the
+// caller has already taken or released the chain.
+func (r *reassembly) retire() {
+	if r.dead {
+		panic("ipv4: reassembly record retired twice")
+	}
+	delete(r.s.reasm, r.key)
+	*r = reassembly{s: r.s, expire: r.expire}
+	r.dead = !r.s.free.Put(r)
+}
+
+// expired abandons a partial datagram whose next fragment never came.
+func (r *reassembly) expired() {
+	if r.dead {
+		panic("ipv4: reassembly record expired after retire")
+	}
+	if r.s.reasm[r.key] != r {
+		return
+	}
+	r.s.ReasmDropped++
+	r.chain.Release()
+	r.retire()
 }
 
 // NewStack creates the network layer for node and installs itself as the
@@ -208,7 +261,7 @@ func (s *Stack) receive(frame *netbuf.Chain) {
 		// Per-flow ordering: a fragment with a new ID means the old
 		// partial's missing tail can never arrive. Abandon it.
 		s.ReasmDropped++
-		s.evict(key, r)
+		s.evict(r)
 		r = nil
 	}
 	if r == nil {
@@ -218,38 +271,30 @@ func (s *Stack) receive(frame *netbuf.Chain) {
 			frame.Release()
 			return
 		}
-		r = &reassembly{id: hdr.ID, chain: netbuf.NewChain()}
-		rr := r
-		r.expiry = s.node.Eng.Schedule(ReasmTimeout, func() {
-			if s.reasm[key] == rr {
-				s.ReasmDropped++
-				rr.chain.Release()
-				delete(s.reasm, key)
-			}
-		})
-		s.reasm[key] = r
+		r = s.reassemble(key, hdr.ID)
 	}
 	if hdr.FragOffset != r.nextOff {
 		// A middle fragment was lost or reordered away.
 		s.ReasmErrors++
 		frame.Release()
-		s.evict(key, r)
+		s.evict(r)
 		return
 	}
 	r.chain.AppendChain(frame)
 	r.nextOff += hdr.TotalLen - HeaderLen
 	if !hdr.MoreFrags {
 		s.node.Eng.Cancel(r.expiry)
-		delete(s.reasm, key)
-		s.deliver(hdr, r.chain)
+		whole := r.chain
+		r.retire()
+		s.deliver(hdr, whole)
 	}
 }
 
 // evict abandons a partial reassembly, releasing its buffers.
-func (s *Stack) evict(key flowKey, r *reassembly) {
+func (s *Stack) evict(r *reassembly) {
 	s.node.Eng.Cancel(r.expiry)
 	r.chain.Release()
-	delete(s.reasm, key)
+	r.retire()
 }
 
 // deliver hands a complete datagram to the registered transport.

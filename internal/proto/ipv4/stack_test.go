@@ -133,19 +133,60 @@ func TestStackAddrs(t *testing.T) {
 // layer: an unfragmented datagram — header buffer, Charge on transmit, the
 // wire, Charge on receive, parse, deliver — costs no object: the frame hop
 // below is free (see simnet's TestFrameHopAllocFree) and the stack adds no
-// closure per packet in either direction.
+// closure per packet in either direction. Nor does a datagram of three
+// fragments: its reassembly record and the expiry it arms are recycled.
 func TestStackPacketAllocFree(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
 	}
+	for _, size := range []int{1024, 4096} {
+		eng, sa, sb := stackPair(t)
+		delivered := 0
+		sb.Register(99, func(_ Header, payload *netbuf.Chain) {
+			delivered += payload.Len()
+			payload.Release()
+		})
+		body := make([]byte, size)
+		packet := func() {
+			payload, err := sa.Node().TxPool.GetChain(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sa.Send(1, 2, 99, payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			packet()
+		}
+		if avg := testing.AllocsPerRun(200, packet); avg != 0 {
+			t.Fatalf("one %d-byte datagram allocates %.0f objects end to end, want 0", size, avg)
+		}
+		if delivered != (4+201)*len(body) {
+			t.Fatalf("delivered %d bytes, want %d", delivered, (4+201)*len(body))
+		}
+	}
+}
+
+// TestStackReassemblyRecordRecycled: one record serves a flow's datagrams one
+// after the other, and the expiry of each partial acts on the datagram that
+// armed it. After 1,000 recycles a head fragment arrives whose tail is lost
+// (partial A, expiring at +50 ms); at +10 ms a whole datagram evicts it and
+// completes on the same record; at +20 ms another tail is lost (partial B,
+// expiring at +70 ms). A's instant must pass without touching B, and B's own
+// expiry must drop it, release its buffers and return the record.
+func TestStackReassemblyRecordRecycled(t *testing.T) {
 	eng, sa, sb := stackPair(t)
 	delivered := 0
 	sb.Register(99, func(_ Header, payload *netbuf.Chain) {
-		delivered += payload.Len()
+		delivered++
 		payload.Release()
 	})
-	body := make([]byte, 1024)
-	packet := func() {
+	body := make([]byte, 4096)
+	whole := func() {
 		payload, err := sa.Node().TxPool.GetChain(body)
 		if err != nil {
 			t.Fatal(err)
@@ -153,17 +194,79 @@ func TestStackPacketAllocFree(t *testing.T) {
 		if err := sa.Send(1, 2, 99, payload); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// head sends the first fragment of a datagram and loses the rest.
+	head := func(id uint16) {
+		payload, err := sa.Node().TxPool.GetChain(body[:1480])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := Header{TotalLen: HeaderLen + 1480, ID: id, MoreFrags: true, TTL: 64, Proto: 99, Src: 1, Dst: 2}
+		if err := sa.sendFragment(sa.nics[1], hdr, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const recycles = 1000
+	for i := 0; i < recycles; i++ {
+		whole()
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		packet()
+	if delivered != recycles || len(sb.reasm) != 0 {
+		t.Fatalf("%d datagrams delivered, %d partials left; want %d, 0", delivered, len(sb.reasm), recycles)
 	}
-	if avg := testing.AllocsPerRun(200, packet); avg != 0 {
-		t.Fatalf("one datagram allocates %.0f objects end to end, want 0", avg)
+	if !netbuf.DebugEnabled() && len(sb.free) != 1 {
+		t.Fatalf("%d reassembly records after %d datagrams on one flow, want 1", len(sb.free), recycles)
 	}
-	if delivered != (4+201)*len(body) {
-		t.Fatalf("delivered %d bytes, want %d", delivered, (4+201)*len(body))
+
+	t0 := eng.Now()
+	at := func(d sim.Duration) {
+		t.Helper()
+		if err := eng.RunUntil(t0.Add(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := flowKey{src: 1, dst: 2, proto: 99}
+	head(60001)
+	at(10 * sim.Millisecond)
+	a := sb.reasm[key]
+	if a == nil || a.id != 60001 {
+		t.Fatalf("partial A not held: %+v", a)
+	}
+	whole()
+	at(20 * sim.Millisecond)
+	if delivered != recycles+1 || sb.ReasmDropped != 1 || len(sb.reasm) != 0 {
+		t.Fatalf("after the evicting datagram: %d delivered, %d dropped, %d partials; want %d, 1, 0",
+			delivered, sb.ReasmDropped, len(sb.reasm), recycles+1)
+	}
+	head(60002)
+	at(60 * sim.Millisecond) // A's expiry instant (+50 ms) has passed
+	b := sb.reasm[key]
+	if b == nil || b.id != 60002 || sb.ReasmDropped != 1 {
+		t.Fatalf("partial B disturbed at A's expiry: %+v, %d dropped", b, sb.ReasmDropped)
+	}
+	if !netbuf.DebugEnabled() && a != b {
+		t.Fatalf("partial B on record %p, want A's recycled record %p", b, a)
+	}
+	at(80 * sim.Millisecond) // B's own (+70 ms)
+	if sb.ReasmDropped != 2 || len(sb.reasm) != 0 || delivered != recycles+1 {
+		t.Fatalf("after B's expiry: %d dropped, %d partials, %d delivered; want 2, 0, %d",
+			sb.ReasmDropped, len(sb.reasm), delivered, recycles+1)
+	}
+	if !netbuf.DebugEnabled() && len(sb.free) != 1 {
+		t.Fatalf("%d records on the free list after the expiry, want 1", len(sb.free))
+	}
+	if n := sb.Node().RxPool.Outstanding(); n != 0 {
+		t.Fatalf("%d receive buffers still held after the partial expired", n)
+	}
+	if netbuf.DebugEnabled() {
+		// Abandoned, not recycled, and loud if anything still reaches it.
+		defer func() {
+			if p := recover(); p == nil {
+				t.Error("an expiry on a retired record did not panic in debug mode")
+			}
+		}()
+		b.expire()
 	}
 }

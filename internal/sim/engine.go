@@ -177,12 +177,13 @@ func (e *Engine) At(t Time, fn func()) EventID {
 
 // Post schedules h(a, b, n) after delay d. The arguments ride in the pooled
 // event, so a post with a handler bound ahead of time allocates nothing.
-func (e *Engine) Post(d Duration, h Handler, a, b any, n int64) {
+func (e *Engine) Post(d Duration, h Handler, a, b any, n int64) EventID {
 	if d < 0 {
 		d = 0
 	}
-	ev := e.insertAt(e.now.Add(d), nil, nil).ev
-	ev.h, ev.a, ev.b, ev.n = h, a, b, n
+	id := e.insertAt(e.now.Add(d), nil, nil)
+	id.ev.h, id.ev.a, id.ev.b, id.ev.n = h, a, b, n
+	return id
 }
 
 // insertAt is At with an optional resource whose job the event completes

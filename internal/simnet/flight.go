@@ -41,12 +41,8 @@ const (
 
 // flight returns a blank record owned by n.
 func (n *Node) flight(stage flightStage, frame *netbuf.Chain) *flight {
-	var f *flight
-	if k := len(n.flights); k > 0 {
-		f = n.flights[k-1]
-		n.flights[k-1] = nil
-		n.flights = n.flights[:k-1]
-	} else {
+	f := n.flights.Take()
+	if f == nil {
 		f = &flight{node: n}
 		f.step = f.run
 	}
@@ -98,9 +94,7 @@ func (f *flight) run() {
 // recycle blanks the record and returns it to its node's free list.
 func (f *flight) recycle() {
 	*f = flight{node: f.node, step: f.step}
-	if !netbuf.DebugEnabled() {
-		f.node.flights = append(f.node.flights, f)
-	}
+	f.node.flights.Put(f)
 }
 
 // ChargeFrame is Charge for the per-packet path: fn(frame) runs once the CPU

@@ -42,7 +42,7 @@ type Node struct {
 
 	nics []*NIC
 	// flights is the free list of in-flight frame records (see flight).
-	flights []*flight
+	flights netbuf.FreeList[flight]
 }
 
 // BlockBufSize is the payload capacity of BlkPool buffers, matching the

@@ -216,8 +216,50 @@ type progVers struct {
 type Server struct {
 	node     *simnet.Node
 	programs map[progVers]map[uint32]Handler
+	// calls is the free list of dispatch records (see serverCall).
+	calls netbuf.FreeList[serverCall]
 	// BadCalls counts malformed or unroutable calls.
 	BadCalls uint64
+}
+
+// serverCall is the recycled record of one call between its parse and its
+// handler: it carries the parsed call and the handler across the RPCNs charge,
+// with run bound once, when the record is first allocated. Its job ends where
+// the handler begins, so run copies both out and retires the record first (as
+// simnet's flight.run does); the handler receives the call by value and a
+// reply needs no record. Records never leave their Server. In netbuf debug
+// mode a retired record is poisoned and abandoned, and a second retire panics.
+type serverCall struct {
+	s    *Server
+	call Call
+	h    Handler
+	run  func()
+	dead bool // retired in debug mode
+}
+
+// call takes a blank record off the free list.
+func (s *Server) call() *serverCall {
+	sc := s.calls.Take()
+	if sc == nil {
+		sc = &serverCall{s: s}
+		sc.run = sc.handle
+	}
+	return sc
+}
+
+// handle runs the handler once the CPU has served the dispatch cost.
+func (sc *serverCall) handle() {
+	h, c := sc.h, sc.call
+	sc.retire()
+	h(c)
+}
+
+func (sc *serverCall) retire() {
+	if sc.dead {
+		panic("sunrpc: server call record retired twice")
+	}
+	*sc = serverCall{s: sc.s, run: sc.run}
+	sc.dead = !sc.s.calls.Put(sc)
 }
 
 // NewServer creates an RPC server on node.
@@ -275,11 +317,11 @@ func (s *Server) dispatch(call Call, body *netbuf.Chain) {
 		body.Release()
 		return
 	}
-	// Per-message RPC processing cost (XDR walk, dispatch). The finished
-	// call is copied so the continuation holds it by value: one object.
+	// Per-message RPC processing cost (XDR walk, dispatch).
 	trace.To(s.node.Eng, trace.LRPC)
-	c := call
-	s.node.Charge(s.node.Cost.RPCNs, func() { h(c) })
+	sc := s.call()
+	sc.call, sc.h = call, h
+	s.node.Charge(s.node.Cost.RPCNs, sc.run)
 }
 
 // Reply is an inbound RPC reply presented to a client callback.
@@ -307,6 +349,8 @@ type Client struct {
 
 	nextXid uint32
 	pending map[uint32]*pendingCall
+	// free is the free list of call records (see pendingCall).
+	free netbuf.FreeList[pendingCall]
 	// BadReplies counts malformed or unmatched replies.
 	BadReplies uint64
 
@@ -340,17 +384,71 @@ const recentXids = 4096
 // that has learned a longer interval at most maxTries × 32 × rto (3.2 s).
 const rtoCeilFactor = 32
 
-// pendingCall is one outstanding RPC: its completion callback plus, when
-// retransmission is on, everything needed to put the call back on the wire
-// and to time its reply.
+// pendingCall is the recycled record of one outstanding RPC: its completion
+// callback, the reply once it has arrived (held across the RPCNs charge), and,
+// when retransmission is on, everything needed to put the call back on the
+// wire and to time its reply. fire and onTimer are bound once, when the record
+// is first allocated.
+//
+// A record never leaves its Client and retires where the call ends — before
+// the caller's done runs, with the outcome copied out first, because a
+// closed-loop caller issues its next call from inside done and that call takes
+// this very record. A recycled pointer may therefore be live again under
+// another xid while something armed for the old tenant is still around: gen
+// counts incarnations, every timer carries the gen it was armed under, and a
+// late duplicate reply finds its xid in recent, never in pending. In netbuf
+// debug mode a retired record is poisoned and abandoned, not recycled, and a
+// second retire panics.
 type pendingCall struct {
-	done  func(Reply, error)
+	c    *Client
+	gen  uint32
+	dead bool // retired in debug mode
+	xid  uint32
+	done func(Reply, error)
+
 	wire  *netbuf.Chain
 	timer sim.EventID
 	sent  sim.Time
 	rto   sim.Duration
 	tries int
+
+	reply Reply
+	err   error
+
+	fire    func()
+	onTimer sim.Handler
 }
+
+// call takes a blank record off the free list.
+func (c *Client) call() *pendingCall {
+	pc := c.free.Take()
+	if pc == nil {
+		pc = &pendingCall{c: c}
+		pc.fire, pc.onTimer = pc.deliver, pc.timeout
+	}
+	return pc
+}
+
+// retire blanks the record, keeping its bound continuations, and returns it
+// to the free list.
+func (pc *pendingCall) retire() {
+	if pc.dead {
+		panic("sunrpc: call record retired twice")
+	}
+	*pc = pendingCall{c: pc.c, gen: pc.gen + 1, fire: pc.fire, onTimer: pc.onTimer}
+	pc.dead = !pc.c.free.Put(pc)
+}
+
+// complete ends the call: the record retires, then the caller hears.
+func (pc *pendingCall) complete(r Reply, err error) {
+	done := pc.done
+	pc.retire()
+	done(r, err)
+}
+
+// deliver hands over the reply receive stored, once the CPU has served the
+// per-message cost.
+func (pc *pendingCall) deliver() { pc.complete(pc.reply, pc.err) }
 
 // release drops the retained wire image.
 func (pc *pendingCall) release() {
@@ -435,7 +533,8 @@ func (c *Client) Call(prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.
 	xid := c.nextXid
 	c.nextXid++
 	out := composeCall(msg, xid, prog, vers, proc, payload)
-	pc := &pendingCall{done: done}
+	pc := c.call()
+	pc.xid, pc.done = xid, done
 	if c.maxTries > 0 {
 		// The retained wire image aliases the outgoing buffers via clone
 		// descriptors; the roots stay pinned (and accounted to whoever
@@ -450,39 +549,45 @@ func (c *Client) Call(prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.
 	if err := c.send(out); err != nil {
 		delete(c.pending, xid)
 		pc.release()
+		pc.retire()
 		return err
 	}
 	if c.maxTries > 0 {
-		c.armTimer(xid, pc)
+		pc.arm()
 	}
 	return nil
 }
 
-// armTimer schedules the retransmission timeout for one outstanding call.
-// The timer event rides the caller's request context, so the waited-out RTO
-// is booked as fault-attributed network time on the request's span.
-func (c *Client) armTimer(xid uint32, pc *pendingCall) {
-	eng := c.node.Eng
-	pc.timer = eng.Schedule(pc.rto, func() {
-		cur, ok := c.pending[xid]
-		if !ok || cur != pc {
-			return
-		}
-		trace.Fault(eng, trace.LNet, pc.rto)
-		if pc.tries >= c.maxTries {
-			delete(c.pending, xid)
-			pc.release()
-			c.Timeouts++
-			pc.done(Reply{Xid: xid}, ErrTimeout)
-			return
-		}
-		pc.tries++
-		c.Retransmits++
-		pc.rto = min(2*pc.rto, rtoCeilFactor*c.rto)
-		c.path.BackOff(pc.rto)
-		_ = c.send(pc.wire.Clone())
-		c.armTimer(xid, pc)
-	})
+// arm schedules the retransmission timeout of an outstanding call. The timer
+// event rides the caller's request context, so the waited-out RTO is booked as
+// fault-attributed network time on the request's span.
+func (pc *pendingCall) arm() {
+	pc.timer = pc.c.node.Eng.Post(pc.rto, pc.onTimer, nil, nil, int64(pc.gen))
+}
+
+// timeout resends the call or, after the last try, abandons it. Every exit
+// cancels the timer and Engine.Cancel removes the event, so a timer armed for
+// an earlier tenant of the record should never get here; the gen it carries
+// makes that a check and not an assumption.
+func (pc *pendingCall) timeout(_, _ any, gen int64) {
+	c := pc.c
+	if uint32(gen) != pc.gen || c.pending[pc.xid] != pc {
+		return
+	}
+	trace.Fault(c.node.Eng, trace.LNet, pc.rto)
+	if pc.tries >= c.maxTries {
+		delete(c.pending, pc.xid)
+		pc.release()
+		c.Timeouts++
+		pc.complete(Reply{Xid: pc.xid}, ErrTimeout)
+		return
+	}
+	pc.tries++
+	c.Retransmits++
+	pc.rto = min(2*pc.rto, rtoCeilFactor*c.rto)
+	c.path.BackOff(pc.rto)
+	_ = c.send(pc.wire.Clone())
+	pc.arm()
 }
 
 // remember records a completed xid in the duplicate-suppression window.
@@ -541,14 +646,11 @@ func (c *Client) receive(body *netbuf.Chain) {
 	trace.To(node.Eng, trace.LRPC)
 	if replyStat != 0 {
 		body.Release()
-		node.Charge(node.Cost.RPCNs, func() {
-			pc.done(Reply{Xid: xid}, fmt.Errorf("%w: denied", ErrBadMessage))
-		})
-		return
+		pc.reply, pc.err = Reply{Xid: xid}, fmt.Errorf("%w: denied", ErrBadMessage)
+	} else {
+		pc.reply = Reply{Xid: xid, Accept: accept, Body: body}
 	}
-	node.Charge(node.Cost.RPCNs, func() {
-		pc.done(Reply{Xid: xid, Accept: accept, Body: body}, nil)
-	})
+	node.Charge(node.Cost.RPCNs, pc.fire)
 }
 
 // Pending reports outstanding calls (for tests and drain checks).

@@ -348,11 +348,9 @@ func reply(c Call, header []byte, payload *netbuf.Chain) error {
 }
 
 // TestCallReplyAllocBudget: with both headers encoded in the pooled buffers
-// they are sent in and pulled into stack arrays on receipt, an RPC round trip
-// costs the per-call state only — the client's pending-call record and three
-// continuations (dispatch on the server, completion and its charge on the
-// client), five objects with the test's own closure; the encoders, scratch
-// buffers and header copies are gone.
+// they are sent in and pulled into stack arrays on receipt, and the per-call
+// state on either side held in one recycled record, an RPC round trip costs
+// one object — the test's own completion closure.
 func TestCallReplyAllocBudget(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -390,8 +388,8 @@ func TestCallReplyAllocBudget(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		call()
 	}
-	if avg := testing.AllocsPerRun(200, call); avg > 5 {
-		t.Fatalf("one RPC round trip allocates %.1f objects, budget 5", avg)
+	if avg := testing.AllocsPerRun(200, call); avg > 1 {
+		t.Fatalf("one RPC round trip allocates %.1f objects, budget 1", avg)
 	}
 	if got != 8+201 {
 		t.Fatalf("%d replies, want %d", got, 8+201)

@@ -4,6 +4,7 @@ import (
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/sim"
+	"ncache/internal/trace"
 )
 
 // stream is everything one issuing stream owns: its random source, its
@@ -22,10 +23,82 @@ type stream struct {
 	drained   bool
 }
 
-// nextFn draws the next operation for a lane from its stream and issues it,
-// calling done exactly once with the bytes moved — or not at all to retire
-// the worker (a non-looping trace that ran out).
-type nextFn func(lane int, st *stream, done func(n int, err error))
+// nextFn draws the next operation for a worker's lane from its stream and
+// issues it, calling w.done exactly once with the bytes moved — or not at all
+// to retire the worker (a non-looping trace that ran out).
+type nextFn func(w *worker)
+
+// worker is one closed-loop issuer. It has exactly one operation outstanding,
+// so it is also that operation's record: what the reply continuations need
+// sits here, and the continuations themselves are bound once, in spawn — the
+// generators build no closure per operation, and what a run allocates is the
+// system's.
+type worker struct {
+	l    *loop
+	lane int
+	st   *stream
+	next nextFn
+
+	// The operation outstanding: its client and span, and what a
+	// continuation that issues a second call needs of its arguments.
+	c      *nfs.Client
+	tracer *trace.Tracer
+	sp     *trace.Span
+	fh     nfs.FH
+	off    uint64
+	size   int
+	write  bool
+	name   string
+
+	// done accounts a completion and issues the next operation; the rest
+	// adapt an NFS reply to it.
+	done      func(n int, err error)
+	onRead    func(*netbuf.Chain, nfs.Attr, error)
+	onWrite   func(int, nfs.Attr, error)
+	onAttr    func(nfs.Attr, error)
+	onNames   func([]string, error)
+	onStatus  func(error)
+	onProbe   func(nfs.FH, nfs.Attr, error)
+	onCreated func(nfs.FH, nfs.Attr, error)
+	onRoute   func(*nfs.Client, error)
+}
+
+// complete accounts one operation and issues the next.
+func (w *worker) complete(n int, err error) {
+	if err != nil {
+		w.st.errs++
+	} else {
+		w.st.ops++
+		w.st.bytes += uint64(n)
+	}
+	w.issue()
+}
+
+func (w *worker) issue() {
+	if !w.l.stopped {
+		w.next(w)
+	}
+}
+
+// endSpan closes the operation's span, if it opened one.
+func (w *worker) endSpan() {
+	w.sp.Finish()
+	w.sp = nil
+}
+
+func (w *worker) readDone(data *netbuf.Chain, _ nfs.Attr, err error) {
+	w.endSpan()
+	w.complete(consume(data), err)
+}
+
+func (w *worker) writeDone(n int, _ nfs.Attr, err error) {
+	w.endSpan()
+	w.complete(n, err)
+}
+
+func (w *worker) attrDone(_ nfs.Attr, err error)  { w.complete(0, err) }
+func (w *worker) namesDone(_ []string, err error) { w.complete(0, err) }
+func (w *worker) statusDone(err error)            { w.complete(0, err) }
 
 // loop is the closed-loop core under every generator: each lane (a client, a
 // connection, a routed client process) keeps a fixed number of operations
@@ -64,27 +137,13 @@ func (l *loop) start(n, perLane int, shared *stream, seed func(lane int) uint64,
 	}
 }
 
-// spawn runs one worker: issue, account the completion, issue again. The
-// worker's completion closure is built once, so the core allocates nothing
-// per operation.
+// spawn starts one worker: issue, account the completion, issue again.
 func (l *loop) spawn(lane int, next nextFn) {
-	st := l.lanes[lane]
-	var done func(int, error)
-	issue := func() {
-		if !l.stopped {
-			next(lane, st, done)
-		}
-	}
-	done = func(n int, err error) {
-		if err != nil {
-			st.errs++
-		} else {
-			st.ops++
-			st.bytes += uint64(n)
-		}
-		issue()
-	}
-	issue()
+	w := &worker{l: l, lane: lane, st: l.lanes[lane], next: next}
+	w.done = w.complete
+	w.onRead, w.onWrite, w.onAttr, w.onNames, w.onStatus = w.readDone, w.writeDone, w.attrDone, w.namesDone, w.statusDone
+	w.onProbe, w.onCreated, w.onRoute = w.probeDone, w.created, w.routed
+	w.issue()
 }
 
 // Stop implements Load.

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/sim"
 	"ncache/internal/trace"
@@ -53,14 +52,10 @@ func (l *NFSReadLoad) Start() {
 		l.RNG = sim.NewRNG(1)
 	}
 	l.start(len(l.Clients), l.Concurrency, &stream{rng: l.RNG}, nil,
-		func(i int, st *stream, done func(int, error)) {
-			c := l.Clients[i]
-			off := nextOffset(st, l.Pattern, l.FileSize, l.RequestSize)
-			sp := l.Tracer.Begin("read")
-			c.Read(l.FH, off, l.RequestSize, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-				sp.Finish()
-				done(consume(data), err)
-			})
+		func(w *worker) {
+			off := nextOffset(w.st, l.Pattern, l.FileSize, l.RequestSize)
+			w.sp = l.Tracer.Begin("read")
+			l.Clients[w.lane].Read(l.FH, off, l.RequestSize, w.onRead)
 		})
 }
 
@@ -101,13 +96,10 @@ func (l *NFSWriteLoad) Start() {
 		l.Concurrency = 4
 	}
 	l.start(len(l.Clients), l.Concurrency, &stream{}, nil,
-		func(i int, st *stream, done func(int, error)) {
-			c := l.Clients[i]
-			off := nextOffset(st, Sequential, l.FileSize, l.RequestSize)
-			sp := l.Tracer.Begin("write")
-			c.Write(l.FH, off, junkChain(c, l.RequestSize), func(n int, _ nfs.Attr, err error) {
-				sp.Finish()
-				done(n, err)
-			})
+		func(w *worker) {
+			c := l.Clients[w.lane]
+			off := nextOffset(w.st, Sequential, l.FileSize, l.RequestSize)
+			w.sp = l.Tracer.Begin("write")
+			c.Write(l.FH, off, junkChain(c, l.RequestSize), w.onWrite)
 		})
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/trace"
 )
@@ -64,41 +63,38 @@ func (l *RoutedMixLoad) RouteErrors() (n uint64) {
 	return n
 }
 
-// next resolves a route and runs one operation.
-func (l *RoutedMixLoad) next(route int, st *stream, done func(int, error)) {
-	rng := st.rng
-	fh := l.Files[rng.Intn(len(l.Files))]
-	isWrite := rng.Intn(100) < l.WritePct
-	size := l.RequestSize
-	if isWrite {
-		size = l.WriteSize
+// next draws one operation and resolves its route; routed issues it.
+func (l *RoutedMixLoad) next(w *worker) {
+	rng := w.st.rng
+	w.fh = l.Files[rng.Intn(len(l.Files))]
+	w.write = rng.Intn(100) < l.WritePct
+	w.size = l.RequestSize
+	if w.write {
+		w.size = l.WriteSize
 	}
-	span := l.FileSize / uint64(size)
+	span := l.FileSize / uint64(w.size)
 	if span == 0 {
 		span = 1
 	}
 	// Align offsets to the request size so writes overwrite whole blocks
 	// in place (no read-modify-write tail).
-	off := uint64(rng.Int63n(int64(span))) * uint64(size)
+	w.off = uint64(rng.Int63n(int64(span))) * uint64(w.size)
+	w.tracer = l.Tracer
+	l.Routes[w.lane](w.fh, w.onRoute)
+}
 
-	l.Routes[route](fh, func(c *nfs.Client, err error) {
-		if err != nil {
-			st.routeErrs++
-			done(0, err)
-			return
-		}
-		if isWrite {
-			sp := l.Tracer.Begin("write")
-			c.Write(fh, off, junkChain(c, size), func(n int, _ nfs.Attr, err error) {
-				sp.Finish()
-				done(n, err)
-			})
-			return
-		}
-		sp := l.Tracer.Begin("read")
-		c.Read(fh, off, size, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-			sp.Finish()
-			done(consume(data), err)
-		})
-	})
+// routed runs the operation next drew on the client that owns its file.
+func (w *worker) routed(c *nfs.Client, err error) {
+	if err != nil {
+		w.st.routeErrs++
+		w.complete(0, err)
+		return
+	}
+	if w.write {
+		w.sp = w.tracer.Begin("write")
+		c.Write(w.fh, w.off, junkChain(c, w.size), w.onWrite)
+		return
+	}
+	w.sp = w.tracer.Begin("read")
+	c.Read(w.fh, w.off, w.size, w.onRead)
 }

@@ -3,7 +3,6 @@ package workload
 import (
 	"strconv"
 
-	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/sim"
 )
@@ -84,8 +83,8 @@ func pickSize(rng *sim.RNG) int {
 }
 
 // next performs one operation from the mix.
-func (l *SFSLoad) next(i int, st *stream, done func(int, error)) {
-	c, rng := l.Clients[i], st.rng
+func (l *SFSLoad) next(w *worker) {
+	c, rng := l.Clients[w.lane], w.st.rng
 	pickFile := func() FileRef { return l.Cfg.Files[rng.Intn(len(l.Cfg.Files))] }
 	if rng.Intn(100) < l.Cfg.RegularDataPct {
 		// Regular data: 5:1 read:write.
@@ -103,38 +102,42 @@ func (l *SFSLoad) next(i int, st *stream, done func(int, error)) {
 			isRead = rng.Intn(100) >= l.Cfg.WriteMixPct
 		}
 		if isRead {
-			c.Read(f.FH, off, size, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-				done(consume(data), err)
-			})
+			c.Read(f.FH, off, size, w.onRead)
 			return
 		}
-		c.Write(f.FH, off, junkChain(c, size), func(n int, _ nfs.Attr, err error) { done(n, err) })
+		c.Write(f.FH, off, junkChain(c, size), w.onWrite)
 		return
 	}
 	// Metadata: getattr / lookup / readdir / create+remove.
 	switch v := rng.Intn(100); {
 	case v < 45:
-		c.Getattr(pickFile().FH, func(_ nfs.Attr, err error) { done(0, err) })
+		c.Getattr(pickFile().FH, w.onAttr)
 	case v < 80:
-		c.Lookup(l.Cfg.ScratchDir, "nonexistent-probe", func(_ nfs.FH, _ nfs.Attr, err error) {
-			// ENOENT is the expected, successful outcome of the probe.
-			if _, isOp := err.(*nfs.OpError); isOp {
-				err = nil
-			}
-			done(0, err)
-		})
+		c.Lookup(l.Cfg.ScratchDir, "nonexistent-probe", w.onProbe)
 	case v < 90:
-		c.Readdir(l.Cfg.ScratchDir, func(_ []string, err error) { done(0, err) })
+		c.Readdir(l.Cfg.ScratchDir, w.onNames)
 	default:
-		st.seq++
-		name := "sfs-tmp-" + strconv.FormatUint(st.seq, 36)
-		c.Create(l.Cfg.ScratchDir, name, func(fh nfs.FH, _ nfs.Attr, err error) {
-			if err != nil {
-				done(0, err)
-				return
-			}
-			st.ops++ // the create itself
-			c.Remove(l.Cfg.ScratchDir, name, func(err error) { done(0, err) })
-		})
+		w.st.seq++
+		w.c, w.fh, w.name = c, l.Cfg.ScratchDir, "sfs-tmp-"+strconv.FormatUint(w.st.seq, 36)
+		c.Create(w.fh, w.name, w.onCreated)
 	}
+}
+
+// probeDone completes the LOOKUP of a name that does not exist.
+func (w *worker) probeDone(_ nfs.FH, _ nfs.Attr, err error) {
+	// ENOENT is the expected, successful outcome of the probe.
+	if _, isOp := err.(*nfs.OpError); isOp {
+		err = nil
+	}
+	w.complete(0, err)
+}
+
+// created removes the scratch file a CREATE just made.
+func (w *worker) created(_ nfs.FH, _ nfs.Attr, err error) {
+	if err != nil {
+		w.complete(0, err)
+		return
+	}
+	w.st.ops++ // the create itself
+	w.c.Remove(w.fh, w.name, w.onStatus)
 }

@@ -86,8 +86,8 @@ func (p *TracePlayer) Start() {
 
 // next replays the trace's next record, or retires the worker at the end of
 // a non-looping trace.
-func (p *TracePlayer) next(i int, st *stream, done func(int, error)) {
-	ops := p.Trace.Ops
+func (p *TracePlayer) next(w *worker) {
+	st, ops := w.st, p.Trace.Ops
 	if int(st.seq) >= len(ops) && p.Loop {
 		st.seq = 0
 	}
@@ -103,10 +103,10 @@ func (p *TracePlayer) next(i int, st *stream, done func(int, error)) {
 	}
 	st.seq++
 	st.inFlight++
-	op, c := ops[idx], p.Clients[i]
+	op, c := ops[idx], p.Clients[w.lane]
 	finish := func(n int, err error) {
 		st.inFlight--
-		done(n, err)
+		w.done(n, err)
 	}
 	switch op.Kind {
 	case OpWrite:

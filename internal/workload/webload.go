@@ -101,7 +101,7 @@ func (l *WebLoad) Start() {
 	}
 	zipf := NewZipf(nil, len(l.Pages.Names), l.ZipfS)
 	l.start(len(l.Conns), 1, &stream{rng: sim.NewRNG(l.Seed + 11)}, nil,
-		func(i int, st *stream, done func(int, error)) {
-			l.Conns[i].Get(l.Pages.Names[zipf.Draw(st.rng)], done)
+		func(w *worker) {
+			l.Conns[w.lane].Get(l.Pages.Names[zipf.Draw(w.st.rng)], w.done)
 		})
 }
