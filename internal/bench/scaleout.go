@@ -58,7 +58,6 @@ type ScaleoutPoint struct {
 	LBNsAnnounced   uint64
 	InvalsApplied   uint64
 	ResolverRetries uint64
-	EpochFlushes    uint64
 	// Recovery activity over the whole run: datagram RPC calls resent by
 	// the routed clients and replies to calls already completed
 	// (Cluster.FaultCounters), TCP segments resent and the timeouts that
@@ -251,7 +250,6 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 		if sc.Resolver != nil {
 			p.LocalRouteHits += sc.Resolver.Stats.LocalHits
 			p.ResolverRetries += sc.Resolver.Stats.Retries
-			p.EpochFlushes += sc.Resolver.Stats.EpochFlush
 		}
 	}
 	p.RPCRetransmits, _, p.DupReplies, _ = cl.FaultCounters()
@@ -343,18 +341,18 @@ func FormatScaleoutPoints(points []ScaleoutPoint) string {
 			p.Errors+p.RouteErrors)
 	}
 	b.WriteString("\ncontrol-plane and recovery activity (whole run):\n")
-	fmt.Fprintf(&b, "%-7s %8s %9s %7s %7s %8s %8s %8s %7s %7s %7s %7s %7s %7s\n",
-		"servers", "members", "ringHits", "remaps", "sent", "lbns/msg", "retries", "invals", "rslvRtr", "epFlush",
+	fmt.Fprintf(&b, "%-7s %8s %9s %7s %7s %8s %8s %8s %7s %7s %7s %7s %7s\n",
+		"servers", "members", "ringHits", "remaps", "sent", "lbns/msg", "retries", "invals", "rslvRtr",
 		"rpcRtx", "dupRx", "tcpRtx", "tcpRTO")
 	for _, p := range points {
 		var perMsg float64
 		if p.RemapsSent > 0 {
 			perMsg = float64(p.LBNsAnnounced) / float64(p.RemapsSent)
 		}
-		fmt.Fprintf(&b, "%-7d %8d %9d %7d %7d %8.1f %8d %8d %7d %7d %7d %7d %7d %7d\n",
+		fmt.Fprintf(&b, "%-7d %8d %9d %7d %7d %8.1f %8d %8d %7d %7d %7d %7d %7d\n",
 			p.Servers, p.CPMembers, p.LocalRouteHits,
 			p.RemapsStarted, p.RemapsSent, perMsg,
-			p.RemapRetries, p.InvalsApplied, p.ResolverRetries, p.EpochFlushes,
+			p.RemapRetries, p.InvalsApplied, p.ResolverRetries,
 			p.RPCRetransmits, p.DupReplies, p.TCPRetransmits, p.TCPRTOs)
 	}
 	return b.String()

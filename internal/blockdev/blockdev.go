@@ -24,9 +24,6 @@ type Geometry struct {
 	NumBlocks int64
 }
 
-// Bytes returns the device capacity in bytes.
-func (g Geometry) Bytes() int64 { return g.NumBlocks * int64(g.BlockSize) }
-
 // Span validates a Device request against the geometry — every buffer a
 // whole number of blocks, the blocks they cover inside the device — and
 // returns how many blocks that is.

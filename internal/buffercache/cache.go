@@ -115,13 +115,6 @@ func New(node *simnet.Node, lower Lower, capacityBlocks int) *Cache {
 	return c
 }
 
-// Len returns the number of resident blocks.
-func (c *Cache) Len() int { return len(c.blocks) }
-
-// DirtyCount returns the number of dirty resident blocks (maintained
-// incrementally on every dirty transition).
-func (c *Cache) DirtyCount() int { return c.nDirty }
-
 // ResidentLBNs lists the resident blocks, most recently used first. Test
 // only: the LRU order is what extfs's differential walk tests compare, and
 // they live in another package; nothing in the simulation calls it.

@@ -276,8 +276,8 @@ func TestSyncFlushesAllDirty(t *testing.T) {
 			t.Fatalf("block %d content = %#x, want %#x", i, got, byte(i+1))
 		}
 	}
-	if c.DirtyCount() != 0 {
-		t.Fatalf("dirty after sync = %d", c.DirtyCount())
+	if c.nDirty != 0 {
+		t.Fatalf("dirty after sync = %d", c.nDirty)
 	}
 }
 
@@ -287,7 +287,7 @@ func TestLogicalBlockFillIsKeyCopy(t *testing.T) {
 	lower.readFn = func(lbn int64, count int) *netbuf.Chain {
 		out := netbuf.NewChain()
 		for j := 0; j < count; j++ {
-			sub := lkey.StampChain(lkey.ForLBN(lbn+int64(j)), 4096)
+			sub := lkey.StampChainPool(nil, lkey.ForLBN(lbn+int64(j)), 4096)
 			for _, b := range sub.Bufs() {
 				out.Append(b)
 			}
@@ -440,8 +440,8 @@ func TestLowerWriteFailurePropagates(t *testing.T) {
 		t.Fatal("Sync swallowed the lower-write failure")
 	}
 	// The block stays dirty so data is not lost.
-	if c2.DirtyCount() != 1 {
-		t.Fatalf("dirty = %d, want 1 (retryable)", c2.DirtyCount())
+	if c2.nDirty != 1 {
+		t.Fatalf("dirty = %d, want 1 (retryable)", c2.nDirty)
 	}
 	_ = c
 }
@@ -578,8 +578,8 @@ func TestCacheEvictInsertZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(500, churn); avg != 0 {
 		t.Errorf("evict+insert allocates %.1f objects, want 0", avg)
 	}
-	if c.Len() != 8 || c.Stats.Evictions == 0 {
-		t.Fatalf("len %d, evictions %d", c.Len(), c.Stats.Evictions)
+	if len(c.blocks) != 8 || c.Stats.Evictions == 0 {
+		t.Fatalf("len %d, evictions %d", len(c.blocks), c.Stats.Evictions)
 	}
 }
 
@@ -639,7 +639,7 @@ func TestRecycledBlockLooksFresh(t *testing.T) {
 	// hold them.
 	free = len(c.free)
 	c.Reset()
-	if len(c.free) != free || c.Len() != 0 {
+	if len(c.free) != free || len(c.blocks) != 0 {
 		t.Fatal("Reset recycled blocks it orphaned")
 	}
 }

@@ -24,20 +24,17 @@ const maxBatchBlocks = 64
 // latency; 16 already behaves like the longer hold (DESIGN.md §12).
 const backlogPerBatch = 8
 
-// defaultFlushInterval is the flusher's dirty-hold time unless EnableFlusher
-// is given another.
-const defaultFlushInterval = 500 * sim.Microsecond
+// flushInterval is the dirty-hold time: the first batch goes down at most
+// flushInterval after the cache turns dirty, and the timer then ticks at that
+// period — topping the flusher up, retrying failed batches — until the cache
+// is clean again. It stays disarmed while the cache is clean, so an idle
+// engine run terminates.
+const flushInterval = 500 * sim.Microsecond
 
 // flusher is the cache's background write-back state. All of it runs on the
 // cache's node engine, so flush scheduling is part of the deterministic
 // event schedule.
 type flusher struct {
-	// interval is the dirty-hold time: the first batch goes down at most
-	// interval after the cache turns dirty, and the timer then ticks at that
-	// period — topping the flusher up, retrying failed batches — until the
-	// cache is clean again. It stays disarmed while the cache is clean, so
-	// an idle engine run terminates.
-	interval sim.Duration
 	// high bounds dirty memory, in blocks: at the high watermark Admit
 	// queues new work (backpressure) and an immediate flush is kicked;
 	// queued admissions resume once dirty drains to the low watermark,
@@ -69,15 +66,11 @@ type admitWaiter struct {
 }
 
 // EnableFlusher turns on background write-back: dirty blocks flush oldest
-// first in coalesced batches, starting at most interval (0 = 500 µs) after
-// the cache turns dirty and paced by the backlog (see flushNow), and dirty
-// memory is bounded by the admission gate at highWaterBlocks. Call before
-// traffic.
-func (c *Cache) EnableFlusher(interval sim.Duration, highWaterBlocks int) {
-	if interval <= 0 {
-		interval = defaultFlushInterval
-	}
-	c.fl = &flusher{interval: interval, high: highWaterBlocks}
+// first in coalesced batches, starting at most flushInterval after the cache
+// turns dirty and paced by the backlog (see flushNow), and dirty memory is
+// bounded by the admission gate at highWaterBlocks. Call before traffic.
+func (c *Cache) EnableFlusher(highWaterBlocks int) {
+	c.fl = &flusher{high: highWaterBlocks}
 }
 
 // SetWritebackStats shares a pipeline-counter struct (a server wires the
@@ -138,7 +131,7 @@ func (fl *flusher) onDirty(c *Cache, b *Block) {
 		return
 	}
 	fl.timerSet = true
-	fl.timer = c.node.Eng.Schedule(fl.interval, func() { fl.tick(c) })
+	fl.timer = c.node.Eng.Schedule(flushInterval, func() { fl.tick(c) })
 }
 
 // tick is the hold-timer body: top the flusher up to its depth, then re-arm
@@ -150,7 +143,7 @@ func (fl *flusher) tick(c *Cache) {
 	fl.flushNow(c)
 	if c.nDirty > 0 {
 		fl.timerSet = true
-		fl.timer = c.node.Eng.Schedule(fl.interval, func() { fl.tick(c) })
+		fl.timer = c.node.Eng.Schedule(flushInterval, func() { fl.tick(c) })
 	}
 }
 

@@ -78,14 +78,12 @@ func (p *parkedLower) runs() string {
 	return strings.Join(out, " ")
 }
 
-const testHold = 500 * sim.Microsecond
-
 func rigFlusher(t *testing.T, capacity, highWater int) (*sim.Engine, *parkedLower, *Cache) {
 	t.Helper()
 	eng := sim.NewEngine()
 	lower := &parkedLower{bs: 4096}
 	c := New(simnet.NewNode(eng, "app", simnet.DefaultProfile()), lower, capacity)
-	c.EnableFlusher(testHold, highWater)
+	c.EnableFlusher(highWater)
 	return eng, lower, c
 }
 
@@ -115,8 +113,8 @@ func wantIdle(t *testing.T, eng *sim.Engine, c *Cache) {
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.DirtyCount() != 0 || c.nFlushing != 0 || c.fl.inFlight != 0 {
-		t.Fatalf("not clean: dirty=%d flushing=%d inFlight=%d", c.DirtyCount(), c.nFlushing, c.fl.inFlight)
+	if c.nDirty != 0 || c.nFlushing != 0 || c.fl.inFlight != 0 {
+		t.Fatalf("not clean: dirty=%d flushing=%d inFlight=%d", c.nDirty, c.nFlushing, c.fl.inFlight)
 	}
 	if c.fl.timerSet || eng.Pending() != 0 {
 		t.Fatalf("engine not idle: timerSet=%v pending=%d", c.fl.timerSet, eng.Pending())
@@ -138,7 +136,7 @@ func TestFlusherOldestFirstMaximalRun(t *testing.T) {
 	}
 	// The first tick issues in queue order until 36 blocks are left waiting
 	// behind 5 batches; the first landing pulls the last one.
-	runFor(t, eng, testHold)
+	runFor(t, eng, flushInterval)
 	const first = "50+1 100+3 103+1m 104+1 300+64"
 	if got := lower.runs(); got != first {
 		t.Fatalf("writes on the first tick = %s, want %s", got, first)
@@ -156,7 +154,7 @@ func TestFlusherOldestFirstMaximalRun(t *testing.T) {
 func TestFlusherRunStopsAtMidFlushBlock(t *testing.T) {
 	eng, lower, c := rigFlusher(t, 0, 0)
 	dirty(t, c, 10, false)
-	runFor(t, eng, testHold)
+	runFor(t, eng, flushInterval)
 	if got := lower.runs(); got != "10+1" {
 		t.Fatalf("first writes = %s, want 10+1", got)
 	}
@@ -167,7 +165,7 @@ func TestFlusherRunStopsAtMidFlushBlock(t *testing.T) {
 	for i := int64(0); i < backlogPerBatch; i++ {
 		dirty(t, c, 1000+2*i, false)
 	}
-	runFor(t, eng, testHold)
+	runFor(t, eng, flushInterval)
 	if got := lower.runs(); got != "10+1 9+1" {
 		t.Fatalf("writes = %s, want 10+1 9+1 (not 9+3 across the in-flight block)", got)
 	}
@@ -207,7 +205,7 @@ func TestFlusherDepthFollowsBacklog(t *testing.T) {
 		// Seen before this write is counted: the batches and blocks
 		// already in flight, and the backlog it was drawn from.
 		inFlight := len(lower.parked)
-		backlog := c.DirtyCount() - lower.blocksInFlight()
+		backlog := c.nDirty - lower.blocksInFlight()
 		if !gateParked && inFlight > backlog/backlogPerBatch {
 			t.Errorf("batch issued with %d in flight at backlog %d: limit is 1+%d", inFlight, backlog, backlog/backlogPerBatch)
 		}
@@ -220,19 +218,19 @@ func TestFlusherDepthFollowsBacklog(t *testing.T) {
 	for i := int64(0); i < high-1; i++ {
 		dirty(t, c, 2*i, false)
 	}
-	runFor(t, eng, testHold)
+	runFor(t, eng, flushInterval)
 	if want := depthAt(high - 1); deepest != want {
 		t.Fatalf("deepest = %d batches out of a backlog of %d, want %d", deepest, high-1, want)
 	}
 	for i := 0; i < 8; i++ {
 		lower.land(nil) // each landing pulls the next
 	}
-	if len(lower.parked) == 0 || c.DirtyCount() != high-1-8 {
-		t.Fatalf("after 8 landings: %d in flight, %d dirty", len(lower.parked), c.DirtyCount())
+	if len(lower.parked) == 0 || c.nDirty != high-1-8 {
+		t.Fatalf("after 8 landings: %d in flight, %d dirty", len(lower.parked), c.nDirty)
 	}
 
 	// Fill to the watermark and park one admission: everything dirty goes.
-	for i := int64(0); c.DirtyCount() < high; i++ {
+	for i := int64(0); c.nDirty < high; i++ {
 		dirty(t, c, 5000+2*i, false)
 	}
 	admitted := false
@@ -251,15 +249,15 @@ func TestFlusherDepthFollowsBacklog(t *testing.T) {
 	for !admitted {
 		lower.land(nil)
 	}
-	if c.DirtyCount() != high/2 {
-		t.Fatalf("admission resumed at %d dirty, want the low watermark %d", c.DirtyCount(), high/2)
+	if c.nDirty != high/2 {
+		t.Fatalf("admission resumed at %d dirty, want the low watermark %d", c.nDirty, high/2)
 	}
 	lower.landAll()
 	deepest = 0
 	for i := int64(0); i < 3*backlogPerBatch; i++ {
 		dirty(t, c, 9000+2*i, false)
 	}
-	runFor(t, eng, testHold)
+	runFor(t, eng, flushInterval)
 	if want := depthAt(3 * backlogPerBatch); deepest != want {
 		t.Fatalf("deepest = %d batches after the gate reopened, want %d", deepest, want)
 	}
@@ -273,12 +271,12 @@ func TestFlusherRetriesFailedBatch(t *testing.T) {
 	eng, lower, c := rigFlusher(t, 0, 0)
 	dirty(t, c, 20, false)
 	dirty(t, c, 40, false)
-	runFor(t, eng, testHold)
+	runFor(t, eng, flushInterval)
 	lower.land(errInjected)
-	if got := lower.runs(); got != "20+1" || c.DirtyCount() != 2 || c.nFlushing != 0 {
-		t.Fatalf("after the failure: writes = %s, dirty=%d flushing=%d, want 20+1 and 2/0", got, c.DirtyCount(), c.nFlushing)
+	if got := lower.runs(); got != "20+1" || c.nDirty != 2 || c.nFlushing != 0 {
+		t.Fatalf("after the failure: writes = %s, dirty=%d flushing=%d, want 20+1 and 2/0", got, c.nDirty, c.nFlushing)
 	}
-	runFor(t, eng, testHold)
+	runFor(t, eng, flushInterval)
 	lower.land(nil) // 40 lands and pulls 20's second try
 	if got := lower.runs(); got != "20+1 40+1 20+1" {
 		t.Fatalf("writes = %s, want 20+1 40+1 20+1", got)
@@ -296,7 +294,7 @@ func TestFlusherRequeuesBlockFailedBySync(t *testing.T) {
 	dirty(t, c, 7, false)
 	var syncErr error
 	c.Sync(func(err error) { syncErr = err })
-	runFor(t, eng, 2*testHold) // the tick pops 7's entry and finds it mid-flush
+	runFor(t, eng, 2*flushInterval) // the tick pops 7's entry and finds it mid-flush
 	if got := lower.runs(); got != "7+1" {
 		t.Fatalf("writes = %s, want Sync's 7+1 alone", got)
 	}
@@ -304,7 +302,7 @@ func TestFlusherRequeuesBlockFailedBySync(t *testing.T) {
 	if syncErr == nil {
 		t.Fatal("Sync swallowed the failure")
 	}
-	runFor(t, eng, 2*testHold)
+	runFor(t, eng, 2*flushInterval)
 	if got := lower.runs(); got != "7+1 7+1" {
 		t.Fatalf("writes = %s: the flusher never wrote block 7 again", got)
 	}
@@ -321,10 +319,10 @@ func TestFlusherRequeuesBlockFailedByEviction(t *testing.T) {
 		c.GetForWrite(lbn, false, func(b *Block, err error) { c.Unpin(b) })
 	}
 	// Over capacity: 1 went down as a dirty victim, 2 was evicted clean.
-	if got := lower.runs(); got != "1+1" || c.Len() != 2 {
-		t.Fatalf("writes = %s, resident = %d: want the victim's 1+1 and 2 resident", got, c.Len())
+	if got := lower.runs(); got != "1+1" || len(c.blocks) != 2 {
+		t.Fatalf("writes = %s, resident = %d: want the victim's 1+1 and 2 resident", got, len(c.blocks))
 	}
-	runFor(t, eng, 2*testHold) // the tick pops 1's entry and finds it mid-flush
+	runFor(t, eng, 2*flushInterval) // the tick pops 1's entry and finds it mid-flush
 	if !c.Drop(3) {
 		t.Fatal("Drop(3) refused")
 	}
@@ -332,7 +330,7 @@ func TestFlusherRequeuesBlockFailedByEviction(t *testing.T) {
 	if got := lower.runs(); got != "1+1" || !c.IsDirty(1) {
 		t.Fatalf("writes = %s, dirty(1) = %v: want block 1 still dirty and not yet rewritten", got, c.IsDirty(1))
 	}
-	runFor(t, eng, 2*testHold)
+	runFor(t, eng, 2*flushInterval)
 	if got := lower.runs(); got != "1+1 1+1" {
 		t.Fatalf("writes = %s: the flusher never wrote block 1 again", got)
 	}
@@ -347,24 +345,24 @@ func TestFlusherResetWithBatchesInFlight(t *testing.T) {
 	for i := int64(0); i < 4*backlogPerBatch; i++ {
 		dirty(t, c, 2*i, false)
 	}
-	runFor(t, eng, testHold)
+	runFor(t, eng, flushInterval)
 	if len(lower.parked) < 2 {
 		t.Fatalf("%d batches in flight, want several", len(lower.parked))
 	}
 	c.Reset()
 	fl := c.fl
-	if c.DirtyCount() != 0 || c.nFlushing != 0 || c.wb.DirtyBytes != 0 || fl.inFlight != 0 || len(fl.queue) != fl.head || fl.timerSet {
+	if c.nDirty != 0 || c.nFlushing != 0 || c.wb.DirtyBytes != 0 || fl.inFlight != 0 || len(fl.queue) != fl.head || fl.timerSet {
 		t.Fatalf("Reset left dirty=%d flushing=%d bytes=%d inFlight=%d queued=%d timer=%v",
-			c.DirtyCount(), c.nFlushing, c.wb.DirtyBytes, fl.inFlight, len(fl.queue)-fl.head, fl.timerSet)
+			c.nDirty, c.nFlushing, c.wb.DirtyBytes, fl.inFlight, len(fl.queue)-fl.head, fl.timerSet)
 	}
 	issued := lower.runs()
 	lower.landAll()
-	if c.DirtyCount() != 0 || c.nFlushing != 0 || fl.inFlight != 0 || lower.runs() != issued {
+	if c.nDirty != 0 || c.nFlushing != 0 || fl.inFlight != 0 || lower.runs() != issued {
 		t.Fatalf("late completions moved state: dirty=%d flushing=%d inFlight=%d writes = %s",
-			c.DirtyCount(), c.nFlushing, fl.inFlight, lower.runs())
+			c.nDirty, c.nFlushing, fl.inFlight, lower.runs())
 	}
 	dirty(t, c, 77, false)
-	runFor(t, eng, testHold)
+	runFor(t, eng, flushInterval)
 	if got := lower.runs(); got != issued+" 77+1" {
 		t.Fatalf("writes = %s, want 77+1 after Reset", got)
 	}
@@ -411,7 +409,7 @@ func TestFlusherSkipsStaleEntries(t *testing.T) {
 // the engine goes idle on its own: no timer outlives the dirty data.
 func TestFlusherGoesIdleWhenClean(t *testing.T) {
 	eng, _, lower, c := rigCache(t, 0)
-	c.EnableFlusher(0, 0)
+	c.EnableFlusher(0)
 	for lbn := int64(0); lbn < 200; lbn += 3 {
 		dirty(t, c, lbn, false)
 		dirty(t, c, lbn+1, false)
@@ -434,11 +432,11 @@ func TestFlusherGoesIdleWhenClean(t *testing.T) {
 func TestFlusherCoalescesSlowStream(t *testing.T) {
 	const n = 32
 	eng, _, lower, c := rigCache(t, 0)
-	lower.latency = 5 * testHold
-	c.EnableFlusher(testHold, 0)
+	lower.latency = 5 * flushInterval
+	c.EnableFlusher(0)
 	for i := 0; i < n; i++ {
 		lbn := int64(i)
-		eng.Schedule(sim.Duration(i)*testHold, func() { dirty(t, c, lbn, false) })
+		eng.Schedule(sim.Duration(i)*flushInterval, func() { dirty(t, c, lbn, false) })
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -448,8 +446,8 @@ func TestFlusherCoalescesSlowStream(t *testing.T) {
 		blocks += w.count
 	}
 	t.Logf("%d blocks reached the lower in %d writes", blocks, len(lower.writes))
-	if blocks != n || c.DirtyCount() != 0 {
-		t.Fatalf("%d blocks written, %d still dirty: want %d and 0", blocks, c.DirtyCount(), n)
+	if blocks != n || c.nDirty != 0 {
+		t.Fatalf("%d blocks written, %d still dirty: want %d and 0", blocks, c.nDirty, n)
 	}
 	if len(lower.writes) > n/2 {
 		t.Fatalf("%d writes for %d adjacent blocks, want at most %d", len(lower.writes), n, n/2)
@@ -470,7 +468,7 @@ func BenchmarkFlusherPass(b *testing.B) {
 	const resident = 8192
 	eng := sim.NewEngine()
 	c := New(simnet.NewNode(eng, "app", simnet.DefaultProfile()), &syncLower{parkedLower{bs: 4096}}, resident)
-	c.EnableFlusher(0, 0)
+	c.EnableFlusher(0)
 	var blk *Block
 	for lbn := int64(0); lbn < resident; lbn++ {
 		c.GetForWrite(lbn, false, func(got *Block, err error) {
@@ -483,7 +481,7 @@ func BenchmarkFlusherPass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.MarkDirty(blk)
 		c.fl.flushNow(c)
-		if c.DirtyCount() != 0 {
+		if c.nDirty != 0 {
 			b.Fatal("the pass left the block dirty")
 		}
 	}

@@ -28,11 +28,10 @@ type AgentStats struct {
 	LBNsAbandoned uint64
 }
 
-// invalID dedups invalidations: retransmissions of (origin, epoch, seq) are
-// applied once and re-acked every time.
+// invalID dedups invalidations: retransmissions of (origin, seq) are applied
+// once and re-acked every time.
 type invalID struct {
 	origin uint16
-	epoch  uint64
 	seq    uint64
 }
 
@@ -67,8 +66,7 @@ type Agent struct {
 	// the invalidation fan-out its ack waits for.
 	path sim.RTT
 
-	epoch uint64
-	seq   uint64
+	seq uint64
 	// queue holds the LBNs announced while a round is in flight, in announce
 	// order; pending is that round, one entry per unsettled chunk.
 	queue   []int64
@@ -96,9 +94,6 @@ func NewAgent(node *simnet.Node, t *udp.Transport, local, cp eth.Addr, server in
 // SetInvalidate installs the callback that drops remapped blocks from this
 // server's caches. Called once per applied invalidation, before the ack.
 func (a *Agent) SetInvalidate(fn func([]int64)) { a.invalidate = fn }
-
-// Epoch reports the highest placement epoch the agent has seen.
-func (a *Agent) Epoch() uint64 { return a.epoch }
 
 // Register binds this server's return route at the control plane. done fires
 // exactly once: when the RegisterAck arrives, or with an error when the
@@ -171,7 +166,7 @@ func (p *pendingRemap) transmit(again bool) {
 	} else {
 		a.Stats.RemapsSent++
 	}
-	a.send(Msg{Type: MsgRemap, Server: uint16(a.server), Epoch: a.epoch, Seq: p.seq, LBNs: p.lbns})
+	a.send(Msg{Type: MsgRemap, Server: uint16(a.server), Seq: p.seq, LBNs: p.lbns})
 }
 
 // abandon: exhausting the retries is counted, never silent.
@@ -185,9 +180,6 @@ func (p *pendingRemap) abandon() {
 func (a *Agent) handle(m Msg) {
 	switch m.Type {
 	case MsgRegisterAck:
-		if m.Epoch > a.epoch {
-			a.epoch = m.Epoch
-		}
 		if a.reg.settle() {
 			a.reg.done(nil)
 		}
@@ -210,20 +202,15 @@ func (a *Agent) handle(m Msg) {
 }
 
 // handleInvalidate applies one remote remap's invalidation and always acks
-// it — retransmissions are deduplicated by (origin, epoch, seq), so the
+// it — retransmissions are deduplicated by (origin, seq), so the
 // cache drop runs once while the lost-ack path still recovers.
 func (a *Agent) handleInvalidate(m Msg) {
 	a.Stats.InvalidationsRcvd++
-	id := invalID{origin: m.Server, epoch: m.Epoch, seq: m.Seq}
+	id := invalID{origin: m.Server, seq: m.Seq}
 	if a.seen[id] {
 		a.Stats.InvalidationDups++
 	} else {
 		a.seen[id] = true
-		if m.Epoch > a.epoch {
-			a.epoch = m.Epoch
-		}
-		// Invalidation is monotone-safe: dropping a clean cached block is
-		// always correct, so it applies regardless of epoch ordering.
 		if a.invalidate != nil {
 			a.invalidate(m.LBNs)
 		}
@@ -233,7 +220,6 @@ func (a *Agent) handleInvalidate(m Msg) {
 		Type:   MsgInvalidateAck,
 		Server: m.Server,
 		From:   uint16(a.server),
-		Epoch:  m.Epoch,
 		Seq:    m.Seq,
 	})
 }

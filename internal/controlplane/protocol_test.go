@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ncache/internal/fault"
@@ -79,7 +80,7 @@ func buildCPNetOf(t *testing.T, numServers int) *cpNet {
 // endpoint and lets it land.
 func (n *cpNet) runt(t *testing.T, to *endpoint) {
 	t.Helper()
-	if err := n.cpUDP.Send(tCPAddr, Port, to.local, to.port, []byte{1, 2, 3}); err != nil {
+	if err := n.cpUDP.SendChain(tCPAddr, Port, to.local, to.port, netbuf.ChainFromBytes([]byte{1, 2, 3}, netbuf.DefaultBufSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.eng.Run(); err != nil {
@@ -176,10 +177,11 @@ func (n *cpNet) checkDrained(t *testing.T) {
 }
 
 // TestWireRoundTrip: every field of a message survives Encode → decode,
-// including an LBN list; a datagram whose length prefix disagrees with its
-// size, and a runt, decode to nothing; and a well-formed datagram of a
-// retired type (3 and 4, the per-handle lookup) is one protocol error at the
-// server and nothing else.
+// including an LBN list; the header is 48 bytes with every retired field
+// (bytes 6–19 and 28–35) encoded as zero; a datagram whose length prefix
+// disagrees with its size, and a runt, decode to nothing; and a well-formed
+// datagram of a retired type (3 and 4, the per-handle lookup) is one protocol
+// error at the server and nothing else.
 func TestWireRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	node := simnet.NewNode(eng, "n", simnet.DefaultProfile())
@@ -187,7 +189,6 @@ func TestWireRoundTrip(t *testing.T) {
 		Type:   MsgRemap,
 		Server: 1,
 		From:   1,
-		Epoch:  7,
 		Seq:    9,
 		LBN:    12345,
 		LBNs:   []int64{1, 5, 9, 1 << 40},
@@ -200,12 +201,20 @@ func TestWireRoundTrip(t *testing.T) {
 	if len(wire) != frameLenBytes+48+8*len(in.LBNs) {
 		t.Fatalf("a %d-LBN message encodes to %d bytes: the header is no longer 48", len(in.LBNs), len(wire))
 	}
+	hdr := wire[frameLenBytes:]
+	for _, zero := range [][2]int{{1, 2}, {6, 20}, {28, 36}} {
+		for i := zero[0]; i < zero[1]; i++ {
+			if hdr[i] != 0 {
+				t.Fatalf("header byte %d = %#x, want 0: a retired field is back on the wire", i, hdr[i])
+			}
+		}
+	}
 	out, ok := decode(ch)
 	if !ok {
 		t.Fatal("decode rejected an encoded message")
 	}
 	if out.Type != in.Type || out.Server != in.Server || out.From != in.From ||
-		out.Epoch != in.Epoch || out.Seq != in.Seq || out.LBN != in.LBN {
+		out.Seq != in.Seq || out.LBN != in.LBN {
 		t.Fatalf("header mismatch: %+v != %+v", out, in)
 	}
 	if len(out.LBNs) != len(in.LBNs) {
@@ -221,8 +230,9 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("decode accepted a %d-byte datagram of a %d-byte frame", len(bad), len(wire))
 		}
 	}
-	if MsgRemap != 5 || MsgMembersResp != 10 {
-		t.Fatalf("MsgRemap = %d, MsgMembersResp = %d; want 5, 10: a surviving type code moved", MsgRemap, MsgMembersResp)
+	codes := []MsgType{MsgRegister, MsgRegisterAck, MsgRemap, MsgRemapAck, MsgInvalidate, MsgInvalidateAck, MsgMembers, MsgMembersResp}
+	if want := []MsgType{1, 2, 5, 6, 7, 8, 9, 10}; !slices.Equal(codes, want) {
+		t.Fatalf("message codes = %v, want %v: a surviving type code moved", codes, want)
 	}
 
 	n := buildCPNet(t)
@@ -253,7 +263,7 @@ func TestProtocolUDP(t *testing.T) {
 	// Routing lookups agree with the placement authority, and repeat
 	// lookups hit the client-side cache.
 	fh := fhOf(42)
-	want := n.cp.Registry().ServerFor(fh)
+	want := n.cp.reg.ring.LookupFH(fh)
 	var gotServer = -2
 	n.resolver.Resolve(fh, func(server int, err error) {
 		if err != nil {
@@ -358,7 +368,7 @@ func TestFaultBootstrapOutageHeals(t *testing.T) {
 	}
 	resolve := func(t *testing.T, n *cpNet, i uint64) {
 		n.resolver.Resolve(fhOf(i), func(server int, err error) {
-			if err != nil || server != n.cp.Registry().ServerFor(fhOf(i)) {
+			if err != nil || server != n.cp.reg.ring.LookupFH(fhOf(i)) {
 				t.Errorf("resolve %d: server=%d err=%v", i, server, err)
 			}
 		})
@@ -433,7 +443,7 @@ func TestFaultBootstrapOutageHeals(t *testing.T) {
 }
 
 // TestRemapDuplicateIdempotent: redelivering a completed remap (same
-// server/epoch/seq triple) must re-ack without a second invalidation round.
+// server/seq pair) must re-ack without a second invalidation round.
 func TestRemapDuplicateIdempotent(t *testing.T) {
 	n := buildCPNet(t)
 	n.register(t)
@@ -454,7 +464,6 @@ func TestRemapDuplicateIdempotent(t *testing.T) {
 	n.cp.dispatch(Msg{
 		Type:   MsgRemap,
 		Server: 0,
-		Epoch:  n.agents[0].Epoch(),
 		Seq:    1,
 		LBNs:   []int64{11, 12},
 	}, peer{})
@@ -497,7 +506,7 @@ func TestResolverLocalRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range got {
-		if want := n.cp.Registry().ServerFor(fhOf(uint64(i))); got[i] != want {
+		if want := n.cp.reg.ring.LookupFH(fhOf(uint64(i))); got[i] != want {
 			t.Fatalf("handle %d placed on %d, registry says %d", i, got[i], want)
 		}
 	}
@@ -510,45 +519,6 @@ func TestResolverLocalRing(t *testing.T) {
 	}
 	if n.resolver.Stats.MemberFetches != 1 {
 		t.Fatalf("MemberFetches = %d, want 1", n.resolver.Stats.MemberFetches)
-	}
-}
-
-// TestResolverInvalidateRefetches: dropping a route after a topology
-// change refetches the member set at the new epoch, and the rebuilt
-// replica agrees with the shrunken registry.
-func TestResolverInvalidateRefetches(t *testing.T) {
-	n := buildCPNet(t)
-	n.register(t)
-	fh := fhOf(3)
-	n.resolver.Resolve(fh, func(int, error) {})
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n.resolver.Stats.MemberFetches != 1 {
-		t.Fatalf("MemberFetches = %d, want 1", n.resolver.Stats.MemberFetches)
-	}
-	// Topology change: server 1 leaves. The resolver's replica is stale
-	// until a misroute (or any newer-epoch response) surfaces it.
-	n.cp.Registry().SetActive([]int{0})
-	n.resolver.Invalidate(fh)
-	gotServer := -2
-	n.resolver.Resolve(fh, func(server int, err error) {
-		if err != nil {
-			t.Errorf("resolve after shrink: %v", err)
-		}
-		gotServer = server
-	})
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if gotServer != 0 {
-		t.Fatalf("post-shrink placement = %d, want 0 (only active member)", gotServer)
-	}
-	if n.resolver.Stats.MemberFetches != 2 {
-		t.Fatalf("MemberFetches = %d, want 2 (refetch at new epoch)", n.resolver.Stats.MemberFetches)
-	}
-	if n.resolver.Epoch() != n.cp.Registry().Epoch() {
-		t.Fatalf("resolver epoch %d != registry epoch %d", n.resolver.Epoch(), n.cp.Registry().Epoch())
 	}
 }
 
@@ -629,7 +599,7 @@ func TestRequestLoop(t *testing.T) {
 			var calls uint64
 			n.resolver.Resolve(fhOf(42), func(server int, err error) {
 				calls++
-				if (err == nil) != (server == n.cp.Registry().ServerFor(fhOf(42))) {
+				if (err == nil) != (server == n.cp.reg.ring.LookupFH(fhOf(42))) {
 					t.Errorf("resolve: server=%d err=%v", server, err)
 				}
 			})

@@ -12,17 +12,15 @@ import (
 
 // ResolverStats counts client-side routing activity.
 type ResolverStats struct {
-	Lookups     uint64
-	CacheHits   uint64
-	Retries     uint64
-	Failures    uint64
-	EpochFlush  uint64
-	StaleEpochs uint64
+	Lookups   uint64
+	CacheHits uint64
+	Retries   uint64
+	Failures  uint64
 	// LocalHits counts lookups answered by the client-local ring replica —
 	// no control-plane round trip, no control CPU.
 	LocalHits uint64
-	// MemberFetches counts completed member-set fetches (one per epoch the
-	// client observes, not one per lookup).
+	// MemberFetches counts completed member-set fetches (one per client,
+	// not one per lookup).
 	MemberFetches uint64
 }
 
@@ -45,13 +43,11 @@ type bootEntry struct {
 // consistent-hash ring locally (placement is a pure function of the member
 // set, virtual-node count and key, so the replica answers bit-identically);
 // from then on FH lookups are client-local and the control-plane CPU sees
-// one message per client per placement epoch instead of one per cold
-// route. That is the only routing path: while there is no replica, lookups
-// wait for the fetch, and if the fetch is abandoned they fail and the next
-// lookup starts a fresh one — an outage costs errors only while it lasts.
-// Responses carry the placement epoch; one newer than the replica flushes
-// both the route cache and the ring, so stale placements die on the next
-// answer rather than lingering.
+// one message per client instead of one per cold route. That is the only
+// routing path: while there is no replica, lookups wait for the fetch, and
+// if the fetch is abandoned they fail and the next lookup starts a fresh one
+// — an outage costs errors only while it lasts. The member set is fixed when
+// the cluster is built, so a fetched replica never goes stale.
 type Resolver struct {
 	node *simnet.Node
 	ep   *endpoint
@@ -59,7 +55,6 @@ type Resolver struct {
 	path sim.RTT
 
 	cache   map[lkey.FH]int
-	epoch   uint64
 	nextSeq uint64
 
 	// ring is the local placement replica (nil until fetched), members the
@@ -78,9 +73,6 @@ func NewResolver(node *simnet.Node, t *udp.Transport, local, cp eth.Addr) *Resol
 	r.ep = openEndpoint(t, local, cp, r.handle)
 	return r
 }
-
-// Epoch reports the highest placement epoch the resolver has seen.
-func (r *Resolver) Epoch() uint64 { return r.epoch }
 
 // Resolve answers the index of the server owning fh: from the route cache,
 // the local ring replica, or once the member set has been fetched. done may
@@ -146,19 +138,6 @@ func (r *Resolver) handle(m Msg) {
 	if m.Type != MsgMembersResp || r.members == nil || m.Seq != r.members.seq {
 		return
 	}
-	// A response from a newer placement epoch means every cached route may
-	// be stale: flush and relearn. One from an older epoch (a reordered
-	// datagram) must not install state over newer answers.
-	if m.Epoch > r.epoch {
-		if len(r.cache) > 0 {
-			r.Stats.EpochFlush++
-		}
-		r.cache = make(map[lkey.FH]int)
-		r.epoch = m.Epoch
-	} else if m.Epoch < r.epoch {
-		r.Stats.StaleEpochs++
-		return
-	}
 	r.members.settle()
 	r.members = nil
 	r.Stats.MemberFetches++
@@ -171,13 +150,4 @@ func (r *Resolver) handle(m Msg) {
 	for _, e := range q {
 		r.answer(e.fh, e.done)
 	}
-}
-
-// Invalidate drops one cached route (callers that see a misroute can force
-// a relearn without waiting for an epoch bump). A misroute also means the
-// ring replica answered wrong, so it is dropped too — the refetch lands on
-// the registry's current epoch.
-func (r *Resolver) Invalidate(fh lkey.FH) {
-	delete(r.cache, fh)
-	r.ring = nil
 }

@@ -5,9 +5,9 @@
 // placement from, over UDP (a datagram protocol: every request is resent by
 // one application-level loop, request.go), and the remap protocol that keeps
 // FHO→LBN re-indexing coherent when the server flushing a block is not the
-// server caching it: epoch-stamped remap messages fan out as invalidations,
-// are acknowledged individually, and are retried idempotently under frame
-// loss.
+// server caching it: remap messages, named by (server, seq), fan out as
+// invalidations, are acknowledged individually, and are retried idempotently
+// under frame loss.
 package controlplane
 
 import (
@@ -71,23 +71,6 @@ func (r *Ring) Add(member int) {
 		r.points = append(r.points, ringPoint{hash: pointHash(member, v), member: member})
 	}
 	r.sortPoints()
-}
-
-// Remove deletes a member's virtual nodes; keys it served move to their
-// circle successors, everything else stays put (the consistent-hash
-// minimal-movement property).
-func (r *Ring) Remove(member int) {
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 }
 
 // sortPoints orders the circle; ties (hash collisions) break by member ID so

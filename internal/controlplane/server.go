@@ -24,11 +24,10 @@ type Stats struct {
 	Errors    uint64
 }
 
-// remapID names one remap exactly: retransmissions carry the same triple,
+// remapID names one remap exactly: retransmissions carry the same pair,
 // which is what makes them idempotent at the server.
 type remapID struct {
 	server uint16
-	epoch  uint64
 	seq    uint64
 }
 
@@ -87,10 +86,6 @@ func NewServer(node *simnet.Node, servers []eth.Addr) *Server {
 	}
 }
 
-// Registry exposes the placement authority (tests and benches reconfigure
-// placement through it).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Node returns the server's node.
 func (s *Server) Node() *simnet.Node { return s.node }
 
@@ -135,11 +130,11 @@ func (s *Server) handle(m Msg, from peer) {
 		s.Stats.Registers++
 		route := from
 		s.routes[idx] = &route
-		s.send(from, Msg{Type: MsgRegisterAck, Server: m.Server, Epoch: s.reg.Epoch()})
+		s.send(from, Msg{Type: MsgRegisterAck, Server: m.Server})
 
 	case MsgMembers:
 		s.Stats.LookupsMembers++
-		r := Msg{Type: MsgMembersResp, Epoch: s.reg.Epoch(), Seq: m.Seq, LBN: int64(s.reg.VNodes())}
+		r := Msg{Type: MsgMembersResp, Seq: m.Seq, LBN: int64(s.reg.VNodes())}
 		for _, idx := range s.reg.Members() {
 			r.LBNs = append(r.LBNs, int64(uint64(idx)<<32|uint64(uint32(s.reg.AddrOf(idx)))))
 		}
@@ -156,11 +151,11 @@ func (s *Server) handle(m Msg, from peer) {
 	}
 }
 
-// handleRemap starts (or re-acknowledges) one remap: fan out epoch-stamped
-// invalidations to every other registered server, ack the origin once all
-// of them acknowledged.
+// handleRemap starts (or re-acknowledges) one remap: fan out invalidations
+// to every other registered server, ack the origin once all of them
+// acknowledged.
 func (s *Server) handleRemap(m Msg) {
-	id := remapID{server: m.Server, epoch: m.Epoch, seq: m.Seq}
+	id := remapID{server: m.Server, seq: m.Seq}
 	if st, ok := s.remaps[id]; ok {
 		// A retransmitted remap: if the protocol already completed the
 		// ack was lost — re-ack; otherwise the fan-out is still running
@@ -201,7 +196,7 @@ func (p *remapPeer) transmit(again bool) {
 	} else {
 		s.Stats.InvalidationsSent++
 	}
-	s.send(*s.routes[p.idx], Msg{Type: MsgInvalidate, Server: id.server, Epoch: id.epoch, Seq: id.seq, LBNs: p.st.lbns})
+	s.send(*s.routes[p.idx], Msg{Type: MsgInvalidate, Server: id.server, Seq: id.seq, LBNs: p.st.lbns})
 }
 
 // abandon gives up on the peer; the remap completes without it.
@@ -212,7 +207,7 @@ func (p *remapPeer) abandon() {
 
 // handleInvalidateAck records one peer's acknowledgement.
 func (s *Server) handleInvalidateAck(m Msg) {
-	id := remapID{server: m.Server, epoch: m.Epoch, seq: m.Seq}
+	id := remapID{server: m.Server, seq: m.Seq}
 	st, ok := s.remaps[id]
 	if !ok {
 		return
@@ -252,7 +247,7 @@ func (s *Server) complete(st *remapState) {
 func (s *Server) ackOrigin(st *remapState) {
 	if route := s.routes[st.id.server]; route != nil {
 		s.Stats.RemapAcksSent++
-		s.send(*route, Msg{Type: MsgRemapAck, Server: st.id.server, Epoch: st.id.epoch, Seq: st.id.seq})
+		s.send(*route, Msg{Type: MsgRemapAck, Server: st.id.server, Seq: st.id.seq})
 	}
 }
 

@@ -48,9 +48,10 @@ const (
 const MaxLBNs = 128
 
 // headerLen is the fixed encoded prefix:
-// type(1) zero(1) server(2) from(2) zero(6) epoch(8) seq(8) zero(8) lbn(8)
-// count(4). The zero bytes were the per-handle lookup's status, owner address
-// and file handle; the header keeps its length without them.
+// type(1) zero(1) server(2) from(2) zero(14) seq(8) zero(8) lbn(8) count(4).
+// The zero bytes were the per-handle lookup's status, owner address and file
+// handle, and (bytes 12–19) the placement epoch of a member set that could
+// change; the header keeps its length without them.
 const headerLen = 48
 
 // Msg is one control-plane message. Fields are a union over the message
@@ -62,13 +63,11 @@ type Msg struct {
 	Server uint16
 	// From is the sending server's index on acknowledgements.
 	From uint16
-	// Epoch stamps placement authority; Seq orders one server's remaps
-	// within an epoch. (Epoch, Seq, Server) identifies a remap exactly,
-	// which is what makes retries idempotent.
-	Epoch uint64
-	Seq   uint64
-	LBN   int64
-	LBNs  []int64
+	// Seq orders one server's remaps. (Server, Seq) identifies a remap
+	// exactly, which is what makes retries idempotent.
+	Seq  uint64
+	LBN  int64
+	LBNs []int64
 }
 
 // encodedLen is the message's frame body size.
@@ -80,7 +79,6 @@ func (m *Msg) marshal(dst []byte) {
 	dst[0] = byte(m.Type)
 	binary.BigEndian.PutUint16(dst[2:4], m.Server)
 	binary.BigEndian.PutUint16(dst[4:6], m.From)
-	binary.BigEndian.PutUint64(dst[12:20], m.Epoch)
 	binary.BigEndian.PutUint64(dst[20:28], m.Seq)
 	binary.BigEndian.PutUint64(dst[36:44], uint64(m.LBN))
 	binary.BigEndian.PutUint32(dst[44:48], uint32(len(m.LBNs)))
@@ -101,7 +99,6 @@ func unmarshal(p []byte) (Msg, error) {
 		Type:   MsgType(p[0]),
 		Server: binary.BigEndian.Uint16(p[2:4]),
 		From:   binary.BigEndian.Uint16(p[4:6]),
-		Epoch:  binary.BigEndian.Uint64(p[12:20]),
 		Seq:    binary.BigEndian.Uint64(p[20:28]),
 		LBN:    int64(binary.BigEndian.Uint64(p[36:44])),
 	}

@@ -161,7 +161,7 @@ func TestFormatMountFsck(t *testing.T) {
 	if !ok {
 		t.Fatal("fsck did not complete")
 	}
-	if r.fs.Super().Magic != Magic {
+	if r.fs.sb.Magic != Magic {
 		t.Fatal("bad super")
 	}
 }
@@ -410,7 +410,7 @@ func TestSyncPersistsToDisk(t *testing.T) {
 	_ = eng2
 	_ = node2
 	found := false
-	for lbn := r.fs.Super().DataStart; lbn < r.fs.Super().DataStart+64; lbn++ {
+	for lbn := r.fs.sb.DataStart; lbn < r.fs.sb.DataStart+64; lbn++ {
 		if bytes.Equal(r.disk.PeekBlock(lbn), data) {
 			found = true
 			break

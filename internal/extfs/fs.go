@@ -125,9 +125,6 @@ func Mount(node *simnet.Node, cache *buffercache.Cache, done func(*FS, error)) {
 	})
 }
 
-// Super returns the superblock.
-func (fs *FS) Super() SuperBlock { return fs.sb }
-
 // charge bills per-block file system logic to the node CPU.
 func (fs *FS) charge(blocks int, then func()) {
 	fs.node.Charge(sim.Duration(blocks)*fs.node.Cost.FSBlockNs, then)

@@ -65,7 +65,13 @@ func TestShadowModelRandomOps(t *testing.T) {
 			off := uint64(rng.Intn(6 * BlockSize))
 			n := rng.Intn(2*BlockSize) + 1
 			payload := make([]byte, n)
-			rng.Fill(payload)
+			var v uint64
+			for j := range payload {
+				if j%8 == 0 {
+					v = rng.Uint64()
+				}
+				payload[j], v = byte(v), v>>8
+			}
 			r.write(t, sf.ino, off, payload)
 			if need := off + uint64(n); uint64(len(sf.data)) < need {
 				sf.data = append(sf.data, make([]byte, need-uint64(len(sf.data)))...)
@@ -166,7 +172,13 @@ func TestShadowModelSurvivesRemount(t *testing.T) {
 		name := fmt.Sprintf("file%d", i)
 		ino := r.create(t, name)
 		data := make([]byte, (i+1)*3000)
-		rng.Fill(data)
+		var v uint64
+		for j := range data {
+			if j%8 == 0 {
+				v = rng.Uint64()
+			}
+			data[j], v = byte(v), v>>8
+		}
 		r.write(t, ino, 0, data)
 		content[name] = data
 	}

@@ -247,14 +247,6 @@ func New(eng *sim.Engine, seed uint64) *Injector {
 	return &Injector{eng: eng, seed: seed}
 }
 
-// Seed returns the injector's seed.
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Add installs one schedule.
 func (in *Injector) Add(s Schedule) {
 	if in == nil {
@@ -263,23 +255,6 @@ func (in *Injector) Add(s Schedule) {
 	idx := uint64(len(in.scheds))
 	seed := in.seed ^ (0x9e3779b97f4a7c15 * (idx + 1))
 	in.scheds = append(in.scheds, &schedState{Schedule: s, rng: sim.NewRNG(seed)})
-}
-
-// Schedules returns copies of the installed schedules.
-func (in *Injector) Schedules() []Schedule {
-	if in == nil {
-		return nil
-	}
-	out := make([]Schedule, len(in.scheds))
-	for i, st := range in.scheds {
-		out[i] = st.Schedule
-	}
-	return out
-}
-
-// Enabled reports whether injection is armed and not quiesced.
-func (in *Injector) Enabled() bool {
-	return in != nil && in.armed && !in.quiesced && len(in.scheds) > 0
 }
 
 // Arm starts injection: rate queries begin drawing and the CPU-burst loops

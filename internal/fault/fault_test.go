@@ -78,9 +78,6 @@ func TestParseSpecErrors(t *testing.T) {
 // TestNilInjector checks the disabled state declines everything safely.
 func TestNilInjector(t *testing.T) {
 	var in *Injector
-	if in.Enabled() {
-		t.Error("nil injector reports enabled")
-	}
 	if d := in.FrameTx("x.tx"); d != (Decision{}) {
 		t.Errorf("nil FrameTx = %+v", d)
 	}
@@ -100,7 +97,7 @@ func TestNilInjector(t *testing.T) {
 func dropPattern(seed uint64, n int) string {
 	eng := sim.NewEngine()
 	in := New(eng, seed)
-	in.Add(MustParseSpec("drop:*:rate=0.3")[0])
+	in.Add(Schedule{Class: FrameDrop, Target: "*", Rate: 0.3})
 	in.Arm()
 	var b strings.Builder
 	for i := 0; i < n; i++ {
@@ -135,9 +132,9 @@ func TestSchedulesIndependent(t *testing.T) {
 	run := func(extra bool) string {
 		eng := sim.NewEngine()
 		in := New(eng, 7)
-		in.Add(MustParseSpec("drop:app.tx:rate=0.3")[0])
+		in.Add(Schedule{Class: FrameDrop, Target: "app.tx", Rate: 0.3})
 		if extra {
-			in.Add(MustParseSpec("slowdisk:disk0:rate=0.9:delay=1ms")[0])
+			in.Add(Schedule{Class: DiskSlow, Target: "disk0", Rate: 0.9, Delay: sim.Millisecond})
 		}
 		in.Arm()
 		var b strings.Builder
@@ -184,8 +181,8 @@ func TestTargetMatching(t *testing.T) {
 func TestWindowAndCount(t *testing.T) {
 	eng := sim.NewEngine()
 	in := New(eng, 1)
-	in.Add(MustParseSpec("drop:*:rate=1:start=1ms:end=2ms")[0])
-	in.Add(MustParseSpec("diskerr:disk0:rate=1:count=2")[0])
+	in.Add(Schedule{Class: FrameDrop, Target: "*", Rate: 1, Start: sim.Time(sim.Millisecond), End: sim.Time(2 * sim.Millisecond)})
+	in.Add(Schedule{Class: DiskError, Target: "disk0", Rate: 1, Count: 2})
 	in.Arm()
 
 	if in.FrameTx("a.tx").Drop {
@@ -222,7 +219,7 @@ func TestCPUBurstLifecycle(t *testing.T) {
 	eng := sim.NewEngine()
 	cpu := sim.NewResource(eng, "app.cpu")
 	in := New(eng, 3)
-	in.Add(MustParseSpec("cpuburst:app.cpu:period=1ms:delay=200µs")[0])
+	in.Add(Schedule{Class: CPUBurst, Target: "app.cpu", Period: sim.Millisecond, Delay: 200 * sim.Microsecond})
 	in.AttachCPU("app.cpu", cpu)
 
 	// Not armed: nothing scheduled, Run returns immediately.
@@ -250,8 +247,8 @@ func TestCPUBurstLifecycle(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if in.Enabled() {
-		t.Error("quiesced injector reports enabled")
+	if !in.quiesced {
+		t.Error("Quiesce left the injector armed")
 	}
 }
 
@@ -269,10 +266,10 @@ func TestNewFromSpec(t *testing.T) {
 	if err != nil || in == nil {
 		t.Fatalf("preset: got (%v, %v)", in, err)
 	}
-	if in.Seed() != 1 {
-		t.Errorf("zero seed not normalized: %d", in.Seed())
+	if in.seed != 1 {
+		t.Errorf("zero seed not normalized: %d", in.seed)
 	}
-	if got := len(in.Schedules()); got != 1 {
+	if got := len(in.scheds); got != 1 {
 		t.Errorf("schedules = %d, want 1", got)
 	}
 }

@@ -174,15 +174,6 @@ func validate(item string, s Schedule) error {
 	return nil
 }
 
-// MustParseSpec is ParseSpec for known-good literals in tests and presets.
-func MustParseSpec(spec string) []Schedule {
-	ss, err := ParseSpec(spec)
-	if err != nil {
-		panic(err)
-	}
-	return ss
-}
-
 // NewFromSpec builds an injector with every schedule in spec installed.
 func NewFromSpec(eng *sim.Engine, seed uint64, spec string) (*Injector, error) {
 	ss, err := ParseSpec(spec)

@@ -366,6 +366,3 @@ func (i *Initiator) allocCmdSN() uint32 {
 	i.cmdSN++
 	return sn
 }
-
-// Pending reports outstanding commands.
-func (i *Initiator) Pending() int { return len(i.pending) }

@@ -2,6 +2,7 @@ package iscsi
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func TestPDUEncodeFrameRoundTrip(t *testing.T) {
 		Data: netbuf.ChainFromBytes(payload, 16),
 	}
 	in.CDB = [16]byte{0x28, 0, 0, 0, 1, 2}
-	wire, err := in.Encode()
+	wire, err := in.EncodePool(nil)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -44,8 +45,8 @@ func TestPDUEncodeFrameRoundTrip(t *testing.T) {
 	if !bytes.Equal(p.Data.Flatten(), payload) {
 		t.Fatalf("data mismatch: %q", p.Data.Flatten())
 	}
-	if f.Errors != 0 || f.Buffered() != 0 {
-		t.Fatalf("framer errors=%d buffered=%d", f.Errors, f.Buffered())
+	if f.Errors != 0 || f.stream.Len() != 0 {
+		t.Fatalf("framer errors=%d buffered=%d", f.Errors, f.stream.Len())
 	}
 }
 
@@ -57,7 +58,7 @@ func TestFramerHandlesFragmentedStream(t *testing.T) {
 		payload := bytes.Repeat([]byte{byte('a' + i)}, 100+i*37)
 		want = append(want, string(payload))
 		p := PDU{Op: OpDataIn, Final: true, ITT: uint32(i), Data: netbuf.ChainFromBytes(payload, 64)}
-		c, err := p.Encode()
+		c, err := p.EncodePool(nil)
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
@@ -99,7 +100,7 @@ func TestFramerPropertyAnySplit(t *testing.T) {
 		for i := 0; i < n; i++ {
 			payload := make([]byte, int(sizes[i])%2000)
 			p := PDU{Op: OpDataIn, ITT: uint32(i), Data: netbuf.ChainFromBytes(payload, 512)}
-			c, err := p.Encode()
+			c, err := p.EncodePool(nil)
 			if err != nil {
 				return false
 			}
@@ -123,7 +124,7 @@ func TestFramerPropertyAnySplit(t *testing.T) {
 			}
 			fr.Push(netbuf.ChainFromBytes(wire[off:end], 256))
 		}
-		return count == n && fr.Errors == 0 && fr.Buffered() == 0
+		return count == n && fr.Errors == 0 && fr.stream.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestPDUDataSegmentPadding(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 47, 49} {
 		payload := bytes.Repeat([]byte{0xAB}, n)
 		p := PDU{Op: OpLoginReq, Final: true, ITT: 9, Data: netbuf.ChainFromBytes(payload, 16)}
-		wire, err := p.Encode()
+		wire, err := p.EncodePool(nil)
 		if err != nil {
 			t.Fatalf("Encode(%d): %v", n, err)
 		}
@@ -154,8 +155,8 @@ func TestPDUDataSegmentPadding(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("padding round trip failed for %d bytes", n)
 		}
-		if f.Buffered() != 0 {
-			t.Fatalf("framer left %d bytes buffered", f.Buffered())
+		if f.stream.Len() != 0 {
+			t.Fatalf("framer left %d bytes buffered", f.stream.Len())
 		}
 	}
 }
@@ -165,7 +166,7 @@ func TestPDURejectsOversizeSegment(t *testing.T) {
 	// Fake an oversize length without allocating 16MB: use a tiny chain
 	// but check the guard directly via DataLen path.
 	p := PDU{Op: OpDataIn, Data: big}
-	if _, err := p.Encode(); err != nil {
+	if _, err := p.EncodePool(nil); err != nil {
 		t.Fatalf("small segment rejected: %v", err)
 	}
 }
@@ -175,7 +176,7 @@ func TestFramerBHSOnlyPDUs(t *testing.T) {
 	var wire []byte
 	for i := 0; i < 4; i++ {
 		p := PDU{Op: OpLogoutReq, Final: true, ITT: uint32(i)}
-		c, err := p.Encode()
+		c, err := p.EncodePool(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func TestWriteThenReadRoundTrip(t *testing.T) {
 	r := newRig(t)
 	r.connect(t)
 	want := make([]byte, 8*4096)
-	sim.NewRNG(3).Fill(want)
+	rand.New(rand.NewSource(3)).Read(want)
 	var got []byte
 	r.initiator.Write(100, netbuf.ChainFromBytes(want, netbuf.DefaultBufSize), false, func(err error) {
 		if err != nil {
@@ -294,8 +295,8 @@ func TestWriteThenReadRoundTrip(t *testing.T) {
 	if r.target.ReadCmds != 1 || r.target.WriteCmds != 1 {
 		t.Fatalf("target cmds = %d/%d", r.target.ReadCmds, r.target.WriteCmds)
 	}
-	if r.initiator.Pending() != 0 {
-		t.Fatalf("pending = %d", r.initiator.Pending())
+	if len(r.initiator.pending) != 0 {
+		t.Fatalf("pending = %d", len(r.initiator.pending))
 	}
 }
 
@@ -396,7 +397,7 @@ func TestTargetPayloadAllocFree(t *testing.T) {
 	r.connect(t)
 	const blocks = 16
 	payload := make([]byte, blocks*4096)
-	sim.NewRNG(9).Fill(payload)
+	rand.New(rand.NewSource(9)).Read(payload)
 	round := func(write bool) {
 		for k := 0; k < 4; k++ { // four commands in flight
 			lba := int64(k * 64)
@@ -457,7 +458,7 @@ func TestDebugModePoisonsStaging(t *testing.T) {
 	r := newRig(t)
 	r.connect(t)
 	want := make([]byte, 8*4096)
-	sim.NewRNG(4).Fill(want)
+	rand.New(rand.NewSource(4)).Read(want)
 	var got []byte
 	r.initiator.Write(40, netbuf.ChainFromBytes(want, netbuf.DefaultBufSize), false, func(err error) {
 		if err != nil {

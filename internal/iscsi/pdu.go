@@ -78,12 +78,6 @@ func (p *PDU) DataLen() int {
 	return p.Data.Len()
 }
 
-// Encode renders the PDU as a transmit chain: a fresh header buffer followed
-// by the data segment's buffers (not copied). Data segments are padded to 4
-// bytes; block-sized storage payloads are already aligned so padding is the
-// exception, not the rule.
-func (p *PDU) Encode() (*netbuf.Chain, error) { return p.EncodePool(nil) }
-
 // poolBuf draws a buffer from a transmit pool, falling back to a fresh
 // allocation when no pool is set or the pool cannot serve the size.
 func poolBuf(pool *netbuf.Pool, capacity int) *netbuf.Buf {
@@ -95,8 +89,12 @@ func poolBuf(pool *netbuf.Pool, capacity int) *netbuf.Buf {
 	return netbuf.New(netbuf.DefaultHeadroom, capacity)
 }
 
-// EncodePool is Encode drawing the header (and pad) buffers from a transmit
-// pool so the steady-state PDU path allocates nothing.
+// EncodePool renders the PDU as a transmit chain: a header buffer followed by
+// the data segment's buffers (not copied). Data segments are padded to 4
+// bytes; block-sized storage payloads are already aligned so padding is the
+// exception, not the rule. The header (and pad) buffers come from a transmit
+// pool, so the steady-state PDU path allocates nothing; with no pool they are
+// fresh.
 func (p *PDU) EncodePool(pool *netbuf.Pool) (*netbuf.Chain, error) {
 	dlen := p.DataLen()
 	if dlen > 0xffffff {
@@ -185,9 +183,6 @@ type Framer struct {
 func NewFramer(emit func(p PDU)) *Framer {
 	return &Framer{stream: netbuf.NewChain(), Emit: emit}
 }
-
-// Buffered returns the bytes accumulated but not yet framed.
-func (f *Framer) Buffered() int { return f.stream.Len() }
 
 // Push appends stream data (ownership transfers) and emits any complete
 // PDUs.

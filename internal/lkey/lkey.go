@@ -131,35 +131,23 @@ func FromChain(c *netbuf.Chain) (Key, bool) {
 	return Parse(head)
 }
 
-// StampChain builds a block-sized junk chain carrying the key, reusing a
-// single buffer. It is what logical data looks like on the wire before
-// driver-level substitution.
-func StampChain(k Key, blockBytes int) *netbuf.Chain {
-	if blockBytes < Size {
-		blockBytes = Size
-	}
-	b := netbuf.New(netbuf.DefaultHeadroom, blockBytes)
-	_ = b.Put(blockBytes)
-	Stamp(b.Bytes(), k)
-	return netbuf.ChainOf(b)
-}
-
-// StampChainPool is StampChain drawing the junk buffer from a pool (pooled
-// buffers are zeroed on reuse, so the junk bytes match a fresh allocation).
-// The single-buffer layout is load-bearing: the substitution hook parses one
-// key per wire buffer, so a junk block must stay one buffer. It falls back
-// to a fresh buffer when the block exceeds the pool's geometry or the pool
-// is exhausted.
+// StampChainPool builds a block-sized junk chain carrying the key — what
+// logical data looks like on its way down the stack, before substitution —
+// drawing the junk buffer from a pool (pooled buffers are zeroed on reuse, so
+// the junk bytes match a fresh allocation). The single-buffer layout is
+// load-bearing: the substitution hook parses one key per wire buffer, so a
+// junk block must stay one buffer. It falls back to a fresh buffer when there
+// is no pool, the block exceeds the pool's geometry or the pool is exhausted.
 func StampChainPool(p *netbuf.Pool, k Key, blockBytes int) *netbuf.Chain {
 	if blockBytes < Size {
 		blockBytes = Size
 	}
-	if p == nil || blockBytes > p.BufSize() {
-		return StampChain(k, blockBytes)
+	var b *netbuf.Buf
+	if p != nil && blockBytes <= p.BufSize() {
+		b, _ = p.Get()
 	}
-	b, err := p.Get()
-	if err != nil {
-		return StampChain(k, blockBytes)
+	if b == nil {
+		b = netbuf.New(netbuf.DefaultHeadroom, blockBytes)
 	}
 	_ = b.Put(blockBytes)
 	Stamp(b.Bytes(), k)

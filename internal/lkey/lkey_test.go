@@ -74,7 +74,7 @@ func TestFromChainAcrossBufferBoundaries(t *testing.T) {
 }
 
 func TestStampChain(t *testing.T) {
-	c := StampChain(ForLBN(3), 4096)
+	c := StampChainPool(nil, ForLBN(3), 4096)
 	if c.Len() != 4096 {
 		t.Fatalf("Len = %d", c.Len())
 	}
@@ -83,7 +83,7 @@ func TestStampChain(t *testing.T) {
 		t.Fatalf("key = %+v ok=%v", k, ok)
 	}
 	// Tiny block sizes are padded up to the key size.
-	c2 := StampChain(ForLBN(1), 8)
+	c2 := StampChainPool(nil, ForLBN(1), 8)
 	if c2.Len() != Size {
 		t.Fatalf("tiny StampChain len = %d, want %d", c2.Len(), Size)
 	}

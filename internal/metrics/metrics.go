@@ -160,14 +160,6 @@ func (w *Writeback) MeanBatchBlocks() float64 {
 	return float64(w.FlushBlocks) / float64(w.FlushBatches)
 }
 
-// String summarizes the pipeline counters.
-func (w *Writeback) String() string {
-	return fmt.Sprintf("writeback{dirty=%dB (peak %dB) wal=%d/%dB appends=%d commits=%d (mean %.1f) trunc=%d batches=%d (mean %.1f blk) stalls=%d}",
-		w.DirtyBytes, w.DirtyPeakBytes, w.WALDepth, w.WALBytes,
-		w.WALAppends, w.WALCommits, w.MeanCommitSize(), w.WALTruncates,
-		w.FlushBatches, w.MeanBatchBlocks(), w.Stalls)
-}
-
 // Volume tallies the replicated lower storage path, aggregated over a
 // volume's mirror arms: command traffic, breaker activity and recovery
 // work. The fig-avail timeline samples it per bucket.

@@ -113,12 +113,6 @@ func New(node *simnet.Node, cfg Config) *Module {
 	}
 }
 
-// UsedBytes reports current occupancy (payload + metadata overhead).
-func (m *Module) UsedBytes() int64 { return m.used }
-
-// Len reports the number of cached entries.
-func (m *Module) Len() int { return m.lru.Len() }
-
 // chargeLookup bills one hash operation.
 func (m *Module) chargeLookup() {
 	trace.Account(m.node.Eng, trace.LNCache, m.node.Cost.NCacheLookupNs)
@@ -217,7 +211,7 @@ func (m *Module) CaptureLBN(lba int64, blocks int, data *netbuf.Chain) *netbuf.C
 	}
 	out := netbuf.NewChain()
 	for i := 0; i < blocks; i++ {
-		sub, err := data.Slice(i*m.cfg.BlockSize, m.cfg.BlockSize)
+		sub, err := data.SubChain(i*m.cfg.BlockSize, m.cfg.BlockSize)
 		if err != nil {
 			sub = netbuf.NewChain()
 		}
@@ -261,7 +255,7 @@ func (m *Module) CaptureFHO(fh lkey.FH, off uint64, data *netbuf.Chain) *netbuf.
 	blocks := n / bs
 	out := netbuf.NewChain()
 	for i := 0; i < blocks; i++ {
-		sub, err := data.Slice(i*bs, bs)
+		sub, err := data.SubChain(i*bs, bs)
 		if err != nil {
 			sub = netbuf.NewChain()
 		}
@@ -359,7 +353,7 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 			cl = e.chain.Clone()
 		} else {
 			var err error
-			cl, err = e.chain.Slice(int(key.SubOff), take)
+			cl, err = e.chain.SubChain(int(key.SubOff), take)
 			if err != nil {
 				cl = netbuf.NewChain()
 			}
@@ -426,7 +420,7 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain) (out *netbu
 	out = netbuf.NewChain()
 	touched := 0
 	for i := 0; i < blocks; i++ {
-		sub, err := data.Slice(i*bs, bs)
+		sub, err := data.SubChain(i*bs, bs)
 		if err != nil {
 			sub = netbuf.NewChain()
 		}

@@ -46,7 +46,7 @@ func TestCaptureLBNReturnsStampedJunk(t *testing.T) {
 	if !ok || k1.LBN != 100 {
 		t.Fatalf("first key = %+v ok=%v", k1, ok)
 	}
-	second, err := junk.Slice(bs, bs)
+	second, err := junk.SubChain(bs, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,8 @@ func TestCaptureLBNReturnsStampedJunk(t *testing.T) {
 	if node.Copies.PhysicalOps != before {
 		t.Fatal("capture physically copied payload")
 	}
-	if m.Len() != 2 || m.Stats.Captures != 2 {
-		t.Fatalf("entries=%d captures=%d", m.Len(), m.Stats.Captures)
+	if m.lru.Len() != 2 || m.Stats.Captures != 2 {
+		t.Fatalf("entries=%d captures=%d", m.lru.Len(), m.Stats.Captures)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestSubstituteMessageRestoresPayload(t *testing.T) {
 	// Compose a "reply": header bytes + one stamped junk block.
 	hdr := netbuf.FromBytes([]byte("RPCHDR"))
 	msg := netbuf.ChainOf(hdr)
-	for _, b := range lkey.StampChain(lkey.ForLBN(55), bs).Bufs() {
+	for _, b := range lkey.StampChainPool(nil, lkey.ForLBN(55), bs).Bufs() {
 		msg.Append(b)
 	}
 	out := m.SubstituteMessage(msg)
@@ -91,7 +91,7 @@ func TestSubstituteMessageRestoresPayload(t *testing.T) {
 
 func TestSubstituteMissPassesJunkThrough(t *testing.T) {
 	eng, _, m := newModule(t, 1<<20)
-	msg := lkey.StampChain(lkey.ForLBN(999), bs)
+	msg := lkey.StampChainPool(nil, lkey.ForLBN(999), bs)
 	out := m.SubstituteMessage(msg)
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -103,7 +103,7 @@ func TestSubstituteMissPassesJunkThrough(t *testing.T) {
 		t.Fatalf("misses = %d", m.Stats.SubstMisses)
 	}
 	// Baseline junk (no identities) is not even looked up.
-	out2 := m.SubstituteMessage(lkey.StampChain(lkey.Key{}, bs))
+	out2 := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.Key{}, bs))
 	if out2.Len() != bs || m.Stats.SubstMisses != 1 {
 		t.Fatal("baseline junk should pass through without a miss")
 	}
@@ -126,7 +126,7 @@ func TestFHOCaptureAndFreshnessOverLBN(t *testing.T) {
 	// A read reply whose block carries both identities must resolve FHO
 	// first (§3.4: clients always see the newest data).
 	key := lkey.ForFHO(fh, 8192).WithLBN(300)
-	out := m.SubstituteMessage(lkey.StampChain(key, bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(nil, key, bs))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 
 	// The file system flushes: stamped junk goes down the iSCSI write
 	// path; the hook must substitute real data and remap.
-	flush := lkey.StampChain(lkey.ForFHO(fh, 0), bs)
+	flush := lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs)
 	wire, remapped := m.WriteOut(700, 1, flush)
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -171,17 +171,17 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	if m.PinnedBytes() == 0 {
 		t.Fatal("failed write left the only copy of the data unpinned")
 	}
-	wire, remapped = m.WriteOut(700, 1, lkey.StampChain(lkey.ForFHO(fh, 0), bs))
+	wire, remapped = m.WriteOut(700, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("retried flush not substituted with real data")
 	}
-	if m.Stats.Remaps != 2 || len(remapped) != 1 || remapped[0] != 700 || m.PinnedBytes() != 0 || m.Len() != 1 {
+	if m.Stats.Remaps != 2 || len(remapped) != 1 || remapped[0] != 700 || m.PinnedBytes() != 0 || m.lru.Len() != 1 {
 		t.Fatalf("retry: remaps = %d, reported %v, pinned %d, entries %d",
-			m.Stats.Remaps, remapped, m.PinnedBytes(), m.Len())
+			m.Stats.Remaps, remapped, m.PinnedBytes(), m.lru.Len())
 	}
 
 	// The data is now reachable under its LBN.
-	out := m.SubstituteMessage(lkey.StampChain(lkey.ForLBN(700), bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(700), bs))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -189,8 +189,8 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 		t.Fatal("remapped entry not reachable by LBN")
 	}
 	// And the FHO index no longer holds it separately (moved, not copied).
-	if m.Len() != 1 {
-		t.Fatalf("entries = %d, want 1", m.Len())
+	if m.lru.Len() != 1 {
+		t.Fatalf("entries = %d, want 1", m.lru.Len())
 	}
 }
 
@@ -201,19 +201,19 @@ func TestRemapOverwritesStaleLBNEntry(t *testing.T) {
 	fh := lkey.FH{4}
 	m.CaptureLBN(800, 1, netbuf.ChainFromBytes(stale, netbuf.DefaultBufSize))
 	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(fresh, netbuf.DefaultBufSize))
-	m.WriteOut(800, 1, lkey.StampChain(lkey.ForFHO(fh, 0), bs))
+	m.WriteOut(800, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	out := m.SubstituteMessage(lkey.StampChain(lkey.ForLBN(800), bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(800), bs))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !bytes.Equal(out.Flatten(), fresh) {
 		t.Fatal("stale LBN entry survived remap")
 	}
-	if m.Len() != 1 {
-		t.Fatalf("entries = %d, want 1 (stale entry dropped)", m.Len())
+	if m.lru.Len() != 1 {
+		t.Fatalf("entries = %d, want 1 (stale entry dropped)", m.lru.Len())
 	}
 }
 
@@ -233,11 +233,11 @@ func TestLRUEvictionSkipsDirty(t *testing.T) {
 	if m.Stats.Evictions == 0 {
 		t.Fatal("no evictions under pressure")
 	}
-	if m.UsedBytes() > int64(4*(bs+EntryOverheadBytes))+int64(bs+EntryOverheadBytes) {
-		t.Fatalf("used = %d exceeds capacity + one pinned", m.UsedBytes())
+	if m.used > int64(4*(bs+EntryOverheadBytes))+int64(bs+EntryOverheadBytes) {
+		t.Fatalf("used = %d exceeds capacity + one pinned", m.used)
 	}
 	// The dirty FHO entry survived.
-	out := m.SubstituteMessage(lkey.StampChain(lkey.ForFHO(fh, 0), bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -246,11 +246,11 @@ func TestLRUEvictionSkipsDirty(t *testing.T) {
 	}
 	// The hottest (most recent) LBN entry also survived; the coldest died.
 	m.Stats.SubstMisses = 0
-	m.SubstituteMessage(lkey.StampChain(lkey.ForLBN(1009), bs))
+	m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(1009), bs))
 	if m.Stats.SubstMisses != 0 {
 		t.Fatal("MRU entry evicted before LRU")
 	}
-	m.SubstituteMessage(lkey.StampChain(lkey.ForLBN(1000), bs))
+	m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(1000), bs))
 	if m.Stats.SubstMisses != 1 {
 		t.Fatal("LRU entry not evicted first")
 	}
@@ -266,10 +266,10 @@ func TestOverwriteBeforeFlush(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("entries = %d, want 1", m.Len())
+	if m.lru.Len() != 1 {
+		t.Fatalf("entries = %d, want 1", m.lru.Len())
 	}
-	out := m.SubstituteMessage(lkey.StampChain(lkey.ForFHO(fh, 0), bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestUnalignedFHOPassesThrough(t *testing.T) {
 	if out != odd {
 		t.Fatal("unaligned payload should pass through uncached")
 	}
-	if m.Len() != 0 {
+	if m.lru.Len() != 0 {
 		t.Fatal("unaligned payload was cached")
 	}
 }
@@ -297,14 +297,14 @@ func TestDisableRemapAblation(t *testing.T) {
 	fh := lkey.FH{8}
 	data := blockData(5, bs)
 	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
-	wire, _ := m.WriteOut(50, 1, lkey.StampChain(lkey.ForFHO(fh, 0), bs))
+	wire, _ := m.WriteOut(50, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("flush data lost with remap disabled")
 	}
-	if m.Len() != 0 {
+	if m.lru.Len() != 0 {
 		t.Fatal("entry should be dropped when remap is disabled")
 	}
 	if m.Stats.Remaps != 0 {
@@ -316,7 +316,7 @@ func TestInvalidateLBN(t *testing.T) {
 	eng, _, m := newModule(t, 1<<20)
 	m.CaptureLBN(10, 1, netbuf.ChainFromBytes(blockData(1, bs), netbuf.DefaultBufSize))
 	m.InvalidateLBN(10)
-	out := m.SubstituteMessage(lkey.StampChain(lkey.ForLBN(10), bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(10), bs))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -68,7 +68,7 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 	substitute := func(key lkey.Key, wantFresh []byte, mustHit bool) bool {
 		hits := m.Stats.LBNHits + m.Stats.FHOHits
 		misses := m.Stats.SubstMisses
-		out := m.SubstituteMessage(lkey.StampChain(key, bs))
+		out := m.SubstituteMessage(lkey.StampChainPool(nil, key, bs))
 		if err := eng.Run(); err != nil {
 			t.Logf("seed %d: engine: %v", seed, err)
 			return false
@@ -111,7 +111,7 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 			if !dirty {
 				continue
 			}
-			wire, _ := m.WriteOut(lbn, 1, lkey.StampChain(fkey, bs))
+			wire, _ := m.WriteOut(lbn, 1, lkey.StampChainPool(nil, fkey, bs))
 			if !bytes.Equal(wire.Flatten(), data) {
 				t.Logf("seed %d: flush of %+v substituted wrong bytes", seed, fkey)
 				return false

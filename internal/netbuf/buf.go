@@ -101,14 +101,8 @@ func (b *Buf) Bytes() []byte { return b.backing[b.head:b.tail] }
 // Len returns the payload length in bytes.
 func (b *Buf) Len() int { return b.tail - b.head }
 
-// Headroom returns the bytes available for Push.
-func (b *Buf) Headroom() int { return b.head }
-
 // Tailroom returns the bytes available for Put.
 func (b *Buf) Tailroom() int { return len(b.backing) - b.tail }
-
-// Capacity returns the total backing size, headroom included.
-func (b *Buf) Capacity() int { return len(b.backing) }
 
 // Push grows the payload at the front by n bytes and returns the newly
 // exposed region, analogous to skb_push. Protocol layers write their header
@@ -239,9 +233,9 @@ func (b *Buf) Release() {
 // independent payload window — the zero-copy primitive. The clone holds a
 // reference on b; payload bytes are never duplicated. This is what "sending
 // a cached block" does: the cached chain stays in NCache while clones of its
-// descriptors go down to the driver. Aliasing via Clone (and the SubChain /
-// Slice helpers built on it) is the only sanctioned way to retain a window
-// onto data someone else owns.
+// descriptors go down to the NIC. Aliasing via Clone (and SubChain, built on
+// it) is the only sanctioned way to retain a window onto data someone else
+// owns.
 func (b *Buf) Clone() *Buf {
 	root := b
 	if b.shared != nil {
@@ -260,5 +254,5 @@ func (b *Buf) Clone() *Buf {
 // String summarizes the buffer geometry for debugging.
 func (b *Buf) String() string {
 	return fmt.Sprintf("Buf{len=%d headroom=%d tailroom=%d refs=%d}",
-		b.Len(), b.Headroom(), b.Tailroom(), b.refs)
+		b.Len(), b.head, b.Tailroom(), b.refs)
 }

@@ -9,11 +9,11 @@ import (
 
 func TestBufGeometry(t *testing.T) {
 	b := New(32, 100)
-	if b.Len() != 0 || b.Headroom() != 32 || b.Tailroom() != 100 {
+	if b.Len() != 0 || b.head != 32 || b.Tailroom() != 100 {
 		t.Fatalf("fresh buf geometry wrong: %v", b)
 	}
-	if b.Capacity() != 132 {
-		t.Fatalf("Capacity = %d, want 132", b.Capacity())
+	if len(b.backing) != 132 {
+		t.Fatalf("Capacity = %d, want 132", len(b.backing))
 	}
 }
 
@@ -155,7 +155,7 @@ func TestPoolReuseAndAccounting(t *testing.T) {
 	if p.Reuses() != 1 {
 		t.Fatalf("Reuses = %d, want 1", p.Reuses())
 	}
-	if b.Len() != 0 || b.Headroom() != 32 {
+	if b.Len() != 0 || b.head != 32 {
 		t.Fatal("recycled buffer not reset")
 	}
 	if p.DoubleFrees() != 0 {

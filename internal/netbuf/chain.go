@@ -149,13 +149,6 @@ func (c *Chain) Release() {
 	putChain(c)
 }
 
-// Slice returns a new chain aliasing the byte range [off, off+n) of c using
-// cloned descriptors, without copying payload. It is a synonym for SubChain
-// (see sg.go), kept for the original call sites.
-func (c *Chain) Slice(off, n int) (*Chain, error) {
-	return c.SubChain(off, n)
-}
-
 // PullHeaderInto removes the first len(dst) payload bytes from the chain and
 // copies them to dst — a stack array at every fixed-size call site, so a pull
 // never allocates. Fully consumed buffers (including leading empty header

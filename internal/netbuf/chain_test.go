@@ -65,12 +65,12 @@ func TestChainSlice(t *testing.T) {
 	for _, tc := range []struct{ off, n int }{
 		{0, 20}, {0, 7}, {3, 8}, {7, 7}, {13, 7}, {19, 1}, {5, 0}, {0, 0},
 	} {
-		s, err := c.Slice(tc.off, tc.n)
+		s, err := c.SubChain(tc.off, tc.n)
 		if err != nil {
-			t.Fatalf("Slice(%d,%d): %v", tc.off, tc.n, err)
+			t.Fatalf("SubChain(%d,%d): %v", tc.off, tc.n, err)
 		}
 		if got := s.Flatten(); !bytes.Equal(got, src[tc.off:tc.off+tc.n]) {
-			t.Fatalf("Slice(%d,%d) = %q, want %q", tc.off, tc.n, got, src[tc.off:tc.off+tc.n])
+			t.Fatalf("SubChain(%d,%d) = %q, want %q", tc.off, tc.n, got, src[tc.off:tc.off+tc.n])
 		}
 		s.Release()
 	}
@@ -78,11 +78,11 @@ func TestChainSlice(t *testing.T) {
 
 func TestChainSliceOutOfRange(t *testing.T) {
 	c := ChainFromBytes([]byte("abc"), 2)
-	if _, err := c.Slice(2, 5); err == nil {
-		t.Fatal("out-of-range Slice succeeded")
+	if _, err := c.SubChain(2, 5); err == nil {
+		t.Fatal("out-of-range SubChain succeeded")
 	}
-	if _, err := c.Slice(-1, 1); err == nil {
-		t.Fatal("negative-offset Slice succeeded")
+	if _, err := c.SubChain(-1, 1); err == nil {
+		t.Fatal("negative-offset SubChain succeeded")
 	}
 }
 
@@ -114,7 +114,7 @@ func TestChainPropertySliceMatchesByteSlice(t *testing.T) {
 		if len(payload)-o > 0 {
 			k = int(n) % (len(payload) - o + 1)
 		}
-		sl, err := c.Slice(o, k)
+		sl, err := c.SubChain(o, k)
 		if err != nil {
 			return false
 		}
@@ -249,8 +249,8 @@ func TestChecksumChainMatchesFlat(t *testing.T) {
 	}
 	for _, seg := range []int{1, 3, 64, 1500, 4096} {
 		c := ChainFromBytes(payload, seg)
-		if SumChain(c) != Sum(payload) {
-			t.Fatalf("SumChain(seg=%d) != Sum(flat)", seg)
+		if sumChain(c) != Sum(payload) {
+			t.Fatalf("sumChain(seg=%d) != Sum(flat)", seg)
 		}
 	}
 }
@@ -328,7 +328,7 @@ func TestChainCachedPartialLifecycle(t *testing.T) {
 func TestChecksumPropertySplitInvariance(t *testing.T) {
 	f := func(data []byte, seg uint8) bool {
 		s := int(seg)%32 + 1
-		return SumChain(ChainFromBytes(data, s)) == Sum(data)
+		return sumChain(ChainFromBytes(data, s)) == Sum(data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

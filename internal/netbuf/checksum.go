@@ -81,16 +81,6 @@ func Sum(p []byte) uint16 {
 	return s.Checksum()
 }
 
-// SumChain computes the Internet checksum across a chain's payload without
-// flattening it.
-func SumChain(c *Chain) uint16 {
-	var s Partial
-	for _, b := range c.Bufs() {
-		s.AddBytes(b.Bytes())
-	}
-	return s.Checksum()
-}
-
 // PartialOfChain returns the un-folded sum of a chain, suitable for
 // inheritance: NCache stores this with each cached entry so the transport
 // checksum of an outgoing packet is header-sum + stored payload-sum, never a

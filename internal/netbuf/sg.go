@@ -69,7 +69,7 @@ func (c *Chain) GatherRange(off int, dst []byte) int {
 // SubChain returns a new chain aliasing the byte range [off, off+n) of c
 // using cloned descriptors, without copying payload. It is the primitive
 // behind block-aligned substitution when protocol block sizes mismatch
-// (§3.5); Slice is a synonym kept for the original call sites.
+// (§3.5).
 func (c *Chain) SubChain(off, n int) (*Chain, error) {
 	if off < 0 || n < 0 || off+n > c.Len() {
 		return nil, fmt.Errorf("netbuf: slice [%d,%d) out of range 0..%d", off, off+n, c.Len())

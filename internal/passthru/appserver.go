@@ -32,9 +32,6 @@ type WritebackConfig struct {
 	// the equal-durability comparison arm: every aligned WRITE applies and
 	// syncs before its ack.
 	WriteThrough bool
-	// FlushInterval is the background flusher period (0 = the flusher's
-	// default, 500 µs).
-	FlushInterval sim.Duration
 }
 
 // AppServer is the pass-through server under test.
@@ -216,12 +213,19 @@ func (s *AppServer) startServices(done func(error)) {
 		s.Cache.SetWritebackStats(s.WB)
 		// Admission stalls with a quarter of the cache dirty and resumes
 		// at an eighth.
-		s.Cache.EnableFlusher(wbc.FlushInterval, s.cfg.FSCacheBlocks/4)
+		s.Cache.EnableFlusher(s.cfg.FSCacheBlocks / 4)
 		if !wbc.WriteThrough {
 			s.WAL = wal.New(s.Node.Eng, wal.Config{}, s.WB)
 			// Each landed batch retires the WAL prefix whose blocks are
-			// all clean again.
-			s.Cache.SetFlushObserver(func() { s.WAL.Truncate(s.Cache.IsDirty) })
+			// all clean again — but not while the server is down: a batch
+			// issued before a crash that lands after it would judge the
+			// records against the emptied cache, find nothing dirty and
+			// drop what replay still has to apply.
+			s.Cache.SetFlushObserver(func() {
+				if !s.crashed {
+					s.WAL.Truncate(s.Cache.IsDirty)
+				}
+			})
 		}
 	}
 	extfs.Mount(s.Node, s.Cache, func(fs *extfs.FS, err error) {

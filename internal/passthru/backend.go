@@ -364,11 +364,7 @@ func (k *backendCall) mapped(lbns []int64, err error) {
 		k.fail(err)
 		return
 	}
-	var epoch uint64
-	if srv.Agent != nil {
-		epoch = srv.Agent.Epoch()
-	}
-	rec.Ino, rec.Off, rec.Epoch = k.ino, k.off, epoch
+	rec.Ino, rec.Off = k.ino, k.off
 	// lbns is Map's own array: the record keeps a copy.
 	rec.Sum, rec.LBNs = netbuf.Sum(rec.Data), append(rec.LBNs[:0], lbns...)
 	srv.WAL.Append(rec, k.onCommitted)

@@ -247,8 +247,6 @@ type ClusterConfig struct {
 	// server brings up the control plane for routing and remap coherence.
 	NumServers int
 	NumTargets int
-	// RangeBlocks is the LBN→target placement granularity (0 = default).
-	RangeBlocks int64
 	// Arms replicates every iSCSI target across this many mirror arms
 	// (default 1 = no replication). Each extra arm is its own storage
 	// node; writes fan out to all healthy arms, reads pick one by
@@ -380,8 +378,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	nw := simnet.NewNetwork(eng, FabricLatency)
 
 	cl := &Cluster{Eng: eng, Net: nw}
-	if cfg.NumServers > 1 || cfg.NumTargets > 1 {
-		cl.Targets = storage.NewTargetMap(cfg.NumTargets, cfg.RangeBlocks)
+	if cfg.NumTargets > 1 {
+		cl.Targets = storage.NewTargetMap(cfg.NumTargets)
 	}
 
 	// Every mirror arm is a full storage node of its own (disks, target,

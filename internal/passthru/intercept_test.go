@@ -92,7 +92,7 @@ func TestInterceptSubstitutedPayloadReachesPlatter(t *testing.T) {
 	mod.CaptureFHO(fh, 0, netbuf.ChainFromBytes(real, netbuf.DefaultBufSize)).Release()
 	key := lkey.ForFHO(fh, 0)
 
-	volumeWrite(t, cl, lbn, lkey.StampChain(key, extfs.BlockSize), false)
+	volumeWrite(t, cl, lbn, lkey.StampChainPool(nil, key, extfs.BlockSize), false)
 	if !bytes.Equal(cl.Storage.Array.PeekBlock(lbn), real) {
 		t.Fatal("substituted payload did not reach the platter")
 	}
@@ -100,7 +100,7 @@ func TestInterceptSubstitutedPayloadReachesPlatter(t *testing.T) {
 		t.Fatalf("remaps = %d, pinned = %d after the write committed", mod.Stats.Remaps, mod.PinnedBytes())
 	}
 
-	volumeWrite(t, cl, lbn+1, lkey.StampChain(key, extfs.BlockSize), true)
+	volumeWrite(t, cl, lbn+1, lkey.StampChainPool(nil, key, extfs.BlockSize), true)
 	if got, ok := lkey.Parse(cl.Storage.Array.PeekBlock(lbn + 1)); !ok || got != key {
 		t.Fatal("metadata write was intercepted: the platter does not hold the bytes written")
 	}

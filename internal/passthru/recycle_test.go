@@ -116,9 +116,8 @@ func TestCrashLeavesCallRecordsUnrecycled(t *testing.T) {
 
 	// 200 more operations, each issued from the completion of the last:
 	// write a marker, read it back, read a block of the original content.
-	// (The burst's own WRITE blocks are not read back: whether a write acked
-	// across a kill is still there is ROADMAP item 1's business — a flush
-	// landing while the server is down truncates the journal — not the
+	// (Whether a write acked across the kill is still there is
+	// TestFaultWritebackFlushAfterKillKeepsJournal's business, not the
 	// records'.)
 	done := 0
 	var next func()

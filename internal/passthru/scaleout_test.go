@@ -11,6 +11,7 @@ import (
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/simnet"
+	"ncache/internal/storage"
 )
 
 // scaleCluster brings up an N-server × M-target NCache cluster with one
@@ -21,9 +22,8 @@ func scaleCluster(t *testing.T, servers, targets int, faultSpec string) (*Cluste
 		Mode:          NCache,
 		NumServers:    servers,
 		NumTargets:    targets,
-		RangeBlocks:   8, // small ranges so one file spans both targets
 		NumClients:    2,
-		BlocksPerDisk: 16 * 1024,
+		BlocksPerDisk: 32 * 1024,
 		FaultSpec:     faultSpec,
 		FaultSeed:     7,
 	})
@@ -34,10 +34,7 @@ func scaleCluster(t *testing.T, servers, targets int, faultSpec string) (*Cluste
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	fs, err := fmtr.AddFile("data.bin", 64*extfs.BlockSize, fileContent)
-	if err != nil {
-		t.Fatalf("AddFile: %v", err)
-	}
+	fs := addDataFile(t, cl, fmtr)
 	if err := fmtr.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -45,6 +42,41 @@ func scaleCluster(t *testing.T, servers, targets int, faultSpec string) (*Cluste
 		t.Fatalf("Start: %v", err)
 	}
 	return cl, fs
+}
+
+// addDataFile adds the 64-block data.bin. On a sharded cluster its first 8
+// blocks sit below the first range boundary where the target map changes
+// target and the rest above it: ranges below the placement ring's
+// virtual-node count all land on target 0, so an unwritten pad file goes in
+// front (the disks are sparse: only its pointer blocks are stored).
+func addDataFile(t *testing.T, cl *Cluster, fmtr *extfs.Formatter) extfs.FileSpec {
+	t.Helper()
+	if cl.Targets != nil {
+		boundary := int64(storage.DefaultRangeBlocks)
+		for cl.Targets.TargetOf(boundary) == cl.Targets.TargetOf(boundary-1) {
+			boundary += storage.DefaultRangeBlocks
+		}
+		probe, err := fmtr.AddFile("pad0", extfs.BlockSize, nil)
+		if err != nil {
+			t.Fatalf("AddFile: %v", err)
+		}
+		// The pad's data is followed by its pointer blocks: an indirect, a
+		// double indirect and one per PtrsPerBlock data blocks past what
+		// those two reach.
+		n := boundary - 8 - (probe.StartLBN + 1)
+		n -= 3 + (n-extfs.NDirect-extfs.PtrsPerBlock)/extfs.PtrsPerBlock
+		if _, err := fmtr.AddFile("pad", uint64(n)*extfs.BlockSize, nil); err != nil {
+			t.Fatalf("AddFile: %v", err)
+		}
+	}
+	fs, err := fmtr.AddFile("data.bin", 64*extfs.BlockSize, fileContent)
+	if err != nil {
+		t.Fatalf("AddFile: %v", err)
+	}
+	if cl.Targets != nil && cl.Targets.TargetOf(fs.StartLBN) == cl.Targets.TargetOf(fs.StartLBN+fs.Blocks-1) {
+		t.Fatalf("data.bin at LBNs %d+%d sits on one target", fs.StartLBN, fs.Blocks)
+	}
+	return fs
 }
 
 // TestNewClusterRejectsTooManyServers: clients route by a replica of the
@@ -126,7 +158,7 @@ func checkRemapsDrained(t *testing.T, cl *Cluster) {
 // caches blocks (by LBN, via reads), server B dirties and flushes the same
 // blocks (FHO→LBN re-indexing on flush). After the remap protocol drains,
 // A must serve the new bytes — a stale cached mapping surviving the remap
-// is the bug the epoch-stamped invalidation protocol exists to prevent.
+// is the bug the remap/invalidation protocol exists to prevent.
 func testRemapInvariant(t *testing.T, faultSpec string) {
 	cl, _ := scaleCluster(t, 2, 2, faultSpec)
 	fh := lookupFile(t, cl, "data.bin")

@@ -21,10 +21,7 @@ func writebackCluster(t *testing.T, spec string) (*Cluster, extfs.FileSpec) {
 		BlocksPerDisk: 16 * 1024,
 		FaultSpec:     spec,
 		FaultSeed:     7,
-		Writeback: WritebackConfig{
-			Enabled:       true,
-			FlushInterval: 2 * sim.Millisecond,
-		},
+		Writeback:     WritebackConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
@@ -163,6 +160,75 @@ func TestFaultWritebackKillReplayDurability(t *testing.T) {
 	}
 }
 
+// TestFaultWritebackFlushAfterKillKeepsJournal: a flush completion that runs
+// while the server is down must not truncate the journal against the emptied
+// cache — nothing is dirty there, so every durable record would retire and
+// replay would have nothing to apply. A burst of 8 READs and 8 WRITEs runs to
+// completion; a second one goes out, the server dies 400 µs later (one WRITE
+// journaled and its reply on the wire) and restarts 10 ms after that: every
+// WRITE the client saw acked reads back its bytes through NFS and from the
+// platter.
+func TestFaultWritebackFlushAfterKillKeepsJournal(t *testing.T) {
+	cl, spec := writebackCluster(t, "")
+	fh := lookupFile(t, cl, "data.bin")
+	c := cl.Clients[0].NFS
+	c.SetRetransmit(faultRPCRTO, faultRPCTries)
+	bs := extfs.BlockSize
+	acked := map[int]byte{}
+	burst := func(r, w, marker int) {
+		for i := 0; i < 8; i++ {
+			c.Read(fh, uint64(r+i)*uint64(bs), bs, func(data *netbuf.Chain, _ nfs.Attr, err error) {
+				if err != nil {
+					t.Errorf("READ block %d: %v", r+i, err)
+					return
+				}
+				data.Release()
+			})
+			blk, m := w+i, byte(marker+i)
+			c.WriteBytes(fh, uint64(blk)*uint64(bs), bytes.Repeat([]byte{m}, bs), func(n int, _ nfs.Attr, err error) {
+				if err != nil || n != bs {
+					t.Errorf("WRITE block %d: %d bytes, %v", blk, n, err)
+					return
+				}
+				acked[blk] = m
+			})
+		}
+	}
+	burst(0, 32, 1)
+	run(t, cl)
+	burst(16, 40, 101)
+	if err := cl.Eng.RunFor(400 * sim.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	cl.App.Crash()
+	if len(cl.App.WAL.DurableRecords()) == 0 {
+		t.Fatal("no durable record at the kill; the window under test is empty")
+	}
+	if err := cl.Eng.RunFor(10 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	restarted := false
+	cl.App.Restart(func(err error) {
+		if err != nil {
+			t.Fatalf("Restart: %v", err)
+		}
+		restarted = true
+	})
+	run(t, cl)
+	if !restarted || len(acked) != 16 {
+		t.Fatalf("restarted=%v, %d of 16 WRITEs acked", restarted, len(acked))
+	}
+	for blk, m := range acked {
+		want := bytes.Repeat([]byte{m}, bs)
+		if got := readFile(t, cl, fh, uint64(blk)*uint64(bs), bs); !bytes.Equal(got, want) {
+			t.Errorf("block %d: acked marker %#x reads back %#x...", blk, m, got[0])
+		}
+		if disk := cl.Storage.Array.PeekBlock(spec.StartLBN + int64(blk)); !bytes.Equal(disk, want) {
+			t.Errorf("block %d: acked marker %#x is not on the platter (%#x...)", blk, m, disk[0])
+		}
+	}
+}
+
 // TestFaultWritebackKillPoolsDrain extends the netbuf leak discipline over
 // the new paths: journaled writes, group commits, coalesced flush batches,
 // a mid-flush kill, replay, and post-replay reads must return every pooled
@@ -222,15 +288,11 @@ func TestFaultWritebackKillNoStaleCrossServerReads(t *testing.T) {
 		Mode:          NCache,
 		NumServers:    2,
 		NumTargets:    2,
-		RangeBlocks:   8,
 		NumClients:    2,
-		BlocksPerDisk: 16 * 1024,
+		BlocksPerDisk: 32 * 1024,
 		FaultSpec:     "kill:app1:start=40ms",
 		FaultSeed:     7,
-		Writeback: WritebackConfig{
-			Enabled:       true,
-			FlushInterval: 2 * sim.Millisecond,
-		},
+		Writeback:     WritebackConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
@@ -239,9 +301,7 @@ func TestFaultWritebackKillNoStaleCrossServerReads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	if _, err := fmtr.AddFile("data.bin", 64*extfs.BlockSize, fileContent); err != nil {
-		t.Fatalf("AddFile: %v", err)
-	}
+	addDataFile(t, cl, fmtr)
 	if err := fmtr.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}

@@ -149,15 +149,6 @@ func (s *Stack) Register(proto uint8, h Handler) {
 	s.handlers[proto] = h
 }
 
-// Addrs returns the local addresses of all attached NICs.
-func (s *Stack) Addrs() []eth.Addr {
-	out := make([]eth.Addr, 0, len(s.nics))
-	for a := range s.nics { // det: unordered (diagnostic accessor, not on the event path)
-		out = append(out, a)
-	}
-	return out
-}
-
 // Send transmits payload as one IP datagram from the local address src to
 // dst, fragmenting as needed. The stack takes ownership of the payload
 // chain's references. Fragmentation clones buffer descriptors — payload
@@ -190,7 +181,7 @@ func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) erro
 			n = total - off
 			more = false
 		}
-		fragPayload, err := payload.Slice(off, n)
+		fragPayload, err := payload.SubChain(off, n)
 		if err != nil {
 			payload.Release()
 			return fmt.Errorf("ipv4 fragment: %w", err)

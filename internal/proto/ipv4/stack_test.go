@@ -2,10 +2,10 @@ package ipv4
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"ncache/internal/netbuf"
-	"ncache/internal/proto/eth"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
@@ -52,7 +52,7 @@ func TestStackSmallDatagram(t *testing.T) {
 func TestStackFragmentationRoundTrip(t *testing.T) {
 	eng, sa, sb := stackPair(t)
 	want := make([]byte, 20000)
-	sim.NewRNG(4).Fill(want)
+	rand.New(rand.NewSource(4)).Read(want)
 	var got []byte
 	sb.Register(17, func(_ Header, payload *netbuf.Chain) {
 		got = payload.Flatten()
@@ -71,7 +71,7 @@ func TestStackFragmentationRoundTrip(t *testing.T) {
 		t.Fatalf("ReasmErrors = %d", sb.ReasmErrors)
 	}
 	// 20000 bytes at 1480/fragment = 14 fragments.
-	if tx := sa.Node().NIC(0).Stats.PacketsTx; tx != 14 {
+	if tx := sa.Node().NICs()[0].Stats.PacketsTx; tx != 14 {
 		t.Fatalf("fragments = %d, want 14", tx)
 	}
 }
@@ -118,14 +118,6 @@ func TestStackSendFromUnknownAddressFails(t *testing.T) {
 	err := sa.Send(42, 2, 17, netbuf.ChainFromBytes([]byte("x"), 64))
 	if err == nil {
 		t.Fatal("send from non-local address succeeded")
-	}
-}
-
-func TestStackAddrs(t *testing.T) {
-	_, sa, _ := stackPair(t)
-	addrs := sa.Addrs()
-	if len(addrs) != 1 || addrs[0] != eth.Addr(1) {
-		t.Fatalf("Addrs = %v", addrs)
 	}
 }
 

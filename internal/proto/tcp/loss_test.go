@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"reflect"
 	"strconv"
@@ -58,7 +59,7 @@ func lossSeed(t *testing.T, dflt uint64) uint64 {
 // segments), seeded so corruption would be detected byte-for-byte.
 func lossPayload() []byte {
 	want := make([]byte, 512*1024)
-	sim.NewRNG(42).Fill(want)
+	rand.New(rand.NewSource(42)).Read(want)
 	return want
 }
 

@@ -245,7 +245,6 @@ type Conn struct {
 
 	receiver func(*netbuf.Chain)
 	onEstab  func(*Conn, error)
-	onClose  func()
 	acceptFn AcceptFunc
 	delack   int
 	finSent  bool
@@ -273,17 +272,11 @@ func (c *Conn) LocalAddr() eth.Addr { return c.key.localAddr }
 // RemoteAddr returns the connection's remote address.
 func (c *Conn) RemoteAddr() eth.Addr { return c.key.remoteAddr }
 
-// RemotePort returns the connection's remote port.
-func (c *Conn) RemotePort() uint16 { return c.key.remotePort }
-
 // SetReceiver installs the in-order stream consumer. Data chains passed to
 // the receiver are the original wire buffers (adopted into this node's
 // pools by the registered-receive path). Ownership contract: the receiver
 // must Release each chain, or pass it on, exactly once.
 func (c *Conn) SetReceiver(f func(*netbuf.Chain)) { c.receiver = f }
-
-// SetOnClose installs a callback invoked when the peer closes.
-func (c *Conn) SetOnClose(f func()) { c.onClose = f }
 
 // Send queues plain bytes on the stream (they are copied into pooled
 // transmit buffers — the legacy path; the copy cost is the caller's to
@@ -934,9 +927,6 @@ func (c *Conn) teardown() {
 		c.oooQ[i] = oooSeg{}
 	}
 	c.oooQ = c.oooQ[:0]
-	if c.onClose != nil {
-		c.onClose()
-	}
 }
 
 // seqLEQ reports a <= b in sequence-number arithmetic.

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"ncache/internal/netbuf"
@@ -86,7 +87,7 @@ func TestLargeTransferSegmentsInOrder(t *testing.T) {
 	eng, a, b := twoHosts(t)
 	got := collectServer(t, b, 80)
 	want := make([]byte, 1<<20) // 1 MB: exceeds window, exercises ack clocking
-	sim.NewRNG(1).Fill(want)
+	rand.New(rand.NewSource(1)).Read(want)
 	a.tcp.Connect(a.addr, b.addr, 80, func(c *Conn, err error) {
 		if err != nil {
 			t.Errorf("connect: %v", err)
@@ -175,20 +176,19 @@ func TestBidirectionalEcho(t *testing.T) {
 
 func TestConnectionClose(t *testing.T) {
 	eng, a, b := twoHosts(t)
-	serverClosed := false
+	var server, client *Conn
 	if err := b.tcp.Listen(9, func(c *Conn) {
+		server = c
 		c.SetReceiver(func(d *netbuf.Chain) { d.Release() })
-		c.SetOnClose(func() { serverClosed = true })
 	}); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	clientClosed := false
 	a.tcp.Connect(a.addr, b.addr, 9, func(c *Conn, err error) {
 		if err != nil {
 			t.Errorf("connect: %v", err)
 			return
 		}
-		c.SetOnClose(func() { clientClosed = true })
+		client = c
 		if err := c.Send([]byte("bye")); err != nil {
 			t.Errorf("Send: %v", err)
 		}
@@ -197,6 +197,8 @@ func TestConnectionClose(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	clientClosed := client != nil && client.state == stateClosed
+	serverClosed := server != nil && server.state == stateClosed
 	if !clientClosed || !serverClosed {
 		t.Fatalf("close not propagated: client=%v server=%v", clientClosed, serverClosed)
 	}
@@ -264,7 +266,7 @@ func TestConcurrentConnections(t *testing.T) {
 	recv := map[uint16]*bytes.Buffer{}
 	if err := b.tcp.Listen(5000, func(c *Conn) {
 		buf := &bytes.Buffer{}
-		recv[c.RemotePort()] = buf
+		recv[c.key.remotePort] = buf
 		c.SetReceiver(func(d *netbuf.Chain) {
 			buf.Write(d.Flatten())
 			d.Release()
@@ -317,15 +319,15 @@ func TestSegmentsRespectMSS(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	// Every frame the sender transmitted must fit the MTU.
-	mtu := a.node.NIC(0).MTU
-	if got := a.node.NIC(0).Stats.BytesTx; got == 0 {
+	mtu := a.node.NICs()[0].MTU
+	if got := a.node.NICs()[0].Stats.BytesTx; got == 0 {
 		t.Fatal("nothing sent")
 	}
 	// Expected segment count: ceil(100KB / MSS) data segments (plus
 	// handshake); MSS = MTU - 20 - 16.
 	mss := mtu - 20 - 16
 	wantData := (100*1024 + mss - 1) / mss
-	tx := int(a.node.NIC(0).Stats.PacketsTx)
+	tx := int(a.node.NICs()[0].Stats.PacketsTx)
 	if tx < wantData || tx > wantData+5 {
 		t.Fatalf("sender packets = %d, want ≈%d data segments", tx, wantData)
 	}
@@ -389,7 +391,7 @@ func TestAcksCostPackets(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	acks := b.node.NIC(0).Stats.PacketsTx
+	acks := b.node.NICs()[0].Stats.PacketsTx
 	// 64KB at ~1464B/segment = ~45 segments, delayed ack 1 per 2 → >20.
 	if acks < 20 {
 		t.Fatalf("receiver sent %d packets, expected >20 acks", acks)

@@ -92,20 +92,6 @@ func (t *Transport) BindEphemeral(r Receiver) uint16 {
 	}
 }
 
-// Unbind removes a port binding.
-func (t *Transport) Unbind(port uint16) { delete(t.ports, port) }
-
-// Send transmits a payload of plain bytes (they are copied into pooled
-// transmit buffers — the legacy physical-copy path; callers that already
-// hold a chain use SendChain and skip the copy).
-func (t *Transport) Send(src eth.Addr, srcPort uint16, dst eth.Addr, dstPort uint16, payload []byte) error {
-	chain, err := t.node.TxPool.GetChain(payload)
-	if err != nil {
-		return err
-	}
-	return t.SendChain(src, srcPort, dst, dstPort, chain)
-}
-
 // SendChain transmits a payload already in network buffers without copying
 // it — the extended socket interface. The transport takes ownership of the
 // chain's references.

@@ -18,6 +18,15 @@ type host struct {
 	addr eth.Addr
 }
 
+// send transmits plain bytes, copied into the sender's transmit pool.
+func send(t *Transport, src eth.Addr, srcPort uint16, dst eth.Addr, dstPort uint16, p []byte) error {
+	ch, err := t.node.TxPool.GetChain(p)
+	if err != nil {
+		return err
+	}
+	return t.SendChain(src, srcPort, dst, dstPort, ch)
+}
+
 func twoHosts(t *testing.T) (*sim.Engine, *host, *host) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -44,7 +53,7 @@ func TestSmallDatagram(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	if err := a.udp.Send(a.addr, 700, b.addr, 2049, []byte("rpc call")); err != nil {
+	if err := send(a.udp, a.addr, 700, b.addr, 2049, []byte("rpc call")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if err := eng.Run(); err != nil {
@@ -73,7 +82,7 @@ func TestLargeDatagramFragmentsAndReassembles(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	if err := a.udp.Send(a.addr, 10, b.addr, 9, want); err != nil {
+	if err := send(a.udp, a.addr, 10, b.addr, 9, want); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if err := eng.Run(); err != nil {
@@ -86,7 +95,7 @@ func TestLargeDatagramFragmentsAndReassembles(t *testing.T) {
 		t.Fatalf("expected many wire buffers after zero-copy reassembly, got %d", bufsInChain)
 	}
 	// 32KB+8 at 1480 B/fragment = 23 fragments.
-	if tx := a.node.NIC(0).Stats.PacketsTx; tx != 23 {
+	if tx := a.node.NICs()[0].Stats.PacketsTx; tx != 23 {
 		t.Fatalf("fragments sent = %d, want 23", tx)
 	}
 	if a.ip.ReasmErrors != 0 || b.ip.ReasmErrors != 0 {
@@ -130,7 +139,7 @@ func TestOversizeDatagramRejected(t *testing.T) {
 
 func TestUnboundPortDiscarded(t *testing.T) {
 	eng, a, b := twoHosts(t)
-	if err := a.udp.Send(a.addr, 1, b.addr, 4242, []byte("nobody home")); err != nil {
+	if err := send(a.udp, a.addr, 1, b.addr, 4242, []byte("nobody home")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if err := eng.Run(); err != nil {
@@ -147,17 +156,10 @@ func TestDoubleBindRejected(t *testing.T) {
 	if err := a.udp.Bind(5, func(Datagram) {}); err == nil {
 		t.Fatal("double Bind succeeded")
 	}
-	a.udp.Unbind(5)
-	if err := a.udp.Bind(5, func(Datagram) {}); err != nil {
-		t.Fatalf("Bind after Unbind: %v", err)
-	}
 }
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	eng, a, b := twoHosts(t)
-	// Corrupt payload in flight via a tx filter that flips a byte in the
-	// UDP payload region of the first fragment.
-	a.node.NIC(0).AddTxFilter(corruptor{})
 	delivered := false
 	if err := b.udp.Bind(77, func(dg Datagram) {
 		delivered = true
@@ -165,9 +167,14 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	if err := a.udp.Send(a.addr, 1, b.addr, 77, []byte("integrity matters here")); err != nil {
-		t.Fatalf("Send: %v", err)
+	payload := netbuf.ChainFromBytes([]byte("integrity matters here"), netbuf.DefaultBufSize)
+	data := payload.Bufs()[0].Bytes()
+	if err := a.udp.SendChain(a.addr, 1, b.addr, 77, payload); err != nil {
+		t.Fatalf("SendChain: %v", err)
 	}
+	// The frame is on the wire and shares the payload buffer: flip its last
+	// byte in flight, after the sender has summed it.
+	data[len(data)-1] ^= 0xff
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -177,18 +184,6 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if b.udp.BadChecksums != 1 {
 		t.Fatalf("BadChecksums = %d, want 1", b.udp.BadChecksums)
 	}
-}
-
-type corruptor struct{}
-
-func (corruptor) FilterTx(f *netbuf.Chain) *netbuf.Chain {
-	// eth(12) + ip(20) + udp(8) = byte 40 is the first payload byte; the
-	// headers live in the first buffer.
-	last := f.Bufs()[len(f.Bufs())-1]
-	if last.Len() > 0 {
-		last.Bytes()[last.Len()-1] ^= 0xff
-	}
-	return f
 }
 
 func TestReplyFromArrivalAddress(t *testing.T) {
@@ -213,7 +208,7 @@ func TestReplyFromArrivalAddress(t *testing.T) {
 
 	if err := sUDP.Bind(2049, func(dg Datagram) {
 		dg.Payload.Release()
-		if err := sUDP.Send(dg.Dst, dg.DstPort, dg.Src, dg.SrcPort, []byte("pong")); err != nil {
+		if err := send(sUDP, dg.Dst, dg.DstPort, dg.Src, dg.SrcPort, []byte("pong")); err != nil {
 			t.Errorf("reply: %v", err)
 		}
 	}); err != nil {
@@ -226,7 +221,7 @@ func TestReplyFromArrivalAddress(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cUDP.Send(20, 999, 11, 2049, []byte("ping")); err != nil {
+	if err := send(cUDP, 20, 999, 11, 2049, []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(); err != nil {

@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -46,10 +45,6 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
 // String formats the time as an offset from the simulation start.
 func (t Time) String() string { return time.Duration(t).String() }
-
-// Seconds returns the time as a floating-point number of seconds since the
-// simulation start.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Add returns the time d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
@@ -94,15 +89,12 @@ type EventID struct {
 // Engine is a discrete-event simulation loop. The zero value is not usable;
 // construct one with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  []*event // binary min-heap ordered by (at, seq)
-	free    []*event // recycled event objects
-	stopped bool
-	// processed counts events executed, for diagnostics and runaway guards.
+	now    Time
+	seq    uint64
+	events []*event // binary min-heap ordered by (at, seq)
+	free   []*event // recycled event objects
+	// processed counts events executed.
 	processed uint64
-	// limit aborts Run after this many events (0 = unlimited).
-	limit uint64
 	// cur is the request context of the event currently executing. Every
 	// event scheduled while it runs inherits it, so a context set once at
 	// request issue propagates across the whole causal chain of events —
@@ -155,10 +147,6 @@ type RunStats struct {
 
 // RunStats reports the events executed so far.
 func (e *Engine) RunStats() RunStats { return RunStats{Events: e.processed} }
-
-// SetEventLimit aborts Run after n events. Zero means unlimited. It exists
-// as a guard against accidental non-terminating experiment loops.
-func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero.
 // Events scheduled for the same instant run in scheduling order.
@@ -222,9 +210,6 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Pending reports the number of events waiting to fire.
 func (e *Engine) Pending() int { return len(e.events) }
 
@@ -239,15 +224,6 @@ func (e *Engine) recycle(ev *event) {
 	ev.idx = -1
 	ev.gen++
 	e.free = append(e.free, ev)
-}
-
-// less orders the heap by (at, seq).
-func (e *Engine) less(i, j int) bool {
-	a, b := e.events[i], e.events[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // push inserts an event and restores the heap invariant bottom-up.
@@ -345,26 +321,22 @@ func (e *Engine) siftDown(i int) bool {
 	return i != start
 }
 
-// step executes the earliest pending event. It reports false when no events
-// remain or the engine is stopped.
-func (e *Engine) step(until Time) (bool, error) {
-	if e.stopped || len(e.events) == 0 {
-		return false, nil
+// step executes the earliest pending event due by until. It reports false
+// when none is, having advanced the clock to until if an event lies beyond.
+func (e *Engine) step(until Time) bool {
+	if len(e.events) == 0 {
+		return false
 	}
 	if e.events[0].at > until {
 		// Advance the clock to the horizon without firing the event.
 		e.now = until
-		return false, nil
+		return false
 	}
 	popped := e.pop()
 	e.now = popped.at
 	e.processed++
-	if e.limit > 0 && e.processed > e.limit {
-		e.recycle(popped)
-		return false, fmt.Errorf("sim: event limit %d exceeded at t=%s", e.limit, e.now)
-	}
 	e.fire(popped)
-	return true, nil
+	return true
 }
 
 // fire runs a popped event. The object is recycled before fn runs: the
@@ -390,36 +362,22 @@ func (e *Engine) fire(ev *event) {
 	}
 }
 
-// Run executes events until none remain or Stop is called.
+// Run executes events until none remain. The error is always nil.
 func (e *Engine) Run() error {
-	e.stopped = false
-	for {
-		more, err := e.step(MaxTime)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
+	for e.step(MaxTime) {
 	}
+	return nil
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t. Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) error {
-	e.stopped = false
-	for {
-		more, err := e.step(t)
-		if err != nil {
-			return err
-		}
-		if !more {
-			if !e.stopped && e.now < t {
-				e.now = t
-			}
-			return nil
-		}
+	for e.step(t) {
 	}
+	if e.now < t {
+		e.now = t
+	}
+	return nil
 }
 
 // RunFor executes events for a span d of virtual time from now.

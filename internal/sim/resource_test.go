@@ -205,39 +205,3 @@ func TestRNGFloat64Range(t *testing.T) {
 		}
 	}
 }
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(11)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestRNGFill(t *testing.T) {
-	r := NewRNG(13)
-	b := make([]byte, 37)
-	r.Fill(b)
-	allZero := true
-	for _, v := range b {
-		if v != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		t.Fatal("Fill left buffer all zero")
-	}
-	// Determinism.
-	b2 := make([]byte, 37)
-	NewRNG(13).Fill(b2)
-	for i := range b {
-		if b[i] != b2[i] {
-			t.Fatal("Fill not deterministic for same seed")
-		}
-	}
-}

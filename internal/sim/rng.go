@@ -63,38 +63,3 @@ func (r *RNG) Int63n(n int64) int64 {
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Fill writes pseudo-random bytes into b. It is used to generate
-// recognizable but incompressible file contents for integrity checks.
-func (r *RNG) Fill(b []byte) {
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		v := r.Uint64()
-		b[i] = byte(v)
-		b[i+1] = byte(v >> 8)
-		b[i+2] = byte(v >> 16)
-		b[i+3] = byte(v >> 24)
-		b[i+4] = byte(v >> 32)
-		b[i+5] = byte(v >> 40)
-		b[i+6] = byte(v >> 48)
-		b[i+7] = byte(v >> 56)
-	}
-	if i < len(b) {
-		v := r.Uint64()
-		for ; i < len(b); i++ {
-			b[i] = byte(v)
-			v >>= 8
-		}
-	}
-}

@@ -31,21 +31,12 @@ func (bw Bandwidth) serialization(n int) sim.Duration {
 // beyond the bytes carried in the chain.
 const FrameOverheadBytes = 24
 
-// TxFilter inspects (and may replace) an outgoing frame just before it is
-// clocked onto the wire. This is the driver-level hook the NCache module
-// installs ("inserted into the layer between the network stack and the
-// Ethernet device driver", §4.1). Returning a different chain substitutes
-// the frame; the filter owns the old frame's references in that case.
-type TxFilter interface {
-	FilterTx(frame *netbuf.Chain) *netbuf.Chain
-}
-
 // RxHandler receives frames delivered to a NIC. It runs in event context;
 // implementations charge their own CPU costs.
 type RxHandler func(frame *netbuf.Chain)
 
 // NIC is a network interface: an address, a transmit serializer at the
-// link's bandwidth, checksum-offload capability, and the driver tx hook.
+// link's bandwidth and checksum-offload capability.
 type NIC struct {
 	Addr eth.Addr
 	MTU  int
@@ -59,7 +50,6 @@ type NIC struct {
 	tx      *sim.Resource
 	rx      RxHandler
 	ring    *RxRing
-	filters []TxFilter
 	bw      Bandwidth
 	latency sim.Duration
 	// txSite / rxSite name this NIC's fault-injection sites ("<node>.tx",
@@ -72,13 +62,6 @@ func (n *NIC) Ring() *RxRing { return n.ring }
 
 // SetRxHandler installs the function invoked for each delivered frame.
 func (n *NIC) SetRxHandler(h RxHandler) { n.rx = h }
-
-// AddTxFilter appends a driver-level transmit hook. Filters run in
-// installation order on every outgoing frame.
-func (n *NIC) AddTxFilter(f TxFilter) { n.filters = append(n.filters, f) }
-
-// Node returns the owning node.
-func (n *NIC) Node() *Node { return n.node }
 
 // TxUtilization reports the transmit serializer's utilization since its
 // stats were last reset — how close this NIC is to line rate.
@@ -94,9 +77,6 @@ func (n *NIC) ResetStats() {
 // wire. The frame must fit in MTU + headers. Delivery is asynchronous; the
 // NIC owns the chain's references from this point.
 func (n *NIC) Send(frame *netbuf.Chain) error {
-	for _, f := range n.filters {
-		frame = f.FilterTx(frame)
-	}
 	size := frame.Len()
 	if size > n.MTU+eth.HeaderLen {
 		return fmt.Errorf("simnet: frame %d bytes exceeds MTU %d on %s", size, n.MTU, n.Addr)

@@ -65,9 +65,6 @@ func NewNode(eng *sim.Engine, name string, cost CostProfile) *Node {
 // NICs returns the node's attached interfaces.
 func (n *Node) NICs() []*NIC { return n.nics }
 
-// NIC returns the i'th interface.
-func (n *Node) NIC(i int) *NIC { return n.nics[i] }
-
 // Charge runs fn after the node's CPU has served d of work.
 func (n *Node) Charge(d sim.Duration, fn func()) {
 	n.CPU.Use(d, fn)

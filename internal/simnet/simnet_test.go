@@ -145,45 +145,6 @@ func TestDuplicateAddressRejected(t *testing.T) {
 	}
 }
 
-func TestTxFilterSubstitution(t *testing.T) {
-	eng, _, na, nb := testFabric(t)
-	var got []byte
-	nb.SetRxHandler(func(f *netbuf.Chain) {
-		if _, err := eth.Parse(f); err != nil {
-			t.Errorf("parse: %v", err)
-		}
-		got = f.Flatten()
-		f.Release()
-	})
-	na.AddTxFilter(txFilterFunc(func(f *netbuf.Chain) *netbuf.Chain {
-		// Replace the whole frame, as the NCache driver hook does.
-		hdr, err := eth.Parse(f)
-		if err != nil {
-			t.Errorf("filter parse: %v", err)
-			return f
-		}
-		f.Release()
-		nf := netbuf.ChainFromBytes([]byte("substituted"), 1500)
-		if err := hdr.Push(nf); err != nil {
-			t.Errorf("filter push: %v", err)
-		}
-		return nf
-	}))
-	if err := na.Send(frameTo(t, 2, 1, []byte("original"))); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if string(got) != "substituted" {
-		t.Fatalf("got %q, want substituted payload", got)
-	}
-}
-
-type txFilterFunc func(*netbuf.Chain) *netbuf.Chain
-
-func (f txFilterFunc) FilterTx(c *netbuf.Chain) *netbuf.Chain { return f(c) }
-
 func TestMultiNICNode(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := NewNetwork(eng, sim.Microsecond)
@@ -285,7 +246,7 @@ func TestFrameHopAllocFree(t *testing.T) {
 		t.Skip("nothing is recycled in debug mode")
 	}
 	eng, _, na, nb := testFabric(t)
-	a, b := na.Node(), nb.Node()
+	a, b := na.node, nb.node
 	delivered := 0
 	sink := func(f *netbuf.Chain) { delivered++; f.Release() }
 	nb.SetRxHandler(func(f *netbuf.Chain) { b.ChargeFrame(b.Cost.PktRxNs, f, sink) })

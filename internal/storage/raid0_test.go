@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func TestRAID0RoundTrip(t *testing.T) {
 		t.Fatalf("NumBlocks = %d", r.Geometry().NumBlocks)
 	}
 	data := make([]byte, 512*50) // spans many stripe units
-	sim.NewRNG(5).Fill(data)
+	rand.New(rand.NewSource(5)).Read(data)
 	r.WriteBlocks(13, [][]byte{data}, func(err error) {
 		if err != nil {
 			t.Errorf("Write: %v", err)
@@ -123,7 +124,7 @@ func TestRAID0PropertyRoundTrip(t *testing.T) {
 			lbn = 0
 		}
 		data := make([]byte, count*64)
-		sim.NewRNG(seed).Fill(data)
+		rand.New(rand.NewSource(int64(seed))).Read(data)
 		ok := false
 		r.WriteBlocks(lbn, [][]byte{data}, func(err error) {
 			if err != nil {

@@ -23,20 +23,12 @@ type Extent struct {
 // tier's own: the control-plane protocol never reads it, and only lends it
 // the ring.
 type TargetMap struct {
-	numTargets  int
-	rangeBlocks int64
-	ring        *controlplane.Ring
+	ring *controlplane.Ring
 }
 
 // NewTargetMap builds the placement for numTargets targets.
-func NewTargetMap(numTargets int, rangeBlocks int64) *TargetMap {
-	if numTargets <= 0 {
-		numTargets = 1
-	}
-	if rangeBlocks <= 0 {
-		rangeBlocks = DefaultRangeBlocks
-	}
-	m := &TargetMap{numTargets: numTargets, rangeBlocks: rangeBlocks, ring: controlplane.NewRing(controlplane.DefaultVNodes)}
+func NewTargetMap(numTargets int) *TargetMap {
+	m := &TargetMap{ring: controlplane.NewRing(controlplane.DefaultVNodes)}
 	for t := 0; t < numTargets; t++ {
 		m.ring.Add(t)
 	}
@@ -45,21 +37,15 @@ func NewTargetMap(numTargets int, rangeBlocks int64) *TargetMap {
 
 // TargetOf maps one block to its serving target.
 func (m *TargetMap) TargetOf(lbn int64) int {
-	if m == nil || m.numTargets == 1 {
-		return 0
-	}
-	return m.ring.Lookup(uint64(lbn / m.rangeBlocks))
+	return m.ring.Lookup(uint64(lbn / DefaultRangeBlocks))
 }
 
 // Split cuts a contiguous block run at range boundaries into per-target
 // extents, in ascending LBN order.
 func (m *TargetMap) Split(lbn int64, blocks int) []Extent {
-	if m == nil || m.numTargets == 1 {
-		return []Extent{{Target: 0, LBN: lbn, Blocks: blocks}}
-	}
 	var out []Extent
 	for blocks > 0 {
-		boundary := (lbn/m.rangeBlocks + 1) * m.rangeBlocks
+		boundary := (lbn/DefaultRangeBlocks + 1) * DefaultRangeBlocks
 		n := blocks
 		if int64(n) > boundary-lbn {
 			n = int(boundary - lbn)
@@ -162,7 +148,7 @@ func (s *Sharded) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(er
 	off := 0
 	for _, ext := range exts {
 		n := ext.Blocks * bs
-		sub, err := data.Slice(off, n)
+		sub, err := data.SubChain(off, n)
 		if err != nil {
 			finish(err)
 			off += n

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"ncache/internal/netbuf"
@@ -47,17 +48,19 @@ func volRead(t *testing.T, eng *sim.Engine, v Volume, lbn int64, blocks int) []b
 // read reassembles them in LBN order.
 func TestShardedRoutesBySplit(t *testing.T) {
 	eng := sim.NewEngine()
-	inis := []*fakeIni{newFakeIni(eng, 1024, 10*sim.Microsecond), newFakeIni(eng, 1024, 10*sim.Microsecond)}
-	// Every member exports the global geometry; placement is per 4-block
-	// range. cut is the first range boundary where the target changes.
-	tm := NewTargetMap(2, 4)
-	cut := int64(4)
-	for tm.TargetOf(cut) == tm.TargetOf(cut-4) {
-		cut += 4
+	// Every member exports the global geometry (untouched pages of the
+	// backing slices cost nothing); placement is per DefaultRangeBlocks range.
+	// cut is the first range boundary where the target changes.
+	const blocks = 80 * DefaultRangeBlocks
+	inis := []*fakeIni{newFakeIni(eng, blocks, 10*sim.Microsecond), newFakeIni(eng, blocks, 10*sim.Microsecond)}
+	tm := NewTargetMap(2)
+	cut := int64(DefaultRangeBlocks)
+	for tm.TargetOf(cut) == tm.TargetOf(cut-1) {
+		cut += DefaultRangeBlocks
 	}
 	sh := NewSharded([]Volume{NewSingleArm("a", inis[0]), NewSingleArm("b", inis[1])}, tm)
 	data := make([]byte, 8*512)
-	sim.NewRNG(4).Fill(data)
+	rand.New(rand.NewSource(4)).Read(data)
 	volWrite(t, eng, sh, cut-4, data) // 4 blocks on one member, 4 on the other
 	if got := volRead(t, eng, sh, cut-4, 8); !bytes.Equal(got, data) {
 		t.Fatal("sharded read-back mismatch")
@@ -78,8 +81,10 @@ func TestShardedRoutesBySplit(t *testing.T) {
 // same-target pieces merge, and every block lands on the target TargetOf
 // names for it.
 func TestTargetMapSplit(t *testing.T) {
-	tm := NewTargetMap(4, 8)
-	const start, blocks = int64(3), 64
+	tm := NewTargetMap(4)
+	// Ranges below the ring's 64 virtual nodes all land on member 0; the
+	// run starts below and crosses into the ranges that spread.
+	const start, blocks = int64(60*DefaultRangeBlocks + 3), 16 * DefaultRangeBlocks
 	exts := tm.Split(start, blocks)
 	covered := int64(0)
 	next := start
@@ -109,7 +114,7 @@ func TestTargetMapSplit(t *testing.T) {
 	if tm.TargetOf(5) < 0 || tm.TargetOf(5) >= 4 {
 		t.Fatalf("TargetOf out of range")
 	}
-	one := NewTargetMap(1, 8)
+	one := NewTargetMap(1)
 	if got := one.Split(0, 100); len(got) != 1 || got[0].Target != 0 || got[0].Blocks != 100 {
 		t.Fatalf("single-target split: %+v", got)
 	}

@@ -74,7 +74,7 @@ type Call struct {
 	// delivery. Ownership contract: the handler owns the references and
 	// must either Release the chain or hand it to an API documented to
 	// take ownership; retaining payload past the call (NCache capture)
-	// requires aliasing via Slice/SubChain.
+	// requires aliasing via SubChain.
 	Body *netbuf.Chain
 
 	// The call's transport, which its reply goes back on: the datagram

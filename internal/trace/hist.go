@@ -9,8 +9,8 @@ import (
 // Streaming latency histogram with logarithmic buckets: exact below
 // histBase nanoseconds, then histBase sub-buckets per octave, giving a
 // guaranteed relative quantile error of at most 1/histBase (< 1.6%) at
-// constant memory. Recording and merging are exact integer operations, so
-// histograms are deterministic and merge-associative.
+// constant memory. Recording is exact integer arithmetic, so histograms are
+// deterministic.
 
 const (
 	histSubBits = 6
@@ -90,14 +90,6 @@ func (h *Histogram) Mean() sim.Duration {
 	return sim.Duration(h.sum / int64(h.n))
 }
 
-// Min and Max return the exact extremes.
-func (h *Histogram) Min() sim.Duration {
-	if h.min < 0 {
-		return 0
-	}
-	return sim.Duration(h.min)
-}
-
 // Max returns the largest recorded sample.
 func (h *Histogram) Max() sim.Duration { return sim.Duration(h.max) }
 
@@ -132,35 +124,4 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 		}
 	}
 	return sim.Duration(h.max)
-}
-
-// Merge folds o into h. Merging is exact: the result equals a histogram of
-// the concatenated sample streams.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.n > 0 {
-		if h.min < 0 || (o.min >= 0 && o.min < h.min) {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-}
-
-// Equal reports whether two histograms hold identical distributions.
-func (h *Histogram) Equal(o *Histogram) bool {
-	if h.n != o.n || h.sum != o.sum || h.min != o.min || h.max != o.max {
-		return false
-	}
-	for i := range h.counts {
-		if h.counts[i] != o.counts[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -69,44 +69,6 @@ func TestQuantileAccuracyBounds(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeEquivalence checks merge correctness: merging two
-// histograms is identical — bucket for bucket — to a histogram of the
-// concatenated sample streams.
-func TestHistogramMergeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-		na, nb := rng.Intn(3000), rng.Intn(3000)
-		for i := 0; i < na; i++ {
-			v := sim.Duration(rng.Int63n(1 << uint(10+rng.Intn(30))))
-			a.Record(v)
-			all.Record(v)
-		}
-		for i := 0; i < nb; i++ {
-			v := sim.Duration(rng.Int63n(1 << uint(10+rng.Intn(30))))
-			b.Record(v)
-			all.Record(v)
-		}
-		a.Merge(b)
-		if !a.Equal(all) {
-			t.Fatalf("trial %d: merge(a,b) != hist(a++b) (na=%d nb=%d)", trial, na, nb)
-		}
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			if a.Quantile(q) != all.Quantile(q) {
-				t.Fatalf("trial %d: quantile %v differs after merge", trial, q)
-			}
-		}
-	}
-	// Merging into an empty histogram preserves min/max exactly.
-	e, x := NewHistogram(), NewHistogram()
-	x.Record(100)
-	x.Record(5000)
-	e.Merge(x)
-	if e.Min() != 100 || e.Max() != 5000 || e.Count() != 2 {
-		t.Fatalf("empty-merge: min=%v max=%v n=%d", e.Min(), e.Max(), e.Count())
-	}
-}
-
 // TestBucketIndexMonotone checks bucketing is monotone and within-bound
 // over octave boundaries, where off-by-ones would hide.
 func TestBucketIndexMonotone(t *testing.T) {

@@ -32,8 +32,6 @@ type Record struct {
 	// Ino/Off identify the write in file terms (the FHO identity).
 	Ino uint32
 	Off uint64
-	// Epoch is the control-plane epoch at append time (0 single-server).
-	Epoch uint64
 	// Sum is the internet checksum of Data, verified at replay — a
 	// mismatched (torn) record stops recovery at the last good prefix.
 	Sum uint16

@@ -3,7 +3,6 @@ package workload
 import (
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
-	"ncache/internal/sim"
 )
 
 // OpKind classifies a trace record.
@@ -13,7 +12,6 @@ type OpKind int
 const (
 	OpRead OpKind = iota + 1
 	OpWrite
-	OpGetattr
 )
 
 // TraceOp is one record of a synthetic NFS trace, the format our Active
@@ -36,25 +34,6 @@ func GenSequentialRead(fh nfs.FH, fileSize uint64, reqSize int) Trace {
 	t := Trace{FH: fh}
 	for off := uint64(0); off+uint64(reqSize) <= fileSize; off += uint64(reqSize) {
 		t.Ops = append(t.Ops, TraceOp{Kind: OpRead, Off: off, Len: reqSize})
-	}
-	return t
-}
-
-// GenMixed builds a read/write mix trace over the file.
-func GenMixed(fh nfs.FH, fileSize uint64, reqSize, n int, writePct int, seed uint64) Trace {
-	rng := sim.NewRNG(seed)
-	t := Trace{FH: fh}
-	span := fileSize / uint64(reqSize)
-	if span == 0 {
-		span = 1
-	}
-	for i := 0; i < n; i++ {
-		kind := OpRead
-		if rng.Intn(100) < writePct {
-			kind = OpWrite
-		}
-		off := uint64(rng.Int63n(int64(span))) * uint64(reqSize)
-		t.Ops = append(t.Ops, TraceOp{Kind: kind, Off: off, Len: reqSize})
 	}
 	return t
 }
@@ -111,8 +90,6 @@ func (p *TracePlayer) next(w *worker) {
 	switch op.Kind {
 	case OpWrite:
 		c.Write(p.Trace.FH, op.Off, junkChain(c, op.Len), func(n int, _ nfs.Attr, err error) { finish(n, err) })
-	case OpGetattr:
-		c.Getattr(p.Trace.FH, func(_ nfs.Attr, err error) { finish(0, err) })
 	default:
 		c.Read(p.Trace.FH, op.Off, op.Len, func(data *netbuf.Chain, _ nfs.Attr, err error) {
 			finish(consume(data), err)

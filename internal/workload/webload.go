@@ -18,31 +18,11 @@ var WebPageClasses = []struct {
 	{1024 * 1024, 1},
 }
 
-// WebPageMeanSize returns the access-weighted mean page size of the class
-// mix.
-func WebPageMeanSize() int {
-	total, sum := 0, 0
-	for _, c := range WebPageClasses {
-		total += c.Weight
-		sum += c.Size * c.Weight
-	}
-	return sum / total
-}
-
 // PageSet describes a generated working set: file names (in the fs root)
 // and their sizes, access-ranked (index 0 most popular under Zipf).
 type PageSet struct {
 	Names []string
 	Sizes []int
-}
-
-// TotalBytes returns the working-set footprint.
-func (p PageSet) TotalBytes() int64 {
-	var n int64
-	for _, s := range p.Sizes {
-		n += int64(s)
-	}
-	return n
 }
 
 // BuildPageSet sizes a page population to approximately totalBytes,
@@ -99,7 +79,7 @@ func (l *WebLoad) Start() {
 	if l.ZipfS == 0 {
 		l.ZipfS = 1.0
 	}
-	zipf := NewZipf(nil, len(l.Pages.Names), l.ZipfS)
+	zipf := NewZipf(len(l.Pages.Names), l.ZipfS)
 	l.start(len(l.Conns), 1, &stream{rng: sim.NewRNG(l.Seed + 11)}, nil,
 		func(w *worker) {
 			l.Conns[w.lane].Get(l.Pages.Names[zipf.Draw(w.st.rng)], w.done)

@@ -14,14 +14,13 @@ import (
 // matching the web-access popularity model of [Breslau et al. 1999] the
 // paper cites for SPECweb99.
 type Zipf struct {
-	rng *sim.RNG
 	// cdf[i] is the cumulative probability of ranks 0..i.
 	cdf []float64
 }
 
 // NewZipf builds a sampler over n items with exponent s (s=0.8–1.0 is
 // typical for web traffic).
-func NewZipf(rng *sim.RNG, n int, s float64) *Zipf {
+func NewZipf(n int, s float64) *Zipf {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
@@ -31,14 +30,12 @@ func NewZipf(rng *sim.RNG, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{rng: rng, cdf: cdf}
+	return &Zipf{cdf: cdf}
 }
 
-// Next returns an item index in [0, n), rank-0 most popular.
-func (z *Zipf) Next() int { return z.Draw(z.rng) }
-
-// Draw samples with the caller's random source, so streams that must not
-// share an RNG can share one table.
+// Draw returns an item index in [0, n), rank-0 most popular, sampled with
+// the caller's random source, so streams that must not share an RNG can
+// share one table.
 func (z *Zipf) Draw(rng *sim.RNG) int {
 	u := rng.Float64()
 	// Binary search the CDF.

@@ -11,10 +11,8 @@ import (
 
 // Errors returned by the decoder.
 var (
-	ErrShort    = errors.New("xdr: buffer too short")
-	ErrTooLong  = errors.New("xdr: variable-length item exceeds limit")
-	ErrBadBool  = errors.New("xdr: boolean not 0 or 1")
-	ErrTrailing = errors.New("xdr: trailing bytes")
+	ErrShort   = errors.New("xdr: buffer too short")
+	ErrTooLong = errors.New("xdr: variable-length item exceeds limit")
 )
 
 // pad returns the number of padding bytes after n data bytes.
@@ -52,37 +50,16 @@ func (e *Encoder) room(n int) {
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of encoded bytes.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // Uint32 encodes a 32-bit unsigned integer.
 func (e *Encoder) Uint32(v uint32) {
 	e.room(4)
 	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
 }
 
-// Int32 encodes a 32-bit signed integer.
-func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
-
 // Uint64 encodes a 64-bit unsigned hyper integer.
 func (e *Encoder) Uint64(v uint64) {
 	e.room(8)
 	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
-}
-
-// Bool encodes a boolean.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.Uint32(1)
-	} else {
-		e.Uint32(0)
-	}
-}
-
-// Opaque encodes variable-length opaque data (length prefix + padding).
-func (e *Encoder) Opaque(p []byte) {
-	e.Uint32(uint32(len(p)))
-	e.FixedOpaque(p)
 }
 
 // FixedOpaque encodes fixed-length opaque data (no length prefix).
@@ -128,12 +105,6 @@ func (d *Decoder) Uint32() (uint32, error) {
 	return v, nil
 }
 
-// Int32 decodes a 32-bit signed integer.
-func (d *Decoder) Int32() (int32, error) {
-	v, err := d.Uint32()
-	return int32(v), err
-}
-
 // Uint64 decodes a 64-bit unsigned hyper integer.
 func (d *Decoder) Uint64() (uint64, error) {
 	if d.Remaining() < 8 {
@@ -142,22 +113,6 @@ func (d *Decoder) Uint64() (uint64, error) {
 	v := binary.BigEndian.Uint64(d.buf[d.off:])
 	d.off += 8
 	return v, nil
-}
-
-// Bool decodes a boolean.
-func (d *Decoder) Bool() (bool, error) {
-	v, err := d.Uint32()
-	if err != nil {
-		return false, err
-	}
-	switch v {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, ErrBadBool
-	}
 }
 
 // Opaque decodes variable-length opaque data of at most limit bytes
@@ -177,29 +132,4 @@ func (d *Decoder) Opaque(limit int) ([]byte, error) {
 	p := d.buf[d.off : d.off+int(n)]
 	d.off += total
 	return p, nil
-}
-
-// FixedOpaque decodes n bytes of fixed-length opaque data.
-func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
-	total := n + pad(n)
-	if d.Remaining() < total {
-		return nil, fmt.Errorf("%w: fixed opaque %d at %d", ErrShort, n, d.off)
-	}
-	p := d.buf[d.off : d.off+n]
-	d.off += total
-	return p, nil
-}
-
-// String decodes a string of at most limit bytes (0 = unlimited).
-func (d *Decoder) String(limit int) (string, error) {
-	p, err := d.Opaque(limit)
-	return string(p), err
-}
-
-// Done verifies the decoder consumed its entire buffer.
-func (d *Decoder) Done() error {
-	if d.Remaining() != 0 {
-		return fmt.Errorf("%w: %d bytes", ErrTrailing, d.Remaining())
-	}
-	return nil
 }

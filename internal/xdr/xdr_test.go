@@ -10,39 +10,30 @@ import (
 func TestScalarRoundTrip(t *testing.T) {
 	e := NewEncoder(64)
 	e.Uint32(0xdeadbeef)
-	e.Int32(-42)
 	e.Uint64(1 << 60)
-	e.Bool(true)
-	e.Bool(false)
 
 	d := NewDecoder(e.Bytes())
 	if v, err := d.Uint32(); err != nil || v != 0xdeadbeef {
 		t.Fatalf("Uint32 = %v, %v", v, err)
 	}
-	if v, err := d.Int32(); err != nil || v != -42 {
-		t.Fatalf("Int32 = %v, %v", v, err)
-	}
 	if v, err := d.Uint64(); err != nil || v != 1<<60 {
 		t.Fatalf("Uint64 = %v, %v", v, err)
 	}
-	if v, err := d.Bool(); err != nil || v != true {
-		t.Fatalf("Bool = %v, %v", v, err)
-	}
-	if v, err := d.Bool(); err != nil || v != false {
-		t.Fatalf("Bool = %v, %v", v, err)
-	}
-	if err := d.Done(); err != nil {
-		t.Fatalf("Done: %v", err)
+	if d.Offset() != len(e.Bytes()) {
+		t.Fatalf("decoded %d of %d bytes", d.Offset(), len(e.Bytes()))
 	}
 }
 
+// TestOpaquePadding: variable-length opaque data on the wire is a length
+// word and the bytes padded to 4 (what the NFS READ reply carries).
 func TestOpaquePadding(t *testing.T) {
 	for n := 0; n <= 9; n++ {
 		e := NewEncoder(32)
 		payload := bytes.Repeat([]byte{0xab}, n)
-		e.Opaque(payload)
-		if e.Len()%4 != 0 {
-			t.Fatalf("len(opaque %d) = %d, not 4-aligned", n, e.Len())
+		e.Uint32(uint32(n))
+		e.FixedOpaque(payload)
+		if len(e.Bytes())%4 != 0 {
+			t.Fatalf("len(opaque %d) = %d, not 4-aligned", n, len(e.Bytes()))
 		}
 		d := NewDecoder(e.Bytes())
 		got, err := d.Opaque(0)
@@ -52,8 +43,8 @@ func TestOpaquePadding(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("Opaque(%d) round trip failed", n)
 		}
-		if err := d.Done(); err != nil {
-			t.Fatalf("Done after opaque %d: %v", n, err)
+		if d.Offset() != len(e.Bytes()) {
+			t.Fatalf("opaque %d: decoded %d of %d bytes", n, d.Offset(), len(e.Bytes()))
 		}
 	}
 }
@@ -61,16 +52,8 @@ func TestOpaquePadding(t *testing.T) {
 func TestFixedOpaque(t *testing.T) {
 	e := NewEncoder(16)
 	e.FixedOpaque([]byte("abcde")) // 5 bytes → 3 pad
-	if e.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", e.Len())
-	}
-	d := NewDecoder(e.Bytes())
-	got, err := d.FixedOpaque(5)
-	if err != nil || string(got) != "abcde" {
-		t.Fatalf("FixedOpaque = %q, %v", got, err)
-	}
-	if err := d.Done(); err != nil {
-		t.Fatalf("Done: %v", err)
+	if got := e.Bytes(); string(got) != "abcde\x00\x00\x00" {
+		t.Fatalf("FixedOpaque encoded %q, want abcde and 3 zero bytes", got)
 	}
 }
 
@@ -78,8 +61,8 @@ func TestStringRoundTrip(t *testing.T) {
 	e := NewEncoder(32)
 	e.String("filename.txt")
 	d := NewDecoder(e.Bytes())
-	s, err := d.String(255)
-	if err != nil || s != "filename.txt" {
+	s, err := d.Opaque(255)
+	if err != nil || string(s) != "filename.txt" {
 		t.Fatalf("String = %q, %v", s, err)
 	}
 }
@@ -90,15 +73,8 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatalf("short Uint32 err = %v", err)
 	}
 
-	e := NewEncoder(8)
-	e.Uint32(7)
-	d = NewDecoder(e.Bytes())
-	if _, err := d.Bool(); !errors.Is(err, ErrBadBool) {
-		t.Fatalf("bad bool err = %v", err)
-	}
-
-	e = NewEncoder(16)
-	e.Opaque([]byte("too long"))
+	e := NewEncoder(16)
+	e.String("too long")
 	d = NewDecoder(e.Bytes())
 	if _, err := d.Opaque(4); !errors.Is(err, ErrTooLong) {
 		t.Fatalf("limit err = %v", err)
@@ -111,23 +87,13 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := d.Opaque(0); !errors.Is(err, ErrShort) {
 		t.Fatalf("truncated opaque err = %v", err)
 	}
-
-	e = NewEncoder(8)
-	e.Uint32(1)
-	e.Uint32(2)
-	d = NewDecoder(e.Bytes())
-	if _, err := d.Uint32(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Done(); !errors.Is(err, ErrTrailing) {
-		t.Fatalf("Done with trailing = %v", err)
-	}
 }
 
 func TestPropertyOpaqueRoundTrip(t *testing.T) {
 	f := func(p []byte, s string, a uint32, b uint64) bool {
 		e := NewEncoder(len(p) + len(s) + 32)
-		e.Opaque(p)
+		e.Uint32(uint32(len(p)))
+		e.FixedOpaque(p)
 		e.String(s)
 		e.Uint32(a)
 		e.Uint64(b)
@@ -136,8 +102,8 @@ func TestPropertyOpaqueRoundTrip(t *testing.T) {
 		if err != nil || !bytes.Equal(gp, p) {
 			return false
 		}
-		gs, err := d.String(0)
-		if err != nil || gs != s {
+		gs, err := d.Opaque(0)
+		if err != nil || string(gs) != s {
 			return false
 		}
 		ga, err := d.Uint32()
@@ -148,7 +114,7 @@ func TestPropertyOpaqueRoundTrip(t *testing.T) {
 		if err != nil || gb != b {
 			return false
 		}
-		return d.Done() == nil
+		return d.Offset() == len(e.Bytes())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -168,7 +134,7 @@ func TestOverZeroAllocs(t *testing.T) {
 		e.Uint64(1 << 40)
 		e.FixedOpaque([]byte{1, 2, 3, 4, 5})
 		e.String("name")
-		n, inPlace = e.Len(), hdr[3] == 7 && hdr[27] == 'e'
+		n, inPlace = len(e.Bytes()), hdr[3] == 7 && hdr[27] == 'e'
 	})
 	if n != 28 || !inPlace {
 		t.Fatalf("encoded %d bytes, into the caller's array: %v", n, inPlace)
