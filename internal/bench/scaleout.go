@@ -37,13 +37,19 @@ type ScaleoutPoint struct {
 	OpsPerSec     float64
 	ReadP99Us     float64
 	WriteP99Us    float64
-	// ServerCPUMax is the hottest front-end server's utilization;
-	// ControlCPU is the control-plane node's (0 on one server).
-	ServerCPUMax float64
-	ControlCPU   float64
-	LinkUtil     float64
-	Errors       uint64
-	RouteErrors  uint64
+	// ServerCPUMax is the hottest front-end server's utilization and
+	// ServerCPUMean the servers' average, so max/mean is the placement's
+	// imbalance; ControlCPU is the control-plane node's (0 on one server).
+	ServerCPUMax  float64
+	ServerCPUMean float64
+	ControlCPU    float64
+	LinkUtil      float64
+	Errors        uint64
+	RouteErrors   uint64
+	// TargetWrites counts, per iSCSI target, the lower writes every server
+	// issued to it over the whole run (storage.Sharded.Stats, one arm per
+	// target): the storage placement's split.
+	TargetWrites [ScaleoutTargets]uint64
 	// Control-plane activity over the whole run. CPMembers counts member-set
 	// fetches served by the control node; LocalRouteHits counts routes the
 	// clients answered from their ring replicas without touching it.
@@ -212,7 +218,13 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 
 	// Stop the flushers at the window's end so the post-window drain
 	// terminates.
-	w, err := h.measure(cl, load, tr, nil, func() { flushing = false })
+	var cpuSum float64
+	w, err := h.measure(cl, load, tr, nil, func() {
+		flushing = false
+		for _, app := range cl.Apps {
+			cpuSum += app.Node.CPU.Utilization()
+		}
+	})
 	if err != nil {
 		return ScaleoutPoint{}, err
 	}
@@ -223,6 +235,7 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 		ThroughputMBs: w.Throughput() / 1e6,
 		OpsPerSec:     w.OpsPerSec(),
 		ServerCPUMax:  w.ServerCPU,
+		ServerCPUMean: cpuSum / float64(len(cl.Apps)),
 		ControlCPU:    w.ControlCPU,
 		LinkUtil:      w.LinkUtil,
 		Errors:        w.Errors,
@@ -235,6 +248,9 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 		p.RemapsStarted = cl.Control.Stats.RemapsStarted
 	}
 	for _, app := range cl.Apps {
+		for t, st := range app.Volume.Stats() {
+			p.TargetWrites[t] += st.Writes
+		}
 		if app.Agent != nil {
 			p.RemapsSent += app.Agent.Stats.RemapsSent
 			p.RemapRetries += app.Agent.Stats.RemapRetries
@@ -314,10 +330,12 @@ func prefillRouted(cl *passthru.Cluster, scs []*passthru.ScaleClient, files []nf
 
 // FormatScaleoutPoints renders the scale-out figure: aggregate throughput
 // and tail latency vs front-end server count, with speedup relative to the
-// one-server run, the control-plane activity that kept the tier coherent
-// while it scaled, and what every retransmission timer resent: with errs 0,
-// rpcRtx and tcpRtx are the faults that were recovered below the clients,
-// dupRx and tcpRTO on a lossless run the resends nothing needed.
+// one-server run and the hottest (srvCPU) beside the mean (srvMean) server
+// CPU, the control-plane activity that kept the tier coherent while it
+// scaled, the lower writes each target took (tgtWr), and what every
+// retransmission timer resent: with errs 0, rpcRtx and tcpRtx are the faults
+// that were recovered below the clients, dupRx and tcpRTO on a lossless run
+// the resends nothing needed.
 func FormatScaleoutPoints(points []ScaleoutPoint) string {
 	var base float64
 	for _, p := range points {
@@ -327,33 +345,38 @@ func FormatScaleoutPoints(points []ScaleoutPoint) string {
 	}
 	var b strings.Builder
 	b.WriteString("fig-scaleout: pass-through tier scale-out (hot-set mix, 10% writes, routed clients)\n")
-	fmt.Fprintf(&b, "%-7s %-7s %7s %9s %9s %7s %9s %10s %6s %6s %5s\n",
+	fmt.Fprintf(&b, "%-7s %-7s %7s %9s %9s %7s %9s %10s %6s %7s %6s %5s\n",
 		"servers", "targets", "streams", "MB/s", "ops/s", "speedup",
-		"read_p99", "write_p99", "srvCPU", "cpCPU", "errs")
+		"read_p99", "write_p99", "srvCPU", "srvMean", "cpCPU", "errs")
 	for _, p := range points {
 		speedup := ""
 		if base > 0 {
 			speedup = fmt.Sprintf("%.2fx", p.ThroughputMBs/base)
 		}
-		fmt.Fprintf(&b, "%-7d %-7d %7d %9.1f %9.0f %7s %7.1fµs %8.1fµs %5.0f%% %5.0f%% %5d\n",
+		fmt.Fprintf(&b, "%-7d %-7d %7d %9.1f %9.0f %7s %7.1fµs %8.1fµs %5.0f%% %6.0f%% %5.0f%% %5d\n",
 			p.Servers, p.Targets, p.Streams, p.ThroughputMBs, p.OpsPerSec, speedup,
-			p.ReadP99Us, p.WriteP99Us, 100*p.ServerCPUMax, 100*p.ControlCPU,
+			p.ReadP99Us, p.WriteP99Us, 100*p.ServerCPUMax, 100*p.ServerCPUMean, 100*p.ControlCPU,
 			p.Errors+p.RouteErrors)
 	}
 	b.WriteString("\ncontrol-plane and recovery activity (whole run):\n")
-	fmt.Fprintf(&b, "%-7s %8s %9s %7s %7s %8s %8s %8s %7s %7s %7s %7s %7s\n",
+	fmt.Fprintf(&b, "%-7s %8s %9s %7s %7s %8s %8s %8s %7s %7s %7s %7s %7s %13s\n",
 		"servers", "members", "ringHits", "remaps", "sent", "lbns/msg", "retries", "invals", "rslvRtr",
-		"rpcRtx", "dupRx", "tcpRtx", "tcpRTO")
+		"rpcRtx", "dupRx", "tcpRtx", "tcpRTO", "tgtWr")
 	for _, p := range points {
 		var perMsg float64
 		if p.RemapsSent > 0 {
 			perMsg = float64(p.LBNsAnnounced) / float64(p.RemapsSent)
 		}
-		fmt.Fprintf(&b, "%-7d %8d %9d %7d %7d %8.1f %8d %8d %7d %7d %7d %7d %7d\n",
+		wr := make([]string, len(p.TargetWrites))
+		for t, n := range p.TargetWrites {
+			wr[t] = fmt.Sprint(n)
+		}
+		fmt.Fprintf(&b, "%-7d %8d %9d %7d %7d %8.1f %8d %8d %7d %7d %7d %7d %7d %13s\n",
 			p.Servers, p.CPMembers, p.LocalRouteHits,
 			p.RemapsStarted, p.RemapsSent, perMsg,
 			p.RemapRetries, p.InvalsApplied, p.ResolverRetries,
-			p.RPCRetransmits, p.DupReplies, p.TCPRetransmits, p.TCPRTOs)
+			p.RPCRetransmits, p.DupReplies, p.TCPRetransmits, p.TCPRTOs,
+			strings.Join(wr, "/"))
 	}
 	return b.String()
 }

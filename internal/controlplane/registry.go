@@ -3,8 +3,8 @@ package controlplane
 import "ncache/internal/proto/eth"
 
 // Registry is the control plane's placement authority: which front-end
-// server owns each file handle. Placement is consistent hashing over the
-// member set, which is fixed when the cluster is built; clients replicate it
+// server owns each file handle. Placement is round-robin over the member
+// set (Ring), which is fixed when the cluster is built; clients replicate it
 // once from a member-set response.
 type Registry struct {
 	servers []eth.Addr
@@ -15,7 +15,7 @@ type Registry struct {
 func NewRegistry(servers []eth.Addr) *Registry {
 	g := &Registry{
 		servers: append([]eth.Addr(nil), servers...),
-		ring:    NewRing(DefaultVNodes),
+		ring:    NewRing(len(servers)),
 	}
 	for i := range servers {
 		g.ring.Add(i)
@@ -33,7 +33,3 @@ func (g *Registry) AddrOf(idx int) eth.Addr {
 
 // Members returns the member indices in ascending order.
 func (g *Registry) Members() []int { return g.ring.Members() }
-
-// VNodes reports the ring's virtual-node count (what a client replica must
-// use to reproduce the placement exactly).
-func (g *Registry) VNodes() int { return g.ring.VNodes() }

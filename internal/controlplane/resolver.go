@@ -39,9 +39,9 @@ type bootEntry struct {
 }
 
 // Resolver is a client host's routing authority replica. On first use it
-// fetches the control plane's member set once and rebuilds the
-// consistent-hash ring locally (placement is a pure function of the member
-// set, virtual-node count and key, so the replica answers bit-identically);
+// fetches the control plane's member set once and rebuilds the placement
+// locally (placement is a pure function of the member set and the key, so
+// the replica answers bit-identically);
 // from then on FH lookups are client-local and the control-plane CPU sees
 // one message per client instead of one per cold route. That is the only
 // routing path: while there is no replica, lookups wait for the fetch, and
@@ -141,7 +141,7 @@ func (r *Resolver) handle(m Msg) {
 	r.members.settle()
 	r.members = nil
 	r.Stats.MemberFetches++
-	r.ring = NewRing(int(m.LBN))
+	r.ring = NewRing(len(m.LBNs))
 	for _, packed := range m.LBNs {
 		r.ring.Add(int(uint64(packed) >> 32))
 	}

@@ -1,102 +1,92 @@
 package controlplane
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 
 	"ncache/internal/lkey"
 	"ncache/internal/proto/eth"
+	"ncache/internal/storage"
 )
 
-// fhOf builds a distinct file handle per index.
-func fhOf(i uint64) lkey.FH {
+// fhOf builds the handle of inode ino, laid out as the pass-through server
+// writes it (the inode number in bytes 0–3, the rest zero).
+func fhOf(ino uint64) lkey.FH {
 	var fh lkey.FH
-	fh[0] = byte(i >> 56)
-	fh[1] = byte(i >> 48)
-	fh[2] = byte(i >> 40)
-	fh[3] = byte(i >> 32)
-	fh[4] = byte(i >> 24)
-	fh[5] = byte(i >> 16)
-	fh[6] = byte(i >> 8)
-	fh[7] = byte(i)
+	binary.BigEndian.PutUint32(fh[0:4], uint32(ino))
 	return fh
 }
 
-// TestRingBalance: with 64 vnodes per member the keyspace must spread so no
-// member carries more than twice the load of any other.
+// ringOf builds a ring over members 0..n-1.
+func ringOf(n int) *Ring {
+	r := NewRing(n)
+	for m := 0; m < n; m++ {
+		r.Add(m)
+	}
+	return r
+}
+
+// TestRingBalance: n·m files with sequential inode numbers, as the file
+// system allocates them, place exactly m on every member.
 func TestRingBalance(t *testing.T) {
-	for _, n := range []int{2, 4, 8} {
-		r := NewRing(DefaultVNodes)
-		for m := 0; m < n; m++ {
-			r.Add(m)
-		}
+	const perMember = 8
+	for _, n := range []int{1, 2, 4, 8} {
+		r := ringOf(n)
 		counts := make([]int, n)
-		const keys = 100_000
-		for k := uint64(0); k < keys; k++ {
-			m := r.Lookup(k)
+		const firstIno = 3 // wherever the sequence starts
+		for ino := uint64(firstIno); ino < firstIno+uint64(n*perMember); ino++ {
+			m := r.LookupFH(fhOf(ino))
 			if m < 0 || m >= n {
-				t.Fatalf("n=%d: lookup(%d) = %d out of range", n, k, m)
+				t.Fatalf("n=%d: inode %d placed on %d, out of range", n, ino, m)
 			}
 			counts[m]++
 		}
-		min, max := counts[0], counts[0]
-		for _, c := range counts[1:] {
-			if c < min {
-				min = c
+		for m, c := range counts {
+			if c != perMember {
+				t.Fatalf("n=%d: member loads %v, want %d each (member %d)", n, counts, perMember, m)
 			}
-			if c > max {
-				max = c
-			}
-		}
-		if min == 0 || float64(max)/float64(min) > 2.0 {
-			t.Fatalf("n=%d: imbalanced ring: member loads %v (max/min > 2)", n, counts)
 		}
 	}
 }
 
-// TestRingMinimalMovement: adding a member must only move keys onto the new
-// member (about 1/n of them), never shuffle keys between old members.
-func TestRingMinimalMovement(t *testing.T) {
-	const n, keys = 4, 50_000
-	r := NewRing(DefaultVNodes)
-	for m := 0; m < n; m++ {
-		r.Add(m)
-	}
-	before := make([]int, keys)
-	for k := range before {
-		before[k] = r.Lookup(uint64(k))
-	}
-	r.Add(n)
-	moved := 0
-	for k := range before {
-		now := r.Lookup(uint64(k))
-		if now == before[k] {
-			continue
+// TestRingSpreadsSmallKeys: small keys — range indices 0..63, which cover
+// every LBN under 256 MB, and handles whose first 8 bytes are m<<32 (inode
+// m) — spread evenly across the members instead of landing on one.
+func TestRingSpreadsSmallKeys(t *testing.T) {
+	const keys = 64
+	for _, n := range []int{2, 4, 8} {
+		r := ringOf(n)
+		byKey, byFH := make([]int, n), make([]int, n)
+		for k := uint64(0); k < keys; k++ {
+			byKey[r.Lookup(k)]++
+			var fh lkey.FH
+			binary.BigEndian.PutUint64(fh[:8], k<<32)
+			byFH[r.LookupFH(fh)]++
 		}
-		if now != n {
-			t.Fatalf("key %d moved between old members: %d -> %d", k, before[k], now)
+		for m := 0; m < n; m++ {
+			if byKey[m] != keys/n || byFH[m] != keys/n {
+				t.Fatalf("n=%d: keys 0..%d place %v, handles m<<32 place %v; want %d on every member",
+					n, keys-1, byKey, byFH, keys/n)
+			}
 		}
-		moved++
-	}
-	if moved == 0 {
-		t.Fatalf("adding a member moved no keys onto it")
-	}
-	if frac := float64(moved) / keys; frac > 2.0/float64(n+1) {
-		t.Fatalf("adding one member moved %.1f%% of keys (want about %.1f%%)",
-			100*frac, 100.0/float64(n+1))
 	}
 }
 
 // TestRingDeterministic: the ring is a pure function of its member set —
-// insertion order must not matter, and repeated lookups must agree.
+// insertion order and repeated insertion must not matter, and repeated
+// lookups must agree.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing(DefaultVNodes)
-	b := NewRing(DefaultVNodes)
+	a := NewRing(0)
+	b := NewRing(0)
 	for _, m := range []int{0, 1, 2, 3} {
 		a.Add(m)
 	}
-	for _, m := range []int{3, 1, 0, 2} {
+	for _, m := range []int{3, 1, 0, 2, 1} {
 		b.Add(m)
+	}
+	if !slices.Equal(a.Members(), b.Members()) {
+		t.Fatalf("members %v vs %v", a.Members(), b.Members())
 	}
 	for k := uint64(0); k < 10_000; k++ {
 		if a.Lookup(k) != b.Lookup(k) {
@@ -107,24 +97,42 @@ func TestRingDeterministic(t *testing.T) {
 	if a.Lookup(42) != a.Lookup(42) {
 		t.Fatalf("lookup not stable")
 	}
-	if NewRing(DefaultVNodes).Lookup(1) != -1 {
+	if NewRing(0).Lookup(1) != -1 {
 		t.Fatalf("empty ring must answer -1")
 	}
 }
 
-// TestRegistryPlacement: every server is a member, and the ring places a
-// handle on one of them.
+// TestRingLookupZeroAllocs: placing a request costs no allocation, on either
+// tier — a handle on a front-end server, a block on an iSCSI target.
+func TestRingLookupZeroAllocs(t *testing.T) {
+	r := ringOf(8)
+	tm := storage.NewTargetMap(2)
+	var sink int
+	ino, lbn := uint64(0), int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		sink += r.LookupFH(fhOf(ino)) + tm.TargetOf(lbn)
+		ino++
+		lbn += 509
+	})
+	if allocs != 0 {
+		t.Fatalf("LookupFH + TargetOf allocate %.1f objects per call, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestRegistryPlacement: every server is a member, and the registry places
+// a handle on one of them.
 func TestRegistryPlacement(t *testing.T) {
 	addrs := []eth.Addr{0x0a000010, 0x0a000018, 0x0a000020, 0x0a000028}
 	g := NewRegistry(addrs)
 	if got := g.Members(); !slices.Equal(got, []int{0, 1, 2, 3}) {
 		t.Fatalf("Members() = %v, want [0 1 2 3]", got)
 	}
-	hashed := g.ring.LookupFH(fhOf(7))
-	if hashed < 0 || hashed >= len(addrs) {
-		t.Fatalf("placement out of range: %d", hashed)
+	placed := g.ring.LookupFH(fhOf(7))
+	if placed != 7%len(addrs) {
+		t.Fatalf("inode 7 placed on %d, want %d", placed, 7%len(addrs))
 	}
-	if g.AddrOf(hashed) != addrs[hashed] {
-		t.Fatalf("AddrOf(%d) = %x, want %x", hashed, g.AddrOf(hashed), addrs[hashed])
+	if g.AddrOf(placed) != addrs[placed] {
+		t.Fatalf("AddrOf(%d) = %x, want %x", placed, g.AddrOf(placed), addrs[placed])
 	}
 }

@@ -134,7 +134,7 @@ func (s *Server) handle(m Msg, from peer) {
 
 	case MsgMembers:
 		s.Stats.LookupsMembers++
-		r := Msg{Type: MsgMembersResp, Seq: m.Seq, LBN: int64(s.reg.VNodes())}
+		r := Msg{Type: MsgMembersResp, Seq: m.Seq}
 		for _, idx := range s.reg.Members() {
 			r.LBNs = append(r.LBNs, int64(uint64(idx)<<32|uint64(uint32(s.reg.AddrOf(idx)))))
 		}

@@ -32,11 +32,11 @@ const (
 	MsgInvalidate
 	MsgInvalidateAck
 	// MsgMembers asks for the active member set; the response carries one
-	// packed (serverID<<32 | fabricAddr) entry per member in LBNs and the
-	// ring's virtual-node count in LBN — everything a client needs to
-	// replicate the placement ring locally and answer FH lookups without
-	// a control-plane round trip. (Clients reach servers by index, so the
-	// address half goes unread; it stays for wire compatibility.)
+	// packed (serverID<<32 | fabricAddr) entry per member in LBNs —
+	// everything a client needs to replicate the placement locally and
+	// answer FH lookups without a control-plane round trip. (Clients reach
+	// servers by index, so the address half goes unread; it stays for wire
+	// compatibility.)
 	MsgMembers
 	MsgMembersResp
 )

@@ -45,26 +45,18 @@ func scaleCluster(t *testing.T, servers, targets int, faultSpec string) (*Cluste
 }
 
 // addDataFile adds the 64-block data.bin. On a sharded cluster its first 8
-// blocks sit below the first range boundary where the target map changes
-// target and the rest above it: ranges below the placement ring's
-// virtual-node count all land on target 0, so an unwritten pad file goes in
-// front (the disks are sparse: only its pointer blocks are stored).
+// blocks sit below the first range boundary, on target 0, and the rest above
+// it, on target 1: an unwritten pad file goes in front (the disks are sparse:
+// only its indirect block is stored).
 func addDataFile(t *testing.T, cl *Cluster, fmtr *extfs.Formatter) extfs.FileSpec {
 	t.Helper()
 	if cl.Targets != nil {
-		boundary := int64(storage.DefaultRangeBlocks)
-		for cl.Targets.TargetOf(boundary) == cl.Targets.TargetOf(boundary-1) {
-			boundary += storage.DefaultRangeBlocks
-		}
 		probe, err := fmtr.AddFile("pad0", extfs.BlockSize, nil)
 		if err != nil {
 			t.Fatalf("AddFile: %v", err)
 		}
-		// The pad's data is followed by its pointer blocks: an indirect, a
-		// double indirect and one per PtrsPerBlock data blocks past what
-		// those two reach.
-		n := boundary - 8 - (probe.StartLBN + 1)
-		n -= 3 + (n-extfs.NDirect-extfs.PtrsPerBlock)/extfs.PtrsPerBlock
+		// The pad's data is followed by its indirect block.
+		n := storage.DefaultRangeBlocks - 8 - (probe.StartLBN + 1) - 1
 		if _, err := fmtr.AddFile("pad", uint64(n)*extfs.BlockSize, nil); err != nil {
 			t.Fatalf("AddFile: %v", err)
 		}

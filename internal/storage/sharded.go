@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"ncache/internal/controlplane"
-	"ncache/internal/netbuf"
-)
+import "ncache/internal/netbuf"
 
 // DefaultRangeBlocks is the LBN-range granularity of target placement:
 // 1024 file-system blocks (4 MB) per range.
@@ -16,51 +13,37 @@ type Extent struct {
 	Blocks int
 }
 
-// TargetMap places LBN ranges onto iSCSI targets by consistent hashing of
-// the range index. Every target exports the full global geometry (the
+// TargetMap places LBN ranges onto iSCSI targets round-robin: range i
+// (DefaultRangeBlocks blocks from i·DefaultRangeBlocks) is served by target
+// i mod n, so consecutive ranges alternate and a file system's blocks spread
+// exactly evenly. Every target exports the full global geometry (the
 // simulated disks are sparse), so a block's LBN is the same on every target
-// and placement only selects which target serves it. It is the storage
-// tier's own: the control-plane protocol never reads it, and only lends it
-// the ring.
+// and placement only selects which target serves it.
 type TargetMap struct {
-	ring *controlplane.Ring
+	targets int64
 }
 
 // NewTargetMap builds the placement for numTargets targets.
 func NewTargetMap(numTargets int) *TargetMap {
-	m := &TargetMap{ring: controlplane.NewRing(controlplane.DefaultVNodes)}
-	for t := 0; t < numTargets; t++ {
-		m.ring.Add(t)
-	}
-	return m
+	return &TargetMap{targets: int64(numTargets)}
 }
 
 // TargetOf maps one block to its serving target.
 func (m *TargetMap) TargetOf(lbn int64) int {
-	return m.ring.Lookup(uint64(lbn / DefaultRangeBlocks))
+	return int(lbn / DefaultRangeBlocks % m.targets)
 }
 
 // Split cuts a contiguous block run at range boundaries into per-target
-// extents, in ascending LBN order.
+// extents, in ascending LBN order: one extent per range touched (with two or
+// more targets, adjacent ranges never share one).
 func (m *TargetMap) Split(lbn int64, blocks int) []Extent {
 	var out []Extent
 	for blocks > 0 {
 		boundary := (lbn/DefaultRangeBlocks + 1) * DefaultRangeBlocks
-		n := blocks
-		if int64(n) > boundary-lbn {
-			n = int(boundary - lbn)
-		}
-		t := m.TargetOf(lbn)
-		// Merge with the previous extent when adjacent ranges land on the
-		// same target.
-		if len(out) > 0 && out[len(out)-1].Target == t &&
-			out[len(out)-1].LBN+int64(out[len(out)-1].Blocks) == lbn {
-			out[len(out)-1].Blocks += n
-		} else {
-			out = append(out, Extent{Target: t, LBN: lbn, Blocks: n})
-		}
-		lbn += int64(n)
-		blocks -= n
+		n := min(int64(blocks), boundary-lbn)
+		out = append(out, Extent{Target: m.TargetOf(lbn), LBN: lbn, Blocks: int(n)})
+		lbn += n
+		blocks -= int(n)
 	}
 	return out
 }

@@ -49,15 +49,12 @@ func volRead(t *testing.T, eng *sim.Engine, v Volume, lbn int64, blocks int) []b
 func TestShardedRoutesBySplit(t *testing.T) {
 	eng := sim.NewEngine()
 	// Every member exports the global geometry (untouched pages of the
-	// backing slices cost nothing); placement is per DefaultRangeBlocks range.
-	// cut is the first range boundary where the target changes.
-	const blocks = 80 * DefaultRangeBlocks
+	// backing slices cost nothing); placement is per DefaultRangeBlocks range,
+	// range 0 on member 0 and range 1 on member 1.
+	const blocks = 2 * DefaultRangeBlocks
 	inis := []*fakeIni{newFakeIni(eng, blocks, 10*sim.Microsecond), newFakeIni(eng, blocks, 10*sim.Microsecond)}
 	tm := NewTargetMap(2)
-	cut := int64(DefaultRangeBlocks)
-	for tm.TargetOf(cut) == tm.TargetOf(cut-1) {
-		cut += DefaultRangeBlocks
-	}
+	const cut = int64(DefaultRangeBlocks)
 	sh := NewSharded([]Volume{NewSingleArm("a", inis[0]), NewSingleArm("b", inis[1])}, tm)
 	data := make([]byte, 8*512)
 	rand.New(rand.NewSource(4)).Read(data)
@@ -65,9 +62,13 @@ func TestShardedRoutesBySplit(t *testing.T) {
 	if got := volRead(t, eng, sh, cut-4, 8); !bytes.Equal(got, data) {
 		t.Fatal("sharded read-back mismatch")
 	}
-	lo, hi := inis[tm.TargetOf(cut-4)], inis[tm.TargetOf(cut)]
+	lo, hi := inis[0], inis[1]
 	if lo.writes != 1 || hi.writes != 1 {
 		t.Fatalf("split writes = %d/%d, want 1/1", lo.writes, hi.writes)
+	}
+	st := sh.Stats()
+	if len(st) != 2 || st[0].Writes != 1 || st[1].Writes != 1 || st[0].Reads != 1 || st[1].Reads != 1 {
+		t.Fatalf("per-target stats %+v, want one read and one write on each", st)
 	}
 	if !bytes.Equal(lo.dat[(cut-4)*512:cut*512], data[:4*512]) {
 		t.Fatal("the member below the boundary holds the wrong extent")
@@ -77,15 +78,17 @@ func TestShardedRoutesBySplit(t *testing.T) {
 	}
 }
 
-// TestTargetMapSplit: extents split exactly at range boundaries, adjacent
-// same-target pieces merge, and every block lands on the target TargetOf
-// names for it.
+// TestTargetMapSplit: extents split exactly at range boundaries, every block
+// lands on the target TargetOf names for it, and consecutive ranges — from
+// range 0 on — go round the targets in turn.
 func TestTargetMapSplit(t *testing.T) {
-	tm := NewTargetMap(4)
-	// Ranges below the ring's 64 virtual nodes all land on member 0; the
-	// run starts below and crosses into the ranges that spread.
-	const start, blocks = int64(60*DefaultRangeBlocks + 3), 16 * DefaultRangeBlocks
+	const targets = 4
+	tm := NewTargetMap(targets)
+	const start, blocks = int64(3), 16 * DefaultRangeBlocks
 	exts := tm.Split(start, blocks)
+	if len(exts) != 17 {
+		t.Fatalf("%d blocks from lbn %d split into %d extents, want one per range touched (17)", blocks, start, len(exts))
+	}
 	covered := int64(0)
 	next := start
 	for i, e := range exts {
@@ -101,18 +104,15 @@ func TestTargetMapSplit(t *testing.T) {
 					e.LBN+b, e.Target, got)
 			}
 		}
-		if i > 0 && exts[i-1].Target == e.Target {
-			t.Fatalf("adjacent extents %d and %d share target %d (not merged)",
-				i-1, i, e.Target)
+		if e.Target != i%targets {
+			t.Fatalf("extent %d (range %d) on target %d, want %d: consecutive ranges must alternate",
+				i, e.LBN/DefaultRangeBlocks, e.Target, i%targets)
 		}
 		next += int64(e.Blocks)
 		covered += int64(e.Blocks)
 	}
 	if covered != blocks {
 		t.Fatalf("extents cover %d blocks, want %d", covered, blocks)
-	}
-	if tm.TargetOf(5) < 0 || tm.TargetOf(5) >= 4 {
-		t.Fatalf("TargetOf out of range")
 	}
 	one := NewTargetMap(1)
 	if got := one.Split(0, 100); len(got) != 1 || got[0].Target != 0 || got[0].Blocks != 100 {
