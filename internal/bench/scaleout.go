@@ -50,20 +50,15 @@ type ScaleoutPoint struct {
 	// issued to it over the whole run (storage.Sharded.Stats, one arm per
 	// target): the storage placement's split.
 	TargetWrites [ScaleoutTargets]uint64
-	// Control-plane activity over the whole run. CPMembers counts member-set
-	// fetches served by the control node; LocalRouteHits counts routes the
-	// clients answered from their ring replicas without touching it.
-	CPMembers       uint64
-	LocalRouteHits  uint64
+	// Control-plane activity over the whole run.
 	RemapsStarted   uint64
 	RemapsSent      uint64
 	RemapRetries    uint64
 	RemapsAbandoned uint64
 	// LBNsAnnounced counts the remapped blocks whose announcement was
 	// acknowledged; per RemapsSent message it is how much the agents batched.
-	LBNsAnnounced   uint64
-	InvalsApplied   uint64
-	ResolverRetries uint64
+	LBNsAnnounced uint64
+	InvalsApplied uint64
 	// Recovery activity over the whole run: datagram RPC calls resent by
 	// the routed clients and replies to calls already completed
 	// (Cluster.FaultCounters), TCP segments resent and the timeouts that
@@ -103,7 +98,7 @@ func scaleoutCounts(h *harness, counts []int) ([]ScaleoutPoint, error) {
 
 // scaleoutPoint measures one (server count, target count) topology: a
 // hot-set read/write mix routed per file handle through each client host's
-// control-plane resolver, with client population scaled with the server
+// placement replica, with client population scaled with the server
 // count (the paper's scale-out methodology: offered load grows with the
 // tier, so a flat curve means the tier does not scale).
 func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
@@ -161,9 +156,8 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 		}
 	}
 
-	// One routed client set per host; each simulated client process on the
-	// host shares the host's route cache, as processes on one machine share
-	// the kernel's.
+	// One routed client set per host, shared by every simulated client
+	// process on the host, as processes on one machine share the kernel's.
 	scs := make([]*passthru.ScaleClient, hosts)
 	var routes []workload.RouteFn
 	for i := range scs {
@@ -177,8 +171,7 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 
 	// Warm every file through its owning server (one routed sequential pass
 	// per file, spread across hosts) so the measured window starts from
-	// cache steady state on every topology — and every host's route cache
-	// is populated the same way a long-running deployment's would be.
+	// cache steady state on every topology.
 	if err := prefillRouted(cl, scs, files, fileSize, reqSize); err != nil {
 		return ScaleoutPoint{}, err
 	}
@@ -244,7 +237,6 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 	sum := tr.Summary()
 	p.ReadP99Us, p.WriteP99Us = opP99Us(sum, "read"), opP99Us(sum, "write")
 	if cl.Control != nil {
-		p.CPMembers = cl.Control.Stats.LookupsMembers
 		p.RemapsStarted = cl.Control.Stats.RemapsStarted
 	}
 	for _, app := range cl.Apps {
@@ -262,10 +254,6 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 	for _, sc := range scs {
 		for _, nc := range sc.NFS {
 			p.PendingCalls += nc.DatagramRPC().Pending()
-		}
-		if sc.Resolver != nil {
-			p.LocalRouteHits += sc.Resolver.Stats.LocalHits
-			p.ResolverRetries += sc.Resolver.Stats.Retries
 		}
 	}
 	p.RPCRetransmits, _, p.DupReplies, _ = cl.FaultCounters()
@@ -359,8 +347,8 @@ func FormatScaleoutPoints(points []ScaleoutPoint) string {
 			p.Errors+p.RouteErrors)
 	}
 	b.WriteString("\ncontrol-plane and recovery activity (whole run):\n")
-	fmt.Fprintf(&b, "%-7s %8s %9s %7s %7s %8s %8s %8s %7s %7s %7s %7s %7s %13s\n",
-		"servers", "members", "ringHits", "remaps", "sent", "lbns/msg", "retries", "invals", "rslvRtr",
+	fmt.Fprintf(&b, "%-7s %7s %7s %8s %8s %8s %7s %7s %7s %7s %13s\n",
+		"servers", "remaps", "sent", "lbns/msg", "retries", "invals",
 		"rpcRtx", "dupRx", "tcpRtx", "tcpRTO", "tgtWr")
 	for _, p := range points {
 		var perMsg float64
@@ -371,10 +359,9 @@ func FormatScaleoutPoints(points []ScaleoutPoint) string {
 		for t, n := range p.TargetWrites {
 			wr[t] = fmt.Sprint(n)
 		}
-		fmt.Fprintf(&b, "%-7d %8d %9d %7d %7d %8.1f %8d %8d %7d %7d %7d %7d %7d %13s\n",
-			p.Servers, p.CPMembers, p.LocalRouteHits,
-			p.RemapsStarted, p.RemapsSent, perMsg,
-			p.RemapRetries, p.InvalsApplied, p.ResolverRetries,
+		fmt.Fprintf(&b, "%-7d %7d %7d %8.1f %8d %8d %7d %7d %7d %7d %13s\n",
+			p.Servers, p.RemapsStarted, p.RemapsSent, perMsg,
+			p.RemapRetries, p.InvalsApplied,
 			p.RPCRetransmits, p.DupReplies, p.TCPRetransmits, p.TCPRTOs,
 			strings.Join(wr, "/"))
 	}

@@ -22,12 +22,6 @@ func TestScaleoutScales(t *testing.T) {
 		t.Fatalf("scaleout: 4 servers (%.1f MB/s) did not beat 1 server (%.1f MB/s)",
 			four.ThroughputMBs, one.ThroughputMBs)
 	}
-	if four.CPMembers == 0 {
-		t.Fatalf("scaleout: 4-server run fetched no member set from the control plane")
-	}
-	if four.LocalRouteHits == 0 {
-		t.Fatalf("scaleout: 4-server run answered no routes from the client ring replicas")
-	}
 	if four.RemapsSent == 0 {
 		t.Fatalf("scaleout: 4-server run announced no remaps (flushers idle?)")
 	}

@@ -1,8 +1,6 @@
 package controlplane
 
 import (
-	"fmt"
-
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/udp"
 	"ncache/internal/sim"
@@ -45,23 +43,16 @@ type pendingRemap struct {
 	lbns []int64
 }
 
-// registration is the agent's register request and the callback waiting on
-// it.
-type registration struct {
-	request
-	a    *Agent
-	done func(error)
-}
-
-// Agent is a front-end server's control-plane endpoint: it registers the
-// server's return route, announces completed FHO→LBN remaps, and applies
-// (and acknowledges) invalidations for remaps other servers performed.
+// Agent is a front-end server's control-plane endpoint, bound to Port on the
+// server's own node: it announces completed FHO→LBN remaps, and applies (and
+// acknowledges) invalidations for remaps other servers performed.
 type Agent struct {
 	node   *simnet.Node
-	ep     *endpoint
+	udp    *udp.Transport
+	local  eth.Addr
+	cp     eth.Addr
 	server int
 
-	reg registration
 	// path estimates the round trip to the control plane; a remap's includes
 	// the invalidation fan-out its ack waits for.
 	path sim.RTT
@@ -78,44 +69,41 @@ type Agent struct {
 	Stats AgentStats
 }
 
-// NewAgent creates the endpoint for server index `server`: a datagram socket
-// on the server's UDP transport, talking to the control plane at cp.
-func NewAgent(node *simnet.Node, t *udp.Transport, local, cp eth.Addr, server int) *Agent {
+// NewAgent creates the endpoint for server index `server`: Port on the
+// server's UDP transport, at its address local, hearing only the control
+// plane at cp.
+func NewAgent(node *simnet.Node, t *udp.Transport, local, cp eth.Addr, server int) (*Agent, error) {
 	a := &Agent{
 		node:    node,
+		udp:     t,
+		local:   local,
+		cp:      cp,
 		server:  server,
 		pending: make(map[uint64]*pendingRemap),
 		seen:    make(map[invalID]bool),
 	}
-	a.ep = openEndpoint(t, local, cp, a.handle)
-	return a
+	err := t.Bind(Port, func(dg udp.Datagram) {
+		if dg.Src != cp || dg.SrcPort != Port {
+			dg.Payload.Release()
+			return
+		}
+		if m, ok := decode(dg.Payload); ok {
+			a.handle(m)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // SetInvalidate installs the callback that drops remapped blocks from this
 // server's caches. Called once per applied invalidation, before the ack.
 func (a *Agent) SetInvalidate(fn func([]int64)) { a.invalidate = fn }
 
-// Register binds this server's return route at the control plane. done fires
-// exactly once: when the RegisterAck arrives, or with an error when the
-// request is abandoned (the passthru wiring registers before any client
-// traffic, so in practice one round trip; the bound keeps engine drains
-// finite if the control plane is down).
-func (a *Agent) Register(done func(error)) {
-	a.reg = registration{a: a, done: done}
-	a.reg.start(a.node.Eng, &a.reg, &a.path, 4*DefaultRetryMax)
-}
-
-func (g *registration) transmit(bool) {
-	g.a.send(Msg{Type: MsgRegister, Server: uint16(g.a.server)})
-}
-
-func (g *registration) abandon() {
-	g.done(fmt.Errorf("%s: register: no ack after %d tries", g.a, g.tries))
-}
-
 // send transmits one message to the control plane.
 func (a *Agent) send(m Msg) {
-	if err := a.ep.send(m); err != nil {
+	if err := sendMsg(a.udp, a.local, a.cp, m); err != nil {
 		a.Stats.Errors++
 	}
 }
@@ -179,11 +167,6 @@ func (p *pendingRemap) abandon() {
 // handle runs one control-plane message against the agent.
 func (a *Agent) handle(m Msg) {
 	switch m.Type {
-	case MsgRegisterAck:
-		if a.reg.settle() {
-			a.reg.done(nil)
-		}
-
 	case MsgRemapAck:
 		// An ack for a chunk already acknowledged or abandoned finds no
 		// entry and is ignored.
@@ -222,9 +205,4 @@ func (a *Agent) handleInvalidate(m Msg) {
 		From:   uint16(a.server),
 		Seq:    m.Seq,
 	})
-}
-
-// String identifies the agent in diagnostics.
-func (a *Agent) String() string {
-	return fmt.Sprintf("cp.agent(server=%d)", a.server)
 }

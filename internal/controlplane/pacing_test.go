@@ -39,7 +39,6 @@ func (n *cpNet) announce(t *testing.T, lbn int64) uint64 {
 func TestRTOColdStartConvergesAndUnlearns(t *testing.T) {
 	const announcements, delay = 20, 3 * DefaultRetryRTO
 	n := buildCPNet(t)
-	n.register(t)
 	slow := n.inject(delayed("srv0.tx", delay))
 	sends := make([]uint64, announcements)
 	var lastTen uint64
@@ -90,7 +89,7 @@ func TestRTOColdStartConvergesAndUnlearns(t *testing.T) {
 }
 
 // TestRTOEstimatorPerPeer: the control plane keeps one estimator per
-// registered server. With one peer's link delayed, invalidations to it stop
+// server. With one peer's link delayed, invalidations to it stop
 // being resent once its path has learned the delay, while the path to the
 // other peer stays at the floor — a frame lost on the way to that one is
 // still resent 10 ms later — and the origin's, which is never sent an
@@ -98,7 +97,6 @@ func TestRTOColdStartConvergesAndUnlearns(t *testing.T) {
 func TestRTOEstimatorPerPeer(t *testing.T) {
 	const delay = 3 * DefaultRetryRTO
 	n := buildCPNetOf(t, 3)
-	n.register(t)
 	n.inject(delayed("srv1.rx", delay))
 	for i := 0; i < 10; i++ {
 		n.announce(t, int64(i))
@@ -141,7 +139,6 @@ func TestRTOEstimatorPerPeer(t *testing.T) {
 // the peer learns of the blocks in the order they were announced.
 func TestRemapRoundOneInFlight(t *testing.T) {
 	n := buildCPNet(t)
-	n.register(t)
 	ag := n.agents[0]
 	// A round trip of a little over 4 ms: under the floor, so nothing is
 	// resent, and long enough to stand between two rounds.
@@ -197,7 +194,6 @@ func TestRemapRoundOneInFlight(t *testing.T) {
 // those LBNs for ever.
 func TestFaultAbandonedRoundFreesQueue(t *testing.T) {
 	n := buildCPNet(t)
-	n.register(t)
 	ag := n.agents[0]
 	lastSend, giveUp := budget(DefaultRetryMax-1), budget(DefaultRetryMax)
 	n.drop("cp*", fault.Schedule{Start: n.eng.Now(), End: n.eng.Now().Add(lastSend + DefaultRetryRTO)})

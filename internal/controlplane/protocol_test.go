@@ -14,22 +14,20 @@ import (
 	"ncache/internal/simnet"
 )
 
-// cpNet is a little control-plane testbed: the CP node, two front-end
-// agents (buildCPNetOf builds more), and one resolver host.
+// cpNet is a little control-plane testbed: the CP node and two front-end
+// agents (buildCPNetOf builds more).
 type cpNet struct {
-	eng      *sim.Engine
-	nw       *simnet.Network
-	cp       *Server
-	cpUDP    *udp.Transport
-	agents   []*Agent
-	invals   [][]int64 // per-agent invalidated LBNs
-	resolver *Resolver
+	eng    *sim.Engine
+	nw     *simnet.Network
+	cp     *Server
+	cpUDP  *udp.Transport
+	agents []*Agent
+	invals [][]int64 // per-agent invalidated LBNs
 }
 
 const (
-	tCPAddr     = eth.Addr(1)
-	tServer0    = eth.Addr(0x10)
-	tClientAddr = eth.Addr(0x100)
+	tCPAddr  = eth.Addr(1)
+	tServer0 = eth.Addr(0x10)
 )
 
 // buildCPNet wires the testbed with two servers.
@@ -63,48 +61,27 @@ func buildCPNetOf(t *testing.T, numServers int) *cpNet {
 	n.invals = make([][]int64, numServers)
 	for i, addr := range servers {
 		i := i
-		node, t := host(fmt.Sprintf("srv%d", i), addr)
-		ag := NewAgent(node, t, addr, tCPAddr, i)
+		node, udpT := host(fmt.Sprintf("srv%d", i), addr)
+		ag, err := NewAgent(node, udpT, addr, tCPAddr, i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ag.SetInvalidate(func(lbns []int64) {
 			n.invals[i] = append(n.invals[i], lbns...)
 		})
 		n.agents = append(n.agents, ag)
 	}
-
-	clNode, clUDP := host("client", tClientAddr)
-	n.resolver = NewResolver(clNode, clUDP, tClientAddr, tCPAddr)
 	return n
 }
 
 // runt sends a 3-byte datagram from the control plane's service port to an
-// endpoint and lets it land.
-func (n *cpNet) runt(t *testing.T, to *endpoint) {
+// agent and lets it land.
+func (n *cpNet) runt(t *testing.T, to *Agent) {
 	t.Helper()
-	if err := n.cpUDP.SendChain(tCPAddr, Port, to.local, to.port, netbuf.ChainFromBytes([]byte{1, 2, 3}, netbuf.DefaultBufSize)); err != nil {
+	if err := n.cpUDP.SendChain(tCPAddr, Port, to.local, Port, netbuf.ChainFromBytes([]byte{1, 2, 3}, netbuf.DefaultBufSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// register runs every agent's registration to completion.
-func (n *cpNet) register(t *testing.T) {
-	t.Helper()
-	for i, ag := range n.agents {
-		i := i
-		ag.Register(func(err error) {
-			if err != nil {
-				t.Errorf("agent %d register: %v", i, err)
-			}
-		})
-	}
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if int(n.cp.Stats.Registers) < len(n.agents) {
-		t.Fatalf("control plane saw %d registers, want >= %d", n.cp.Stats.Registers, len(n.agents))
-	}
+	n.run(t)
 }
 
 // inject replaces the network's fault schedules with scheds, armed, and
@@ -178,10 +155,11 @@ func (n *cpNet) checkDrained(t *testing.T) {
 
 // TestWireRoundTrip: every field of a message survives Encode → decode,
 // including an LBN list; the header is 48 bytes with every retired field
-// (bytes 6–19 and 28–35) encoded as zero; a datagram whose length prefix
+// (bytes 6–19 and 28–43) encoded as zero; a datagram whose length prefix
 // disagrees with its size, and a runt, decode to nothing; and a well-formed
-// datagram of a retired type (3 and 4, the per-handle lookup) is one protocol
-// error at the server and nothing else.
+// datagram of a retired type (1 and 2, registration; 3 and 4, the per-handle
+// lookup; 9 and 10, the member-set fetch), or a remap naming a server outside
+// the member set, is one protocol error at the server and nothing else.
 func TestWireRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	node := simnet.NewNode(eng, "n", simnet.DefaultProfile())
@@ -190,7 +168,6 @@ func TestWireRoundTrip(t *testing.T) {
 		Server: 1,
 		From:   1,
 		Seq:    9,
-		LBN:    12345,
 		LBNs:   []int64{1, 5, 9, 1 << 40},
 	}
 	ch, err := Encode(node.TxPool, in)
@@ -202,7 +179,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("a %d-LBN message encodes to %d bytes: the header is no longer 48", len(in.LBNs), len(wire))
 	}
 	hdr := wire[frameLenBytes:]
-	for _, zero := range [][2]int{{1, 2}, {6, 20}, {28, 36}} {
+	for _, zero := range [][2]int{{1, 2}, {6, 20}, {28, 44}} {
 		for i := zero[0]; i < zero[1]; i++ {
 			if hdr[i] != 0 {
 				t.Fatalf("header byte %d = %#x, want 0: a retired field is back on the wire", i, hdr[i])
@@ -213,8 +190,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("decode rejected an encoded message")
 	}
-	if out.Type != in.Type || out.Server != in.Server || out.From != in.From ||
-		out.Seq != in.Seq || out.LBN != in.LBN {
+	if out.Type != in.Type || out.Server != in.Server || out.From != in.From || out.Seq != in.Seq {
 		t.Fatalf("header mismatch: %+v != %+v", out, in)
 	}
 	if len(out.LBNs) != len(in.LBNs) {
@@ -230,61 +206,35 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("decode accepted a %d-byte datagram of a %d-byte frame", len(bad), len(wire))
 		}
 	}
-	codes := []MsgType{MsgRegister, MsgRegisterAck, MsgRemap, MsgRemapAck, MsgInvalidate, MsgInvalidateAck, MsgMembers, MsgMembersResp}
-	if want := []MsgType{1, 2, 5, 6, 7, 8, 9, 10}; !slices.Equal(codes, want) {
+	codes := []MsgType{MsgRemap, MsgRemapAck, MsgInvalidate, MsgInvalidateAck}
+	if want := []MsgType{5, 6, 7, 8}; !slices.Equal(codes, want) {
 		t.Fatalf("message codes = %v, want %v: a surviving type code moved", codes, want)
 	}
 
 	n := buildCPNet(t)
-	n.register(t)
-	for _, retired := range []MsgType{3, 4} {
-		before, agent := n.cp.Stats, n.agents[0].Stats
-		if err := n.resolver.ep.send(Msg{Type: retired, Seq: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+	bad := []Msg{{Type: MsgRemap, Server: 2, Seq: 1, LBNs: []int64{5}}}
+	for _, retired := range []MsgType{1, 2, 3, 4, 9, 10} {
+		bad = append(bad, Msg{Type: retired, Seq: 1})
+	}
+	for _, m := range bad {
+		before, agents := n.cp.Stats, [2]AgentStats{n.agents[0].Stats, n.agents[1].Stats}
+		n.agents[0].send(m)
+		n.run(t)
 		before.Errors++
 		if n.cp.Stats != before {
-			t.Fatalf("type %d: server stats %+v, want %+v (one error, nothing else)", retired, n.cp.Stats, before)
+			t.Fatalf("%+v: server stats %+v, want %+v (one error, nothing else)", m, n.cp.Stats, before)
 		}
-		if n.resolver.Stats != (ResolverStats{}) || n.agents[0].Stats != agent {
-			t.Fatalf("type %d was answered: resolver %+v, agent %+v", retired, n.resolver.Stats, n.agents[0].Stats)
+		if now := [2]AgentStats{n.agents[0].Stats, n.agents[1].Stats}; now != agents {
+			t.Fatalf("%+v was answered: agents %+v, were %+v", m, now, agents)
 		}
 	}
 }
 
-// TestProtocolUDP exercises register → lookup → remap → invalidate → ack.
+// TestProtocolUDP exercises remap → invalidate → ack, with no handshake
+// before it: the agents and the service know each other's addresses from
+// the member set.
 func TestProtocolUDP(t *testing.T) {
 	n := buildCPNet(t)
-	n.register(t)
-
-	// Routing lookups agree with the placement authority, and repeat
-	// lookups hit the client-side cache.
-	fh := fhOf(42)
-	want := n.cp.reg.ring.LookupFH(fh)
-	var gotServer = -2
-	n.resolver.Resolve(fh, func(server int, err error) {
-		if err != nil {
-			t.Errorf("resolve: %v", err)
-		}
-		gotServer = server
-	})
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if gotServer != want {
-		t.Fatalf("resolver placed fh on %d, registry says %d", gotServer, want)
-	}
-	n.resolver.Resolve(fh, func(server int, err error) {
-		if err != nil || server != want {
-			t.Errorf("cached resolve: server=%d err=%v", server, err)
-		}
-	})
-	if n.resolver.Stats.CacheHits != 1 {
-		t.Fatalf("second resolve missed the route cache (hits=%d)", n.resolver.Stats.CacheHits)
-	}
 
 	// A remap from server 0 must invalidate exactly its peers, then ack
 	// the origin.
@@ -312,18 +262,15 @@ func TestProtocolUDP(t *testing.T) {
 
 // TestRuntDatagramCostsNoResend: a runt from the control-plane address is
 // dropped alone — the valid message after it is applied on its first
-// transmission, at an agent (MsgInvalidate) and at a resolver
-// (MsgMembersResp). A receive path that keeps bytes across datagrams glues
-// the runt to the next frame and the sender pays a retry timeout.
+// transmission, at the peer (MsgInvalidate) and at the origin (MsgRemapAck).
+// A receive path that keeps bytes across datagrams glues the runt to the
+// next frame and the sender pays a retry timeout.
 func TestRuntDatagramCostsNoResend(t *testing.T) {
 	n := buildCPNet(t)
-	n.register(t)
-
-	n.runt(t, n.agents[1].ep)
+	n.runt(t, n.agents[1])
+	n.runt(t, n.agents[0])
 	n.agents[0].SendRemap([]int64{5, 6, 7})
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.run(t)
 	if got := n.invals[1]; len(got) != 3 {
 		t.Fatalf("peer invalidations = %v, want [5 6 7]", got)
 	}
@@ -331,122 +278,16 @@ func TestRuntDatagramCostsNoResend(t *testing.T) {
 		t.Fatalf("InvalidationResends = %d, want 0: the runt cost the next invalidation a retry",
 			n.cp.Stats.InvalidationResends)
 	}
-
-	n.runt(t, n.resolver.ep)
-	n.resolver.Resolve(fhOf(42), func(_ int, err error) {
-		if err != nil {
-			t.Errorf("resolve: %v", err)
-		}
-	})
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
+	if st := n.agents[0].Stats; st.RemapsAcked != 1 || st.RemapRetries != 0 {
+		t.Fatalf("RemapsAcked = %d, RemapRetries = %d; want 1, 0: the runt cost the remap ack a retry",
+			st.RemapsAcked, st.RemapRetries)
 	}
-	if n.resolver.Stats.MemberFetches != 1 || n.resolver.Stats.Retries != 0 {
-		t.Fatalf("MemberFetches = %d, Retries = %d; want 1, 0: the runt cost the member-set response a retry",
-			n.resolver.Stats.MemberFetches, n.resolver.Stats.Retries)
-	}
-}
-
-// TestFaultBootstrapOutageHeals: a control-plane outage at first use costs
-// the client errors only while it lasts. An outage inside the member-set
-// fetch's budget costs nothing but time: the handle asked for resolves, and
-// every later cold handle is answered locally. One past the budget fails each
-// lookup parked behind the fetch exactly once, and the first Resolve after it
-// fetches afresh — there is no degraded mode to heal from. The budget is 12
-// sends whose waits double from the floor to the cap: the last leaves at
-// 1,270 ms and is given up on at 1,430 ms, the figures DESIGN §10 states.
-func TestFaultBootstrapOutageHeals(t *testing.T) {
-	const sends = 2 * DefaultRetryMax
-	lastSend, giveUp := budget(sends-1), budget(sends)
-	if lastSend != 1270*sim.Millisecond || giveUp != 1430*sim.Millisecond {
-		t.Fatalf("a member-set fetch's last send leaves at %v and is given up on at %v; DESIGN §10 says 1.27 s and 1.43 s", lastSend, giveUp)
-	}
-	// outage drops everything on both directions of the control plane's
-	// link from now until d has passed.
-	outage := func(n *cpNet, d sim.Duration) {
-		n.drop("cp*", fault.Schedule{Start: n.eng.Now(), End: n.eng.Now().Add(d)})
-	}
-	resolve := func(t *testing.T, n *cpNet, i uint64) {
-		n.resolver.Resolve(fhOf(i), func(server int, err error) {
-			if err != nil || server != n.cp.reg.ring.LookupFH(fhOf(i)) {
-				t.Errorf("resolve %d: server=%d err=%v", i, server, err)
-			}
-		})
-		n.run(t)
-	}
-	coldHandlesAreLocal := func(t *testing.T, n *cpNet) {
-		for i := uint64(1); i <= 8; i++ {
-			resolve(t, n, i)
-		}
-		if n.resolver.Stats.MemberFetches != 1 || n.resolver.Stats.LocalHits != 9 || n.cp.Stats.LookupsMembers != 1 {
-			t.Fatalf("MemberFetches = %d, LocalHits = %d, member sets served = %d; want 1, 9, 1: cold handles still cost a round trip",
-				n.resolver.Stats.MemberFetches, n.resolver.Stats.LocalHits, n.cp.Stats.LookupsMembers)
-		}
-	}
-
-	t.Run("within the budget", func(t *testing.T) {
-		// The longest outage that costs nothing: it ends just before the
-		// last send leaves.
-		longest := lastSend - DefaultRetryRTO/2
-		n := buildCPNet(t)
-		n.register(t)
-		outage(n, longest)
-		resolve(t, n, 0)
-		if n.resolver.Stats.MemberFetches != 1 || n.resolver.Stats.Retries != sends-1 || n.resolver.Stats.Failures != 0 {
-			t.Fatalf("through a %v outage: MemberFetches = %d, Retries = %d, Failures = %d; want 1, %d, 0", longest,
-				n.resolver.Stats.MemberFetches, n.resolver.Stats.Retries, n.resolver.Stats.Failures, sends-1)
-		}
-		coldHandlesAreLocal(t, n)
-	})
-
-	t.Run("past the budget", func(t *testing.T) {
-		n := buildCPNet(t)
-		n.register(t)
-		outage(n, giveUp+DefaultRetryRTO/2)
-		start := n.eng.Now()
-		const parked = 3
-		var failed [parked]int
-		for i := range failed {
-			i := i
-			n.resolver.Resolve(fhOf(uint64(100+i)), func(server int, err error) {
-				if err == nil || server != -1 {
-					t.Errorf("parked lookup %d: server=%d err=%v, want a failure", i, server, err)
-				}
-				if got := n.eng.Now().Sub(start); got != giveUp {
-					t.Errorf("parked lookup %d failed after %v, want %v", i, got, giveUp)
-				}
-				failed[i]++
-			})
-		}
-		n.run(t)
-		if failed != [parked]int{1, 1, 1} || n.resolver.Stats.Failures != parked {
-			t.Fatalf("parked lookups failed %v times, Failures = %d; want once each, %d", failed, n.resolver.Stats.Failures, parked)
-		}
-		if n.resolver.Stats.Retries != sends-1 || n.resolver.Stats.MemberFetches != 0 {
-			t.Fatalf("Retries = %d, MemberFetches = %d; want %d, 0", n.resolver.Stats.Retries, n.resolver.Stats.MemberFetches, sends-1)
-		}
-		t.Logf("outage past the budget: %d parked lookups failed once each at +%v; Retries = %d",
-			parked, giveUp, n.resolver.Stats.Retries)
-		// Half a floor interval later the outage is over: the very next
-		// Resolve fetches the member set, first try.
-		n.runFor(t, DefaultRetryRTO)
-		retries := n.resolver.Stats.Retries
-		resolve(t, n, 0)
-		if n.resolver.Stats.Retries != retries || n.resolver.Stats.Failures != parked {
-			t.Fatalf("after the heal: Retries %d → %d, Failures = %d; want no retry and no new failure",
-				retries, n.resolver.Stats.Retries, n.resolver.Stats.Failures)
-		}
-		coldHandlesAreLocal(t, n)
-		t.Logf("after the heal: the first Resolve fetched the member set (MemberFetches = %d, no retry); it and 8 more cold handles were answered by the replica (LocalHits = %d)",
-			n.resolver.Stats.MemberFetches, n.resolver.Stats.LocalHits)
-	})
 }
 
 // TestRemapDuplicateIdempotent: redelivering a completed remap (same
 // server/seq pair) must re-ack without a second invalidation round.
 func TestRemapDuplicateIdempotent(t *testing.T) {
 	n := buildCPNet(t)
-	n.register(t)
 	n.agents[0].SendRemap([]int64{11, 12})
 	if err := n.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -459,14 +300,13 @@ func TestRemapDuplicateIdempotent(t *testing.T) {
 
 	// Redeliver the identical remap straight into the dispatch path (the
 	// wire would produce exactly this on a retransmission whose original
-	// ack was lost). The re-ack rides the origin's registered route, not
-	// the request's reply path.
+	// ack was lost).
 	n.cp.dispatch(Msg{
 		Type:   MsgRemap,
 		Server: 0,
 		Seq:    1,
 		LBNs:   []int64{11, 12},
-	}, peer{})
+	})
 	if err := n.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -485,57 +325,18 @@ func TestRemapDuplicateIdempotent(t *testing.T) {
 	}
 }
 
-// TestResolverLocalRing: after one member-set bootstrap the resolver
-// answers every cold lookup from its local ring replica — bit-identically
-// to the registry — and the control plane hears from the client once.
-func TestResolverLocalRing(t *testing.T) {
-	n := buildCPNet(t)
-	n.register(t)
-	const handles = 64
-	got := make([]int, handles)
-	for i := 0; i < handles; i++ {
-		i := i
-		n.resolver.Resolve(fhOf(uint64(i)), func(server int, err error) {
-			if err != nil {
-				t.Errorf("resolve %d: %v", i, err)
-			}
-			got[i] = server
-		})
-	}
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if want := n.cp.reg.ring.LookupFH(fhOf(uint64(i))); got[i] != want {
-			t.Fatalf("handle %d placed on %d, registry says %d", i, got[i], want)
-		}
-	}
-	if n.cp.Stats.LookupsMembers != 1 || n.cp.Stats.Errors != 0 {
-		t.Fatalf("control plane served %d member fetches and counted %d errors, want 1 and 0",
-			n.cp.Stats.LookupsMembers, n.cp.Stats.Errors)
-	}
-	if n.resolver.Stats.LocalHits != handles {
-		t.Fatalf("LocalHits = %d, want %d", n.resolver.Stats.LocalHits, handles)
-	}
-	if n.resolver.Stats.MemberFetches != 1 {
-		t.Fatalf("MemberFetches = %d, want 1", n.resolver.Stats.MemberFetches)
-	}
-}
-
 // loopCounts is what became of one request, read off the testbed once the
 // engine has drained.
 type loopCounts struct {
 	// arrived counts the transmissions that reached their receiver.
 	arrived uint64
-	// first and again are the owner's own send counters; a registration
-	// keeps none.
+	// first and again are the owner's own send counters.
 	first, again uint64
-	uncounted    bool
 	// abandoned counts how often abandon's effect happened.
 	abandoned uint64
 }
 
-// TestRequestLoop runs the protocol's one resend loop under each of its four
+// TestRequestLoop runs the protocol's one resend loop under each of its two
 // owners, with the first k of its transmissions lost: the request goes out
 // min(k+1, max) times, the owner counts one first send and the rest as
 // resends, giving up happens once and only when all max were lost, and the
@@ -544,7 +345,6 @@ type loopCounts struct {
 // rttvar alone and hands its wait — doubled per resend from the floor, up to
 // the cap — to whoever uses the path next.
 func TestRequestLoop(t *testing.T) {
-	agentPath := func(n *cpNet) *sim.RTT { return &n.agents[0].path }
 	owners := []struct {
 		name string
 		max  int
@@ -552,26 +352,10 @@ func TestRequestLoop(t *testing.T) {
 		lossSite string
 		// path is the estimator the owner's requests belong to.
 		path func(n *cpNet) *sim.RTT
-		// start issues the request (on registered agents, unless the request
-		// is the registration) and returns how to read the outcome.
+		// start issues the request and returns how to read the outcome.
 		start func(t *testing.T, n *cpNet) func() loopCounts
 	}{
-		{"registration", 4 * DefaultRetryMax, "cp.rx", agentPath, func(t *testing.T, n *cpNet) func() loopCounts {
-			var calls, failed uint64
-			n.agents[0].Register(func(err error) {
-				calls++
-				if err != nil {
-					failed++
-				}
-			})
-			return func() loopCounts {
-				if calls != 1 {
-					t.Errorf("Register's callback fired %d times, want 1", calls)
-				}
-				return loopCounts{arrived: n.cp.Stats.Registers, uncounted: true, abandoned: failed}
-			}
-		}},
-		{"remap chunk", DefaultRetryMax, "cp.rx", agentPath, func(t *testing.T, n *cpNet) func() loopCounts {
+		{"remap chunk", DefaultRetryMax, "cp.rx", func(n *cpNet) *sim.RTT { return &n.agents[0].path }, func(t *testing.T, n *cpNet) func() loopCounts {
 			ag := n.agents[0]
 			ag.SendRemap([]int64{5, 6, 7})
 			return func() loopCounts {
@@ -595,31 +379,12 @@ func TestRequestLoop(t *testing.T) {
 					first: n.cp.Stats.InvalidationsSent, again: n.cp.Stats.InvalidationResends, abandoned: n.cp.Stats.Abandoned}
 			}
 		}},
-		{"member-set fetch", 2 * DefaultRetryMax, "cp.rx", func(n *cpNet) *sim.RTT { return &n.resolver.path }, func(t *testing.T, n *cpNet) func() loopCounts {
-			var calls uint64
-			n.resolver.Resolve(fhOf(42), func(server int, err error) {
-				calls++
-				if (err == nil) != (server == n.cp.reg.ring.LookupFH(fhOf(42))) {
-					t.Errorf("resolve: server=%d err=%v", server, err)
-				}
-			})
-			return func() loopCounts {
-				if calls != 1 {
-					t.Errorf("Resolve's callback fired %d times, want 1", calls)
-				}
-				return loopCounts{arrived: n.cp.Stats.LookupsMembers,
-					first: 1, again: n.resolver.Stats.Retries, abandoned: n.resolver.Stats.Failures}
-			}
-		}},
 	}
 	for _, o := range owners {
 		for _, k := range []int{0, 1, o.max - 1, o.max} {
 			o, k := o, k
 			t.Run(fmt.Sprintf("%s/lose %d of %d", o.name, k, o.max), func(t *testing.T) {
 				n := buildCPNet(t)
-				if o.name != "registration" {
-					n.register(t)
-				}
 				var in *fault.Injector // a Count of 0 would mean no limit: to lose nothing, arm nothing
 				if k > 0 {
 					in = n.drop(o.lossSite, fault.Schedule{Count: uint64(k)})
@@ -645,7 +410,7 @@ func TestRequestLoop(t *testing.T) {
 				if lost+got.arrived != sends || lost != uint64(k) {
 					t.Errorf("%d transmissions lost + %d arrived, want %d sends of which %d lost", lost, got.arrived, sends, k)
 				}
-				if !got.uncounted && (got.first != 1 || got.again != sends-1) {
+				if got.first != 1 || got.again != sends-1 {
 					t.Errorf("owner counted %d first sends and %d resends, want 1 and %d", got.first, got.again, sends-1)
 				}
 				if got.abandoned != gaveUp {

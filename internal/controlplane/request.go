@@ -3,23 +3,21 @@ package controlplane
 import "ncache/internal/sim"
 
 // The protocol's retransmission bounds. A request is resent after its path's
-// interval (a sim.RTT estimate: one per agent, per registered peer on the
-// server, per resolver) — DefaultRetryRTO on a path that measures less — and
-// every resend doubles that request's wait, up to maxRetryRTO, which no
-// round trip the committed sweeps measure comes near (131 ms at 8 servers).
-// DefaultRetryMax sends is the budget of a remap announcement and of one
-// peer's invalidation; a member-set fetch gets twice that and a registration
-// four times. In time, from the floor: 10 + 20 + 40 + 80 + 160 + 160 = 470 ms
-// for 6 sends, 1,430 ms for 12 and 3,350 ms for 24; on a path that has
-// learned a longer interval, at most sends × maxRetryRTO.
+// interval (a sim.RTT estimate: one per agent, one per peer on the server) —
+// DefaultRetryRTO on a path that measures less — and every resend doubles
+// that request's wait, up to maxRetryRTO, which no round trip the committed
+// sweeps measure comes near (131 ms at 8 servers). DefaultRetryMax sends is
+// the budget of a remap announcement and of one peer's invalidation: from the
+// floor, 10 + 20 + 40 + 80 + 160 + 160 = 470 ms; on a path that has learned a
+// longer interval, at most DefaultRetryMax × maxRetryRTO.
 const (
 	DefaultRetryRTO = 10 * sim.Millisecond
 	maxRetryRTO     = 160 * sim.Millisecond
 	DefaultRetryMax = 6
 )
 
-// requester is the state a request belongs to: an agent's registration, a
-// remap chunk, one peer's invalidation, a resolver's member-set fetch.
+// requester is the state a request belongs to: a remap chunk, or one peer's
+// invalidation.
 type requester interface {
 	// transmit sends the request once, and is where the owner counts sends;
 	// again is false on the first.
@@ -76,10 +74,10 @@ func (q *request) fire() {
 
 // settle ends the loop on the response to the request, and samples the
 // path's round trip if the response can only be to the one send (Karn's
-// rule). It reports false when there was nothing to end: the request never
-// started, or has settled already.
+// rule). It reports false when there was nothing to end: the request has
+// settled already.
 func (q *request) settle() bool {
-	if q.tries == 0 || q.settled {
+	if q.settled {
 		return false
 	}
 	q.settled = true

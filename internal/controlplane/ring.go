@@ -1,13 +1,13 @@
-// Package controlplane shards the pass-through tier: a registry of
-// file-handle → front-end-server placement dealt round-robin over the fixed
-// member set (the same arithmetic places LBN ranges on iSCSI targets, in
-// package storage), a small control-plane service that hands clients the
-// member set to replicate that placement from, over UDP (a datagram protocol:
-// every request is resent by one application-level loop, request.go), and the
-// remap protocol that keeps FHO→LBN re-indexing coherent when the server
-// flushing a block is not the server caching it: remap messages, named by
-// (server, seq), fan out as invalidations, are acknowledged individually, and
-// are retried idempotently under frame loss.
+// Package controlplane shards the pass-through tier: file-handle →
+// front-end-server placement dealt round-robin over the fixed member set,
+// which every client computes locally (the same arithmetic places LBN ranges
+// on iSCSI targets, in package storage), and a small control-plane service
+// whose one job is the remap protocol that keeps FHO→LBN re-indexing coherent
+// when the server flushing a block is not the server caching it: remap
+// messages, named by (server, seq), fan out as invalidations, are
+// acknowledged individually, and are retried idempotently under frame loss.
+// It is a datagram protocol over UDP: every request is resent by one
+// application-level loop, request.go.
 package controlplane
 
 import (
@@ -37,9 +37,6 @@ func (r *Ring) Add(member int) {
 		r.members = slices.Insert(r.members, i, member)
 	}
 }
-
-// Members returns the member IDs in ascending order.
-func (r *Ring) Members() []int { return slices.Clone(r.members) }
 
 // Lookup maps a key to its owning member. Returns -1 on an empty ring.
 func (r *Ring) Lookup(key uint64) int {

@@ -2,11 +2,9 @@ package controlplane
 
 import (
 	"encoding/binary"
-	"slices"
 	"testing"
 
 	"ncache/internal/lkey"
-	"ncache/internal/proto/eth"
 	"ncache/internal/storage"
 )
 
@@ -85,9 +83,6 @@ func TestRingDeterministic(t *testing.T) {
 	for _, m := range []int{3, 1, 0, 2, 1} {
 		b.Add(m)
 	}
-	if !slices.Equal(a.Members(), b.Members()) {
-		t.Fatalf("members %v vs %v", a.Members(), b.Members())
-	}
 	for k := uint64(0); k < 10_000; k++ {
 		if a.Lookup(k) != b.Lookup(k) {
 			t.Fatalf("key %d: placement depends on insertion order (%d vs %d)",
@@ -120,19 +115,18 @@ func TestRingLookupZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
-// TestRegistryPlacement: every server is a member, and the registry places
-// a handle on one of them.
-func TestRegistryPlacement(t *testing.T) {
-	addrs := []eth.Addr{0x0a000010, 0x0a000018, 0x0a000020, 0x0a000028}
-	g := NewRegistry(addrs)
-	if got := g.Members(); !slices.Equal(got, []int{0, 1, 2, 3}) {
-		t.Fatalf("Members() = %v, want [0 1 2 3]", got)
+// TestResolverLocalRing: a client's resolver, built from the server count
+// alone, places every handle where the ring over that many members does —
+// inode mod n — and answers every lookup locally.
+func TestResolverLocalRing(t *testing.T) {
+	const servers, handles = 3, 64
+	r, ring := NewResolver(servers), ringOf(servers)
+	for i := uint64(0); i < handles; i++ {
+		if got, want := r.Resolve(fhOf(i)), ring.LookupFH(fhOf(i)); got != want || got != int(i%servers) {
+			t.Fatalf("handle %d placed on %d, ring says %d", i, got, want)
+		}
 	}
-	placed := g.ring.LookupFH(fhOf(7))
-	if placed != 7%len(addrs) {
-		t.Fatalf("inode 7 placed on %d, want %d", placed, 7%len(addrs))
-	}
-	if g.AddrOf(placed) != addrs[placed] {
-		t.Fatalf("AddrOf(%d) = %x, want %x", placed, g.AddrOf(placed), addrs[placed])
+	if want := (ResolverStats{Lookups: handles, LocalHits: handles}); r.Stats != want {
+		t.Fatalf("Stats = %+v, want %+v", r.Stats, want)
 	}
 }

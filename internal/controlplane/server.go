@@ -9,8 +9,6 @@ import (
 
 // Stats counts control-plane activity.
 type Stats struct {
-	Registers           uint64
-	LookupsMembers      uint64
 	RemapsStarted       uint64
 	RemapDups           uint64
 	RemapAcksSent       uint64
@@ -48,41 +46,34 @@ type remapState struct {
 	done  bool
 }
 
-// peer is a datagram return route: where a request came from, and the local
-// address it arrived on, which the answer is sourced from.
-type peer struct {
-	local, addr eth.Addr
-	port        uint16
-}
-
-// Server is the control-plane service: the member set for clients,
-// registration and the remap/invalidate protocol for front-end servers.
-// Single-homed on its own node so its CPU saturation is measurable.
+// Server is the control-plane service: the remap/invalidate protocol among
+// the front-end servers. Single-homed on its own node so its CPU saturation
+// is measurable.
 type Server struct {
 	node *simnet.Node
-	reg  *Registry
+	addr eth.Addr
 
-	// routes[i] is where server i registered from (nil until it does).
+	// servers[i] is server i's address, where its agent listens on Port.
 	// Indexed by server ID so fan-out order is deterministic. paths[i]
 	// estimates the round trip to server i, for the invalidations sent to it.
-	routes []*peer
-	paths  []sim.RTT
-	remaps map[remapID]*remapState
+	servers []eth.Addr
+	paths   []sim.RTT
+	remaps  map[remapID]*remapState
 
 	udp   *udp.Transport
 	Stats Stats
 }
 
-// NewServer creates the control-plane service on node. servers lists the
-// front-end servers' fabric addresses by index; the index is the protocol's
-// server ID. At most MaxLBNs servers: the member set travels in one message.
+// NewServer creates the control-plane service on node, already attached to
+// the fabric by its one NIC. servers lists the front-end servers' fabric
+// addresses by index; the index is the protocol's server ID.
 func NewServer(node *simnet.Node, servers []eth.Addr) *Server {
 	return &Server{
-		node:   node,
-		reg:    NewRegistry(servers),
-		routes: make([]*peer, len(servers)),
-		paths:  make([]sim.RTT, len(servers)),
-		remaps: make(map[remapID]*remapState),
+		node:    node,
+		addr:    node.NICs()[0].Addr,
+		servers: append([]eth.Addr(nil), servers...),
+		paths:   make([]sim.RTT, len(servers)),
+		remaps:  make(map[remapID]*remapState),
 	}
 }
 
@@ -98,48 +89,29 @@ func (s *Server) ServeUDP(t *udp.Transport) error {
 			s.Stats.Errors++
 			return
 		}
-		s.dispatch(m, peer{local: dg.Dst, addr: dg.Src, port: dg.SrcPort})
+		s.dispatch(m)
 	})
 }
 
-// send transmits one message from the service port.
-func (s *Server) send(to peer, m Msg) {
-	if err := sendMsg(s.udp, to.local, Port, to.addr, to.port, m); err != nil {
+// send transmits one message to server idx's agent.
+func (s *Server) send(idx int, m Msg) {
+	if err := sendMsg(s.udp, s.addr, s.servers[idx], m); err != nil {
 		s.Stats.Errors++
 	}
 }
 
 // dispatch charges the control CPU and handles one message. The charge
-// models RPC decode plus one placement-table operation, so control-plane
+// models RPC decode plus one protocol-table operation, so control-plane
 // saturation shows up in the scale-out sweep like any other CPU.
-func (s *Server) dispatch(m Msg, from peer) {
+func (s *Server) dispatch(m Msg) {
 	s.node.Charge(s.node.Cost.RPCNs+s.node.Cost.NCacheLookupNs, func() {
-		s.handle(m, from)
+		s.handle(m)
 	})
 }
 
 // handle runs one message from a peer against the protocol state machine.
-func (s *Server) handle(m Msg, from peer) {
+func (s *Server) handle(m Msg) {
 	switch m.Type {
-	case MsgRegister:
-		idx := int(m.Server)
-		if idx < 0 || idx >= len(s.routes) {
-			s.Stats.Errors++
-			return
-		}
-		s.Stats.Registers++
-		route := from
-		s.routes[idx] = &route
-		s.send(from, Msg{Type: MsgRegisterAck, Server: m.Server})
-
-	case MsgMembers:
-		s.Stats.LookupsMembers++
-		r := Msg{Type: MsgMembersResp, Seq: m.Seq}
-		for _, idx := range s.reg.Members() {
-			r.LBNs = append(r.LBNs, int64(uint64(idx)<<32|uint64(uint32(s.reg.AddrOf(idx)))))
-		}
-		s.send(from, r)
-
 	case MsgRemap:
 		s.handleRemap(m)
 
@@ -152,9 +124,13 @@ func (s *Server) handle(m Msg, from peer) {
 }
 
 // handleRemap starts (or re-acknowledges) one remap: fan out invalidations
-// to every other registered server, ack the origin once all of them
-// acknowledged.
+// to every other server, ack the origin once all of them acknowledged. A
+// remap from outside the member set is a protocol error.
 func (s *Server) handleRemap(m Msg) {
+	if int(m.Server) >= len(s.servers) {
+		s.Stats.Errors++
+		return
+	}
 	id := remapID{server: m.Server, seq: m.Seq}
 	if st, ok := s.remaps[id]; ok {
 		// A retransmitted remap: if the protocol already completed the
@@ -169,8 +145,8 @@ func (s *Server) handleRemap(m Msg) {
 	st := &remapState{id: id, lbns: append([]int64(nil), m.LBNs...)}
 	// Peers in ascending server-ID order: the fan-out sequence is part of
 	// the deterministic replay surface.
-	for idx := range s.routes {
-		if idx == int(m.Server) || s.routes[idx] == nil {
+	for idx := range s.servers {
+		if idx == int(m.Server) {
 			continue
 		}
 		st.peers = append(st.peers, &remapPeer{s: s, st: st, idx: idx})
@@ -186,9 +162,7 @@ func (s *Server) handleRemap(m Msg) {
 	}
 }
 
-// transmit sends the peer its invalidation. The route is there: a remap's
-// peers are the servers registered when it started, and a route is replaced
-// by a re-registration, never withdrawn.
+// transmit sends the peer its invalidation.
 func (p *remapPeer) transmit(again bool) {
 	s, id := p.s, p.st.id
 	if again {
@@ -196,7 +170,7 @@ func (p *remapPeer) transmit(again bool) {
 	} else {
 		s.Stats.InvalidationsSent++
 	}
-	s.send(*s.routes[p.idx], Msg{Type: MsgInvalidate, Server: id.server, Seq: id.seq, LBNs: p.st.lbns})
+	s.send(p.idx, Msg{Type: MsgInvalidate, Server: id.server, Seq: id.seq, LBNs: p.st.lbns})
 }
 
 // abandon gives up on the peer; the remap completes without it.
@@ -245,10 +219,8 @@ func (s *Server) complete(st *remapState) {
 
 // ackOrigin sends the remap acknowledgement back to the origin server.
 func (s *Server) ackOrigin(st *remapState) {
-	if route := s.routes[st.id.server]; route != nil {
-		s.Stats.RemapAcksSent++
-		s.send(*route, Msg{Type: MsgRemapAck, Server: st.id.server, Seq: st.id.seq})
-	}
+	s.Stats.RemapAcksSent++
+	s.send(int(st.id.server), Msg{Type: MsgRemapAck, Server: st.id.server, Seq: st.id.seq})
 }
 
 // PendingRemaps counts remaps whose fan-out has not completed (drain

@@ -10,48 +10,44 @@ import (
 	"ncache/internal/proto/udp"
 )
 
-// Port is the control-plane service's well-known UDP port.
+// Port is the control plane's well-known UDP port: the service binds it on
+// the control node, and every front-end agent on its own server, so each end
+// knows the other's address from the member set alone.
 const Port uint16 = 964
 
 // MsgType enumerates the control-plane protocol messages.
 type MsgType uint8
 
-// Protocol messages. Register binds a front-end agent's return route;
-// Remap/Invalidate/acks are the coherence protocol for FHO→LBN re-indexing
-// across servers; Members is client-side routing. Codes 3 and 4 were the
-// per-handle lookup and its response: they stay unassigned, so every other
-// message keeps its value on the wire and a peer still sending one is
-// counted as a protocol error.
+// Protocol messages: Remap/Invalidate and their acks, the coherence protocol
+// for FHO→LBN re-indexing across servers. Codes 1 and 2 were registration,
+// 3 and 4 the per-handle lookup and its response, 9 and 10 the member-set
+// fetch: they stay unassigned, so every surviving message keeps its value on
+// the wire and a peer still sending a retired one is counted as a protocol
+// error.
 const (
-	MsgRegister MsgType = iota + 1
-	MsgRegisterAck
+	_ MsgType = iota + 1
+	_
 	_
 	_
 	MsgRemap
 	MsgRemapAck
 	MsgInvalidate
 	MsgInvalidateAck
-	// MsgMembers asks for the active member set; the response carries one
-	// packed (serverID<<32 | fabricAddr) entry per member in LBNs —
-	// everything a client needs to replicate the placement locally and
-	// answer FH lookups without a control-plane round trip. (Clients reach
-	// servers by index, so the address half goes unread; it stays for wire
-	// compatibility.)
-	MsgMembers
-	MsgMembersResp
+	_
+	_
 )
 
 // MaxLBNs bounds the block list of one remap/invalidate message; larger
 // remap sets are chunked by the sender so every message fits one transmit
-// buffer (and one datagram). A member set is not chunked, so it also bounds
-// the servers one control plane can place.
+// buffer (and one datagram).
 const MaxLBNs = 128
 
 // headerLen is the fixed encoded prefix:
-// type(1) zero(1) server(2) from(2) zero(14) seq(8) zero(8) lbn(8) count(4).
+// type(1) zero(1) server(2) from(2) zero(14) seq(8) zero(16) count(4).
 // The zero bytes were the per-handle lookup's status, owner address and file
-// handle, and (bytes 12–19) the placement epoch of a member set that could
-// change; the header keeps its length without them.
+// handle, (bytes 12–19) the placement epoch of a member set that could change,
+// and (bytes 36–43) an LBN no surviving message sets; the header keeps its
+// length without them.
 const headerLen = 48
 
 // Msg is one control-plane message. Fields are a union over the message
@@ -59,14 +55,13 @@ const headerLen = 48
 type Msg struct {
 	Type MsgType
 	// Server is the message's subject server index: the origin of a
-	// remap/invalidate, the registrant.
+	// remap/invalidate.
 	Server uint16
 	// From is the sending server's index on acknowledgements.
 	From uint16
 	// Seq orders one server's remaps. (Server, Seq) identifies a remap
 	// exactly, which is what makes retries idempotent.
 	Seq  uint64
-	LBN  int64
 	LBNs []int64
 }
 
@@ -80,7 +75,6 @@ func (m *Msg) marshal(dst []byte) {
 	binary.BigEndian.PutUint16(dst[2:4], m.Server)
 	binary.BigEndian.PutUint16(dst[4:6], m.From)
 	binary.BigEndian.PutUint64(dst[20:28], m.Seq)
-	binary.BigEndian.PutUint64(dst[36:44], uint64(m.LBN))
 	binary.BigEndian.PutUint32(dst[44:48], uint32(len(m.LBNs)))
 	for i, l := range m.LBNs {
 		binary.BigEndian.PutUint64(dst[headerLen+8*i:], uint64(l))
@@ -100,7 +94,6 @@ func unmarshal(p []byte) (Msg, error) {
 		Server: binary.BigEndian.Uint16(p[2:4]),
 		From:   binary.BigEndian.Uint16(p[4:6]),
 		Seq:    binary.BigEndian.Uint64(p[20:28]),
-		LBN:    int64(binary.BigEndian.Uint64(p[36:44])),
 	}
 	count := int(binary.BigEndian.Uint32(p[44:48]))
 	if count < 0 || count > MaxLBNs || len(p) < headerLen+8*count {
@@ -171,41 +164,12 @@ func decode(dg *netbuf.Chain) (Msg, bool) {
 	return m, err == nil
 }
 
-// sendMsg transmits m as one datagram.
-func sendMsg(t *udp.Transport, src eth.Addr, srcPort uint16, dst eth.Addr, dstPort uint16, m Msg) error {
+// sendMsg transmits m as one datagram from Port to Port: the service and
+// every agent are bound to it, each on its own node.
+func sendMsg(t *udp.Transport, src, dst eth.Addr, m Msg) error {
 	ch, err := Encode(t.Node().TxPool, m)
 	if err != nil {
 		return err
 	}
-	return t.SendChain(src, srcPort, dst, dstPort, ch)
-}
-
-// endpoint is a host's socket to the control plane: an ephemeral UDP port that
-// talks to the service port at cp and hears nobody else.
-type endpoint struct {
-	udp   *udp.Transport
-	local eth.Addr
-	cp    eth.Addr
-	port  uint16
-}
-
-// openEndpoint binds the socket; handle receives every well-formed message
-// the control plane sends to it.
-func openEndpoint(t *udp.Transport, local, cp eth.Addr, handle func(Msg)) *endpoint {
-	e := &endpoint{udp: t, local: local, cp: cp}
-	e.port = t.BindEphemeral(func(dg udp.Datagram) {
-		if dg.Src != cp || dg.SrcPort != Port {
-			dg.Payload.Release()
-			return
-		}
-		if m, ok := decode(dg.Payload); ok {
-			handle(m)
-		}
-	})
-	return e
-}
-
-// send transmits one message to the control plane.
-func (e *endpoint) send(m Msg) error {
-	return sendMsg(e.udp, e.local, e.port, e.cp, Port, m)
+	return t.SendChain(src, Port, dst, Port, ch)
 }

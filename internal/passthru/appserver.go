@@ -72,7 +72,6 @@ type AppServer struct {
 	InvalDropGiveups uint64
 
 	cfg          ClusterConfig
-	path         *dataPath
 	backend      *fsBackend
 	connectAddrs []eth.Addr // parallels Initiators
 	crashed      bool
@@ -110,7 +109,6 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index 
 			DisableRemap:  cfg.DisableRemap,
 		})
 	}
-	s.path = &dataPath{srv: s, mode: cfg.Mode, node: node, mod: s.Module, bs: extfs.BlockSize}
 
 	// One session per (target, arm), and one volume per target: the single
 	// session, or a mirror over the target's arms.
@@ -130,7 +128,7 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index 
 				return nil, err
 			}
 		}
-		vols[t] = s.path.intercept(vol)
+		vols[t] = s.intercept(vol)
 	}
 	s.Initiator = s.Initiators[0]
 	if len(vols) == 1 {
@@ -139,7 +137,9 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index 
 		s.Volume = storage.NewSharded(vols, targets)
 	}
 	if cfg.NumServers > 1 {
-		s.Agent = controlplane.NewAgent(node, udpT, local, ControlAddr, index)
+		if s.Agent, err = controlplane.NewAgent(node, udpT, local, ControlAddr, index); err != nil {
+			return nil, err
+		}
 		s.Agent.SetInvalidate(s.ApplyInvalidate)
 	}
 	return s, nil
@@ -176,8 +176,7 @@ func (s *AppServer) dropInvalid(lbn int64, tries int) {
 }
 
 // Start logs in to the storage targets, mounts the file system, and brings
-// up the NFS (and optionally web) services; in a scale-out cluster it then
-// registers with the control plane.
+// up the NFS (and optionally web) services.
 func (s *AppServer) Start(done func(error)) {
 	s.connectTargets(0, func(err error) {
 		if err != nil {
@@ -234,7 +233,7 @@ func (s *AppServer) startServices(done func(error)) {
 			return
 		}
 		s.FS = fs
-		fs.SetMaterializer(s.path.materialize)
+		fs.SetMaterializer(s.materialize)
 		s.backend = &fsBackend{srv: s}
 		nfsSrv := nfs.NewServer(s.Node, s.backend)
 		if err := nfsSrv.ServeUDP(s.UDP); err != nil {
@@ -256,16 +255,6 @@ func (s *AppServer) startServices(done func(error)) {
 				return
 			}
 			s.Web = web
-		}
-		if s.Agent != nil {
-			s.Agent.Register(func(err error) {
-				if err != nil {
-					done(fmt.Errorf("controlplane register: %w", err))
-					return
-				}
-				done(nil)
-			})
-			return
 		}
 		done(nil)
 	})

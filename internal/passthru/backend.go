@@ -265,7 +265,7 @@ func (k *backendCall) gotRead(res *extfs.ReadResult, err error) {
 	}
 	// Back in the daemon: compose and transmit the reply.
 	trace.To(srv.Node.Eng, trace.LServer)
-	chain, attr := srv.path.replyChain(res, false), attrOf(res.Attr)
+	chain, attr := srv.replyChain(res, false), attrOf(res.Attr)
 	res.Done(srv.FS)
 	k.retire().doneRead(chain, attr, nfs.OK)
 }

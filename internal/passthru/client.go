@@ -244,7 +244,7 @@ type ClusterConfig struct {
 	ServerNICs int
 	// NumServers front-end pass-through servers share NumTargets iSCSI
 	// targets (both default to 1 — the paper's testbed). More than one
-	// server brings up the control plane for routing and remap coherence.
+	// server brings up the control plane for remap coherence.
 	NumServers int
 	NumTargets int
 	// Arms replicates every iSCSI target across this many mirror arms
@@ -314,6 +314,13 @@ const (
 // server to 8 NICs).
 const ServerAddrStride = 8
 
+// The address plan's capacity: every server's block lies below ControlAddr,
+// and every storage node (one per target per mirror arm) below ServerAddr.
+const (
+	maxServers      = int(ControlAddr-ServerAddr) / ServerAddrStride
+	maxStorageNodes = int(ServerAddr - StorageAddr)
+)
+
 // ServerAddrOf returns front-end server i's first NIC address.
 func ServerAddrOf(i int) eth.Addr { return ServerAddr + eth.Addr(i*ServerAddrStride) }
 
@@ -338,13 +345,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.NumServers <= 0 {
 		cfg.NumServers = 1
 	}
-	if cfg.NumServers > controlplane.MaxLBNs {
-		// Clients route by a replica of the member set, which the control
-		// plane sends in one message.
-		return nil, fmt.Errorf("passthru: at most %d servers (controlplane.MaxLBNs: the member set must fit one message)", controlplane.MaxLBNs)
+	if cfg.NumServers > maxServers {
+		return nil, fmt.Errorf("passthru: at most %d servers (their address blocks end at ControlAddr)", maxServers)
 	}
 	if cfg.NumTargets <= 0 {
 		cfg.NumTargets = 1
+	}
+	if cfg.Arms <= 0 {
+		cfg.Arms = 1
+	}
+	if cfg.NumTargets*cfg.Arms > maxStorageNodes {
+		return nil, fmt.Errorf("passthru: at most %d storage nodes, NumTargets×Arms (their addresses end at ServerAddr)", maxStorageNodes)
 	}
 	if cfg.NumClients <= 0 {
 		cfg.NumClients = 2
@@ -360,9 +371,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.ControlLinkLatency <= 0 {
 		cfg.ControlLinkLatency = FabricLatency
-	}
-	if cfg.Arms <= 0 {
-		cfg.Arms = 1
 	}
 	if cfg.FSCacheBlocks <= 0 {
 		cfg.FSCacheBlocks = 32768 // 128 MB page cache
@@ -408,8 +416,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cl.Storage = cl.Storages[0]
 
 	if cfg.NumServers > 1 {
-		// The control plane comes up before any server so registrations
-		// land on a bound port.
 		cpNode := simnet.NewNode(eng, "cp", cfg.Cost)
 		if _, err := nw.AttachAt(cpNode, ControlAddr, simnet.Gbps, cfg.ControlLinkLatency); err != nil {
 			return nil, fmt.Errorf("cp attach: %w", err)
@@ -496,8 +502,7 @@ func (c *Cluster) InstallFaults(seed uint64, spec string) (*fault.Injector, erro
 }
 
 // Start completes the asynchronous bring-up and runs the engine until every
-// server is serving (and, on scale-out clusters, registered with the
-// control plane).
+// server is serving.
 func (c *Cluster) Start() error {
 	pending := len(c.Apps)
 	var startErr error

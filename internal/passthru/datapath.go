@@ -4,35 +4,26 @@ import (
 	"ncache/internal/buffercache"
 	"ncache/internal/extfs"
 	"ncache/internal/lkey"
-	"ncache/internal/ncache"
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/sim"
-	"ncache/internal/simnet"
 	"ncache/internal/storage"
 	"ncache/internal/trace"
 )
 
-// dataPath encapsulates the mode-specific regular-data movement of the
-// server daemons. It is the only place in the assembly that knows which of
-// the three configurations is running; everything above and below moves
-// chains and keys obliviously.
-type dataPath struct {
-	srv  *AppServer
-	mode Mode
-	node *simnet.Node
-	mod  *ncache.Module // non-nil only in NCache mode
-	bs   int
-}
+// The AppServer methods in this file are the mode-specific regular-data
+// movement of the server daemons: the only place in the assembly that knows
+// which of the three configurations is running; everything above and below
+// moves chains and keys obliviously.
 
 // intercept puts the mode's lower-tier interception above one target's
 // volume. Original mode has no module, so nothing to consult, capture, remap
 // or announce: its volume is returned as it is.
-func (p *dataPath) intercept(lower storage.Volume) storage.Volume {
-	if p.mode == Original {
+func (s *AppServer) intercept(lower storage.Volume) storage.Volume {
+	if s.Mode == Original {
 		return lower
 	}
-	return &interceptVolume{Volume: lower, p: p}
+	return &interceptVolume{Volume: lower, s: s}
 }
 
 // interceptVolume is Table 1's iSCSI modification — the "two functions
@@ -47,7 +38,7 @@ func (p *dataPath) intercept(lower storage.Volume) storage.Volume {
 // consult and remap announcement keep per-extent granularity.
 type interceptVolume struct {
 	storage.Volume
-	p *dataPath
+	s *AppServer
 }
 
 // ReadAt serves a regular-data read from the network-centric cache when
@@ -55,24 +46,24 @@ type interceptVolume struct {
 // payload the lower volume returns is captured (NCache) or dropped for junk
 // (Baseline) before the file system sees it.
 func (v *interceptVolume) ReadAt(lbn int64, blocks int, meta bool, done func(*netbuf.Chain, error)) {
-	p := v.p
+	s := v.s
 	if meta {
 		v.Volume.ReadAt(lbn, blocks, meta, done)
 		return
 	}
-	if p.mode == NCache {
-		if data, ok := p.mod.ServeRead(lbn, blocks); ok {
-			trace.To(p.node.Eng, trace.LNCache)
-			p.node.Charge(p.node.Cost.NCacheLookupNs, func() { done(data, nil) })
+	if s.Mode == NCache {
+		if data, ok := s.Module.ServeRead(lbn, blocks); ok {
+			trace.To(s.Node.Eng, trace.LNCache)
+			s.Node.Charge(s.Node.Cost.NCacheLookupNs, func() { done(data, nil) })
 			return
 		}
 	}
 	v.Volume.ReadAt(lbn, blocks, meta, func(data *netbuf.Chain, err error) {
 		if err == nil {
-			if p.mode == NCache {
-				data = p.mod.CaptureLBN(lbn, blocks, data)
+			if s.Mode == NCache {
+				data = s.Module.CaptureLBN(lbn, blocks, data)
 			} else {
-				data = p.junk(blocks, data)
+				data = s.junk(blocks, data)
 			}
 		}
 		done(data, err)
@@ -87,16 +78,16 @@ func (v *interceptVolume) ReadAt(lbn int64, blocks int, meta bool, done func(*ne
 // entries are pinned again, because the buffer cache keeps the blocks dirty
 // and the flush that retries them must find their data and remap afresh.
 func (v *interceptVolume) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
-	p := v.p
-	if meta || p.mode != NCache {
+	s := v.s
+	if meta || s.Mode != NCache {
 		v.Volume.WriteAt(lbn, data, meta, done)
 		return
 	}
-	data, remapped := p.mod.WriteOut(lbn, data.Len()/p.bs, data)
+	data, remapped := s.Module.WriteOut(lbn, data.Len()/extfs.BlockSize, data)
 	v.Volume.WriteAt(lbn, data, meta, func(err error) {
 		if err != nil {
-			p.mod.Repin(remapped)
-		} else if ag := p.srv.Agent; ag != nil && len(remapped) > 0 && !p.srv.crashed {
+			s.Module.Repin(remapped)
+		} else if ag := s.Agent; ag != nil && len(remapped) > 0 && !s.crashed {
 			ag.SendRemap(remapped)
 		}
 		done(err)
@@ -105,34 +96,34 @@ func (v *interceptVolume) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done
 
 // junk is the Baseline comparator's receive filter: regular-data payloads
 // are dropped at the socket boundary; identity-free junk flows instead.
-func (p *dataPath) junk(blocks int, data *netbuf.Chain) *netbuf.Chain {
+func (s *AppServer) junk(blocks int, data *netbuf.Chain) *netbuf.Chain {
 	if blocks <= 0 {
 		return data
 	}
 	data.Release()
 	out := netbuf.NewChain()
 	for i := 0; i < blocks; i++ {
-		out.AppendChain(lkey.StampChainPool(p.node.BlkPool, lkey.Key{}, p.bs))
+		out.AppendChain(lkey.StampChainPool(s.Node.BlkPool, lkey.Key{}, extfs.BlockSize))
 	}
 	return out
 }
 
 // chargePhysical records n bytes moved in `stages` copy operations (the
 // per-request stage count Table 2 reports) and bills the CPU.
-func (p *dataPath) chargePhysical(stages, nbytes int) {
-	p.node.Copies.PhysicalOps += uint64(stages)
-	p.node.Copies.PhysicalBytes += uint64(nbytes)
-	cost := p.node.Cost.CopyCost(nbytes)
-	trace.Account(p.node.Eng, trace.LServer, cost)
-	p.node.Charge(cost, nil)
+func (s *AppServer) chargePhysical(stages, nbytes int) {
+	s.Node.Copies.PhysicalOps += uint64(stages)
+	s.Node.Copies.PhysicalBytes += uint64(nbytes)
+	cost := s.Node.Cost.CopyCost(nbytes)
+	trace.Account(s.Node.Eng, trace.LServer, cost)
+	s.Node.Charge(cost, nil)
 }
 
 // chargeLogical records n key copies and bills the CPU.
-func (p *dataPath) chargeLogical(n int) {
-	p.node.Copies.LogicalOps += uint64(n)
-	cost := sim.Duration(n) * p.node.Cost.LogicalCopyNs
-	trace.Account(p.node.Eng, trace.LServer, cost)
-	p.node.Charge(cost, nil)
+func (s *AppServer) chargeLogical(n int) {
+	s.Node.Copies.LogicalOps += uint64(n)
+	cost := sim.Duration(n) * s.Node.Cost.LogicalCopyNs
+	trace.Account(s.Node.Eng, trace.LServer, cost)
+	s.Node.Charge(cost, nil)
 }
 
 // replyChain converts read extents into a transmit payload chain.
@@ -143,7 +134,7 @@ func (p *dataPath) chargeLogical(n int) {
 //   - logical blocks: a key copy per extent — the stamped junk travels and
 //     the driver-level hook substitutes later;
 //   - holes: zero-filled buffers, uncharged.
-func (p *dataPath) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Chain {
+func (s *AppServer) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Chain {
 	out := netbuf.NewChain()
 	physBytes := 0
 	logical := 0
@@ -154,7 +145,7 @@ func (p *dataPath) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Chai
 	for _, e := range res.Extents {
 		switch {
 		case e.Block == nil:
-			if zc, err := p.node.BlkPool.GetZeroChain(e.Len); err == nil {
+			if zc, err := s.Node.BlkPool.GetZeroChain(e.Len); err == nil {
 				out.AppendChain(zc)
 			} else {
 				zb := netbuf.New(0, e.Len)
@@ -170,13 +161,13 @@ func (p *dataPath) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Chai
 			if e.Off > 0 {
 				key = key.WithSubOff(uint32(e.Off))
 			}
-			out.AppendChain(lkey.StampChainPool(p.node.BlkPool, key, e.Len))
+			out.AppendChain(lkey.StampChainPool(s.Node.BlkPool, key, e.Len))
 			logical++
 
 		default:
 			// Physical: the daemon-buffer copy and the socket copy
 			// both walk the bytes; the pooled-chain build is the second.
-			pc, err := p.node.TxPool.GetChain(e.Block.Data[e.Off : e.Off+e.Len])
+			pc, err := s.Node.TxPool.GetChain(e.Block.Data[e.Off : e.Off+e.Len])
 			if err != nil {
 				continue
 			}
@@ -185,10 +176,10 @@ func (p *dataPath) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Chai
 		}
 	}
 	if physBytes > 0 {
-		p.chargePhysical(stages, physBytes*stages)
+		s.chargePhysical(stages, physBytes*stages)
 	}
 	if logical > 0 {
-		p.chargeLogical(logical)
+		s.chargeLogical(logical)
 	}
 	return out
 }
@@ -198,22 +189,22 @@ func (p *dataPath) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Chai
 // (bound once, reading the handle, offset and payload it carries), so a write
 // builds no closure here.
 func (k *backendCall) applyWrite() {
-	srv, data := k.b.srv, k.data
-	p, fs := srv.path, srv.FS
-	trace.To(p.node.Eng, trace.LFS)
-	aligned := k.off%uint64(p.bs) == 0 && k.n%p.bs == 0 && k.n > 0
+	s, data := k.b.srv, k.data
+	fs, bs := s.FS, extfs.BlockSize
+	trace.To(s.Node.Eng, trace.LFS)
+	aligned := k.off%uint64(bs) == 0 && k.n%bs == 0 && k.n > 0
 
 	switch {
-	case p.mode == NCache && aligned:
+	case s.Mode == NCache && aligned:
 		// Capture the wire payload into the FHO cache; the file system
 		// receives only keys (one logical copy per block).
 		k.data = nil
-		junk := p.mod.CaptureFHO(k.fh, k.off, data)
+		junk := s.Module.CaptureFHO(k.fh, k.off, data)
 		junk.Release()
-		p.chargeLogical(k.n / p.bs)
+		s.chargeLogical(k.n / bs)
 		fs.Write(k.ino, k.off, k.n, k.fillFHO, k.onWritten)
 
-	case p.mode == Baseline:
+	case s.Mode == Baseline:
 		// Ideal zero-copy: drop the payload, store junk markers.
 		k.data = nil
 		data.Release()
@@ -226,7 +217,7 @@ func (k *backendCall) applyWrite() {
 		// straight into cache blocks — no flattened intermediate — and
 		// stays referenced until the last filler has run (written
 		// releases it).
-		p.chargePhysical(1, k.n)
+		s.chargePhysical(1, k.n)
 		fs.Write(k.ino, k.off, k.n, k.fillWire, k.onWritten)
 	}
 }
@@ -247,7 +238,7 @@ func (k *backendCall) copyWire(b *buffercache.Block, blockOff, count, srcOff int
 	if b.Logical {
 		// A partial overwrite of a key-carrying block must materialize
 		// the real bytes first.
-		k.b.srv.path.materialize(b)
+		k.b.srv.materialize(b)
 	}
 	k.data.GatherRange(srcOff, b.Data[blockOff:blockOff+count])
 }
@@ -255,12 +246,12 @@ func (k *backendCall) copyWire(b *buffercache.Block, blockOff, count, srcOff int
 // materialize turns a logical block back into a real one by pulling the
 // payload out of the NCache module (charging the copy). On a miss the block
 // is zero-filled and counted.
-func (p *dataPath) materialize(b *buffercache.Block) {
+func (s *AppServer) materialize(b *buffercache.Block) {
 	key, ok := b.Key()
-	if p.mod != nil && ok && key.Flags != 0 {
-		if p.mod.Materialize(key, b.Data) {
+	if s.Module != nil && ok && key.Flags != 0 {
+		if s.Module.Materialize(key, b.Data) {
 			b.Logical = false
-			p.chargePhysical(1, len(b.Data))
+			s.chargePhysical(1, len(b.Data))
 			return
 		}
 	}

@@ -174,7 +174,7 @@ func (wc *webConn) sendFile(f webFile) {
 				wc.busy = false
 				return
 			}
-			chain := srv.path.replyChain(res, true)
+			chain := srv.replyChain(res, true)
 			res.Done(srv.FS)
 			if srv.Mode == NCache {
 				chain = srv.Module.SubstituteMessage(chain)

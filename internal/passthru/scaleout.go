@@ -1,8 +1,6 @@
 package passthru
 
 import (
-	"fmt"
-
 	"ncache/internal/blockdev"
 	"ncache/internal/controlplane"
 	"ncache/internal/nfs"
@@ -72,21 +70,21 @@ func (c *Cluster) SetSynthesize(fn func(arrayLBN int64, dst []byte)) {
 }
 
 // ScaleClient is one client host's routed view of the cluster: an NFS
-// client per front-end server plus the control-plane resolver that picks
-// which one serves each file handle.
+// client per front-end server plus the placement replica that picks which
+// one serves each file handle.
 type ScaleClient struct {
 	Host *ClientHost
 	// NFS[i] talks to server i (its first NIC).
 	NFS []*nfs.Client
-	// Resolver is the routing cache (nil on a single-server cluster, where
-	// Route always answers NFS[0]).
+	// Resolver places a file handle on a server by arithmetic over the
+	// cluster's server count.
 	Resolver *controlplane.Resolver
 }
 
 // NewScaleClient builds the routed client set on one host. On a testbed with
 // faults installed its clients retransmit like every other NFS client.
 func (c *Cluster) NewScaleClient(host *ClientHost) (*ScaleClient, error) {
-	sc := &ScaleClient{Host: host}
+	sc := &ScaleClient{Host: host, Resolver: controlplane.NewResolver(len(c.Apps))}
 	for _, app := range c.Apps {
 		nc, err := host.NewNFSClient(app.Node.NICs()[0].Addr)
 		if err != nil {
@@ -96,29 +94,12 @@ func (c *Cluster) NewScaleClient(host *ClientHost) (*ScaleClient, error) {
 		sc.NFS = append(sc.NFS, nc)
 	}
 	c.scaleClients = append(c.scaleClients, sc)
-	if len(c.Apps) > 1 {
-		sc.Resolver = controlplane.NewResolver(host.Node, host.UDP, host.Addr, ControlAddr)
-	}
 	return sc, nil
 }
 
-// Route answers the NFS client owning fh. On multi-server clusters the
-// lookup may complete asynchronously (behind the host's one member-set
-// fetch); done can fire synchronously on cache and ring hits.
+// Route answers the NFS client owning fh. done fires before Route returns
+// and never with an error; the callback shape is what
+// workload.RouteFn and benchmarks/ncmark call.
 func (sc *ScaleClient) Route(fh nfs.FH, done func(*nfs.Client, error)) {
-	if sc.Resolver == nil {
-		done(sc.NFS[0], nil)
-		return
-	}
-	sc.Resolver.Resolve(fh, func(server int, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		if server < 0 || server >= len(sc.NFS) {
-			done(nil, fmt.Errorf("passthru: fh=%x routed to unknown server %d", fh, server))
-			return
-		}
-		done(sc.NFS[server], nil)
-	})
+	done(sc.NFS[sc.Resolver.Resolve(fh)], nil)
 }

@@ -2,7 +2,7 @@ package passthru
 
 import (
 	"bytes"
-	"strconv"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -71,15 +71,81 @@ func addDataFile(t *testing.T, cl *Cluster, fmtr *extfs.Formatter) extfs.FileSpe
 	return fs
 }
 
-// TestNewClusterRejectsTooManyServers: clients route by a replica of the
-// member set, which travels in one control-plane message, so a tier that
-// message cannot describe is refused when it is configured — not discovered
-// as routing errors at run time.
-func TestNewClusterRejectsTooManyServers(t *testing.T) {
-	_, err := NewCluster(ClusterConfig{Mode: NCache, NumServers: controlplane.MaxLBNs + 1, NumTargets: 2})
-	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(controlplane.MaxLBNs)) {
-		t.Fatalf("NewCluster with %d servers: err = %v, want one naming the limit of %d",
-			controlplane.MaxLBNs+1, err, controlplane.MaxLBNs)
+// TestNewClusterAddressPlan: a cluster the fabric's address plan cannot hold
+// is refused when it is configured, by an error naming the bound, not
+// discovered as two nodes claiming one address. Server address blocks end at
+// ControlAddr (28 servers); storage nodes, one per target per mirror arm, end
+// at ServerAddr (15).
+func TestNewClusterAddressPlan(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		servers, targets, arms int
+		bound                  int // 0: the cluster builds
+	}{
+		{"28 servers", 28, 1, 1, 0},
+		{"29 servers", 29, 1, 1, 28},
+		{"15 storage nodes", 2, 5, 3, 0},
+		{"16 storage nodes", 2, 8, 2, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewCluster(ClusterConfig{NumServers: tc.servers, NumTargets: tc.targets, Arms: tc.arms, BlocksPerDisk: 1024})
+			switch {
+			case tc.bound == 0 && err != nil:
+				t.Fatalf("NewCluster: %v, want a cluster", err)
+			case tc.bound != 0 && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at most %d ", tc.bound))):
+				t.Fatalf("NewCluster: err = %v, want one naming the limit of %d", err, tc.bound)
+			}
+		})
+	}
+}
+
+// TestFaultRoutingSurvivesControlPlaneLoss: clients place files by
+// arithmetic over the server count, so routing needs no control plane. With
+// every frame into the control-plane node dropped from the moment a
+// two-server cluster is up, a routed client reads every file once: no route
+// fails, every read is answered, and nothing was even sent to the control
+// plane.
+func TestFaultRoutingSurvivesControlPlaneLoss(t *testing.T) {
+	cl, _ := scaleCluster(t, 2, 2, "drop:cp.rx:rate=1")
+	names := []string{"pad0", "pad", "data.bin"}
+	fhs := make([]nfs.FH, len(names))
+	for i, name := range names {
+		fhs[i] = lookupFile(t, cl, name)
+	}
+	sc, err := cl.NewScaleClient(cl.Clients[1])
+	if err != nil {
+		t.Fatalf("NewScaleClient: %v", err)
+	}
+	cl.Faults.Arm()
+
+	var routeErrs, reads int
+	for _, fh := range fhs {
+		fh := fh
+		sc.Route(fh, func(c *nfs.Client, err error) {
+			if err != nil {
+				routeErrs++
+				return
+			}
+			c.Read(fh, 0, extfs.BlockSize, func(ch *netbuf.Chain, _ nfs.Attr, err error) {
+				if err != nil {
+					t.Errorf("routed read: %v", err)
+					return
+				}
+				ch.Release()
+				reads++
+			})
+		})
+	}
+	run(t, cl)
+	if routeErrs != 0 || reads != len(fhs) {
+		t.Fatalf("%d of %d routes failed, %d reads answered", routeErrs, len(fhs), reads)
+	}
+	var dropped uint64
+	for _, r := range cl.Faults.Report() {
+		dropped += r.Injected
+	}
+	if dropped != 0 || cl.Control.Stats != (controlplane.Stats{}) {
+		t.Fatalf("routing sent the control plane %d frames (stats %+v), want none", dropped, cl.Control.Stats)
 	}
 }
 

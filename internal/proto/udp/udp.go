@@ -44,10 +44,9 @@ type Receiver func(dg Datagram)
 
 // Transport is a node's UDP layer.
 type Transport struct {
-	ip       *ipv4.Stack
-	node     *simnet.Node
-	ports    map[uint16]Receiver
-	nextPort uint16
+	ip    *ipv4.Stack
+	node  *simnet.Node
+	ports map[uint16]Receiver
 	// BadChecksums counts datagrams dropped for checksum mismatch.
 	BadChecksums uint64
 }
@@ -55,10 +54,9 @@ type Transport struct {
 // NewTransport creates the UDP layer and registers it with the IP stack.
 func NewTransport(ip *ipv4.Stack) *Transport {
 	t := &Transport{
-		ip:       ip,
-		node:     ip.Node(),
-		ports:    make(map[uint16]Receiver),
-		nextPort: 49152,
+		ip:    ip,
+		node:  ip.Node(),
+		ports: make(map[uint16]Receiver),
 	}
 	ip.Register(ipv4.ProtoUDP, t.receive)
 	return t
@@ -74,22 +72,6 @@ func (t *Transport) Bind(port uint16, r Receiver) error {
 	}
 	t.ports[port] = r
 	return nil
-}
-
-// BindEphemeral installs a receiver on the next free ephemeral port (49152
-// and up, wrapping back there) and returns the port.
-func (t *Transport) BindEphemeral(r Receiver) uint16 {
-	for {
-		p := t.nextPort
-		if p == 0 {
-			t.nextPort = 49152
-			continue
-		}
-		t.nextPort++
-		if t.Bind(p, r) == nil {
-			return p
-		}
-	}
 }
 
 // SendChain transmits a payload already in network buffers without copying

@@ -6,13 +6,13 @@ import (
 )
 
 // RouteFn answers the NFS client that owns a file handle — the scale-out
-// cluster's client-side routing (passthru.ScaleClient.Route matches). done
-// may fire synchronously on a route-cache hit.
+// cluster's client-side routing (passthru.ScaleClient.Route matches, and
+// calls done before it returns).
 type RouteFn func(fh nfs.FH, done func(*nfs.Client, error))
 
 // RoutedMixLoad is the scale-out closed-loop workload: many client
 // processes, each picking files from a shared set, resolving the owning
-// front-end server per operation through its host's routing cache, and
+// front-end server per operation through its host's placement replica, and
 // issuing a read/write mix. Every (worker, step) draws from one seeded RNG
 // stream per route, so runs replay bit-for-bit.
 type RoutedMixLoad struct {
