@@ -10,8 +10,7 @@ import (
 // quantity bit-for-bit — throughput, CPU, link utilization, latency
 // summaries with their full histograms, fault-recovery and TCP loss-recovery
 // counters, event counts. Any hidden host-side state (map iteration, pool
-// reuse order, RX-ring adoption) that leaked into simulated results would
-// diverge here.
+// reuse order) that leaked into simulated results would diverge here.
 
 // replayRow is one row of the replay sweeps: a registered experiment, or a
 // faulted variant of one.

@@ -13,7 +13,6 @@
 package buffercache
 
 import (
-	"errors"
 	"fmt"
 
 	"ncache/internal/lkey"
@@ -33,11 +32,6 @@ type Lower interface {
 	// WriteAt stores a contiguous run; the callee owns the chain.
 	WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error))
 }
-
-// Errors surfaced by the cache.
-var (
-	ErrCacheClosed = errors.New("buffercache: closed")
-)
 
 // Block is one cached buffer. Callers receive pinned blocks and must Unpin
 // them; a pinned block is never evicted.

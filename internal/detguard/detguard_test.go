@@ -243,8 +243,8 @@ func relPos(pos token.Position) string {
 }
 
 // TestNoGoroutines is the single-goroutine guard: no non-test file under
-// internal/ or cmd/ may contain a go statement. Pools, RX rings, refcounts
-// and every counter of a cluster are plain fields because nothing but the
+// internal/ or cmd/ may contain a go statement. Pools, refcounts and
+// every counter of a cluster are plain fields because nothing but the
 // caller's goroutine ever touches a cluster (DESIGN.md §11); a goroutine
 // inside the simulator would make each of them a data race.
 func TestNoGoroutines(t *testing.T) {

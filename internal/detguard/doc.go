@@ -1,7 +1,7 @@
 // Package detguard holds the repository's source-level guards: annotated map
 // iteration and no goroutines inside the simulator (determinism), no
-// configuration field that nothing turns and no exported function that
-// nothing calls.
+// configuration field that nothing turns and no exported function or
+// variable that nothing references.
 //
 // Go randomizes map iteration order. On the simulation's event path an
 // unordered iteration that schedules events, mutates model state, or formats
@@ -33,10 +33,10 @@
 // knob survives only if an experiment or a test needs it", held mechanically.
 //
 // The fourth, TestNoUncalledExports (exports_test.go), is the same census for
-// code: an exported function or method under internal/ that no Go file of the
-// repository references fails it — String/Error, the three DESIGN.md §11
-// shims, and a method reached through an interface of this module excepted,
-// where "reached" means the interface method is called somewhere other than
-// inside a method of the same name (an implementation delegating to the next
-// one vouches for nothing).
+// code: an exported function, method or package-level variable under
+// internal/ that no Go file of the repository references fails it —
+// String/Error, the three DESIGN.md §11 shims, and a method reached through
+// an interface of this module excepted, where "reached" means the interface
+// method is called somewhere other than inside a method of the same name (an
+// implementation delegating to the next one vouches for nothing).
 package detguard

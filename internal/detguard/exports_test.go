@@ -3,6 +3,7 @@ package detguard
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"sort"
@@ -10,7 +11,8 @@ import (
 	"testing"
 )
 
-// export names one exported function (recv empty) or method.
+// export names one exported function or package-level variable (recv empty)
+// or method.
 type export struct{ pkg, recv, name string }
 
 func (e export) String() string {
@@ -90,16 +92,16 @@ var keptUncalled = map[export]string{
 	{"ncache/internal/trace", "Tracer", "BeginOn"}:   "ncmark/driver.go begins spans with it; it is Begin",
 }
 
-// TestNoUncalledExports is the dead-export census: every exported function or
-// method declared in non-test code under internal/ must be referenced from
-// some Go file of the repository — a command, an experiment, an example, a
-// test, or benchmarks/ncmark (a module this one cannot type-check, so there a
-// selector of the same name counts). Exempt are String() string and Error()
-// string, the keptUncalled allowlist, and a method that satisfies an interface
-// declared in this module — provided that interface method is itself called
-// somewhere other than inside a method of the same name: an implementation
-// delegating to the next one (Sharded.Probe → member.Probe) keeps nothing
-// alive.
+// TestNoUncalledExports is the dead-export census: every exported function,
+// method or package-level variable declared in non-test code under internal/
+// must be referenced from some Go file of the repository — a command, an
+// experiment, an example, a test, or benchmarks/ncmark (a module this one
+// cannot type-check, so there a selector of the same name counts). Exempt
+// are String() string and Error() string, the keptUncalled allowlist, and a
+// method that satisfies an interface declared in this module — provided that
+// interface method is itself called somewhere other than inside a method of
+// the same name: an implementation delegating to the next one (Sharded.Probe
+// → member.Probe) keeps nothing alive.
 func TestNoUncalledExports(t *testing.T) {
 	root, pkgs, imp := checkModule(t)
 
@@ -113,28 +115,41 @@ func TestNoUncalledExports(t *testing.T) {
 				if isFunc && declaresAPI(pkg.path, file) && fd.Name.IsExported() && !isStringer(fd) {
 					declared[export{pkg.path, recvName(fd), fd.Name.Name}] = file
 				}
-				// Every function this declaration references, except an
-				// interface method referenced from a method of the same name.
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR && declaresAPI(pkg.path, file) {
+					for _, spec := range gd.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							if id.IsExported() {
+								declared[export{pkg: pkg.path, name: id.Name}] = file
+							}
+						}
+					}
+				}
+				// Every function and package-level variable this declaration
+				// references, except an interface method referenced from a
+				// method of the same name.
 				ast.Inspect(d, func(n ast.Node) bool {
 					id, ok := n.(*ast.Ident)
 					if !ok {
 						return true
 					}
-					fn, ok := pkg.info.Uses[id].(*types.Func)
-					if !ok {
-						return true
+					switch obj := pkg.info.Uses[id].(type) {
+					case *types.Func:
+						if isFunc && fd.Recv != nil && fd.Name.Name == obj.Name() && isInterfaceMethod(obj) {
+							return true
+						}
+						used[exportOf(obj)] = true
+					case *types.Var:
+						if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+							used[export{pkg: obj.Pkg().Path(), name: obj.Name()}] = true
+						}
 					}
-					if isFunc && fd.Recv != nil && fd.Name.Name == fn.Name() && isInterfaceMethod(fn) {
-						return true
-					}
-					used[exportOf(fn)] = true
 					return true
 				})
 			}
 		}
 	}
 	if len(declared) == 0 {
-		t.Fatal("found no exported function under internal/: the census checked nothing")
+		t.Fatal("found no exported function or variable under internal/: the census checked nothing")
 	}
 
 	// Methods reached through an interface: for every named type and every
@@ -192,10 +207,8 @@ func TestNoUncalledExports(t *testing.T) {
 	ncmark := map[string]bool{}
 	for _, f := range ncmarkFiles(t, root) {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if se, ok := call.Fun.(*ast.SelectorExpr); ok {
-					ncmark[se.Sel.Name] = true
-				}
+			if se, ok := n.(*ast.SelectorExpr); ok {
+				ncmark[se.Sel.Name] = true
 			}
 			return true
 		})
@@ -216,7 +229,7 @@ func TestNoUncalledExports(t *testing.T) {
 	}
 	sort.Strings(uncalled)
 	if len(uncalled) > 0 {
-		t.Errorf("exported functions nothing references — no command, experiment, example, "+
+		t.Errorf("exported functions and variables nothing references — no command, experiment, example, "+
 			"benchmark or test. ROADMAP aim 3: \"the same results from the simplest design and "+
 			"the least code … One way to do each thing.\" Delete each, or add the test that "+
 			"needs it:\n  %s", strings.Join(uncalled, "\n  "))

@@ -11,7 +11,6 @@ package iscsi
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"ncache/internal/netbuf"
@@ -40,12 +39,6 @@ const (
 const (
 	FlagFinal  uint8 = 0x80
 	FlagStatus uint8 = 0x01 // Data-In carries status (phase collapse)
-)
-
-// Errors surfaced by the codec.
-var (
-	ErrShortPDU   = errors.New("iscsi: short PDU")
-	ErrBadDataLen = errors.New("iscsi: data segment length mismatch")
 )
 
 // PDU is one iSCSI protocol data unit.

@@ -199,12 +199,11 @@ func (m *Module) evict() {
 // CaptureLBN is the iSCSI read hook: it captures the payload of a completed
 // regular-data READ into the LBN cache, block by block, and returns the
 // key-carrying junk the upper layers cache instead. Payload bytes are not
-// copied — the entries hold clones of the wire buffers, which on the
-// registered-receive path are this node's own RxPool buffers (adopted at
-// NIC delivery), so the arriving payload buffer, the cached buffer, and the
-// buffer later cloned onto the wire by SubstituteMessage are the same
-// physical memory. The hook takes ownership of data and releases it; the
-// cache owns the captured sub-chains until eviction.
+// copied — the entries hold clones of the wire buffers, so the arriving
+// payload buffer, the cached buffer, and the buffer later cloned onto the
+// wire by SubstituteMessage are the same physical memory. The hook takes
+// ownership of data and releases it; the cache owns the captured sub-chains
+// until eviction.
 func (m *Module) CaptureLBN(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain {
 	if blocks <= 0 || data.Len() < blocks*m.cfg.BlockSize {
 		return data

@@ -7,11 +7,10 @@
 // NCache paper caches data in.
 //
 // Bufs are reference counted. Go's garbage collector would reclaim them
-// anyway, but the explicit count serves two purposes the paper cares about:
-// pool accounting (network buffers are pinned kernel memory; the amount
-// allocated to NCache bounds the file-system cache, §4.1) and sharing
-// semantics (a cached chain is transmitted by cloning buffer descriptors,
-// never by copying payload bytes).
+// anyway, but the explicit count serves two purposes: recycling (the last
+// Release returns a buffer to its pool, so leak checks can see what is still
+// held) and sharing semantics (a cached chain is transmitted by cloning
+// buffer descriptors, never by copying payload bytes, §4.1).
 package netbuf
 
 import (
@@ -63,9 +62,6 @@ type Buf struct {
 	// freed marks a retired descriptor; Release checks it so double frees
 	// are caught even on descriptors with no pool to charge.
 	freed bool
-	// onRecycle, when set, fires exactly once as the refcount reaches zero,
-	// before the buffer returns to its pool — the RX-ring credit return.
-	onRecycle func(*Buf)
 }
 
 // New allocates a standalone Buf (not pool-managed) with the given payload
@@ -175,27 +171,6 @@ func (b *Buf) SetOwner(owner string) {
 	b.owner = owner
 }
 
-// Pool returns the pool that accounts for this buffer (nil for standalone
-// buffers and clone descriptors).
-func (b *Buf) Pool() *Pool { return b.pool }
-
-// OnRecycle installs a hook invoked exactly once, then cleared, as the
-// buffer's refcount reaches zero (before it returns to its pool). The RX
-// ring uses it to reclaim descriptor credits. Replaces any previous hook;
-// use TakeRecycleHook first when the old hook must still fire.
-func (b *Buf) OnRecycle(fn func(*Buf)) { b.onRecycle = fn }
-
-// TakeRecycleHook removes and returns the pending recycle hook, if any.
-func (b *Buf) TakeRecycleHook() func(*Buf) {
-	f := b.onRecycle
-	b.onRecycle = nil
-	return f
-}
-
-// Shared reports whether b is a clone descriptor aliasing another buffer's
-// backing array.
-func (b *Buf) Shared() bool { return b.shared != nil }
-
 // Release drops one ownership reference. When the count reaches zero the
 // buffer returns to its pool (or its descriptor to the recycle list) — from
 // that point the caller must not touch it. Releasing an already-free buffer
@@ -217,10 +192,6 @@ func (b *Buf) Release() {
 		return
 	}
 	if n == 0 {
-		if f := b.onRecycle; f != nil {
-			b.onRecycle = nil
-			f(b)
-		}
 		if b.pool != nil {
 			b.pool.put(b)
 			return

@@ -135,7 +135,6 @@ func putDesc(b *Buf) {
 	b.backing = nil
 	b.shared = nil
 	b.pool = nil
-	b.onRecycle = nil
 	b.head, b.tail = 0, 0
 	b.refs = 0
 	if debugMode {

@@ -2,11 +2,10 @@ package netbuf
 
 import "fmt"
 
-// Pool is a bounded allocator of fixed-geometry network buffers, standing in
-// for the device driver's receive-ring allocation in the paper. Buffers from
-// a pool represent pinned physical memory: the total the pool may hand out
-// is capped, and the amount outstanding is what NCache "occupies" — the
-// mechanism §4.1 uses to squeeze the file-system buffer cache.
+// Pool is an allocator of fixed-geometry network buffers, standing in for
+// the device driver's buffer allocation in the paper. A buffer stays on the
+// pool that made it until its last Release returns it there, wherever on
+// the fabric that happens, so Outstanding counts what callers still hold.
 type Pool struct {
 	name     string
 	headroom int
@@ -22,7 +21,6 @@ type Pool struct {
 	reuses      uint64
 	doubleFrees uint64
 	peak        int
-	adopted     uint64
 	// live tracks every outstanding buffer in debug mode so leaks can be
 	// attributed to their owner tags.
 	live map[*Buf]struct{}
@@ -185,61 +183,6 @@ func (p *Pool) put(b *Buf) {
 	p.free = append(p.free, b)
 }
 
-// Adopt re-homes an unshared pool-owned buffer into p: the buffer's
-// outstanding accounting moves from its current pool to p without touching
-// payload bytes. This is the simulated receive DMA — the frame a sender
-// clocked onto the wire materializes in the receiver's registered buffer,
-// which in the shared-memory simulation is the same physical buffer under
-// new ownership. Adoption requires matching geometry (the registered buffer
-// the frame "landed in" has the adopting pool's shape) and an unshared
-// descriptor (a clone's backing belongs to whoever holds the root — cached
-// data transmitted by reference stays pinned at the cache). It returns false,
-// changing nothing, when the buffer is not adoptable.
-func (p *Pool) Adopt(b *Buf) bool {
-	src := b.pool
-	if src == nil || src == p || b.shared != nil || b.refs <= 0 || b.freed {
-		return false
-	}
-	if len(b.backing) != p.headroom+p.bufSize {
-		return false
-	}
-	src.outstanding--
-	src.untrack(b)
-	b.pool = p
-	b.owner = p.name
-	p.outstanding++
-	if p.outstanding > p.peak {
-		p.peak = p.outstanding
-	}
-	p.adopted++
-	p.track(b)
-	return true
-}
-
-// Lend moves one free same-geometry buffer from p into dst's free list,
-// allocating a fresh one when p has none spare — the replacement half of a
-// registered-receive exchange: the receiver that adopted a sender's buffer
-// immediately reposts an empty one in its place, so both pools keep
-// circulating buffers instead of the sender allocating anew. No-op when the
-// geometries differ.
-func (p *Pool) Lend(dst *Pool) {
-	if dst == nil || dst == p || p.headroom != dst.headroom || p.bufSize != dst.bufSize {
-		return
-	}
-	var b *Buf
-	if n := len(p.free); n > 0 {
-		b = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	} else {
-		p.allocs++
-		b = New(p.headroom, p.bufSize)
-		b.refs = 0
-	}
-	b.pool = dst
-	dst.free = append(dst.free, b)
-}
-
 // LeakReport lists the owner tags of outstanding buffers (debug mode only;
 // returns nil otherwise). Tags repeat once per leaked buffer.
 func (p *Pool) LeakReport() []string {
@@ -283,10 +226,6 @@ func (p *Pool) Reuses() uint64 { return p.reuses }
 // DoubleFrees returns the number of Release calls on already-free buffers.
 // Tests assert this stays zero.
 func (p *Pool) DoubleFrees() uint64 { return p.doubleFrees }
-
-// Adopted returns the number of buffers re-homed into this pool by Adopt
-// (the registered-receive DMA count).
-func (p *Pool) Adopted() uint64 { return p.adopted }
 
 // Name returns the pool's diagnostic name.
 func (p *Pool) Name() string { return p.name }

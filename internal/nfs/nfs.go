@@ -10,11 +10,7 @@
 // (Table 1: "NFS/Web server daemon: None").
 package nfs
 
-import (
-	"errors"
-
-	"ncache/internal/lkey"
-)
+import "ncache/internal/lkey"
 
 // Program identity.
 const (
@@ -79,9 +75,6 @@ const AttrLen = 16
 // MaxReadSize bounds a single READ transfer (the paper sweeps 4–32 KB; the
 // reply plus RPC/UDP headers must stay within one 64 KB UDP datagram).
 const MaxReadSize = 32 * 1024
-
-// ErrShortMessage reports a truncated request or reply.
-var ErrShortMessage = errors.New("nfs: short message")
 
 // StatusError converts an NFS status to a Go error (nil for OK).
 func StatusError(st uint32) error {

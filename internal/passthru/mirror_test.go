@@ -186,7 +186,6 @@ func TestPoolsDrainMirror(t *testing.T) {
 		nodes = append(nodes, h.Node)
 	}
 	for _, n := range nodes {
-		checkPoolDrained(t, n.RxPool)
 		checkPoolDrained(t, n.TxPool)
 		checkPoolDrained(t, n.BlkPool)
 	}

@@ -10,13 +10,12 @@ import (
 
 // TestPoolsDrainAfterWorkload is the leak check for the pooled zero-copy
 // data path: after a mixed read/write workload drains, every node's pools —
-// receive, transmit and block — must have zero buffers outstanding
-// (whatever the hot path borrowed, it gave back), every NIC's registered RX
-// ring must have all its credits reposted, and no pool may have seen a
-// double-release. Under NCache the cache deliberately pins receive buffers
-// (§4.1) — these are the app server's own RxPool buffers, adopted at
-// delivery — so the check drops the clean entries first; anything still
-// outstanding after that is a true leak.
+// transmit and block — must have zero buffers outstanding (whatever the hot
+// path borrowed, it gave back), and no pool may have seen a double-release.
+// A buffer stays on the pool that made it, so a receiver's leak shows on the
+// sender's pool. Under NCache the cache deliberately retains the buffers it
+// received (§4.1), so the check drops the clean entries first; anything
+// still outstanding after that is a true leak.
 func TestPoolsDrainAfterWorkload(t *testing.T) {
 	for _, mode := range []Mode{Original, NCache, Baseline} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -80,22 +79,9 @@ func testPoolsDrain(t *testing.T, mode Mode, faultSpec string) {
 	for _, h := range cl.Clients {
 		nodes = append(nodes, h.Node)
 	}
-	adoptions := uint64(0)
 	for _, n := range nodes {
-		checkPoolDrained(t, n.RxPool)
 		checkPoolDrained(t, n.TxPool)
 		checkPoolDrained(t, n.BlkPool)
-		for _, nic := range n.NICs() {
-			ring := nic.Ring()
-			if got := ring.Outstanding(); got != 0 {
-				t.Errorf("%s %s: RX ring %d credits outstanding (adopted %d frames/%d bufs)",
-					n.Name, nic.Addr, got, ring.FramesAdopted, ring.BufsAdopted)
-			}
-			adoptions += ring.BufsAdopted
-		}
-	}
-	if adoptions == 0 {
-		t.Error("registered ingress adopted no buffers over a full workload")
 	}
 	if df := netbuf.GlobalDoubleFrees(); df != 0 {
 		t.Errorf("global (unpooled) double frees = %d", df)
@@ -105,8 +91,8 @@ func testPoolsDrain(t *testing.T, mode Mode, faultSpec string) {
 func checkPoolDrained(t *testing.T, p *netbuf.Pool) {
 	t.Helper()
 	if got := p.Outstanding(); got != 0 {
-		t.Errorf("pool %s leaked %d buffers (peak %d, allocs %d, reuses %d, adopted %d, owners %v)",
-			p.Name(), got, p.Peak(), p.Allocs(), p.Reuses(), p.Adopted(), p.LeakReport())
+		t.Errorf("pool %s leaked %d buffers (peak %d, allocs %d, reuses %d, owners %v)",
+			p.Name(), got, p.Peak(), p.Allocs(), p.Reuses(), p.LeakReport())
 	}
 	checkNoDoubleFrees(t, p)
 }

@@ -11,9 +11,8 @@ import (
 
 // Handler consumes a reassembled datagram for one transport protocol. The
 // payload chain's buffers are the original wire buffers (zero-copy
-// reassembly) — registered-receive buffers this node adopted at NIC
-// delivery. Ownership contract: the stack transfers the references to the
-// handler, which must Release or forward them exactly once.
+// reassembly). Ownership contract: the stack transfers the references to
+// the handler, which must Release or forward them exactly once.
 type Handler func(h Header, payload *netbuf.Chain)
 
 // Stack is a node's network layer: it owns the receive path of every NIC on

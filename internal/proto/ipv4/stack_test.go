@@ -249,8 +249,12 @@ func TestStackReassemblyRecordRecycled(t *testing.T) {
 	if !netbuf.DebugEnabled() && len(sb.free) != 1 {
 		t.Fatalf("%d records on the free list after the expiry, want 1", len(sb.free))
 	}
-	if n := sb.Node().RxPool.Outstanding(); n != 0 {
-		t.Fatalf("%d receive buffers still held after the partial expired", n)
+	for _, st := range []*Stack{sa, sb} {
+		for _, p := range []*netbuf.Pool{st.Node().TxPool, st.Node().BlkPool} {
+			if n := p.Outstanding(); n != 0 {
+				t.Fatalf("pool %s: %d buffers still held after the partial expired", p.Name(), n)
+			}
+		}
 	}
 	if netbuf.DebugEnabled() {
 		// Abandoned, not recycled, and loud if anything still reaches it.

@@ -273,9 +273,8 @@ func (c *Conn) LocalAddr() eth.Addr { return c.key.localAddr }
 func (c *Conn) RemoteAddr() eth.Addr { return c.key.remoteAddr }
 
 // SetReceiver installs the in-order stream consumer. Data chains passed to
-// the receiver are the original wire buffers (adopted into this node's
-// pools by the registered-receive path). Ownership contract: the receiver
-// must Release each chain, or pass it on, exactly once.
+// the receiver are the original wire buffers. Ownership contract: the
+// receiver must Release each chain, or pass it on, exactly once.
 func (c *Conn) SetReceiver(f func(*netbuf.Chain)) { c.receiver = f }
 
 // Send queues plain bytes on the stream (they are copied into pooled

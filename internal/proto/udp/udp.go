@@ -19,11 +19,8 @@ import (
 // HeaderLen is the encoded size of a UDP header.
 const HeaderLen = 8
 
-// Errors returned by the transport.
-var (
-	ErrPortInUse   = errors.New("udp: port in use")
-	ErrBadChecksum = errors.New("udp: checksum mismatch")
-)
+// ErrPortInUse reports a Bind on a port already bound.
+var ErrPortInUse = errors.New("udp: port in use")
 
 // Datagram is a received datagram with its addressing context.
 type Datagram struct {
@@ -31,11 +28,10 @@ type Datagram struct {
 	Dst     eth.Addr // the local address the datagram arrived on
 	SrcPort uint16
 	DstPort uint16
-	// Payload holds the original wire buffers — on the registered-receive
-	// path, buffers the NIC's RX ring adopted into this node's pools at
-	// delivery. Ownership contract: the receiver owns the references and
-	// must Release the chain (or pass it to an owner-taking API) exactly
-	// once; long-term retention goes through SubChain/Clone aliasing.
+	// Payload holds the original wire buffers. Ownership contract: the
+	// receiver owns the references and must Release the chain (or pass it
+	// to an owner-taking API) exactly once; long-term retention goes
+	// through SubChain/Clone aliasing.
 	Payload *netbuf.Chain
 }
 

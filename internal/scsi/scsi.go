@@ -27,11 +27,8 @@ const (
 	StatusCheckCondition uint8 = 0x02
 )
 
-// Errors returned by the codec.
-var (
-	ErrShortCDB  = errors.New("scsi: short CDB")
-	ErrBadOpcode = errors.New("scsi: unexpected opcode")
-)
+// ErrShortCDB reports a CDB or capacity record too short to decode.
+var ErrShortCDB = errors.New("scsi: short CDB")
 
 // CDB is a decoded command descriptor block.
 type CDB struct {

@@ -82,7 +82,6 @@ func (nw *Network) AttachAt(node *Node, addr eth.Addr, bw Bandwidth, latency sim
 		txSite:          node.Name + ".tx",
 		rxSite:          node.Name + ".rx",
 	}
-	nic.ring = newRxRing(nic, DefaultRxRingSize)
 	nw.ports[addr] = &port{
 		nic:  nic,
 		down: sim.NewResource(node.Eng, fmt.Sprintf("sw.%s.down", addr)),

@@ -49,16 +49,12 @@ type NIC struct {
 	net     *Network
 	tx      *sim.Resource
 	rx      RxHandler
-	ring    *RxRing
 	bw      Bandwidth
 	latency sim.Duration
 	// txSite / rxSite name this NIC's fault-injection sites ("<node>.tx",
 	// "<node>.rx"), built once at attach instead of per frame.
 	txSite, rxSite string
 }
-
-// Ring returns the NIC's registered receive ring.
-func (n *NIC) Ring() *RxRing { return n.ring }
 
 // SetRxHandler installs the function invoked for each delivered frame.
 func (n *NIC) SetRxHandler(h RxHandler) { n.rx = h }
@@ -97,8 +93,7 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 	n.launch(p, frame, wire, n.latency+d.Delay, d.Corrupt)
 	if d.Dup {
 		// Injected duplicate: an extra copy of the frame, clocked onto the
-		// wire like any other (it shares the payload buffers by reference,
-		// so receivers see it as a clone and never adopt its buffers).
+		// wire like any other (it shares the payload buffers by reference).
 		dup := frame.Clone()
 		n.Stats.FaultDupTx++
 		n.Stats.PacketsTx++
@@ -125,16 +120,12 @@ func (n *NIC) launch(p *port, frame *netbuf.Chain, wire int, delay sim.Duration,
 // deliver hands a frame arriving from the fabric to the receive handler.
 // Corrupt frames paid for their wire time but fail checksum verification
 // here, so they are counted and discarded without reaching the stack.
-// The frame's buffers are first adopted into this node's pools — the
-// simulated DMA into the RX ring — so everything upstack, including NCache
-// capture, retains buffers this node owns.
 func (n *NIC) deliver(frame *netbuf.Chain, corrupt bool) {
 	if corrupt {
 		n.Stats.FaultCorruptRx++
 		frame.Release()
 		return
 	}
-	n.ring.adopt(frame)
 	n.Stats.PacketsRx++
 	n.Stats.BytesRx += uint64(frame.Len())
 	if n.rx == nil {

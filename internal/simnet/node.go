@@ -19,19 +19,11 @@ type Node struct {
 	CPU  *sim.Resource
 	// Cost calibrates this node's per-operation CPU charges.
 	Cost CostProfile
-	// RxPool is the driver receive-buffer pool backing the NICs' registered
-	// RX rings: arriving MTU-sized payload buffers are adopted into it at
-	// delivery (the simulated DMA), so what NCache pins comes from here —
-	// this node's own receive memory, bounding what is left for the FS
-	// buffer cache (§4.1).
-	RxPool *netbuf.Pool
 	// TxPool recycles MTU-sized transmit buffers: protocol header buffers
 	// and wire-segment copies draw from here so the steady-state transmit
-	// path allocates nothing. Buffers that leave on the wire are adopted by
-	// the receiver's ring, which lends an empty replacement straight back,
-	// keeping the pool circulating. It is unbounded and outside the
-	// RxPool's pinned-memory accounting (a driver tx ring, not cache
-	// memory).
+	// path allocates nothing. A buffer that leaves on the wire stays on this
+	// pool's ledger until the receiver's last Release returns it here. It is
+	// unbounded.
 	TxPool *netbuf.Pool
 	// BlkPool recycles file-system-block-sized buffers (stamped junk
 	// blocks, flush payloads). Like TxPool it is transient driver memory.
@@ -56,7 +48,6 @@ func NewNode(eng *sim.Engine, name string, cost CostProfile) *Node {
 		Eng:     eng,
 		CPU:     sim.NewResource(eng, name+".cpu"),
 		Cost:    cost,
-		RxPool:  netbuf.NewPool(name+".rx", netbuf.DefaultHeadroom, netbuf.DefaultBufSize, 0),
 		TxPool:  netbuf.NewPool(name+".tx", netbuf.DefaultHeadroom, netbuf.DefaultBufSize, 0),
 		BlkPool: netbuf.NewPool(name+".blk", netbuf.DefaultHeadroom, BlockBufSize, 0),
 	}

@@ -237,8 +237,8 @@ func TestEthHeaderRoundTrip(t *testing.T) {
 
 // TestFrameHopAllocFree is the allocation gate for the per-frame path: one
 // MTU frame from a transmit pool through ChargeSend, the uplink serializer,
-// the switch, the downlink serializer, ring adoption and the receive
-// handler's ChargeFrame costs no object in steady state: the frame crosses
+// the switch, the downlink serializer and the receive handler's
+// ChargeFrame costs no object in steady state: the frame crosses
 // to the receiving node as the arguments of Post, and the in-flight records,
 // the Resource jobs, the fault-site names and the buffers all recycle.
 func TestFrameHopAllocFree(t *testing.T) {
@@ -278,7 +278,52 @@ func TestFrameHopAllocFree(t *testing.T) {
 		t.Fatalf("%d in-flight records on the free lists after a drained run, want 1 per node", n)
 	}
 	a.TxPool.MustBeDrained()
-	b.RxPool.MustBeDrained()
+}
+
+// TestDeliveredBuffersStayOnSenderPool pins buffer ownership across a hop:
+// while the receiver holds a delivered frame, its buffers count against the
+// sender's pools, not the receiver's, and the receiver's Release returns
+// them there.
+func TestDeliveredBuffersStayOnSenderPool(t *testing.T) {
+	eng, _, na, nb := testFabric(t)
+	a, b := na.node, nb.node
+	var held *netbuf.Chain
+	nb.SetRxHandler(func(f *netbuf.Chain) { held = f })
+	payload := make([]byte, 600)
+	tx, err := a.TxPool.GetData(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := a.BlkPool.GetData(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := netbuf.ChainOf(tx, blk)
+	if err := (eth.Header{Dst: 2, Src: 1, Type: eth.TypeIPv4}).Push(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := na.Send(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if held == nil {
+		t.Fatal("frame not delivered")
+	}
+	for _, c := range []struct {
+		p    *netbuf.Pool
+		want int
+	}{{a.TxPool, 1}, {a.BlkPool, 1}, {b.TxPool, 0}, {b.BlkPool, 0}} {
+		if got := c.p.Outstanding(); got != c.want {
+			t.Errorf("while the receiver holds the frame: pool %s has %d outstanding, want %d",
+				c.p.Name(), got, c.want)
+		}
+	}
+	held.Release()
+	for _, p := range []*netbuf.Pool{a.TxPool, a.BlkPool, b.TxPool, b.BlkPool} {
+		p.MustBeDrained()
+	}
 }
 
 // TestFaultedFrameTimingWithRecycledRecords pins the fault paths' event

@@ -53,7 +53,6 @@ const replyHeaderLen = 24
 // Errors surfaced by the layer.
 var (
 	ErrBadMessage = errors.New("sunrpc: malformed message")
-	ErrNotReply   = errors.New("sunrpc: not a reply")
 	// ErrTimeout reports a call abandoned after exhausting retransmissions.
 	ErrTimeout = errors.New("sunrpc: call timed out")
 )
@@ -69,12 +68,11 @@ type Call struct {
 	Src     eth.Addr
 	SrcPort uint16
 	Dst     eth.Addr
-	// Body holds the argument bytes in the original wire buffers — on the
-	// registered-receive path, buffers this node's RX ring adopted at
-	// delivery. Ownership contract: the handler owns the references and
-	// must either Release the chain or hand it to an API documented to
-	// take ownership; retaining payload past the call (NCache capture)
-	// requires aliasing via SubChain.
+	// Body holds the argument bytes in the original wire buffers.
+	// Ownership contract: the handler owns the references and must either
+	// Release the chain or hand it to an API documented to take ownership;
+	// retaining payload past the call (NCache capture) requires aliasing
+	// via SubChain.
 	Body *netbuf.Chain
 
 	// The call's transport, which its reply goes back on: the datagram

@@ -170,8 +170,8 @@ func consume(data *netbuf.Chain) int {
 	return n
 }
 
-// junkChain draws an n-byte zeroed chain from the client host's registered
-// block pool: synthetic write bodies are identity-free junk (§5.1), so the
+// junkChain draws an n-byte zeroed chain from the client host's block
+// pool: synthetic write bodies are identity-free junk (§5.1), so the
 // testbed's clients are copy-free — the payload is born in pooled network
 // buffers and handed straight to the zero-copy WRITE path, never staged
 // through a byte slice. The pool recycles the buffers when the RPC layer
