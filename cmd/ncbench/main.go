@@ -16,11 +16,12 @@
 //	ncbench -exp scaleout -window 200ms -scale 8
 //
 // -cpuprofile/-memprofile write pprof profiles of the run; -benchjson
-// records per-experiment wall-clock, allocations and the simulated headline;
-// -benchgate compares the run's allocations against a committed -benchjson
+// records per-experiment allocations, executed events and the simulated
+// headline; -benchgate compares the run against a committed -benchjson
 // baseline and exits non-zero if any shared experiment's alloc_bytes or
-// allocs regresses by more than 5% (the CI gate — baselines must be
-// produced with the same flags as the gated run):
+// allocs regresses by more than 5% or its sim_events exceeds the baseline's
+// at all (the CI gate — baselines must be produced with the same flags as
+// the gated run):
 //
 //	ncbench -exp fig5b -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //	ncbench -exp fig5b,fig4,fig7,scaleout -benchgate BENCH.json
@@ -71,8 +72,8 @@ func run(args []string) error {
 	faultSeed := fs.Uint64("faultseed", 1, "seed for the fault injector's random streams (runs replay bit-for-bit per seed)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
-	benchJSON := fs.String("benchjson", "", "write per-experiment wall-clock, allocation and headline metrics as JSON to this file")
-	benchGate := fs.String("benchgate", "", "compare this run's allocation metrics against a baseline -benchjson file; exit non-zero on an alloc_bytes or allocs regression above 5%")
+	benchJSON := fs.String("benchjson", "", "write per-experiment allocation, event and headline metrics as JSON to this file")
+	benchGate := fs.String("benchgate", "", "compare this run against a baseline -benchjson file; exit non-zero on an alloc_bytes or allocs regression above 5% or any sim_events increase")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -139,7 +140,7 @@ func run(args []string) error {
 		}
 	}
 	if *benchGate != "" {
-		if err := gateAllocations(*benchGate, records); err != nil {
+		if err := gate(*benchGate, records); err != nil {
 			return err
 		}
 	}
@@ -185,12 +186,13 @@ type benchReport struct {
 	Experiments []bench.Record `json:"experiments"`
 }
 
-// gateAllocations enforces the allocation-regression gate: every experiment
-// this run shares with the baseline -benchjson report must stay within 5% of
-// the baseline's alloc_bytes and of its allocs. Wall-clock is reported but
-// never gated (too noisy on shared CI runners); both allocation counts are
-// deterministic for the single-threaded simulation.
-func gateAllocations(path string, records []bench.Record) error {
+// gate enforces the host-cost regression gate against the baseline
+// -benchjson report, for every experiment this run shares with it: alloc_bytes
+// and allocs must stay within 5% of the baseline's, and sim_events must not
+// exceed it. Both allocation counts are deterministic for the single-threaded
+// simulation; the event count is a pure function of the simulated schedule,
+// so it is compared exactly.
+func gate(path string, records []bench.Record) error {
 	const tolerancePct = 5.0
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -208,19 +210,28 @@ func gateAllocations(path string, records []bench.Record) error {
 	checked := 0
 	for _, r := range records {
 		b, found := baseline[r.Name]
-		if !found || b.AllocBytes == 0 || b.Allocs == 0 {
+		if !found {
 			continue
 		}
 		checked++
 		for _, m := range []struct {
 			metric    string
 			got, base uint64
-		}{{"alloc_bytes", r.AllocBytes, b.AllocBytes}, {"allocs", r.Allocs, b.Allocs}} {
+			limitPct  float64
+		}{
+			{"alloc_bytes", r.AllocBytes, b.AllocBytes, tolerancePct},
+			{"allocs", r.Allocs, b.Allocs, tolerancePct},
+			{"sim_events", r.SimEvents, b.SimEvents, 0},
+		} {
+			if m.base == 0 {
+				continue
+			}
 			deltaPct := (float64(m.got)/float64(m.base) - 1) * 100
 			fmt.Printf("benchgate: %-20s %-11s %14d vs baseline %14d (%+.2f%%)\n",
 				r.Name, m.metric, m.got, m.base, deltaPct)
-			if deltaPct > tolerancePct {
-				bad = append(bad, fmt.Sprintf("%s %s regressed %+.2f%% (limit %.0f%%)", r.Name, m.metric, deltaPct, tolerancePct))
+			if deltaPct > m.limitPct {
+				bad = append(bad, fmt.Sprintf("%s %s regressed to %d from %d (%+.2f%%, limit %.0f%%)",
+					r.Name, m.metric, m.got, m.base, deltaPct, m.limitPct))
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"ncache/internal/passthru"
 )
@@ -272,14 +271,12 @@ func Usage() string {
 }
 
 // Record is one experiment's -benchjson line: the host cost of the run
-// (wall-clock, heap-allocation deltas from runtime.MemStats), the events
-// executed summed over the experiment's clusters, and the simulated
-// headline. SimEvents and the headline are pure functions of the simulated
-// schedule (host-independent); WallMs depends on the host, which is why the
-// report also carries its CPU topology.
+// (heap-allocation deltas from runtime.MemStats), the events executed summed
+// over the experiment's clusters, and the simulated headline. SimEvents and
+// the headline are pure functions of the simulated schedule
+// (host-independent).
 type Record struct {
 	Name       string             `json:"name"`
-	WallMs     float64            `json:"wall_ms"`
 	AllocBytes uint64             `json:"alloc_bytes"`
 	Allocs     uint64             `json:"allocs"`
 	SimEvents  uint64             `json:"sim_events,omitempty"`
@@ -292,9 +289,7 @@ func (e Experiment) Measure(opt Options) (Result, Record, error) {
 	rec := Record{Name: e.Name}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
 	res, err := e.Run(opt)
-	rec.WallMs = float64(time.Since(start).Microseconds()) / 1e3
 	runtime.ReadMemStats(&after)
 	rec.AllocBytes = after.TotalAlloc - before.TotalAlloc
 	rec.Allocs = after.Mallocs - before.Mallocs

@@ -26,7 +26,7 @@ import (
 // operation completes (for a read: at ReadResult.Done, which releases the
 // pins it holds). Records never leave their FS, so the free list needs no
 // lock. In netbuf debug mode a retired record is poisoned and abandoned
-// instead of recycled, like simnet's flight records.
+// instead of recycled, like buffer descriptors.
 type walk struct {
 	fs *FS
 	pc func(*walk)

@@ -137,9 +137,9 @@ func BenchmarkEventCancel(b *testing.B) {
 	}
 }
 
-// TestResourceUseZeroAllocs gates Resource.Use: the pooled completion event
-// settles the queue accounting itself, so a job costs no object beyond the
-// caller's own done.
+// TestResourceUseZeroAllocs gates Resource.Use: a job with a done costs one
+// pooled event and a job without one costs nothing, so neither allocates
+// beyond the caller's own done.
 func TestResourceUseZeroAllocs(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "cpu")
@@ -160,9 +160,8 @@ func TestResourceUseZeroAllocs(t *testing.T) {
 		t.Errorf("%d Resource.Use jobs allocate %.0f objects, want 0", jobs+1, avg)
 	}
 	// AllocsPerRun adds one warm-up call of its own.
-	if want := 102 * (jobs + 1); r.Jobs() != uint64(want) || fired != 102*jobs || r.QueueLen() != 0 {
-		t.Errorf("jobs %d (want %d), done fired %d (want %d), queued %d",
-			r.Jobs(), want, fired, 102*jobs, r.QueueLen())
+	if fired != 102*jobs || eng.Pending() != 0 {
+		t.Errorf("done fired %d (want %d), %d events pending", fired, 102*jobs, eng.Pending())
 	}
 }
 

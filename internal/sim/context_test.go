@@ -101,18 +101,19 @@ func TestUsageObserver(t *testing.T) {
 			})
 		}
 		cpu := NewResource(eng, "cpu")
+		var end Time
 		eng.Schedule(0, func() {
 			eng.SetContext("req1")
 			cpu.Use(10, nil)
 		})
 		eng.Schedule(0, func() {
 			eng.SetContext("req2")
-			cpu.Use(7, nil) // queued behind req1: waits 10
+			end = cpu.Use(7, nil) // queued behind req1: waits 10
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return recs, eng.Now()
+		return recs, end
 	}
 
 	recs, end := run(true)
@@ -130,7 +131,7 @@ func TestUsageObserver(t *testing.T) {
 	}
 
 	_, endOff := run(false)
-	if end != endOff {
+	if end != 17 || end != endOff {
 		t.Fatalf("observer changed simulation end time: %v vs %v", end, endOff)
 	}
 }

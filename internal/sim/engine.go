@@ -62,10 +62,6 @@ type event struct {
 	ctx any    // request context captured at scheduling time
 	idx int    // heap index, -1 once popped or canceled
 	gen uint64 // incarnation counter, bumped on every recycle
-	// res, when set, marks the event as a Resource job completion: firing
-	// it settles the resource's queue accounting before fn runs, so
-	// Resource.Use needs no closure of its own.
-	res *Resource
 	// h, when set, runs instead of fn with the arguments Post carried, so a
 	// post needs no closure either.
 	h    Handler
@@ -151,32 +147,13 @@ func (e *Engine) RunStats() RunStats { return RunStats{Events: e.processed} }
 // Schedule runs fn after delay d. A negative delay is treated as zero.
 // Events scheduled for the same instant run in scheduling order.
 func (e *Engine) Schedule(d Duration, fn func()) EventID {
-	if d < 0 {
-		d = 0
-	}
 	return e.At(e.now.Add(d), fn)
 }
 
 // At runs fn at absolute time t. If t is in the past, fn runs at the current
-// time (but never before events already due).
+// time (but never before events already due). The event inherits the
+// current request context.
 func (e *Engine) At(t Time, fn func()) EventID {
-	return e.insertAt(t, fn, nil)
-}
-
-// Post schedules h(a, b, n) after delay d. The arguments ride in the pooled
-// event, so a post with a handler bound ahead of time allocates nothing.
-func (e *Engine) Post(d Duration, h Handler, a, b any, n int64) EventID {
-	if d < 0 {
-		d = 0
-	}
-	id := e.insertAt(e.now.Add(d), nil, nil)
-	id.ev.h, id.ev.a, id.ev.b, id.ev.n = h, a, b, n
-	return id
-}
-
-// insertAt is At with an optional resource whose job the event completes
-// (see Resource.Use). The event inherits the current request context.
-func (e *Engine) insertAt(t Time, fn func(), res *Resource) EventID {
 	if t < e.now {
 		t = e.now
 	}
@@ -192,10 +169,23 @@ func (e *Engine) insertAt(t Time, fn func(), res *Resource) EventID {
 	ev.seq = e.seq
 	ev.fn = fn
 	ev.ctx = e.cur
-	ev.res = res
 	e.seq++
 	e.push(ev)
 	return EventID{ev: ev, gen: ev.gen}
+}
+
+// Post schedules h(a, b, n) after delay d, like Schedule. The arguments ride
+// in the pooled event, so a post with a handler bound ahead of time
+// allocates nothing.
+func (e *Engine) Post(d Duration, h Handler, a, b any, n int64) EventID {
+	return e.PostAt(e.now.Add(d), h, a, b, n)
+}
+
+// PostAt is Post at absolute time t, like At.
+func (e *Engine) PostAt(t Time, h Handler, a, b any, n int64) EventID {
+	id := e.At(t, nil)
+	id.ev.h, id.ev.a, id.ev.b, id.ev.n = h, a, b, n
+	return id
 }
 
 // Cancel removes a pending event. Canceling an already-fired or canceled
@@ -217,7 +207,6 @@ func (e *Engine) Pending() int { return len(e.events) }
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.ctx = nil
-	ev.res = nil
 	if ev.h != nil {
 		ev.h, ev.a, ev.b = nil, nil, nil
 	}
@@ -343,13 +332,9 @@ func (e *Engine) step(until Time) bool {
 // common schedule-from-an-event pattern then reuses it, and any stale
 // EventID is fenced off by the generation bump.
 func (e *Engine) fire(ev *event) {
-	fn, ctx, res := ev.fn, ev.ctx, ev.res
+	fn, ctx := ev.fn, ev.ctx
 	h, a, b, n := ev.h, ev.a, ev.b, ev.n
 	e.recycle(ev)
-	if res != nil {
-		res.queued--
-		res.jobs++
-	}
 	switch {
 	case h != nil:
 		e.cur = ctx

@@ -16,12 +16,6 @@ type Resource struct {
 	busy Duration
 	// statsSince is when stats collection (re)started.
 	statsSince Time
-	// jobs counts completed service grants since the last ResetStats.
-	jobs uint64
-	// queued tracks the number of jobs admitted but not yet completed.
-	queued int
-	// maxQueue records the high-water mark of queued.
-	maxQueue int
 }
 
 // NewResource returns a resource attached to the engine. The name appears in
@@ -33,10 +27,13 @@ func NewResource(eng *Engine, name string) *Resource {
 // Name returns the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Use enqueues a job needing d of service time and invokes done when the job
-// completes. A non-positive d completes after any queued work with zero
-// service time. done may be nil.
-func (r *Resource) Use(d Duration, done func()) {
+// Use enqueues a job needing d of service time and returns the instant it
+// completes, invoking done then. A non-positive d completes after any queued
+// work with zero service time. done may be nil: the job still holds the
+// server for d, but no event marks its end, so Run does not advance the
+// clock over a trailing job that nothing waits on (RunUntil its finish
+// does).
+func (r *Resource) Use(d Duration, done func()) Time {
 	if d < 0 {
 		d = 0
 	}
@@ -53,28 +50,16 @@ func (r *Resource) Use(d Duration, done func()) {
 	finish := start.Add(d)
 	r.availAt = finish
 	r.busy += d
-	r.queued++
-	if r.queued > r.maxQueue {
-		r.maxQueue = r.queued
+	if done != nil {
+		r.eng.At(finish, done)
 	}
-	// The completion event settles queued/jobs itself (event.res), so a
-	// job costs no object beyond the caller's own done.
-	r.eng.insertAt(finish, done, r)
+	return finish
 }
 
 // Busy returns the cumulative service time granted since the last ResetStats.
 // Work already admitted counts in full, mirroring how the paper's saturated
 // CPUs report 100% utilization while a backlog exists.
 func (r *Resource) Busy() Duration { return r.busy }
-
-// Jobs returns the number of completed jobs since the last ResetStats.
-func (r *Resource) Jobs() uint64 { return r.jobs }
-
-// QueueLen returns the number of jobs admitted but not yet completed.
-func (r *Resource) QueueLen() int { return r.queued }
-
-// MaxQueueLen returns the high-water mark of the queue since ResetStats.
-func (r *Resource) MaxQueueLen() int { return r.maxQueue }
 
 // Utilization returns busy time divided by elapsed time since the last
 // ResetStats, clamped to [0, 1]. It returns 0 before any time has elapsed.
@@ -90,14 +75,12 @@ func (r *Resource) Utilization() float64 {
 	return u
 }
 
-// ResetStats zeroes the busy-time and job counters and restarts the
-// measurement window at the current virtual time. Queued work remains queued.
+// ResetStats zeroes the busy time and restarts the measurement window at the
+// current virtual time. Queued work remains queued.
 // Experiments call this after warm-up so reported utilization reflects only
 // the steady-state window.
 func (r *Resource) ResetStats() {
 	r.busy = 0
-	r.jobs = 0
-	r.maxQueue = r.queued
 	r.statsSince = r.eng.Now()
 	// Busy time for in-flight work past this instant is intentionally
 	// credited to the new window only via availAt: if the server is

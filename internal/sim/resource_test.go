@@ -52,14 +52,38 @@ func TestResourceSaturatedUtilization(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Use(10, nil)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := e.RunUntil(1000); err != nil {
+		t.Fatalf("RunUntil: %v", err)
 	}
 	if u := r.Utilization(); u != 1.0 {
 		t.Fatalf("Utilization = %v, want 1.0 for back-to-back work", u)
 	}
-	if r.Jobs() != 100 {
-		t.Fatalf("Jobs = %d, want 100", r.Jobs())
+	if r.Busy() != 1000 {
+		t.Fatalf("Busy = %v, want 1µs", r.Busy())
+	}
+}
+
+// TestResourceUseWithoutDoneFiresNothing pins what a job nothing waits on
+// costs: no event, yet it holds the server for its whole service time.
+func TestResourceUseWithoutDoneFiresNothing(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "cpu")
+	if at := r.Use(10, nil); at != 10 {
+		t.Fatalf("Use(10, nil) finishes at %v, want 10", at)
+	}
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("Use(10, nil) left %d pending events, want 0", n)
+	}
+	var finish Time
+	if at := r.Use(5, func() { finish = e.Now() }); at != 15 {
+		t.Fatalf("second job finishes at %v, want 15", at)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if finish != 15 || e.Processed() != 1 {
+		t.Fatalf("second job done at %v after %d events, want 15 after 1 (it waits out the first)",
+			finish, e.Processed())
 	}
 }
 
@@ -83,8 +107,8 @@ func TestResourceResetStats(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "cpu")
 	r.Use(100, nil)
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := e.RunUntil(100); err != nil {
+		t.Fatalf("RunUntil: %v", err)
 	}
 	r.ResetStats()
 	e.Schedule(100, func() {})
@@ -94,8 +118,8 @@ func TestResourceResetStats(t *testing.T) {
 	if u := r.Utilization(); u != 0 {
 		t.Fatalf("Utilization after reset+idle = %v, want 0", u)
 	}
-	if r.Jobs() != 0 {
-		t.Fatalf("Jobs after reset = %d, want 0", r.Jobs())
+	if r.Busy() != 0 {
+		t.Fatalf("Busy after reset = %v, want 0", r.Busy())
 	}
 }
 
@@ -107,8 +131,8 @@ func TestResourceResetStatsMidJob(t *testing.T) {
 		t.Fatalf("RunUntil: %v", err)
 	}
 	r.ResetStats()
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := e.RunUntil(100); err != nil {
+		t.Fatalf("RunUntil: %v", err)
 	}
 	// The remaining 50ns of the in-flight job belong to the new window.
 	if r.Busy() != 50 {
@@ -119,23 +143,22 @@ func TestResourceResetStatsMidJob(t *testing.T) {
 	}
 }
 
+// TestResourceQueueHighWater checks a backlog through the finish instants
+// Use returns: five jobs admitted at once queue behind each other, and once
+// the clock passes the last one the server starts the next job at once.
 func TestResourceQueueHighWater(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "cpu")
-	for i := 0; i < 5; i++ {
-		r.Use(10, nil)
+	for i := 1; i <= 5; i++ {
+		if at := r.Use(10, nil); at != Time(10*i) {
+			t.Fatalf("job %d finishes at %v, want %v", i, at, Time(10*i))
+		}
 	}
-	if r.QueueLen() != 5 {
-		t.Fatalf("QueueLen = %d, want 5", r.QueueLen())
+	if err := e.RunUntil(60); err != nil {
+		t.Fatalf("RunUntil: %v", err)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if r.QueueLen() != 0 {
-		t.Fatalf("QueueLen = %d, want 0 after drain", r.QueueLen())
-	}
-	if r.MaxQueueLen() != 5 {
-		t.Fatalf("MaxQueueLen = %d, want 5", r.MaxQueueLen())
+	if at := r.Use(10, nil); at != 70 {
+		t.Fatalf("job after the drained backlog finishes at %v, want 70", at)
 	}
 }
 
@@ -144,14 +167,12 @@ func TestResourcePropertyBusyEqualsSumOfService(t *testing.T) {
 		e := NewEngine()
 		r := NewResource(e, "x")
 		var sum Duration
+		var last Time
 		for _, d := range durs {
-			r.Use(Duration(d), nil)
+			last = r.Use(Duration(d), nil)
 			sum += Duration(d)
 		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		return r.Busy() == sum && e.Now() == Time(sum)
+		return r.Busy() == sum && last == Time(sum) && e.Pending() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

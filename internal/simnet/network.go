@@ -27,9 +27,10 @@ type Network struct {
 	// faultDuped counts extra frame copies the injector created at switch
 	// downlinks.
 	faultDuped uint64
-	// onArrive is arrive as a sim.Handler, bound once so a frame's link
-	// crossing carries (port, frame, corrupt) as arguments, not a closure.
-	onArrive sim.Handler
+	// onArrive and onDeliver are arrive and NIC.deliver as sim.Handlers,
+	// bound once so a frame's two link crossings carry (port or NIC, frame,
+	// corrupt) as arguments, not a closure.
+	onArrive, onDeliver sim.Handler
 }
 
 // port is the switch side of one attachment: a downlink serializer toward
@@ -52,7 +53,18 @@ func NewNetwork(eng *sim.Engine, latency sim.Duration) *Network {
 	nw.onArrive = func(p, frame any, corrupt int64) {
 		nw.arrive(p.(*port), frame.(*netbuf.Chain), corrupt != 0)
 	}
+	nw.onDeliver = func(nic, frame any, corrupt int64) {
+		nic.(*NIC).deliver(frame.(*netbuf.Chain), corrupt != 0)
+	}
 	return nw
+}
+
+// flag carries a frame's corrupt bit as a post's integer argument.
+func flag(corrupt bool) int64 {
+	if corrupt {
+		return 1
+	}
+	return 0
 }
 
 // Attach creates a NIC on node, connected to this switch at the given
@@ -121,36 +133,31 @@ func (nw *Network) route(from *NIC, frame *netbuf.Chain) *port {
 	return p
 }
 
-// drop discards an unroutable frame once it has paid its wire time.
-func (nw *Network) drop(frame *netbuf.Chain) {
-	nw.dropped++
-	frame.Release()
-}
-
 // arrive runs when a frame reaches the switch egress: the receive-side fault
-// decision, then downlink serialization. The port latency was already paid
-// with the uplink's (see NIC.launch), so delivery happens straight off the
-// serializer.
+// decision, then downlink serialization, posting delivery for when the
+// serializer is done plus any injected delay. The port latency was already
+// paid with the uplink's (see NIC.launch). A frame with no egress port
+// (unroutable) has paid its wire time and is discarded here.
 func (nw *Network) arrive(p *port, frame *netbuf.Chain, corrupt bool) {
-	node := p.nic.node
+	if p == nil {
+		nw.dropped++
+		frame.Release()
+		return
+	}
 	d := nw.faults.FrameRx(p.nic.rxSite)
 	if d.Drop {
 		nw.faultDropped++
 		frame.Release()
 		return
 	}
-	corrupt = corrupt || d.Corrupt
-	wire := frame.Len() + FrameOverheadBytes
-	f := node.flight(flightDown, frame)
-	f.port, f.delay, f.corrupt = p, d.Delay, corrupt
-	p.down.Use(p.bw.serialization(wire), f.step)
+	flags := flag(corrupt || d.Corrupt)
+	ser := p.bw.serialization(frame.Len() + FrameOverheadBytes)
+	nw.eng.PostAt(p.down.Use(ser, nil).Add(d.Delay), nw.onDeliver, p.nic, frame, flags)
 	if d.Dup {
 		// Injected duplicate at the downlink: a by-reference copy clocked
 		// after the original.
 		dup := frame.Clone()
 		nw.faultDuped++
-		f := node.flight(flightDown, dup)
-		f.port, f.corrupt = p, corrupt
-		p.down.Use(p.bw.serialization(wire), f.step)
+		nw.eng.PostAt(p.down.Use(ser, nil), nw.onDeliver, p.nic, dup, flags)
 	}
 }

@@ -103,18 +103,35 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 	return nil
 }
 
-// launch clocks one frame copy onto the uplink. When the serializer is done
-// (flight.run, flightTx) the frame reaches the egress port after the uplink
-// AND downlink latencies (plus any injected delay), or — for unroutable
-// frames — pays the same wire time and lets the switch count the discard.
+// launch clocks one frame copy onto the uplink and posts its arrival at the
+// egress port for when the serializer is done plus the uplink AND downlink
+// latencies (plus any injected delay). An unroutable frame (nil p) pays the
+// same wire time without the egress latency, and the switch counts the
+// discard.
 //
 // The egress port's latency is paid here, with the uplink's, rather than
 // after downlink serialization: every frame into a port pays the same
 // constant, so queue waits commute with it and the timing is identical.
 func (n *NIC) launch(p *port, frame *netbuf.Chain, wire int, delay sim.Duration, corrupt bool) {
-	f := n.node.flight(flightTx, frame)
-	f.nic, f.port, f.delay, f.corrupt = n, p, delay, corrupt
-	n.tx.Use(n.bw.serialization(wire), f.step)
+	at := n.tx.Use(n.bw.serialization(wire), nil).Add(delay)
+	if p != nil {
+		at = at.Add(p.lat)
+	}
+	n.node.Eng.PostAt(at, n.net.onArrive, p, frame, flag(corrupt))
+}
+
+// ChargeSend charges the node's CPU d of per-packet transmit work, then
+// Sends frame, releasing it if the NIC refuses it.
+func (n *NIC) ChargeSend(d sim.Duration, frame *netbuf.Chain) {
+	n.node.Eng.PostAt(n.node.CPU.Use(d, nil), sendFrame, n, frame, 0)
+}
+
+// sendFrame is ChargeSend's handler.
+func sendFrame(nic, frame any, _ int64) {
+	f := frame.(*netbuf.Chain)
+	if err := nic.(*NIC).Send(f); err != nil {
+		f.Release()
+	}
 }
 
 // deliver hands a frame arriving from the fabric to the receive handler.

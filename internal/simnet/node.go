@@ -33,8 +33,6 @@ type Node struct {
 	Reqs   metrics.Requests
 
 	nics []*NIC
-	// flights is the free list of in-flight frame records (see flight).
-	flights netbuf.FreeList[flight]
 }
 
 // BlockBufSize is the payload capacity of BlkPool buffers, matching the
@@ -60,6 +58,16 @@ func (n *Node) NICs() []*NIC { return n.nics }
 func (n *Node) Charge(d sim.Duration, fn func()) {
 	n.CPU.Use(d, fn)
 }
+
+// ChargeFrame is Charge for the per-packet path: fn(frame) runs once the CPU
+// has served d, with both carried as the arguments of one Post, not in a
+// closure.
+func (n *Node) ChargeFrame(d sim.Duration, frame *netbuf.Chain, fn func(*netbuf.Chain)) {
+	n.Eng.PostAt(n.CPU.Use(d, nil), runFrame, frame, fn, 0)
+}
+
+// runFrame is ChargeFrame's handler.
+func runFrame(frame, fn any, _ int64) { fn.(func(*netbuf.Chain))(frame.(*netbuf.Chain)) }
 
 // ChargeCopy performs the accounting for one physical copy of nbytes and
 // runs fn once the CPU time has been served. The actual byte movement is the

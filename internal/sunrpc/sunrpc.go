@@ -223,9 +223,8 @@ type Server struct {
 // serverCall is the recycled record of one call between its parse and its
 // handler: it carries the parsed call and the handler across the RPCNs charge,
 // with run bound once, when the record is first allocated. Its job ends where
-// the handler begins, so run copies both out and retires the record first (as
-// simnet's flight.run does); the handler receives the call by value and a
-// reply needs no record. Records never leave their Server. In netbuf debug
+// the handler begins, so run copies both out and retires the record first;
+// the handler receives the call by value and a reply needs no record. Records never leave their Server. In netbuf debug
 // mode a retired record is poisoned and abandoned, and a second retire panics.
 type serverCall struct {
 	s    *Server
