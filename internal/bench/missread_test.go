@@ -10,13 +10,15 @@ import (
 	"ncache/internal/passthru"
 )
 
-// TestMissReadAllocBudget is the miss path's end-to-end byte gate: a
-// steady-state all-miss 16 KB NCache READ — NFS request, buffer-cache miss,
-// iSCSI command, four member I/Os, staging, 12 data frames back, NCache
-// capture with eviction, key fill with eviction, substituted reply — after
-// both caches have filled allocates at most half a payload on the host
-// (6.7 KB measured, all of it per-packet and per-command objects; with a
-// slab per hop it was 57 KB).
+// TestMissReadAllocBudget is the miss path's end-to-end gate: a steady-state
+// all-miss 16 KB NCache READ — NFS request, buffer-cache miss, iSCSI command,
+// four member I/Os, staging, 12 data frames back, NCache capture with
+// eviction, key fill with eviction, substituted reply — after both caches
+// have filled allocates at most half a payload and 3 objects on the host.
+// The 2 objects measured are this test's own completion closure and the
+// variable it captures: the tree allocates nothing (24 objects and 1.3 KB
+// when clones were descriptors and the miss path built closures per command;
+// with a slab per hop it was 57 KB).
 func TestMissReadAllocBudget(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -79,8 +81,12 @@ func TestMissReadAllocBudget(t *testing.T) {
 		t.Fatalf("only %d evictions over %d READs: the FS cache had not filled", d, reads)
 	}
 	perRead := (m1.TotalAlloc - m0.TotalAlloc) / reads
-	t.Logf("per all-miss 16 KB READ: %d B, %.1f objects", perRead, float64(m1.Mallocs-m0.Mallocs)/reads)
+	objects := float64(m1.Mallocs-m0.Mallocs) / reads
+	t.Logf("per all-miss 16 KB READ: %d B, %.1f objects", perRead, objects)
 	if perRead > budget {
-		t.Fatalf("all-miss 16 KB READ allocates %d B on the host, budget %d", perRead, budget)
+		t.Errorf("all-miss 16 KB READ allocates %d B on the host, budget %d", perRead, budget)
+	}
+	if objects > 3 {
+		t.Errorf("all-miss 16 KB READ allocates %.2f objects, budget 3", objects)
 	}
 }

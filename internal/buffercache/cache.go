@@ -47,8 +47,9 @@ type Block struct {
 
 	pins     int
 	flushing bool
-	pending  []func(*Block, error)
-	loaded   bool
+	// pending parks the callers waiting for an in-flight fill.
+	pending []waiter
+	loaded  bool
 	// prev/next link the block into the cache's LRU ring while resident
 	// (both nil otherwise), so a block, its page and its LRU position are
 	// one object and recycle together.
@@ -72,6 +73,9 @@ type Cache struct {
 	// free holds blocks evicted clean with nothing referring to them;
 	// insert reuses them (page zeroed) before it allocates.
 	free []*Block
+	// reads and runs are the free lists of the miss path's records.
+	reads netbuf.FreeList[read]
+	runs  netbuf.FreeList[run]
 
 	// Stats is hit/miss/eviction accounting.
 	Stats metrics.Cache
@@ -230,8 +234,9 @@ func (c *Cache) Get(lbn int64, meta bool, done func(*Block, error)) {
 		c.evictForRoom()
 		return
 	}
-	out := make([]*Block, 1)
-	c.GetRange(lbn, out, meta, func(err error) { done(out[0], err) })
+	rd := c.read()
+	rd.doneBlock = done
+	c.getRange(rd, lbn, rd.one[:], meta)
 }
 
 // GetRange fills out with the len(out) pinned blocks starting at lbn,
@@ -240,8 +245,7 @@ func (c *Cache) Get(lbn int64, meta bool, done func(*Block, error)) {
 // matches the NFS request size). out is the caller's and must stay untouched
 // until done; on failure nothing is left pinned and out is cleared.
 func (c *Cache) GetRange(lbn int64, out []*Block, meta bool, done func(error)) {
-	count := len(out)
-	if count == 0 {
+	if len(out) == 0 {
 		done(fmt.Errorf("buffercache: empty range"))
 		return
 	}
@@ -253,27 +257,61 @@ func (c *Cache) GetRange(lbn int64, out []*Block, meta bool, done func(error)) {
 		c.evictForRoom()
 		return
 	}
-	waiting := 0
-	var failed error
-	finishOne := func(err error) {
-		if err != nil && failed == nil {
-			failed = err
-		}
-		waiting--
-		if waiting == 0 {
-			if failed != nil {
-				for _, b := range out {
-					if b != nil {
-						c.Unpin(b)
-					}
-				}
-				clear(out)
-			}
-			done(failed)
-		}
-	}
-	waiting = 1 // guard so synchronous hits don't complete early
+	rd := c.read()
+	rd.done = done
+	c.getRange(rd, lbn, out, meta)
+}
 
+// read is the recycled record of one Get or GetRange that is not fully
+// resident: the caller's blocks and completion, and how many fills it still
+// waits for. A record never leaves its Cache and retires before the caller's
+// completion runs; in netbuf debug mode it is poisoned and abandoned, and a
+// second retire panics. A read whose fill a Reset (crash) discards never
+// completes and never retires: its record goes to the collector.
+type read struct {
+	c       *Cache
+	dead    bool // retired in debug mode
+	out     []*Block
+	one     [1]*Block // out for Get
+	waiting int
+	failed  error
+	// done is GetRange's completion, doneBlock Get's.
+	done      func(error)
+	doneBlock func(*Block, error)
+}
+
+// read takes a blank record off the free list.
+func (c *Cache) read() *read {
+	if rd := c.reads.Take(); rd != nil {
+		return rd
+	}
+	return &read{c: c}
+}
+
+// waiter is one caller parked on a block whose fill is in flight: slot idx
+// of a read, or a GetForWrite caller's completion.
+type waiter struct {
+	rd   *read
+	idx  int
+	done func(*Block, error)
+}
+
+// wake hands the filled (or, with err, dropped) block to the waiter.
+func (w waiter) wake(b *Block, err error) {
+	if w.rd == nil {
+		w.done(b, err)
+		return
+	}
+	w.rd.out[w.idx] = b
+	w.rd.finishOne(err)
+}
+
+// getRange pins the blocks of rd.out, parking on fills in flight and
+// reading each missing run.
+func (c *Cache) getRange(rd *read, lbn int64, out []*Block, meta bool) {
+	rd.out = out
+	rd.waiting = 1 // guard so synchronous hits don't complete early
+	count := len(out)
 	i := 0
 	for i < count {
 		cur := lbn + int64(i)
@@ -284,12 +322,8 @@ func (c *Cache) GetRange(lbn int64, out []*Block, meta bool, done func(error)) {
 			} else {
 				// Fill in flight: wait for it.
 				b.pins++
-				idx := i
-				waiting++
-				b.pending = append(b.pending, func(bb *Block, err error) {
-					out[idx] = bb
-					finishOne(err)
-				})
+				rd.waiting++
+				b.pending = append(b.pending, waiter{rd: rd, idx: i})
 			}
 			i++
 			continue
@@ -310,11 +344,43 @@ func (c *Cache) GetRange(lbn int64, out []*Block, meta bool, done func(error)) {
 			out[start+j] = nb
 		}
 		c.Stats.Misses += uint64(runLen)
-		waiting++
-		c.readRun(runLBN, runLen, meta, finishOne)
+		rd.waiting++
+		c.readRun(rd, runLBN, runLen, meta)
 	}
-	finishOne(nil) // release the guard
+	rd.finishOne(nil) // release the guard
 	c.evictForRoom()
+}
+
+// finishOne counts one fill in; after the last, the record retires and the
+// caller hears.
+func (rd *read) finishOne(err error) {
+	if err != nil && rd.failed == nil {
+		rd.failed = err
+	}
+	rd.waiting--
+	if rd.waiting > 0 {
+		return
+	}
+	if rd.dead {
+		panic("buffercache: read record retired twice")
+	}
+	c, failed := rd.c, rd.failed
+	if failed != nil {
+		for _, b := range rd.out {
+			if b != nil {
+				c.Unpin(b)
+			}
+		}
+		clear(rd.out)
+	}
+	done, doneBlock, b := rd.done, rd.doneBlock, rd.one[0]
+	*rd = read{c: c}
+	rd.dead = !c.reads.Put(rd)
+	if doneBlock != nil {
+		doneBlock(b, failed)
+		return
+	}
+	done(failed)
 }
 
 // resident fills out with the blocks starting at lbn and reports whether
@@ -330,67 +396,112 @@ func (c *Cache) resident(lbn int64, out []*Block) bool {
 	return true
 }
 
-// readRun fetches one missing run and fills its resident placeholders.
-// Completions arriving after a Reset (crash) are discarded: the
-// placeholders are orphans and their waiters died with the server.
-func (c *Cache) readRun(lbn int64, count int, meta bool, done func(error)) {
-	gen := c.gen
-	c.lower.ReadAt(lbn, count, meta, func(data *netbuf.Chain, err error) {
-		if c.gen != gen {
-			if data != nil {
-				data.Release()
-			}
-			return
-		}
-		if err != nil {
-			for j := 0; j < count; j++ {
-				if b, ok := c.blocks[lbn+int64(j)]; ok && !b.loaded {
-					waiters := b.pending
-					b.pending = nil
-					c.drop(b)
-					for _, w := range waiters {
-						w(b, err)
-					}
-				}
-			}
-			done(err)
-			return
-		}
-		c.fillRun(gen, lbn, count, data, done)
-	})
+// run is the recycled record of one missing run on its way from the lower
+// store into its placeholder blocks: the read it fills, the cache
+// incarnation it was issued under (the CPU charge defers the fill, and a
+// crash in between must not populate the reborn cache), the arriving
+// payload and the per-block fill plan, whose capacity the record keeps.
+// onData and onFilled are bound once; the record retires before the read
+// hears.
+type run struct {
+	c     *Cache
+	dead  bool // retired in debug mode
+	rd    *read
+	lbn   int64
+	count int
+	gen   uint64
+	data  *netbuf.Chain
+	fills []fill
+
+	onData   func(*netbuf.Chain, error)
+	onFilled func()
 }
 
-// fillRun moves arriving payload into the placeholder blocks: one physical
-// copy for real data (charged once for the run, the Table 2 "network to
-// buffer cache" stage), or per-block key copies for logical data. gen is
-// the cache incarnation the read was issued under — the CPU charge defers
-// the fill, and a crash in between must not populate the reborn cache.
-func (c *Cache) fillRun(gen uint64, lbn int64, count int, data *netbuf.Chain, done func(error)) {
-	if data.Len() < count*c.bs {
+// fill is one placeholder's share of a run's payload.
+type fill struct {
+	b     *Block
+	off   int
+	isKey bool
+}
+
+// readRun fetches one missing run for rd.
+func (c *Cache) readRun(rd *read, lbn int64, count int, meta bool) {
+	r := c.runs.Take()
+	if r == nil {
+		r = &run{c: c}
+		r.onData, r.onFilled = r.arrived, r.filled
+	}
+	r.rd, r.lbn, r.count, r.gen = rd, lbn, count, c.gen
+	c.lower.ReadAt(lbn, count, meta, r.onData)
+}
+
+// retire hands the record back to the cache and returns the read it served.
+func (r *run) retire() *read {
+	if r.dead {
+		panic("buffercache: run record retired twice")
+	}
+	c, rd := r.c, r.rd
+	clear(r.fills)
+	*r = run{c: c, fills: r.fills[:0], onData: r.onData, onFilled: r.onFilled}
+	r.dead = !c.runs.Put(r)
+	return rd
+}
+
+// arrived takes the lower store's answer. Completions arriving after a Reset
+// (crash) are discarded: the placeholders are orphans and their waiters died
+// with the server.
+func (r *run) arrived(data *netbuf.Chain, err error) {
+	c := r.c
+	if c.gen != r.gen {
+		if data != nil {
+			data.Release()
+		}
+		r.retire()
+		return
+	}
+	if err != nil {
+		for j := 0; j < r.count; j++ {
+			if b, ok := c.blocks[r.lbn+int64(j)]; ok && !b.loaded {
+				waiters := b.pending
+				b.pending = nil
+				c.drop(b)
+				for _, w := range waiters {
+					w.wake(b, err)
+				}
+			}
+		}
+		r.retire().finishOne(err)
+		return
+	}
+	r.plan(data)
+}
+
+// plan works out moving the arriving payload into the placeholder blocks: one
+// physical copy for real data (charged once for the run, the Table 2
+// "network to buffer cache" stage), or per-block key copies for logical
+// data.
+func (r *run) plan(data *netbuf.Chain) {
+	c := r.c
+	if data.Len() < r.count*c.bs {
+		err := fmt.Errorf("buffercache: short read: %d bytes for %d blocks", data.Len(), r.count)
 		data.Release()
-		done(fmt.Errorf("buffercache: short read: %d bytes for %d blocks", data.Len(), count))
+		r.retire().finishOne(err)
 		return
 	}
 	physBytes := 0
 	logical := 0
-	type fill struct {
-		b     *Block
-		off   int
-		isKey bool
-	}
-	fills := make([]fill, 0, count)
 	var head [lkey.Size]byte
-	for j := 0; j < count; j++ {
-		b, ok := c.blocks[lbn+int64(j)]
+	for j := 0; j < r.count; j++ {
+		b, ok := c.blocks[r.lbn+int64(j)]
 		if !ok {
 			continue
 		}
 		// Peek for a key marker at the block's offset without carving a
-		// descriptor clone out of the run.
+		// sub-chain out of the run.
 		off := j * c.bs
 		n := data.GatherRange(off, head[:])
 		_, isKey := lkey.Parse(head[:n])
-		fills = append(fills, fill{b: b, off: off, isKey: isKey})
+		r.fills = append(r.fills, fill{b: b, off: off, isKey: isKey})
 		if isKey {
 			logical++
 		} else {
@@ -406,29 +517,36 @@ func (c *Cache) fillRun(gen uint64, lbn int64, count int, data *netbuf.Chain, do
 		c.node.Copies.AddLogical()
 		cost += c.LogicalCopyNs
 	}
-	c.node.Charge(cost, func() {
-		if c.gen != gen {
-			data.Release()
-			return
-		}
-		for _, f := range fills {
-			if f.isKey {
-				data.GatherRange(f.off, f.b.Data[:lkey.Size])
-				f.b.Logical = true
-			} else {
-				data.GatherRange(f.off, f.b.Data)
-				f.b.Logical = false
-			}
-			f.b.loaded = true
-			waiters := f.b.pending
-			f.b.pending = nil
-			for _, w := range waiters {
-				w(f.b, nil)
-			}
-		}
+	r.data = data
+	c.node.Charge(cost, r.onFilled)
+}
+
+// filled copies the payload (or keys) into the blocks once the CPU has
+// served the copy, and wakes every waiter.
+func (r *run) filled() {
+	c, data := r.c, r.data
+	if c.gen != r.gen {
 		data.Release()
-		done(nil)
-	})
+		r.retire()
+		return
+	}
+	for _, f := range r.fills {
+		if f.isKey {
+			data.GatherRange(f.off, f.b.Data[:lkey.Size])
+			f.b.Logical = true
+		} else {
+			data.GatherRange(f.off, f.b.Data)
+			f.b.Logical = false
+		}
+		f.b.loaded = true
+		waiters := f.b.pending
+		f.b.pending = nil
+		for _, w := range waiters {
+			w.wake(f.b, nil)
+		}
+	}
+	data.Release()
+	r.retire().finishOne(nil)
 }
 
 // GetForWrite returns a pinned block about to be fully overwritten: if
@@ -442,7 +560,7 @@ func (c *Cache) GetForWrite(lbn int64, meta bool, done func(*Block, error)) {
 			return
 		}
 		b.pins++
-		b.pending = append(b.pending, done)
+		b.pending = append(b.pending, waiter{done: done})
 		return
 	}
 	b := c.insert(lbn, meta)

@@ -287,10 +287,7 @@ func TestLogicalBlockFillIsKeyCopy(t *testing.T) {
 	lower.readFn = func(lbn int64, count int) *netbuf.Chain {
 		out := netbuf.NewChain()
 		for j := 0; j < count; j++ {
-			sub := lkey.StampChainPool(nil, lkey.ForLBN(lbn+int64(j)), 4096)
-			for _, b := range sub.Bufs() {
-				out.Append(b)
-			}
+			out.AppendChain(lkey.StampChainPool(nil, lkey.ForLBN(lbn+int64(j)), 4096))
 		}
 		return out
 	}

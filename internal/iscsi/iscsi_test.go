@@ -2,6 +2,7 @@ package iscsi
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/ipv4"
 	"ncache/internal/proto/tcp"
+	"ncache/internal/scsi"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
 	"ncache/internal/storage"
@@ -343,8 +345,69 @@ func TestOutOfRangeReadFails(t *testing.T) {
 	if gotErr == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
-	if len(r.target.free) != 0 {
-		t.Fatal("a refused READ sized a staging buffer")
+	for _, c := range r.target.free {
+		if c.buf != nil {
+			t.Fatal("a refused READ sized a staging buffer")
+		}
+	}
+}
+
+// TestMalformedWriteRefused: a WRITE(10) whose Data-Out is not exactly the
+// CDB's blocks, or whose range passes the device end, is answered with CHECK
+// CONDITION before anything is staged, and no block is written — not the
+// CDB's, and not the one after it that the surplus data would reach.
+func TestMalformedWriteRefused(t *testing.T) {
+	r := newRig(t)
+	r.connect(t)
+	last := r.initiator.Geometry().NumBlocks - 1
+	for _, tc := range []struct {
+		name   string
+		lba    int64
+		blocks uint16
+		data   int
+	}{
+		{"surplus data", 10, 1, 2},
+		{"short data", 10, 2, 1},
+		{"past the end", last, 2, 2},
+	} {
+		var gotErr error
+		called := false
+		tk := r.initiator.task()
+		tk.write = true
+		tk.onDone = func(err error) { gotErr, called = err, true }
+		cdb := scsi.CDB{Op: scsi.OpWrite10, LBA: uint32(tc.lba), Blocks: tc.blocks}.Encode()
+		payload := bytes.Repeat([]byte{0xEE}, tc.data*4096)
+		r.initiator.send(tk, PDU{
+			Op: OpSCSICmd, Final: true, ExpectedLen: uint32(len(payload)),
+			CmdSN: r.initiator.allocCmdSN(), CDB: cdb,
+			Data: netbuf.ChainFromBytes(payload, netbuf.DefaultBufSize),
+		})
+		if err := r.eng.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", tc.name, err)
+		}
+		if !called || !errors.Is(gotErr, ErrCheckCond) {
+			t.Fatalf("%s: WRITE completed with %v (called %v), want CHECK CONDITION", tc.name, gotErr, called)
+		}
+		if r.target.BytesIn != 0 {
+			t.Fatalf("%s: target staged %d bytes of a refused WRITE", tc.name, r.target.BytesIn)
+		}
+	}
+	for _, lbn := range []int64{10, 11, last} {
+		var got []byte
+		r.initiator.Read(lbn, 1, false, func(data *netbuf.Chain, err error) {
+			if err != nil {
+				t.Errorf("Read %d: %v", lbn, err)
+				return
+			}
+			got = data.Flatten()
+			data.Release()
+		})
+		if err := r.eng.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if bytes.Contains(got, []byte{0xEE}) {
+			t.Fatalf("block %d was written by a refused WRITE", lbn)
+		}
 	}
 }
 
@@ -481,7 +544,7 @@ func TestDebugModePoisonsStaging(t *testing.T) {
 		t.Fatal("round trip mismatch with poisoned staging buffers")
 	}
 	if len(r.target.free) != 0 || len(r.initiator.free) != 0 {
-		t.Fatalf("debug mode recycled %d staging buffers and %d command records", len(r.target.free), len(r.initiator.free))
+		t.Fatalf("debug mode recycled %d target and %d initiator command records", len(r.target.free), len(r.initiator.free))
 	}
 	cmd := r.initiator.task()
 	cmd.finish(nil, nil)

@@ -115,14 +115,13 @@ func FromChain(c *netbuf.Chain) (Key, bool) {
 	if c.Len() < Size {
 		return Key{}, false
 	}
-	bufs := c.Bufs()
 	// Fast path: the key sits within the first non-empty buffer.
-	for _, b := range bufs {
-		if b.Len() == 0 {
+	for _, w := range c.Bufs() {
+		if w.Len() == 0 {
 			continue
 		}
-		if b.Len() >= Size {
-			return Parse(b.Bytes())
+		if w.Len() >= Size {
+			return Parse(w.Bytes())
 		}
 		break
 	}

@@ -64,9 +64,7 @@ func TestFromChainAcrossBufferBoundaries(t *testing.T) {
 	}
 	// Leading empty buffer.
 	c2 := netbuf.ChainOf(netbuf.New(16, 0))
-	for _, b := range netbuf.ChainFromBytes(block, 1500).Bufs() {
-		c2.Append(b)
-	}
+	c2.AppendChain(netbuf.ChainFromBytes(block, 1500))
 	got2, ok := FromChain(c2)
 	if !ok || got2 != k {
 		t.Fatalf("FromChain with empty leader = %+v ok=%v", got2, ok)

@@ -25,8 +25,6 @@
 package ncache
 
 import (
-	"container/list"
-
 	"ncache/internal/lkey"
 	"ncache/internal/netbuf"
 	"ncache/internal/sim"
@@ -70,14 +68,16 @@ type Stats struct {
 	L2Misses uint64
 }
 
-// entry is one cached block.
+// entry is one cached block. It carries its own links in the module's LRU
+// ring while it is indexed, and goes to the module's free list when it is
+// evicted or replaced.
 type entry struct {
-	key     lkey.Key
-	chain   *netbuf.Chain
-	partial netbuf.Partial // inherited payload checksum
-	dirty   bool
-	bytes   int
-	elem    *list.Element
+	key        lkey.Key
+	chain      *netbuf.Chain
+	partial    netbuf.Partial // inherited payload checksum
+	dirty      bool
+	bytes      int
+	prev, next *entry
 }
 
 type fhoKey struct {
@@ -90,9 +90,12 @@ type Module struct {
 	node *simnet.Node
 	cfg  Config
 
-	lbn  map[int64]*entry
-	fho  map[fhoKey]*entry
-	lru  *list.List // front = most recent
+	lbn map[int64]*entry
+	fho map[fhoKey]*entry
+	// lru is the sentinel of the LRU ring: lru.next is the most recently
+	// used entry, lru.prev the eviction candidate.
+	lru  entry
+	free netbuf.FreeList[entry]
 	used int64
 
 	// Stats is the module's activity counters.
@@ -104,13 +107,14 @@ func New(node *simnet.Node, cfg Config) *Module {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 4096
 	}
-	return &Module{
+	m := &Module{
 		node: node,
 		cfg:  cfg,
 		lbn:  make(map[int64]*entry),
 		fho:  make(map[fhoKey]*entry),
-		lru:  list.New(),
 	}
+	m.lru.prev, m.lru.next = &m.lru, &m.lru
+	return m
 }
 
 // chargeLookup bills one hash operation.
@@ -126,12 +130,40 @@ func (m *Module) chargeMgmt(blocks int) {
 	m.node.Charge(cost, nil)
 }
 
-// touch moves an entry to the hot end.
-func (m *Module) touch(e *entry) { m.lru.MoveToFront(e.elem) }
+// pushFront links an entry in at the hot end.
+func (m *Module) pushFront(e *entry) {
+	e.prev, e.next = &m.lru, m.lru.next
+	e.prev.next, e.next.prev = e, e
+}
 
-// insert adds an entry, evicting as needed.
-func (m *Module) insert(e *entry) {
-	e.elem = m.lru.PushFront(e)
+// unlink takes an entry out of the LRU ring.
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// touch moves an entry to the hot end.
+func (m *Module) touch(e *entry) {
+	e.unlink()
+	m.pushFront(e)
+}
+
+// insert adds an entry for chain, taking ownership of it, and evicts as
+// needed. The entry comes off the free list when one is there.
+func (m *Module) insert(key lkey.Key, chain *netbuf.Chain, dirty bool) {
+	e := m.free.Take()
+	if e == nil {
+		e = &entry{}
+	}
+	*e = entry{
+		key:     key,
+		chain:   chain,
+		partial: netbuf.PartialOfChain(chain),
+		dirty:   dirty,
+		bytes:   chain.Len(),
+	}
+	m.Stats.Captures++
+	m.pushFront(e)
 	m.used += int64(e.bytes + EntryOverheadBytes)
 	m.index(e)
 	m.evict()
@@ -160,15 +192,15 @@ func (m *Module) unindex(e *entry) {
 	}
 }
 
-// remove drops an entry entirely.
+// remove drops an entry entirely, releasing its chain, and recycles it: the
+// caller must not touch e again.
 func (m *Module) remove(e *entry) {
 	m.unindex(e)
-	if e.elem != nil {
-		m.lru.Remove(e.elem)
-		e.elem = nil
-	}
+	e.unlink()
 	m.used -= int64(e.bytes + EntryOverheadBytes)
 	e.chain.Release()
+	*e = entry{}
+	m.free.Put(e)
 }
 
 // evict reclaims cold entries until occupancy fits capacity. Dirty entries
@@ -177,21 +209,14 @@ func (m *Module) evict() {
 	if m.cfg.CapacityBytes <= 0 {
 		return
 	}
-	e := m.lru.Back()
-	for e != nil && m.used > m.cfg.CapacityBytes {
-		ent, ok := e.Value.(*entry)
-		prev := e.Prev()
-		if !ok {
-			e = prev
-			continue
-		}
-		if ent.dirty {
+	for e := m.lru.prev; e != &m.lru && m.used > m.cfg.CapacityBytes; {
+		prev := e.prev
+		if e.dirty {
 			m.Stats.PinnedSkips++
-			e = prev
-			continue
+		} else {
+			m.Stats.Evictions++
+			m.remove(e)
 		}
-		m.Stats.Evictions++
-		m.remove(ent)
 		e = prev
 	}
 }
@@ -199,9 +224,9 @@ func (m *Module) evict() {
 // CaptureLBN is the iSCSI read hook: it captures the payload of a completed
 // regular-data READ into the LBN cache, block by block, and returns the
 // key-carrying junk the upper layers cache instead. Payload bytes are not
-// copied — the entries hold clones of the wire buffers, so the arriving
-// payload buffer, the cached buffer, and the buffer later cloned onto the
-// wire by SubstituteMessage are the same physical memory. The hook takes
+// copied — the entries hold windows onto the wire buffers, so the arriving
+// payload buffer, the cached buffer, and the buffer later sent by
+// SubstituteMessage are the same physical memory. The hook takes
 // ownership of data and releases it; the cache owns the captured sub-chains
 // until eviction.
 func (m *Module) CaptureLBN(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain {
@@ -229,15 +254,7 @@ func (m *Module) storeLBN(key lkey.Key, chain *netbuf.Chain, dirty bool) {
 		m.remove(old)
 	}
 	chain.SetOwner("ncache.lbn")
-	e := &entry{
-		key:     key,
-		chain:   chain,
-		partial: netbuf.PartialOfChain(chain),
-		dirty:   dirty,
-		bytes:   chain.Len(),
-	}
-	m.Stats.Captures++
-	m.insert(e)
+	m.insert(key, chain, dirty)
 }
 
 // CaptureFHO is the NFS write-request hook: it captures a block-aligned
@@ -266,15 +283,7 @@ func (m *Module) CaptureFHO(fh lkey.FH, off uint64, data *netbuf.Chain) *netbuf.
 			m.remove(old)
 		}
 		sub.SetOwner("ncache.fho")
-		e := &entry{
-			key:     key,
-			chain:   sub,
-			partial: netbuf.PartialOfChain(sub),
-			dirty:   true,
-			bytes:   sub.Len(),
-		}
-		m.Stats.Captures++
-		m.insert(e)
+		m.insert(key, sub, true)
 		out.AppendChain(lkey.StampChainPool(m.node.BlkPool, key, bs))
 	}
 	m.chargeMgmt(blocks)
@@ -301,7 +310,7 @@ func (m *Module) lookup(key lkey.Key) *entry {
 }
 
 // SubstituteMessage is the transmit hook: it scans an outgoing message for
-// stamped junk blocks and splices in clones of the cached payloads. Blocks
+// stamped junk blocks and splices in clones of the cached chains. Blocks
 // whose entries are gone (or baseline junk with no identities) pass through
 // unchanged. The module owns the input chain and returns the chain to send.
 func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
@@ -320,25 +329,25 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 			even = !even
 		}
 	}
-	for _, b := range payload.Bufs() {
-		key, ok := lkey.Parse(b.Bytes())
+	for _, w := range payload.Bufs() {
+		key, ok := lkey.Parse(w.Bytes())
 		if !ok || key.Flags == 0 {
-			addWalked(b.Bytes())
-			out.Append(b.Retain())
+			addWalked(w.Bytes())
+			out.AppendClone(w)
 			continue
 		}
 		m.chargeLookup()
 		e := m.lookup(key)
 		if e == nil {
 			m.Stats.SubstMisses++
-			out.Append(b.Retain())
+			out.AppendClone(w)
 			continue
 		}
 		m.touch(e)
 		// Splice in clones of the cached wire buffers, honoring the
 		// key's sub-block offset (unaligned reads); pad to the junk
 		// block's length so message framing is preserved.
-		want := b.Len()
+		want := w.Len()
 		var cl *netbuf.Chain
 		avail := e.chain.Len() - int(key.SubOff)
 		take := want
@@ -367,8 +376,8 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 				even = !even
 			}
 		} else {
-			for _, cb := range cl.Bufs() {
-				addWalked(cb.Bytes())
+			for _, cw := range cl.Bufs() {
+				addWalked(cw.Bytes())
 			}
 		}
 		out.AppendChain(cl)
@@ -388,7 +397,7 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 		}
 		substituted++
 	}
-	// Pass-through buffers took their own reference above; dropping the
+	// Pass-through windows took their own reference above; dropping the
 	// input's releases the substituted junk and retires the chain struct.
 	payload.Release()
 	if substituted > 0 {
@@ -494,19 +503,16 @@ func (m *Module) ServeRead(lba int64, blocks int) (*netbuf.Chain, bool) {
 	if blocks <= 0 {
 		return nil, false
 	}
-	entries := make([]*entry, blocks)
 	for i := 0; i < blocks; i++ {
-		e, ok := m.lbn[lba+int64(i)]
-		if !ok {
+		if _, ok := m.lbn[lba+int64(i)]; !ok {
 			m.Stats.L2Misses++
 			m.node.Charge(m.node.Cost.NCacheLookupNs, nil)
 			return nil, false
 		}
-		entries[i] = e
 	}
 	out := netbuf.NewChain()
-	for i, e := range entries {
-		m.touch(e)
+	for i := 0; i < blocks; i++ {
+		m.touch(m.lbn[lba+int64(i)])
 		out.AppendChain(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(lba+int64(i)), m.cfg.BlockSize))
 	}
 	m.Stats.L2Hits += uint64(blocks)
@@ -542,11 +548,10 @@ func (m *Module) InvalidateLBN(lbn int64) {
 // number of entries dropped.
 func (m *Module) DropClean() int {
 	dropped := 0
-	e := m.lru.Back()
-	for e != nil {
-		prev := e.Prev()
-		if ent, ok := e.Value.(*entry); ok && !ent.dirty {
-			m.remove(ent)
+	for e := m.lru.prev; e != &m.lru; {
+		prev := e.prev
+		if !e.dirty {
+			m.remove(e)
 			dropped++
 		}
 		e = prev
@@ -559,12 +564,9 @@ func (m *Module) DropClean() int {
 // write-ahead log's job, not the cache's; restart replay rewrites their
 // blocks from the journal.
 func (m *Module) Reset() {
-	e := m.lru.Back()
-	for e != nil {
-		prev := e.Prev()
-		if ent, ok := e.Value.(*entry); ok {
-			m.remove(ent)
-		}
+	for e := m.lru.prev; e != &m.lru; {
+		prev := e.prev
+		m.remove(e)
 		e = prev
 	}
 }

@@ -57,8 +57,8 @@ func TestCaptureLBNReturnsStampedJunk(t *testing.T) {
 	if node.Copies.PhysicalOps != before {
 		t.Fatal("capture physically copied payload")
 	}
-	if m.lru.Len() != 2 || m.Stats.Captures != 2 {
-		t.Fatalf("entries=%d captures=%d", m.lru.Len(), m.Stats.Captures)
+	if m.entries() != 2 || m.Stats.Captures != 2 {
+		t.Fatalf("entries=%d captures=%d", m.entries(), m.Stats.Captures)
 	}
 }
 
@@ -70,9 +70,7 @@ func TestSubstituteMessageRestoresPayload(t *testing.T) {
 	// Compose a "reply": header bytes + one stamped junk block.
 	hdr := netbuf.FromBytes([]byte("RPCHDR"))
 	msg := netbuf.ChainOf(hdr)
-	for _, b := range lkey.StampChainPool(nil, lkey.ForLBN(55), bs).Bufs() {
-		msg.Append(b)
-	}
+	msg.AppendChain(lkey.StampChainPool(nil, lkey.ForLBN(55), bs))
 	out := m.SubstituteMessage(msg)
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -175,9 +173,9 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("retried flush not substituted with real data")
 	}
-	if m.Stats.Remaps != 2 || len(remapped) != 1 || remapped[0] != 700 || m.PinnedBytes() != 0 || m.lru.Len() != 1 {
+	if m.Stats.Remaps != 2 || len(remapped) != 1 || remapped[0] != 700 || m.PinnedBytes() != 0 || m.entries() != 1 {
 		t.Fatalf("retry: remaps = %d, reported %v, pinned %d, entries %d",
-			m.Stats.Remaps, remapped, m.PinnedBytes(), m.lru.Len())
+			m.Stats.Remaps, remapped, m.PinnedBytes(), m.entries())
 	}
 
 	// The data is now reachable under its LBN.
@@ -189,8 +187,8 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 		t.Fatal("remapped entry not reachable by LBN")
 	}
 	// And the FHO index no longer holds it separately (moved, not copied).
-	if m.lru.Len() != 1 {
-		t.Fatalf("entries = %d, want 1", m.lru.Len())
+	if m.entries() != 1 {
+		t.Fatalf("entries = %d, want 1", m.entries())
 	}
 }
 
@@ -212,8 +210,8 @@ func TestRemapOverwritesStaleLBNEntry(t *testing.T) {
 	if !bytes.Equal(out.Flatten(), fresh) {
 		t.Fatal("stale LBN entry survived remap")
 	}
-	if m.lru.Len() != 1 {
-		t.Fatalf("entries = %d, want 1 (stale entry dropped)", m.lru.Len())
+	if m.entries() != 1 {
+		t.Fatalf("entries = %d, want 1 (stale entry dropped)", m.entries())
 	}
 }
 
@@ -266,8 +264,8 @@ func TestOverwriteBeforeFlush(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if m.lru.Len() != 1 {
-		t.Fatalf("entries = %d, want 1", m.lru.Len())
+	if m.entries() != 1 {
+		t.Fatalf("entries = %d, want 1", m.entries())
 	}
 	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
 	if err := eng.Run(); err != nil {
@@ -285,7 +283,7 @@ func TestUnalignedFHOPassesThrough(t *testing.T) {
 	if out != odd {
 		t.Fatal("unaligned payload should pass through uncached")
 	}
-	if m.lru.Len() != 0 {
+	if m.entries() != 0 {
 		t.Fatal("unaligned payload was cached")
 	}
 }
@@ -304,7 +302,7 @@ func TestDisableRemapAblation(t *testing.T) {
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("flush data lost with remap disabled")
 	}
-	if m.lru.Len() != 0 {
+	if m.entries() != 0 {
 		t.Fatal("entry should be dropped when remap is disabled")
 	}
 	if m.Stats.Remaps != 0 {
@@ -333,5 +331,46 @@ func TestChecksumInheritanceStored(t *testing.T) {
 	e := m.lbn[20]
 	if e.partial.Checksum() != netbuf.Sum(data) {
 		t.Fatal("inherited checksum does not match payload")
+	}
+}
+
+// entries counts the entries in the LRU ring.
+func (m *Module) entries() int {
+	n := 0
+	for e := m.lru.next; e != &m.lru; e = e.next {
+		n++
+	}
+	return n
+}
+
+// TestCaptureEvictZeroAllocs: once the cache is full, capturing a 4-block
+// READ payload — one entry per block, each holding windows onto the wire
+// buffers, with an eviction per block to make room — allocates nothing: the
+// entries, their chains and the junk come back from where evictions and
+// releases retired them.
+func TestCaptureEvictZeroAllocs(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	_, node, m := newModule(t, 8*(bs+EntryOverheadBytes))
+	payload := make([]byte, 4*bs)
+	lba := int64(0)
+	round := func() {
+		wire, err := node.TxPool.GetChain(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.CaptureLBN(lba, 4, wire).Release()
+		lba += 4
+	}
+	for i := 0; i < 8; i++ {
+		round() // fill, then prime the free lists
+	}
+	evictions := m.Stats.Evictions
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("steady-state capture with eviction allocates %.0f objects per READ, want 0", avg)
+	}
+	if m.Stats.Evictions-evictions < 4*200 || m.entries() != 8 {
+		t.Fatalf("%d evictions, %d entries: not a full cache", m.Stats.Evictions-evictions, m.entries())
 	}
 }

@@ -1,16 +1,17 @@
 // Package netbuf implements the network buffer substrate that everything in
 // this repository moves data through: an analogue of Linux sk_buff / BSD
 // mbuf. A Buf owns a fixed backing array with reserved headroom so protocol
-// layers can prepend headers without copying; a Chain strings Bufs together
-// so a multi-kilobyte payload (an NFS read reply, an iSCSI data-in burst)
-// lives as a list of MTU-sized buffers — the "network-ready format" the
-// NCache paper caches data in.
+// layers can prepend headers without copying; a Chain strings windows onto
+// Bufs together so a multi-kilobyte payload (an NFS read reply, an iSCSI
+// data-in burst) lives as a list of MTU-sized buffers — the "network-ready
+// format" the NCache paper caches data in.
 //
 // Bufs are reference counted. Go's garbage collector would reclaim them
 // anyway, but the explicit count serves two purposes: recycling (the last
 // Release returns a buffer to its pool, so leak checks can see what is still
-// held) and sharing semantics (a cached chain is transmitted by cloning
-// buffer descriptors, never by copying payload bytes, §4.1).
+// held) and sharing semantics (a cached chain is transmitted by copying its
+// windows and taking a reference per buffer, never by copying payload bytes
+// or allocating a descriptor, §4.1).
 package netbuf
 
 import (
@@ -33,7 +34,7 @@ var (
 	ErrNoHeadroom = errors.New("netbuf: insufficient headroom")
 	// ErrNoTailroom reports a Put larger than the remaining tailroom.
 	ErrNoTailroom = errors.New("netbuf: insufficient tailroom")
-	// ErrShortBuf reports a Pull or Trim larger than the payload.
+	// ErrShortBuf reports a pull larger than the payload.
 	ErrShortBuf = errors.New("netbuf: operation exceeds payload length")
 )
 
@@ -42,26 +43,24 @@ var (
 //
 // Ownership contract: a Buf is born with one reference, owned by whoever
 // allocated it. Passing a Buf down a call that "takes ownership" transfers
-// that reference; retaining a Buf beyond such a call requires Retain (or
-// Clone for an independent window) and a matching Release. Releasing the
-// last reference recycles the descriptor immediately — holding a Buf after
-// its final Release is a use-after-free, not a harmless stale read.
+// that reference; retaining a Buf beyond such a call requires Retain and a
+// matching Release. Every window a chain holds onto a Buf owns one reference
+// (see Window). Releasing the last reference recycles the buffer immediately
+// — holding a Buf after its final Release is a use-after-free, not a
+// harmless stale read.
+//
+// A Buf's own window is where its creator builds the first payload (a
+// header, a block); once the Buf is in a chain, the chain's window is the
+// payload and the Buf's own window is not read again.
 type Buf struct {
 	backing []byte
 	head    int
 	tail    int
 	refs    int32
 	pool    *Pool
-	// shared marks descriptors that alias another Buf's backing array
-	// (created by Clone). Shared descriptors must not move payload bytes
-	// in place, only adjust their own window.
-	shared *Buf
 	// owner tags the current long-term holder for leak reports ("ncache.lbn",
 	// "sunrpc.retransmit", ...). Defaults to the pool name at Get.
 	owner string
-	// freed marks a retired descriptor; Release checks it so double frees
-	// are caught even on descriptors with no pool to charge.
-	freed bool
 }
 
 // New allocates a standalone Buf (not pool-managed) with the given payload
@@ -73,12 +72,7 @@ func New(headroom, capacity int) *Buf {
 	if capacity < 0 {
 		capacity = 0
 	}
-	b := getDesc()
-	b.backing = make([]byte, headroom+capacity)
-	b.head = headroom
-	b.tail = headroom
-	b.refs = 1
-	return b
+	return &Buf{backing: make([]byte, headroom+capacity), head: headroom, tail: headroom, refs: 1}
 }
 
 // FromBytes allocates a standalone Buf whose payload is a copy of p, with
@@ -111,17 +105,6 @@ func (b *Buf) Push(n int) ([]byte, error) {
 	return b.backing[b.head : b.head+n], nil
 }
 
-// Pull shrinks the payload at the front by n bytes and returns the removed
-// region, analogous to skb_pull. Layers use it to strip headers on receive.
-func (b *Buf) Pull(n int) ([]byte, error) {
-	if n < 0 || n > b.Len() {
-		return nil, fmt.Errorf("%w: pull %d, len %d", ErrShortBuf, n, b.Len())
-	}
-	p := b.backing[b.head : b.head+n]
-	b.head += n
-	return p, nil
-}
-
 // Put grows the payload at the back by n bytes, analogous to skb_put, and
 // returns nil on success. The exposed region is Bytes()[Len()-n:].
 func (b *Buf) Put(n int) error {
@@ -129,15 +112,6 @@ func (b *Buf) Put(n int) error {
 		return fmt.Errorf("%w: put %d, tailroom %d", ErrNoTailroom, n, b.Tailroom())
 	}
 	b.tail += n
-	return nil
-}
-
-// Trim shrinks the payload at the back by n bytes, analogous to skb_trim.
-func (b *Buf) Trim(n int) error {
-	if n < 0 || n > b.Len() {
-		return fmt.Errorf("%w: trim %d, len %d", ErrShortBuf, n, b.Len())
-	}
-	b.tail -= n
 	return nil
 }
 
@@ -154,72 +128,31 @@ func (b *Buf) Append(p []byte) error {
 // Retain increments the reference count and returns b for chaining.
 func (b *Buf) Retain() *Buf {
 	b.refs++
-	if b.shared != nil {
-		b.shared.refs++
-	}
 	return b
 }
 
-// SetOwner tags the buffer's long-term holder for leak reports. For clone
-// descriptors the tag lands on the root, whose pool tracks the pinned
-// memory.
-func (b *Buf) SetOwner(owner string) {
-	if b.shared != nil {
-		b.shared.owner = owner
-		return
-	}
-	b.owner = owner
-}
+// SetOwner tags the buffer's long-term holder for leak reports.
+func (b *Buf) SetOwner(owner string) { b.owner = owner }
 
 // Release drops one ownership reference. When the count reaches zero the
-// buffer returns to its pool (or its descriptor to the recycle list) — from
-// that point the caller must not touch it. Releasing an already-free buffer
-// panics in debug mode and is otherwise recorded as a double free; tests
-// assert the counters stay zero.
+// buffer returns to its pool, or a standalone buffer drops its backing and
+// is left to the collector — from that point the caller must not touch it.
+// Releasing an already-free buffer panics in debug mode and is otherwise
+// recorded as a double free; tests assert the counters stay zero.
 func (b *Buf) Release() {
-	if b.freed || b.refs <= 0 {
+	if b.refs <= 0 {
 		recordDoubleFree(b)
 		return
 	}
 	b.refs--
-	n := b.refs
-	if b.shared != nil {
-		root := b.shared
-		root.Release()
-		if n == 0 {
-			putDesc(b)
-		}
+	if b.refs > 0 {
 		return
 	}
-	if n == 0 {
-		if b.pool != nil {
-			b.pool.put(b)
-			return
-		}
-		putDesc(b)
+	if b.pool != nil {
+		b.pool.put(b)
+		return
 	}
-}
-
-// Clone returns a new descriptor sharing b's backing array, with an
-// independent payload window — the zero-copy primitive. The clone holds a
-// reference on b; payload bytes are never duplicated. This is what "sending
-// a cached block" does: the cached chain stays in NCache while clones of its
-// descriptors go down to the NIC. Aliasing via Clone (and SubChain, built on
-// it) is the only sanctioned way to retain a window onto data someone else
-// owns.
-func (b *Buf) Clone() *Buf {
-	root := b
-	if b.shared != nil {
-		root = b.shared
-	}
-	root.refs++
-	cl := getDesc()
-	cl.backing = b.backing
-	cl.head = b.head
-	cl.tail = b.tail
-	cl.refs = 1
-	cl.shared = root
-	return cl
+	b.backing = nil
 }
 
 // String summarizes the buffer geometry for debugging.

@@ -27,15 +27,17 @@ func TestBufPushPullRoundTrip(t *testing.T) {
 	if got := string(b.Bytes()); got != "HDR:payload" {
 		t.Fatalf("after push: %q", got)
 	}
-	got, err := b.Pull(4)
+	c := ChainOf(b)
+	defer c.Release()
+	got, err := c.PullFront(4)
 	if err != nil {
-		t.Fatalf("Pull: %v", err)
+		t.Fatalf("PullFront: %v", err)
 	}
 	if string(got) != "HDR:" {
-		t.Fatalf("Pull returned %q", got)
+		t.Fatalf("PullFront returned %q", got)
 	}
-	if string(b.Bytes()) != "payload" {
-		t.Fatalf("after pull: %q", b.Bytes())
+	if string(c.Front()) != "payload" {
+		t.Fatalf("after pull: %q", c.Front())
 	}
 }
 
@@ -49,26 +51,25 @@ func TestBufPushBeyondHeadroom(t *testing.T) {
 	}
 }
 
-func TestBufPutTrim(t *testing.T) {
+func TestBufPutAndPullBounds(t *testing.T) {
 	b := New(0, 10)
 	if err := b.Put(6); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	copy(b.Bytes(), "abcdef")
-	if err := b.Trim(2); err != nil {
-		t.Fatalf("Trim: %v", err)
-	}
-	if string(b.Bytes()) != "abcd" {
-		t.Fatalf("after trim: %q", b.Bytes())
-	}
-	if err := b.Put(7); !errors.Is(err, ErrNoTailroom) {
+	if err := b.Put(5); !errors.Is(err, ErrNoTailroom) {
 		t.Fatalf("Put beyond tailroom: err = %v", err)
 	}
-	if err := b.Trim(5); !errors.Is(err, ErrShortBuf) {
-		t.Fatalf("Trim beyond len: err = %v", err)
+	c := ChainOf(b)
+	defer c.Release()
+	if _, err := c.PullFront(7); !errors.Is(err, ErrShortBuf) {
+		t.Fatalf("PullFront beyond len: err = %v", err)
 	}
-	if _, err := b.Pull(5); !errors.Is(err, ErrShortBuf) {
-		t.Fatalf("Pull beyond len: err = %v", err)
+	if _, err := c.PushFront(1); !errors.Is(err, ErrNoHeadroom) {
+		t.Fatalf("PushFront without headroom: err = %v", err)
+	}
+	if string(c.Front()) != "abcdef" {
+		t.Fatalf("failed moves changed the window: %q", c.Front())
 	}
 }
 
@@ -89,35 +90,57 @@ func TestBufAppend(t *testing.T) {
 }
 
 func TestBufCloneSharesBytes(t *testing.T) {
-	b := FromBytes([]byte("hello world"))
-	cl := b.Clone()
-	if !bytes.Equal(cl.Bytes(), b.Bytes()) {
+	c := ChainOf(FromBytes([]byte("hello world")))
+	cl := c.Clone()
+	if !bytes.Equal(cl.Front(), c.Front()) {
 		t.Fatal("clone payload differs")
 	}
 	// Windows are independent.
-	if _, err := cl.Pull(6); err != nil {
-		t.Fatalf("Pull on clone: %v", err)
+	if _, err := cl.PullFront(6); err != nil {
+		t.Fatalf("PullFront on clone: %v", err)
 	}
-	if string(cl.Bytes()) != "world" || string(b.Bytes()) != "hello world" {
+	if string(cl.Front()) != "world" || string(c.Front()) != "hello world" {
 		t.Fatal("clone window not independent")
 	}
 	// Backing is shared: a write through the original shows in the clone.
-	b.Bytes()[6] = 'W'
-	if string(cl.Bytes()) != "World" {
+	c.Front()[6] = 'W'
+	if string(cl.Front()) != "World" {
 		t.Fatal("clone does not share backing bytes (copied instead of aliased)")
 	}
+	cl.Release()
+	c.Release()
 }
 
+// A clone of a clone, and of a sub-chain, still takes exactly one reference
+// per window on the root: the root lives until the last of them is released.
 func TestBufCloneOfClone(t *testing.T) {
-	b := FromBytes([]byte("abcdef"))
-	c1 := b.Clone()
+	p := NewPool("t", 0, 64, 0)
+	b, err := p.GetData([]byte("abcdef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ChainOf(b)
+	c1 := c.Clone()
 	c2 := c1.Clone()
-	if !bytes.Equal(c2.Bytes(), b.Bytes()) {
+	sub, err := c2.SubChain(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c2.Equal(c) || string(sub.Flatten()) != "bcd" {
 		t.Fatal("clone-of-clone payload differs")
 	}
-	c2.Release()
-	c1.Release()
-	b.Release()
+	if b.refs != 4 {
+		t.Fatalf("root refs = %d, want 4 (one per window)", b.refs)
+	}
+	for _, x := range []*Chain{c2, c1, c, sub} {
+		if p.Outstanding() != 1 {
+			t.Fatal("root recycled while a window still refers to it")
+		}
+		x.Release()
+	}
+	if p.Outstanding() != 0 || p.DoubleFrees() != 0 {
+		t.Fatalf("outstanding %d, double frees %d", p.Outstanding(), p.DoubleFrees())
+	}
 }
 
 func TestPoolReuseAndAccounting(t *testing.T) {
@@ -192,13 +215,14 @@ func TestPoolCloneKeepsBufferAlive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GetData: %v", err)
 	}
-	cl := b.Clone()
-	b.Release() // original reference dropped; clone still holds it
+	c := ChainOf(b)
+	cl := c.Clone()
+	c.Release() // original reference dropped; clone still holds it
 	if p.Outstanding() != 1 {
 		t.Fatalf("Outstanding = %d, want 1 while clone alive", p.Outstanding())
 	}
-	if string(cl.Bytes()) != "cached" {
-		t.Fatalf("clone lost payload: %q", cl.Bytes())
+	if string(cl.Front()) != "cached" {
+		t.Fatalf("clone lost payload: %q", cl.Front())
 	}
 	cl.Release()
 	if p.Outstanding() != 0 {
@@ -247,7 +271,9 @@ func TestBufPropertyPushPullInverse(t *testing.T) {
 		for i := range hdr {
 			hdr[i] = byte(i)
 		}
-		got, err := b.Pull(k)
+		c := ChainOf(b)
+		defer c.Release()
+		got, err := c.PullFront(k)
 		if err != nil {
 			return false
 		}
@@ -256,7 +282,7 @@ func TestBufPropertyPushPullInverse(t *testing.T) {
 				return false
 			}
 		}
-		return bytes.Equal(b.Bytes(), payload)
+		return bytes.Equal(c.Front(), payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

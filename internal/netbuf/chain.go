@@ -5,11 +5,34 @@ import (
 	"slices"
 )
 
-// Chain is an ordered list of Bufs forming one logical payload — the unit
+// Window is one buffer of a chain: the span [head, tail) of a root Buf's
+// backing array. It is a value, not an object — cloning a chain, carving a
+// SubChain out of it or splitting it with PullChain copies windows and adds
+// one reference to each root, so aliasing a payload allocates nothing. The
+// window owns its reference: the chain holding it releases the root when the
+// window leaves the chain.
+type Window struct {
+	root       *Buf
+	head, tail int32
+}
+
+// Bytes returns the window's payload. The slice aliases the root's backing;
+// callers must not retain it past the chain's Release.
+func (w Window) Bytes() []byte { return w.root.backing[w.head:w.tail] }
+
+// Len returns the window's payload length in bytes.
+func (w Window) Len() int { return int(w.tail - w.head) }
+
+// window is the span b's creator built, as a chain's window onto b.
+func (b *Buf) window() Window {
+	return Window{root: b, head: int32(b.head), tail: int32(b.tail)}
+}
+
+// Chain is an ordered list of windows forming one logical payload — the unit
 // NCache stores and substitutes. A 32 KB NFS read reply is a chain of ~22
 // MTU-sized buffers exactly as it arrived from the wire.
 type Chain struct {
-	bufs []*Buf
+	wins []Window
 	// ck caches the chain's Internet-checksum partial when a producer
 	// (the NCache substitution hook) already knows it — the paper's
 	// checksum inheritance. Any mutation of the chain clears it.
@@ -44,7 +67,9 @@ func NewChain() *Chain { return getChain() }
 // of the callers' references.
 func ChainOf(bufs ...*Buf) *Chain {
 	c := getChain()
-	c.bufs = append(c.bufs, bufs...)
+	for _, b := range bufs {
+		c.wins = append(c.wins, b.window())
+	}
 	return c
 }
 
@@ -73,33 +98,85 @@ func ChainFromBytes(p []byte, segSize int) *Chain {
 // caller's reference.
 func (c *Chain) Append(b *Buf) {
 	c.invalidatePartial()
-	c.bufs = append(c.bufs, b)
+	c.wins = append(c.wins, b.window())
 }
 
-// Bufs returns the underlying buffer slice. Callers must not mutate it.
-func (c *Chain) Bufs() []*Buf { return c.bufs }
+// AppendClone adds a copy of w — a window of another chain — to the tail of
+// the chain with a reference of its own on w's root.
+func (c *Chain) AppendClone(w Window) {
+	c.invalidatePartial()
+	w.root.Retain()
+	c.wins = append(c.wins, w)
+}
 
-// NumBufs returns the number of buffers in the chain.
-func (c *Chain) NumBufs() int { return len(c.bufs) }
+// Bufs returns the chain's windows in order. Callers must not mutate the
+// slice.
+func (c *Chain) Bufs() []Window { return c.wins }
 
-// Len returns the total payload length across all buffers.
+// NumBufs returns the number of windows in the chain.
+func (c *Chain) NumBufs() int { return len(c.wins) }
+
+// Len returns the total payload length across all windows.
 func (c *Chain) Len() int {
 	n := 0
-	for _, b := range c.bufs {
-		n += b.Len()
+	for _, w := range c.wins {
+		n += w.Len()
 	}
 	return n
+}
+
+// Front returns the first window's payload (nil for an empty chain), where
+// link and network headers sit; the slice aliases the chain.
+func (c *Chain) Front() []byte {
+	if len(c.wins) == 0 {
+		return nil
+	}
+	return c.wins[0].Bytes()
+}
+
+// PushFront grows the first window by n bytes at the front and returns the
+// exposed region for the caller's header — skb_push on a chain. A header is
+// written only into backing no one else references: with NCACHE_NETBUF_DEBUG=1
+// a push into a window whose root is shared panics.
+func (c *Chain) PushFront(n int) ([]byte, error) {
+	if len(c.wins) == 0 {
+		return nil, fmt.Errorf("%w: push %d into an empty chain", ErrNoHeadroom, n)
+	}
+	w := &c.wins[0]
+	if n < 0 || n > int(w.head) {
+		return nil, fmt.Errorf("%w: push %d, headroom %d", ErrNoHeadroom, n, w.head)
+	}
+	if debugMode && w.root.refs > 1 {
+		panic(fmt.Sprintf("netbuf: header push into shared backing (%s, owner %q)", w.root, w.root.owner))
+	}
+	c.invalidatePartial()
+	w.head -= int32(n)
+	return w.Bytes()[:n], nil
+}
+
+// PullFront strips n bytes from the front of the first window and returns
+// them — skb_pull on a chain. The slice aliases the chain, so it is valid
+// until the chain is released.
+func (c *Chain) PullFront(n int) ([]byte, error) {
+	if len(c.wins) == 0 || n < 0 || n > c.wins[0].Len() {
+		return nil, fmt.Errorf("%w: pull %d, front len %d", ErrShortBuf, n, len(c.Front()))
+	}
+	c.invalidatePartial()
+	w := &c.wins[0]
+	p := w.Bytes()[:n]
+	w.head += int32(n)
+	return p, nil
 }
 
 // Gather copies the chain's payload into dst and returns the number of bytes
 // written (a physical copy; callers charge CPU time accordingly).
 func (c *Chain) Gather(dst []byte) int {
 	n := 0
-	for _, b := range c.bufs {
+	for _, w := range c.wins {
 		if n >= len(dst) {
 			break
 		}
-		n += copy(dst[n:], b.Bytes())
+		n += copy(dst[n:], w.Bytes())
 	}
 	return n
 }
@@ -112,27 +189,28 @@ func (c *Chain) Flatten() []byte {
 	return out
 }
 
-// Clone returns a new chain whose buffers are zero-copy clones of c's — the
-// logical-copy transmit path. No payload bytes move.
+// Clone returns a new chain with copies of c's windows, each holding its own
+// reference on its root — the logical-copy transmit path. No payload bytes
+// move and no descriptor is allocated.
 func (c *Chain) Clone() *Chain {
 	nc := getChain()
-	nc.bufs = slices.Grow(nc.bufs, len(c.bufs))
-	for _, b := range c.bufs {
-		nc.bufs = append(nc.bufs, b.Clone())
+	nc.wins = append(slices.Grow(nc.wins, len(c.wins)), c.wins...)
+	for _, w := range c.wins {
+		w.root.Retain()
 	}
 	return nc
 }
 
-// SetOwner tags every buffer in the chain with a long-term holder for leak
-// reports (clone tags land on the roots, where the pinned memory is).
+// SetOwner tags the root of every window in the chain with a long-term
+// holder for leak reports.
 func (c *Chain) SetOwner(owner string) {
-	for _, b := range c.bufs {
-		b.SetOwner(owner)
+	for _, w := range c.wins {
+		w.root.SetOwner(owner)
 	}
 }
 
-// Release drops one reference on every buffer and retires the chain: the
-// struct is recycled for the next NewChain, so the caller must not touch c
+// Release drops every window's reference and retires the chain: the struct
+// is recycled for the next NewChain, so the caller must not touch c
 // afterwards. Releasing a chain twice panics in debug mode and is otherwise
 // recorded as a double free.
 func (c *Chain) Release() {
@@ -141,19 +219,19 @@ func (c *Chain) Release() {
 		return
 	}
 	c.invalidatePartial()
-	for i, b := range c.bufs {
-		b.Release()
-		c.bufs[i] = nil
+	for _, w := range c.wins {
+		w.root.Release()
 	}
-	c.bufs = c.bufs[:0]
+	clear(c.wins)
+	c.wins = c.wins[:0]
 	putChain(c)
 }
 
 // PullHeaderInto removes the first len(dst) payload bytes from the chain and
 // copies them to dst — a stack array at every fixed-size call site, so a pull
-// never allocates. Fully consumed buffers (including leading empty header
-// buffers left behind by lower layers) are released and removed from the
-// chain. The copy is load-bearing: releasing a drained buffer can return its
+// never allocates. Fully consumed windows (including leading empty header
+// windows left behind by lower layers) are released and removed from the
+// chain. The copy is load-bearing: releasing a drained window can return its
 // root to its pool, whose next Get recycles the backing array while the
 // caller still holds the header, so the header must never alias the chain.
 // Headers are small; this never copies payload-scale data.
@@ -164,45 +242,50 @@ func (c *Chain) PullHeaderInto(dst []byte) error {
 	c.invalidatePartial()
 	c.compact()
 	for got := 0; got < len(dst); c.compact() {
-		b := c.bufs[0]
-		p, err := b.Pull(min(b.Len(), len(dst)-got))
-		if err != nil {
-			return err
-		}
-		got += copy(dst[got:], p)
+		w := &c.wins[0]
+		k := min(w.Len(), len(dst)-got)
+		got += copy(dst[got:], w.Bytes()[:k])
+		w.head += int32(k)
 	}
 	return nil
 }
 
 // PullChain removes the first n payload bytes from the chain and returns
-// them as a new chain, without copying payload: whole buffers move across,
-// and a buffer split by the boundary is cloned with adjusted windows. This
-// is the primitive streams (TCP reassembly, iSCSI PDU framing) consume data
-// with.
+// them as a new chain, without copying payload: whole windows move across,
+// and a window split by the boundary is copied into both chains with
+// adjusted spans and one more reference on its root. This is the primitive
+// streams (TCP reassembly, iSCSI PDU framing) consume data with.
 func (c *Chain) PullChain(n int) (*Chain, error) {
 	c.invalidatePartial()
 	if n < 0 || n > c.Len() {
 		return nil, fmt.Errorf("netbuf: pull chain %d, chain len %d", n, c.Len())
 	}
+	// Size the output once: one window per non-empty window the bytes span.
+	k := 0
+	for j, left := 0, n; left > 0; j++ {
+		if l := c.wins[j].Len(); l > 0 {
+			k++
+			left -= l
+		}
+	}
 	out := NewChain()
+	out.wins = slices.Grow(out.wins, k)
 	remaining := n
-	i := 0 // buffers consumed from the head: moved to out, or empty and released
+	i := 0 // windows consumed from the head: moved to out, or empty and released
 	for remaining > 0 {
-		b := c.bufs[i]
+		w := &c.wins[i]
 		switch {
-		case b.Len() == 0:
-			b.Release()
+		case w.Len() == 0:
+			w.root.Release()
 			i++
-		case b.Len() <= remaining:
-			out.Append(b)
-			remaining -= b.Len()
+		case w.Len() <= remaining:
+			out.wins = append(out.wins, *w)
+			remaining -= w.Len()
 			i++
 		default:
-			// b holds more than remaining, so neither window move can fail.
-			cl := b.Clone()
-			_ = cl.Trim(cl.Len() - remaining)
-			out.Append(cl)
-			_, _ = b.Pull(remaining)
+			split := w.head + int32(remaining)
+			out.AppendClone(Window{root: w.root, head: w.head, tail: split})
+			w.head = split
 			remaining = 0
 		}
 	}
@@ -211,27 +294,27 @@ func (c *Chain) PullChain(n int) (*Chain, error) {
 	return out, nil
 }
 
-// compact releases and removes leading zero-length buffers.
+// compact releases and removes leading zero-length windows.
 func (c *Chain) compact() {
 	k := 0
-	for k < len(c.bufs) && c.bufs[k].Len() == 0 {
-		c.bufs[k].Release()
+	for k < len(c.wins) && c.wins[k].Len() == 0 {
+		c.wins[k].root.Release()
 		k++
 	}
 	c.dropFront(k)
 }
 
-// dropFront removes the first k buffers, which the caller has already
+// dropFront removes the first k windows, which the caller has already
 // released or handed off. The tail is copied down and the vacated slots
-// niled — never c.bufs = c.bufs[k:] — so a chain drained from the head keeps
-// its full slice capacity for its next tenant and pins no stale descriptor.
+// zeroed — never c.wins = c.wins[k:] — so a chain drained from the head keeps
+// its full slice capacity for its next tenant and pins no stale root.
 func (c *Chain) dropFront(k int) {
 	if k == 0 {
 		return
 	}
-	n := copy(c.bufs, c.bufs[k:])
-	clear(c.bufs[n:])
-	c.bufs = c.bufs[:n]
+	n := copy(c.wins, c.wins[k:])
+	clear(c.wins[n:])
+	c.wins = c.wins[:n]
 }
 
 // Equal reports whether two chains carry identical payload bytes
@@ -243,9 +326,9 @@ func (c *Chain) Equal(o *Chain) bool {
 	// Compare without flattening both: walk in lockstep.
 	ci, co := 0, 0
 	bi, bo := 0, 0
-	for ci < len(c.bufs) && co < len(o.bufs) {
-		a := c.bufs[ci].Bytes()
-		b := o.bufs[co].Bytes()
+	for ci < len(c.wins) && co < len(o.wins) {
+		a := c.wins[ci].Bytes()
+		b := o.wins[co].Bytes()
 		for bi < len(a) && bo < len(b) {
 			if a[bi] != b[bo] {
 				return false
@@ -262,19 +345,19 @@ func (c *Chain) Equal(o *Chain) bool {
 			bo = 0
 		}
 	}
-	// Skip trailing empty buffers.
-	for ci < len(c.bufs) && c.bufs[ci].Len() == bi {
+	// Skip trailing empty windows.
+	for ci < len(c.wins) && c.wins[ci].Len() == bi {
 		ci++
 		bi = 0
 	}
-	for co < len(o.bufs) && o.bufs[co].Len() == bo {
+	for co < len(o.wins) && o.wins[co].Len() == bo {
 		co++
 		bo = 0
 	}
-	return ci == len(c.bufs) && co == len(o.bufs)
+	return ci == len(c.wins) && co == len(o.wins)
 }
 
 // String summarizes the chain for debugging.
 func (c *Chain) String() string {
-	return fmt.Sprintf("Chain{bufs=%d len=%d}", len(c.bufs), c.Len())
+	return fmt.Sprintf("Chain{bufs=%d len=%d}", len(c.wins), c.Len())
 }

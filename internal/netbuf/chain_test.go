@@ -2,6 +2,7 @@ package netbuf
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -166,14 +167,15 @@ func TestChainPullHeaderExactDrainCopies(t *testing.T) {
 	if err := root.Append([]byte("HDRBYTES")); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	cl := root.Clone() // the fragment's aliasing descriptor
-	root.Release()     // sender's ref gone; the clone keeps the root alive
-	c := ChainOf(cl, FromBytes([]byte("rest")))
+	sent := ChainOf(root)
+	c := sent.Clone() // the fragment's aliasing window
+	sent.Release()    // sender's ref gone; the clone keeps the root alive
+	c.Append(FromBytes([]byte("rest")))
 	h := make([]byte, 8)
 	if err := c.PullHeaderInto(h); err != nil {
 		t.Fatalf("PullHeaderInto: %v", err)
 	}
-	// The drained clone (and the root) must have been released...
+	// The drained window (and so the root) must have been released...
 	if got := p.Outstanding(); got != 0 {
 		t.Fatalf("root not recycled: %d outstanding", got)
 	}
@@ -336,17 +338,17 @@ func TestChecksumPropertySplitInvariance(t *testing.T) {
 }
 
 // TestChainDrainedFromHeadKeepsCapacity covers the head-advance rule: a chain
-// drained by PullHeaderInto / PullChain (which used to re-slice c.bufs from the
-// front, eating capacity and leaving released descriptors in the vacated
-// slots) comes back from the free list with its full slice capacity and no
-// stale pointers.
+// drained by PullHeaderInto / PullChain (which used to re-slice its slice from
+// the front, eating capacity and leaving released roots in the vacated slots)
+// comes back from the free list with its full slice capacity and no stale
+// pointers.
 func TestChainDrainedFromHeadKeepsCapacity(t *testing.T) {
 	if debugMode {
 		t.Skip("chain structs are not recycled in debug mode")
 	}
 	payload := make([]byte, 22*64)
 	c := ChainFromBytes(payload, 64)
-	full := cap(c.bufs)
+	full := cap(c.wins)
 	if err := c.PullHeaderInto(make([]byte, 64)); err != nil { // drains buffer 0 exactly
 		t.Fatal(err)
 	}
@@ -357,8 +359,8 @@ func TestChainDrainedFromHeadKeepsCapacity(t *testing.T) {
 	if head.Len() != 10*64+7 || c.Len() != 11*64-7 {
 		t.Fatalf("pulled %d, left %d", head.Len(), c.Len())
 	}
-	if cap(c.bufs) != full {
-		t.Fatalf("capacity %d after head pulls, want the original %d", cap(c.bufs), full)
+	if cap(c.wins) != full {
+		t.Fatalf("capacity %d after head pulls, want the original %d", cap(c.wins), full)
 	}
 	rest, err := c.PullChain(c.Len()) // to empty
 	if err != nil {
@@ -371,12 +373,12 @@ func TestChainDrainedFromHeadKeepsCapacity(t *testing.T) {
 	if got != c {
 		t.Fatal("free list did not return the drained chain (test needs the same struct)")
 	}
-	if cap(got.bufs) != full {
-		t.Fatalf("recycled chain has capacity %d, want %d", cap(got.bufs), full)
+	if cap(got.wins) != full {
+		t.Fatalf("recycled chain has capacity %d, want %d", cap(got.wins), full)
 	}
-	for i, b := range got.bufs[:cap(got.bufs)] {
-		if b != nil {
-			t.Fatalf("slot %d of the recycled chain still pins a descriptor", i)
+	for i, w := range got.wins[:cap(got.wins)] {
+		if w.root != nil {
+			t.Fatalf("slot %d of the recycled chain still pins a root", i)
 		}
 	}
 	got.Release()
@@ -385,8 +387,8 @@ func TestChainDrainedFromHeadKeepsCapacity(t *testing.T) {
 // TestChainHandOffAllocFree is the allocation gate for the chain lifecycle:
 // once the free lists are primed, carving a 22-buffer payload (SubChain),
 // framing it (ChainOf + AppendChain), cloning it for the wire and releasing
-// everything allocates nothing — chain structs, descriptor slices and clone
-// descriptors all come back from where the previous round retired them.
+// everything allocates nothing — chain structs and their window slices come
+// back from where the previous round retired them, and windows are values.
 func TestChainHandOffAllocFree(t *testing.T) {
 	if debugMode {
 		t.Skip("nothing is recycled in debug mode")
@@ -427,4 +429,53 @@ func TestChainHandOffAllocFree(t *testing.T) {
 	if pool.Outstanding() != 22 {
 		t.Fatalf("pool outstanding %d, want the 22 cached buffers", pool.Outstanding())
 	}
+}
+
+// TestRetainedSubChainAllocBudget: a sub-chain kept past the call — what NCache
+// holds per cached block — costs a chain struct and its window slice,
+// however many buffers it spans. Windows are values, so nothing is allocated
+// per buffer.
+func TestRetainedSubChainAllocBudget(t *testing.T) {
+	c := ChainFromBytes(make([]byte, 4*1000), 1000)
+	defer c.Release()
+	const runs = 2000
+	kept := make([]*Chain, 0, runs+1)
+	avg := testing.AllocsPerRun(runs, func() {
+		sub, err := c.SubChain(500, 3000) // half, whole, whole, half
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, sub)
+	})
+	if kept[0].NumBufs() != 4 {
+		t.Fatalf("sub-chain spans %d windows, want 4", kept[0].NumBufs())
+	}
+	for _, sub := range kept {
+		sub.Release()
+	}
+	if avg > 2 {
+		t.Fatalf("a retained 4-window sub-chain allocates %.0f objects, want at most 2 (chain and slice)", avg)
+	}
+}
+
+// TestPushIntoSharedBackingPanicsInDebug: a header is pushed only into
+// backing no other window references. Under debug mode a push into a window
+// whose root another chain shares panics; an unshared root takes the push.
+func TestPushIntoSharedBackingPanicsInDebug(t *testing.T) {
+	was := DebugEnabled()
+	SetDebug(true)
+	defer SetDebug(was)
+	c := ChainOf(New(DefaultHeadroom, 64))
+	if _, err := c.PushFront(8); err != nil {
+		t.Fatalf("push into an unshared root: %v", err)
+	}
+	cl := c.Clone()
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(p.(string), "shared backing") {
+			t.Errorf("push into shared backing: recovered %v, want a panic naming shared backing", p)
+		}
+		cl.Release()
+		c.Release()
+	}()
+	_, _ = cl.PushFront(8)
 }

@@ -87,8 +87,8 @@ func Sum(p []byte) uint16 {
 // re-walk of payload bytes.
 func PartialOfChain(c *Chain) Partial {
 	var s Partial
-	for _, b := range c.Bufs() {
-		s.AddBytes(b.Bytes())
+	for _, w := range c.wins {
+		s.AddBytes(w.Bytes())
 	}
 	return s
 }

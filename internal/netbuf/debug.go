@@ -16,19 +16,22 @@ func init() {
 	}
 }
 
-// This file holds the explicit-ownership machinery behind the PR 4 contract:
-// every Buf and Chain has exactly one owner at a time, ownership transfers
-// are explicit (Retain/Release), and releases recycle descriptors through
-// package-local free lists instead of leaving them to the garbage collector.
+// This file holds the explicit-ownership machinery: every Buf reference and
+// every Chain has exactly one owner at a time, ownership transfers are
+// explicit (Retain/Release), and releases recycle buffers and chain structs
+// through free lists instead of leaving them to the garbage collector.
 // Debug mode trades the recycling for poisoning: double frees and
 // use-after-free panic with the owner tag instead of silently corrupting a
-// recycled descriptor, and pools can report exactly who leaked what.
+// recycled object, pools can report exactly who leaked what, and a header
+// push into shared backing panics (Chain.PushFront).
 //
-// The descriptor and chain free lists are process-global and therefore
-// shared by clusters that run on different goroutines (parallel subtests);
-// descMu guards them. Descriptor identity never affects simulated results
-// (a recycled descriptor is indistinguishable from a fresh one), so the
-// free-list order being interleaving-dependent is harmless.
+// The chain free list is process-global and therefore shared by clusters
+// that run on different goroutines (parallel subtests); chainMu guards it.
+// Chain identity never affects simulated results (a recycled chain is
+// indistinguishable from a fresh one), so the free-list order being
+// interleaving-dependent is harmless. Buffers need no such list: a pool's
+// recycle on the pool, which belongs to one node, and a released standalone
+// buffer goes to the collector.
 
 // debugMode switches the substrate from recycle-on-release to
 // poison-on-release. See SetDebug.
@@ -37,7 +40,7 @@ var debugMode bool
 // SetDebug enables (or disables) ownership debugging. With debugging on:
 //   - releasing an already-released Buf or Chain panics with its owner tag
 //     instead of incrementing a double-free counter;
-//   - released descriptors are poisoned, never recycled, so a stale
+//   - released chains and records are poisoned, never recycled, so a stale
 //     reference trips the panic deterministically;
 //   - pools track every outstanding buffer so LeakReport / MustBeDrained
 //     can name the owners of leaked buffers.
@@ -50,7 +53,7 @@ func SetDebug(on bool) { debugMode = on }
 func DebugEnabled() bool { return debugMode }
 
 // globalDoubleFrees counts double releases of buffers and chains that have
-// no pool to charge them to (standalone buffers, clone descriptors, chains).
+// no pool to charge them to (standalone buffers, chains).
 var globalDoubleFrees atomic.Uint64
 
 // GlobalDoubleFrees returns the process-wide count of double releases not
@@ -88,7 +91,7 @@ func recordChainDoubleFree(c *Chain) {
 const poisonByte = 0xDB
 
 // Recycle reports whether a payload buffer whose owner is done with it may
-// join a free list — the rule descriptors and chains follow, for the flat
+// join a free list — the rule chains and records follow, for the flat
 // buffers other packages recycle (iSCSI staging buffers, WAL payloads,
 // buffer-cache pages). In debug mode it may not: the buffer is poisoned and
 // abandoned to the collector, so a reader that kept it past the hand-back
@@ -104,63 +107,25 @@ func Recycle(p []byte) bool {
 	return false
 }
 
-// descFree recycles Buf descriptors (clone descriptors and standalone
-// buffers whose backing is gone). Disabled in debug mode so released
-// descriptors stay poisoned.
+// chainFree recycles Chain structs (and their grown window slices); chainMu
+// guards it.
 var (
-	descMu   sync.Mutex
-	descFree []*Buf
+	chainMu   sync.Mutex
+	chainFree []*Chain
 )
-
-// getDesc returns a zeroed descriptor, reusing a released one when possible.
-func getDesc() *Buf {
-	descMu.Lock()
-	if n := len(descFree); n > 0 && !debugMode {
-		b := descFree[n-1]
-		descFree[n-1] = nil
-		descFree = descFree[:n-1]
-		descMu.Unlock()
-		b.freed = false
-		return b
-	}
-	descMu.Unlock()
-	return &Buf{}
-}
-
-// putDesc retires a descriptor whose refcount reached zero. In debug mode it
-// is poisoned and abandoned to the collector; otherwise it joins the free
-// list for the next Clone or New.
-func putDesc(b *Buf) {
-	b.freed = true
-	b.backing = nil
-	b.shared = nil
-	b.pool = nil
-	b.head, b.tail = 0, 0
-	b.refs = 0
-	if debugMode {
-		return
-	}
-	b.owner = ""
-	descMu.Lock()
-	descFree = append(descFree, b)
-	descMu.Unlock()
-}
-
-// chainFree recycles Chain structs (and their grown descriptor slices).
-var chainFree []*Chain
 
 // getChain returns an empty chain, reusing a released one when possible.
 func getChain() *Chain {
-	descMu.Lock()
+	chainMu.Lock()
 	if n := len(chainFree); n > 0 && !debugMode {
 		c := chainFree[n-1]
 		chainFree[n-1] = nil
 		chainFree = chainFree[:n-1]
-		descMu.Unlock()
+		chainMu.Unlock()
 		c.freed = false
 		return c
 	}
-	descMu.Unlock()
+	chainMu.Unlock()
 	return &Chain{}
 }
 
@@ -172,7 +137,7 @@ func putChain(c *Chain) {
 	if debugMode {
 		return
 	}
-	descMu.Lock()
+	chainMu.Lock()
 	chainFree = append(chainFree, c)
-	descMu.Unlock()
+	chainMu.Unlock()
 }

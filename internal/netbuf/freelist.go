@@ -3,7 +3,7 @@ package netbuf
 // FreeList is the free list of a layer's recycled per-operation records (an
 // in-flight frame, a file-system walk, a call at one layer of the RPC stack):
 // the object that owns the records embeds one, and since records never leave
-// their owner it needs no lock. It follows the descriptors' debug contract —
+// their owner it needs no lock. It follows the chains' debug contract —
 // recycle on release normally, poison and abandon under debug mode — so that
 // rule is decided here and not once per record type.
 type FreeList[T any] []*T

@@ -93,7 +93,7 @@ func TestGetDataClearsAroundThePayload(t *testing.T) {
 		if p.Reuses() == 0 || string(b.Bytes()) != string(payload) {
 			t.Fatalf("payload %d: reuses %d, bytes %v", n, p.Reuses(), b.Bytes())
 		}
-		for i, v := range b.backing {
+		for i, v := range b.root.backing {
 			if (i < 8 || i >= 8+n) && v != 0 {
 				t.Fatalf("payload %d: backing[%d] = %#x leaked from the previous owner", n, i, v)
 			}

@@ -7,41 +7,39 @@ import (
 
 // This file holds the scatter-gather view primitives: ways to read and slice
 // a chain's payload without flattening it. They are what keeps
-// payloads crossing protocol layers as buffer descriptors — the only
+// payloads crossing protocol layers as windows onto the buffers they arrived
+// in — the only
 // physical copies left on the data path are the ones the paper's model
 // charges (wire ingress and the disk image boundary).
 
 // Range calls fn for each payload segment overlapping [off, off+n), in
 // order, with a slice aliasing the buffer's bytes. fn returns false to stop
-// early. No payload bytes are copied and no descriptors are allocated.
+// early. No payload bytes are copied and nothing is allocated.
 func (c *Chain) Range(off, n int, fn func(p []byte) bool) error {
 	if off < 0 || n < 0 || off+n > c.Len() {
 		return fmt.Errorf("netbuf: range [%d,%d) out of range 0..%d", off, off+n, c.Len())
 	}
 	pos := 0
 	remaining := n
-	for _, b := range c.bufs {
+	for _, w := range c.wins {
 		if remaining == 0 {
 			break
 		}
-		blen := b.Len()
-		if pos+blen <= off {
-			pos += blen
+		wlen := w.Len()
+		if pos+wlen <= off {
+			pos += wlen
 			continue
 		}
 		start := 0
 		if off > pos {
 			start = off - pos
 		}
-		take := blen - start
-		if take > remaining {
-			take = remaining
-		}
-		if take > 0 && !fn(b.Bytes()[start:start+take]) {
+		take := min(wlen-start, remaining)
+		if take > 0 && !fn(w.Bytes()[start:start+take]) {
 			return nil
 		}
 		remaining -= take
-		pos += blen
+		pos += wlen
 	}
 	return nil
 }
@@ -49,7 +47,7 @@ func (c *Chain) Range(off, n int, fn func(p []byte) bool) error {
 // GatherRange copies the byte range [off, off+len(dst)) of the chain into
 // dst and returns the number of bytes written (short when the chain ends
 // first). It is Gather with an offset: a physical copy the caller charges,
-// but with no descriptor clones along the way.
+// with no sub-chain carved along the way.
 func (c *Chain) GatherRange(off int, dst []byte) int {
 	if off < 0 || off >= c.Len() || len(dst) == 0 {
 		return 0
@@ -66,10 +64,10 @@ func (c *Chain) GatherRange(off int, dst []byte) int {
 	return got
 }
 
-// SubChain returns a new chain aliasing the byte range [off, off+n) of c
-// using cloned descriptors, without copying payload. It is the primitive
-// behind block-aligned substitution when protocol block sizes mismatch
-// (§3.5).
+// SubChain returns a new chain aliasing the byte range [off, off+n) of c:
+// one window per buffer the range overlaps, each with a reference of its own
+// on its root, and no payload copied. It is the primitive behind
+// block-aligned substitution when protocol block sizes mismatch (§3.5).
 func (c *Chain) SubChain(off, n int) (*Chain, error) {
 	if off < 0 || n < 0 || off+n > c.Len() {
 		return nil, fmt.Errorf("netbuf: slice [%d,%d) out of range 0..%d", off, off+n, c.Len())
@@ -77,54 +75,38 @@ func (c *Chain) SubChain(off, n int) (*Chain, error) {
 	out := NewChain()
 	remaining := n
 	pos := 0
-	for i, b := range c.bufs {
+	for i, w := range c.wins {
 		if remaining == 0 {
 			break
 		}
-		blen := b.Len()
-		if pos+blen <= off {
-			pos += blen
+		wlen := w.Len()
+		if pos+wlen <= off {
+			pos += wlen
 			continue
 		}
 		start := 0
 		if off > pos {
 			start = off - pos
 		}
-		take := blen - start
-		if take > remaining {
-			take = remaining
-		}
-		if len(out.bufs) == 0 {
+		take := min(wlen-start, remaining)
+		if len(out.wins) == 0 {
 			// Size the output once: at most the rest of c overlaps.
-			out.bufs = slices.Grow(out.bufs, len(c.bufs)-i)
+			out.wins = slices.Grow(out.wins, len(c.wins)-i)
 		}
-		cl := b.Clone()
-		if start > 0 {
-			if _, err := cl.Pull(start); err != nil {
-				cl.Release()
-				out.Release()
-				return nil, err
-			}
-		}
-		if cl.Len() > take {
-			if err := cl.Trim(cl.Len() - take); err != nil {
-				cl.Release()
-				out.Release()
-				return nil, err
-			}
-		}
-		out.Append(cl)
+		w.head += int32(start)
+		w.tail = w.head + int32(take)
+		out.AppendClone(w)
 		remaining -= take
-		pos += blen
+		pos += wlen
 	}
 	return out, nil
 }
 
-// AppendChain moves every buffer of o to the tail of c and consumes o: a
-// chain whose buffers have been taken is a retired chain, so o's struct goes
+// AppendChain moves every window of o to the tail of c and consumes o: a
+// chain whose windows have been taken is a retired chain, so o's struct goes
 // back to the free list exactly as if released and the caller must not touch
 // it again (in debug mode it is poisoned and a later Release panics). It
-// replaces the per-buffer Append loop at every layer hand-off (no per-buffer
+// replaces the per-window Append loop at every layer hand-off (no per-window
 // slice growth beyond c's own). A nil o is a no-op.
 func (c *Chain) AppendChain(o *Chain) {
 	if o == nil {
@@ -134,11 +116,11 @@ func (c *Chain) AppendChain(o *Chain) {
 		recordChainDoubleFree(o)
 		return
 	}
-	if len(o.bufs) > 0 {
+	if len(o.wins) > 0 {
 		c.invalidatePartial()
-		c.bufs = append(c.bufs, o.bufs...)
-		clear(o.bufs)
-		o.bufs = o.bufs[:0]
+		c.wins = append(c.wins, o.wins...)
+		clear(o.wins)
+		o.wins = o.wins[:0]
 	}
 	putChain(o)
 }

@@ -39,6 +39,35 @@ func (s *AppServer) intercept(lower storage.Volume) storage.Volume {
 type interceptVolume struct {
 	storage.Volume
 	s *AppServer
+	// free is the free list of read records (see interceptRead).
+	free netbuf.FreeList[interceptRead]
+}
+
+// interceptRead is the recycled record of one regular-data read through the
+// interception: the run, the caller's completion and, on a second-level hit,
+// the served junk across its lookup charge. arrived and served are bound
+// once, when the record is first allocated; the record retires before the
+// caller hears (poisoned and abandoned in netbuf debug mode).
+type interceptRead struct {
+	v      *interceptVolume
+	dead   bool // retired in debug mode
+	lbn    int64
+	blocks int
+	data   *netbuf.Chain
+	done   func(*netbuf.Chain, error)
+
+	onData func(*netbuf.Chain, error)
+	onHit  func()
+}
+
+// retire hands the record back to its volume.
+func (r *interceptRead) retire() {
+	if r.dead {
+		panic("passthru: intercepted read retired twice")
+	}
+	v := r.v
+	*r = interceptRead{v: v, onData: r.onData, onHit: r.onHit}
+	r.dead = !v.free.Put(r)
 }
 
 // ReadAt serves a regular-data read from the network-centric cache when
@@ -51,23 +80,42 @@ func (v *interceptVolume) ReadAt(lbn int64, blocks int, meta bool, done func(*ne
 		v.Volume.ReadAt(lbn, blocks, meta, done)
 		return
 	}
+	r := v.free.Take()
+	if r == nil {
+		r = &interceptRead{v: v}
+		r.onData, r.onHit = r.arrived, r.served
+	}
+	r.lbn, r.blocks, r.done = lbn, blocks, done
 	if s.Mode == NCache {
 		if data, ok := s.Module.ServeRead(lbn, blocks); ok {
 			trace.To(s.Node.Eng, trace.LNCache)
-			s.Node.Charge(s.Node.Cost.NCacheLookupNs, func() { done(data, nil) })
+			r.data = data
+			s.Node.Charge(s.Node.Cost.NCacheLookupNs, r.onHit)
 			return
 		}
 	}
-	v.Volume.ReadAt(lbn, blocks, meta, func(data *netbuf.Chain, err error) {
-		if err == nil {
-			if s.Mode == NCache {
-				data = s.Module.CaptureLBN(lbn, blocks, data)
-			} else {
-				data = s.junk(blocks, data)
-			}
+	v.Volume.ReadAt(lbn, blocks, meta, r.onData)
+}
+
+// served delivers a second-level hit once its lookup is charged.
+func (r *interceptRead) served() {
+	data, done := r.data, r.done
+	r.retire()
+	done(data, nil)
+}
+
+// arrived captures (NCache) or junks (Baseline) the lower volume's payload.
+func (r *interceptRead) arrived(data *netbuf.Chain, err error) {
+	s, lbn, blocks, done := r.v.s, r.lbn, r.blocks, r.done
+	r.retire()
+	if err == nil {
+		if s.Mode == NCache {
+			data = s.Module.CaptureLBN(lbn, blocks, data)
+		} else {
+			data = s.junk(blocks, data)
 		}
-		done(data, err)
-	})
+	}
+	done(data, err)
 }
 
 // WriteAt runs NCache's write-out once per regular-data write — stamped

@@ -49,11 +49,7 @@ type Header struct {
 
 // Push prepends the header to the first buffer of the frame.
 func (h Header) Push(frame *netbuf.Chain) error {
-	bufs := frame.Bufs()
-	if len(bufs) == 0 {
-		return errors.New("eth: empty frame")
-	}
-	dst, err := bufs[0].Push(HeaderLen)
+	dst, err := frame.PushFront(HeaderLen)
 	if err != nil {
 		return fmt.Errorf("eth push: %w", err)
 	}
@@ -66,13 +62,9 @@ func (h Header) Push(frame *netbuf.Chain) error {
 
 // Parse strips and returns the header from the first buffer of the frame.
 func Parse(frame *netbuf.Chain) (Header, error) {
-	bufs := frame.Bufs()
-	if len(bufs) == 0 || bufs[0].Len() < HeaderLen {
-		return Header{}, ErrShortHeader
-	}
-	raw, err := bufs[0].Pull(HeaderLen)
+	raw, err := frame.PullFront(HeaderLen)
 	if err != nil {
-		return Header{}, err
+		return Header{}, ErrShortHeader
 	}
 	return Header{
 		Dst:  Addr(binary.BigEndian.Uint32(raw[0:4])),
@@ -84,11 +76,10 @@ func Parse(frame *netbuf.Chain) (Header, error) {
 
 // Peek reads the header without consuming it, for switch forwarding.
 func Peek(frame *netbuf.Chain) (Header, error) {
-	bufs := frame.Bufs()
-	if len(bufs) == 0 || bufs[0].Len() < HeaderLen {
+	raw := frame.Front()
+	if len(raw) < HeaderLen {
 		return Header{}, ErrShortHeader
 	}
-	raw := bufs[0].Bytes()
 	return Header{
 		Dst:  Addr(binary.BigEndian.Uint32(raw[0:4])),
 		Src:  Addr(binary.BigEndian.Uint32(raw[4:8])),

@@ -3,8 +3,8 @@
 // protocols.
 //
 // Fragmentation is zero-copy: an oversize datagram (an NFS read reply over
-// UDP easily reaches 32 KB) is split into fragments whose buffers are cloned
-// descriptors over the original chain. This is load-bearing for NCache — a
+// UDP easily reaches 32 KB) is split into fragments whose buffers are windows
+// onto the original chain's. This is load-bearing for NCache — a
 // cached payload must reach the wire without any physical copy even when it
 // spans many fragments.
 package ipv4
@@ -49,11 +49,7 @@ type Header struct {
 // Push prepends the header, computing the header checksum, to the first
 // buffer of the packet.
 func (h Header) Push(pkt *netbuf.Chain) error {
-	bufs := pkt.Bufs()
-	if len(bufs) == 0 {
-		return errors.New("ipv4: empty packet")
-	}
-	dst, err := bufs[0].Push(HeaderLen)
+	dst, err := pkt.PushFront(HeaderLen)
 	if err != nil {
 		return fmt.Errorf("ipv4 push: %w", err)
 	}
@@ -78,11 +74,11 @@ func (h Header) Push(pkt *netbuf.Chain) error {
 
 // Parse strips and validates the header from the packet.
 func Parse(pkt *netbuf.Chain) (Header, error) {
-	bufs := pkt.Bufs()
-	if len(bufs) == 0 || bufs[0].Len() < HeaderLen {
+	raw := pkt.Front()
+	if len(raw) < HeaderLen {
 		return Header{}, ErrShortHeader
 	}
-	raw := bufs[0].Bytes()[:HeaderLen]
+	raw = raw[:HeaderLen]
 	if raw[0] != 0x45 {
 		return Header{}, ErrBadVersion
 	}
@@ -91,7 +87,7 @@ func Parse(pkt *netbuf.Chain) (Header, error) {
 	if s.Fold() != 0xffff {
 		return Header{}, ErrBadChecksum
 	}
-	if _, err := bufs[0].Pull(HeaderLen); err != nil {
+	if _, err := pkt.PullFront(HeaderLen); err != nil {
 		return Header{}, err
 	}
 	frag := binary.BigEndian.Uint16(raw[6:8])

@@ -150,8 +150,8 @@ func (s *Stack) Register(proto uint8, h Handler) {
 
 // Send transmits payload as one IP datagram from the local address src to
 // dst, fragmenting as needed. The stack takes ownership of the payload
-// chain's references. Fragmentation clones buffer descriptors — payload
-// bytes are never copied on this path.
+// chain's references. Fragmentation copies windows onto the payload's
+// buffers — payload bytes are never copied on this path.
 func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) error {
 	nic, ok := s.nics[src]
 	if !ok {

@@ -353,7 +353,8 @@ func (c *Conn) pump() {
 		endSeq := c.sndNxt + uint32(n)
 		if len(c.pushAt) > 0 && seqLEQ(c.pushAt[0], endSeq) {
 			flags |= flagPSH
-			c.pushAt = c.pushAt[1:]
+			// Copied down, not re-sliced, so the queue keeps its capacity.
+			c.pushAt = c.pushAt[:copy(c.pushAt, c.pushAt[1:])]
 		}
 		c.retain(c.sndNxt, uint32(n), flags, seg)
 		c.sendSegmentSeq(flags, c.sndNxt, seg)

@@ -108,8 +108,8 @@ func (s *Sharded) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Chai
 	}
 }
 
-// WriteAt implements Volume: slice the payload per extent (descriptor
-// clones, no copies) and fan out to the members.
+// WriteAt implements Volume: slice the payload per extent (sub-chains, no
+// copies) and fan out to the members.
 func (s *Sharded) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
 	bs := s.BlockSize()
 	exts := s.targets.Split(lbn, data.Len()/bs)

@@ -8,8 +8,21 @@ import "ncache/internal/netbuf"
 type SingleArm struct {
 	name string
 	ini  Initiator
+	// free is the free list of read records (see armRead).
+	free netbuf.FreeList[armRead]
 
 	reads, writes, errors uint64
+}
+
+// armRead is the recycled record of one read through the arm: the caller's
+// completion, and arrived bound once, when the record is first allocated. It
+// retires before the caller hears (poisoned and abandoned in netbuf debug
+// mode).
+type armRead struct {
+	s      *SingleArm
+	dead   bool // retired in debug mode
+	done   func(*netbuf.Chain, error)
+	onData func(*netbuf.Chain, error)
 }
 
 var _ Volume = (*SingleArm)(nil)
@@ -25,12 +38,27 @@ func (s *SingleArm) BlockSize() int { return s.ini.Geometry().BlockSize }
 // ReadAt implements Volume by pure delegation.
 func (s *SingleArm) ReadAt(lbn int64, blocks int, meta bool, done func(*netbuf.Chain, error)) {
 	s.reads++
-	s.ini.Read(lbn, blocks, meta, func(data *netbuf.Chain, err error) {
-		if err != nil {
-			s.errors++
-		}
-		done(data, err)
-	})
+	r := s.free.Take()
+	if r == nil {
+		r = &armRead{s: s}
+		r.onData = r.arrived
+	}
+	r.done = done
+	s.ini.Read(lbn, blocks, meta, r.onData)
+}
+
+// arrived counts a failed command and passes the answer up.
+func (r *armRead) arrived(data *netbuf.Chain, err error) {
+	if r.dead {
+		panic("storage: arm read retired twice")
+	}
+	s, done := r.s, r.done
+	r.done = nil
+	r.dead = !s.free.Put(r)
+	if err != nil {
+		s.errors++
+	}
+	done(data, err)
 }
 
 // WriteAt implements Volume by pure delegation.

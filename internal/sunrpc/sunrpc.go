@@ -533,9 +533,10 @@ func (c *Client) Call(prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.
 	pc := c.call()
 	pc.xid, pc.done = xid, done
 	if c.maxTries > 0 {
-		// The retained wire image aliases the outgoing buffers via clone
-		// descriptors; the roots stay pinned (and accounted to whoever
-		// owns them) until the call completes and release() drops them.
+		// The retained wire image aliases the outgoing buffers through
+		// windows of its own; the roots stay pinned (and accounted to
+		// whoever owns them) until the call completes and release()
+		// drops them.
 		pc.wire = out.Clone()
 		pc.wire.SetOwner("sunrpc.retransmit")
 		pc.sent = c.node.Eng.Now()
