@@ -127,7 +127,7 @@ func NewMemDisk(eng *sim.Engine, name string, geom Geometry, model Model) *MemDi
 		name:    name,
 		geom:    geom,
 		model:   model,
-		arm:     sim.NewResource(eng, name),
+		arm:     sim.NewResource(eng),
 		blocks:  make(map[int64][]byte),
 		lastEnd: -1,
 	}

@@ -328,7 +328,6 @@ func (c *Cache) flushBatch(batch []*Block, done func(error)) {
 	}
 	c.nFlushing += len(batch)
 	c.node.Charge(cost, nil)
-	c.Stats.Writeback += uint64(len(batch))
 	c.wb.FlushBatches++
 	c.wb.FlushBlocks += uint64(len(batch))
 	gen := c.gen

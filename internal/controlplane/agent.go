@@ -18,7 +18,7 @@ type AgentStats struct {
 	InvalidationDups     uint64
 	Errors               uint64
 	// LBNsQueued counts the blocks handed to SendRemap; LBNsAnnounced those
-	// whose chunk was acknowledged and LBNsAbandoned those whose chunk was
+	// whose round was acknowledged and LBNsAbandoned those whose round was
 	// given up on. What the first exceeds the other two by is waiting for a
 	// round or in one, and is zero once the agent has drained.
 	LBNsQueued    uint64
@@ -26,16 +26,10 @@ type AgentStats struct {
 	LBNsAbandoned uint64
 }
 
-// invalID dedups invalidations: retransmissions of (origin, seq) are applied
-// once and re-acked every time.
-type invalID struct {
-	origin uint16
-	seq    uint64
-}
-
-// pendingRemap is one unacknowledged remap announcement: a chunk of LBNs and
-// the request that resends it. It leaves Agent.pending — the round in flight
-// — when the request settles, acknowledged or abandoned.
+// pendingRemap is the one unacknowledged remap announcement: at most MaxLBNs
+// LBNs and the request that resends them. It leaves Agent.pending when the
+// request settles, acknowledged or abandoned. Each round gets a fresh record:
+// request timers are never cancelled, so a reused one would take stale ticks.
 type pendingRemap struct {
 	request
 	a    *Agent
@@ -59,10 +53,13 @@ type Agent struct {
 
 	seq uint64
 	// queue holds the LBNs announced while a round is in flight, in announce
-	// order; pending is that round, one entry per unsettled chunk.
+	// order; pending is that round, nil when none is.
 	queue   []int64
-	pending map[uint64]*pendingRemap
-	seen    map[invalID]bool
+	pending *pendingRemap
+	// applied[o] is the last seq applied of origin o, whose one remap in
+	// flight makes anything at or below it a retransmission. The control
+	// plane refuses origins outside the member set, which bounds its length.
+	applied []uint64
 
 	invalidate func([]int64)
 
@@ -74,13 +71,11 @@ type Agent struct {
 // plane at cp.
 func NewAgent(node *simnet.Node, t *udp.Transport, local, cp eth.Addr, server int) (*Agent, error) {
 	a := &Agent{
-		node:    node,
-		udp:     t,
-		local:   local,
-		cp:      cp,
-		server:  server,
-		pending: make(map[uint64]*pendingRemap),
-		seen:    make(map[invalID]bool),
+		node:   node,
+		udp:    t,
+		local:  local,
+		cp:     cp,
+		server: server,
 	}
 	err := t.Bind(Port, func(dg udp.Datagram) {
 		if dg.Src != cp || dg.SrcPort != Port {
@@ -108,41 +103,36 @@ func (a *Agent) send(m Msg) {
 	}
 }
 
-// SendRemap announces remapped LBNs to the control plane, one round of
-// announcements at a time: with none in flight the LBNs leave now, otherwise
-// they wait for the round to settle and leave with everything else announced
-// meanwhile. An idle path therefore announces immediately and a loaded one
-// batches by exactly as much as the load delays it — no timer, no threshold.
+// SendRemap announces remapped LBNs to the control plane, one message in
+// flight at a time: with none in flight the LBNs leave now, otherwise they
+// wait for it to settle and leave with everything else announced meanwhile.
+// An idle path therefore announces immediately and a loaded one batches by
+// exactly as much as the load delays it — no timer, no threshold.
 func (a *Agent) SendRemap(lbns []int64) {
 	a.Stats.LBNsQueued += uint64(len(lbns))
 	a.queue = append(a.queue, lbns...)
-	if len(a.pending) == 0 {
+	if a.pending == nil {
 		a.sendRound()
 	}
 }
 
-// sendRound sends everything queued, chunked to the message limit, each
-// chunk its own request.
+// sendRound sends the first MaxLBNs queued LBNs as one request; the rest
+// wait for the next round.
 func (a *Agent) sendRound() {
-	lbns := a.queue
-	a.queue = nil
-	for len(lbns) > 0 {
-		n := min(len(lbns), MaxLBNs)
-		a.seq++
-		p := &pendingRemap{a: a, seq: a.seq, lbns: lbns[:n:n]}
-		a.pending[p.seq] = p
-		p.start(a.node.Eng, p, &a.path, DefaultRetryMax)
-		lbns = lbns[n:]
-	}
+	n := min(len(a.queue), MaxLBNs)
+	a.seq++
+	a.pending = &pendingRemap{a: a, seq: a.seq, lbns: a.queue[:n:n]}
+	a.queue = a.queue[n:]
+	a.pending.start(a.node.Eng, a.pending, &a.path, DefaultRetryMax)
 }
 
-// leaveRound ends one chunk's share of the round, acknowledged or abandoned
-// alike — a round that waited for an ack that never comes would hold the
-// queue for ever — and starts the next round when it was the last.
+// leaveRound ends the round, acknowledged or abandoned alike — a round that
+// waited for an ack that never comes would hold the queue for ever — and
+// starts the next if anything is queued.
 func (p *pendingRemap) leaveRound() {
 	a := p.a
-	delete(a.pending, p.seq)
-	if len(a.pending) == 0 && len(a.queue) > 0 {
+	a.pending = nil
+	if len(a.queue) > 0 {
 		a.sendRound()
 	}
 }
@@ -168,9 +158,9 @@ func (p *pendingRemap) abandon() {
 func (a *Agent) handle(m Msg) {
 	switch m.Type {
 	case MsgRemapAck:
-		// An ack for a chunk already acknowledged or abandoned finds no
-		// entry and is ignored.
-		if p, ok := a.pending[m.Seq]; ok && p.settle() {
+		// An ack for a round already acknowledged or abandoned matches
+		// nothing and is ignored.
+		if p := a.pending; p != nil && p.seq == m.Seq && p.settle() {
 			a.Stats.RemapsAcked++
 			a.Stats.LBNsAnnounced += uint64(len(p.lbns))
 			p.leaveRound()
@@ -185,15 +175,18 @@ func (a *Agent) handle(m Msg) {
 }
 
 // handleInvalidate applies one remote remap's invalidation and always acks
-// it — retransmissions are deduplicated by (origin, seq), so the
-// cache drop runs once while the lost-ack path still recovers.
+// it — retransmissions are recognised by applied, so the cache drop runs
+// once while the lost-ack path still recovers.
 func (a *Agent) handleInvalidate(m Msg) {
 	a.Stats.InvalidationsRcvd++
-	id := invalID{origin: m.Server, seq: m.Seq}
-	if a.seen[id] {
+	o := int(m.Server)
+	if o >= len(a.applied) {
+		a.applied = append(a.applied, make([]uint64, o+1-len(a.applied))...)
+	}
+	if m.Seq <= a.applied[o] {
 		a.Stats.InvalidationDups++
 	} else {
-		a.seen[id] = true
+		a.applied[o] = m.Seq
 		if a.invalidate != nil {
 			a.invalidate(m.LBNs)
 		}

@@ -131,12 +131,13 @@ func TestRTOEstimatorPerPeer(t *testing.T) {
 	n.checkDrained(t)
 }
 
-// TestRemapRoundOneInFlight: with no round in flight an announcement leaves
-// in the same event as the call, whole — more than MaxLBNs go out as several
-// chunks at once, not one per round trip (a Restart's replay). While a round
-// is unacknowledged further calls leave the wire untouched; when it settles
-// everything queued meanwhile becomes one round of ⌈n/MaxLBNs⌉ messages, and
-// the peer learns of the blocks in the order they were announced.
+// TestRemapRoundOneInFlight: one remap message is in flight per server. With
+// none in flight an announcement leaves in the same event as the call, and
+// more than MaxLBNs leave as sequential rounds of at most MaxLBNs each, one
+// per round trip (a Restart's replay: 2×MaxLBNs+44 LBNs are 3 rounds). While
+// a round is unacknowledged further calls leave the wire untouched; when it
+// settles the next MaxLBNs queued go, and the peer learns of the blocks in
+// the order they were announced.
 func TestRemapRoundOneInFlight(t *testing.T) {
 	n := buildCPNet(t)
 	ag := n.agents[0]
@@ -147,9 +148,19 @@ func TestRemapRoundOneInFlight(t *testing.T) {
 
 	replay := lbnRange(0, 2*MaxLBNs+44)
 	ag.SendRemap(replay)
-	if ag.Stats.RemapsSent != 3 || len(ag.pending) != 3 || len(ag.queue) != 0 {
-		t.Fatalf("%d LBNs announced on an idle path: %d messages sent, %d chunks in flight, %d LBNs queued; want 3, 3, 0",
-			len(replay), ag.Stats.RemapsSent, len(ag.pending), len(ag.queue))
+	if ag.Stats.RemapsSent != 1 || ag.pending == nil || len(ag.pending.lbns) != MaxLBNs || len(ag.queue) != MaxLBNs+44 {
+		t.Fatalf("%d LBNs announced on an idle path: %d messages sent, %d LBNs queued; want 1 message of %d and %d queued",
+			len(replay), ag.Stats.RemapsSent, len(ag.queue), MaxLBNs, MaxLBNs+44)
+	}
+	for round := uint64(2); round <= 3; round++ {
+		n.runFor(t, roundTrip+sim.Millisecond/2)
+		if ag.Stats.RemapsAcked != round-1 || ag.Stats.RemapsSent != round {
+			t.Fatalf("%d round trips on: %d rounds acknowledged, %d sent; want %d and %d — one message per round trip",
+				round-1, ag.Stats.RemapsAcked, ag.Stats.RemapsSent, round-1, round)
+		}
+	}
+	if len(ag.pending.lbns) != 44 || len(ag.queue) != 0 {
+		t.Fatalf("third round carries %d LBNs with %d queued, want 44 and 0", len(ag.pending.lbns), len(ag.queue))
 	}
 	const calls, perCall = 5, 60
 	for i := 0; i < calls; i++ {
@@ -159,16 +170,11 @@ func TestRemapRoundOneInFlight(t *testing.T) {
 		t.Fatalf("%d calls behind an unacknowledged round: %d messages sent, %d LBNs queued; want 3 and %d",
 			calls, ag.Stats.RemapsSent, len(ag.queue), calls*perCall)
 	}
-	const second = (calls*perCall + MaxLBNs - 1) / MaxLBNs
-	n.runFor(t, roundTrip+sim.Millisecond)
-	if ag.Stats.RemapsAcked != 3 || ag.Stats.RemapsSent != 3+second || len(ag.queue) != 0 {
-		t.Fatalf("one round trip on: %d chunks acknowledged, %d sent, %d LBNs queued; want 3, %d, 0 — the first round travelled together and its last ack started the second",
-			ag.Stats.RemapsAcked, ag.Stats.RemapsSent, len(ag.queue), 3+second)
-	}
+	const later = (calls*perCall + MaxLBNs - 1) / MaxLBNs
 	n.run(t)
-	if ag.Stats.RemapsSent != 3+second || ag.Stats.RemapRetries != 0 || n.cp.Stats.RemapsStarted != 3+second {
-		t.Fatalf("%d messages sent (%d resent), %d remaps started; want %d, 0, %d: %d queued LBNs are one round of %d",
-			ag.Stats.RemapsSent, ag.Stats.RemapRetries, n.cp.Stats.RemapsStarted, 3+second, 3+second, calls*perCall, second)
+	if ag.Stats.RemapsSent != 3+later || ag.Stats.RemapRetries != 0 || n.cp.Stats.RemapsStarted != 3+later {
+		t.Fatalf("%d messages sent (%d resent), %d remaps started; want %d, 0, %d: %d queued LBNs are %d rounds",
+			ag.Stats.RemapsSent, ag.Stats.RemapRetries, n.cp.Stats.RemapsStarted, 3+later, 3+later, calls*perCall, later)
 	}
 	want := replay
 	for i := 0; i < calls; i++ {
@@ -186,12 +192,12 @@ func TestRemapRoundOneInFlight(t *testing.T) {
 	n.checkDrained(t)
 }
 
-// TestFaultAbandonedRoundFreesQueue: a chunk given up on ends its share of
-// the round like one acknowledged. With the control plane unreachable until
-// after a round's last send, RemapsAbandoned counts its chunks, the queue
-// keeps filling, and the round that starts at the moment of giving up carries
-// everything announced meanwhile. A round that waited for its acks would hold
-// those LBNs for ever.
+// TestFaultAbandonedRoundFreesQueue: a round given up on ends like one
+// acknowledged. With the control plane unreachable until after a round's last
+// send, RemapsAbandoned counts it, the queue keeps filling — the LBN past
+// MaxLBNs waits there behind the doomed round — and the rounds that start at
+// the moment of giving up carry everything queued. A round that waited for
+// its ack would hold those LBNs for ever.
 func TestFaultAbandonedRoundFreesQueue(t *testing.T) {
 	n := buildCPNet(t)
 	ag := n.agents[0]
@@ -208,22 +214,23 @@ func TestFaultAbandonedRoundFreesQueue(t *testing.T) {
 		})
 	}
 	n.runFor(t, giveUp-sim.Microsecond)
-	if ag.Stats.RemapsSent != 2 || ag.Stats.RemapRetries != 2*(DefaultRetryMax-1) || len(ag.queue) != calls*perCall {
-		t.Fatalf("just before the budget ends: %d chunks sent, %d resends, %d LBNs queued; want 2, %d, %d",
-			ag.Stats.RemapsSent, ag.Stats.RemapRetries, len(ag.queue), 2*(DefaultRetryMax-1), calls*perCall)
+	const queued = 1 + calls*perCall
+	if ag.Stats.RemapsSent != 1 || ag.Stats.RemapRetries != DefaultRetryMax-1 || len(ag.queue) != queued {
+		t.Fatalf("just before the budget ends: %d rounds sent, %d resends, %d LBNs queued; want 1, %d, %d",
+			ag.Stats.RemapsSent, ag.Stats.RemapRetries, len(ag.queue), DefaultRetryMax-1, queued)
 	}
 	n.run(t)
-	const second = (calls*perCall + MaxLBNs - 1) / MaxLBNs
+	const later = (queued + MaxLBNs - 1) / MaxLBNs
 	st := ag.Stats
-	if st.RemapsAbandoned != 2 || st.LBNsAbandoned != uint64(len(doomed)) {
-		t.Errorf("RemapsAbandoned = %d, LBNsAbandoned = %d; want 2, %d", st.RemapsAbandoned, st.LBNsAbandoned, len(doomed))
+	if st.RemapsAbandoned != 1 || st.LBNsAbandoned != MaxLBNs {
+		t.Errorf("RemapsAbandoned = %d, LBNsAbandoned = %d; want 1, %d", st.RemapsAbandoned, st.LBNsAbandoned, MaxLBNs)
 	}
-	if st.RemapsSent != 2+second || st.RemapsAcked != second || st.LBNsAnnounced != calls*perCall {
-		t.Errorf("after the outage: %d chunks sent, %d acknowledged, %d LBNs announced; want %d, %d, %d — one round for everything queued meanwhile",
-			st.RemapsSent, st.RemapsAcked, st.LBNsAnnounced, 2+second, second, calls*perCall)
+	if st.RemapsSent != 1+later || st.RemapsAcked != later || st.LBNsAnnounced != queued {
+		t.Errorf("after the outage: %d rounds sent, %d acknowledged, %d LBNs announced; want %d, %d, %d — everything queued meanwhile",
+			st.RemapsSent, st.RemapsAcked, st.LBNsAnnounced, 1+later, later, queued)
 	}
-	if got := len(n.invals[1]); got != calls*perCall {
-		t.Errorf("the peer invalidated %d LBNs, want the %d announced during the outage", got, calls*perCall)
+	if got := len(n.invals[1]); got != queued {
+		t.Errorf("the peer invalidated %d LBNs, want the %d queued behind the doomed round", got, queued)
 	}
 	n.checkDrained(t)
 }

@@ -2,7 +2,9 @@ package controlplane
 
 import (
 	"fmt"
+	"os"
 	"slices"
+	"strconv"
 	"testing"
 
 	"ncache/internal/fault"
@@ -23,6 +25,7 @@ type cpNet struct {
 	cpUDP  *udp.Transport
 	agents []*Agent
 	invals [][]int64 // per-agent invalidated LBNs
+	seed   uint64    // the fault injector's
 }
 
 const (
@@ -34,7 +37,8 @@ const (
 func buildCPNet(t *testing.T) *cpNet { return buildCPNetOf(t, 2) }
 
 // buildCPNetOf wires the testbed. The agents' nodes are srv0, srv1, …, so a
-// fault schedule can pick one server's link.
+// fault schedule can pick one server's link. Faults draw from seed 1 unless
+// NCACHE_FAULT_SEED (the CI seed matrix) names another.
 func buildCPNetOf(t *testing.T, numServers int) *cpNet {
 	t.Helper()
 	servers := make([]eth.Addr, numServers)
@@ -43,7 +47,13 @@ func buildCPNetOf(t *testing.T, numServers int) *cpNet {
 	}
 	eng := sim.NewEngine()
 	nw := simnet.NewNetwork(eng, 5*sim.Microsecond)
-	n := &cpNet{eng: eng, nw: nw}
+	n := &cpNet{eng: eng, nw: nw, seed: 1}
+	if s := os.Getenv("NCACHE_FAULT_SEED"); s != "" {
+		var err error
+		if n.seed, err = strconv.ParseUint(s, 10, 64); err != nil {
+			t.Fatalf("NCACHE_FAULT_SEED=%q: %v", s, err)
+		}
+	}
 	host := func(name string, addr eth.Addr) (*simnet.Node, *udp.Transport) {
 		node := simnet.NewNode(eng, name, simnet.DefaultProfile())
 		if _, err := nw.Attach(node, addr, simnet.Gbps); err != nil {
@@ -87,7 +97,7 @@ func (n *cpNet) runt(t *testing.T, to *Agent) {
 // inject replaces the network's fault schedules with scheds, armed, and
 // returns the injector: its report counts the injections, Quiesce lifts them.
 func (n *cpNet) inject(scheds ...fault.Schedule) *fault.Injector {
-	in := fault.New(n.eng, 1)
+	in := fault.New(n.eng, n.seed)
 	for _, s := range scheds {
 		in.Add(s)
 	}
@@ -138,14 +148,14 @@ func budget(sends int) sim.Duration {
 }
 
 // checkDrained: every LBN handed to an agent was announced or abandoned, and
-// no chunk or queue entry is left behind.
+// no round or queue entry is left behind.
 func (n *cpNet) checkDrained(t *testing.T) {
 	t.Helper()
 	for i, ag := range n.agents {
 		st := ag.Stats
-		if st.LBNsQueued != st.LBNsAnnounced+st.LBNsAbandoned || len(ag.queue) != 0 || len(ag.pending) != 0 {
-			t.Errorf("agent %d: %d LBNs queued, %d announced, %d abandoned; %d still queued, %d chunks in flight",
-				i, st.LBNsQueued, st.LBNsAnnounced, st.LBNsAbandoned, len(ag.queue), len(ag.pending))
+		if st.LBNsQueued != st.LBNsAnnounced+st.LBNsAbandoned || len(ag.queue) != 0 || ag.pending != nil {
+			t.Errorf("agent %d: %d LBNs queued, %d announced, %d abandoned; %d still queued, round in flight: %v",
+				i, st.LBNsQueued, st.LBNsAnnounced, st.LBNsAbandoned, len(ag.queue), ag.pending != nil)
 		}
 	}
 	if got := n.cp.PendingRemaps(); got != 0 {
@@ -158,8 +168,9 @@ func (n *cpNet) checkDrained(t *testing.T) {
 // (bytes 6–19 and 28–43) encoded as zero; a datagram whose length prefix
 // disagrees with its size, and a runt, decode to nothing; and a well-formed
 // datagram of a retired type (1 and 2, registration; 3 and 4, the per-handle
-// lookup; 9 and 10, the member-set fetch), or a remap naming a server outside
-// the member set, is one protocol error at the server and nothing else.
+// lookup; 9 and 10, the member-set fetch), or a remap or invalidation ack
+// naming an origin outside the member set, is one protocol error at the
+// server and nothing else — never an index past the server's slots.
 func TestWireRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	node := simnet.NewNode(eng, "n", simnet.DefaultProfile())
@@ -212,7 +223,10 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	n := buildCPNet(t)
-	bad := []Msg{{Type: MsgRemap, Server: 2, Seq: 1, LBNs: []int64{5}}}
+	bad := []Msg{
+		{Type: MsgRemap, Server: 2, Seq: 1, LBNs: []int64{5}},
+		{Type: MsgInvalidateAck, Server: 2, From: 0, Seq: 1},
+	}
 	for _, retired := range []MsgType{1, 2, 3, 4, 9, 10} {
 		bad = append(bad, Msg{Type: retired, Seq: 1})
 	}
@@ -359,8 +373,8 @@ func TestRequestLoop(t *testing.T) {
 			ag := n.agents[0]
 			ag.SendRemap([]int64{5, 6, 7})
 			return func() loopCounts {
-				if got := len(ag.pending); got != 0 {
-					t.Errorf("%d remap chunks still pending: acked %d, abandoned %d", got, ag.Stats.RemapsAcked, ag.Stats.RemapsAbandoned)
+				if ag.pending != nil {
+					t.Errorf("the remap is still pending: acked %d, abandoned %d", ag.Stats.RemapsAcked, ag.Stats.RemapsAbandoned)
 				}
 				if ag.Stats.RemapsAcked+ag.Stats.RemapsAbandoned != 1 {
 					t.Errorf("chunk acked %d times and abandoned %d times, want one or the other", ag.Stats.RemapsAcked, ag.Stats.RemapsAbandoned)
@@ -428,6 +442,74 @@ func TestRequestLoop(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestFaultControlPlaneStateBounded: the protocol state is sized by the
+// member set, not by how many remaps the control plane has carried. Four
+// servers announce 10× fig-scaleout's 157 remaps, each origin its next one as
+// soon as the last settles, through a control node that loses a quarter of
+// the frames in each direction — so remaps are resent, invalidations resent
+// and some of each given up on, and an origin's next remap can overtake a
+// fan-out its origin abandoned. At quiesce everything has drained, no
+// invalidation was applied twice, and the server and every agent hold at
+// most one slot per server.
+func TestFaultControlPlaneStateBounded(t *testing.T) {
+	const servers, perServer = 4, (10*157 + 3) / 4
+	n := buildCPNetOf(t, servers)
+	scheds, err := fault.ParseSpec("drop:cp*:rate=0.25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := n.inject(scheds...)
+	for i, ag := range n.agents {
+		i, ag := i, ag
+		k := 0
+		var tick func()
+		tick = func() {
+			if ag.pending == nil {
+				ag.SendRemap([]int64{int64(k*servers + i)})
+				k++
+			}
+			if k < perServer {
+				n.eng.Schedule(sim.Millisecond, tick)
+			}
+		}
+		n.eng.Schedule(0, tick)
+	}
+	n.run(t)
+
+	var sent, abandoned, dropped uint64
+	for _, ag := range n.agents {
+		sent += ag.Stats.RemapsSent
+		abandoned += ag.Stats.RemapsAbandoned
+	}
+	for _, r := range in.Report() {
+		dropped += r.Injected
+	}
+	t.Logf("%d remaps sent, %d started, %d abandoned by their origin; %d invalidations resent, %d abandoned; %d frames dropped",
+		sent, n.cp.Stats.RemapsStarted, abandoned, n.cp.Stats.InvalidationResends, n.cp.Stats.Abandoned, dropped)
+	if sent != servers*perServer || n.cp.Stats.RemapsStarted+abandoned < sent || dropped == 0 {
+		t.Fatalf("%d remaps sent, %d started, %d abandoned, %d frames dropped: want %d sent, each started or abandoned, under loss",
+			sent, n.cp.Stats.RemapsStarted, abandoned, dropped, servers*perServer)
+	}
+	n.checkDrained(t)
+	if got := len(n.cp.latest); got != servers {
+		t.Errorf("the control plane holds %d remap states after %d remaps, want one slot per server (%d)",
+			got, n.cp.Stats.RemapsStarted, servers)
+	}
+	for i, ag := range n.agents {
+		if got := len(ag.applied); got > servers {
+			t.Errorf("agent %d holds %d dedup entries after %d invalidations, want at most one per server (%d)",
+				i, got, ag.Stats.InvalidationsRcvd, servers)
+		}
+		seen := make(map[int64]bool, len(n.invals[i]))
+		for _, lbn := range n.invals[i] {
+			if seen[lbn] || int(lbn)%servers == i {
+				t.Fatalf("agent %d applied LBN %d twice, or its own", i, lbn)
+			}
+			seen[lbn] = true
 		}
 	}
 }

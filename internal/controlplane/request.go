@@ -16,7 +16,7 @@ const (
 	DefaultRetryMax = 6
 )
 
-// requester is the state a request belongs to: a remap chunk, or one peer's
+// requester is the state a request belongs to: a remap round, or one peer's
 // invalidation.
 type requester interface {
 	// transmit sends the request once, and is where the owner counts sends;

@@ -14,19 +14,11 @@ type Stats struct {
 	RemapAcksSent       uint64
 	InvalidationsSent   uint64
 	InvalidationResends uint64
-	InvalidationAcks    uint64
 	// Abandoned counts invalidations given up after DefaultRetryMax tries; the
 	// remap still completes (the sim has no permanently dead peers, so a
 	// nonzero count under bounded loss indicates miscalibrated retries).
 	Abandoned uint64
 	Errors    uint64
-}
-
-// remapID names one remap exactly: retransmissions carry the same pair,
-// which is what makes them idempotent at the server.
-type remapID struct {
-	server uint16
-	seq    uint64
 }
 
 // remapPeer is one peer's invalidation within a remap: the request that
@@ -38,12 +30,13 @@ type remapPeer struct {
 	idx int
 }
 
-// remapState is one in-flight (or completed) remap.
+// remapState is one origin's latest remap, in flight or completed.
 type remapState struct {
-	id    remapID
-	lbns  []int64
-	peers []*remapPeer
-	done  bool
+	origin uint16
+	seq    uint64
+	lbns   []int64
+	peers  []*remapPeer
+	done   bool
 }
 
 // Server is the control-plane service: the remap/invalidate protocol among
@@ -56,9 +49,11 @@ type Server struct {
 	// servers[i] is server i's address, where its agent listens on Port.
 	// Indexed by server ID so fan-out order is deterministic. paths[i]
 	// estimates the round trip to server i, for the invalidations sent to it.
+	// latest[i] is server i's latest remap: an origin has one in flight, so
+	// one slot per server holds all the protocol state there is.
 	servers []eth.Addr
 	paths   []sim.RTT
-	remaps  map[remapID]*remapState
+	latest  []*remapState
 
 	udp   *udp.Transport
 	Stats Stats
@@ -73,7 +68,7 @@ func NewServer(node *simnet.Node, servers []eth.Addr) *Server {
 		addr:    node.NICs()[0].Addr,
 		servers: append([]eth.Addr(nil), servers...),
 		paths:   make([]sim.RTT, len(servers)),
-		remaps:  make(map[remapID]*remapState),
+		latest:  make([]*remapState, len(servers)),
 	}
 }
 
@@ -131,18 +126,17 @@ func (s *Server) handleRemap(m Msg) {
 		s.Stats.Errors++
 		return
 	}
-	id := remapID{server: m.Server, seq: m.Seq}
-	if st, ok := s.remaps[id]; ok {
-		// A retransmitted remap: if the protocol already completed the
-		// ack was lost — re-ack; otherwise the fan-out is still running
-		// and the origin's retry timer covers it.
+	if st := s.latest[m.Server]; st != nil && m.Seq <= st.seq {
+		// The slot's seq is a retransmission: if the fan-out completed the
+		// ack was lost — re-ack; otherwise the origin's retry timer covers
+		// it. A lower one is late, its origin already past it: re-ack.
 		s.Stats.RemapDups++
-		if st.done {
-			s.ackOrigin(st)
+		if m.Seq < st.seq || st.done {
+			s.ackOrigin(m.Server, m.Seq)
 		}
 		return
 	}
-	st := &remapState{id: id, lbns: append([]int64(nil), m.LBNs...)}
+	st := &remapState{origin: m.Server, seq: m.Seq, lbns: append([]int64(nil), m.LBNs...)}
 	// Peers in ascending server-ID order: the fan-out sequence is part of
 	// the deterministic replay surface.
 	for idx := range s.servers {
@@ -151,7 +145,7 @@ func (s *Server) handleRemap(m Msg) {
 		}
 		st.peers = append(st.peers, &remapPeer{s: s, st: st, idx: idx})
 	}
-	s.remaps[id] = st
+	s.latest[m.Server] = st
 	s.Stats.RemapsStarted++
 	if len(st.peers) == 0 {
 		s.complete(st)
@@ -164,13 +158,13 @@ func (s *Server) handleRemap(m Msg) {
 
 // transmit sends the peer its invalidation.
 func (p *remapPeer) transmit(again bool) {
-	s, id := p.s, p.st.id
+	s, st := p.s, p.st
 	if again {
 		s.Stats.InvalidationResends++
 	} else {
 		s.Stats.InvalidationsSent++
 	}
-	s.send(p.idx, Msg{Type: MsgInvalidate, Server: id.server, Seq: id.seq, LBNs: p.st.lbns})
+	s.send(p.idx, Msg{Type: MsgInvalidate, Server: st.origin, Seq: st.seq, LBNs: st.lbns})
 }
 
 // abandon gives up on the peer; the remap completes without it.
@@ -179,14 +173,17 @@ func (p *remapPeer) abandon() {
 	p.s.completeIfAcked(p.st)
 }
 
-// handleInvalidateAck records one peer's acknowledgement.
+// handleInvalidateAck records one peer's acknowledgement of its origin's
+// latest remap; an ack for an earlier one settles nothing.
 func (s *Server) handleInvalidateAck(m Msg) {
-	id := remapID{server: m.Server, seq: m.Seq}
-	st, ok := s.remaps[id]
-	if !ok {
+	if int(m.Server) >= len(s.latest) {
+		s.Stats.Errors++
 		return
 	}
-	s.Stats.InvalidationAcks++
+	st := s.latest[m.Server]
+	if st == nil || st.seq != m.Seq {
+		return
+	}
 	for _, p := range st.peers {
 		if p.idx == int(m.From) {
 			p.settle()
@@ -209,26 +206,26 @@ func (s *Server) completeIfAcked(st *remapState) {
 	s.complete(st)
 }
 
-// complete marks the remap done and acks its origin. Completed state is
-// retained so retransmitted remaps re-ack instead of re-running the
-// fan-out (the idempotence the loss tests assert).
+// complete marks the remap done and acks its origin. Completed state stays
+// in its slot until the origin's next remap, so a retransmission re-acks
+// instead of re-running the fan-out (the idempotence the loss tests assert).
 func (s *Server) complete(st *remapState) {
 	st.done = true
-	s.ackOrigin(st)
+	s.ackOrigin(st.origin, st.seq)
 }
 
-// ackOrigin sends the remap acknowledgement back to the origin server.
-func (s *Server) ackOrigin(st *remapState) {
+// ackOrigin sends the acknowledgement of remap (origin, seq) back to origin.
+func (s *Server) ackOrigin(origin uint16, seq uint64) {
 	s.Stats.RemapAcksSent++
-	s.send(int(st.id.server), Msg{Type: MsgRemapAck, Server: st.id.server, Seq: st.id.seq})
+	s.send(int(origin), Msg{Type: MsgRemapAck, Server: origin, Seq: seq})
 }
 
 // PendingRemaps counts remaps whose fan-out has not completed (drain
 // assertions in tests).
 func (s *Server) PendingRemaps() int {
 	n := 0
-	for _, st := range s.remaps { // det: commutative (count)
-		if !st.done {
+	for _, st := range s.latest {
+		if st != nil && !st.done {
 			n++
 		}
 	}

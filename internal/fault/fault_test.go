@@ -217,7 +217,7 @@ func TestWindowAndCount(t *testing.T) {
 // Quiesce, and that Quiesce lets the event loop drain.
 func TestCPUBurstLifecycle(t *testing.T) {
 	eng := sim.NewEngine()
-	cpu := sim.NewResource(eng, "app.cpu")
+	cpu := sim.NewResource(eng)
 	in := New(eng, 3)
 	in.Add(Schedule{Class: CPUBurst, Target: "app.cpu", Period: sim.Millisecond, Delay: 200 * sim.Microsecond})
 	in.AttachCPU("app.cpu", cpu)

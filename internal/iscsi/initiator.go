@@ -113,7 +113,7 @@ type Initiator struct {
 	retryBackoff sim.Duration
 
 	// Stats.
-	ReadCmds, WriteCmds uint64
+	ReadCmds uint64
 	// Retries counts commands re-issued after a transient target error.
 	Retries uint64
 }
@@ -218,7 +218,6 @@ func (i *Initiator) Write(lba int64, data *netbuf.Chain, meta bool, done func(er
 		return
 	}
 	trace.To(i.node.Eng, trace.LISCSI)
-	i.WriteCmds++
 	t := i.task()
 	t.lba, t.blocks, t.write, t.onDone = lba, data.Len()/i.geom.BlockSize, true, done
 	if i.retryMax > 0 {

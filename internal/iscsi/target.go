@@ -34,8 +34,7 @@ type Target struct {
 
 	// Stats.
 	ReadCmds, WriteCmds uint64
-	BytesOut, BytesIn   uint64
-	Sessions            uint64
+	BytesIn             uint64
 }
 
 // NewTarget creates a target serving dev and listens on the iSCSI port.
@@ -121,7 +120,6 @@ func (c *command) fail() {
 
 // accept wires a new session.
 func (t *Target) accept(c *tcp.Conn) {
-	t.Sessions++
 	s := &session{target: t, conn: c}
 	s.framer = NewFramer(s.handlePDU)
 	c.SetReceiver(func(data *netbuf.Chain) { s.framer.Push(data) })
@@ -278,15 +276,13 @@ func (c *command) onRead(err error) {
 
 // sendData copies the staged payload into transmit buffers and answers.
 func (c *command) sendData() {
-	s, itt, n := c.s, c.itt, len(c.vec[0])
-	t := s.target
-	payload, err := t.node.TxPool.GetChain(c.vec[0])
+	s, itt := c.s, c.itt
+	payload, err := s.target.node.TxPool.GetChain(c.vec[0])
 	c.retire()
 	if err != nil {
 		s.checkCondition(itt)
 		return
 	}
-	t.BytesOut += uint64(n)
 	s.reply(PDU{
 		Op: OpDataIn, Final: true, HasStatus: true,
 		Status: scsi.StatusGood, ITT: itt,

@@ -70,7 +70,6 @@ type Cache struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Writeback uint64
 }
 
 // HitRatio returns hits/(hits+misses), or 0 with no lookups.
@@ -96,10 +95,9 @@ type Writeback struct {
 	WALDepth     int64
 	WALPeakDepth int64
 	WALBytes     int64
-	// WALAppends/WALCommits/WALTruncates count log operations;
-	// CommitRecords totals the records made durable, so
-	// CommitRecords/WALCommits is the mean group-commit size.
-	WALAppends    uint64
+	// WALCommits/WALTruncates count log operations; CommitRecords totals
+	// the records made durable, so CommitRecords/WALCommits is the mean
+	// group-commit size.
 	WALCommits    uint64
 	WALTruncates  uint64
 	CommitRecords uint64
@@ -199,13 +197,8 @@ func (v Volume) String() string {
 
 // Requests tallies application-level operations (NFS ops, HTTP requests).
 type Requests struct {
-	Ops       uint64
-	OpBytes   uint64
-	Errors    uint64
-	ReadOps   uint64
-	WriteOps  uint64
-	MetaOps   uint64
-	ReadBytes uint64
-	// WriteBytes counts payload bytes written by clients.
-	WriteBytes uint64
+	Ops      uint64
+	ReadOps  uint64
+	WriteOps uint64
+	MetaOps  uint64
 }

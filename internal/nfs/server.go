@@ -243,7 +243,6 @@ func (k *serverCall) serve() {
 		}
 		body.Release()
 		s.node.Reqs.WriteOps++
-		s.node.Reqs.WriteBytes += uint64(dlen)
 		s.backend.Write(fh, off, data, k.onWrite)
 
 	case ProcCreate, ProcMkdir:
@@ -330,7 +329,6 @@ func (k *serverCall) replyRead(data *netbuf.Chain, a Attr, st uint32) {
 		dlen = data.Len()
 	}
 	e.Uint32(uint32(dlen))
-	s.node.Reqs.ReadBytes += uint64(dlen)
 	// XDR opaque padding (block payloads are 4-aligned).
 	if pad := (4 - dlen%4) % 4; pad != 0 && data != nil {
 		pb, perr := s.node.TxPool.Get()

@@ -66,9 +66,8 @@ type AppServer struct {
 	WAL *wal.Log
 	WB  *metrics.Writeback
 
-	// InvalDeferred / InvalDropGiveups count remote-invalidation retries
-	// against pinned buffer-cache blocks and the (pathological) give-ups.
-	InvalDeferred    uint64
+	// InvalDropGiveups counts remote invalidations given up on after
+	// retrying against a pinned buffer-cache block (pathological).
 	InvalDropGiveups uint64
 
 	cfg          ClusterConfig
@@ -171,7 +170,6 @@ func (s *AppServer) dropInvalid(lbn int64, tries int) {
 		s.InvalDropGiveups++
 		return
 	}
-	s.InvalDeferred++
 	s.Node.Eng.Schedule(sim.Millisecond, func() { s.dropInvalid(lbn, tries+1) })
 }
 

@@ -24,9 +24,8 @@ const webChunk = 64 * 1024
 type WebServer struct {
 	srv *AppServer
 
-	// Requests/BytesOut count completed requests and body bytes.
+	// Requests counts completed requests.
 	Requests uint64
-	BytesOut uint64
 	// Errors counts requests that failed (404s, parse errors).
 	Errors uint64
 
@@ -180,8 +179,6 @@ func (wc *webConn) sendFile(f webFile) {
 				chain = srv.Module.SubstituteMessage(chain)
 			}
 			got := chain.Len()
-			w.BytesOut += uint64(got)
-			srv.Node.Reqs.ReadBytes += uint64(got)
 			if err := wc.conn.SendChain(chain); err != nil {
 				wc.busy = false
 				return

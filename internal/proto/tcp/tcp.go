@@ -1,8 +1,8 @@
 // Package tcp implements the stream transport the simulated iSCSI and HTTP
 // traffic runs on. It is a deliberately reduced TCP: three-way handshake,
 // MSS segmentation, cumulative acknowledgments with delayed acks, a fixed
-// send window, FIN teardown — and loss recovery: every in-flight segment is
-// retained on a per-connection retransmission queue (refcounted netbuf
+// send window, teardown by reset — and loss recovery: every in-flight segment
+// is retained on a per-connection retransmission queue (refcounted netbuf
 // clones owned by "tcp.retransmit"), an RTO timer drives go-back-N resend —
 // its interval the connection's measured round trip (one timed segment per
 // flight, sim.RTT) within [BaseRTO, MaxRTO], doubled per consecutive timeout
@@ -62,11 +62,10 @@ const (
 	maxOOO = 256
 )
 
-// Segment flags.
+// Segment flags. Bit 2 (FIN) is unused: a connection ends by reset.
 const (
 	flagSYN = 1 << 0
 	flagACK = 1 << 1
-	flagFIN = 1 << 2
 	flagPSH = 1 << 3
 	flagRST = 1 << 4
 )
@@ -86,7 +85,6 @@ const (
 	stateSynSent state = iota + 1
 	stateSynRcvd
 	stateEstablished
-	stateFinWait
 	stateClosed
 )
 
@@ -123,7 +121,7 @@ type Transport struct {
 	RTOEvents       uint64
 	FastRetransmits uint64
 	// AbortedConns counts connections torn down by the retransmission
-	// limit or by a peer reset outside an orderly close.
+	// limit or by a peer reset.
 	AbortedConns uint64
 }
 
@@ -178,7 +176,7 @@ func (t *Transport) mss() int {
 
 // rtxSeg is one retained in-flight segment. payload is a refcounted clone
 // of the transmitted chain (owner "tcp.retransmit"); seqLen covers payload
-// bytes plus one for SYN/FIN.
+// bytes plus one for SYN.
 type rtxSeg struct {
 	seq     uint32
 	seqLen  uint32
@@ -247,8 +245,6 @@ type Conn struct {
 	onEstab  func(*Conn, error)
 	acceptFn AcceptFunc
 	delack   int
-	finSent  bool
-	finRcvd  bool
 }
 
 func newConn(t *Transport, key connKey, st state) *Conn {
@@ -306,15 +302,6 @@ func (c *Conn) SendChain(payload *netbuf.Chain) error {
 	return nil
 }
 
-// Close sends FIN after all queued data drains.
-func (c *Conn) Close() {
-	if c.state == stateClosed {
-		return
-	}
-	c.finSent = true
-	c.pump()
-}
-
 // retain records a transmitted segment on the retransmission queue. For
 // data segments the clone shares the payload buffers (refcounted, owner
 // "tcp.retransmit"); control segments retain only their sequence space.
@@ -327,7 +314,7 @@ func (c *Conn) retain(seq, seqLen uint32, flags uint8, payload *netbuf.Chain) {
 	c.rtxQ = append(c.rtxQ, rtxSeg{seq: seq, seqLen: seqLen, flags: flags, payload: keep})
 }
 
-// pump transmits queued data within the window, then FIN if closing.
+// pump transmits queued data within the window.
 func (c *Conn) pump() {
 	if c.state != stateEstablished {
 		return
@@ -362,13 +349,6 @@ func (c *Conn) pump() {
 		if !c.timing {
 			c.timing, c.timedEnd, c.timedAt = true, endSeq, c.t.node.Eng.Now()
 		}
-		c.armRTO()
-	}
-	if c.finSent && c.state == stateEstablished && (c.sendQ == nil || c.sendQ.Len() == 0) {
-		c.retain(c.sndNxt, 1, flagFIN|flagACK, nil)
-		c.sendSegmentSeq(flagFIN|flagACK, c.sndNxt, nil)
-		c.sndNxt++
-		c.state = stateFinWait
 		c.armRTO()
 	}
 }
@@ -628,11 +608,7 @@ func (t *Transport) receive(ih ipv4.Header, payload *netbuf.Chain) {
 		// stops retrying instead of backing off to its abort limit.
 		t.StraySegments++
 		if flags&flagRST == 0 {
-			end := seq + uint32(payload.Len())
-			if flags&flagFIN != 0 {
-				end++
-			}
-			t.sendSeg(key, ack, end, flagRST|flagACK, nil)
+			t.sendSeg(key, ack, seq+uint32(payload.Len()), flagRST|flagACK, nil)
 		}
 		payload.Release()
 		return
@@ -662,12 +638,6 @@ func (c *Conn) handle(flags uint8, seq, ack uint32, payload *netbuf.Chain) {
 	t := c.t
 	if flags&flagRST != 0 {
 		payload.Release()
-		if c.finSent && c.finRcvd {
-			// Reset racing the tail of an orderly close (our final ack
-			// was lost and the peer already tore down): not an abort.
-			c.teardown()
-			return
-		}
 		if c.state == stateSynSent {
 			c.abort(ErrNoSuchRemote, false)
 		} else {
@@ -723,8 +693,7 @@ func (c *Conn) handle(flags uint8, seq, ack uint32, payload *netbuf.Chain) {
 			c.sndUna = ack
 			c.ackRtx(ack)
 			c.pump()
-		} else if ack == c.sndUna && payload.Len() == 0 && flags&flagFIN == 0 &&
-			len(c.rtxQ) > 0 && (c.state == stateEstablished || c.state == stateFinWait) {
+		} else if ack == c.sndUna && payload.Len() == 0 && len(c.rtxQ) > 0 && c.state == stateEstablished {
 			// Pure duplicate ack: the receiver is seeing a gap — unless it
 			// is seeing the copies of a resend (see recover).
 			if !c.recovering {
@@ -737,36 +706,10 @@ func (c *Conn) handle(flags uint8, seq, ack uint32, payload *netbuf.Chain) {
 		}
 	}
 
-	n := payload.Len()
-	if n > 0 {
+	if payload.Len() > 0 {
 		c.recvData(flags, seq, payload)
 	} else {
 		payload.Release()
-	}
-
-	if flags&flagFIN != 0 {
-		finSeq := seq + uint32(n)
-		switch {
-		case c.finRcvd || seqLT(finSeq, c.rcvNxt):
-			// Duplicate FIN: re-ack so the closer stops retransmitting.
-			t.DupSegments++
-			c.sendAck()
-		case finSeq == c.rcvNxt:
-			c.rcvNxt++
-			c.finRcvd = true
-			c.sendAck()
-			if c.state == stateEstablished && !c.finSent {
-				// Passive close: acknowledge and close our side too.
-				c.Close()
-			}
-		default:
-			// FIN beyond a receive gap: dup-ack; the peer's RTO re-sends
-			// it after the gap heals.
-			c.sendAck()
-		}
-	}
-	if c.finRcvd && (c.state == stateFinWait || c.finSent) && c.sndUna == c.sndNxt {
-		c.teardown()
 	}
 }
 
@@ -884,8 +827,7 @@ func (c *Conn) deliver(payload *netbuf.Chain) {
 	}
 }
 
-// abort tears the connection down outside an orderly close, optionally
-// notifying the peer with RST.
+// abort tears the connection down, optionally notifying the peer with RST.
 func (c *Conn) abort(err error, notifyPeer bool) {
 	if c.state == stateClosed {
 		return

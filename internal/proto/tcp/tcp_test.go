@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -174,39 +175,6 @@ func TestBidirectionalEcho(t *testing.T) {
 	}
 }
 
-func TestConnectionClose(t *testing.T) {
-	eng, a, b := twoHosts(t)
-	var server, client *Conn
-	if err := b.tcp.Listen(9, func(c *Conn) {
-		server = c
-		c.SetReceiver(func(d *netbuf.Chain) { d.Release() })
-	}); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	a.tcp.Connect(a.addr, b.addr, 9, func(c *Conn, err error) {
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		client = c
-		if err := c.Send([]byte("bye")); err != nil {
-			t.Errorf("Send: %v", err)
-		}
-		c.Close()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	clientClosed := client != nil && client.state == stateClosed
-	serverClosed := server != nil && server.state == stateClosed
-	if !clientClosed || !serverClosed {
-		t.Fatalf("close not propagated: client=%v server=%v", clientClosed, serverClosed)
-	}
-	if len(a.tcp.conns) != 0 || len(b.tcp.conns) != 0 {
-		t.Fatalf("connections leaked: %d/%d", len(a.tcp.conns), len(b.tcp.conns))
-	}
-}
-
 func TestConnectToClosedPortIgnored(t *testing.T) {
 	eng, a, b := twoHosts(t)
 	var gotConn *Conn
@@ -232,22 +200,40 @@ func TestConnectToClosedPortIgnored(t *testing.T) {
 	}
 }
 
+// TestSendOnClosedConnFails: a connection ends by reset. The end that aborts
+// tells its peer with RST, the peer tears down on it, Send fails on both, and
+// neither transport keeps the connection.
 func TestSendOnClosedConnFails(t *testing.T) {
 	eng, a, b := twoHosts(t)
-	collectServer(t, b, 11)
-	var conn *Conn
+	var server, client *Conn
+	if err := b.tcp.Listen(11, func(c *Conn) {
+		server = c
+		eng.Schedule(0, func() { c.abort(ErrConnReset, true) })
+	}); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
 	a.tcp.Connect(a.addr, b.addr, 11, func(c *Conn, err error) {
-		conn = c
-		c.Close()
+		if err != nil {
+			t.Errorf("connect: %v", err)
+		}
+		client = c
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if conn == nil {
+	if client == nil || server == nil {
 		t.Fatal("no connection")
 	}
-	if err := conn.Send([]byte("late")); err == nil {
-		t.Fatal("Send on closed connection succeeded")
+	for _, c := range []*Conn{client, server} {
+		if err := c.Send([]byte("late")); !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("Send on a reset connection: %v, want %v", err, ErrConnClosed)
+		}
+	}
+	if len(a.tcp.conns) != 0 || len(b.tcp.conns) != 0 {
+		t.Fatalf("connections leaked: %d/%d", len(a.tcp.conns), len(b.tcp.conns))
+	}
+	if a.tcp.AbortedConns != 1 || b.tcp.AbortedConns != 1 {
+		t.Fatalf("aborted connections %d/%d, want 1/1", a.tcp.AbortedConns, b.tcp.AbortedConns)
 	}
 }
 

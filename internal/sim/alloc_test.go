@@ -142,7 +142,7 @@ func BenchmarkEventCancel(b *testing.B) {
 // beyond the caller's own done.
 func TestResourceUseZeroAllocs(t *testing.T) {
 	eng := NewEngine()
-	r := NewResource(eng, "cpu")
+	r := NewResource(eng)
 	fired := 0
 	done := func() { fired++ }
 	const jobs = 64

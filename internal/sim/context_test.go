@@ -82,56 +82,3 @@ func TestContextClearedBetweenEvents(t *testing.T) {
 		t.Fatal("second event did not fire")
 	}
 }
-
-// TestUsageObserver verifies the resource accounting hook sees queueing
-// delay, service demand and the admitting context, without changing the
-// simulation outcome.
-func TestUsageObserver(t *testing.T) {
-	type rec struct {
-		name          string
-		ctx           any
-		wait, service Duration
-	}
-	run := func(observe bool) ([]rec, Time) {
-		eng := NewEngine()
-		var recs []rec
-		if observe {
-			eng.SetUsageObserver(func(r *Resource, ctx any, wait, service Duration) {
-				recs = append(recs, rec{r.Name(), ctx, wait, service})
-			})
-		}
-		cpu := NewResource(eng, "cpu")
-		var end Time
-		eng.Schedule(0, func() {
-			eng.SetContext("req1")
-			cpu.Use(10, nil)
-		})
-		eng.Schedule(0, func() {
-			eng.SetContext("req2")
-			end = cpu.Use(7, nil) // queued behind req1: waits 10
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return recs, end
-	}
-
-	recs, end := run(true)
-	want := []rec{
-		{"cpu", "req1", 0, 10},
-		{"cpu", "req2", 10, 7},
-	}
-	if len(recs) != len(want) {
-		t.Fatalf("got %d records, want %d", len(recs), len(want))
-	}
-	for i := range want {
-		if recs[i] != want[i] {
-			t.Errorf("record %d = %+v, want %+v", i, recs[i], want[i])
-		}
-	}
-
-	_, endOff := run(false)
-	if end != 17 || end != endOff {
-		t.Fatalf("observer changed simulation end time: %v vs %v", end, endOff)
-	}
-}

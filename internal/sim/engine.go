@@ -97,19 +97,7 @@ type Engine struct {
 	// through protocol stacks, queues and even "wire" hops — without any
 	// signature changes. Observation only: it never affects event order.
 	cur any
-	// usage, when set, observes every Resource.Use admission (queueing
-	// delay and service demand, together with the admitting context).
-	usage UsageObserver
 }
-
-// UsageObserver sees each job admitted to a Resource: the resource itself,
-// the request context active at admission, the time the job will wait for
-// the server, and its service demand. Observers must only record — they run
-// synchronously inside Use and must not schedule or mutate the engine.
-type UsageObserver func(r *Resource, ctx any, wait, service Duration)
-
-// SetUsageObserver installs the resource accounting hook (nil to remove).
-func (e *Engine) SetUsageObserver(o UsageObserver) { e.usage = o }
 
 // Context returns the request context of the currently executing event, or
 // nil outside event execution (and for events scheduled outside one).

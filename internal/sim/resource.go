@@ -6,8 +6,7 @@ package sim
 // duration. The resource tracks cumulative busy time so experiments can
 // report utilization, the central quantity in the paper's Figures 4 and 5.
 type Resource struct {
-	eng  *Engine
-	name string
+	eng *Engine
 
 	// availAt is the virtual time at which the server next becomes free.
 	availAt Time
@@ -18,14 +17,10 @@ type Resource struct {
 	statsSince Time
 }
 
-// NewResource returns a resource attached to the engine. The name appears in
-// diagnostics only.
-func NewResource(eng *Engine, name string) *Resource {
-	return &Resource{eng: eng, name: name, statsSince: eng.Now()}
+// NewResource returns a resource attached to the engine.
+func NewResource(eng *Engine) *Resource {
+	return &Resource{eng: eng, statsSince: eng.Now()}
 }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Use enqueues a job needing d of service time and returns the instant it
 // completes, invoking done then. A non-positive d completes after any queued
@@ -41,11 +36,6 @@ func (r *Resource) Use(d Duration, done func()) Time {
 	start := r.availAt
 	if start < now {
 		start = now
-	}
-	if r.eng.usage != nil {
-		// Report admission before scheduling: wait is the queueing delay
-		// this job will experience, d its service demand. Pure observation.
-		r.eng.usage(r, r.eng.cur, start.Sub(now), d)
 	}
 	finish := start.Add(d)
 	r.availAt = finish

@@ -7,7 +7,7 @@ import (
 
 func TestResourceSerializesWork(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	var done []Time
 	r.Use(10, func() { done = append(done, e.Now()) })
 	r.Use(10, func() { done = append(done, e.Now()) })
@@ -25,7 +25,7 @@ func TestResourceSerializesWork(t *testing.T) {
 
 func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	var finish Time
 	r.Use(10, nil)
 	e.Schedule(50, func() {
@@ -48,7 +48,7 @@ func TestResourceIdleGap(t *testing.T) {
 
 func TestResourceSaturatedUtilization(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	for i := 0; i < 100; i++ {
 		r.Use(10, nil)
 	}
@@ -67,7 +67,7 @@ func TestResourceSaturatedUtilization(t *testing.T) {
 // costs: no event, yet it holds the server for its whole service time.
 func TestResourceUseWithoutDoneFiresNothing(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	if at := r.Use(10, nil); at != 10 {
 		t.Fatalf("Use(10, nil) finishes at %v, want 10", at)
 	}
@@ -89,7 +89,7 @@ func TestResourceUseWithoutDoneFiresNothing(t *testing.T) {
 
 func TestResourceZeroDuration(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	ran := false
 	r.Use(0, func() { ran = true })
 	if err := e.Run(); err != nil {
@@ -105,7 +105,7 @@ func TestResourceZeroDuration(t *testing.T) {
 
 func TestResourceResetStats(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	r.Use(100, nil)
 	if err := e.RunUntil(100); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -125,7 +125,7 @@ func TestResourceResetStats(t *testing.T) {
 
 func TestResourceResetStatsMidJob(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	r.Use(100, nil)
 	if err := e.RunUntil(50); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -148,7 +148,7 @@ func TestResourceResetStatsMidJob(t *testing.T) {
 // the clock passes the last one the server starts the next job at once.
 func TestResourceQueueHighWater(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	for i := 1; i <= 5; i++ {
 		if at := r.Use(10, nil); at != Time(10*i) {
 			t.Fatalf("job %d finishes at %v, want %v", i, at, Time(10*i))
@@ -165,7 +165,7 @@ func TestResourceQueueHighWater(t *testing.T) {
 func TestResourcePropertyBusyEqualsSumOfService(t *testing.T) {
 	f := func(durs []uint8) bool {
 		e := NewEngine()
-		r := NewResource(e, "x")
+		r := NewResource(e)
 		var sum Duration
 		var last Time
 		for _, d := range durs {

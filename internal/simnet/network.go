@@ -88,7 +88,7 @@ func (nw *Network) AttachAt(node *Node, addr eth.Addr, bw Bandwidth, latency sim
 		ChecksumOffload: true,
 		node:            node,
 		net:             nw,
-		tx:              sim.NewResource(node.Eng, fmt.Sprintf("%s.%s.tx", node.Name, addr)),
+		tx:              sim.NewResource(node.Eng),
 		bw:              bw,
 		latency:         latency,
 		txSite:          node.Name + ".tx",
@@ -96,7 +96,7 @@ func (nw *Network) AttachAt(node *Node, addr eth.Addr, bw Bandwidth, latency sim
 	}
 	nw.ports[addr] = &port{
 		nic:  nic,
-		down: sim.NewResource(node.Eng, fmt.Sprintf("sw.%s.down", addr)),
+		down: sim.NewResource(node.Eng),
 		bw:   bw,
 		lat:  latency,
 	}

@@ -44,7 +44,7 @@ func NewNode(eng *sim.Engine, name string, cost CostProfile) *Node {
 	return &Node{
 		Name:    name,
 		Eng:     eng,
-		CPU:     sim.NewResource(eng, name+".cpu"),
+		CPU:     sim.NewResource(eng),
 		Cost:    cost,
 		TxPool:  netbuf.NewPool(name+".tx", netbuf.DefaultHeadroom, netbuf.DefaultBufSize, 0),
 		BlkPool: netbuf.NewPool(name+".blk", netbuf.DefaultHeadroom, BlockBufSize, 0),

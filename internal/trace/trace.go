@@ -17,11 +17,7 @@
 // charges costs, so enabling tracing never changes a simulation result.
 package trace
 
-import (
-	"strings"
-
-	"ncache/internal/sim"
-)
+import "ncache/internal/sim"
 
 // Layer identifies one stage of the data path for latency attribution.
 type Layer uint8
@@ -67,47 +63,6 @@ func (l Layer) String() string {
 	return "?"
 }
 
-// ResClass classifies queueing resources for wait/service accounting.
-type ResClass uint8
-
-// Resource classes, derived from resource naming conventions.
-const (
-	ResCPU ResClass = iota
-	ResNIC
-	ResLink
-	ResDisk
-	ResOther
-	NumResClasses
-)
-
-var resClassNames = [NumResClasses]string{"cpu", "nic", "link", "disk", "other"}
-
-// String names the class.
-func (c ResClass) String() string {
-	if int(c) < len(resClassNames) {
-		return resClassNames[c]
-	}
-	return "?"
-}
-
-// classifyResource maps a resource's diagnostic name to a class. Naming
-// follows the simnet/blockdev conventions: "<node>.cpu", "<node>.<addr>.tx",
-// "sw.<addr>.down", "disk<N>".
-func classifyResource(name string) ResClass {
-	switch {
-	case strings.HasSuffix(name, ".cpu"):
-		return ResCPU
-	case strings.HasSuffix(name, ".tx"):
-		return ResNIC
-	case strings.HasSuffix(name, ".down"):
-		return ResLink
-	case strings.HasPrefix(name, "disk"):
-		return ResDisk
-	default:
-		return ResOther
-	}
-}
-
 // Phase is one contiguous segment of a span's timeline spent in one layer.
 type Phase struct {
 	Layer      Layer
@@ -135,10 +90,6 @@ type Span struct {
 	// other requests rather than gating this one, so it is reported
 	// separately and does not enter the timeline partition.
 	charged [NumLayers]sim.Duration
-	// wait/service accumulate per-resource-class queueing delay and
-	// service demand admitted on this span (from the engine usage hook).
-	wait    [NumResClasses]sim.Duration
-	service [NumResClasses]sim.Duration
 	// faults books injected-fault latency per layer: delays the fault
 	// subsystem added on this request's critical path (disk latency
 	// spikes, held-back frames) and the recovery waits its transports

@@ -140,31 +140,31 @@ func TestResetAndFreezeWindow(t *testing.T) {
 	}
 }
 
-// TestUsageAttribution checks resource wait/service lands on the span by
-// class.
+// TestUsageAttribution checks that resource use lands on the span through
+// its completions: the span rides each Resource.Use done, and the time a
+// job waits and is served accrues to the layer switched to before it.
 func TestUsageAttribution(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := NewTracer(eng, "test")
-	cpu := sim.NewResource(eng, "app.cpu")
-	disk := sim.NewResource(eng, "disk0")
+	cpu := sim.NewResource(eng)
+	disk := sim.NewResource(eng)
 
 	sp := tr.Begin("read")
+	cpu.Use(50, nil) // work already queued: the next job waits behind it
+	To(eng, LServer)
 	cpu.Use(100, func() {
+		To(eng, LDisk)
 		disk.Use(300, func() { Active(eng).Finish() })
 	})
-	// A competing un-traced job queues the disk? Keep it simple: single job.
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if sp.service[ResCPU] != 100 || sp.service[ResDisk] != 300 {
-		t.Fatalf("service cpu=%v disk=%v", sp.service[ResCPU], sp.service[ResDisk])
+	l := sp.Layers()
+	if sp.Duration() != 450 || l[LServer] != 150 || l[LDisk] != 300 {
+		t.Fatalf("duration %v, server %v, disk %v; want 450, 150 (wait and service), 300", sp.Duration(), l[LServer], l[LDisk])
 	}
-	if sp.wait[ResCPU] != 0 || sp.wait[ResDisk] != 0 {
-		t.Fatalf("unexpected waits: %+v %+v", sp.wait[ResCPU], sp.wait[ResDisk])
-	}
-	sum := tr.Summary()
-	if sum.Ops[0].Res[ResCPU].Service != 100 {
-		t.Fatalf("summary res stats wrong: %+v", sum.Ops[0].Res)
+	if got := tr.Summary().Ops[0].Layers[LDisk].Total; got != 300 {
+		t.Fatalf("summary disk total = %v, want 300", got)
 	}
 }
 

@@ -31,17 +31,12 @@ type opAgg struct {
 	charged [NumLayers]sim.Duration
 	faults  [NumLayers]sim.Duration
 	faultN  [NumLayers]uint64
-	wait    [NumResClasses]sim.Duration
-	service [NumResClasses]sim.Duration
 }
 
-// NewTracer attaches a tracer to an engine and installs the resource
-// accounting hook. label names the configuration under test (it prefixes
-// exported trace processes), e.g. "NFS-NCache/32KB".
+// NewTracer attaches a tracer to an engine. label names the configuration
+// under test (it prefixes exported trace processes), e.g. "NFS-NCache/32KB".
 func NewTracer(eng *sim.Engine, label string) *Tracer {
-	t := &Tracer{eng: eng, label: label, agg: make(map[string]*opAgg)}
-	eng.SetUsageObserver(t.observe)
-	return t
+	return &Tracer{eng: eng, label: label, agg: make(map[string]*opAgg)}
 }
 
 // Label returns the configuration label.
@@ -85,18 +80,6 @@ func (t *Tracer) Begin(op string) *Span {
 // it stays only because benchmarks/ncmark calls it (DESIGN.md §11).
 func (t *Tracer) BeginOn(_ *sim.Engine, op string) *Span { return t.Begin(op) }
 
-// observe is the engine usage hook: queueing delay and service demand land
-// on the admitting span, classified by resource kind.
-func (t *Tracer) observe(r *sim.Resource, ctx any, wait, service sim.Duration) {
-	s, ok := ctx.(*Span)
-	if !ok || s == nil || s.done {
-		return
-	}
-	c := classifyResource(r.Name())
-	s.wait[c] += wait
-	s.service[c] += service
-}
-
 // finish folds a completed span into the window aggregates.
 func (t *Tracer) finish(s *Span) {
 	if t.frozen {
@@ -121,10 +104,6 @@ func (t *Tracer) finish(s *Span) {
 		a.charged[i] += s.charged[i]
 		a.faults[i] += s.faults[i]
 		a.faultN[i] += s.faultN[i]
-	}
-	for i := range s.wait {
-		a.wait[i] += s.wait[i]
-		a.service[i] += s.service[i]
 	}
 	if t.keep {
 		t.spans = append(t.spans, s)
@@ -195,12 +174,6 @@ type LayerStat struct {
 	FaultCount uint64
 }
 
-// ResStat is one resource class's aggregate queueing behaviour.
-type ResStat struct {
-	Class         ResClass
-	Wait, Service sim.Duration
-}
-
 // OpSummary is the measurement-window latency summary for one operation.
 type OpSummary struct {
 	Op     string
@@ -213,7 +186,6 @@ type OpSummary struct {
 	Max    sim.Duration
 	Total  sim.Duration
 	Layers []LayerStat
-	Res    []ResStat
 	Hist   *Histogram
 }
 
@@ -255,9 +227,6 @@ func (t *Tracer) Summary() *Summary {
 				Layer: l, Total: a.layers[l], Charged: a.charged[l],
 				Fault: a.faults[l], FaultCount: a.faultN[l],
 			})
-		}
-		for c := ResClass(0); c < NumResClasses; c++ {
-			o.Res = append(o.Res, ResStat{c, a.wait[c], a.service[c]})
 		}
 		s.Ops = append(s.Ops, o)
 	}

@@ -139,7 +139,6 @@ func (l *Log) Append(r *Record, committed func()) uint64 {
 	l.staged = append(l.staged, r)
 	l.stagedFns = append(l.stagedFns, committed)
 	l.stagedBytes += len(r.Data)
-	l.wb.WALAppends++
 	l.wb.AddWALDepth(1, int64(len(r.Data)))
 	if l.stagedBytes >= l.cfg.CommitBytes {
 		l.commitNow()
