@@ -10,6 +10,70 @@ import (
 	"ncache/internal/passthru"
 )
 
+// missReadReq is the READ size of the miss-path gates.
+const missReadReq = 16 * 1024
+
+// missReader builds an NCache cluster over a 64 MB file that is streamed once
+// (never a hit) with a 1 MB file-system cache and the given NCache size, and
+// returns it with a function that issues the next sequential 16 KB READ and
+// runs it to completion.
+func missReader(t *testing.T, ncacheBytes int64) (*passthru.Cluster, func()) {
+	t.Helper()
+	const fileBlocks = 16 * 1024
+	cl, err := testHarness(t, Options{}).build(passthru.ClusterConfig{
+		Mode:          passthru.NCache,
+		BlocksPerDisk: fileBlocks/4 + 8192,
+		FSCacheBlocks: 256,
+		NCacheBytes:   ncacheBytes,
+	}, func(f *extfs.Formatter) error {
+		_, err := f.AddFile("bigfile", fileBlocks*extfs.BlockSize, nil)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh, err := lookupFH(cl, 0, "bigfile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := uint64(0)
+	return cl, func() {
+		got := -1
+		cl.Clients[0].NFS.Read(fh, next*missReadReq, missReadReq, func(data *netbuf.Chain, _ nfs.Attr, err error) {
+			if err != nil {
+				t.Errorf("READ %d: %v", next, err)
+				return
+			}
+			got = data.Len()
+			data.Release()
+		})
+		if err := cl.Eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got != missReadReq {
+			t.Fatalf("READ %d returned %d bytes, want %d", next, got, missReadReq)
+		}
+		next++
+	}
+}
+
+// measureMissReads issues reads READs and returns the host bytes and objects
+// allocated per READ, failing unless every block of every READ missed.
+func measureMissReads(t *testing.T, cl *passthru.Cluster, read func(), reads int) (uint64, float64) {
+	t.Helper()
+	misses0 := cl.App.Cache.Stats.Misses
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&m1)
+	if d := cl.App.Cache.Stats.Misses - misses0; d < uint64(reads*missReadReq/extfs.BlockSize) {
+		t.Fatalf("only %d block misses over %d READs: not an all-miss run", d, reads)
+	}
+	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(reads), float64(m1.Mallocs-m0.Mallocs) / float64(reads)
+}
+
 // TestMissReadAllocBudget is the miss path's end-to-end gate: a steady-state
 // all-miss 16 KB NCache READ — NFS request, buffer-cache miss, iSCSI command,
 // four member I/Os, staging, 12 data frames back, NCache capture with
@@ -23,70 +87,51 @@ func TestMissReadAllocBudget(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
 	}
-	const (
-		req        = 16 * 1024
-		fileBlocks = 16 * 1024 // 64 MB, streamed once: never a hit
-		budget     = req / 2
-	)
-	cl, err := testHarness(t, Options{}).build(passthru.ClusterConfig{
-		Mode:          passthru.NCache,
-		BlocksPerDisk: fileBlocks/4 + 8192,
-		FSCacheBlocks: 256,     // 1 MB
-		NCacheBytes:   2 << 20, // both fill within the first 200 READs
-	}, func(f *extfs.Formatter) error {
-		_, err := f.AddFile("bigfile", fileBlocks*extfs.BlockSize, nil)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh, err := lookupFH(cl, 0, "bigfile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := uint64(0)
-	read := func() {
-		got := -1
-		cl.Clients[0].NFS.Read(fh, next*req, req, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-			if err != nil {
-				t.Errorf("READ %d: %v", next, err)
-				return
-			}
-			got = data.Len()
-			data.Release()
-		})
-		if err := cl.Eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if got != req {
-			t.Fatalf("READ %d returned %d bytes, want %d", next, got, req)
-		}
-		next++
-	}
+	const budget = missReadReq / 2
+	cl, read := missReader(t, 2<<20) // both caches fill within the first 200 READs
 	for i := 0; i < 512; i++ {
 		read() // fill both caches, prime every free list
 	}
-	misses0, evict0 := cl.App.Cache.Stats.Misses, cl.App.Cache.Stats.Evictions
+	evict0 := cl.App.Cache.Stats.Evictions
 	const reads = 256
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < reads; i++ {
-		read()
-	}
-	runtime.ReadMemStats(&m1)
-	if d := cl.App.Cache.Stats.Misses - misses0; d < reads*req/extfs.BlockSize {
-		t.Fatalf("only %d block misses over %d READs: not an all-miss run", d, reads)
-	}
-	if d := cl.App.Cache.Stats.Evictions - evict0; d < reads*req/extfs.BlockSize {
+	perRead, objects := measureMissReads(t, cl, read, reads)
+	if d := cl.App.Cache.Stats.Evictions - evict0; d < reads*missReadReq/extfs.BlockSize {
 		t.Fatalf("only %d evictions over %d READs: the FS cache had not filled", d, reads)
 	}
-	perRead := (m1.TotalAlloc - m0.TotalAlloc) / reads
-	objects := float64(m1.Mallocs-m0.Mallocs) / reads
 	t.Logf("per all-miss 16 KB READ: %d B, %.1f objects", perRead, objects)
 	if perRead > budget {
 		t.Errorf("all-miss 16 KB READ allocates %d B on the host, budget %d", perRead, budget)
 	}
 	if objects > 3 {
 		t.Errorf("all-miss 16 KB READ allocates %.2f objects, budget 3", objects)
+	}
+}
+
+// TestMissReadFillAllocBudget gates the fill regime, where the benchmark's
+// all-miss workload runs: with 64 MB of NCache nothing is ever evicted from
+// it, so every READ keeps what it captures. Per 16 KB READ that is, per
+// captured 4 KB block, one entry, one chain and one window slice — 12
+// objects in all — plus this test's own 2; the 12 wire buffers NCache keeps
+// are carved from pool slabs of 64, a fraction of an object. Measured after
+// 128 priming READs, once the file-system cache is evicting too (52 objects
+// when window slices grew by append doubling and every pool buffer was its
+// own two objects).
+func TestMissReadFillAllocBudget(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	const ncacheBytes = 64 << 20
+	cl, read := missReader(t, ncacheBytes)
+	for i := 0; i < 128; i++ {
+		read()
+	}
+	const reads = 256
+	perRead, objects := measureMissReads(t, cl, read, reads)
+	if ev := cl.App.Module.Stats.Evictions; ev != 0 {
+		t.Fatalf("NCache evicted %d entries: not the fill regime", ev)
+	}
+	t.Logf("per all-miss 16 KB READ while NCache fills: %d B, %.1f objects", perRead, objects)
+	if objects > 16 {
+		t.Errorf("all-miss 16 KB READ in the fill regime allocates %.2f objects, budget 16", objects)
 	}
 }

@@ -1,9 +1,6 @@
 package netbuf
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Window is one buffer of a chain: the span [head, tail) of a root Buf's
 // backing array. It is a value, not an object — cloning a chain, carving a
@@ -61,12 +58,16 @@ func (c *Chain) invalidatePartial() { c.ckValid = false }
 // NewChain returns an empty chain. Chains are recycled through Release;
 // callers own the returned chain until they hand it to an API documented to
 // take ownership.
-func NewChain() *Chain { return getChain() }
+func NewChain() *Chain { return getChain(0) }
+
+// NewChainCap returns an empty chain with room for n windows, for a caller
+// that knows what it will append.
+func NewChainCap(n int) *Chain { return getChain(n) }
 
 // ChainOf builds a chain from the given buffers. The chain takes ownership
 // of the callers' references.
 func ChainOf(bufs ...*Buf) *Chain {
-	c := getChain()
+	c := getChain(len(bufs))
 	for _, b := range bufs {
 		c.wins = append(c.wins, b.window())
 	}
@@ -80,7 +81,7 @@ func ChainFromBytes(p []byte, segSize int) *Chain {
 	if segSize <= 0 {
 		segSize = DefaultBufSize
 	}
-	c := NewChain()
+	c := getChain(max((len(p)+segSize-1)/segSize, 1))
 	for off := 0; off < len(p); off += segSize {
 		end := off + segSize
 		if end > len(p) {
@@ -98,6 +99,7 @@ func ChainFromBytes(p []byte, segSize int) *Chain {
 // caller's reference.
 func (c *Chain) Append(b *Buf) {
 	c.invalidatePartial()
+	c.reserve(1)
 	c.wins = append(c.wins, b.window())
 }
 
@@ -106,7 +108,16 @@ func (c *Chain) Append(b *Buf) {
 func (c *Chain) AppendClone(w Window) {
 	c.invalidatePartial()
 	w.root.Retain()
+	c.reserve(1)
 	c.wins = append(c.wins, w)
+}
+
+// reserve makes room for n more windows. A chain that outgrows its slice
+// trades it for one of the size class that fits; no slice grows by append.
+func (c *Chain) reserve(n int) {
+	if len(c.wins)+n > cap(c.wins) {
+		c.wins = growWins(c.wins, len(c.wins)+n)
+	}
 }
 
 // Bufs returns the chain's windows in order. Callers must not mutate the
@@ -193,8 +204,8 @@ func (c *Chain) Flatten() []byte {
 // reference on its root — the logical-copy transmit path. No payload bytes
 // move and no descriptor is allocated.
 func (c *Chain) Clone() *Chain {
-	nc := getChain()
-	nc.wins = append(slices.Grow(nc.wins, len(c.wins)), c.wins...)
+	nc := getChain(len(c.wins))
+	nc.wins = append(nc.wins, c.wins...)
 	for _, w := range c.wins {
 		w.root.Retain()
 	}
@@ -210,8 +221,8 @@ func (c *Chain) SetOwner(owner string) {
 }
 
 // Release drops every window's reference and retires the chain: the struct
-// is recycled for the next NewChain, so the caller must not touch c
-// afterwards. Releasing a chain twice panics in debug mode and is otherwise
+// is recycled for the next NewChain and the window slice, its slots cleared,
+// goes back to its size class, so the caller must not touch c afterwards. Releasing a chain twice panics in debug mode and is otherwise
 // recorded as a double free.
 func (c *Chain) Release() {
 	if c.freed {
@@ -223,7 +234,6 @@ func (c *Chain) Release() {
 		w.root.Release()
 	}
 	clear(c.wins)
-	c.wins = c.wins[:0]
 	putChain(c)
 }
 
@@ -268,8 +278,7 @@ func (c *Chain) PullChain(n int) (*Chain, error) {
 			left -= l
 		}
 	}
-	out := NewChain()
-	out.wins = slices.Grow(out.wins, k)
+	out := getChain(k)
 	remaining := n
 	i := 0 // windows consumed from the head: moved to out, or empty and released
 	for remaining > 0 {
@@ -307,7 +316,8 @@ func (c *Chain) compact() {
 // dropFront removes the first k windows, which the caller has already
 // released or handed off. The tail is copied down and the vacated slots
 // zeroed — never c.wins = c.wins[k:] — so a chain drained from the head keeps
-// its full slice capacity for its next tenant and pins no stale root.
+// its full slice capacity and pins no stale root: every slot past len is
+// zero, which is what lets Release clear only the live ones.
 func (c *Chain) dropFront(k int) {
 	if k == 0 {
 		return

@@ -337,18 +337,21 @@ func TestChecksumPropertySplitInvariance(t *testing.T) {
 	}
 }
 
-// TestChainDrainedFromHeadKeepsCapacity covers the head-advance rule: a chain
-// drained by PullHeaderInto / PullChain (which used to re-slice its slice from
-// the front, eating capacity and leaving released roots in the vacated slots)
-// comes back from the free list with its full slice capacity and no stale
-// pointers.
-func TestChainDrainedFromHeadKeepsCapacity(t *testing.T) {
+// TestChainDrainedSliceReturnsToItsClass covers the head-advance and release
+// rules: a chain drained by PullHeaderInto / PullChain keeps its slice (the
+// head advances by copying the tail down, never by re-slicing from the
+// front), and once released that slice goes back to its size class — not
+// with the struct — with no slot still pinning a root.
+func TestChainDrainedSliceReturnsToItsClass(t *testing.T) {
 	if debugMode {
-		t.Skip("chain structs are not recycled in debug mode")
+		t.Skip("nothing is recycled in debug mode")
 	}
 	payload := make([]byte, 22*64)
 	c := ChainFromBytes(payload, 64)
-	full := cap(c.wins)
+	wins := c.wins[:cap(c.wins)]
+	if len(wins) != minWins<<winClass(22) {
+		t.Fatalf("a 22-window chain has capacity %d, want its class's %d", len(wins), minWins<<winClass(22))
+	}
 	if err := c.PullHeaderInto(make([]byte, 64)); err != nil { // drains buffer 0 exactly
 		t.Fatal(err)
 	}
@@ -359,8 +362,8 @@ func TestChainDrainedFromHeadKeepsCapacity(t *testing.T) {
 	if head.Len() != 10*64+7 || c.Len() != 11*64-7 {
 		t.Fatalf("pulled %d, left %d", head.Len(), c.Len())
 	}
-	if cap(c.wins) != full {
-		t.Fatalf("capacity %d after head pulls, want the original %d", cap(c.wins), full)
+	if &c.wins[:1][0] != &wins[0] || cap(c.wins) != len(wins) {
+		t.Fatalf("head pulls changed the slice (capacity %d, want %d)", cap(c.wins), len(wins))
 	}
 	rest, err := c.PullChain(c.Len()) // to empty
 	if err != nil {
@@ -369,19 +372,73 @@ func TestChainDrainedFromHeadKeepsCapacity(t *testing.T) {
 	head.Release()
 	rest.Release()
 	c.Release()
-	got := NewChain()
-	if got != c {
-		t.Fatal("free list did not return the drained chain (test needs the same struct)")
+	if c.wins != nil {
+		t.Fatal("a released chain's struct kept its slice")
 	}
-	if cap(got.wins) != full {
-		t.Fatalf("recycled chain has capacity %d, want %d", cap(got.wins), full)
+	got := NewChainCap(22)
+	if &got.wins[:1][0] != &wins[0] {
+		t.Fatal("the released slice did not go back to its class")
 	}
-	for i, w := range got.wins[:cap(got.wins)] {
+	for i, w := range wins {
 		if w.root != nil {
-			t.Fatalf("slot %d of the recycled chain still pins a root", i)
+			t.Fatalf("slot %d of the recycled slice still pins a root", i)
 		}
 	}
 	got.Release()
+}
+
+// TestChainMixedSizesAllocFree is the size-class gate: a 3-window frame chain
+// and a 24-window reassembly chain built one AppendChain at a time have
+// interleaved lifetimes — each frame outlives the next round's reassembly,
+// the way NCache keeps a captured chain past later frames — and the retired
+// frame is released last, so the next reassembly gets the small struct. A
+// slice that travelled with its struct then had to regrow on every round;
+// with slices recycled by class, nothing is allocated in steady state.
+func TestChainMixedSizesAllocFree(t *testing.T) {
+	if debugMode {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	pool := NewPool("mixed", DefaultHeadroom, 64, 0)
+	get := func() *Buf {
+		b, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// Start, as a fresh process does, from an empty struct list, so the kept
+	// frames' structs are new ones with frame-sized slices.
+	chainMu.Lock()
+	chainFree = nil
+	chainMu.Unlock()
+	const kept = 64
+	frames := make([]*Chain, kept)
+	for i := range frames {
+		frames[i] = ChainOf(get(), get(), get())
+	}
+	next := 0
+	round := func() {
+		reasm := NewChain()
+		for range 24 {
+			reasm.AppendChain(ChainOf(get()))
+		}
+		old := frames[next]
+		frames[next] = ChainOf(get(), get(), get())
+		next = (next + 1) % kept
+		if reasm.NumBufs() != 24 {
+			t.Fatalf("reassembly has %d windows, want 24", reasm.NumBufs())
+		}
+		reasm.Release()
+		old.Release()
+	}
+	round()
+	if avg := testing.AllocsPerRun(kept, round); avg != 0 {
+		t.Fatalf("steady-state mixed-size chains allocate %.0f objects per round, want 0", avg)
+	}
+	for _, f := range frames {
+		f.Release()
+	}
+	pool.MustBeDrained()
 }
 
 // TestChainHandOffAllocFree is the allocation gate for the chain lifecycle:

@@ -1,9 +1,6 @@
 package netbuf
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // This file holds the scatter-gather view primitives: ways to read and slice
 // a chain's payload without flattening it. They are what keeps
@@ -72,42 +69,38 @@ func (c *Chain) SubChain(off, n int) (*Chain, error) {
 	if off < 0 || n < 0 || off+n > c.Len() {
 		return nil, fmt.Errorf("netbuf: slice [%d,%d) out of range 0..%d", off, off+n, c.Len())
 	}
-	out := NewChain()
-	remaining := n
-	pos := 0
-	for i, w := range c.wins {
-		if remaining == 0 {
-			break
-		}
-		wlen := w.Len()
-		if pos+wlen <= off {
-			pos += wlen
-			continue
-		}
-		start := 0
-		if off > pos {
-			start = off - pos
-		}
-		take := min(wlen-start, remaining)
-		if len(out.wins) == 0 {
-			// Size the output once: at most the rest of c overlaps.
-			out.wins = slices.Grow(out.wins, len(c.wins)-i)
-		}
-		w.head += int32(start)
+	if n == 0 {
+		return NewChain(), nil
+	}
+	// Skip the windows that end at or before off, then size the output once:
+	// one window per window the range overlaps.
+	i := 0
+	for c.wins[i].Len() <= off {
+		off -= c.wins[i].Len()
+		i++
+	}
+	k := 0
+	for left := off + n; left > 0; k++ {
+		left -= c.wins[i+k].Len()
+	}
+	out := getChain(k)
+	for _, w := range c.wins[i : i+k] {
+		w.head += int32(off)
+		take := min(w.Len(), n)
 		w.tail = w.head + int32(take)
 		out.AppendClone(w)
-		remaining -= take
-		pos += wlen
+		n -= take
+		off = 0
 	}
 	return out, nil
 }
 
 // AppendChain moves every window of o to the tail of c and consumes o: a
-// chain whose windows have been taken is a retired chain, so o's struct goes
-// back to the free list exactly as if released and the caller must not touch
-// it again (in debug mode it is poisoned and a later Release panics). It
-// replaces the per-window Append loop at every layer hand-off (no per-window
-// slice growth beyond c's own). A nil o is a no-op.
+// chain whose windows have been taken is a retired chain, so o's struct and
+// slice go back to their free lists exactly as if released and the caller
+// must not touch it again (in debug mode it is poisoned and a later Release
+// panics). It replaces the per-window Append loop at every layer hand-off (c
+// grows at most once). A nil o is a no-op.
 func (c *Chain) AppendChain(o *Chain) {
 	if o == nil {
 		return
@@ -118,9 +111,9 @@ func (c *Chain) AppendChain(o *Chain) {
 	}
 	if len(o.wins) > 0 {
 		c.invalidatePartial()
+		c.reserve(len(o.wins))
 		c.wins = append(c.wins, o.wins...)
 		clear(o.wins)
-		o.wins = o.wins[:0]
 	}
 	putChain(o)
 }

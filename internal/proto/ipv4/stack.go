@@ -214,7 +214,8 @@ func (s *Stack) sendFragment(nic *simnet.NIC, hdr Header, payload *netbuf.Chain)
 		payload.Release()
 		return err
 	}
-	frame := netbuf.ChainOf(hb)
+	frame := netbuf.NewChainCap(1 + payload.NumBufs())
+	frame.Append(hb)
 	frame.AppendChain(payload)
 	if err := hdr.Push(frame); err != nil {
 		return err
