@@ -305,15 +305,7 @@ func (c *Cache) flushBatch(batch []*Block, done func(error)) {
 			c.node.Copies.AddLogical()
 			cost += c.LogicalCopyNs
 		} else {
-			var err error
-			part, err = c.node.TxPool.GetChain(b.Data)
-			if err != nil {
-				if chain != nil {
-					chain.Release()
-				}
-				done(err)
-				return
-			}
+			part = c.node.TxPool.GetChain(b.Data)
 			c.node.Copies.AddPhysical(c.bs)
 			cost += c.node.Cost.CopyCost(c.bs)
 		}

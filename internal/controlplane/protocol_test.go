@@ -181,10 +181,7 @@ func TestWireRoundTrip(t *testing.T) {
 		Seq:    9,
 		LBNs:   []int64{1, 5, 9, 1 << 40},
 	}
-	ch, err := Encode(node.TxPool, in)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
+	ch := Encode(node.TxPool, in)
 	wire := ch.Flatten()
 	if len(wire) != frameLenBytes+48+8*len(in.LBNs) {
 		t.Fatalf("a %d-LBN message encodes to %d bytes: the header is no longer 48", len(in.LBNs), len(wire))

@@ -117,30 +117,17 @@ const maxFrame = frameLenBytes + headerLen + 8*MaxLBNs
 
 // Encode renders a message as one length-prefixed frame in a pooled transmit
 // buffer (owner "cp.msg" — transient control-message memory per the §9
-// ownership table: the transport consumes and releases it on send).
-func Encode(pool *netbuf.Pool, m Msg) (*netbuf.Chain, error) {
+// ownership table: the transport consumes and releases it on send). A
+// transmit buffer holds any frame up to maxFrame.
+func Encode(pool *netbuf.Pool, m Msg) *netbuf.Chain {
 	n := m.encodedLen()
-	var b *netbuf.Buf
-	if pb, err := pool.Get(); err == nil {
-		if pb.Tailroom() >= frameLenBytes+n {
-			b = pb
-		} else {
-			pb.Release()
-		}
-	}
-	if b == nil {
-		b = netbuf.New(0, frameLenBytes+n)
-	}
-	if err := b.Put(frameLenBytes + n); err != nil {
-		b.Release()
-		return nil, err
-	}
+	b := pool.GetSized(frameLenBytes+n, 0)
 	p := b.Bytes()
 	binary.BigEndian.PutUint32(p[0:4], uint32(n))
 	m.marshal(p[4:])
 	ch := netbuf.ChainOf(b)
 	ch.SetOwner("cp.msg")
-	return ch, nil
+	return ch
 }
 
 // decode parses one received datagram and releases it. It keeps nothing
@@ -167,9 +154,5 @@ func decode(dg *netbuf.Chain) (Msg, bool) {
 // sendMsg transmits m as one datagram from Port to Port: the service and
 // every agent are bound to it, each on its own node.
 func sendMsg(t *udp.Transport, src, dst eth.Addr, m Msg) error {
-	ch, err := Encode(t.Node().TxPool, m)
-	if err != nil {
-		return err
-	}
-	return t.SendChain(src, Port, dst, Port, ch)
+	return t.SendChain(src, Port, dst, Port, Encode(t.Node().TxPool, m))
 }

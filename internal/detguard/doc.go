@@ -1,7 +1,8 @@
 // Package detguard holds the repository's source-level guards: annotated map
 // iteration and no goroutines inside the simulator (determinism), no
-// configuration field that nothing turns and no exported function or
-// variable that nothing references.
+// configuration field that nothing turns, no exported function or variable
+// that nothing references, and no coverage-census line naming a function
+// that is gone.
 //
 // Go randomizes map iteration order. On the simulation's event path an
 // unordered iteration that schedules events, mutates model state, or formats
@@ -39,4 +40,9 @@
 // an interface of this module excepted, where "reached" means the interface
 // method is called somewhere other than inside a method of the same name (an
 // implementation delegating to the next one vouches for nothing).
+//
+// The fifth, TestCensusNamesLiveFuncs (census_test.go), keeps the coverage
+// census in results/ current between results-gate runs: every line of
+// unreached.txt and partial.txt must name a function or method its file
+// still declares.
 package detguard

@@ -465,10 +465,7 @@ func TestTargetPayloadAllocFree(t *testing.T) {
 		for k := 0; k < 4; k++ { // four commands in flight
 			lba := int64(k * 64)
 			if write {
-				data, err := r.initNode.TxPool.GetChain(payload)
-				if err != nil {
-					t.Fatal(err)
-				}
+				data := r.initNode.TxPool.GetChain(payload)
 				r.initiator.Write(lba, data, false, func(err error) {
 					if err != nil {
 						t.Errorf("Write: %v", err)

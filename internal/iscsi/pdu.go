@@ -71,17 +71,6 @@ func (p *PDU) DataLen() int {
 	return p.Data.Len()
 }
 
-// poolBuf draws a buffer from a transmit pool, falling back to a fresh
-// allocation when no pool is set or the pool cannot serve the size.
-func poolBuf(pool *netbuf.Pool, capacity int) *netbuf.Buf {
-	if pool != nil && capacity <= pool.BufSize() {
-		if b, err := pool.Get(); err == nil {
-			return b
-		}
-	}
-	return netbuf.New(netbuf.DefaultHeadroom, capacity)
-}
-
 // EncodePool renders the PDU as a transmit chain: a header buffer followed by
 // the data segment's buffers (not copied). Data segments are padded to 4
 // bytes; block-sized storage payloads are already aligned so padding is the
@@ -93,11 +82,7 @@ func (p *PDU) EncodePool(pool *netbuf.Pool) (*netbuf.Chain, error) {
 	if dlen > 0xffffff {
 		return nil, fmt.Errorf("iscsi: data segment %d exceeds 16MB", dlen)
 	}
-	hb := poolBuf(pool, BHSLen)
-	if err := hb.Put(BHSLen); err != nil {
-		hb.Release()
-		return nil, err
-	}
+	hb := pool.GetSized(BHSLen, netbuf.DefaultHeadroom)
 	h := hb.Bytes()
 	for i := range h {
 		h[i] = 0
@@ -126,13 +111,7 @@ func (p *PDU) EncodePool(pool *netbuf.Pool) (*netbuf.Chain, error) {
 		out.AppendChain(p.Data)
 	}
 	if pad := (4 - dlen%4) % 4; pad != 0 {
-		pb := poolBuf(pool, pad)
-		if err := pb.Put(pad); err != nil {
-			pb.Release()
-			out.Release()
-			return nil, err
-		}
-		out.Append(pb)
+		out.Append(pool.GetSized(pad, netbuf.DefaultHeadroom))
 	}
 	return out, nil
 }

@@ -199,15 +199,10 @@ func (s *session) handleCommand(p PDU) {
 		// over p would move every command's PDU to the heap.
 		itt := p.ITT
 		node.Charge(node.Cost.ISCSIOpNs, func() {
-			cc, cerr := node.TxPool.GetChain(capData[:])
-			if cerr != nil {
-				s.checkCondition(itt)
-				return
-			}
 			s.reply(PDU{
 				Op: OpDataIn, Final: true, HasStatus: true,
 				Status: scsi.StatusGood, ITT: itt,
-				Data: cc,
+				Data: node.TxPool.GetChain(capData[:]),
 			})
 		})
 
@@ -277,12 +272,8 @@ func (c *command) onRead(err error) {
 // sendData copies the staged payload into transmit buffers and answers.
 func (c *command) sendData() {
 	s, itt := c.s, c.itt
-	payload, err := s.target.node.TxPool.GetChain(c.vec[0])
+	payload := s.target.node.TxPool.GetChain(c.vec[0])
 	c.retire()
-	if err != nil {
-		s.checkCondition(itt)
-		return
-	}
 	s.reply(PDU{
 		Op: OpDataIn, Final: true, HasStatus: true,
 		Status: scsi.StatusGood, ITT: itt,

@@ -136,19 +136,9 @@ func FromChain(c *netbuf.Chain) (Key, bool) {
 // the junk bytes match a fresh allocation). The single-buffer layout is
 // load-bearing: the substitution hook parses one key per wire buffer, so a
 // junk block must stay one buffer. It falls back to a fresh buffer when there
-// is no pool, the block exceeds the pool's geometry or the pool is exhausted.
+// is no pool or the block exceeds the pool's geometry.
 func StampChainPool(p *netbuf.Pool, k Key, blockBytes int) *netbuf.Chain {
-	if blockBytes < Size {
-		blockBytes = Size
-	}
-	var b *netbuf.Buf
-	if p != nil && blockBytes <= p.BufSize() {
-		b, _ = p.Get()
-	}
-	if b == nil {
-		b = netbuf.New(netbuf.DefaultHeadroom, blockBytes)
-	}
-	_ = b.Put(blockBytes)
+	b := p.GetSized(max(blockBytes, Size), netbuf.DefaultHeadroom)
 	Stamp(b.Bytes(), k)
 	return netbuf.ChainOf(b)
 }

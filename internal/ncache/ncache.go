@@ -382,16 +382,7 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 		}
 		out.AppendChain(cl)
 		if short := want - clLen; short > 0 {
-			var pb *netbuf.Buf
-			if short <= m.node.BlkPool.BufSize() {
-				if zb, perr := m.node.BlkPool.Get(); perr == nil {
-					pb = zb
-				}
-			}
-			if pb == nil {
-				pb = netbuf.New(0, short)
-			}
-			_ = pb.Put(short)
+			pb := m.node.BlkPool.GetSized(short, 0)
 			addWalked(pb.Bytes())
 			out.Append(pb)
 		}

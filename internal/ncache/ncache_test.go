@@ -356,10 +356,7 @@ func TestCaptureEvictZeroAllocs(t *testing.T) {
 	payload := make([]byte, 4*bs)
 	lba := int64(0)
 	round := func() {
-		wire, err := node.TxPool.GetChain(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wire := node.TxPool.GetChain(payload)
 		m.CaptureLBN(lba, 4, wire).Release()
 		lba += 4
 	}

@@ -63,16 +63,16 @@ type Buf struct {
 	owner string
 }
 
-// New allocates a standalone Buf (not pool-managed) with the given payload
-// capacity and headroom. Its initial payload is empty.
-func New(headroom, capacity int) *Buf {
+// New allocates a standalone Buf (not pool-managed) with the given headroom
+// and size bytes of payload room. Its initial payload is empty.
+func New(headroom, size int) *Buf {
 	if headroom < 0 {
 		headroom = 0
 	}
-	if capacity < 0 {
-		capacity = 0
+	if size < 0 {
+		size = 0
 	}
-	return &Buf{backing: make([]byte, headroom+capacity), head: headroom, tail: headroom, refs: 1}
+	return &Buf{backing: make([]byte, headroom+size), head: headroom, tail: headroom, refs: 1}
 }
 
 // FromBytes allocates a standalone Buf whose payload is a copy of p, with

@@ -115,11 +115,8 @@ func TestBufCloneSharesBytes(t *testing.T) {
 // per window on the root: the root lives until the last of them is released.
 func TestBufCloneOfClone(t *testing.T) {
 	p := NewPool("t", 0, 64, 0)
-	b, err := p.GetData([]byte("abcdef"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := ChainOf(b)
+	c := p.GetChain([]byte("abcdef"))
+	b := c.Bufs()[0].root
 	c1 := c.Clone()
 	c2 := c1.Clone()
 	sub, err := c2.SubChain(1, 3)
@@ -144,22 +141,10 @@ func TestBufCloneOfClone(t *testing.T) {
 }
 
 func TestPoolReuseAndAccounting(t *testing.T) {
-	p := NewPool("rx", 32, 256, 4)
+	p := NewPool("rx", 32, 256, 0)
 	var bufs []*Buf
 	for i := 0; i < 4; i++ {
-		b, err := p.Get()
-		if err != nil {
-			t.Fatalf("Get %d: %v", i, err)
-		}
-		bufs = append(bufs, b)
-	}
-	if _, err := p.Get(); err == nil {
-		t.Fatal("Get beyond capacity succeeded")
-	} else {
-		var ex *ErrPoolExhausted
-		if !errors.As(err, &ex) || ex.Cap != 4 {
-			t.Fatalf("want ErrPoolExhausted{Cap:4}, got %v", err)
-		}
+		bufs = append(bufs, p.Get())
 	}
 	if p.Outstanding() != 4 || p.Peak() != 4 {
 		t.Fatalf("Outstanding=%d Peak=%d, want 4/4", p.Outstanding(), p.Peak())
@@ -171,10 +156,7 @@ func TestPoolReuseAndAccounting(t *testing.T) {
 	if p.Outstanding() != 3 {
 		t.Fatalf("Outstanding after release = %d, want 3", p.Outstanding())
 	}
-	b, err := p.Get()
-	if err != nil {
-		t.Fatalf("Get after release: %v", err)
-	}
+	b := p.Get()
 	if p.Reuses() != 1 {
 		t.Fatalf("Reuses = %d, want 1", p.Reuses())
 	}
@@ -188,10 +170,7 @@ func TestPoolReuseAndAccounting(t *testing.T) {
 
 func TestPoolDoubleFreeDetected(t *testing.T) {
 	p := NewPool("rx", 0, 64, 0)
-	b, err := p.Get()
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
+	b := p.Get()
 	b.Release()
 	if DebugEnabled() {
 		// Debug mode promotes the counter to a panic naming the owner.
@@ -211,11 +190,7 @@ func TestPoolDoubleFreeDetected(t *testing.T) {
 
 func TestPoolCloneKeepsBufferAlive(t *testing.T) {
 	p := NewPool("rx", 0, 64, 0)
-	b, err := p.GetData([]byte("cached"))
-	if err != nil {
-		t.Fatalf("GetData: %v", err)
-	}
-	c := ChainOf(b)
+	c := p.GetChain([]byte("cached"))
 	cl := c.Clone()
 	c.Release() // original reference dropped; clone still holds it
 	if p.Outstanding() != 1 {
@@ -235,10 +210,7 @@ func TestPoolCloneKeepsBufferAlive(t *testing.T) {
 
 func TestPoolRetainRelease(t *testing.T) {
 	p := NewPool("rx", 0, 64, 0)
-	b, err := p.Get()
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
+	b := p.Get()
 	b.Retain()
 	b.Release()
 	if p.Outstanding() != 1 {
@@ -250,14 +222,27 @@ func TestPoolRetainRelease(t *testing.T) {
 	}
 }
 
-func TestPoolGetDataTooLarge(t *testing.T) {
+// TestPoolGetSizedTooLarge: a size the pool's buffers cannot hold gets a
+// standalone buffer, and a nil pool always does; neither touches a pool.
+func TestPoolGetSizedTooLarge(t *testing.T) {
 	p := NewPool("rx", 0, 8, 0)
-	if _, err := p.GetData(make([]byte, 9)); err == nil {
-		t.Fatal("GetData larger than buf size succeeded")
+	for _, tc := range []struct {
+		pool *Pool
+		n    int
+	}{{p, 9}, {nil, 4}} {
+		b := tc.pool.GetSized(tc.n, 3)
+		if b.pool != nil || b.Len() != tc.n || b.head != 3 {
+			t.Fatalf("GetSized(%d) on %v: pool %v len %d headroom %d, want a standalone %d-byte buffer behind 3 bytes",
+				tc.n, tc.pool, b.pool, b.Len(), b.head, tc.n)
+		}
+		b.Release()
 	}
-	if p.Outstanding() != 0 {
-		t.Fatal("failed GetData leaked a buffer")
+	b := p.GetSized(8, 3)
+	if b.pool != p || b.Len() != 8 || p.Outstanding() != 1 {
+		t.Fatalf("GetSized(8): pool %v len %d outstanding %d, want a pooled 8-byte buffer", b.pool, b.Len(), p.Outstanding())
 	}
+	b.Release()
+	p.MustBeDrained()
 }
 
 func TestBufPropertyPushPullInverse(t *testing.T) {

@@ -160,10 +160,7 @@ func TestChainPullHeaderSkipsEmptyLeaders(t *testing.T) {
 // and the sender reuses the backing for the next frame's headers.)
 func TestChainPullHeaderExactDrainCopies(t *testing.T) {
 	p := NewPool("t", 32, 64, 0)
-	root, err := p.Get()
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
+	root := p.Get()
 	if err := root.Append([]byte("HDRBYTES")); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -180,10 +177,7 @@ func TestChainPullHeaderExactDrainCopies(t *testing.T) {
 		t.Fatalf("root not recycled: %d outstanding", got)
 	}
 	// ...and recycling the root must not be able to rewrite the header.
-	nb, err := p.Get()
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
+	nb := p.Get()
 	if err := nb.Append([]byte("XXXXXXXX")); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -400,10 +394,7 @@ func TestChainMixedSizesAllocFree(t *testing.T) {
 	}
 	pool := NewPool("mixed", DefaultHeadroom, 64, 0)
 	get := func() *Buf {
-		b, err := pool.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := pool.Get()
 		return b
 	}
 	// Start, as a fresh process does, from an empty struct list, so the kept
@@ -451,20 +442,14 @@ func TestChainHandOffAllocFree(t *testing.T) {
 		t.Skip("nothing is recycled in debug mode")
 	}
 	pool := NewPool("handoff", DefaultHeadroom, DefaultBufSize, 0)
-	cached, err := pool.GetChain(make([]byte, 22*DefaultBufSize))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cached := pool.GetChain(make([]byte, 22*DefaultBufSize))
 	defer cached.Release()
 	round := func() {
 		payload, err := cached.SubChain(0, cached.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
-		hb, err := pool.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
+		hb := pool.Get()
 		frame := ChainOf(hb)
 		frame.AppendChain(payload)
 		wire := frame.Clone()

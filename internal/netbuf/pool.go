@@ -8,9 +8,11 @@ import "fmt"
 const maxSlab = 64
 
 // Pool is an allocator of fixed-geometry network buffers, standing in for
-// the device driver's buffer allocation in the paper. A buffer stays on the
-// pool that made it until its last Release returns it there, wherever on
-// the fabric that happens, so Outstanding counts what callers still hold.
+// the device driver's buffer allocation in the paper. A pool is unbounded:
+// Get never fails, and what a run pins shows in Outstanding and Peak rather
+// than as an error. A buffer stays on the pool that made it until its last
+// Release returns it there, wherever on the fabric that happens, so
+// Outstanding counts what callers still hold.
 // Fresh buffers are carved from slabs — one []Buf and one backing []byte
 // each, as kmem_cache carves sk_buff heads — and since a buffer never leaves
 // its pool, a slab lives no longer than its buffers would.
@@ -18,7 +20,6 @@ type Pool struct {
 	name     string
 	headroom int
 	bufSize  int
-	capacity int // max outstanding buffers; 0 = unlimited
 
 	// The fields below are unsynchronised: a pool belongs to one node of one
 	// cluster, and a cluster is only ever touched by one goroutine
@@ -38,39 +39,39 @@ type Pool struct {
 }
 
 // NewPool returns a pool that dispenses buffers with the given headroom and
-// payload capacity, with at most capacity buffers outstanding (0 means
-// unlimited).
-func NewPool(name string, headroom, bufSize, capacity int) *Pool {
+// payload capacity. The last argument is ignored: it is kept so that
+// benchmarks/ncmark, which passes 0, compiles unchanged (DESIGN.md §11).
+func NewPool(name string, headroom, bufSize, _ int) *Pool {
 	if headroom < 0 {
 		headroom = 0
 	}
 	if bufSize <= 0 {
 		bufSize = DefaultBufSize
 	}
-	return &Pool{name: name, headroom: headroom, bufSize: bufSize, capacity: capacity}
+	return &Pool{name: name, headroom: headroom, bufSize: bufSize}
 }
 
-// ErrPoolExhausted reports that the pool's pinned-memory budget is spent.
-type ErrPoolExhausted struct {
-	Pool string
-	Cap  int
-}
+// Get returns an empty buffer (payload window at the headroom mark).
+func (p *Pool) Get() *Buf { return p.get(0) }
 
-func (e *ErrPoolExhausted) Error() string {
-	return fmt.Sprintf("netbuf: pool %q exhausted (capacity %d buffers)", e.Pool, e.Cap)
+// GetSized returns a buffer holding n zero bytes of payload: a pooled one
+// when p is non-nil and its buffers hold n bytes, otherwise a standalone
+// buffer with the given headroom in front.
+func (p *Pool) GetSized(n, headroom int) *Buf {
+	var b *Buf
+	if p != nil && n <= p.bufSize {
+		b = p.Get()
+	} else {
+		b = New(headroom, n)
+	}
+	_ = b.Put(n) // either buffer has room for n bytes
+	return b
 }
-
-// Get returns an empty buffer (payload window at the headroom mark), or an
-// *ErrPoolExhausted when the budget is spent.
-func (p *Pool) Get() (*Buf, error) { return p.get(0) }
 
 // get is Get for a caller about to overwrite the first fill payload bytes:
 // a recycled buffer is zeroed everywhere else — headroom and the tail the
 // fill does not cover — and those fill bytes are left for the caller.
-func (p *Pool) get(fill int) (*Buf, error) {
-	if p.capacity > 0 && p.outstanding >= p.capacity {
-		return nil, &ErrPoolExhausted{Pool: p.name, Cap: p.capacity}
-	}
+func (p *Pool) get(fill int) *Buf {
 	p.outstanding++
 	if p.outstanding > p.peak {
 		p.peak = p.outstanding
@@ -90,11 +91,11 @@ func (p *Pool) get(fill int) (*Buf, error) {
 		// a pooled buffer looks exactly like a fresh allocation.
 		clear(b.backing[:p.headroom])
 		clear(b.backing[p.headroom+fill:])
-		return b, nil
+		return b
 	}
 	b := p.carve()
 	p.track(b)
-	return b, nil
+	return b
 }
 
 // carve takes a fresh buffer from the current slab, cutting a new one twice
@@ -133,71 +134,35 @@ func (p *Pool) untrack(b *Buf) {
 	}
 }
 
-// GetData returns a buffer pre-filled with a copy of payload. payload must
-// fit in the pool's buffer size.
-func (p *Pool) GetData(payload []byte) (*Buf, error) {
-	if len(payload) > p.bufSize {
-		return nil, fmt.Errorf("netbuf: payload %d exceeds pool buf size %d", len(payload), p.bufSize)
-	}
-	b, err := p.get(len(payload))
-	if err != nil {
-		return nil, err
-	}
-	if err := b.Append(payload); err != nil {
-		b.Release()
-		return nil, err
-	}
-	return b, nil
-}
-
 // GetChain returns a chain of pooled buffers carrying a copy of payload,
 // segmented at the pool's buffer size — the pooled counterpart of
 // ChainFromBytes for the hot path (one physical copy, no allocations in
 // steady state). An empty payload yields a chain with one empty buffer,
 // matching ChainFromBytes.
-func (p *Pool) GetChain(payload []byte) (*Chain, error) {
+func (p *Pool) GetChain(payload []byte) *Chain {
 	c := NewChain()
 	for off := 0; off < len(payload); off += p.bufSize {
-		end := off + p.bufSize
-		if end > len(payload) {
-			end = len(payload)
-		}
-		b, err := p.GetData(payload[off:end])
-		if err != nil {
-			c.Release()
-			return nil, err
-		}
+		seg := payload[off:min(off+p.bufSize, len(payload))]
+		b := p.get(len(seg))
+		_ = b.Append(seg) // seg is at most bufSize bytes, so it fits
 		c.Append(b)
 	}
 	if len(payload) == 0 {
-		b, err := p.Get()
-		if err != nil {
-			c.Release()
-			return nil, err
-		}
-		c.Append(b)
+		c.Append(p.Get())
 	}
-	return c, nil
+	return c
 }
 
 // GetZeroChain returns a chain of pooled buffers holding n zero bytes
 // (pooled buffers are zeroed on reuse, so no bytes are touched here beyond
-// window bookkeeping).
+// window bookkeeping). The error is always nil: it is kept so that
+// benchmarks/ncmark, which checks it, compiles unchanged (DESIGN.md §11).
 func (p *Pool) GetZeroChain(n int) (*Chain, error) {
 	c := NewChain()
-	for n > 0 {
-		take := n
-		if take > p.bufSize {
-			take = p.bufSize
-		}
-		b, err := p.Get()
-		if err != nil {
-			c.Release()
-			return nil, err
-		}
-		_ = b.Put(take)
+	for ; n > 0; n -= p.bufSize {
+		b := p.Get()
+		_ = b.Put(min(n, p.bufSize)) // at most bufSize bytes, so it fits
 		c.Append(b)
-		n -= take
 	}
 	return c, nil
 }
@@ -256,6 +221,3 @@ func (p *Pool) DoubleFrees() uint64 { return p.doubleFrees }
 
 // Name returns the pool's diagnostic name.
 func (p *Pool) Name() string { return p.name }
-
-// BufSize returns the payload capacity of buffers from this pool.
-func (p *Pool) BufSize() int { return p.bufSize }

@@ -9,10 +9,7 @@ import "testing"
 func TestRecycledBufferExposesNoStaleBytes(t *testing.T) {
 	p := NewPool("zero", 8, 32, 0)
 
-	b, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := p.Get()
 	// First owner fills every reachable byte with junk.
 	if hdr, err := b.Push(8); err != nil {
 		t.Fatal(err)
@@ -33,10 +30,7 @@ func TestRecycledBufferExposesNoStaleBytes(t *testing.T) {
 	}
 
 	// Second owner must see pristine zeros through every window.
-	nb, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
+	nb := p.Get()
 	if nb != b {
 		t.Fatal("pool did not recycle the buffer (test needs the same object)")
 	}
@@ -63,17 +57,14 @@ func TestRecycledBufferExposesNoStaleBytes(t *testing.T) {
 	nb.Release()
 }
 
-// TestGetDataClearsAroundThePayload: GetData and GetChain overwrite the
-// payload window, so the pool clears only around it — and after reuse of a
+// TestGetChainClearsAroundThePayload: GetChain overwrites the payload
+// window, so the pool clears only around it — and after reuse of a
 // fully dirtied buffer every byte outside the new payload still reads zero,
 // exactly as in a fresh allocation.
-func TestGetDataClearsAroundThePayload(t *testing.T) {
+func TestGetChainClearsAroundThePayload(t *testing.T) {
 	p := NewPool("around", 8, 32, 0)
 	dirty := func() {
-		b, err := p.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := p.Get()
 		for i := range b.backing {
 			b.backing[i] = 0xCC
 		}
@@ -85,10 +76,7 @@ func TestGetDataClearsAroundThePayload(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(i + 1)
 		}
-		c, err := p.GetChain(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := p.GetChain(payload)
 		b := c.Bufs()[0]
 		if p.Reuses() == 0 || string(b.Bytes()) != string(payload) {
 			t.Fatalf("payload %d: reuses %d, bytes %v", n, p.Reuses(), b.Bytes())
@@ -112,10 +100,7 @@ func TestPoolSlabBuffersAreDisjoint(t *testing.T) {
 	p := NewPool("slab", headroom, size, 0)
 	bufs := make([]*Buf, n)
 	for i := range bufs {
-		b, err := p.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := p.Get()
 		if cap(b.backing) != headroom+size || len(b.backing) != headroom+size {
 			t.Fatalf("buffer %d: backing len %d cap %d, want %d", i, len(b.backing), cap(b.backing), headroom+size)
 		}
@@ -141,10 +126,7 @@ func TestPoolSlabBuffersAreDisjoint(t *testing.T) {
 	}
 	payload := []byte{0xA1, 0xA2, 0xA3, 0xA4, 0xA5}
 	for i := range bufs {
-		b, err := p.GetData(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := p.GetChain(payload).Bufs()[0].root
 		if string(b.Bytes()) != string(payload) {
 			t.Fatalf("recycled buffer %d payload %v", i, b.Bytes())
 		}
@@ -168,10 +150,7 @@ func TestPoolSlabBuffersAreDisjoint(t *testing.T) {
 // through a reuse cycle.
 func TestGetZeroChainIsZero(t *testing.T) {
 	p := NewPool("zc", 0, 16, 0)
-	c, err := p.GetChain([]byte{0xFF, 0xFE, 0xFD, 0xFC, 0xFB})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := p.GetChain([]byte{0xFF, 0xFE, 0xFD, 0xFC, 0xFB})
 	c.Release()
 	z, err := p.GetZeroChain(40)
 	if err != nil {
@@ -200,10 +179,7 @@ func TestGetChainSegmentsLikeChainFromBytes(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	got, err := p.GetChain(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := p.GetChain(payload)
 	want := ChainFromBytes(payload, DefaultBufSize)
 	if got.NumBufs() != want.NumBufs() {
 		t.Fatalf("NumBufs = %d, want %d", got.NumBufs(), want.NumBufs())
@@ -220,10 +196,7 @@ func TestGetChainSegmentsLikeChainFromBytes(t *testing.T) {
 	want.Release()
 
 	// Empty payload: one empty buffer, like ChainFromBytes.
-	empty, err := p.GetChain(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := p.GetChain(nil)
 	if empty.NumBufs() != 1 || empty.Len() != 0 {
 		t.Fatalf("empty GetChain: bufs=%d len=%d", empty.NumBufs(), empty.Len())
 	}

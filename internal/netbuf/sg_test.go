@@ -234,10 +234,7 @@ func BenchmarkPoolGetChain32K(b *testing.B) {
 	b.SetBytes(32 * 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := p.GetChain(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
+		c := p.GetChain(payload)
 		c.Release()
 	}
 }

@@ -350,12 +350,7 @@ func (c *Client) Write(fh FH, off uint64, data *netbuf.Chain, done func(int, Att
 // WriteBytes is Write with a plain byte payload (copied into pooled transmit
 // buffers).
 func (c *Client) WriteBytes(fh FH, off uint64, p []byte, done func(int, Attr, error)) {
-	chain, err := c.rpc.Node().TxPool.GetChain(p)
-	if err != nil {
-		done(0, Attr{}, err)
-		return
-	}
-	c.Write(fh, off, chain, done)
+	c.Write(fh, off, c.rpc.Node().TxPool.GetChain(p), done)
 }
 
 // Create makes a file.

@@ -331,12 +331,7 @@ func (k *serverCall) replyRead(data *netbuf.Chain, a Attr, st uint32) {
 	e.Uint32(uint32(dlen))
 	// XDR opaque padding (block payloads are 4-aligned).
 	if pad := (4 - dlen%4) % 4; pad != 0 && data != nil {
-		pb, perr := s.node.TxPool.Get()
-		if perr != nil {
-			pb = netbuf.New(0, pad)
-		}
-		_ = pb.Put(pad)
-		data.Append(pb)
+		data.Append(s.node.TxPool.GetSized(pad, 0))
 	}
 	s.send(c, hb, data)
 }

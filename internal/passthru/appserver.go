@@ -331,13 +331,8 @@ func (s *AppServer) Restart(done func(error)) {
 			for end < len(rec.LBNs) && rec.LBNs[end] == rec.LBNs[end-1]+1 {
 				end++
 			}
-			chain, err := s.Node.TxPool.GetChain(rec.Data[start*bs : end*bs])
-			if err != nil {
-				done(err)
-				return
-			}
 			replayed = append(replayed, rec.LBNs[start:end]...)
-			s.Volume.WriteAt(rec.LBNs[start], chain, false, func(err error) {
+			s.Volume.WriteAt(rec.LBNs[start], s.Node.TxPool.GetChain(rec.Data[start*bs:end*bs]), false, func(err error) {
 				if err != nil {
 					done(err)
 					return

@@ -193,13 +193,8 @@ func (s *AppServer) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Cha
 	for _, e := range res.Extents {
 		switch {
 		case e.Block == nil:
-			if zc, err := s.Node.BlkPool.GetZeroChain(e.Len); err == nil {
-				out.AppendChain(zc)
-			} else {
-				zb := netbuf.New(0, e.Len)
-				_ = zb.Put(e.Len)
-				out.Append(zb)
-			}
+			zc, _ := s.Node.BlkPool.GetZeroChain(e.Len) // pools are unbounded: the error is always nil
+			out.AppendChain(zc)
 
 		case e.Block.Logical:
 			key, ok := e.Block.Key()
@@ -215,11 +210,7 @@ func (s *AppServer) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Cha
 		default:
 			// Physical: the daemon-buffer copy and the socket copy
 			// both walk the bytes; the pooled-chain build is the second.
-			pc, err := s.Node.TxPool.GetChain(e.Block.Data[e.Off : e.Off+e.Len])
-			if err != nil {
-				continue
-			}
-			out.AppendChain(pc)
+			out.AppendChain(s.Node.TxPool.GetChain(e.Block.Data[e.Off : e.Off+e.Len]))
 			physBytes += e.Len
 		}
 	}

@@ -209,13 +209,8 @@ func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) erro
 // shared payload buffers — fragments may alias one another's backing), then
 // charges per-packet CPU and hands the frame to the NIC.
 func (s *Stack) sendFragment(nic *simnet.NIC, hdr Header, payload *netbuf.Chain) error {
-	hb, err := s.node.TxPool.Get()
-	if err != nil {
-		payload.Release()
-		return err
-	}
 	frame := netbuf.NewChainCap(1 + payload.NumBufs())
-	frame.Append(hb)
+	frame.Append(s.node.TxPool.Get())
 	frame.AppendChain(payload)
 	if err := hdr.Push(frame); err != nil {
 		return err

@@ -140,10 +140,7 @@ func TestStackPacketAllocFree(t *testing.T) {
 		})
 		body := make([]byte, size)
 		packet := func() {
-			payload, err := sa.Node().TxPool.GetChain(body)
-			if err != nil {
-				t.Fatal(err)
-			}
+			payload := sa.Node().TxPool.GetChain(body)
 			if err := sa.Send(1, 2, 99, payload); err != nil {
 				t.Fatal(err)
 			}
@@ -179,20 +176,14 @@ func TestStackReassemblyRecordRecycled(t *testing.T) {
 	})
 	body := make([]byte, 4096)
 	whole := func() {
-		payload, err := sa.Node().TxPool.GetChain(body)
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := sa.Node().TxPool.GetChain(body)
 		if err := sa.Send(1, 2, 99, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// head sends the first fragment of a datagram and loses the rest.
 	head := func(id uint16) {
-		payload, err := sa.Node().TxPool.GetChain(body[:1480])
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := sa.Node().TxPool.GetChain(body[:1480])
 		hdr := Header{TotalLen: HeaderLen + 1480, ID: id, MoreFrags: true, TTL: 64, Proto: 99, Src: 1, Dst: 2}
 		if err := sa.sendFragment(sa.nics[1], hdr, payload); err != nil {
 			t.Fatal(err)

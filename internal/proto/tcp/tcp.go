@@ -277,11 +277,7 @@ func (c *Conn) SetReceiver(f func(*netbuf.Chain)) { c.receiver = f }
 // transmit buffers — the legacy path; the copy cost is the caller's to
 // charge).
 func (c *Conn) Send(p []byte) error {
-	chain, err := c.t.node.TxPool.GetChain(p)
-	if err != nil {
-		return err
-	}
-	return c.SendChain(chain)
+	return c.SendChain(c.t.node.TxPool.GetChain(p))
 }
 
 // SendChain queues payload already held in network buffers — the zero-copy
@@ -505,13 +501,7 @@ func (c *Conn) sendAck() {
 // sendSeg builds, checksums and transmits one segment for key (which need
 // not belong to a live connection — RSTs answer strays after teardown).
 func (t *Transport) sendSeg(key connKey, seq, ackNo uint32, flags uint8, payload *netbuf.Chain) {
-	hb, err := t.node.TxPool.Get()
-	if err != nil {
-		if payload != nil {
-			payload.Release()
-		}
-		return
-	}
+	hb := t.node.TxPool.Get()
 	hdr, err := hb.Push(HeaderLen)
 	if err != nil {
 		hb.Release()

@@ -79,11 +79,7 @@ func (t *Transport) SendChain(src eth.Addr, srcPort uint16, dst eth.Addr, dstPor
 		payload.Release()
 		return fmt.Errorf("udp: datagram %d exceeds 64KB", total)
 	}
-	hb, err := t.node.TxPool.Get()
-	if err != nil {
-		payload.Release()
-		return err
-	}
+	hb := t.node.TxPool.Get()
 	hdr, err := hb.Push(HeaderLen)
 	if err != nil {
 		hb.Release()

@@ -20,10 +20,7 @@ type host struct {
 
 // send transmits plain bytes, copied into the sender's transmit pool.
 func send(t *Transport, src eth.Addr, srcPort uint16, dst eth.Addr, dstPort uint16, p []byte) error {
-	ch, err := t.node.TxPool.GetChain(p)
-	if err != nil {
-		return err
-	}
+	ch := t.node.TxPool.GetChain(p)
 	return t.SendChain(src, srcPort, dst, dstPort, ch)
 }
 

@@ -252,11 +252,7 @@ func TestFrameHopAllocFree(t *testing.T) {
 	nb.SetRxHandler(func(f *netbuf.Chain) { b.ChargeFrame(b.Cost.PktRxNs, f, sink) })
 	payload := make([]byte, netbuf.DefaultBufSize-eth.HeaderLen)
 	hop := func() {
-		buf, err := a.TxPool.GetData(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame := netbuf.ChainOf(buf)
+		frame := a.TxPool.GetChain(payload)
 		if err := (eth.Header{Dst: 2, Src: 1, Type: eth.TypeIPv4}).Push(frame); err != nil {
 			t.Fatal(err)
 		}
@@ -306,15 +302,8 @@ func TestDeliveredBuffersStayOnSenderPool(t *testing.T) {
 	var held *netbuf.Chain
 	nb.SetRxHandler(func(f *netbuf.Chain) { held = f })
 	payload := make([]byte, 600)
-	tx, err := a.TxPool.GetData(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk, err := a.BlkPool.GetData(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := netbuf.ChainOf(tx, blk)
+	frame := a.TxPool.GetChain(payload)
+	frame.AppendChain(a.BlkPool.GetChain(payload))
 	if err := (eth.Header{Dst: 2, Src: 1, Type: eth.TypeIPv4}).Push(frame); err != nil {
 		t.Fatal(err)
 	}

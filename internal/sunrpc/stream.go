@@ -78,12 +78,7 @@ func (r *recordStream) push(data *netbuf.Chain) {
 // markAndSend prepends a record mark and transmits the message on the
 // connection (zero-copy: the mark is one fresh 4-byte buffer).
 func markAndSend(conn *tcp.Conn, msg *netbuf.Chain) error {
-	mb := poolBuf(conn.Node().TxPool, recordMarkLen)
-	if err := mb.Put(recordMarkLen); err != nil {
-		mb.Release()
-		msg.Release()
-		return err
-	}
+	mb := conn.Node().TxPool.GetSized(recordMarkLen, netbuf.DefaultHeadroom)
 	binary.BigEndian.PutUint32(mb.Bytes(), uint32(msg.Len())|lastFragment)
 	out := netbuf.ChainOf(mb)
 	out.AppendChain(msg)

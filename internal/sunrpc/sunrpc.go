@@ -92,23 +92,12 @@ func (c Call) send(out *netbuf.Chain) error {
 	return c.udp.SendChain(c.Dst, c.port, c.Src, c.SrcPort, out)
 }
 
-// poolBuf draws a header buffer from a transmit pool, falling back to a
-// fresh allocation when no pool is set or the pool cannot serve the size.
-func poolBuf(p *netbuf.Pool, capacity int) *netbuf.Buf {
-	if p != nil && capacity <= p.BufSize() {
-		if b, err := p.Get(); err == nil {
-			return b
-		}
-	}
-	return netbuf.New(netbuf.DefaultHeadroom, capacity)
-}
-
-// messageBuf draws the header buffer of one RPC message: hdr bytes of RPC
-// header, then n bytes of XDR head for the layer above, both encoded in
-// place. poolBuf sized it, so the Put cannot fail.
+// messageBuf draws the header buffer of one RPC message from a transmit
+// pool (a fresh one when there is no pool or the message outgrows its
+// buffers): hdr bytes of RPC header, then n bytes of XDR head for the layer
+// above, both encoded in place.
 func messageBuf(p *netbuf.Pool, hdr, n int) (hb *netbuf.Buf, rpc, head []byte) {
-	hb = poolBuf(p, hdr+n)
-	_ = hb.Put(hdr + n)
+	hb = p.GetSized(hdr+n, netbuf.DefaultHeadroom)
 	return hb, hb.Bytes()[:hdr], hb.Bytes()[hdr:]
 }
 

@@ -177,14 +177,7 @@ func consume(data *netbuf.Chain) int {
 // through a byte slice. The pool recycles the buffers when the RPC layer
 // releases them, keeping the steady-state client allocation-free.
 func junkChain(c *nfs.Client, n int) *netbuf.Chain {
-	ch, err := c.Node().BlkPool.GetZeroChain(n)
-	if err != nil {
-		// Unreachable on the unbounded default pools; allocate rather
-		// than drop the op if a test installs a bounded pool.
-		b := netbuf.New(0, n)
-		_ = b.Put(n)
-		ch = netbuf.ChainOf(b)
-	}
+	ch, _ := c.Node().BlkPool.GetZeroChain(n) // pools are unbounded: the error is always nil
 	ch.SetOwner("workload.write")
 	return ch
 }
