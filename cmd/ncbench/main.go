@@ -24,7 +24,7 @@
 // the gated run):
 //
 //	ncbench -exp fig5b -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	ncbench -exp fig5b,fig4,fig7,scaleout -benchgate BENCH.json
+//	ncbench -exp fig5b,fig4,fig7,scaleout,writeback -benchgate BENCH.json
 //
 // -fault injects a deterministic fault schedule (a preset name or the
 // fault.ParseSpec grammar) into the NFS experiments, replayable via

@@ -87,7 +87,7 @@ const hotReadEvents = 100
 // and CREATE/REMOVE over a 256-entry directory beside small reads and writes.
 // Directory scans compare names in place, the walks and every layer's call
 // state reuse one record each and a listing cuts its names out of one string:
-// 5 objects per operation where PR 15 spent 212 and PR 16 16, and they are
+// 3.4 objects per operation where the first version spent 212, and they are
 // CREATE/REMOVE's closure chains and READDIR's name list (ROADMAP item 7).
 func TestSFSMixAllocBudget(t *testing.T) {
 	if netbuf.DebugEnabled() {
@@ -117,8 +117,52 @@ func TestSFSMixAllocBudget(t *testing.T) {
 	}
 }
 
-// sfsMixObjectsPerOp is the measured 4.9 objects per operation plus 10 %.
-const sfsMixObjectsPerOp = 5.4
+// sfsMixObjectsPerOp is the measured 3.4 objects per operation plus 10 %.
+const sfsMixObjectsPerOp = 3.8
+
+// TestWritebackAllocBudget gates the write-back path the same way: the
+// fig-writeback mix (75 % regular data, half of it WRITEs) on the WAL arm,
+// where every WRITE is journaled, group-committed and later flushed through
+// NCache's write-out and remap. The log's staging slices, the flusher's batch
+// record, the write-out's remap list and the volume completions are recycled
+// records or methods bound once, so what is left per operation is the SFS
+// mix's own closures and the fill: NCache entries for fresh writes and first
+// writes to the disks.
+func TestWritebackAllocBudget(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	h := testHarness(t, Options{Scale: 16, Warmup: sim.Millisecond, Window: 150 * sim.Millisecond})
+	cl, load, err := h.sfsRig(passthru.ClusterConfig{
+		Mode:      passthru.NCache,
+		Writeback: passthru.WritebackConfig{Enabled: true},
+	}, "wb", workload.SFSConfig{RegularDataPct: 75, WriteMixPct: writebackWriteMixPct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	w, err := h.measure(cl, load, nil, nil, nil)
+	if err != nil || w.Errors != 0 || w.Ops == 0 {
+		t.Fatalf("measure: %v, %d errors, %d ops", err, w.Errors, w.Ops)
+	}
+	runtime.ReadMemStats(&m1)
+	if cl.App.WB.WALCommits == 0 || cl.App.WB.FlushBatches == 0 {
+		t.Fatalf("write-back pipeline idle: %d commits, %d flush batches", cl.App.WB.WALCommits, cl.App.WB.FlushBatches)
+	}
+	ops := float64(w.Ops)
+	objects := float64(m1.Mallocs - m0.Mallocs)
+	t.Logf("per op: %.2f objects, %.2f KB", objects/ops, float64(m1.TotalAlloc-m0.TotalAlloc)/ops/1024)
+	if objects/ops > writebackObjectsPerOp {
+		t.Fatalf("write-back mix allocates %.2f objects per operation (%.0f over %.0f ops), budget %.2f",
+			objects/ops, objects, ops, writebackObjectsPerOp)
+	}
+}
+
+// writebackObjectsPerOp is the measured 5.8 objects per operation plus 10 %
+// (8.9 when the log's groups regrew from nil and every flush, write-out and
+// volume completion was a closure).
+const writebackObjectsPerOp = 6.4
 
 // TestHotReadChecksumInherited asserts the paper's checksum-inheritance claim
 // on the host: with checksum offload off, an all-hit NCache READ's reply

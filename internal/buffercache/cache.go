@@ -76,6 +76,10 @@ type Cache struct {
 	// reads and runs are the free lists of the miss path's records.
 	reads netbuf.FreeList[read]
 	runs  netbuf.FreeList[run]
+	// flushes is the free list of write-back batch records; onEvicted is
+	// evicted, bound once.
+	flushes   netbuf.FreeList[flush]
+	onEvicted func(error)
 
 	// Stats is hit/miss/eviction accounting.
 	Stats metrics.Cache
@@ -110,6 +114,7 @@ func New(node *simnet.Node, lower Lower, capacityBlocks int) *Cache {
 		wb:            &metrics.Writeback{},
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c.onEvicted = c.evicted
 	return c
 }
 
@@ -204,16 +209,25 @@ func (c *Cache) evictForRoom() {
 		switch {
 		case b.pins > 0 || b.flushing || !b.loaded:
 		case b.Dirty:
-			c.flushBatches([]*Block{b}, func(error) {
-				// Re-run eviction once the flush lands; the block is
-				// clean (or still dirty on error) and unpinned.
-				c.evictForRoom()
-			})
+			f := c.flush(c.onEvicted)
+			f.blocks = append(f.blocks, b)
+			c.flushBatch(f)
 		default:
 			c.Stats.Evictions++
 			c.recycle(b)
 		}
 		b = prev
+	}
+}
+
+// evicted is the completion of a dirty victim's flush: once it lands the
+// block is clean and unpinned, so eviction runs again. A failed flush leaves
+// the block dirty, back in the flusher's FIFO, for the next insert, unpin or
+// tick to retry: running eviction from here would pick the same block again,
+// and against a lower that fails on the spot that recursion never ends.
+func (c *Cache) evicted(err error) {
+	if err == nil {
+		c.evictForRoom()
 	}
 }
 
@@ -577,7 +591,7 @@ func (c *Cache) MarkDirty(b *Block) {
 	if !b.Dirty {
 		b.Dirty = true
 		c.noteDirty()
-		c.fl.onDirty(c, b)
+		c.fl.onDirty(b)
 	}
 	c.touch(b)
 }
@@ -608,10 +622,4 @@ func (c *Cache) Drop(lbn int64) bool {
 	}
 	c.recycle(b)
 	return true
-}
-
-// Sync flushes every dirty block in coalesced adjacent-LBN batches and
-// calls done when all writes land.
-func (c *Cache) Sync(done func(error)) {
-	c.flushBatches(c.collectDirty(), done)
 }

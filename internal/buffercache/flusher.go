@@ -1,7 +1,8 @@
 package buffercache
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ncache/internal/lkey"
 	"ncache/internal/metrics"
@@ -35,6 +36,7 @@ const flushInterval = 500 * sim.Microsecond
 // cache's node engine, so flush scheduling is part of the deterministic
 // event schedule.
 type flusher struct {
+	c *Cache
 	// high bounds dirty memory, in blocks: at the high watermark Admit
 	// queues new work (backpressure) and an immediate flush is kicked;
 	// queued admissions resume once dirty drains to the low watermark,
@@ -56,6 +58,9 @@ type flusher struct {
 	// synchronously.
 	inFlight int
 	pumping  bool
+	// onTick, onKick and onLanded are tick, kicked and landed, bound once.
+	onTick, onKick func()
+	onLanded       func(error)
 }
 
 // admitWaiter is one admission parked at the high watermark.
@@ -70,7 +75,9 @@ type admitWaiter struct {
 // turns dirty and paced by the backlog (see flushNow), and dirty memory is
 // bounded by the admission gate at highWaterBlocks. Call before traffic.
 func (c *Cache) EnableFlusher(highWaterBlocks int) {
-	c.fl = &flusher{high: highWaterBlocks}
+	fl := &flusher{c: c, high: highWaterBlocks}
+	fl.onTick, fl.onKick, fl.onLanded = fl.tick, fl.kicked, fl.landed
+	c.fl = fl
 }
 
 // SetWritebackStats shares a pipeline-counter struct (a server wires the
@@ -102,7 +109,7 @@ func (c *Cache) Admit(run, cancel func()) {
 	}
 	c.wb.Stalls++
 	fl.admitQ = append(fl.admitQ, admitWaiter{run: run, cancel: cancel, since: c.node.Eng.Now()})
-	fl.kick(c)
+	fl.kick()
 }
 
 // noteDirty/noteClean maintain the dirty gauge on every transition.
@@ -119,44 +126,47 @@ func (c *Cache) noteClean() {
 // onDirty reacts to a 0→dirty block transition: the block joins the dirty
 // FIFO, the hold timer is armed, and an immediate flush is kicked at the
 // high watermark.
-func (fl *flusher) onDirty(c *Cache, b *Block) {
+func (fl *flusher) onDirty(b *Block) {
 	if fl == nil {
 		return
 	}
 	fl.queue = append(fl.queue, b.LBN)
-	if fl.high > 0 && c.nDirty >= fl.high {
-		fl.kick(c)
+	if fl.high > 0 && fl.c.nDirty >= fl.high {
+		fl.kick()
 	}
 	if fl.timerSet {
 		return
 	}
 	fl.timerSet = true
-	fl.timer = c.node.Eng.Schedule(flushInterval, func() { fl.tick(c) })
+	fl.timer = fl.c.node.Eng.Schedule(flushInterval, fl.onTick)
 }
 
 // tick is the hold-timer body: top the flusher up to its depth, then re-arm
 // while anything is dirty (a tick that finds the cache clean lets the timer
 // die). Between ticks each landing batch pulls the next; the tick starts the
 // first one and retries after a failed one.
-func (fl *flusher) tick(c *Cache) {
+func (fl *flusher) tick() {
 	fl.timerSet = false
-	fl.flushNow(c)
-	if c.nDirty > 0 {
+	fl.flushNow()
+	if fl.c.nDirty > 0 {
 		fl.timerSet = true
-		fl.timer = c.node.Eng.Schedule(flushInterval, func() { fl.tick(c) })
+		fl.timer = fl.c.node.Eng.Schedule(flushInterval, fl.onTick)
 	}
 }
 
 // kick schedules an immediate (same-instant) flush, deduplicated.
-func (fl *flusher) kick(c *Cache) {
+func (fl *flusher) kick() {
 	if fl.kickSet {
 		return
 	}
 	fl.kickSet = true
-	c.node.Eng.Schedule(0, func() {
-		fl.kickSet = false
-		fl.flushNow(c)
-	})
+	fl.c.node.Eng.Schedule(0, fl.onKick)
+}
+
+// kicked is the kick's event body.
+func (fl *flusher) kicked() {
+	fl.kickSet = false
+	fl.flushNow()
 }
 
 // flushNow issues batches from the dirty FIFO, oldest block first, until the
@@ -164,13 +174,14 @@ func (fl *flusher) kick(c *Cache) {
 // being the dirty blocks not yet on their way down. While admissions are
 // parked at the gate there is no limit: everything dirty goes, as hard as
 // the lower will take it. Background-flush errors are swallowed here: the
-// blocks rejoin the queue in flushBatch's completion and the next tick
+// blocks rejoin the queue in the batch's completion and the next tick
 // retries (synchronous callers use Sync, which reports them).
-func (fl *flusher) flushNow(c *Cache) {
+func (fl *flusher) flushNow() {
 	if fl.pumping {
 		return
 	}
 	fl.pumping = true
+	c := fl.c
 	// A pass stops at the entries queued when it began: a block whose batch
 	// fails on the spot (a mirror with no arm left) rejoins the queue behind
 	// them and waits for the next tick instead of spinning here.
@@ -184,18 +195,24 @@ func (fl *flusher) flushNow(c *Cache) {
 			continue
 		}
 		fl.inFlight++
-		c.flushBatch(c.runAround(b), func(err error) {
-			fl.inFlight--
-			if err == nil {
-				fl.flushNow(c)
-			}
-		})
+		f := c.flush(fl.onLanded)
+		f.blocks = c.runAround(b, f.blocks)
+		c.flushBatch(f)
 	}
 	fl.pumping = false
 	// Reclaim the popped prefix once it outweighs what is still queued.
 	if fl.head > len(fl.queue)/2 {
 		fl.queue = fl.queue[:copy(fl.queue, fl.queue[fl.head:])]
 		fl.head = 0
+	}
+}
+
+// landed is the completion of the flusher's own batches: a landed batch
+// pulls the next.
+func (fl *flusher) landed(err error) {
+	fl.inFlight--
+	if err == nil {
+		fl.flushNow()
 	}
 }
 
@@ -206,11 +223,11 @@ func (c *Cache) flushable(lbn int64, meta bool) bool {
 	return ok && b.Dirty && !b.flushing && b.Meta == meta
 }
 
-// runAround returns the adjacent run of flushable blocks around b in LBN
-// order, whatever their age, at most maxBatchBlocks long. It grows upward
+// runAround appends to run the adjacent run of flushable blocks around b in
+// LBN order, whatever their age, at most maxBatchBlocks long. It grows upward
 // first: a stream dirties its blocks front to back, so the oldest block's
 // younger neighbours lie above it.
-func (c *Cache) runAround(b *Block) []*Block {
+func (c *Cache) runAround(b *Block, run []*Block) []*Block {
 	lo, hi := b.LBN, b.LBN
 	for hi-lo+1 < maxBatchBlocks && c.flushable(hi+1, b.Meta) {
 		hi++
@@ -218,7 +235,6 @@ func (c *Cache) runAround(b *Block) []*Block {
 	for hi-lo+1 < maxBatchBlocks && c.flushable(lo-1, b.Meta) {
 		lo--
 	}
-	run := make([]*Block, 0, hi-lo+1)
 	for lbn := lo; lbn <= hi; lbn++ {
 		run = append(run, c.blocks[lbn])
 	}
@@ -228,10 +244,11 @@ func (c *Cache) runAround(b *Block) []*Block {
 // batchLanded runs after every write-back batch completes: resume parked
 // admissions once the gauge has drained to the low watermark (hysteresis —
 // refills stop again at the high watermark).
-func (fl *flusher) batchLanded(c *Cache) {
+func (fl *flusher) batchLanded() {
 	if fl == nil || len(fl.admitQ) == 0 {
 		return
 	}
+	c := fl.c
 	if c.nDirty > fl.high/2 {
 		return
 	}
@@ -243,51 +260,96 @@ func (fl *flusher) batchLanded(c *Cache) {
 	}
 }
 
-// collectDirty snapshots the dirty, not-in-flight blocks in LBN order.
-func (c *Cache) collectDirty() []*Block {
+// Sync flushes every dirty block in coalesced adjacent-LBN batches, issued
+// concurrently, and calls done once every batch lands, with the first error.
+func (c *Cache) Sync(done func(error)) {
 	var dirty []*Block
 	for _, b := range c.blocks { // det: sorted (by LBN below, before any I/O is issued)
 		if b.Dirty && !b.flushing {
 			dirty = append(dirty, b)
 		}
 	}
-	// Issue order decides the event schedule downstream (batch boundaries,
-	// remap announcements) — runs must replay bit-for-bit.
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].LBN < dirty[j].LBN })
-	return dirty
-}
-
-// flushBatches coalesces dirty (LBN-sorted, non-flushing) blocks into
-// adjacent-LBN scatter-gather writes and issues them concurrently; done
-// fires once every batch lands, with the first error.
-func (c *Cache) flushBatches(dirty []*Block, done func(error)) {
 	if len(dirty) == 0 {
 		done(nil)
 		return
 	}
-	var batches [][]*Block
+	// Issue order decides the event schedule downstream (batch boundaries,
+	// remap announcements) — runs must replay bit-for-bit.
+	slices.SortFunc(dirty, func(a, b *Block) int { return cmp.Compare(a.LBN, b.LBN) })
+	// One more than the batches: the guard keeps a batch that lands on the
+	// spot from reporting before the rest are issued.
+	s := &syncCall{remaining: 1, done: done}
+	s.onLanded = s.landed
 	for i := 0; i < len(dirty); {
 		j := i + 1
 		for j < len(dirty) && j-i < maxBatchBlocks &&
 			dirty[j].LBN == dirty[j-1].LBN+1 && dirty[j].Meta == dirty[i].Meta {
 			j++
 		}
-		batches = append(batches, dirty[i:j])
+		s.remaining++
+		f := c.flush(s.onLanded)
+		f.blocks = append(f.blocks, dirty[i:j]...)
+		c.flushBatch(f)
 		i = j
 	}
-	remaining := len(batches)
-	var failed error
-	for _, batch := range batches {
-		c.flushBatch(batch, func(err error) {
-			if err != nil && failed == nil {
-				failed = err
-			}
-			remaining--
-			if remaining == 0 {
-				done(failed)
-			}
-		})
+	s.landed(nil)
+}
+
+// syncCall is one Sync waiting for its batches.
+type syncCall struct {
+	remaining int
+	failed    error
+	done      func(error)
+	onLanded  func(error)
+}
+
+// landed counts one batch in; the last reports the first error.
+func (s *syncCall) landed(err error) {
+	if err != nil && s.failed == nil {
+		s.failed = err
 	}
+	s.remaining--
+	if s.remaining == 0 {
+		s.done(s.failed)
+	}
+}
+
+// flush is the recycled record of one write-back batch: the adjacent run of
+// dirty blocks it writes (whose capacity the record keeps), the cache
+// incarnation it was issued under, and done — the issuer's continuation:
+// the flusher's, an eviction's or a Sync's. written is bound once; the
+// record retires before done runs (poisoned and abandoned in netbuf debug
+// mode). A batch whose completion finds the cache reset retires without
+// calling done: the pipeline that issued it is gone.
+type flush struct {
+	c         *Cache
+	dead      bool // retired in debug mode
+	blocks    []*Block
+	gen       uint64
+	done      func(error)
+	onWritten func(error)
+}
+
+// flush takes a blank batch record that will report to done.
+func (c *Cache) flush(done func(error)) *flush {
+	f := c.flushes.Take()
+	if f == nil {
+		f = &flush{c: c}
+		f.onWritten = f.written
+	}
+	f.done = done
+	return f
+}
+
+// retire hands the record back to its cache.
+func (f *flush) retire() {
+	if f.dead {
+		panic("buffercache: flush record retired twice")
+	}
+	c := f.c
+	clear(f.blocks)
+	*f = flush{c: c, blocks: f.blocks[:0], onWritten: f.onWritten}
+	f.dead = !c.flushes.Put(f)
 }
 
 // flushBatch writes one adjacent run of dirty blocks down as a single
@@ -295,7 +357,8 @@ func (c *Cache) flushBatches(dirty []*Block, done func(error)) {
 // that the NCache write hook below will substitute and remap; real blocks
 // are physically copied into the transmit chain. One lower.WriteAt per batch
 // means one remap announcement per batch on the control plane.
-func (c *Cache) flushBatch(batch []*Block, done func(error)) {
+func (c *Cache) flushBatch(f *flush) {
+	batch := f.blocks
 	var chain *netbuf.Chain
 	var cost sim.Duration
 	for _, b := range batch {
@@ -322,48 +385,52 @@ func (c *Cache) flushBatch(batch []*Block, done func(error)) {
 	c.node.Charge(cost, nil)
 	c.wb.FlushBatches++
 	c.wb.FlushBlocks += uint64(len(batch))
-	gen := c.gen
-	c.lower.WriteAt(batch[0].LBN, chain, batch[0].Meta, func(err error) {
-		if c.gen != gen {
-			// The cache was reset (crash) while this write was in flight:
-			// the blocks are orphans and the pipeline that issued them is
-			// gone. The payload chain's lifecycle completed in the lower
-			// layers as usual, so pools stay drained.
-			return
+	f.gen = c.gen
+	c.lower.WriteAt(batch[0].LBN, chain, batch[0].Meta, f.onWritten)
+}
+
+// written settles the batch's blocks once the lower write completes.
+func (f *flush) written(err error) {
+	c, done := f.c, f.done
+	if c.gen != f.gen {
+		// The cache was reset (crash) while this write was in flight:
+		// the blocks are orphans and the pipeline that issued them is
+		// gone. The payload chain's lifecycle completed in the lower
+		// layers as usual, so pools stay drained.
+		f.retire()
+		return
+	}
+	for _, b := range f.blocks {
+		b.flushing = false
+		if b.Dirty {
+			c.nFlushing-- // a block dropped in flight left the gauge in drop
 		}
-		for _, b := range batch {
-			b.flushing = false
-			if b.Dirty {
-				c.nFlushing-- // a block dropped in flight left the gauge in drop
+		if err != nil {
+			// Stays dirty and gets back in line — the one place a block
+			// still dirty after its batch rejoins the FIFO, whoever
+			// issued the batch (flusher, Sync or eviction).
+			if b.Dirty && c.fl != nil {
+				c.fl.queue = append(c.fl.queue, b.LBN)
 			}
-			if err != nil {
-				// Stays dirty and gets back in line — the one place a block
-				// still dirty after its batch rejoins the FIFO, whoever
-				// issued the batch (flusher, Sync or eviction).
-				if b.Dirty && c.fl != nil {
-					c.fl.queue = append(c.fl.queue, b.LBN)
-				}
-				continue
-			}
-			if b.Dirty {
-				b.Dirty = false
-				c.noteClean()
-			}
-			// A flushed logical block now has a known storage location:
-			// extend its key with the LBN identity (the fs-cache half of
-			// the paper's FHO→LBN remapping).
-			if key, ok := b.Key(); ok && key.Flags&lkey.HasFHO != 0 {
-				lkey.Stamp(b.Data, key.WithLBN(b.LBN))
-			}
+			continue
 		}
-		if err == nil && c.onFlush != nil {
-			c.onFlush()
+		if b.Dirty {
+			b.Dirty = false
+			c.noteClean()
 		}
-		if c.fl != nil {
-			c.fl.batchLanded(c)
+		// A flushed logical block now has a known storage location:
+		// extend its key with the LBN identity (the fs-cache half of
+		// the paper's FHO→LBN remapping).
+		if key, ok := b.Key(); ok && key.Flags&lkey.HasFHO != 0 {
+			lkey.Stamp(b.Data, key.WithLBN(b.LBN))
 		}
-		done(err)
-	})
+	}
+	if err == nil && c.onFlush != nil {
+		c.onFlush()
+	}
+	c.fl.batchLanded()
+	f.retire()
+	done(err)
 }
 
 // Reset models a crash: every resident block, queued admission and armed

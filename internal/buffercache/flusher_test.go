@@ -326,7 +326,7 @@ func TestFlusherRequeuesBlockFailedByEviction(t *testing.T) {
 	if !c.Drop(3) {
 		t.Fatal("Drop(3) refused")
 	}
-	lower.land(errInjected) // eviction re-runs, finds room, leaves 1 alone
+	lower.land(errInjected) // a failed victim flush leaves 1 for the flusher
 	if got := lower.runs(); got != "1+1" || !c.IsDirty(1) {
 		t.Fatalf("writes = %s, dirty(1) = %v: want block 1 still dirty and not yet rewritten", got, c.IsDirty(1))
 	}
@@ -336,6 +336,50 @@ func TestFlusherRequeuesBlockFailedByEviction(t *testing.T) {
 	}
 	lower.land(nil)
 	wantIdle(t, eng, c)
+}
+
+// A dirty victim whose flush fails on the spot — a mirror with no arm left
+// answers ErrNoArms inline — is written once per eviction pass, not retried
+// from its own completion until the stack runs out: it stays dirty, back in
+// the flusher's FIFO, and the next tick writes it again.
+func TestEvictionFlushFailingInlineIsNotRetriedInline(t *testing.T) {
+	eng, lower, c := rigFlusher(t, 2, 0)
+	fail := true
+	lower.onWrite = func() {
+		if len(lower.writes) > 16 {
+			t.Fatalf("%d writes of the victim inside one eviction pass", len(lower.writes))
+		}
+	}
+	inline := &inlineLower{parkedLower: lower, fail: &fail}
+	c.lower = inline
+	dirty(t, c, 1, false)
+	for _, lbn := range []int64{2, 3} {
+		c.GetForWrite(lbn, false, func(b *Block, err error) { c.Unpin(b) })
+	}
+	if got := lower.runs(); got != "1+1" || !c.IsDirty(1) {
+		t.Fatalf("writes = %s, dirty(1) = %v: want one failed write and block 1 still dirty", got, c.IsDirty(1))
+	}
+	fail = false
+	wantIdle(t, eng, c)
+	if got := lower.runs(); got != "1+1 1+1" {
+		t.Fatalf("writes = %s: want the flusher's retry of block 1 after the failed one", got)
+	}
+}
+
+// inlineLower completes every write on the spot, failing it while *fail.
+type inlineLower struct {
+	*parkedLower
+	fail *bool
+}
+
+func (l *inlineLower) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
+	l.parkedLower.WriteAt(lbn, data, meta, nil)
+	l.parked = l.parked[:0]
+	if *l.fail {
+		done(errInjected)
+		return
+	}
+	done(nil)
 }
 
 // (d) Reset with batches in flight zeroes the flusher, late completions
@@ -480,7 +524,7 @@ func BenchmarkFlusherPass(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.MarkDirty(blk)
-		c.fl.flushNow(c)
+		c.fl.flushNow()
 		if c.nDirty != 0 {
 			b.Fatal("the pass left the block dirty")
 		}

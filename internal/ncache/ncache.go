@@ -408,15 +408,15 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 // real cached data and — for FHO entries — performs the remap: the entry is
 // re-indexed under its now-known LBN, replacing any stale LBN entry, and
 // marked clean (the write carrying its data is on its way to storage). It
-// returns the chain to transmit and the LBNs it re-indexed: once the write
-// commits the caller announces them to peer servers, and if the write fails
-// it hands them back to Repin.
-func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain) (out *netbuf.Chain, remapped []int64) {
+// returns the chain to transmit and remapped with the LBNs it re-indexed
+// appended: once the write commits the caller announces them to peer
+// servers, and if the write fails it hands them back to Repin.
+func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []int64) (*netbuf.Chain, []int64) {
 	bs := m.cfg.BlockSize
 	if data.Len() != blocks*bs {
-		return data, nil
+		return data, remapped
 	}
-	out = netbuf.NewChain()
+	out := netbuf.NewChain()
 	touched := 0
 	for i := 0; i < blocks; i++ {
 		sub, err := data.SubChain(i*bs, bs)

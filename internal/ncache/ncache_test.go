@@ -148,7 +148,7 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	// The file system flushes: stamped junk goes down the iSCSI write
 	// path; the hook must substitute real data and remap.
 	flush := lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs)
-	wire, remapped := m.WriteOut(700, 1, flush)
+	wire, remapped := m.WriteOut(700, 1, flush, nil)
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	if m.PinnedBytes() == 0 {
 		t.Fatal("failed write left the only copy of the data unpinned")
 	}
-	wire, remapped = m.WriteOut(700, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
+	wire, remapped = m.WriteOut(700, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("retried flush not substituted with real data")
 	}
@@ -199,7 +199,7 @@ func TestRemapOverwritesStaleLBNEntry(t *testing.T) {
 	fh := lkey.FH{4}
 	m.CaptureLBN(800, 1, netbuf.ChainFromBytes(stale, netbuf.DefaultBufSize))
 	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(fresh, netbuf.DefaultBufSize))
-	m.WriteOut(800, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
+	m.WriteOut(800, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -295,7 +295,7 @@ func TestDisableRemapAblation(t *testing.T) {
 	fh := lkey.FH{8}
 	data := blockData(5, bs)
 	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
-	wire, _ := m.WriteOut(50, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
+	wire, _ := m.WriteOut(50, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -111,7 +111,7 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 			if !dirty {
 				continue
 			}
-			wire, _ := m.WriteOut(lbn, 1, lkey.StampChainPool(nil, fkey, bs))
+			wire, _ := m.WriteOut(lbn, 1, lkey.StampChainPool(nil, fkey, bs), nil)
 			if !bytes.Equal(wire.Flatten(), data) {
 				t.Logf("seed %d: flush of %+v substituted wrong bytes", seed, fkey)
 				return false

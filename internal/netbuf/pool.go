@@ -138,9 +138,9 @@ func (p *Pool) untrack(b *Buf) {
 // segmented at the pool's buffer size — the pooled counterpart of
 // ChainFromBytes for the hot path (one physical copy, no allocations in
 // steady state). An empty payload yields a chain with one empty buffer,
-// matching ChainFromBytes.
+// matching ChainFromBytes. The chain is sized once for its buffers.
 func (p *Pool) GetChain(payload []byte) *Chain {
-	c := NewChain()
+	c := NewChainCap(max(p.buffers(len(payload)), 1))
 	for off := 0; off < len(payload); off += p.bufSize {
 		seg := payload[off:min(off+p.bufSize, len(payload))]
 		b := p.get(len(seg))
@@ -157,8 +157,9 @@ func (p *Pool) GetChain(payload []byte) *Chain {
 // (pooled buffers are zeroed on reuse, so no bytes are touched here beyond
 // window bookkeeping). The error is always nil: it is kept so that
 // benchmarks/ncmark, which checks it, compiles unchanged (DESIGN.md §11).
+// The chain is sized once for its buffers.
 func (p *Pool) GetZeroChain(n int) (*Chain, error) {
-	c := NewChain()
+	c := NewChainCap(p.buffers(n))
 	for ; n > 0; n -= p.bufSize {
 		b := p.Get()
 		_ = b.Put(min(n, p.bufSize)) // at most bufSize bytes, so it fits
@@ -166,6 +167,9 @@ func (p *Pool) GetZeroChain(n int) (*Chain, error) {
 	}
 	return c, nil
 }
+
+// buffers is how many of the pool's buffers n payload bytes fill.
+func (p *Pool) buffers(n int) int { return (n + p.bufSize - 1) / p.bufSize }
 
 // put returns a buffer to the free list. Called from Buf.Release.
 func (p *Pool) put(b *Buf) {

@@ -39,8 +39,10 @@ func (s *AppServer) intercept(lower storage.Volume) storage.Volume {
 type interceptVolume struct {
 	storage.Volume
 	s *AppServer
-	// free is the free list of read records (see interceptRead).
-	free netbuf.FreeList[interceptRead]
+	// reads and writes are the free lists of the records (see
+	// interceptRead and interceptWrite).
+	reads  netbuf.FreeList[interceptRead]
+	writes netbuf.FreeList[interceptWrite]
 }
 
 // interceptRead is the recycled record of one regular-data read through the
@@ -67,7 +69,7 @@ func (r *interceptRead) retire() {
 	}
 	v := r.v
 	*r = interceptRead{v: v, onData: r.onData, onHit: r.onHit}
-	r.dead = !v.free.Put(r)
+	r.dead = !v.reads.Put(r)
 }
 
 // ReadAt serves a regular-data read from the network-centric cache when
@@ -80,7 +82,7 @@ func (v *interceptVolume) ReadAt(lbn int64, blocks int, meta bool, done func(*ne
 		v.Volume.ReadAt(lbn, blocks, meta, done)
 		return
 	}
-	r := v.free.Take()
+	r := v.reads.Take()
 	if r == nil {
 		r = &interceptRead{v: v}
 		r.onData, r.onHit = r.arrived, r.served
@@ -120,26 +122,55 @@ func (r *interceptRead) arrived(data *netbuf.Chain, err error) {
 
 // WriteAt runs NCache's write-out once per regular-data write — stamped
 // junk becomes the cached payload, FHO entries remap to their LBNs — and
-// settles the remap when the write completes: committed, the re-indexed
-// LBNs are announced to the control plane (only then, so a peer acting on
-// the invalidation can never re-read stale bytes from storage); failed, the
-// entries are pinned again, because the buffer cache keeps the blocks dirty
-// and the flush that retries them must find their data and remap afresh.
+// settles the remap when the write completes (see interceptWrite.written).
 func (v *interceptVolume) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
 	s := v.s
 	if meta || s.Mode != NCache {
 		v.Volume.WriteAt(lbn, data, meta, done)
 		return
 	}
-	data, remapped := s.Module.WriteOut(lbn, data.Len()/extfs.BlockSize, data)
-	v.Volume.WriteAt(lbn, data, meta, func(err error) {
-		if err != nil {
-			s.Module.Repin(remapped)
-		} else if ag := s.Agent; ag != nil && len(remapped) > 0 && !s.crashed {
-			ag.SendRemap(remapped)
-		}
-		done(err)
-	})
+	w := v.writes.Take()
+	if w == nil {
+		w = &interceptWrite{v: v}
+		w.onWritten = w.written
+	}
+	w.done = done
+	data, w.remapped = s.Module.WriteOut(lbn, data.Len()/extfs.BlockSize, data, w.remapped)
+	v.Volume.WriteAt(lbn, data, meta, w.onWritten)
+}
+
+// interceptWrite is the recycled record of one regular-data write through
+// the interception: the caller's completion and the LBNs the write-out
+// re-indexed, whose capacity the record keeps. written is bound once, when
+// the record is first allocated; the record retires before the caller hears
+// (poisoned and abandoned in netbuf debug mode).
+type interceptWrite struct {
+	v         *interceptVolume
+	dead      bool // retired in debug mode
+	remapped  []int64
+	done      func(error)
+	onWritten func(error)
+}
+
+// written settles the remap: committed, the re-indexed LBNs are announced to
+// the control plane (only then, so a peer acting on the invalidation can
+// never re-read stale bytes from storage); failed, the entries are pinned
+// again, because the buffer cache keeps the blocks dirty and the flush that
+// retries them must find their data and remap afresh.
+func (w *interceptWrite) written(err error) {
+	if w.dead {
+		panic("passthru: intercepted write retired twice")
+	}
+	v, done := w.v, w.done
+	s := v.s
+	if err != nil {
+		s.Module.Repin(w.remapped)
+	} else if ag := s.Agent; ag != nil && len(w.remapped) > 0 && !s.crashed {
+		ag.SendRemap(w.remapped) // copies the LBNs into its queue
+	}
+	*w = interceptWrite{v: v, remapped: w.remapped[:0], onWritten: w.onWritten}
+	w.dead = !v.writes.Put(w)
+	done(err)
 }
 
 // junk is the Baseline comparator's receive filter: regular-data payloads

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ncache/internal/netbuf"
@@ -126,6 +127,10 @@ type Mirror struct {
 	cfg  MirrorConfig
 	rr   int
 	gen  uint64
+	// reads and writes are the free lists of the request records (see
+	// mirrorRead and mirrorWrite).
+	reads  netbuf.FreeList[mirrorRead]
+	writes netbuf.FreeList[mirrorWrite]
 }
 
 var _ Volume = (*Mirror)(nil)
@@ -157,12 +162,11 @@ func NewMirror(node *simnet.Node, names []string, inis []Initiator, cfg MirrorCo
 // BlockSize implements Volume.
 func (m *Mirror) BlockSize() int { return m.arms[0].ini.Geometry().BlockSize }
 
-// readEligible returns the arms a read may use, in preference tiers:
+// readEligible appends to out the arms a read may use, in preference tiers:
 // closed arms; failing that, resyncing arms that are current for the whole
 // range (nothing dirty or mid-copy in it); failing that, any arm at all as
 // a last resort.
-func (m *Mirror) readEligible(lbn int64, blocks int) []int {
-	var out []int
+func (m *Mirror) readEligible(lbn int64, blocks int, out []int) []int {
 	for i, a := range m.arms {
 		if a.state == ArmClosed {
 			out = append(out, i)
@@ -393,39 +397,74 @@ func (m *Mirror) markDirty(a *arm, lbn int64, blocks int) {
 // ReadAt implements Volume: read from the policy-selected arm, failing over
 // to the remaining eligible arms.
 func (m *Mirror) ReadAt(lbn int64, blocks int, meta bool, done func(*netbuf.Chain, error)) {
-	eligible := m.readEligible(lbn, blocks)
-	first := m.pick(eligible)
-	order := []int{first}
-	for _, i := range eligible {
-		if i != first {
-			order = append(order, i)
-		}
+	r := m.reads.Take()
+	if r == nil {
+		r = &mirrorRead{m: m}
+		r.onData = r.arrived
 	}
-	m.readFrom(order, 0, lbn, blocks, meta, done)
+	r.lbn, r.blocks, r.meta, r.done = lbn, blocks, meta, done
+	// The policy's pick goes first; the rest keep their tier order.
+	r.order = m.readEligible(lbn, blocks, r.order)
+	first := m.pick(r.order)
+	k := slices.Index(r.order, first)
+	copy(r.order[1:k+1], r.order[:k])
+	r.order[0] = first
+	r.issue()
 }
 
-// readFrom issues the read on order[at], failing over down the list.
-func (m *Mirror) readFrom(order []int, at int, lbn int64, blocks int, meta bool, done func(*netbuf.Chain, error)) {
-	a := m.arms[order[at]]
+// mirrorRead is the recycled record of one read through the mirror: the arms
+// it may try in order (a slice whose capacity the record keeps), the attempt
+// in flight and when it started, and the caller's completion. arrived is
+// bound once, when the record is first allocated; the record retires before
+// the caller hears (poisoned and abandoned in netbuf debug mode).
+type mirrorRead struct {
+	m      *Mirror
+	dead   bool // retired in debug mode
+	order  []int
+	at     int
+	lbn    int64
+	blocks int
+	meta   bool
+	start  sim.Time
+	done   func(*netbuf.Chain, error)
+	onData func(*netbuf.Chain, error)
+}
+
+// issue sends the read to order[at].
+func (r *mirrorRead) issue() {
+	m := r.m
+	a := m.arms[r.order[r.at]]
 	a.stats.Reads++
-	start := m.node.Eng.Now()
-	a.ini.Read(lbn, blocks, meta, func(data *netbuf.Chain, err error) {
-		if err != nil {
-			m.armError(a)
-			if at+1 < len(order) {
-				// Failover: the failed attempt's wait is recovery
-				// latency attributable to the fault.
-				trace.Fault(m.node.Eng, trace.LISCSI, 0)
-				m.readFrom(order, at+1, lbn, blocks, meta, done)
-				return
-			}
-			done(nil, err)
+	r.start = m.node.Eng.Now()
+	a.ini.Read(r.lbn, r.blocks, r.meta, r.onData)
+}
+
+// arrived takes an arm's answer, failing over down the order on an error.
+func (r *mirrorRead) arrived(data *netbuf.Chain, err error) {
+	if r.dead {
+		panic("storage: mirror read retired twice")
+	}
+	m := r.m
+	a := m.arms[r.order[r.at]]
+	if err != nil {
+		m.armError(a)
+		if r.at+1 < len(r.order) {
+			// Failover: the failed attempt's wait is recovery
+			// latency attributable to the fault.
+			trace.Fault(m.node.Eng, trace.LISCSI, 0)
+			r.at++
+			r.issue()
 			return
 		}
+		data = nil
+	} else {
 		a.consecErrs = 0
-		m.sample(a, start)
-		done(data, nil)
-	})
+		m.sample(a, r.start)
+	}
+	done := r.done
+	*r = mirrorRead{m: m, order: r.order[:0], onData: r.onData}
+	r.dead = !m.reads.Put(r)
+	done(data, err)
 }
 
 // WriteAt implements Volume: fan clones out to every closed and resyncing
@@ -434,97 +473,174 @@ func (m *Mirror) readFrom(order []int, at int, lbn int64, blocks int, meta bool,
 func (m *Mirror) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
 	bs := m.BlockSize()
 	blocks := data.Len() / bs
-	var primaries, secondaries []*arm
-	for _, a := range m.arms {
-		switch a.state {
-		case ArmClosed:
-			primaries = append(primaries, a)
-		case ArmResync:
-			secondaries = append(secondaries, a)
-		default:
-			m.markDirty(a, lbn, blocks)
+	w := m.writes.Take()
+	if w == nil {
+		w = &mirrorWrite{m: m, legs: make([]mirrorLeg, len(m.arms))}
+		for i := range w.legs {
+			leg := &w.legs[i]
+			leg.w, leg.a = w, m.arms[i]
+			leg.onWritten = leg.written
 		}
 	}
-	if len(primaries)+len(secondaries) == 0 {
+	issued := 0
+	for i := range w.legs {
+		leg := &w.legs[i]
+		switch leg.a.state {
+		case ArmClosed:
+			leg.role = legPrimary
+			issued++
+		case ArmResync:
+			leg.role = legSecondary
+			issued++
+		default:
+			leg.role = legNone
+			m.markDirty(leg.a, lbn, blocks)
+		}
+	}
+	if issued == 0 {
+		w.retire()
 		data.Release()
 		done(ErrNoArms)
 		return
 	}
-	remaining := len(primaries) + len(secondaries)
-	successes := 0
-	var firstErr error
-	settle := func() {
-		remaining--
-		if remaining > 0 {
-			return
+	// One more than the legs: the guard keeps a leg that completes on the
+	// spot from retiring the record while legs are still being issued.
+	w.lbn, w.blocks, w.remaining, w.done = lbn, blocks, issued+1, done
+	for i := range w.legs {
+		if leg := &w.legs[i]; leg.role == legPrimary {
+			leg.issue(data, meta)
 		}
-		if successes > 0 {
-			done(nil)
-			return
-		}
-		if firstErr == nil {
-			firstErr = ErrNoArms
-		}
-		done(firstErr)
 	}
-	for _, a := range primaries {
-		a := a
-		a.stats.Writes++
-		c := data.Clone()
-		c.SetOwner("storage.mirror")
-		start := m.node.Eng.Now()
-		a.ini.Write(lbn, c, meta, func(err error) {
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				// The acked bytes now live on fewer arms than
-				// configured: log the range so recovery re-replicates
-				// it, then trip the breaker accounting.
-				m.markDirty(a, lbn, blocks)
-				m.armError(a)
-				settle()
-				return
+	for i := range w.legs {
+		if leg := &w.legs[i]; leg.role == legSecondary {
+			// Write-through during resync keeps the arm converging; the
+			// block is logged first so a failed or raced-with-copy leg is
+			// re-copied, and cleared only when this write lands with no
+			// copy in flight underneath it.
+			a := leg.a
+			m.markDirty(a, lbn, blocks)
+			leg.gens = leg.gens[:0]
+			for b := lbn; b < lbn+int64(blocks); b++ {
+				leg.gens = append(leg.gens, a.dirty[b])
 			}
-			a.consecErrs = 0
-			successes++
-			m.sample(a, start)
-			settle()
-		})
-	}
-	for _, a := range secondaries {
-		a := a
-		a.stats.Writes++
-		// Write-through during resync keeps the arm converging; the
-		// block is logged first so a failed or raced-with-copy leg is
-		// re-copied, and cleared only when this write lands with no
-		// copy in flight underneath it.
-		m.markDirty(a, lbn, blocks)
-		gens := make([]uint64, blocks)
-		for i := 0; i < blocks; i++ {
-			gens[i] = a.dirty[lbn+int64(i)]
+			leg.issue(data, meta)
 		}
-		c := data.Clone()
-		c.SetOwner("storage.mirror")
-		a.ini.Write(lbn, c, meta, func(err error) {
-			if err != nil {
-				m.armError(a)
-				settle()
-				return
-			}
-			for i := 0; i < blocks; i++ {
-				b := lbn + int64(i)
-				if a.inflight[b] > 0 {
-					continue
-				}
-				if g, ok := a.dirty[b]; ok && g == gens[i] {
-					delete(a.dirty, b)
-				}
-			}
-			settle()
-		})
 	}
 	data.Release()
+	w.settle()
+}
+
+// mirrorWrite is the recycled record of one write through the mirror: the
+// range, the legs still to settle and what they reported, the caller's
+// completion, and one leg per arm, each with its completion bound once. The
+// record retires before the caller hears (poisoned and abandoned in netbuf
+// debug mode).
+type mirrorWrite struct {
+	m         *Mirror
+	dead      bool // retired in debug mode
+	lbn       int64
+	blocks    int
+	remaining int
+	successes int
+	firstErr  error
+	done      func(error)
+	legs      []mirrorLeg
+}
+
+// legRole is what one arm does in a write.
+type legRole uint8
+
+const (
+	// legNone: the arm is out; the range joins its dirty-region log.
+	legNone legRole = iota
+	// legPrimary: a closed arm, whose success makes the write durable.
+	legPrimary
+	// legSecondary: a resyncing arm, written through to keep converging.
+	legSecondary
+)
+
+// mirrorLeg is one arm's share of a write: its role, when it started (a
+// primary's latency feeds the estimate), and the dirty generations a
+// secondary leg may clear when it lands (a slice whose capacity the leg
+// keeps).
+type mirrorLeg struct {
+	w         *mirrorWrite
+	a         *arm
+	role      legRole
+	start     sim.Time
+	gens      []uint64
+	onWritten func(error)
+}
+
+// issue sends the leg's clone of data to its arm.
+func (l *mirrorLeg) issue(data *netbuf.Chain, meta bool) {
+	l.a.stats.Writes++
+	l.start = l.w.m.node.Eng.Now()
+	c := data.Clone()
+	c.SetOwner("storage.mirror")
+	l.a.ini.Write(l.w.lbn, c, meta, l.onWritten)
+}
+
+// written settles one leg.
+func (l *mirrorLeg) written(err error) {
+	w, a := l.w, l.a
+	m := w.m
+	switch {
+	case l.role == legPrimary && err != nil:
+		if w.firstErr == nil {
+			w.firstErr = err
+		}
+		// The acked bytes now live on fewer arms than configured: log
+		// the range so recovery re-replicates it, then trip the breaker
+		// accounting.
+		m.markDirty(a, w.lbn, w.blocks)
+		m.armError(a)
+	case l.role == legPrimary:
+		a.consecErrs = 0
+		w.successes++
+		m.sample(a, l.start)
+	case err != nil:
+		m.armError(a)
+	default:
+		for i, g := range l.gens {
+			b := w.lbn + int64(i)
+			if a.inflight[b] > 0 {
+				continue
+			}
+			if d, ok := a.dirty[b]; ok && d == g {
+				delete(a.dirty, b)
+			}
+		}
+	}
+	w.settle()
+}
+
+// settle counts one leg (or the issuing guard) in; after the last the write
+// completes: success if any closed arm took it.
+func (w *mirrorWrite) settle() {
+	w.remaining--
+	if w.remaining > 0 {
+		return
+	}
+	err := w.firstErr
+	if w.successes > 0 {
+		err = nil
+	} else if err == nil {
+		err = ErrNoArms
+	}
+	done := w.done
+	w.retire()
+	done(err)
+}
+
+// retire hands the record back to its mirror.
+func (w *mirrorWrite) retire() {
+	if w.dead {
+		panic("storage: mirror write retired twice")
+	}
+	m := w.m
+	*w = mirrorWrite{m: m, legs: w.legs}
+	w.dead = !m.writes.Put(w)
 }
 
 // Stats implements Volume.

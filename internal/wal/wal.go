@@ -79,21 +79,26 @@ type Log struct {
 	cfg Config
 	wb  *metrics.Writeback
 
-	nextSeq     uint64
+	nextSeq uint64
+	// staged and inflight are the two groups, double-buffered: a commit
+	// swaps them, so neither slice regrows once both have seen a full
+	// group. One commit is in flight at a time; commit is its event.
 	staged      []*Record
 	stagedFns   []func()
 	stagedBytes int
 	inflight    []*Record
 	inflightFns []func()
-	durable     []*Record
+	commit      sim.EventID
+	// durable[dhead:] are the committed records replay must apply.
+	durable []*Record
+	dhead   int
 	// free holds the pooled records Truncate retired.
 	free []*Record
 
 	timerSet bool
 	timer    sim.EventID
-	// gen discards the completion of a commit that was in flight when the
-	// node crashed: the group never became durable.
-	gen uint64
+	// onTimer and onCommit are timerFire and committed, bound once.
+	onTimer, onCommit func()
 }
 
 // New creates a log; wb (may be nil) receives depth/commit accounting.
@@ -101,15 +106,17 @@ func New(eng *sim.Engine, cfg Config, wb *metrics.Writeback) *Log {
 	if wb == nil {
 		wb = &metrics.Writeback{}
 	}
-	return &Log{eng: eng, cfg: cfg.withDefaults(), wb: wb}
+	l := &Log{eng: eng, cfg: cfg.withDefaults(), wb: wb}
+	l.onTimer, l.onCommit = l.timerFire, l.committed
+	return l
 }
 
 // Depth returns journaled-but-unretired records (staged, committing and
 // durable).
-func (l *Log) Depth() int { return len(l.staged) + len(l.inflight) + len(l.durable) }
+func (l *Log) Depth() int { return len(l.staged) + len(l.inflight) + len(l.durable) - l.dhead }
 
 // DurableRecords returns the records replay must apply, in sequence order.
-func (l *Log) DurableRecords() []*Record { return l.durable }
+func (l *Log) DurableRecords() []*Record { return l.durable[l.dhead:] }
 
 // NewRecord returns a record whose Data is n bytes long, for the caller to
 // fill (every field, and all of Data: a recycled record's payload is stale)
@@ -146,7 +153,7 @@ func (l *Log) Append(r *Record, committed func()) uint64 {
 	}
 	if !l.timerSet && len(l.inflight) == 0 {
 		l.timerSet = true
-		l.timer = l.eng.Schedule(l.cfg.CommitInterval, l.timerFire)
+		l.timer = l.eng.Schedule(l.cfg.CommitInterval, l.onTimer)
 	}
 	return r.Seq
 }
@@ -166,32 +173,38 @@ func (l *Log) commitNow() {
 		l.eng.Cancel(l.timer)
 		l.timerSet = false
 	}
-	l.inflight, l.inflightFns = l.staged, l.stagedFns
-	l.staged, l.stagedFns, l.stagedBytes = nil, nil, 0
-	gen := l.gen
-	l.eng.Schedule(l.cfg.CommitLatency, func() {
-		if l.gen != gen {
-			return // crashed mid-commit: the group was lost with the node
+	l.inflight, l.staged = l.staged, l.inflight[:0]
+	l.inflightFns, l.stagedFns = l.stagedFns, l.inflightFns[:0]
+	l.stagedBytes = 0
+	l.commit = l.eng.Schedule(l.cfg.CommitLatency, l.onCommit)
+}
+
+// committed lands the in-flight group: its records turn durable and their
+// callbacks fire in append order.
+func (l *Log) committed() {
+	batch, fns := l.inflight, l.inflightFns
+	// No commit is in flight while the acks run: one that stages a full
+	// group starts its commit at once, on buffers of its own.
+	l.inflight, l.inflightFns = nil, nil
+	l.durable = append(l.durable, batch...)
+	l.wb.ObserveCommit(len(batch))
+	for _, fn := range fns {
+		if fn != nil {
+			fn()
 		}
-		batch, fns := l.inflight, l.inflightFns
-		l.inflight, l.inflightFns = nil, nil
-		l.durable = append(l.durable, batch...)
-		l.wb.ObserveCommit(len(batch))
-		for _, fn := range fns {
-			if fn != nil {
-				fn()
-			}
-		}
-		// Acks may have staged more writes synchronously; keep the pipe
-		// moving without waiting out a fresh timer when a full group (or
-		// a timer armed before this commit started) is already due.
-		if l.stagedBytes >= l.cfg.CommitBytes {
-			l.commitNow()
-		} else if len(l.staged) > 0 && !l.timerSet {
-			l.timerSet = true
-			l.timer = l.eng.Schedule(l.cfg.CommitInterval, l.timerFire)
-		}
-	})
+	}
+	if l.inflight == nil {
+		l.inflight, l.inflightFns = batch[:0], fns[:0]
+	}
+	// Acks may have staged more writes synchronously; keep the pipe
+	// moving without waiting out a fresh timer when a full group (or
+	// a timer armed before this commit started) is already due.
+	if l.stagedBytes >= l.cfg.CommitBytes {
+		l.commitNow()
+	} else if len(l.staged) > 0 && !l.timerSet {
+		l.timerSet = true
+		l.timer = l.eng.Schedule(l.cfg.CommitInterval, l.onTimer)
+	}
 }
 
 // Truncate retires the longest durable prefix whose device blocks have all
@@ -200,7 +213,7 @@ func (l *Log) commitNow() {
 func (l *Log) Truncate(stillDirty func(lbn int64) bool) int {
 	n := 0
 scan:
-	for _, r := range l.durable {
+	for _, r := range l.durable[l.dhead:] {
 		for _, lbn := range r.LBNs {
 			if stillDirty(lbn) {
 				break scan
@@ -212,14 +225,23 @@ scan:
 		return 0
 	}
 	bytes := 0
-	for _, r := range l.durable[:n] {
+	retired := l.durable[l.dhead : l.dhead+n]
+	for _, r := range retired {
 		bytes += len(r.Data)
 		if r.pooled && netbuf.Recycle(r.Data) {
 			*r = Record{Data: r.Data, LBNs: r.LBNs[:0], pooled: true}
 			l.free = append(l.free, r)
 		}
 	}
-	l.durable = l.durable[n:]
+	clear(retired)
+	l.dhead += n
+	// Reclaim the retired prefix once it outweighs what is still durable,
+	// so appends reuse the array instead of growing a new one.
+	if l.dhead > len(l.durable)/2 {
+		k := copy(l.durable, l.durable[l.dhead:])
+		clear(l.durable[k:])
+		l.durable, l.dhead = l.durable[:k], 0
+	}
 	l.wb.WALTruncates += uint64(n)
 	l.wb.AddWALDepth(int64(-n), int64(-bytes))
 	return n
@@ -227,13 +249,15 @@ scan:
 
 // Crash models the node dying: staged and in-flight-commit records are
 // lost (their committed callbacks never fire — the acks they gate were
-// never sent), the commit timer dies with the node, and durable records
-// survive for replay.
+// never sent), the commit timer and the commit in flight die with the node,
+// and durable records survive for replay.
 func (l *Log) Crash() {
-	l.gen++
 	if l.timerSet {
 		l.eng.Cancel(l.timer)
 		l.timerSet = false
+	}
+	if len(l.inflight) > 0 {
+		l.eng.Cancel(l.commit)
 	}
 	lost := len(l.staged) + len(l.inflight)
 	bytes := 0
@@ -243,8 +267,8 @@ func (l *Log) Crash() {
 	for _, r := range l.inflight {
 		bytes += len(r.Data)
 	}
-	l.staged, l.stagedFns, l.stagedBytes = nil, nil, 0
-	l.inflight, l.inflightFns = nil, nil
+	l.staged, l.stagedFns, l.stagedBytes = l.staged[:0], l.stagedFns[:0], 0
+	l.inflight, l.inflightFns = l.inflight[:0], l.inflightFns[:0]
 	if lost > 0 {
 		l.wb.AddWALDepth(int64(-lost), int64(-bytes))
 	}

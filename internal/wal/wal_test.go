@@ -224,3 +224,64 @@ func TestDebugModePoisonsRetiredPayloads(t *testing.T) {
 		t.Fatalf("retired payload not poisoned: free %d, data %#x..%#x", len(l.free), r.Data[0], r.Data[4095])
 	}
 }
+
+// TestLogCycleZeroAllocs: once primed, a journaled write's whole life in the
+// log — NewRecord, Append, the group commit's timer and device write, the
+// ack, Truncate — allocates nothing: the staging and in-flight groups swap
+// buffers, the timer and commit completions are bound once, the durable
+// queue reuses its array and the record comes back through the free list.
+func TestLogCycleZeroAllocs(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, _, l := rig()
+	acks := 0
+	ack := func() { acks++ }
+	clean := func(int64) bool { return false }
+	cycle := func() {
+		for i := int64(0); i < 4; i++ {
+			r := l.NewRecord(4096)
+			r.Ino, r.Off, r.LBNs = 2, uint64(i)*4096, append(r.LBNs[:0], i)
+			l.Append(r, ack)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := l.Truncate(clean); n != 4 {
+			t.Fatalf("truncated %d records, want 4", n)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("append, commit and truncate of a 4-record group allocates %.1f objects, want 0", avg)
+	}
+	if acks != 4*(4+101) {
+		t.Fatalf("acks = %d, want %d", acks, 4*(4+101))
+	}
+}
+
+// TestCrashCancelsCommitInFlight: the device write of a group lost at a crash
+// never lands, not even on the group a restarted log commits next — that one
+// is acknowledged one full CommitLatency after its own commit began.
+func TestCrashCancelsCommitInFlight(t *testing.T) {
+	eng := sim.NewEngine()
+	l := New(eng, Config{CommitBytes: 4096, CommitLatency: 100 * sim.Microsecond}, nil)
+	lost, acked := false, false
+	l.Append(rec(0, 1), func() { lost = true }) // a full group: commits now
+	eng.RunFor(50 * sim.Microsecond)
+	l.Crash()
+	l.Append(rec(1, 2), func() { acked = true }) // commits at 50 µs
+	eng.RunFor(60 * sim.Microsecond)
+	if lost || acked {
+		t.Fatalf("at 110 µs: lost group acked %v, new group acked %v; want neither", lost, acked)
+	}
+	eng.RunFor(50 * sim.Microsecond)
+	if lost || !acked {
+		t.Fatalf("at 160 µs: lost group acked %v, new group acked %v; want only the new one", lost, acked)
+	}
+	if got := l.DurableRecords(); len(got) != 1 || got[0].Seq != 2 {
+		t.Fatalf("durable = %d records, want the new group's one", len(got))
+	}
+}
