@@ -23,7 +23,7 @@ import (
 )
 
 // Lower is the block store beneath the cache. It is the data-path subset
-// of storage.Volume, so any volume (single-arm, mirrored, sharded)
+// of storage.Volume, so any volume (a target's mirror, sharded targets)
 // plugs in directly.
 type Lower interface {
 	BlockSize() int

@@ -338,10 +338,11 @@ func TestFlusherRequeuesBlockFailedByEviction(t *testing.T) {
 	wantIdle(t, eng, c)
 }
 
-// A dirty victim whose flush fails on the spot — a mirror with no arm left
-// answers ErrNoArms inline — is written once per eviction pass, not retried
-// from its own completion until the stack runs out: it stays dirty, back in
-// the flusher's FIFO, and the next tick writes it again.
+// A dirty victim whose flush fails on the spot — an initiator with no
+// session answers ErrNotConnected inline, and a mirror passes it up — is
+// written once per eviction pass, not retried from its own completion until
+// the stack runs out: it stays dirty, back in the flusher's FIFO, and the
+// next tick writes it again.
 func TestEvictionFlushFailingInlineIsNotRetriedInline(t *testing.T) {
 	eng, lower, c := rigFlusher(t, 2, 0)
 	fail := true

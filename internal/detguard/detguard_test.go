@@ -191,13 +191,17 @@ func declaresAPI(path, file string) bool {
 }
 
 // ncmarkFiles parses benchmarks/ncmark, a module of its own that this one
-// cannot type-check: the censuses match what it uses by name.
-func ncmarkFiles(t *testing.T, root string) []*ast.File {
+// cannot type-check: the censuses match what it uses by name. tests keeps
+// its _test.go files.
+func ncmarkFiles(t *testing.T, root string, tests bool) []*ast.File {
 	t.Helper()
 	names, _ := filepath.Glob(filepath.Join(root, "benchmarks", "ncmark", "*.go"))
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, full := range names {
+		if !tests && strings.HasSuffix(full, "_test.go") {
+			continue
+		}
 		f, err := parser.ParseFile(fset, full, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatalf("parse %s: %v", full, err)

@@ -205,7 +205,7 @@ func TestNoUncalledExports(t *testing.T) {
 	}
 
 	ncmark := map[string]bool{}
-	for _, f := range ncmarkFiles(t, root) {
+	for _, f := range ncmarkFiles(t, root, true) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if se, ok := n.(*ast.SelectorExpr); ok {
 				ncmark[se.Sel.Name] = true

@@ -54,23 +54,23 @@ func fieldOwner(sel *types.Selection) *types.Named {
 
 // TestEveryKnobIsTurned is the option census: for every exported field of a
 // struct declared in non-test code under internal/ whose name ends in Config
-// or is Options, some Go file other than the declaring one — a command, an
-// experiment, an example, the benchmark or a test — must set it, as a keyed
-// composite-literal element or as the target of an assignment. A field that
-// only its own file's defaults ever write has one value in use and should be
-// the constant it is.
+// or is Options, some non-test Go file other than the declaring one — a
+// command, an experiment, an example or the benchmark — must set it, as a
+// keyed composite-literal element or as the target of an assignment. A field
+// that only its own file's defaults and tests ever write has one value in
+// use and should be the constant it is; a test then pins that constant.
 //
-// Fields are resolved through the type checker, so wal.Config.CommitInterval
-// does not vouch for a CommitInterval elsewhere. benchmarks/ncmark is a
-// module of its own that this one cannot type-check; there a keyed literal
-// of a type with the same name counts.
+// Fields are resolved through the type checker, so a field does not vouch
+// for a same-named field of another struct. benchmarks/ncmark is a module of
+// its own that this one cannot type-check; there a keyed literal of a type
+// with the same name counts.
 func TestEveryKnobIsTurned(t *testing.T) {
 	root, pkgs, imp := checkModule(t)
 
 	declared := map[knob]string{}          // knob -> declaring file
 	turnedIn := map[knob]map[string]bool{} // knob -> files that set it
 	turn := func(n *types.Named, field, file string) {
-		if n == nil || !isKnobStruct(n.Obj().Name()) {
+		if n == nil || !isKnobStruct(n.Obj().Name()) || strings.HasSuffix(file, "_test.go") {
 			return
 		}
 		k := knob{n.Obj().Pkg().Path(), n.Obj().Name(), field}
@@ -124,7 +124,7 @@ func TestEveryKnobIsTurned(t *testing.T) {
 
 	// benchmarks/ncmark: keyed literals of pkg.Type, by type and field name.
 	ncmark := map[[2]string]bool{}
-	for _, f := range ncmarkFiles(t, root) {
+	for _, f := range ncmarkFiles(t, root, false) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			lit, ok := n.(*ast.CompositeLit)
 			if !ok {
@@ -161,10 +161,11 @@ func TestEveryKnobIsTurned(t *testing.T) {
 	}
 	sort.Strings(unturned)
 	if len(unturned) > 0 {
-		t.Errorf("configuration fields nothing outside their declaring file sets — no command, "+
-			"experiment, example, benchmark or test. ROADMAP aim 3: \"One way to do each thing … "+
-			"A mode, flag or knob survives only if an experiment or a test needs it.\" Make each a "+
-			"constant in the package that owns the mechanism, or add the test that turns it:\n  %s",
+		t.Errorf("configuration fields that no non-test file besides their declaring one sets: "+
+			"a knob survives only if a command, experiment, example or the benchmark turns it "+
+			"(ROADMAP aim 3: one way to do each thing), and a test turning it does not count. "+
+			"Make each a constant in the package that owns the mechanism, and point its tests "+
+			"at the constant:\n  %s",
 			strings.Join(unturned, "\n  "))
 	}
 }

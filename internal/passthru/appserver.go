@@ -45,10 +45,10 @@ type AppServer struct {
 	// mirror arms in order — for fault wiring and stats.
 	Initiator  *iscsi.Initiator
 	Initiators []*iscsi.Initiator
-	// Volume is the storage lower tier: per-target single-arm or mirror
-	// volumes under the mode's interception, sharded by the TargetMap when
-	// the backend has several targets. Everything above (buffer cache, WAL
-	// replay) writes here.
+	// Volume is the storage lower tier: one mirror per target, over its
+	// one or more arms, under the mode's interception, sharded by the
+	// TargetMap when the backend has several targets. Everything above
+	// (buffer cache, WAL replay) writes here.
 	Volume storage.Volume
 	Cache  *buffercache.Cache
 	FS     *extfs.FS
@@ -109,8 +109,8 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index 
 		})
 	}
 
-	// One session per (target, arm), and one volume per target: the single
-	// session, or a mirror over the target's arms.
+	// One session per (target, arm), and one volume per target: a mirror
+	// over the target's arms, one or more.
 	vols := make([]storage.Volume, cfg.NumTargets)
 	for t := range vols {
 		names := make([]string, cfg.Arms)
@@ -121,11 +121,9 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index 
 			s.connectAddrs = append(s.connectAddrs, StorageAddrOf(t, a, cfg.NumTargets))
 			names[a], arms[a] = fmt.Sprintf("t%dm%d", t, a), ini
 		}
-		var vol storage.Volume = storage.NewSingleArm(fmt.Sprintf("t%d", t), arms[0])
-		if cfg.Arms > 1 {
-			if vol, err = storage.NewMirror(node, names, arms, storage.MirrorConfig{Policy: armPolicy}); err != nil {
-				return nil, err
-			}
+		vol, err := storage.NewMirror(node, names, arms, armPolicy)
+		if err != nil {
+			return nil, err
 		}
 		vols[t] = s.intercept(vol)
 	}

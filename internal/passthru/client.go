@@ -251,7 +251,7 @@ type ClusterConfig struct {
 	// (default 1 = no replication). Each extra arm is its own storage
 	// node; writes fan out to all healthy arms, reads pick one by
 	// ArmPolicy, and a per-arm circuit breaker ejects and resyncs failed
-	// arms while the cluster keeps serving.
+	// arms while another arm keeps serving.
 	Arms int
 	// ArmPolicy is the mirror read-selection policy: "primary-first"
 	// (default), "round-robin" or "least-latency".

@@ -26,9 +26,9 @@ func (d *shardedDirect) PokeBlock(lbn int64, data []byte) {
 	d.arrays[d.tm.TargetOf(lbn)].PokeBlock(lbn, data)
 }
 
-// mirroredDirect is one mirrored target's zero-time setup device: peeks
-// come from the primary arm, pokes land on every arm so the replicas start
-// (and stay, under setup writes) identical.
+// mirroredDirect is one target's zero-time setup device: peeks come from
+// the primary arm, pokes land on every arm so the replicas start (and stay,
+// under setup writes) identical.
 type mirroredDirect struct {
 	arms []*StorageServer
 }
@@ -43,17 +43,12 @@ func (d *mirroredDirect) PokeBlock(lbn int64, data []byte) {
 	}
 }
 
-// DirectAccess returns the cluster's zero-time setup device: the single
-// array on the classic testbed, mirrored-arm fan-out on a replicated
-// target, the placement-routed shard set on a scale-out cluster.
+// DirectAccess returns the cluster's zero-time setup device: the target's
+// arm fan-out, routed by placement on a scale-out cluster.
 func (c *Cluster) DirectAccess() blockdev.DirectAccess {
 	perTarget := make([]blockdev.DirectAccess, len(c.StorageArms))
 	for t, arms := range c.StorageArms {
-		if len(arms) == 1 {
-			perTarget[t] = arms[0].Array
-		} else {
-			perTarget[t] = &mirroredDirect{arms: arms}
-		}
+		perTarget[t] = &mirroredDirect{arms: arms}
 	}
 	if len(perTarget) == 1 {
 		return perTarget[0]

@@ -55,10 +55,10 @@ func (p *parkedIni) land() {
 }
 
 // TestArmWriteReadZeroAllocs: once primed, a write and a read through a
-// single arm, and through a healthy two-arm mirror (one clone per leg,
-// primary-first reads), allocate nothing on the host — each command rides
-// a recycled record whose completion is bound once, and the mirror's read
-// order and write legs live in their records.
+// one-arm mirror and through a healthy two-arm mirror (one clone per leg,
+// primary-first reads) allocate nothing on the host — each command rides a
+// recycled record whose completion is bound once, and the read order and
+// write legs live in their records.
 func TestArmWriteReadZeroAllocs(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -68,11 +68,15 @@ func TestArmWriteReadZeroAllocs(t *testing.T) {
 	pool := netbuf.NewPool("arm", netbuf.DefaultHeadroom, netbuf.DefaultBufSize, 0)
 	single := newParkedIni(pool)
 	legs := []*parkedIni{newParkedIni(pool), newParkedIni(pool)}
-	m, err := NewMirror(node, []string{"a", "b"}, []Initiator{legs[0], legs[1]}, MirrorConfig{})
+	one, err := NewMirror(node, []string{"one"}, []Initiator{single}, PolicyPrimaryFirst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vols := []Volume{NewSingleArm("one", single), m}
+	m, err := NewMirror(node, []string{"a", "b"}, []Initiator{legs[0], legs[1]}, PolicyPrimaryFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vols := []Volume{one, m}
 	inis := []*parkedIni{single, legs[0], legs[1]}
 	settled := 0
 	wrote := func(err error) {
@@ -104,13 +108,16 @@ func TestArmWriteReadZeroAllocs(t *testing.T) {
 		step()
 	}
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {
-		t.Errorf("a write and a read on a single arm and on a mirror allocate %.1f objects, want 0", avg)
+		t.Errorf("a write and a read on a one-arm and on a two-arm mirror allocate %.1f objects, want 0", avg)
 	}
 	if want := 4 * (4 + 101); settled != want {
 		t.Fatalf("%d commands settled, want %d", settled, want)
 	}
+	if st := one.Stats()[0]; st.Writes != 4+101 || st.Reads != 4+101 {
+		t.Fatalf("one-arm mirror: %+v", st)
+	}
 	if m.Stats()[0].Writes != 4+101 || m.Stats()[1].Writes != 4+101 || m.Stats()[1].Reads != 0 {
-		t.Fatalf("mirror arms: %+v", m.Stats())
+		t.Fatalf("two-arm mirror: %+v", m.Stats())
 	}
 	pool.MustBeDrained()
 }

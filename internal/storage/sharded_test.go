@@ -7,6 +7,7 @@ import (
 
 	"ncache/internal/netbuf"
 	"ncache/internal/sim"
+	"ncache/internal/simnet"
 )
 
 // volWrite/volRead drive a Volume synchronously under the test engine.
@@ -55,7 +56,16 @@ func TestShardedRoutesBySplit(t *testing.T) {
 	inis := []*fakeIni{newFakeIni(eng, blocks, 10*sim.Microsecond), newFakeIni(eng, blocks, 10*sim.Microsecond)}
 	tm := NewTargetMap(2)
 	const cut = int64(DefaultRangeBlocks)
-	sh := NewSharded([]Volume{NewSingleArm("a", inis[0]), NewSingleArm("b", inis[1])}, tm)
+	node := simnet.NewNode(eng, "app", simnet.DefaultProfile())
+	members := make([]Volume, len(inis))
+	for i, ini := range inis {
+		m, err := NewMirror(node, []string{string(rune('a' + i))}, []Initiator{ini}, PolicyPrimaryFirst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[i] = m
+	}
+	sh := NewSharded(members, tm)
 	data := make([]byte, 8*512)
 	rand.New(rand.NewSource(4)).Read(data)
 	volWrite(t, eng, sh, cut-4, data) // 4 blocks on one member, 4 on the other

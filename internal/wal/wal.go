@@ -46,37 +46,27 @@ type Record struct {
 	pooled bool
 }
 
-// Config tunes the group-commit protocol.
-type Config struct {
-	// CommitInterval bounds how long a staged record waits for company
-	// (the timer arms on the first append of a group). Default 200 µs.
-	CommitInterval sim.Duration
-	// CommitBytes forces an early commit when the staged payload reaches
-	// this size. Default 256 KB.
-	CommitBytes int
-	// CommitLatency is the simulated log-device write time charged once
-	// per group. Default 20 µs.
-	CommitLatency sim.Duration
-}
+// The group-commit protocol's fixed calibration.
+const (
+	// commitInterval bounds how long a staged record waits for company
+	// (the timer arms on the first append of a group).
+	commitInterval = 200 * sim.Microsecond
+	// commitBytes forces an early commit when the staged payload reaches
+	// this size.
+	commitBytes = 256 << 10
+	// commitLatency is the simulated log-device write time charged once
+	// per group.
+	commitLatency = 20 * sim.Microsecond
+)
 
-func (c Config) withDefaults() Config {
-	if c.CommitInterval <= 0 {
-		c.CommitInterval = 200 * sim.Microsecond
-	}
-	if c.CommitBytes <= 0 {
-		c.CommitBytes = 256 << 10
-	}
-	if c.CommitLatency <= 0 {
-		c.CommitLatency = 20 * sim.Microsecond
-	}
-	return c
-}
+// Config is empty: group commit's calibration is the constants above. It
+// stays because benchmarks/ncmark passes it to New.
+type Config struct{}
 
 // Log is one server's write-ahead log. All scheduling runs on the owning
 // node's engine.
 type Log struct {
 	eng *sim.Engine
-	cfg Config
 	wb  *metrics.Writeback
 
 	nextSeq uint64
@@ -101,12 +91,13 @@ type Log struct {
 	onTimer, onCommit func()
 }
 
-// New creates a log; wb (may be nil) receives depth/commit accounting.
-func New(eng *sim.Engine, cfg Config, wb *metrics.Writeback) *Log {
+// New creates a log; wb (may be nil) receives depth/commit accounting. The
+// Config is ignored (see Config).
+func New(eng *sim.Engine, _ Config, wb *metrics.Writeback) *Log {
 	if wb == nil {
 		wb = &metrics.Writeback{}
 	}
-	l := &Log{eng: eng, cfg: cfg.withDefaults(), wb: wb}
+	l := &Log{eng: eng, wb: wb}
 	l.onTimer, l.onCommit = l.timerFire, l.committed
 	return l
 }
@@ -147,13 +138,13 @@ func (l *Log) Append(r *Record, committed func()) uint64 {
 	l.stagedFns = append(l.stagedFns, committed)
 	l.stagedBytes += len(r.Data)
 	l.wb.AddWALDepth(1, int64(len(r.Data)))
-	if l.stagedBytes >= l.cfg.CommitBytes {
+	if l.stagedBytes >= commitBytes {
 		l.commitNow()
 		return r.Seq
 	}
 	if !l.timerSet && len(l.inflight) == 0 {
 		l.timerSet = true
-		l.timer = l.eng.Schedule(l.cfg.CommitInterval, l.onTimer)
+		l.timer = l.eng.Schedule(commitInterval, l.onTimer)
 	}
 	return r.Seq
 }
@@ -176,7 +167,7 @@ func (l *Log) commitNow() {
 	l.inflight, l.staged = l.staged, l.inflight[:0]
 	l.inflightFns, l.stagedFns = l.stagedFns, l.inflightFns[:0]
 	l.stagedBytes = 0
-	l.commit = l.eng.Schedule(l.cfg.CommitLatency, l.onCommit)
+	l.commit = l.eng.Schedule(commitLatency, l.onCommit)
 }
 
 // committed lands the in-flight group: its records turn durable and their
@@ -199,11 +190,11 @@ func (l *Log) committed() {
 	// Acks may have staged more writes synchronously; keep the pipe
 	// moving without waiting out a fresh timer when a full group (or
 	// a timer armed before this commit started) is already due.
-	if l.stagedBytes >= l.cfg.CommitBytes {
+	if l.stagedBytes >= commitBytes {
 		l.commitNow()
 	} else if len(l.staged) > 0 && !l.timerSet {
 		l.timerSet = true
-		l.timer = l.eng.Schedule(l.cfg.CommitInterval, l.onTimer)
+		l.timer = l.eng.Schedule(commitInterval, l.onTimer)
 	}
 }
 

@@ -56,22 +56,26 @@ func TestGroupCommitTimer(t *testing.T) {
 	}
 }
 
-// TestCommitBytesThreshold: a group reaching CommitBytes commits without
-// waiting out the interval, and is acknowledged one CommitLatency — the log
+// TestCommitBytesThreshold: a group reaching commitBytes commits without
+// waiting out the interval, and is acknowledged one commitLatency — the log
 // device's write — later, not before.
 func TestCommitBytesThreshold(t *testing.T) {
-	eng := sim.NewEngine()
-	l := New(eng, Config{CommitInterval: sim.Second, CommitBytes: 2 * 4096, CommitLatency: 300 * sim.Microsecond}, nil)
+	if commitLatency >= commitInterval {
+		t.Fatal("the size threshold is indistinguishable from the timer: commitLatency >= commitInterval")
+	}
+	eng, _, l := rig()
+	const records = commitBytes / 4096
 	committed := 0
-	l.Append(rec(0, 1), func() { committed++ })
-	l.Append(rec(1, 2), func() { committed++ })
-	eng.RunFor(299 * sim.Microsecond)
+	for i := int64(0); i < records; i++ {
+		l.Append(rec(i, 1), func() { committed++ })
+	}
+	eng.RunFor(commitLatency - 1)
 	if committed != 0 {
 		t.Fatalf("committed = %d before the log write could land, want 0", committed)
 	}
-	eng.RunFor(sim.Millisecond)
-	if committed != 2 {
-		t.Fatalf("committed = %d before a 1 s timer could fire, want 2 (size threshold)", committed)
+	eng.RunFor(1)
+	if committed != records {
+		t.Fatalf("committed = %d before the %v timer could fire, want %d (size threshold)", committed, commitInterval, records)
 	}
 }
 
@@ -124,7 +128,7 @@ func TestCrashLosesOnlyUncommitted(t *testing.T) {
 	lateAcked := false
 	l.Append(rec(1, 2), func() { lateAcked = true })
 	// Force its group in flight, then crash mid-device-write.
-	eng.RunFor(l.cfg.CommitInterval + l.cfg.CommitLatency/2)
+	eng.RunFor(commitInterval + commitLatency/2)
 	l.Crash()
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -153,7 +157,7 @@ func TestPipelinedGroups(t *testing.T) {
 	ack := func(seq uint64) func() { return func() { order = append(order, seq) } }
 	s1 := l.Append(rec(0, 1), ack(1))
 	// Let the first group's commit start, then append into its shadow.
-	eng.RunFor(l.cfg.CommitInterval + l.cfg.CommitLatency/2)
+	eng.RunFor(commitInterval + commitLatency/2)
 	s2 := l.Append(rec(1, 2), ack(2))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -264,22 +268,24 @@ func TestLogCycleZeroAllocs(t *testing.T) {
 
 // TestCrashCancelsCommitInFlight: the device write of a group lost at a crash
 // never lands, not even on the group a restarted log commits next — that one
-// is acknowledged one full CommitLatency after its own commit began.
+// is acknowledged one full commitLatency after its own commit began.
 func TestCrashCancelsCommitInFlight(t *testing.T) {
-	eng := sim.NewEngine()
-	l := New(eng, Config{CommitBytes: 4096, CommitLatency: 100 * sim.Microsecond}, nil)
-	lost, acked := false, false
-	l.Append(rec(0, 1), func() { lost = true }) // a full group: commits now
-	eng.RunFor(50 * sim.Microsecond)
-	l.Crash()
-	l.Append(rec(1, 2), func() { acked = true }) // commits at 50 µs
-	eng.RunFor(60 * sim.Microsecond)
-	if lost || acked {
-		t.Fatalf("at 110 µs: lost group acked %v, new group acked %v; want neither", lost, acked)
+	eng, _, l := rig()
+	full := func(lbn int64) *Record { // a full group: commits at once
+		return &Record{Ino: 2, LBNs: []int64{lbn}, Data: make([]byte, commitBytes)}
 	}
-	eng.RunFor(50 * sim.Microsecond)
+	lost, acked := false, false
+	l.Append(full(0), func() { lost = true })
+	eng.RunFor(commitLatency / 2)
+	l.Crash()
+	l.Append(full(1), func() { acked = true })
+	eng.RunFor(commitLatency * 3 / 4) // past the lost group's landing
+	if lost || acked {
+		t.Fatalf("at 1.25 commit latencies: lost group acked %v, new group acked %v; want neither", lost, acked)
+	}
+	eng.RunFor(commitLatency / 2)
 	if lost || !acked {
-		t.Fatalf("at 160 µs: lost group acked %v, new group acked %v; want only the new one", lost, acked)
+		t.Fatalf("at 1.75 commit latencies: lost group acked %v, new group acked %v; want only the new one", lost, acked)
 	}
 	if got := l.DurableRecords(); len(got) != 1 || got[0].Seq != 2 {
 		t.Fatalf("durable = %d records, want the new group's one", len(got))
