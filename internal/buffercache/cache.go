@@ -40,13 +40,14 @@ type Block struct {
 	Data []byte
 	// Logical marks a key-carrying junk block (see package lkey).
 	Logical bool
-	// Dirty marks unflushed modifications.
+	// Dirty marks modifications not yet on the lower store.
 	Dirty bool
 	// Meta marks file-system metadata blocks.
 	Meta bool
 
 	pins     int
 	flushing bool
+	stamp    uint64 // the cache's seq at the latest modification
 	// pending parks the callers waiting for an in-flight fill.
 	pending []waiter
 	loaded  bool
@@ -97,6 +98,7 @@ type Cache struct {
 	// gen is bumped by Reset (crash) so completions of I/O issued against
 	// a previous incarnation are discarded instead of mutating fresh state.
 	gen uint64
+	seq uint64 // counts modifications (MarkDirty); survives Reset
 	// onFlush fires after every successful write-back batch (WAL
 	// truncation hook).
 	onFlush func()
@@ -585,9 +587,12 @@ func (c *Cache) GetForWrite(lbn int64, meta bool, done func(*Block, error)) {
 	done(b, nil)
 }
 
-// MarkDirty records a modification to a pinned block. The 0→dirty
-// transition feeds the dirty gauge and arms the background flusher.
+// MarkDirty records a modification to a pinned block and stamps it (see
+// flush.written). The 0→dirty transition feeds the dirty gauge and arms the
+// background flusher.
 func (c *Cache) MarkDirty(b *Block) {
+	c.seq++
+	b.stamp = c.seq
 	if !b.Dirty {
 		b.Dirty = true
 		c.noteDirty()

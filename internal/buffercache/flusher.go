@@ -316,7 +316,8 @@ func (s *syncCall) landed(err error) {
 
 // flush is the recycled record of one write-back batch: the adjacent run of
 // dirty blocks it writes (whose capacity the record keeps), the cache
-// incarnation it was issued under, and done — the issuer's continuation:
+// incarnation it was issued under, the cache's seq at issue (mark), and
+// done — the issuer's continuation:
 // the flusher's, an eviction's or a Sync's. written is bound once; the
 // record retires before done runs (poisoned and abandoned in netbuf debug
 // mode). A batch whose completion finds the cache reset retires without
@@ -325,7 +326,7 @@ type flush struct {
 	c         *Cache
 	dead      bool // retired in debug mode
 	blocks    []*Block
-	gen       uint64
+	gen, mark uint64
 	done      func(error)
 	onWritten func(error)
 }
@@ -385,11 +386,13 @@ func (c *Cache) flushBatch(f *flush) {
 	c.node.Charge(cost, nil)
 	c.wb.FlushBatches++
 	c.wb.FlushBlocks += uint64(len(batch))
-	f.gen = c.gen
+	f.gen, f.mark = c.gen, c.seq
 	c.lower.WriteAt(batch[0].LBN, chain, batch[0].Meta, f.onWritten)
 }
 
-// written settles the batch's blocks once the lower write completes.
+// written settles the batch's blocks once the lower write completes: a block
+// turns clean only if the write landed and the block is unchanged since the
+// batch was issued (stamp ≤ mark).
 func (f *flush) written(err error) {
 	c, done := f.c, f.done
 	if c.gen != f.gen {
@@ -402,22 +405,21 @@ func (f *flush) written(err error) {
 	}
 	for _, b := range f.blocks {
 		b.flushing = false
-		if b.Dirty {
-			c.nFlushing-- // a block dropped in flight left the gauge in drop
+		if !b.Dirty {
+			continue // dropped in flight: drop settled the gauges
 		}
-		if err != nil {
+		c.nFlushing--
+		if err != nil || b.stamp > f.mark {
 			// Stays dirty and gets back in line — the one place a block
 			// still dirty after its batch rejoins the FIFO, whoever
 			// issued the batch (flusher, Sync or eviction).
-			if b.Dirty && c.fl != nil {
+			if c.fl != nil {
 				c.fl.queue = append(c.fl.queue, b.LBN)
 			}
 			continue
 		}
-		if b.Dirty {
-			b.Dirty = false
-			c.noteClean()
-		}
+		b.Dirty = false
+		c.noteClean()
 		// A flushed logical block now has a known storage location:
 		// extend its key with the LBN identity (the fs-cache half of
 		// the paper's FHO→LBN remapping).

@@ -1,6 +1,7 @@
 package buffercache
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,16 +13,20 @@ import (
 
 // parkedLower records every write and parks its completion until the test
 // lands it, so a test decides how many batches are in flight and how each
-// one ends. onWrite, when set, sees a write before it is parked.
+// one ends; platter holds the bytes of the writes that landed. onWrite, when
+// set, sees a write before it is parked.
 type parkedLower struct {
 	bs      int
 	writes  []fakeReq
 	parked  []parkedWrite
+	platter map[int64][]byte
 	onWrite func()
 }
 
 type parkedWrite struct {
+	lbn   int64
 	count int
+	data  []byte
 	done  func(error)
 }
 
@@ -33,18 +38,24 @@ func (p *parkedLower) ReadAt(int64, int, bool, func(*netbuf.Chain, error)) {
 
 func (p *parkedLower) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
 	count := data.Len() / p.bs
+	flat := data.Flatten()
 	data.Release()
 	if p.onWrite != nil {
 		p.onWrite()
 	}
 	p.writes = append(p.writes, fakeReq{lbn: lbn, count: count, meta: meta})
-	p.parked = append(p.parked, parkedWrite{count: count, done: done})
+	p.parked = append(p.parked, parkedWrite{lbn: lbn, count: count, data: flat, done: done})
 }
 
 // land completes the oldest parked write with err.
 func (p *parkedLower) land(err error) {
 	w := p.parked[0]
 	p.parked = p.parked[1:]
+	if err == nil && p.platter != nil {
+		for i := 0; i < w.count; i++ {
+			p.platter[w.lbn+int64(i)] = w.data[i*p.bs : (i+1)*p.bs]
+		}
+	}
 	w.done(err)
 }
 
@@ -81,7 +92,7 @@ func (p *parkedLower) runs() string {
 func rigFlusher(t *testing.T, capacity, highWater int) (*sim.Engine, *parkedLower, *Cache) {
 	t.Helper()
 	eng := sim.NewEngine()
-	lower := &parkedLower{bs: 4096}
+	lower := &parkedLower{bs: 4096, platter: map[int64][]byte{}}
 	c := New(simnet.NewNode(eng, "app", simnet.DefaultProfile()), lower, capacity)
 	c.EnableFlusher(highWater)
 	return eng, lower, c
@@ -283,6 +294,40 @@ func TestFlusherRetriesFailedBatch(t *testing.T) {
 	}
 	lower.land(nil)
 	wantIdle(t, eng, c)
+}
+
+// A block rewritten while its batch is in flight stays dirty when the batch
+// lands — the new bytes are not on the lower store — and goes back in line:
+// the drain leaves the newest version on the lower store.
+func TestFlusherRewriteInFlightIsWrittenAgain(t *testing.T) {
+	eng, lower, c := rigFlusher(t, 0, 0)
+	write := func(v byte) {
+		c.GetForWrite(9, false, func(b *Block, err error) {
+			if err != nil {
+				t.Fatalf("GetForWrite: %v", err)
+			}
+			for i := range b.Data {
+				b.Data[i] = v
+			}
+			c.MarkDirty(b)
+			c.Unpin(b)
+		})
+	}
+	write(1)
+	runFor(t, eng, flushInterval) // version 1 goes down
+	write(2)
+	lower.land(nil)
+	if !c.IsDirty(9) {
+		t.Fatal("the landing of version 1 cleaned the block holding version 2")
+	}
+	lower.landAll()
+	wantIdle(t, eng, c)
+	if got := lower.runs(); got != "9+1 9+1" {
+		t.Fatalf("writes = %s, want 9+1 twice", got)
+	}
+	if got := lower.platter[9]; !bytes.Equal(got, bytes.Repeat([]byte{2}, 4096)) {
+		t.Fatalf("lower store holds version %d after the drain, want 2", got[0])
+	}
 }
 
 // Satellite: a block still dirty when its batch completes rejoins the FIFO

@@ -1,8 +1,8 @@
 // Package detguard holds the repository's source-level guards: annotated map
 // iteration and no goroutines inside the simulator (determinism), no
 // configuration field that nothing turns, no exported function or variable
-// that nothing references, and no coverage-census line naming a function
-// that is gone.
+// that nothing references, no coverage-census line naming a function that is
+// gone, and no more design prose than its budget (prose_test.go).
 //
 // Go randomizes map iteration order. On the simulation's event path an
 // unordered iteration that schedules events, mutates model state, or formats

@@ -20,8 +20,8 @@
 //
 // Entries are managed LRU with the paper's policy: clean chunks are
 // reclaimed from the cold end first; dirty FHO chunks are pinned until the
-// file system's own flush remaps them (the paper sizes the FS cache small so
-// this always happens before NCache needs the space).
+// file system's own flush remaps them and that write lands (the paper sizes
+// the FS cache small so this always happens before NCache needs the space).
 package ncache
 
 import (
@@ -75,7 +75,7 @@ type entry struct {
 	key        lkey.Key
 	chain      *netbuf.Chain
 	partial    netbuf.Partial // inherited payload checksum
-	dirty      bool
+	dirty      uint64         // the capture's seq until a flush of it lands; 0 once clean
 	bytes      int
 	prev, next *entry
 }
@@ -97,6 +97,7 @@ type Module struct {
 	lru  entry
 	free netbuf.FreeList[entry]
 	used int64
+	seq  uint64 // counts FHO captures; survives Reset
 
 	// Stats is the module's activity counters.
 	Stats Stats
@@ -150,7 +151,7 @@ func (m *Module) touch(e *entry) {
 
 // insert adds an entry for chain, taking ownership of it, and evicts as
 // needed. The entry comes off the free list when one is there.
-func (m *Module) insert(key lkey.Key, chain *netbuf.Chain, dirty bool) {
+func (m *Module) insert(key lkey.Key, chain *netbuf.Chain, dirty uint64) {
 	e := m.free.Take()
 	if e == nil {
 		e = &entry{}
@@ -169,13 +170,22 @@ func (m *Module) insert(key lkey.Key, chain *netbuf.Chain, dirty bool) {
 	m.evict()
 }
 
-// index registers an entry under all identities its key carries.
+// index registers an entry under all identities its key carries, replacing
+// any other entry there: newer data over a stale LBN entry, or a client
+// rewrite of an unflushed block (the Table 2 "overwritten" case).
 func (m *Module) index(e *entry) {
 	if e.key.Flags&lkey.HasLBN != 0 {
+		if old, ok := m.lbn[e.key.LBN]; ok && old != e {
+			m.remove(old)
+		}
 		m.lbn[e.key.LBN] = e
 	}
 	if e.key.Flags&lkey.HasFHO != 0 {
-		m.fho[fhoKey{fh: e.key.FH, off: e.key.Off}] = e
+		k := fhoKey{fh: e.key.FH, off: e.key.Off}
+		if old, ok := m.fho[k]; ok && old != e {
+			m.remove(old)
+		}
+		m.fho[k] = e
 	}
 }
 
@@ -211,7 +221,7 @@ func (m *Module) evict() {
 	}
 	for e := m.lru.prev; e != &m.lru && m.used > m.cfg.CapacityBytes; {
 		prev := e.prev
-		if e.dirty {
+		if e.dirty != 0 {
 			m.Stats.PinnedSkips++
 		} else {
 			m.Stats.Evictions++
@@ -240,21 +250,13 @@ func (m *Module) CaptureLBN(lba int64, blocks int, data *netbuf.Chain) *netbuf.C
 			sub = netbuf.NewChain()
 		}
 		key := lkey.ForLBN(lba + int64(i))
-		m.storeLBN(key, sub, false)
+		sub.SetOwner("ncache.lbn")
+		m.insert(key, sub, 0)
 		out.AppendChain(lkey.StampChainPool(m.node.BlkPool, key, m.cfg.BlockSize))
 	}
 	m.chargeMgmt(blocks)
 	data.Release()
 	return out
-}
-
-// storeLBN installs (or refreshes) an LBN entry.
-func (m *Module) storeLBN(key lkey.Key, chain *netbuf.Chain, dirty bool) {
-	if old, ok := m.lbn[key.LBN]; ok {
-		m.remove(old)
-	}
-	chain.SetOwner("ncache.lbn")
-	m.insert(key, chain, dirty)
 }
 
 // CaptureFHO is the NFS write-request hook: it captures a block-aligned
@@ -270,20 +272,15 @@ func (m *Module) CaptureFHO(fh lkey.FH, off uint64, data *netbuf.Chain) *netbuf.
 	}
 	blocks := n / bs
 	out := netbuf.NewChain()
+	m.seq++
 	for i := 0; i < blocks; i++ {
 		sub, err := data.SubChain(i*bs, bs)
 		if err != nil {
 			sub = netbuf.NewChain()
 		}
 		key := lkey.ForFHO(fh, off+uint64(i*bs))
-		k := fhoKey{fh: fh, off: key.Off}
-		if old, ok := m.fho[k]; ok {
-			// Overwrite in place: client rewrote the block before it
-			// was flushed (the Table 2 "overwritten" case).
-			m.remove(old)
-		}
 		sub.SetOwner("ncache.fho")
-		m.insert(key, sub, true)
+		m.insert(key, sub, m.seq)
 		out.AppendChain(lkey.StampChainPool(m.node.BlkPool, key, bs))
 	}
 	m.chargeMgmt(blocks)
@@ -405,16 +402,16 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 
 // WriteOut is the iSCSI write hook: when the file system flushes a dirty
 // buffer, the outgoing payload is stamped junk. The module substitutes the
-// real cached data and — for FHO entries — performs the remap: the entry is
-// re-indexed under its now-known LBN, replacing any stale LBN entry, and
-// marked clean (the write carrying its data is on its way to storage). It
-// returns the chain to transmit and remapped with the LBNs it re-indexed
-// appended: once the write commits the caller announces them to peer
-// servers, and if the write fails it hands them back to Repin.
-func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []int64) (*netbuf.Chain, []int64) {
+// real cached data and — for dirty FHO entries — performs the remap: the
+// entry is re-indexed under its now-known LBN, replacing any stale LBN
+// entry. It stays dirty until the write lands. It returns the chain to
+// transmit, remapped with the LBNs it re-indexed appended, and the mark the
+// write carries: once the write commits the caller hands both to Landed and
+// announces the LBNs to peer servers.
+func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []int64) (*netbuf.Chain, []int64, uint64) {
 	bs := m.cfg.BlockSize
 	if data.Len() != blocks*bs {
-		return data, remapped
+		return data, remapped, m.seq
 	}
 	out := netbuf.NewChain()
 	touched := 0
@@ -437,11 +434,10 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []
 		}
 		touched++
 		blockLBN := lba + int64(i)
-		if e.key.Flags&lkey.HasFHO != 0 && e.dirty {
+		if e.key.Flags&lkey.HasFHO != 0 && e.dirty != 0 {
 			if m.cfg.DisableRemap {
 				// Ablation: flush the data but drop the entry.
 				out.AppendChain(e.chain.Clone())
-				e.dirty = false
 				m.remove(e)
 				sub.Release()
 				continue
@@ -451,10 +447,6 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []
 			m.unindex(e)
 			e.key = e.key.WithLBN(blockLBN)
 			e.key.Flags |= lkey.HasFHO
-			if old, ok := m.lbn[blockLBN]; ok && old != e {
-				m.remove(old)
-			}
-			e.dirty = false
 			m.index(e)
 			m.Stats.Remaps++
 			m.node.Copies.Remaps++
@@ -469,20 +461,19 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []
 		m.node.Copies.Substitutions += uint64(touched)
 	}
 	data.Release()
-	m.evict()
-	return out, remapped
+	return out, remapped, m.seq
 }
 
-// Repin undoes WriteOut's "marked clean" for a write that failed: every
-// entry still indexed at one of lbns that carries a file identity is dirty
-// again — the only copy of an acknowledged client write, pinned until a
-// later flush remaps it afresh and lands.
-func (m *Module) Repin(lbns []int64) {
+// Landed settles a write that reached storage, given WriteOut's remapped and
+// mark: entries indexed at lbns turn clean, and reclaimable, unless captured
+// after mark. A failed write needs no call: its entries stay dirty.
+func (m *Module) Landed(lbns []int64, mark uint64) {
 	for _, lbn := range lbns {
-		if e, ok := m.lbn[lbn]; ok && e.key.Flags&lkey.HasFHO != 0 {
-			e.dirty = true
+		if e, ok := m.lbn[lbn]; ok && e.dirty <= mark {
+			e.dirty = 0
 		}
 	}
+	m.evict()
 }
 
 // ServeRead attempts to satisfy a block-read entirely from the LBN cache —
@@ -528,7 +519,7 @@ func (m *Module) Materialize(key lkey.Key, dst []byte) bool {
 
 // InvalidateLBN drops an LBN entry (file deletion / block reuse).
 func (m *Module) InvalidateLBN(lbn int64) {
-	if e, ok := m.lbn[lbn]; ok && !e.dirty {
+	if e, ok := m.lbn[lbn]; ok && e.dirty == 0 {
 		m.remove(e)
 	}
 }
@@ -541,7 +532,7 @@ func (m *Module) DropClean() int {
 	dropped := 0
 	for e := m.lru.prev; e != &m.lru; {
 		prev := e.prev
-		if !e.dirty {
+		if e.dirty == 0 {
 			m.remove(e)
 			dropped++
 		}
@@ -566,7 +557,7 @@ func (m *Module) Reset() {
 func (m *Module) PinnedBytes() int64 {
 	var n int64
 	for _, e := range m.fho { // det: commutative (sum)
-		if e.dirty {
+		if e.dirty != 0 {
 			n += int64(e.bytes + EntryOverheadBytes)
 		}
 	}

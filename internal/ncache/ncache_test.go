@@ -148,7 +148,7 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	// The file system flushes: stamped junk goes down the iSCSI write
 	// path; the hook must substitute real data and remap.
 	flush := lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs)
-	wire, remapped := m.WriteOut(700, 1, flush, nil)
+	wire, remapped, mark := m.WriteOut(700, 1, flush, nil)
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -158,32 +158,43 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	if m.Stats.Remaps != 1 || len(remapped) != 1 || remapped[0] != 700 {
 		t.Fatalf("remaps = %d, reported %v, want one at LBN 700", m.Stats.Remaps, remapped)
 	}
-	if m.PinnedBytes() != 0 {
-		t.Fatal("entry still pinned after remap")
-	}
-
-	// The write carrying the data fails: the entry is pinned again, and the
-	// retried flush (still stamped with the file identity only) remaps it
-	// afresh and reports the same LBN.
-	m.Repin(remapped)
+	// Until the write lands the entry is the only copy of the data: it
+	// stays pinned, so a failed write needs no undo, and the retried flush
+	// (still stamped with the file identity only) remaps it afresh and
+	// reports the same LBN.
 	if m.PinnedBytes() == 0 {
-		t.Fatal("failed write left the only copy of the data unpinned")
+		t.Fatal("entry unpinned before the write carrying it landed")
 	}
-	wire, remapped = m.WriteOut(700, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
+	wire, remapped, mark = m.WriteOut(700, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("retried flush not substituted with real data")
 	}
-	if m.Stats.Remaps != 2 || len(remapped) != 1 || remapped[0] != 700 || m.PinnedBytes() != 0 || m.entries() != 1 {
+	if m.Stats.Remaps != 2 || len(remapped) != 1 || remapped[0] != 700 || m.PinnedBytes() == 0 || m.entries() != 1 {
 		t.Fatalf("retry: remaps = %d, reported %v, pinned %d, entries %d",
 			m.Stats.Remaps, remapped, m.PinnedBytes(), m.entries())
 	}
 
-	// The data is now reachable under its LBN.
+	// The client rewrites the block while that write is in flight, and the
+	// next flush remaps the new data to the same LBN. The old write's landing
+	// predates the rewrite: it must leave the new data pinned.
+	newer := blockData(10, bs)
+	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(newer, netbuf.DefaultBufSize))
+	_, remapped2, mark2 := m.WriteOut(700, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
+	m.Landed(remapped, mark)
+	if m.PinnedBytes() == 0 {
+		t.Fatal("a write issued before the rewrite unpinned the rewritten data")
+	}
+	m.Landed(remapped2, mark2)
+	if p := m.PinnedBytes(); p != 0 || m.entries() != 1 {
+		t.Fatalf("after the rewrite's own write landed: pinned %d, entries %d", p, m.entries())
+	}
+
+	// The newest data is now reachable under its LBN.
 	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(700), bs))
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !bytes.Equal(out.Flatten(), data) {
+	if !bytes.Equal(out.Flatten(), newer) {
 		t.Fatal("remapped entry not reachable by LBN")
 	}
 	// And the FHO index no longer holds it separately (moved, not copied).
@@ -295,7 +306,7 @@ func TestDisableRemapAblation(t *testing.T) {
 	fh := lkey.FH{8}
 	data := blockData(5, bs)
 	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
-	wire, _ := m.WriteOut(50, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
+	wire, _, _ := m.WriteOut(50, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

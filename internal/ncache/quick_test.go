@@ -106,12 +106,13 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 				return false
 			}
 			model.fho[fkey] = data
-		case 1: // file-system flush → WriteOut remaps FHO under its LBN
+		case 1: // file-system flush → WriteOut remaps FHO under its LBN, and the write lands
 			data, dirty := model.fho[fkey]
 			if !dirty {
 				continue
 			}
-			wire, _ := m.WriteOut(lbn, 1, lkey.StampChainPool(nil, fkey, bs), nil)
+			wire, remapped, mark := m.WriteOut(lbn, 1, lkey.StampChainPool(nil, fkey, bs), nil)
+			m.Landed(remapped, mark)
 			if !bytes.Equal(wire.Flatten(), data) {
 				t.Logf("seed %d: flush of %+v substituted wrong bytes", seed, fkey)
 				return false

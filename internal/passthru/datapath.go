@@ -122,7 +122,7 @@ func (r *interceptRead) arrived(data *netbuf.Chain, err error) {
 
 // WriteAt runs NCache's write-out once per regular-data write — stamped
 // junk becomes the cached payload, FHO entries remap to their LBNs — and
-// settles the remap when the write completes (see interceptWrite.written).
+// settles the remap when the write lands (see interceptWrite.written).
 func (v *interceptVolume) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(error)) {
 	s := v.s
 	if meta || s.Mode != NCache {
@@ -135,38 +135,40 @@ func (v *interceptVolume) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done
 		w.onWritten = w.written
 	}
 	w.done = done
-	data, w.remapped = s.Module.WriteOut(lbn, data.Len()/extfs.BlockSize, data, w.remapped)
+	data, w.remapped, w.mark = s.Module.WriteOut(lbn, data.Len()/extfs.BlockSize, data, w.remapped)
 	v.Volume.WriteAt(lbn, data, meta, w.onWritten)
 }
 
 // interceptWrite is the recycled record of one regular-data write through
-// the interception: the caller's completion and the LBNs the write-out
-// re-indexed, whose capacity the record keeps. written is bound once, when
-// the record is first allocated; the record retires before the caller hears
-// (poisoned and abandoned in netbuf debug mode).
+// the interception: the caller's completion, and the LBNs the write-out
+// re-indexed (whose capacity the record keeps) with its mark. written is
+// bound once, when the record is first allocated; the record retires before
+// the caller hears (poisoned and abandoned in netbuf debug mode).
 type interceptWrite struct {
 	v         *interceptVolume
 	dead      bool // retired in debug mode
 	remapped  []int64
+	mark      uint64
 	done      func(error)
 	onWritten func(error)
 }
 
-// written settles the remap: committed, the re-indexed LBNs are announced to
-// the control plane (only then, so a peer acting on the invalidation can
-// never re-read stale bytes from storage); failed, the entries are pinned
-// again, because the buffer cache keeps the blocks dirty and the flush that
-// retries them must find their data and remap afresh.
+// written settles the remap once the write commits: the entries it carried
+// turn clean (Module.Landed), and the re-indexed LBNs are announced to the
+// control plane (only then, so a peer acting on the invalidation can never
+// re-read stale bytes from storage). A failed write leaves them dirty for
+// the flush that retries them.
 func (w *interceptWrite) written(err error) {
 	if w.dead {
 		panic("passthru: intercepted write retired twice")
 	}
 	v, done := w.v, w.done
 	s := v.s
-	if err != nil {
-		s.Module.Repin(w.remapped)
-	} else if ag := s.Agent; ag != nil && len(w.remapped) > 0 && !s.crashed {
-		ag.SendRemap(w.remapped) // copies the LBNs into its queue
+	if err == nil {
+		s.Module.Landed(w.remapped, w.mark)
+		if ag := s.Agent; ag != nil && len(w.remapped) > 0 && !s.crashed {
+			ag.SendRemap(w.remapped) // copies the LBNs into its queue
+		}
 	}
 	*w = interceptWrite{v: v, remapped: w.remapped[:0], onWritten: w.onWritten}
 	w.dead = !v.writes.Put(w)

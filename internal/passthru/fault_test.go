@@ -7,6 +7,7 @@ import (
 	"ncache/internal/extfs"
 	"ncache/internal/lkey"
 	"ncache/internal/ncache"
+	"ncache/internal/nfs"
 )
 
 // faultCluster brings up an NCache cluster with a disarmed fault injector
@@ -150,42 +151,92 @@ func TestFaultFlushGivesUpCleanly(t *testing.T) {
 }
 
 // TestFaultFlushGiveUpSurvivesCachePressure is the same failed-then-retried
-// flush with a network-centric cache of a few blocks and reads of other data
-// in between: the unflushed write must not be reclaimed to make room, or the
-// retried flush has nothing to substitute and lands stamped junk.
+// flush with a network-centric cache of a few blocks under pressure: the
+// unflushed write must not be reclaimed to make room, or the retried flush
+// has nothing to substitute and lands stamped junk. The pressure comes from
+// reads of other data after the failure, or from client writes of other
+// blocks while the failing write is still in flight.
 func TestFaultFlushGiveUpSurvivesCachePressure(t *testing.T) {
-	cl, spec := faultCluster(t, "diskerr:disk*:rate=1", 8*(extfs.BlockSize+ncache.EntryOverheadBytes))
-	fh := lookupFile(t, cl, "data.bin")
 	want := bytes.Repeat([]byte{0x5A}, extfs.BlockSize)
-	writeFile(t, cl, fh, 0, want)
-
-	cl.Faults.Arm()
-	if err := syncCache(t, cl); err == nil {
-		t.Fatal("sync succeeded with a 100% disk error rate")
+	setup := func(t *testing.T) (*Cluster, extfs.FileSpec, nfs.FH) {
+		cl, spec := faultCluster(t, "diskerr:disk*:rate=1", 8*(extfs.BlockSize+ncache.EntryOverheadBytes))
+		fh := lookupFile(t, cl, "data.bin")
+		writeFile(t, cl, fh, 0, want)
+		cl.Faults.Arm()
+		return cl, spec, fh
 	}
-	cl.Faults.Quiesce()
-
-	// Three cache-fulls of other blocks pass through, half a cache per
-	// read so no reply loses a block it was built from.
-	const span = 4 * extfs.BlockSize
-	for off := uint64(4 * span); off < 10*span; off += span {
-		if got := readFile(t, cl, fh, off, span); !bytes.Equal(got, expect(off, span)) {
-			t.Fatalf("read of other data at %d returned wrong bytes", off)
+	t.Run("after the failure", func(t *testing.T) {
+		cl, spec, fh := setup(t)
+		if err := syncCache(t, cl); err == nil {
+			t.Fatal("sync succeeded with a 100% disk error rate")
 		}
-	}
-	if cl.App.Module.Stats.Evictions == 0 {
-		t.Fatal("no eviction: the cache was never under pressure")
-	}
+		cl.Faults.Quiesce()
+		// Three cache-fulls of other blocks pass through, half a cache
+		// per read so no reply loses a block it was built from.
+		const span = 4 * extfs.BlockSize
+		for off := uint64(4 * span); off < 10*span; off += span {
+			if got := readFile(t, cl, fh, off, span); !bytes.Equal(got, expect(off, span)) {
+				t.Fatalf("read of other data at %d returned wrong bytes", off)
+			}
+		}
+		if cl.App.Module.Stats.Evictions == 0 {
+			t.Fatal("no eviction: the cache was never under pressure")
+		}
+		retriedFlushLands(t, cl, spec, want)
+		if got := readFile(t, cl, fh, 0, extfs.BlockSize); !bytes.Equal(got, want) {
+			t.Fatal("acknowledged write not readable after the retried flush")
+		}
+	})
+	t.Run("while the write is in flight", func(t *testing.T) {
+		cl, spec, fh := setup(t)
+		var syncErr error
+		synced := false
+		cl.App.Cache.Sync(func(err error) { syncErr, synced = err, true })
+		// Nine more blocks, one WRITE each, are captured while the flush
+		// of block 0 is failing: more than the cache holds, each pinned
+		// until its own flush lands.
+		acked := 0
+		for b := 1; b < extfs.NDirect; b++ {
+			p := bytes.Repeat([]byte{byte(b)}, extfs.BlockSize)
+			cl.Clients[0].NFS.WriteBytes(fh, uint64(b)*extfs.BlockSize, p, func(_ int, _ nfs.Attr, err error) {
+				if err != nil {
+					t.Errorf("WRITE block %d: %v", b, err)
+				}
+				acked++
+			})
+		}
+		run(t, cl)
+		cl.Faults.Quiesce()
+		if !synced || syncErr == nil {
+			t.Fatalf("sync done=%v err=%v with a 100%% disk error rate", synced, syncErr)
+		}
+		if acked != extfs.NDirect-1 || cl.App.Module.Stats.PinnedSkips == 0 {
+			t.Fatalf("%d WRITEs acked, %d pinned skips: the cache was never under pressure",
+				acked, cl.App.Module.Stats.PinnedSkips)
+		}
+		// The retried flush lands all ten blocks, and the reclaim after it
+		// may evict block 0's entry while the file-system cache still holds
+		// its key; a read would then take the substitution-miss path, which
+		// is not under test here. The platter is the check.
+		retriedFlushLands(t, cl, spec, want)
+		for b := 1; b < extfs.NDirect; b++ {
+			if got := cl.Storage.Array.PeekBlock(spec.StartLBN + int64(b)); got[0] != byte(b) {
+				t.Fatalf("platter block %d holds %#x..., want %#x", b, got[0], b)
+			}
+		}
+	})
+}
 
+// retriedFlushLands syncs again once the disk errors stopped and checks that
+// block 0 holds want on the platter.
+func retriedFlushLands(t *testing.T, cl *Cluster, spec extfs.FileSpec, want []byte) {
+	t.Helper()
 	if err := syncCache(t, cl); err != nil {
 		t.Fatalf("sync after the errors stopped: %v", err)
 	}
 	if got := cl.Storage.Array.PeekBlock(spec.StartLBN); !bytes.Equal(got, want) {
 		_, junk := lkey.Parse(got)
 		t.Fatalf("platter does not hold the acknowledged bytes (stamped junk: %v)", junk)
-	}
-	if got := readFile(t, cl, fh, 0, extfs.BlockSize); !bytes.Equal(got, want) {
-		t.Fatal("acknowledged write not readable after the retried flush")
 	}
 }
 

@@ -406,3 +406,79 @@ func TestScaleoutRemapBatchedPerFlush(t *testing.T) {
 		t.Fatalf("RemapsSent = %d messages for one %d-block flush, want per-batch fan-out (<= 2)", got, blocks)
 	}
 }
+
+// TestFaultWritebackRewriteDuringFlushSurvivesKill is the journal's half of
+// the lost-overwrite interleaving. A block is written and its flush goes
+// down to a slow disk; the block is written again and acked; then the old
+// flush lands, and the journal truncates the records whose blocks are
+// clean. The block is not: the second version is not on the platter. The
+// server dies before the second version's own flush lands, and replay must
+// put the acked second version on the platter and serve it.
+func TestFaultWritebackRewriteDuringFlushSurvivesKill(t *testing.T) {
+	cl, spec := writebackCluster(t, "slowdisk:disk*:rate=1:delay=2ms")
+	fh := lookupFile(t, cl, "data.bin")
+	app, c, bs := cl.App, cl.Clients[0].NFS, extfs.BlockSize
+	v1, v2 := bytes.Repeat([]byte{0x11}, bs), bytes.Repeat([]byte{0x22}, bs)
+	step := func(what string, until func() bool) {
+		t.Helper()
+		for i := 0; !until(); i++ {
+			if i == 10000 {
+				t.Fatalf("%s did not happen within 100 ms", what)
+			}
+			if err := cl.Eng.RunFor(10 * sim.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write := func(p []byte) {
+		acked := false
+		c.WriteBytes(fh, 0, p, func(n int, _ nfs.Attr, err error) {
+			if err != nil || n != bs {
+				t.Errorf("WRITE: %d bytes, %v", n, err)
+			}
+			acked = true
+		})
+		step("the WRITE's ack", func() bool { return acked })
+	}
+	platter := func() []byte { return cl.Storage.Array.PeekBlock(spec.StartLBN) }
+
+	write(v1)
+	cl.Faults.Arm()
+	step("the first flush", func() bool { return app.WB.FlushBatches == 1 })
+	write(v2)
+	if bytes.Equal(platter(), v1) {
+		t.Fatal("the first flush landed before the rewrite was acked; the window under test is empty")
+	}
+	step("the first flush landing", func() bool { return bytes.Equal(platter(), v1) })
+	// Past the reply's trip back to the server, short of another 2 ms disk
+	// write.
+	if err := cl.Eng.RunFor(200 * sim.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	app.Crash()
+	cl.Faults.Quiesce()
+	journaled := false
+	for _, r := range app.WAL.DurableRecords() {
+		journaled = journaled || bytes.Equal(r.Data, v2)
+	}
+	if !journaled {
+		t.Error("the journal retired the acked rewrite before its bytes reached the platter")
+	}
+	restarted := false
+	app.Restart(func(err error) {
+		if err != nil {
+			t.Fatalf("Restart: %v", err)
+		}
+		restarted = true
+	})
+	run(t, cl)
+	if !restarted {
+		t.Fatal("restart did not complete")
+	}
+	if got := readFile(t, cl, fh, 0, bs); !bytes.Equal(got, v2) {
+		t.Errorf("the acked rewrite reads back %#x...", got[0])
+	}
+	if got := platter(); !bytes.Equal(got, v2) {
+		t.Errorf("the platter holds %#x..., not the acked rewrite", got[0])
+	}
+}
