@@ -85,10 +85,11 @@ const hotReadEvents = 100
 // TestSFSMixAllocBudget is the same gate for the metadata-heavy path: the
 // Fig. 7 mix at 30 % regular data on a small rig — GETATTR, LOOKUP, READDIR
 // and CREATE/REMOVE over a 256-entry directory beside small reads and writes.
-// Directory scans compare names in place, the walks and every layer's call
-// state reuse one record each and a listing cuts its names out of one string:
-// 3.4 objects per operation where the first version spent 212, and they are
-// CREATE/REMOVE's closure chains and READDIR's name list (ROADMAP item 7).
+// Directory scans compare names in place, a name stays bytes from the RPC
+// body to the scan, CREATE and REMOVE are phases of one walk record and a
+// listing is encoded from the walk's own into pooled transmit buffers: 1.7
+// objects per operation (3.4 before that, 212 in the first version), mostly
+// the client's READDIR result and the load's own closures (ROADMAP item 12).
 func TestSFSMixAllocBudget(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -117,8 +118,8 @@ func TestSFSMixAllocBudget(t *testing.T) {
 	}
 }
 
-// sfsMixObjectsPerOp is the measured 3.4 objects per operation plus 10 %.
-const sfsMixObjectsPerOp = 3.8
+// sfsMixObjectsPerOp is the measured 1.7 objects per operation plus 10 %.
+const sfsMixObjectsPerOp = 1.9
 
 // TestWritebackAllocBudget gates the write-back path the same way: the
 // fig-writeback mix (75 % regular data, half of it WRITEs) on the WAL arm,
@@ -159,10 +160,11 @@ func TestWritebackAllocBudget(t *testing.T) {
 	}
 }
 
-// writebackObjectsPerOp is the measured 5.8 objects per operation plus 10 %
-// (8.9 when the log's groups regrew from nil and every flush, write-out and
-// volume completion was a closure).
-const writebackObjectsPerOp = 6.4
+// writebackObjectsPerOp is the measured 5.28 objects per operation plus 10 %
+// (5.8 while CREATE and REMOVE were closure chains; 8.9 when the log's groups
+// regrew from nil and every flush, write-out and volume completion was a
+// closure).
+const writebackObjectsPerOp = 5.8
 
 // TestHotReadChecksumInherited asserts the paper's checksum-inheritance claim
 // on the host: with checksum offload off, an all-hit NCache READ's reply

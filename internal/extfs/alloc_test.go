@@ -24,7 +24,7 @@ func TestLookupAllocFree(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		last = r.create(t, fmtName(i))
 	}
-	name, got := fmtName(149), uint32(0)
+	name, got := []byte(fmtName(149)), uint32(0)
 	done := func(ino uint32, err error) {
 		if err != nil {
 			t.Fatalf("Lookup: %v", err)
@@ -44,8 +44,71 @@ func TestLookupAllocFree(t *testing.T) {
 			t.Fatalf("Lookup(absent): %v", err)
 		}
 	}
-	if avg := testing.AllocsPerRun(200, func() { r.fs.Lookup(RootIno, "absent", missing) }); avg != 0 {
+	absent := []byte("absent")
+	if avg := testing.AllocsPerRun(200, func() { r.fs.Lookup(RootIno, absent, missing) }); avg != 0 {
 		t.Errorf("failed LOOKUP allocates %.1f objects, want 0", avg)
+	}
+}
+
+// TestCreateRemoveAllocFree: a CREATE and a REMOVE in a resident 150-entry
+// directory — each one walk through its lookup, the inode table, the inode
+// bitmap, the dirent slot and (for REMOVE) a truncation — allocate nothing.
+func TestCreateRemoveAllocFree(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	r := newFsRig(t, 256)
+	for i := 0; i < 150; i++ {
+		r.create(t, fmtName(i))
+	}
+	name := []byte("scratch")
+	created := func(ino uint32, err error) {
+		if err != nil || ino == 0 {
+			t.Fatalf("Create: %d, %v", ino, err)
+		}
+	}
+	removed := func(err error) {
+		if err != nil {
+			t.Fatalf("Remove: %v", err)
+		}
+	}
+	pair := func() {
+		r.fs.Create(RootIno, name, ModeFile, created)
+		r.fs.Remove(RootIno, name, removed)
+		r.run(t)
+	}
+	pair()
+	if avg := testing.AllocsPerRun(200, pair); avg != 0 {
+		t.Errorf("CREATE+REMOVE in a 150-entry directory allocates %.1f objects, want 0", avg)
+	}
+	if n := len(r.list(t)); n != 150 {
+		t.Fatalf("%d entries after the pairs, want 150", n)
+	}
+}
+
+// TestReaddirAllocFree: a READDIR of a resident 150-entry directory gathers
+// the names into the walk's own listing and allocates nothing.
+func TestReaddirAllocFree(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	r := newFsRig(t, 256)
+	for i := 0; i < 150; i++ {
+		r.create(t, fmtName(i))
+	}
+	last := fmtName(149)
+	listed := func(l *Listing, err error) {
+		if err != nil || l.Len() != 150 || string(l.Name(149)) != last {
+			t.Fatalf("Readdir: %d entries, %v", l.Len(), err)
+		}
+	}
+	readdir := func() {
+		r.fs.Readdir(RootIno, listed)
+		r.run(t)
+	}
+	readdir()
+	if avg := testing.AllocsPerRun(200, readdir); avg != 0 {
+		t.Errorf("READDIR of 150 entries allocates %.1f objects, want 0", avg)
 	}
 }
 
@@ -171,4 +234,26 @@ func TestWalkRecordPoisonedInDebugMode(t *testing.T) {
 	}
 	mustPanic("late callback", "used after retire", func() { w.onBlock(nil, nil) })
 	mustPanic("second Done", "retired twice", func() { res.Done(r.fs) })
+
+	// CREATE, READDIR and REMOVE run on the same record, which retires
+	// where their completions are called; a READDIR's retires after its
+	// callback, and retiring it again panics.
+	r.fs.Create(RootIno, []byte("g"), ModeFile, func(uint32, error) {})
+	lw := r.fs.walk()
+	lw.doneList = func(l *Listing, err error) {
+		if err != nil || l.Len() != 2 {
+			t.Fatalf("Readdir: %v", err)
+		}
+	}
+	lw.scanDir(RootIno, visitList, (*walk).ended)
+	r.fs.Remove(RootIno, []byte("g"), func(err error) {
+		if err != nil {
+			t.Fatalf("Remove: %v", err)
+		}
+	})
+	r.run(t)
+	if len(r.fs.walks) != 0 {
+		t.Fatalf("debug mode recycled %d walk records", len(r.fs.walks))
+	}
+	mustPanic("listing's record retired again", "retired twice", lw.retire)
 }

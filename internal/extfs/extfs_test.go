@@ -123,7 +123,7 @@ func (r *fsRig) readAll(t *testing.T, ino uint32, off uint64, n int) ([]byte, bo
 func (r *fsRig) create(t *testing.T, name string) uint32 {
 	t.Helper()
 	var ino uint32
-	r.fs.Create(RootIno, name, ModeFile, func(i uint32, err error) {
+	r.fs.Create(RootIno, []byte(name), ModeFile, func(i uint32, err error) {
 		if err != nil {
 			t.Fatalf("Create(%s): %v", name, err)
 		}
@@ -131,6 +131,22 @@ func (r *fsRig) create(t *testing.T, name string) uint32 {
 	})
 	r.run(t)
 	return ino
+}
+
+// list reads the root directory's names.
+func (r *fsRig) list(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	r.fs.Readdir(RootIno, func(l *Listing, err error) {
+		if err != nil {
+			t.Fatalf("Readdir: %v", err)
+		}
+		for i := 0; i < l.Len(); i++ {
+			names = append(names, string(l.Name(i)))
+		}
+	})
+	r.run(t)
+	return names
 }
 
 func (r *fsRig) write(t *testing.T, ino uint32, off uint64, data []byte) {
@@ -197,7 +213,7 @@ func TestFormattedFileVisibleAndReadable(t *testing.T) {
 	r.run(t)
 
 	var ino uint32
-	r.fs.Lookup(RootIno, "big.dat", func(i uint32, err error) {
+	r.fs.Lookup(RootIno, []byte("big.dat"), func(i uint32, err error) {
 		if err != nil {
 			t.Fatalf("Lookup: %v", err)
 		}
@@ -297,20 +313,13 @@ func TestReaddirAndRemove(t *testing.T) {
 	for _, n := range names {
 		r.create(t, n)
 	}
-	var ents []Dirent
-	r.fs.Readdir(RootIno, func(es []Dirent, err error) {
-		if err != nil {
-			t.Fatalf("Readdir: %v", err)
-		}
-		ents = es
-	})
-	r.run(t)
+	ents := r.list(t)
 	if len(ents) != 3 {
 		t.Fatalf("entries = %v", ents)
 	}
 
 	removed := false
-	r.fs.Remove(RootIno, "b", func(err error) {
+	r.fs.Remove(RootIno, []byte("b"), func(err error) {
 		if err != nil {
 			t.Fatalf("Remove: %v", err)
 		}
@@ -320,7 +329,7 @@ func TestReaddirAndRemove(t *testing.T) {
 	if !removed {
 		t.Fatal("remove did not complete")
 	}
-	r.fs.Lookup(RootIno, "b", func(_ uint32, err error) {
+	r.fs.Lookup(RootIno, []byte("b"), func(_ uint32, err error) {
 		if !errors.Is(err, ErrNotFound) {
 			t.Fatalf("Lookup after remove: %v", err)
 		}
@@ -328,9 +337,7 @@ func TestReaddirAndRemove(t *testing.T) {
 	r.run(t)
 	// The slot is reused.
 	r.create(t, "d")
-	r.fs.Readdir(RootIno, func(es []Dirent, err error) { ents = es })
-	r.run(t)
-	if len(ents) != 3 {
+	if ents = r.list(t); len(ents) != 3 {
 		t.Fatalf("entries after reuse = %v", ents)
 	}
 }
@@ -339,7 +346,7 @@ func TestRemoveFreesBlocks(t *testing.T) {
 	r := newFsRig(t, 256)
 	ino := r.create(t, "victim")
 	r.write(t, ino, 0, make([]byte, 20*BlockSize)) // spans indirect
-	r.fs.Remove(RootIno, "victim", func(err error) {
+	r.fs.Remove(RootIno, []byte("victim"), func(err error) {
 		if err != nil {
 			t.Fatalf("Remove: %v", err)
 		}
@@ -424,7 +431,7 @@ func TestSyncPersistsToDisk(t *testing.T) {
 func TestCreateDuplicateFails(t *testing.T) {
 	r := newFsRig(t, 256)
 	r.create(t, "dup")
-	r.fs.Create(RootIno, "dup", ModeFile, func(_ uint32, err error) {
+	r.fs.Create(RootIno, []byte("dup"), ModeFile, func(_ uint32, err error) {
 		if !errors.Is(err, ErrExists) {
 			t.Fatalf("duplicate create: %v", err)
 		}
@@ -432,16 +439,66 @@ func TestCreateDuplicateFails(t *testing.T) {
 	r.run(t)
 }
 
+// TestCreateFailureFreesInode: a CREATE that allocates its inode and then
+// cannot add the dirent (the full root directory cannot grow: no data block
+// is free) frees the inode again, so the next allocation returns the same
+// number and no inode is left with a link and no name.
+func TestCreateFailureFreesInode(t *testing.T) {
+	r := newFsRig(t, 256)
+	var last uint32
+	for i := 0; i < DirentsPerBlock; i++ { // the root's one block is full
+		last = r.create(t, fmtName(i))
+	}
+	if size := r.inode(t, RootIno).Size; size != BlockSize {
+		t.Fatalf("root directory is %d bytes, want one full block", size)
+	}
+	sb := r.fs.sb
+	editBitmap := func(lbn int64, edit func(data []byte)) {
+		r.cache.Get(lbn, true, func(b *buffercache.Block, err error) {
+			if err != nil {
+				t.Fatalf("Get bitmap: %v", err)
+			}
+			edit(b.Data)
+			r.cache.MarkDirty(b)
+			r.cache.Unpin(b)
+		})
+		r.run(t)
+	}
+	for i := int64(0); i < sb.BlockBitmapLen; i++ { // every data block taken
+		editBitmap(sb.BlockBitmapStart+i, func(data []byte) {
+			for j := range data {
+				data[j] = 0xff
+			}
+		})
+	}
+	var err error
+	r.fs.Create(RootIno, []byte("overflow"), ModeFile, func(_ uint32, e error) { err = e })
+	r.run(t)
+	if !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("Create in a full volume = %v, want ErrNoSpace", err)
+	}
+	if in := r.inode(t, last+1); in != (Inode{}) {
+		t.Fatalf("inode %d after the failed Create = %+v, want free", last+1, in)
+	}
+	free := sb.NumBlocks - 1 // free the last block
+	editBitmap(sb.BlockBitmapStart+free/(BlockSize*8), func(data []byte) {
+		data[(free/8)%BlockSize] &^= 1 << (free % 8)
+	})
+	if ino := r.create(t, "overflow"); ino != last+1 {
+		t.Fatalf("Create after the failure got inode %d, want %d again", ino, last+1)
+	}
+}
+
 func TestLookupErrors(t *testing.T) {
 	r := newFsRig(t, 256)
-	r.fs.Lookup(RootIno, "ghost", func(_ uint32, err error) {
+	r.fs.Lookup(RootIno, []byte("ghost"), func(_ uint32, err error) {
 		if !errors.Is(err, ErrNotFound) {
 			t.Fatalf("missing lookup: %v", err)
 		}
 	})
 	ino := r.create(t, "plain")
 	r.run(t)
-	r.fs.Lookup(ino, "x", func(_ uint32, err error) {
+	r.fs.Lookup(ino, []byte("x"), func(_ uint32, err error) {
 		if !errors.Is(err, ErrNotDir) {
 			t.Fatalf("lookup in file: %v", err)
 		}
@@ -452,7 +509,7 @@ func TestLookupErrors(t *testing.T) {
 func TestMkdirAndNestedFiles(t *testing.T) {
 	r := newFsRig(t, 256)
 	var dir uint32
-	r.fs.Create(RootIno, "subdir", ModeDir, func(i uint32, err error) {
+	r.fs.Create(RootIno, []byte("subdir"), ModeDir, func(i uint32, err error) {
 		if err != nil {
 			t.Fatalf("mkdir: %v", err)
 		}
@@ -460,7 +517,7 @@ func TestMkdirAndNestedFiles(t *testing.T) {
 	})
 	r.run(t)
 	var ino uint32
-	r.fs.Create(dir, "inner", ModeFile, func(i uint32, err error) {
+	r.fs.Create(dir, []byte("inner"), ModeFile, func(i uint32, err error) {
 		if err != nil {
 			t.Fatalf("create nested: %v", err)
 		}
@@ -473,20 +530,20 @@ func TestMkdirAndNestedFiles(t *testing.T) {
 		t.Fatalf("nested read = %q", got)
 	}
 	// Removing a non-empty directory fails.
-	r.fs.Remove(RootIno, "subdir", func(err error) {
+	r.fs.Remove(RootIno, []byte("subdir"), func(err error) {
 		if !errors.Is(err, ErrNotEmpty) {
 			t.Fatalf("remove non-empty dir: %v", err)
 		}
 	})
 	r.run(t)
 	// Empty it, then remove.
-	r.fs.Remove(dir, "inner", func(err error) {
+	r.fs.Remove(dir, []byte("inner"), func(err error) {
 		if err != nil {
 			t.Fatalf("remove inner: %v", err)
 		}
 	})
 	r.run(t)
-	r.fs.Remove(RootIno, "subdir", func(err error) {
+	r.fs.Remove(RootIno, []byte("subdir"), func(err error) {
 		if err != nil {
 			t.Fatalf("remove empty dir: %v", err)
 		}
@@ -500,15 +557,7 @@ func TestManyFilesInRoot(t *testing.T) {
 	for i := 0; i < DirentsPerBlock+10; i++ {
 		r.create(t, fmtName(i))
 	}
-	var ents []Dirent
-	r.fs.Readdir(RootIno, func(es []Dirent, err error) {
-		if err != nil {
-			t.Fatalf("Readdir: %v", err)
-		}
-		ents = es
-	})
-	r.run(t)
-	if len(ents) != DirentsPerBlock+10 {
+	if ents := r.list(t); len(ents) != DirentsPerBlock+10 {
 		t.Fatalf("entries = %d, want %d", len(ents), DirentsPerBlock+10)
 	}
 }
@@ -544,21 +593,19 @@ func TestCorruptDirentLength(t *testing.T) {
 	if name, ok := slotName(append(make([]byte, 4), MaxNameLen+1)); ok {
 		t.Errorf("slotName(over-long) = %q, want not ok", name)
 	}
-	r.fs.Lookup(RootIno, long, func(ino uint32, err error) {
+	r.fs.Lookup(RootIno, []byte(long), func(ino uint32, err error) {
 		if err != ErrNotFound {
 			t.Errorf("Lookup of the corrupt slot's name = %d, %v; want ErrNotFound", ino, err)
 		}
 	})
-	r.fs.Lookup(RootIno, "bystander", func(_ uint32, err error) {
+	r.fs.Lookup(RootIno, []byte("bystander"), func(_ uint32, err error) {
 		if err != nil {
 			t.Errorf("Lookup(bystander): %v", err)
 		}
 	})
-	r.fs.Readdir(RootIno, func(ents []Dirent, err error) {
-		if err != nil || len(ents) != 1 || ents[0].Name != "bystander" {
-			t.Errorf("Readdir = %+v, %v; want only bystander", ents, err)
-		}
-	})
+	if ents := r.list(t); len(ents) != 1 || ents[0] != "bystander" {
+		t.Errorf("Readdir = %q; want only bystander", ents)
+	}
 	r.fs.Fsck(func(err error) {
 		if !errors.Is(err, ErrBadDirent) {
 			t.Errorf("Fsck = %v, want ErrBadDirent", err)

@@ -132,20 +132,6 @@ func (fs *FS) charge(blocks int, then func()) {
 
 // ---- inode table access (walk.go holds the per-operation form) ----
 
-// GetInode reads an inode.
-func (fs *FS) GetInode(ino uint32, done func(Inode, error)) {
-	w := fs.walk()
-	w.doneInode = done
-	w.loadInode(ino, (*walk).ended)
-}
-
-// putInode writes an inode back.
-func (fs *FS) putInode(ino uint32, in Inode, done func(error)) {
-	w := fs.walk()
-	w.ino, w.in, w.doneErr = ino, in, done
-	w.storeInode()
-}
-
 // Getattr returns a file's attributes.
 func (fs *FS) Getattr(ino uint32, done func(Attr, error)) {
 	w := fs.walk()
@@ -163,144 +149,143 @@ func (w *walk) attrLoaded() {
 
 // ---- bitmap allocation ----
 
-// bitSearch scans a bitmap region for a clear bit, sets it, and returns its
-// index. hint is the index to start from.
-type bitSearch struct {
-	fs         *FS
-	start, len int64 // bitmap region in blocks
-	limit      int64 // number of valid bits
-	hint       int64
-	done       func(int64, error)
+// bitOp is the bitmap operation a walk has in progress: a search for a clear
+// bit to set (an allocation) or the clearing of one bit (a free).
+type bitOp struct {
+	start, len, limit int64 // the bitmap region in blocks, and its number of valid bits
+	blk, tried        int64 // a search's bitmap block, and how many it has tried
+	idx               int64 // the bit found, or the bit to clear
+	inode, zeroed     bool  // an inode search; a block search for a pointer block
+	next              func(*walk)
 }
 
-func (s *bitSearch) run() {
-	startBlk := s.hint / (BlockSize * 8)
-	s.tryBlock(startBlk, 0)
+// allocInode reserves an inode number into w.bits.idx, then runs next.
+func (w *walk) allocInode(next func(*walk)) {
+	sb := &w.fs.sb
+	w.bits = bitOp{start: sb.InodeBitmapStart, len: sb.InodeBitmapLen, limit: int64(sb.NumInodes),
+		blk: int64(w.fs.inodeHint) / (BlockSize * 8), inode: true, next: next}
+	w.tryBits()
 }
 
-func (s *bitSearch) tryBlock(blkIdx, scanned int64) {
-	if scanned >= s.len {
-		s.done(0, ErrNoSpace)
+// allocBlock reserves a data block into w.bits.idx — zeroed in cache when it
+// is to be a pointer block — then runs next.
+func (w *walk) allocBlock(zeroed bool, next func(*walk)) {
+	sb := &w.fs.sb
+	w.bits = bitOp{start: sb.BlockBitmapStart, len: sb.BlockBitmapLen, limit: sb.NumBlocks,
+		blk: w.fs.blockHint / (BlockSize * 8), zeroed: zeroed, next: next}
+	w.tryBits()
+}
+
+// tryBits loads the next bitmap block of a search.
+func (w *walk) tryBits() {
+	s := &w.bits
+	if s.tried >= s.len {
+		w.bitsFailed(ErrNoSpace)
 		return
 	}
-	if blkIdx >= s.len {
-		blkIdx = 0
+	if s.blk >= s.len {
+		s.blk = 0
 	}
-	lbn := s.start + blkIdx
-	s.fs.cache.Get(lbn, true, func(b *buffercache.Block, err error) {
-		if err != nil {
-			s.done(0, err)
-			return
+	w.pc = (*walk).bitsLoaded
+	w.fs.cache.Get(s.start+s.blk, true, w.onBits)
+}
+
+// bitsLoaded sets the first clear bit of the block, or moves to the next.
+func (w *walk) bitsLoaded() {
+	s, b, cache := &w.bits, w.blk, w.fs.cache
+	base := s.blk * BlockSize * 8
+	for i, by := range b.Data {
+		if by == 0xff {
+			continue
 		}
-		base := blkIdx * BlockSize * 8
-		for i, by := range b.Data {
-			if by == 0xff {
-				continue
-			}
-			for bit := 0; bit < 8; bit++ {
-				if by&(1<<bit) == 0 {
-					idx := base + int64(i)*8 + int64(bit)
-					if idx >= s.limit {
-						break
-					}
-					b.Data[i] |= 1 << bit
-					s.fs.cache.MarkDirty(b)
-					s.fs.cache.Unpin(b)
-					s.done(idx, nil)
-					return
+		for bit := 0; bit < 8; bit++ {
+			if by&(1<<bit) == 0 {
+				idx := base + int64(i)*8 + int64(bit)
+				if idx >= s.limit {
+					break
 				}
+				b.Data[i] |= 1 << bit
+				cache.MarkDirty(b)
+				cache.Unpin(b)
+				w.bitSet(idx)
+				return
 			}
 		}
-		s.fs.cache.Unpin(b)
-		s.tryBlock(blkIdx+1, scanned+1)
-	})
-}
-
-// clearBit frees one bitmap bit.
-func (fs *FS) clearBit(start, idx int64, done func(error)) {
-	lbn := start + idx/(BlockSize*8)
-	fs.cache.Get(lbn, true, func(b *buffercache.Block, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		byteIdx := (idx / 8) % BlockSize
-		b.Data[byteIdx] &^= 1 << (idx % 8)
-		fs.cache.MarkDirty(b)
-		fs.cache.Unpin(b)
-		done(nil)
-	})
-}
-
-// allocBlock reserves one data block.
-func (fs *FS) allocBlock(done func(int64, error)) {
-	s := &bitSearch{
-		fs:    fs,
-		start: fs.sb.BlockBitmapStart,
-		len:   fs.sb.BlockBitmapLen,
-		limit: fs.sb.NumBlocks,
-		hint:  fs.blockHint,
-		done: func(idx int64, err error) {
-			if err == nil {
-				fs.blockHint = idx + 1
-			}
-			done(idx, err)
-		},
 	}
-	s.run()
+	cache.Unpin(b)
+	s.blk++
+	s.tried++
+	w.goTo((*walk).tryBits)
 }
 
-// freeBlock releases a data block and invalidates its cache entry.
-func (fs *FS) freeBlock(lbn int64, done func(error)) {
+// bitSet advances the allocator's hint past the new bit, and zeroes a new
+// pointer block.
+func (w *walk) bitSet(idx int64) {
+	s := &w.bits
+	s.idx = idx
+	if s.inode {
+		w.fs.inodeHint = uint32(idx) + 1
+	} else {
+		w.fs.blockHint = idx + 1
+	}
+	if !s.zeroed {
+		w.goTo(s.next)
+		return
+	}
+	w.pc = (*walk).zeroLoaded
+	w.fs.cache.GetForWrite(idx, true, w.onBlock)
+}
+
+func (w *walk) zeroLoaded() {
+	b := w.blk
+	clear(b.Data)
+	b.Logical = false
+	w.fs.cache.MarkDirty(b)
+	w.fs.cache.Unpin(b)
+	w.goTo(w.bits.next)
+}
+
+// gotBits is the bitmap block callback: a failed bitmap read ends the
+// operation, an inode search's with ErrNoInodes whatever the cause.
+func (w *walk) gotBits(b *buffercache.Block, err error) {
+	if err != nil {
+		w.bitsFailed(err)
+		return
+	}
+	w.blk = b
+	w.resume()
+}
+
+func (w *walk) bitsFailed(err error) {
+	if w.bits.inode {
+		err = ErrNoInodes
+	}
+	w.fail(err)
+}
+
+// clearBit frees bit idx of the bitmap region at start, then runs next.
+func (w *walk) clearBit(start, idx int64, next func(*walk)) {
+	w.bits = bitOp{start: start, idx: idx, next: next}
+	w.pc = (*walk).bitLoaded
+	w.fs.cache.Get(start+idx/(BlockSize*8), true, w.onBits)
+}
+
+func (w *walk) bitLoaded() {
+	idx := w.bits.idx
+	w.blk.Data[(idx/8)%BlockSize] &^= 1 << (idx % 8)
+	w.fs.cache.MarkDirty(w.blk)
+	w.fs.cache.Unpin(w.blk)
+	w.goTo(w.bits.next)
+}
+
+// freeBlock releases a data block and invalidates its cache entry, on a
+// record of its own: the caller does not wait for it.
+func (fs *FS) freeBlock(lbn int64) {
 	fs.cache.Drop(lbn)
-	fs.clearBit(fs.sb.BlockBitmapStart, lbn, done)
+	w := fs.walk()
+	w.doneErr = ignoreErr
+	w.clearBit(fs.sb.BlockBitmapStart, lbn, (*walk).ended)
 }
 
-// allocInode reserves an inode number.
-func (fs *FS) allocInode(done func(uint32, error)) {
-	s := &bitSearch{
-		fs:    fs,
-		start: fs.sb.InodeBitmapStart,
-		len:   fs.sb.InodeBitmapLen,
-		limit: int64(fs.sb.NumInodes),
-		hint:  int64(fs.inodeHint),
-		done: func(idx int64, err error) {
-			if err != nil {
-				done(0, ErrNoInodes)
-				return
-			}
-			fs.inodeHint = uint32(idx) + 1
-			done(uint32(idx), nil)
-		},
-	}
-	s.run()
-}
-
-// freeInode releases an inode number.
-func (fs *FS) freeInode(ino uint32, done func(error)) {
-	fs.clearBit(fs.sb.InodeBitmapStart, int64(ino), done)
-}
-
-// allocZeroedBlock reserves a block and zeroes it in cache (for indirect
-// pointer blocks and new directory blocks).
-func (fs *FS) allocZeroedBlock(done func(int64, error)) {
-	fs.allocBlock(func(lbn int64, err error) {
-		if err != nil {
-			done(0, err)
-			return
-		}
-		fs.cache.GetForWrite(lbn, true, func(b *buffercache.Block, err error) {
-			if err != nil {
-				done(0, err)
-				return
-			}
-			for i := range b.Data {
-				b.Data[i] = 0
-			}
-			b.Logical = false
-			fs.cache.MarkDirty(b)
-			fs.cache.Unpin(b)
-			done(lbn, nil)
-		})
-	})
-}
+// ignoreErr completes a free nobody waits for.
+func ignoreErr(error) {}

@@ -169,13 +169,16 @@ func EncodeDirent(d Dirent, dst []byte) error {
 	if len(d.Name) > MaxNameLen {
 		return fmt.Errorf("%w: %q", ErrNameTooLong, d.Name)
 	}
-	for i := range dst[:DirentSize] {
-		dst[i] = 0
-	}
-	binary.BigEndian.PutUint32(dst[0:], d.Ino)
-	dst[4] = byte(len(d.Name))
-	copy(dst[5:], d.Name)
+	putSlot(dst, d.Ino, d.Name)
 	return nil
+}
+
+// putSlot writes a record binding name (at most MaxNameLen bytes) to ino.
+func putSlot[S string | []byte](slot []byte, ino uint32, name S) {
+	clear(slot[:DirentSize])
+	binary.BigEndian.PutUint32(slot[0:], ino)
+	slot[4] = byte(len(name))
+	copy(slot[5:], name)
 }
 
 // slotIno returns the inode a directory slot binds; zero marks a free slot.
@@ -189,13 +192,6 @@ func slotName(slot []byte) (name []byte, ok bool) {
 		return nil, false
 	}
 	return slot[5 : 5+n], true
-}
-
-// slotNamed compares a slot's name in place (the conversion does not
-// allocate), so scanning a directory costs no object per slot.
-func slotNamed(slot []byte, name string) bool {
-	n, ok := slotName(slot)
-	return ok && string(n) == name
 }
 
 // Layout computes a volume layout for a device of numBlocks blocks with the

@@ -187,7 +187,7 @@ func (w *walk) writeBlock() {
 			w.in.Size, w.changed = end, true
 		}
 		if w.changed {
-			w.storeInode()
+			w.storeInode((*walk).ended)
 			return
 		}
 		w.finish(nil)
@@ -232,7 +232,7 @@ func (w *walk) writeApply() {
 // Truncate frees a file's blocks beyond newSize and updates its size.
 func (fs *FS) Truncate(ino uint32, newSize uint64, done func(error)) {
 	w := fs.walk()
-	w.off, w.doneErr = newSize, done
+	w.off, w.doneErr, w.truncated = newSize, done, (*walk).ended
 	w.loadInode(ino, (*walk).truncInode)
 }
 
@@ -254,30 +254,29 @@ func (w *walk) truncInode() {
 
 // truncBlock frees file blocks [cur, end) one at a time (map, then free, so
 // the pointer blocks and the bitmap are touched in turn), then persists the
-// new size — or, for a removed directory, reaps the inode.
+// new size and runs w.truncated — or, for a removed directory, reaps the
+// inode.
 func (w *walk) truncBlock() {
 	if w.cur < w.end {
 		w.resolve(w.cur, 1, false, (*walk).truncMapped)
 		return
 	}
-	fs, in := w.fs, &w.in
 	if w.reap {
-		ino, done := w.ino, w.doneErr
-		w.retire()
-		fs.reapInode(ino, done)
+		w.reapInode()
 		return
 	}
+	in := &w.in
 	in.Size = w.off
 	// Drop pointer blocks that are now entirely unused.
 	if in.Size <= NDirect*BlockSize {
 		for _, p := range []*uint32{&in.Indirect, &in.DIndirect} {
 			if *p != 0 {
-				fs.freeBlock(int64(*p), func(error) {})
+				w.fs.freeBlock(int64(*p))
 				*p = 0
 			}
 		}
 	}
-	w.storeInode()
+	w.storeInode(w.truncated)
 }
 
 func (w *walk) truncMapped() {
@@ -289,8 +288,8 @@ func (w *walk) truncMapped() {
 	if w.cur < NDirect {
 		w.in.Direct[w.cur] = 0
 	}
-	w.pc = (*walk).truncFreed
-	w.fs.freeBlock(w.lbns[0], w.onErr)
+	w.fs.cache.Drop(w.lbns[0])
+	w.clearBit(w.fs.sb.BlockBitmapStart, w.lbns[0], (*walk).truncFreed)
 }
 
 func (w *walk) truncFreed() {
@@ -361,18 +360,32 @@ func (w *walk) scanInode() {
 	w.scan(w.visit, w.scanned)
 }
 
-// Lookup resolves name within a directory.
-func (fs *FS) Lookup(dirIno uint32, name string, done func(uint32, error)) {
+// setName copies an operation's name into the record.
+func (w *walk) setName(name []byte) {
+	w.nameLen = len(name)
+	copy(w.nameBuf[:], name)
+}
+
+// named reports whether a slot holds w's name (in place, without a copy).
+func (w *walk) named(slot []byte) bool {
+	n, ok := slotName(slot)
+	return ok && len(n) == w.nameLen && string(n) == string(w.nameBuf[:len(n)])
+}
+
+// Lookup resolves name within a directory. The name is copied: it need not
+// outlive the call.
+func (fs *FS) Lookup(dirIno uint32, name []byte, done func(uint32, error)) {
 	w := fs.walk()
-	w.name, w.doneIno = name, done
+	w.setName(name)
+	w.doneIno = done
 	w.scanDir(dirIno, visitMatch, (*walk).matchScanned)
 }
 
-// visitMatch stops at the live slot named w.name (and, when w.found is
+// visitMatch stops at the live slot holding w's name (and, when w.found is
 // preset, holding that inode), leaving its inode in w.found.
 func visitMatch(w *walk, slot []byte) (stop, mutate bool) {
 	ino := slotIno(slot)
-	if ino == 0 || (w.found != 0 && ino != w.found) || !slotNamed(slot, w.name) {
+	if ino == 0 || (w.found != 0 && ino != w.found) || !w.named(slot) {
 		return false, false
 	}
 	w.found = ino
@@ -387,61 +400,101 @@ func (w *walk) matchScanned() {
 	w.finish(nil)
 }
 
-// Readdir lists a directory.
-func (fs *FS) Readdir(dirIno uint32, done func([]Dirent, error)) {
-	w := fs.walk()
-	w.doneEnts = done
-	w.scanDir(dirIno, visitList, (*walk).listScanned)
+// Listing is a directory's live entries in slot order: the names back to
+// back, name i ending at ends[i]. It is the walk's own, valid only during
+// Readdir's callback.
+type Listing struct {
+	names []byte
+	ends  []int
 }
 
-// visitList collects live entries — the one scan that materializes names,
-// and it gathers them in w.names to materialize them all at once.
+// Len returns the number of entries.
+func (l *Listing) Len() int { return len(l.ends) }
+
+// Name returns entry i's name, a view into the listing.
+func (l *Listing) Name(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = l.ends[i-1]
+	}
+	return l.names[start:l.ends[i]]
+}
+
+// Readdir lists a directory. The listing is valid only during done.
+func (fs *FS) Readdir(dirIno uint32, done func(*Listing, error)) {
+	w := fs.walk()
+	w.doneList = done
+	w.scanDir(dirIno, visitList, (*walk).ended)
+}
+
+// visitList gathers the live entries' names into the record's listing.
 func visitList(w *walk, slot []byte) (stop, mutate bool) {
 	if name, ok := slotName(slot); ok && slotIno(slot) != 0 {
-		if w.ents == nil {
-			w.ents = make([]Dirent, 0, w.in.Size/DirentSize)
-		}
-		w.ents = append(w.ents, Dirent{Ino: slotIno(slot)})
-		w.names = append(w.names, name...)
-		w.ends = append(w.ends, len(w.names))
+		w.list.names = append(w.list.names, name...)
+		w.list.ends = append(w.list.ends, len(w.list.names))
 	}
 	return false, false
 }
 
-// listScanned cuts the entries' names out of one string: a listing costs two
-// objects, not one per name.
-func (w *walk) listScanned() {
-	all, start := string(w.names), 0
-	for i, end := range w.ends {
-		w.ents[i].Name, start = all[start:end], end
-	}
-	w.finish(nil)
-}
-
-// addDirent inserts an entry, reusing a free slot or extending the
-// directory.
-func (fs *FS) addDirent(dirIno uint32, in Inode, ent Dirent, done func(error)) {
-	if len(ent.Name) > MaxNameLen {
-		done(fmt.Errorf("%w: %q", ErrNameTooLong, ent.Name))
+// Create makes a new file or directory entry in dirIno. Its phases are a
+// lookup that must miss, the directory's inode, the new inode allocated and
+// written, and the dirent added; a failure after the allocation frees the
+// inode again.
+func (fs *FS) Create(dirIno uint32, name []byte, mode uint16, done func(uint32, error)) {
+	if len(name) > MaxNameLen {
+		done(0, ErrNameTooLong)
 		return
 	}
 	w := fs.walk()
-	w.ino, w.in, w.ent, w.doneErr = dirIno, in, ent, done
-	w.scan(visitInsert, (*walk).insertScanned)
+	w.setName(name)
+	w.dir, w.mode, w.doneIno = dirIno, mode, done
+	w.scanDir(dirIno, visitMatch, (*walk).createLooked)
 }
 
-// visitInsert fills the first free slot with w.ent.
+func (w *walk) createLooked() {
+	if w.stopped {
+		w.finish(ErrExists)
+		return
+	}
+	w.loadInode(w.dir, (*walk).createDirLoaded)
+}
+
+func (w *walk) createDirLoaded() {
+	if w.in.Mode != ModeDir {
+		w.finish(ErrNotDir)
+		return
+	}
+	w.saved = w.in
+	w.allocInode((*walk).createAllocated)
+}
+
+func (w *walk) createAllocated() {
+	w.child, w.orphan = uint32(w.bits.idx), true
+	w.ino, w.in = w.child, Inode{Mode: w.mode, Links: 1}
+	w.storeInode((*walk).createStored)
+}
+
+func (w *walk) createStored() {
+	w.ino, w.in = w.dir, w.saved
+	w.addDirent()
+}
+
+// addDirent names w.child in directory w.ino (its inode in w.in), reusing a
+// free slot or extending the directory by a block.
+func (w *walk) addDirent() { w.scan(visitInsert, (*walk).insertScanned) }
+
+// visitInsert fills the first free slot.
 func visitInsert(w *walk, slot []byte) (stop, mutate bool) {
 	if slotIno(slot) != 0 {
 		return false, false
 	}
-	_ = EncodeDirent(w.ent, slot) // the name was checked on entry
+	putSlot(slot, w.child, w.nameBuf[:w.nameLen])
 	return true, true
 }
 
 func (w *walk) insertScanned() {
 	if w.stopped {
-		w.finish(nil)
+		w.created()
 		return
 	}
 	// Extend the directory by one block.
@@ -456,114 +509,48 @@ func (w *walk) insertMapped() {
 func (w *walk) insertLoaded() {
 	b := w.blk
 	clear(b.Data)
-	_ = EncodeDirent(w.ent, b.Data[:DirentSize])
+	putSlot(b.Data, w.child, w.nameBuf[:w.nameLen])
 	w.fs.cache.MarkDirty(b)
 	w.fs.cache.Unpin(b)
 	w.in.Size += BlockSize
-	w.storeInode()
+	w.storeInode((*walk).created)
 }
 
-// Create makes a new file or directory entry in dirIno.
-func (fs *FS) Create(dirIno uint32, name string, mode uint16, done func(uint32, error)) {
-	if len(name) > MaxNameLen {
-		done(0, ErrNameTooLong)
-		return
-	}
-	fs.Lookup(dirIno, name, func(_ uint32, err error) {
-		if err == nil {
-			done(0, ErrExists)
-			return
-		}
-		if err != ErrNotFound {
-			done(0, err)
-			return
-		}
-		fs.GetInode(dirIno, func(dir Inode, err error) {
-			if err != nil {
-				done(0, err)
-				return
-			}
-			if dir.Mode != ModeDir {
-				done(0, ErrNotDir)
-				return
-			}
-			fs.allocInode(func(ino uint32, err error) {
-				if err != nil {
-					done(0, err)
-					return
-				}
-				fs.putInode(ino, Inode{Mode: mode, Links: 1}, func(err error) {
-					if err != nil {
-						done(0, err)
-						return
-					}
-					fs.addDirent(dirIno, dir, Dirent{Ino: ino, Name: name}, func(err error) {
-						if err != nil {
-							done(0, err)
-							return
-						}
-						done(ino, nil)
-					})
-				})
-			})
-		})
-	})
+func (w *walk) created() {
+	w.orphan, w.found = false, w.child
+	w.finish(nil)
 }
 
 // Remove unlinks a name and frees its inode and blocks. Directories must be
-// empty. Validation happens before the directory entry is cleared, so a
-// failed removal leaves the tree intact.
-func (fs *FS) Remove(dirIno uint32, name string, done func(error)) {
-	fs.Lookup(dirIno, name, func(target uint32, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		fs.GetInode(target, func(in Inode, err error) {
-			if err != nil {
-				done(err)
-				return
-			}
-			unlink := func() {
-				w := fs.walk()
-				w.name, w.found = name, target
-				w.doneIno = func(_ uint32, err error) {
-					if err != nil {
-						done(err)
-						return
-					}
-					fs.destroyInode(target, in, done)
-				}
-				w.scanDir(dirIno, visitUnlink, (*walk).matchScanned)
-			}
-			if in.Mode == ModeDir {
-				fs.ensureDirEmpty(target, func(err error) {
-					if err != nil {
-						done(err)
-						return
-					}
-					unlink()
-				})
-				return
-			}
-			unlink()
-		})
-	})
-}
-
-// visitUnlink clears the slot binding w.name to inode w.found.
-func visitUnlink(w *walk, slot []byte) (stop, mutate bool) {
-	if stop, _ = visitMatch(w, slot); stop {
-		clear(slot)
-	}
-	return stop, stop
-}
-
-// ensureDirEmpty fails with ErrNotEmpty if the directory has live entries.
-func (fs *FS) ensureDirEmpty(ino uint32, done func(error)) {
+// empty. Its phases are the lookup, the entry's inode, for a directory the
+// check that it is empty, the unlink, then the truncation (a file's goes
+// through Truncate's phases and is stored) and the inode reaped. Validation
+// happens before the directory entry is cleared, so a failed removal leaves
+// the tree intact.
+func (fs *FS) Remove(dirIno uint32, name []byte, done func(error)) {
 	w := fs.walk()
-	w.doneErr = done
-	w.scanDir(ino, visitLive, (*walk).liveScanned)
+	w.setName(name)
+	w.dir, w.doneErr = dirIno, done
+	w.scanDir(dirIno, visitMatch, (*walk).removeLooked)
+}
+
+func (w *walk) removeLooked() {
+	if !w.stopped {
+		w.finish(ErrNotFound)
+		return
+	}
+	w.child = w.found
+	w.loadInode(w.child, (*walk).removeLoaded)
+}
+
+func (w *walk) removeLoaded() {
+	w.saved = w.in
+	if w.in.Mode != ModeDir {
+		w.removeUnlink()
+		return
+	}
+	w.found = 0
+	w.scanDir(w.child, visitLive, (*walk).removeChecked)
 }
 
 // visitLive counts live slots (the whole directory is walked either way).
@@ -574,43 +561,56 @@ func visitLive(w *walk, slot []byte) (stop, mutate bool) {
 	return false, false
 }
 
-func (w *walk) liveScanned() {
+func (w *walk) removeChecked() {
 	if w.found != 0 {
 		w.finish(ErrNotEmpty)
 		return
 	}
-	w.finish(nil)
+	w.removeUnlink()
 }
 
-// destroyInode frees an inode's data blocks and the inode itself.
-func (fs *FS) destroyInode(ino uint32, in Inode, done func(error)) {
-	if in.Mode == ModeFile {
-		fs.Truncate(ino, 0, func(err error) {
-			if err != nil {
-				done(err)
-				return
-			}
-			fs.reapInode(ino, done)
-		})
+func (w *walk) removeUnlink() {
+	w.found = w.child
+	w.scanDir(w.dir, visitUnlink, (*walk).removeUnlinked)
+}
+
+// visitUnlink clears the slot binding w's name to inode w.found.
+func visitUnlink(w *walk, slot []byte) (stop, mutate bool) {
+	if stop, _ = visitMatch(w, slot); stop {
+		clear(slot)
+	}
+	return stop, stop
+}
+
+// removeUnlinked frees the unlinked inode's blocks: a file's by truncating it
+// to nothing, a directory's straight from the copy of its inode.
+func (w *walk) removeUnlinked() {
+	if !w.stopped {
+		w.finish(ErrNotFound)
 		return
 	}
-	// Directory: free its blocks directly.
-	w := fs.walk()
-	w.ino, w.in, w.doneErr, w.reap = ino, in, done, true
-	w.cur, w.end = 0, int64((in.Size+BlockSize-1)/BlockSize)
+	if w.saved.Mode == ModeFile {
+		w.off, w.truncated = 0, (*walk).reapInode
+		w.loadInode(w.child, (*walk).truncInode)
+		return
+	}
+	w.ino, w.in, w.reap = w.child, w.saved, true
+	w.cur, w.end = 0, int64((w.in.Size+BlockSize-1)/BlockSize)
 	w.truncBlock()
 }
 
-// reapInode marks an inode free on disk and in the bitmap.
-func (fs *FS) reapInode(ino uint32, done func(error)) {
-	fs.putInode(ino, Inode{}, func(err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		fs.freeInode(ino, done)
-	})
+// reapInode marks inode w.child free on disk and in the bitmap, then ends
+// the operation with w.err.
+func (w *walk) reapInode() {
+	w.ino, w.in = w.child, Inode{}
+	w.storeInode((*walk).reapStored)
 }
+
+func (w *walk) reapStored() {
+	w.clearBit(w.fs.sb.InodeBitmapStart, int64(w.child), (*walk).reaped)
+}
+
+func (w *walk) reaped() { w.finish(w.err) }
 
 // Sync flushes all dirty cache state.
 func (fs *FS) Sync(done func(error)) { fs.cache.Sync(done) }

@@ -28,7 +28,7 @@ func TestShadowModelRandomOps(t *testing.T) {
 		name := names[rng.Intn(len(names))]
 		switch rng.Intn(10) {
 		case 0, 1: // create
-			r.fs.Create(RootIno, name, ModeFile, func(ino uint32, err error) {
+			r.fs.Create(RootIno, []byte(name), ModeFile, func(ino uint32, err error) {
 				if _, exists := shadow[name]; exists {
 					if !errors.Is(err, ErrExists) {
 						t.Fatalf("step %d: create %q = %v, want ErrExists", step, name, err)
@@ -43,7 +43,7 @@ func TestShadowModelRandomOps(t *testing.T) {
 			r.run(t)
 
 		case 2: // remove
-			r.fs.Remove(RootIno, name, func(err error) {
+			r.fs.Remove(RootIno, []byte(name), func(err error) {
 				if _, exists := shadow[name]; !exists {
 					if !errors.Is(err, ErrNotFound) {
 						t.Fatalf("step %d: remove %q = %v, want ErrNotFound", step, name, err)
@@ -120,20 +120,15 @@ func TestShadowModelRandomOps(t *testing.T) {
 	}
 
 	// Final audit: directory and attributes agree with the shadow.
-	r.fs.Readdir(RootIno, func(ents []Dirent, err error) {
-		if err != nil {
-			t.Fatalf("final readdir: %v", err)
+	ents := r.list(t)
+	if len(ents) != len(shadow) {
+		t.Fatalf("directory has %d entries, shadow has %d", len(ents), len(shadow))
+	}
+	for _, name := range ents {
+		if _, ok := shadow[name]; !ok {
+			t.Fatalf("unexpected entry %q", name)
 		}
-		if len(ents) != len(shadow) {
-			t.Fatalf("directory has %d entries, shadow has %d", len(ents), len(shadow))
-		}
-		for _, e := range ents {
-			if _, ok := shadow[e.Name]; !ok {
-				t.Fatalf("unexpected entry %q", e.Name)
-			}
-		}
-	})
-	r.run(t)
+	}
 	for name, sf := range shadow {
 		name, sf := name, sf
 		r.fs.Getattr(sf.ino, func(a Attr, err error) {
@@ -202,7 +197,7 @@ func TestShadowModelSurvivesRemount(t *testing.T) {
 	for name, want := range content {
 		name, want := name, want
 		var ino uint32
-		fs2.Lookup(RootIno, name, func(i uint32, err error) {
+		fs2.Lookup(RootIno, []byte(name), func(i uint32, err error) {
 			if err != nil {
 				t.Fatalf("lookup %q after remount: %v", name, err)
 			}

@@ -12,10 +12,12 @@ import (
 // miss and complete in a later event — but on a resident cache every access
 // completes inline, and a closure per continuation was the file system's
 // whole allocation cost. The record carries what those closures captured
-// (the inode copy, the block-map cursor, the resolved run) and its
-// continuation is a plain function pointer, pc: the five callbacks the cache
-// and the allocator need are bound once, when the record is first allocated,
-// and all they do is store their result and resume at pc.
+// (the inode copy, the block-map cursor, the resolved run, a bitmap search)
+// and its continuation is a plain function pointer, pc: the five callbacks
+// the cache and the CPU charge need are bound once, when the record is first
+// allocated, and all they do is store their result and resume at pc. An
+// operation of several steps, like CREATE or REMOVE, is a chain of phases on
+// one record.
 //
 // resume is a trampoline: a callback that fires inline (a hit) only flags the
 // loop to go round again, so a run of hits neither recurses nor allocates,
@@ -36,27 +38,38 @@ type walk struct {
 	running, again bool
 	dead           bool // retired in debug mode
 
-	// Results of the last cache or allocator call (a failed one ends the
-	// operation there and then: continuations only ever see success).
+	// The result of the last cache call (a failed one ends the operation
+	// there and then: continuations only ever see success).
 	blk *buffercache.Block
-	lbn int64
 
 	// The operation: its inode (a private copy, persisted by storeInode),
-	// byte range, name and completion.
-	ino       uint32
-	in        Inode
-	off       uint64
-	n         int
-	name      string
-	filler    Filler
-	next      func(*walk) // after loadInode
-	doneErr   func(error)
-	doneIno   func(uint32, error)
-	doneInode func(Inode, error)
-	doneAttr  func(Attr, error)
-	doneLBNs  func([]int64, error)
-	doneEnts  func([]Dirent, error)
-	doneRead  func(*ReadResult, error)
+	// byte range, name and completion. A name is kept as bytes in the
+	// record, so a named operation holds no string.
+	ino      uint32
+	in       Inode
+	off      uint64
+	n        int
+	nameBuf  [MaxNameLen]byte
+	nameLen  int // may exceed MaxNameLen: such a name matches no slot
+	filler   Filler
+	next     func(*walk) // after loadInode or storeInode
+	doneErr  func(error)
+	doneIno  func(uint32, error)
+	doneAttr func(Attr, error)
+	doneLBNs func([]int64, error)
+	doneList func(*Listing, error)
+	doneRead func(*ReadResult, error)
+
+	// CREATE and REMOVE: the directory and the entry's inode, the inode a
+	// later phase needs back (the directory's, or the removed file's), and
+	// whether an allocated inode is not yet named by a dirent (a failure
+	// then frees it, and err is what the operation reports after that).
+	dir, child uint32
+	mode       uint16
+	saved      Inode
+	orphan     bool
+	err        error
+	bits       bitOp
 
 	// The run of file blocks [fbn, fbn+count) being resolved, block i next.
 	fbn     int64
@@ -80,21 +93,19 @@ type walk struct {
 	pos       uint64
 	srcOff    int
 	waiting   int
-	readErr   error // the first failed run of a read
-	reap      bool  // truncation of a removed directory: reap the inode after
+	readErr   error       // the first failed run of a read
+	reap      bool        // truncation of a removed directory: reap the inode after
+	truncated func(*walk) // after a file's truncation is stored
 	visit     func(w *walk, slot []byte) (stop, mutate bool)
 	scanned   func(*walk)
 	stopped   bool
 	found     uint32
-	ent       Dirent
-	ents      []Dirent
-	names     []byte // Readdir: the live names back to back, ends[i] past name i
-	ends      []int
+	list      Listing
 	blks      []*buffercache.Block
 	res       ReadResult
 	onBlock   func(*buffercache.Block, error)
+	onBits    func(*buffercache.Block, error)
 	onRun     func(error)
-	onLBN     func(int64, error)
 	onErr     func(error)
 	onCharged func()
 }
@@ -105,7 +116,7 @@ func (fs *FS) walk() *walk {
 		return w
 	}
 	w := &walk{fs: fs}
-	w.onBlock, w.onRun, w.onLBN, w.onErr, w.onCharged = w.gotBlock, w.readRun, w.gotLBN, w.got, w.resume
+	w.onBlock, w.onBits, w.onRun, w.onErr, w.onCharged = w.gotBlock, w.gotBits, w.readRun, w.got, w.resume
 	return w
 }
 
@@ -119,9 +130,10 @@ func (w *walk) retire() {
 	clear(w.res.Extents)
 	*w = walk{
 		fs: w.fs, gen: w.gen + 1,
-		lbns: w.lbns[:0], freshs: w.freshs[:0], blks: w.blks[:0], names: w.names[:0], ends: w.ends[:0],
+		lbns: w.lbns[:0], freshs: w.freshs[:0], blks: w.blks[:0],
+		list:    Listing{names: w.list.names[:0], ends: w.list.ends[:0]},
 		res:     ReadResult{Extents: w.res.Extents[:0]},
-		onBlock: w.onBlock, onRun: w.onRun, onLBN: w.onLBN, onErr: w.onErr, onCharged: w.onCharged,
+		onBlock: w.onBlock, onBits: w.onBits, onRun: w.onRun, onErr: w.onErr, onCharged: w.onCharged,
 	}
 	if !w.fs.walks.Put(w) {
 		w.dead, w.res.w = true, w
@@ -158,7 +170,6 @@ func (w *walk) goTo(pc func(*walk)) {
 
 // The bound callbacks: note the result and carry on, or end the operation.
 func (w *walk) gotBlock(b *buffercache.Block, err error) { w.blk = b; w.got(err) }
-func (w *walk) gotLBN(lbn int64, err error)              { w.lbn = lbn; w.got(err) }
 func (w *walk) got(err error) {
 	if err != nil {
 		w.fail(err)
@@ -168,9 +179,15 @@ func (w *walk) got(err error) {
 }
 
 // fail ends the operation with err, letting go of the pointer block the
-// cursor may hold pinned.
+// cursor may hold pinned — after freeing the inode a CREATE allocated, if
+// no dirent names it yet.
 func (w *walk) fail(err error) {
 	w.unpinSlot()
+	if w.orphan {
+		w.orphan, w.err = false, err
+		w.reapInode()
+		return
+	}
 	w.finish(err)
 }
 
@@ -179,8 +196,8 @@ func (w *walk) ended() { w.finish(nil) }
 
 // finish completes the operation. The record retires first — a completion
 // that starts the next operation then reuses it — except where the result
-// is a view into it: Map's list is valid only during its callback, and a
-// successful read keeps the record until ReadResult.Done.
+// is a view into it: the lists of Map and Readdir are valid only during their
+// callbacks, and a successful read keeps the record until ReadResult.Done.
 func (w *walk) finish(err error) {
 	switch {
 	case w.doneRead != nil:
@@ -204,13 +221,6 @@ func (w *walk) finish(err error) {
 		}
 		w.retire()
 		d(ino, err)
-	case w.doneInode != nil:
-		d, in := w.doneInode, w.in
-		if err != nil {
-			in = Inode{}
-		}
-		w.retire()
-		d(in, err)
 	case w.doneAttr != nil:
 		d, a := w.doneAttr, w.in.attr()
 		if err != nil {
@@ -218,13 +228,13 @@ func (w *walk) finish(err error) {
 		}
 		w.retire()
 		d(a, err)
-	case w.doneEnts != nil:
-		d, ents := w.doneEnts, w.ents
+	case w.doneList != nil:
 		if err != nil {
-			ents = nil
+			w.doneList(nil, err)
+		} else {
+			w.doneList(&w.list, nil)
 		}
 		w.retire()
-		d(ents, err)
 	default:
 		d := w.doneErr
 		w.retire()
@@ -258,8 +268,9 @@ func (w *walk) inodeLoaded() {
 	w.goTo(w.next)
 }
 
-// storeInode writes w.in back and completes the operation.
-func (w *walk) storeInode() {
+// storeInode writes w.in back as inode w.ino, then runs next.
+func (w *walk) storeInode(next func(*walk)) {
+	w.next = next
 	blk, _ := w.fs.inodeLoc(w.ino)
 	w.pc = (*walk).inodeStored
 	w.fs.cache.Get(blk, true, w.onBlock)
@@ -270,7 +281,7 @@ func (w *walk) inodeStored() {
 	EncodeInode(w.in, w.blk.Data[off:off+InodeSize])
 	w.fs.cache.MarkDirty(w.blk)
 	w.fs.cache.Unpin(w.blk)
-	w.finish(nil)
+	w.goTo(w.next)
 }
 
 // ---- block mapping ----
@@ -341,25 +352,22 @@ func (w *walk) hop() {
 	case cur != 0 || !w.alloc:
 		w.unpinSlot()
 		w.descend(int64(cur), false)
-	case w.hops > 0:
-		w.pc = (*walk).hopAllocated
-		w.fs.allocZeroedBlock(w.onLBN)
 	default:
-		w.pc = (*walk).hopAllocated
-		w.fs.allocBlock(w.onLBN)
+		w.allocBlock(w.hops > 0, (*walk).hopAllocated)
 	}
 }
 
 // hopAllocated records the new block in the slot (held pinned meanwhile).
 func (w *walk) hopAllocated() {
+	lbn := w.bits.idx
 	if w.pb != nil {
-		binary.BigEndian.PutUint32(w.pb.Data[w.idx[w.hops]*4:], uint32(w.lbn))
+		binary.BigEndian.PutUint32(w.pb.Data[w.idx[w.hops]*4:], uint32(lbn))
 		w.fs.cache.MarkDirty(w.pb)
 		w.unpinSlot()
 	} else {
-		*w.root, w.changed = uint32(w.lbn), true
+		*w.root, w.changed = uint32(lbn), true
 	}
-	w.descend(w.lbn, true)
+	w.descend(lbn, true)
 }
 
 func (w *walk) unpinSlot() {

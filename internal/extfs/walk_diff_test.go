@@ -54,11 +54,15 @@ func (r *fsRig) remount(t *testing.T, capacity int) {
 func (r *fsRig) inode(t *testing.T, ino uint32) Inode {
 	t.Helper()
 	var out Inode
-	r.fs.GetInode(ino, func(in Inode, err error) {
+	w := r.fs.walk()
+	w.doneErr = func(err error) {
 		if err != nil {
-			t.Fatalf("GetInode(%d): %v", ino, err)
+			t.Fatalf("load inode %d: %v", ino, err)
 		}
-		out = in
+	}
+	w.loadInode(ino, func(w *walk) {
+		out = w.in
+		w.finish(nil)
 	})
 	r.run(t)
 	return out
@@ -66,11 +70,14 @@ func (r *fsRig) inode(t *testing.T, ino uint32) Inode {
 
 func (r *fsRig) putInode(t *testing.T, ino uint32, in Inode) {
 	t.Helper()
-	r.fs.putInode(ino, in, func(err error) {
+	w := r.fs.walk()
+	w.ino, w.in = ino, in
+	w.doneErr = func(err error) {
 		if err != nil {
-			t.Fatalf("putInode(%d): %v", ino, err)
+			t.Fatalf("store inode %d: %v", ino, err)
 		}
-	})
+	}
+	w.storeInode((*walk).ended)
 	r.run(t)
 }
 

@@ -24,6 +24,19 @@ func oracleDecodeDirent(src []byte) Dirent {
 	return Dirent{Ino: binary.BigEndian.Uint32(src[0:]), Name: string(src[5 : 5+n])}
 }
 
+// oracleAlloc reserves a data block, zeroed in cache if zeroed is set, on a
+// walk record of its own: the PR 15 allocBlock and allocZeroedBlock, whose
+// bitmap search the walk now does in place.
+func (fs *FS) oracleAlloc(zeroed bool, done func(int64, error)) {
+	w := fs.walk()
+	w.doneErr = func(err error) { done(0, err) }
+	w.allocBlock(zeroed, func(w *walk) {
+		lbn := w.bits.idx
+		w.retire()
+		done(lbn, nil)
+	})
+}
+
 // oracleBmap resolves a file block number to a device block, optionally
 // allocating. It returns (0, nil) for holes when alloc is false. The inode
 // is updated in place; the caller persists it if modified (reported via
@@ -41,7 +54,7 @@ func (fs *FS) oracleBmap(in *Inode, fbn int64, alloc bool, done func(lbn int64, 
 			done(cur, false, false, nil)
 			return
 		}
-		fs.allocBlock(func(lbn int64, err error) {
+		fs.oracleAlloc(false, func(lbn int64, err error) {
 			if err != nil {
 				done(0, false, false, err)
 				return
@@ -108,7 +121,7 @@ func (fs *FS) oracleWithPtrBlock(cur int64, alloc bool, done func(lbn int64, cha
 		done(cur, false, nil)
 		return
 	}
-	fs.allocZeroedBlock(func(lbn int64, err error) {
+	fs.oracleAlloc(true, func(lbn int64, err error) {
 		done(lbn, true, err)
 	})
 }
@@ -128,7 +141,7 @@ func (fs *FS) oraclePtrEntry(ptrBlk, idx int64, alloc bool, done func(int64, boo
 			done(cur, false, nil)
 			return
 		}
-		fs.allocBlock(func(lbn int64, aerr error) {
+		fs.oracleAlloc(false, func(lbn int64, aerr error) {
 			if aerr != nil {
 				fs.cache.Unpin(b)
 				done(0, false, aerr)
@@ -161,7 +174,7 @@ func (fs *FS) oraclePtrEntryOrAlloc(ptrBlk, idx int64, alloc bool, done func(int
 			done(cur, nil)
 			return
 		}
-		fs.allocZeroedBlock(func(lbn int64, aerr error) {
+		fs.oracleAlloc(true, func(lbn int64, aerr error) {
 			if aerr != nil {
 				fs.cache.Unpin(b)
 				done(0, aerr)

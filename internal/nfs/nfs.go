@@ -69,6 +69,9 @@ type Attr struct {
 	Size  uint64
 }
 
+// MaxNameLen bounds a name argument (NFSv2's MAXNAMLEN).
+const MaxNameLen = 255
+
 // AttrLen is the encoded attribute size.
 const AttrLen = 16
 

@@ -3,6 +3,7 @@ package nfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -74,8 +75,8 @@ func (m *memBackend) Setattr(fh FH, size uint64, done func(Attr, uint32)) {
 	done(m.attr(ino), OK)
 }
 
-func (m *memBackend) Lookup(dir FH, name string, done func(FH, Attr, uint32)) {
-	ino, ok := m.names[name]
+func (m *memBackend) Lookup(dir FH, name []byte, done func(FH, Attr, uint32)) {
+	ino, ok := m.names[string(name)]
 	if !ok {
 		done(FH{}, Attr{}, ErrNoEnt)
 		return
@@ -119,36 +120,42 @@ func (m *memBackend) Write(fh FH, off uint64, data *netbuf.Chain, done func(int,
 	done(len(p), m.attr(ino), OK)
 }
 
-func (m *memBackend) Create(dir FH, name string, isDir bool, done func(FH, Attr, uint32)) {
-	if _, exists := m.names[name]; exists {
+func (m *memBackend) Create(dir FH, name []byte, isDir bool, done func(FH, Attr, uint32)) {
+	if _, exists := m.names[string(name)]; exists {
 		done(FH{}, Attr{}, ErrExist)
 		return
 	}
 	ino := m.next
 	m.next++
-	m.names[name] = ino
+	m.names[string(name)] = ino
 	m.files[ino] = nil
 	done(fhOf(ino), m.attr(ino), OK)
 }
 
-func (m *memBackend) Remove(dir FH, name string, done func(uint32)) {
-	ino, ok := m.names[name]
+func (m *memBackend) Remove(dir FH, name []byte, done func(uint32)) {
+	ino, ok := m.names[string(name)]
 	if !ok {
 		done(ErrNoEnt)
 		return
 	}
-	delete(m.names, name)
+	delete(m.names, string(name))
 	delete(m.files, ino)
 	done(OK)
 }
 
-func (m *memBackend) Readdir(dir FH, done func([]string, uint32)) {
-	out := make([]string, 0, len(m.names))
+func (m *memBackend) Readdir(dir FH, done func(Names, uint32)) {
+	out := make(nameList, 0, len(m.names))
 	for n := range m.names {
-		out = append(out, n)
+		out = append(out, []byte(n))
 	}
 	done(out, OK)
 }
+
+// nameList is a listing held as separate names.
+type nameList [][]byte
+
+func (l nameList) Len() int          { return len(l) }
+func (l nameList) Name(i int) []byte { return l[i] }
 
 var _ Backend = (*memBackend)(nil)
 
@@ -438,4 +445,74 @@ func TestCallRecordsPoisonedInDebugMode(t *testing.T) {
 	srv.backend = twiceBackend{backend}
 	c.Getattr(RootFH(), func(Attr, error) {})
 	mustPanic("backend answers twice", "retired twice", func() { _ = eng.Run() })
+}
+
+// listBackend answers every READDIR with one fixed listing.
+type listBackend struct {
+	*memBackend
+	list nameList
+}
+
+func (b *listBackend) Readdir(dir FH, done func(Names, uint32)) { done(&b.list, OK) }
+
+// TestNamedOpsAllocBudget: a LOOKUP round trip — the name pulled from the
+// arguments into the server's call record and lent to the backend as a view
+// of it — allocates nothing, and so does the server half of a READDIR, whose
+// 150 names are encoded straight into pooled transmit buffers. The READDIR
+// round trip's budget of 3 objects is the client's result alone: the gathered
+// reply, the one string every name is cut from, and the name slice.
+func TestNamedOpsAllocBudget(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, c, backend, srv := loop(t)
+	lb := &listBackend{memBackend: backend}
+	for i := 0; i < 150; i++ {
+		lb.list = append(lb.list, []byte(fmt.Sprintf("file-%03d", i)))
+	}
+	srv.backend = lb
+	c.Create(RootFH(), "f.txt", func(_ FH, _ Attr, err error) {
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+	})
+	run := func() {
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	found := func(_ FH, _ Attr, err error) {
+		if err != nil {
+			t.Errorf("Lookup: %v", err)
+		}
+	}
+	lookup := func() {
+		c.Lookup(RootFH(), "f.txt", found)
+		run()
+	}
+	listed := 0
+	names := func(ns []string, err error) {
+		if err != nil || len(ns) != 150 || ns[149] != "file-149" {
+			t.Errorf("Readdir: %d names, %v", len(ns), err)
+		}
+		listed++
+	}
+	readdir := func() {
+		c.Readdir(RootFH(), names)
+		run()
+	}
+	for i := 0; i < 8; i++ {
+		lookup()
+		readdir()
+	}
+	if avg := testing.AllocsPerRun(200, lookup); avg != 0 {
+		t.Errorf("a LOOKUP round trip allocates %.1f objects, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, readdir); avg > 3 {
+		t.Errorf("a READDIR round trip of 150 names allocates %.1f objects, budget 3 (the client's result)", avg)
+	}
+	if listed != 8+201 {
+		t.Fatalf("%d listings, want %d", listed, 8+201)
+	}
 }

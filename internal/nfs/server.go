@@ -13,16 +13,24 @@ import (
 // Backend is the file service behind the protocol server. Payload chains
 // flow through untouched: Read produces the reply payload (real bytes,
 // logical keys, or baseline junk — the backend decides), Write consumes the
-// request payload straight from the wire buffers.
+// request payload straight from the wire buffers. A name argument is a view
+// into the server's call record, valid only during the call it is passed
+// to; a listing is the backend's, valid only during done.
 type Backend interface {
 	Getattr(fh FH, done func(Attr, uint32))
 	Setattr(fh FH, size uint64, done func(Attr, uint32))
-	Lookup(dir FH, name string, done func(FH, Attr, uint32))
+	Lookup(dir FH, name []byte, done func(FH, Attr, uint32))
 	Read(fh FH, off uint64, n int, done func(*netbuf.Chain, Attr, uint32))
 	Write(fh FH, off uint64, data *netbuf.Chain, done func(n int, attr Attr, st uint32))
-	Create(dir FH, name string, isDir bool, done func(FH, Attr, uint32))
-	Remove(dir FH, name string, done func(uint32))
-	Readdir(dir FH, done func([]string, uint32))
+	Create(dir FH, name []byte, isDir bool, done func(FH, Attr, uint32))
+	Remove(dir FH, name []byte, done func(uint32))
+	Readdir(dir FH, done func(Names, uint32))
+}
+
+// Names is a directory listing as a backend lends it to the reply encoder.
+type Names interface {
+	Len() int
+	Name(i int) []byte
 }
 
 // TxFilter rewrites a fully composed reply payload just before it enters
@@ -99,7 +107,8 @@ func encodeAttr(e *xdr.Encoder, a Attr) {
 }
 
 // serverCall is the recycled record of one NFS call on the server: the RPC
-// call (by value: where the reply goes) and its argument body, with the
+// call (by value: where the reply goes), its argument body and the name
+// argument of a LOOKUP, CREATE or REMOVE, with the
 // continuations the CPU charge and the backend are handed — run and one per
 // result shape — bound once, when the record is first allocated. It never
 // leaves its Server and retires where the reply is handed to the RPC layer;
@@ -111,7 +120,8 @@ type serverCall struct {
 	s    *Server
 	c    sunrpc.Call
 	body *netbuf.Chain
-	dead bool // retired in debug mode
+	name [MaxNameLen + 1]byte // room for the XDR padding of the longest name
+	dead bool                 // retired in debug mode
 
 	run      func()
 	onAttr   func(Attr, uint32)
@@ -119,7 +129,7 @@ type serverCall struct {
 	onRead   func(*netbuf.Chain, Attr, uint32)
 	onWrite  func(int, Attr, uint32)
 	onStatus func(uint32)
-	onNames  func([]string, uint32)
+	onNames  func(Names, uint32)
 }
 
 // call takes a blank record off the free list.
@@ -195,10 +205,10 @@ func (k *serverCall) serve() {
 		s.backend.Setattr(fh, size, k.onAttr)
 
 	case ProcLookup:
-		fh, name, ok := pullFHName(body)
+		fh, name, st := k.pullFHName()
 		body.Release()
-		if !ok {
-			k.replyStatus(ErrIO)
+		if st != OK {
+			k.replyStatus(st)
 			return
 		}
 		s.node.Reqs.MetaOps++
@@ -246,20 +256,20 @@ func (k *serverCall) serve() {
 		s.backend.Write(fh, off, data, k.onWrite)
 
 	case ProcCreate, ProcMkdir:
-		fh, name, ok := pullFHName(body)
+		fh, name, st := k.pullFHName()
 		body.Release()
-		if !ok {
-			k.replyStatus(ErrIO)
+		if st != OK {
+			k.replyStatus(st)
 			return
 		}
 		s.node.Reqs.MetaOps++
 		s.backend.Create(fh, name, proc == ProcMkdir, k.onFHAttr)
 
 	case ProcRemove, ProcRmdir:
-		fh, name, ok := pullFHName(body)
+		fh, name, st := k.pullFHName()
 		body.Release()
-		if !ok {
-			k.replyStatus(ErrIO)
+		if st != OK {
+			k.replyStatus(st)
 			return
 		}
 		s.node.Reqs.MetaOps++
@@ -349,23 +359,33 @@ func (k *serverCall) replyWrite(n int, a Attr, st uint32) {
 	s.send(c, hb, nil)
 }
 
-// replyNames sends status+name list.
-func (k *serverCall) replyNames(names []string, st uint32) {
+// replyNames sends status+name list. The names follow the head in pooled
+// transmit buffers, each holding whole entries, as the reply's payload: the
+// listing is not a cached payload, so it skips the tx filter.
+func (k *serverCall) replyNames(names Names, st uint32) {
 	if st != OK {
 		k.replyStatus(st)
 		return
 	}
-	size := 8
-	for _, n := range names {
-		size += 4 + (len(n)+3)&^3
-	}
 	s, c := k.s, k.retire()
-	hb, e := head(c, size, OK)
-	e.Uint32(uint32(len(names)))
-	for _, n := range names {
-		e.String(n)
+	hb, e := head(c, 8, OK)
+	e.Uint32(uint32(names.Len()))
+	list, b := netbuf.NewChain(), s.node.TxPool.Get()
+	for i := 0; i < names.Len(); i++ {
+		n := names.Name(i)
+		size := 4 + (len(n)+3)&^3
+		if b.Tailroom() < size {
+			list.Append(b)
+			b = s.node.TxPool.Get()
+		}
+		at := b.Len()
+		_ = b.Put(size) // a pooled buffer holds any one name
+		e := xdr.Over(b.Bytes()[at:])
+		e.Uint32(uint32(len(n)))
+		e.FixedOpaque(n)
 	}
-	s.send(c, hb, nil)
+	list.Append(b)
+	_ = c.Send(hb, list)
 }
 
 // pullFH extracts a file handle from the argument chain.
@@ -375,31 +395,31 @@ func pullFH(body *netbuf.Chain) (FH, bool) {
 	return fh, ok
 }
 
-// pullFHName extracts fh + XDR string arguments.
-func pullFHName(body *netbuf.Chain) (FH, string, bool) {
+// pullFHName extracts fh + XDR string arguments, the name into the record:
+// the name returned is a view into it. A name longer than MaxNameLen is
+// refused with ErrNameLong.
+func (k *serverCall) pullFHName() (FH, []byte, uint32) {
+	body := k.body
 	fh, ok := pullFH(body)
 	if !ok {
-		return fh, "", false
+		return fh, nil, ErrIO
 	}
 	var lraw [4]byte
 	if body.PullHeaderInto(lraw[:]) != nil {
-		return fh, "", false
+		return fh, nil, ErrIO
 	}
 	n := int(be32(lraw[:]))
 	padded := n + (4-n%4)%4
-	if n < 0 || body.Len() < padded {
-		return fh, "", false
+	if body.Len() < padded {
+		return fh, nil, ErrIO
 	}
-	// Names are short: a stack array holds all but the pathological ones.
-	var short [64]byte
-	raw := short[:]
-	if padded > len(raw) {
-		raw = make([]byte, padded)
+	if n > MaxNameLen {
+		return fh, nil, ErrNameLong
 	}
-	if body.PullHeaderInto(raw[:padded]) != nil {
-		return fh, "", false
+	if body.PullHeaderInto(k.name[:padded]) != nil {
+		return fh, nil, ErrIO
 	}
-	return fh, string(raw[:n]), true
+	return fh, k.name[:n], OK
 }
 
 // be32/be64 decode big-endian integers.

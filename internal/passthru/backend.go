@@ -40,7 +40,7 @@ type backendCall struct {
 	onErr       func(error)
 	onIno       func(uint32, error)
 	onRead      func(*extfs.ReadResult, error)
-	onEnts      func([]extfs.Dirent, error)
+	onList      func(*extfs.Listing, error)
 	onWritten   func(error)
 	onLBNs      func([]int64, error)
 	onAdmit     func()
@@ -71,7 +71,7 @@ type backendOp struct {
 	doneRead   func(*netbuf.Chain, nfs.Attr, uint32)
 	doneWrite  func(int, nfs.Attr, uint32)
 	doneStatus func(uint32)
-	doneNames  func([]string, uint32)
+	doneNames  func(nfs.Names, uint32)
 }
 
 // call takes a blank record off the free list.
@@ -79,7 +79,7 @@ func (b *fsBackend) call(proc uint32) *backendCall {
 	k := b.calls.Take()
 	if k == nil {
 		k = &backendCall{b: b}
-		k.onAttr, k.onErr, k.onIno, k.onRead, k.onEnts = k.gotAttr, k.gotErr, k.gotIno, k.gotRead, k.gotEnts
+		k.onAttr, k.onErr, k.onIno, k.onRead, k.onList = k.gotAttr, k.gotErr, k.gotIno, k.gotRead, k.gotList
 		k.onWritten, k.onLBNs = k.written, k.mapped
 		k.onAdmit, k.onCancel, k.onCommitted = k.admitted, k.cancelled, k.committed
 		k.fillFHO, k.fillJunk, k.fillWire = k.stampFHO, k.stampJunk, k.copyWire
@@ -188,7 +188,7 @@ func (b *fsBackend) Setattr(fh nfs.FH, size uint64, done func(nfs.Attr, uint32))
 	b.srv.FS.Truncate(k.ino, size, k.onErr)
 }
 
-func (b *fsBackend) Lookup(dir nfs.FH, name string, done func(nfs.FH, nfs.Attr, uint32)) {
+func (b *fsBackend) Lookup(dir nfs.FH, name []byte, done func(nfs.FH, nfs.Attr, uint32)) {
 	if b.srv.crashed {
 		return
 	}
@@ -197,7 +197,7 @@ func (b *fsBackend) Lookup(dir nfs.FH, name string, done func(nfs.FH, nfs.Attr, 
 	b.srv.FS.Lookup(fhIno(dir), name, k.onIno)
 }
 
-func (b *fsBackend) Create(dir nfs.FH, name string, isDir bool, done func(nfs.FH, nfs.Attr, uint32)) {
+func (b *fsBackend) Create(dir nfs.FH, name []byte, isDir bool, done func(nfs.FH, nfs.Attr, uint32)) {
 	if b.srv.crashed {
 		return
 	}
@@ -210,7 +210,7 @@ func (b *fsBackend) Create(dir nfs.FH, name string, isDir bool, done func(nfs.FH
 	b.srv.FS.Create(fhIno(dir), name, mode, k.onIno)
 }
 
-func (b *fsBackend) Remove(dir nfs.FH, name string, done func(uint32)) {
+func (b *fsBackend) Remove(dir nfs.FH, name []byte, done func(uint32)) {
 	if b.srv.crashed {
 		return
 	}
@@ -219,25 +219,23 @@ func (b *fsBackend) Remove(dir nfs.FH, name string, done func(uint32)) {
 	b.srv.FS.Remove(fhIno(dir), name, k.onErr)
 }
 
-func (b *fsBackend) Readdir(dir nfs.FH, done func([]string, uint32)) {
+func (b *fsBackend) Readdir(dir nfs.FH, done func(nfs.Names, uint32)) {
 	if b.srv.crashed {
 		return
 	}
 	k := b.call(nfs.ProcReaddir)
 	k.doneNames = done
-	b.srv.FS.Readdir(fhIno(dir), k.onEnts)
+	b.srv.FS.Readdir(fhIno(dir), k.onList)
 }
 
-func (k *backendCall) gotEnts(ents []extfs.Dirent, err error) {
+// gotList hands the file system's listing to the protocol server, which
+// encodes it before the listing's walk retires.
+func (k *backendCall) gotList(l *extfs.Listing, err error) {
 	if err != nil {
 		k.fail(err)
 		return
 	}
-	names := make([]string, len(ents))
-	for i, e := range ents {
-		names[i] = e.Name
-	}
-	k.retire().doneNames(names, nfs.OK)
+	k.retire().doneNames(l, nfs.OK)
 }
 
 func (b *fsBackend) Read(fh nfs.FH, off uint64, n int, done func(*netbuf.Chain, nfs.Attr, uint32)) {

@@ -110,7 +110,7 @@ func (wc *webConn) serve(req string) {
 			wc.sendFile(f)
 			return
 		}
-		srv.FS.Lookup(extfs.RootIno, name, func(ino uint32, err error) {
+		srv.FS.Lookup(extfs.RootIno, []byte(name), func(ino uint32, err error) {
 			if err != nil {
 				w.Errors++
 				wc.sendError(404, "Not Found")
