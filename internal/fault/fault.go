@@ -358,6 +358,22 @@ func (in *Injector) FrameTx(site string) Decision {
 	return in.decide(site, FrameDrop, FrameCorrupt, FrameDelay, FrameDup)
 }
 
+// DrawsFrames reports whether a frame-fault schedule names site. Such a
+// schedule draws from one random stream for every site it names, so a NIC
+// whose transmit site it names must take each decision at the instant its
+// frame departs, in departure order.
+func (in *Injector) DrawsFrames(site string) bool {
+	if in == nil {
+		return false
+	}
+	for _, st := range in.scheds {
+		if layerOf(st.Class) == trace.LNet && st.matches(site) {
+			return true
+		}
+	}
+	return false
+}
+
 // FrameRx is consulted by the switch for each frame heading to a port; site
 // is "<node>.rx".
 func (in *Injector) FrameRx(site string) Decision {

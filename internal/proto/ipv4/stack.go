@@ -9,11 +9,12 @@ import (
 	"ncache/internal/simnet"
 )
 
-// Handler consumes a reassembled datagram for one transport protocol. The
-// payload chain's buffers are the original wire buffers (zero-copy
-// reassembly). Ownership contract: the stack transfers the references to
-// the handler, which must Release or forward them exactly once.
-type Handler func(h Header, payload *netbuf.Chain)
+// Handler consumes a reassembled datagram for one transport protocol, sent
+// from src to dst. The payload chain's buffers are the original wire
+// buffers (zero-copy reassembly). Ownership contract: the stack transfers
+// the references to the handler, which must Release or forward them exactly
+// once.
+type Handler func(src, dst eth.Addr, payload *netbuf.Chain)
 
 // Stack is a node's network layer: it owns the receive path of every NIC on
 // the node, demuxes to registered transports, fragments oversize datagrams
@@ -26,13 +27,10 @@ type Stack struct {
 	reasm    map[flowKey]*reassembly
 	// free is the free list of reassembly records (see reassembly).
 	free netbuf.FreeList[reassembly]
-	// receiveFn is s.receive bound once, so the per-packet path creates no
-	// func value.
-	receiveFn func(*netbuf.Chain)
 
 	// ReasmErrors counts fragments that could not be reassembled
-	// (out-of-order or inconsistent); the lossless fabric keeps this at
-	// zero unless faults are injected.
+	// (out-of-order, stale, duplicate or inconsistent); the lossless fabric
+	// keeps this at zero unless faults are injected.
 	ReasmErrors uint64
 	// ReasmDropped counts partial datagrams abandoned because a lost
 	// fragment made completion impossible (a newer ID arrived on the flow,
@@ -48,7 +46,7 @@ const ReasmTimeout = 50 * sim.Millisecond
 
 // flowKey identifies one fragment stream. The fabric preserves per-flow
 // ordering, so at most one datagram per flow is ever mid-reassembly; a
-// fragment carrying a new IP ID obsoletes any older partial.
+// fragment carrying a newer IP ID obsoletes any older partial.
 type flowKey struct {
 	src, dst eth.Addr
 	proto    uint8
@@ -75,15 +73,15 @@ type reassembly struct {
 }
 
 // reassemble starts a record for the datagram id on flow key and arms its
-// timeout.
-func (s *Stack) reassemble(key flowKey, id uint16) *reassembly {
+// timeout from at, when the head fragment's receive CPU time ends.
+func (s *Stack) reassemble(key flowKey, id uint16, at sim.Time) *reassembly {
 	r := s.free.Take()
 	if r == nil {
 		r = &reassembly{s: s}
 		r.expire = r.expired
 	}
 	r.key, r.id, r.chain = key, id, netbuf.NewChain()
-	r.expiry = s.node.Eng.Schedule(ReasmTimeout, r.expire)
+	r.expiry = s.node.Eng.At(at.Add(ReasmTimeout), r.expire)
 	s.reasm[key] = r
 	return r
 }
@@ -121,7 +119,6 @@ func NewStack(node *simnet.Node) *Stack {
 		handlers: make(map[uint8]Handler),
 		reasm:    make(map[flowKey]*reassembly),
 	}
-	s.receiveFn = s.receive
 	for _, nic := range node.NICs() {
 		s.AttachNIC(nic)
 	}
@@ -134,10 +131,12 @@ func (s *Stack) AttachNIC(nic *simnet.NIC) {
 	nic.SetRxHandler(s.rx)
 }
 
-// rx charges the per-packet receive cost (interrupt + driver + demux), then
-// parses the frame.
+// rx takes in one delivered frame. It reserves the per-packet receive cost
+// (interrupt + driver + demux) on the CPU, and parses and reassembles the
+// frame at once, in delivery order: only the frame that completes a
+// datagram posts an event, the upcall, for when its CPU time ends.
 func (s *Stack) rx(frame *netbuf.Chain) {
-	s.node.ChargeFrame(s.node.Cost.PktRxNs, frame, s.receiveFn)
+	s.receive(frame, s.node.CPU.Use(s.node.Cost.PktRxNs, nil))
 }
 
 // Node returns the owning node.
@@ -223,8 +222,9 @@ func (s *Stack) sendFragment(nic *simnet.NIC, hdr Header, payload *netbuf.Chain)
 	return nil
 }
 
-// receive parses one frame and either delivers or reassembles it.
-func (s *Stack) receive(frame *netbuf.Chain) {
+// receive parses one frame and either delivers or reassembles it; at is
+// when its receive CPU time ends.
+func (s *Stack) receive(frame *netbuf.Chain, at sim.Time) {
 	if _, err := eth.Parse(frame); err != nil {
 		s.ReasmErrors++
 		frame.Release()
@@ -237,14 +237,21 @@ func (s *Stack) receive(frame *netbuf.Chain) {
 		return
 	}
 	if !hdr.MoreFrags && hdr.FragOffset == 0 {
-		s.deliver(hdr, frame)
+		s.deliver(hdr, frame, at)
 		return
 	}
 
 	key := flowKey{src: hdr.Src, dst: hdr.Dst, proto: hdr.Proto}
 	r := s.reasm[key]
 	if r != nil && r.id != hdr.ID {
-		// Per-flow ordering: a fragment with a new ID means the old
+		if int16(hdr.ID-r.id) < 0 {
+			// A late fragment of a datagram the flow has moved past
+			// (serial arithmetic on the 16-bit ID): drop it alone.
+			s.ReasmErrors++
+			frame.Release()
+			return
+		}
+		// Per-flow ordering: a fragment with a newer ID means the old
 		// partial's missing tail can never arrive. Abandon it.
 		s.ReasmDropped++
 		s.evict(r)
@@ -257,7 +264,13 @@ func (s *Stack) receive(frame *netbuf.Chain) {
 			frame.Release()
 			return
 		}
-		r = s.reassemble(key, hdr.ID)
+		r = s.reassemble(key, hdr.ID, at)
+	}
+	if hdr.FragOffset < r.nextOff {
+		// A duplicate of a fragment already held: drop the copy alone.
+		s.ReasmErrors++
+		frame.Release()
+		return
 	}
 	if hdr.FragOffset != r.nextOff {
 		// A middle fragment was lost or reordered away.
@@ -272,7 +285,7 @@ func (s *Stack) receive(frame *netbuf.Chain) {
 		s.node.Eng.Cancel(r.expiry)
 		whole := r.chain
 		r.retire()
-		s.deliver(hdr, whole)
+		s.deliver(hdr, whole, at)
 	}
 }
 
@@ -283,12 +296,20 @@ func (s *Stack) evict(r *reassembly) {
 	r.retire()
 }
 
-// deliver hands a complete datagram to the registered transport.
-func (s *Stack) deliver(hdr Header, payload *netbuf.Chain) {
+// deliver posts a complete datagram's upcall to the registered transport for
+// the instant at. The post carries the handler, the payload and both
+// addresses, so it allocates nothing.
+func (s *Stack) deliver(hdr Header, payload *netbuf.Chain, at sim.Time) {
 	h, ok := s.handlers[hdr.Proto]
 	if !ok {
 		payload.Release()
 		return
 	}
-	h(hdr, payload)
+	s.node.Eng.PostAt(at, upcall, h, payload, int64(hdr.Src)<<32|int64(hdr.Dst))
+}
+
+// upcall is deliver's handler: addrs holds the source address in its high
+// 32 bits and the destination in its low.
+func upcall(h, payload any, addrs int64) {
+	h.(Handler)(eth.Addr(uint64(addrs)>>32), eth.Addr(uint32(addrs)), payload.(*netbuf.Chain))
 }

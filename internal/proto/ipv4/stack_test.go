@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ncache/internal/netbuf"
+	"ncache/internal/proto/eth"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
@@ -28,9 +29,9 @@ func stackPair(t *testing.T) (*sim.Engine, *Stack, *Stack) {
 func TestStackSmallDatagram(t *testing.T) {
 	eng, sa, sb := stackPair(t)
 	var got []byte
-	var gotHdr Header
-	sb.Register(99, func(h Header, payload *netbuf.Chain) {
-		gotHdr = h
+	var gotSrc, gotDst eth.Addr
+	sb.Register(99, func(src, dst eth.Addr, payload *netbuf.Chain) {
+		gotSrc, gotDst = src, dst
 		got = payload.Flatten()
 		payload.Release()
 	})
@@ -44,8 +45,8 @@ func TestStackSmallDatagram(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("payload = %q", got)
 	}
-	if gotHdr.Src != 1 || gotHdr.Dst != 2 || gotHdr.Proto != 99 {
-		t.Fatalf("header = %+v", gotHdr)
+	if gotSrc != 1 || gotDst != 2 {
+		t.Fatalf("addresses = %s → %s, want 0.0.0.1 → 0.0.0.2", gotSrc, gotDst)
 	}
 }
 
@@ -54,7 +55,7 @@ func TestStackFragmentationRoundTrip(t *testing.T) {
 	want := make([]byte, 20000)
 	rand.New(rand.NewSource(4)).Read(want)
 	var got []byte
-	sb.Register(17, func(_ Header, payload *netbuf.Chain) {
+	sb.Register(17, func(_, _ eth.Addr, payload *netbuf.Chain) {
 		got = payload.Flatten()
 		payload.Release()
 	})
@@ -81,7 +82,7 @@ func TestStackInterleavedDatagramsReassembleByID(t *testing.T) {
 	// wire but must reassemble separately by IP ID.
 	eng, sa, sb := stackPair(t)
 	var got [][]byte
-	sb.Register(17, func(_ Header, payload *netbuf.Chain) {
+	sb.Register(17, func(_, _ eth.Addr, payload *netbuf.Chain) {
 		got = append(got, payload.Flatten())
 		payload.Release()
 	})
@@ -134,7 +135,7 @@ func TestStackPacketAllocFree(t *testing.T) {
 	for _, size := range []int{1024, 4096} {
 		eng, sa, sb := stackPair(t)
 		delivered := 0
-		sb.Register(99, func(_ Header, payload *netbuf.Chain) {
+		sb.Register(99, func(_, _ eth.Addr, payload *netbuf.Chain) {
 			delivered += payload.Len()
 			payload.Release()
 		})
@@ -170,7 +171,7 @@ func TestStackPacketAllocFree(t *testing.T) {
 func TestStackReassemblyRecordRecycled(t *testing.T) {
 	eng, sa, sb := stackPair(t)
 	delivered := 0
-	sb.Register(99, func(_ Header, payload *netbuf.Chain) {
+	sb.Register(99, func(_, _ eth.Addr, payload *netbuf.Chain) {
 		delivered++
 		payload.Release()
 	})
@@ -255,5 +256,91 @@ func TestStackReassemblyRecordRecycled(t *testing.T) {
 			}
 		}()
 		b.expire()
+	}
+}
+
+// TestStackDatagramEventBudget pins the receive side's events: a datagram
+// of n fragments costs 2n + 1 — each fragment's arrival at the switch egress
+// and its delivery, and one upcall — since the sender's CPU time and every
+// fragment's receive CPU time are reserved without an event. The upcall
+// fires when the last fragment's receive CPU time ends, at the instants
+// pinned from the version that spent an event on each.
+func TestStackDatagramEventBudget(t *testing.T) {
+	for _, c := range []struct {
+		size, frags int
+		upcall      sim.Time
+	}{{1000, 1, 28396}, {4000, 3, 57132}, {20000, 14, 190060}} {
+		eng, sa, sb := stackPair(t)
+		var at sim.Time
+		sb.Register(99, func(_, _ eth.Addr, payload *netbuf.Chain) {
+			at = eng.Now()
+			payload.Release()
+		})
+		if err := sa.Send(1, 2, 99, netbuf.ChainFromBytes(make([]byte, c.size), netbuf.DefaultBufSize)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(2*c.frags + 1); eng.Processed() != want || at != c.upcall {
+			t.Errorf("%d-byte datagram: upcall at %d after %d events, want %d after %d",
+				c.size, at, eng.Processed(), c.upcall, want)
+		}
+	}
+}
+
+// fragment builds the wire frame of one fragment of datagram id on the flow
+// 1 → 2: the part of a size-byte payload from off, at most one fragment's
+// worth.
+func fragment(t *testing.T, id uint16, size, off int) *netbuf.Chain {
+	t.Helper()
+	n := min(size-off, 1480)
+	frame := netbuf.ChainFromBytes(bytes.Repeat([]byte{byte(id)}, n), netbuf.DefaultBufSize)
+	hdr := Header{TotalLen: uint16(HeaderLen + n), ID: id, MoreFrags: off+n < size,
+		FragOffset: uint16(off), TTL: 64, Proto: 99, Src: 1, Dst: 2}
+	if err := hdr.Push(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := (eth.Header{Dst: 2, Src: 1, Type: eth.TypeIPv4}).Push(frame); err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestStackStaleAndDuplicateFragmentsDroppedAlone: a late fragment of a
+// datagram the flow has moved past, or a second copy of a fragment already
+// held, is dropped on its own and counted, and the datagram in progress
+// still completes. Each order below carries fragments of two 4,000-byte
+// datagrams (three fragments each), D1 and D2.
+func TestStackStaleAndDuplicateFragmentsDroppedAlone(t *testing.T) {
+	type frag struct{ d, f int }
+	for _, c := range []struct {
+		name  string
+		order []frag
+		want  uint16 // the datagram that completes
+		errs  uint64
+	}{
+		{"stale", []frag{{1, 1}, {1, 2}, {2, 1}, {1, 3}, {2, 2}, {2, 3}}, 2, 1},
+		{"duplicate", []frag{{1, 1}, {1, 1}, {1, 2}, {1, 3}}, 1, 1},
+	} {
+		eng, _, sb := stackPair(t)
+		var got [][]byte
+		sb.Register(99, func(_, _ eth.Addr, payload *netbuf.Chain) {
+			got = append(got, payload.Flatten())
+			payload.Release()
+		})
+		const size = 4000
+		for _, f := range c.order {
+			sb.rx(fragment(t, uint16(f.d), size, (f.f-1)*1480))
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !bytes.Equal(got[0], bytes.Repeat([]byte{byte(c.want)}, size)) {
+			t.Errorf("%s: %d datagrams delivered, want D%d alone", c.name, len(got), c.want)
+		}
+		if sb.ReasmErrors != c.errs || len(sb.reasm) != 0 {
+			t.Errorf("%s: %d fragment errors, %d partials left; want %d, 0", c.name, sb.ReasmErrors, len(sb.reasm), c.errs)
+		}
 	}
 }

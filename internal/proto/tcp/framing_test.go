@@ -6,7 +6,6 @@ import (
 
 	"ncache/internal/netbuf"
 	"ncache/internal/proto/eth"
-	"ncache/internal/proto/ipv4"
 )
 
 // buildSegment crafts a wire-format TCP segment with a correct checksum;
@@ -30,7 +29,7 @@ func buildSegment(src, dst eth.Addr, srcPort, dstPort uint16, seq, ack uint32, f
 
 // inject feeds a crafted segment straight into the receive path.
 func inject(h *host, src eth.Addr, seg *netbuf.Chain) {
-	h.tcp.receive(ipv4.Header{Src: src, Dst: h.addr, Proto: ipv4.ProtoTCP}, seg)
+	h.tcp.receive(src, h.addr, seg)
 }
 
 // TestSegmentWireFormatRoundTrip checks the header codec field by field: a

@@ -10,8 +10,6 @@ import (
 
 	"ncache/internal/fault"
 	"ncache/internal/netbuf"
-	"ncache/internal/proto/eth"
-	"ncache/internal/proto/ipv4"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
@@ -27,15 +25,8 @@ func twoHostsFaults(t *testing.T, seed uint64, spec string) (*sim.Engine, *fault
 		t.Fatalf("fault spec %q: %v", spec, err)
 	}
 	nw.SetFaults(in)
-	mk := func(name string, addr eth.Addr) *host {
-		n := simnet.NewNode(eng, name, simnet.DefaultProfile())
-		if _, err := nw.Attach(n, addr, simnet.Gbps); err != nil {
-			t.Fatalf("attach %s: %v", name, err)
-		}
-		ip := ipv4.NewStack(n)
-		return &host{node: n, ip: ip, tcp: NewTransport(ip), addr: addr}
-	}
-	return eng, in, mk("a", 1), mk("b", 2)
+	a, b := hostsOn(t, eng, nw, simnet.Gbps)
+	return eng, in, a, b
 }
 
 // lossSeed reads the CI fault-seed matrix override (NCACHE_FAULT_SEED), so

@@ -552,7 +552,7 @@ func (t *Transport) offloaded(local eth.Addr) bool {
 }
 
 // receive demuxes one segment.
-func (t *Transport) receive(ih ipv4.Header, payload *netbuf.Chain) {
+func (t *Transport) receive(src, dst eth.Addr, payload *netbuf.Chain) {
 	if payload.Len() < HeaderLen {
 		t.ProtocolErrors++
 		payload.Release()
@@ -572,7 +572,7 @@ func (t *Transport) receive(ih ipv4.Header, payload *netbuf.Chain) {
 
 	// Verify the transport checksum (free with offload; the cost model
 	// for software checksumming is charged on rx below).
-	sum := pseudoHeaderSum(ih.Src, ih.Dst)
+	sum := pseudoHeaderSum(src, dst)
 	sum.AddBytes(raw)
 	sum = netbuf.Combine(sum, netbuf.PartialOfChain(payload))
 	if sum.Fold() != 0xffff {
@@ -580,12 +580,12 @@ func (t *Transport) receive(ih ipv4.Header, payload *netbuf.Chain) {
 		payload.Release()
 		return
 	}
-	if !t.offloaded(ih.Dst) && payload.Len() > 0 {
+	if !t.offloaded(dst) && payload.Len() > 0 {
 		t.node.Copies.ChecksumBytes += uint64(payload.Len())
 		t.node.Charge(t.node.Cost.ChecksumCost(payload.Len()), nil)
 	}
 
-	key := connKey{localAddr: ih.Dst, remoteAddr: ih.Src, localPort: dstPort, remotePort: srcPort}
+	key := connKey{localAddr: dst, remoteAddr: src, localPort: dstPort, remotePort: srcPort}
 	c, ok := t.conns[key]
 	if !ok {
 		if flags&flagSYN != 0 && flags&flagACK == 0 {

@@ -29,7 +29,14 @@ func twoHosts(t *testing.T) (*sim.Engine, *host, *host) {
 func twoHostsAt(t *testing.T, bw simnet.Bandwidth) (*sim.Engine, *host, *host) {
 	t.Helper()
 	eng := sim.NewEngine()
-	nw := simnet.NewNetwork(eng, 5*sim.Microsecond)
+	a, b := hostsOn(t, eng, simnet.NewNetwork(eng, 5*sim.Microsecond), bw)
+	return eng, a, b
+}
+
+// hostsOn attaches hosts a (address 1) and b (address 2) to nw, both links
+// at bw.
+func hostsOn(t *testing.T, eng *sim.Engine, nw *simnet.Network, bw simnet.Bandwidth) (*host, *host) {
+	t.Helper()
 	mk := func(name string, addr eth.Addr) *host {
 		n := simnet.NewNode(eng, name, simnet.DefaultProfile())
 		if _, err := nw.Attach(n, addr, bw); err != nil {
@@ -38,7 +45,7 @@ func twoHostsAt(t *testing.T, bw simnet.Bandwidth) (*sim.Engine, *host, *host) {
 		ip := ipv4.NewStack(n)
 		return &host{node: n, ip: ip, tcp: NewTransport(ip), addr: addr}
 	}
-	return eng, mk("a", 1), mk("b", 2)
+	return mk("a", 1), mk("b", 2)
 }
 
 // collectServer accepts one connection and accumulates its stream.

@@ -7,7 +7,6 @@ import (
 
 	"ncache/internal/netbuf"
 	"ncache/internal/proto/eth"
-	"ncache/internal/proto/ipv4"
 )
 
 // buildDatagram crafts a wire-format UDP datagram (header + payload) with a
@@ -36,7 +35,7 @@ func buildDatagram(src, dst eth.Addr, srcPort, dstPort uint16, pay []byte, mangl
 // IP layer had just reassembled it.
 func inject(t *testing.T, h *host, src eth.Addr, dg *netbuf.Chain) {
 	t.Helper()
-	h.udp.receive(ipv4.Header{Src: src, Dst: h.addr, Proto: ipv4.ProtoUDP}, dg)
+	h.udp.receive(src, h.addr, dg)
 }
 
 // TestWireFormatRoundTrip checks the header codec field by field: a crafted

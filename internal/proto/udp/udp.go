@@ -130,7 +130,7 @@ func (t *Transport) offloaded(local eth.Addr) bool {
 }
 
 // receive validates and demuxes one reassembled datagram.
-func (t *Transport) receive(ih ipv4.Header, payload *netbuf.Chain) {
+func (t *Transport) receive(src, dst eth.Addr, payload *netbuf.Chain) {
 	if payload.Len() < HeaderLen {
 		t.BadChecksums++
 		payload.Release()
@@ -146,7 +146,7 @@ func (t *Transport) receive(ih ipv4.Header, payload *netbuf.Chain) {
 	dstPort := binary.BigEndian.Uint16(raw[2:4])
 	length := binary.BigEndian.Uint16(raw[4:6])
 
-	sum := pseudoHeaderSum(ih.Src, ih.Dst, length)
+	sum := pseudoHeaderSum(src, dst, length)
 	sum.AddBytes(raw)
 	sum = netbuf.Combine(sum, netbuf.PartialOfChain(payload))
 	if sum.Fold() != 0xffff {
@@ -154,7 +154,7 @@ func (t *Transport) receive(ih ipv4.Header, payload *netbuf.Chain) {
 		payload.Release()
 		return
 	}
-	if !t.offloaded(ih.Dst) {
+	if !t.offloaded(dst) {
 		t.node.Copies.ChecksumBytes += uint64(payload.Len())
 		t.node.Charge(t.node.Cost.ChecksumCost(payload.Len()), nil)
 	}
@@ -165,8 +165,8 @@ func (t *Transport) receive(ih ipv4.Header, payload *netbuf.Chain) {
 		return
 	}
 	r(Datagram{
-		Src:     ih.Src,
-		Dst:     ih.Dst,
+		Src:     src,
+		Dst:     dst,
 		SrcPort: srcPort,
 		DstPort: dstPort,
 		Payload: payload,

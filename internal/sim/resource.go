@@ -10,11 +10,30 @@ type Resource struct {
 
 	// availAt is the virtual time at which the server next becomes free.
 	availAt Time
+	// dueAt is availAt counting only the jobs whose earliest start has
+	// passed; the two differ only while UseFrom has jobs booked ahead.
+	dueAt Time
+	// ahead holds the jobs UseFrom booked for an earliest start the clock
+	// has not reached, oldest first from index head; aheadD is their
+	// service total.
+	ahead  []booking
+	head   int
+	aheadD Duration
 
 	// busy accumulates total service time granted since the last ResetStats.
 	busy Duration
 	// statsSince is when stats collection (re)started.
 	statsSince Time
+}
+
+// aheadCap sizes a resource's first list of jobs booked ahead: a NIC's
+// bookings ahead are its frames still waiting for CPU time, rarely more.
+const aheadCap = 64
+
+// booking is a job enqueued ahead of its earliest start.
+type booking struct {
+	at, finish Time
+	d          Duration
 }
 
 // NewResource returns a resource attached to the engine.
@@ -29,27 +48,69 @@ func NewResource(eng *Engine) *Resource {
 // clock over a trailing job that nothing waits on (RunUntil its finish
 // does).
 func (r *Resource) Use(d Duration, done func()) Time {
-	if d < 0 {
-		d = 0
-	}
-	now := r.eng.Now()
-	start := r.availAt
-	if start < now {
-		start = now
-	}
-	finish := start.Add(d)
-	r.availAt = finish
-	r.busy += d
+	finish := r.UseFrom(r.eng.Now(), d)
 	if done != nil {
 		r.eng.At(finish, done)
 	}
 	return finish
 }
 
+// UseFrom enqueues a job needing d of service time that cannot start before
+// earliest, and returns the instant it completes. No event marks its end.
+// It lets a caller book work ahead (a NIC clocks out a frame the moment its
+// CPU time is reserved, from the instant that time ends), provided the
+// earliest starts of its jobs rise with the order it enqueues them. A job
+// booked ahead counts in the statistics from its earliest start, as if it
+// had been enqueued then.
+func (r *Resource) UseFrom(earliest Time, d Duration) Time {
+	if d < 0 {
+		d = 0
+	}
+	if len(r.ahead) > 0 {
+		r.catchUp()
+	}
+	start := r.availAt
+	if start < earliest {
+		start = earliest
+	}
+	finish := start.Add(d)
+	r.availAt = finish
+	r.busy += d
+	if earliest <= r.eng.Now() {
+		r.dueAt = finish
+		return finish
+	}
+	switch {
+	case r.ahead == nil:
+		r.ahead = make([]booking, 0, aheadCap)
+	case r.head > 0 && len(r.ahead) == cap(r.ahead):
+		r.ahead, r.head = r.ahead[:copy(r.ahead, r.ahead[r.head:])], 0
+	}
+	r.ahead = append(r.ahead, booking{earliest, finish, d})
+	r.aheadD += d
+	return finish
+}
+
+// catchUp retires the bookings whose earliest start the clock has reached.
+func (r *Resource) catchUp() {
+	now := r.eng.Now()
+	for r.head < len(r.ahead) && r.ahead[r.head].at <= now {
+		b := r.ahead[r.head]
+		r.dueAt, r.aheadD = b.finish, r.aheadD-b.d
+		r.head++
+	}
+	if r.head == len(r.ahead) {
+		r.ahead, r.head = r.ahead[:0], 0
+	}
+}
+
 // Busy returns the cumulative service time granted since the last ResetStats.
 // Work already admitted counts in full, mirroring how the paper's saturated
 // CPUs report 100% utilization while a backlog exists.
-func (r *Resource) Busy() Duration { return r.busy }
+func (r *Resource) Busy() Duration {
+	r.catchUp()
+	return r.busy - r.aheadD
+}
 
 // Utilization returns busy time divided by elapsed time since the last
 // ResetStats, clamped to [0, 1]. It returns 0 before any time has elapsed.
@@ -58,7 +119,7 @@ func (r *Resource) Utilization() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	u := float64(r.busy) / float64(elapsed)
+	u := float64(r.Busy()) / float64(elapsed)
 	if u > 1 {
 		u = 1
 	}
@@ -70,12 +131,14 @@ func (r *Resource) Utilization() float64 {
 // Experiments call this after warm-up so reported utilization reflects only
 // the steady-state window.
 func (r *Resource) ResetStats() {
-	r.busy = 0
+	r.catchUp()
 	r.statsSince = r.eng.Now()
 	// Busy time for in-flight work past this instant is intentionally
-	// credited to the new window only via availAt: if the server is
-	// committed beyond now, count that residue as busy.
-	if r.availAt > r.statsSince {
-		r.busy = r.availAt.Sub(r.statsSince)
+	// credited to the new window: if the server is committed beyond now,
+	// count that residue as busy. Jobs booked ahead count in full, once
+	// they come due.
+	r.busy = r.aheadD
+	if r.dueAt > r.statsSince {
+		r.busy += r.dueAt.Sub(r.statsSince)
 	}
 }

@@ -226,3 +226,38 @@ func TestRNGFloat64Range(t *testing.T) {
 		}
 	}
 }
+
+// TestResourceUseFromCountsFromEarliestStart: a job booked ahead of its
+// earliest start queues like any other, but counts in the statistics only
+// from that start. Two jobs of 10 are booked at 0 to start at 100 and 105;
+// a reset at 50 credits the new window with their service in full, a
+// reading at 104 leaves out the one not yet due, and a reset at 115 credits
+// what is left of the second.
+func TestResourceUseFromCountsFromEarliestStart(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e)
+	if f1, f2 := r.UseFrom(100, 10), r.UseFrom(105, 10); f1 != 110 || f2 != 120 {
+		t.Fatalf("finishes %v, %v; want 110, 120", f1, f2)
+	}
+	if r.Busy() != 0 {
+		t.Fatalf("busy %v before either job is due, want 0", r.Busy())
+	}
+	for _, c := range []struct {
+		at    Time
+		reset bool
+		busy  Duration
+	}{{50, true, 0}, {104, false, 10}, {115, true, 5}, {120, false, 5}} {
+		if err := e.RunUntil(c.at); err != nil {
+			t.Fatal(err)
+		}
+		if c.reset {
+			r.ResetStats()
+		}
+		if r.Busy() != c.busy {
+			t.Fatalf("busy %v at %v, want %v", r.Busy(), c.at, c.busy)
+		}
+	}
+	if r.Utilization() != 1 {
+		t.Fatalf("utilization %v over [115, 120], want 1", r.Utilization())
+	}
+}

@@ -73,6 +73,12 @@ func (n *NIC) ResetStats() {
 // wire. The frame must fit in MTU + headers. Delivery is asynchronous; the
 // NIC owns the chain's references from this point.
 func (n *NIC) Send(frame *netbuf.Chain) error {
+	return n.send(frame, n.node.Eng.Now())
+}
+
+// send is Send for a frame that departs at the instant at: later than now
+// when ChargeSend books the departure ahead, now otherwise.
+func (n *NIC) send(frame *netbuf.Chain, at sim.Time) error {
 	size := frame.Len()
 	if size > n.MTU+eth.HeaderLen {
 		return fmt.Errorf("simnet: frame %d bytes exceeds MTU %d on %s", size, n.MTU, n.Addr)
@@ -85,12 +91,12 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 	}
 	n.Stats.PacketsTx++
 	n.Stats.BytesTx += uint64(size)
-	// From here the request is on the wire: transmit queueing,
+	// From departure the request is on the wire: transmit queueing,
 	// serialization and link latency all belong to the network.
-	trace.To(n.node.Eng, trace.LNet)
+	trace.ToAt(n.node.Eng, trace.LNet, at)
 	p := n.net.route(n, frame)
 	wire := size + FrameOverheadBytes
-	n.launch(p, frame, wire, n.latency+d.Delay, d.Corrupt)
+	n.launch(p, frame, wire, at, n.latency+d.Delay, d.Corrupt)
 	if d.Dup {
 		// Injected duplicate: an extra copy of the frame, clocked onto the
 		// wire like any other (it shares the payload buffers by reference).
@@ -98,35 +104,48 @@ func (n *NIC) Send(frame *netbuf.Chain) error {
 		n.Stats.FaultDupTx++
 		n.Stats.PacketsTx++
 		n.Stats.BytesTx += uint64(size)
-		n.launch(p, dup, wire, n.latency, false)
+		n.launch(p, dup, wire, at, n.latency, false)
 	}
 	return nil
 }
 
-// launch clocks one frame copy onto the uplink and posts its arrival at the
-// egress port for when the serializer is done plus the uplink AND downlink
-// latencies (plus any injected delay). An unroutable frame (nil p) pays the
-// same wire time without the egress latency, and the switch counts the
-// discard.
+// launch clocks one frame copy onto the uplink from the instant at and posts
+// its arrival at the egress port for when the serializer is done plus the
+// uplink AND downlink latencies (plus any injected delay). An unroutable
+// frame (nil p) pays the same wire time without the egress latency, and the
+// switch counts the discard.
 //
 // The egress port's latency is paid here, with the uplink's, rather than
 // after downlink serialization: every frame into a port pays the same
 // constant, so queue waits commute with it and the timing is identical.
-func (n *NIC) launch(p *port, frame *netbuf.Chain, wire int, delay sim.Duration, corrupt bool) {
-	at := n.tx.Use(n.bw.serialization(wire), nil).Add(delay)
+func (n *NIC) launch(p *port, frame *netbuf.Chain, wire int, at sim.Time, delay sim.Duration, corrupt bool) {
+	arrive := n.tx.UseFrom(at, n.bw.serialization(wire)).Add(delay)
 	if p != nil {
-		at = at.Add(p.lat)
+		arrive = arrive.Add(p.lat)
 	}
-	n.node.Eng.PostAt(at, n.net.onArrive, p, frame, flag(corrupt))
+	n.node.Eng.PostAt(arrive, n.net.onArrive, p, frame, flag(corrupt))
 }
 
 // ChargeSend charges the node's CPU d of per-packet transmit work, then
-// Sends frame, releasing it if the NIC refuses it.
+// Sends frame, releasing it if the NIC refuses it. The frame departs when
+// the CPU time ends, but no event marks that instant: every frame this NIC
+// sends is charged to its node's FIFO CPU, so charge order is departure
+// order, and the uplink is reserved now from the CPU's finish. Only a NIC
+// whose transmit site a frame-fault schedule names departs in an event of
+// its own, because the schedule's draws must be taken in the order frames
+// depart from every site it names.
 func (n *NIC) ChargeSend(d sim.Duration, frame *netbuf.Chain) {
-	n.node.Eng.PostAt(n.node.CPU.Use(d, nil), sendFrame, n, frame, 0)
+	at := n.node.CPU.Use(d, nil)
+	if n.net.faults.DrawsFrames(n.txSite) {
+		n.node.Eng.PostAt(at, sendFrame, n, frame, 0)
+		return
+	}
+	if err := n.send(frame, at); err != nil {
+		frame.Release()
+	}
 }
 
-// sendFrame is ChargeSend's handler.
+// sendFrame departs a frame a fault schedule may strike.
 func sendFrame(nic, frame any, _ int64) {
 	f := frame.(*netbuf.Chain)
 	if err := nic.(*NIC).Send(f); err != nil {

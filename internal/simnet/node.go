@@ -59,16 +59,6 @@ func (n *Node) Charge(d sim.Duration, fn func()) {
 	n.CPU.Use(d, fn)
 }
 
-// ChargeFrame is Charge for the per-packet path: fn(frame) runs once the CPU
-// has served d, with both carried as the arguments of one Post, not in a
-// closure.
-func (n *Node) ChargeFrame(d sim.Duration, frame *netbuf.Chain, fn func(*netbuf.Chain)) {
-	n.Eng.PostAt(n.CPU.Use(d, nil), runFrame, frame, fn, 0)
-}
-
-// runFrame is ChargeFrame's handler.
-func runFrame(frame, fn any, _ int64) { fn.(func(*netbuf.Chain))(frame.(*netbuf.Chain)) }
-
 // ChargeCopy performs the accounting for one physical copy of nbytes and
 // runs fn once the CPU time has been served. The actual byte movement is the
 // caller's business; this charges its simulated cost.

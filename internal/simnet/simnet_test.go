@@ -235,12 +235,17 @@ func TestEthHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// rxPost is a receive handler in the network layer's shape: it reserves the
+// frame's receive CPU time at delivery and posts fn(frame) for when it ends.
+func rxPost(n *Node, fn sim.Handler) RxHandler {
+	return func(f *netbuf.Chain) { n.Eng.PostAt(n.CPU.Use(n.Cost.PktRxNs, nil), fn, f, nil, 0) }
+}
+
 // TestFrameHopAllocFree is the allocation gate for the per-frame path: one
 // MTU frame from a transmit pool through ChargeSend, the uplink serializer,
-// the switch, the downlink serializer and the receive handler's
-// ChargeFrame costs no object in steady state: the frame rides each hop as
-// the arguments of a Post, and the events, the fault-site names and the
-// buffers all recycle.
+// the switch, the downlink serializer and a receive handler's post costs no
+// object in steady state: the frame rides each hop as the arguments of a
+// Post, and the events, the fault-site names and the buffers all recycle.
 func TestFrameHopAllocFree(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -248,8 +253,7 @@ func TestFrameHopAllocFree(t *testing.T) {
 	eng, _, na, nb := testFabric(t)
 	a, b := na.node, nb.node
 	delivered := 0
-	sink := func(f *netbuf.Chain) { delivered++; f.Release() }
-	nb.SetRxHandler(func(f *netbuf.Chain) { b.ChargeFrame(b.Cost.PktRxNs, f, sink) })
+	nb.SetRxHandler(rxPost(b, func(f, _ any, _ int64) { delivered++; f.(*netbuf.Chain).Release() }))
 	payload := make([]byte, netbuf.DefaultBufSize-eth.HeaderLen)
 	hop := func() {
 		frame := a.TxPool.GetChain(payload)
@@ -273,22 +277,38 @@ func TestFrameHopAllocFree(t *testing.T) {
 	a.TxPool.MustBeDrained()
 }
 
-// TestFrameHopFourEvents pins the event count of one frame hop: sender CPU,
-// arrival at the switch egress, delivery, receiver CPU. The serializers'
-// completions decide nothing, so they fire no event of their own.
-func TestFrameHopFourEvents(t *testing.T) {
-	eng, _, na, nb := testFabric(t)
-	b := nb.node
-	delivered := false
-	nb.SetRxHandler(func(f *netbuf.Chain) {
-		b.ChargeFrame(b.Cost.PktRxNs, f, func(f *netbuf.Chain) { delivered = true; f.Release() })
-	})
-	na.ChargeSend(na.node.Cost.PktTxNs, frameTo(t, 2, 1, make([]byte, 1488)))
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !delivered || eng.Processed() != 4 {
-		t.Fatalf("hop delivered %v in %d events, want true in 4", delivered, eng.Processed())
+// TestFrameHopThreeEvents pins the event count of one frame hop: arrival at
+// the switch egress, delivery, and the receiver's post when its CPU time
+// ends. The sender's CPU time and the serializers' completions decide
+// nothing, so they fire no event of their own. A NIC that a frame-fault
+// schedule names departs in a fourth event, at the same instant, so the
+// hop ends when it did.
+func TestFrameHopThreeEvents(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		faults bool
+		events uint64
+	}{{"eager", false, 3}, {"faultable", true, 4}} {
+		eng, nw, na, nb := testFabric(t)
+		if c.faults {
+			in := fault.New(eng, 7)
+			in.Add(fault.Schedule{Class: fault.FrameDrop, Target: "a.tx", Rate: 0})
+			nw.SetFaults(in)
+			in.Arm()
+		}
+		a, b := na.node, nb.node
+		var done sim.Time
+		nb.SetRxHandler(rxPost(b, func(f, _ any, _ int64) { done = eng.Now(); f.(*netbuf.Chain).Release() }))
+		na.ChargeSend(a.Cost.PktTxNs, frameTo(t, 2, 1, make([]byte, 1488)))
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// 1524 wire bytes: 12.192 µs per serializer.
+		const ser, lat = 12192, 5000
+		want := sim.Time(a.Cost.PktTxNs + 2*ser + 2*lat + b.Cost.PktRxNs)
+		if done != want || eng.Processed() != c.events {
+			t.Fatalf("%s: hop ended at %v in %d events, want %v in %d", c.name, done, eng.Processed(), want, c.events)
+		}
 	}
 }
 

@@ -165,10 +165,26 @@ func (s *Span) Phases() []Phase {
 // and makes l the active layer. Call it just before starting asynchronous
 // work on behalf of the request. No-op on nil or finished spans.
 func (s *Span) To(l Layer) {
+	if s != nil {
+		s.ToAt(l, s.tracer.eng.Now())
+	}
+}
+
+// ToAt is To at the instant at, which may lie ahead of the clock: work
+// reserved now that starts at a known later instant (a frame clocked out
+// when its sender's CPU time ends) switches the layer when it starts. Until
+// then the span goes on as if ToAt had not been called, and a span that
+// finishes first never takes the switch.
+func (s *Span) ToAt(l Layer, at sim.Time) {
 	if s == nil || s.done || l >= NumLayers {
 		return
 	}
-	s.closeSegment(s.tracer.eng.Now())
+	now := s.tracer.catchUp()
+	if at > now {
+		s.tracer.book(s, l, at)
+		return
+	}
+	s.closeSegment(now)
 	s.cur = l
 }
 
@@ -210,7 +226,7 @@ func (s *Span) Finish() {
 	if s == nil || s.done {
 		return
 	}
-	now := s.tracer.eng.Now()
+	now := s.tracer.catchUp()
 	s.closeSegment(now)
 	s.end = now
 	s.done = true
@@ -227,6 +243,11 @@ func Active(eng *sim.Engine) *Span {
 // To switches the active span (if any) to layer l.
 func To(eng *sim.Engine, l Layer) {
 	Active(eng).To(l)
+}
+
+// ToAt switches the active span (if any) to layer l at the instant at.
+func ToAt(eng *sim.Engine, l Layer, at sim.Time) {
+	Active(eng).ToAt(l, at)
 }
 
 // Account books fire-and-forget CPU demand on the active span (if any).

@@ -189,3 +189,35 @@ func TestAccountCharges(t *testing.T) {
 		t.Fatalf("summary charged = %v", sum.Ops[0].Layers[LNCache].Charged)
 	}
 }
+
+// TestToAtSwitchesWhenDue: a switch booked ahead takes effect at its
+// instant, after any switch the span makes before then, and a span that
+// finishes first never takes it. The layers still partition each span.
+func TestToAtSwitchesWhenDue(t *testing.T) {
+	eng := sim.NewEngine()
+	tr := NewTracer(eng, "test")
+	a := tr.Begin("read")
+	a.ToAt(LNet, 100)
+	a.ToAt(LNet, 300)
+	eng.Schedule(50, func() { a.To(LRPC) })   // before the first booked instant
+	eng.Schedule(200, func() { a.To(LDisk) }) // between the two
+	eng.Schedule(400, func() { a.Finish() })
+	b := tr.Begin("write")
+	b.ToAt(LNet, 500) // after b finishes
+	eng.Schedule(450, func() { b.Finish() })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[Layer]sim.Duration{LClient: 50, LRPC: 50, LNet: 100 + 100, LDisk: 100}
+	for l := Layer(0); l < NumLayers; l++ {
+		if got := a.Layers()[l]; got != want[l] {
+			t.Errorf("span a: layer %v = %v, want %v", l, got, want[l])
+		}
+	}
+	if got := b.Layers(); got[LClient] != 450 || got[LNet] != 0 {
+		t.Errorf("span b: client %v, net %v; want 450, 0", got[LClient], got[LNet])
+	}
+	if tr.AttributionErrors() != 0 {
+		t.Fatalf("attribution errors: %d", tr.AttributionErrors())
+	}
+}

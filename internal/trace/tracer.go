@@ -21,6 +21,68 @@ type Tracer struct {
 	// attrErrs counts spans whose layer attribution failed to sum to the
 	// end-to-end duration — zero by construction; exported as a self-check.
 	attrErrs uint64
+
+	// ahead is a min-heap by instant of the layer switches spans booked
+	// with ToAt for instants the clock had not reached. Every span method
+	// that reads the clock first takes the switches due (catchUp), so each
+	// span sees its own in the order the clock would have reached them.
+	// (Only frames book ahead, all to LNet, so the order of two switches
+	// at one instant cannot matter.)
+	ahead []booked
+}
+
+// booked is one switch in Tracer.ahead.
+type booked struct {
+	at sim.Time
+	s  *Span
+	l  Layer
+}
+
+// book files s's switch to l at the instant at.
+func (t *Tracer) book(s *Span, l Layer, at sim.Time) {
+	h := append(t.ahead, booked{at, s, l})
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[i].at >= h[p].at {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	t.ahead = h
+}
+
+// catchUp makes every booked switch the clock has reached, on a span not
+// yet finished, and returns now.
+func (t *Tracer) catchUp() sim.Time {
+	now := t.eng.Now()
+	for len(t.ahead) > 0 && t.ahead[0].at <= now {
+		b := t.ahead[0]
+		if s := b.s; !s.done {
+			s.closeSegment(b.at)
+			s.cur = b.l
+		}
+		h := t.ahead
+		n := len(h) - 1
+		h[0], h[n] = h[n], booked{}
+		h = h[:n]
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].at < h[c].at {
+				c++
+			}
+			if h[c].at >= h[i].at {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+		t.ahead = h
+	}
+	return now
 }
 
 // opAgg accumulates window statistics for one operation type.
