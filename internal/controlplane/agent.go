@@ -3,12 +3,13 @@ package controlplane
 import (
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/udp"
-	"ncache/internal/sim"
-	"ncache/internal/simnet"
+	"ncache/internal/sunrpc"
 )
 
 // AgentStats counts one front-end server's protocol activity.
 type AgentStats struct {
+	// RemapsSent counts REMAP calls; RemapRetries their resends, brought up
+	// to date as each round settles.
 	RemapsSent           uint64
 	RemapRetries         uint64
 	RemapsAcked          uint64
@@ -26,84 +27,61 @@ type AgentStats struct {
 	LBNsAbandoned uint64
 }
 
-// pendingRemap is the one unacknowledged remap announcement: at most MaxLBNs
-// LBNs and the request that resends them. It leaves Agent.pending when the
-// request settles, acknowledged or abandoned. Each round gets a fresh record:
-// request timers are never cancelled, so a reused one would take stale ticks.
-type pendingRemap struct {
-	request
-	a    *Agent
-	seq  uint64
-	lbns []int64
-}
-
-// Agent is a front-end server's control-plane endpoint, bound to Port on the
-// server's own node: it announces completed FHO→LBN remaps, and applies (and
-// acknowledges) invalidations for remaps other servers performed.
+// Agent is a front-end server's control-plane endpoint: it calls REMAP on
+// the control node to announce completed FHO→LBN remaps, and serves
+// INVALIDATE on Port for remaps other servers performed.
 type Agent struct {
-	node   *simnet.Node
-	udp    *udp.Transport
-	local  eth.Addr
+	// rpc calls the control node; its round-trip estimate includes the
+	// invalidation fan-out a REMAP's reply waits for. srv serves
+	// INVALIDATE.
+	rpc *sunrpc.Client
+	srv *sunrpc.Server
+
 	cp     eth.Addr
 	server int
 
-	// path estimates the round trip to the control plane; a remap's includes
-	// the invalidation fan-out its ack waits for.
-	path sim.RTT
-
 	seq uint64
 	// queue holds the LBNs announced while a round is in flight, in announce
-	// order; pending is that round, nil when none is.
-	queue   []int64
-	pending *pendingRemap
+	// order; round counts the LBNs of that round, 0 when none is.
+	queue []int64
+	round int
 	// applied[o] is the last seq applied of origin o, whose one remap in
 	// flight makes anything at or below it a retransmission. The control
 	// plane refuses origins outside the member set, which bounds its length.
 	applied []uint64
+	// lbns is the block list of the INVALIDATE being served.
+	lbns []int64
 
 	invalidate func([]int64)
+	// remapped is remapDone, bound once.
+	remapped func(sunrpc.Reply, error)
 
 	Stats AgentStats
 }
 
-// NewAgent creates the endpoint for server index `server`: Port on the
-// server's UDP transport, at its address local, hearing only the control
-// plane at cp.
-func NewAgent(node *simnet.Node, t *udp.Transport, local, cp eth.Addr, server int) (*Agent, error) {
-	a := &Agent{
-		node:   node,
-		udp:    t,
-		local:  local,
-		cp:     cp,
-		server: server,
-	}
-	err := t.Bind(Port, func(dg udp.Datagram) {
-		if dg.Src != cp || dg.SrcPort != Port {
-			dg.Payload.Release()
-			return
-		}
-		if m, ok := decode(dg.Payload); ok {
-			a.handle(m)
-		}
-	})
+// NewAgent creates the endpoint for server index `server` on the server's
+// UDP transport, at its address local, calling and heard only by the
+// control plane at cp.
+func NewAgent(t *udp.Transport, local, cp eth.Addr, server int) (*Agent, error) {
+	rpc, err := dial(t, local, Port+1, cp)
 	if err != nil {
+		return nil, err
+	}
+	a := &Agent{rpc: rpc, srv: sunrpc.NewServer(t.Node()), cp: cp, server: server}
+	a.remapped = a.remapDone
+	a.srv.Register(prog, vers, procInvalidate, a.handleInvalidate)
+	if err := a.srv.ServeUDP(t, Port); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
 // SetInvalidate installs the callback that drops remapped blocks from this
-// server's caches. Called once per applied invalidation, before the ack.
+// server's caches. Called once per applied invalidation, before the reply;
+// the slice is valid only during the call.
 func (a *Agent) SetInvalidate(fn func([]int64)) { a.invalidate = fn }
 
-// send transmits one message to the control plane.
-func (a *Agent) send(m Msg) {
-	if err := sendMsg(a.udp, a.local, a.cp, m); err != nil {
-		a.Stats.Errors++
-	}
-}
-
-// SendRemap announces remapped LBNs to the control plane, one message in
+// SendRemap announces remapped LBNs to the control plane, one round in
 // flight at a time: with none in flight the LBNs leave now, otherwise they
 // wait for it to settle and leave with everything else announced meanwhile.
 // An idle path therefore announces immediately and a loaded one batches by
@@ -111,91 +89,76 @@ func (a *Agent) send(m Msg) {
 func (a *Agent) SendRemap(lbns []int64) {
 	a.Stats.LBNsQueued += uint64(len(lbns))
 	a.queue = append(a.queue, lbns...)
-	if a.pending == nil {
+	if a.round == 0 && len(a.queue) > 0 {
 		a.sendRound()
 	}
 }
 
-// sendRound sends the first MaxLBNs queued LBNs as one request; the rest
-// wait for the next round.
+// sendRound calls REMAP with the first MaxLBNs queued LBNs; the rest wait
+// for the next round.
 func (a *Agent) sendRound() {
-	n := min(len(a.queue), MaxLBNs)
+	a.round = min(len(a.queue), MaxLBNs)
 	a.seq++
-	a.pending = &pendingRemap{a: a, seq: a.seq, lbns: a.queue[:n:n]}
-	a.queue = a.queue[n:]
-	a.pending.start(a.node.Eng, a.pending, &a.path, DefaultRetryMax)
+	a.Stats.RemapsSent++
+	err := call(a.rpc, procRemap, a.server, a.seq, a.queue[:a.round], a.remapped)
+	a.queue = a.queue[:copy(a.queue, a.queue[a.round:])]
+	if err != nil {
+		a.Stats.Errors++
+		a.remapDone(sunrpc.Reply{}, err)
+	}
 }
 
-// leaveRound ends the round, acknowledged or abandoned alike — a round that
-// waited for an ack that never comes would hold the queue for ever — and
-// starts the next if anything is queued.
-func (p *pendingRemap) leaveRound() {
-	a := p.a
-	a.pending = nil
+// remapDone ends the round in flight, acknowledged or abandoned alike — a
+// round that waited for an ack that never comes would hold the queue for
+// ever — and starts the next if anything is queued. Giving up is counted,
+// never silent.
+func (a *Agent) remapDone(r sunrpc.Reply, err error) {
+	release(r)
+	if err == nil && r.Accept == sunrpc.AcceptSuccess {
+		a.Stats.RemapsAcked++
+		a.Stats.LBNsAnnounced += uint64(a.round)
+	} else {
+		a.Stats.RemapsAbandoned++
+		a.Stats.LBNsAbandoned += uint64(a.round)
+	}
+	a.Stats.RemapRetries = a.rpc.Retransmits
+	a.round = 0
 	if len(a.queue) > 0 {
 		a.sendRound()
 	}
 }
 
-func (p *pendingRemap) transmit(again bool) {
-	a := p.a
-	if again {
-		a.Stats.RemapRetries++
-	} else {
-		a.Stats.RemapsSent++
-	}
-	a.send(Msg{Type: MsgRemap, Server: uint16(a.server), Seq: p.seq, LBNs: p.lbns})
-}
-
-// abandon: exhausting the retries is counted, never silent.
-func (p *pendingRemap) abandon() {
-	p.a.Stats.RemapsAbandoned++
-	p.a.Stats.LBNsAbandoned += uint64(len(p.lbns))
-	p.leaveRound()
-}
-
-// handle runs one control-plane message against the agent.
-func (a *Agent) handle(m Msg) {
-	switch m.Type {
-	case MsgRemapAck:
-		// An ack for a round already acknowledged or abandoned matches
-		// nothing and is ignored.
-		if p := a.pending; p != nil && p.seq == m.Seq && p.settle() {
-			a.Stats.RemapsAcked++
-			a.Stats.LBNsAnnounced += uint64(len(p.lbns))
-			p.leaveRound()
-		}
-
-	case MsgInvalidate:
-		a.handleInvalidate(m)
-
-	default:
+// handleInvalidate applies one remote remap's invalidation and always
+// replies — retransmissions are recognised by applied, so the cache drop
+// runs once while the lost-reply path still recovers. A call from anywhere
+// but the control plane is refused unanswered.
+func (a *Agent) handleInvalidate(c sunrpc.Call) {
+	if c.Src != a.cp {
+		c.Body.Release()
 		a.Stats.Errors++
+		return
 	}
-}
-
-// handleInvalidate applies one remote remap's invalidation and always acks
-// it — retransmissions are recognised by applied, so the cache drop runs
-// once while the lost-ack path still recovers.
-func (a *Agent) handleInvalidate(m Msg) {
+	origin, seq, lbns, err := decodeArgs(c.Body, a.lbns)
+	a.lbns = lbns
+	if err != nil {
+		a.Stats.Errors++
+		_ = c.ReplyError(sunrpc.AcceptGarbageArgs) // counted in Errors either way
+		return
+	}
 	a.Stats.InvalidationsRcvd++
-	o := int(m.Server)
-	if o >= len(a.applied) {
-		a.applied = append(a.applied, make([]uint64, o+1-len(a.applied))...)
+	if origin >= len(a.applied) {
+		a.applied = append(a.applied, make([]uint64, origin+1-len(a.applied))...)
 	}
-	if m.Seq <= a.applied[o] {
+	if seq <= a.applied[origin] {
 		a.Stats.InvalidationDups++
 	} else {
-		a.applied[o] = m.Seq
+		a.applied[origin] = seq
 		if a.invalidate != nil {
-			a.invalidate(m.LBNs)
+			a.invalidate(lbns)
 		}
 		a.Stats.InvalidationsApplied++
 	}
-	a.send(Msg{
-		Type:   MsgInvalidateAck,
-		Server: m.Server,
-		From:   uint16(a.server),
-		Seq:    m.Seq,
-	})
+	if ack(c) != nil {
+		a.Stats.Errors++
+	}
 }

@@ -37,7 +37,7 @@ func (n *cpNet) announce(t *testing.T, lbn int64) uint64 {
 // bring the interval back to the floor, and a lost frame is resent after 10 ms
 // again.
 func TestRTOColdStartConvergesAndUnlearns(t *testing.T) {
-	const announcements, delay = 20, 3 * DefaultRetryRTO
+	const announcements, delay = 20, 3 * retryFloor
 	n := buildCPNet(t)
 	slow := n.inject(delayed("srv0.tx", delay))
 	sends := make([]uint64, announcements)
@@ -56,15 +56,16 @@ func TestRTOColdStartConvergesAndUnlearns(t *testing.T) {
 		t.Errorf("the 20th announcement went out %d times and the last ten %d times, want 1 and 10: the path never learned its round trip",
 			sends[announcements-1], lastTen)
 	}
-	path := &n.agents[0].path
-	if got := path.Interval(DefaultRetryRTO, maxRetryRTO); got <= delay || got > 2*delay {
+	rpc := n.agents[0].rpc
+	interval := func(path sim.RTT) sim.Duration { return path.Interval(retryFloor, retryCeil) }
+	if got := interval(rpc.RTT()); got <= delay || got > 2*delay {
 		t.Errorf("interval = %v after %d announcements behind a %v delay, want just above the delay", got, announcements, delay)
 	}
 
 	slow.Quiesce()
 	const handful = 8
 	samples := 0
-	for ; path.Interval(DefaultRetryRTO, maxRetryRTO) > DefaultRetryRTO && samples < 4*handful; samples++ {
+	for ; interval(rpc.RTT()) > retryFloor && samples < 4*handful; samples++ {
 		if got := n.announce(t, int64(announcements+samples)); got != 1 {
 			t.Fatalf("announcement %d after the delay lifted went out %d times, want 1", samples, got)
 		}
@@ -75,13 +76,13 @@ func TestRTOColdStartConvergesAndUnlearns(t *testing.T) {
 	}
 	n.drop("cp.rx", fault.Schedule{Count: 1})
 	n.agents[0].SendRemap([]int64{1 << 20})
-	retries := n.agents[0].Stats.RemapRetries
-	n.runFor(t, DefaultRetryRTO-sim.Microsecond)
-	if got := n.agents[0].Stats.RemapRetries; got != retries {
+	retries := rpc.Retransmits
+	n.runFor(t, retryFloor-sim.Microsecond)
+	if got := rpc.Retransmits; got != retries {
 		t.Fatalf("the lost announcement was resent %d times before the floor interval had passed", got-retries)
 	}
 	n.runFor(t, 2*sim.Microsecond)
-	if got := n.agents[0].Stats.RemapRetries; got != retries+1 {
+	if got := rpc.Retransmits; got != retries+1 {
 		t.Fatalf("the lost announcement was resent %d times at the floor interval, want 1", got-retries)
 	}
 	n.run(t)
@@ -95,33 +96,34 @@ func TestRTOColdStartConvergesAndUnlearns(t *testing.T) {
 // still resent 10 ms later — and the origin's, which is never sent an
 // invalidation, knows nothing.
 func TestRTOEstimatorPerPeer(t *testing.T) {
-	const delay = 3 * DefaultRetryRTO
+	const delay = 3 * retryFloor
 	n := buildCPNetOf(t, 3)
 	n.inject(delayed("srv1.rx", delay))
 	for i := 0; i < 10; i++ {
 		n.announce(t, int64(i))
 	}
-	resends := n.cp.Stats.InvalidationResends
+	resends := n.invalResends()
 	for i := 10; i < 20; i++ {
 		n.announce(t, int64(i))
 	}
-	if got := n.cp.Stats.InvalidationResends; got != resends {
+	if got := n.invalResends(); got != resends {
 		t.Errorf("%d invalidations resent over the last ten remaps, want 0: the delayed peer's path never learned", got-resends)
 	}
-	if got := n.cp.paths[1].Interval(DefaultRetryRTO, maxRetryRTO); got <= delay {
+	interval := func(path sim.RTT) sim.Duration { return path.Interval(retryFloor, retryCeil) }
+	if got := interval(n.cp.peers[1].RTT()); got <= delay {
 		t.Errorf("path to the delayed peer: interval %v, want above the %v delay", got, delay)
 	}
-	if got := n.cp.paths[2].Interval(DefaultRetryRTO, maxRetryRTO); got != DefaultRetryRTO || n.cp.paths[2].SRTT <= 0 {
-		t.Errorf("path to the other peer: %+v, interval %v; want sampled, and at the floor", n.cp.paths[2], got)
+	if path := n.cp.peers[2].RTT(); interval(path) != retryFloor || path.SRTT <= 0 {
+		t.Errorf("path to the other peer: %+v, interval %v; want sampled, and at the floor", path, interval(path))
 	}
-	if n.cp.paths[0] != (sim.RTT{}) {
-		t.Errorf("path to the origin: %+v, want untouched", n.cp.paths[0])
+	if path := n.cp.peers[0].RTT(); path != (sim.RTT{}) {
+		t.Errorf("path to the origin: %+v, want untouched", path)
 	}
 
 	n.inject(delayed("srv1.rx", delay), fault.Schedule{Class: fault.FrameDrop, Target: "srv2.rx", Rate: 1, Count: 1})
 	n.agents[0].SendRemap([]int64{1 << 20})
-	n.runFor(t, DefaultRetryRTO+sim.Millisecond)
-	if got := n.cp.Stats.InvalidationResends - resends; got != 1 {
+	n.runFor(t, retryFloor+sim.Millisecond)
+	if got := n.invalResends() - resends; got != 1 {
 		t.Fatalf("%d invalidations resent one floor interval after a frame to the undelayed peer was lost, want 1", got)
 	}
 	n.run(t)
@@ -148,7 +150,7 @@ func TestRemapRoundOneInFlight(t *testing.T) {
 
 	replay := lbnRange(0, 2*MaxLBNs+44)
 	ag.SendRemap(replay)
-	if ag.Stats.RemapsSent != 1 || ag.pending == nil || len(ag.pending.lbns) != MaxLBNs || len(ag.queue) != MaxLBNs+44 {
+	if ag.Stats.RemapsSent != 1 || ag.round != MaxLBNs || len(ag.queue) != MaxLBNs+44 {
 		t.Fatalf("%d LBNs announced on an idle path: %d messages sent, %d LBNs queued; want 1 message of %d and %d queued",
 			len(replay), ag.Stats.RemapsSent, len(ag.queue), MaxLBNs, MaxLBNs+44)
 	}
@@ -159,8 +161,8 @@ func TestRemapRoundOneInFlight(t *testing.T) {
 				round-1, ag.Stats.RemapsAcked, ag.Stats.RemapsSent, round-1, round)
 		}
 	}
-	if len(ag.pending.lbns) != 44 || len(ag.queue) != 0 {
-		t.Fatalf("third round carries %d LBNs with %d queued, want 44 and 0", len(ag.pending.lbns), len(ag.queue))
+	if ag.round != 44 || len(ag.queue) != 0 {
+		t.Fatalf("third round carries %d LBNs with %d queued, want 44 and 0", ag.round, len(ag.queue))
 	}
 	const calls, perCall = 5, 60
 	for i := 0; i < calls; i++ {
@@ -201,8 +203,8 @@ func TestRemapRoundOneInFlight(t *testing.T) {
 func TestFaultAbandonedRoundFreesQueue(t *testing.T) {
 	n := buildCPNet(t)
 	ag := n.agents[0]
-	lastSend, giveUp := budget(DefaultRetryMax-1), budget(DefaultRetryMax)
-	n.drop("cp*", fault.Schedule{Start: n.eng.Now(), End: n.eng.Now().Add(lastSend + DefaultRetryRTO)})
+	lastSend, giveUp := budget(retrySends-1), budget(retrySends)
+	n.drop("cp*", fault.Schedule{Start: n.eng.Now(), End: n.eng.Now().Add(lastSend + retryFloor)})
 
 	doomed := lbnRange(0, MaxLBNs+1)
 	ag.SendRemap(doomed)
@@ -215,9 +217,9 @@ func TestFaultAbandonedRoundFreesQueue(t *testing.T) {
 	}
 	n.runFor(t, giveUp-sim.Microsecond)
 	const queued = 1 + calls*perCall
-	if ag.Stats.RemapsSent != 1 || ag.Stats.RemapRetries != DefaultRetryMax-1 || len(ag.queue) != queued {
+	if ag.Stats.RemapsSent != 1 || ag.rpc.Retransmits != retrySends-1 || len(ag.queue) != queued {
 		t.Fatalf("just before the budget ends: %d rounds sent, %d resends, %d LBNs queued; want 1, %d, %d",
-			ag.Stats.RemapsSent, ag.Stats.RemapRetries, len(ag.queue), DefaultRetryMax-1, queued)
+			ag.Stats.RemapsSent, ag.rpc.Retransmits, len(ag.queue), retrySends-1, queued)
 	}
 	n.run(t)
 	const later = (queued + MaxLBNs - 1) / MaxLBNs

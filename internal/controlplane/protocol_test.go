@@ -14,6 +14,8 @@ import (
 	"ncache/internal/proto/udp"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
+	"ncache/internal/sunrpc"
+	"ncache/internal/trace"
 )
 
 // cpNet is a little control-plane testbed: the CP node and two front-end
@@ -24,8 +26,9 @@ type cpNet struct {
 	cp     *Server
 	cpUDP  *udp.Transport
 	agents []*Agent
-	invals [][]int64 // per-agent invalidated LBNs
-	seed   uint64    // the fault injector's
+	udps   []*udp.Transport // the agents' transports
+	invals [][]int64        // per-agent invalidated LBNs
+	seed   uint64           // the fault injector's
 }
 
 const (
@@ -62,20 +65,21 @@ func buildCPNetOf(t *testing.T, numServers int) *cpNet {
 		return node, udp.NewTransport(ipv4.NewStack(node))
 	}
 
-	cpNode, cpUDP := host("cp", tCPAddr)
-	n.cp, n.cpUDP = NewServer(cpNode, servers), cpUDP
-	if err := n.cp.ServeUDP(cpUDP); err != nil {
+	var err error
+	_, n.cpUDP = host("cp", tCPAddr)
+	if n.cp, err = NewServer(n.cpUDP, servers); err != nil {
 		t.Fatal(err)
 	}
 
 	n.invals = make([][]int64, numServers)
 	for i, addr := range servers {
 		i := i
-		node, udpT := host(fmt.Sprintf("srv%d", i), addr)
-		ag, err := NewAgent(node, udpT, addr, tCPAddr, i)
+		_, udpT := host(fmt.Sprintf("srv%d", i), addr)
+		ag, err := NewAgent(udpT, addr, tCPAddr, i)
 		if err != nil {
 			t.Fatal(err)
 		}
+		n.udps = append(n.udps, udpT)
 		ag.SetInvalidate(func(lbns []int64) {
 			n.invals[i] = append(n.invals[i], lbns...)
 		})
@@ -84,11 +88,11 @@ func buildCPNetOf(t *testing.T, numServers int) *cpNet {
 	return n
 }
 
-// runt sends a 3-byte datagram from the control plane's service port to an
-// agent and lets it land.
-func (n *cpNet) runt(t *testing.T, to *Agent) {
+// runt sends a 3-byte datagram from the control plane's service port to
+// port on server i and lets it land.
+func (n *cpNet) runt(t *testing.T, i int, port uint16) {
 	t.Helper()
-	if err := n.cpUDP.SendChain(tCPAddr, Port, to.local, Port, netbuf.ChainFromBytes([]byte{1, 2, 3}, netbuf.DefaultBufSize)); err != nil {
+	if err := n.cpUDP.SendChain(tCPAddr, Port, tServer0+eth.Addr(8*i), port, netbuf.ChainFromBytes([]byte{1, 2, 3}, netbuf.DefaultBufSize)); err != nil {
 		t.Fatal(err)
 	}
 	n.run(t)
@@ -134,17 +138,30 @@ func (n *cpNet) runFor(t *testing.T, d sim.Duration) {
 	}
 }
 
-// budget is how long a request on a path at the floor is resent before it is
-// abandoned: the sum of its waits, each twice the one before up to the cap.
-// budget(k) is also when its k+1'th send leaves.
+// retryCeil is the longest wait between two sends of a call: sunrpc's
+// ceiling, 32 × the floor.
+const retryCeil = 32 * retryFloor
+
+// budget is how long a call on a path at the floor is resent before it is
+// abandoned: the sum of its waits, each twice the one before up to the
+// ceiling. budget(k) is also when its k+1'th send leaves.
 func budget(sends int) sim.Duration {
 	var total sim.Duration
-	wait := DefaultRetryRTO
+	wait := retryFloor
 	for i := 0; i < sends; i++ {
 		total += wait
-		wait = min(2*wait, maxRetryRTO)
+		wait = min(2*wait, retryCeil)
 	}
 	return total
+}
+
+// invalResends counts the control plane's INVALIDATE resends as they happen.
+func (n *cpNet) invalResends() uint64 {
+	var sum uint64
+	for _, p := range n.cp.peers {
+		sum += p.Retransmits
+	}
+	return sum
 }
 
 // checkDrained: every LBN handed to an agent was announced or abandoned, and
@@ -153,9 +170,9 @@ func (n *cpNet) checkDrained(t *testing.T) {
 	t.Helper()
 	for i, ag := range n.agents {
 		st := ag.Stats
-		if st.LBNsQueued != st.LBNsAnnounced+st.LBNsAbandoned || len(ag.queue) != 0 || ag.pending != nil {
-			t.Errorf("agent %d: %d LBNs queued, %d announced, %d abandoned; %d still queued, round in flight: %v",
-				i, st.LBNsQueued, st.LBNsAnnounced, st.LBNsAbandoned, len(ag.queue), ag.pending != nil)
+		if st.LBNsQueued != st.LBNsAnnounced+st.LBNsAbandoned || len(ag.queue) != 0 || ag.round != 0 {
+			t.Errorf("agent %d: %d LBNs queued, %d announced, %d abandoned; %d still queued, %d in a round in flight",
+				i, st.LBNsQueued, st.LBNsAnnounced, st.LBNsAbandoned, len(ag.queue), ag.round)
 		}
 	}
 	if got := n.cp.PendingRemaps(); got != 0 {
@@ -163,81 +180,68 @@ func (n *cpNet) checkDrained(t *testing.T) {
 	}
 }
 
-// TestWireRoundTrip: every field of a message survives Encode → decode,
-// including an LBN list; the header is 48 bytes with every retired field
-// (bytes 6–19 and 28–43) encoded as zero; a datagram whose length prefix
-// disagrees with its size, and a runt, decode to nothing; and a well-formed
-// datagram of a retired type (1 and 2, registration; 3 and 4, the per-handle
-// lookup; 9 and 10, the member-set fetch), or a remap or invalidation ack
-// naming an origin outside the member set, is one protocol error at the
-// server and nothing else — never an index past the server's slots.
-func TestWireRoundTrip(t *testing.T) {
-	eng := sim.NewEngine()
-	node := simnet.NewNode(eng, "n", simnet.DefaultProfile())
-	in := Msg{
-		Type:   MsgRemap,
-		Server: 1,
-		From:   1,
-		Seq:    9,
-		LBNs:   []int64{1, 5, 9, 1 << 40},
+// TestCallArgs: the arguments round-trip, the LBN list included; a count
+// above MaxLBNs, a body shorter or longer than its count says, and a runt are
+// rejected; a REMAP naming an origin outside the member set is one protocol
+// error at the server and nothing else — never an index past its slots; and
+// an INVALIDATE from any address but the control node's is refused: not
+// applied, not answered.
+func TestCallArgs(t *testing.T) {
+	encode := func(lbns []int64) []byte {
+		p := make([]byte, argsHead+8*len(lbns))
+		putArgs(p, 1, 9, lbns)
+		return p
 	}
-	ch := Encode(node.TxPool, in)
-	wire := ch.Flatten()
-	if len(wire) != frameLenBytes+48+8*len(in.LBNs) {
-		t.Fatalf("a %d-LBN message encodes to %d bytes: the header is no longer 48", len(in.LBNs), len(wire))
+	decode := func(p []byte) (int, uint64, []int64, error) {
+		return decodeArgs(netbuf.ChainFromBytes(p, netbuf.DefaultBufSize), nil)
 	}
-	hdr := wire[frameLenBytes:]
-	for _, zero := range [][2]int{{1, 2}, {6, 20}, {28, 44}} {
-		for i := zero[0]; i < zero[1]; i++ {
-			if hdr[i] != 0 {
-				t.Fatalf("header byte %d = %#x, want 0: a retired field is back on the wire", i, hdr[i])
-			}
+	in := []int64{1, 5, 9, 1 << 40}
+	wire := encode(in)
+	server, seq, out, err := decode(wire)
+	if err != nil || server != 1 || seq != 9 || !slices.Equal(out, in) {
+		t.Fatalf("decoded (%d, %d, %v, %v), want (1, 9, %v, nil)", server, seq, out, err, in)
+	}
+	over := encode(lbnRange(0, MaxLBNs+1))
+	for _, bad := range [][]byte{over, wire[:len(wire)-1], append(wire[:len(wire):len(wire)], 0), wire[:3]} {
+		if _, _, _, err := decode(bad); err == nil {
+			t.Fatalf("a %d-byte body decoded: %x", len(bad), bad)
 		}
-	}
-	out, ok := decode(ch)
-	if !ok {
-		t.Fatal("decode rejected an encoded message")
-	}
-	if out.Type != in.Type || out.Server != in.Server || out.From != in.From || out.Seq != in.Seq {
-		t.Fatalf("header mismatch: %+v != %+v", out, in)
-	}
-	if len(out.LBNs) != len(in.LBNs) {
-		t.Fatalf("LBNs: %v != %v", out.LBNs, in.LBNs)
-	}
-	for i := range in.LBNs {
-		if out.LBNs[i] != in.LBNs[i] {
-			t.Fatalf("LBNs[%d]: %d != %d", i, out.LBNs[i], in.LBNs[i])
-		}
-	}
-	for _, bad := range [][]byte{wire[:len(wire)-1], append(wire[:len(wire):len(wire)], 0), wire[:3]} {
-		if _, ok := decode(netbuf.ChainFromBytes(bad, netbuf.DefaultBufSize)); ok {
-			t.Fatalf("decode accepted a %d-byte datagram of a %d-byte frame", len(bad), len(wire))
-		}
-	}
-	codes := []MsgType{MsgRemap, MsgRemapAck, MsgInvalidate, MsgInvalidateAck}
-	if want := []MsgType{5, 6, 7, 8}; !slices.Equal(codes, want) {
-		t.Fatalf("message codes = %v, want %v: a surviving type code moved", codes, want)
 	}
 
 	n := buildCPNet(t)
-	bad := []Msg{
-		{Type: MsgRemap, Server: 2, Seq: 1, LBNs: []int64{5}},
-		{Type: MsgInvalidateAck, Server: 2, From: 0, Seq: 1},
+	before, agents := n.cp.Stats, [2]AgentStats{n.agents[0].Stats, n.agents[1].Stats}
+	var answer sunrpc.Reply
+	if err := call(n.agents[0].rpc, procRemap, 2, 1, []int64{5}, func(r sunrpc.Reply, err error) {
+		release(r)
+		answer = r
+	}); err != nil {
+		t.Fatal(err)
 	}
-	for _, retired := range []MsgType{1, 2, 3, 4, 9, 10} {
-		bad = append(bad, Msg{Type: retired, Seq: 1})
+	n.run(t)
+	before.Errors++
+	if n.cp.Stats != before || answer.Accept != sunrpc.AcceptGarbageArgs {
+		t.Fatalf("a remap of origin 2 of 2: server stats %+v, answer %d; want %+v (one error, nothing else), %d",
+			n.cp.Stats, answer.Accept, before, sunrpc.AcceptGarbageArgs)
 	}
-	for _, m := range bad {
-		before, agents := n.cp.Stats, [2]AgentStats{n.agents[0].Stats, n.agents[1].Stats}
-		n.agents[0].send(m)
-		n.run(t)
-		before.Errors++
-		if n.cp.Stats != before {
-			t.Fatalf("%+v: server stats %+v, want %+v (one error, nothing else)", m, n.cp.Stats, before)
-		}
-		if now := [2]AgentStats{n.agents[0].Stats, n.agents[1].Stats}; now != agents {
-			t.Fatalf("%+v was answered: agents %+v, were %+v", m, now, agents)
-		}
+	if now := [2]AgentStats{n.agents[0].Stats, n.agents[1].Stats}; now != agents {
+		t.Fatalf("agents %+v, were %+v", now, agents)
+	}
+
+	// Server 1 calls server 0's INVALIDATE service itself, once.
+	forged, err := sunrpc.NewClient(n.udps[1], tServer0+8, Port+2, tServer0, Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := false
+	if err := call(forged, procInvalidate, 1, 1, []int64{5}, func(r sunrpc.Reply, err error) {
+		release(r)
+		answered = err == nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n.run(t)
+	if st := n.agents[0].Stats; answered || len(n.invals[0]) != 0 || st.InvalidationsRcvd != 0 || st.Errors != 1 {
+		t.Fatalf("an INVALIDATE from a server: answered %v, applied %v, agent stats %+v; want refused, one error", answered, n.invals[0], st)
 	}
 }
 
@@ -272,14 +276,17 @@ func TestProtocolUDP(t *testing.T) {
 }
 
 // TestRuntDatagramCostsNoResend: a runt from the control-plane address is
-// dropped alone — the valid message after it is applied on its first
-// transmission, at the peer (MsgInvalidate) and at the origin (MsgRemapAck).
-// A receive path that keeps bytes across datagrams glues the runt to the
-// next frame and the sender pays a retry timeout.
+// dropped alone and counted — the valid message after it is applied on its
+// first transmission, at the peer (an INVALIDATE call) and at the origin (the
+// REMAP reply). A receive path that keeps bytes across datagrams glues the
+// runt to the next frame and the sender pays a retry timeout.
 func TestRuntDatagramCostsNoResend(t *testing.T) {
 	n := buildCPNet(t)
-	n.runt(t, n.agents[1])
-	n.runt(t, n.agents[0])
+	n.runt(t, 1, Port)
+	n.runt(t, 0, Port+1)
+	if bad, badReplies := n.agents[1].srv.BadCalls, n.agents[0].rpc.BadReplies; bad != 1 || badReplies != 1 {
+		t.Fatalf("the runts counted %d bad calls at the peer and %d bad replies at the origin, want 1 and 1", bad, badReplies)
+	}
 	n.agents[0].SendRemap([]int64{5, 6, 7})
 	n.run(t)
 	if got := n.invals[1]; len(got) != 3 {
@@ -309,17 +316,22 @@ func TestRemapDuplicateIdempotent(t *testing.T) {
 	sent := n.cp.Stats.InvalidationsSent
 	acked := n.cp.Stats.RemapAcksSent
 
-	// Redeliver the identical remap straight into the dispatch path (the
-	// wire would produce exactly this on a retransmission whose original
-	// ack was lost).
-	n.cp.dispatch(Msg{
-		Type:   MsgRemap,
-		Server: 0,
-		Seq:    1,
-		LBNs:   []int64{11, 12},
-	})
+	// Call the identical remap again (what a retransmission whose original
+	// reply was lost carries).
+	replied := 0
+	if err := call(n.agents[0].rpc, procRemap, 0, 1, []int64{11, 12}, func(r sunrpc.Reply, err error) {
+		release(r)
+		if err == nil && r.Accept == sunrpc.AcceptSuccess {
+			replied++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := n.eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if replied != 1 {
+		t.Fatalf("the duplicate remap was answered %d times, want 1", replied)
 	}
 	if n.cp.Stats.RemapDups != 1 {
 		t.Fatalf("RemapDups = %d, want 1", n.cp.Stats.RemapDups)
@@ -347,8 +359,8 @@ type loopCounts struct {
 	abandoned uint64
 }
 
-// TestRequestLoop runs the protocol's one resend loop under each of its two
-// owners, with the first k of its transmissions lost: the request goes out
+// TestRequestLoop runs the resend loop of sunrpc's datagram client under each
+// of the protocol's two callers, with the first k of its transmissions lost: the request goes out
 // min(k+1, max) times, the owner counts one first send and the rest as
 // resends, giving up happens once and only when all max were lost, and the
 // loop leaves no timer behind. The path's estimator takes a sample only from
@@ -361,16 +373,16 @@ func TestRequestLoop(t *testing.T) {
 		max  int
 		// lossSite is the fault site the owner's transmissions cross.
 		lossSite string
-		// path is the estimator the owner's requests belong to.
-		path func(n *cpNet) *sim.RTT
+		// path reads the estimator the owner's calls belong to.
+		path func(n *cpNet) sim.RTT
 		// start issues the request and returns how to read the outcome.
 		start func(t *testing.T, n *cpNet) func() loopCounts
 	}{
-		{"remap chunk", DefaultRetryMax, "cp.rx", func(n *cpNet) *sim.RTT { return &n.agents[0].path }, func(t *testing.T, n *cpNet) func() loopCounts {
+		{"remap chunk", retrySends, "cp.rx", func(n *cpNet) sim.RTT { return n.agents[0].rpc.RTT() }, func(t *testing.T, n *cpNet) func() loopCounts {
 			ag := n.agents[0]
 			ag.SendRemap([]int64{5, 6, 7})
 			return func() loopCounts {
-				if ag.pending != nil {
+				if ag.round != 0 {
 					t.Errorf("the remap is still pending: acked %d, abandoned %d", ag.Stats.RemapsAcked, ag.Stats.RemapsAbandoned)
 				}
 				if ag.Stats.RemapsAcked+ag.Stats.RemapsAbandoned != 1 {
@@ -380,7 +392,7 @@ func TestRequestLoop(t *testing.T) {
 					first: ag.Stats.RemapsSent, again: ag.Stats.RemapRetries, abandoned: ag.Stats.RemapsAbandoned}
 			}
 		}},
-		{"invalidation to one peer", DefaultRetryMax, "srv1.rx", func(n *cpNet) *sim.RTT { return &n.cp.paths[1] }, func(t *testing.T, n *cpNet) func() loopCounts {
+		{"invalidation to one peer", retrySends, "srv1.rx", func(n *cpNet) sim.RTT { return n.cp.peers[1].RTT() }, func(t *testing.T, n *cpNet) func() loopCounts {
 			n.agents[0].SendRemap([]int64{5, 6, 7})
 			return func() loopCounts {
 				if n.cp.PendingRemaps() != 0 {
@@ -400,8 +412,7 @@ func TestRequestLoop(t *testing.T) {
 				if k > 0 {
 					in = n.drop(o.lossSite, fault.Schedule{Count: uint64(k)})
 				}
-				path := o.path(n)
-				before := *path
+				before := o.path(n)
 				observe := o.start(t, n)
 				if err := n.eng.Run(); err != nil {
 					t.Fatal(err)
@@ -409,7 +420,7 @@ func TestRequestLoop(t *testing.T) {
 				if n.eng.Pending() != 0 {
 					t.Fatalf("%d events still pending after the drain", n.eng.Pending())
 				}
-				got := observe()
+				got, path := observe(), o.path(n)
 				var lost uint64
 				for _, r := range in.Report() {
 					lost += r.Injected
@@ -428,14 +439,14 @@ func TestRequestLoop(t *testing.T) {
 					t.Errorf("abandon took effect %d times, want %d", got.abandoned, gaveUp)
 				}
 				if k == 0 {
-					if *path == before || path.SRTT <= 0 || path.Backed != 0 {
-						t.Errorf("a request sent once left the estimator at %+v (was %+v), want one sample folded in", *path, before)
+					if path == before || path.SRTT <= 0 || path.Backed != 0 {
+						t.Errorf("a request sent once left the estimator at %+v (was %+v), want one sample folded in", path, before)
 					}
 				} else {
 					// The wait behind the last send: what the path hands on.
 					backed := budget(int(sends)) - budget(int(sends)-1)
 					if path.SRTT != before.SRTT || path.RTTVar != before.RTTVar || path.Backed != backed {
-						t.Errorf("a request sent %d times left the estimator at %+v (was %+v), want no sample and backed = %v", sends, *path, before, backed)
+						t.Errorf("a request sent %d times left the estimator at %+v (was %+v), want no sample and backed = %v", sends, path, before, backed)
 					}
 				}
 			})
@@ -465,7 +476,7 @@ func TestFaultControlPlaneStateBounded(t *testing.T) {
 		k := 0
 		var tick func()
 		tick = func() {
-			if ag.pending == nil {
+			if ag.round == 0 {
 				ag.SendRemap([]int64{int64(k*servers + i)})
 				k++
 			}
@@ -508,5 +519,69 @@ func TestFaultControlPlaneStateBounded(t *testing.T) {
 			}
 			seen[lbn] = true
 		}
+	}
+}
+
+// TestControlCallLeavesSpanAlone: a remap announced from inside a traced
+// request's event — as a flush completion announces one — is control
+// traffic, not the request's. With the announcement's first frame lost, so
+// that it is resent, the span still spends all its time in the layer it was
+// in when it announced, and books no fault.
+func TestControlCallLeavesSpanAlone(t *testing.T) {
+	const lifetime = 50 * sim.Millisecond
+	n := buildCPNet(t)
+	n.drop("cp.rx", fault.Schedule{Count: 1})
+	tr := trace.NewTracer(n.eng, "cp")
+	n.eng.Schedule(0, func() {
+		span := tr.Begin("flush")
+		span.To(trace.LISCSI)
+		n.agents[0].SendRemap([]int64{5, 6, 7})
+		n.eng.Schedule(lifetime, span.Finish)
+	})
+	n.run(t)
+	if st := n.agents[0].Stats; st.RemapsAcked != 1 || st.RemapRetries != 1 {
+		t.Fatalf("the remap was acked %d times after %d resends, want 1 after 1", st.RemapsAcked, st.RemapRetries)
+	}
+	ops := tr.Summary().Ops
+	if len(ops) != 1 || ops[0].Count != 1 {
+		t.Fatalf("summary %+v, want the one span", ops)
+	}
+	for _, l := range ops[0].Layers {
+		want := sim.Duration(0)
+		if l.Layer == trace.LISCSI {
+			want = lifetime
+		}
+		if l.Total != want || l.Fault != 0 || l.FaultCount != 0 {
+			t.Errorf("layer %v: %v, %v of faults in %d; want %v and none", l.Layer, l.Total, l.Fault, l.FaultCount, want)
+		}
+	}
+}
+
+// TestRemapRoundAllocBudget: with the free lists primed, one remap round with
+// two peers — the REMAP call, the INVALIDATE fan-out, both replies and the
+// REMAP reply — allocates nothing: call and dispatch records, frames and
+// timers are recycled, and both ends decode the block list into a slice they
+// keep.
+func TestRemapRoundAllocBudget(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	n := buildCPNetOf(t, 3)
+	for _, ag := range n.agents {
+		ag.SetInvalidate(func([]int64) {})
+	}
+	lbns := lbnRange(0, 8)
+	round := func() {
+		n.agents[0].SendRemap(lbns)
+		n.run(t)
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(100, round); avg > 0 {
+		t.Fatalf("one remap round with two peers allocates %.1f objects, budget 0", avg)
+	}
+	if st := n.agents[0].Stats; st.RemapsAcked != 64+101 || n.cp.Stats.InvalidationsSent != 2*st.RemapsAcked {
+		t.Fatalf("%d rounds acked, %d invalidations sent; want %d and twice that", st.RemapsAcked, n.cp.Stats.InvalidationsSent, 64+101)
 	}
 }

@@ -3,11 +3,11 @@
 // which every client computes locally (the same arithmetic places LBN ranges
 // on iSCSI targets, in package storage), and a small control-plane service
 // whose one job is the remap protocol that keeps FHO→LBN re-indexing coherent
-// when the server flushing a block is not the server caching it: remap
-// messages, named by (server, seq), fan out as invalidations, are
-// acknowledged individually, and are retried idempotently under frame loss.
-// It is a datagram protocol over UDP: every request is resent by one
-// application-level loop, request.go.
+// when the server flushing a block is not the server caching it: remaps,
+// named by (server, seq), fan out as invalidations, are acknowledged
+// individually, and are retried idempotently under frame loss. It is one
+// ONC RPC program (program.go) carried by package sunrpc, whose datagram
+// client does every resend.
 package controlplane
 
 import (

@@ -137,12 +137,10 @@ func (b *Buf) SetOwner(owner string) { b.owner = owner }
 // Release drops one ownership reference. When the count reaches zero the
 // buffer returns to its pool, or a standalone buffer drops its backing and
 // is left to the collector — from that point the caller must not touch it.
-// Releasing an already-free buffer panics in debug mode and is otherwise
-// recorded as a double free; tests assert the counters stay zero.
+// Releasing an already-free buffer panics.
 func (b *Buf) Release() {
 	if b.refs <= 0 {
 		recordDoubleFree(b)
-		return
 	}
 	b.refs--
 	if b.refs > 0 {

@@ -222,12 +222,11 @@ func (c *Chain) SetOwner(owner string) {
 
 // Release drops every window's reference and retires the chain: the struct
 // is recycled for the next NewChain and the window slice, its slots cleared,
-// goes back to its size class, so the caller must not touch c afterwards. Releasing a chain twice panics in debug mode and is otherwise
-// recorded as a double free.
+// goes back to its size class, so the caller must not touch c afterwards.
+// Releasing a chain twice panics.
 func (c *Chain) Release() {
 	if c.freed {
 		recordChainDoubleFree(c)
-		return
 	}
 	c.invalidatePartial()
 	for _, w := range c.wins {

@@ -5,12 +5,11 @@ import (
 	"math/bits"
 	"os"
 	"sync"
-	"sync/atomic"
 )
 
 // init honors NCACHE_NETBUF_DEBUG=1: CI runs the test suite once with
-// ownership debugging forced on, so double frees and leaks panic with owner
-// tags instead of only ticking counters.
+// ownership debugging forced on, so released objects are poisoned instead of
+// recycled and leaks are named by owner tag.
 func init() {
 	if os.Getenv("NCACHE_NETBUF_DEBUG") == "1" {
 		debugMode = true
@@ -22,8 +21,8 @@ func init() {
 // explicit (Retain/Release), and releases recycle buffers, chain structs and
 // window slices through free lists instead of leaving them to the garbage
 // collector.
-// Debug mode trades the recycling for poisoning: double frees and
-// use-after-free panic with the owner tag instead of silently corrupting a
+// A double free panics in either mode. Debug mode trades the recycling for
+// poisoning: a use-after-free panics instead of silently corrupting a
 // recycled object, pools can report exactly who leaked what, and a header
 // push into shared backing panics (Chain.PushFront).
 //
@@ -40,10 +39,9 @@ func init() {
 var debugMode bool
 
 // SetDebug enables (or disables) ownership debugging. With debugging on:
-//   - releasing an already-released Buf or Chain panics with its owner tag
-//     instead of incrementing a double-free counter;
 //   - released chains and records are poisoned, never recycled, so a stale
-//     reference trips the panic deterministically;
+//     reference trips the double-free panic deterministically (recycled, a
+//     chain released twice may already be someone else's);
 //   - pools track every outstanding buffer so LeakReport / MustBeDrained
 //     can name the owners of leaked buffers.
 //
@@ -54,37 +52,15 @@ func SetDebug(on bool) { debugMode = on }
 // DebugEnabled reports whether ownership debugging is on.
 func DebugEnabled() bool { return debugMode }
 
-// globalDoubleFrees counts double releases of buffers and chains that have
-// no pool to charge them to (standalone buffers, chains).
-var globalDoubleFrees atomic.Uint64
-
-// GlobalDoubleFrees returns the process-wide count of double releases not
-// attributable to a pool. Tests assert it stays zero.
-func GlobalDoubleFrees() uint64 { return globalDoubleFrees.Load() }
-
-// ResetGlobalDoubleFrees clears the process-wide double-free counter
-// (test isolation hook).
-func ResetGlobalDoubleFrees() { globalDoubleFrees.Store(0) }
-
-// recordDoubleFree books a Release of an already-free buffer: a panic with
-// the owner tag in debug mode, a counter otherwise.
+// recordDoubleFree panics on a Release of an already-free buffer, naming its
+// owner: in a deterministic simulator a double free is a bug, never a count.
 func recordDoubleFree(b *Buf) {
-	if debugMode {
-		panic(fmt.Sprintf("netbuf: double free of %s (owner %q)", b, b.owner))
-	}
-	if p := b.pool; p != nil {
-		p.doubleFrees++
-		return
-	}
-	globalDoubleFrees.Add(1)
+	panic(fmt.Sprintf("netbuf: double free of %s (owner %q)", b, b.owner))
 }
 
-// recordChainDoubleFree books a Release of an already-released chain.
+// recordChainDoubleFree panics on a Release of an already-released chain.
 func recordChainDoubleFree(c *Chain) {
-	if debugMode {
-		panic(fmt.Sprintf("netbuf: double free of %s", c))
-	}
-	globalDoubleFrees.Add(1)
+	panic(fmt.Sprintf("netbuf: double free of %s", c))
 }
 
 // poisonByte fills payload memory retired in debug mode. 0xDB is no valid

@@ -31,7 +31,6 @@ type Pool struct {
 	outstanding int
 	allocs      uint64
 	reuses      uint64
-	doubleFrees uint64
 	peak        int
 	// live tracks every outstanding buffer in debug mode so leaks can be
 	// attributed to their owner tags.
@@ -218,10 +217,6 @@ func (p *Pool) Allocs() uint64 { return p.allocs }
 
 // Reuses returns the number of Get calls satisfied from the free list.
 func (p *Pool) Reuses() uint64 { return p.reuses }
-
-// DoubleFrees returns the number of Release calls on already-free buffers.
-// Tests assert this stays zero.
-func (p *Pool) DoubleFrees() uint64 { return p.doubleFrees }
 
 // Name returns the pool's diagnostic name.
 func (p *Pool) Name() string { return p.name }

@@ -107,7 +107,6 @@ func (c *Chain) AppendChain(o *Chain) {
 	}
 	if o.freed {
 		recordChainDoubleFree(o)
-		return
 	}
 	if len(o.wins) > 0 {
 		c.invalidatePartial()

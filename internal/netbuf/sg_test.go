@@ -167,20 +167,13 @@ func TestAppendChainMovesOwnership(t *testing.T) {
 }
 
 // TestAppendChainConsumedTwice checks the retirement rule's failure mode: a
-// second hand-off (or a Release) of a consumed chain is a double free.
+// second hand-off (or a Release) of a consumed chain is a double free, and
+// panics.
 func TestAppendChainConsumedTwice(t *testing.T) {
-	if debugMode {
-		t.Skip("double frees panic in debug mode (covered by the ownership suite)")
-	}
-	ResetGlobalDoubleFrees()
-	defer ResetGlobalDoubleFrees()
 	a, b := NewChain(), ChainFromBytes([]byte("x"), 1)
 	a.AppendChain(b)
-	a.AppendChain(b)
-	b.Release()
-	if got := GlobalDoubleFrees(); got != 2 {
-		t.Fatalf("GlobalDoubleFrees = %d after re-consuming and releasing a consumed chain, want 2", got)
-	}
+	mustPanic(t, "a second hand-off of a consumed chain", func() { a.AppendChain(b) })
+	mustPanic(t, "a Release of a consumed chain", b.Release)
 	if a.NumBufs() != 1 {
 		t.Fatalf("dest has %d bufs, want 1", a.NumBufs())
 	}

@@ -134,7 +134,7 @@ func NewAppServer(eng *sim.Engine, nw *simnet.Network, cfg ClusterConfig, index 
 		s.Volume = storage.NewSharded(vols, targets)
 	}
 	if cfg.NumServers > 1 {
-		if s.Agent, err = controlplane.NewAgent(node, udpT, local, ControlAddr, index); err != nil {
+		if s.Agent, err = controlplane.NewAgent(udpT, local, ControlAddr, index); err != nil {
 			return nil, err
 		}
 		s.Agent.SetInvalidate(s.ApplyInvalidate)

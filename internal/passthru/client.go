@@ -425,8 +425,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		for i := range serverAddrs {
 			serverAddrs[i] = ServerAddrOf(i)
 		}
-		cl.Control = controlplane.NewServer(cpNode, serverAddrs)
-		if err := cl.Control.ServeUDP(cpUDP); err != nil {
+		var err error
+		if cl.Control, err = controlplane.NewServer(cpUDP, serverAddrs); err != nil {
 			return nil, err
 		}
 	}

@@ -83,9 +83,6 @@ func testPoolsDrain(t *testing.T, mode Mode, faultSpec string) {
 		checkPoolDrained(t, n.TxPool)
 		checkPoolDrained(t, n.BlkPool)
 	}
-	if df := netbuf.GlobalDoubleFrees(); df != 0 {
-		t.Errorf("global (unpooled) double frees = %d", df)
-	}
 }
 
 func checkPoolDrained(t *testing.T, p *netbuf.Pool) {
@@ -93,13 +90,5 @@ func checkPoolDrained(t *testing.T, p *netbuf.Pool) {
 	if got := p.Outstanding(); got != 0 {
 		t.Errorf("pool %s leaked %d buffers (peak %d, allocs %d, reuses %d, owners %v)",
 			p.Name(), got, p.Peak(), p.Allocs(), p.Reuses(), p.LeakReport())
-	}
-	checkNoDoubleFrees(t, p)
-}
-
-func checkNoDoubleFrees(t *testing.T, p *netbuf.Pool) {
-	t.Helper()
-	if df := p.DoubleFrees(); df != 0 {
-		t.Errorf("pool %s double frees = %d", p.Name(), df)
 	}
 }

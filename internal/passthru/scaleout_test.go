@@ -408,7 +408,4 @@ func testScaleoutPoolsDrain(t *testing.T, faultSpec string) {
 		checkPoolDrained(t, n.TxPool)
 		checkPoolDrained(t, n.BlkPool)
 	}
-	if df := netbuf.GlobalDoubleFrees(); df != 0 {
-		t.Errorf("global double frees = %d", df)
-	}
 }

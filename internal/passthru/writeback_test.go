@@ -266,9 +266,6 @@ func TestFaultWritebackKillPoolsDrain(t *testing.T) {
 		checkPoolDrained(t, n.TxPool)
 		checkPoolDrained(t, n.BlkPool)
 	}
-	if df := netbuf.GlobalDoubleFrees(); df != 0 {
-		t.Errorf("global double frees = %d", df)
-	}
 }
 
 // TestFaultWritebackKillNoStaleCrossServerReads is the scale-out half of the

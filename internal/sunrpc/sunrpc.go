@@ -640,5 +640,9 @@ func (c *Client) receive(body *netbuf.Chain) {
 	node.Charge(node.Cost.RPCNs, pc.fire)
 }
 
+// RTT returns the round trip the client has measured to its server, which
+// the resend interval of its next call follows.
+func (c *Client) RTT() sim.RTT { return c.path }
+
 // Pending reports outstanding calls (for tests and drain checks).
 func (c *Client) Pending() int { return len(c.pending) }
