@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"ncache/internal/fault"
+	"ncache/internal/netbuf"
 	"ncache/internal/sim"
 	"ncache/internal/trace"
 )
@@ -101,7 +102,7 @@ type MemDisk struct {
 	arm    *sim.Resource
 	faults *fault.Injector
 	blocks map[int64][]byte
-	free   []*diskIO // completed transfer records, reused by submit
+	free   netbuf.FreeList[*diskIO] // completed transfer records, reused by submit
 	// lastEnd tracks the block after the previous I/O: a request starting
 	// exactly there is sequential and skips the positioning overhead
 	// (track buffer + read-ahead make streaming transfers seek-free).
@@ -164,6 +165,7 @@ func (d *MemDisk) serviceTime(lbn int64, n int) sim.Duration {
 // closure the arm calls, built once), so a steady-state I/O allocates
 // nothing on the host.
 type diskIO struct {
+	netbuf.Recycled
 	d     *MemDisk
 	write bool
 	lbn   int64
@@ -182,10 +184,8 @@ func (d *MemDisk) submit(write bool, lbn int64, bufs [][]byte, done func(error))
 		return
 	}
 	n := count * d.geom.BlockSize
-	var io *diskIO
-	if k := len(d.free); k > 0 {
-		io, d.free = d.free[k-1], d.free[:k-1]
-	} else {
+	io := d.free.Take()
+	if io == nil {
 		io = &diskIO{d: d}
 		io.fire = io.complete
 	}
@@ -215,7 +215,7 @@ func (io *diskIO) complete() {
 		d.BytesRead += uint64(io.n)
 	}
 	io.bufs, io.done = nil, nil
-	d.free = append(d.free, io)
+	d.free.Put(io)
 	done(err)
 }
 

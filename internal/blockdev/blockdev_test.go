@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"ncache/internal/netbuf"
 	"ncache/internal/sim"
 )
 
@@ -231,6 +232,9 @@ func TestMemDiskOverwritesInPlace(t *testing.T) {
 // TestMemDiskReadWriteAllocFree: after priming, a read into caller-owned
 // buffers and an overwrite allocate nothing on the host.
 func TestMemDiskReadWriteAllocFree(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
 	eng := sim.NewEngine()
 	d := newDisk(eng, 1000)
 	d.Synthesize = func(lbn int64, dst []byte) { dst[0] = byte(lbn) }

@@ -36,6 +36,7 @@ type Lower interface {
 // Block is one cached buffer. Callers receive pinned blocks and must Unpin
 // them; a pinned block is never evicted.
 type Block struct {
+	netbuf.Recycled
 	LBN  int64
 	Data []byte
 	// Logical marks a key-carrying junk block (see package lkey).
@@ -73,13 +74,13 @@ type Cache struct {
 	lru Block
 	// free holds blocks evicted clean with nothing referring to them;
 	// insert reuses them (page zeroed) before it allocates.
-	free []*Block
+	free netbuf.FreeList[*Block]
 	// reads and runs are the free lists of the miss path's records.
-	reads netbuf.FreeList[read]
-	runs  netbuf.FreeList[run]
+	reads netbuf.FreeList[*read]
+	runs  netbuf.FreeList[*run]
 	// flushes is the free list of write-back batch records; onEvicted is
 	// evicted, bound once.
-	flushes   netbuf.FreeList[flush]
+	flushes   netbuf.FreeList[*flush]
 	onEvicted func(error)
 
 	// Stats is hit/miss/eviction accounting.
@@ -156,9 +157,8 @@ func (c *Cache) touch(b *Block) {
 // indistinguishable from a fresh one (logical blocks overwrite only their
 // first lkey.Size bytes).
 func (c *Cache) insert(lbn int64, meta bool) *Block {
-	var b *Block
-	if k := len(c.free); k > 0 {
-		b, c.free = c.free[k-1], c.free[:k-1]
+	b := c.free.Take()
+	if b != nil {
 		clear(b.Data)
 		*b = Block{Data: b.Data}
 	} else {
@@ -193,8 +193,9 @@ func (c *Cache) drop(b *Block) {
 func (c *Cache) recycle(b *Block) {
 	idle := b.pins == 0 && !b.flushing && b.loaded
 	c.drop(b)
-	if idle && netbuf.Recycle(b.Data) {
-		c.free = append(c.free, b)
+	if idle {
+		netbuf.Recycle(b.Data)
+		c.free.Put(b)
 	}
 }
 
@@ -281,12 +282,11 @@ func (c *Cache) GetRange(lbn int64, out []*Block, meta bool, done func(error)) {
 // read is the recycled record of one Get or GetRange that is not fully
 // resident: the caller's blocks and completion, and how many fills it still
 // waits for. A record never leaves its Cache and retires before the caller's
-// completion runs; in netbuf debug mode it is poisoned and abandoned, and a
-// second retire panics. A read whose fill a Reset (crash) discards never
+// completion runs. A read whose fill a Reset (crash) discards never
 // completes and never retires: its record goes to the collector.
 type read struct {
+	netbuf.Recycled
 	c       *Cache
-	dead    bool // retired in debug mode
 	out     []*Block
 	one     [1]*Block // out for Get
 	waiting int
@@ -377,9 +377,6 @@ func (rd *read) finishOne(err error) {
 	if rd.waiting > 0 {
 		return
 	}
-	if rd.dead {
-		panic("buffercache: read record retired twice")
-	}
 	c, failed := rd.c, rd.failed
 	if failed != nil {
 		for _, b := range rd.out {
@@ -390,8 +387,8 @@ func (rd *read) finishOne(err error) {
 		clear(rd.out)
 	}
 	done, doneBlock, b := rd.done, rd.doneBlock, rd.one[0]
-	*rd = read{c: c}
-	rd.dead = !c.reads.Put(rd)
+	*rd = read{Recycled: rd.Recycled, c: c}
+	c.reads.Put(rd)
 	if doneBlock != nil {
 		doneBlock(b, failed)
 		return
@@ -420,8 +417,8 @@ func (c *Cache) resident(lbn int64, out []*Block) bool {
 // onData and onFilled are bound once; the record retires before the read
 // hears.
 type run struct {
+	netbuf.Recycled
 	c     *Cache
-	dead  bool // retired in debug mode
 	rd    *read
 	lbn   int64
 	count int
@@ -453,13 +450,10 @@ func (c *Cache) readRun(rd *read, lbn int64, count int, meta bool) {
 
 // retire hands the record back to the cache and returns the read it served.
 func (r *run) retire() *read {
-	if r.dead {
-		panic("buffercache: run record retired twice")
-	}
 	c, rd := r.c, r.rd
 	clear(r.fills)
-	*r = run{c: c, fills: r.fills[:0], onData: r.onData, onFilled: r.onFilled}
-	r.dead = !c.runs.Put(r)
+	*r = run{Recycled: r.Recycled, c: c, fills: r.fills[:0], onData: r.onData, onFilled: r.onFilled}
+	c.runs.Put(r)
 	return rd
 }
 

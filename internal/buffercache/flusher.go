@@ -319,12 +319,11 @@ func (s *syncCall) landed(err error) {
 // incarnation it was issued under, the cache's seq at issue (mark), and
 // done — the issuer's continuation:
 // the flusher's, an eviction's or a Sync's. written is bound once; the
-// record retires before done runs (poisoned and abandoned in netbuf debug
-// mode). A batch whose completion finds the cache reset retires without
-// calling done: the pipeline that issued it is gone.
+// record retires before done runs. A batch whose completion finds the cache
+// reset retires without calling done: the pipeline that issued it is gone.
 type flush struct {
+	netbuf.Recycled
 	c         *Cache
-	dead      bool // retired in debug mode
 	blocks    []*Block
 	gen, mark uint64
 	done      func(error)
@@ -344,13 +343,9 @@ func (c *Cache) flush(done func(error)) *flush {
 
 // retire hands the record back to its cache.
 func (f *flush) retire() {
-	if f.dead {
-		panic("buffercache: flush record retired twice")
-	}
-	c := f.c
 	clear(f.blocks)
-	*f = flush{c: c, blocks: f.blocks[:0], onWritten: f.onWritten}
-	f.dead = !c.flushes.Put(f)
+	*f = flush{Recycled: f.Recycled, c: f.c, blocks: f.blocks[:0], onWritten: f.onWritten}
+	f.c.flushes.Put(f)
 }
 
 // flushBatch writes one adjacent run of dirty blocks down as a single

@@ -375,28 +375,6 @@ func TestRemoveFreesBlocks(t *testing.T) {
 	}
 }
 
-func TestTruncateShrink(t *testing.T) {
-	r := newFsRig(t, 256)
-	ino := r.create(t, "t")
-	r.write(t, ino, 0, bytes.Repeat([]byte{1}, 5*BlockSize))
-	r.fs.Truncate(ino, BlockSize+10, func(err error) {
-		if err != nil {
-			t.Fatalf("Truncate: %v", err)
-		}
-	})
-	r.run(t)
-	var attr Attr
-	r.fs.Getattr(ino, func(a Attr, err error) { attr = a })
-	r.run(t)
-	if attr.Size != BlockSize+10 {
-		t.Fatalf("size = %d", attr.Size)
-	}
-	got, eof := r.readAll(t, ino, 0, 10*BlockSize)
-	if len(got) != BlockSize+10 || !eof {
-		t.Fatalf("read after truncate: %d bytes eof=%v", len(got), eof)
-	}
-}
-
 func TestSyncPersistsToDisk(t *testing.T) {
 	r := newFsRig(t, 256)
 	ino := r.create(t, "durable")

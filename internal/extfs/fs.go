@@ -28,7 +28,7 @@ type FS struct {
 	materializer func(*buffercache.Block)
 
 	// walks is the free list of operation records (see walk).
-	walks netbuf.FreeList[walk]
+	walks netbuf.FreeList[*walk]
 }
 
 // SetMaterializer installs the logical-block materializer.

@@ -227,35 +227,17 @@ func (w *walk) writeApply() {
 	w.goTo((*walk).writeBlock)
 }
 
-// ---- truncate ----
+// ---- truncation (REMOVE's reap) ----
 
-// Truncate frees a file's blocks beyond newSize and updates its size.
-func (fs *FS) Truncate(ino uint32, newSize uint64, done func(error)) {
-	w := fs.walk()
-	w.off, w.doneErr, w.truncated = newSize, done, (*walk).ended
-	w.loadInode(ino, (*walk).truncInode)
-}
-
-func (w *walk) truncInode() {
-	in, newSize := &w.in, w.off
-	if in.Mode != ModeFile {
-		w.finish(ErrIsDir)
-		return
-	}
-	w.cur = int64((newSize + BlockSize - 1) / BlockSize)
-	w.end = int64((in.Size + BlockSize - 1) / BlockSize)
-	// Growing across a partial last block exposes its tail.
-	if newSize > in.Size && in.Size%BlockSize != 0 {
-		w.zeroTail((*walk).truncBlock)
-		return
-	}
+// truncAll frees every block of inode w.in (see truncBlock).
+func (w *walk) truncAll() {
+	w.cur, w.end = 0, int64((w.in.Size+BlockSize-1)/BlockSize)
 	w.truncBlock()
 }
 
 // truncBlock frees file blocks [cur, end) one at a time (map, then free, so
-// the pointer blocks and the bitmap are touched in turn), then persists the
-// new size and runs w.truncated — or, for a removed directory, reaps the
-// inode.
+// the pointer blocks and the bitmap are touched in turn), then reaps the
+// inode — a file's once its emptied inode, pointer blocks dropped, is stored.
 func (w *walk) truncBlock() {
 	if w.cur < w.end {
 		w.resolve(w.cur, 1, false, (*walk).truncMapped)
@@ -266,17 +248,14 @@ func (w *walk) truncBlock() {
 		return
 	}
 	in := &w.in
-	in.Size = w.off
-	// Drop pointer blocks that are now entirely unused.
-	if in.Size <= NDirect*BlockSize {
-		for _, p := range []*uint32{&in.Indirect, &in.DIndirect} {
-			if *p != 0 {
-				w.fs.freeBlock(int64(*p))
-				*p = 0
-			}
+	in.Size = 0
+	for _, p := range []*uint32{&in.Indirect, &in.DIndirect} {
+		if *p != 0 {
+			w.fs.freeBlock(int64(*p))
+			*p = 0
 		}
 	}
-	w.storeInode(w.truncated)
+	w.storeInode((*walk).reapInode)
 }
 
 func (w *walk) truncMapped() {
@@ -523,8 +502,8 @@ func (w *walk) created() {
 
 // Remove unlinks a name and frees its inode and blocks. Directories must be
 // empty. Its phases are the lookup, the entry's inode, for a directory the
-// check that it is empty, the unlink, then the truncation (a file's goes
-// through Truncate's phases and is stored) and the inode reaped. Validation
+// check that it is empty, the unlink, then the truncation (a file's inode is
+// reloaded, emptied and stored) and the inode reaped. Validation
 // happens before the directory entry is cleared, so a failed removal leaves
 // the tree intact.
 func (fs *FS) Remove(dirIno uint32, name []byte, done func(error)) {
@@ -590,13 +569,11 @@ func (w *walk) removeUnlinked() {
 		return
 	}
 	if w.saved.Mode == ModeFile {
-		w.off, w.truncated = 0, (*walk).reapInode
-		w.loadInode(w.child, (*walk).truncInode)
+		w.loadInode(w.child, (*walk).truncAll)
 		return
 	}
 	w.ino, w.in, w.reap = w.child, w.saved, true
-	w.cur, w.end = 0, int64((w.in.Size+BlockSize-1)/BlockSize)
-	w.truncBlock()
+	w.truncAll()
 }
 
 // reapInode marks inode w.child free on disk and in the bitmap, then ends

@@ -78,7 +78,7 @@ func TestShadowModelRandomOps(t *testing.T) {
 			}
 			copy(sf.data[off:], payload)
 
-		case 6, 7, 8: // read + verify
+		case 6, 7, 8, 9: // read + verify
 			sf, exists := shadow[name]
 			if !exists {
 				continue
@@ -97,24 +97,6 @@ func TestShadowModelRandomOps(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("step %d: read %q [%d,+%d): got %d bytes, want %d (content mismatch=%v)",
 					step, name, off, n, len(got), len(want), !bytes.Equal(got, want))
-			}
-
-		case 9: // truncate
-			sf, exists := shadow[name]
-			if !exists {
-				continue
-			}
-			newSize := uint64(rng.Intn(4 * BlockSize))
-			r.fs.Truncate(sf.ino, newSize, func(err error) {
-				if err != nil {
-					t.Fatalf("step %d: truncate %q: %v", step, name, err)
-				}
-			})
-			r.run(t)
-			if uint64(len(sf.data)) > newSize {
-				sf.data = sf.data[:newSize]
-			} else {
-				sf.data = append(sf.data, make([]byte, newSize-uint64(len(sf.data)))...)
 			}
 		}
 	}

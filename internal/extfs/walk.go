@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ncache/internal/buffercache"
+	"ncache/internal/netbuf"
 )
 
 // walk is the recycled record of one file-system operation. The operations
@@ -27,16 +28,16 @@ import (
 // A record is owned by the operation that took it and retires when that
 // operation completes (for a read: at ReadResult.Done, which releases the
 // pins it holds). Records never leave their FS, so the free list needs no
-// lock. In netbuf debug mode a retired record is poisoned and abandoned
-// instead of recycled, like buffer descriptors.
+// lock. A retired record keeps itself as its ReadResult's, so a second Done
+// retires it twice, and a callback that resumes it panics.
 type walk struct {
+	netbuf.Recycled
 	fs *FS
 	pc func(*walk)
 	// gen fences resume loops still on the stack when the record retires
 	// (and is perhaps already serving the next operation).
 	gen            uint32
 	running, again bool
-	dead           bool // retired in debug mode
 
 	// The result of the last cache call (a failed one ends the operation
 	// there and then: continuations only ever see success).
@@ -93,9 +94,8 @@ type walk struct {
 	pos       uint64
 	srcOff    int
 	waiting   int
-	readErr   error       // the first failed run of a read
-	reap      bool        // truncation of a removed directory: reap the inode after
-	truncated func(*walk) // after a file's truncation is stored
+	readErr   error // the first failed run of a read
+	reap      bool  // truncation of a removed directory: reap the inode after
 	visit     func(w *walk, slot []byte) (stop, mutate bool)
 	scanned   func(*walk)
 	stopped   bool
@@ -113,6 +113,7 @@ type walk struct {
 // walk takes a blank record off the free list.
 func (fs *FS) walk() *walk {
 	if w := fs.walks.Take(); w != nil {
+		w.res.w = nil
 		return w
 	}
 	w := &walk{fs: fs}
@@ -123,27 +124,24 @@ func (fs *FS) walk() *walk {
 // retire blanks the record — keeping its arrays' capacity and its bound
 // callbacks — and returns it to the free list.
 func (w *walk) retire() {
-	if w.dead {
-		panic("extfs: walk record retired twice")
-	}
 	clear(w.blks)
 	clear(w.res.Extents)
 	*w = walk{
-		fs: w.fs, gen: w.gen + 1,
+		Recycled: w.Recycled, fs: w.fs, gen: w.gen + 1,
 		lbns: w.lbns[:0], freshs: w.freshs[:0], blks: w.blks[:0],
 		list:    Listing{names: w.list.names[:0], ends: w.list.ends[:0]},
-		res:     ReadResult{Extents: w.res.Extents[:0]},
+		res:     ReadResult{Extents: w.res.Extents[:0], w: w},
 		onBlock: w.onBlock, onBits: w.onBits, onRun: w.onRun, onErr: w.onErr, onCharged: w.onCharged,
 	}
-	if !w.fs.walks.Put(w) {
-		w.dead, w.res.w = true, w
-		w.pc = func(*walk) { panic("extfs: walk record used after retire") }
-	}
+	w.fs.walks.Put(w)
 }
 
 // resume runs the record's continuation, and keeps running continuations
 // for as long as each one's call completes inline.
 func (w *walk) resume() {
+	if w.Retired() {
+		panic("extfs: walk record used after retire")
+	}
 	if w.running {
 		w.again = true
 		return

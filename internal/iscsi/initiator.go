@@ -26,11 +26,10 @@ var (
 // caller's completion. transmit, respond and reissue are bound once, when the
 // record is first allocated. A record never leaves its Initiator and retires
 // before the caller's completion runs; a retry keeps it under a fresh task
-// tag. In netbuf debug mode a retired record is poisoned and abandoned, and a
-// second retire panics.
+// tag.
 type task struct {
+	netbuf.Recycled
 	i      *Initiator
-	dead   bool // retired in debug mode
 	itt    uint32
 	lba    int64
 	blocks int
@@ -64,13 +63,10 @@ func (i *Initiator) task() *task {
 
 // finish ends the command: the record retires, then the caller hears.
 func (t *task) finish(data *netbuf.Chain, err error) {
-	if t.dead {
-		panic("iscsi: command record retired twice")
-	}
 	t.releasePayload()
 	onData, onDone := t.onData, t.onDone
-	*t = task{i: t.i, transmit: t.transmit, respond: t.respond, reissue: t.reissue}
-	t.dead = !t.i.free.Put(t)
+	*t = task{Recycled: t.Recycled, i: t.i, transmit: t.transmit, respond: t.respond, reissue: t.reissue}
+	t.i.free.Put(t)
 	switch {
 	case onData != nil:
 		onData(data, err)
@@ -104,7 +100,7 @@ type Initiator struct {
 	cmdSN   uint32
 	pending map[uint32]*task
 	// free is the free list of command records (see task).
-	free netbuf.FreeList[task]
+	free netbuf.FreeList[*task]
 	geom blockdev.Geometry
 
 	// retryMax/retryBackoff configure CHECK CONDITION retries (off while

@@ -24,7 +24,7 @@ type Target struct {
 	// free holds the records of completed READ and WRITE commands, staging
 	// buffers included. A target lives on one node, so the list needs no
 	// lock.
-	free netbuf.FreeList[command]
+	free netbuf.FreeList[*command]
 
 	// WireFormat models the paper's §6 future-work proposal: disk-resident
 	// data kept in a network-ready format, so the target moves blocks
@@ -53,12 +53,11 @@ func NewTarget(node *simnet.Node, tcpT *tcp.Transport, dev blockdev.Device) (*Ta
 // once, when the record is first allocated. A record never leaves its Target
 // and retires before its response is sent: after TxPool.GetChain copied a
 // READ's payload out, after the device's done for a WRITE. The staging
-// buffer retires with it and keeps its capacity for the next tenant; in
-// netbuf debug mode it is poisoned and the record abandoned, and a second
-// retire panics.
+// buffer retires with it and keeps its capacity for the next tenant (poisoned
+// in netbuf debug mode, where the record is abandoned).
 type command struct {
+	netbuf.Recycled
 	s      *session
-	dead   bool // retired in debug mode
 	itt    uint32
 	lba    int64
 	blocks int
@@ -95,20 +94,9 @@ func (c *command) stage(n int) {
 // retire hands the record back to the target; the caller has copied out
 // what the response needs.
 func (c *command) retire() {
-	if c.dead {
-		panic("iscsi: target command retired twice")
-	}
-	buf := c.buf
-	if buf != nil && !netbuf.Recycle(buf) {
-		buf = nil
-	}
-	t := c.s.target
-	*c = command{
-		buf:  buf,
-		read: c.read, send: c.send, write: c.write, store: c.store,
-		readDone: c.readDone, written: c.written,
-	}
-	c.dead = !t.free.Put(c)
+	netbuf.Recycle(c.buf)
+	c.itt, c.lba, c.blocks, c.data, c.vec[0] = 0, 0, 0, nil, nil
+	c.s.target.free.Put(c)
 }
 
 // fail retires the record and reports CHECK CONDITION.

@@ -72,6 +72,7 @@ type Stats struct {
 // ring while it is indexed, and goes to the module's free list when it is
 // evicted or replaced.
 type entry struct {
+	netbuf.Recycled
 	key        lkey.Key
 	chain      *netbuf.Chain
 	partial    netbuf.Partial // inherited payload checksum
@@ -95,7 +96,7 @@ type Module struct {
 	// lru is the sentinel of the LRU ring: lru.next is the most recently
 	// used entry, lru.prev the eviction candidate.
 	lru  entry
-	free netbuf.FreeList[entry]
+	free netbuf.FreeList[*entry]
 	used int64
 	seq  uint64 // counts FHO captures; survives Reset
 
@@ -205,12 +206,12 @@ func (m *Module) unindex(e *entry) {
 // remove drops an entry entirely, releasing its chain, and recycles it: the
 // caller must not touch e again.
 func (m *Module) remove(e *entry) {
+	m.free.Put(e)
 	m.unindex(e)
 	e.unlink()
 	m.used -= int64(e.bytes + EntryOverheadBytes)
 	e.chain.Release()
-	*e = entry{}
-	m.free.Put(e)
+	*e = entry{Recycled: e.Recycled}
 }
 
 // evict reclaims cold entries until occupancy fits capacity. Dirty entries

@@ -68,21 +68,17 @@ func recordChainDoubleFree(c *Chain) {
 // reads a retired payload fails its own integrity check.
 const poisonByte = 0xDB
 
-// Recycle reports whether a payload buffer whose owner is done with it may
-// join a free list — the rule chains and records follow, for the flat
-// buffers other packages recycle (iSCSI staging buffers, WAL payloads,
-// buffer-cache pages). In debug mode it may not: the buffer is poisoned and
-// abandoned to the collector, so a reader that kept it past the hand-back
-// sees poison instead of the next owner's bytes.
-func Recycle(p []byte) bool {
-	if !debugMode {
-		return true
+// Recycle hands back a flat payload whose record is about to retire (an
+// iSCSI staging buffer, a WAL payload, a buffer-cache page). In debug mode,
+// where the record is abandoned, the payload is poisoned, so a reader that
+// kept it past the hand-back sees poison instead of the next owner's bytes.
+func Recycle(p []byte) {
+	if debugMode {
+		p = p[:cap(p)]
+		for i := range p {
+			p[i] = poisonByte
+		}
 	}
-	p = p[:cap(p)]
-	for i := range p {
-		p[i] = poisonByte
-	}
-	return false
 }
 
 // Window slices are recycled by power-of-two size class, the way a slab

@@ -24,7 +24,7 @@ type Client struct {
 	// stream marks a client dialed over TCP (DialClientStream).
 	stream bool
 	// calls is the free list of call records (see clientCall).
-	calls netbuf.FreeList[clientCall]
+	calls netbuf.FreeList[*clientCall]
 }
 
 // NewClient binds an NFS client on the UDP transport, talking to server.
@@ -95,7 +95,7 @@ func (c *Client) nameArgs(dir FH, name string) *netbuf.Buf {
 type replyKind uint8
 
 const (
-	replyAttr   replyKind = iota // status + attr: GETATTR, SETATTR
+	replyAttr   replyKind = iota // status + attr: GETATTR
 	replyFH                      // status + fh + attr: LOOKUP, CREATE
 	replyRead                    // status + attr + counted data
 	replyWrite                   // status + attr + count
@@ -108,12 +108,11 @@ const (
 // once, when the record is first allocated. It never leaves its Client and
 // retires before the caller's completion runs (a closed-loop caller issues its
 // next call from inside it, and that call takes this record): onReply copies
-// the record out first. In netbuf debug mode a retired record is poisoned and
-// abandoned, and a second retire panics.
+// the record out first.
 type clientCall struct {
+	netbuf.Recycled
 	c    *Client
 	kind replyKind
-	dead bool // retired in debug mode
 
 	doneAttr   func(Attr, error)
 	doneFH     func(FH, Attr, error)
@@ -137,11 +136,8 @@ func (c *Client) newCall(kind replyKind) *clientCall {
 }
 
 func (k *clientCall) retire() {
-	if k.dead {
-		panic("nfs: client call record retired twice")
-	}
-	*k = clientCall{c: k.c, onReply: k.onReply}
-	k.dead = !k.c.calls.Put(k)
+	*k = clientCall{Recycled: k.Recycled, c: k.c, onReply: k.onReply}
+	k.c.calls.Put(k)
 }
 
 // call issues one NFS RPC; the record's completion hears the outcome.
@@ -306,15 +302,6 @@ func (c *Client) Getattr(fh FH, done func(Attr, error)) {
 	k := c.newCall(replyAttr)
 	k.doneAttr = done
 	k.call(ProcGetattr, msg, nil)
-}
-
-// Setattr sets the file size (truncate).
-func (c *Client) Setattr(fh FH, size uint64, done func(Attr, error)) {
-	msg, e := c.fhArgs(fh, 8)
-	e.Uint64(size)
-	k := c.newCall(replyAttr)
-	k.doneAttr = done
-	k.call(ProcSetattr, msg, nil)
 }
 
 // Lookup resolves a name.

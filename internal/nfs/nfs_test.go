@@ -60,21 +60,6 @@ func (m *memBackend) Getattr(fh FH, done func(Attr, uint32)) {
 	done(m.attr(ino), OK)
 }
 
-func (m *memBackend) Setattr(fh FH, size uint64, done func(Attr, uint32)) {
-	ino := inoOf(fh)
-	f, ok := m.files[ino]
-	if !ok {
-		done(Attr{}, ErrNoEnt)
-		return
-	}
-	if uint64(len(f)) > size {
-		m.files[ino] = f[:size]
-	} else {
-		m.files[ino] = append(f, make([]byte, size-uint64(len(f)))...)
-	}
-	done(m.attr(ino), OK)
-}
-
 func (m *memBackend) Lookup(dir FH, name []byte, done func(FH, Attr, uint32)) {
 	ino, ok := m.names[string(name)]
 	if !ok {
@@ -234,13 +219,22 @@ func TestProtocolLifecycle(t *testing.T) {
 			t.Fatalf("Getattr: %+v %v", a, err)
 		}
 	})
-	c.Setattr(fh, 500, func(a Attr, err error) {
-		if err != nil || a.Size != 500 {
-			t.Fatalf("Setattr: %+v %v", a, err)
+	// SETATTR is not served: sunrpc answers it as an unknown procedure.
+	msg, e := c.fhArgs(fh, 8)
+	e.Uint64(500)
+	k := c.newCall(replyAttr)
+	k.doneAttr = func(_ Attr, err error) {
+		var op *OpError
+		if !errors.As(err, &op) || op.Status != ErrIO {
+			t.Fatalf("SETATTR: %v, want an I/O error", err)
 		}
-	})
+	}
+	k.call(ProcSetattr, msg, nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if srv.rpc.BadCalls != 1 {
+		t.Fatalf("SETATTR: %d bad calls at the RPC server, want 1", srv.rpc.BadCalls)
 	}
 
 	c.Lookup(RootFH(), "f.txt", func(h FH, _ Attr, err error) {
@@ -445,6 +439,46 @@ func TestCallRecordsPoisonedInDebugMode(t *testing.T) {
 	srv.backend = twiceBackend{backend}
 	c.Getattr(RootFH(), func(Attr, error) {})
 	mustPanic("backend answers twice", "retired twice", func() { _ = eng.Run() })
+}
+
+// TestReplyTwiceRetiresOnce: recycling (netbuf debug mode off), a reply
+// delivered twice to one client call panics at the second retire, and the
+// record sits on the client's free list once — twice, two later calls would
+// share it.
+func TestReplyTwiceRetiresOnce(t *testing.T) {
+	was := netbuf.DebugEnabled()
+	netbuf.SetDebug(false)
+	defer netbuf.SetDebug(was)
+	eng, c, _, _ := loop(t)
+
+	msg, _ := c.fhArgs(RootFH(), 0)
+	k := c.newCall(replyAttr)
+	heard := 0
+	k.doneAttr = func(Attr, error) { heard++ }
+	k.call(ProcGetattr, msg, nil)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if heard != 1 {
+		t.Fatalf("the caller heard %d replies, want 1", heard)
+	}
+	func() {
+		defer func() {
+			if p := recover(); !strings.Contains(fmt.Sprint(p), "retired twice") {
+				t.Errorf("second reply: recovered %v, want a panic mentioning \"retired twice\"", p)
+			}
+		}()
+		k.onReply(sunrpc.Reply{}, nil)
+	}()
+	listed := 0
+	for _, r := range c.calls {
+		if r == k {
+			listed++
+		}
+	}
+	if listed != 1 || heard != 1 {
+		t.Fatalf("the record is on the free list %d times and the caller heard %d replies, want 1 and 1", listed, heard)
+	}
 }
 
 // listBackend answers every READDIR with one fixed listing.

@@ -18,7 +18,6 @@ import (
 // to; a listing is the backend's, valid only during done.
 type Backend interface {
 	Getattr(fh FH, done func(Attr, uint32))
-	Setattr(fh FH, size uint64, done func(Attr, uint32))
 	Lookup(dir FH, name []byte, done func(FH, Attr, uint32))
 	Read(fh FH, off uint64, n int, done func(*netbuf.Chain, Attr, uint32))
 	Write(fh FH, off uint64, data *netbuf.Chain, done func(n int, attr Attr, st uint32))
@@ -44,7 +43,7 @@ type Server struct {
 	rpc     *sunrpc.Server
 	filter  TxFilter
 	// calls is the free list of call records (see serverCall).
-	calls netbuf.FreeList[serverCall]
+	calls netbuf.FreeList[*serverCall]
 
 	// Ops counts served calls by procedure.
 	Ops map[uint32]uint64
@@ -61,7 +60,7 @@ func NewServer(node *simnet.Node, backend Backend) *Server {
 		Ops:     make(map[uint32]uint64),
 	}
 	for _, proc := range []uint32{
-		ProcNull, ProcGetattr, ProcSetattr, ProcLookup, ProcRead,
+		ProcNull, ProcGetattr, ProcLookup, ProcRead,
 		ProcWrite, ProcCreate, ProcRemove, ProcMkdir, ProcRmdir, ProcReaddir,
 	} {
 		s.rpc.Register(Prog, Vers, proc, s.dispatch)
@@ -113,15 +112,14 @@ func encodeAttr(e *xdr.Encoder, a Attr) {
 // result shape — bound once, when the record is first allocated. It never
 // leaves its Server and retires where the reply is handed to the RPC layer;
 // a call the backend drops (a crashed server answers nothing) leaves its
-// record to the collector. In netbuf debug mode a retired record is poisoned
-// and abandoned, and a second retire panics: a backend that calls done twice
-// fails there instead of answering another call.
+// record to the collector. A backend that calls done twice fails at the
+// second retire instead of answering another call.
 type serverCall struct {
+	netbuf.Recycled
 	s    *Server
 	c    sunrpc.Call
 	body *netbuf.Chain
 	name [MaxNameLen + 1]byte // room for the XDR padding of the longest name
-	dead bool                 // retired in debug mode
 
 	run      func()
 	onAttr   func(Attr, uint32)
@@ -146,12 +144,9 @@ func (s *Server) call() *serverCall {
 
 // retire ends the record's call and returns where its reply goes.
 func (k *serverCall) retire() sunrpc.Call {
-	if k.dead {
-		panic("nfs: server call record retired twice (a backend called done twice)")
-	}
 	c := k.c
 	k.c, k.body = sunrpc.Call{}, nil
-	k.dead = !k.s.calls.Put(k)
+	k.s.calls.Put(k)
 	return c
 }
 
@@ -190,19 +185,6 @@ func (k *serverCall) serve() {
 		body.Release()
 		s.node.Reqs.MetaOps++
 		s.backend.Getattr(fh, k.onAttr)
-
-	case ProcSetattr:
-		var raw [FHLen + 8]byte
-		if err := body.PullHeaderInto(raw[:]); err != nil {
-			k.fail(ErrIO)
-			return
-		}
-		var fh FH
-		copy(fh[:], raw[:FHLen])
-		size := be64(raw[FHLen:])
-		body.Release()
-		s.node.Reqs.MetaOps++
-		s.backend.Setattr(fh, size, k.onAttr)
 
 	case ProcLookup:
 		fh, name, st := k.pullFHName()

@@ -13,7 +13,7 @@ import (
 type fsBackend struct {
 	srv *AppServer
 	// calls is the free list of operation records (see backendCall).
-	calls netbuf.FreeList[backendCall]
+	calls netbuf.FreeList[*backendCall]
 }
 
 var _ nfs.Backend = (*fsBackend)(nil)
@@ -29,11 +29,10 @@ var _ nfs.Backend = (*fsBackend)(nil)
 // completion runs. An operation a crash overtakes ends at one of the `if
 // srv.crashed { return }` below without retiring: its record goes to the
 // collector and is never handed out again, so a completion that still fires
-// for it cannot reach another operation. In netbuf debug mode a retired record
-// is poisoned and abandoned, and a second retire panics.
+// for it cannot reach another operation.
 type backendCall struct {
-	b    *fsBackend
-	dead bool // retired in debug mode
+	netbuf.Recycled
+	b *fsBackend
 	backendOp
 
 	onAttr      func(extfs.Attr, error)
@@ -91,12 +90,9 @@ func (b *fsBackend) call(proc uint32) *backendCall {
 // retire ends the operation: the record goes back on the free list, and the
 // caller tells the protocol server from the copy it is handed.
 func (k *backendCall) retire() backendOp {
-	if k.dead {
-		panic("passthru: backend call record retired twice")
-	}
 	op := k.backendOp
 	k.backendOp = backendOp{}
-	k.dead = !k.b.calls.Put(k)
+	k.b.calls.Put(k)
 	return op
 }
 
@@ -104,7 +100,7 @@ func (k *backendCall) retire() backendOp {
 func (k *backendCall) fail(err error) {
 	op, st := k.retire(), mapErr(err)
 	switch op.proc {
-	case nfs.ProcGetattr, nfs.ProcSetattr:
+	case nfs.ProcGetattr:
 		op.doneAttr(nfs.Attr{}, st)
 	case nfs.ProcLookup, nfs.ProcCreate:
 		op.doneFH(nfs.FH{}, nfs.Attr{}, st)
@@ -127,7 +123,7 @@ func (k *backendCall) gotAttr(a extfs.Attr, err error) {
 	}
 	op, attr := k.retire(), attrOf(a)
 	switch op.proc {
-	case nfs.ProcGetattr, nfs.ProcSetattr:
+	case nfs.ProcGetattr:
 		op.doneAttr(attr, nfs.OK)
 	case nfs.ProcLookup, nfs.ProcCreate:
 		op.doneFH(inoFH(op.ino), attr, nfs.OK)
@@ -136,22 +132,19 @@ func (k *backendCall) gotAttr(a extfs.Attr, err error) {
 	}
 }
 
-// gotErr continues after a Truncate (SETATTR), a cache flush (a WRITE that
-// syncs before its ack) or a Remove.
+// gotErr continues after a Remove or a cache flush (a WRITE that syncs
+// before its ack).
 func (k *backendCall) gotErr(err error) {
 	srv := k.b.srv
 	if k.proc == nfs.ProcRemove {
 		k.retire().doneStatus(mapErr(err))
 		return
 	}
-	if k.proc == nfs.ProcWrite && srv.crashed {
+	if srv.crashed {
 		return
 	}
 	if err != nil {
 		k.fail(err)
-		return
-	}
-	if srv.crashed {
 		return
 	}
 	srv.FS.Getattr(k.ino, k.onAttr)
@@ -177,15 +170,6 @@ func (b *fsBackend) Getattr(fh nfs.FH, done func(nfs.Attr, uint32)) {
 	k := b.call(nfs.ProcGetattr)
 	k.doneAttr = done
 	b.srv.FS.Getattr(fhIno(fh), k.onAttr)
-}
-
-func (b *fsBackend) Setattr(fh nfs.FH, size uint64, done func(nfs.Attr, uint32)) {
-	if b.srv.crashed {
-		return
-	}
-	k := b.call(nfs.ProcSetattr)
-	k.ino, k.doneAttr = fhIno(fh), done
-	b.srv.FS.Truncate(k.ino, size, k.onErr)
 }
 
 func (b *fsBackend) Lookup(dir nfs.FH, name []byte, done func(nfs.FH, nfs.Attr, uint32)) {

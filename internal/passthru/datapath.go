@@ -41,18 +41,18 @@ type interceptVolume struct {
 	s *AppServer
 	// reads and writes are the free lists of the records (see
 	// interceptRead and interceptWrite).
-	reads  netbuf.FreeList[interceptRead]
-	writes netbuf.FreeList[interceptWrite]
+	reads  netbuf.FreeList[*interceptRead]
+	writes netbuf.FreeList[*interceptWrite]
 }
 
 // interceptRead is the recycled record of one regular-data read through the
 // interception: the run, the caller's completion and, on a second-level hit,
 // the served junk across its lookup charge. arrived and served are bound
 // once, when the record is first allocated; the record retires before the
-// caller hears (poisoned and abandoned in netbuf debug mode).
+// caller hears.
 type interceptRead struct {
+	netbuf.Recycled
 	v      *interceptVolume
-	dead   bool // retired in debug mode
 	lbn    int64
 	blocks int
 	data   *netbuf.Chain
@@ -64,12 +64,8 @@ type interceptRead struct {
 
 // retire hands the record back to its volume.
 func (r *interceptRead) retire() {
-	if r.dead {
-		panic("passthru: intercepted read retired twice")
-	}
-	v := r.v
-	*r = interceptRead{v: v, onData: r.onData, onHit: r.onHit}
-	r.dead = !v.reads.Put(r)
+	*r = interceptRead{Recycled: r.Recycled, v: r.v, onData: r.onData, onHit: r.onHit}
+	r.v.reads.Put(r)
 }
 
 // ReadAt serves a regular-data read from the network-centric cache when
@@ -143,10 +139,10 @@ func (v *interceptVolume) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done
 // the interception: the caller's completion, and the LBNs the write-out
 // re-indexed (whose capacity the record keeps) with its mark. written is
 // bound once, when the record is first allocated; the record retires before
-// the caller hears (poisoned and abandoned in netbuf debug mode).
+// the caller hears.
 type interceptWrite struct {
+	netbuf.Recycled
 	v         *interceptVolume
-	dead      bool // retired in debug mode
 	remapped  []int64
 	mark      uint64
 	done      func(error)
@@ -159,9 +155,6 @@ type interceptWrite struct {
 // re-read stale bytes from storage). A failed write leaves them dirty for
 // the flush that retries them.
 func (w *interceptWrite) written(err error) {
-	if w.dead {
-		panic("passthru: intercepted write retired twice")
-	}
 	v, done := w.v, w.done
 	s := v.s
 	if err == nil {
@@ -170,8 +163,8 @@ func (w *interceptWrite) written(err error) {
 			ag.SendRemap(w.remapped) // copies the LBNs into its queue
 		}
 	}
-	*w = interceptWrite{v: v, remapped: w.remapped[:0], onWritten: w.onWritten}
-	w.dead = !v.writes.Put(w)
+	*w = interceptWrite{Recycled: w.Recycled, v: v, remapped: w.remapped[:0], onWritten: w.onWritten}
+	v.writes.Put(w)
 	done(err)
 }
 

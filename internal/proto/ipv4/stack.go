@@ -26,7 +26,7 @@ type Stack struct {
 	nextID   uint16
 	reasm    map[flowKey]*reassembly
 	// free is the free list of reassembly records (see reassembly).
-	free netbuf.FreeList[reassembly]
+	free netbuf.FreeList[*reassembly]
 
 	// ReasmErrors counts fragments that could not be reassembled
 	// (out-of-order, stale, duplicate or inconsistent); the lossless fabric
@@ -58,10 +58,9 @@ type flowKey struct {
 // and retires on each of the three ways a reassembly ends: completed, evicted,
 // expired. The first two Cancel the timer, and Engine.Cancel removes the
 // event, so an expiry armed for one datagram cannot fire on the record's next;
-// expire checks that the record still holds its flow all the same. In netbuf
-// debug mode a retired record is poisoned and abandoned, and a second retire
-// panics.
+// expire checks that the record still holds its flow all the same.
 type reassembly struct {
+	netbuf.Recycled
 	s       *Stack
 	key     flowKey
 	id      uint16
@@ -69,7 +68,6 @@ type reassembly struct {
 	nextOff uint16
 	expiry  sim.EventID
 	expire  func()
-	dead    bool // retired in debug mode
 }
 
 // reassemble starts a record for the datagram id on flow key and arms its
@@ -89,17 +87,14 @@ func (s *Stack) reassemble(key flowKey, id uint16, at sim.Time) *reassembly {
 // retire takes the record off its flow and returns it to the free list; the
 // caller has already taken or released the chain.
 func (r *reassembly) retire() {
-	if r.dead {
-		panic("ipv4: reassembly record retired twice")
-	}
 	delete(r.s.reasm, r.key)
-	*r = reassembly{s: r.s, expire: r.expire}
-	r.dead = !r.s.free.Put(r)
+	*r = reassembly{Recycled: r.Recycled, s: r.s, expire: r.expire}
+	r.s.free.Put(r)
 }
 
 // expired abandons a partial datagram whose next fragment never came.
 func (r *reassembly) expired() {
-	if r.dead {
+	if r.Retired() {
 		panic("ipv4: reassembly record expired after retire")
 	}
 	if r.s.reasm[r.key] != r {

@@ -118,8 +118,8 @@ type Mirror struct {
 	gen    uint64
 	// reads and writes are the free lists of the request records (see
 	// mirrorRead and mirrorWrite).
-	reads  netbuf.FreeList[mirrorRead]
-	writes netbuf.FreeList[mirrorWrite]
+	reads  netbuf.FreeList[*mirrorRead]
+	writes netbuf.FreeList[*mirrorWrite]
 }
 
 var _ Volume = (*Mirror)(nil)
@@ -406,10 +406,10 @@ func (m *Mirror) ReadAt(lbn int64, blocks int, meta bool, done func(*netbuf.Chai
 // it may try in order (a slice whose capacity the record keeps), the attempt
 // in flight and when it started, and the caller's completion. arrived is
 // bound once, when the record is first allocated; the record retires before
-// the caller hears (poisoned and abandoned in netbuf debug mode).
+// the caller hears.
 type mirrorRead struct {
+	netbuf.Recycled
 	m      *Mirror
-	dead   bool // retired in debug mode
 	order  []int
 	at     int
 	lbn    int64
@@ -431,8 +431,8 @@ func (r *mirrorRead) issue() {
 
 // arrived takes an arm's answer, failing over down the order on an error.
 func (r *mirrorRead) arrived(data *netbuf.Chain, err error) {
-	if r.dead {
-		panic("storage: mirror read retired twice")
+	if r.Retired() {
+		panic("storage: mirror read answered after retire")
 	}
 	m := r.m
 	a := m.arms[r.order[r.at]]
@@ -452,8 +452,8 @@ func (r *mirrorRead) arrived(data *netbuf.Chain, err error) {
 		m.sample(a, r.start)
 	}
 	done := r.done
-	*r = mirrorRead{m: m, order: r.order[:0], onData: r.onData}
-	r.dead = !m.reads.Put(r)
+	*r = mirrorRead{Recycled: r.Recycled, m: m, order: r.order[:0], onData: r.onData}
+	m.reads.Put(r)
 	done(data, err)
 }
 
@@ -512,11 +512,10 @@ func (m *Mirror) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done func(err
 // mirrorWrite is the recycled record of one write through the mirror: the
 // range, how many closed arms it went to, the legs still to settle and what
 // they reported, the caller's completion, and one leg per arm, each with its
-// completion bound once. The record retires before the caller hears
-// (poisoned and abandoned in netbuf debug mode).
+// completion bound once. The record retires before the caller hears.
 type mirrorWrite struct {
+	netbuf.Recycled
 	m         *Mirror
-	dead      bool // retired in debug mode
 	lbn       int64
 	blocks    int
 	primaries int
@@ -609,12 +608,8 @@ func (w *mirrorWrite) settle() {
 
 // retire hands the record back to its mirror.
 func (w *mirrorWrite) retire() {
-	if w.dead {
-		panic("storage: mirror write retired twice")
-	}
-	m := w.m
-	*w = mirrorWrite{m: m, legs: w.legs}
-	w.dead = !m.writes.Put(w)
+	*w = mirrorWrite{Recycled: w.Recycled, m: w.m, legs: w.legs}
+	w.m.writes.Put(w)
 }
 
 // Stats implements Volume.

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"ncache/internal/blockdev"
+	"ncache/internal/netbuf"
 )
 
 // RAID0 stripes blocks across member disks in stripe-unit chunks, like the
@@ -19,7 +20,7 @@ type RAID0 struct {
 	geom       blockdev.Geometry
 	// Requests counts top-level I/Os (not per-member operations).
 	Requests uint64
-	free     []*arrayIO // completed request records, reused by split
+	free     netbuf.FreeList[*arrayIO] // completed request records, reused by split
 }
 
 var (
@@ -119,6 +120,7 @@ func stripeRuns(n, unit int, lbn int64, count int, visit func(disk int, member i
 // completions. The array recycles them, so a steady-state request allocates
 // nothing on the host.
 type arrayIO struct {
+	netbuf.Recycled
 	r         *RAID0
 	members   []memberIO // indexed by disk
 	order     []int      // disks in first-touch order, the issue order
@@ -150,10 +152,8 @@ func (r *RAID0) split(lbn int64, bufs [][]byte) (*arrayIO, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	var io *arrayIO
-	if k := len(r.free); k > 0 {
-		io, r.free = r.free[k-1], r.free[:k-1]
-	} else {
+	io := r.free.Take()
+	if io == nil {
 		io = &arrayIO{r: r, members: make([]memberIO, len(r.disks))}
 		io.join = io.memberDone
 	}
@@ -206,7 +206,7 @@ func (io *arrayIO) memberDone(err error) {
 		m.bufs = m.bufs[:0]
 	}
 	io.order, io.done, io.err = io.order[:0], nil, nil
-	io.r.free = append(io.r.free, io)
+	io.r.free.Put(io)
 	done(err)
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"ncache/internal/blockdev"
 	"ncache/internal/fault"
+	"ncache/internal/netbuf"
 	"ncache/internal/sim"
 )
 
@@ -372,6 +373,9 @@ func TestRAID0SplitMatchesStripeExtents(t *testing.T) {
 // every extent shape allocate nothing on the host — no assembly slab, no
 // per-member chunk, no extent list.
 func TestRAID0ReadWriteAllocFree(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
 	tw := newTwin(t, false)
 	buf := make([]byte, 5*twinDisks*twinUnit*twinBS)
 	one := [][]byte{buf[:2*twinBS]}                             // single segment

@@ -35,16 +35,13 @@ func (m *TargetMap) TargetOf(lbn int64) int {
 
 // Split cuts a contiguous block run at range boundaries into per-target
 // extents, in ascending LBN order: one extent per range touched (with two or
-// more targets, adjacent ranges never share one).
+// more targets, adjacent ranges never share one). Placement is RAID0's
+// striping with a range for the stripe unit and a target for the member.
 func (m *TargetMap) Split(lbn int64, blocks int) []Extent {
 	var out []Extent
-	for blocks > 0 {
-		boundary := (lbn/DefaultRangeBlocks + 1) * DefaultRangeBlocks
-		n := min(int64(blocks), boundary-lbn)
-		out = append(out, Extent{Target: m.TargetOf(lbn), LBN: lbn, Blocks: int(n)})
-		lbn += n
-		blocks -= int(n)
-	}
+	stripeRuns(int(m.targets), DefaultRangeBlocks, lbn, blocks, func(target int, _ int64, reqStart, run int) {
+		out = append(out, Extent{Target: target, LBN: lbn + int64(reqStart), Blocks: run})
+	})
 	return out
 }
 

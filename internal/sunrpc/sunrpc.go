@@ -204,7 +204,7 @@ type Server struct {
 	node     *simnet.Node
 	programs map[progVers]map[uint32]Handler
 	// calls is the free list of dispatch records (see serverCall).
-	calls netbuf.FreeList[serverCall]
+	calls netbuf.FreeList[*serverCall]
 	// BadCalls counts malformed or unroutable calls.
 	BadCalls uint64
 }
@@ -213,14 +213,13 @@ type Server struct {
 // handler: it carries the parsed call and the handler across the RPCNs charge,
 // with run bound once, when the record is first allocated. Its job ends where
 // the handler begins, so run copies both out and retires the record first;
-// the handler receives the call by value and a reply needs no record. Records never leave their Server. In netbuf debug
-// mode a retired record is poisoned and abandoned, and a second retire panics.
+// the handler receives the call by value and a reply needs no record.
 type serverCall struct {
+	netbuf.Recycled
 	s    *Server
 	call Call
 	h    Handler
 	run  func()
-	dead bool // retired in debug mode
 }
 
 // call takes a blank record off the free list.
@@ -241,11 +240,8 @@ func (sc *serverCall) handle() {
 }
 
 func (sc *serverCall) retire() {
-	if sc.dead {
-		panic("sunrpc: server call record retired twice")
-	}
-	*sc = serverCall{s: sc.s, run: sc.run}
-	sc.dead = !sc.s.calls.Put(sc)
+	*sc = serverCall{Recycled: sc.Recycled, s: sc.s, run: sc.run}
+	sc.s.calls.Put(sc)
 }
 
 // NewServer creates an RPC server on node.
@@ -336,7 +332,7 @@ type Client struct {
 	nextXid uint32
 	pending map[uint32]*pendingCall
 	// free is the free list of call records (see pendingCall).
-	free netbuf.FreeList[pendingCall]
+	free netbuf.FreeList[*pendingCall]
 	// BadReplies counts malformed or unmatched replies.
 	BadReplies uint64
 
@@ -382,13 +378,11 @@ const rtoCeilFactor = 32
 // this very record. A recycled pointer may therefore be live again under
 // another xid while something armed for the old tenant is still around: gen
 // counts incarnations, every timer carries the gen it was armed under, and a
-// late duplicate reply finds its xid in recent, never in pending. In netbuf
-// debug mode a retired record is poisoned and abandoned, not recycled, and a
-// second retire panics.
+// late duplicate reply finds its xid in recent, never in pending.
 type pendingCall struct {
+	netbuf.Recycled
 	c    *Client
 	gen  uint32
-	dead bool // retired in debug mode
 	xid  uint32
 	done func(Reply, error)
 
@@ -418,11 +412,8 @@ func (c *Client) call() *pendingCall {
 // retire blanks the record, keeping its bound continuations, and returns it
 // to the free list.
 func (pc *pendingCall) retire() {
-	if pc.dead {
-		panic("sunrpc: call record retired twice")
-	}
-	*pc = pendingCall{c: pc.c, gen: pc.gen + 1, fire: pc.fire, onTimer: pc.onTimer}
-	pc.dead = !pc.c.free.Put(pc)
+	*pc = pendingCall{Recycled: pc.Recycled, c: pc.c, gen: pc.gen + 1, fire: pc.fire, onTimer: pc.onTimer}
+	pc.c.free.Put(pc)
 }
 
 // complete ends the call: the record retires, then the caller hears.

@@ -27,6 +27,7 @@ import (
 
 // Record journals one acknowledged-to-be write.
 type Record struct {
+	netbuf.Recycled
 	// Seq is the log sequence number (assigned by Append, 1-based).
 	Seq uint64
 	// Ino/Off identify the write in file terms (the FHO identity).
@@ -83,7 +84,7 @@ type Log struct {
 	durable []*Record
 	dhead   int
 	// free holds the pooled records Truncate retired.
-	free []*Record
+	free netbuf.FreeList[*Record]
 
 	timerSet bool
 	timer    sim.EventID
@@ -115,10 +116,8 @@ func (l *Log) DurableRecords() []*Record { return l.durable[l.dhead:] }
 // the WRITE, dropped at truncation — so their memory cycles through here
 // instead of being allocated per write.
 func (l *Log) NewRecord(n int) *Record {
-	var r *Record
-	if k := len(l.free); k > 0 {
-		r, l.free = l.free[k-1], l.free[:k-1]
-	} else {
+	r := l.free.Take()
+	if r == nil {
 		r = &Record{pooled: true}
 	}
 	if cap(r.Data) < n {
@@ -219,9 +218,10 @@ scan:
 	retired := l.durable[l.dhead : l.dhead+n]
 	for _, r := range retired {
 		bytes += len(r.Data)
-		if r.pooled && netbuf.Recycle(r.Data) {
-			*r = Record{Data: r.Data, LBNs: r.LBNs[:0], pooled: true}
-			l.free = append(l.free, r)
+		if r.pooled {
+			netbuf.Recycle(r.Data)
+			*r = Record{Recycled: r.Recycled, Data: r.Data, LBNs: r.LBNs[:0], pooled: true}
+			l.free.Put(r)
 		}
 	}
 	clear(retired)
