@@ -4,9 +4,10 @@
 //
 // The cache is deliberately mechanism-only: it neither knows nor cares which
 // of the paper's three configurations is running. A cached block either
-// holds real payload bytes, or is a *logical block* — junk carrying an
-// in-band lkey marker left by the NCache (or baseline) hooks below it. The
-// cache moves logical blocks with 40-byte key copies and real blocks with
+// holds real payload bytes, or is a *logical block* — one whose lkey key
+// stands for the payload, because the NCache (or baseline) hooks below it
+// handed up a marked junk buffer instead. The cache moves logical blocks
+// with 40-byte key copies and real blocks with
 // charged physical copies; everything else follows from which hooks are
 // installed. This mirrors §4.1's claim that the buffer cache itself needs
 // no modification (Table 1: "buffer cache: None").
@@ -34,32 +35,33 @@ type Lower interface {
 }
 
 // Block is one cached buffer. Callers receive pinned blocks and must Unpin
-// them; a pinned block is never evicted.
+// them; a pinned block is never evicted. The flags share one word, so a block
+// with its key fits a 128-byte allocation.
 type Block struct {
 	netbuf.Recycled
-	LBN  int64
-	Data []byte
-	// Logical marks a key-carrying junk block (see package lkey).
+	// Logical marks a block whose payload Key stands for (see package
+	// lkey); Data is then junk.
 	Logical bool
 	// Dirty marks modifications not yet on the lower store.
 	Dirty bool
 	// Meta marks file-system metadata blocks.
-	Meta bool
-
-	pins     int
+	Meta     bool
 	flushing bool
-	stamp    uint64 // the cache's seq at the latest modification
+	loaded   bool
+	LBN      int64
+	Data     []byte
+	// Key identifies the payload of a logical block. It is valid only when
+	// Logical is set.
+	Key   lkey.Key
+	pins  int
+	stamp uint64 // the cache's seq at the latest modification
 	// pending parks the callers waiting for an in-flight fill.
 	pending []waiter
-	loaded  bool
 	// prev/next link the block into the cache's LRU ring while resident
 	// (both nil otherwise), so a block, its page and its LRU position are
 	// one object and recycle together.
 	prev, next *Block
 }
-
-// Key parses the block's logical key. Valid only when Logical.
-func (b *Block) Key() (lkey.Key, bool) { return lkey.Parse(b.Data) }
 
 // Cache is the bounded buffer cache.
 type Cache struct {
@@ -154,8 +156,7 @@ func (c *Cache) touch(b *Block) {
 
 // insert creates a resident block entry (pinned once for the caller chain),
 // from the free list when it has one: a recycled page is zeroed, so it is
-// indistinguishable from a fresh one (logical blocks overwrite only their
-// first lkey.Size bytes).
+// indistinguishable from a fresh one.
 func (c *Cache) insert(lbn int64, meta bool) *Block {
 	b := c.free.Take()
 	if b != nil {
@@ -430,11 +431,13 @@ type run struct {
 	onFilled func()
 }
 
-// fill is one placeholder's share of a run's payload.
+// fill is one placeholder's share of a run's payload: the bytes at off, or
+// the key when a marked junk window starts there.
 type fill struct {
-	b     *Block
-	off   int
-	isKey bool
+	b       *Block
+	off     int
+	key     lkey.Key
+	logical bool
 }
 
 // readRun fetches one missing run for rd.
@@ -500,19 +503,23 @@ func (r *run) plan(data *netbuf.Chain) {
 	}
 	physBytes := 0
 	logical := 0
-	var head [lkey.Size]byte
+	wins, w, pos := data.Bufs(), 0, 0 // the first non-empty window at or past off starts at pos
 	for j := 0; j < r.count; j++ {
+		off := j * c.bs
+		for w < len(wins) && (pos < off || wins[w].Len() == 0) {
+			pos += wins[w].Len()
+			w++
+		}
 		b, ok := c.blocks[r.lbn+int64(j)]
 		if !ok {
 			continue
 		}
-		// Peek for a key marker at the block's offset without carving a
-		// sub-chain out of the run.
-		off := j * c.bs
-		n := data.GatherRange(off, head[:])
-		_, isKey := lkey.Parse(head[:n])
-		r.fills = append(r.fills, fill{b: b, off: off, isKey: isKey})
-		if isKey {
+		f := fill{b: b, off: off}
+		if pos == off {
+			f.key, f.logical = lkey.Of(wins[w])
+		}
+		r.fills = append(r.fills, f)
+		if f.logical {
 			logical++
 		} else {
 			physBytes += c.bs
@@ -541,12 +548,9 @@ func (r *run) filled() {
 		return
 	}
 	for _, f := range r.fills {
-		if f.isKey {
-			data.GatherRange(f.off, f.b.Data[:lkey.Size])
-			f.b.Logical = true
-		} else {
+		f.b.Logical, f.b.Key = f.logical, f.key
+		if !f.logical {
 			data.GatherRange(f.off, f.b.Data)
-			f.b.Logical = false
 		}
 		f.b.loaded = true
 		waiters := f.b.pending

@@ -300,11 +300,7 @@ func TestLogicalBlockFillIsKeyCopy(t *testing.T) {
 		if !b.Logical {
 			t.Error("block not logical")
 		}
-		k, ok := b.Key()
-		if !ok {
-			t.Error("no key on logical block")
-		}
-		gotKey = k
+		gotKey = b.Key
 		c.Unpin(b)
 	})
 	if err := eng.Run(); err != nil {
@@ -329,8 +325,7 @@ func TestLogicalDirtyFlushTravelsAsKeyAndRemaps(t *testing.T) {
 			t.Errorf("GetForWrite: %v", err)
 			return
 		}
-		lkey.Stamp(b.Data, lkey.ForFHO(fh, 8192))
-		b.Logical = true
+		b.Logical, b.Key = true, lkey.ForFHO(fh, 8192)
 		c.MarkDirty(b)
 		c.Unpin(b)
 	})
@@ -350,16 +345,15 @@ func TestLogicalDirtyFlushTravelsAsKeyAndRemaps(t *testing.T) {
 		t.Fatal("logical flush physically copied the block")
 	}
 	// The wire payload was the stamped key.
-	k, ok := lkey.Parse(lower.writes[0].data)
-	if !ok || k.Flags&lkey.HasFHO == 0 || k.Off != 8192 {
-		t.Fatalf("flushed payload key = %+v ok=%v", k, ok)
+	if m := lkey.ForFHO(fh, 8192).Marshal(); !bytes.Equal(lower.writes[0].data[:lkey.Size], m[:]) {
+		t.Fatalf("flushed payload %x, want the key %x", lower.writes[0].data[:lkey.Size], m)
 	}
 	// After the flush, the resident block's key gained the LBN identity.
 	b, ok := c.blocks[200]
 	if !ok {
 		t.Fatal("block evicted unexpectedly")
 	}
-	k2, _ := b.Key()
+	k2 := b.Key
 	if k2.Flags&lkey.HasLBN == 0 || k2.LBN != 200 || k2.Flags&lkey.HasFHO == 0 {
 		t.Fatalf("post-flush key = %+v, want dual identity", k2)
 	}

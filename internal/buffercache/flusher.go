@@ -359,8 +359,8 @@ func (c *Cache) flushBatch(f *flush) {
 	var cost sim.Duration
 	for _, b := range batch {
 		var part *netbuf.Chain
-		if key, ok := b.Key(); ok {
-			part = lkey.StampChainPool(c.node.BlkPool, key, c.bs)
+		if b.Logical {
+			part = lkey.StampChainPool(c.node.BlkPool, b.Key, c.bs)
 			c.node.Copies.AddLogical()
 			cost += c.LogicalCopyNs
 		} else {
@@ -418,8 +418,8 @@ func (f *flush) written(err error) {
 		// A flushed logical block now has a known storage location:
 		// extend its key with the LBN identity (the fs-cache half of
 		// the paper's FHO→LBN remapping).
-		if key, ok := b.Key(); ok && key.Flags&lkey.HasFHO != 0 {
-			lkey.Stamp(b.Data, key.WithLBN(b.LBN))
+		if b.Logical && b.Key.Flags&lkey.HasFHO != 0 {
+			b.Key = b.Key.WithLBN(b.LBN)
 		}
 	}
 	if err == nil && c.onFlush != nil {

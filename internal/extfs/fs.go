@@ -23,8 +23,8 @@ type FS struct {
 
 	// materializer converts a logical (key-carrying) block back to real
 	// bytes when the file system must mutate it directly (EOF-boundary
-	// zeroing). The pass-through assembly installs the NCache-aware
-	// implementation; the default zero-fills.
+	// zeroing). Only a server's hooks make a block logical, and every
+	// server installs one.
 	materializer func(*buffercache.Block)
 
 	// walks is the free list of operation records (see walk).
@@ -36,17 +36,9 @@ func (fs *FS) SetMaterializer(fn func(*buffercache.Block)) { fs.materializer = f
 
 // materialize turns a logical block into a real one.
 func (fs *FS) materialize(b *buffercache.Block) {
-	if !b.Logical {
-		return
-	}
-	if fs.materializer != nil {
+	if b.Logical {
 		fs.materializer(b)
-		return
 	}
-	for i := range b.Data {
-		b.Data[i] = 0
-	}
-	b.Logical = false
 }
 
 // Attr is the subset of file attributes NFS serves.

@@ -1,11 +1,12 @@
-// Package lkey defines the in-band logical-copy keys at the heart of
-// NCache. When the NCache module captures a payload into its network-centric
-// cache, the upper layers (file-system buffer cache, NFS daemon, reply
-// packets) carry only "a key and some junk data" (§3.2): a small marker
-// stamped at the front of the otherwise meaningless block. Layers that do
-// not interpret payloads move these markers around with 32-byte copies —
-// the logical copying that replaces physical copying — and the driver-level
-// hook recognizes them in outgoing packets to substitute the real data.
+// Package lkey defines the logical-copy keys at the heart of NCache. When
+// the NCache module captures a payload into its network-centric cache, the
+// upper layers (file-system buffer cache, NFS daemon, reply packets) carry
+// only "a key and some junk data" (§3.2): a small marker stamped at the front
+// of the otherwise meaningless block. Layers that do not interpret payloads
+// move these markers around with key copies — the logical copying that
+// replaces physical copying — and the driver-level hook recognizes them in
+// outgoing packets to substitute the real data. A buffer is junk by an
+// out-of-band mark, as in production NCache's page flags, never by its bytes.
 //
 // A key can carry an LBN (storage block number), an FHO (file handle +
 // offset), or both: a block that was written by a client (FHO) and later
@@ -20,15 +21,13 @@ import (
 	"ncache/internal/netbuf"
 )
 
-// Size is the encoded key size. Every logical block must be at least this
-// large (file system blocks are 4 KB, so this never binds).
+// Size is the encoded key size: the bytes a stamp takes at the front of its
+// junk buffer.
 const Size = 40
 
-// magic distinguishes key-carrying junk from real payload bytes. It is
-// chosen to be vanishingly unlikely in real data; production NCache relies
-// on out-of-band page flags instead, but the in-band form keeps this
-// implementation self-contained and matches the paper's "key and junk"
-// description.
+// magic opens every stamp. It decides nothing — the buffer's mark does — but
+// Of asserts it, so a marked buffer whose stamp was overwritten fails loudly
+// instead of passing as data.
 var magic = [8]byte{'N', 'C', 'L', 'K', 'E', 'Y', '0', '1'}
 
 // Flags marking which identities a key carries.
@@ -42,7 +41,6 @@ type FH [8]byte
 
 // Key identifies a cached payload.
 type Key struct {
-	Flags uint8
 	// LBN is the storage logical block number (valid when HasLBN).
 	LBN int64
 	// FH and Off identify a file block (valid when HasFHO).
@@ -52,6 +50,7 @@ type Key struct {
 	// carries only part of a block (unaligned NFS reads): substitution
 	// splices entry[SubOff : SubOff+len] instead of the block head.
 	SubOff uint32
+	Flags  uint8
 }
 
 // WithSubOff returns a copy of k addressing a sub-range of the block.
@@ -87,9 +86,9 @@ func (k Key) Marshal() [Size]byte {
 	return out
 }
 
-// Parse decodes a key from the front of p. It reports false when p does not
+// parse decodes a key from the front of p. It reports false when p does not
 // start with a key marker.
-func Parse(p []byte) (Key, bool) {
+func parse(p []byte) (Key, bool) {
 	if len(p) < Size || !bytes.Equal(p[0:8], magic[:]) {
 		return Key{}, false
 	}
@@ -102,43 +101,37 @@ func Parse(p []byte) (Key, bool) {
 	return k, true
 }
 
-// Stamp writes the key marker at the front of a block, turning it into a
-// logical block. The rest of the block is left as junk.
-func Stamp(dst []byte, k Key) {
-	m := k.Marshal()
-	copy(dst, m[:])
-}
-
-// FromChain peeks for a key at the front of a payload chain without
-// consuming it.
-func FromChain(c *netbuf.Chain) (Key, bool) {
-	if c.Len() < Size {
+// Of returns the key a window carries: false, without reading a byte, unless
+// the window starts a buffer StampChainPool built. The key is parsed from
+// that buffer's own stamp, so a window shorter than Size still carries it.
+// A marked buffer without a stamp panics.
+func Of(w netbuf.Window) (Key, bool) {
+	p, ok := w.Marked()
+	if !ok {
 		return Key{}, false
 	}
-	// Fast path: the key sits within the first non-empty buffer.
-	for _, w := range c.Bufs() {
-		if w.Len() == 0 {
-			continue
-		}
-		if w.Len() >= Size {
-			return Parse(w.Bytes())
-		}
-		break
+	k, ok := parse(p)
+	if !ok {
+		panic("lkey: a marked buffer has lost its key")
 	}
-	head := make([]byte, Size)
-	c.Gather(head)
-	return Parse(head)
+	return k, true
 }
 
-// StampChainPool builds a block-sized junk chain carrying the key — what
-// logical data looks like on its way down the stack, before substitution —
-// drawing the junk buffer from a pool (pooled buffers are zeroed on reuse, so
-// the junk bytes match a fresh allocation). The single-buffer layout is
-// load-bearing: the substitution hook parses one key per wire buffer, so a
-// junk block must stay one buffer. It falls back to a fresh buffer when there
-// is no pool or the block exceeds the pool's geometry.
-func StampChainPool(p *netbuf.Pool, k Key, blockBytes int) *netbuf.Chain {
-	b := p.GetSized(max(blockBytes, Size), netbuf.DefaultHeadroom)
-	Stamp(b.Bytes(), k)
-	return netbuf.ChainOf(b)
+// StampChainPool builds an n-byte junk chain carrying the key — what logical
+// data looks like on its way down the stack — and is the only place a buffer
+// is marked. The buffer is pooled when p fits it (pooled buffers are zeroed
+// on reuse) and holds at least the stamp; a shorter block is a shorter window
+// onto it. A junk block stays one buffer: the hooks read one key per window.
+func StampChainPool(p *netbuf.Pool, k Key, n int) *netbuf.Chain {
+	b := p.GetSized(max(n, Size), netbuf.DefaultHeadroom)
+	m := k.Marshal()
+	copy(b.Bytes(), m[:])
+	b.Mark()
+	c := netbuf.ChainOf(b)
+	if n >= Size {
+		return c
+	}
+	short, _ := c.SubChain(0, n) // n < Size = c.Len(): in range
+	c.Release()
+	return short
 }

@@ -16,7 +16,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 	}
 	for _, in := range cases {
 		m := in.Marshal()
-		out, ok := Parse(m[:])
+		out, ok := parse(m[:])
 		if !ok {
 			t.Fatalf("Parse(%+v) failed", in)
 		}
@@ -27,47 +27,26 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsNonKeys(t *testing.T) {
-	if _, ok := Parse(make([]byte, Size)); ok {
+	if _, ok := parse(make([]byte, Size)); ok {
 		t.Fatal("zero bytes parsed as key")
 	}
-	if _, ok := Parse([]byte("short")); ok {
+	if _, ok := parse([]byte("short")); ok {
 		t.Fatal("short buffer parsed as key")
 	}
 	real := make([]byte, 4096)
 	for i := range real {
 		real[i] = byte(i)
 	}
-	if _, ok := Parse(real); ok {
+	if _, ok := parse(real); ok {
 		t.Fatal("payload bytes parsed as key")
 	}
 }
 
 func TestStampMakesLogicalBlock(t *testing.T) {
-	block := make([]byte, 4096)
-	Stamp(block, ForLBN(9))
-	k, ok := Parse(block)
+	c := StampChainPool(nil, ForLBN(9), 4096)
+	k, ok := Of(c.Bufs()[0])
 	if !ok || k.LBN != 9 {
 		t.Fatalf("stamped key = %+v, ok=%v", k, ok)
-	}
-}
-
-func TestFromChainAcrossBufferBoundaries(t *testing.T) {
-	k := ForFHO(FH{0xaa}, 123).WithLBN(55)
-	m := k.Marshal()
-	block := make([]byte, 4096)
-	copy(block, m[:])
-	// Key split across tiny buffers.
-	c := netbuf.ChainFromBytes(block, 7)
-	got, ok := FromChain(c)
-	if !ok || got != k {
-		t.Fatalf("FromChain = %+v ok=%v", got, ok)
-	}
-	// Leading empty buffer.
-	c2 := netbuf.ChainOf(netbuf.New(16, 0))
-	c2.AppendChain(netbuf.ChainFromBytes(block, 1500))
-	got2, ok := FromChain(c2)
-	if !ok || got2 != k {
-		t.Fatalf("FromChain with empty leader = %+v ok=%v", got2, ok)
 	}
 }
 
@@ -76,15 +55,64 @@ func TestStampChain(t *testing.T) {
 	if c.Len() != 4096 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	k, ok := FromChain(c)
+	k, ok := Of(c.Bufs()[0])
 	if !ok || k.LBN != 3 {
 		t.Fatalf("key = %+v ok=%v", k, ok)
 	}
-	// Tiny block sizes are padded up to the key size.
+	// A block shorter than a key is a window that short onto a full stamp.
 	c2 := StampChainPool(nil, ForLBN(1), 8)
-	if c2.Len() != Size {
-		t.Fatalf("tiny StampChain len = %d, want %d", c2.Len(), Size)
+	if c2.Len() != 8 {
+		t.Fatalf("tiny StampChain len = %d, want 8", c2.Len())
 	}
+	if k, ok := Of(c2.Bufs()[0]); !ok || k != ForLBN(1) {
+		t.Fatalf("tiny StampChain key = %+v ok=%v", k, ok)
+	}
+}
+
+// TestOfReadsOnlyTheMark: a window is a key because its buffer was stamped,
+// never because of the bytes it carries.
+func TestOfReadsOnlyTheMark(t *testing.T) {
+	k := ForFHO(FH{0xaa}, 123).WithLBN(55)
+	m := k.Marshal()
+	t.Run("unmarked bytes that start with a key", func(t *testing.T) {
+		block := make([]byte, 4096)
+		copy(block, m[:])
+		c := netbuf.ChainFromBytes(block, 1500)
+		if got, ok := Of(c.Bufs()[0]); ok {
+			t.Fatalf("payload bytes read as key %+v", got)
+		}
+	})
+	t.Run("marked buffer, window off its head", func(t *testing.T) {
+		sub, err := StampChainPool(nil, k, 4096).SubChain(1, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := Of(sub.Bufs()[0]); ok {
+			t.Fatalf("window inside a junk buffer read as key %+v", got)
+		}
+	})
+	t.Run("marked buffer whose stamp is overwritten", func(t *testing.T) {
+		c := StampChainPool(nil, k, 4096)
+		clear(c.Bufs()[0].Bytes()[:8])
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a marked buffer without a key passed")
+			}
+		}()
+		Of(c.Bufs()[0])
+	})
+	t.Run("pool reuse clears the mark", func(t *testing.T) {
+		p := netbuf.NewPool("lkey-test", netbuf.DefaultHeadroom, 4096, 0)
+		StampChainPool(p, k, 4096).Release()
+		b := p.GetSized(4096, 0)
+		if p.Reuses() != 1 {
+			t.Fatalf("reuses = %d, want 1", p.Reuses())
+		}
+		copy(b.Bytes(), m[:])
+		if got, ok := Of(netbuf.ChainOf(b).Bufs()[0]); ok {
+			t.Fatalf("reused buffer read as key %+v", got)
+		}
+	})
 }
 
 func TestWithLBNPreservesFHO(t *testing.T) {
@@ -101,7 +129,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 	f := func(flags uint8, lbn int64, fh [8]byte, off uint64) bool {
 		in := Key{Flags: flags, LBN: lbn, FH: FH(fh), Off: off}
 		m := in.Marshal()
-		out, ok := Parse(m[:])
+		out, ok := parse(m[:])
 		return ok && out == in
 	}
 	if err := quick.Check(f, nil); err != nil {

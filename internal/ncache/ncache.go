@@ -308,9 +308,9 @@ func (m *Module) lookup(key lkey.Key) *entry {
 }
 
 // SubstituteMessage is the transmit hook: it scans an outgoing message for
-// stamped junk blocks and splices in clones of the cached chains. Blocks
-// whose entries are gone (or baseline junk with no identities) pass through
-// unchanged. The module owns the input chain and returns the chain to send.
+// junk blocks (windows lkey.Of finds a key in) and splices in clones of the
+// cached chains. Blocks whose entries are gone (or baseline junk with no
+// identities) pass through unchanged. The module owns the input chain and returns the chain to send.
 func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 	out := netbuf.NewChain()
 	substituted := 0
@@ -328,7 +328,7 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 		}
 	}
 	for _, w := range payload.Bufs() {
-		key, ok := lkey.Parse(w.Bytes())
+		key, ok := lkey.Of(w)
 		if !ok || key.Flags == 0 {
 			addWalked(w.Bytes())
 			out.AppendClone(w)
@@ -417,11 +417,8 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []
 	out := netbuf.NewChain()
 	touched := 0
 	for i := 0; i < blocks; i++ {
-		sub, err := data.SubChain(i*bs, bs)
-		if err != nil {
-			sub = netbuf.NewChain()
-		}
-		key, isKey := lkey.FromChain(sub)
+		sub, _ := data.SubChain(i*bs, bs) // in range: data holds blocks*bs bytes
+		key, isKey := lkey.Of(sub.Bufs()[0])
 		if !isKey || key.Flags == 0 {
 			out.AppendChain(sub)
 			continue

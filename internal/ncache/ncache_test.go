@@ -42,7 +42,7 @@ func TestCaptureLBNReturnsStampedJunk(t *testing.T) {
 	if junk.Len() != 2*bs {
 		t.Fatalf("junk len = %d", junk.Len())
 	}
-	k1, ok := lkey.FromChain(junk)
+	k1, ok := lkey.Of(junk.Bufs()[0])
 	if !ok || k1.LBN != 100 {
 		t.Fatalf("first key = %+v ok=%v", k1, ok)
 	}
@@ -50,7 +50,7 @@ func TestCaptureLBNReturnsStampedJunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, ok := lkey.FromChain(second)
+	k2, ok := lkey.Of(second.Bufs()[0])
 	if !ok || k2.LBN != 101 {
 		t.Fatalf("second key = %+v", k2)
 	}
@@ -117,7 +117,7 @@ func TestFHOCaptureAndFreshnessOverLBN(t *testing.T) {
 	m.CaptureLBN(300, 1, netbuf.ChainFromBytes(stale, netbuf.DefaultBufSize))
 	// Client writes new content → FHO cache.
 	junk := m.CaptureFHO(fh, 8192, netbuf.ChainFromBytes(fresh, netbuf.DefaultBufSize))
-	if _, ok := lkey.FromChain(junk); !ok {
+	if _, ok := lkey.Of(junk.Bufs()[0]); !ok {
 		t.Fatal("FHO capture did not stamp")
 	}
 

@@ -101,7 +101,7 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 		case 0: // client write → FHO capture (overwrites any prior dirty data)
 			data := content()
 			junk := m.CaptureFHO(fh, off, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
-			if _, ok := lkey.FromChain(junk); !ok {
+			if _, ok := lkey.Of(junk.Bufs()[0]); !ok {
 				t.Logf("seed %d: aligned FHO capture not stamped", seed)
 				return false
 			}

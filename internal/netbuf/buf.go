@@ -57,7 +57,10 @@ type Buf struct {
 	head    int
 	tail    int
 	refs    int32
-	pool    *Pool
+	// marked flags key-carrying junk out of band (see Mark); it fills the
+	// padding after refs.
+	marked bool
+	pool   *Pool
 	// owner tags the current long-term holder for leak reports ("ncache.lbn",
 	// "sunrpc.retransmit", ...). Defaults to the pool name at Get.
 	owner string
@@ -130,6 +133,10 @@ func (b *Buf) Retain() *Buf {
 	b.refs++
 	return b
 }
+
+// Mark sets the buffer's out-of-band flag. Package lkey calls it on the
+// junk buffers it stamps; a pooled buffer loses the flag when it is reused.
+func (b *Buf) Mark() { b.marked = true }
 
 // SetOwner tags the buffer's long-term holder for leak reports.
 func (b *Buf) SetOwner(owner string) { b.owner = owner }

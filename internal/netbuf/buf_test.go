@@ -5,7 +5,22 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestMarkCostsNoSpace: the out-of-band mark rides in Buf's padding, and a
+// window holds no copy of it.
+func TestMarkCostsNoSpace(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the sizes are a 64-bit target's")
+	}
+	if n := unsafe.Sizeof(Buf{}); n != 72 {
+		t.Fatalf("Buf is %d bytes, want 72", n)
+	}
+	if n := unsafe.Sizeof(Window{}); n != 16 {
+		t.Fatalf("Window is %d bytes, want 16", n)
+	}
+}
 
 func TestBufGeometry(t *testing.T) {
 	b := New(32, 100)

@@ -20,6 +20,17 @@ func (w Window) Bytes() []byte { return w.root.backing[w.head:w.tail] }
 // Len returns the window's payload length in bytes.
 func (w Window) Len() int { return int(w.tail - w.head) }
 
+// Marked returns the root's own payload when the root is marked (see
+// Buf.Mark) and w starts where that payload does. Only headroom pushes,
+// pulls and slices move a window's head, so no window onto an unmarked
+// buffer, and no window starting inside a marked one, is marked.
+func (w Window) Marked() ([]byte, bool) {
+	if !w.root.marked || int(w.head) != w.root.head {
+		return nil, false
+	}
+	return w.root.Bytes(), true
+}
+
 // window is the span b's creator built, as a chain's window onto b.
 func (b *Buf) window() Window {
 	return Window{root: b, head: int32(b.head), tail: int32(b.tail)}

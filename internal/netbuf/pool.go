@@ -84,6 +84,7 @@ func (p *Pool) get(fill int) *Buf {
 		b.head = p.headroom
 		b.tail = p.headroom
 		b.refs = 1
+		b.marked = false
 		b.owner = p.name
 		// A recycled buffer must never expose its previous owner's bytes
 		// (requests are isolated): once the caller has written its fill,

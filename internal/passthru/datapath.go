@@ -223,10 +223,7 @@ func (s *AppServer) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Cha
 			out.AppendChain(zc)
 
 		case e.Block.Logical:
-			key, ok := e.Block.Key()
-			if !ok {
-				key = lkey.Key{}
-			}
+			key := e.Block.Key
 			if e.Off > 0 {
 				key = key.WithSubOff(uint32(e.Off))
 			}
@@ -288,14 +285,12 @@ func (k *backendCall) applyWrite() {
 }
 
 func (k *backendCall) stampFHO(b *buffercache.Block, blockOff, count, srcOff int) {
-	lkey.Stamp(b.Data, lkey.ForFHO(k.fh, k.off+uint64(srcOff)))
-	b.Logical = true
+	b.Logical, b.Key = true, lkey.ForFHO(k.fh, k.off+uint64(srcOff))
 }
 
 func (k *backendCall) stampJunk(b *buffercache.Block, blockOff, count, srcOff int) {
 	if blockOff == 0 {
-		lkey.Stamp(b.Data, lkey.Key{})
-		b.Logical = true
+		b.Logical, b.Key = true, lkey.Key{}
 	}
 }
 
@@ -309,21 +304,15 @@ func (k *backendCall) copyWire(b *buffercache.Block, blockOff, count, srcOff int
 }
 
 // materialize turns a logical block back into a real one by pulling the
-// payload out of the NCache module (charging the copy). On a miss the block
-// is zero-filled and counted.
+// payload out of the NCache module (charging the copy). On a miss, and for
+// Baseline junk, the block is zero-filled.
 func (s *AppServer) materialize(b *buffercache.Block) {
-	key, ok := b.Key()
-	if s.Module != nil && ok && key.Flags != 0 {
-		if s.Module.Materialize(key, b.Data) {
-			b.Logical = false
-			s.chargePhysical(1, len(b.Data))
-			return
-		}
-	}
-	for i := range b.Data {
-		b.Data[i] = 0
-	}
 	b.Logical = false
+	if s.Module != nil && b.Key.Flags != 0 && s.Module.Materialize(b.Key, b.Data) {
+		s.chargePhysical(1, len(b.Data))
+		return
+	}
+	clear(b.Data)
 }
 
 // mapErr converts file system errors to NFS statuses.

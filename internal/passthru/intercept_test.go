@@ -66,8 +66,8 @@ func TestInterceptBypassesMetadata(t *testing.T) {
 	}
 
 	got := volumeRead(t, cl, lbn, 1, false)
-	if key, ok := lkey.Parse(got); !ok || key != lkey.ForLBN(lbn) {
-		t.Fatalf("regular-data read returned %v (a key: %v), want the junk stamped for LBN %d", key, ok, lbn)
+	if m := lkey.ForLBN(lbn).Marshal(); !bytes.Equal(got[:lkey.Size], m[:]) {
+		t.Fatalf("regular-data read returned %x, want the junk stamped for LBN %d", got[:lkey.Size], lbn)
 	}
 	if d := mod.Stats.Captures - before.Captures; d != 1 {
 		t.Fatalf("captures = %d, want 1", d)
@@ -101,7 +101,7 @@ func TestInterceptSubstitutedPayloadReachesPlatter(t *testing.T) {
 	}
 
 	volumeWrite(t, cl, lbn+1, lkey.StampChainPool(nil, key, extfs.BlockSize), true)
-	if got, ok := lkey.Parse(cl.Storage.Array.PeekBlock(lbn + 1)); !ok || got != key {
+	if m := key.Marshal(); !bytes.Equal(cl.Storage.Array.PeekBlock(lbn + 1)[:lkey.Size], m[:]) {
 		t.Fatal("metadata write was intercepted: the platter does not hold the bytes written")
 	}
 	if mod.Stats.Remaps != 1 {
@@ -153,7 +153,7 @@ func TestFaultMirrorInterceptsOncePerLogicalIO(t *testing.T) {
 			taken := pool.Allocs() + pool.Reuses()
 			got := volumeRead(t, cl, spec.StartLBN+i*blocks, blocks, false)
 			for b := 0; b < blocks; b++ {
-				if key, ok := lkey.Parse(got[b*extfs.BlockSize:]); !ok || key != (lkey.Key{}) {
+				if m := (lkey.Key{}).Marshal(); !bytes.Equal(got[b*extfs.BlockSize:][:lkey.Size], m[:]) {
 					t.Fatalf("read %d block %d is not identity-free junk", i, b)
 				}
 			}

@@ -1,6 +1,7 @@
 package passthru
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -122,15 +123,42 @@ func TestModeString(t *testing.T) {
 
 func TestNCacheUnalignedReadUsesSubOff(t *testing.T) {
 	// A read that starts mid-block forces substitution at a sub-block
-	// offset (lkey.SubOff); the bytes must still be exact.
-	cl, _ := testCluster(t, NCache, false)
-	fh := lookupFile(t, cl, "data.bin")
-	readFile(t, cl, fh, 0, 4*extfs.BlockSize) // prime the cache
-
-	got := readFile(t, cl, fh, 1000, 6000)
-	want := expect(1000, 6000)
-	if string(got) != string(want) {
-		t.Fatal("unaligned NCache read returned wrong bytes")
+	// offset (lkey.SubOff); one shorter than a key must come back exactly
+	// that short. The bytes must be exact either way.
+	const bs = extfs.BlockSize
+	written := make([]byte, bs)
+	for i := range written {
+		written[i] = byte(i * 7)
+	}
+	type read struct {
+		off uint64
+		n   int
+	}
+	for _, tc := range []struct {
+		name  string
+		write []byte // written to block 0 first when set; the reads then stay in block 0
+		reads []read
+	}{
+		{"after a priming read", nil, []read{{0, 4 * bs}, {1000, 6000}}},
+		{"shorter than a key after an aligned write", written, []read{{100, 10}}},
+		{"shorter than a key, cold then warm", nil, []read{{5*bs + 7, 10}, {5*bs + 7, 10}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, _ := testCluster(t, NCache, false)
+			fh := lookupFile(t, cl, "data.bin")
+			if tc.write != nil {
+				writeFile(t, cl, fh, 0, tc.write)
+			}
+			for _, r := range tc.reads {
+				want := expect(r.off, r.n)
+				if tc.write != nil {
+					want = tc.write[r.off : r.off+uint64(r.n)]
+				}
+				if got := readFile(t, cl, fh, r.off, r.n); !bytes.Equal(got, want) {
+					t.Fatalf("read (%d, %d) returned %d bytes %x, want %x", r.off, r.n, len(got), got[:min(len(got), 48)], want[:min(len(want), 48)])
+				}
+			}
+		})
 	}
 }
 

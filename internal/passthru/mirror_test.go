@@ -15,34 +15,14 @@ import (
 // event queue can drain (an arm failing forever keeps probing forever).
 func mirrorCluster(t *testing.T, mode Mode, spec string) (*Cluster, extfs.FileSpec) {
 	t.Helper()
-	cl, err := NewCluster(ClusterConfig{
+	return formattedCluster(t, ClusterConfig{
 		Mode:          mode,
 		NumClients:    1,
 		BlocksPerDisk: 16 * 1024,
 		Arms:          2,
 		FaultSpec:     spec,
 		FaultSeed:     7,
-	})
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	// Format through the cluster's direct-access device so the replicas
-	// start identical (pokes fan to every arm).
-	fmtr, err := extfs.Format(cl.DirectAccess(), 1024)
-	if err != nil {
-		t.Fatalf("Format: %v", err)
-	}
-	fs, err := fmtr.AddFile("data.bin", 64*extfs.BlockSize, fileContent)
-	if err != nil {
-		t.Fatalf("AddFile: %v", err)
-	}
-	if err := fmtr.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if err := cl.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	return cl, fs
+	}, fileContent)
 }
 
 // armStats extracts the named arm's stats from the app server's volume.

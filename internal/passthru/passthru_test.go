@@ -21,21 +21,29 @@ func testCluster(t *testing.T, mode Mode, web bool) (*Cluster, extfs.FileSpec) {
 // injector starts disarmed; the caller arms it around the faulted phase.
 func testClusterFaults(t *testing.T, mode Mode, web bool, faultSpec string) (*Cluster, extfs.FileSpec) {
 	t.Helper()
-	cl, err := NewCluster(ClusterConfig{
+	return formattedCluster(t, ClusterConfig{
 		Mode:          mode,
 		NumClients:    1,
 		BlocksPerDisk: 16 * 1024, // 64 MB array
 		EnableWeb:     web,
 		FaultSpec:     faultSpec,
-	})
+	}, fileContent)
+}
+
+// formattedCluster brings up the cluster cfg describes over storage holding
+// one 64-block file, data.bin, whose bytes content gives. Formatting goes
+// through the cluster's direct-access device, so mirror arms start identical.
+func formattedCluster(t *testing.T, cfg ClusterConfig, content func(off uint64, dst []byte)) (*Cluster, extfs.FileSpec) {
+	t.Helper()
+	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	fmtr, err := extfs.Format(cl.Storage.Array, 1024)
+	fmtr, err := extfs.Format(cl.DirectAccess(), 1024)
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	spec, err := fmtr.AddFile("data.bin", 64*extfs.BlockSize, fileContent)
+	spec, err := fmtr.AddFile("data.bin", 64*extfs.BlockSize, content)
 	if err != nil {
 		t.Fatalf("AddFile: %v", err)
 	}

@@ -20,7 +20,7 @@
 # (internal/detguard) checks in tier-1 that every line still names a
 # function declared in its file.
 #
-# Run from anywhere: bash scripts/results-gate.sh (about 2.5 minutes on two
+# Run from anywhere: bash scripts/results-gate.sh (about 2 minutes on two
 # vCPUs). It rewrites results/ in place, so a failing run leaves the drift in
 # the working tree for `git diff`.
 set -euo pipefail
