@@ -14,16 +14,16 @@ import (
 const missReadReq = 16 * 1024
 
 // missReader builds an NCache cluster over a 64 MB file that is streamed once
-// (never a hit) with a 1 MB file-system cache and the given NCache size, and
+// (never a hit) with the given file-system cache and NCache sizes, and
 // returns it with a function that issues the next sequential 16 KB READ and
 // runs it to completion.
-func missReader(t *testing.T, ncacheBytes int64) (*passthru.Cluster, func()) {
+func missReader(t *testing.T, fsCacheBlocks int, ncacheBytes int64) (*passthru.Cluster, func()) {
 	t.Helper()
 	const fileBlocks = 16 * 1024
 	cl, err := testHarness(t, Options{}).build(passthru.ClusterConfig{
 		Mode:          passthru.NCache,
 		BlocksPerDisk: fileBlocks/4 + 8192,
-		FSCacheBlocks: 256,
+		FSCacheBlocks: fsCacheBlocks,
 		NCacheBytes:   ncacheBytes,
 	}, func(f *extfs.Formatter) error {
 		_, err := f.AddFile("bigfile", fileBlocks*extfs.BlockSize, nil)
@@ -36,17 +36,19 @@ func missReader(t *testing.T, ncacheBytes int64) (*passthru.Cluster, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := uint64(0)
+	// The completion is bound once, so the gates measure the tree alone.
+	next, got := uint64(0), 0
+	onRead := func(data *netbuf.Chain, _ nfs.Attr, err error) {
+		if err != nil {
+			t.Errorf("READ %d: %v", next, err)
+			return
+		}
+		got = data.Len()
+		data.Release()
+	}
 	return cl, func() {
-		got := -1
-		cl.Clients[0].NFS.Read(fh, next*missReadReq, missReadReq, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-			if err != nil {
-				t.Errorf("READ %d: %v", next, err)
-				return
-			}
-			got = data.Len()
-			data.Release()
-		})
+		got = -1
+		cl.Clients[0].NFS.Read(fh, next*missReadReq, missReadReq, onRead)
 		if err := cl.Eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +80,8 @@ func measureMissReads(t *testing.T, cl *passthru.Cluster, read func(), reads int
 // all-miss 16 KB NCache READ — NFS request, buffer-cache miss, iSCSI command,
 // four member I/Os, staging, 12 data frames back, NCache capture with
 // eviction, key fill with eviction, substituted reply — after both caches
-// have filled allocates at most half a payload and 3 objects on the host.
-// The 2 objects measured are this test's own completion closure and the
-// variable it captures: the tree allocates nothing (24 objects and 1.3 KB
+// have filled allocates at most half a payload and 1 object on the host.
+// It measures no objects: the tree allocates nothing (24 objects and 1.3 KB
 // when clones were descriptors and the miss path built closures per command;
 // with a slab per hop it was 57 KB).
 func TestMissReadAllocBudget(t *testing.T) {
@@ -88,7 +89,7 @@ func TestMissReadAllocBudget(t *testing.T) {
 		t.Skip("nothing is recycled in debug mode")
 	}
 	const budget = missReadReq / 2
-	cl, read := missReader(t, 2<<20) // both caches fill within the first 200 READs
+	cl, read := missReader(t, 256, 2<<20) // both caches fill within the first 200 READs
 	for i := 0; i < 512; i++ {
 		read() // fill both caches, prime every free list
 	}
@@ -102,8 +103,8 @@ func TestMissReadAllocBudget(t *testing.T) {
 	if perRead > budget {
 		t.Errorf("all-miss 16 KB READ allocates %d B on the host, budget %d", perRead, budget)
 	}
-	if objects > 3 {
-		t.Errorf("all-miss 16 KB READ allocates %.2f objects, budget 3", objects)
+	if objects > 1 {
+		t.Errorf("all-miss 16 KB READ allocates %.2f objects, budget 1", objects)
 	}
 }
 
@@ -111,8 +112,8 @@ func TestMissReadAllocBudget(t *testing.T) {
 // all-miss workload runs: with 64 MB of NCache nothing is ever evicted from
 // it, so every READ keeps what it captures. Per 16 KB READ that is, per
 // captured 4 KB block, one entry, one chain and one window slice — 12
-// objects in all — plus this test's own 2; the 12 wire buffers NCache keeps
-// are carved from pool slabs of 64, a fraction of an object. Measured after
+// objects in all; the 12 wire buffers NCache keeps are carved from pool
+// slabs of 64, a fraction of an object. Measured after
 // 128 priming READs, once the file-system cache is evicting too (52 objects
 // when window slices grew by append doubling and every pool buffer was its
 // own two objects).
@@ -121,7 +122,7 @@ func TestMissReadFillAllocBudget(t *testing.T) {
 		t.Skip("nothing is recycled in debug mode")
 	}
 	const ncacheBytes = 64 << 20
-	cl, read := missReader(t, ncacheBytes)
+	cl, read := missReader(t, 256, ncacheBytes)
 	for i := 0; i < 128; i++ {
 		read()
 	}
@@ -131,7 +132,40 @@ func TestMissReadFillAllocBudget(t *testing.T) {
 		t.Fatalf("NCache evicted %d entries: not the fill regime", ev)
 	}
 	t.Logf("per all-miss 16 KB READ while NCache fills: %d B, %.1f objects", perRead, objects)
-	if objects > 16 {
-		t.Errorf("all-miss 16 KB READ in the fill regime allocates %.2f objects, budget 16", objects)
+	if objects > 14 {
+		t.Errorf("all-miss 16 KB READ in the fill regime allocates %.2f objects, budget 14", objects)
+	}
+}
+
+// TestMissReadFSFillAllocBudget gates the regime nfs-miss starts each
+// repetition in, at its cache sizes: a 32 MB file-system cache and 64 MB of
+// NCache, both still filling, so neither evicts. Every block a READ brings in stays resident in
+// both, and the file-system cache keeps it as a key, with no page: per 16 KB
+// READ that is four block structs beside NCache's 12 objects of the fill
+// regime (see TestMissReadFillAllocBudget), and never a 4 KB page (37 KB and
+// 20.4 objects when every block got a zeroed page at insert).
+func TestMissReadFSFillAllocBudget(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	const (
+		budget  = 24 * 1024
+		objects = 17
+	)
+	cl, read := missReader(t, 8192, 64<<20)
+	for i := 0; i < 128; i++ {
+		read()
+	}
+	const reads = 256
+	perRead, objs := measureMissReads(t, cl, read, reads)
+	if ev := cl.App.Cache.Stats.Evictions; ev != 0 {
+		t.Fatalf("the file-system cache evicted %d blocks: not its fill regime", ev)
+	}
+	t.Logf("per all-miss 16 KB READ while both caches fill: %d B, %.1f objects", perRead, objs)
+	if perRead > budget {
+		t.Errorf("all-miss 16 KB READ with both caches filling allocates %d B on the host, budget %d", perRead, budget)
+	}
+	if objs > objects {
+		t.Errorf("all-miss 16 KB READ with both caches filling allocates %.2f objects, budget %d", objs, objects)
 	}
 }

@@ -4,13 +4,14 @@
 //
 // The cache is deliberately mechanism-only: it neither knows nor cares which
 // of the paper's three configurations is running. A cached block either
-// holds real payload bytes, or is a *logical block* — one whose lkey key
-// stands for the payload, because the NCache (or baseline) hooks below it
-// handed up a marked junk buffer instead. The cache moves logical blocks
-// with 40-byte key copies and real blocks with
-// charged physical copies; everything else follows from which hooks are
-// installed. This mirrors §4.1's claim that the buffer cache itself needs
-// no modification (Table 1: "buffer cache: None").
+// holds real payload bytes in a page, or is a *logical block* — one whose
+// lkey key stands for the payload, because the NCache (or baseline) hooks
+// below it handed up a marked junk buffer instead — and holds no page at
+// all. SetKey makes a block logical and Page makes it physical; no other
+// call changes which it is. The cache moves logical blocks with 40-byte key
+// copies and real blocks with charged physical copies; everything else
+// follows from which hooks are installed. This mirrors §4.1's claim that the
+// buffer cache itself needs no modification (Table 1: "buffer cache: None").
 package buffercache
 
 import (
@@ -36,11 +37,12 @@ type Lower interface {
 
 // Block is one cached buffer. Callers receive pinned blocks and must Unpin
 // them; a pinned block is never evicted. The flags share one word, so a block
-// with its key fits a 128-byte allocation.
+// with its key fits a 128-byte allocation. Logical, Key and Data are the
+// cache's to assign: callers change them through SetKey and Page.
 type Block struct {
 	netbuf.Recycled
 	// Logical marks a block whose payload Key stands for (see package
-	// lkey); Data is then junk.
+	// lkey); Data is then nil.
 	Logical bool
 	// Dirty marks modifications not yet on the lower store.
 	Dirty bool
@@ -49,7 +51,10 @@ type Block struct {
 	flushing bool
 	loaded   bool
 	LBN      int64
-	Data     []byte
+	// Data is the block's page: nil while the block is logical, and
+	// possibly nil on a physical block that was never written, which reads
+	// as zeros (see Page).
+	Data []byte
 	// Key identifies the payload of a logical block. It is valid only when
 	// Logical is set.
 	Key   lkey.Key
@@ -58,8 +63,8 @@ type Block struct {
 	// pending parks the callers waiting for an in-flight fill.
 	pending []waiter
 	// prev/next link the block into the cache's LRU ring while resident
-	// (both nil otherwise), so a block, its page and its LRU position are
-	// one object and recycle together.
+	// (both nil otherwise), so a block and its LRU position are one object
+	// and recycle together; its page recycles on its own.
 	prev, next *Block
 }
 
@@ -75,8 +80,11 @@ type Cache struct {
 	// used block, lru.prev the eviction candidate.
 	lru Block
 	// free holds blocks evicted clean with nothing referring to them;
-	// insert reuses them (page zeroed) before it allocates.
-	free netbuf.FreeList[*Block]
+	// insert reuses them before it allocates. pages holds the pages of
+	// recycled and logical blocks; Page reuses them (zeroed) before it
+	// allocates.
+	free  netbuf.FreeList[*Block]
+	pages [][]byte
 	// reads and runs are the free lists of the miss path's records.
 	reads netbuf.FreeList[*read]
 	runs  netbuf.FreeList[*run]
@@ -154,21 +162,57 @@ func (c *Cache) touch(b *Block) {
 	}
 }
 
-// insert creates a resident block entry (pinned once for the caller chain),
-// from the free list when it has one: a recycled page is zeroed, so it is
-// indistinguishable from a fresh one.
+// insert creates a resident, unpinned block entry, from the free list when
+// it has one. A metadata block gets its page here, since the file system
+// reads and writes metadata in place; a data block gets one only when it
+// first holds real bytes (Page).
 func (c *Cache) insert(lbn int64, meta bool) *Block {
 	b := c.free.Take()
 	if b != nil {
-		clear(b.Data)
-		*b = Block{Data: b.Data}
+		*b = Block{}
 	} else {
-		b = &Block{Data: make([]byte, c.bs)}
+		b = &Block{}
 	}
 	b.LBN, b.Meta = lbn, meta
+	if meta {
+		c.Page(b)
+	}
 	c.pushFront(b)
 	c.blocks[lbn] = b
 	return b
+}
+
+// SetKey makes b a logical block whose payload k stands for. Its page, if it
+// had one, goes back to the page list: a logical block's bytes are its key's.
+func (c *Cache) SetKey(b *Block, k lkey.Key) {
+	b.Logical, b.Key = true, k
+	c.dropPage(b)
+}
+
+// Page makes b a physical block and returns its page. A block without one
+// gets a zeroed page from the page list, or a new one when the list is
+// empty, so a reused page cannot be told from a fresh one. The caller reads
+// the key first when it needs it.
+func (c *Cache) Page(b *Block) []byte {
+	b.Logical, b.Key = false, lkey.Key{}
+	if b.Data == nil {
+		if k := len(c.pages); k > 0 {
+			b.Data, c.pages = c.pages[k-1], c.pages[:k-1]
+			clear(b.Data)
+		} else {
+			b.Data = make([]byte, c.bs)
+		}
+	}
+	return b.Data
+}
+
+// dropPage hands b's page, if it has one, back to the page list (debug mode
+// poisons and abandons it instead; see netbuf.Recycle).
+func (c *Cache) dropPage(b *Block) {
+	if b.Data != nil && netbuf.Recycle(b.Data) {
+		c.pages = append(c.pages, b.Data)
+	}
+	b.Data = nil
 }
 
 // drop removes a block from the cache, settling the dirty gauge.
@@ -188,14 +232,14 @@ func (c *Cache) drop(b *Block) {
 
 // recycle drops a block and, when nothing can refer to it any more —
 // unpinned, loaded (so no fill holds it) and not mid-flush (so no write-back
-// completion holds it) — keeps it for the next insert. Callers that hand
-// the pointer on after the drop (Reset's orphans, the read-error path's
-// waiters) use drop alone.
+// completion holds it) — keeps it for the next insert and its page
+// for the next Page. Callers that hand the pointer on after the drop
+// (Reset's orphans, the read-error path's waiters) use drop alone.
 func (c *Cache) recycle(b *Block) {
 	idle := b.pins == 0 && !b.flushing && b.loaded
 	c.drop(b)
 	if idle {
-		netbuf.Recycle(b.Data)
+		c.dropPage(b)
 		c.free.Put(b)
 	}
 }
@@ -548,9 +592,10 @@ func (r *run) filled() {
 		return
 	}
 	for _, f := range r.fills {
-		f.b.Logical, f.b.Key = f.logical, f.key
-		if !f.logical {
-			data.GatherRange(f.off, f.b.Data)
+		if f.logical {
+			c.SetKey(f.b, f.key)
+		} else {
+			data.GatherRange(f.off, c.Page(f.b))
 		}
 		f.b.loaded = true
 		waiters := f.b.pending
@@ -565,7 +610,8 @@ func (r *run) filled() {
 
 // GetForWrite returns a pinned block about to be fully overwritten: if
 // absent it is created without reading the lower store (no-fill), the
-// optimization every kernel applies to whole-block writes.
+// optimization every kernel applies to whole-block writes. A new data block
+// has no page yet; the writer calls SetKey or Page.
 func (c *Cache) GetForWrite(lbn int64, meta bool, done func(*Block, error)) {
 	if b, ok := c.blocks[lbn]; ok {
 		if b.loaded {

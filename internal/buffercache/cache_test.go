@@ -3,6 +3,7 @@ package buffercache
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"ncache/internal/lkey"
@@ -201,8 +202,7 @@ func TestWriteBackOnEviction(t *testing.T) {
 			t.Errorf("GetForWrite: %v", err)
 			return
 		}
-		copy(b.Data, bytes.Repeat([]byte{0xEE}, 4096))
-		b.Logical = false
+		copy(c.Page(b), bytes.Repeat([]byte{0xEE}, 4096))
 		c.MarkDirty(b)
 		c.Unpin(b)
 	})
@@ -242,7 +242,7 @@ func TestSyncFlushesAllDirty(t *testing.T) {
 				t.Errorf("GetForWrite: %v", err)
 				return
 			}
-			b.Data[0] = byte(i + 1)
+			c.Page(b)[0] = byte(i + 1)
 			c.MarkDirty(b)
 			c.Unpin(b)
 		})
@@ -325,7 +325,7 @@ func TestLogicalDirtyFlushTravelsAsKeyAndRemaps(t *testing.T) {
 			t.Errorf("GetForWrite: %v", err)
 			return
 		}
-		b.Logical, b.Key = true, lkey.ForFHO(fh, 8192)
+		c.SetKey(b, lkey.ForFHO(fh, 8192))
 		c.MarkDirty(b)
 		c.Unpin(b)
 	})
@@ -414,7 +414,7 @@ func TestLowerWriteFailurePropagates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GetForWrite: %v", err)
 		}
-		b.Data[0] = 1
+		c2.Page(b)[0] = 1
 		c2.MarkDirty(b)
 		c2.Unpin(b)
 	})
@@ -551,7 +551,8 @@ func TestCacheGetResidentZeroAllocs(t *testing.T) {
 
 // TestCacheEvictInsertZeroAllocs gates steady-state churn: once the cache
 // is full, bringing in a new block evicts a clean one and reuses it —
-// block, page and LRU link together — so the pair allocates nothing.
+// block and LRU link together; a data block gets no page until written —
+// so the pair allocates nothing.
 func TestCacheEvictInsertZeroAllocs(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -575,21 +576,22 @@ func TestCacheEvictInsertZeroAllocs(t *testing.T) {
 }
 
 // TestRecycledBlockLooksFresh: an evicted block comes back from the next
-// insert with a zeroed page and no trace of its previous life, while blocks
-// somebody may still refer to — dropped mid-flush, orphaned by Reset — are
-// never reused.
+// insert with no page and no trace of its previous life, and a page handed
+// back comes back from the next Page zeroed, while blocks somebody may still
+// refer to — dropped mid-flush, orphaned by Reset — are never reused.
 func TestRecycledBlockLooksFresh(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
 	}
 	eng, _, _, c := rigCache(t, 2)
 	var old *Block
+	var oldPage []byte
 	c.GetForWrite(1, true, func(b *Block, err error) {
-		old = b
-		for i := range b.Data {
-			b.Data[i] = 0xAB
+		old, oldPage = b, c.Page(b)
+		for i := range oldPage {
+			oldPage[i] = 0xAB
 		}
-		b.Logical = true
+		c.SetKey(b, lkey.ForLBN(1))
 		c.Unpin(b)
 	})
 	for lbn := int64(2); lbn <= 3; lbn++ { // push block 1 out
@@ -598,12 +600,18 @@ func TestRecycledBlockLooksFresh(t *testing.T) {
 	if len(c.free) != 1 || c.free[0] != old {
 		t.Fatalf("evicted block not on the free list (%d entries)", len(c.free))
 	}
+	if len(c.pages) != 1 || &c.pages[0][0] != &oldPage[0] {
+		t.Fatalf("SetKey did not hand the page back (%d pages listed)", len(c.pages))
+	}
 	c.GetForWrite(9, false, func(b *Block, err error) {
 		if b != old {
 			t.Error("insert did not reuse the evicted block")
 		}
-		if b.LBN != 9 || b.Meta || b.Logical || b.Dirty || b.pins != 1 || !bytes.Equal(b.Data, make([]byte, 4096)) {
+		if b.LBN != 9 || b.Meta || b.Logical || b.Key != (lkey.Key{}) || b.Dirty || b.pins != 1 || b.Data != nil {
 			t.Errorf("recycled block carries its previous life: %+v", b)
+		}
+		if p := c.Page(b); &p[0] != &oldPage[0] || !bytes.Equal(p, make([]byte, 4096)) {
+			t.Error("Page did not hand back the listed page zeroed")
 		}
 		c.Unpin(b)
 	})
@@ -635,6 +643,31 @@ func TestRecycledBlockLooksFresh(t *testing.T) {
 	}
 }
 
+// TestBlockRecycledTwicePanics: recycling a block that is already on the
+// free list reaches FreeList.Put and panics, in either mode, and leaves the
+// resident blocks alone (block 0 is the superblock's).
+func TestBlockRecycledTwicePanics(t *testing.T) {
+	_, _, _, c := rigCache(t, 4)
+	var b *Block
+	for lbn := int64(0); lbn <= 5; lbn += 5 {
+		c.GetForWrite(lbn, false, func(got *Block, err error) {
+			b = got
+			c.Page(got)[0] = 1
+			c.Unpin(got)
+		})
+	}
+	c.recycle(b)
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(p.(string), "retired twice") {
+			t.Errorf("second recycle: recovered %v, want a panic mentioning \"retired twice\"", p)
+		}
+		if _, ok := c.blocks[0]; !ok {
+			t.Error("second recycle evicted block 0")
+		}
+	}()
+	c.recycle(b)
+}
+
 // TestDebugModePoisonsEvictedBlocks: under netbuf debug mode an evicted
 // block is poisoned and abandoned instead of recycled, so a reader that
 // kept the pointer past its Unpin sees poison, not the next block's bytes.
@@ -644,9 +677,10 @@ func TestDebugModePoisonsEvictedBlocks(t *testing.T) {
 	defer netbuf.SetDebug(was)
 	_, _, _, c := rigCache(t, 1)
 	var stale *Block
+	var stalePage []byte
 	c.GetForWrite(1, false, func(b *Block, err error) {
-		stale = b
-		b.Data[0] = 7
+		stale, stalePage = b, c.Page(b)
+		stalePage[0] = 7
 		c.Unpin(b)
 	})
 	c.GetForWrite(2, false, func(b *Block, err error) {
@@ -655,7 +689,110 @@ func TestDebugModePoisonsEvictedBlocks(t *testing.T) {
 		}
 		c.Unpin(b)
 	})
-	if len(c.free) != 0 || stale.Data[0] == 7 || stale.Data[0] != stale.Data[4095] {
-		t.Fatalf("evicted block not poisoned: free %d, data %#x..%#x", len(c.free), stale.Data[0], stale.Data[4095])
+	if len(c.free) != 0 || len(c.pages) != 0 || stalePage[0] == 7 || stalePage[0] != stalePage[4095] {
+		t.Fatalf("evicted block not poisoned: free %d, pages %d, data %#x..%#x", len(c.free), len(c.pages), stalePage[0], stalePage[4095])
 	}
+}
+
+// pagelessIfLogical fails unless every resident logical block and every
+// recycled block has no page: a logical block's bytes are its key's.
+func pagelessIfLogical(t *testing.T, c *Cache, after string) {
+	t.Helper()
+	for b := c.lru.next; b != &c.lru; b = b.next {
+		if b.Logical && b.Data != nil {
+			t.Errorf("after %s: logical block %d holds a page", after, b.LBN)
+		}
+	}
+	for _, b := range c.free {
+		if b.Data != nil {
+			t.Errorf("after %s: recycled block keeps a page", after)
+		}
+	}
+}
+
+// TestPageRecycleContract: a block holds a page only while it holds real
+// bytes (Logical ⇒ Data == nil), whether a fill, an FHO write's SetKey or
+// recycling made it so. SetKey hands the page to the page list, the next
+// Page takes the same page back zeroed, and Page on a block with no page
+// gives BlockSize zeros and makes the block physical. In debug mode a page
+// handed back is poisoned and abandoned, never handed out again.
+func TestPageRecycleContract(t *testing.T) {
+	recycles := !netbuf.DebugEnabled()
+	eng, _, lower, c := rigCache(t, 2)
+	lower.readFn = func(lbn int64, count int) *netbuf.Chain {
+		out := netbuf.NewChain()
+		for j := 0; j < count; j++ {
+			out.AppendChain(lkey.StampChainPool(nil, lkey.ForLBN(lbn+int64(j)), 4096))
+		}
+		return out
+	}
+	var b *Block
+	c.Get(42, false, func(got *Block, err error) { b = got }) // stays pinned
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !b.Logical || b.Data != nil {
+		t.Fatalf("logical fill: Logical %v, page of %d bytes", b.Logical, len(b.Data))
+	}
+	pagelessIfLogical(t, c, "a logical fill")
+
+	zeros := make([]byte, 4096)
+	if p := c.Page(b); !bytes.Equal(p, zeros) || b.Logical || b.Key != (lkey.Key{}) {
+		t.Fatalf("Page on a pageless logical block: %d bytes, zero %v, Logical %v", len(p), bytes.Equal(p, zeros), b.Logical)
+	}
+	pagelessIfLogical(t, c, "materialization")
+
+	page := b.Data
+	for i := range page {
+		page[i] = 0xCD
+	}
+	c.SetKey(b, lkey.ForFHO(lkey.FH{4}, 0))
+	if b.Data != nil || !b.Logical || b.Key != lkey.ForFHO(lkey.FH{4}, 0) {
+		t.Fatalf("SetKey left Logical %v, page of %d bytes, key %+v", b.Logical, len(b.Data), b.Key)
+	}
+	if recycles && (len(c.pages) != 1 || &c.pages[0][0] != &page[0]) {
+		t.Fatalf("SetKey did not list the page (%d pages listed)", len(c.pages))
+	}
+	pagelessIfLogical(t, c, "an FHO write")
+	if p := c.Page(b); recycles && (&p[0] != &page[0] || !bytes.Equal(p, zeros) || len(c.pages) != 0) {
+		t.Fatal("the next Page did not take the listed page back zeroed")
+	}
+	c.SetKey(b, lkey.ForFHO(lkey.FH{4}, 0))
+	c.Unpin(b)
+
+	// A physical block, on the page SetKey just listed, and the logical one
+	// are evicted by logical fills: only the physical block's page returns.
+	c.GetForWrite(7, false, func(got *Block, err error) {
+		c.Page(got)[0] = 1
+		c.Unpin(got)
+	})
+	for lbn := int64(100); lbn < 104; lbn++ {
+		c.Get(lbn, false, func(got *Block, err error) { c.Unpin(got) })
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats.Evictions < 4 {
+		t.Fatalf("only %d evictions", c.Stats.Evictions)
+	}
+	if recycles && len(c.pages) != 1 {
+		t.Fatalf("%d pages listed after evicting the physical block, want 1", len(c.pages))
+	}
+	pagelessIfLogical(t, c, "recycling")
+
+	was := netbuf.DebugEnabled()
+	netbuf.SetDebug(true)
+	defer netbuf.SetDebug(was)
+	c.GetForWrite(1, false, func(b *Block, err error) {
+		page := c.Page(b)
+		page[0] = 7
+		c.SetKey(b, lkey.ForLBN(1))
+		if len(c.pages) != 0 || page[0] == 7 || page[0] != page[4095] {
+			t.Fatalf("returned page not poisoned: pages %d, data %#x..%#x", len(c.pages), page[0], page[4095])
+		}
+		if p := c.Page(b); &p[0] == &page[0] {
+			t.Error("debug mode handed a returned page out again")
+		}
+		c.Unpin(b)
+	})
 }

@@ -364,7 +364,7 @@ func (c *Cache) flushBatch(f *flush) {
 			c.node.Copies.AddLogical()
 			cost += c.LogicalCopyNs
 		} else {
-			part = c.node.TxPool.GetChain(b.Data)
+			part = c.node.TxPool.GetChain(c.Page(b))
 			c.node.Copies.AddPhysical(c.bs)
 			cost += c.node.Cost.CopyCost(c.bs)
 		}

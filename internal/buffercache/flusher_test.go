@@ -306,8 +306,9 @@ func TestFlusherRewriteInFlightIsWrittenAgain(t *testing.T) {
 			if err != nil {
 				t.Fatalf("GetForWrite: %v", err)
 			}
-			for i := range b.Data {
-				b.Data[i] = v
+			page := c.Page(b)
+			for i := range page {
+				page[i] = v
 			}
 			c.MarkDirty(b)
 			c.Unpin(b)

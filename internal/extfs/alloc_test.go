@@ -166,7 +166,7 @@ func TestWriteWalkAllocBudget(t *testing.T) {
 	}
 	r := newFsRig(t, 2048)
 	ino := bigFile(t, r)
-	filler := func(b *buffercache.Block, blockOff, count, srcOff int) { b.Data[blockOff] = byte(srcOff) }
+	filler := func(b *buffercache.Block, blockOff, count, srcOff int) { r.cache.Page(b)[blockOff] = byte(srcOff) }
 	wrote := func(err error) {
 		if err != nil {
 			t.Fatalf("Write: %v", err)

@@ -84,11 +84,11 @@ func (r *fsRig) run(t *testing.T) {
 	}
 }
 
-// copyFiller returns a Filler that physically copies from src.
-func copyFiller(src []byte) Filler {
+// copyFiller returns a Filler that physically copies from src into the
+// block's page.
+func copyFiller(c *buffercache.Cache, src []byte) Filler {
 	return func(b *buffercache.Block, blockOff, count, srcOff int) {
-		copy(b.Data[blockOff:blockOff+count], src[srcOff:srcOff+count])
-		b.Logical = false
+		copy(c.Page(b)[blockOff:blockOff+count], src[srcOff:srcOff+count])
 	}
 }
 
@@ -152,7 +152,7 @@ func (r *fsRig) list(t *testing.T) []string {
 func (r *fsRig) write(t *testing.T, ino uint32, off uint64, data []byte) {
 	t.Helper()
 	done := false
-	r.fs.Write(ino, off, len(data), copyFiller(data), func(err error) {
+	r.fs.Write(ino, off, len(data), copyFiller(r.cache, data), func(err error) {
 		if err != nil {
 			t.Fatalf("Write: %v", err)
 		}

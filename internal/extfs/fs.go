@@ -87,10 +87,10 @@ func (r *ReadResult) Done(fs *FS) {
 }
 
 // Filler moves payload into a cache block during a write: blockOff/count
-// locate the destination range in b.Data, srcOff the source range in the
+// locate the destination range in the block, srcOff the source range in the
 // caller's payload. The filler performs (and its caller charges) the actual
-// data movement — physical copy, key stamp, or nothing, depending on the
-// server configuration.
+// data movement — a physical copy into the block's page (Cache.Page), a key
+// stamp (Cache.SetKey), or nothing, depending on the server configuration.
 type Filler func(b *buffercache.Block, blockOff, count, srcOff int)
 
 // Mount reads the superblock and returns a mounted FS.
@@ -230,8 +230,7 @@ func (w *walk) bitSet(idx int64) {
 
 func (w *walk) zeroLoaded() {
 	b := w.blk
-	clear(b.Data)
-	b.Logical = false
+	clear(w.fs.cache.Page(b))
 	w.fs.cache.MarkDirty(b)
 	w.fs.cache.Unpin(b)
 	w.goTo(w.bits.next)

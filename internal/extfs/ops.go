@@ -118,25 +118,22 @@ func (w *walk) writeInode() {
 	// A write starting beyond a partial EOF block (and not touching it)
 	// makes that block's stale tail readable: zero it first.
 	if w.off > in.Size && in.Size%BlockSize != 0 && w.off/BlockSize > in.Size/BlockSize {
-		w.zeroTail((*walk).writeMap)
+		w.zeroTail()
 		return
 	}
 	w.writeMap()
 }
 
-// zeroTail zeroes what an extension to w.off exposes of the block holding
-// the current EOF — its tail beyond EOF, up to w.off — then runs next. A
-// write materializes a logical (key-carrying) block first; a truncate leaves
-// those to the data path: the NFS backend grows them with a zero-write
-// through the mode's filler.
-func (w *walk) zeroTail(next func(*walk)) {
-	w.next = next
+// zeroTail zeroes what the write exposes of the block holding the current
+// EOF — its tail beyond EOF, up to w.off — materializing a logical block
+// first, then maps the write.
+func (w *walk) zeroTail() {
 	w.resolve(int64(w.in.Size/BlockSize), 1, false, (*walk).tailMapped)
 }
 
 func (w *walk) tailMapped() {
 	if w.lbns[0] == 0 {
-		w.goTo(w.next)
+		w.goTo((*walk).writeMap)
 		return
 	}
 	w.pc = (*walk).tailLoaded
@@ -145,15 +142,12 @@ func (w *walk) tailMapped() {
 
 func (w *walk) tailLoaded() {
 	b, size := w.blk, w.in.Size
-	if w.filler != nil { // a write
-		w.fs.materialize(b)
-	}
-	if blockStart := size / BlockSize * BlockSize; !b.Logical {
-		clear(b.Data[size-blockStart : min(w.off-blockStart, BlockSize)])
-		w.fs.cache.MarkDirty(b)
-	}
+	w.fs.materialize(b)
+	blockStart := size / BlockSize * BlockSize
+	clear(w.fs.cache.Page(b)[size-blockStart : min(w.off-blockStart, BlockSize)])
+	w.fs.cache.MarkDirty(b)
 	w.fs.cache.Unpin(b)
-	w.goTo(w.next)
+	w.goTo((*walk).writeMap)
 }
 
 func (w *walk) writeMap() {
@@ -208,16 +202,16 @@ func (w *walk) writeApply() {
 	blockOff, l, whole, stale := w.writeGeom()
 	if stale && !whole {
 		// Anything the filler doesn't cover must read back as zeros.
-		clear(b.Data)
-		b.Logical = false
+		clear(w.fs.cache.Page(b))
 	}
 	w.filler(b, blockOff, l, w.srcOff)
-	if blockStart := w.pos - uint64(blockOff); !whole && !stale && size < w.pos {
+	if blockStart := w.pos - uint64(blockOff); !whole && !stale && size < w.pos && !b.Logical {
 		// The write starts past the old EOF within this block: the gap
 		// [oldEOF, writeStart) becomes file content and must read as
 		// zeros. This runs after the filler, which may have materialized
-		// a logical block's stale bytes.
-		clear(b.Data[size-blockStart : blockOff])
+		// a logical block's stale bytes; a block the filler left logical
+		// holds its key's bytes.
+		clear(w.fs.cache.Page(b)[size-blockStart : blockOff])
 	}
 	w.fs.cache.MarkDirty(b)
 	w.fs.cache.Unpin(b)
@@ -487,8 +481,9 @@ func (w *walk) insertMapped() {
 
 func (w *walk) insertLoaded() {
 	b := w.blk
-	clear(b.Data)
-	putSlot(b.Data, w.child, w.nameBuf[:w.nameLen])
+	page := w.fs.cache.Page(b)
+	clear(page)
+	putSlot(page, w.child, w.nameBuf[:w.nameLen])
 	w.fs.cache.MarkDirty(b)
 	w.fs.cache.Unpin(b)
 	w.in.Size += BlockSize

@@ -69,16 +69,18 @@ func recordChainDoubleFree(c *Chain) {
 const poisonByte = 0xDB
 
 // Recycle hands back a flat payload whose record is about to retire (an
-// iSCSI staging buffer, a WAL payload, a buffer-cache page). In debug mode,
-// where the record is abandoned, the payload is poisoned, so a reader that
-// kept it past the hand-back sees poison instead of the next owner's bytes.
-func Recycle(p []byte) {
+// iSCSI staging buffer, a WAL payload, a buffer-cache page) and reports
+// whether the payload may be reused. In debug mode, where the record is
+// abandoned, the payload is poisoned and may not, so a reader that kept it
+// past the hand-back sees poison instead of the next owner's bytes.
+func Recycle(p []byte) bool {
 	if debugMode {
 		p = p[:cap(p)]
 		for i := range p {
 			p[i] = poisonByte
 		}
 	}
+	return !debugMode
 }
 
 // Window slices are recycled by power-of-two size class, the way a slab

@@ -233,7 +233,7 @@ func (s *AppServer) replyChain(res *extfs.ReadResult, sendfile bool) *netbuf.Cha
 		default:
 			// Physical: the daemon-buffer copy and the socket copy
 			// both walk the bytes; the pooled-chain build is the second.
-			out.AppendChain(s.Node.TxPool.GetChain(e.Block.Data[e.Off : e.Off+e.Len]))
+			out.AppendChain(s.Node.TxPool.GetChain(s.Cache.Page(e.Block)[e.Off : e.Off+e.Len]))
 			physBytes += e.Len
 		}
 	}
@@ -285,34 +285,34 @@ func (k *backendCall) applyWrite() {
 }
 
 func (k *backendCall) stampFHO(b *buffercache.Block, blockOff, count, srcOff int) {
-	b.Logical, b.Key = true, lkey.ForFHO(k.fh, k.off+uint64(srcOff))
+	k.b.srv.Cache.SetKey(b, lkey.ForFHO(k.fh, k.off+uint64(srcOff)))
 }
 
 func (k *backendCall) stampJunk(b *buffercache.Block, blockOff, count, srcOff int) {
 	if blockOff == 0 {
-		b.Logical, b.Key = true, lkey.Key{}
+		k.b.srv.Cache.SetKey(b, lkey.Key{})
 	}
 }
 
 func (k *backendCall) copyWire(b *buffercache.Block, blockOff, count, srcOff int) {
+	s := k.b.srv
 	if b.Logical {
 		// A partial overwrite of a key-carrying block must materialize
 		// the real bytes first.
-		k.b.srv.materialize(b)
+		s.materialize(b)
 	}
-	k.data.GatherRange(srcOff, b.Data[blockOff:blockOff+count])
+	k.data.GatherRange(srcOff, s.Cache.Page(b)[blockOff:blockOff+count])
 }
 
 // materialize turns a logical block back into a real one by pulling the
 // payload out of the NCache module (charging the copy). On a miss, and for
-// Baseline junk, the block is zero-filled.
+// Baseline junk, the block keeps the zeroed page Page gives it.
 func (s *AppServer) materialize(b *buffercache.Block) {
-	b.Logical = false
-	if s.Module != nil && b.Key.Flags != 0 && s.Module.Materialize(b.Key, b.Data) {
-		s.chargePhysical(1, len(b.Data))
-		return
+	key := b.Key
+	page := s.Cache.Page(b)
+	if s.Module != nil && key.Flags != 0 && s.Module.Materialize(key, page) {
+		s.chargePhysical(1, len(page))
 	}
-	clear(b.Data)
 }
 
 // mapErr converts file system errors to NFS statuses.

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ncache/internal/buffercache"
 	"ncache/internal/extfs"
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
@@ -498,14 +499,47 @@ func TestNFSCreateWriteRemoveLifecycle(t *testing.T) {
 	run(t, cl)
 }
 
+// pagelessIfLogical fails unless every logical block resident in the
+// server's file-system cache holds no page: its bytes are its key's.
+func pagelessIfLogical(t *testing.T, cl *Cluster, after string) (logical, physical int) {
+	t.Helper()
+	c := cl.App.Cache
+	for _, lbn := range c.ResidentLBNs() {
+		c.Get(lbn, false, func(b *buffercache.Block, err error) {
+			if err != nil {
+				t.Fatalf("after %s: Get(%d): %v", after, lbn, err)
+			}
+			switch {
+			case b.Logical && b.Data != nil:
+				t.Errorf("after %s: logical block %d holds a page", after, lbn)
+			case b.Logical:
+				logical++
+			default:
+				physical++
+			}
+			c.Unpin(b)
+		})
+	}
+	return logical, physical
+}
+
 func TestUnalignedWriteFallsBackSafely(t *testing.T) {
 	cl, _ := testCluster(t, NCache, false)
 	fh := lookupFile(t, cl, "data.bin")
-	// Prime the block through the NCache path.
+	// Prime the block through the NCache path: a logical fill.
 	readFile(t, cl, fh, 0, extfs.BlockSize)
+	logical, physical := pagelessIfLogical(t, cl, "a logical fill")
+	// An aligned WRITE of block 1 stamps an FHO key.
+	writeFile(t, cl, fh, extfs.BlockSize, expect(extfs.BlockSize, extfs.BlockSize))
+	if l, _ := pagelessIfLogical(t, cl, "an FHO write"); l != logical+1 {
+		t.Fatalf("%d logical blocks after an FHO write, want %d", l, logical+1)
+	}
 	// Partial overwrite inside block 0: forces materialization.
 	patch := bytes.Repeat([]byte{0xEF}, 100)
 	writeFile(t, cl, fh, 50, patch)
+	if _, p := pagelessIfLogical(t, cl, "materialization"); p != physical+1 {
+		t.Fatalf("%d physical blocks after materialization, want %d", p, physical+1)
+	}
 	got := readFile(t, cl, fh, 0, extfs.BlockSize)
 	want := expect(0, extfs.BlockSize)
 	copy(want[50:], patch)
