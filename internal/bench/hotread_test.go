@@ -49,9 +49,10 @@ func hotReadRig(t *testing.T, mode passthru.Mode) (*passthru.Cluster, func(i int
 // NCache READ — request, cache walk, substitution, 23 reply frames across the
 // switch, reassembly, delivery — allocates nothing in the tree: the 2 objects
 // the gate reads are this test's own completion closure and the variable it
-// captures. The budget is 3 objects per READ. Its events are gated too: two
-// per frame (egress arrival, delivery) and one upcall per datagram, none for
-// a departure or for CPU time nothing waits on, make 54 per READ.
+// captures. The budget is 3 objects per READ. Its events are gated too: one
+// per frame (the egress downlink's completion, which delivers it) and one
+// upcall per datagram, none for a departure, an arrival at the switch or CPU
+// time nothing waits on, make 30 per READ.
 func TestHotReadAllocBudget(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -81,7 +82,7 @@ func TestHotReadAllocBudget(t *testing.T) {
 }
 
 // hotReadEvents is the measured events per all-hit 32 KB READ.
-const hotReadEvents = 54
+const hotReadEvents = 30
 
 // TestSFSMixAllocBudget is the same gate for the metadata-heavy path: the
 // Fig. 7 mix at 30 % regular data on a small rig — GETATTR, LOOKUP, READDIR

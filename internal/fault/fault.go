@@ -361,7 +361,8 @@ func (in *Injector) FrameTx(site string) Decision {
 // DrawsFrames reports whether a frame-fault schedule names site. Such a
 // schedule draws from one random stream for every site it names, so a NIC
 // whose transmit site it names must take each decision at the instant its
-// frame departs, in departure order.
+// frame departs, and a switch port whose receive site it names at the
+// instant a frame arrives, in the order of those instants.
 func (in *Injector) DrawsFrames(site string) bool {
 	if in == nil {
 		return false

@@ -25,6 +25,10 @@ type Client struct {
 	stream bool
 	// calls is the free list of call records (see clientCall).
 	calls netbuf.FreeList[*clientCall]
+	// flat and names are the last READDIR's reply, gathered, and listing
+	// (see namesResult).
+	flat  []byte
+	names []string
 }
 
 // NewClient binds an NFS client on the UDP transport, talking to server.
@@ -205,7 +209,7 @@ func (k *clientCall) reply(r sunrpc.Reply, err error) {
 	case replyNames:
 		var names []string
 		if err == nil {
-			names, err = namesResult(body)
+			names, err = op.c.namesResult(body)
 		}
 		op.doneNames(names, err)
 	}
@@ -273,26 +277,43 @@ func writeResult(body *netbuf.Chain) (int, Attr, error) {
 	return 0, Attr{}, &OpError{Status: ErrIO}
 }
 
-// namesResult decodes a READDIR result past its status, consuming body.
-func namesResult(body *netbuf.Chain) ([]string, error) {
-	flat := make([]byte, body.Len())
+// namesResult decodes a READDIR result past its status, consuming body,
+// into the client's listing. A name equal to the one at its index in the
+// previous listing keeps that string; the others are cut from one string
+// copy of the reply, made only if some name is new.
+func (c *Client) namesResult(body *netbuf.Chain) ([]string, error) {
+	n := body.Len()
+	if cap(c.flat) < n {
+		c.flat = make([]byte, n)
+	}
+	flat := c.flat[:n]
 	body.Gather(flat)
 	body.Release()
-	// Every name is cut out of one string copy of the reply.
-	all, d := string(flat), xdr.NewDecoder(flat)
+	d := xdr.NewDecoder(flat)
 	count, err := d.Uint32()
 	if err != nil {
 		return nil, &OpError{Status: ErrIO}
 	}
-	names := make([]string, 0, count)
-	for i := uint32(0); i < count; i++ {
+	// prev and names share one array: entry i of prev is read before the
+	// append overwrites it.
+	prev, names := c.names, c.names[:0]
+	all := "" // the reply as a string, once a new name needs it
+	for i := 0; i < int(count); i++ {
 		start := d.Offset() + 4 // past the length word
 		p, err := d.Opaque(MaxReadSize)
 		if err != nil {
 			return nil, &OpError{Status: ErrIO}
 		}
+		if i < len(prev) && prev[i] == string(p) {
+			names = append(names, prev[i])
+			continue
+		}
+		if all == "" {
+			all = string(flat)
+		}
 		names = append(names, all[start:start+len(p)])
 	}
+	c.names = names
 	return names, nil
 }
 
@@ -354,7 +375,8 @@ func (c *Client) Remove(dir FH, name string, done func(error)) {
 	k.call(ProcRemove, c.nameArgs(dir, name), nil)
 }
 
-// Readdir lists a directory.
+// Readdir lists a directory. The listing is valid only during done: the
+// next READDIR's reply overwrites it. Its strings may be kept.
 func (c *Client) Readdir(dir FH, done func([]string, error)) {
 	msg, _ := c.fhArgs(dir, 0)
 	k := c.newCall(replyNames)

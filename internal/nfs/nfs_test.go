@@ -491,10 +491,11 @@ func (b *listBackend) Readdir(dir FH, done func(Names, uint32)) { done(&b.list, 
 
 // TestNamedOpsAllocBudget: a LOOKUP round trip — the name pulled from the
 // arguments into the server's call record and lent to the backend as a view
-// of it — allocates nothing, and so does the server half of a READDIR, whose
-// 150 names are encoded straight into pooled transmit buffers. The READDIR
-// round trip's budget of 3 objects is the client's result alone: the gathered
-// reply, the one string every name is cut from, and the name slice.
+// of it — allocates nothing, and so does a READDIR round trip: the server
+// encodes its 150 names straight into pooled transmit buffers, and the
+// client gathers the reply into its own buffer and keeps every name of an
+// unchanged listing. A listing whose names changed costs the client one
+// object, the string the new names are cut from.
 func TestNamedOpsAllocBudget(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -543,10 +544,26 @@ func TestNamedOpsAllocBudget(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, lookup); avg != 0 {
 		t.Errorf("a LOOKUP round trip allocates %.1f objects, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(200, readdir); avg > 3 {
-		t.Errorf("a READDIR round trip of 150 names allocates %.1f objects, budget 3 (the client's result)", avg)
+	if avg := testing.AllocsPerRun(200, readdir); avg != 0 {
+		t.Errorf("a READDIR round trip of 150 names allocates %.1f objects, want 0", avg)
 	}
 	if listed != 8+201 {
 		t.Fatalf("%d listings, want %d", listed, 8+201)
+	}
+	flip, alt := 0, [2][]byte{[]byte("renamed-0"), []byte("renamed-1")}
+	renamed := func(ns []string, err error) {
+		if err != nil || len(ns) != 150 || ns[7] != string(lb.list[7]) || ns[149] != "file-149" {
+			t.Errorf("Readdir after a rename: %d names, %v", len(ns), err)
+		}
+	}
+	rename := func() {
+		flip++
+		lb.list[7] = alt[flip%2]
+		c.Readdir(RootFH(), renamed)
+		run()
+	}
+	rename()
+	if avg := testing.AllocsPerRun(200, rename); avg != 1 {
+		t.Errorf("a READDIR round trip with a changed name allocates %.1f objects, want 1 (the client's string)", avg)
 	}
 }

@@ -472,7 +472,7 @@ func TestNFSCreateWriteRemoveLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Readdir: %v", err)
 		}
-		names = ns
+		names = append(names[:0], ns...) // the listing is valid only during the callback
 	})
 	run(t, cl)
 	found := false

@@ -260,9 +260,10 @@ func TestStackReassemblyRecordRecycled(t *testing.T) {
 }
 
 // TestStackDatagramEventBudget pins the receive side's events: a datagram
-// of n fragments costs 2n + 1 — each fragment's arrival at the switch egress
-// and its delivery, and one upcall — since the sender's CPU time and every
-// fragment's receive CPU time are reserved without an event. The upcall
+// of n fragments costs n + 1 — each fragment's delivery when the egress
+// downlink finishes it, and one upcall — since the sender's CPU time, every
+// fragment's arrival at the switch and every fragment's receive CPU time are
+// reserved without an event. The upcall
 // fires when the last fragment's receive CPU time ends, at the instants
 // pinned from the version that spent an event on each.
 func TestStackDatagramEventBudget(t *testing.T) {
@@ -282,7 +283,7 @@ func TestStackDatagramEventBudget(t *testing.T) {
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if want := uint64(2*c.frags + 1); eng.Processed() != want || at != c.upcall {
+		if want := uint64(c.frags + 1); eng.Processed() != want || at != c.upcall {
 			t.Errorf("%d-byte datagram: upcall at %d after %d events, want %d after %d",
 				c.size, at, eng.Processed(), c.upcall, want)
 		}

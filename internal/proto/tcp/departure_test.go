@@ -24,7 +24,7 @@ type exchange struct {
 // departureExchange runs one fragmented UDP datagram each way and a 256 KB
 // TCP stream a→b on two hosts. With faultable set, a rate-0 frame-drop
 // schedule names both NICs: it never fires and never draws, but every
-// frame then departs in an event of its own.
+// frame then departs, and reaches the switch egress, in an event of its own.
 func departureExchange(t *testing.T, faultable bool) exchange {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -85,12 +85,14 @@ func departureExchange(t *testing.T, faultable bool) exchange {
 	return x
 }
 
-// TestFaultFreeScheduleKeepsDepartureInstants: a frame on a NIC no
+// TestFaultFreeScheduleKeepsDepartureInstants: a frame between NICs no
 // frame-fault schedule names departs without an event of its own, its
-// uplink booked when its CPU time is; a named NIC departs each frame in an
-// event at the same instant. The same exchange on both must deliver at the
-// same instants, end at the same clock with the same TCP counters, and
-// differ only by one event per frame.
+// uplink booked when its CPU time is, and is booked onto the egress
+// downlink at launch; a named NIC departs each frame in an event at the
+// same instant, and a named receive site takes an event at each arrival.
+// The same exchange on both must deliver at the same instants, end at the
+// same clock with the same TCP counters, and differ only by two events per
+// frame.
 func TestFaultFreeScheduleKeepsDepartureInstants(t *testing.T) {
 	eager, evented := departureExchange(t, false), departureExchange(t, true)
 	if len(eager.at) != len(evented.at) || len(eager.at) < 3 {
@@ -106,8 +108,8 @@ func TestFaultFreeScheduleKeepsDepartureInstants(t *testing.T) {
 			eager.end, eager.counters, evented.end, evented.counters)
 	}
 	t.Logf("%d deliveries, %d frames, %d events eager, %d evented", len(eager.at), eager.frames, eager.events, evented.events)
-	if eager.frames != evented.frames || evented.events-eager.events != evented.frames {
-		t.Fatalf("%d and %d frames; %d events eager, %d evented, want one more per frame",
+	if eager.frames != evented.frames || evented.events-eager.events != 2*evented.frames {
+		t.Fatalf("%d and %d frames; %d events eager, %d evented, want two more per frame",
 			eager.frames, evented.frames, eager.events, evented.events)
 	}
 }

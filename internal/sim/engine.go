@@ -3,8 +3,9 @@
 // The engine drives every experiment in this repository: protocol stacks,
 // CPUs, NICs and disks are modeled as event callbacks and queueing resources
 // on a shared virtual clock. Determinism comes from a total order on events
-// (time, then insertion sequence) and from seeded random sources; running the
-// same experiment twice yields byte-identical results.
+// (time, then the instant each was posted, then insertion sequence) and from
+// seeded random sources; running the same experiment twice yields
+// byte-identical results.
 //
 // The scheduler is a concrete binary min-heap over *event (no container/heap,
 // no interface boxing) with a free list of event objects: in steady state a
@@ -56,12 +57,13 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // the object returns to the engine's free list and its generation counter
 // advances, so a stale EventID can never cancel the object's next tenant.
 type event struct {
-	at  Time
-	seq uint64 // tiebreaker: FIFO among events at the same instant
-	fn  func()
-	ctx any    // request context captured at scheduling time
-	idx int    // heap index, -1 once popped or canceled
-	gen uint64 // incarnation counter, bumped on every recycle
+	at     Time
+	posted Time   // first tiebreaker at the same instant (see Key)
+	seq    uint64 // then FIFO among events posted at the same instant
+	fn     func()
+	ctx    any    // request context captured at scheduling time
+	idx    int    // heap index, -1 once popped or canceled
+	gen    uint64 // incarnation counter, bumped on every recycle
 	// h, when set, runs instead of fn with the arguments Post carried, so a
 	// post needs no closure either.
 	h    Handler
@@ -87,7 +89,7 @@ type EventID struct {
 type Engine struct {
 	now    Time
 	seq    uint64
-	events []*event // binary min-heap ordered by (at, seq)
+	events []*event // binary min-heap ordered by (at, posted, seq)
 	free   []*event // recycled event objects
 	// processed counts events executed.
 	processed uint64
@@ -142,9 +144,15 @@ func (e *Engine) Schedule(d Duration, fn func()) EventID {
 // time (but never before events already due). The event inherits the
 // current request context.
 func (e *Engine) At(t Time, fn func()) EventID {
-	if t < e.now {
-		t = e.now
-	}
+	id := e.post(Key{At: t, Posted: e.now, Seq: e.seq}, e.cur)
+	e.seq++
+	id.ev.fn = fn
+	return id
+}
+
+// post queues a pooled event at k in context ctx. A due instant in the past
+// becomes now.
+func (e *Engine) post(k Key, ctx any) EventID {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -153,13 +161,35 @@ func (e *Engine) At(t Time, fn func()) EventID {
 	} else {
 		ev = &event{}
 	}
-	ev.at = t
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.ctx = e.cur
-	e.seq++
+	ev.at, ev.posted, ev.seq = max(k.At, e.now), k.Posted, k.Seq
+	ev.ctx = ctx
 	e.push(ev)
 	return EventID{ev: ev, gen: ev.gen}
+}
+
+// Key is a place in the engine's total order: the instant an event is due,
+// the instant it was posted, and the sequence number it took then. An
+// ordinary post is keyed (due, now, next sequence number), and since the
+// sequence rises with the clock, that is (due, sequence) order.
+type Key struct {
+	At, Posted Time
+	Seq        uint64
+}
+
+// Reserve takes the next sequence number, for a keyed post made later.
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq - 1
+}
+
+// PostKeyed is PostAt at k.At in context ctx, sorted among the events due
+// then as a post made at instant k.Posted, when the sequence stood at k.Seq
+// (from Reserve), would be: a model can post now, or move by Cancel and
+// PostKeyed, the event a chain of earlier events would have posted.
+func (e *Engine) PostKeyed(k Key, ctx any, h Handler, a, b any, n int64) EventID {
+	id := e.post(k, ctx)
+	id.ev.h, id.ev.a, id.ev.b, id.ev.n = h, a, b, n
+	return id
 }
 
 // Post schedules h(a, b, n) after delay d, like Schedule. The arguments ride
@@ -246,6 +276,17 @@ func (e *Engine) removeAt(i int) {
 	removed.idx = -1
 }
 
+// before reports whether x fires ahead of y.
+func (x *event) before(y *event) bool {
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	if x.posted != y.posted {
+		return x.posted < y.posted
+	}
+	return x.seq < y.seq
+}
+
 // siftUp moves the event at index i toward the root until ordered.
 func (e *Engine) siftUp(i int) {
 	h := e.events
@@ -253,7 +294,7 @@ func (e *Engine) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		p := h[parent]
-		if p.at < ev.at || (p.at == ev.at && p.seq < ev.seq) {
+		if p.before(ev) {
 			break
 		}
 		h[i] = p
@@ -277,16 +318,10 @@ func (e *Engine) siftDown(i int) bool {
 			break
 		}
 		least := left
-		l := h[left]
-		la, ls := l.at, l.seq
-		if right := left + 1; right < n {
-			r := h[right]
-			if r.at < la || (r.at == la && r.seq < ls) {
-				least = right
-				la, ls = r.at, r.seq
-			}
+		if right := left + 1; right < n && h[right].before(h[left]) {
+			least = right
 		}
-		if ev.at < la || (ev.at == la && ev.seq < ls) {
+		if ev.before(h[least]) {
 			break
 		}
 		h[i] = h[least]

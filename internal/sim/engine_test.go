@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,5 +187,53 @@ func TestEnginePropertyEventsFireInTimeOrder(t *testing.T) {
 func TestDurationString(t *testing.T) {
 	if got := (1500 * Microsecond).String(); got != "1.5ms" {
 		t.Fatalf("String = %q, want 1.5ms", got)
+	}
+}
+
+// TestKeyedPostOrderZeroAllocs: a keyed post sorts among the events due at
+// its instant where an ordinary post made at its posted instant, with the
+// sequence number it reserved, would have; it runs in the context it names;
+// a cancel and a new keyed post move it; ordinary posts stay FIFO around it.
+// Keyed posts allocate nothing once the free list is primed.
+func TestKeyedPostOrderZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	var order []int64
+	var ctxs []any
+	rec := Handler(func(_, _ any, n int64) { order, ctxs = append(order, n), append(ctxs, e.Context()) })
+	// Reserved at 0, standing in for a post at 10 (an arrival at 10 that
+	// would post a delivery for 20).
+	seq := e.Reserve()
+	e.PostAt(20, rec, nil, nil, 1) // posted at 0: ahead of anything posted later
+	e.Schedule(10, func() {
+		e.PostAt(20, rec, nil, nil, 3) // posted at 10, after the reservation
+		e.PostAt(20, rec, nil, nil, 4)
+	})
+	e.Schedule(15, func() { e.PostAt(20, rec, nil, nil, 5) })
+	e.PostKeyed(Key{At: 20, Posted: 10, Seq: seq}, "keyed", rec, nil, nil, 2)
+	// Keyed for 30 as of 30, then moved to sort as a post made at 5.
+	e.Cancel(e.PostKeyed(Key{At: 30, Posted: 30, Seq: e.Reserve()}, "stale", rec, nil, nil, -1))
+	e.PostKeyed(Key{At: 20, Posted: 5, Seq: e.Reserve()}, "moved", rec, nil, nil, 0)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{1, 0, 2, 3, 4, 5}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if ctxs[1] != "moved" || ctxs[2] != "keyed" || ctxs[0] != nil {
+		t.Fatalf("contexts = %v, want the keyed posts' own", ctxs)
+	}
+
+	burst := func() {
+		now := e.Now()
+		e.Cancel(e.PostKeyed(Key{At: now + 10, Posted: now + 10, Seq: e.Reserve()}, nil, rec, nil, nil, 0))
+		e.PostKeyed(Key{At: now + 5, Posted: now, Seq: e.Reserve()}, nil, rec, nil, nil, 0)
+		order, ctxs = order[:0], ctxs[:0]
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if avg := testing.AllocsPerRun(100, burst); avg != 0 {
+		t.Errorf("a keyed post, its cancel and its replacement allocate %.1f objects, want 0", avg)
 	}
 }

@@ -109,11 +109,12 @@ func (n *NIC) send(frame *netbuf.Chain, at sim.Time) error {
 	return nil
 }
 
-// launch clocks one frame copy onto the uplink from the instant at and posts
-// its arrival at the egress port for when the serializer is done plus the
-// uplink AND downlink latencies (plus any injected delay). An unroutable
-// frame (nil p) pays the same wire time without the egress latency, and the
-// switch counts the discard.
+// launch clocks one frame copy onto the uplink from the instant at and books
+// it for the egress port's downlink from when the serializer is done plus
+// the uplink AND downlink latencies (plus any injected delay). A port whose
+// receive site a frame-fault schedule names, and an unroutable frame (nil
+// p), get an arrival event at that instant instead; the latter pays the same
+// wire time without the egress latency, and the switch counts the discard.
 //
 // The egress port's latency is paid here, with the uplink's, rather than
 // after downlink serialization: every frame into a port pays the same
@@ -122,6 +123,10 @@ func (n *NIC) launch(p *port, frame *netbuf.Chain, wire int, at sim.Time, delay 
 	arrive := n.tx.UseFrom(at, n.bw.serialization(wire)).Add(delay)
 	if p != nil {
 		arrive = arrive.Add(p.lat)
+		if !n.net.faults.DrawsFrames(p.nic.rxSite) {
+			n.net.book(p, frame, arrive, 0, corrupt)
+			return
+		}
 	}
 	n.node.Eng.PostAt(arrive, n.net.onArrive, p, frame, flag(corrupt))
 }

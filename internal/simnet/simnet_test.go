@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"ncache/internal/fault"
@@ -277,18 +279,18 @@ func TestFrameHopAllocFree(t *testing.T) {
 	a.TxPool.MustBeDrained()
 }
 
-// TestFrameHopThreeEvents pins the event count of one frame hop: arrival at
-// the switch egress, delivery, and the receiver's post when its CPU time
-// ends. The sender's CPU time and the serializers' completions decide
-// nothing, so they fire no event of their own. A NIC that a frame-fault
-// schedule names departs in a fourth event, at the same instant, so the
-// hop ends when it did.
-func TestFrameHopThreeEvents(t *testing.T) {
+// TestFrameHopTwoEvents pins the event count of one frame hop: the egress
+// downlink's completion, which delivers the frame, and the receiver's post
+// when its CPU time ends. The sender's CPU time, the uplink and the frame's
+// arrival at the switch decide nothing, so they fire no event of their own.
+// A NIC that a frame-fault schedule names departs in a third event, at the
+// same instant, so the hop ends when it did.
+func TestFrameHopTwoEvents(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		faults bool
 		events uint64
-	}{{"eager", false, 3}, {"faultable", true, 4}} {
+	}{{"eager", false, 2}, {"faultable", true, 3}} {
 		eng, nw, na, nb := testFabric(t)
 		if c.faults {
 			in := fault.New(eng, 7)
@@ -393,5 +395,92 @@ func TestFaultedFrameTimingRepeatsEachRound(t *testing.T) {
 	if nb.Stats.FaultCorruptRx != 6 || nw.FaultDuped() != 6 || na.Stats.FaultDupTx != 3 {
 		t.Fatalf("corrupt rx %d, downlink dups %d, uplink dups %d; want 6, 6, 3",
 			nb.Stats.FaultCorruptRx, nw.FaultDuped(), na.Stats.FaultDupTx)
+	}
+}
+
+// TestFaultFreePortQueueMatchesArrivalEvents: frames booked onto a downlink
+// at launch leave it in arrival order, then launch order, even when a later
+// launch arrives first — over a shorter link, or from an idle uplink while
+// another is backlogged — and each is delivered in the request context of
+// its launch, and sorted among same-instant events as if posted at its
+// arrival. The same sends toward a port whose receive site a rate-0
+// schedule names, which takes an event at each arrival, deliver in the same
+// order at the same instants. Only the queue's head holds an event.
+func TestFaultFreePortQueueMatchesArrivalEvents(t *testing.T) {
+	type delivery struct {
+		id  byte
+		at  sim.Time
+		ctx any
+	}
+	run := func(evented bool) ([]delivery, int) {
+		eng := sim.NewEngine()
+		nw := NewNetwork(eng, 5*sim.Microsecond)
+		b := NewNode(eng, "b", DefaultProfile())
+		nb, err := nw.Attach(b, 2, Gbps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var senders []*NIC
+		for i, lat := range []sim.Duration{50 * sim.Microsecond, 5 * sim.Microsecond, 5 * sim.Microsecond} {
+			n := NewNode(eng, fmt.Sprintf("s%d", i), DefaultProfile())
+			nic, err := nw.AttachAt(n, eth.Addr(10+i), Gbps, lat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			senders = append(senders, nic)
+		}
+		if evented {
+			in := fault.New(eng, 1)
+			in.Add(fault.Schedule{Class: fault.FrameDrop, Target: "b.rx", Rate: 0})
+			nw.SetFaults(in)
+			in.Arm()
+		}
+		var got []delivery
+		nb.SetRxHandler(func(f *netbuf.Chain) {
+			got = append(got, delivery{f.Flatten()[eth.HeaderLen], eng.Now(), eng.Context()})
+			f.Release()
+		})
+		// Frame 1 crosses a 50 µs link; 2 and 3 share an idle 5 µs
+		// uplink, so 3 waits behind 2; 4 arrives with 2 from another.
+		for id, from := range []int{0, 1, 1, 2} {
+			eng.SetContext(id + 1)
+			nic := senders[from]
+			if err := nic.Send(frameTo(t, 2, nic.Addr, bytes.Repeat([]byte{byte(id + 1)}, 1488))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.SetContext(nil)
+		pending := eng.Pending()
+		// Ticks due with the deliveries: one posted before its frame
+		// arrives fires ahead of the delivery, one posted after (at 70 µs,
+		// frame 1 arriving at 67.192 µs) behind it.
+		tick := func(_, _ any, _ int64) { got = append(got, delivery{0, eng.Now(), eng.Context()}) }
+		eng.Schedule(sim.Microsecond, func() {
+			for _, at := range []sim.Time{34384, 46576, 58768, 79384} {
+				eng.PostAt(at, tick, nil, nil, 0)
+			}
+		})
+		eng.Schedule(70*sim.Microsecond, func() { eng.PostAt(79384, tick, nil, nil, 0) })
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return got, pending
+	}
+	// 1524 wire bytes: 12.192 µs per serializer. Arrivals at b's egress:
+	// 2 and 4 at 22.192 µs, 3 at 34.384 µs, 1 at 67.192 µs.
+	const ser = 12192
+	want := []delivery{
+		{0, 22192 + ser, nil}, {2, 22192 + ser, 2},
+		{0, 22192 + 2*ser, nil}, {4, 22192 + 2*ser, 4},
+		{0, 22192 + 3*ser, nil}, {3, 22192 + 3*ser, 3},
+		{0, 67192 + ser, nil}, {1, 67192 + ser, 1}, {0, 67192 + ser, nil},
+	}
+	eager, heads := run(false)
+	evented, arrivals := run(true)
+	if !reflect.DeepEqual(eager, want) || !reflect.DeepEqual(evented, want) {
+		t.Errorf("delivered %v booked at launch, %v booked at arrival; want %v", eager, evented, want)
+	}
+	if heads != 1 || arrivals != 4 {
+		t.Errorf("%d events pending for 4 booked frames, %d for 4 in flight to a named port; want 1 and 4", heads, arrivals)
 	}
 }
