@@ -1,13 +1,18 @@
 package bench
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
+	"ncache/internal/fault"
+	"ncache/internal/metrics"
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/passthru"
 	"ncache/internal/sim"
+	"ncache/internal/simnet"
+	"ncache/internal/trace"
 	"ncache/internal/workload"
 )
 
@@ -49,10 +54,11 @@ func hotReadRig(t *testing.T, mode passthru.Mode) (*passthru.Cluster, func(i int
 // NCache READ — request, cache walk, substitution, 23 reply frames across the
 // switch, reassembly, delivery — allocates nothing in the tree: the 2 objects
 // the gate reads are this test's own completion closure and the variable it
-// captures. The budget is 3 objects per READ. Its events are gated too: one
-// per frame (the egress downlink's completion, which delivers it) and one
-// upcall per datagram, none for a departure, an arrival at the switch or CPU
-// time nothing waits on, make 30 per READ.
+// captures. The budget is 3 objects per READ. Its events are gated too: per
+// datagram, the egress downlink's completion of its last frame, which
+// delivers it, and one upcall, none for a departure, an arrival at the
+// switch, CPU time nothing waits on or a fragment ahead of the last (quiet),
+// make 8 per READ.
 func TestHotReadAllocBudget(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -82,7 +88,100 @@ func TestHotReadAllocBudget(t *testing.T) {
 }
 
 // hotReadEvents is the measured events per all-hit 32 KB READ.
-const hotReadEvents = 30
+const hotReadEvents = 8
+
+// TestHotReadQuietMatchesPerFrameEvents: the all-hit 32 KB READ loop, four
+// READs from each client at a time, runs the same with quiet fragments as
+// with a rate-0 frame-drop schedule that names every site, so that every
+// frame departs, reaches the egress and is delivered in an event of its own:
+// each READ completes at the same instant in its own span, which books the
+// same time to every layer, and every node ends with the same CPU busy time
+// and wire counters. The per-frame run spends a departure and an arrival
+// event per frame at its named sites and a delivery per non-final fragment,
+// 22 per reply.
+func TestHotReadQuietMatchesPerFrameEvents(t *testing.T) {
+	type run struct {
+		done           []sim.Time
+		summary        *trace.Summary
+		busy           []sim.Duration
+		net            []metrics.Net
+		events, frames uint64
+	}
+	const rounds, perClient, req = 4, 4, 32 * 1024
+	observe := func(forced bool) run {
+		cl, load, err := testHarness(t, Options{}).hitRig(passthru.ClusterConfig{Mode: passthru.NCache, ServerNICs: 2}, 32, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if forced {
+			in := fault.New(cl.Eng, 1)
+			in.Add(fault.Schedule{Class: fault.FrameDrop, Target: "*", Rate: 0})
+			cl.Net.SetFaults(in)
+			in.Arm()
+		}
+		var nodes []*simnet.Node
+		for _, app := range cl.Apps {
+			nodes = append(nodes, app.Node)
+		}
+		for _, h := range cl.Clients {
+			nodes = append(nodes, h.Node)
+		}
+		for _, ss := range cl.Storages {
+			nodes = append(nodes, ss.Node)
+		}
+		frames := func() (n uint64) {
+			for _, nd := range nodes {
+				n += nd.NetTotals().PacketsTx
+			}
+			return n
+		}
+		tr := trace.NewTracer(cl.Eng, "hit")
+		var x run
+		e0, f0 := cl.Eng.Processed(), frames()
+		for r := 0; r < rounds; r++ {
+			for c, h := range cl.Clients {
+				for k := 0; k < perClient; k++ {
+					i := (r*len(cl.Clients)+c)*perClient + k
+					span := tr.Begin("read")
+					off := uint64(i) % (load.FileSize / req) * req
+					h.NFS.Read(load.FH, off, req, func(data *netbuf.Chain, _ nfs.Attr, err error) {
+						if err != nil || data.Len() != req || cl.Eng.Context() != span {
+							t.Errorf("READ %d: %v, %d bytes, in context %v", i, err, data.Len(), cl.Eng.Context())
+						}
+						data.Release()
+						x.done = append(x.done, cl.Eng.Now())
+						span.Finish()
+					})
+				}
+			}
+			cl.Eng.SetContext(nil)
+			if err := cl.Eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x.summary, x.events, x.frames = tr.Summary(), cl.Eng.Processed()-e0, frames()-f0
+		for _, nd := range nodes {
+			x.busy, x.net = append(x.busy, nd.CPU.Busy()), append(x.net, nd.NetTotals())
+		}
+		return x
+	}
+	quiet, forced := observe(false), observe(true)
+	reads := uint64(len(quiet.done))
+	if reads == 0 || !reflect.DeepEqual(quiet.done, forced.done) {
+		t.Errorf("READs completed at %v quiet, %v per frame", quiet.done, forced.done)
+	}
+	if !reflect.DeepEqual(quiet.summary, forced.summary) {
+		t.Errorf("spans quiet %+v, per frame %+v", quiet.summary, forced.summary)
+	}
+	if !reflect.DeepEqual(quiet.busy, forced.busy) || !reflect.DeepEqual(quiet.net, forced.net) {
+		t.Errorf("CPU busy %v and wire counters %v quiet, %v and %v per frame", quiet.busy, quiet.net, forced.busy, forced.net)
+	}
+	t.Logf("%d READs, %d frames: %d events quiet, %d per frame", reads, quiet.frames, quiet.events, forced.events)
+	if quiet.frames != forced.frames || forced.events-quiet.events != 2*quiet.frames+22*reads {
+		t.Errorf("%d events quiet, %d per frame, for %d frames; want %d more", quiet.events, forced.events,
+			quiet.frames, 2*quiet.frames+22*reads)
+	}
+}
 
 // TestSFSMixAllocBudget is the same gate for the metadata-heavy path: the
 // Fig. 7 mix at 30 % regular data on a small rig — GETATTR, LOOKUP, READDIR

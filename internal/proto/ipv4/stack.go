@@ -27,6 +27,8 @@ type Stack struct {
 	reasm    map[flowKey]*reassembly
 	// free is the free list of reassembly records (see reassembly).
 	free netbuf.FreeList[*reassembly]
+	// train holds the fragment frames of the datagram being sent.
+	train []*netbuf.Chain
 
 	// ReasmErrors counts fragments that could not be reassembled
 	// (out-of-order, stale, duplicate or inconsistent); the lossless fabric
@@ -58,7 +60,8 @@ type flowKey struct {
 // and retires on each of the three ways a reassembly ends: completed, evicted,
 // expired. The first two Cancel the timer, and Engine.Cancel removes the
 // event, so an expiry armed for one datagram cannot fire on the record's next;
-// expire checks that the record still holds its flow all the same.
+// expire checks that the record still holds its flow all the same. A quiet
+// datagram arms no timer: its last fragment is sure to come.
 type reassembly struct {
 	netbuf.Recycled
 	s       *Stack
@@ -70,16 +73,19 @@ type reassembly struct {
 	expire  func()
 }
 
-// reassemble starts a record for the datagram id on flow key and arms its
-// timeout from at, when the head fragment's receive CPU time ends.
-func (s *Stack) reassemble(key flowKey, id uint16, at sim.Time) *reassembly {
+// reassemble starts a record for the datagram id on flow key and, unless the
+// head fragment came quiet, arms its timeout from at, when the fragment's
+// receive CPU time ends.
+func (s *Stack) reassemble(key flowKey, id uint16, at sim.Time, quiet bool) *reassembly {
 	r := s.free.Take()
 	if r == nil {
 		r = &reassembly{s: s}
 		r.expire = r.expired
 	}
 	r.key, r.id, r.chain = key, id, netbuf.NewChain()
-	r.expiry = s.node.Eng.At(at.Add(ReasmTimeout), r.expire)
+	if !quiet {
+		r.expiry = s.node.Eng.At(at.Add(ReasmTimeout), r.expire)
+	}
 	s.reasm[key] = r
 	return r
 }
@@ -126,12 +132,13 @@ func (s *Stack) AttachNIC(nic *simnet.NIC) {
 	nic.SetRxHandler(s.rx)
 }
 
-// rx takes in one delivered frame. It reserves the per-packet receive cost
-// (interrupt + driver + demux) on the CPU, and parses and reassembles the
-// frame at once, in delivery order: only the frame that completes a
-// datagram posts an event, the upcall, for when its CPU time ends.
-func (s *Stack) rx(frame *netbuf.Chain) {
-	s.receive(frame, s.node.CPU.Use(s.node.Cost.PktRxNs, nil))
+// rx takes in one frame delivered at the instant at. It reserves the
+// per-packet receive cost (interrupt + driver + demux) on the CPU from then,
+// and parses and reassembles the frame at once, in delivery order: only the
+// frame that completes a datagram posts an event, the upcall, for when its
+// CPU time ends.
+func (s *Stack) rx(frame *netbuf.Chain, at sim.Time, quiet bool) {
+	s.receive(frame, s.node.CPU.UseFrom(at, s.node.Cost.PktRxNs), quiet)
 }
 
 // Node returns the owning node.
@@ -145,7 +152,9 @@ func (s *Stack) Register(proto uint8, h Handler) {
 // Send transmits payload as one IP datagram from the local address src to
 // dst, fragmenting as needed. The stack takes ownership of the payload
 // chain's references. Fragmentation copies windows onto the payload's
-// buffers — payload bytes are never copied on this path.
+// buffers — payload bytes are never copied on this path. The fragments are
+// framed first and charged to the NIC as one train, so all but the last
+// can cross the switch quiet (see simnet.NIC.ChargeSendTrain).
 func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) error {
 	nic, ok := s.nics[src]
 	if !ok {
@@ -157,7 +166,7 @@ func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) erro
 	maxFrag := (nic.MTU - HeaderLen) &^ 7 // fragment payload, multiple of 8
 
 	if total <= nic.MTU-HeaderLen {
-		return s.sendFragment(nic, Header{
+		frame, err := s.frame(Header{
 			TotalLen: uint16(HeaderLen + total),
 			ID:       id,
 			TTL:      64,
@@ -165,8 +174,14 @@ func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) erro
 			Src:      src,
 			Dst:      dst,
 		}, payload)
+		if err != nil {
+			return err
+		}
+		nic.ChargeSend(s.node.Cost.PktTxNs, frame)
+		return nil
 	}
 
+	train := s.train[:0]
 	for off := 0; off < total; off += maxFrag {
 		n := maxFrag
 		more := true
@@ -175,51 +190,59 @@ func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) erro
 			more = false
 		}
 		fragPayload, err := payload.SubChain(off, n)
+		var frame *netbuf.Chain
+		if err == nil {
+			frame, err = s.frame(Header{
+				TotalLen:   uint16(HeaderLen + n),
+				ID:         id,
+				MoreFrags:  more,
+				FragOffset: uint16(off),
+				TTL:        64,
+				Proto:      proto,
+				Src:        src,
+				Dst:        dst,
+			}, fragPayload)
+		}
 		if err != nil {
+			for _, f := range train {
+				f.Release()
+			}
+			clear(train)
 			payload.Release()
 			return fmt.Errorf("ipv4 fragment: %w", err)
 		}
-		hdr := Header{
-			TotalLen:   uint16(HeaderLen + n),
-			ID:         id,
-			MoreFrags:  more,
-			FragOffset: uint16(off),
-			TTL:        64,
-			Proto:      proto,
-			Src:        src,
-			Dst:        dst,
-		}
-		if err := s.sendFragment(nic, hdr, fragPayload); err != nil {
-			payload.Release()
-			return err
-		}
+		train = append(train, frame)
 	}
 	// The fragments hold their own references now.
 	payload.Release()
+	nic.ChargeSendTrain(s.node.Cost.PktTxNs, train)
+	clear(train)
+	s.train = train[:0]
 	return nil
 }
 
-// sendFragment prepends headers into a dedicated header buffer (never into
-// shared payload buffers — fragments may alias one another's backing), then
-// charges per-packet CPU and hands the frame to the NIC.
-func (s *Stack) sendFragment(nic *simnet.NIC, hdr Header, payload *netbuf.Chain) error {
+// frame prepends headers into a dedicated header buffer (never into shared
+// payload buffers — fragments may alias one another's backing). On error the
+// frame is released.
+func (s *Stack) frame(hdr Header, payload *netbuf.Chain) (*netbuf.Chain, error) {
 	frame := netbuf.NewChainCap(1 + payload.NumBufs())
 	frame.Append(s.node.TxPool.Get())
 	frame.AppendChain(payload)
 	if err := hdr.Push(frame); err != nil {
-		return err
+		frame.Release()
+		return nil, err
 	}
 	ehdr := eth.Header{Dst: hdr.Dst, Src: hdr.Src, Type: eth.TypeIPv4}
 	if err := ehdr.Push(frame); err != nil {
-		return err
+		frame.Release()
+		return nil, err
 	}
-	nic.ChargeSend(s.node.Cost.PktTxNs, frame)
-	return nil
+	return frame, nil
 }
 
 // receive parses one frame and either delivers or reassembles it; at is
 // when its receive CPU time ends.
-func (s *Stack) receive(frame *netbuf.Chain, at sim.Time) {
+func (s *Stack) receive(frame *netbuf.Chain, at sim.Time, quiet bool) {
 	if _, err := eth.Parse(frame); err != nil {
 		s.ReasmErrors++
 		frame.Release()
@@ -259,7 +282,7 @@ func (s *Stack) receive(frame *netbuf.Chain, at sim.Time) {
 			frame.Release()
 			return
 		}
-		r = s.reassemble(key, hdr.ID, at)
+		r = s.reassemble(key, hdr.ID, at, quiet)
 	}
 	if hdr.FragOffset < r.nextOff {
 		// A duplicate of a fragment already held: drop the copy alone.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ncache/internal/fault"
 	"ncache/internal/netbuf"
 	"ncache/internal/proto/eth"
 	"ncache/internal/sim"
@@ -12,6 +13,13 @@ import (
 )
 
 func stackPair(t *testing.T) (*sim.Engine, *Stack, *Stack) {
+	t.Helper()
+	eng, _, sa, sb := stackNet(t)
+	return eng, sa, sb
+}
+
+// stackNet is stackPair with the switch.
+func stackNet(t *testing.T) (*sim.Engine, *simnet.Network, *Stack, *Stack) {
 	t.Helper()
 	eng := sim.NewEngine()
 	nw := simnet.NewNetwork(eng, 2*sim.Microsecond)
@@ -23,7 +31,7 @@ func stackPair(t *testing.T) (*sim.Engine, *Stack, *Stack) {
 	if _, err := nw.Attach(b, 2, simnet.Gbps); err != nil {
 		t.Fatal(err)
 	}
-	return eng, NewStack(a), NewStack(b)
+	return eng, nw, NewStack(a), NewStack(b)
 }
 
 func TestStackSmallDatagram(t *testing.T) {
@@ -186,9 +194,11 @@ func TestStackReassemblyRecordRecycled(t *testing.T) {
 	head := func(id uint16) {
 		payload := sa.Node().TxPool.GetChain(body[:1480])
 		hdr := Header{TotalLen: HeaderLen + 1480, ID: id, MoreFrags: true, TTL: 64, Proto: 99, Src: 1, Dst: 2}
-		if err := sa.sendFragment(sa.nics[1], hdr, payload); err != nil {
+		frame, err := sa.frame(hdr, payload)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sa.nics[1].ChargeSend(sa.node.Cost.PktTxNs, frame)
 	}
 	const recycles = 1000
 	for i := 0; i < recycles; i++ {
@@ -260,32 +270,47 @@ func TestStackReassemblyRecordRecycled(t *testing.T) {
 }
 
 // TestStackDatagramEventBudget pins the receive side's events: a datagram
-// of n fragments costs n + 1 — each fragment's delivery when the egress
-// downlink finishes it, and one upcall — since the sender's CPU time, every
-// fragment's arrival at the switch and every fragment's receive CPU time are
-// reserved without an event. The upcall
-// fires when the last fragment's receive CPU time ends, at the instants
-// pinned from the version that spent an event on each.
+// costs 2 however many fragments it has — the egress downlink's completion
+// of its last fragment, and one upcall — since the sender's CPU time, every
+// fragment's arrival at the switch, every fragment's receive CPU time and
+// every fragment ahead of the last (quiet) are reserved without an event.
+// A rate-0 schedule naming the sender's NIC keeps the per-frame path: n + 1
+// for n fragments, one delivery each and the upcall, plus a departure per
+// frame at the named site. The upcall fires when the last fragment's receive
+// CPU time ends, at the instants pinned from the version that spent an
+// event on each.
 func TestStackDatagramEventBudget(t *testing.T) {
 	for _, c := range []struct {
 		size, frags int
 		upcall      sim.Time
 	}{{1000, 1, 28396}, {4000, 3, 57132}, {20000, 14, 190060}} {
-		eng, sa, sb := stackPair(t)
-		var at sim.Time
-		sb.Register(99, func(_, _ eth.Addr, payload *netbuf.Chain) {
-			at = eng.Now()
-			payload.Release()
-		})
-		if err := sa.Send(1, 2, 99, netbuf.ChainFromBytes(make([]byte, c.size), netbuf.DefaultBufSize)); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if want := uint64(c.frags + 1); eng.Processed() != want || at != c.upcall {
-			t.Errorf("%d-byte datagram: upcall at %d after %d events, want %d after %d",
-				c.size, at, eng.Processed(), c.upcall, want)
+		for _, named := range []bool{false, true} {
+			eng, nw, sa, sb := stackNet(t)
+			if named {
+				in := fault.New(eng, 1)
+				in.Add(fault.Schedule{Class: fault.FrameDrop, Target: "a.tx", Rate: 0})
+				nw.SetFaults(in)
+				in.Arm()
+			}
+			var at sim.Time
+			sb.Register(99, func(_, _ eth.Addr, payload *netbuf.Chain) {
+				at = eng.Now()
+				payload.Release()
+			})
+			if err := sa.Send(1, 2, 99, netbuf.ChainFromBytes(make([]byte, c.size), netbuf.DefaultBufSize)); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(2)
+			if named {
+				want = uint64(c.frags+1) + uint64(c.frags)
+			}
+			if eng.Processed() != want || at != c.upcall {
+				t.Errorf("%d-byte datagram, named %v: upcall at %d after %d events, want %d after %d",
+					c.size, named, at, eng.Processed(), c.upcall, want)
+			}
 		}
 	}
 }
@@ -332,7 +357,7 @@ func TestStackStaleAndDuplicateFragmentsDroppedAlone(t *testing.T) {
 		})
 		const size = 4000
 		for _, f := range c.order {
-			sb.rx(fragment(t, uint16(f.d), size, (f.f-1)*1480))
+			sb.rx(fragment(t, uint16(f.d), size, (f.f-1)*1480), eng.Now(), false)
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)

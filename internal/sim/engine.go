@@ -57,13 +57,11 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // the object returns to the engine's free list and its generation counter
 // advances, so a stale EventID can never cancel the object's next tenant.
 type event struct {
-	at     Time
-	posted Time   // first tiebreaker at the same instant (see Key)
-	seq    uint64 // then FIFO among events posted at the same instant
-	fn     func()
-	ctx    any    // request context captured at scheduling time
-	idx    int    // heap index, -1 once popped or canceled
-	gen    uint64 // incarnation counter, bumped on every recycle
+	Key // due instant, then the instant posted, then FIFO (see Key)
+	fn  func()
+	ctx any    // request context captured at scheduling time
+	idx int    // heap index, -1 once popped or canceled
+	gen uint64 // incarnation counter, bumped on every recycle
 	// h, when set, runs instead of fn with the arguments Post carried, so a
 	// post needs no closure either.
 	h    Handler
@@ -93,6 +91,9 @@ type Engine struct {
 	free   []*event // recycled event objects
 	// processed counts events executed.
 	processed uint64
+	// running is the key of the event executing, if firing.
+	running Key
+	firing  bool
 	// cur is the request context of the event currently executing. Every
 	// event scheduled while it runs inherits it, so a context set once at
 	// request issue propagates across the whole causal chain of events —
@@ -161,7 +162,8 @@ func (e *Engine) post(k Key, ctx any) EventID {
 	} else {
 		ev = &event{}
 	}
-	ev.at, ev.posted, ev.seq = max(k.At, e.now), k.Posted, k.Seq
+	ev.Key = k
+	ev.At = max(k.At, e.now)
 	ev.ctx = ctx
 	e.push(ev)
 	return EventID{ev: ev, gen: ev.gen}
@@ -174,6 +176,26 @@ func (e *Engine) post(k Key, ctx any) EventID {
 type Key struct {
 	At, Posted Time
 	Seq        uint64
+}
+
+// Before reports whether k sorts ahead of l.
+func (k Key) Before(l Key) bool {
+	if k.At != l.At {
+		return k.At < l.At
+	}
+	if k.Posted != l.Posted {
+		return k.Posted < l.Posted
+	}
+	return k.Seq < l.Seq
+}
+
+// Running returns the key of the event executing. Outside one it is a key
+// after every event due by now: all of them have run.
+func (e *Engine) Running() Key {
+	if e.firing {
+		return e.running
+	}
+	return Key{At: e.now, Posted: MaxTime, Seq: math.MaxUint64}
 }
 
 // Reserve takes the next sequence number, for a keyed post made later.
@@ -277,15 +299,7 @@ func (e *Engine) removeAt(i int) {
 }
 
 // before reports whether x fires ahead of y.
-func (x *event) before(y *event) bool {
-	if x.at != y.at {
-		return x.at < y.at
-	}
-	if x.posted != y.posted {
-		return x.posted < y.posted
-	}
-	return x.seq < y.seq
-}
+func (x *event) before(y *event) bool { return x.Key.Before(y.Key) }
 
 // siftUp moves the event at index i toward the root until ordered.
 func (e *Engine) siftUp(i int) {
@@ -339,15 +353,17 @@ func (e *Engine) step(until Time) bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	if e.events[0].at > until {
+	if e.events[0].At > until {
 		// Advance the clock to the horizon without firing the event.
 		e.now = until
 		return false
 	}
 	popped := e.pop()
-	e.now = popped.at
+	e.now = popped.At
 	e.processed++
+	e.running, e.firing = popped.Key, true
 	e.fire(popped)
+	e.firing = false
 	return true
 }
 

@@ -24,6 +24,8 @@ type Resource struct {
 	busy Duration
 	// statsSince is when stats collection (re)started.
 	statsSince Time
+	// handOver runs before the resource is used or read (see SetHandOver).
+	handOver func()
 }
 
 // aheadCap sizes a resource's first list of jobs booked ahead: a NIC's
@@ -39,6 +41,19 @@ type booking struct {
 // NewResource returns a resource attached to the engine.
 func NewResource(eng *Engine) *Resource {
 	return &Resource{eng: eng, statsSince: eng.Now()}
+}
+
+// SetHandOver installs fn to run first in UseFrom, Use, Busy, Utilization
+// and ResetStats: a model that holds work due on this resource it has yet
+// to enqueue (simnet's quiet frames) enqueues it there, in order, ahead of
+// the caller's. fn guards itself against the calls it makes.
+func (r *Resource) SetHandOver(fn func()) { r.handOver = fn }
+
+// settle runs the hand-over hook, if any.
+func (r *Resource) settle() {
+	if r.handOver != nil {
+		r.handOver()
+	}
 }
 
 // Use enqueues a job needing d of service time and returns the instant it
@@ -63,6 +78,7 @@ func (r *Resource) Use(d Duration, done func()) Time {
 // booked ahead counts in the statistics from its earliest start, as if it
 // had been enqueued then.
 func (r *Resource) UseFrom(earliest Time, d Duration) Time {
+	r.settle()
 	if d < 0 {
 		d = 0
 	}
@@ -108,6 +124,7 @@ func (r *Resource) catchUp() {
 // Work already admitted counts in full, mirroring how the paper's saturated
 // CPUs report 100% utilization while a backlog exists.
 func (r *Resource) Busy() Duration {
+	r.settle()
 	r.catchUp()
 	return r.busy - r.aheadD
 }
@@ -131,6 +148,7 @@ func (r *Resource) Utilization() float64 {
 // Experiments call this after warm-up so reported utilization reflects only
 // the steady-state window.
 func (r *Resource) ResetStats() {
+	r.settle()
 	r.catchUp()
 	r.statsSince = r.eng.Now()
 	// Busy time for in-flight work past this instant is intentionally

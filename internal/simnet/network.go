@@ -36,35 +36,44 @@ type Network struct {
 // port is the switch side of one attachment: the downlink toward the NIC,
 // with the link's one-way latency (the switch default unless the attachment
 // asked for a slower link). The downlink serves the frames booked for it
-// one at a time, by arrival at the egress, then launch order. Only the
-// first has an event in the engine, due when its serialization ends.
+// one at a time, by arrival at the egress, then launch order. A quiet frame
+// holds no event: only the first frame that is not quiet has one, due when
+// its serialization ends, and the quiet frames ahead of it are handed to the
+// NIC when it fires, or before, when their node needs them (Node.handOver).
 type port struct {
 	nic *NIC
 	bw  Bandwidth
 	lat sim.Duration
-	// q is a binary min-heap of the booked frames; ev is q[0]'s event. A
-	// heap, not a list: a frame from an idle uplink can arrive ahead of
-	// hundreds booked from uplinks whose CPUs are backlogged.
-	q  []booked
-	ev sim.EventID
+	// q[h:] orders the booked frames, as indices into recs (spare lists
+	// the free slots): a list, so that the frames ahead of each are known;
+	// of indices, so that a frame from an idle uplink, which lands ahead
+	// of hundreds booked from backlogged ones, moves 4 bytes of each. The
+	// first timed have their departures (key.At) worked out from free.
+	// The first loud are quiet, and ev is the event of the one behind them.
+	q     []int32
+	h     int
+	recs  []booked
+	spare []int32
+	timed int
+	loud  int
+	ev    sim.EventID
 	// free is when the downlink finished its last frame.
 	free sim.Time
 }
 
 // booked is a frame queued for a downlink. Its key is that of the delivery
 // an event at its arrival would have posted: Posted is the arrival and Seq
-// was reserved when the frame was booked; At is set when it heads the queue.
+// was reserved when the frame launched; At is its departure, once timed.
 type booked struct {
 	frame   *netbuf.Chain
 	ctx     any // request context of the booking event
 	key     sim.Key
+	ser     sim.Duration // serialization on the downlink
 	delay   sim.Duration // injected at the downlink, after serialization
 	corrupt bool
-}
-
-// before reports whether b leaves the downlink ahead of c.
-func (b *booked) before(c *booked) bool {
-	return b.key.Posted < c.key.Posted || b.key.Posted == c.key.Posted && b.key.Seq < c.key.Seq
+	// quiet: a later frame on this downlink completes the frame's datagram,
+	// so nothing waits on its delivery but its node (see NIC.ChargeSendTrain).
+	quiet bool
 }
 
 // NewNetwork returns an empty switch with the given one-way port latency.
@@ -119,7 +128,8 @@ func (nw *Network) AttachAt(node *Node, addr eth.Addr, bw Bandwidth, latency sim
 		txSite:          node.Name + ".tx",
 		rxSite:          node.Name + ".rx",
 	}
-	nw.ports[addr] = &port{nic: nic, bw: bw, lat: latency}
+	nic.port = &port{nic: nic, bw: bw, lat: latency}
+	nw.ports[addr] = nic.port
 	node.nics = append(node.nics, nic)
 	return nic, nil
 }
@@ -171,63 +181,121 @@ func (nw *Network) arrive(p *port, frame *netbuf.Chain, corrupt bool) {
 		frame.Release()
 		return
 	}
-	now := nw.eng.Now()
-	nw.book(p, frame, now, d.Delay, corrupt || d.Corrupt)
+	b := booked{frame: frame, ctx: nw.eng.Context(), key: sim.Key{Posted: nw.eng.Now(), Seq: nw.eng.Reserve()},
+		ser: p.bw.serialization(frame.Len() + FrameOverheadBytes), delay: d.Delay, corrupt: corrupt || d.Corrupt}
+	nw.book(p, b)
 	if d.Dup {
 		// Injected duplicate at the downlink: a by-reference copy clocked
 		// after the original.
 		nw.faultDuped++
-		nw.book(p, frame.Clone(), now, 0, corrupt || d.Corrupt)
+		b.frame, b.delay, b.key.Seq = frame.Clone(), 0, nw.eng.Reserve()
+		nw.book(p, b)
 	}
 }
 
-// book queues a frame that reaches p's egress at instant at. It is the only
-// way onto a downlink, and the sequence number it reserves is the newest, so
-// equal arrivals leave in launch order. A frame that lands first takes over
-// the port's one event.
-func (nw *Network) book(p *port, frame *netbuf.Chain, at sim.Time, delay sim.Duration, corrupt bool) {
-	ctx := nw.eng.Context()
-	p.q = append(p.q, booked{frame, ctx, sim.Key{Posted: at, Seq: nw.eng.Reserve()}, delay, corrupt})
-	q, i := p.q, len(p.q)-1
-	for ; i > 0 && q[i].before(&q[(i-1)/2]); i = (i - 1) / 2 {
-		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+// book queues a frame on p's downlink. It is the only way onto one, and a
+// frame's sequence number, reserved when it reached the egress or launched
+// toward it, is the newest, so equal arrivals leave in launch order. The
+// frame that holds the port's event is re-keyed when a frame lands ahead of
+// it, and replaced by one that needs an event.
+func (nw *Network) book(p *port, b booked) {
+	var r int32
+	if n := len(p.spare); n > 0 {
+		r, p.spare = p.spare[n-1], p.spare[:n-1]
+		p.recs[r] = b
+	} else {
+		r = int32(len(p.recs))
+		p.recs = append(p.recs, b)
 	}
-	if i == 0 {
-		nw.eng.Cancel(p.ev)
-		p.ev = nw.eng.PostKeyed(p.due(), ctx, nw.onDepart, p, nil, 0)
+	if len(p.q) == cap(p.q) && p.h > 0 {
+		p.q, p.h = p.q[:copy(p.q, p.q[p.h:])], 0
 	}
+	// The frame goes behind every frame arriving no later: usually last.
+	q := p.q[p.h:]
+	lo, i := 0, len(q)
+	for lo < i && p.recs[q[i-1]].key.Posted > b.key.Posted {
+		if m := (lo + i) / 2; p.recs[q[m]].key.Posted > b.key.Posted {
+			i = m
+		} else {
+			lo = m + 1
+		}
+	}
+	p.q = append(p.q, 0)
+	copy(p.q[p.h+i+1:], p.q[p.h+i:])
+	p.q[p.h+i] = r
+	p.timed = min(p.timed, i)
+	if b.quiet {
+		p.nic.node.quiet++
+	}
+	switch {
+	case i > p.loud:
+		return
+	case b.quiet:
+		p.loud++
+		if p.h+p.loud == len(p.q) {
+			return
+		}
+	default:
+		p.loud = i
+	}
+	nw.eng.Cancel(p.ev)
+	p.ev = nw.eng.PostKeyed(p.key(p.loud), p.at(p.loud).ctx, nw.onDepart, p, nil, 0)
 }
 
-// due keys the first frame's event: its serialization starts at its arrival
-// or when the downlink frees, whichever is later.
-func (p *port) due() sim.Key {
-	b := &p.q[0]
-	b.key.At = max(b.key.Posted, p.free).Add(p.bw.serialization(b.frame.Len() + FrameOverheadBytes))
-	return b.key
+// at returns the i-th frame booked.
+func (p *port) at(i int) *booked { return &p.recs[p.q[p.h+i]] }
+
+// key times the frames up to the i-th and returns its key: each frame's
+// serialization starts at its arrival or when the frame ahead departs,
+// whichever is later.
+func (p *port) key(i int) sim.Key {
+	for ; p.timed <= i; p.timed++ {
+		prev := p.free
+		if p.timed > 0 {
+			prev = p.at(p.timed - 1).key.At
+		}
+		b := p.at(p.timed)
+		b.key.At = max(b.key.Posted, prev).Add(b.ser)
+	}
+	return p.at(i).key
 }
 
-// depart runs when the first frame's serialization ends: the next frame
-// takes the port's event, and the first is delivered, after any injected
-// delay.
+// pop takes the first frame off the downlink, as departed.
+func (p *port) pop() booked {
+	r := p.q[p.h]
+	b := p.recs[r]
+	p.recs[r] = booked{}
+	p.spare = append(p.spare, r)
+	p.h++
+	if p.h == len(p.q) {
+		p.q, p.h = p.q[:0], 0
+	}
+	p.timed = max(p.timed-1, 0)
+	p.free = b.key.At
+	return b
+}
+
+// handHead hands the first frame, a quiet one, to the NIC.
+func (p *port) handHead() {
+	p.key(0)
+	b := p.pop()
+	p.loud--
+	p.nic.node.quiet--
+	p.nic.receive(b.frame, b.key.At, true)
+}
+
+// depart runs when the first frame that is not quiet departs: the quiet
+// frames ahead of it are handed over, the next frame that needs an event
+// takes the port's, and the frame is delivered, after any injected delay.
 func (nw *Network) depart(p *port) {
-	q, n := p.q, len(p.q)-1
-	b := q[0]
-	q[0], q[n] = q[n], booked{}
-	q = q[:n]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c+1 < n && q[c+1].before(&q[c]) {
-			c++
-		}
-		if c >= n || !q[c].before(&q[i]) {
-			break
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
+	p.nic.node.handOver()
+	b := p.pop()
+	p.loud = 0
+	for p.h+p.loud < len(p.q) && p.at(p.loud).quiet {
+		p.loud++
 	}
-	p.q, p.free = q, nw.eng.Now()
-	if n > 0 {
-		p.ev = nw.eng.PostKeyed(p.due(), q[0].ctx, nw.onDepart, p, nil, 0)
+	if p.h+p.loud < len(p.q) {
+		p.ev = nw.eng.PostKeyed(p.key(p.loud), p.at(p.loud).ctx, nw.onDepart, p, nil, 0)
 	}
 	if b.delay > 0 {
 		b.key.At = p.free.Add(b.delay)

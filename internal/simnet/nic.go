@@ -31,9 +31,12 @@ func (bw Bandwidth) serialization(n int) sim.Duration {
 // beyond the bytes carried in the chain.
 const FrameOverheadBytes = 24
 
-// RxHandler receives frames delivered to a NIC. It runs in event context;
-// implementations charge their own CPU costs.
-type RxHandler func(frame *netbuf.Chain)
+// RxHandler receives frames delivered to a NIC at the instant at. A frame is
+// delivered in an event at its instant, or handed over quiet: later, but
+// ahead of anything its node does after that instant (Node.handOver), and
+// with a later frame of its datagram certain to be delivered on this NIC.
+// Implementations charge their own CPU costs, from at.
+type RxHandler func(frame *netbuf.Chain, at sim.Time, quiet bool)
 
 // NIC is a network interface: an address, a transmit serializer at the
 // link's bandwidth and checksum-offload capability.
@@ -47,6 +50,7 @@ type NIC struct {
 
 	node    *Node
 	net     *Network
+	port    *port // the switch side of the link
 	tx      *sim.Resource
 	rx      RxHandler
 	bw      Bandwidth
@@ -54,6 +58,15 @@ type NIC struct {
 	// txSite / rxSite name this NIC's fault-injection sites ("<node>.tx",
 	// "<node>.rx"), built once at attach instead of per frame.
 	txSite, rxSite string
+	// held collects a train's bookings while holding (ChargeSendTrain).
+	held    []hold
+	holding bool
+}
+
+// hold is a booking a train defers until all of its frames have launched.
+type hold struct {
+	p *port
+	b booked
 }
 
 // SetRxHandler installs the function invoked for each delivered frame.
@@ -65,6 +78,7 @@ func (n *NIC) TxUtilization() float64 { return n.tx.Utilization() }
 
 // ResetStats zeroes wire counters and the transmit serializer's window.
 func (n *NIC) ResetStats() {
+	n.node.handOver()
 	n.Stats = metrics.Net{}
 	n.tx.ResetStats()
 }
@@ -124,7 +138,14 @@ func (n *NIC) launch(p *port, frame *netbuf.Chain, wire int, at sim.Time, delay 
 	if p != nil {
 		arrive = arrive.Add(p.lat)
 		if !n.net.faults.DrawsFrames(p.nic.rxSite) {
-			n.net.book(p, frame, arrive, 0, corrupt)
+			eng := n.node.Eng
+			b := booked{frame: frame, ctx: eng.Context(), key: sim.Key{Posted: arrive, Seq: eng.Reserve()},
+				ser: p.bw.serialization(wire), corrupt: corrupt}
+			if n.holding {
+				n.held = append(n.held, hold{p, b})
+				return
+			}
+			n.net.book(p, b)
 			return
 		}
 	}
@@ -150,6 +171,31 @@ func (n *NIC) ChargeSend(d sim.Duration, frame *netbuf.Chain) {
 	}
 }
 
+// ChargeSendTrain is ChargeSend for each frame of one datagram, in order,
+// all to one destination. Once every frame has launched onto a path no
+// frame-fault schedule names, all but the last are quiet: none holds an
+// event of its own, because the last, on the same downlink behind them,
+// completes the datagram. Their bookings wait until then, which changes
+// nothing: no event runs between a train's launches, and each frame's place
+// on the downlink was fixed when it launched.
+func (n *NIC) ChargeSendTrain(d sim.Duration, frames []*netbuf.Chain) {
+	n.holding = len(frames) > 1
+	for _, f := range frames {
+		n.ChargeSend(d, f)
+	}
+	if !n.holding {
+		return
+	}
+	n.holding = false
+	quiet := len(n.held) == len(frames)
+	for i, h := range n.held {
+		h.b.quiet = quiet && i < len(frames)-1
+		n.net.book(h.p, h.b)
+	}
+	clear(n.held)
+	n.held = n.held[:0]
+}
+
 // sendFrame departs a frame a fault schedule may strike.
 func sendFrame(nic, frame any, _ int64) {
 	f := frame.(*netbuf.Chain)
@@ -167,11 +213,16 @@ func (n *NIC) deliver(frame *netbuf.Chain, corrupt bool) {
 		frame.Release()
 		return
 	}
+	n.receive(frame, n.node.Eng.Now(), false)
+}
+
+// receive counts a frame delivered at the instant at and hands it on.
+func (n *NIC) receive(frame *netbuf.Chain, at sim.Time, quiet bool) {
 	n.Stats.PacketsRx++
 	n.Stats.BytesRx += uint64(frame.Len())
 	if n.rx == nil {
 		frame.Release()
 		return
 	}
-	n.rx(frame)
+	n.rx(frame, at, quiet)
 }

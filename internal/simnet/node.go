@@ -33,6 +33,10 @@ type Node struct {
 	Reqs   metrics.Requests
 
 	nics []*NIC
+	// quiet counts the quiet frames booked toward this node's NICs;
+	// handing is set while handOver runs, which the CPU it uses calls.
+	quiet   int
+	handing bool
 }
 
 // BlockBufSize is the payload capacity of BlkPool buffers, matching the
@@ -41,7 +45,7 @@ const BlockBufSize = 4096
 
 // NewNode creates a node with one CPU and unbounded default buffer pools.
 func NewNode(eng *sim.Engine, name string, cost CostProfile) *Node {
-	return &Node{
+	n := &Node{
 		Name:    name,
 		Eng:     eng,
 		CPU:     sim.NewResource(eng),
@@ -49,6 +53,38 @@ func NewNode(eng *sim.Engine, name string, cost CostProfile) *Node {
 		TxPool:  netbuf.NewPool(name+".tx", netbuf.DefaultHeadroom, netbuf.DefaultBufSize, 0),
 		BlkPool: netbuf.NewPool(name+".blk", netbuf.DefaultHeadroom, BlockBufSize, 0),
 	}
+	n.CPU.SetHandOver(n.handOver)
+	return n
+}
+
+// handOver hands the node's NICs every quiet frame whose delivery comes
+// ahead of the running event, in the order of their delivery keys across
+// the NICs, as the events that once delivered them would have. It runs
+// before the CPU is used or read and before the wire counters are, so no
+// one sees the node without them: a frame whose delivery has passed cannot
+// be overtaken, since a frame not yet booked reaches the egress after now.
+func (n *Node) handOver() {
+	if n.quiet == 0 || n.handing {
+		return
+	}
+	n.handing = true
+	bound := n.Eng.Running()
+	for {
+		var next *port
+		var k sim.Key
+		for _, nic := range n.nics {
+			if p := nic.port; p.loud > 0 {
+				if pk := p.key(0); next == nil || pk.Before(k) {
+					next, k = p, pk
+				}
+			}
+		}
+		if next == nil || !k.Before(bound) {
+			break
+		}
+		next.handHead()
+	}
+	n.handing = false
 }
 
 // NICs returns the node's attached interfaces.
@@ -69,6 +105,7 @@ func (n *Node) ChargeCopy(nbytes int, fn func()) {
 
 // NetTotals sums wire counters across all NICs.
 func (n *Node) NetTotals() metrics.Net {
+	n.handOver()
 	var t metrics.Net
 	for _, nic := range n.nics {
 		t.PacketsTx += nic.Stats.PacketsTx

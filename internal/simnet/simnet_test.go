@@ -41,7 +41,7 @@ func frameTo(t *testing.T, dst, src eth.Addr, payload []byte) *netbuf.Chain {
 func TestFrameDelivery(t *testing.T) {
 	eng, _, na, nb := testFabric(t)
 	var got []byte
-	nb.SetRxHandler(func(f *netbuf.Chain) {
+	nb.SetRxHandler(func(f *netbuf.Chain, _ sim.Time, _ bool) {
 		hdr, err := eth.Parse(f)
 		if err != nil {
 			t.Errorf("parse: %v", err)
@@ -70,7 +70,7 @@ func TestFrameDelivery(t *testing.T) {
 func TestDeliveryLatencyIncludesSerialization(t *testing.T) {
 	eng, _, na, nb := testFabric(t)
 	var at sim.Time
-	nb.SetRxHandler(func(f *netbuf.Chain) { at = eng.Now(); f.Release() })
+	nb.SetRxHandler(func(f *netbuf.Chain, _ sim.Time, _ bool) { at = eng.Now(); f.Release() })
 	payload := make([]byte, 1488) // 1488+12 hdr = 1500 on wire + 24 overhead
 	if err := na.Send(frameTo(t, 2, 1, payload)); err != nil {
 		t.Fatalf("Send: %v", err)
@@ -89,7 +89,7 @@ func TestDeliveryLatencyIncludesSerialization(t *testing.T) {
 func TestOrderingPreservedPerFlow(t *testing.T) {
 	eng, _, na, nb := testFabric(t)
 	var order []byte
-	nb.SetRxHandler(func(f *netbuf.Chain) {
+	nb.SetRxHandler(func(f *netbuf.Chain, _ sim.Time, _ bool) {
 		if _, err := eth.Parse(f); err != nil {
 			t.Errorf("parse: %v", err)
 		}
@@ -157,7 +157,7 @@ func TestMultiNICNode(t *testing.T) {
 	c1, _ := nw.Attach(client, 20, Gbps)
 	rx := map[eth.Addr]int{}
 	h := func(nicAddr eth.Addr) RxHandler {
-		return func(f *netbuf.Chain) { rx[nicAddr]++; f.Release() }
+		return func(f *netbuf.Chain, _ sim.Time, _ bool) { rx[nicAddr]++; f.Release() }
 	}
 	s1.SetRxHandler(h(10))
 	s2.SetRxHandler(h(11))
@@ -238,9 +238,11 @@ func TestEthHeaderRoundTrip(t *testing.T) {
 }
 
 // rxPost is a receive handler in the network layer's shape: it reserves the
-// frame's receive CPU time at delivery and posts fn(frame) for when it ends.
+// frame's receive CPU time from delivery and posts fn(frame) for when it ends.
 func rxPost(n *Node, fn sim.Handler) RxHandler {
-	return func(f *netbuf.Chain) { n.Eng.PostAt(n.CPU.Use(n.Cost.PktRxNs, nil), fn, f, nil, 0) }
+	return func(f *netbuf.Chain, at sim.Time, _ bool) {
+		n.Eng.PostAt(n.CPU.UseFrom(at, n.Cost.PktRxNs), fn, f, nil, 0)
+	}
 }
 
 // TestFrameHopAllocFree is the allocation gate for the per-frame path: one
@@ -322,7 +324,7 @@ func TestDeliveredBuffersStayOnSenderPool(t *testing.T) {
 	eng, _, na, nb := testFabric(t)
 	a, b := na.node, nb.node
 	var held *netbuf.Chain
-	nb.SetRxHandler(func(f *netbuf.Chain) { held = f })
+	nb.SetRxHandler(func(f *netbuf.Chain, _ sim.Time, _ bool) { held = f })
 	payload := make([]byte, 600)
 	frame := a.TxPool.GetChain(payload)
 	frame.AppendChain(a.BlkPool.GetChain(payload))
@@ -369,7 +371,7 @@ func TestFaultedFrameTimingRepeatsEachRound(t *testing.T) {
 	in.Arm()
 	var at []sim.Duration
 	var start sim.Time
-	nb.SetRxHandler(func(f *netbuf.Chain) { at = append(at, eng.Now().Sub(start)); f.Release() })
+	nb.SetRxHandler(func(f *netbuf.Chain, _ sim.Time, _ bool) { at = append(at, eng.Now().Sub(start)); f.Release() })
 	payload := make([]byte, 1488) // 1524 wire bytes: 12.192 µs per serializer
 	const ser, lat = 12192, 5000
 	// The original is corrupt (discarded at delivery); its uplink duplicate
@@ -436,7 +438,7 @@ func TestFaultFreePortQueueMatchesArrivalEvents(t *testing.T) {
 			in.Arm()
 		}
 		var got []delivery
-		nb.SetRxHandler(func(f *netbuf.Chain) {
+		nb.SetRxHandler(func(f *netbuf.Chain, _ sim.Time, _ bool) {
 			got = append(got, delivery{f.Flatten()[eth.HeaderLen], eng.Now(), eng.Context()})
 			f.Release()
 		})
@@ -483,4 +485,71 @@ func TestFaultFreePortQueueMatchesArrivalEvents(t *testing.T) {
 	if heads != 1 || arrivals != 4 {
 		t.Errorf("%d events pending for 4 booked frames, %d for 4 in flight to a named port; want 1 and 4", heads, arrivals)
 	}
+}
+
+// TestQuietTrainsDrain: when Run returns, no port holds a frame and none is
+// left quiet — after trains from two senders into both NICs of one node,
+// and after a train whose last frame fails to launch (oversize), whose
+// other frames must then cross loud, with an event each: no frame behind
+// them hands them over.
+func TestQuietTrainsDrain(t *testing.T) {
+	eng := sim.NewEngine()
+	nw := NewNetwork(eng, 5*sim.Microsecond)
+	b := NewNode(eng, "b", DefaultProfile())
+	var senders []*NIC
+	for i, addr := range []eth.Addr{1, 2, 10, 11} {
+		n := b
+		if i < 2 {
+			n = NewNode(eng, fmt.Sprintf("a%d", i), DefaultProfile())
+		}
+		nic, err := nw.Attach(n, addr, Gbps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		senders = append(senders, nic)
+	}
+	received := 0
+	for _, nic := range b.NICs() {
+		nic.SetRxHandler(rxPost(b, func(f, _ any, _ int64) { received++; f.(*netbuf.Chain).Release() }))
+	}
+	launched := 0
+	drained := func(phase string) {
+		t.Helper()
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, nic := range b.NICs() {
+			if p := nic.port; len(p.q) != p.h || p.loud != 0 {
+				t.Errorf("%s: port %s holds %d frames after the run", phase, nic.Addr, len(p.q)-p.h)
+			}
+		}
+		if b.quiet != 0 || received != launched || b.NetTotals().PacketsRx != uint64(launched) {
+			t.Errorf("%s: %d frames quiet, %d received (%d counted) of %d launched after the run",
+				phase, b.quiet, received, b.NetTotals().PacketsRx, launched)
+		}
+	}
+	train := func(from *NIC, to eth.Addr, size int) []*netbuf.Chain {
+		frames := make([]*netbuf.Chain, size)
+		for i := range frames {
+			frames[i] = frameTo(t, to, from.Addr, make([]byte, 1400))
+		}
+		return frames
+	}
+	for round, size := range []int{5, 3, 2, 4} {
+		for from, nic := range senders[:2] {
+			nic.ChargeSendTrain(nic.node.Cost.PktTxNs, train(nic, eth.Addr(10+(round+from)%2), size))
+			launched += size
+		}
+	}
+	// One event per port: the four trains bound for each hold one between
+	// them, behind the frames that cross quiet.
+	if n := eng.Pending(); n != 2 {
+		t.Errorf("%d events pending after the launches, want 2", n)
+	}
+	drained("trains")
+	broken := train(senders[0], 10, 3)
+	broken[2].AppendChain(netbuf.ChainFromBytes(make([]byte, 200), 256))
+	senders[0].ChargeSendTrain(senders[0].node.Cost.PktTxNs, broken)
+	launched += 2
+	drained("a train whose last frame stays home")
 }
