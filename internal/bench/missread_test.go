@@ -1,13 +1,19 @@
 package bench
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
 	"ncache/internal/extfs"
+	"ncache/internal/fault"
+	"ncache/internal/metrics"
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/passthru"
+	"ncache/internal/sim"
+	"ncache/internal/simnet"
+	"ncache/internal/trace"
 )
 
 // missReadReq is the READ size of the miss-path gates.
@@ -167,5 +173,124 @@ func TestMissReadFSFillAllocBudget(t *testing.T) {
 	}
 	if objs > objects {
 		t.Errorf("all-miss 16 KB READ with both caches filling allocates %.2f objects, budget %d", objs, objects)
+	}
+}
+
+// TestMissReadEventBudget pins the simulator events of one all-miss 16 KB
+// READ, as hotReadEvents pins the hit path's: 54.25 until the iSCSI data
+// segments that neither end a PDU nor make the initiator ack, 6 of the 12
+// per READ, crossed quiet (see tcp.Conn.pump).
+func TestMissReadEventBudget(t *testing.T) {
+	cl, read := missReader(t, 256, 2<<20)
+	for i := 0; i < 64; i++ {
+		read()
+	}
+	const reads = 128
+	e0 := cl.Eng.Processed()
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	events := float64(cl.Eng.Processed()-e0) / reads
+	t.Logf("per all-miss 16 KB READ: %.2f events", events)
+	if events > missReadEvents {
+		t.Errorf("all-miss 16 KB READ executes %.2f events, ceiling %.2f", events, missReadEvents)
+	}
+}
+
+// missReadEvents is the measured events per all-miss 16 KB READ.
+const missReadEvents = 42.25
+
+// TestMissReadQuietMatchesPerFrameEvents: the all-miss 16 KB READ loop, four
+// READs from each client at a time, runs the same with quiet fragments and
+// segments as with a rate-0 frame-drop schedule that names every site, so
+// that no frame crosses quiet: each READ completes at the same instant in
+// its own span, which books the same time to every layer, and every node
+// ends with the same CPU busy time and wire counters. The per-frame run
+// spends a departure and an arrival event per frame at its named sites, a
+// delivery per non-final fragment, 11 per reply, and a departure and an
+// upcall per quiet iSCSI data segment, 6 per READ.
+func TestMissReadQuietMatchesPerFrameEvents(t *testing.T) {
+	type run struct {
+		done           []sim.Time
+		summary        *trace.Summary
+		busy           []sim.Duration
+		net            []metrics.Net
+		events, frames uint64
+	}
+	const rounds, perClient = 4, 4
+	observe := func(forced bool) run {
+		cl, read := missReader(t, 256, 2<<20)
+		for i := 0; i < 8; i++ {
+			read()
+		}
+		fh, err := lookupFH(cl, 0, "bigfile")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if forced {
+			in := fault.New(cl.Eng, 1)
+			in.Add(fault.Schedule{Class: fault.FrameDrop, Target: "*", Rate: 0})
+			cl.Net.SetFaults(in)
+			in.Arm()
+		}
+		var nodes []*simnet.Node
+		for _, app := range cl.Apps {
+			nodes = append(nodes, app.Node)
+		}
+		for _, h := range cl.Clients {
+			nodes = append(nodes, h.Node)
+		}
+		for _, ss := range cl.Storages {
+			nodes = append(nodes, ss.Node)
+		}
+		frames := func() (n uint64) {
+			for _, nd := range nodes {
+				n += nd.NetTotals().PacketsTx
+			}
+			return n
+		}
+		tr := trace.NewTracer(cl.Eng, "miss")
+		var x run
+		e0, f0 := cl.Eng.Processed(), frames()
+		for r := 0; r < rounds; r++ {
+			for c, h := range cl.Clients {
+				for k := 0; k < perClient; k++ {
+					i := (r*len(cl.Clients)+c)*perClient + k
+					span := tr.Begin("read")
+					h.NFS.Read(fh, uint64(64+i)*missReadReq, missReadReq, func(data *netbuf.Chain, _ nfs.Attr, err error) {
+						if err != nil || data.Len() != missReadReq || cl.Eng.Context() != span {
+							t.Errorf("READ %d: %v, %d bytes, in context %v", i, err, data.Len(), cl.Eng.Context())
+						}
+						data.Release()
+						x.done = append(x.done, cl.Eng.Now())
+						span.Finish()
+					})
+				}
+			}
+			cl.Eng.SetContext(nil)
+			if err := cl.Eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x.summary, x.events, x.frames = tr.Summary(), cl.Eng.Processed()-e0, frames()-f0
+		for _, nd := range nodes {
+			x.busy, x.net = append(x.busy, nd.CPU.Busy()), append(x.net, nd.NetTotals())
+		}
+		return x
+	}
+	quiet, forced := observe(false), observe(true)
+	reads := uint64(len(quiet.done))
+	if reads != rounds*perClient*2 || !reflect.DeepEqual(quiet.done, forced.done) {
+		t.Errorf("READs completed at %v quiet, %v per frame", quiet.done, forced.done)
+	}
+	if !reflect.DeepEqual(quiet.summary, forced.summary) {
+		t.Errorf("spans quiet %+v, per frame %+v", quiet.summary, forced.summary)
+	}
+	if !reflect.DeepEqual(quiet.busy, forced.busy) || !reflect.DeepEqual(quiet.net, forced.net) {
+		t.Errorf("CPU busy %v and wire counters %v quiet, %v and %v per frame", quiet.busy, quiet.net, forced.busy, forced.net)
+	}
+	t.Logf("%d READs, %d frames: %d events quiet, %d per frame", reads, quiet.frames, quiet.events, forced.events)
+	if want := 2*quiet.frames + (11+2*6)*reads; quiet.frames != forced.frames || forced.events-quiet.events != want {
+		t.Errorf("%d events quiet, %d per frame, for %d frames; want %d more", quiet.events, forced.events, quiet.frames, want)
 	}
 }

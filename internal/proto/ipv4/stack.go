@@ -16,6 +16,14 @@ import (
 // once.
 type Handler func(src, dst eth.Addr, payload *netbuf.Chain)
 
+// QuietHandler takes a whole datagram that crossed quiet (see
+// simnet.NIC.EndTrain) at once, with the key its upcall would have had: due
+// when its receive CPU time ends, posted when it was delivered (the
+// sequence number it would have taken is unknown, and left 0). The
+// transport defers the datagram's effect until that key has passed; the
+// sender vouched that nothing else waits on it. Ownership is as for Handler.
+type QuietHandler func(src, dst eth.Addr, payload *netbuf.Chain, upcall sim.Key)
+
 // Stack is a node's network layer: it owns the receive path of every NIC on
 // the node, demuxes to registered transports, fragments oversize datagrams
 // on transmit, and reassembles on receive.
@@ -23,6 +31,7 @@ type Stack struct {
 	node     *simnet.Node
 	nics     map[eth.Addr]*simnet.NIC
 	handlers map[uint8]Handler
+	quiet    map[uint8]QuietHandler
 	nextID   uint16
 	reasm    map[flowKey]*reassembly
 	// free is the free list of reassembly records (see reassembly).
@@ -118,6 +127,7 @@ func NewStack(node *simnet.Node) *Stack {
 		node:     node,
 		nics:     make(map[eth.Addr]*simnet.NIC),
 		handlers: make(map[uint8]Handler),
+		quiet:    make(map[uint8]QuietHandler),
 		reasm:    make(map[flowKey]*reassembly),
 	}
 	for _, nic := range node.NICs() {
@@ -136,9 +146,9 @@ func (s *Stack) AttachNIC(nic *simnet.NIC) {
 // per-packet receive cost (interrupt + driver + demux) on the CPU from then,
 // and parses and reassembles the frame at once, in delivery order: only the
 // frame that completes a datagram posts an event, the upcall, for when its
-// CPU time ends.
+// CPU time ends, and a quiet whole datagram not even that.
 func (s *Stack) rx(frame *netbuf.Chain, at sim.Time, quiet bool) {
-	s.receive(frame, s.node.CPU.UseFrom(at, s.node.Cost.PktRxNs), quiet)
+	s.receive(frame, sim.Key{At: s.node.CPU.UseFrom(at, s.node.Cost.PktRxNs), Posted: at}, quiet)
 }
 
 // Node returns the owning node.
@@ -147,6 +157,11 @@ func (s *Stack) Node() *simnet.Node { return s.node }
 // Register installs the handler for an IP protocol number.
 func (s *Stack) Register(proto uint8, h Handler) {
 	s.handlers[proto] = h
+}
+
+// RegisterQuiet installs the handler for the protocol's quiet datagrams.
+func (s *Stack) RegisterQuiet(proto uint8, h QuietHandler) {
+	s.quiet[proto] = h
 }
 
 // Send transmits payload as one IP datagram from the local address src to
@@ -240,9 +255,9 @@ func (s *Stack) frame(hdr Header, payload *netbuf.Chain) (*netbuf.Chain, error) 
 	return frame, nil
 }
 
-// receive parses one frame and either delivers or reassembles it; at is
-// when its receive CPU time ends.
-func (s *Stack) receive(frame *netbuf.Chain, at sim.Time, quiet bool) {
+// receive parses one frame and either delivers or reassembles it; up is its
+// upcall's key, due when its receive CPU time ends.
+func (s *Stack) receive(frame *netbuf.Chain, up sim.Key, quiet bool) {
 	if _, err := eth.Parse(frame); err != nil {
 		s.ReasmErrors++
 		frame.Release()
@@ -255,7 +270,11 @@ func (s *Stack) receive(frame *netbuf.Chain, at sim.Time, quiet bool) {
 		return
 	}
 	if !hdr.MoreFrags && hdr.FragOffset == 0 {
-		s.deliver(hdr, frame, at)
+		if quiet {
+			s.deliverQuiet(hdr, frame, up)
+			return
+		}
+		s.deliver(hdr, frame, up.At)
 		return
 	}
 
@@ -282,7 +301,7 @@ func (s *Stack) receive(frame *netbuf.Chain, at sim.Time, quiet bool) {
 			frame.Release()
 			return
 		}
-		r = s.reassemble(key, hdr.ID, at, quiet)
+		r = s.reassemble(key, hdr.ID, up.At, quiet)
 	}
 	if hdr.FragOffset < r.nextOff {
 		// A duplicate of a fragment already held: drop the copy alone.
@@ -303,7 +322,7 @@ func (s *Stack) receive(frame *netbuf.Chain, at sim.Time, quiet bool) {
 		s.node.Eng.Cancel(r.expiry)
 		whole := r.chain
 		r.retire()
-		s.deliver(hdr, whole, at)
+		s.deliver(hdr, whole, up.At)
 	}
 }
 
@@ -324,6 +343,16 @@ func (s *Stack) deliver(hdr Header, payload *netbuf.Chain, at sim.Time) {
 		return
 	}
 	s.node.Eng.PostAt(at, upcall, h, payload, int64(hdr.Src)<<32|int64(hdr.Dst))
+}
+
+// deliverQuiet hands a quiet whole datagram to its transport's quiet handler
+// at once. The sender vouched for one; it panics if there is none.
+func (s *Stack) deliverQuiet(hdr Header, payload *netbuf.Chain, up sim.Key) {
+	h, ok := s.quiet[hdr.Proto]
+	if !ok {
+		panic(fmt.Sprintf("ipv4: a quiet datagram for protocol %d, which defers no upcall", hdr.Proto))
+	}
+	h(hdr.Src, hdr.Dst, payload, up)
 }
 
 // upcall is deliver's handler: addrs holds the source address in its high

@@ -14,7 +14,10 @@ import (
 
 // exchange is what one run of departureExchange observed.
 type exchange struct {
-	at       []sim.Time // every UDP datagram and TCP delivery, in order
+	at []sim.Time // every UDP datagram, in order
+	// stream holds, for each instant a TCP delivery ended at, the bytes of
+	// the stream delivered by then.
+	stream   map[sim.Time]int
 	end      sim.Time
 	events   uint64
 	frames   uint64
@@ -36,7 +39,7 @@ func departureExchange(t *testing.T, faultable bool) exchange {
 		nw.SetFaults(in)
 		in.Arm()
 	}
-	var x exchange
+	x := exchange{stream: make(map[sim.Time]int)}
 	for _, h := range []*host{a, b} {
 		u := udp.NewTransport(h.ip)
 		if err := u.Bind(7, func(d udp.Datagram) {
@@ -53,8 +56,8 @@ func departureExchange(t *testing.T, faultable bool) exchange {
 	var got bytes.Buffer
 	if err := b.tcp.Listen(80, func(c *Conn) {
 		c.SetReceiver(func(data *netbuf.Chain) {
-			x.at = append(x.at, eng.Now())
 			got.Write(data.Flatten())
+			x.stream[eng.Now()] = got.Len()
 			data.Release()
 		})
 	}); err != nil {
@@ -90,29 +93,44 @@ func departureExchange(t *testing.T, faultable bool) exchange {
 // uplink booked when its CPU time is, and is booked onto the egress
 // downlink at launch; a named NIC departs each frame in an event at the
 // same instant, and a named receive site takes an event at each arrival.
-// The same exchange on both must deliver at the same instants, end at the
-// same clock with the same TCP counters, and differ only by two events per
-// frame and one per non-final fragment, which crosses the switch quiet only
-// between NICs no schedule names.
+// The same exchange on both must deliver the datagrams at the same instants,
+// end at the same clock with the same TCP counters, and differ only by two
+// events per frame, one per non-final fragment and two per quiet segment,
+// which cross the switch quiet only between NICs no schedule names. A quiet
+// segment's bytes reach the receiver with the next segment's, at its upcall
+// (see Conn.pump), so the stream must have reached the same length at
+// every instant a delivery ended at eager, and evented at one more instant
+// per quiet segment.
 func TestFaultFreeScheduleKeepsDepartureInstants(t *testing.T) {
 	eager, evented := departureExchange(t, false), departureExchange(t, true)
-	if len(eager.at) != len(evented.at) || len(eager.at) < 3 {
-		t.Fatalf("%d deliveries eager, %d evented; want the same, at least 3", len(eager.at), len(evented.at))
+	if len(eager.at) != len(evented.at) || len(eager.at) != 2 {
+		t.Fatalf("%d datagrams eager, %d evented; want 2", len(eager.at), len(evented.at))
 	}
 	for i := range eager.at {
 		if eager.at[i] != evented.at[i] {
-			t.Fatalf("delivery %d at %v eager, %v evented", i, eager.at[i], evented.at[i])
+			t.Fatalf("datagram %d at %v eager, %v evented", i, eager.at[i], evented.at[i])
+		}
+	}
+	for at, n := range eager.stream {
+		if m, ok := evented.stream[at]; !ok || m != n {
+			t.Fatalf("%d stream bytes by %v eager, %d evented (delivered then: %v)", n, at, m, ok)
 		}
 	}
 	if eager.end != evented.end || !reflect.DeepEqual(eager.counters, evented.counters) {
 		t.Fatalf("eager run ended at %v with %+v, evented at %v with %+v",
 			eager.end, eager.counters, evented.end, evented.counters)
 	}
-	t.Logf("%d deliveries, %d frames, %d events eager, %d evented", len(eager.at), eager.frames, eager.events, evented.events)
-	// Each 9,000-byte datagram is seven fragments, six of them quiet.
-	const quiet = 2 * 6
-	if eager.frames != evented.frames || evented.events-eager.events != 2*evented.frames+quiet {
-		t.Fatalf("%d and %d frames; %d events eager, %d evented, want two more per frame and %d more",
-			eager.frames, evented.frames, eager.events, evented.events, quiet)
+	t.Logf("%d and %d delivery instants, %d frames, %d events eager, %d evented",
+		len(eager.stream), len(evented.stream), eager.frames, eager.events, evented.events)
+	// Each 9,000-byte datagram is seven fragments, six of them quiet. The
+	// stream is one window, 180 segments sent as one train: the first, third
+	// and every odd one are quiet; the even ones take the peer's delack to 2.
+	const fragments, segments = 2 * 6, 180 / 2
+	if len(evented.stream)-len(eager.stream) != segments {
+		t.Fatalf("%d delivery instants eager, %d evented; want %d quiet segments", len(eager.stream), len(evented.stream), segments)
+	}
+	if eager.frames != evented.frames || evented.events-eager.events != 2*evented.frames+fragments+2*segments {
+		t.Fatalf("%d and %d frames; %d events eager, %d evented, want two more per frame, %d and %d more",
+			eager.frames, evented.frames, eager.events, evented.events, fragments, 2*segments)
 	}
 }

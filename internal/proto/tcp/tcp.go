@@ -98,6 +98,9 @@ type Transport struct {
 	listeners map[uint16]AcceptFunc
 	conns     map[connKey]*Conn
 	nextPort  uint16
+	// train marks which segments of the burst being sent may cross quiet
+	// (Conn.pump).
+	train []bool
 
 	// ProtocolErrors counts genuinely malformed segments: runts and
 	// checksum failures. Loss-induced anomalies (gaps, duplicates, strays
@@ -140,6 +143,7 @@ func NewTransport(ip *ipv4.Stack) *Transport {
 		nextPort:  49152,
 	}
 	ip.Register(ipv4.ProtoTCP, t.receive)
+	ip.RegisterQuiet(ipv4.ProtoTCP, t.receiveQuiet)
 	return t
 }
 
@@ -182,6 +186,14 @@ type rtxSeg struct {
 	seqLen  uint32
 	flags   uint8
 	payload *netbuf.Chain
+}
+
+// quietSeg is a data segment that crossed quiet, held until its upcall's
+// key has passed (Conn.settle).
+type quietSeg struct {
+	upcall   sim.Key
+	seq, ack uint32
+	payload  *netbuf.Chain
 }
 
 // oooSeg is one out-of-order received segment buffered for reassembly.
@@ -245,6 +257,18 @@ type Conn struct {
 	onEstab  func(*Conn, error)
 	acceptFn AcceptFunc
 	delack   int
+
+	// Quiet segments (see pump). nic sends the connection's segments;
+	// ackSent is the ack number the connection last sent; peerDelack mirrors
+	// the peer's delack as the segments sent so far leave it; resent is set
+	// by the first resend. quiet[qh:] holds the segments received quiet
+	// whose upcalls have yet to pass.
+	nic        *simnet.NIC
+	ackSent    uint32
+	peerDelack int
+	resent     bool
+	quiet      []quietSeg
+	qh         int
 }
 
 func newConn(t *Transport, key connKey, st state) *Conn {
@@ -254,6 +278,7 @@ func newConn(t *Transport, key connKey, st state) *Conn {
 		state:  st,
 		window: DefaultWindow,
 		mss:    t.mss(),
+		nic:    t.nic(key.localAddr),
 	}
 	c.rtoFn = c.onRTO
 	return c
@@ -310,15 +335,30 @@ func (c *Conn) retain(seq, seqLen uint32, flags uint8, payload *netbuf.Chain) {
 	c.rtxQ = append(c.rtxQ, rtxSeg{seq: seq, seqLen: seqLen, flags: flags, payload: keep})
 }
 
-// pump transmits queued data within the window.
+// pump transmits queued data within the window, as one train (see
+// simnet.NIC.StartTrain). A segment of it crosses quiet, with no departure
+// and no upcall event, when its upcall would change nothing but rcvNxt,
+// delack and the receiver's buffered stream: it is not the train's last,
+// which departs behind it and whose upcall applies it first; it carries no
+// PSH, so it ends no message; its ack number repeats the one last sent, so
+// it advances nothing; and the peer's delack reads 0 before it, so it
+// triggers no ack. peerDelack predicts that count, and holds while every
+// segment arrives once and in order: so the connection must never have
+// resent, and the path must be one no fault schedule names (EndTrain). The
+// peer's NIC must offload checksums, or the upcall would charge their CPU.
 func (c *Conn) pump() {
 	if c.state != stateEstablished {
 		return
 	}
+	train := c.nic != nil && !c.resent && c.nic.PeerOffloads(c.key.remoteAddr)
+	quiet := c.t.train[:0]
+	if train {
+		c.nic.StartTrain()
+	}
 	for c.sendQ != nil && c.sendQ.Len() > 0 {
 		inflight := c.sndNxt - c.sndUna
 		if inflight >= c.window {
-			return
+			break
 		}
 		room := int(c.window - inflight)
 		n := c.sendQ.Len()
@@ -330,7 +370,7 @@ func (c *Conn) pump() {
 		}
 		seg, err := c.sendQ.PullChain(n)
 		if err != nil {
-			return
+			break
 		}
 		flags := uint8(flagACK)
 		endSeq := c.sndNxt + uint32(n)
@@ -340,13 +380,24 @@ func (c *Conn) pump() {
 			c.pushAt = c.pushAt[:copy(c.pushAt, c.pushAt[1:])]
 		}
 		c.retain(c.sndNxt, uint32(n), flags, seg)
+		ack := c.ackSent
 		c.sendSegmentSeq(flags, c.sndNxt, seg)
+		quiet = append(quiet, c.ackSent == ack && flags&flagPSH == 0 && c.peerDelack == 0)
+		if flags&flagPSH != 0 || c.peerDelack == 1 {
+			c.peerDelack = 0
+		} else {
+			c.peerDelack = 1
+		}
 		c.sndNxt = endSeq
 		if !c.timing {
 			c.timing, c.timedEnd, c.timedAt = true, endSeq, c.t.node.Eng.Now()
 		}
 		c.armRTO()
 	}
+	if train {
+		c.nic.EndTrain(quiet)
+	}
+	c.t.train = quiet[:0]
 }
 
 // armRTO starts the retransmission timer if it is not already running and
@@ -428,7 +479,7 @@ func (c *Conn) fastRetransmit() {
 // a first transmission.
 func (c *Conn) resend(s *rtxSeg) {
 	c.t.Retransmits++
-	c.timing = false
+	c.timing, c.resent = false, true
 	var pl *netbuf.Chain
 	if s.payload != nil {
 		pl = s.payload.Clone()
@@ -489,6 +540,8 @@ func (c *Conn) sendSegment(flags uint8, payload *netbuf.Chain) {
 
 // sendSegmentSeq builds, checksums and transmits one segment.
 func (c *Conn) sendSegmentSeq(flags uint8, seq uint32, payload *netbuf.Chain) {
+	c.settle()
+	c.ackSent = c.rcvNxt
 	c.t.sendSeg(c.key, seq, c.rcvNxt, flags, payload)
 }
 
@@ -541,51 +594,140 @@ func (t *Transport) sendSeg(key connKey, seq, ackNo uint32, flags uint8, payload
 	}
 }
 
-// offloaded reports checksum-offload capability of the NIC at addr.
-func (t *Transport) offloaded(local eth.Addr) bool {
+// nic returns the node's NIC at addr, or nil.
+func (t *Transport) nic(addr eth.Addr) *simnet.NIC {
 	for _, nic := range t.node.NICs() {
-		if nic.Addr == local {
-			return nic.ChecksumOffload
+		if nic.Addr == addr {
+			return nic
 		}
 	}
-	return false
+	return nil
+}
+
+// offloaded reports checksum-offload capability of the NIC at addr.
+func (t *Transport) offloaded(local eth.Addr) bool {
+	nic := t.nic(local)
+	return nic != nil && nic.ChecksumOffload
+}
+
+// header is one parsed segment header.
+type header struct {
+	key      connKey
+	seq, ack uint32
+	flags    uint8
+}
+
+// parse pulls a segment's header off payload and verifies the transport
+// checksum (free with offload; the cost model for software checksumming is
+// charged by receive). It reports false for a segment it counts as a
+// protocol error.
+func (t *Transport) parse(src, dst eth.Addr, payload *netbuf.Chain) (header, bool) {
+	var raw [HeaderLen]byte
+	if payload.Len() < HeaderLen {
+		t.ProtocolErrors++
+		return header{}, false
+	}
+	if err := payload.PullHeaderInto(raw[:]); err != nil {
+		return header{}, false
+	}
+	sum := pseudoHeaderSum(src, dst)
+	sum.AddBytes(raw[:])
+	sum = netbuf.Combine(sum, netbuf.PartialOfChain(payload))
+	if sum.Fold() != 0xffff {
+		t.ProtocolErrors++
+		return header{}, false
+	}
+	return header{
+		key: connKey{localAddr: dst, remoteAddr: src,
+			localPort: binary.BigEndian.Uint16(raw[2:4]), remotePort: binary.BigEndian.Uint16(raw[0:2])},
+		seq:   binary.BigEndian.Uint32(raw[4:8]),
+		ack:   binary.BigEndian.Uint32(raw[8:12]),
+		flags: raw[12],
+	}, true
+}
+
+// receiveQuiet takes a data segment that crossed quiet (see pump) and holds
+// it on its connection until its upcall's key has passed. It panics if the
+// segment is not one the sender may mark quiet: a misprediction must not
+// change results silently.
+func (t *Transport) receiveQuiet(src, dst eth.Addr, payload *netbuf.Chain, upcall sim.Key) {
+	h, ok := t.parse(src, dst, payload)
+	c := t.conns[h.key]
+	if !ok || h.flags != flagACK || payload.Len() == 0 || c == nil || !t.offloaded(dst) {
+		panic(fmt.Sprintf("tcp: segment %d from %s on %s crossed quiet but cannot be deferred", h.seq, src, dst))
+	}
+	if c.qh > 0 && len(c.quiet) == cap(c.quiet) {
+		c.quiet, c.qh = c.quiet[:copy(c.quiet, c.quiet[c.qh:])], 0
+	}
+	c.quiet = append(c.quiet, quietSeg{upcall: upcall, seq: h.seq, ack: h.ack, payload: payload})
+}
+
+// settle applies, in order, every segment received quiet whose upcall comes
+// before the running event, once the node has handed over every frame
+// delivered before it. It runs before anything reads the state they change:
+// in handle, for the next segment, and in sendSegmentSeq, for its ack
+// number. Not sooner: a segment the connection sends between a quiet
+// segment's delivery and its upcall carries the ack number from before it.
+func (c *Conn) settle() {
+	c.t.node.HandOver()
+	if c.qh < len(c.quiet) {
+		c.applyDue()
+	}
+}
+
+// applyDue is settle's loop over the segments received quiet.
+func (c *Conn) applyDue() {
+	eng := c.t.node.Eng
+	run := eng.Running()
+	for c.qh < len(c.quiet) {
+		q := c.quiet[c.qh]
+		if q.upcall.At == run.At && q.upcall.Posted == run.Posted {
+			// Their order would turn on the sequence number the upcall
+			// never took.
+			panic(fmt.Sprintf("tcp: quiet segment %d's upcall ties the running event at %v", q.seq, run.At))
+		}
+		if !q.upcall.Before(run) {
+			return
+		}
+		c.quiet[c.qh] = quietSeg{}
+		if c.qh++; c.qh == len(c.quiet) {
+			c.quiet, c.qh = c.quiet[:0], 0
+		}
+		c.apply(q, eng)
+	}
+}
+
+// apply does what a quiet segment's upcall would have done: it is the fast
+// path of recvData for a segment that triggers no ack. It panics if the
+// segment's upcall would have done more, or if delivering it posted an
+// event: it then ended an application message after all.
+func (c *Conn) apply(q quietSeg, eng *sim.Engine) {
+	if c.state != stateEstablished || q.seq != c.rcvNxt || len(c.oooQ) > 0 || c.delack != 0 ||
+		seqLT(c.sndUna, q.ack) && seqLEQ(q.ack, c.sndNxt) {
+		panic(fmt.Sprintf("tcp: quiet segment %d on %s:%d is not inert", q.seq, c.key.localAddr, c.key.localPort))
+	}
+	c.rcvNxt += uint32(q.payload.Len())
+	c.delack = 1
+	pending := eng.Pending()
+	c.deliver(q.payload)
+	if eng.Pending() != pending {
+		panic(fmt.Sprintf("tcp: delivering quiet segment %d on %s:%d posted an event", q.seq, c.key.localAddr, c.key.localPort))
+	}
 }
 
 // receive demuxes one segment.
 func (t *Transport) receive(src, dst eth.Addr, payload *netbuf.Chain) {
-	if payload.Len() < HeaderLen {
-		t.ProtocolErrors++
+	h, ok := t.parse(src, dst, payload)
+	if !ok {
 		payload.Release()
 		return
 	}
-	var hdr [HeaderLen]byte
-	raw := hdr[:]
-	if err := payload.PullHeaderInto(raw); err != nil {
-		payload.Release()
-		return
-	}
-	srcPort := binary.BigEndian.Uint16(raw[0:2])
-	dstPort := binary.BigEndian.Uint16(raw[2:4])
-	seq := binary.BigEndian.Uint32(raw[4:8])
-	ack := binary.BigEndian.Uint32(raw[8:12])
-	flags := raw[12]
-
-	// Verify the transport checksum (free with offload; the cost model
-	// for software checksumming is charged on rx below).
-	sum := pseudoHeaderSum(src, dst)
-	sum.AddBytes(raw)
-	sum = netbuf.Combine(sum, netbuf.PartialOfChain(payload))
-	if sum.Fold() != 0xffff {
-		t.ProtocolErrors++
-		payload.Release()
-		return
-	}
+	key, seq, ack, flags := h.key, h.seq, h.ack, h.flags
 	if !t.offloaded(dst) && payload.Len() > 0 {
 		t.node.Copies.ChecksumBytes += uint64(payload.Len())
 		t.node.Charge(t.node.Cost.ChecksumCost(payload.Len()), nil)
 	}
 
-	key := connKey{localAddr: dst, remoteAddr: src, localPort: dstPort, remotePort: srcPort}
 	c, ok := t.conns[key]
 	if !ok {
 		if flags&flagSYN != 0 && flags&flagACK == 0 {
@@ -625,6 +767,7 @@ func (t *Transport) acceptSyn(key connKey, seq uint32) {
 
 // handle advances the connection state machine for one segment.
 func (c *Conn) handle(flags uint8, seq, ack uint32, payload *netbuf.Chain) {
+	c.settle()
 	t := c.t
 	if flags&flagRST != 0 {
 		payload.Release()
@@ -839,6 +982,10 @@ func (c *Conn) abort(err error, notifyPeer bool) {
 func (c *Conn) teardown() {
 	if c.state == stateClosed {
 		return
+	}
+	if c.qh < len(c.quiet) {
+		// Its upcall would have found the connection gone.
+		panic(fmt.Sprintf("tcp: %s:%d torn down ahead of a quiet segment's upcall", c.key.localAddr, c.key.localPort))
 	}
 	c.state = stateClosed
 	c.cancelRTO()

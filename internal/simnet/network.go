@@ -39,7 +39,7 @@ type Network struct {
 // one at a time, by arrival at the egress, then launch order. A quiet frame
 // holds no event: only the first frame that is not quiet has one, due when
 // its serialization ends, and the quiet frames ahead of it are handed to the
-// NIC when it fires, or before, when their node needs them (Node.handOver).
+// NIC when it fires, or before, when their node needs them (Node.HandOver).
 type port struct {
 	nic *NIC
 	bw  Bandwidth
@@ -71,8 +71,8 @@ type booked struct {
 	ser     sim.Duration // serialization on the downlink
 	delay   sim.Duration // injected at the downlink, after serialization
 	corrupt bool
-	// quiet: a later frame on this downlink completes the frame's datagram,
-	// so nothing waits on its delivery but its node (see NIC.ChargeSendTrain).
+	// quiet: nothing waits on the frame's delivery but its node until a later
+	// frame on this downlink, from its train, departs (see NIC.EndTrain).
 	quiet bool
 }
 
@@ -288,7 +288,7 @@ func (p *port) handHead() {
 // frames ahead of it are handed over, the next frame that needs an event
 // takes the port's, and the frame is delivered, after any injected delay.
 func (nw *Network) depart(p *port) {
-	p.nic.node.handOver()
+	p.nic.node.HandOver()
 	b := p.pop()
 	p.loud = 0
 	for p.h+p.loud < len(p.q) && p.at(p.loud).quiet {

@@ -34,7 +34,7 @@ type Node struct {
 
 	nics []*NIC
 	// quiet counts the quiet frames booked toward this node's NICs;
-	// handing is set while handOver runs, which the CPU it uses calls.
+	// handing is set while HandOver runs, which the CPU it uses calls.
 	quiet   int
 	handing bool
 }
@@ -53,20 +53,24 @@ func NewNode(eng *sim.Engine, name string, cost CostProfile) *Node {
 		TxPool:  netbuf.NewPool(name+".tx", netbuf.DefaultHeadroom, netbuf.DefaultBufSize, 0),
 		BlkPool: netbuf.NewPool(name+".blk", netbuf.DefaultHeadroom, BlockBufSize, 0),
 	}
-	n.CPU.SetHandOver(n.handOver)
+	n.CPU.SetHandOver(n.HandOver)
 	return n
 }
 
-// handOver hands the node's NICs every quiet frame whose delivery comes
+// HandOver hands the node's NICs every quiet frame whose delivery comes
 // ahead of the running event, in the order of their delivery keys across
 // the NICs, as the events that once delivered them would have. It runs
-// before the CPU is used or read and before the wire counters are, so no
-// one sees the node without them: a frame whose delivery has passed cannot
+// before the CPU is used or read, before the wire counters are, and before
+// TCP reads a connection, so no one sees the node without them: a frame whose delivery has passed cannot
 // be overtaken, since a frame not yet booked reaches the egress after now.
-func (n *Node) handOver() {
-	if n.quiet == 0 || n.handing {
-		return
+func (n *Node) HandOver() {
+	if n.quiet > 0 && !n.handing {
+		n.handOver()
 	}
+}
+
+// handOver is HandOver for a node with quiet frames booked.
+func (n *Node) handOver() {
 	n.handing = true
 	bound := n.Eng.Running()
 	for {
@@ -105,7 +109,7 @@ func (n *Node) ChargeCopy(nbytes int, fn func()) {
 
 // NetTotals sums wire counters across all NICs.
 func (n *Node) NetTotals() metrics.Net {
-	n.handOver()
+	n.HandOver()
 	var t metrics.Net
 	for _, nic := range n.nics {
 		t.PacketsTx += nic.Stats.PacketsTx
