@@ -113,6 +113,11 @@ type Cache struct {
 	// onFlush fires after every successful write-back batch (WAL
 	// truncation hook).
 	onFlush func()
+	// syncs are the Syncs waiting for batches in flight (syncsLanded);
+	// syncsSpare is the list they move to at each landing; syncCalls is
+	// the free list of Sync records.
+	syncs, syncsSpare []*syncCall
+	syncCalls         netbuf.FreeList[*syncCall]
 }
 
 // New creates a cache of capacityBlocks blocks over lower.

@@ -262,24 +262,50 @@ func (fl *flusher) batchLanded() {
 
 // Sync flushes every dirty block in coalesced adjacent-LBN batches, issued
 // concurrently, and calls done once every batch lands, with the first error.
+// A block whose batch is in flight may hold bytes written since it was
+// issued: Sync waits for that batch to land, then writes the block again if
+// it is still dirty (syncsLanded).
 func (c *Cache) Sync(done func(error)) {
-	var dirty []*Block
+	s := c.syncCalls.Take()
+	if s == nil {
+		s = &syncCall{c: c}
+		s.onLanded = s.landed
+	}
 	for _, b := range c.blocks { // det: sorted (by LBN below, before any I/O is issued)
-		if b.Dirty && !b.flushing {
-			dirty = append(dirty, b)
+		switch {
+		case b.Dirty && b.flushing:
+			s.busy = append(s.busy, b)
+		case b.Dirty:
+			s.dirty = append(s.dirty, b)
 		}
 	}
-	if len(dirty) == 0 {
+	if len(s.dirty) == 0 && len(s.busy) == 0 {
+		s.retire()
 		done(nil)
 		return
 	}
-	// Issue order decides the event schedule downstream (batch boundaries,
-	// remap announcements) — runs must replay bit-for-bit.
-	slices.SortFunc(dirty, func(a, b *Block) int { return cmp.Compare(a.LBN, b.LBN) })
 	// One more than the batches: the guard keeps a batch that lands on the
 	// spot from reporting before the rest are issued.
-	s := &syncCall{remaining: 1, done: done}
-	s.onLanded = s.landed
+	s.remaining, s.done = 1, done
+	if len(s.busy) > 0 {
+		slices.SortFunc(s.busy, byLBN)
+		s.remaining++
+		c.syncs = append(c.syncs, s)
+	}
+	c.syncRuns(s)
+	s.landed(nil)
+}
+
+// byLBN orders blocks by LBN.
+func byLBN(a, b *Block) int { return cmp.Compare(a.LBN, b.LBN) }
+
+// syncRuns issues s.dirty in coalesced adjacent-LBN batches, each counted
+// in s.remaining, and empties it.
+func (c *Cache) syncRuns(s *syncCall) {
+	dirty := s.dirty
+	// Issue order decides the event schedule downstream (batch boundaries,
+	// remap announcements) — runs must replay bit-for-bit.
+	slices.SortFunc(dirty, byLBN)
 	for i := 0; i < len(dirty); {
 		j := i + 1
 		for j < len(dirty) && j-i < maxBatchBlocks &&
@@ -292,26 +318,84 @@ func (c *Cache) Sync(done func(error)) {
 		c.flushBatch(f)
 		i = j
 	}
-	s.landed(nil)
+	clear(dirty)
+	s.dirty = dirty[:0]
 }
 
-// syncCall is one Sync waiting for its batches.
+// syncsLanded runs after a batch lands: each Sync that found blocks of a
+// batch in flight writes again those whose batch has landed and that are
+// still dirty (rewritten meanwhile, or failed), and stops waiting once none
+// is in flight.
+func (c *Cache) syncsLanded() {
+	if len(c.syncs) == 0 {
+		return
+	}
+	// Detached, so that a batch landing on the spot finds a list of its
+	// own to walk; the two lists take turns.
+	syncs := c.syncs
+	c.syncs, c.syncsSpare = c.syncsSpare[:0], nil
+	for _, s := range syncs {
+		n := 0
+		for _, b := range s.busy {
+			switch {
+			case b.flushing:
+				s.busy[n] = b
+				n++
+			case b.Dirty:
+				s.dirty = append(s.dirty, b)
+			}
+		}
+		clear(s.busy[n:])
+		s.busy = s.busy[:n]
+		if n > 0 {
+			c.syncs = append(c.syncs, s)
+		}
+		c.syncRuns(s)
+		if n == 0 {
+			s.landed(nil)
+		}
+	}
+	if c.syncsSpare == nil {
+		clear(syncs)
+		c.syncsSpare = syncs[:0]
+	}
+}
+
+// syncCall is the recycled record of one Sync: the batches it waits for
+// (remaining), the blocks it has yet to issue (dirty) and those whose
+// batches were in flight (busy), both with their capacity kept. onLanded is
+// landed, bound once.
 type syncCall struct {
-	remaining int
-	failed    error
-	done      func(error)
-	onLanded  func(error)
+	netbuf.Recycled
+	c           *Cache
+	remaining   int
+	failed      error
+	done        func(error)
+	onLanded    func(error)
+	dirty, busy []*Block
 }
 
-// landed counts one batch in; the last reports the first error.
+// landed counts one batch in; the last retires the record and reports the
+// first error.
 func (s *syncCall) landed(err error) {
+	if s.Retired() {
+		panic("buffercache: a batch landed for a Sync that has reported")
+	}
 	if err != nil && s.failed == nil {
 		s.failed = err
 	}
 	s.remaining--
 	if s.remaining == 0 {
-		s.done(s.failed)
+		done, failed := s.done, s.failed
+		s.retire()
+		done(failed)
 	}
+}
+
+// retire hands the record back to its cache.
+func (s *syncCall) retire() {
+	*s = syncCall{Recycled: s.Recycled, c: s.c, onLanded: s.onLanded, dirty: s.dirty, busy: s.busy}
+	s.c.syncCalls.Put(s)
 }
 
 // flush is the recycled record of one write-back batch: the adjacent run of
@@ -422,6 +506,7 @@ func (f *flush) written(err error) {
 			b.Key = b.Key.WithLBN(b.LBN)
 		}
 	}
+	c.syncsLanded()
 	if err == nil && c.onFlush != nil {
 		c.onFlush()
 	}
@@ -447,6 +532,7 @@ func (c *Cache) Reset() {
 		c.nDirty = 0
 	}
 	c.nFlushing = 0
+	c.syncs = nil
 	if fl := c.fl; fl != nil {
 		fl.queue, fl.head, fl.inFlight = nil, 0, 0
 		if fl.timerSet {

@@ -110,6 +110,22 @@ func dirty(t *testing.T, c *Cache, lbn int64, meta bool) {
 	})
 }
 
+// fillBlock writes v into every byte of block lbn.
+func fillBlock(t *testing.T, c *Cache, lbn int64, v byte) {
+	t.Helper()
+	c.GetForWrite(lbn, false, func(b *Block, err error) {
+		if err != nil {
+			t.Fatalf("GetForWrite(%d): %v", lbn, err)
+		}
+		page := c.Page(b)
+		for i := range page {
+			page[i] = v
+		}
+		c.MarkDirty(b)
+		c.Unpin(b)
+	})
+}
+
 func runFor(t *testing.T, eng *sim.Engine, d sim.Duration) {
 	t.Helper()
 	if err := eng.RunFor(d); err != nil {
@@ -301,22 +317,9 @@ func TestFlusherRetriesFailedBatch(t *testing.T) {
 // the drain leaves the newest version on the lower store.
 func TestFlusherRewriteInFlightIsWrittenAgain(t *testing.T) {
 	eng, lower, c := rigFlusher(t, 0, 0)
-	write := func(v byte) {
-		c.GetForWrite(9, false, func(b *Block, err error) {
-			if err != nil {
-				t.Fatalf("GetForWrite: %v", err)
-			}
-			page := c.Page(b)
-			for i := range page {
-				page[i] = v
-			}
-			c.MarkDirty(b)
-			c.Unpin(b)
-		})
-	}
-	write(1)
+	fillBlock(t, c, 9, 1)
 	runFor(t, eng, flushInterval) // version 1 goes down
-	write(2)
+	fillBlock(t, c, 9, 2)
 	lower.land(nil)
 	if !c.IsDirty(9) {
 		t.Fatal("the landing of version 1 cleaned the block holding version 2")
@@ -329,6 +332,42 @@ func TestFlusherRewriteInFlightIsWrittenAgain(t *testing.T) {
 	if got := lower.platter[9]; !bytes.Equal(got, bytes.Repeat([]byte{2}, 4096)) {
 		t.Fatalf("lower store holds version %d after the drain, want 2", got[0])
 	}
+}
+
+// Sync waits for a batch in flight: a block rewritten while the flusher's
+// batch of it is on its way down is still dirty when Sync starts, and Sync
+// writes it again once that batch lands, reporting only after the lower
+// store holds the rewrite.
+func TestSyncWaitsForBatchInFlight(t *testing.T) {
+	eng, lower, c := rigFlusher(t, 0, 0)
+	fillBlock(t, c, 9, 1)
+	runFor(t, eng, flushInterval) // version 1 goes down, slowly
+	fillBlock(t, c, 9, 2)
+	synced := false
+	c.Sync(func(err error) {
+		if err != nil {
+			t.Errorf("Sync: %v", err)
+		}
+		if got := lower.platter[9]; !bytes.Equal(got, bytes.Repeat([]byte{2}, 4096)) {
+			t.Errorf("Sync reported while the lower store held %v of block 9, want version 2", got[:min(len(got), 1)])
+		}
+		synced = true
+	})
+	if synced {
+		t.Fatal("Sync reported with version 1 still in flight")
+	}
+	lower.land(nil) // version 1 lands; Sync writes version 2
+	if synced {
+		t.Fatal("Sync reported on the landing of version 1")
+	}
+	if got := lower.runs(); got != "9+1 9+1" {
+		t.Fatalf("writes = %s, want 9+1 twice", got)
+	}
+	lower.land(nil)
+	if !synced {
+		t.Fatal("Sync never reported")
+	}
+	wantIdle(t, eng, c)
 }
 
 // Satellite: a block still dirty when its batch completes rejoins the FIFO
