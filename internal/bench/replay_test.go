@@ -59,7 +59,7 @@ func (r replayRow) replay(t *testing.T) Result {
 }
 
 // TestSeedReplay: every row replays bit-for-bit. The rows run in parallel,
-// so they also exercise the process-global netbuf free lists under -race.
+// so under -race they also show that clusters share no state.
 func TestSeedReplay(t *testing.T) {
 	for _, r := range replayRows() {
 		r := r

@@ -148,7 +148,7 @@ func (i *Initiator) Connect(target eth.Addr, done func(error)) {
 			return
 		}
 		i.conn = c
-		i.framer = NewFramer(i.handlePDU)
+		i.framer = NewFramer(i.node.TxPool, i.handlePDU)
 		c.SetReceiver(i.framer.Push)
 
 		t := i.task()
@@ -322,7 +322,7 @@ func (t *task) handle() {
 		delete(i.pending, p.ITT)
 		data := p.Data
 		if data == nil {
-			data = netbuf.NewChain()
+			data = i.node.TxPool.NewChain(0)
 		}
 		if p.HasStatus && p.Status != scsi.StatusGood {
 			data.Release()

@@ -32,7 +32,7 @@ func TestPDUEncodeFrameRoundTrip(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 	var got []PDU
-	f := NewFramer(func(p PDU) { got = append(got, p) })
+	f := NewFramer(nil, func(p PDU) { got = append(got, p) })
 	f.Push(wire)
 	if len(got) != 1 {
 		t.Fatalf("framed %d PDUs, want 1", len(got))
@@ -68,7 +68,7 @@ func TestFramerHandlesFragmentedStream(t *testing.T) {
 	}
 	for _, chunk := range []int{1, 7, 48, 100, 1000} {
 		var got []string
-		f := NewFramer(func(p PDU) {
+		f := NewFramer(nil, func(p PDU) {
 			if p.Data != nil {
 				got = append(got, string(p.Data.Flatten()))
 				p.Data.Release()
@@ -110,7 +110,7 @@ func TestFramerPropertyAnySplit(t *testing.T) {
 		}
 		chunk := int(split)%512 + 1
 		count := 0
-		fr := NewFramer(func(p PDU) {
+		fr := NewFramer(nil, func(p PDU) {
 			if int(p.ITT) != count {
 				return
 			}
@@ -147,7 +147,7 @@ func TestPDUDataSegmentPadding(t *testing.T) {
 			t.Fatalf("wire data segment for %d bytes not padded: total %d", n, wire.Len())
 		}
 		var got []byte
-		f := NewFramer(func(q PDU) {
+		f := NewFramer(nil, func(q PDU) {
 			if q.Data != nil {
 				got = q.Data.Flatten()
 				q.Data.Release()
@@ -185,7 +185,7 @@ func TestFramerBHSOnlyPDUs(t *testing.T) {
 		wire = append(wire, c.Flatten()...)
 	}
 	count := 0
-	f := NewFramer(func(p PDU) {
+	f := NewFramer(nil, func(p PDU) {
 		if p.ITT != uint32(count) {
 			t.Fatalf("PDU order broken: %d", p.ITT)
 		}

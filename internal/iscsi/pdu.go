@@ -151,9 +151,10 @@ type Framer struct {
 	pendingDataLen int
 }
 
-// NewFramer returns a framer delivering PDUs to emit.
-func NewFramer(emit func(p PDU)) *Framer {
-	return &Framer{stream: netbuf.NewChain(), Emit: emit}
+// NewFramer returns a framer delivering PDUs to emit. The PDUs' data chains
+// recycle on pool, the receiving node's.
+func NewFramer(pool *netbuf.Pool, emit func(p PDU)) *Framer {
+	return &Framer{stream: pool.NewChain(0), Emit: emit}
 }
 
 // Push appends stream data (ownership transfers) and emits any complete

@@ -109,7 +109,7 @@ func (c *command) fail() {
 // accept wires a new session.
 func (t *Target) accept(c *tcp.Conn) {
 	s := &session{target: t, conn: c}
-	s.framer = NewFramer(s.handlePDU)
+	s.framer = NewFramer(t.node.TxPool, s.handlePDU)
 	c.SetReceiver(func(data *netbuf.Chain) { s.framer.Push(data) })
 }
 
@@ -207,7 +207,7 @@ func (s *session) handleCommand(p PDU) {
 		c := s.command(p.ITT, cdb)
 		c.data = p.Data
 		if c.data == nil {
-			c.data = netbuf.NewChain()
+			c.data = node.TxPool.NewChain(0)
 		}
 		perBlock := sim.Duration(cdb.Blocks) * node.Cost.TargetBlockNs
 		node.Charge(node.Cost.ISCSIOpNs+perBlock, c.write)

@@ -244,11 +244,11 @@ func (m *Module) CaptureLBN(lba int64, blocks int, data *netbuf.Chain) *netbuf.C
 	if blocks <= 0 || data.Len() < blocks*m.cfg.BlockSize {
 		return data
 	}
-	out := netbuf.NewChain()
+	out := m.node.BlkPool.NewChain(0)
 	for i := 0; i < blocks; i++ {
 		sub, err := data.SubChain(i*m.cfg.BlockSize, m.cfg.BlockSize)
 		if err != nil {
-			sub = netbuf.NewChain()
+			sub = m.node.BlkPool.NewChain(0)
 		}
 		key := lkey.ForLBN(lba + int64(i))
 		sub.SetOwner("ncache.lbn")
@@ -272,12 +272,12 @@ func (m *Module) CaptureFHO(fh lkey.FH, off uint64, data *netbuf.Chain) *netbuf.
 		return data
 	}
 	blocks := n / bs
-	out := netbuf.NewChain()
+	out := m.node.BlkPool.NewChain(0)
 	m.seq++
 	for i := 0; i < blocks; i++ {
 		sub, err := data.SubChain(i*bs, bs)
 		if err != nil {
-			sub = netbuf.NewChain()
+			sub = m.node.BlkPool.NewChain(0)
 		}
 		key := lkey.ForFHO(fh, off+uint64(i*bs))
 		sub.SetOwner("ncache.fho")
@@ -312,7 +312,7 @@ func (m *Module) lookup(key lkey.Key) *entry {
 // cached chains. Blocks whose entries are gone (or baseline junk with no
 // identities) pass through unchanged. The module owns the input chain and returns the chain to send.
 func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
-	out := netbuf.NewChain()
+	out := m.node.TxPool.NewChain(0)
 	substituted := 0
 	clonedBufs := 0
 	// Checksum inheritance (§1): compose the output's transport-checksum
@@ -361,7 +361,7 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 			var err error
 			cl, err = e.chain.SubChain(int(key.SubOff), take)
 			if err != nil {
-				cl = netbuf.NewChain()
+				cl = m.node.BlkPool.NewChain(0)
 			}
 		}
 		clonedBufs += cl.NumBufs()
@@ -414,7 +414,7 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []
 	if data.Len() != blocks*bs {
 		return data, remapped, m.seq
 	}
-	out := netbuf.NewChain()
+	out := m.node.BlkPool.NewChain(0)
 	touched := 0
 	for i := 0; i < blocks; i++ {
 		sub, _ := data.SubChain(i*bs, bs) // in range: data holds blocks*bs bytes
@@ -490,7 +490,7 @@ func (m *Module) ServeRead(lba int64, blocks int) (*netbuf.Chain, bool) {
 			return nil, false
 		}
 	}
-	out := netbuf.NewChain()
+	out := m.node.BlkPool.NewChain(0)
 	for i := 0; i < blocks; i++ {
 		m.touch(m.lbn[lba+int64(i)])
 		out.AppendChain(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(lba+int64(i)), m.cfg.BlockSize))

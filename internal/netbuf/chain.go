@@ -49,6 +49,9 @@ type Chain struct {
 	// freed marks a released chain: the struct has been recycled (or, in
 	// debug mode, poisoned) and must not be touched again.
 	freed bool
+	// pool is where the chain's struct and slice retire on Release: the
+	// pool it was built from, or nil for the collector.
+	pool *Pool
 }
 
 // SetPartial records a precomputed checksum partial for the chain's current
@@ -66,19 +69,25 @@ func (c *Chain) CachedPartial() (Partial, bool) {
 // invalidatePartial drops the cached checksum on mutation.
 func (c *Chain) invalidatePartial() { c.ckValid = false }
 
-// NewChain returns an empty chain. Chains are recycled through Release;
-// callers own the returned chain until they hand it to an API documented to
-// take ownership.
-func NewChain() *Chain { return getChain(0) }
+// NewChain returns an empty chain of no pool, which its Release leaves to
+// the collector. Callers own the returned chain until they hand it to an API
+// documented to take ownership. Code on a node builds its chains with
+// Pool.NewChain instead, so they recycle.
+func NewChain() *Chain { return getChain(nil, 0) }
 
-// NewChainCap returns an empty chain with room for n windows, for a caller
-// that knows what it will append.
-func NewChainCap(n int) *Chain { return getChain(n) }
+// NewChain returns an empty chain with room for n windows whose struct and
+// slice recycle on p, for the node p belongs to. A nil p builds a chain of
+// no pool.
+func (p *Pool) NewChain(n int) *Chain { return getChain(p, n) }
 
-// ChainOf builds a chain from the given buffers. The chain takes ownership
-// of the callers' references.
+// ChainOf builds a chain from the given buffers, recycled on the first
+// buffer's pool. The chain takes ownership of the callers' references.
 func ChainOf(bufs ...*Buf) *Chain {
-	c := getChain(len(bufs))
+	var p *Pool
+	if len(bufs) > 0 {
+		p = bufs[0].pool
+	}
+	c := getChain(p, len(bufs))
 	for _, b := range bufs {
 		c.wins = append(c.wins, b.window())
 	}
@@ -86,13 +95,13 @@ func ChainOf(bufs ...*Buf) *Chain {
 }
 
 // ChainFromBytes splits p into standalone buffers of at most segSize payload
-// bytes each, copying the data. It is used to synthesize on-the-wire data in
-// tests and workload generators.
+// bytes each, copying the data, in a chain of no pool. It synthesizes
+// on-the-wire data in tests; Pool.GetChain is the pooled counterpart.
 func ChainFromBytes(p []byte, segSize int) *Chain {
 	if segSize <= 0 {
 		segSize = DefaultBufSize
 	}
-	c := getChain(max((len(p)+segSize-1)/segSize, 1))
+	c := getChain(nil, max((len(p)+segSize-1)/segSize, 1))
 	for off := 0; off < len(p); off += segSize {
 		end := off + segSize
 		if end > len(p) {
@@ -127,7 +136,7 @@ func (c *Chain) AppendClone(w Window) {
 // trades it for one of the size class that fits; no slice grows by append.
 func (c *Chain) reserve(n int) {
 	if len(c.wins)+n > cap(c.wins) {
-		c.wins = growWins(c.wins, len(c.wins)+n)
+		c.wins = growWins(c.pool, c.wins, len(c.wins)+n)
 	}
 }
 
@@ -213,9 +222,9 @@ func (c *Chain) Flatten() []byte {
 
 // Clone returns a new chain with copies of c's windows, each holding its own
 // reference on its root — the logical-copy transmit path. No payload bytes
-// move and no descriptor is allocated.
+// move and no descriptor is allocated; the clone recycles on c's pool.
 func (c *Chain) Clone() *Chain {
-	nc := getChain(len(c.wins))
+	nc := getChain(c.pool, len(c.wins))
 	nc.wins = append(nc.wins, c.wins...)
 	for _, w := range c.wins {
 		w.root.Retain()
@@ -232,9 +241,9 @@ func (c *Chain) SetOwner(owner string) {
 }
 
 // Release drops every window's reference and retires the chain: the struct
-// is recycled for the next NewChain and the window slice, its slots cleared,
-// goes back to its size class, so the caller must not touch c afterwards.
-// Releasing a chain twice panics.
+// goes back to its pool's list and the window slice, its slots cleared, to
+// the pool's list of its size class, so the caller must not touch c
+// afterwards. Releasing a chain twice panics.
 func (c *Chain) Release() {
 	if c.freed {
 		recordChainDoubleFree(c)
@@ -271,10 +280,10 @@ func (c *Chain) PullHeaderInto(dst []byte) error {
 }
 
 // PullChain removes the first n payload bytes from the chain and returns
-// them as a new chain, without copying payload: whole windows move across,
-// and a window split by the boundary is copied into both chains with
-// adjusted spans and one more reference on its root. This is the primitive
-// streams (TCP reassembly, iSCSI PDU framing) consume data with.
+// them as a new chain on c's pool, without copying payload: whole windows
+// move across, and a window split by the boundary is copied into both
+// chains with adjusted spans and one more reference on its root. This is the
+// primitive streams (TCP reassembly, iSCSI PDU framing) consume data with.
 func (c *Chain) PullChain(n int) (*Chain, error) {
 	c.invalidatePartial()
 	if n < 0 || n > c.Len() {
@@ -288,7 +297,7 @@ func (c *Chain) PullChain(n int) (*Chain, error) {
 			left -= l
 		}
 	}
-	out := getChain(k)
+	out := getChain(c.pool, k)
 	remaining := n
 	i := 0 // windows consumed from the head: moved to out, or empty and released
 	for remaining > 0 {

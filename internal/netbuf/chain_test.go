@@ -2,7 +2,9 @@ package netbuf
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -334,14 +336,14 @@ func TestChecksumPropertySplitInvariance(t *testing.T) {
 // TestChainDrainedSliceReturnsToItsClass covers the head-advance and release
 // rules: a chain drained by PullHeaderInto / PullChain keeps its slice (the
 // head advances by copying the tail down, never by re-slicing from the
-// front), and once released that slice goes back to its size class — not
-// with the struct — with no slot still pinning a root.
+// front), and once released that slice goes back to its size class on the
+// chain's pool — not with the struct — with no slot still pinning a root.
 func TestChainDrainedSliceReturnsToItsClass(t *testing.T) {
 	if debugMode {
 		t.Skip("nothing is recycled in debug mode")
 	}
-	payload := make([]byte, 22*64)
-	c := ChainFromBytes(payload, 64)
+	pool := NewPool("drain", DefaultHeadroom, 64, 0)
+	c := pool.GetChain(make([]byte, 22*64))
 	wins := c.wins[:cap(c.wins)]
 	if len(wins) != minWins<<winClass(22) {
 		t.Fatalf("a 22-window chain has capacity %d, want its class's %d", len(wins), minWins<<winClass(22))
@@ -369,7 +371,10 @@ func TestChainDrainedSliceReturnsToItsClass(t *testing.T) {
 	if c.wins != nil {
 		t.Fatal("a released chain's struct kept its slice")
 	}
-	got := NewChainCap(22)
+	if got := len(pool.wins[winClass(22)]); got != 1 {
+		t.Fatalf("the pool's class %d holds %d slices, want the released one", winClass(22), got)
+	}
+	got := pool.NewChain(22)
 	if &got.wins[:1][0] != &wins[0] {
 		t.Fatal("the released slice did not go back to its class")
 	}
@@ -379,6 +384,7 @@ func TestChainDrainedSliceReturnsToItsClass(t *testing.T) {
 		}
 	}
 	got.Release()
+	pool.MustBeDrained()
 }
 
 // TestChainMixedSizesAllocFree is the size-class gate: a 3-window frame chain
@@ -387,21 +393,15 @@ func TestChainDrainedSliceReturnsToItsClass(t *testing.T) {
 // the way NCache keeps a captured chain past later frames — and the retired
 // frame is released last, so the next reassembly gets the small struct. A
 // slice that travelled with its struct then had to regrow on every round;
-// with slices recycled by class, nothing is allocated in steady state.
+// with slices recycled by class, nothing is allocated in steady state. The
+// pool is new, so the kept frames' structs start as new ones with
+// frame-sized slices, as in a fresh process.
 func TestChainMixedSizesAllocFree(t *testing.T) {
 	if debugMode {
 		t.Skip("nothing is recycled in debug mode")
 	}
 	pool := NewPool("mixed", DefaultHeadroom, 64, 0)
-	get := func() *Buf {
-		b := pool.Get()
-		return b
-	}
-	// Start, as a fresh process does, from an empty struct list, so the kept
-	// frames' structs are new ones with frame-sized slices.
-	chainMu.Lock()
-	chainFree = nil
-	chainMu.Unlock()
+	get := pool.Get
 	const kept = 64
 	frames := make([]*Chain, kept)
 	for i := range frames {
@@ -409,7 +409,7 @@ func TestChainMixedSizesAllocFree(t *testing.T) {
 	}
 	next := 0
 	round := func() {
-		reasm := NewChain()
+		reasm := pool.NewChain(0)
 		for range 24 {
 			reasm.AppendChain(ChainOf(get()))
 		}
@@ -430,6 +430,105 @@ func TestChainMixedSizesAllocFree(t *testing.T) {
 		f.Release()
 	}
 	pool.MustBeDrained()
+}
+
+// TestChainSmallerClassReplacesAllocFree is the stranded-class gate: retained
+// 6-window chains (class 1) are replaced one by one with 3-window chains
+// (class 0), as NFS WRITEs replace cached read sub-chains. Every round frees
+// a class-1 slice and needs one that holds three windows; taking the
+// smallest non-empty class at or above the fitting one, the round reuses the
+// freed slice instead of allocating a class-0 slice while class 1 idles.
+func TestChainSmallerClassReplacesAllocFree(t *testing.T) {
+	if debugMode {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	pool := NewPool("shrink", DefaultHeadroom, 64, 0)
+	get := pool.Get
+	const kept = 64
+	retained := make([]*Chain, kept)
+	fill := func() {
+		for i := range retained {
+			retained[i] = ChainOf(get(), get(), get(), get(), get(), get())
+		}
+	}
+	// Prime: one generation of large chains comes and goes, so the struct
+	// list and class 1's list have room for all of them.
+	fill()
+	for _, c := range retained {
+		c.Release()
+	}
+	fill()
+	next := 0
+	round := func() {
+		old := retained[next]
+		old.Release()
+		retained[next] = ChainOf(get(), get(), get())
+		next++
+	}
+	if avg := testing.AllocsPerRun(kept-1, round); avg != 0 {
+		t.Fatalf("replacing a retained chain with a smaller one allocates %.2f objects per round, want 0", avg)
+	}
+	for _, c := range retained {
+		c.Release()
+	}
+	pool.MustBeDrained()
+}
+
+// TestChainPoolsNeedNoLock builds and releases chains on two pools from two
+// goroutines at once, as two clusters do in parallel subtests. Each chain
+// recycles on its own pool, so under -race the pair shows that no chain
+// state is shared between pools.
+func TestChainPoolsNeedNoLock(t *testing.T) {
+	var wg sync.WaitGroup
+	for i := range 2 {
+		pool := NewPool(fmt.Sprintf("lockfree%d", i), DefaultHeadroom, 64, 0)
+		get := func() *Buf { return pool.GetSized(64, 0) }
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 500 {
+				frame := ChainOf(get(), get(), get())
+				reasm := pool.NewChain(0)
+				for range 24 {
+					reasm.AppendChain(ChainOf(get()))
+				}
+				reasm.AppendChain(frame.Clone())
+				frame.Release()
+				sub, err := reasm.SubChain(64, 20*64)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reasm.Release()
+				sub.Release()
+			}
+			pool.MustBeDrained()
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkChainCycle is the cost of a chain's life on its pool: get and
+// release a 3-window frame chain, and a 24-window reassembly built one
+// AppendChain at a time.
+func BenchmarkChainCycle(b *testing.B) {
+	pool := NewPool("cycle", DefaultHeadroom, 64, 0)
+	b.Run("frame3", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			ChainOf(pool.Get(), pool.Get(), pool.Get()).Release()
+		}
+	})
+	b.Run("reasm24", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			reasm := pool.NewChain(0)
+			for range 24 {
+				reasm.AppendChain(ChainOf(pool.Get()))
+			}
+			reasm.Release()
+		}
+	})
 }
 
 // TestChainHandOffAllocFree is the allocation gate for the chain lifecycle:

@@ -63,14 +63,15 @@ func (c *Chain) GatherRange(off int, dst []byte) int {
 
 // SubChain returns a new chain aliasing the byte range [off, off+n) of c:
 // one window per buffer the range overlaps, each with a reference of its own
-// on its root, and no payload copied. It is the primitive behind
-// block-aligned substitution when protocol block sizes mismatch (§3.5).
+// on its root, and no payload copied, recycled on c's pool. It is the
+// primitive behind block-aligned substitution when protocol block sizes
+// mismatch (§3.5).
 func (c *Chain) SubChain(off, n int) (*Chain, error) {
 	if off < 0 || n < 0 || off+n > c.Len() {
 		return nil, fmt.Errorf("netbuf: slice [%d,%d) out of range 0..%d", off, off+n, c.Len())
 	}
 	if n == 0 {
-		return NewChain(), nil
+		return getChain(c.pool, 0), nil
 	}
 	// Skip the windows that end at or before off, then size the output once:
 	// one window per window the range overlaps.
@@ -83,7 +84,7 @@ func (c *Chain) SubChain(off, n int) (*Chain, error) {
 	for left := off + n; left > 0; k++ {
 		left -= c.wins[i+k].Len()
 	}
-	out := getChain(k)
+	out := getChain(c.pool, k)
 	for _, w := range c.wins[i : i+k] {
 		w.head += int32(off)
 		take := min(w.Len(), n)
@@ -97,7 +98,7 @@ func (c *Chain) SubChain(off, n int) (*Chain, error) {
 
 // AppendChain moves every window of o to the tail of c and consumes o: a
 // chain whose windows have been taken is a retired chain, so o's struct and
-// slice go back to their free lists exactly as if released and the caller
+// slice go back to o's pool exactly as if released and the caller
 // must not touch it again (in debug mode it is poisoned and a later Release
 // panics). It replaces the per-window Append loop at every layer hand-off (c
 // grows at most once). A nil o is a no-op.

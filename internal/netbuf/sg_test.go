@@ -140,9 +140,13 @@ func TestRangeEmptyChain(t *testing.T) {
 	}
 }
 
+// TestAppendChainMovesOwnership: the windows move, and the consumed chain
+// retires to its own pool, not to the pool of the chain it was appended to.
 func TestAppendChainMovesOwnership(t *testing.T) {
-	a := ChainFromBytes([]byte("hello "), 4)
-	b := ChainFromBytes([]byte("world"), 3)
+	pa := NewPool("dst", DefaultHeadroom, 4, 0)
+	pb := NewPool("src", DefaultHeadroom, 3, 0)
+	a := pa.GetChain([]byte("hello "))
+	b := pb.GetChain([]byte("world"))
 	nb := b.NumBufs()
 	a.AppendChain(b)
 	if a.NumBufs() != 2+nb {
@@ -151,19 +155,25 @@ func TestAppendChainMovesOwnership(t *testing.T) {
 	if string(a.Flatten()) != "hello world" {
 		t.Fatalf("payload = %q", a.Flatten())
 	}
-	// A consumed chain is a retired chain: the struct is back on the free
+	// A consumed chain is a retired chain: the struct is back on its pool's
 	// list (poisoned in debug mode), exactly as after Release.
 	if !b.freed {
 		t.Fatal("AppendChain left its argument live")
 	}
 	if !debugMode {
-		if got := NewChain(); got != b {
-			t.Fatal("consumed chain struct did not return to the free list")
-		} else {
-			got.Release()
+		if len(pa.chains) != 0 || len(pb.chains) != 1 || pb.chains[0] != b {
+			t.Fatalf("consumed chain struct did not return to its own pool (dst list %d, src list %d)",
+				len(pa.chains), len(pb.chains))
 		}
+		got := pb.NewChain(0)
+		if got != b {
+			t.Fatal("the source pool's next chain is not the consumed struct")
+		}
+		got.Release()
 	}
 	a.Release()
+	pa.MustBeDrained()
+	pb.MustBeDrained()
 }
 
 // TestAppendChainConsumedTwice checks the retirement rule's failure mode: a

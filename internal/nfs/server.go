@@ -352,7 +352,7 @@ func (k *serverCall) replyNames(names Names, st uint32) {
 	s, c := k.s, k.retire()
 	hb, e := head(c, 8, OK)
 	e.Uint32(uint32(names.Len()))
-	list, b := netbuf.NewChain(), s.node.TxPool.Get()
+	list, b := s.node.TxPool.NewChain(0), s.node.TxPool.Get()
 	for i := 0; i < names.Len(); i++ {
 		n := names.Name(i)
 		size := 4 + (len(n)+3)&^3

@@ -824,9 +824,9 @@ func TestOriginalPaysChecksumWithoutOffload(t *testing.T) {
 }
 
 // TestClusterDeterminism runs the same small cluster twice, concurrently.
-// The runs must agree — and under -race the pair exercises the only state
-// two clusters share, netbuf's process-global descriptor and chain free
-// lists, without waiting for the replay sweep's parallel subtests.
+// The runs must agree — and under -race the pair shows that two clusters
+// share no state (each node's pools recycle its own buffers and chains),
+// without waiting for the replay sweep's parallel subtests.
 func TestClusterDeterminism(t *testing.T) {
 	type outcome struct {
 		ops, events uint64

@@ -91,7 +91,7 @@ func (s *Stack) reassemble(key flowKey, id uint16, at sim.Time, quiet bool) *rea
 		r = &reassembly{s: s}
 		r.expire = r.expired
 	}
-	r.key, r.id, r.chain = key, id, netbuf.NewChain()
+	r.key, r.id, r.chain = key, id, s.node.TxPool.NewChain(0)
 	if !quiet {
 		r.expiry = s.node.Eng.At(at.Add(ReasmTimeout), r.expire)
 	}
@@ -240,7 +240,7 @@ func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) erro
 // payload buffers — fragments may alias one another's backing). On error the
 // frame is released.
 func (s *Stack) frame(hdr Header, payload *netbuf.Chain) (*netbuf.Chain, error) {
-	frame := netbuf.NewChainCap(1 + payload.NumBufs())
+	frame := s.node.TxPool.NewChain(1 + payload.NumBufs())
 	frame.Append(s.node.TxPool.Get())
 	frame.AppendChain(payload)
 	if err := hdr.Push(frame); err != nil {

@@ -313,7 +313,7 @@ func (c *Conn) SendChain(payload *netbuf.Chain) error {
 		return ErrConnClosed
 	}
 	if c.sendQ == nil {
-		c.sendQ = netbuf.NewChain()
+		c.sendQ = c.t.node.TxPool.NewChain(0)
 	}
 	c.sendQ.AppendChain(payload)
 	// The last byte of this message ends a PSH segment so the peer acks

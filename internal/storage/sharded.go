@@ -96,8 +96,8 @@ func (s *Sharded) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Chai
 				done(nil, firstErr)
 				return
 			}
-			out := netbuf.NewChain()
-			for _, p := range parts {
+			out := parts[0]
+			for _, p := range parts[1:] {
 				out.AppendChain(p)
 			}
 			done(out, nil)

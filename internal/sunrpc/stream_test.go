@@ -24,7 +24,7 @@ func TestRecordStreamFraming(t *testing.T) {
 	}
 	for _, chunk := range []int{1, 3, 7, 64, 5000} {
 		var got [][]byte
-		rs := newRecordStream(func(rec *netbuf.Chain) {
+		rs := newRecordStream(nil, func(rec *netbuf.Chain) {
 			got = append(got, rec.Flatten())
 			rec.Release()
 		})
@@ -50,7 +50,7 @@ func TestRecordStreamFraming(t *testing.T) {
 }
 
 func TestRecordStreamRejectsNonFinalFragment(t *testing.T) {
-	rs := newRecordStream(func(rec *netbuf.Chain) { rec.Release() })
+	rs := newRecordStream(nil, func(rec *netbuf.Chain) { rec.Release() })
 	// Mark without the last-fragment bit.
 	rs.push(netbuf.ChainFromBytes([]byte{0x00, 0, 0, 4, 1, 2, 3, 4}, 8))
 	if rs.Errors != 1 {
