@@ -261,24 +261,55 @@ func (fl *flusher) batchLanded() {
 }
 
 // Sync flushes every dirty block in coalesced adjacent-LBN batches, issued
-// concurrently, and calls done once every batch lands, with the first error.
-// A block whose batch is in flight may hold bytes written since it was
-// issued: Sync waits for that batch to land, then writes the block again if
-// it is still dirty (syncsLanded).
+// concurrently, and calls done once every batch lands, with the first error:
+// SyncBlocks over the whole cache.
 func (c *Cache) Sync(done func(error)) {
+	s := c.syncCall()
+	for _, b := range c.blocks { // det: sorted (by LBN in startSync, before any I/O is issued)
+		s.add(b)
+	}
+	c.startSync(s, done)
+}
+
+// SyncBlocks is Sync restricted to the blocks of lbns, a sorted list; LBNs
+// that are not resident, or not dirty, are skipped. It is what a stable
+// WRITE waits for: its own blocks, and no other writer's batches.
+func (c *Cache) SyncBlocks(lbns []int64, done func(error)) {
+	s := c.syncCall()
+	for _, lbn := range lbns {
+		if b, ok := c.blocks[lbn]; ok {
+			s.add(b)
+		}
+	}
+	c.startSync(s, done)
+}
+
+// syncCall takes a blank Sync record.
+func (c *Cache) syncCall() *syncCall {
 	s := c.syncCalls.Take()
 	if s == nil {
 		s = &syncCall{c: c}
 		s.onLanded = s.landed
 	}
-	for _, b := range c.blocks { // det: sorted (by LBN below, before any I/O is issued)
-		switch {
-		case b.Dirty && b.flushing:
-			s.busy = append(s.busy, b)
-		case b.Dirty:
-			s.dirty = append(s.dirty, b)
-		}
+	return s
+}
+
+// add puts b on the record's lists if it is dirty: to issue now, or, when
+// its batch is in flight, to wait for.
+func (s *syncCall) add(b *Block) {
+	switch {
+	case b.Dirty && b.flushing:
+		s.busy = append(s.busy, b)
+	case b.Dirty:
+		s.dirty = append(s.dirty, b)
 	}
+}
+
+// startSync issues the record's dirty blocks and calls done once every
+// batch lands. A block whose batch is in flight may hold bytes written since
+// it was issued: the Sync waits for that batch to land, then writes the
+// block again if it is still dirty (syncsLanded).
+func (c *Cache) startSync(s *syncCall, done func(error)) {
 	if len(s.dirty) == 0 && len(s.busy) == 0 {
 		s.retire()
 		done(nil)

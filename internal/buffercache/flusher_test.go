@@ -370,6 +370,30 @@ func TestSyncWaitsForBatchInFlight(t *testing.T) {
 	wantIdle(t, eng, c)
 }
 
+// SyncBlocks writes only the listed dirty blocks, coalesced as Sync does,
+// and skips listed blocks that are clean or not resident.
+func TestSyncBlocksWritesOnlyItsList(t *testing.T) {
+	eng, lower, c := rigFlusher(t, 0, 0)
+	for _, lbn := range []int64{3, 7, 8, 9} {
+		dirty(t, c, lbn, false)
+	}
+	synced := false
+	c.SyncBlocks([]int64{1, 7, 8}, func(err error) { synced = err == nil })
+	if got := lower.runs(); got != "7+2" {
+		t.Fatalf("writes = %s, want the listed 7+2 alone", got)
+	}
+	lower.land(nil)
+	if !synced {
+		t.Fatal("SyncBlocks never reported")
+	}
+	if !c.IsDirty(3) || !c.IsDirty(9) || c.IsDirty(7) {
+		t.Fatal("SyncBlocks touched a block it was not given")
+	}
+	c.Sync(func(error) {})
+	lower.landAll()
+	wantIdle(t, eng, c)
+}
+
 // Satellite: a block still dirty when its batch completes rejoins the FIFO
 // whoever issued the batch. Here Sync did, while the flusher's own entry for
 // the block was spent on it mid-flush; with no further Sync the flusher

@@ -32,13 +32,19 @@ func (r *fsRig) footprint() footprint {
 // capacity.
 func (r *fsRig) remount(t *testing.T, capacity int) {
 	t.Helper()
+	r.remountOver(t, capacity, &diskLower{dev: r.disk})
+}
+
+// remountOver is remount with the new cache over lower.
+func (r *fsRig) remountOver(t *testing.T, capacity int, lower buffercache.Lower) {
+	t.Helper()
 	r.fs.Sync(func(err error) {
 		if err != nil {
 			t.Fatalf("Sync: %v", err)
 		}
 	})
 	r.run(t)
-	r.cache = buffercache.New(r.node, &diskLower{dev: r.disk}, capacity)
+	r.cache = buffercache.New(r.node, lower, capacity)
 	Mount(r.node, r.cache, func(fs *FS, err error) {
 		if err != nil {
 			t.Fatalf("Mount: %v", err)

@@ -132,23 +132,8 @@ func (k *backendCall) gotAttr(a extfs.Attr, err error) {
 	}
 }
 
-// gotErr continues after a Remove or a cache flush (a WRITE that syncs
-// before its ack).
-func (k *backendCall) gotErr(err error) {
-	srv := k.b.srv
-	if k.proc == nfs.ProcRemove {
-		k.retire().doneStatus(mapErr(err))
-		return
-	}
-	if srv.crashed {
-		return
-	}
-	if err != nil {
-		k.fail(err)
-		return
-	}
-	srv.FS.Getattr(k.ino, k.onAttr)
-}
+// gotErr ends a Remove.
+func (k *backendCall) gotErr(err error) { k.retire().doneStatus(mapErr(err)) }
 
 // gotIno continues a LOOKUP or CREATE with the child's attributes.
 func (k *backendCall) gotIno(ino uint32, err error) {
@@ -254,8 +239,9 @@ func (k *backendCall) gotRead(res *extfs.ReadResult, err error) {
 
 // Write applies a WRITE by one of three routes, which differ in what stands
 // between the data reaching the cache and the ack: nothing (the classic
-// path), a cache flush (the write-through comparison arm: equal durability
-// through the same batching flusher), or the journal's group commit.
+// path), a sync of the blocks the WRITE dirtied (the write-through
+// comparison arm: equal durability through the same batching flusher), or
+// the journal's group commit.
 func (b *fsBackend) Write(fh nfs.FH, off uint64, data *netbuf.Chain, done func(int, nfs.Attr, uint32)) {
 	srv := b.srv
 	if srv.crashed {
@@ -282,7 +268,7 @@ func (b *fsBackend) Write(fh nfs.FH, off uint64, data *netbuf.Chain, done func(i
 // coalesced batches. Admission is gated by the cache's dirty-memory
 // watermarks, so a flooded flusher backpressures the NFS path here.
 // Unaligned writes (never issued by the block-aligned workloads; the WAL is
-// a logical redo log over whole blocks) fall back to apply+sync before the
+// a logical redo log over whole blocks) fall back to a stable write before the
 // ack — equal durability, no journal entry.
 func (k *backendCall) writeJournaled() {
 	bs := extfs.BlockSize
@@ -328,8 +314,6 @@ func (k *backendCall) written(err error) {
 		k.fail(err)
 	case k.rec != nil:
 		srv.FS.Map(k.ino, k.off, k.n, k.onLBNs)
-	case k.sync:
-		srv.FS.Sync(k.onErr)
 	default:
 		srv.FS.Getattr(k.ino, k.onAttr)
 	}
