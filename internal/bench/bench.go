@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -117,14 +118,19 @@ type SFSPoint struct {
 }
 
 // synthContent is the deterministic block-content function used for
-// storage-free multi-hundred-megabyte file sets.
+// storage-free multi-hundred-megabyte file sets: an xorshift stream, one
+// little-endian word per step, the last word cut to the tail.
 func synthContent(lbn int64, dst []byte) {
 	v := uint64(lbn)*0x9e3779b97f4a7c15 + 12345
 	for i := 0; i < len(dst); i += 8 {
 		v ^= v << 13
 		v ^= v >> 7
 		v ^= v << 17
-		for j := 0; j < 8 && i+j < len(dst); j++ {
+		if i+8 <= len(dst) {
+			binary.LittleEndian.PutUint64(dst[i:], v)
+			continue
+		}
+		for j := range dst[i:] {
 			dst[i+j] = byte(v >> (8 * j))
 		}
 	}
