@@ -345,3 +345,70 @@ func TestNoUnannotatedMapRanges(t *testing.T) {
 			strings.Join(violations, "\n  "))
 	}
 }
+
+// TestNoSynchronisation is the other half of the single-goroutine rule: no
+// non-test file under internal/ or cmd/ may import sync or sync/atomic.
+// Whatever a cluster holds — pools, chain lists, counters — belongs to the
+// one goroutine that runs it, so a lock there is either dead weight or a
+// sign that state leaked between clusters (DESIGN.md §11).
+func TestNoSynchronisation(t *testing.T) {
+	pkgDirs, _ := listPackages(t)
+	fset := token.NewFileSet()
+	var violations []string
+	for _, dir := range pkgDirs { // det: sorted below
+		for _, f := range sourceFiles(t, fset, dir) {
+			for _, imp := range f.Imports {
+				if p := strings.Trim(imp.Path.Value, `"`); p == "sync" || p == "sync/atomic" {
+					violations = append(violations, relPos(fset.Position(imp.Pos()))+" imports "+p)
+				}
+			}
+		}
+	}
+	sort.Strings(violations)
+	if len(violations) > 0 {
+		t.Errorf("synchronisation in simulator code (a cluster's state belongs to one "+
+			"goroutine — see DESIGN.md §11):\n  %s", strings.Join(violations, "\n  "))
+	}
+}
+
+// TestChainsNameAPool keeps the hot paths recycling: no non-test code under
+// internal/ or cmd/ may use netbuf's pool-less chain constructors,
+// NewChain and ChainFromBytes, whose chains are left to the collector. Code
+// on a node builds its chains with Pool.NewChain, or from pooled buffers.
+func TestChainsNameAPool(t *testing.T) {
+	pkgDirs, exports := listPackages(t)
+	fset := token.NewFileSet()
+	imp := exportImporter(fset, exports)
+	poolless := map[string]bool{"NewChain": true, "ChainFromBytes": true}
+	var violations []string
+	for path, dir := range pkgDirs { // det: sorted below
+		files := sourceFiles(t, fset, dir)
+		if len(files) == 0 {
+			continue
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: imp, FakeImportC: true}
+		if _, err := conf.Check(path, fset, files, info); err != nil {
+			t.Fatalf("typecheck %s: %v", path, err)
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := info.Uses[id].(*types.Func)
+				if ok && poolless[fn.Name()] && fn.Pkg() != nil && fn.Pkg().Path() == "ncache/internal/netbuf" &&
+					fn.Type().(*types.Signature).Recv() == nil {
+					violations = append(violations, relPos(fset.Position(id.Pos()))+" uses netbuf."+fn.Name())
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(violations)
+	if len(violations) > 0 {
+		t.Errorf("chains built without a pool in simulator code (they are never "+
+			"recycled; build them with Pool.NewChain):\n  %s", strings.Join(violations, "\n  "))
+	}
+}

@@ -1,5 +1,6 @@
 // Package detguard holds the repository's source-level guards: annotated map
-// iteration and no goroutines inside the simulator (determinism), no
+// iteration, no goroutines and no synchronisation inside the simulator
+// (determinism), no chain built without a pool on the hot paths, no
 // configuration field that nothing turns, no exported function or variable
 // that nothing references, no coverage-census line naming a function that is
 // gone, and no more design prose than its budget (prose_test.go).
@@ -24,8 +25,11 @@
 // be stated — and reviewed — where the iteration happens.
 //
 // The second guard, TestNoGoroutines, fails on any go statement in non-test
-// code under internal/ or cmd/: a cluster's state is unsynchronised because
-// only the caller's goroutine ever touches it (DESIGN.md §11).
+// code under internal/ or cmd/, and TestNoSynchronisation on any import of
+// sync or sync/atomic there: a cluster's state is unsynchronised because
+// only the caller's goroutine ever touches it (DESIGN.md §11). Beside them,
+// TestChainsNameAPool fails on any non-test use of netbuf's pool-less chain
+// constructors, whose chains are never recycled.
 //
 // The third, TestEveryKnobIsTurned (knobs_test.go), is not about determinism
 // but shares the machinery: it type-checks every package of the module, tests
