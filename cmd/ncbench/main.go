@@ -16,12 +16,14 @@
 //	ncbench -exp scaleout -window 200ms -scale 8
 //
 // -cpuprofile/-memprofile write pprof profiles of the run; -benchjson
-// records per-experiment allocations, executed events and the simulated
-// headline; -benchgate compares the run against a committed -benchjson
-// baseline and exits non-zero if any shared experiment's alloc_bytes or
-// allocs regresses by more than 5% or its sim_events exceeds the baseline's
-// at all (the CI gate — baselines must be produced with the same flags as
-// the gated run):
+// records per-experiment allocations, the clusters built, executed events
+// and the simulated headline (allocs counts every allocation of the run,
+// each cluster's build and pool warm-up included, so it grows with clusters
+// as well as with the steady state); -benchgate compares the run against a
+// committed -benchjson baseline and exits non-zero if any shared
+// experiment's alloc_bytes or allocs regresses by more than 5% or its
+// sim_events exceeds the baseline's at all (the CI gate — baselines must be
+// produced with the same flags as the gated run):
 //
 //	ncbench -exp fig5b -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //	ncbench -exp fig5b,fig4,fig7,scaleout,writeback -benchgate BENCH.json
@@ -73,7 +75,7 @@ func run(args []string) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
 	benchJSON := fs.String("benchjson", "", "write per-experiment allocation, event and headline metrics as JSON to this file")
-	benchGate := fs.String("benchgate", "", "compare this run against a baseline -benchjson file; exit non-zero on an alloc_bytes or allocs regression above 5% or any sim_events increase")
+	benchGate := fs.String("benchgate", "", "compare this run against a baseline -benchjson file; exit non-zero on an alloc_bytes or allocs regression above 5% or any sim_events increase (allocs includes each cluster's pool warm-up)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -154,12 +154,13 @@ func sweep[P any](what string, params []int, point func(passthru.Mode, int) (P, 
 
 // harness is one experiment run: the options with defaults applied, the
 // cluster currently alive (experiments measure one testbed at a time, so
-// building the next retires the previous), and the events executed, summed
-// over every cluster the run built.
+// building the next retires the previous), and the clusters the run built
+// and the events they executed, counted as each retires.
 type harness struct {
-	opt    Options // defaults applied
-	cl     *passthru.Cluster
-	events uint64
+	opt      Options // defaults applied
+	cl       *passthru.Cluster
+	clusters int
+	events   uint64
 }
 
 func newHarness(opt Options) *harness { return &harness{opt: opt.withDefaults()} }
@@ -190,9 +191,10 @@ func (h *harness) build(cfg passthru.ClusterConfig, layout func(*extfs.Formatter
 	return cl, nil
 }
 
-// retire folds the live cluster's event count into the run's tally.
+// retire folds the live cluster and its event count into the run's tally.
 func (h *harness) retire() {
 	if h.cl != nil {
+		h.clusters++
 		h.events += h.cl.Eng.Processed()
 		h.cl = nil
 	}

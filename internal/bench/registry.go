@@ -34,8 +34,10 @@ type Result struct {
 	// reports as custom metrics and -benchjson records next to the host
 	// cost.
 	Headline map[string]float64
-	// SimEvents sums the events executed by every cluster the run built.
+	// SimEvents sums the events executed by every cluster the run built;
+	// Clusters counts them.
 	SimEvents uint64
+	Clusters  int
 }
 
 // Experiments is the registry, in `-exp all` print order. Adding an
@@ -201,7 +203,7 @@ func run[P any](fn func(*harness) (P, error), render func(P, Options) Result) fu
 			return Result{}, err
 		}
 		res := render(pts, h.opt)
-		res.Points, res.SimEvents = pts, h.events
+		res.Points, res.SimEvents, res.Clusters = pts, h.events, h.clusters
 		return res, nil
 	}
 }
@@ -271,14 +273,16 @@ func Usage() string {
 }
 
 // Record is one experiment's -benchjson line: the host cost of the run
-// (heap-allocation deltas from runtime.MemStats), the events executed summed
-// over the experiment's clusters, and the simulated headline. SimEvents and
-// the headline are pure functions of the simulated schedule
-// (host-independent).
+// (heap-allocation deltas from runtime.MemStats, so allocs includes each
+// cluster's build and pool warm-up besides its steady state), how many
+// clusters the run built, the events they executed, and the simulated
+// headline. Clusters, SimEvents and the headline are pure functions of the
+// simulated schedule (host-independent).
 type Record struct {
 	Name       string             `json:"name"`
 	AllocBytes uint64             `json:"alloc_bytes"`
 	Allocs     uint64             `json:"allocs"`
+	Clusters   int                `json:"clusters"`
 	SimEvents  uint64             `json:"sim_events,omitempty"`
 	Headline   map[string]float64 `json:"headline,omitempty"`
 }
@@ -293,7 +297,7 @@ func (e Experiment) Measure(opt Options) (Result, Record, error) {
 	runtime.ReadMemStats(&after)
 	rec.AllocBytes = after.TotalAlloc - before.TotalAlloc
 	rec.Allocs = after.Mallocs - before.Mallocs
-	rec.SimEvents, rec.Headline = res.SimEvents, res.Headline
+	rec.Clusters, rec.SimEvents, rec.Headline = res.Clusters, res.SimEvents, res.Headline
 	if err != nil {
 		err = fmt.Errorf("%s: %w", e.Name, err)
 	}

@@ -106,10 +106,7 @@ type Cache struct {
 	wb        *metrics.Writeback
 	nDirty    int
 	nFlushing int
-	// gen is bumped by Reset (crash) so completions of I/O issued against
-	// a previous incarnation are discarded instead of mutating fresh state.
-	gen uint64
-	seq uint64 // counts modifications (MarkDirty); survives Reset
+	seq       uint64 // counts modifications (MarkDirty)
 	// onFlush fires after every successful write-back batch (WAL
 	// truncation hook).
 	onFlush func()
@@ -239,7 +236,7 @@ func (c *Cache) drop(b *Block) {
 // unpinned, loaded (so no fill holds it) and not mid-flush (so no write-back
 // completion holds it) — keeps it for the next insert and its page
 // for the next Page. Callers that hand the pointer on after the drop
-// (Reset's orphans, the read-error path's waiters) use drop alone.
+// (the read-error path's waiters) use drop alone.
 func (c *Cache) recycle(b *Block) {
 	idle := b.pins == 0 && !b.flushing && b.loaded
 	c.drop(b)
@@ -332,8 +329,7 @@ func (c *Cache) GetRange(lbn int64, out []*Block, meta bool, done func(error)) {
 // read is the recycled record of one Get or GetRange that is not fully
 // resident: the caller's blocks and completion, and how many fills it still
 // waits for. A record never leaves its Cache and retires before the caller's
-// completion runs. A read whose fill a Reset (crash) discards never
-// completes and never retires: its record goes to the collector.
+// completion runs.
 type read struct {
 	netbuf.Recycled
 	c       *Cache
@@ -472,7 +468,6 @@ type run struct {
 	rd    *read
 	lbn   int64
 	count int
-	gen   uint64
 	data  *netbuf.Chain
 	fills []fill
 
@@ -496,7 +491,7 @@ func (c *Cache) readRun(rd *read, lbn int64, count int, meta bool) {
 		r = &run{c: c}
 		r.onData, r.onFilled = r.arrived, r.filled
 	}
-	r.rd, r.lbn, r.count, r.gen = rd, lbn, count, c.gen
+	r.rd, r.lbn, r.count = rd, lbn, count
 	c.lower.ReadAt(lbn, count, meta, r.onData)
 }
 
@@ -509,18 +504,9 @@ func (r *run) retire() *read {
 	return rd
 }
 
-// arrived takes the lower store's answer. Completions arriving after a Reset
-// (crash) are discarded: the placeholders are orphans and their waiters died
-// with the server.
+// arrived takes the lower store's answer.
 func (r *run) arrived(data *netbuf.Chain, err error) {
 	c := r.c
-	if c.gen != r.gen {
-		if data != nil {
-			data.Release()
-		}
-		r.retire()
-		return
-	}
 	if err != nil {
 		for j := 0; j < r.count; j++ {
 			if b, ok := c.blocks[r.lbn+int64(j)]; ok && !b.loaded {
@@ -591,11 +577,6 @@ func (r *run) plan(data *netbuf.Chain) {
 // served the copy, and wakes every waiter.
 func (r *run) filled() {
 	c, data := r.c, r.data
-	if c.gen != r.gen {
-		data.Release()
-		r.retire()
-		return
-	}
 	for _, f := range r.fills {
 		if f.logical {
 			c.SetKey(f.b, f.key)

@@ -577,8 +577,8 @@ func TestCacheEvictInsertZeroAllocs(t *testing.T) {
 
 // TestRecycledBlockLooksFresh: an evicted block comes back from the next
 // insert with no page and no trace of its previous life, and a page handed
-// back comes back from the next Page zeroed, while blocks somebody may still
-// refer to — dropped mid-flush, orphaned by Reset — are never reused.
+// back comes back from the next Page zeroed, while a block somebody may still
+// refer to — dropped mid-flush — is never reused.
 func TestRecycledBlockLooksFresh(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -633,13 +633,6 @@ func TestRecycledBlockLooksFresh(t *testing.T) {
 	// A clean, idle one is recycled by Drop.
 	if resident := c.blocks[9]; !c.Drop(9) || c.free[len(c.free)-1] != resident {
 		t.Fatal("Drop of a clean block did not recycle it")
-	}
-	// Reset orphans every resident block: in-flight completions may still
-	// hold them.
-	free = len(c.free)
-	c.Reset()
-	if len(c.free) != free || len(c.blocks) != 0 {
-		t.Fatal("Reset recycled blocks it orphaned")
 	}
 }
 

@@ -65,9 +65,8 @@ type flusher struct {
 
 // admitWaiter is one admission parked at the high watermark.
 type admitWaiter struct {
-	run    func()
-	cancel func()
-	since  sim.Time
+	run   func()
+	since sim.Time
 }
 
 // EnableFlusher turns on background write-back: dirty blocks flush oldest
@@ -99,16 +98,15 @@ func (c *Cache) SetFlushObserver(fn func()) { c.onFlush = fn }
 // Admit passes one unit of new dirty work through the write-back
 // backpressure gate: run fires immediately while dirty memory is below the
 // high watermark (or no gate is configured), and is otherwise queued FIFO
-// until the flusher drains to the low watermark. cancel fires instead of
-// run if the cache is reset (crash) while queued.
-func (c *Cache) Admit(run, cancel func()) {
+// until the flusher drains to the low watermark.
+func (c *Cache) Admit(run func()) {
 	fl := c.fl
 	if fl == nil || fl.high <= 0 || c.nDirty < fl.high {
 		run()
 		return
 	}
 	c.wb.Stalls++
-	fl.admitQ = append(fl.admitQ, admitWaiter{run: run, cancel: cancel, since: c.node.Eng.Now()})
+	fl.admitQ = append(fl.admitQ, admitWaiter{run: run, since: c.node.Eng.Now()})
 	fl.kick()
 }
 
@@ -138,7 +136,7 @@ func (fl *flusher) onDirty(b *Block) {
 		return
 	}
 	fl.timerSet = true
-	fl.timer = fl.c.node.Eng.Schedule(flushInterval, fl.onTick)
+	fl.timer = fl.c.node.Schedule(flushInterval, fl.onTick)
 }
 
 // tick is the hold-timer body: top the flusher up to its depth, then re-arm
@@ -150,7 +148,7 @@ func (fl *flusher) tick() {
 	fl.flushNow()
 	if fl.c.nDirty > 0 {
 		fl.timerSet = true
-		fl.timer = fl.c.node.Eng.Schedule(flushInterval, fl.onTick)
+		fl.timer = fl.c.node.Schedule(flushInterval, fl.onTick)
 	}
 }
 
@@ -160,7 +158,7 @@ func (fl *flusher) kick() {
 		return
 	}
 	fl.kickSet = true
-	fl.c.node.Eng.Schedule(0, fl.onKick)
+	fl.c.node.Schedule(0, fl.onKick)
 }
 
 // kicked is the kick's event body.
@@ -430,17 +428,15 @@ func (s *syncCall) retire() {
 }
 
 // flush is the recycled record of one write-back batch: the adjacent run of
-// dirty blocks it writes (whose capacity the record keeps), the cache
-// incarnation it was issued under, the cache's seq at issue (mark), and
-// done — the issuer's continuation:
-// the flusher's, an eviction's or a Sync's. written is bound once; the
-// record retires before done runs. A batch whose completion finds the cache
-// reset retires without calling done: the pipeline that issued it is gone.
+// dirty blocks it writes (whose capacity the record keeps), the cache's seq
+// at issue (mark), and done — the issuer's continuation: the flusher's, an
+// eviction's or a Sync's. written is bound once; the record retires before
+// done runs.
 type flush struct {
 	netbuf.Recycled
 	c         *Cache
 	blocks    []*Block
-	gen, mark uint64
+	mark      uint64
 	done      func(error)
 	onWritten func(error)
 }
@@ -496,7 +492,7 @@ func (c *Cache) flushBatch(f *flush) {
 	c.node.Charge(cost, nil)
 	c.wb.FlushBatches++
 	c.wb.FlushBlocks += uint64(len(batch))
-	f.gen, f.mark = c.gen, c.seq
+	f.mark = c.seq
 	c.lower.WriteAt(batch[0].LBN, chain, batch[0].Meta, f.onWritten)
 }
 
@@ -505,14 +501,6 @@ func (c *Cache) flushBatch(f *flush) {
 // batch was issued (stamp ≤ mark).
 func (f *flush) written(err error) {
 	c, done := f.c, f.done
-	if c.gen != f.gen {
-		// The cache was reset (crash) while this write was in flight:
-		// the blocks are orphans and the pipeline that issued them is
-		// gone. The payload chain's lifecycle completed in the lower
-		// layers as usual, so pools stay drained.
-		f.retire()
-		return
-	}
 	for _, b := range f.blocks {
 		b.flushing = false
 		if !b.Dirty {
@@ -544,38 +532,4 @@ func (f *flush) written(err error) {
 	c.fl.batchLanded()
 	f.retire()
 	done(err)
-}
-
-// Reset models a crash: every resident block, queued admission and armed
-// timer is discarded, and completions of I/O already in flight are ignored
-// (generation check). In-flight payload chains are owned by the lower
-// layers and complete their lifecycle normally — pools see no leak.
-func (c *Cache) Reset() {
-	c.gen++
-	for _, b := range c.blocks { // det: commutative (unconditional detach)
-		b.pending = nil
-		b.prev, b.next = nil, nil
-	}
-	c.blocks = make(map[int64]*Block)
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
-	if c.nDirty > 0 {
-		c.wb.AddDirty(-int64(c.nDirty) * int64(c.bs))
-		c.nDirty = 0
-	}
-	c.nFlushing = 0
-	c.syncs = nil
-	if fl := c.fl; fl != nil {
-		fl.queue, fl.head, fl.inFlight = nil, 0, 0
-		if fl.timerSet {
-			c.node.Eng.Cancel(fl.timer)
-			fl.timerSet = false
-		}
-		q := fl.admitQ
-		fl.admitQ = nil
-		for _, w := range q {
-			if w.cancel != nil {
-				w.cancel()
-			}
-		}
-	}
 }

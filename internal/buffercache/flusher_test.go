@@ -262,7 +262,7 @@ func TestFlusherDepthFollowsBacklog(t *testing.T) {
 	}
 	admitted := false
 	gateParked = true
-	c.Admit(func() { admitted, gateParked = true, false }, nil)
+	c.Admit(func() { admitted, gateParked = true, false })
 	if admitted {
 		t.Fatal("Admit ran at the high watermark")
 	}
@@ -490,38 +490,6 @@ func (l *inlineLower) WriteAt(lbn int64, data *netbuf.Chain, meta bool, done fun
 		return
 	}
 	done(nil)
-}
-
-// (d) Reset with batches in flight zeroes the flusher, late completions
-// change nothing, and the reborn cache flushes a fresh dirty block.
-func TestFlusherResetWithBatchesInFlight(t *testing.T) {
-	eng, lower, c := rigFlusher(t, 0, 0)
-	for i := int64(0); i < 4*backlogPerBatch; i++ {
-		dirty(t, c, 2*i, false)
-	}
-	runFor(t, eng, flushInterval)
-	if len(lower.parked) < 2 {
-		t.Fatalf("%d batches in flight, want several", len(lower.parked))
-	}
-	c.Reset()
-	fl := c.fl
-	if c.nDirty != 0 || c.nFlushing != 0 || c.wb.DirtyBytes != 0 || fl.inFlight != 0 || len(fl.queue) != fl.head || fl.timerSet {
-		t.Fatalf("Reset left dirty=%d flushing=%d bytes=%d inFlight=%d queued=%d timer=%v",
-			c.nDirty, c.nFlushing, c.wb.DirtyBytes, fl.inFlight, len(fl.queue)-fl.head, fl.timerSet)
-	}
-	issued := lower.runs()
-	lower.landAll()
-	if c.nDirty != 0 || c.nFlushing != 0 || fl.inFlight != 0 || lower.runs() != issued {
-		t.Fatalf("late completions moved state: dirty=%d flushing=%d inFlight=%d writes = %s",
-			c.nDirty, c.nFlushing, fl.inFlight, lower.runs())
-	}
-	dirty(t, c, 77, false)
-	runFor(t, eng, flushInterval)
-	if got := lower.runs(); got != issued+" 77+1" {
-		t.Fatalf("writes = %s, want 77+1 after Reset", got)
-	}
-	lower.land(nil)
-	wantIdle(t, eng, c)
 }
 
 // (e) A queue entry is a hint: when its block was dropped — and the *Block

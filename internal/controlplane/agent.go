@@ -67,7 +67,9 @@ func NewAgent(t *udp.Transport, local, cp eth.Addr, server int) (*Agent, error) 
 	if err != nil {
 		return nil, err
 	}
-	a := &Agent{rpc: rpc, srv: sunrpc.NewServer(t.Node()), cp: cp, server: server}
+	// The incarnation leads the seq: a restarted server's remaps sort after the dead one's.
+	a := &Agent{rpc: rpc, srv: sunrpc.NewServer(t.Node()), cp: cp, server: server,
+		seq: uint64(t.Node().Incarnation()) << 32}
 	a.remapped = a.remapDone
 	a.srv.Register(prog, vers, procInvalidate, a.handleInvalidate)
 	if err := a.srv.ServeUDP(t, Port); err != nil {

@@ -59,8 +59,8 @@ const (
 	// the measured data path.
 	CPUBurst
 	// NodeKill crashes a registered node at the schedule's Start instant:
-	// its volatile caches are discarded and its services stop answering
-	// until the harness restarts it (with WAL replay). The kill is a
+	// its server process dies whole and the node answers nothing until
+	// the harness restarts it (with WAL replay). The kill is a
 	// one-shot event at a virtual timestamp, so a crash "mid-flush" is a
 	// deterministic, replayable point in the schedule.
 	NodeKill

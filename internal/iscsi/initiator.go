@@ -281,7 +281,7 @@ func (i *Initiator) retry(t *task) {
 	t.tries++
 	i.Retries++
 	trace.Fault(i.node.Eng, trace.LISCSI, i.retryBackoff)
-	i.node.Eng.Schedule(i.retryBackoff, t.reissue)
+	i.node.Schedule(i.retryBackoff, t.reissue)
 }
 
 // issue sends the command again, a WRITE with a fresh clone of its image.

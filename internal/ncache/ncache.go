@@ -98,7 +98,7 @@ type Module struct {
 	lru  entry
 	free netbuf.FreeList[*entry]
 	used int64
-	seq  uint64 // counts FHO captures; survives Reset
+	seq  uint64 // counts FHO captures
 
 	// Stats is the module's activity counters.
 	Stats Stats
@@ -537,18 +537,6 @@ func (m *Module) DropClean() int {
 		e = prev
 	}
 	return dropped
-}
-
-// Reset models a node crash: every entry — dirty FHO data included — is
-// released back to its pool. Durability for acknowledged writes is the
-// write-ahead log's job, not the cache's; restart replay rewrites their
-// blocks from the journal.
-func (m *Module) Reset() {
-	for e := m.lru.prev; e != &m.lru; {
-		prev := e.prev
-		m.remove(e)
-		e = prev
-	}
 }
 
 // PinnedBytes reports bytes held by dirty (unremapped) FHO entries.

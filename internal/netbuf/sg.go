@@ -71,7 +71,7 @@ func (c *Chain) SubChain(off, n int) (*Chain, error) {
 		return nil, fmt.Errorf("netbuf: slice [%d,%d) out of range 0..%d", off, off+n, c.Len())
 	}
 	if n == 0 {
-		return getChain(c.pool, 0), nil
+		return getChain(c.pool, c.holder, 0), nil
 	}
 	// Skip the windows that end at or before off, then size the output once:
 	// one window per window the range overlaps.
@@ -84,7 +84,7 @@ func (c *Chain) SubChain(off, n int) (*Chain, error) {
 	for left := off + n; left > 0; k++ {
 		left -= c.wins[i+k].Len()
 	}
-	out := getChain(c.pool, k)
+	out := getChain(c.pool, c.holder, k)
 	for _, w := range c.wins[i : i+k] {
 		w.head += int32(off)
 		take := min(w.Len(), n)

@@ -110,10 +110,10 @@ func encodeAttr(e *xdr.Encoder, a Attr) {
 // argument of a LOOKUP, CREATE or REMOVE, with the
 // continuations the CPU charge and the backend are handed — run and one per
 // result shape — bound once, when the record is first allocated. It never
-// leaves its Server and retires where the reply is handed to the RPC layer;
-// a call the backend drops (a crashed server answers nothing) leaves its
-// record to the collector. A backend that calls done twice fails at the
-// second retire instead of answering another call.
+// leaves its Server and retires where the reply is handed to the RPC layer.
+// A call a kill overtakes never retires: the Server died with the process.
+// A backend that calls done twice fails at the second retire instead of
+// answering another call.
 type serverCall struct {
 	netbuf.Recycled
 	s    *Server

@@ -26,10 +26,8 @@ var _ nfs.Backend = (*fsBackend)(nil)
 // continuation does next and which completion hears the end.
 //
 // A record never leaves its backend and retires before the protocol server's
-// completion runs. An operation a crash overtakes ends at one of the `if
-// srv.crashed { return }` below without retiring: its record goes to the
-// collector and is never handed out again, so a completion that still fires
-// for it cannot reach another operation.
+// completion runs. An operation a kill overtakes never ends: the backend
+// died with the process, and a restart serves on a backend of its own.
 type backendCall struct {
 	netbuf.Recycled
 	b *fsBackend
@@ -43,7 +41,6 @@ type backendCall struct {
 	onWritten   func(error)
 	onLBNs      func([]int64, error)
 	onAdmit     func()
-	onCancel    func()
 	onCommitted func()
 	fillFHO     extfs.Filler
 	fillJunk    extfs.Filler
@@ -80,7 +77,7 @@ func (b *fsBackend) call(proc uint32) *backendCall {
 		k = &backendCall{b: b}
 		k.onAttr, k.onErr, k.onIno, k.onRead, k.onList = k.gotAttr, k.gotErr, k.gotIno, k.gotRead, k.gotList
 		k.onWritten, k.onLBNs = k.written, k.mapped
-		k.onAdmit, k.onCancel, k.onCommitted = k.admitted, k.cancelled, k.committed
+		k.onAdmit, k.onCommitted = k.admitted, k.committed
 		k.fillFHO, k.fillJunk, k.fillWire = k.stampFHO, k.stampJunk, k.copyWire
 	}
 	k.proc = proc
@@ -142,34 +139,22 @@ func (k *backendCall) gotIno(ino uint32, err error) {
 		return
 	}
 	k.ino = ino
-	if k.proc == nfs.ProcCreate && k.b.srv.crashed {
-		return
-	}
 	k.b.srv.FS.Getattr(ino, k.onAttr)
 }
 
 func (b *fsBackend) Getattr(fh nfs.FH, done func(nfs.Attr, uint32)) {
-	if b.srv.crashed {
-		return
-	}
 	k := b.call(nfs.ProcGetattr)
 	k.doneAttr = done
 	b.srv.FS.Getattr(fhIno(fh), k.onAttr)
 }
 
 func (b *fsBackend) Lookup(dir nfs.FH, name []byte, done func(nfs.FH, nfs.Attr, uint32)) {
-	if b.srv.crashed {
-		return
-	}
 	k := b.call(nfs.ProcLookup)
 	k.doneFH = done
 	b.srv.FS.Lookup(fhIno(dir), name, k.onIno)
 }
 
 func (b *fsBackend) Create(dir nfs.FH, name []byte, isDir bool, done func(nfs.FH, nfs.Attr, uint32)) {
-	if b.srv.crashed {
-		return
-	}
 	mode := extfs.ModeFile
 	if isDir {
 		mode = extfs.ModeDir
@@ -180,18 +165,12 @@ func (b *fsBackend) Create(dir nfs.FH, name []byte, isDir bool, done func(nfs.FH
 }
 
 func (b *fsBackend) Remove(dir nfs.FH, name []byte, done func(uint32)) {
-	if b.srv.crashed {
-		return
-	}
 	k := b.call(nfs.ProcRemove)
 	k.doneStatus = done
 	b.srv.FS.Remove(fhIno(dir), name, k.onErr)
 }
 
 func (b *fsBackend) Readdir(dir nfs.FH, done func(nfs.Names, uint32)) {
-	if b.srv.crashed {
-		return
-	}
 	k := b.call(nfs.ProcReaddir)
 	k.doneNames = done
 	b.srv.FS.Readdir(fhIno(dir), k.onList)
@@ -209,9 +188,6 @@ func (k *backendCall) gotList(l *extfs.Listing, err error) {
 
 func (b *fsBackend) Read(fh nfs.FH, off uint64, n int, done func(*netbuf.Chain, nfs.Attr, uint32)) {
 	srv := b.srv
-	if srv.crashed {
-		return
-	}
 	trace.To(srv.Node.Eng, trace.LFS)
 	k := b.call(nfs.ProcRead)
 	k.doneRead = done
@@ -220,12 +196,6 @@ func (b *fsBackend) Read(fh nfs.FH, off uint64, n int, done func(*netbuf.Chain, 
 
 func (k *backendCall) gotRead(res *extfs.ReadResult, err error) {
 	srv := k.b.srv
-	if srv.crashed {
-		if res != nil {
-			res.Done(srv.FS)
-		}
-		return
-	}
 	if err != nil {
 		k.fail(err)
 		return
@@ -244,10 +214,6 @@ func (k *backendCall) gotRead(res *extfs.ReadResult, err error) {
 // the journal's group commit.
 func (b *fsBackend) Write(fh nfs.FH, off uint64, data *netbuf.Chain, done func(int, nfs.Attr, uint32)) {
 	srv := b.srv
-	if srv.crashed {
-		data.Release()
-		return
-	}
 	k := b.call(nfs.ProcWrite)
 	k.fh, k.ino, k.off, k.n, k.data, k.doneWrite = fh, fhIno(fh), off, data.Len(), data, done
 	switch wb := srv.cfg.Writeback; {
@@ -277,25 +243,18 @@ func (k *backendCall) writeJournaled() {
 		k.applyWrite()
 		return
 	}
-	k.b.srv.Cache.Admit(k.onAdmit, k.onCancel)
+	k.b.srv.Cache.Admit(k.onAdmit)
 }
 
 // admitted runs once the dirty-memory gate lets the WRITE through.
 func (k *backendCall) admitted() {
 	srv := k.b.srv
-	if srv.crashed {
-		k.data.Release()
-		return
-	}
 	// Capture the payload for the journal before applyWrite consumes the
 	// chain (NCache mode keeps only logical keys in the cache).
 	k.rec = srv.WAL.NewRecord(k.n)
 	k.data.GatherRange(0, k.rec.Data)
 	k.applyWrite()
 }
-
-// cancelled runs instead of admitted when a crash empties the gate's queue.
-func (k *backendCall) cancelled() { k.data.Release() }
 
 // written continues a WRITE once the file system has taken the data.
 func (k *backendCall) written(err error) {
@@ -306,9 +265,6 @@ func (k *backendCall) written(err error) {
 	}
 	srv := k.b.srv
 	trace.To(srv.Node.Eng, trace.LServer)
-	if srv.crashed {
-		return
-	}
 	switch {
 	case err != nil:
 		k.fail(err)
@@ -323,9 +279,6 @@ func (k *backendCall) written(err error) {
 // waits for the group commit.
 func (k *backendCall) mapped(lbns []int64, err error) {
 	srv, rec := k.b.srv, k.rec
-	if srv.crashed {
-		return
-	}
 	if err != nil {
 		k.fail(err)
 		return
@@ -337,9 +290,4 @@ func (k *backendCall) mapped(lbns []int64, err error) {
 }
 
 // committed refreshes the post-write attributes and acks the WRITE.
-func (k *backendCall) committed() {
-	if k.b.srv.crashed {
-		return
-	}
-	k.b.srv.FS.Getattr(k.ino, k.onAttr)
-}
+func (k *backendCall) committed() { k.b.srv.FS.Getattr(k.ino, k.onAttr) }

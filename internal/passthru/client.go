@@ -484,9 +484,7 @@ func (c *Cluster) InstallFaults(seed uint64, spec string) (*fault.Injector, erro
 		app := app
 		in.AttachCPU(app.Node.Name+".cpu", app.Node.CPU)
 		in.AttachKill(app.Node.Name, app.Crash)
-		for _, ini := range app.Initiators {
-			ini.SetRetry(faultISCSITries, faultISCSIRetry)
-		}
+		app.setRetry(faultISCSITries, faultISCSIRetry)
 	}
 	if c.Control != nil {
 		in.AttachCPU("cp.cpu", c.Control.Node().CPU)

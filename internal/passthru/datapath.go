@@ -159,7 +159,7 @@ func (w *interceptWrite) written(err error) {
 	s := v.s
 	if err == nil {
 		s.Module.Landed(w.remapped, w.mark)
-		if ag := s.Agent; ag != nil && len(w.remapped) > 0 && !s.crashed {
+		if ag := s.Agent; ag != nil && len(w.remapped) > 0 {
 			ag.SendRemap(w.remapped) // copies the LBNs into its queue
 		}
 	}

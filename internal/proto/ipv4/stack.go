@@ -93,7 +93,7 @@ func (s *Stack) reassemble(key flowKey, id uint16, at sim.Time, quiet bool) *rea
 	}
 	r.key, r.id, r.chain = key, id, s.node.TxPool.NewChain(0)
 	if !quiet {
-		r.expiry = s.node.Eng.At(at.Add(ReasmTimeout), r.expire)
+		r.expiry = s.node.Schedule(at.Sub(s.node.Eng.Now())+ReasmTimeout, r.expire)
 	}
 	s.reasm[key] = r
 	return r
@@ -319,7 +319,7 @@ func (s *Stack) receive(frame *netbuf.Chain, up sim.Key, quiet bool) {
 	r.chain.AppendChain(frame)
 	r.nextOff += hdr.TotalLen - HeaderLen
 	if !hdr.MoreFrags {
-		s.node.Eng.Cancel(r.expiry)
+		s.node.Cancel(r.expiry)
 		whole := r.chain
 		r.retire()
 		s.deliver(hdr, whole, up.At)
@@ -328,7 +328,7 @@ func (s *Stack) receive(frame *netbuf.Chain, up sim.Key, quiet bool) {
 
 // evict abandons a partial reassembly, releasing its buffers.
 func (s *Stack) evict(r *reassembly) {
-	s.node.Eng.Cancel(r.expiry)
+	s.node.Cancel(r.expiry)
 	r.chain.Release()
 	r.retire()
 }
@@ -342,7 +342,7 @@ func (s *Stack) deliver(hdr Header, payload *netbuf.Chain, at sim.Time) {
 		payload.Release()
 		return
 	}
-	s.node.Eng.PostAt(at, upcall, h, payload, int64(hdr.Src)<<32|int64(hdr.Dst))
+	s.node.PostAt(at, upcall, h, payload, int64(hdr.Src)<<32|int64(hdr.Dst))
 }
 
 // deliverQuiet hands a quiet whole datagram to its transport's quiet handler

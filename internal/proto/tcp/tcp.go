@@ -140,7 +140,9 @@ func NewTransport(ip *ipv4.Stack) *Transport {
 		node:      ip.Node(),
 		listeners: make(map[uint16]AcceptFunc),
 		conns:     make(map[connKey]*Conn),
-		nextPort:  49152,
+		// Each incarnation draws ephemeral ports from its own window, so a
+		// restarted node never reuses a 4-tuple a peer holds for the dead.
+		nextPort: 49152 + 1024*uint16(ip.Node().Incarnation()%16),
 	}
 	ip.Register(ipv4.ProtoTCP, t.receive)
 	ip.RegisterQuiet(ipv4.ProtoTCP, t.receiveQuiet)
@@ -406,14 +408,14 @@ func (c *Conn) armRTO() {
 	if c.rtoArmed || len(c.rtxQ) == 0 {
 		return
 	}
-	c.rtoTimer = c.t.node.Eng.Schedule(c.rto(), c.rtoFn)
+	c.rtoTimer = c.t.node.Schedule(c.rto(), c.rtoFn)
 	c.rtoArmed = true
 }
 
 // restartRTO re-bases the timer (called when the ack point advances).
 func (c *Conn) restartRTO() {
 	if c.rtoArmed {
-		c.t.node.Eng.Cancel(c.rtoTimer)
+		c.t.node.Cancel(c.rtoTimer)
 		c.rtoArmed = false
 	}
 	c.armRTO()
@@ -422,7 +424,7 @@ func (c *Conn) restartRTO() {
 // cancelRTO stops the timer.
 func (c *Conn) cancelRTO() {
 	if c.rtoArmed {
-		c.t.node.Eng.Cancel(c.rtoTimer)
+		c.t.node.Cancel(c.rtoTimer)
 		c.rtoArmed = false
 	}
 }

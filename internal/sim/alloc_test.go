@@ -181,7 +181,7 @@ func TestPostToArgsZeroAllocs(t *testing.T) {
 	const posts = 32
 	burst := func() {
 		for i := 0; i < posts; i++ {
-			eng.Post(Duration(i), h, fa, fb, int64(i))
+			eng.PostAt(eng.Now().Add(Duration(i)), h, fa, fb, int64(i))
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatalf("Run: %v", err)

@@ -50,7 +50,7 @@ func TestPostToCarriesContext(t *testing.T) {
 	var got, next any
 	e.Schedule(0, func() {
 		e.SetContext("req-42")
-		e.Post(Microsecond, func(_, _ any, _ int64) {
+		e.PostAt(e.Now().Add(Microsecond), func(_, _ any, _ int64) {
 			got = e.Context()
 			e.Schedule(Microsecond, func() { next = e.Context() })
 		}, nil, nil, 0)

@@ -89,6 +89,7 @@ func (n *NIC) ResetStats() {
 // wire. The frame must fit in MTU + headers. Delivery is asynchronous; the
 // NIC owns the chain's references from this point.
 func (n *NIC) Send(frame *netbuf.Chain) error {
+	frame.SetHolder(nil)
 	return n.send(frame, n.node.Eng.Now())
 }
 
@@ -166,6 +167,7 @@ func (n *NIC) ChargeSend(d sim.Duration, frame *netbuf.Chain) {
 	if n.holding {
 		n.charged++
 	}
+	frame.SetHolder(nil)
 	at := n.node.CPU.Use(d, nil)
 	if n.net.faults.DrawsFrames(n.txSite) {
 		n.node.Eng.PostAt(at, sendFrame, n, frame, 0)
@@ -243,6 +245,7 @@ func (n *NIC) deliver(frame *netbuf.Chain, corrupt bool) {
 func (n *NIC) receive(frame *netbuf.Chain, at sim.Time, quiet bool) {
 	n.Stats.PacketsRx++
 	n.Stats.BytesRx += uint64(frame.Len())
+	frame.SetHolder(n.node.TxPool)
 	if n.rx == nil {
 		frame.Release()
 		return

@@ -256,7 +256,7 @@ func (m *Mirror) eject(a *arm) {
 	a.consecErrs = 0
 	a.stats.Ejections++
 	trace.Fault(m.node.Eng, trace.LISCSI, 0)
-	m.node.Eng.Schedule(breakerOpenTimeout, func() { m.probe(a) })
+	m.node.Schedule(breakerOpenTimeout, func() { m.probe(a) })
 }
 
 // probe is the half-open attempt: one metadata block read decides whether
@@ -275,7 +275,7 @@ func (m *Mirror) probe(a *arm) {
 		if err != nil {
 			a.stats.Errors++
 			a.state = ArmOpen
-			m.node.Eng.Schedule(breakerOpenTimeout, func() { m.probe(a) })
+			m.node.Schedule(breakerOpenTimeout, func() { m.probe(a) })
 			return
 		}
 		m.sample(a, start)
@@ -334,7 +334,7 @@ func (m *Mirror) resyncStep(a *arm) {
 		if srcErrs == len(runs) {
 			// The source failed every copy: retry after an open timeout,
 			// not at I/O rate (R1 may keep a failing source closed).
-			m.node.Eng.Schedule(breakerOpenTimeout, func() { m.resyncStep(a) })
+			m.node.Schedule(breakerOpenTimeout, func() { m.resyncStep(a) })
 			return
 		}
 		m.resyncStep(a)

@@ -540,7 +540,7 @@ func (c *Client) Call(prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.
 // event rides the caller's request context, so the waited-out RTO is booked as
 // fault-attributed network time on the request's span.
 func (pc *pendingCall) arm() {
-	pc.timer = pc.c.node.Eng.Post(pc.rto, pc.onTimer, nil, nil, int64(pc.gen))
+	pc.timer = pc.c.node.PostAt(pc.c.node.Eng.Now().Add(pc.rto), pc.onTimer, nil, nil, int64(pc.gen))
 }
 
 // timeout resends the call or, after the last try, abandons it. Every exit
