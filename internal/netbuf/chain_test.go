@@ -620,3 +620,45 @@ func TestPushIntoSharedBackingPanicsInDebug(t *testing.T) {
 	}()
 	_, _ = cl.PushFront(8)
 }
+
+// TestReleaseHeldReleasesOnlyTheHoldersChains: in both modes, ReleaseHeld
+// on a pool releases the live chains it built that the given pool's node
+// holds — a frame handed over by SetHolder, and a clone of it — and leaves
+// those its own node holds and a frame on the wire; in debug mode, where no
+// chain struct is recycled, the pool's list of chains stays as short as
+// what is live.
+func TestReleaseHeldReleasesOnlyTheHoldersChains(t *testing.T) {
+	was := DebugEnabled()
+	defer SetDebug(was)
+	for _, debug := range []bool{false, true} {
+		t.Run(fmt.Sprintf("debug=%v", debug), func(t *testing.T) {
+			SetDebug(debug)
+			a, b := NewPool("a", 0, 64, 0), NewPool("b", 0, 64, 0)
+			for i := 0; i < 1000; i++ {
+				a.GetChain([]byte("gone")).Release()
+			}
+			own := a.GetChain([]byte("a holds this"))
+			wire := a.GetChain([]byte("on the wire"))
+			wire.SetHolder(nil)
+			sent := a.GetChain([]byte("b holds this"))
+			sent.SetHolder(b)
+			clone := sent.Clone()
+			a.ReleaseHeld(b)
+			if !sent.freed || !clone.freed || own.freed || wire.freed {
+				t.Fatalf("ReleaseHeld(b) freed b's frame %v, its clone %v, a's chain %v, the wire's %v; want true, true, false, false",
+					sent.freed, clone.freed, own.freed, wire.freed)
+			}
+			if got := a.Outstanding(); got != 2 {
+				t.Fatalf("%d buffers outstanding after ReleaseHeld(b), want 2", got)
+			}
+			a.ReleaseHeld(a)
+			if !own.freed || wire.freed {
+				t.Fatalf("ReleaseHeld(a) freed a's chain %v, the wire's %v; want true, false", own.freed, wire.freed)
+			}
+			if len(a.made) > 8 {
+				t.Fatalf("a lists %d chains after 1,000 released ones, want at most 8", len(a.made))
+			}
+			wire.Release()
+		})
+	}
+}

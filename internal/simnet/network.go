@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 
 	"ncache/internal/fault"
 	"ncache/internal/netbuf"
@@ -18,6 +19,8 @@ type Network struct {
 	eng     *sim.Engine
 	latency sim.Duration
 	ports   map[eth.Addr]*port
+	// nodes lists the attached nodes, in attach order (see Node.Kill).
+	nodes []*Node
 	// dropped counts frames discarded for unknown or self destinations.
 	dropped uint64
 	faults  *fault.Injector
@@ -130,6 +133,9 @@ func (nw *Network) AttachAt(node *Node, addr eth.Addr, bw Bandwidth, latency sim
 	}
 	nic.port = &port{nic: nic, bw: bw, lat: latency}
 	nw.ports[addr] = nic.port
+	if !slices.Contains(nw.nodes, node) {
+		nw.nodes = append(nw.nodes, node)
+	}
 	node.nics = append(node.nics, nic)
 	return nic, nil
 }
