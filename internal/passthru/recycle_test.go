@@ -13,10 +13,11 @@ import (
 
 // TestCrashLeavesCallRecordsUnrecycled kills the server with 8 READs and 8
 // WRITEs inside the daemon — every one of them on a record that has served an
-// earlier operation — and restarts it. The operations end at the backend's
-// crash checks without retiring, so those records must never come off the
-// free list again: the resent calls and 200 more operations are served on
-// other records, and every reply carries its own request's bytes.
+// earlier operation — and restarts it. No completion of the killed
+// incarnation runs, so none of those records retires: not to the dead
+// backend's free list, nor to the free list of the backend the restart
+// boots, which serves the resent calls and 200 more operations on records of
+// its own, every reply carrying its own request's bytes.
 func TestCrashLeavesCallRecordsUnrecycled(t *testing.T) {
 	cl, _ := writebackCluster(t, "")
 	fh := lookupFile(t, cl, "data.bin")
@@ -71,8 +72,8 @@ func TestCrashLeavesCallRecordsUnrecycled(t *testing.T) {
 	// The second burst reads blocks no cache holds, so its READs are still at
 	// the storage server while the WRITEs arrive and wait for their group
 	// commit: step until half of the 16 are inside the backend (the rest are
-	// on the wire or in the RPC layers, and meet the crash at the backend's
-	// door), then kill it.
+	// on the wire or in the RPC layers, and die with the server there), then
+	// kill it.
 	ok = burst(16, 40, 101)
 	inFlight := map[*backendCall]bool{}
 	for steps := 0; len(inFlight) < 8; steps++ {
@@ -96,9 +97,9 @@ func TestCrashLeavesCallRecordsUnrecycled(t *testing.T) {
 		}
 	}
 	cl.App.Crash()
-	// The disk I/O in flight at the kill completes while the server is down
-	// (10 ms is inside the client's resend interval), so every operation
-	// caught in the backend ends at a crash check.
+	// The disk I/O in flight at the kill lands while the server is down (10
+	// ms is inside the client's resend interval); its completions belong to
+	// the dead incarnation and never run.
 	if err := cl.Eng.RunFor(10 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +113,9 @@ func TestCrashLeavesCallRecordsUnrecycled(t *testing.T) {
 	run(t, cl) // the client resends all 16 to the restarted server
 	if !restarted || *ok != 16 {
 		t.Fatalf("restarted=%v, %d of 16 resent operations completed", restarted, *ok)
+	}
+	if cl.App.backend == b {
+		t.Fatal("the restart serves on the killed incarnation's backend")
 	}
 
 	// 200 more operations, each issued from the completion of the last:
@@ -160,9 +164,11 @@ func TestCrashLeavesCallRecordsUnrecycled(t *testing.T) {
 	if done != 200 {
 		t.Fatalf("%d of 200 operations completed", done)
 	}
-	for _, k := range b.calls {
-		if inFlight[k] {
-			t.Fatalf("record %p was abandoned at the crash and is on the free list again", k)
+	for _, calls := range [][]*backendCall{b.calls, cl.App.backend.calls} {
+		for _, k := range calls {
+			if inFlight[k] {
+				t.Fatalf("record %p was abandoned at the crash and is on a free list again", k)
+			}
 		}
 	}
 }
