@@ -246,7 +246,7 @@ func (i *Initiator) send(t *task, p PDU) {
 	i.nextITT++
 	i.pending[t.itt] = t
 	p.ITT = t.itt
-	chain, err := p.EncodePool(i.node.TxPool)
+	chain, err := p.EncodePool(i.node.HdrPool)
 	if err != nil {
 		i.fail(t.itt, err)
 		return

@@ -74,9 +74,9 @@ func (p *PDU) DataLen() int {
 // EncodePool renders the PDU as a transmit chain: a header buffer followed by
 // the data segment's buffers (not copied). Data segments are padded to 4
 // bytes; block-sized storage payloads are already aligned so padding is the
-// exception, not the rule. The header (and pad) buffers come from a transmit
-// pool, so the steady-state PDU path allocates nothing; with no pool they are
-// fresh.
+// exception, not the rule. The header (and pad) buffers come from the
+// sending node's header pool, so the steady-state PDU path allocates
+// nothing; with no pool they are fresh.
 func (p *PDU) EncodePool(pool *netbuf.Pool) (*netbuf.Chain, error) {
 	dlen := p.DataLen()
 	if dlen > 0xffffff {
@@ -106,10 +106,13 @@ func (p *PDU) EncodePool(pool *netbuf.Pool) (*netbuf.Chain, error) {
 	binary.BigEndian.PutUint32(h[28:32], p.BufferOffset)
 	copy(h[32:48], p.CDB[:])
 
-	out := netbuf.ChainOf(hb)
+	wins := 2 // the header and a pad
 	if p.Data != nil {
-		out.AppendChain(p.Data)
+		wins += p.Data.NumBufs()
 	}
+	out := pool.NewChain(wins)
+	out.Append(hb)
+	out.AppendChain(p.Data)
 	if pad := (4 - dlen%4) % 4; pad != 0 {
 		out.Append(pool.GetSized(pad, netbuf.DefaultHeadroom))
 	}

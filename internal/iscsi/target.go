@@ -123,7 +123,7 @@ type session struct {
 
 // reply encodes and sends a response PDU.
 func (s *session) reply(p PDU) {
-	chain, err := p.EncodePool(s.target.node.TxPool)
+	chain, err := p.EncodePool(s.target.node.HdrPool)
 	if err != nil {
 		return
 	}

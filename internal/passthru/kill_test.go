@@ -204,8 +204,5 @@ func TestFaultWritebackKillEverythingInFlight(t *testing.T) {
 	for _, h := range s.cl.Clients {
 		nodes = append(nodes, h.Node)
 	}
-	for _, n := range nodes {
-		checkPoolDrained(t, n.TxPool)
-		checkPoolDrained(t, n.BlkPool)
-	}
+	checkNodesDrained(t, nodes)
 }

@@ -165,8 +165,5 @@ func TestPoolsDrainMirror(t *testing.T) {
 	for _, h := range cl.Clients {
 		nodes = append(nodes, h.Node)
 	}
-	for _, n := range nodes {
-		checkPoolDrained(t, n.TxPool)
-		checkPoolDrained(t, n.BlkPool)
-	}
+	checkNodesDrained(t, nodes)
 }

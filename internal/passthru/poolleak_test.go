@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"ncache/internal/netbuf"
 	"ncache/internal/simnet"
 )
 
@@ -79,16 +78,19 @@ func testPoolsDrain(t *testing.T, mode Mode, faultSpec string) {
 	for _, h := range cl.Clients {
 		nodes = append(nodes, h.Node)
 	}
-	for _, n := range nodes {
-		checkPoolDrained(t, n.TxPool)
-		checkPoolDrained(t, n.BlkPool)
-	}
+	checkNodesDrained(t, nodes)
 }
 
-func checkPoolDrained(t *testing.T, p *netbuf.Pool) {
+// checkNodesDrained reports every pool of the nodes that still has buffers
+// outstanding.
+func checkNodesDrained(t *testing.T, nodes []*simnet.Node) {
 	t.Helper()
-	if got := p.Outstanding(); got != 0 {
-		t.Errorf("pool %s leaked %d buffers (peak %d, allocs %d, reuses %d, owners %v)",
-			p.Name(), got, p.Peak(), p.Allocs(), p.Reuses(), p.LeakReport())
+	for _, n := range nodes {
+		for _, p := range n.Pools() {
+			if got := p.Outstanding(); got != 0 {
+				t.Errorf("pool %s leaked %d buffers (peak %d, allocs %d, reuses %d, owners %v)",
+					p.Name(), got, p.Peak(), p.Allocs(), p.Reuses(), p.LeakReport())
+			}
+		}
 	}
 }

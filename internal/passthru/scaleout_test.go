@@ -404,8 +404,5 @@ func testScaleoutPoolsDrain(t *testing.T, faultSpec string) {
 	for _, h := range cl.Clients {
 		nodes = append(nodes, h.Node)
 	}
-	for _, n := range nodes {
-		checkPoolDrained(t, n.TxPool)
-		checkPoolDrained(t, n.BlkPool)
-	}
+	checkNodesDrained(t, nodes)
 }

@@ -262,10 +262,7 @@ func TestFaultWritebackKillPoolsDrain(t *testing.T) {
 	for _, h := range cl.Clients {
 		nodes = append(nodes, h.Node)
 	}
-	for _, n := range nodes {
-		checkPoolDrained(t, n.TxPool)
-		checkPoolDrained(t, n.BlkPool)
-	}
+	checkNodesDrained(t, nodes)
 }
 
 // TestFaultWritebackKillNoStaleCrossServerReads is the scale-out half of the

@@ -205,7 +205,7 @@ func TestQuietTrainDrains(t *testing.T) {
 		t.Errorf("%d frames launched, %d received; want 16, 16", tx, rx)
 	}
 	for _, st := range []*Stack{sa, sb} {
-		for _, p := range []*netbuf.Pool{st.Node().TxPool, st.Node().BlkPool} {
+		for _, p := range st.Node().Pools() {
 			p.MustBeDrained()
 		}
 	}

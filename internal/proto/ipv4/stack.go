@@ -166,13 +166,18 @@ func (s *Stack) RegisterQuiet(proto uint8, h QuietHandler) {
 
 // Send transmits payload as one IP datagram from the local address src to
 // dst, fragmenting as needed. The stack takes ownership of the payload
-// chain's references. Fragmentation copies windows onto the payload's
-// buffers — payload bytes are never copied on this path. The fragments are
-// framed first and charged to the NIC as one train, so all but the last
-// can cross the switch quiet (see simnet.NIC.ChargeSendTrain).
+// chain's references, on error too. An unfragmented datagram leaves as the
+// payload chain itself, its IP and Ethernet headers pushed into the headroom
+// of its first window: the transport's header buffer, which the caller holds
+// alone, as Linux pushes them into one skb head. A fragment copies windows
+// onto the payload's buffers behind a header buffer of its own — payload
+// bytes are never copied on this path. The fragments are framed first and
+// charged to the NIC as one train, so all but the last can cross the switch
+// quiet (see simnet.NIC.ChargeSendTrain).
 func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) error {
 	nic, ok := s.nics[src]
 	if !ok {
+		payload.Release()
 		return fmt.Errorf("ipv4: no local NIC with address %s", src)
 	}
 	id := s.nextID
@@ -181,18 +186,18 @@ func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) erro
 	maxFrag := (nic.MTU - HeaderLen) &^ 7 // fragment payload, multiple of 8
 
 	if total <= nic.MTU-HeaderLen {
-		frame, err := s.frame(Header{
+		if err := push(Header{
 			TotalLen: uint16(HeaderLen + total),
 			ID:       id,
 			TTL:      64,
 			Proto:    proto,
 			Src:      src,
 			Dst:      dst,
-		}, payload)
-		if err != nil {
+		}, payload); err != nil {
+			payload.Release()
 			return err
 		}
-		nic.ChargeSend(s.node.Cost.PktTxNs, frame)
+		nic.ChargeSend(s.node.Cost.PktTxNs, payload)
 		return nil
 	}
 
@@ -236,23 +241,27 @@ func (s *Stack) Send(src, dst eth.Addr, proto uint8, payload *netbuf.Chain) erro
 	return nil
 }
 
-// frame prepends headers into a dedicated header buffer (never into shared
-// payload buffers — fragments may alias one another's backing). On error the
+// frame builds one fragment: its headers go into a header buffer of its own,
+// never into payload buffers, whose backing fragments share. On error the
 // frame is released.
 func (s *Stack) frame(hdr Header, payload *netbuf.Chain) (*netbuf.Chain, error) {
 	frame := s.node.TxPool.NewChain(1 + payload.NumBufs())
-	frame.Append(s.node.TxPool.Get())
+	frame.Append(s.node.HdrPool.Get())
 	frame.AppendChain(payload)
-	if err := hdr.Push(frame); err != nil {
-		frame.Release()
-		return nil, err
-	}
-	ehdr := eth.Header{Dst: hdr.Dst, Src: hdr.Src, Type: eth.TypeIPv4}
-	if err := ehdr.Push(frame); err != nil {
+	if err := push(hdr, frame); err != nil {
 		frame.Release()
 		return nil, err
 	}
 	return frame, nil
+}
+
+// push prepends the IP header, then the Ethernet header, to the frame's
+// first window.
+func push(hdr Header, frame *netbuf.Chain) error {
+	if err := hdr.Push(frame); err != nil {
+		return err
+	}
+	return eth.Header{Dst: hdr.Dst, Src: hdr.Src, Type: eth.TypeIPv4}.Push(frame)
 }
 
 // receive parses one frame and either delivers or reassembles it; up is its

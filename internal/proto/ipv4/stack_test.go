@@ -58,6 +58,25 @@ func TestStackSmallDatagram(t *testing.T) {
 	}
 }
 
+// TestSendReleasesPayloadOnError: Send owns the payload on every path, so a
+// datagram it cannot send — no NIC at the source address, no headroom for
+// the headers — goes back to its pool, not to the caller.
+func TestSendReleasesPayloadOnError(t *testing.T) {
+	_, sa, _ := stackPair(t)
+	pool := sa.Node().TxPool
+	if err := sa.Send(9, 2, 17, pool.GetChain([]byte("no nic"))); err == nil {
+		t.Error("Send from an address with no NIC succeeded")
+	}
+	full := pool.GetChain([]byte("no headroom"))
+	if _, err := full.PushFront(netbuf.DefaultHeadroom); err != nil {
+		t.Fatal(err)
+	}
+	if err := sa.Send(1, 2, 17, full); err == nil {
+		t.Error("Send with no headroom for the headers succeeded")
+	}
+	pool.MustBeDrained()
+}
+
 func TestStackFragmentationRoundTrip(t *testing.T) {
 	eng, sa, sb := stackPair(t)
 	want := make([]byte, 20000)
@@ -252,7 +271,7 @@ func TestStackReassemblyRecordRecycled(t *testing.T) {
 		t.Fatalf("%d records on the free list after the expiry, want 1", len(sb.free))
 	}
 	for _, st := range []*Stack{sa, sb} {
-		for _, p := range []*netbuf.Pool{st.Node().TxPool, st.Node().BlkPool} {
+		for _, p := range st.Node().Pools() {
 			if n := p.Outstanding(); n != 0 {
 				t.Fatalf("pool %s: %d buffers still held after the partial expired", p.Name(), n)
 			}

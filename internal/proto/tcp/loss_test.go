@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ncache/internal/fault"
-	"ncache/internal/netbuf"
 	"ncache/internal/sim"
 	"ncache/internal/simnet"
 )
@@ -87,7 +86,7 @@ func runLossTransfer(t *testing.T, eng *sim.Engine, a, b *host, want []byte) *by
 func checkHostsDrained(t *testing.T, hosts ...*host) {
 	t.Helper()
 	for _, h := range hosts {
-		for _, p := range []*netbuf.Pool{h.node.TxPool, h.node.BlkPool} {
+		for _, p := range h.node.Pools() {
 			if got := p.Outstanding(); got != 0 {
 				t.Errorf("pool %s leaked %d buffers (owners %v)",
 					p.Name(), got, p.LeakReport())

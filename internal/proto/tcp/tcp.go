@@ -556,7 +556,7 @@ func (c *Conn) sendAck() {
 // sendSeg builds, checksums and transmits one segment for key (which need
 // not belong to a live connection — RSTs answer strays after teardown).
 func (t *Transport) sendSeg(key connKey, seq, ackNo uint32, flags uint8, payload *netbuf.Chain) {
-	hb := t.node.TxPool.Get()
+	hb := t.node.HdrPool.Get()
 	hdr, err := hb.Push(HeaderLen)
 	if err != nil {
 		hb.Release()
@@ -573,11 +573,11 @@ func (t *Transport) sendSeg(key connKey, seq, ackNo uint32, flags uint8, payload
 	hdr[13] = 0
 	hdr[14], hdr[15] = 0, 0
 
-	plen := 0
+	plen, wins := 0, 0
 	sum := pseudoHeaderSum(key.localAddr, key.remoteAddr)
 	sum.AddBytes(hdr)
 	if payload != nil {
-		plen = payload.Len()
+		plen, wins = payload.Len(), payload.NumBufs()
 		sum = netbuf.Combine(sum, netbuf.PartialOfChain(payload))
 	}
 	ck := sum.Checksum()
@@ -587,13 +587,12 @@ func (t *Transport) sendSeg(key connKey, seq, ackNo uint32, flags uint8, payload
 		t.node.Charge(t.node.Cost.ChecksumCost(plen), nil)
 	}
 
-	seg := netbuf.ChainOf(hb)
-	if payload != nil {
-		seg.AppendChain(payload)
-	}
-	if err := t.ip.Send(key.localAddr, key.remoteAddr, ipv4.ProtoTCP, seg); err != nil {
-		seg.Release()
-	}
+	// One chain, sized once, carries the header buffer and the payload.
+	seg := t.node.TxPool.NewChain(1 + wins)
+	seg.Append(hb)
+	seg.AppendChain(payload)
+	// Send releases a segment it cannot send, as a lossy wire would drop it.
+	_ = t.ip.Send(key.localAddr, key.remoteAddr, ipv4.ProtoTCP, seg)
 }
 
 // nic returns the node's NIC at addr, or nil.

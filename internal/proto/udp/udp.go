@@ -79,7 +79,7 @@ func (t *Transport) SendChain(src eth.Addr, srcPort uint16, dst eth.Addr, dstPor
 		payload.Release()
 		return fmt.Errorf("udp: datagram %d exceeds 64KB", total)
 	}
-	hb := t.node.TxPool.Get()
+	hb := t.node.HdrPool.Get()
 	hdr, err := hb.Push(HeaderLen)
 	if err != nil {
 		hb.Release()
@@ -113,7 +113,9 @@ func (t *Transport) SendChain(src eth.Addr, srcPort uint16, dst eth.Addr, dstPor
 		t.node.Charge(t.node.Cost.ChecksumCost(payload.Len()), nil)
 	}
 
-	dg := netbuf.ChainOf(hb)
+	// One chain, sized once, carries the header buffer and the payload.
+	dg := t.node.TxPool.NewChain(1 + payload.NumBufs())
+	dg.Append(hb)
 	dg.AppendChain(payload)
 	return t.ip.Send(src, dst, ipv4.ProtoUDP, dg)
 }

@@ -120,6 +120,24 @@ func (r *Resource) catchUp() {
 	}
 }
 
+// Abandon drops, at the current instant, every job not yet served: the one
+// in service stops and those queued or booked ahead never start, so the
+// server is free from now. The busy time is credited back for the service
+// dropped, as it was never granted. A job's completion event, if Use posted
+// one, is the caller's to cancel.
+func (r *Resource) Abandon() {
+	r.settle()
+	r.catchUp()
+	now := r.eng.Now()
+	r.busy -= r.aheadD
+	if r.dueAt > now {
+		r.busy -= r.dueAt.Sub(now)
+		r.dueAt = now
+	}
+	r.availAt = min(r.availAt, now)
+	r.ahead, r.head, r.aheadD = r.ahead[:0], 0, 0
+}
+
 // Busy returns the cumulative service time granted since the last ResetStats.
 // Work already admitted counts in full, mirroring how the paper's saturated
 // CPUs report 100% utilization while a backlog exists.

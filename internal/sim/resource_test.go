@@ -261,3 +261,31 @@ func TestResourceUseFromCountsFromEarliestStart(t *testing.T) {
 		t.Fatalf("utilization %v over [115, 120], want 1", r.Utilization())
 	}
 }
+
+// TestResourceAbandon drops a backlog mid-service: the job in service stops,
+// the queued and booked-ahead ones never start, the busy time keeps only
+// the service given, and the next job starts at the abandon instant.
+func TestResourceAbandon(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e)
+	r.Use(10, nil)
+	r.Use(10, nil)
+	var finish Time
+	e.Schedule(5, func() {
+		r.UseFrom(30, 3)
+		r.Abandon()
+		r.Use(2, func() { finish = e.Now() })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if finish != 7 {
+		t.Fatalf("finish = %v, want 7 (the backlog died at 5)", finish)
+	}
+	if err := e.RunUntil(40); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if r.Busy() != 7 {
+		t.Fatalf("Busy = %v, want 7 (5 served before the abandon, 2 after)", r.Busy())
+	}
+}

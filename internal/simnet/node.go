@@ -5,6 +5,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 
 	"ncache/internal/metrics"
 	"ncache/internal/netbuf"
@@ -22,20 +23,30 @@ type Node struct {
 	CPU  *sim.Resource
 	// Cost calibrates this node's per-operation CPU charges.
 	Cost CostProfile
-	// TxPool recycles MTU-sized transmit buffers: protocol header buffers
-	// and wire-segment copies draw from here so the steady-state transmit
-	// path allocates nothing. A buffer that leaves on the wire stays on this
-	// pool's ledger until the receiver's last Release returns it here. It is
-	// unbounded.
+	// The node's buffer pools, one per buffer geometry, are transient
+	// driver memory: the steady-state transmit path allocates nothing. A
+	// buffer that leaves on the wire stays on its pool's ledger until the
+	// receiver's last Release returns it there. All are unbounded.
+	//
+	// HdrPool holds header-sized buffers (DefaultHeadroom plus
+	// HdrBufSize): the TCP and UDP headers, into whose headroom an
+	// unfragmented frame's IP and Ethernet headers are pushed, a fragment's
+	// IP header, the iSCSI BHS and its pad, the RPC record mark and an NFS
+	// READ reply's XDR pad.
+	HdrPool *netbuf.Pool
+	// TxPool holds MTU-sized buffers: wire-segment copies of payload and RPC
+	// message heads.
 	TxPool *netbuf.Pool
-	// BlkPool recycles file-system-block-sized buffers (stamped junk
-	// blocks, flush payloads). Like TxPool it is transient driver memory.
+	// BlkPool holds file-system-block-sized buffers (stamped junk blocks,
+	// flush payloads).
 	BlkPool *netbuf.Pool
 	// Copies / NetStats / Reqs are this node's data-path counters.
 	Copies metrics.Copies
 	Reqs   metrics.Requests
 
 	nics []*NIC
+	// pools lists HdrPool, TxPool and BlkPool: what Kill walks.
+	pools []*netbuf.Pool
 	// life is the running incarnation; inc counts the ones Kill ended.
 	life *sim.Life
 	inc  uint32
@@ -45,9 +56,15 @@ type Node struct {
 	handing bool
 }
 
-// BlockBufSize is the payload capacity of BlkPool buffers, matching the
-// file-system block size every experiment uses.
-const BlockBufSize = 4096
+// Payload capacities of the node's pools beyond DefaultBufSize (TxPool).
+const (
+	// HdrBufSize fits the largest fixed-size header a node builds, the
+	// 48-byte iSCSI BHS.
+	HdrBufSize = 64
+	// BlockBufSize matches the file-system block size every experiment
+	// uses.
+	BlockBufSize = 4096
+)
 
 // NewNode creates a node with one CPU and unbounded default buffer pools.
 func NewNode(eng *sim.Engine, name string, cost CostProfile) *Node {
@@ -56,10 +73,12 @@ func NewNode(eng *sim.Engine, name string, cost CostProfile) *Node {
 		Eng:     eng,
 		CPU:     sim.NewResource(eng),
 		Cost:    cost,
+		HdrPool: netbuf.NewPool(name+".hdr", netbuf.DefaultHeadroom, HdrBufSize, 0),
 		TxPool:  netbuf.NewPool(name+".tx", netbuf.DefaultHeadroom, netbuf.DefaultBufSize, 0),
 		BlkPool: netbuf.NewPool(name+".blk", netbuf.DefaultHeadroom, BlockBufSize, 0),
 		life:    &sim.Life{},
 	}
+	n.pools = []*netbuf.Pool{n.HdrPool, n.TxPool, n.BlkPool}
 	n.CPU.SetHandOver(n.HandOver)
 	return n
 }
@@ -101,6 +120,9 @@ func (n *Node) handOver() {
 // NICs returns the node's attached interfaces.
 func (n *Node) NICs() []*NIC { return n.nics }
 
+// Pools returns the node's buffer pools. Callers must not mutate the slice.
+func (n *Node) Pools() []*netbuf.Pool { return n.pools }
+
 // Charge runs fn after the node's CPU has served d of work, unless the
 // incarnation is killed first.
 func (n *Node) Charge(d sim.Duration, fn func()) {
@@ -136,26 +158,31 @@ func (n *Node) Cancel(id sim.EventID) bool { return n.Eng.Cancel(id) }
 func (n *Node) Incarnation() uint32 { return n.inc }
 
 // Kill ends the running incarnation, as a crash does: its pending timers and
-// CPU completions never run, the NICs drop every frame until a new stack
-// hooks them, and every chain the node held, in any layer, is released.
-// Frames already charged to a NIC still depart.
+// CPU completions never run, the work queued on its CPU is dropped, the NICs
+// drop every frame until a new stack hooks them, and every chain the node
+// held, in any layer, is released. Frames already charged to a NIC still
+// depart: their departures were booked when they were charged.
 func (n *Node) Kill() {
 	n.life.End()
 	n.life = &sim.Life{}
 	n.inc++
 	// The chains it holds were built from its own pools and, as frames it
 	// received, from the pools of the nodes on its fabric.
-	pools := []*netbuf.Pool{n.TxPool, n.BlkPool}
+	pools := slices.Clone(n.pools)
 	for _, nic := range n.nics {
 		nic.rx = nil
 		for _, m := range nic.net.nodes {
-			pools = append(pools, m.TxPool, m.BlkPool)
+			if m != n {
+				pools = append(pools, m.pools...)
+			}
 		}
 	}
 	for _, p := range pools {
-		p.ReleaseHeld(n.TxPool)
-		p.ReleaseHeld(n.BlkPool)
+		for _, h := range n.pools {
+			p.ReleaseHeld(h)
+		}
 	}
+	n.CPU.Abandon()
 }
 
 // NetTotals sums wire counters across all NICs.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ncache/internal/fault"
@@ -209,6 +210,55 @@ func TestNodeChargeCopyAccounting(t *testing.T) {
 	}
 }
 
+// TestKillDropsCPUBacklog: the work a killed incarnation queued on its
+// node's CPU dies with it, and the CPU is not counted busy for the service it
+// never gave, so the next incarnation's first charge completes at the kill,
+// not a second later behind dead work.
+func TestKillDropsCPUBacklog(t *testing.T) {
+	eng := sim.NewEngine()
+	n := NewNode(eng, "n", DefaultProfile())
+	n.Charge(sim.Second, func() { t.Error("a charge of the killed incarnation completed") })
+	at := sim.Time(-1)
+	eng.Schedule(sim.Millisecond, func() {
+		n.Kill()
+		n.Charge(0, func() { at = eng.Now() })
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := sim.Time(0).Add(sim.Millisecond); at != want {
+		t.Fatalf("the first charge after the kill completed at %v, want %v", at, want)
+	}
+	if got := n.CPU.Busy(); got != sim.Millisecond {
+		t.Fatalf("CPU busy = %v, want %v: only the service before the kill", got, sim.Millisecond)
+	}
+}
+
+// TestKillKeepsChargedFramesDeparting: a frame charged to a NIC before the
+// kill still departs when its CPU time would have ended, and lands at the
+// instant it would have without the kill.
+func TestKillKeepsChargedFramesDeparting(t *testing.T) {
+	arrival := func(kill bool) sim.Time {
+		eng, _, na, nb := testFabric(t)
+		at := sim.Time(-1)
+		nb.SetRxHandler(func(f *netbuf.Chain, now sim.Time, _ bool) {
+			at = now
+			f.Release()
+		})
+		na.ChargeSend(10*sim.Microsecond, frameTo(t, 2, 1, make([]byte, 600)))
+		if kill {
+			eng.Schedule(sim.Microsecond, na.node.Kill)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return at
+	}
+	if got, want := arrival(true), arrival(false); got != want || want < 0 {
+		t.Fatalf("with the sender killed the frame landed at %v, without at %v", got, want)
+	}
+}
+
 func TestEthHeaderRoundTrip(t *testing.T) {
 	c := netbuf.ChainFromBytes([]byte("data"), 100)
 	in := eth.Header{Dst: 0xdeadbeef, Src: 0x01020304, Type: eth.TypeIPv4, Pad: 7}
@@ -350,7 +400,7 @@ func TestDeliveredBuffersStayOnSenderPool(t *testing.T) {
 		}
 	}
 	held.Release()
-	for _, p := range []*netbuf.Pool{a.TxPool, a.BlkPool, b.TxPool, b.BlkPool} {
+	for _, p := range slices.Concat(a.Pools(), b.Pools()) {
 		p.MustBeDrained()
 	}
 }
