@@ -10,13 +10,14 @@ import (
 	"ncache/internal/workload"
 )
 
-// AblationResult is a single measured configuration of an ablation.
+// AblationResult is a single measured configuration of an ablation: its
+// window, with NCache's gain over Original (checksum ablation) or the
+// module's remaps and L2 hits over the run (remap ablation).
 type AblationResult struct {
-	OpsPerSec     float64
-	ThroughputMBs float64
-	GainPct       float64
-	Remaps        uint64
-	L2Hits        uint64
+	window
+	GainPct float64
+	Remaps  uint64
+	L2Hits  uint64
 }
 
 // CopyCostRow is one point of the copy-cost sweep.
@@ -27,12 +28,12 @@ type CopyCostRow struct {
 	GainPct     float64
 }
 
-// CacheSplitRow is one point of the memory-split sweep.
+// CacheSplitRow is one point of the memory-split sweep: the web point,
+// whose ParamKB is the FS cache's share in MB, and the NCache L2 hits over
+// the run.
 type CacheSplitRow struct {
-	FSCacheMB     int
-	ThroughputMBs float64
-	FSHitPct      float64
-	L2Hits        uint64
+	WebPoint
+	L2Hits uint64
 }
 
 // AblationReport gathers the four ablations of the design decisions
@@ -125,12 +126,7 @@ func ablationRemap(h *harness, disable bool) (AblationResult, error) {
 	if err != nil {
 		return AblationResult{}, err
 	}
-	return AblationResult{
-		OpsPerSec:     w.OpsPerSec(),
-		ThroughputMBs: w.Throughput() / 1e6,
-		Remaps:        cl.App.Module.Stats.Remaps,
-		L2Hits:        cl.App.Module.Stats.L2Hits,
-	}, nil
+	return AblationResult{window: w, Remaps: cl.App.Module.Stats.Remaps, L2Hits: cl.App.Module.Stats.L2Hits}, nil
 }
 
 // ablationCopyCost sweeps the per-byte memcpy cost on the CPU-bound all-hit
@@ -141,15 +137,16 @@ func ablationCopyCost(h *harness) ([]CopyCostRow, error) {
 	for _, ns := range []float64{1.5, 3.0, 6.0} {
 		cost := simnet.DefaultProfile()
 		cost.CopyNsPerByte = ns
-		orig, err := allHitMBs(h, passthru.Original, cost, true)
+		orig, err := allHitPoint(h, passthru.Original, cost, true)
 		if err != nil {
 			return nil, err
 		}
-		nc, err := allHitMBs(h, passthru.NCache, cost, true)
+		nc, err := allHitPoint(h, passthru.NCache, cost, true)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CopyCostRow{NsPerByte: ns, OriginalMBs: orig, NCacheMBs: nc, GainPct: gainPct(nc, orig)})
+		out = append(out, CopyCostRow{NsPerByte: ns, OriginalMBs: orig.ThroughputMBs, NCacheMBs: nc.ThroughputMBs,
+			GainPct: gainPct(nc.ThroughputMBs, orig.ThroughputMBs)})
 	}
 	return out, nil
 }
@@ -158,17 +155,17 @@ func ablationCopyCost(h *harness) ([]CopyCostRow, error) {
 // with NIC checksum offload on or off (off: software checksums charge per
 // payload byte in every configuration).
 func allHitGain(h *harness, cost simnet.CostProfile, offload bool) (AblationResult, error) {
-	orig, err := allHitMBs(h, passthru.Original, cost, offload)
+	orig, err := allHitPoint(h, passthru.Original, cost, offload)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	nc, err := allHitMBs(h, passthru.NCache, cost, offload)
-	return AblationResult{ThroughputMBs: nc, GainPct: gainPct(nc, orig)}, err
+	nc, err := allHitPoint(h, passthru.NCache, cost, offload)
+	return AblationResult{window: nc.window, GainPct: gainPct(nc.ThroughputMBs, orig.ThroughputMBs)}, err
 }
 
-// allHitMBs measures one 32 KB all-hit point's throughput with a custom
-// cost profile, optionally with checksum offload disabled on every NIC.
-func allHitMBs(h *harness, mode passthru.Mode, cost simnet.CostProfile, offload bool) (float64, error) {
+// allHitPoint measures one 32 KB all-hit point with a custom cost profile,
+// optionally with checksum offload disabled on every NIC.
+func allHitPoint(h *harness, mode passthru.Mode, cost simnet.CostProfile, offload bool) (NFSPoint, error) {
 	var tweak func(*passthru.Cluster)
 	if !offload {
 		tweak = func(cl *passthru.Cluster) {
@@ -185,10 +182,9 @@ func allHitMBs(h *harness, mode passthru.Mode, cost simnet.CostProfile, offload 
 	}
 	cl, load, err := h.hitRig(passthru.ClusterConfig{Mode: mode, ServerNICs: 2, Cost: cost}, 32, tweak)
 	if err != nil {
-		return 0, err
+		return NFSPoint{}, err
 	}
-	p, err := h.nfsPoint(cl, load)
-	return p.ThroughputMBs, err
+	return h.nfsPoint(cl, load)
 }
 
 // ablationCacheSplit fixes the server's memory budget and sweeps how much
@@ -211,12 +207,7 @@ func ablationCacheSplit(h *harness) ([]CacheSplitRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CacheSplitRow{
-			FSCacheMB:     fsMB,
-			ThroughputMBs: p.ThroughputMBs,
-			FSHitPct:      p.HitRatio * 100,
-			L2Hits:        cl.App.Module.Stats.L2Hits,
-		})
+		out = append(out, CacheSplitRow{WebPoint: p, L2Hits: cl.App.Module.Stats.L2Hits})
 	}
 	return out, nil
 }
@@ -235,7 +226,7 @@ func FormatAblations(r AblationReport) string {
 	b.WriteString("\nAblation: memory split between FS cache and NCache (fixed budget)\n")
 	for _, c := range r.CacheSplit {
 		fmt.Fprintf(&b, "  fs=%2d MB: %6.1f MB/s (fs hit %.1f%%, L2 hits %d)\n",
-			c.FSCacheMB, c.ThroughputMBs, c.FSHitPct, c.L2Hits)
+			c.ParamKB, c.ThroughputMBs, c.HitRatio*100, c.L2Hits)
 	}
 	fmt.Fprintf(&b, "\nAblation: NIC checksum offload\n  on:  ncache gain %+.1f%%\n  off: ncache gain %+.1f%% (inherited checksums spare the software walk)\n\n",
 		r.OffloadOn.GainPct, r.OffloadOff.GainPct)

@@ -40,13 +40,10 @@ type AvailBucket struct {
 // AvailPolicyPoint is one row of the read-policy comparison: the same
 // slow-primary-arm schedule served under a different selection policy.
 type AvailPolicyPoint struct {
-	Policy        string
-	ThroughputMBs float64
-	OpsPerSec     float64
-	ReadP99Us     float64
+	NFSPoint
+	Policy string
 	// ArmReads is the read split across the two arms.
 	ArmReads []uint64
-	Errors   uint64
 }
 
 // AvailReport is the fig-avail output: the failure → circuit-open →
@@ -279,13 +276,7 @@ func availPolicyPoint(h *harness, fileBlocks int64, policy string) (AvailPolicyP
 	if err != nil {
 		return AvailPolicyPoint{}, err
 	}
-	p := AvailPolicyPoint{
-		Policy:        policy,
-		ThroughputMBs: np.ThroughputMBs,
-		OpsPerSec:     np.OpsPerSec,
-		ReadP99Us:     readP99(np),
-		Errors:        np.Errors,
-	}
+	p := AvailPolicyPoint{NFSPoint: np, Policy: policy}
 	for _, s := range cl.App.Volume.Stats() {
 		p.ArmReads = append(p.ArmReads, s.Reads)
 	}
@@ -329,7 +320,7 @@ func FormatAvail(r AvailReport) string {
 			split[i] = fmt.Sprintf("%d", n)
 		}
 		fmt.Fprintf(&b, "%-14s %9.1f %9.0f %10.1f %6d %s\n",
-			p.Policy, p.ThroughputMBs, p.OpsPerSec, p.ReadP99Us, p.Errors,
+			p.Policy, p.ThroughputMBs, p.OpsPerSec, readP99(p.NFSPoint), p.Errors,
 			strings.Join(split, "/"))
 	}
 	return b.String()

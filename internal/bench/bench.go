@@ -71,50 +71,23 @@ var Modes = []passthru.Mode{passthru.Original, passthru.NCache, passthru.Baselin
 
 // NFSPoint is one measured point of an NFS experiment.
 type NFSPoint struct {
-	Mode          passthru.Mode
-	ReqKB         int
-	ThroughputMBs float64
-	OpsPerSec     float64
-	ServerCPU     float64 // 0..1
-	StorageCPU    float64
-	LinkUtil      float64 // server NIC transmit utilization (max across NICs)
-	Errors        uint64
-	// Lat is the measurement-window latency summary (Options.Latency).
-	Lat *trace.Summary
-	// Fault recovery activity over the whole run (zero without a spec):
-	// RPC retransmissions, abandoned calls, suppressed duplicate replies,
-	// iSCSI command retries, and the injector's per-schedule tallies.
-	Retransmits  uint64
-	RPCTimeouts  uint64
-	DupReplies   uint64
-	ISCSIRetries uint64
-	// TCP loss recovery across all nodes (iSCSI always rides TCP; NFS does
-	// when the run dials stream clients): segment retransmissions, RTO
-	// firings and fast retransmits.
-	TCPRetransmits uint64
-	TCPRTOs        uint64
-	TCPFastRtx     uint64
-	FaultReport    []fault.ScheduleReport
+	window
+	Mode  passthru.Mode
+	ReqKB int
 }
 
 // WebPoint is one measured point of a kHTTPd experiment.
 type WebPoint struct {
-	Mode          passthru.Mode
-	ParamKB       int // request size (6b) or working set in MB (6a)
-	ThroughputMBs float64
-	OpsPerSec     float64
-	ServerCPU     float64
-	HitRatio      float64
-	Errors        uint64
+	window
+	Mode    passthru.Mode
+	ParamKB int // request size (6b) or working set in MB (6a)
 }
 
 // SFSPoint is one measured point of the SFS experiment.
 type SFSPoint struct {
+	window
 	Mode           passthru.Mode
 	RegularDataPct int
-	OpsPerSec      float64
-	ServerCPU      float64
-	Errors         uint64
 }
 
 // synthContent is the deterministic block-content function used for
@@ -228,25 +201,43 @@ func resetClusterStats(cl *passthru.Cluster) {
 	}
 }
 
-// window is one measured steady-state window: the load's completions plus
-// the cluster's utilization over exactly that window.
+// window is one measured steady-state window, the record every
+// experiment's point embeds: the load's completions and the cluster's
+// utilization over exactly that window, the tracer's summary of it, and
+// the recovery activity of the whole run.
 type window struct {
-	workload.Measurement
-	// ServerCPU is the hottest front-end server's utilization, StorageCPU
-	// the first target's, ControlCPU the control-plane node's (0 without
-	// one); LinkUtil is the busiest server NIC's transmit utilization and
-	// HitRatio the first server's buffer-cache hit ratio.
-	ServerCPU, StorageCPU, ControlCPU float64
-	LinkUtil, HitRatio                float64
+	// Ops and Errors count the window's completed and failed operations;
+	// ThroughputMBs and OpsPerSec are its service rates.
+	Ops, Errors              uint64
+	ThroughputMBs, OpsPerSec float64
+	// ServerCPU is the hottest front-end server's utilization and
+	// ServerCPUMean the servers' average, StorageCPU the first target's,
+	// ControlCPU the control-plane node's (0 without one); LinkUtil is the
+	// busiest server NIC's transmit utilization and HitRatio the first
+	// server's buffer-cache hit ratio.
+	ServerCPU, ServerCPUMean, StorageCPU, ControlCPU float64
+	LinkUtil, HitRatio                               float64
+	// Lat is the window's latency summary (nil when the run is untraced).
+	Lat *trace.Summary
+	// Recovery activity over the whole run, read after the drain: RPC
+	// calls resent, abandoned and answered twice and iSCSI command retries
+	// (Cluster.FaultCounters); TCP segments resent, RTO firings and fast
+	// retransmits across all nodes (Cluster.TCPCounters; iSCSI always
+	// rides TCP, NFS when the run dials stream clients); and the
+	// injector's per-schedule tallies (nil without one).
+	RPCRetransmits, RPCTimeouts, DupReplies, ISCSIRetries uint64
+	TCPRetransmits, TCPRTOs, TCPFastRtx                   uint64
+	FaultReport                                           []fault.ScheduleReport
 }
 
 // measure is the one measurement loop: arm fault injection, start the load,
 // warm up, zero every counter, run the window, sample utilization, then stop
-// and drain. Injection starts with the load (setup ran fault-free) and stops
-// before the drain, so in-flight recovery completes and the event loop
-// terminates; the tracer (nil-safe) is frozen there too, keeping late
-// completions out of the window. atStart/atEnd (nil-safe) bracket the
-// window for experiments that sample something of their own.
+// and drain, and read the tracer's summary and the recovery counters.
+// Injection starts with the load (setup ran fault-free) and stops before the
+// drain, so in-flight recovery completes and the event loop terminates; the
+// tracer (nil-safe) is frozen there too, keeping late completions out of the
+// window. atStart/atEnd (nil-safe) bracket the window for experiments that
+// sample something of their own.
 func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tracer, atStart, atEnd func()) (window, error) {
 	var w window
 	cl.Faults.Arm()
@@ -260,12 +251,16 @@ func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tr
 			}
 		},
 		func() {
+			var cpuSum float64
 			for _, app := range cl.Apps {
-				w.ServerCPU = math.Max(w.ServerCPU, app.Node.CPU.Utilization())
+				cpu := app.Node.CPU.Utilization()
+				w.ServerCPU = math.Max(w.ServerCPU, cpu)
+				cpuSum += cpu
 				for _, nic := range app.Node.NICs() {
 					w.LinkUtil = math.Max(w.LinkUtil, nic.TxUtilization())
 				}
 			}
+			w.ServerCPUMean = cpuSum / float64(len(cl.Apps))
 			w.StorageCPU = cl.Storage.Node.CPU.Utilization()
 			if cl.Control != nil {
 				w.ControlCPU = cl.Control.Node().CPU.Utilization()
@@ -279,7 +274,14 @@ func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tr
 			tr.Freeze()
 			cl.Faults.Quiesce()
 		})
-	w.Measurement = m
+	w.Ops, w.Errors = m.Ops, m.Errors
+	w.ThroughputMBs, w.OpsPerSec = m.Throughput()/1e6, m.OpsPerSec()
+	w.Lat = tr.Summary()
+	w.RPCRetransmits, w.RPCTimeouts, w.DupReplies, w.ISCSIRetries = cl.FaultCounters()
+	w.TCPRetransmits, w.TCPRTOs, w.TCPFastRtx, _, _ = cl.TCPCounters()
+	if cl.Faults != nil {
+		w.FaultReport = cl.Faults.Report()
+	}
 	return w, err
 }
 
@@ -429,22 +431,6 @@ func (h *harness) nfsPoint(cl *passthru.Cluster, load *workload.NFSReadLoad) (NF
 	if err != nil {
 		return NFSPoint{}, err
 	}
-	p := NFSPoint{
-		Mode:          cl.App.Mode,
-		ReqKB:         reqKB,
-		ThroughputMBs: w.Throughput() / 1e6,
-		OpsPerSec:     w.OpsPerSec(),
-		ServerCPU:     w.ServerCPU,
-		StorageCPU:    w.StorageCPU,
-		LinkUtil:      w.LinkUtil,
-		Errors:        w.Errors,
-		Lat:           tr.Summary(),
-	}
-	if cl.Faults != nil {
-		p.Retransmits, p.RPCTimeouts, p.DupReplies, p.ISCSIRetries = cl.FaultCounters()
-		p.TCPRetransmits, p.TCPRTOs, p.TCPFastRtx, _, _ = cl.TCPCounters()
-		p.FaultReport = cl.Faults.Report()
-	}
 	h.opt.Chrome.Add(tr)
-	return p, nil
+	return NFSPoint{window: w, Mode: cl.App.Mode, ReqKB: reqKB}, nil
 }

@@ -167,11 +167,21 @@ func TestFig7GainsGrowWithDataFraction(t *testing.T) {
 	}
 }
 
+// TestTransportTCPCostsThroughput: NFS over TCP costs throughput and
+// packets against UDP. The run is fault-free, so every recovery counter is
+// zero and the table has no loss-recovery section.
 func TestTransportTCPCostsThroughput(t *testing.T) {
 	pts := points[[]TransportPoint](t, "transport", quickOpts())
 	byKey := map[string]TransportPoint{}
 	for _, p := range pts {
 		byKey[p.Mode.String()+"/"+p.Transport] = p
+		if p.RPCRetransmits+p.RPCTimeouts+p.DupReplies+p.ISCSIRetries+
+			p.TCPRetransmits+p.TCPRTOs+p.TCPFastRtx != 0 || p.FaultReport != nil {
+			t.Errorf("%s/%s: fault-free run reports recovery activity: %+v", p.Mode, p.Transport, p.window)
+		}
+	}
+	if out := FormatTransportPoints(pts); strings.Contains(out, "loss recovery") {
+		t.Errorf("fault-free table prints a loss-recovery section:\n%s", out)
 	}
 	for _, mode := range []string{"original", "ncache"} {
 		u, tc := byKey[mode+"/udp"], byKey[mode+"/tcp"]
@@ -218,23 +228,23 @@ func TestGainPct(t *testing.T) {
 
 func TestFormatters(t *testing.T) {
 	nfsPts := []NFSPoint{
-		{Mode: passthru.Original, ReqKB: 4, ThroughputMBs: 10},
-		{Mode: passthru.NCache, ReqKB: 4, ThroughputMBs: 15},
+		{window: window{ThroughputMBs: 10}, Mode: passthru.Original, ReqKB: 4},
+		{window: window{ThroughputMBs: 15}, Mode: passthru.NCache, ReqKB: 4},
 	}
 	out := FormatNFSPoints("t", nfsPts)
 	if !strings.Contains(out, "+50.0%") {
 		t.Fatalf("gain missing:\n%s", out)
 	}
 	webPts := []WebPoint{
-		{Mode: passthru.Original, ParamKB: 16, ThroughputMBs: 10},
-		{Mode: passthru.Baseline, ParamKB: 16, ThroughputMBs: 14},
+		{window: window{ThroughputMBs: 10}, Mode: passthru.Original, ParamKB: 16},
+		{window: window{ThroughputMBs: 14}, Mode: passthru.Baseline, ParamKB: 16},
 	}
 	if out := FormatWebPoints("t", "reqKB", webPts); !strings.Contains(out, "+40.0%") {
 		t.Fatalf("web gain missing:\n%s", out)
 	}
 	sfsPts := []SFSPoint{
-		{Mode: passthru.Original, RegularDataPct: 30, OpsPerSec: 100},
-		{Mode: passthru.NCache, RegularDataPct: 30, OpsPerSec: 120},
+		{window: window{OpsPerSec: 100}, Mode: passthru.Original, RegularDataPct: 30},
+		{window: window{OpsPerSec: 120}, Mode: passthru.NCache, RegularDataPct: 30},
 	}
 	if out := FormatSFSPoints(sfsPts); !strings.Contains(out, "+20.0%") {
 		t.Fatalf("sfs gain missing:\n%s", out)

@@ -121,7 +121,7 @@ func TestFaultBaselineUnperturbed(t *testing.T) {
 		t.Fatalf("empty fault spec perturbed the run: %.3f MB/s %.1f ops/s vs %.3f MB/s %.1f ops/s",
 			plain.ThroughputMBs, plain.OpsPerSec, viaFault.ThroughputMBs, viaFault.OpsPerSec)
 	}
-	if viaFault.Retransmits != 0 || viaFault.ISCSIRetries != 0 || viaFault.FaultReport != nil {
+	if viaFault.RPCRetransmits != 0 || viaFault.ISCSIRetries != 0 || viaFault.FaultReport != nil {
 		t.Fatalf("fault-free run reports fault activity: %+v", viaFault)
 	}
 }
@@ -161,7 +161,7 @@ func TestFaultLayerAttribution(t *testing.T) {
 	}
 
 	p = faultedPoint(t, faultOpts(t), passthru.NCache, "frame-loss")
-	if p.Retransmits == 0 {
+	if p.RPCRetransmits == 0 {
 		t.Fatal("frame-loss: no RPC retransmissions at rate 0.002")
 	}
 	if n, d := layerFaults(p, trace.LNet); n == 0 || d <= 0 {

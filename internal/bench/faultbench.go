@@ -89,7 +89,7 @@ func FormatFaultSweepCSV(points []SweepPoint) string {
 	for _, p := range points {
 		fmt.Fprintf(&b, "%s,%g,%.1f,%.0f,%.1f,%d,%d,%d,%d\n",
 			p.Mode, p.DropRate, p.ThroughputMBs, p.OpsPerSec, readP99(p.NFSPoint),
-			p.Retransmits, p.RPCTimeouts, p.DupReplies, p.Errors)
+			p.RPCRetransmits, p.RPCTimeouts, p.DupReplies, p.Errors)
 	}
 	return b.String()
 }
@@ -163,7 +163,7 @@ func FormatFaultPoints(points []FaultPoint) string {
 			}
 			fmt.Fprintf(&b, "%-10s %-11s %9.1f %8s %10.1f %8s %7d %7d %6d %6d\n",
 				mode, p.Scenario, p.ThroughputMBs, tputRel, readP99(p.NFSPoint), p99Rel,
-				p.Retransmits, p.ISCSIRetries, p.DupReplies, p.Errors)
+				p.RPCRetransmits, p.ISCSIRetries, p.DupReplies, p.Errors)
 		}
 	}
 	b.WriteString("\nper-layer fault attribution (injections / avg injected+recovery latency per read):\n")

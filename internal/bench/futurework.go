@@ -9,11 +9,9 @@ import (
 
 // WireFormatPoint is one point of the §6 future-work experiment.
 type WireFormatPoint struct {
-	Mode          passthru.Mode
-	WireFormat    bool
-	ThroughputMBs float64
-	StorageCPU    float64
-	ServerCPU     float64
+	window
+	Mode       passthru.Mode
+	WireFormat bool
 }
 
 // futurework evaluates the paper's §6 proposal — storing disk-resident data
@@ -34,13 +32,7 @@ func futurework(h *harness) ([]WireFormatPoint, error) {
 			if err != nil {
 				return nil, fmt.Errorf("futurework %s wf=%v: %w", mode, wf, err)
 			}
-			out = append(out, WireFormatPoint{
-				Mode:          mode,
-				WireFormat:    wf,
-				ThroughputMBs: w.Throughput() / 1e6,
-				StorageCPU:    w.StorageCPU,
-				ServerCPU:     w.ServerCPU,
-			})
+			out = append(out, WireFormatPoint{window: w, Mode: mode, WireFormat: wf})
 		}
 	}
 	return out, nil

@@ -24,28 +24,18 @@ const ScaleoutTargets = 2
 // the measurement window.
 const scaleoutFlushPeriod = 40 * sim.Millisecond
 
-// ScaleoutPoint is one measured server count of the scale-out sweep. All
-// fields are plain scalars so seed-replay tests can compare points with
-// reflect.DeepEqual.
+// ScaleoutPoint is one measured server count of the scale-out sweep: its
+// window (ServerCPU the hottest front-end server, so ServerCPU over
+// ServerCPUMean is the placement's imbalance; ControlCPU 0 on one server)
+// and the tier's own counters.
 type ScaleoutPoint struct {
+	window
 	Servers int
 	Targets int
 	// Streams is the number of concurrent closed-loop request streams
 	// (hosts × client processes × workers per process).
-	Streams       int
-	ThroughputMBs float64
-	OpsPerSec     float64
-	ReadP99Us     float64
-	WriteP99Us    float64
-	// ServerCPUMax is the hottest front-end server's utilization and
-	// ServerCPUMean the servers' average, so max/mean is the placement's
-	// imbalance; ControlCPU is the control-plane node's (0 on one server).
-	ServerCPUMax  float64
-	ServerCPUMean float64
-	ControlCPU    float64
-	LinkUtil      float64
-	Errors        uint64
-	RouteErrors   uint64
+	Streams     int
+	RouteErrors uint64
 	// TargetWrites counts, per iSCSI target, the lower writes every server
 	// issued to it over the whole run (storage.Sharded.Stats, one arm per
 	// target): the storage placement's split.
@@ -59,14 +49,6 @@ type ScaleoutPoint struct {
 	// acknowledged; per RemapsSent message it is how much the agents batched.
 	LBNsAnnounced uint64
 	InvalsApplied uint64
-	// Recovery activity over the whole run: datagram RPC calls resent by
-	// the routed clients and replies to calls already completed
-	// (Cluster.FaultCounters), TCP segments resent and the timeouts that
-	// resent them (Cluster.TCPCounters; TCP carries the servers' iSCSI).
-	RPCRetransmits uint64
-	DupReplies     uint64
-	TCPRetransmits uint64
-	TCPRTOs        uint64
 	// PendingCalls counts the routed clients' RPC calls still outstanding
 	// after the post-window drain: a call neither answered nor failed.
 	PendingCalls int
@@ -211,31 +193,17 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 
 	// Stop the flushers at the window's end so the post-window drain
 	// terminates.
-	var cpuSum float64
-	w, err := h.measure(cl, load, tr, nil, func() {
-		flushing = false
-		for _, app := range cl.Apps {
-			cpuSum += app.Node.CPU.Utilization()
-		}
-	})
+	w, err := h.measure(cl, load, tr, nil, func() { flushing = false })
 	if err != nil {
 		return ScaleoutPoint{}, err
 	}
 	p := ScaleoutPoint{
-		Servers:       servers,
-		Targets:       targets,
-		Streams:       len(routes) * opt.Concurrency,
-		ThroughputMBs: w.Throughput() / 1e6,
-		OpsPerSec:     w.OpsPerSec(),
-		ServerCPUMax:  w.ServerCPU,
-		ServerCPUMean: cpuSum / float64(len(cl.Apps)),
-		ControlCPU:    w.ControlCPU,
-		LinkUtil:      w.LinkUtil,
-		Errors:        w.Errors,
+		window:      w,
+		Servers:     servers,
+		Targets:     targets,
+		Streams:     len(routes) * opt.Concurrency,
+		RouteErrors: load.RouteErrors(),
 	}
-	p.RouteErrors = load.RouteErrors()
-	sum := tr.Summary()
-	p.ReadP99Us, p.WriteP99Us = opP99Us(sum, "read"), opP99Us(sum, "write")
 	if cl.Control != nil {
 		p.RemapsStarted = cl.Control.Stats.RemapsStarted
 	}
@@ -256,8 +224,6 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 			p.PendingCalls += nc.DatagramRPC().Pending()
 		}
 	}
-	p.RPCRetransmits, _, p.DupReplies, _ = cl.FaultCounters()
-	p.TCPRetransmits, p.TCPRTOs, _, _, _ = cl.TCPCounters()
 	p.SimEvents = cl.Eng.Processed()
 	opt.Chrome.Add(tr)
 	return p, nil
@@ -343,7 +309,7 @@ func FormatScaleoutPoints(points []ScaleoutPoint) string {
 		}
 		fmt.Fprintf(&b, "%-7d %-7d %7d %9.1f %9.0f %7s %7.1fµs %8.1fµs %5.0f%% %6.0f%% %5.0f%% %5d\n",
 			p.Servers, p.Targets, p.Streams, p.ThroughputMBs, p.OpsPerSec, speedup,
-			p.ReadP99Us, p.WriteP99Us, 100*p.ServerCPUMax, 100*p.ServerCPUMean, 100*p.ControlCPU,
+			opP99Us(p.Lat, "read"), opP99Us(p.Lat, "write"), 100*p.ServerCPU, 100*p.ServerCPUMean, 100*p.ControlCPU,
 			p.Errors+p.RouteErrors)
 	}
 	b.WriteString("\ncontrol-plane and recovery activity (whole run):\n")

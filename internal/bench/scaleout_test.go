@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestScaleoutScales is the acceptance check of the scale-out experiment:
 // with the client population growing with the tier, four routed front-end
@@ -67,7 +70,7 @@ func TestFaultScaleoutLossDoesNotCollapse(t *testing.T) {
 			lossy.ThroughputMBs, 100*lossy.ThroughputMBs/lossless.ThroughputMBs, lossless.ThroughputMBs,
 			lossy.RPCRetransmits, lossy.DupReplies)
 	}
-	if again := run("frame-loss"); again != lossy {
+	if again := run("frame-loss"); !reflect.DeepEqual(again, lossy) {
 		t.Errorf("rerun diverged:\nfirst:  %+v\nsecond: %+v", lossy, again)
 	}
 }

@@ -38,13 +38,7 @@ func fig7(h *harness) ([]SFSPoint, error) {
 			return SFSPoint{}, err
 		}
 		w, err := h.measure(cl, load, nil, nil, nil)
-		return SFSPoint{
-			Mode:           mode,
-			RegularDataPct: pct,
-			OpsPerSec:      w.OpsPerSec(),
-			ServerCPU:      w.ServerCPU,
-			Errors:         w.Errors,
-		}, err
+		return SFSPoint{window: w, Mode: mode, RegularDataPct: pct}, err
 	})
 }
 

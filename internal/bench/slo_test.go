@@ -39,7 +39,7 @@ func TestLatencySLOGate(t *testing.T) {
 // TestCheckSLOViolations checks the gate actually trips: a synthetic point
 // violating every budget dimension reports every violation.
 func TestCheckSLOViolations(t *testing.T) {
-	p := NFSPoint{Lat: &trace.Summary{Ops: []trace.OpSummary{{
+	p := NFSPoint{window: window{Lat: &trace.Summary{Ops: []trace.OpSummary{{
 		Op:    "read",
 		Count: 10,
 		P99:   5 * sim.Millisecond,
@@ -47,7 +47,7 @@ func TestCheckSLOViolations(t *testing.T) {
 			{Layer: trace.LServer, Total: 90 * sim.Millisecond},
 			{Layer: trace.LNet, Total: 10 * sim.Millisecond},
 		},
-	}}}}
+	}}}}}
 	b := SLOBudget{
 		MaxP99:   sim.Millisecond,
 		MinCount: 100,

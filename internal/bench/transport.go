@@ -10,20 +10,10 @@ import (
 
 // TransportPoint is one measured transport-comparison point.
 type TransportPoint struct {
-	Mode          passthru.Mode
-	Transport     string // an NFSTransports name
-	ThroughputMBs float64
-	OpsPerSec     float64
-	ServerCPU     float64
-	ServerPkts    float64 // packets per request (tx+rx), the §5.5 quantity
-	Errors        uint64
-	// Recovery activity when the run injects faults: TCP segment
-	// retransmissions (RTO firings and fast retransmits broken out) and
-	// datagram-RPC retransmissions. Zero on fault-free runs.
-	TCPRetransmits uint64
-	TCPRTOs        uint64
-	TCPFastRtx     uint64
-	RPCRetransmits uint64
+	window
+	Mode       passthru.Mode
+	Transport  string  // an NFSTransports name
+	ServerPkts float64 // packets per request (tx+rx), the §5.5 quantity
 }
 
 // NFSTransport is one way to reach the NFS service: a report name and a
@@ -108,22 +98,11 @@ func transportPoint(h *harness, mode passthru.Mode, tr NFSTransport) (TransportP
 	if err != nil {
 		return TransportPoint{}, err
 	}
-	p := TransportPoint{
-		Mode:          mode,
-		Transport:     tr.Name,
-		ThroughputMBs: w.Throughput() / 1e6,
-		OpsPerSec:     w.OpsPerSec(),
-		ServerCPU:     w.ServerCPU,
-		Errors:        w.Errors,
-	}
+	p := TransportPoint{window: w, Mode: mode, Transport: tr.Name}
 	if w.Ops > 0 {
 		// Read after the drain, so the tail of the in-flight requests is
 		// counted against the window's operations.
 		p.ServerPkts = float64(packets()-pktsBefore) / float64(w.Ops)
-	}
-	if cl.Faults != nil {
-		p.TCPRetransmits, p.TCPRTOs, p.TCPFastRtx, _, _ = cl.TCPCounters()
-		p.RPCRetransmits, _, _, _ = cl.FaultCounters()
 	}
 	return p, nil
 }

@@ -169,16 +169,5 @@ func dialWebConns(cl *passthru.Cluster, perHost int) ([]*passthru.HTTPConn, erro
 // webPoint measures one web point.
 func (h *harness) webPoint(cl *passthru.Cluster, load workload.Load, param int) (WebPoint, error) {
 	w, err := h.measure(cl, load, nil, nil, nil)
-	if err != nil {
-		return WebPoint{}, err
-	}
-	return WebPoint{
-		Mode:          cl.App.Mode,
-		ParamKB:       param,
-		ThroughputMBs: w.Throughput() / 1e6,
-		OpsPerSec:     w.OpsPerSec(),
-		ServerCPU:     w.ServerCPU,
-		HitRatio:      w.HitRatio,
-		Errors:        w.Errors,
-	}, nil
+	return WebPoint{window: w, Mode: cl.App.Mode, ParamKB: param}, err
 }

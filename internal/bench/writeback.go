@@ -25,13 +25,10 @@ const writebackWriteMixPct = 50
 // included — the WAL and flusher never reset mid-run); they are zero on the
 // sync arm, which has no WAL.
 type WritebackPoint struct {
+	window
 	Arm            string
 	RegularDataPct int
 	WriteMixPct    int
-	OpsPerSec      float64
-	ThroughputMBs  float64
-	ServerCPU      float64
-	Errors         uint64
 	// Write-ahead log activity: group commits, mean records per commit,
 	// peak journal depth in records.
 	WALCommits     uint64
@@ -74,15 +71,7 @@ func writebackPoint(h *harness, arm string) (WritebackPoint, error) {
 	if err != nil {
 		return WritebackPoint{}, err
 	}
-	p := WritebackPoint{
-		Arm:            arm,
-		RegularDataPct: 75,
-		WriteMixPct:    writebackWriteMixPct,
-		OpsPerSec:      w.OpsPerSec(),
-		ThroughputMBs:  w.Throughput() / 1e6,
-		ServerCPU:      w.ServerCPU,
-		Errors:         w.Errors,
-	}
+	p := WritebackPoint{window: w, Arm: arm, RegularDataPct: 75, WriteMixPct: writebackWriteMixPct}
 	if wb := cl.App.WB; wb != nil {
 		p.WALCommits = wb.WALCommits
 		p.MeanCommitRecs = wb.MeanCommitSize()

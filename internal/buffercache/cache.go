@@ -95,9 +95,6 @@ type Cache struct {
 
 	// Stats is hit/miss/eviction accounting.
 	Stats metrics.Cache
-	// LogicalCopyNs is the CPU cost of moving one key (a 40-byte copy
-	// plus bookkeeping).
-	LogicalCopyNs sim.Duration
 
 	// fl is the background write-back flusher (nil until EnableFlusher);
 	// wb the shared dirty-pipeline counters; nDirty the dirty-block gauge
@@ -120,13 +117,12 @@ type Cache struct {
 // New creates a cache of capacityBlocks blocks over lower.
 func New(node *simnet.Node, lower Lower, capacityBlocks int) *Cache {
 	c := &Cache{
-		node:          node,
-		lower:         lower,
-		bs:            lower.BlockSize(),
-		capacity:      capacityBlocks,
-		blocks:        make(map[int64]*Block, capacityBlocks),
-		LogicalCopyNs: 150,
-		wb:            &metrics.Writeback{},
+		node:     node,
+		lower:    lower,
+		bs:       lower.BlockSize(),
+		capacity: capacityBlocks,
+		blocks:   make(map[int64]*Block, capacityBlocks),
+		wb:       &metrics.Writeback{},
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	c.onEvicted = c.evicted
@@ -456,12 +452,12 @@ func (c *Cache) resident(lbn int64, out []*Block) bool {
 }
 
 // run is the recycled record of one missing run on its way from the lower
-// store into its placeholder blocks: the read it fills, the cache
-// incarnation it was issued under (the CPU charge defers the fill, and a
-// crash in between must not populate the reborn cache), the arriving
+// store into its placeholder blocks: the read it fills, the arriving
 // payload and the per-block fill plan, whose capacity the record keeps.
-// onData and onFilled are bound once; the record retires before the read
-// hears.
+// The fill waits behind its CPU charge, whose completion is posted through
+// the cache's node: a kill in between ends that node's sim.Life, which
+// drops the completion and with it the fill. onData and onFilled are bound once;
+// the record retires before the read hears.
 type run struct {
 	netbuf.Recycled
 	c     *Cache
@@ -567,7 +563,7 @@ func (r *run) plan(data *netbuf.Chain) {
 	}
 	for k := 0; k < logical; k++ {
 		c.node.Copies.AddLogical()
-		cost += c.LogicalCopyNs
+		cost += c.node.Cost.LogicalCopyNs
 	}
 	r.data = data
 	c.node.Charge(cost, r.onFilled)

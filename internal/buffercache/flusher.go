@@ -43,7 +43,6 @@ type flusher struct {
 	// high/2. Zero disables the gate.
 	high     int
 	timerSet bool
-	timer    sim.EventID
 	kickSet  bool
 	admitQ   []admitWaiter
 	// queue[head:] is the dirty FIFO: LBNs in the order their blocks turned
@@ -136,7 +135,7 @@ func (fl *flusher) onDirty(b *Block) {
 		return
 	}
 	fl.timerSet = true
-	fl.timer = fl.c.node.Schedule(flushInterval, fl.onTick)
+	fl.c.node.Schedule(flushInterval, fl.onTick)
 }
 
 // tick is the hold-timer body: top the flusher up to its depth, then re-arm
@@ -148,7 +147,7 @@ func (fl *flusher) tick() {
 	fl.flushNow()
 	if fl.c.nDirty > 0 {
 		fl.timerSet = true
-		fl.timer = fl.c.node.Schedule(flushInterval, fl.onTick)
+		fl.c.node.Schedule(flushInterval, fl.onTick)
 	}
 }
 
@@ -473,7 +472,7 @@ func (c *Cache) flushBatch(f *flush) {
 		if b.Logical {
 			part = lkey.StampChainPool(c.node.BlkPool, b.Key, c.bs)
 			c.node.Copies.AddLogical()
-			cost += c.LogicalCopyNs
+			cost += c.node.Cost.LogicalCopyNs
 		} else {
 			part = c.node.TxPool.GetChain(c.Page(b))
 			c.node.Copies.AddPhysical(c.bs)

@@ -17,10 +17,6 @@ type Copies struct {
 	LogicalOps uint64
 	// ChecksumBytes counts payload bytes walked for software checksumming.
 	ChecksumBytes uint64
-	// Substitutions counts NCache packet-payload substitutions at transmit.
-	Substitutions uint64
-	// Remaps counts FHO→LBN cache re-indexing operations.
-	Remaps uint64
 }
 
 // AddPhysical records one physical copy of n bytes.
@@ -39,15 +35,12 @@ func (c Copies) Sub(o Copies) Copies {
 		PhysicalBytes: c.PhysicalBytes - o.PhysicalBytes,
 		LogicalOps:    c.LogicalOps - o.LogicalOps,
 		ChecksumBytes: c.ChecksumBytes - o.ChecksumBytes,
-		Substitutions: c.Substitutions - o.Substitutions,
-		Remaps:        c.Remaps - o.Remaps,
 	}
 }
 
 // String summarizes the counters.
 func (c Copies) String() string {
-	return fmt.Sprintf("copies{phys=%d (%d B) logical=%d subst=%d remap=%d}",
-		c.PhysicalOps, c.PhysicalBytes, c.LogicalOps, c.Substitutions, c.Remaps)
+	return fmt.Sprintf("copies{phys=%d (%d B) logical=%d}", c.PhysicalOps, c.PhysicalBytes, c.LogicalOps)
 }
 
 // Net tallies wire-level traffic on one node.
@@ -101,9 +94,6 @@ type Writeback struct {
 	WALCommits    uint64
 	WALTruncates  uint64
 	CommitRecords uint64
-	// CommitSizeHist is a log2 histogram of records per group commit:
-	// bucket i counts commits of [2^i, 2^(i+1)) records.
-	CommitSizeHist [16]uint64
 	// FlushBatches/FlushBlocks count coalesced write-back I/Os and the
 	// blocks they carried (FlushBlocks/FlushBatches = mean batch size).
 	FlushBatches uint64
@@ -135,11 +125,6 @@ func (w *Writeback) AddWALDepth(records, bytes int64) {
 func (w *Writeback) ObserveCommit(n int) {
 	w.WALCommits++
 	w.CommitRecords += uint64(n)
-	b := 0
-	for v := n; v > 1 && b < len(w.CommitSizeHist)-1; v >>= 1 {
-		b++
-	}
-	w.CommitSizeHist[b]++
 }
 
 // MeanCommitSize returns the average records per group commit.

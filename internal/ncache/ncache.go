@@ -392,7 +392,6 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 	if substituted > 0 {
 		m.Stats.Substitutions += uint64(substituted)
 		m.Stats.SubstBufs += uint64(clonedBufs)
-		m.node.Copies.Substitutions += uint64(substituted)
 		// The substitution cost scales with the wire buffers spliced —
 		// the driver-level hook touches every outgoing packet.
 		m.node.Charge(sim.Duration(clonedBufs)*m.node.Cost.NCacheSubstNs, nil)
@@ -447,7 +446,6 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []
 			e.key.Flags |= lkey.HasFHO
 			m.index(e)
 			m.Stats.Remaps++
-			m.node.Copies.Remaps++
 			remapped = append(remapped, blockLBN)
 		}
 		m.touch(e)
@@ -456,7 +454,6 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []
 	}
 	if touched > 0 {
 		m.node.Charge(sim.Duration(touched)*m.node.Cost.NCacheSubstNs, nil)
-		m.node.Copies.Substitutions += uint64(touched)
 	}
 	data.Release()
 	return out, remapped, m.seq

@@ -248,7 +248,6 @@ func (s *AppServer) connectTargets(i int, done func(error)) {
 // startServices mounts the file system and brings up the protocol servers.
 func (s *AppServer) startServices(done func(error)) {
 	s.Cache = buffercache.New(s.Node, s.Volume, s.cfg.FSCacheBlocks)
-	s.Cache.LogicalCopyNs = s.Node.Cost.LogicalCopyNs
 	if s.cfg.Writeback.Enabled {
 		s.WB = &metrics.Writeback{}
 		s.Cache.SetWritebackStats(s.WB)

@@ -50,9 +50,6 @@ type CostProfile struct {
 	// maintenance, chunk bookkeeping) — the overhead that separates
 	// NFS-NCache from NFS-baseline in Figures 4–7.
 	NCacheMgmtNs sim.Duration
-	// SyscallNs approximates kernel entry/copyin bookkeeping per
-	// daemon-level read/write of the buffer cache.
-	SyscallNs sim.Duration
 }
 
 // DefaultProfile returns the PIII-1GHz-calibrated cost profile used by all
@@ -73,7 +70,6 @@ func DefaultProfile() CostProfile {
 		NCacheLookupNs:    1 * sim.Microsecond,
 		NCacheSubstNs:     700,
 		NCacheMgmtNs:      2500,
-		SyscallNs:         2 * sim.Microsecond,
 	}
 }
 
