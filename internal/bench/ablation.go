@@ -109,20 +109,17 @@ func ablationRemap(h *harness, disable bool) (AblationResult, error) {
 	if err := playTrace(cl, wtr, nfsClients(cl), h.opt.Concurrency); err != nil {
 		return AblationResult{}, fmt.Errorf("write phase: %w", err)
 	}
-	synced := false
-	cl.App.FS.Sync(func(err error) { synced = err == nil })
-	if err := cl.Eng.Run(); err != nil {
+	if err := await(cl.Eng, func(p *pending) {
+		cl.App.FS.Sync(p.expect("sync"))
+	}); err != nil {
 		return AblationResult{}, err
-	}
-	if !synced {
-		return AblationResult{}, fmt.Errorf("sync failed")
 	}
 	// Phase 2: random reads of the flushed data.
 	w, err := h.measure(cl, &workload.NFSReadLoad{
 		Clients: nfsClients(cl), FH: fh, FileSize: fileBytes,
 		RequestSize: 8 * 1024, Pattern: workload.HotSet,
 		Concurrency: h.opt.Concurrency,
-	}, nil, nil, nil)
+	}, nil, 1, nil, nil)
 	if err != nil {
 		return AblationResult{}, err
 	}

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"ncache/internal/metrics"
 	"ncache/internal/passthru"
-	"ncache/internal/sim"
 	"ncache/internal/storage"
 	"ncache/internal/trace"
 	"ncache/internal/workload"
@@ -32,9 +30,9 @@ type AvailBucket struct {
 	Errors uint64
 	// States snapshots each arm's breaker state at the bucket edge.
 	States []string
-	// Vol is the per-bucket delta of the volume counters (DirtyBlocks is
-	// the gauge at the bucket edge).
-	Vol metrics.Volume
+	// Vol sums the arms' counters over the bucket (DirtyBlocks is the
+	// gauge at the bucket edge).
+	Vol storage.ArmStats
 }
 
 // AvailPolicyPoint is one row of the read-policy comparison: the same
@@ -63,27 +61,34 @@ type AvailReport struct {
 	RecoveredOps float64
 	// TotalErrors counts client-escaped errors over the whole timeline.
 	TotalErrors uint64
-	// FinalStates/FinalVol snapshot the mirror after the post-run drain;
-	// Resynced reports full recovery (all arms closed, dirty log empty,
-	// at least one completed resync).
+	// FinalStates/FinalVol snapshot the mirror after the post-run drain
+	// (FinalVol sums the arms' counters over the whole run); Resynced
+	// reports full recovery (all arms closed, dirty log empty, at least one
+	// completed resync).
 	FinalStates []string
-	FinalVol    metrics.Volume
+	FinalVol    storage.ArmStats
 	Resynced    bool
 	Policies    []AvailPolicyPoint
 }
 
-// volCounters aggregates a volume's per-arm stats into the metrics struct.
-func volCounters(stats []storage.ArmStats) metrics.Volume {
-	var v metrics.Volume
-	for _, s := range stats {
-		v.Reads += s.Reads
-		v.Writes += s.Writes
-		v.Errors += s.Errors
-		v.Ejections += s.Ejections
-		v.Probes += s.Probes
-		v.Resyncs += s.Resyncs
-		v.ResyncBlocks += s.ResyncBlocks
-		v.DirtyBlocks += uint64(s.DirtyBlocks)
+// armSum sums a volume's per-arm counters since the snapshot before (nil:
+// since the start) and its arms' current DirtyBlocks gauges; Name and State
+// stay empty.
+func armSum(now, before []storage.ArmStats) storage.ArmStats {
+	var v storage.ArmStats
+	for i, a := range now {
+		var b storage.ArmStats
+		if before != nil {
+			b = before[i]
+		}
+		v.Reads += a.Reads - b.Reads
+		v.Writes += a.Writes - b.Writes
+		v.Errors += a.Errors - b.Errors
+		v.Ejections += a.Ejections - b.Ejections
+		v.Probes += a.Probes - b.Probes
+		v.Resyncs += a.Resyncs - b.Resyncs
+		v.ResyncBlocks += a.ResyncBlocks - b.ResyncBlocks
+		v.DirtyBlocks += a.DirtyBlocks
 	}
 	return v
 }
@@ -149,44 +154,31 @@ func avail(h *harness) (AvailReport, error) {
 		Concurrency: wc,
 		Tracer:      tr,
 	}
-	reads.Start()
-	writes.Start()
-	if err := cl.Eng.RunFor(opt.Warmup); err != nil {
-		return AvailReport{}, fmt.Errorf("warmup: %w", err)
-	}
+	load := loadPair{reads, writes}
 
-	// Anchor the outage window in absolute virtual time now that warm-up
-	// has consumed its (deterministic) share of the clock.
-	t0 := cl.Eng.Now()
+	// The outage window is anchored in absolute virtual time as the window
+	// opens, once warm-up has consumed its (deterministic) share of the
+	// clock; each bucket edge samples the timeline.
 	bucket := opt.Window / availBuckets
-	outStart := t0 + sim.Time(bucket*(availBuckets/6))
-	outEnd := t0 + sim.Time(bucket*(availBuckets/2))
-	faultSpec := fmt.Sprintf("diskerr:s0m1.disk*:rate=1:start=%s:end=%s",
-		time.Duration(outStart), time.Duration(outEnd))
-	seed := opt.FaultSeed
-	if seed == 0 {
-		seed = 1
-	}
-	in, err := cl.InstallFaults(seed, faultSpec)
-	if err != nil {
-		return AvailReport{}, err
-	}
-	in.Arm()
-
-	rep := AvailReport{
-		OutageStartMs: float64(outStart-t0) / 1e6,
-		OutageEndMs:   float64(outEnd-t0) / 1e6,
-	}
-	ops0, bytes0, errs0 := countersSum(reads, writes)
-	vol0 := volCounters(cl.App.Volume.Stats())
-	for i := 0; i < availBuckets; i++ {
-		tr.ResetStats()
-		if err := cl.Eng.RunFor(bucket); err != nil {
-			return AvailReport{}, fmt.Errorf("bucket %d: %w", i, err)
-		}
-		ops1, bytes1, errs1 := countersSum(reads, writes)
-		vol1 := volCounters(cl.App.Volume.Stats())
+	var rep AvailReport
+	var faultErr error
+	var ops0, bytes0, errs0 uint64
+	var arms0 []storage.ArmStats
+	_, err = h.measure(cl, load, tr, availBuckets, func() {
+		start, end := bucket*(availBuckets/6), bucket*(availBuckets/2)
+		rep.OutageStartMs, rep.OutageEndMs = float64(start)/1e6, float64(end)/1e6
+		t0 := cl.Eng.Now()
+		in, err := cl.InstallFaults(opt.FaultSeed, fmt.Sprintf("diskerr:s0m1.disk*:rate=1:start=%s:end=%s",
+			time.Duration(t0.Add(start)), time.Duration(t0.Add(end))))
+		in.Arm()
+		faultErr = err
+		ops0, bytes0, errs0 = load.Counters()
+		arms0 = cl.App.Volume.Stats()
+	}, func(i int) {
+		ops1, bytes1, errs1 := load.Counters()
+		arms1 := cl.App.Volume.Stats()
 		sum := tr.Summary()
+		tr.ResetStats()
 		b := AvailBucket{
 			StartMs:    float64(bucket) * float64(i) / 1e6,
 			EndMs:      float64(bucket) * float64(i+1) / 1e6,
@@ -195,24 +187,23 @@ func avail(h *harness) (AvailReport, error) {
 			ReadP99Us:  opP99Us(sum, "read"),
 			WriteP99Us: opP99Us(sum, "write"),
 			Errors:     errs1 - errs0,
-			States:     armStates(cl.App.Volume.Stats()),
-			Vol:        vol1.Sub(vol0),
+			States:     armStates(arms1),
+			Vol:        armSum(arms1, arms0),
 		}
 		rep.Buckets = append(rep.Buckets, b)
 		rep.TotalErrors += b.Errors
-		ops0, bytes0, errs0 = ops1, bytes1, errs1
-		vol0 = vol1
+		ops0, bytes0, errs0, arms0 = ops1, bytes1, errs1, arms1
+	})
+	if err == nil {
+		err = faultErr
 	}
-	reads.Stop()
-	writes.Stop()
-	in.Quiesce()
-	if err := cl.Eng.Run(); err != nil {
-		return AvailReport{}, fmt.Errorf("drain: %w", err)
+	if err != nil {
+		return AvailReport{}, err
 	}
 
 	final := cl.App.Volume.Stats()
 	rep.FinalStates = armStates(final)
-	rep.FinalVol = volCounters(final)
+	rep.FinalVol = armSum(final, nil)
 	rep.Resynced = rep.FinalVol.Resyncs >= 1 && rep.FinalVol.DirtyBlocks == 0
 	for _, s := range final {
 		if s.State != storage.ArmClosed {
@@ -237,10 +228,16 @@ func avail(h *harness) (AvailReport, error) {
 	return rep, nil
 }
 
-// countersSum totals two loads' counters.
-func countersSum(a, b workload.Load) (uint64, uint64, uint64) {
-	ao, ab, ae := a.Counters()
-	bo, bb, be := b.Counters()
+// loadPair runs two loads as one: started and stopped in order, counted
+// together.
+type loadPair [2]workload.Load
+
+func (p loadPair) Start() { p[0].Start(); p[1].Start() }
+func (p loadPair) Stop()  { p[0].Stop(); p[1].Stop() }
+
+func (p loadPair) Counters() (ops, bytes, errs uint64) {
+	ao, ab, ae := p[0].Counters()
+	bo, bb, be := p[1].Counters()
 	return ao + bo, ab + bb, ae + be
 }
 
@@ -308,8 +305,9 @@ func FormatAvail(r AvailReport) string {
 	fmt.Fprintf(&b, "\nphase averages: healthy %.0f ops/s | outage %.0f ops/s (%.0f%% of healthy) | recovered %.0f ops/s (%.0f%%)\n",
 		r.HealthyOps, r.OutageOps, outagePct, r.RecoveredOps, recoveredPct)
 	fmt.Fprintf(&b, "escaped client errors: %d\n", r.TotalErrors)
-	fmt.Fprintf(&b, "final mirror state: %s, %s, resynced=%v\n",
-		strings.Join(r.FinalStates, "/"), r.FinalVol, r.Resynced)
+	v := r.FinalVol
+	fmt.Fprintf(&b, "final mirror state: %s, volume{r=%d w=%d err=%d eject=%d probe=%d resync=%d (%d blk) dirty=%d}, resynced=%v\n",
+		strings.Join(r.FinalStates, "/"), v.Reads, v.Writes, v.Errors, v.Ejections, v.Probes, v.Resyncs, v.ResyncBlocks, v.DirtyBlocks, r.Resynced)
 
 	b.WriteString("\nread-policy comparison (primary arm +2ms per disk I/O, all-miss 16KB reads):\n")
 	fmt.Fprintf(&b, "%-14s %9s %9s %10s %6s %s\n",

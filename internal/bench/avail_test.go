@@ -18,10 +18,10 @@ func TestAvailSmoke(t *testing.T) {
 		t.Fatalf("client errors escaped the mirror: %d", rep.TotalErrors)
 	}
 	if rep.FinalVol.Ejections == 0 {
-		t.Fatalf("outage never tripped the breaker: %s", rep.FinalVol)
+		t.Fatalf("outage never tripped the breaker: %+v", rep.FinalVol)
 	}
 	if !rep.Resynced {
-		t.Fatalf("mirror did not fully recover: states=%v vol=%s",
+		t.Fatalf("mirror did not fully recover: states=%v vol=%+v",
 			rep.FinalStates, rep.FinalVol)
 	}
 	if rep.HealthyOps <= 0 || rep.OutageOps <= 0 {
@@ -31,6 +31,24 @@ func TestAvailSmoke(t *testing.T) {
 	if rep.OutageOps < rep.HealthyOps/2 {
 		t.Fatalf("outage throughput below 50%% of healthy: %.0f vs %.0f",
 			rep.OutageOps, rep.HealthyOps)
+	}
+	// The buckets tile the window, and every ejection falls in one: the
+	// schedule is installed as the window opens and ends at bucket 12.
+	if len(rep.Buckets) != availBuckets {
+		t.Fatalf("%d buckets, want %d", len(rep.Buckets), availBuckets)
+	}
+	var ejections uint64
+	for i, b := range rep.Buckets {
+		if i > 0 && b.StartMs != rep.Buckets[i-1].EndMs {
+			t.Fatalf("bucket %d starts at %v ms, the one before ends at %v ms", i, b.StartMs, rep.Buckets[i-1].EndMs)
+		}
+		ejections += b.Vol.Ejections
+	}
+	if end, want := rep.Buckets[availBuckets-1].EndMs, float64(availBuckets*(opt.Window/availBuckets))/1e6; end != want {
+		t.Fatalf("last bucket ends at %v ms, want %v", end, want)
+	}
+	if ejections != rep.FinalVol.Ejections {
+		t.Fatalf("buckets count %d ejections, the run %d", ejections, rep.FinalVol.Ejections)
 	}
 	if len(rep.Policies) != len(AvailPolicies) {
 		t.Fatalf("policy table incomplete: %+v", rep.Policies)

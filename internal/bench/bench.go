@@ -231,58 +231,111 @@ type window struct {
 }
 
 // measure is the one measurement loop: arm fault injection, start the load,
-// warm up, zero every counter, run the window, sample utilization, then stop
-// and drain, and read the tracer's summary and the recovery counters.
-// Injection starts with the load (setup ran fault-free) and stops before the
-// drain, so in-flight recovery completes and the event loop terminates; the
-// tracer (nil-safe) is frozen there too, keeping late completions out of the
-// window. atStart/atEnd (nil-safe) bracket the window for experiments that
-// sample something of their own.
-func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tracer, atStart, atEnd func()) (window, error) {
+// warm up, zero every counter, run the window as buckets equal spans, sample
+// utilization, then stop and drain, and read the tracer's summary and the
+// recovery counters. Injection starts with the load (setup ran fault-free)
+// and stops before the drain, so in-flight recovery completes and the event
+// loop terminates; the tracer (nil-safe) is frozen there too, keeping late
+// completions out of the window. atStart (nil-safe) runs as the window
+// opens and atEdge (nil-safe) at the end of each bucket, with its index, for
+// experiments that sample something of their own.
+func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tracer, buckets int, atStart func(), atEdge func(int)) (window, error) {
 	var w window
 	cl.Faults.Arm()
-	runner := &workload.Runner{Eng: cl.Eng, Warmup: h.opt.Warmup, Window: h.opt.Window}
-	m, err := runner.Run(load,
-		func() {
-			resetClusterStats(cl)
-			tr.ResetStats()
-			if atStart != nil {
-				atStart()
-			}
-		},
-		func() {
-			var cpuSum float64
-			for _, app := range cl.Apps {
-				cpu := app.Node.CPU.Utilization()
-				w.ServerCPU = math.Max(w.ServerCPU, cpu)
-				cpuSum += cpu
-				for _, nic := range app.Node.NICs() {
-					w.LinkUtil = math.Max(w.LinkUtil, nic.TxUtilization())
-				}
-			}
-			w.ServerCPUMean = cpuSum / float64(len(cl.Apps))
-			w.StorageCPU = cl.Storage.Node.CPU.Utilization()
-			if cl.Control != nil {
-				w.ControlCPU = cl.Control.Node().CPU.Utilization()
-			}
-			if cl.App.Cache != nil {
-				w.HitRatio = cl.App.Cache.Stats.HitRatio()
-			}
-			if atEnd != nil {
-				atEnd()
-			}
-			tr.Freeze()
-			cl.Faults.Quiesce()
-		})
-	w.Ops, w.Errors = m.Ops, m.Errors
-	w.ThroughputMBs, w.OpsPerSec = m.Throughput()/1e6, m.OpsPerSec()
+	load.Start()
+	if err := cl.Eng.RunFor(h.opt.Warmup); err != nil {
+		return w, fmt.Errorf("warmup: %w", err)
+	}
+	ops0, bytes0, errs0 := load.Counters()
+	resetClusterStats(cl)
+	tr.ResetStats()
+	if atStart != nil {
+		atStart()
+	}
+	bucket := h.opt.Window / sim.Duration(buckets)
+	for i := 0; i < buckets; i++ {
+		if err := cl.Eng.RunFor(bucket); err != nil {
+			return w, fmt.Errorf("window: %w", err)
+		}
+		if atEdge != nil {
+			atEdge(i)
+		}
+	}
+	ops1, bytes1, errs1 := load.Counters()
+	var cpuSum float64
+	for _, app := range cl.Apps {
+		cpu := app.Node.CPU.Utilization()
+		w.ServerCPU = math.Max(w.ServerCPU, cpu)
+		cpuSum += cpu
+		for _, nic := range app.Node.NICs() {
+			w.LinkUtil = math.Max(w.LinkUtil, nic.TxUtilization())
+		}
+	}
+	w.ServerCPUMean = cpuSum / float64(len(cl.Apps))
+	w.StorageCPU = cl.Storage.Node.CPU.Utilization()
+	if cl.Control != nil {
+		w.ControlCPU = cl.Control.Node().CPU.Utilization()
+	}
+	if cl.App.Cache != nil {
+		w.HitRatio = cl.App.Cache.Stats.HitRatio()
+	}
+	tr.Freeze()
+	cl.Faults.Quiesce()
+	load.Stop()
+	if err := cl.Eng.Run(); err != nil {
+		return w, fmt.Errorf("drain: %w", err)
+	}
+	secs := (bucket * sim.Duration(buckets)).Seconds()
+	w.Ops, w.Errors = ops1-ops0, errs1-errs0
+	w.ThroughputMBs, w.OpsPerSec = float64(bytes1-bytes0)/secs/1e6, float64(w.Ops)/secs
 	w.Lat = tr.Summary()
 	w.RPCRetransmits, w.RPCTimeouts, w.DupReplies, w.ISCSIRetries = cl.FaultCounters()
 	w.TCPRetransmits, w.TCPRTOs, w.TCPFastRtx, _, _ = cl.TCPCounters()
 	if cl.Faults != nil {
 		w.FaultReport = cl.Faults.Report()
 	}
-	return w, err
+	return w, nil
+}
+
+// pending is the setup calls issued under await: what each one is ("" once
+// it has completed), and the first error one completed with.
+type pending struct {
+	calls []string
+	err   error
+}
+
+// expect registers a call and returns its completion.
+func (p *pending) expect(what string) func(error) {
+	i := len(p.calls)
+	p.calls = append(p.calls, what)
+	return func(err error) {
+		p.calls[i] = ""
+		if err != nil && p.err == nil {
+			p.err = fmt.Errorf("%s: %w", what, err)
+		}
+	}
+}
+
+// await is the one way setup drives asynchronous calls to completion: issue
+// starts them, taking one completion per call from p.expect (a completion
+// may issue the next call); await then runs the engine dry and returns the
+// engine's error, else the first error a call completed with, else an error
+// naming the first call that never completed.
+func await(eng interface{ Run() error }, issue func(p *pending)) error {
+	var p pending
+	issue(&p)
+	if err := eng.Run(); err != nil {
+		return err
+	}
+	if p.err != nil {
+		return p.err
+	}
+	for _, what := range p.calls {
+		if what != "" {
+			return fmt.Errorf("bench: %s did not complete", what)
+		}
+	}
+	return nil
 }
 
 // nfsClients lists each host's mounted datagram client (the paper's NFS
@@ -295,21 +348,16 @@ func nfsClients(cl *passthru.Cluster) []*nfs.Client {
 	return clients
 }
 
-// lookupFH resolves a file handle synchronously (engine-driving helper).
-func lookupFH(cl *passthru.Cluster, host int, name string) (nfs.FH, error) {
-	var fh nfs.FH
-	var lerr error
-	got := false
-	cl.Clients[host].NFS.Lookup(nfs.RootFH(), name, func(h nfs.FH, _ nfs.Attr, err error) {
-		fh, lerr, got = h, err, true
+// lookupFH resolves a file handle.
+func lookupFH(cl *passthru.Cluster, host int, name string) (fh nfs.FH, err error) {
+	err = await(cl.Eng, func(p *pending) {
+		done := p.expect("lookup " + name)
+		cl.Clients[host].NFS.Lookup(nfs.RootFH(), name, func(h nfs.FH, _ nfs.Attr, err error) {
+			fh = h
+			done(err)
+		})
 	})
-	if err := cl.Eng.Run(); err != nil {
-		return fh, err
-	}
-	if !got {
-		return fh, fmt.Errorf("bench: lookup %q did not complete", name)
-	}
-	return fh, lerr
+	return fh, err
 }
 
 // prefill streams a file through the server once so the measured window
@@ -330,24 +378,18 @@ func prefill(cl *passthru.Cluster, fh nfs.FH, size uint64) error {
 
 // playTrace replays a trace to completion.
 func playTrace(cl *passthru.Cluster, tr workload.Trace, clients []*nfs.Client, concurrency int) error {
-	done := false
-	player := &workload.TracePlayer{
-		Clients:     clients,
-		Trace:       tr,
-		Concurrency: concurrency,
-		Done:        func() { done = true },
-	}
-	player.Start()
-	if err := cl.Eng.Run(); err != nil {
-		return err
-	}
-	if !done {
-		return fmt.Errorf("bench: trace replay did not complete")
-	}
-	if _, _, errs := player.Counters(); errs > 0 {
-		return fmt.Errorf("bench: trace replay saw %d errors", errs)
-	}
-	return nil
+	return await(cl.Eng, func(p *pending) {
+		done := p.expect("trace replay")
+		player := &workload.TracePlayer{Clients: clients, Trace: tr, Concurrency: concurrency}
+		player.Done = func() {
+			var err error
+			if _, _, errs := player.Counters(); errs > 0 {
+				err = fmt.Errorf("%d errors", errs)
+			}
+			done(err)
+		}
+		player.Start()
+	})
 }
 
 // missRig builds the all-miss testbed — one file of fileBlocks blocks, far
@@ -427,7 +469,7 @@ func (h *harness) nfsPoint(cl *passthru.Cluster, load *workload.NFSReadLoad) (NF
 		tr.SetKeepSpans(h.opt.Chrome != nil)
 		load.SetTracer(tr)
 	}
-	w, err := h.measure(cl, load, tr, nil, nil)
+	w, err := h.measure(cl, load, tr, 1, nil, nil)
 	if err != nil {
 		return NFSPoint{}, err
 	}

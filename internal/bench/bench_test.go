@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"os"
 	"reflect"
 	"slices"
@@ -29,6 +30,38 @@ func points[P any](t *testing.T, name string, opt Options) P {
 		t.Fatalf("%s: %v", name, err)
 	}
 	return res.Points.(P)
+}
+
+// failingEngine is an engine whose run fails.
+type failingEngine struct{ err error }
+
+func (e failingEngine) Run() error { return e.err }
+
+// TestAwait checks the one wait helper: a call that never answers fails with
+// an error naming it, a later call's error is not hidden by an earlier call's
+// success, and an engine error passes through.
+func TestAwait(t *testing.T) {
+	eng := sim.NewEngine()
+	err := await(eng, func(p *pending) { p.expect("lookup silent") })
+	if err == nil || !strings.Contains(err.Error(), "lookup silent") {
+		t.Fatalf("unanswered call: got %v, want an error naming it", err)
+	}
+
+	boom := errors.New("boom")
+	err = await(eng, func(p *pending) {
+		first, second := p.expect("first"), p.expect("second")
+		eng.Schedule(sim.Millisecond, func() { first(nil) })
+		eng.Schedule(2*sim.Millisecond, func() { second(boom) })
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "second") {
+		t.Fatalf("second call failed: got %v, want its error", err)
+	}
+
+	halt := errors.New("engine halted")
+	err = await(failingEngine{halt}, func(p *pending) { p.expect("any") })
+	if !errors.Is(err, halt) {
+		t.Fatalf("engine error: got %v, want %v", err, halt)
+	}
 }
 
 // testHarness is a harness for tests that measure single points.

@@ -28,7 +28,7 @@ func futurework(h *harness) ([]WireFormatPoint, error) {
 			if err != nil {
 				return nil, fmt.Errorf("futurework %s wf=%v: %w", mode, wf, err)
 			}
-			w, err := h.measure(cl, load, nil, nil, nil)
+			w, err := h.measure(cl, load, nil, 1, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("futurework %s wf=%v: %w", mode, wf, err)
 			}

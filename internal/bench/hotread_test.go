@@ -203,7 +203,7 @@ func TestSFSMixAllocBudget(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	e0 := cl.Eng.Processed()
-	w, err := h.measure(cl, load, nil, nil, nil)
+	w, err := h.measure(cl, load, nil, 1, nil, nil)
 	if err != nil || w.Errors != 0 || w.Ops == 0 {
 		t.Fatalf("measure: %v, %d errors, %d ops", err, w.Errors, w.Ops)
 	}
@@ -244,7 +244,7 @@ func TestWritebackAllocBudget(t *testing.T) {
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	w, err := h.measure(cl, load, nil, nil, nil)
+	w, err := h.measure(cl, load, nil, 1, nil, nil)
 	if err != nil || w.Errors != 0 || w.Ops == 0 {
 		t.Fatalf("measure: %v, %d errors, %d ops", err, w.Errors, w.Ops)
 	}

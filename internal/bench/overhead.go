@@ -59,9 +59,9 @@ func overhead(h *harness) (OverheadReport, error) {
 		}
 		var before, after counters
 		var busy sim.Duration
-		w, err := h.measure(cl, load, nil,
+		w, err := h.measure(cl, load, nil, 1,
 			func() { before = snap() },
-			func() { busy, after = cl.App.Node.CPU.Busy(), snap() })
+			func(int) { busy, after = cl.App.Node.CPU.Busy(), snap() })
 		if err != nil {
 			return sample{}, err
 		}

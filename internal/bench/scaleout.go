@@ -193,7 +193,7 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 
 	// Stop the flushers at the window's end so the post-window drain
 	// terminates.
-	w, err := h.measure(cl, load, tr, nil, func() { flushing = false })
+	w, err := h.measure(cl, load, tr, 1, nil, func(int) { flushing = false })
 	if err != nil {
 		return ScaleoutPoint{}, err
 	}
@@ -231,55 +231,38 @@ func scaleoutPoint(h *harness, servers, targets int) (ScaleoutPoint, error) {
 
 // prefillRouted streams every file once through its owning server.
 func prefillRouted(cl *passthru.Cluster, scs []*passthru.ScaleClient, files []nfs.FH, fileSize uint64, reqSize int) error {
-	pending := len(files)
-	var werr error
-	fileDone := func(err error) {
-		if err != nil && werr == nil {
-			werr = err
-		}
-		pending--
-	}
-	for i, fh := range files {
-		fh := fh
-		sc := scs[i%len(scs)]
-		sc.Route(fh, func(c *nfs.Client, err error) {
-			if err != nil {
-				fileDone(err)
-				return
-			}
-			off := uint64(0)
-			var step func()
-			step = func() {
-				if off >= fileSize {
-					fileDone(nil)
+	return await(cl.Eng, func(p *pending) {
+		for i, fh := range files {
+			fh, done := fh, p.expect("scaleout prefill")
+			scs[i%len(scs)].Route(fh, func(c *nfs.Client, err error) {
+				if err != nil {
+					done(err)
 					return
 				}
-				o := off
-				off += uint64(reqSize)
-				c.Read(fh, o, reqSize, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-					if data != nil {
-						data.Release()
-					}
-					if err != nil {
-						fileDone(err)
+				off := uint64(0)
+				var step func()
+				step = func() {
+					if off >= fileSize {
+						done(nil)
 						return
 					}
-					step()
-				})
-			}
-			step()
-		})
-	}
-	if err := cl.Eng.Run(); err != nil {
-		return err
-	}
-	if werr != nil {
-		return fmt.Errorf("scaleout prefill: %w", werr)
-	}
-	if pending != 0 {
-		return fmt.Errorf("scaleout prefill: %d files did not complete", pending)
-	}
-	return nil
+					o := off
+					off += uint64(reqSize)
+					c.Read(fh, o, reqSize, func(data *netbuf.Chain, _ nfs.Attr, err error) {
+						if data != nil {
+							data.Release()
+						}
+						if err != nil {
+							done(err)
+							return
+						}
+						step()
+					})
+				}
+				step()
+			})
+		}
+	})
 }
 
 // FormatScaleoutPoints renders the scale-out figure: aggregate throughput

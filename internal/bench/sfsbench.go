@@ -37,7 +37,7 @@ func fig7(h *harness) ([]SFSPoint, error) {
 		if err != nil {
 			return SFSPoint{}, err
 		}
-		w, err := h.measure(cl, load, nil, nil, nil)
+		w, err := h.measure(cl, load, nil, 1, nil, nil)
 		return SFSPoint{window: w, Mode: mode, RegularDataPct: pct}, err
 	})
 }

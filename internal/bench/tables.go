@@ -74,35 +74,21 @@ func table2(h *harness) ([]Table2Row, error) {
 	client := cl.Clients[0].NFS
 
 	read := func(off uint64) error {
-		var rerr error
-		fin := false
-		client.Read(fh, off, extfs.BlockSize, func(c *netbuf.Chain, _ nfs.Attr, err error) {
-			rerr, fin = err, true
-			if c != nil {
-				c.Release()
-			}
+		return await(cl.Eng, func(p *pending) {
+			done := p.expect("read")
+			client.Read(fh, off, extfs.BlockSize, func(c *netbuf.Chain, _ nfs.Attr, err error) {
+				if c != nil {
+					c.Release()
+				}
+				done(err)
+			})
 		})
-		if err := cl.Eng.Run(); err != nil {
-			return err
-		}
-		if !fin {
-			return fmt.Errorf("read did not complete")
-		}
-		return rerr
 	}
 	write := func(off uint64) error {
-		var werr error
-		fin := false
-		client.WriteBytes(fh, off, make([]byte, extfs.BlockSize), func(_ int, _ nfs.Attr, err error) {
-			werr, fin = err, true
+		return await(cl.Eng, func(p *pending) {
+			done := p.expect("write")
+			client.WriteBytes(fh, off, make([]byte, extfs.BlockSize), func(_ int, _ nfs.Attr, err error) { done(err) })
 		})
-		if err := cl.Eng.Run(); err != nil {
-			return err
-		}
-		if !fin {
-			return fmt.Errorf("write did not complete")
-		}
-		return werr
 	}
 
 	// Warm metadata (root inode, file inode) with a probe read of block 0.
@@ -142,13 +128,10 @@ func table2(h *harness) ([]Table2Row, error) {
 	if err := write(6 * extfs.BlockSize); err != nil {
 		return nil, err
 	}
-	syncDone := false
-	cl.App.FS.Sync(func(err error) { syncDone = err == nil })
-	if err := cl.Eng.Run(); err != nil {
+	if err := await(cl.Eng, func(p *pending) {
+		cl.App.FS.Sync(p.expect("sync"))
+	}); err != nil {
 		return nil, err
-	}
-	if !syncDone {
-		return nil, fmt.Errorf("sync failed")
 	}
 	d := node.Copies.Sub(before)
 	// The sync also flushes block 5 (the overwritten one); subtract its
@@ -187,24 +170,20 @@ func table2Web(h *harness) ([]Table2Row, error) {
 		return nil, err
 	}
 	var conn *passthru.HTTPConn
-	cl.Clients[0].DialHTTP(passthru.ServerAddr, func(h *passthru.HTTPConn, err error) { conn = h })
-	if err := cl.Eng.Run(); err != nil {
+	if err := await(cl.Eng, func(p *pending) {
+		done := p.expect("web dial")
+		cl.Clients[0].DialHTTP(passthru.ServerAddr, func(h *passthru.HTTPConn, err error) {
+			conn = h
+			done(err)
+		})
+	}); err != nil {
 		return nil, err
 	}
-	if conn == nil {
-		return nil, fmt.Errorf("web dial failed")
-	}
 	get := func(page string) error {
-		fin := false
-		var gerr error
-		conn.Get(page, func(n int, err error) { gerr, fin = err, true })
-		if err := cl.Eng.Run(); err != nil {
-			return err
-		}
-		if !fin {
-			return fmt.Errorf("GET %s did not complete", page)
-		}
-		return gerr
+		return await(cl.Eng, func(p *pending) {
+			done := p.expect("GET " + page)
+			conn.Get(page, func(_ int, err error) { done(err) })
+		})
 	}
 	if err := get("warm.html"); err != nil { // warms root dir + metadata
 		return nil, err

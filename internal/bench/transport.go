@@ -39,24 +39,17 @@ func connectNFSUDP(cl *passthru.Cluster) ([]*nfs.Client, error) { return nfsClie
 func connectNFSTCP(cl *passthru.Cluster) ([]*nfs.Client, error) {
 	// Each dial completes into its own slot.
 	clients := make([]*nfs.Client, len(cl.Clients))
-	errs := make([]error, len(cl.Clients))
-	for i, h := range cl.Clients {
-		i := i
-		nic := cl.App.Node.NICs()[i%len(cl.App.Node.NICs())]
-		h.DialNFSTCP(nic.Addr, func(c *nfs.Client, err error) { clients[i], errs[i] = c, err })
-	}
-	if err := cl.Eng.Run(); err != nil {
-		return nil, err
-	}
-	for i, c := range clients {
-		if errs[i] != nil {
-			return nil, errs[i]
+	err := await(cl.Eng, func(p *pending) {
+		for i, h := range cl.Clients {
+			i, done := i, p.expect("NFS/TCP dial")
+			nic := cl.App.Node.NICs()[i%len(cl.App.Node.NICs())]
+			h.DialNFSTCP(nic.Addr, func(c *nfs.Client, err error) {
+				clients[i] = c
+				done(err)
+			})
 		}
-		if c == nil {
-			return nil, fmt.Errorf("bench: NFS/TCP dial from client %d did not complete", i)
-		}
-	}
-	return clients, nil
+	})
+	return clients, err
 }
 
 // transport measures the all-hit 32 KB workload over each NFSTransports
@@ -94,7 +87,7 @@ func transportPoint(h *harness, mode passthru.Mode, tr NFSTransport) (TransportP
 		return t.PacketsTx + t.PacketsRx
 	}
 	var pktsBefore uint64
-	w, err := h.measure(cl, load, nil, func() { pktsBefore = packets() }, nil)
+	w, err := h.measure(cl, load, nil, 1, func() { pktsBefore = packets() }, nil)
 	if err != nil {
 		return TransportPoint{}, err
 	}

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"ncache/internal/extfs"
 	"ncache/internal/passthru"
 	"ncache/internal/workload"
@@ -79,32 +77,18 @@ func (h *harness) webRig(cfg passthru.ClusterConfig, wsBytes int64) (*passthru.C
 // LRU caches converge to the Zipf steady state (most-popular resident)
 // before the measured window starts.
 func prefillWeb(cl *passthru.Cluster, conn *passthru.HTTPConn, pages workload.PageSet) error {
-	var firstErr error
-	var next func(i int)
-	done := false
-	next = func(i int) {
-		if i < 0 {
-			done = true
-			return
-		}
-		conn.Get(pages.Names[i], func(n int, err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
+	return await(cl.Eng, func(p *pending) {
+		done := p.expect("web prefill")
+		var next func(i int, err error)
+		next = func(i int, err error) {
+			if i < 0 || err != nil {
+				done(err)
+				return
 			}
-			next(i - 1)
-		})
-	}
-	next(len(pages.Names) - 1)
-	if err := cl.Eng.Run(); err != nil {
-		return err
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if !done {
-		return fmt.Errorf("bench: web prefill did not complete")
-	}
-	return nil
+			conn.Get(pages.Names[i], func(_ int, err error) { next(i-1, err) })
+		}
+		next(len(pages.Names)-1, nil)
+	})
 }
 
 // fig6b reproduces Figure 6(b): the all-hit web micro-benchmark, sweeping
@@ -138,36 +122,25 @@ func fig6b(h *harness) ([]WebPoint, error) {
 // across server NICs, returned in the order they were established.
 func dialWebConns(cl *passthru.Cluster, perHost int) ([]*passthru.HTTPConn, error) {
 	var conns []*passthru.HTTPConn
-	var dialErr error
-	want := len(cl.Clients) * perHost
-	for ci, host := range cl.Clients {
-		for k := 0; k < perHost; k++ {
-			nic := cl.App.Node.NICs()[ci%len(cl.App.Node.NICs())]
-			host.DialHTTP(nic.Addr, func(h *passthru.HTTPConn, err error) {
-				if err != nil {
-					if dialErr == nil {
-						dialErr = err
+	err := await(cl.Eng, func(p *pending) {
+		for ci, host := range cl.Clients {
+			for k := 0; k < perHost; k++ {
+				done := p.expect("web dial")
+				nic := cl.App.Node.NICs()[ci%len(cl.App.Node.NICs())]
+				host.DialHTTP(nic.Addr, func(h *passthru.HTTPConn, err error) {
+					if err == nil {
+						conns = append(conns, h)
 					}
-					return
-				}
-				conns = append(conns, h)
-			})
+					done(err)
+				})
+			}
 		}
-	}
-	if err := cl.Eng.Run(); err != nil {
-		return nil, err
-	}
-	if dialErr != nil {
-		return nil, dialErr
-	}
-	if len(conns) != want {
-		return nil, fmt.Errorf("bench: dialed %d/%d web connections", len(conns), want)
-	}
-	return conns, nil
+	})
+	return conns, err
 }
 
 // webPoint measures one web point.
 func (h *harness) webPoint(cl *passthru.Cluster, load workload.Load, param int) (WebPoint, error) {
-	w, err := h.measure(cl, load, nil, nil, nil)
+	w, err := h.measure(cl, load, nil, 1, nil, nil)
 	return WebPoint{window: w, Mode: cl.App.Mode, ParamKB: param}, err
 }

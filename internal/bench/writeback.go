@@ -67,7 +67,7 @@ func writebackPoint(h *harness, arm string) (WritebackPoint, error) {
 	if err != nil {
 		return WritebackPoint{}, err
 	}
-	w, err := h.measure(cl, load, nil, nil, nil)
+	w, err := h.measure(cl, load, nil, 1, nil, nil)
 	if err != nil {
 		return WritebackPoint{}, err
 	}

@@ -378,7 +378,7 @@ func TestNoSynchronisation(t *testing.T) {
 func TestChainsNameAPool(t *testing.T) {
 	poolless := map[string]bool{"NewChain": true, "ChainFromBytes": true}
 	var violations []string
-	funcUses(t, func(_, at string, fn *types.Func, _ *ast.CallExpr) {
+	funcUses(t, func(_, at, _ string, fn *types.Func, _ *ast.CallExpr) {
 		if poolless[fn.Name()] && fn.Pkg().Path() == "ncache/internal/netbuf" && fn.Type().(*types.Signature).Recv() == nil {
 			violations = append(violations, at+" uses netbuf."+fn.Name())
 		}
@@ -407,7 +407,7 @@ func TestTimersGoThroughTheNode(t *testing.T) {
 	allowed := map[string]bool{"sim": true, "simnet": true, "fault": true, "workload": true, "bench": true}
 	usesDone := map[string]bool{"sim": true, "simnet": true, "blockdev": true}
 	var violations []string
-	funcUses(t, func(path, at string, fn *types.Func, call *ast.CallExpr) {
+	funcUses(t, func(path, at, _ string, fn *types.Func, call *ast.CallExpr) {
 		recv := fn.Type().(*types.Signature).Recv()
 		if recv == nil {
 			return
@@ -431,6 +431,30 @@ func TestTimersGoThroughTheNode(t *testing.T) {
 	}
 }
 
+// TestOneLoopRunsTheEngine holds the experiment harness to one measurement
+// loop and one way to wait: in the non-test files of internal/bench only
+// harness.measure, which runs every load, and await, which drives setup calls
+// to completion, may run the engine (Engine.Run, RunFor or RunUntil). A
+// second loop would warm up, reset and sample a window its own way, and a
+// hand-rolled drain would check its calls' answers its own way.
+func TestOneLoopRunsTheEngine(t *testing.T) {
+	runs := map[string]bool{"Run": true, "RunFor": true, "RunUntil": true}
+	allowed := map[string]bool{"measure": true, "await": true}
+	var violations []string
+	funcUses(t, func(path, at, encl string, fn *types.Func, _ *ast.CallExpr) {
+		recv := fn.Type().(*types.Signature).Recv()
+		if path == "ncache/internal/bench" && runs[fn.Name()] && !allowed[encl] && recv != nil &&
+			types.TypeString(recv.Type(), nil) == "*ncache/internal/sim.Engine" {
+			violations = append(violations, at+" ("+encl+") runs Engine."+fn.Name())
+		}
+	})
+	sort.Strings(violations)
+	if len(violations) > 0 {
+		t.Errorf("internal/bench runs the engine outside harness.measure and await "+
+			"(run a load through measure, drive setup calls with await):\n  %s", strings.Join(violations, "\n  "))
+	}
+}
+
 // isNil reports whether e is the identifier nil.
 func isNil(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
@@ -439,9 +463,10 @@ func isNil(e ast.Expr) bool {
 
 // funcUses type-checks the non-test files of every package under internal/
 // and cmd/ and calls visit for each use of a function or method declared in
-// a package, with the using package's path, the use's position and, when
+// a package, with the using package's path, the use's position, the name of
+// the top-level function or method it sits in ("" outside one) and, when
 // the use is the callee of a call (f(…) or x.f(…)), that call.
-func funcUses(t *testing.T, visit func(path, at string, fn *types.Func, call *ast.CallExpr)) {
+func funcUses(t *testing.T, visit func(path, at, encl string, fn *types.Func, call *ast.CallExpr)) {
 	t.Helper()
 	pkgDirs, exports := listPackages(t)
 	fset := token.NewFileSet()
@@ -457,23 +482,29 @@ func funcUses(t *testing.T, visit func(path, at string, fn *types.Func, call *as
 			t.Fatalf("typecheck %s: %v", path, err)
 		}
 		for _, f := range files {
-			callee := map[*ast.Ident]*ast.CallExpr{}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					switch fun := n.Fun.(type) {
-					case *ast.Ident:
-						callee[fun] = n
-					case *ast.SelectorExpr:
-						callee[fun.Sel] = n
-					}
-				case *ast.Ident:
-					if fn, ok := info.Uses[n].(*types.Func); ok && fn.Pkg() != nil {
-						visit(path, relPos(fset.Position(n.Pos())), fn, callee[n])
-					}
+			for _, decl := range f.Decls {
+				encl := ""
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					encl = fd.Name.Name
 				}
-				return true
-			})
+				callee := map[*ast.Ident]*ast.CallExpr{}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						switch fun := n.Fun.(type) {
+						case *ast.Ident:
+							callee[fun] = n
+						case *ast.SelectorExpr:
+							callee[fun.Sel] = n
+						}
+					case *ast.Ident:
+						if fn, ok := info.Uses[n].(*types.Func); ok && fn.Pkg() != nil {
+							visit(path, relPos(fset.Position(n.Pos())), encl, fn, callee[n])
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
 }

@@ -33,7 +33,9 @@
 // TestTimersGoThroughTheNode on an engine post outside sim, simnet, fault,
 // workload and bench, or a sim.Resource Use with a done callback outside
 // sim, simnet and blockdev: software on a node posts through the node,
-// whose kill drops what the dead incarnation posted (DESIGN.md §12).
+// whose kill drops what the dead incarnation posted (DESIGN.md §12); and
+// TestOneLoopRunsTheEngine on a non-test file of internal/bench that runs the
+// engine outside harness.measure and await (DESIGN.md §4b).
 //
 // The third, TestEveryKnobIsTurned (knobs_test.go), is not about determinism
 // but shares the machinery: it type-checks every package of the module, tests

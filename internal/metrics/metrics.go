@@ -143,43 +143,6 @@ func (w *Writeback) MeanBatchBlocks() float64 {
 	return float64(w.FlushBlocks) / float64(w.FlushBatches)
 }
 
-// Volume tallies the replicated lower storage path, aggregated over a
-// volume's mirror arms: command traffic, breaker activity and recovery
-// work. The fig-avail timeline samples it per bucket.
-type Volume struct {
-	Reads        uint64
-	Writes       uint64
-	Errors       uint64
-	Ejections    uint64
-	Probes       uint64
-	Resyncs      uint64
-	ResyncBlocks uint64
-	// DirtyBlocks gauges outstanding dirty-region log entries (blocks an
-	// ejected arm still owes).
-	DirtyBlocks uint64
-}
-
-// Sub returns the difference v - o for the monotonic counters; the
-// DirtyBlocks gauge is carried over as-is.
-func (v Volume) Sub(o Volume) Volume {
-	return Volume{
-		Reads:        v.Reads - o.Reads,
-		Writes:       v.Writes - o.Writes,
-		Errors:       v.Errors - o.Errors,
-		Ejections:    v.Ejections - o.Ejections,
-		Probes:       v.Probes - o.Probes,
-		Resyncs:      v.Resyncs - o.Resyncs,
-		ResyncBlocks: v.ResyncBlocks - o.ResyncBlocks,
-		DirtyBlocks:  v.DirtyBlocks,
-	}
-}
-
-// String summarizes the volume counters.
-func (v Volume) String() string {
-	return fmt.Sprintf("volume{r=%d w=%d err=%d eject=%d probe=%d resync=%d (%d blk) dirty=%d}",
-		v.Reads, v.Writes, v.Errors, v.Ejections, v.Probes, v.Resyncs, v.ResyncBlocks, v.DirtyBlocks)
-}
-
 // Requests tallies application-level operations (NFS ops, HTTP requests).
 type Requests struct {
 	Ops      uint64

@@ -51,14 +51,19 @@ func loadRig(t *testing.T) (*passthru.Cluster, nfs.FH, extfs.FileSpec) {
 	return cl, fh, spec
 }
 
-func runWindow(t *testing.T, cl *passthru.Cluster, load Load) Measurement {
+// runWindow drives a load for 60 ms of virtual time, stops it, drains the
+// engine and returns its counters.
+func runWindow(t *testing.T, cl *passthru.Cluster, load Load) (ops, bytes, errs uint64) {
 	t.Helper()
-	runner := &Runner{Eng: cl.Eng, Warmup: 10 * sim.Millisecond, Window: 50 * sim.Millisecond}
-	m, err := runner.Run(load, nil, nil)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	load.Start()
+	if err := cl.Eng.RunFor(60 * sim.Millisecond); err != nil {
+		t.Fatalf("RunFor: %v", err)
 	}
-	return m
+	load.Stop()
+	if err := cl.Eng.Run(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	return load.Counters()
 }
 
 func TestNFSReadLoadSequentialAndHot(t *testing.T) {
@@ -72,12 +77,12 @@ func TestNFSReadLoadSequentialAndHot(t *testing.T) {
 			Pattern:     pattern,
 			Concurrency: 4,
 		}
-		m := runWindow(t, cl, load)
-		if m.Errors != 0 {
-			t.Fatalf("pattern %d: %d errors", pattern, m.Errors)
+		ops, bytes, errs := runWindow(t, cl, load)
+		if errs != 0 {
+			t.Fatalf("pattern %d: %d errors", pattern, errs)
 		}
-		if m.Ops == 0 || m.Bytes != m.Ops*16*1024 {
-			t.Fatalf("pattern %d: ops=%d bytes=%d", pattern, m.Ops, m.Bytes)
+		if ops == 0 || bytes != ops*16*1024 {
+			t.Fatalf("pattern %d: ops=%d bytes=%d", pattern, ops, bytes)
 		}
 	}
 }
@@ -91,9 +96,9 @@ func TestNFSWriteLoad(t *testing.T) {
 		RequestSize: 8 * 1024,
 		Concurrency: 4,
 	}
-	m := runWindow(t, cl, load)
-	if m.Errors != 0 || m.Ops == 0 {
-		t.Fatalf("ops=%d errors=%d", m.Ops, m.Errors)
+	ops, _, errs := runWindow(t, cl, load)
+	if errs != 0 || ops == 0 {
+		t.Fatalf("ops=%d errors=%d", ops, errs)
 	}
 	if cl.App.Node.Reqs.WriteOps == 0 {
 		t.Fatal("server saw no writes")
@@ -111,9 +116,8 @@ func TestSFSLoadMix(t *testing.T) {
 			Concurrency:    4,
 		},
 	}
-	m := runWindow(t, cl, load)
-	if m.Errors != 0 {
-		t.Fatalf("%d errors", m.Errors)
+	if _, _, errs := runWindow(t, cl, load); errs != 0 {
+		t.Fatalf("%d errors", errs)
 	}
 	reqs := cl.App.Node.Reqs
 	if reqs.ReadOps == 0 || reqs.WriteOps == 0 || reqs.MetaOps == 0 {
@@ -135,9 +139,9 @@ func TestTracePlayerLoopAndCounters(t *testing.T) {
 		Concurrency: 4,
 		Loop:        true,
 	}
-	m := runWindow(t, cl, load)
-	if m.Errors != 0 || m.Ops == 0 {
-		t.Fatalf("ops=%d errors=%d", m.Ops, m.Errors)
+	ops, _, errs := runWindow(t, cl, load)
+	if errs != 0 || ops == 0 {
+		t.Fatalf("ops=%d errors=%d", ops, errs)
 	}
 }
 

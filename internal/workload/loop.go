@@ -7,6 +7,16 @@ import (
 	"ncache/internal/trace"
 )
 
+// Load is a closed-loop workload.
+type Load interface {
+	// Start launches the workers; they re-issue until Stop.
+	Start()
+	// Stop prevents further issues (in-flight operations drain).
+	Stop()
+	// Counters reports cumulative ops/bytes/errors completed so far.
+	Counters() (ops, bytes, errs uint64)
+}
+
 // stream is everything one issuing stream owns: its random source, its
 // cursor and its completion counters. A generator draws from and counts into
 // the stream it is handed and nothing else.

@@ -110,17 +110,3 @@ func TestSFSSizeDistribution(t *testing.T) {
 		}
 	}
 }
-
-func TestMeasurementMath(t *testing.T) {
-	m := Measurement{Elapsed: sim.Second, Ops: 500, Bytes: 2_000_000}
-	if m.OpsPerSec() != 500 {
-		t.Fatalf("ops/s = %v", m.OpsPerSec())
-	}
-	if m.Throughput() != 2_000_000 {
-		t.Fatalf("throughput = %v", m.Throughput())
-	}
-	zero := Measurement{}
-	if zero.OpsPerSec() != 0 || zero.Throughput() != 0 {
-		t.Fatal("zero measurement not zero")
-	}
-}
