@@ -230,22 +230,26 @@ type window struct {
 	FaultReport                                           []fault.ScheduleReport
 }
 
+// drainBound caps measure's drain in simulated time, so a loop that never
+// quiesces fails the run instead of spinning: about 43 times the longest
+// committed drain (234.3 ms, fig-writeback). Setup drains under await run up
+// to 16.3 s, so the engine cannot hold this bound itself (DESIGN.md §4b).
+const drainBound = 10 * sim.Second
+
 // measure is the one measurement loop: arm fault injection, start the load,
 // warm up, zero every counter, run the window as buckets equal spans, sample
 // utilization, then stop and drain, and read the tracer's summary and the
 // recovery counters. Injection starts with the load (setup ran fault-free)
 // and stops before the drain, so in-flight recovery completes and the event
-// loop terminates; the tracer (nil-safe) is frozen there too, keeping late
-// completions out of the window. atStart (nil-safe) runs as the window
-// opens and atEdge (nil-safe) at the end of each bucket, with its index, for
-// experiments that sample something of their own.
+// loop terminates, within drainBound; the tracer (nil-safe) is frozen there
+// too, keeping late completions out of the window. atStart (nil-safe) runs as
+// the window opens and atEdge (nil-safe) at the end of each bucket, with its
+// index, for experiments that sample something of their own.
 func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tracer, buckets int, atStart func(), atEdge func(int)) (window, error) {
 	var w window
 	cl.Faults.Arm()
 	load.Start()
-	if err := cl.Eng.RunFor(h.opt.Warmup); err != nil {
-		return w, fmt.Errorf("warmup: %w", err)
-	}
+	cl.Eng.RunFor(h.opt.Warmup)
 	ops0, bytes0, errs0 := load.Counters()
 	resetClusterStats(cl)
 	tr.ResetStats()
@@ -254,9 +258,7 @@ func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tr
 	}
 	bucket := h.opt.Window / sim.Duration(buckets)
 	for i := 0; i < buckets; i++ {
-		if err := cl.Eng.RunFor(bucket); err != nil {
-			return w, fmt.Errorf("window: %w", err)
-		}
+		cl.Eng.RunFor(bucket)
 		if atEdge != nil {
 			atEdge(i)
 		}
@@ -282,8 +284,10 @@ func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tr
 	tr.Freeze()
 	cl.Faults.Quiesce()
 	load.Stop()
-	if err := cl.Eng.Run(); err != nil {
-		return w, fmt.Errorf("drain: %w", err)
+	stop := cl.Eng.Now()
+	cl.Eng.RunUntil(stop.Add(drainBound))
+	if n := cl.Eng.Pending(); n > 0 {
+		return w, fmt.Errorf("drain: %d events still queued at %v, %v after the load stopped at %v", n, cl.Eng.Now(), drainBound, stop)
 	}
 	secs := (bucket * sim.Duration(buckets)).Seconds()
 	w.Ops, w.Errors = ops1-ops0, errs1-errs0
@@ -319,14 +323,12 @@ func (p *pending) expect(what string) func(error) {
 // await is the one way setup drives asynchronous calls to completion: issue
 // starts them, taking one completion per call from p.expect (a completion
 // may issue the next call); await then runs the engine dry and returns the
-// engine's error, else the first error a call completed with, else an error
-// naming the first call that never completed.
-func await(eng interface{ Run() error }, issue func(p *pending)) error {
+// first error a call completed with, else an error naming the first call
+// that never completed.
+func await(eng *sim.Engine, issue func(p *pending)) error {
 	var p pending
 	issue(&p)
-	if err := eng.Run(); err != nil {
-		return err
-	}
+	eng.Run()
 	if p.err != nil {
 		return p.err
 	}

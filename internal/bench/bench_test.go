@@ -32,14 +32,9 @@ func points[P any](t *testing.T, name string, opt Options) P {
 	return res.Points.(P)
 }
 
-// failingEngine is an engine whose run fails.
-type failingEngine struct{ err error }
-
-func (e failingEngine) Run() error { return e.err }
-
 // TestAwait checks the one wait helper: a call that never answers fails with
-// an error naming it, a later call's error is not hidden by an earlier call's
-// success, and an engine error passes through.
+// an error naming it, and a later call's error is not hidden by an earlier
+// call's success.
 func TestAwait(t *testing.T) {
 	eng := sim.NewEngine()
 	err := await(eng, func(p *pending) { p.expect("lookup silent") })
@@ -56,12 +51,34 @@ func TestAwait(t *testing.T) {
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "second") {
 		t.Fatalf("second call failed: got %v, want its error", err)
 	}
+}
 
-	halt := errors.New("engine halted")
-	err = await(failingEngine{halt}, func(p *pending) { p.expect("any") })
-	if !errors.Is(err, halt) {
-		t.Fatalf("engine error: got %v, want %v", err, halt)
+// TestMeasureDrainBounded checks that a loop that never quiesces fails the
+// measurement instead of spinning: a node timer that reschedules itself every
+// millisecond keeps the drain busy until drainBound, and measure names the
+// drain and the events still queued.
+func TestMeasureDrainBounded(t *testing.T) {
+	opt := Options{Warmup: sim.Millisecond, Window: 5 * sim.Millisecond, Concurrency: 2}
+	h := testHarness(t, opt)
+	cl, load, err := h.hitRig(passthru.ClusterConfig{Mode: passthru.NCache}, 32, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ticks := 0
+	var tick func()
+	tick = func() {
+		ticks++
+		cl.App.Node.Schedule(sim.Millisecond, tick)
+	}
+	cl.App.Node.Schedule(sim.Millisecond, tick)
+	_, err = h.measure(cl, load, nil, 1, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "drain: 1 events still queued") {
+		t.Fatalf("measure: got %v, want the drain to fail with 1 event queued", err)
+	}
+	if want := int(drainBound / sim.Millisecond); ticks < want {
+		t.Fatalf("timer fired %d times, want at least %d (the whole bound)", ticks, want)
+	}
+	t.Logf("%v (timer fired %d times)", err, ticks)
 }
 
 // testHarness is a harness for tests that measure single points.

@@ -40,9 +40,7 @@ func hotReadRig(t *testing.T, mode passthru.Mode) (*passthru.Cluster, func(i int
 			got = data.Len()
 			data.Release()
 		})
-		if err := cl.Eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		cl.Eng.Run()
 		if got != req {
 			t.Fatalf("READ at %d returned %d bytes, want %d", off, got, req)
 		}
@@ -155,9 +153,7 @@ func TestHotReadQuietMatchesPerFrameEvents(t *testing.T) {
 				}
 			}
 			cl.Eng.SetContext(nil)
-			if err := cl.Eng.Run(); err != nil {
-				t.Fatal(err)
-			}
+			cl.Eng.Run()
 		}
 		x.summary, x.events, x.frames = tr.Summary(), cl.Eng.Processed()-e0, frames()-f0
 		for _, nd := range nodes {

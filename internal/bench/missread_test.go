@@ -55,9 +55,7 @@ func missReader(t *testing.T, fsCacheBlocks int, ncacheBytes int64) (*passthru.C
 	return cl, func() {
 		got = -1
 		cl.Clients[0].NFS.Read(fh, next*missReadReq, missReadReq, onRead)
-		if err := cl.Eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		cl.Eng.Run()
 		if got != missReadReq {
 			t.Fatalf("READ %d returned %d bytes, want %d", next, got, missReadReq)
 		}
@@ -268,9 +266,7 @@ func TestMissReadQuietMatchesPerFrameEvents(t *testing.T) {
 				}
 			}
 			cl.Eng.SetContext(nil)
-			if err := cl.Eng.Run(); err != nil {
-				t.Fatal(err)
-			}
+			cl.Eng.Run()
 		}
 		x.summary, x.events, x.frames = tr.Summary(), cl.Eng.Processed()-e0, frames()-f0
 		for _, nd := range nodes {

@@ -37,9 +37,7 @@ func TestMemDiskWriteReadRoundTrip(t *testing.T) {
 			}
 		})
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !wrote {
 		t.Fatal("write never completed")
 	}
@@ -65,9 +63,7 @@ func TestMemDiskSynthesizedContent(t *testing.T) {
 			t.Error("synthesized content wrong")
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	// Written blocks override synthesis.
 	d.WriteBlocks(7, [][]byte{make([]byte, 512)}, func(err error) {
 		d.ReadBlocks(7, [][]byte{got}, func(err error) {
@@ -76,9 +72,7 @@ func TestMemDiskSynthesizedContent(t *testing.T) {
 			}
 		})
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 }
 
 func TestMemDiskServiceTime(t *testing.T) {
@@ -86,9 +80,7 @@ func TestMemDiskServiceTime(t *testing.T) {
 	d := newDisk(eng, 1_000_000)
 	var doneAt sim.Time
 	d.ReadBlocks(0, [][]byte{make([]byte, 72*512)}, func(error) { doneAt = eng.Now() }) // 36864 bytes
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	want := sim.Time(sim.Millisecond) + sim.Time(int64(72*512)*int64(sim.Second)/37_000_000)
 	if doneAt != want {
 		t.Fatalf("service time = %v, want %v", doneAt, want)
@@ -105,9 +97,7 @@ func TestMemDiskSerializesRequests(t *testing.T) {
 			finish = append(finish, eng.Now())
 		})
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if len(finish) != 3 {
 		t.Fatalf("completions = %d", len(finish))
 	}
@@ -127,9 +117,7 @@ func TestMemDiskSequentialSkipsSeek(t *testing.T) {
 			finish = append(finish, eng.Now())
 		})
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	media := sim.Duration(int64(512) * int64(sim.Second) / 37_000_000)
 	if finish[1].Sub(finish[0]) != media || finish[2].Sub(finish[1]) != media {
 		t.Fatalf("sequential reads charged seek: %v", finish)
@@ -157,9 +145,7 @@ func TestMemDiskBoundsAndAlignment(t *testing.T) {
 			t.Errorf("misaligned read buffer err = %v", err)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 }
 
 // TestMemDiskSynthesizesOverZeros: a never-written block read into a dirtied
@@ -175,9 +161,7 @@ func TestMemDiskSynthesizesOverZeros(t *testing.T) {
 				t.Errorf("Read: %v", err)
 			}
 		})
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 		return buf
 	}
 	if got := read(); !bytes.Equal(got, make([]byte, 512)) {
@@ -204,9 +188,7 @@ func TestMemDiskOverwritesInPlace(t *testing.T) {
 				t.Errorf("Write: %v", err)
 			}
 		})
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 	}
 	write()
 	first := &d.blocks[4][0]
@@ -249,9 +231,7 @@ func TestMemDiskReadWriteAllocFree(t *testing.T) {
 		d.WriteBlocks(16, vec, done)
 		d.ReadBlocks(16, vec, done) // stored blocks
 		d.ReadBlocks(64, vec, done) // synthesized blocks
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 	}
 	step()
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {

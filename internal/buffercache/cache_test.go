@@ -104,9 +104,7 @@ func TestMissThenHit(t *testing.T) {
 			c.Unpin(b2)
 		})
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !bytes.Equal(first, lower.content(5)) {
 		t.Fatal("miss returned wrong content")
 	}
@@ -133,9 +131,7 @@ func TestRangeCoalescesMissRuns(t *testing.T) {
 			c.Unpin(b)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	lower.reads = nil
 
 	var got [][]byte
@@ -150,9 +146,7 @@ func TestRangeCoalescesMissRuns(t *testing.T) {
 			c.Unpin(b)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if len(got) != 8 {
 		t.Fatalf("blocks = %d", len(got))
 	}
@@ -183,9 +177,7 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 			done++
 		})
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if done != 3 {
 		t.Fatalf("done = %d", done)
 	}
@@ -206,9 +198,7 @@ func TestWriteBackOnEviction(t *testing.T) {
 		c.MarkDirty(b)
 		c.Unpin(b)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	for i := int64(0); i < 8; i++ {
 		c.Get(i, false, func(b *Block, err error) {
 			if err == nil {
@@ -216,9 +206,7 @@ func TestWriteBackOnEviction(t *testing.T) {
 			}
 		})
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if len(lower.writes) != 1 {
 		t.Fatalf("writes = %d, want 1 (dirty eviction)", len(lower.writes))
 	}
@@ -248,18 +236,14 @@ func TestSyncFlushesAllDirty(t *testing.T) {
 		})
 	}
 	synced := false
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	c.Sync(func(err error) {
 		if err != nil {
 			t.Errorf("Sync: %v", err)
 		}
 		synced = true
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !synced {
 		t.Fatal("Sync did not complete")
 	}
@@ -303,9 +287,7 @@ func TestLogicalBlockFillIsKeyCopy(t *testing.T) {
 		gotKey = b.Key
 		c.Unpin(b)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if gotKey.LBN != 42 || gotKey.Flags&lkey.HasLBN == 0 {
 		t.Fatalf("key = %+v", gotKey)
 	}
@@ -329,15 +311,11 @@ func TestLogicalDirtyFlushTravelsAsKeyAndRemaps(t *testing.T) {
 		c.MarkDirty(b)
 		c.Unpin(b)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	synced := false
 	physBefore := node.Copies.PhysicalOps
 	c.Sync(func(err error) { synced = err == nil })
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !synced {
 		t.Fatal("sync failed")
 	}
@@ -369,9 +347,7 @@ func TestPinnedBlocksSurviveEvictionPressure(t *testing.T) {
 		}
 		pinned = b // deliberately not unpinned
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	for i := int64(10); i < 20; i++ {
 		c.Get(i, false, func(b *Block, err error) {
 			if err == nil {
@@ -379,9 +355,7 @@ func TestPinnedBlocksSurviveEvictionPressure(t *testing.T) {
 			}
 		})
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if _, ok := c.blocks[1]; !ok {
 		t.Fatal("pinned block was evicted")
 	}
@@ -397,9 +371,7 @@ func TestGetForWriteSkipsLowerRead(t *testing.T) {
 		}
 		c.Unpin(b)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if len(lower.reads) != 0 {
 		t.Fatalf("no-fill write performed %d lower reads", len(lower.reads))
 	}
@@ -418,15 +390,11 @@ func TestLowerWriteFailurePropagates(t *testing.T) {
 		c2.MarkDirty(b)
 		c2.Unpin(b)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	failWrite = true
 	var syncErr error
 	c2.Sync(func(err error) { syncErr = err })
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if syncErr == nil {
 		t.Fatal("Sync swallowed the lower-write failure")
 	}
@@ -467,9 +435,7 @@ func TestGetRangeRejectsBadCount(t *testing.T) {
 			t.Fatal("empty range accepted")
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !called {
 		t.Fatal("callback not invoked")
 	}
@@ -482,9 +448,7 @@ func TestDropInvalidates(t *testing.T) {
 			c.Unpin(b)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	c.Drop(3)
 	lower.reads = nil
 	c.Get(3, false, func(b *Block, err error) {
@@ -492,9 +456,7 @@ func TestDropInvalidates(t *testing.T) {
 			c.Unpin(b)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if len(lower.reads) != 1 {
 		t.Fatalf("re-read after Drop = %d lower reads, want 1", len(lower.reads))
 	}
@@ -515,9 +477,7 @@ func TestCacheGetResidentZeroAllocs(t *testing.T) {
 			c.Unpin(b)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	var got *Block
 	one := func(b *Block, err error) { got = b; c.Unpin(b) }
 	if avg := testing.AllocsPerRun(200, func() { c.Get(9, false, one) }); avg != 0 {
@@ -627,9 +587,7 @@ func TestRecycledBlockLooksFresh(t *testing.T) {
 	if !c.Drop(20) || len(c.free) != free {
 		t.Fatal("a mid-flush block was recycled by Drop")
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	// A clean, idle one is recycled by Drop.
 	if resident := c.blocks[9]; !c.Drop(9) || c.free[len(c.free)-1] != resident {
 		t.Fatal("Drop of a clean block did not recycle it")
@@ -721,9 +679,7 @@ func TestPageRecycleContract(t *testing.T) {
 	}
 	var b *Block
 	c.Get(42, false, func(got *Block, err error) { b = got }) // stays pinned
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if !b.Logical || b.Data != nil {
 		t.Fatalf("logical fill: Logical %v, page of %d bytes", b.Logical, len(b.Data))
 	}
@@ -762,9 +718,7 @@ func TestPageRecycleContract(t *testing.T) {
 	for lbn := int64(100); lbn < 104; lbn++ {
 		c.Get(lbn, false, func(got *Block, err error) { c.Unpin(got) })
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if c.Stats.Evictions < 4 {
 		t.Fatalf("only %d evictions", c.Stats.Evictions)
 	}

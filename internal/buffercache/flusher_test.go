@@ -128,18 +128,14 @@ func fillBlock(t *testing.T, c *Cache, lbn int64, v byte) {
 
 func runFor(t *testing.T, eng *sim.Engine, d sim.Duration) {
 	t.Helper()
-	if err := eng.RunFor(d); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	eng.RunFor(d)
 }
 
 // wantIdle drains the engine and checks what every flusher test ends on:
 // a clean cache, nothing in flight and no timer left armed.
 func wantIdle(t *testing.T, eng *sim.Engine, c *Cache) {
 	t.Helper()
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if c.nDirty != 0 || c.nFlushing != 0 || c.fl.inFlight != 0 {
 		t.Fatalf("not clean: dirty=%d flushing=%d inFlight=%d", c.nDirty, c.nFlushing, c.fl.inFlight)
 	}
@@ -560,9 +556,7 @@ func TestFlusherCoalescesSlowStream(t *testing.T) {
 		lbn := int64(i)
 		eng.Schedule(sim.Duration(i)*flushInterval, func() { dirty(t, c, lbn, false) })
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	blocks := 0
 	for _, w := range lower.writes {
 		blocks += w.count

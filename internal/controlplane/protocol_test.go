@@ -125,17 +125,13 @@ func delayed(target string, d sim.Duration) fault.Schedule {
 // run drains the engine.
 func (n *cpNet) run(t *testing.T) {
 	t.Helper()
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.eng.Run()
 }
 
 // runFor advances the engine by d.
 func (n *cpNet) runFor(t *testing.T, d sim.Duration) {
 	t.Helper()
-	if err := n.eng.RunFor(d); err != nil {
-		t.Fatal(err)
-	}
+	n.eng.RunFor(d)
 }
 
 // retryCeil is the longest wait between two sends of a call: sunrpc's
@@ -254,9 +250,7 @@ func TestProtocolUDP(t *testing.T) {
 	// A remap from server 0 must invalidate exactly its peers, then ack
 	// the origin.
 	n.agents[0].SendRemap([]int64{5, 6, 7})
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.eng.Run()
 	if n.cp.Stats.RemapsStarted != 1 {
 		t.Fatalf("RemapsStarted = %d, want 1", n.cp.Stats.RemapsStarted)
 	}
@@ -307,9 +301,7 @@ func TestRuntDatagramCostsNoResend(t *testing.T) {
 func TestRemapDuplicateIdempotent(t *testing.T) {
 	n := buildCPNet(t)
 	n.agents[0].SendRemap([]int64{11, 12})
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.eng.Run()
 	if n.cp.Stats.RemapsStarted != 1 || n.cp.Stats.RemapDups != 0 {
 		t.Fatalf("after first remap: started=%d dups=%d", n.cp.Stats.RemapsStarted, n.cp.Stats.RemapDups)
 	}
@@ -327,9 +319,7 @@ func TestRemapDuplicateIdempotent(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.eng.Run()
 	if replied != 1 {
 		t.Fatalf("the duplicate remap was answered %d times, want 1", replied)
 	}
@@ -414,9 +404,7 @@ func TestRequestLoop(t *testing.T) {
 				}
 				before := o.path(n)
 				observe := o.start(t, n)
-				if err := n.eng.Run(); err != nil {
-					t.Fatal(err)
-				}
+				n.eng.Run()
 				if n.eng.Pending() != 0 {
 					t.Fatalf("%d events still pending after the drain", n.eng.Pending())
 				}

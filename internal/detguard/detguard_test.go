@@ -237,7 +237,7 @@ func sourceFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 // relPos renders a position relative to the module root.
 func relPos(pos token.Position) string {
 	rel := pos.Filename
-	for _, top := range []string{"internal", "cmd"} {
+	for _, top := range []string{"internal", "cmd", "examples"} {
 		if i := strings.Index(rel, top+string(filepath.Separator)); i >= 0 {
 			rel = rel[i:]
 			break
@@ -452,6 +452,51 @@ func TestOneLoopRunsTheEngine(t *testing.T) {
 	if len(violations) > 0 {
 		t.Errorf("internal/bench runs the engine outside harness.measure and await "+
 			"(run a load through measure, drive setup calls with await):\n  %s", strings.Join(violations, "\n  "))
+	}
+}
+
+// TestEngineRunsAreStatements keeps the engine's run error unread: Run,
+// RunFor and RunUntil always return nil (the error is a shim only
+// benchmarks/ncmark reads, DESIGN.md §11), so everywhere in the module, tests,
+// commands and examples included, each use of them must be the call of a bare
+// expression statement. Only the engine's own files are exempt (RunFor
+// returns RunUntil's result). A branch on the error, a returned or assigned
+// result and a method value each fail it.
+func TestEngineRunsAreStatements(t *testing.T) {
+	runs := map[string]bool{"Run": true, "RunFor": true, "RunUntil": true}
+	_, pkgs, imp := checkModule(t)
+	var violations []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.files {
+			pos := imp.fset.Position(f.Pos())
+			if pkg.path == "ncache/internal/sim" && !strings.HasSuffix(pos.Filename, "_test.go") {
+				continue
+			}
+			bare := map[ast.Expr]bool{} // callees of expression statements
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ExprStmt:
+					if call, ok := n.X.(*ast.CallExpr); ok {
+						bare[call.Fun] = true
+					}
+				case *ast.SelectorExpr:
+					fn, ok := pkg.info.Uses[n.Sel].(*types.Func)
+					if !ok || !runs[fn.Name()] || bare[n] {
+						return true
+					}
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil &&
+						types.TypeString(recv.Type(), nil) == "*ncache/internal/sim.Engine" {
+						violations = append(violations, relPos(imp.fset.Position(n.Pos()))+" reads Engine."+fn.Name())
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(violations)
+	if len(violations) > 0 {
+		t.Errorf("engine runs that are not bare call statements (their error is always nil; "+
+			"call eng.Run(), RunFor or RunUntil as a statement):\n  %s", strings.Join(violations, "\n  "))
 	}
 }
 

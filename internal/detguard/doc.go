@@ -35,7 +35,10 @@
 // sim, simnet and blockdev: software on a node posts through the node,
 // whose kill drops what the dead incarnation posted (DESIGN.md §12); and
 // TestOneLoopRunsTheEngine on a non-test file of internal/bench that runs the
-// engine outside harness.measure and await (DESIGN.md §4b).
+// engine outside harness.measure and await (DESIGN.md §4b), and
+// TestEngineRunsAreStatements on any use of Engine.Run, RunFor or RunUntil,
+// tests, commands and examples included, that is not a bare call statement:
+// their error is always nil (DESIGN.md §11).
 //
 // The third, TestEveryKnobIsTurned (knobs_test.go), is not about determinism
 // but shares the machinery: it type-checks every package of the module, tests

@@ -198,9 +198,7 @@ func TestWindowAndCount(t *testing.T) {
 			t.Error("schedule fired after its end")
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 
 	fired := 0
 	for i := 0; i < 10; i++ {
@@ -223,17 +221,13 @@ func TestCPUBurstLifecycle(t *testing.T) {
 	in.AttachCPU("app.cpu", cpu)
 
 	// Not armed: nothing scheduled, Run returns immediately.
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if eng.Now() != 0 {
 		t.Fatalf("disarmed injector advanced the clock to %v", eng.Now())
 	}
 
 	in.Arm()
-	if err := eng.RunFor(10 * sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	eng.RunFor(10 * sim.Millisecond)
 	rep := in.Report()
 	if len(rep) != 1 || rep[0].Injected < 5 {
 		t.Fatalf("want ~10 bursts over 10ms, got %+v", rep)
@@ -244,9 +238,7 @@ func TestCPUBurstLifecycle(t *testing.T) {
 
 	// Quiesce must cancel the pending burst so the drain terminates.
 	in.Quiesce()
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if !in.quiesced {
 		t.Error("Quiesce left the injector armed")
 	}

@@ -251,9 +251,7 @@ func (r *rig) connect(t *testing.T) {
 		}
 		ok = true
 	})
-	if err := r.eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	r.eng.Run()
 	if !ok {
 		t.Fatal("login did not complete")
 	}
@@ -288,9 +286,7 @@ func TestWriteThenReadRoundTrip(t *testing.T) {
 			data.Release()
 		})
 	})
-	if err := r.eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	r.eng.Run()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("round trip mismatch: got %d bytes", len(got))
 	}
@@ -321,9 +317,7 @@ func TestReadSynthesizedBlocks(t *testing.T) {
 		got = data.Flatten()
 		data.Release()
 	})
-	if err := r.eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	r.eng.Run()
 	if len(got) != 4096 || got[0] != 0 {
 		t.Fatalf("synthesized read wrong: %d bytes", len(got))
 	}
@@ -339,9 +333,7 @@ func TestOutOfRangeReadFails(t *testing.T) {
 			data.Release()
 		}
 	})
-	if err := r.eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	r.eng.Run()
 	if gotErr == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
@@ -382,9 +374,7 @@ func TestMalformedWriteRefused(t *testing.T) {
 			CmdSN: r.initiator.allocCmdSN(), CDB: cdb,
 			Data: netbuf.ChainFromBytes(payload, netbuf.DefaultBufSize),
 		})
-		if err := r.eng.Run(); err != nil {
-			t.Fatalf("%s: Run: %v", tc.name, err)
-		}
+		r.eng.Run()
 		if !called || !errors.Is(gotErr, ErrCheckCond) {
 			t.Fatalf("%s: WRITE completed with %v (called %v), want CHECK CONDITION", tc.name, gotErr, called)
 		}
@@ -402,9 +392,7 @@ func TestMalformedWriteRefused(t *testing.T) {
 			got = data.Flatten()
 			data.Release()
 		})
-		if err := r.eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		r.eng.Run()
 		if bytes.Contains(got, []byte{0xEE}) {
 			t.Fatalf("block %d was written by a refused WRITE", lbn)
 		}
@@ -437,9 +425,7 @@ func TestConcurrentCommands(t *testing.T) {
 			})
 		})
 	}
-	if err := r.eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	r.eng.Run()
 	if done != n {
 		t.Fatalf("completed %d/%d", done, n)
 	}
@@ -481,9 +467,7 @@ func TestTargetPayloadAllocFree(t *testing.T) {
 				data.Release()
 			})
 		}
-		if err := r.eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		r.eng.Run()
 	}
 	for _, write := range []bool{true, false} {
 		for i := 0; i < 8; i++ {
@@ -534,9 +518,7 @@ func TestDebugModePoisonsStaging(t *testing.T) {
 			data.Release()
 		})
 	})
-	if err := r.eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	r.eng.Run()
 	if !bytes.Equal(got, want) {
 		t.Fatal("round trip mismatch with poisoned staging buffers")
 	}

@@ -36,9 +36,7 @@ func TestCaptureLBNReturnsStampedJunk(t *testing.T) {
 	before := node.Copies.PhysicalOps
 
 	junk := m.CaptureLBN(100, 2, wire)
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if junk.Len() != 2*bs {
 		t.Fatalf("junk len = %d", junk.Len())
 	}
@@ -72,9 +70,7 @@ func TestSubstituteMessageRestoresPayload(t *testing.T) {
 	msg := netbuf.ChainOf(hdr)
 	msg.AppendChain(lkey.StampChainPool(nil, lkey.ForLBN(55), bs))
 	out := m.SubstituteMessage(msg)
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	flat := out.Flatten()
 	if string(flat[:6]) != "RPCHDR" {
 		t.Fatal("header damaged")
@@ -91,9 +87,7 @@ func TestSubstituteMissPassesJunkThrough(t *testing.T) {
 	eng, _, m := newModule(t, 1<<20)
 	msg := lkey.StampChainPool(nil, lkey.ForLBN(999), bs)
 	out := m.SubstituteMessage(msg)
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if out.Len() != bs {
 		t.Fatalf("len = %d", out.Len())
 	}
@@ -125,9 +119,7 @@ func TestFHOCaptureAndFreshnessOverLBN(t *testing.T) {
 	// first (§3.4: clients always see the newest data).
 	key := lkey.ForFHO(fh, 8192).WithLBN(300)
 	out := m.SubstituteMessage(lkey.StampChainPool(nil, key, bs))
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !bytes.Equal(out.Flatten(), fresh) {
 		t.Fatal("substitution served stale LBN data over fresh FHO data")
 	}
@@ -149,9 +141,7 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	// path; the hook must substitute real data and remap.
 	flush := lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs)
 	wire, remapped, mark := m.WriteOut(700, 1, flush, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("flush payload not substituted with real data")
 	}
@@ -191,9 +181,7 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 
 	// The newest data is now reachable under its LBN.
 	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(700), bs))
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !bytes.Equal(out.Flatten(), newer) {
 		t.Fatal("remapped entry not reachable by LBN")
 	}
@@ -211,13 +199,9 @@ func TestRemapOverwritesStaleLBNEntry(t *testing.T) {
 	m.CaptureLBN(800, 1, netbuf.ChainFromBytes(stale, netbuf.DefaultBufSize))
 	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(fresh, netbuf.DefaultBufSize))
 	m.WriteOut(800, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(800), bs))
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !bytes.Equal(out.Flatten(), fresh) {
 		t.Fatal("stale LBN entry survived remap")
 	}
@@ -236,9 +220,7 @@ func TestLRUEvictionSkipsDirty(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		m.CaptureLBN(1000+i, 1, netbuf.ChainFromBytes(blockData(byte(i), bs), netbuf.DefaultBufSize))
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if m.Stats.Evictions == 0 {
 		t.Fatal("no evictions under pressure")
 	}
@@ -247,9 +229,7 @@ func TestLRUEvictionSkipsDirty(t *testing.T) {
 	}
 	// The dirty FHO entry survived.
 	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !bytes.Equal(out.Flatten(), blockData(0, bs)) {
 		t.Fatal("dirty FHO entry was evicted")
 	}
@@ -272,16 +252,12 @@ func TestOverwriteBeforeFlush(t *testing.T) {
 	fh := lkey.FH{2}
 	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(blockData(1, bs), netbuf.DefaultBufSize))
 	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(blockData(2, bs), netbuf.DefaultBufSize))
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if m.entries() != 1 {
 		t.Fatalf("entries = %d, want 1", m.entries())
 	}
 	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !bytes.Equal(out.Flatten(), blockData(2, bs)) {
 		t.Fatal("overwrite did not replace FHO entry")
 	}
@@ -307,9 +283,7 @@ func TestDisableRemapAblation(t *testing.T) {
 	data := blockData(5, bs)
 	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
 	wire, _, _ := m.WriteOut(50, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("flush data lost with remap disabled")
 	}
@@ -326,9 +300,7 @@ func TestInvalidateLBN(t *testing.T) {
 	m.CaptureLBN(10, 1, netbuf.ChainFromBytes(blockData(1, bs), netbuf.DefaultBufSize))
 	m.InvalidateLBN(10)
 	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(10), bs))
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	_ = out
 	if m.Stats.SubstMisses != 1 {
 		t.Fatal("invalidated entry still served")

@@ -183,9 +183,7 @@ func TestProtocolLifecycle(t *testing.T) {
 		}
 		fh = h
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 
 	payload := bytes.Repeat([]byte{0x42}, 10000)
 	c.WriteBytes(fh, 0, payload, func(n int, a Attr, err error) {
@@ -196,9 +194,7 @@ func TestProtocolLifecycle(t *testing.T) {
 			t.Fatalf("size = %d", a.Size)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 
 	c.Read(fh, 100, 5000, func(data *netbuf.Chain, a Attr, err error) {
 		if err != nil {
@@ -210,9 +206,7 @@ func TestProtocolLifecycle(t *testing.T) {
 			t.Fatal("read payload mismatch")
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 
 	c.Getattr(fh, func(a Attr, err error) {
 		if err != nil || a.Size != 10000 {
@@ -230,9 +224,7 @@ func TestProtocolLifecycle(t *testing.T) {
 		}
 	}
 	k.call(ProcSetattr, msg, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if srv.rpc.BadCalls != 1 {
 		t.Fatalf("SETATTR: %d bad calls at the RPC server, want 1", srv.rpc.BadCalls)
 	}
@@ -247,27 +239,21 @@ func TestProtocolLifecycle(t *testing.T) {
 			t.Fatalf("Readdir: %v %v", names, err)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 
 	c.Remove(RootFH(), "f.txt", func(err error) {
 		if err != nil {
 			t.Fatalf("Remove: %v", err)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	c.Lookup(RootFH(), "f.txt", func(_ FH, _ Attr, err error) {
 		var op *OpError
 		if !errors.As(err, &op) || op.Status != ErrNoEnt {
 			t.Fatalf("Lookup after remove: %v", err)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if srv.Ops[ProcCreate] != 1 || srv.Ops[ProcRead] != 1 || srv.Ops[ProcWrite] != 1 {
 		t.Fatalf("op counters: %+v", srv.Ops)
 	}
@@ -287,9 +273,7 @@ func TestErrorStatuses(t *testing.T) {
 			t.Fatal("Read ghost succeeded")
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	c.Create(RootFH(), "dup", func(_ FH, _ Attr, err error) {
 		if err != nil {
 			t.Fatal(err)
@@ -301,18 +285,14 @@ func TestErrorStatuses(t *testing.T) {
 			}
 		})
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 }
 
 func TestReadClampsToMaxSize(t *testing.T) {
 	eng, c, b, _ := loop(t)
 	var fh FH
 	c.Create(RootFH(), "big", func(h FH, _ Attr, err error) { fh = h })
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	b.files[inoOf(fh)] = make([]byte, 2*MaxReadSize)
 	var got int
 	c.Read(fh, 0, 3*MaxReadSize, func(data *netbuf.Chain, _ Attr, err error) {
@@ -322,9 +302,7 @@ func TestReadClampsToMaxSize(t *testing.T) {
 		got = data.Len()
 		data.Release()
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if got != MaxReadSize {
 		t.Fatalf("read returned %d, want clamp to %d", got, MaxReadSize)
 	}
@@ -378,9 +356,7 @@ func TestGetattrAllocBudget(t *testing.T) {
 	}
 	call := func() {
 		c.Getattr(RootFH(), done)
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 	}
 	for i := 0; i < 8; i++ {
 		call()
@@ -428,9 +404,7 @@ func TestCallRecordsPoisonedInDebugMode(t *testing.T) {
 		}
 	}
 	k.call(ProcGetattr, msg, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if len(c.calls) != 0 || len(srv.calls) != 0 {
 		t.Fatalf("debug mode recycled %d client and %d server call records", len(c.calls), len(srv.calls))
 	}
@@ -438,7 +412,7 @@ func TestCallRecordsPoisonedInDebugMode(t *testing.T) {
 
 	srv.backend = twiceBackend{backend}
 	c.Getattr(RootFH(), func(Attr, error) {})
-	mustPanic("backend answers twice", "retired twice", func() { _ = eng.Run() })
+	mustPanic("backend answers twice", "retired twice", func() { eng.Run() })
 }
 
 // TestReplyTwiceRetiresOnce: recycling (netbuf debug mode off), a reply
@@ -456,9 +430,7 @@ func TestReplyTwiceRetiresOnce(t *testing.T) {
 	heard := 0
 	k.doneAttr = func(Attr, error) { heard++ }
 	k.call(ProcGetattr, msg, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if heard != 1 {
 		t.Fatalf("the caller heard %d replies, want 1", heard)
 	}
@@ -512,9 +484,7 @@ func TestNamedOpsAllocBudget(t *testing.T) {
 		}
 	})
 	run := func() {
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 	}
 	run()
 	found := func(_ FH, _ Attr, err error) {

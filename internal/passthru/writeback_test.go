@@ -197,16 +197,12 @@ func TestFaultWritebackFlushAfterKillKeepsJournal(t *testing.T) {
 	burst(0, 32, 1)
 	run(t, cl)
 	burst(16, 40, 101)
-	if err := cl.Eng.RunFor(400 * sim.Microsecond); err != nil {
-		t.Fatal(err)
-	}
+	cl.Eng.RunFor(400 * sim.Microsecond)
 	cl.App.Crash()
 	if len(cl.App.journal.Records()) == 0 {
 		t.Fatal("no durable record at the kill; the window under test is empty")
 	}
-	if err := cl.Eng.RunFor(10 * sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	cl.Eng.RunFor(10 * sim.Millisecond)
 	restarted := false
 	cl.App.Restart(func(err error) {
 		if err != nil {
@@ -419,9 +415,7 @@ func TestFaultWritebackRewriteDuringFlushSurvivesKill(t *testing.T) {
 			if i == 10000 {
 				t.Fatalf("%s did not happen within 100 ms", what)
 			}
-			if err := cl.Eng.RunFor(10 * sim.Microsecond); err != nil {
-				t.Fatal(err)
-			}
+			cl.Eng.RunFor(10 * sim.Microsecond)
 		}
 	}
 	write := func(p []byte) {
@@ -446,9 +440,7 @@ func TestFaultWritebackRewriteDuringFlushSurvivesKill(t *testing.T) {
 	step("the first flush landing", func() bool { return bytes.Equal(platter(), v1) })
 	// Past the reply's trip back to the server, short of another 2 ms disk
 	// write.
-	if err := cl.Eng.RunFor(200 * sim.Microsecond); err != nil {
-		t.Fatal(err)
-	}
+	cl.Eng.RunFor(200 * sim.Microsecond)
 	app.Crash()
 	cl.Faults.Quiesce()
 	journaled := false

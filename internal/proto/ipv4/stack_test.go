@@ -47,9 +47,7 @@ func TestStackSmallDatagram(t *testing.T) {
 	if err := sa.Send(1, 2, 99, netbuf.ChainFromBytes(want, netbuf.DefaultBufSize)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("payload = %q", got)
 	}
@@ -89,9 +87,7 @@ func TestStackFragmentationRoundTrip(t *testing.T) {
 	if err := sa.Send(1, 2, 17, netbuf.ChainFromBytes(want, netbuf.DefaultBufSize)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("reassembly mismatch: %d bytes", len(got))
 	}
@@ -121,9 +117,7 @@ func TestStackInterleavedDatagramsReassembleByID(t *testing.T) {
 	if err := sa.Send(1, 2, 17, netbuf.ChainFromBytes(b, netbuf.DefaultBufSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if len(got) != 2 || !bytes.Equal(got[0], a) || !bytes.Equal(got[1], b) {
 		t.Fatalf("interleaved reassembly broken: %d datagrams", len(got))
 	}
@@ -134,9 +128,7 @@ func TestStackUnknownProtoDropped(t *testing.T) {
 	if err := sa.Send(1, 2, 200, netbuf.ChainFromBytes([]byte("x"), 64)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	// Nothing to assert beyond "no crash, no leak": the datagram is
 	// silently discarded at the receiver.
 }
@@ -172,9 +164,7 @@ func TestStackPacketAllocFree(t *testing.T) {
 			if err := sa.Send(1, 2, 99, payload); err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.Run(); err != nil {
-				t.Fatal(err)
-			}
+			eng.Run()
 		}
 		for i := 0; i < 4; i++ {
 			packet()
@@ -222,9 +212,7 @@ func TestStackReassemblyRecordRecycled(t *testing.T) {
 	const recycles = 1000
 	for i := 0; i < recycles; i++ {
 		whole()
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 	}
 	if delivered != recycles || len(sb.reasm) != 0 {
 		t.Fatalf("%d datagrams delivered, %d partials left; want %d, 0", delivered, len(sb.reasm), recycles)
@@ -236,9 +224,7 @@ func TestStackReassemblyRecordRecycled(t *testing.T) {
 	t0 := eng.Now()
 	at := func(d sim.Duration) {
 		t.Helper()
-		if err := eng.RunUntil(t0.Add(d)); err != nil {
-			t.Fatal(err)
-		}
+		eng.RunUntil(t0.Add(d))
 	}
 	key := flowKey{src: 1, dst: 2, proto: 99}
 	head(60001)
@@ -319,9 +305,7 @@ func TestStackDatagramEventBudget(t *testing.T) {
 			if err := sa.Send(1, 2, 99, netbuf.ChainFromBytes(make([]byte, c.size), netbuf.DefaultBufSize)); err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.Run(); err != nil {
-				t.Fatal(err)
-			}
+			eng.Run()
 			want := uint64(2)
 			if named {
 				want = uint64(c.frags+1) + uint64(c.frags)
@@ -378,9 +362,7 @@ func TestStackStaleAndDuplicateFragmentsDroppedAlone(t *testing.T) {
 		for _, f := range c.order {
 			sb.rx(fragment(t, uint16(f.d), size, (f.f-1)*1480), eng.Now(), false)
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 		if len(got) != 1 || !bytes.Equal(got[0], bytes.Repeat([]byte{byte(c.want)}, size)) {
 			t.Errorf("%s: %d datagrams delivered, want D%d alone", c.name, len(got), c.want)
 		}

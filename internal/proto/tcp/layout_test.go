@@ -105,17 +105,16 @@ func testTCPHeaderLayout(t *testing.T) {
 		}
 		conn = c
 	})
-	if err := eng.Run(); err != nil || conn == nil {
-		t.Fatalf("handshake: conn %v, err %v", conn, err)
+	eng.Run()
+	if conn == nil {
+		t.Fatal("handshake did not complete")
 	}
 	frames := keepFrames(b.node.NICs()[0])
 	const n = 600
 	if err := conn.SendChain(a.node.BlkPool.GetChain(make([]byte, n))); err != nil {
 		t.Fatalf("SendChain: %v", err)
 	}
-	if err := eng.RunFor(sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	eng.RunFor(sim.Millisecond)
 	if len(*frames) != 1 {
 		t.Fatalf("%d frames reached b, want one segment", len(*frames))
 	}
@@ -141,9 +140,7 @@ func testUDPHeaderLayout(t *testing.T) {
 	if err := ua.SendChain(a.addr, 700, b.addr, 2049, a.node.BlkPool.GetChain(make([]byte, n))); err != nil {
 		t.Fatalf("SendChain: %v", err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if len(*frames) != 1 {
 		t.Fatalf("%d frames reached b, want one datagram", len(*frames))
 	}
@@ -161,9 +158,7 @@ func testFragmentHeaderLayout(t *testing.T) {
 	if err := ua.SendChain(a.addr, 700, b.addr, 2049, a.node.BlkPool.GetChain(make([]byte, n))); err != nil {
 		t.Fatalf("SendChain: %v", err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	maxFrag := (netbuf.DefaultBufSize - ipv4.HeaderLen) &^ 7
 	total := udp.HeaderLen + n
 	want := (total + maxFrag - 1) / maxFrag

@@ -20,9 +20,7 @@ func connectPair(t *testing.T, eng *sim.Engine, a, b *host, port uint16) *Conn {
 		}
 		conn = c
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if conn == nil {
 		t.Fatalf("handshake to port %d never completed", port)
 	}
@@ -65,14 +63,10 @@ func TestRTOFollowsQueueingDelay(t *testing.T) {
 			t.Fatalf("message %d: %v", i, err)
 		}
 		for msgs.sndUna != msgs.sndNxt {
-			if err := eng.RunFor(sim.Millisecond); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+			eng.RunFor(sim.Millisecond)
 		}
 		worst = max(worst, eng.Now().Sub(start))
-		if err := eng.RunUntil(start.Add(every)); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.RunUntil(start.Add(every))
 	}
 	t.Logf("slowest message acknowledged after %v; %d timeouts and %d resent segments in all",
 		worst, a.tcp.RTOEvents, a.tcp.Retransmits)
@@ -136,9 +130,7 @@ func TestRTOFloorUnchangedOnQuietPath(t *testing.T) {
 					}
 				}
 			})
-			if err := eng.Run(); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+			eng.Run()
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Fatalf("stream corrupted: got %d bytes, want %d", got.Len(), len(want))
 			}
@@ -166,9 +158,7 @@ func TestResendDupAcksDoNotFastRetransmit(t *testing.T) {
 		}
 	}
 	window := uint64(len(conn.rtxQ))
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	t.Logf("window %d segments: %d timeouts, %d fast retransmits, %d segments resent, %d duplicates at the receiver",
 		window, a.tcp.RTOEvents, a.tcp.FastRetransmits, a.tcp.Retransmits, b.tcp.DupSegments)
 	if a.tcp.RTOEvents == 0 || b.tcp.DupSegments == 0 {

@@ -77,9 +77,7 @@ func TestHandshakeAndSmallTransfer(t *testing.T) {
 			t.Errorf("Send: %v", err)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !estab {
 		t.Fatal("handshake did not complete")
 	}
@@ -112,9 +110,7 @@ func TestLargeTransferSegmentsInOrder(t *testing.T) {
 			}
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("stream corrupted: got %d bytes, want %d", got.Len(), len(want))
 	}
@@ -137,9 +133,7 @@ func TestSendChainZeroCopy(t *testing.T) {
 			t.Errorf("SendChain: %v", err)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if got.Len() != 8192 {
 		t.Fatalf("received %d bytes, want 8192", got.Len())
 	}
@@ -174,9 +168,7 @@ func TestBidirectionalEcho(t *testing.T) {
 			t.Errorf("Send: %v", err)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if echoed.String() != "marco" {
 		t.Fatalf("echo = %q", echoed.String())
 	}
@@ -191,9 +183,7 @@ func TestConnectToClosedPortIgnored(t *testing.T) {
 		called++
 		gotConn, gotErr = c, err
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	// A SYN to a closed port is refused with RST: the callback fires
 	// exactly once with a connection-refused error.
 	if called != 1 {
@@ -225,9 +215,7 @@ func TestSendOnClosedConnFails(t *testing.T) {
 		}
 		client = c
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if client == nil || server == nil {
 		t.Fatal("no connection")
 	}
@@ -279,9 +267,7 @@ func TestConcurrentConnections(t *testing.T) {
 			}
 		})
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if len(recv) != 8 {
 		t.Fatalf("connections received = %d, want 8", len(recv))
 	}
@@ -308,9 +294,7 @@ func TestSegmentsRespectMSS(t *testing.T) {
 			t.Errorf("Send: %v", err)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	// Every frame the sender transmitted must fit the MTU.
 	mtu := a.node.NICs()[0].MTU
 	if got := a.node.NICs()[0].Stats.BytesTx; got == 0 {
@@ -352,9 +336,7 @@ func TestWindowLimitsInFlight(t *testing.T) {
 	})
 	// Run only a sliver of virtual time: enough to transmit the window,
 	// not enough for the first ack round trip to clock more out.
-	if err := eng.RunUntil(30 * 1000); err != nil { // 30µs
-		t.Fatalf("RunUntil: %v", err)
-	}
+	eng.RunUntil(30 * 1000) // 30µs
 	if conn == nil {
 		t.Skip("handshake did not finish in the sliver; timing model changed")
 	}
@@ -362,9 +344,7 @@ func TestWindowLimitsInFlight(t *testing.T) {
 	if inflight > DefaultWindow {
 		t.Fatalf("in-flight %d exceeds window %d", inflight, DefaultWindow)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 }
 
 func TestAcksCostPackets(t *testing.T) {
@@ -381,9 +361,7 @@ func TestAcksCostPackets(t *testing.T) {
 			t.Errorf("Send: %v", err)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	acks := b.node.NICs()[0].Stats.PacketsTx
 	// 64KB at ~1464B/segment = ~45 segments, delayed ack 1 per 2 → >20.
 	if acks < 20 {

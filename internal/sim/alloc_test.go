@@ -13,14 +13,10 @@ func TestEventDispatchZeroAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.Schedule(Duration(i), fn)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("prime Run: %v", err)
-	}
+	e.Run()
 	avg := testing.AllocsPerRun(1000, func() {
 		e.Schedule(1, fn)
-		if err := e.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		e.Run()
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state event dispatch allocates %.1f objects/op, want 0", avg)
@@ -35,18 +31,14 @@ func TestEventCancelZeroAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.Schedule(Duration(i), fn)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("prime Run: %v", err)
-	}
+	e.Run()
 	avg := testing.AllocsPerRun(1000, func() {
 		id := e.Schedule(1000, fn)
 		e.Schedule(1, fn)
 		if !e.Cancel(id) {
 			t.Fatal("Cancel failed")
 		}
-		if err := e.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		e.Run()
 	})
 	if avg != 0 {
 		t.Fatalf("schedule+cancel cycle allocates %.1f objects/op, want 0", avg)
@@ -60,18 +52,14 @@ func TestEventIDStaleAfterReuse(t *testing.T) {
 	e := NewEngine()
 	var stale EventID
 	stale = e.Schedule(1, func() {})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	// The freed object is reused for the next schedule.
 	ran := false
 	e.Schedule(1, func() { ran = true })
 	if e.Cancel(stale) {
 		t.Fatal("stale EventID canceled a recycled event")
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if !ran {
 		t.Fatal("recycled event did not run")
 	}
@@ -83,16 +71,12 @@ func BenchmarkEventDispatch(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		e.Schedule(Duration(i), fn)
 	}
-	if err := e.Run(); err != nil {
-		b.Fatalf("prime Run: %v", err)
-	}
+	e.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(1, fn)
-		if err := e.Run(); err != nil {
-			b.Fatalf("Run: %v", err)
-		}
+		e.Run()
 	}
 }
 
@@ -111,9 +95,7 @@ func BenchmarkEventHeap64(b *testing.B) {
 			e.Schedule(Duration(1+pending%37), tick)
 			pending++
 		}
-		if err := e.RunFor(5); err != nil {
-			b.Fatalf("RunFor: %v", err)
-		}
+		e.RunFor(5)
 	}
 }
 
@@ -123,17 +105,13 @@ func BenchmarkEventCancel(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		e.Schedule(Duration(i), fn)
 	}
-	if err := e.Run(); err != nil {
-		b.Fatalf("prime Run: %v", err)
-	}
+	e.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := e.Schedule(1000, fn)
 		e.Cancel(id)
-		if err := e.Run(); err != nil {
-			b.Fatalf("Run: %v", err)
-		}
+		e.Run()
 	}
 }
 
@@ -151,9 +129,7 @@ func TestResourceUseZeroAllocs(t *testing.T) {
 			r.Use(Duration(i), done)
 		}
 		r.Use(1, nil)
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 	}
 	burst() // prime the event free list and the heap slice
 	if avg := testing.AllocsPerRun(100, burst); avg != 0 {
@@ -183,9 +159,7 @@ func TestPostToArgsZeroAllocs(t *testing.T) {
 		for i := 0; i < posts; i++ {
 			eng.PostAt(eng.Now().Add(Duration(i)), h, fa, fb, int64(i))
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 	}
 	burst() // prime the event free list and the heap slice
 	if avg := testing.AllocsPerRun(100, burst); avg != 0 {

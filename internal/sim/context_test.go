@@ -29,9 +29,7 @@ func TestContextPropagation(t *testing.T) {
 	// Scheduled outside any event: no context.
 	eng.Schedule(50, record)
 
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	want := []any{a, b, a, nil}
 	if len(got) != len(want) {
 		t.Fatalf("got %d records, want %d", len(got), len(want))
@@ -55,9 +53,7 @@ func TestPostToCarriesContext(t *testing.T) {
 			e.Schedule(Microsecond, func() { next = e.Context() })
 		}, nil, nil, 0)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.Run()
 	if got != "req-42" || next != "req-42" {
 		t.Fatalf("posted context = %v, then %v; want req-42 twice", got, next)
 	}
@@ -75,9 +71,7 @@ func TestContextClearedBetweenEvents(t *testing.T) {
 			t.Errorf("context leaked across events: %v", eng.Context())
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if !fired {
 		t.Fatal("second event did not fire")
 	}

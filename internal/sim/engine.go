@@ -396,7 +396,9 @@ func (e *Engine) fire(ev *event) {
 	}
 }
 
-// Run executes events until none remain. The error is always nil.
+// Run executes events until none remain. The error is always nil: it is kept
+// so that benchmarks/ncmark, which checks it, compiles unchanged (DESIGN.md
+// §11); everything else calls Run as a bare statement.
 func (e *Engine) Run() error {
 	for e.step(MaxTime) {
 	}
@@ -404,7 +406,8 @@ func (e *Engine) Run() error {
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
-// exactly t. Events scheduled beyond t remain pending.
+// exactly t. Events scheduled beyond t remain pending. The error is always
+// nil, as Run's is.
 func (e *Engine) RunUntil(t Time) error {
 	for e.step(t) {
 	}
@@ -414,7 +417,8 @@ func (e *Engine) RunUntil(t Time) error {
 	return nil
 }
 
-// RunFor executes events for a span d of virtual time from now.
+// RunFor executes events for a span d of virtual time from now; its error,
+// like Run's, is always nil.
 func (e *Engine) RunFor(d Duration) error {
 	return e.RunUntil(e.now.Add(d))
 }

@@ -8,9 +8,7 @@ import (
 
 func TestEngineEmptyRun(t *testing.T) {
 	e := NewEngine()
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if e.Now() != 0 {
 		t.Fatalf("clock moved on empty run: %v", e.Now())
 	}
@@ -22,9 +20,7 @@ func TestEngineOrdering(t *testing.T) {
 	e.Schedule(30, func() { order = append(order, 3) })
 	e.Schedule(10, func() { order = append(order, 1) })
 	e.Schedule(20, func() { order = append(order, 2) })
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	want := []int{1, 2, 3}
 	for i, v := range want {
 		if order[i] != v {
@@ -43,9 +39,7 @@ func TestEngineSameInstantFIFO(t *testing.T) {
 		i := i
 		e.Schedule(5, func() { order = append(order, i) })
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	for i := 0; i < 10; i++ {
 		if order[i] != i {
 			t.Fatalf("same-instant events not FIFO: %v", order)
@@ -62,9 +56,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 			fired = append(fired, e.Now())
 		})
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
 		t.Fatalf("fired = %v, want [10 15]", fired)
 	}
@@ -73,14 +65,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {})
-	if err := e.RunUntil(10); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(10)
 	ran := false
 	e.Schedule(-5, func() { ran = true })
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if !ran {
 		t.Fatal("negative-delay event did not run")
 	}
@@ -92,18 +80,14 @@ func TestEngineNegativeDelayClamped(t *testing.T) {
 func TestEngineRunUntilAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(100, func() {})
-	if err := e.RunUntil(40); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(40)
 	if e.Now() != 40 {
 		t.Fatalf("Now = %v, want 40", e.Now())
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if e.Now() != 100 {
 		t.Fatalf("Now = %v, want 100", e.Now())
 	}
@@ -118,9 +102,7 @@ func TestEngineRunFor(t *testing.T) {
 		e.Schedule(10, tick)
 	}
 	e.Schedule(10, tick)
-	if err := e.RunFor(95); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	e.RunFor(95)
 	if count != 9 {
 		t.Fatalf("ticks = %d, want 9", count)
 	}
@@ -139,9 +121,7 @@ func TestEngineCancel(t *testing.T) {
 	if e.Cancel(id) {
 		t.Fatal("double Cancel reported success")
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if ran {
 		t.Fatal("canceled event ran")
 	}
@@ -154,9 +134,7 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	id := e.Schedule(20, func() { order = append(order, 2) })
 	e.Schedule(30, func() { order = append(order, 3) })
 	e.Cancel(id)
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
 		t.Fatalf("order = %v, want [1 3]", order)
 	}
@@ -169,9 +147,7 @@ func TestEnginePropertyEventsFireInTimeOrder(t *testing.T) {
 		for _, d := range delays {
 			e.Schedule(Duration(d), func() { fired = append(fired, e.Now()) })
 		}
-		if err := e.Run(); err != nil {
-			return false
-		}
+		e.Run()
 		for i := 1; i < len(fired); i++ {
 			if fired[i] < fired[i-1] {
 				return false
@@ -213,9 +189,7 @@ func TestKeyedPostOrderZeroAllocs(t *testing.T) {
 	// Keyed for 30 as of 30, then moved to sort as a post made at 5.
 	e.Cancel(e.PostKeyed(Key{At: 30, Posted: 30, Seq: e.Reserve()}, "stale", rec, nil, nil, -1))
 	e.PostKeyed(Key{At: 20, Posted: 5, Seq: e.Reserve()}, "moved", rec, nil, nil, 0)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.Run()
 	if want := []int64{1, 0, 2, 3, 4, 5}; !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -228,9 +202,7 @@ func TestKeyedPostOrderZeroAllocs(t *testing.T) {
 		e.Cancel(e.PostKeyed(Key{At: now + 10, Posted: now + 10, Seq: e.Reserve()}, nil, rec, nil, nil, 0))
 		e.PostKeyed(Key{At: now + 5, Posted: now, Seq: e.Reserve()}, nil, rec, nil, nil, 0)
 		order, ctxs = order[:0], ctxs[:0]
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		e.Run()
 	}
 	burst()
 	if avg := testing.AllocsPerRun(100, burst); avg != 0 {

@@ -12,9 +12,7 @@ func TestResourceSerializesWork(t *testing.T) {
 	r.Use(10, func() { done = append(done, e.Now()) })
 	r.Use(10, func() { done = append(done, e.Now()) })
 	r.Use(5, func() { done = append(done, e.Now()) })
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	want := []Time{10, 20, 25}
 	for i, w := range want {
 		if done[i] != w {
@@ -31,9 +29,7 @@ func TestResourceIdleGap(t *testing.T) {
 	e.Schedule(50, func() {
 		r.Use(10, func() { finish = e.Now() })
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if finish != 60 {
 		t.Fatalf("finish = %v, want 60 (service starts when submitted)", finish)
 	}
@@ -52,9 +48,7 @@ func TestResourceSaturatedUtilization(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Use(10, nil)
 	}
-	if err := e.RunUntil(1000); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(1000)
 	if u := r.Utilization(); u != 1.0 {
 		t.Fatalf("Utilization = %v, want 1.0 for back-to-back work", u)
 	}
@@ -78,9 +72,7 @@ func TestResourceUseWithoutDoneFiresNothing(t *testing.T) {
 	if at := r.Use(5, func() { finish = e.Now() }); at != 15 {
 		t.Fatalf("second job finishes at %v, want 15", at)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if finish != 15 || e.Processed() != 1 {
 		t.Fatalf("second job done at %v after %d events, want 15 after 1 (it waits out the first)",
 			finish, e.Processed())
@@ -92,9 +84,7 @@ func TestResourceZeroDuration(t *testing.T) {
 	r := NewResource(e)
 	ran := false
 	r.Use(0, func() { ran = true })
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if !ran {
 		t.Fatal("zero-duration job did not complete")
 	}
@@ -107,14 +97,10 @@ func TestResourceResetStats(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e)
 	r.Use(100, nil)
-	if err := e.RunUntil(100); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(100)
 	r.ResetStats()
 	e.Schedule(100, func() {})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if u := r.Utilization(); u != 0 {
 		t.Fatalf("Utilization after reset+idle = %v, want 0", u)
 	}
@@ -127,13 +113,9 @@ func TestResourceResetStatsMidJob(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e)
 	r.Use(100, nil)
-	if err := e.RunUntil(50); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(50)
 	r.ResetStats()
-	if err := e.RunUntil(100); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(100)
 	// The remaining 50ns of the in-flight job belong to the new window.
 	if r.Busy() != 50 {
 		t.Fatalf("Busy = %v, want 50 (residual in-flight work)", r.Busy())
@@ -154,9 +136,7 @@ func TestResourceQueueHighWater(t *testing.T) {
 			t.Fatalf("job %d finishes at %v, want %v", i, at, Time(10*i))
 		}
 	}
-	if err := e.RunUntil(60); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(60)
 	if at := r.Use(10, nil); at != 70 {
 		t.Fatalf("job after the drained backlog finishes at %v, want 70", at)
 	}
@@ -247,9 +227,7 @@ func TestResourceUseFromCountsFromEarliestStart(t *testing.T) {
 		reset bool
 		busy  Duration
 	}{{50, true, 0}, {104, false, 10}, {115, true, 5}, {120, false, 5}} {
-		if err := e.RunUntil(c.at); err != nil {
-			t.Fatal(err)
-		}
+		e.RunUntil(c.at)
 		if c.reset {
 			r.ResetStats()
 		}
@@ -276,15 +254,11 @@ func TestResourceAbandon(t *testing.T) {
 		r.Abandon()
 		r.Use(2, func() { finish = e.Now() })
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run()
 	if finish != 7 {
 		t.Fatalf("finish = %v, want 7 (the backlog died at 5)", finish)
 	}
-	if err := e.RunUntil(40); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(40)
 	if r.Busy() != 7 {
 		t.Fatalf("Busy = %v, want 7 (5 served before the abandon, 2 after)", r.Busy())
 	}

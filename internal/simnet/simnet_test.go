@@ -57,9 +57,7 @@ func TestFrameDelivery(t *testing.T) {
 	if err := na.Send(frameTo(t, 2, 1, payload)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("delivered %q, want %q", got, payload)
 	}
@@ -76,9 +74,7 @@ func TestDeliveryLatencyIncludesSerialization(t *testing.T) {
 	if err := na.Send(frameTo(t, 2, 1, payload)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	// Wire bytes = 1500+24 = 1524. Serialization at 1 Gbps = 12.192 us,
 	// twice (uplink + downlink) + 2x5us latency = 34.384 us.
 	want := sim.Time(2*12192 + 2*5000)
@@ -102,9 +98,7 @@ func TestOrderingPreservedPerFlow(t *testing.T) {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	for i := byte(0); i < 10; i++ {
 		if order[i] != i {
 			t.Fatalf("frames reordered: %v", order)
@@ -117,9 +111,7 @@ func TestUnknownDestinationDropped(t *testing.T) {
 	if err := na.Send(frameTo(t, 99, 1, []byte("void"))); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if nw.Dropped() != 1 {
 		t.Fatalf("Dropped = %d, want 1", nw.Dropped())
 	}
@@ -168,9 +160,7 @@ func TestMultiNICNode(t *testing.T) {
 	if err := c1.Send(frameTo(t, 11, 20, []byte("y"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if rx[10] != 1 || rx[11] != 1 {
 		t.Fatalf("rx = %v, want one frame per NIC", rx)
 	}
@@ -196,9 +186,7 @@ func TestNodeChargeCopyAccounting(t *testing.T) {
 	n := NewNode(eng, "n", DefaultProfile())
 	done := false
 	n.ChargeCopy(4096, func() { done = true })
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if !done {
 		t.Fatal("ChargeCopy callback not run")
 	}
@@ -223,9 +211,7 @@ func TestKillDropsCPUBacklog(t *testing.T) {
 		n.Kill()
 		n.Charge(0, func() { at = eng.Now() })
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if want := sim.Time(0).Add(sim.Millisecond); at != want {
 		t.Fatalf("the first charge after the kill completed at %v, want %v", at, want)
 	}
@@ -249,9 +235,7 @@ func TestKillKeepsChargedFramesDeparting(t *testing.T) {
 		if kill {
 			eng.Schedule(sim.Microsecond, na.node.Kill)
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 		return at
 	}
 	if got, want := arrival(true), arrival(false); got != want || want < 0 {
@@ -315,9 +299,7 @@ func TestFrameHopAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		na.ChargeSend(a.Cost.PktTxNs, frame)
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 	}
 	for i := 0; i < 4; i++ {
 		hop() // prime events, records, chains and both pools' free lists
@@ -354,9 +336,7 @@ func TestFrameHopTwoEvents(t *testing.T) {
 		var done sim.Time
 		nb.SetRxHandler(rxPost(b, func(f, _ any, _ int64) { done = eng.Now(); f.(*netbuf.Chain).Release() }))
 		na.ChargeSend(a.Cost.PktTxNs, frameTo(t, 2, 1, make([]byte, 1488)))
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 		// 1524 wire bytes: 12.192 µs per serializer.
 		const ser, lat = 12192, 5000
 		want := sim.Time(a.Cost.PktTxNs + 2*ser + 2*lat + b.Cost.PktRxNs)
@@ -384,9 +364,7 @@ func TestDeliveredBuffersStayOnSenderPool(t *testing.T) {
 	if err := na.Send(frame); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if held == nil {
 		t.Fatal("frame not delivered")
 	}
@@ -437,9 +415,7 @@ func TestFaultedFrameTimingRepeatsEachRound(t *testing.T) {
 		if err := na.Send(frameTo(t, 2, 1, payload)); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 		if len(at) != len(want) || at[0] != want[0] || at[1] != want[1] {
 			t.Fatalf("round %d: deliveries at %v, want %v", round, at, want)
 		}
@@ -513,9 +489,7 @@ func TestFaultFreePortQueueMatchesArrivalEvents(t *testing.T) {
 			}
 		})
 		eng.Schedule(70*sim.Microsecond, func() { eng.PostAt(79384, tick, nil, nil, 0) })
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 		return got, pending
 	}
 	// 1524 wire bytes: 12.192 µs per serializer. Arrivals at b's egress:
@@ -565,9 +539,7 @@ func TestQuietTrainsDrain(t *testing.T) {
 	launched := 0
 	drained := func(phase string) {
 		t.Helper()
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 		for _, nic := range b.NICs() {
 			if p := nic.port; len(p.q) != p.h || p.loud != 0 {
 				t.Errorf("%s: port %s holds %d frames after the run", phase, nic.Addr, len(p.q)-p.h)

@@ -73,9 +73,7 @@ func TestDoneReentersClient(t *testing.T) {
 			})
 		}
 		next(1)
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 		if done != depth || rpc.Pending() != 0 {
 			t.Fatalf("%d calls completed, %d pending; want %d, 0", done, rpc.Pending(), depth)
 		}
@@ -112,15 +110,11 @@ func TestStaleTimerAfterRecycle(t *testing.T) {
 		second = rpc.pending[2]
 	})
 	first = rpc.pending[1]
-	if err := eng.RunUntil(sim.Time(11 * sim.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
+	eng.RunUntil(sim.Time(11 * sim.Millisecond))
 	if rpc.Pending() != 1 || second == nil || (!netbuf.DebugEnabled() && first != second) {
 		t.Fatalf("at 11 ms: %d pending, records %p and %p; want call 2 outstanding on call 1's record", rpc.Pending(), first, second)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if len(heard) != 2 || heard[0] != 2 || heard[1] != 4 {
 		t.Fatalf("replies %v, want [2 4]", heard)
 	}
@@ -151,9 +145,7 @@ func TestDuplicateReplyAfterRecycle(t *testing.T) {
 		heard = append(heard, res)
 		valueCall(t, rpc, 2, func(res uint32) { heard = append(heard, res) })
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if len(heard) != 2 || heard[0] != 100 || heard[1] != 200 {
 		t.Fatalf("replies %v, want [100 200]", heard)
 	}
@@ -176,9 +168,7 @@ func TestCallRecordsPoisonedInDebugMode(t *testing.T) {
 	heard := uint32(0)
 	valueCall(t, rpc, 7, func(res uint32) { heard = res })
 	pc := rpc.pending[1]
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if heard != 7 || len(rpc.free) != 0 || len(srv.calls) != 0 {
 		t.Fatalf("heard %d; debug mode recycled %d client and %d server records", heard, len(rpc.free), len(srv.calls))
 	}

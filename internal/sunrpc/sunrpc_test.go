@@ -66,9 +66,7 @@ func connectTCP(t *testing.T, eng *sim.Engine, cl, sv *host, srv *Server) *Clien
 		}
 		rpc = c
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if rpc == nil {
 		t.Fatal("no stream client")
 	}
@@ -132,9 +130,7 @@ func TestCallReplyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Call: %v", err)
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 		if result != 42 {
 			t.Fatalf("result = %d, want 42", result)
 		}
@@ -170,9 +166,7 @@ func TestPayloadChainsTravelUncopied(t *testing.T) {
 			t.Fatalf("Call: %v", err)
 		}
 		serverCopies := sv.node.Copies.PhysicalOps
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 		if !bytes.Equal(echoed, blob) {
 			t.Fatalf("echo corrupted: %d bytes", len(echoed))
 		}
@@ -200,9 +194,7 @@ func TestUnknownProgramAndProc(t *testing.T) {
 		if err := rpc.Call(progTest, versTest, 99, argsMsg(rpc.Node(), nil), nil, record); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 		if len(got) != 2 || got[0] != AcceptProgUnavail || got[1] != AcceptProcUnavail {
 			t.Fatalf("accept stats = %v, want [prog_unavail proc_unavail]", got)
 		}
@@ -223,9 +215,7 @@ func TestGarbageDatagramCounted(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 		if srv.BadCalls != 2 {
 			t.Fatalf("BadCalls = %d, want 2", srv.BadCalls)
 		}
@@ -259,9 +249,7 @@ func TestUnmatchedReplyCounted(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 		if rpc.BadReplies != 1 {
 			t.Fatalf("BadReplies = %d, want 1", rpc.BadReplies)
 		}
@@ -298,9 +286,7 @@ func TestManyOutstandingCalls(t *testing.T) {
 				t.Fatalf("Call %d: %v", i, err)
 			}
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		eng.Run()
 		if len(results) != n {
 			t.Fatalf("distinct replies = %d, want %d", len(results), n)
 		}
@@ -325,9 +311,7 @@ func TestSetRetransmitIgnoredOnStream(t *testing.T) {
 	if rpc.pending[1].wire != nil {
 		t.Fatal("stream client retained a wire image for retransmission")
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if rpc.Pending() != 0 || rpc.Retransmits != 0 {
 		t.Fatalf("pending=%d retransmits=%d", rpc.Pending(), rpc.Retransmits)
 	}
@@ -381,9 +365,7 @@ func TestCallReplyAllocBudget(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 	}
 	for i := 0; i < 8; i++ {
 		call()

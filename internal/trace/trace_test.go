@@ -27,9 +27,7 @@ func TestSpanTimelinePartition(t *testing.T) {
 			})
 		})
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if sp.Duration() != 1000 {
 		t.Fatalf("duration = %v, want 1000", sp.Duration())
 	}
@@ -97,9 +95,7 @@ func TestFinishedSpanInert(t *testing.T) {
 	sp := tr.Begin("read")
 	eng.Schedule(10, func() { Active(eng).Finish() })
 	eng.Schedule(20, func() { Active(eng).To(LDisk) }) // stale context
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if sp.Duration() != 10 {
 		t.Fatalf("duration = %v, want 10", sp.Duration())
 	}
@@ -118,19 +114,13 @@ func TestResetAndFreezeWindow(t *testing.T) {
 		eng.Schedule(d, func() { _ = sp; Active(eng).Finish() })
 	}
 	finishAt(5) // warm-up span
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	tr.ResetStats()
 	finishAt(7) // window span
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	tr.Freeze()
 	finishAt(9) // drain span
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	sum := tr.Summary()
 	if len(sum.Ops) != 1 || sum.Ops[0].Count != 1 {
 		t.Fatalf("summary = %+v, want exactly the window span", sum)
@@ -156,9 +146,7 @@ func TestUsageAttribution(t *testing.T) {
 		To(eng, LDisk)
 		disk.Use(300, func() { Active(eng).Finish() })
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	l := sp.Layers()
 	if sp.Duration() != 450 || l[LServer] != 150 || l[LDisk] != 300 {
 		t.Fatalf("duration %v, server %v, disk %v; want 450, 150 (wait and service), 300", sp.Duration(), l[LServer], l[LDisk])
@@ -178,9 +166,7 @@ func TestAccountCharges(t *testing.T) {
 		Account(eng, LNCache, 2500)
 		Active(eng).Finish()
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if sp.charged[LNCache] != 5000 {
 		t.Fatalf("charged = %v, want 5000", sp.charged[LNCache])
 	}
@@ -205,9 +191,7 @@ func TestToAtSwitchesWhenDue(t *testing.T) {
 	b := tr.Begin("write")
 	b.ToAt(LNet, 500) // after b finishes
 	eng.Schedule(450, func() { b.Finish() })
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	want := map[Layer]sim.Duration{LClient: 50, LRPC: 50, LNet: 100 + 100, LDisk: 100}
 	for l := Layer(0); l < NumLayers; l++ {
 		if got := a.Layers()[l]; got != want[l] {

@@ -39,9 +39,7 @@ func TestGroupCommitTimer(t *testing.T) {
 	if len(order) != 0 {
 		t.Fatal("committed before the group-commit timer fired")
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("commit order = %v", order)
 	}
@@ -88,9 +86,7 @@ func TestTruncatePrefixOnly(t *testing.T) {
 	b := &Record{Ino: 2, Off: 4096, LBNs: []int64{2}, Data: make([]byte, 4096)}
 	l.Append(a, nil)
 	l.Append(b, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	// LBN 1 still dirty: record a is pinned, so b must not retire either.
 	dirty := map[int64]bool{1: true}
 	if n := l.Truncate(func(lbn int64) bool { return dirty[lbn] }); n != 0 {
@@ -121,9 +117,7 @@ func TestPipelinedGroups(t *testing.T) {
 	// Let the first group's commit start, then append into its shadow.
 	eng.RunFor(commitInterval + commitLatency/2)
 	s2 := l.Append(rec(1, 2), ack(2))
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run()
 	if s1 != 1 || s2 != 2 {
 		t.Fatalf("seqs = %d,%d", s1, s2)
 	}
@@ -149,9 +143,7 @@ func TestNewRecordCyclesThroughTruncate(t *testing.T) {
 	own := rec(3, 9)
 	l.Append(pooled, nil)
 	l.Append(own, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if got := l.Truncate(func(int64) bool { return false }); got != 2 {
 		t.Fatalf("truncated %d records, want 2", got)
 	}
@@ -182,9 +174,7 @@ func TestDebugModePoisonsRetiredPayloads(t *testing.T) {
 	r.LBNs = []int64{1}
 	r.Data[0] = 7
 	l.Append(r, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	l.Truncate(func(int64) bool { return false })
 	if len(l.free) != 0 || r.Data[0] == 7 || r.Data[0] != r.Data[4095] {
 		t.Fatalf("retired payload not poisoned: free %d, data %#x..%#x", len(l.free), r.Data[0], r.Data[4095])
@@ -210,9 +200,7 @@ func TestLogCycleZeroAllocs(t *testing.T) {
 			r.Ino, r.Off, r.LBNs = 2, uint64(i)*4096, append(r.LBNs[:0], i)
 			l.Append(r, ack)
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run()
 		if n := l.Truncate(clean); n != 4 {
 			t.Fatalf("truncated %d records, want 4", n)
 		}

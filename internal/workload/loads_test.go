@@ -42,9 +42,7 @@ func loadRig(t *testing.T) (*passthru.Cluster, nfs.FH, extfs.FileSpec) {
 		}
 		fh, got = h, true
 	})
-	if err := cl.Eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	cl.Eng.Run()
 	if !got {
 		t.Fatal("lookup incomplete")
 	}
@@ -56,13 +54,9 @@ func loadRig(t *testing.T) (*passthru.Cluster, nfs.FH, extfs.FileSpec) {
 func runWindow(t *testing.T, cl *passthru.Cluster, load Load) (ops, bytes, errs uint64) {
 	t.Helper()
 	load.Start()
-	if err := cl.Eng.RunFor(60 * sim.Millisecond); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	cl.Eng.RunFor(60 * sim.Millisecond)
 	load.Stop()
-	if err := cl.Eng.Run(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+	cl.Eng.Run()
 	return load.Counters()
 }
 
@@ -130,18 +124,18 @@ func TestSFSLoadMix(t *testing.T) {
 	}
 }
 
-func TestTracePlayerLoopAndCounters(t *testing.T) {
+func TestTracePlayerCounters(t *testing.T) {
 	cl, fh, spec := loadRig(t)
 	tr := GenSequentialRead(fh, spec.Size, 32*1024)
 	load := &TracePlayer{
 		Clients:     []*nfs.Client{cl.Clients[0].NFS},
 		Trace:       tr,
 		Concurrency: 4,
-		Loop:        true,
 	}
-	ops, _, errs := runWindow(t, cl, load)
-	if errs != 0 || ops == 0 {
-		t.Fatalf("ops=%d errors=%d", ops, errs)
+	ops, bytes, errs := runWindow(t, cl, load)
+	if errs != 0 || ops != uint64(len(tr.Ops)) || bytes != spec.Size {
+		t.Fatalf("ops=%d bytes=%d errors=%d, want the whole trace once: %d ops, %d bytes",
+			ops, bytes, errs, len(tr.Ops), spec.Size)
 	}
 }
 
@@ -156,9 +150,7 @@ func TestTracePlayerDoneFires(t *testing.T) {
 		Done:        func() { fired = true },
 	}
 	load.Start()
-	if err := cl.Eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	cl.Eng.Run()
 	if !fired {
 		t.Fatal("Done never fired")
 	}

@@ -38,16 +38,14 @@ func GenSequentialRead(fh nfs.FH, fileSize uint64, reqSize int) Trace {
 	return t
 }
 
-// TracePlayer replays a trace closed-loop with the given concurrency,
-// looping when it reaches the end (so it can drive steady-state windows).
+// TracePlayer replays a trace once, closed-loop with the given concurrency.
 // Every client's workers draw the next record from one shared cursor.
 type TracePlayer struct {
 	Clients     []*nfs.Client
 	Trace       Trace
 	Concurrency int
-	Loop        bool
-	// Done fires once when a non-looping replay exhausts the trace and
-	// all workers have drained.
+	// Done fires once when the replay exhausts the trace and all workers
+	// have drained.
 	Done func()
 
 	loop
@@ -64,12 +62,9 @@ func (p *TracePlayer) Start() {
 }
 
 // next replays the trace's next record, or retires the worker at the end of
-// a non-looping trace.
+// the trace.
 func (p *TracePlayer) next(w *worker) {
 	st, ops := w.st, p.Trace.Ops
-	if int(st.seq) >= len(ops) && p.Loop {
-		st.seq = 0
-	}
 	idx := int(st.seq)
 	if idx >= len(ops) {
 		if st.inFlight == 0 && !st.drained {
