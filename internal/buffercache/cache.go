@@ -80,10 +80,11 @@ type Cache struct {
 	// used block, lru.prev the eviction candidate.
 	lru Block
 	// free holds blocks evicted clean with nothing referring to them;
-	// insert reuses them before it allocates. pages holds the pages of
-	// recycled and logical blocks; Page reuses them (zeroed) before it
-	// allocates.
+	// insert reuses them before it carves one from slab. pages holds the
+	// pages of recycled and logical blocks; Page reuses them (zeroed)
+	// before it allocates.
 	free  netbuf.FreeList[*Block]
+	slab  netbuf.Slab[Block]
 	pages [][]byte
 	// reads and runs are the free lists of the miss path's records.
 	reads netbuf.FreeList[*read]
@@ -161,15 +162,15 @@ func (c *Cache) touch(b *Block) {
 }
 
 // insert creates a resident, unpinned block entry, from the free list when
-// it has one. A metadata block gets its page here, since the file system
-// reads and writes metadata in place; a data block gets one only when it
-// first holds real bytes (Page).
+// it has one and else from the slab. A metadata block gets its page here,
+// since the file system reads and writes metadata in place; a data block
+// gets one only when it first holds real bytes (Page).
 func (c *Cache) insert(lbn int64, meta bool) *Block {
 	b := c.free.Take()
 	if b != nil {
 		*b = Block{}
 	} else {
-		b = &Block{}
+		b = c.slab.New()
 	}
 	b.LBN, b.Meta = lbn, meta
 	if meta {
@@ -230,16 +231,23 @@ func (c *Cache) drop(b *Block) {
 
 // recycle drops a block and, when nothing can refer to it any more —
 // unpinned, loaded (so no fill holds it) and not mid-flush (so no write-back
-// completion holds it) — keeps it for the next insert and its page
-// for the next Page. Callers that hand the pointer on after the drop
-// (the read-error path's waiters) use drop alone.
+// completion holds it) — reclaims it. A block dropped mid-flush is reclaimed
+// when its batch lands (flush.written); one a failed read drops, by its last
+// Unpin. Blocks are carved from a slab, so one never reclaimed would keep its
+// whole slab alive.
 func (c *Cache) recycle(b *Block) {
 	idle := b.pins == 0 && !b.flushing && b.loaded
 	c.drop(b)
 	if idle {
-		c.dropPage(b)
-		c.free.Put(b)
+		c.reclaim(b)
 	}
+}
+
+// reclaim keeps a dropped block that nothing refers to for the next insert,
+// and its page for the next Page.
+func (c *Cache) reclaim(b *Block) {
+	c.dropPage(b)
+	c.free.Put(b)
 }
 
 // evictForRoom frees LRU blocks until at most capacity blocks remain,
@@ -354,9 +362,15 @@ type waiter struct {
 	done func(*Block, error)
 }
 
-// wake hands the filled (or, with err, dropped) block to the waiter.
+// wake hands the filled (or, with err, dropped) block to the waiter. A
+// GetForWrite caller hears a failure with nil, its pin released here; the
+// failed read's own pin outlives every waiter's, so this is never the last.
 func (w waiter) wake(b *Block, err error) {
 	if w.rd == nil {
+		if err != nil {
+			b.pins--
+			b = nil
+		}
 		w.done(b, err)
 		return
 	}
@@ -593,7 +607,8 @@ func (r *run) filled() {
 // GetForWrite returns a pinned block about to be fully overwritten: if
 // absent it is created without reading the lower store (no-fill), the
 // optimization every kernel applies to whole-block writes. A new data block
-// has no page yet; the writer calls SetKey or Page.
+// has no page yet; the writer calls SetKey or Page. A caller that waited on
+// a fill that failed hears the error with a nil block and holds no pin.
 func (c *Cache) GetForWrite(lbn int64, meta bool, done func(*Block, error)) {
 	if b, ok := c.blocks[lbn]; ok {
 		if b.loaded {
@@ -627,10 +642,14 @@ func (c *Cache) MarkDirty(b *Block) {
 	c.touch(b)
 }
 
-// Unpin releases a caller's pin.
+// Unpin releases a caller's pin. The last pin on a block a failed read
+// dropped (run.arrived) reclaims it.
 func (c *Cache) Unpin(b *Block) {
 	if b.pins > 0 {
 		b.pins--
+		if b.pins == 0 && !b.loaded && c.blocks[b.LBN] != b {
+			c.reclaim(b)
+		}
 	}
 	c.evictForRoom()
 }

@@ -538,7 +538,7 @@ func TestCacheEvictInsertZeroAllocs(t *testing.T) {
 // TestRecycledBlockLooksFresh: an evicted block comes back from the next
 // insert with no page and no trace of its previous life, and a page handed
 // back comes back from the next Page zeroed, while a block somebody may still
-// refer to — dropped mid-flush — is never reused.
+// refer to — dropped mid-flush — is reused only once its write lands.
 func TestRecycledBlockLooksFresh(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -577,21 +577,72 @@ func TestRecycledBlockLooksFresh(t *testing.T) {
 	})
 
 	// A block dropped while its write-back is in flight stays with that
-	// write's completion.
+	// write's completion, which reclaims it and its page once it lands.
+	var flushing *Block
 	c.GetForWrite(20, false, func(b *Block, err error) {
+		flushing = b
 		c.MarkDirty(b)
 		c.Unpin(b)
 	})
 	c.Sync(func(error) {})
-	free := len(c.free)
+	free, pages, page := len(c.free), len(c.pages), flushing.Data
 	if !c.Drop(20) || len(c.free) != free {
 		t.Fatal("a mid-flush block was recycled by Drop")
 	}
 	eng.Run()
+	if len(c.free) != free+1 || c.free[free] != flushing {
+		t.Fatal("a block dropped mid-flush was not reclaimed when its write landed")
+	}
+	if len(c.pages) != pages+1 || &c.pages[pages][0] != &page[0] {
+		t.Fatal("a block dropped mid-flush did not hand its page back")
+	}
 	// A clean, idle one is recycled by Drop.
 	if resident := c.blocks[9]; !c.Drop(9) || c.free[len(c.free)-1] != resident {
 		t.Fatal("Drop of a clean block did not recycle it")
 	}
+}
+
+// TestFailedReadRecyclesBlock: a block whose fill fails is dropped, handed
+// to no caller, and reclaimed by the last pin that let go of it — a
+// GetForWrite caller parked on the fill hears the error with a nil block
+// and keeps no pin.
+func TestFailedReadRecyclesBlock(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, node, lower, _ := rigCache(t, 8)
+	c := New(node, &failingReader{lower}, 8)
+	failed := 0
+	c.Get(5, true, func(b *Block, err error) {
+		if b != nil || err == nil {
+			t.Errorf("failed Get = %v, %v: want nil and the error", b, err)
+		}
+		failed++
+	})
+	orphan := c.blocks[5]
+	c.GetForWrite(5, true, func(b *Block, err error) {
+		if b != nil || err == nil {
+			t.Errorf("GetForWrite parked on a failed fill = %v, %v: want nil and the error", b, err)
+		}
+		failed++
+	})
+	eng.Run()
+	if failed != 2 {
+		t.Fatalf("%d of 2 callers heard the failure", failed)
+	}
+	if _, ok := c.blocks[5]; ok || len(c.free) != 1 || c.free[0] != orphan || orphan.pins != 0 {
+		t.Fatalf("the failed block was not reclaimed: resident %v, %d free, %d pins", ok, len(c.free), orphan.pins)
+	}
+	if len(c.pages) != 1 || orphan.Data != nil {
+		t.Fatal("the failed metadata block did not hand its page back")
+	}
+}
+
+// failingReader fails every read after the lower store's latency.
+type failingReader struct{ *fakeLower }
+
+func (f *failingReader) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Chain, error)) {
+	f.eng.Schedule(f.latency, func() { done(nil, errInjected) })
 }
 
 // TestBlockRecycledTwicePanics: recycling a block that is already on the

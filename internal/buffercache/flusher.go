@@ -497,13 +497,18 @@ func (c *Cache) flushBatch(f *flush) {
 
 // written settles the batch's blocks once the lower write completes: a block
 // turns clean only if the write landed and the block is unchanged since the
-// batch was issued (stamp ≤ mark).
+// batch was issued (stamp ≤ mark). A block dropped in flight is reclaimed
+// once the Syncs waiting on it have let it go.
 func (f *flush) written(err error) {
 	c, done := f.c, f.done
+	dropped := 0
 	for _, b := range f.blocks {
 		b.flushing = false
 		if !b.Dirty {
-			continue // dropped in flight: drop settled the gauges
+			// Dropped in flight: drop settled the gauges.
+			f.blocks[dropped] = b
+			dropped++
+			continue
 		}
 		c.nFlushing--
 		if err != nil || b.stamp > f.mark {
@@ -525,6 +530,9 @@ func (f *flush) written(err error) {
 		}
 	}
 	c.syncsLanded()
+	for _, b := range f.blocks[:dropped] {
+		c.reclaim(b)
+	}
 	if err == nil && c.onFlush != nil {
 		c.onFlush()
 	}

@@ -97,6 +97,7 @@ type Module struct {
 	// used entry, lru.prev the eviction candidate.
 	lru  entry
 	free netbuf.FreeList[*entry]
+	slab netbuf.Slab[entry] // carves entries when free is empty
 	used int64
 	seq  uint64 // counts FHO captures
 
@@ -155,7 +156,7 @@ func (m *Module) touch(e *entry) {
 func (m *Module) insert(key lkey.Key, chain *netbuf.Chain, dirty uint64) {
 	e := m.free.Take()
 	if e == nil {
-		e = &entry{}
+		e = m.slab.New()
 	}
 	*e = entry{
 		key:     key,

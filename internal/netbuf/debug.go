@@ -157,32 +157,45 @@ func getChain(p, holder *Pool, n int) *Chain {
 			p.made = slices.DeleteFunc(p.made, func(m *Chain) bool { return m.freed })
 			p.made = slices.Grow(p.made, len(p.made))
 		}
-		c = &Chain{pool: p}
+		c = p.chainSlab.New()
+		c.pool = p
 		p.made = append(p.made, c)
 	}
 	if n > 0 && c.wins == nil {
-		if c.wins = p.takeWins(n); c.wins == nil {
-			c.wins = makeWins(n)
-		}
+		c.wins = p.getWins(n)
 	}
 	c.holder = holder
 	return c
 }
 
+// getWins returns an empty slice that holds n > 0 windows: one off p's
+// lists, or else one carved from the slab of its class with the class's
+// exact capacity, so that putWins files it there when it retires. Slices
+// past the largest class are left to the collector.
+func (p *Pool) getWins(n int) []Window {
+	if s := p.takeWins(n); s != nil {
+		return s
+	}
+	k := winClass(n)
+	if k >= winClasses {
+		return makeWins(n)
+	}
+	return p.winSlabs[k].carve(minWins << k)[:0]
+}
+
 // growWins returns a slice of the class that holds n > cap(old) windows,
 // holding old's windows, and retires old to p's lists with its slots
-// cleared (a chain of no pool leaves old to the collector).
+// cleared (a chain of no pool leaves old to the collector, and debug mode
+// abandons it).
 func growWins(p *Pool, old []Window, n int) []Window {
-	if debugMode || p == nil {
+	if p == nil {
 		return append(makeWins(n), old...)
 	}
-	wins := p.takeWins(n)
-	if wins == nil {
-		wins = makeWins(n)
+	wins := append(p.getWins(n), old...)
+	if !debugMode {
+		clear(old)
+		p.putWins(old)
 	}
-	wins = append(wins, old...)
-	clear(old)
-	p.putWins(old)
 	return wins
 }
 

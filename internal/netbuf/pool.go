@@ -2,11 +2,6 @@ package netbuf
 
 import "fmt"
 
-// maxSlab caps the buffers carved from one slab. A pool's slabs double from
-// one buffer up to maxSlab, so a pool that stays small over-allocates at most
-// twice what it uses.
-const maxSlab = 64
-
 // Pool is an allocator of fixed-geometry network buffers, standing in for
 // the device driver's buffer allocation in the paper. A pool is unbounded:
 // Get never fails, and what a run pins shows in Outstanding and Peak rather
@@ -14,8 +9,9 @@ const maxSlab = 64
 // Release returns it there, wherever on the fabric that happens, so
 // Outstanding counts what callers still hold.
 // Fresh buffers are carved from slabs — one []Buf and one backing []byte
-// each, as kmem_cache carves sk_buff heads — and since a buffer never leaves
-// its pool, a slab lives no longer than its buffers would.
+// each (see Slab) — and since a buffer never leaves its pool, a slab lives no
+// longer than its buffers would; so are the structs and window slices of the
+// pool's chains, which recycle on it too.
 type Pool struct {
 	name     string
 	headroom int
@@ -25,9 +21,8 @@ type Pool struct {
 	// cluster, and a cluster is only ever touched by one goroutine
 	// (DESIGN.md §11).
 	free        []*Buf
-	slab        []Buf  // the current slab's uncarved buffers
-	mem         []byte // and their backing
-	slabLen     int    // buffers in the current slab
+	bufs        Slab[Buf]  // fresh buffers
+	mem         Slab[byte] // and their backing, carved in step
 	outstanding int
 	allocs      uint64
 	reuses      uint64
@@ -36,10 +31,13 @@ type Pool struct {
 	// attributed to their owner tags.
 	live map[*Buf]struct{}
 	// chains and wins recycle the structs and, by size class, the window
-	// slices of the chains built from the pool (see getChain).
-	chains []*Chain
-	wins   [winClasses][][]Window
-	made   []*Chain // every chain struct built from the pool (ReleaseHeld)
+	// slices of the chains built from the pool (see getChain); the slabs
+	// below carve them when those lists are empty.
+	chains    []*Chain
+	wins      [winClasses][][]Window
+	made      []*Chain // every chain struct built from the pool (ReleaseHeld)
+	chainSlab Slab[Chain]
+	winSlabs  [winClasses]Slab[Window]
 }
 
 // NewPool returns a pool that dispenses buffers with the given headroom and
@@ -103,21 +101,13 @@ func (p *Pool) get(fill int) *Buf {
 	return b
 }
 
-// carve takes a fresh buffer from the current slab, cutting a new one twice
-// the size of the last (at most maxSlab) when it is used up. A buffer's
-// backing is capped at its own bytes, so it can never reach a neighbour's.
+// carve takes a fresh buffer and its backing from the pool's slabs, which
+// double in step. A buffer's backing is capped at its own bytes, so it can
+// never reach a neighbour's.
 func (p *Pool) carve() *Buf {
-	n := p.headroom + p.bufSize
-	if len(p.slab) == 0 {
-		p.slabLen = max(1, min(2*p.slabLen, maxSlab))
-		p.slab = make([]Buf, p.slabLen)
-		p.mem = make([]byte, p.slabLen*n)
-	}
 	p.allocs++
-	b := &p.slab[0]
-	p.slab = p.slab[1:]
-	*b = Buf{backing: p.mem[:n:n], head: p.headroom, tail: p.headroom, refs: 1, pool: p, owner: p.name}
-	p.mem = p.mem[n:]
+	b := p.bufs.New()
+	*b = Buf{backing: p.mem.carve(p.headroom + p.bufSize), head: p.headroom, tail: p.headroom, refs: 1, pool: p, owner: p.name}
 	return b
 }
 

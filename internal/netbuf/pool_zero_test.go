@@ -1,6 +1,9 @@
 package netbuf
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestRecycledBufferExposesNoStaleBytes pins the pool's isolation guarantee:
 // a buffer returned to the pool and handed to a new owner must read as zeros
@@ -142,6 +145,55 @@ func TestPoolSlabBuffersAreDisjoint(t *testing.T) {
 	}
 	for _, b := range bufs {
 		b.Release()
+	}
+	p.MustBeDrained()
+}
+
+// TestPoolSlabWindowSlicesAreDisjoint: window slices carved from one slab
+// share its array, so each is capped at its class's size — an append to a
+// full one reallocates instead of writing into its slab neighbour — and a
+// carved slice that a chain outgrows retires to its class's list.
+func TestPoolSlabWindowSlicesAreDisjoint(t *testing.T) {
+	p := NewPool("wins", 0, 16, 0)
+	// Class 0's first slab holds one slice and its second two, so the
+	// second and third chains' slices are neighbours.
+	chains := make([]*Chain, 3)
+	for i := range chains {
+		chains[i] = p.NewChain(minWins)
+		for j := 0; j < minWins; j++ {
+			chains[i].Append(p.Get())
+		}
+	}
+	c, next := chains[1], chains[2]
+	full := c.Bufs()
+	if cap(full) != minWins {
+		t.Fatalf("carved slice cap %d, want exactly %d", cap(full), minWins)
+	}
+	end := uintptr(unsafe.Pointer(&full[minWins-1])) + unsafe.Sizeof(Window{})
+	if end != uintptr(unsafe.Pointer(&next.Bufs()[0])) {
+		t.Fatal("the second and third chains' slices are not slab neighbours")
+	}
+	want := append([]Window(nil), next.Bufs()...)
+	grown := append(full, c.Bufs()[0])
+	if &grown[0] == &full[0] {
+		t.Fatal("an append to a full carved slice did not reallocate")
+	}
+	for i, w := range next.Bufs() {
+		if w != want[i] {
+			t.Fatalf("neighbour window %d changed: an append wrote into the slab", i)
+		}
+	}
+	c.Append(p.Get())
+	if cap(c.Bufs()) != 2*minWins {
+		t.Fatalf("grown chain slice cap %d, want %d", cap(c.Bufs()), 2*minWins)
+	}
+	if !DebugEnabled() {
+		if len(p.wins[0]) != 1 || cap(p.wins[0][0]) != minWins || &p.wins[0][0][:1][0] != &full[0] {
+			t.Fatalf("class 0 holds %d slices: the outgrown carved slice did not retire to it", len(p.wins[0]))
+		}
+	}
+	for _, ch := range chains {
+		ch.Release()
 	}
 	p.MustBeDrained()
 }
