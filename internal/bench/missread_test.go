@@ -82,7 +82,7 @@ func measureMissReads(t *testing.T, cl *passthru.Cluster, read func(), reads int
 
 // TestMissReadAllocBudget is the miss path's end-to-end gate: a steady-state
 // all-miss 16 KB NCache READ — NFS request, buffer-cache miss, iSCSI command,
-// four member I/Os, staging, 12 data frames back, NCache capture with
+// four member I/Os into one extent, 12 data frames back, NCache capture with
 // eviction, key fill with eviction, substituted reply — after both caches
 // have filled allocates at most half a payload and 1 object on the host.
 // It measures no objects: the tree allocates nothing (24 objects and 1.3 KB

@@ -102,7 +102,10 @@ type MemDisk struct {
 	arm    *sim.Resource
 	faults *fault.Injector
 	blocks map[int64][]byte
-	free   netbuf.FreeList[*diskIO] // completed transfer records, reused by submit
+	// image carves the blocks first written through WriteBlocks; they live
+	// as long as the disk, so the slab does too.
+	image netbuf.Slab[byte]
+	free  netbuf.FreeList[*diskIO] // completed transfer records, reused by submit
 	// lastEnd tracks the block after the previous I/O: a request starting
 	// exactly there is sequential and skips the positioning overhead
 	// (track buffer + read-ahead make streaming transfers seek-free).
@@ -225,13 +228,24 @@ func (d *MemDisk) transfer(write bool, lbn int64, bufs [][]byte) {
 	for _, buf := range bufs {
 		for off := 0; off < len(buf); off += bs {
 			if write {
-				d.PokeBlock(lbn, buf[off:off+bs])
+				d.store(lbn, buf[off:off+bs])
 			} else {
 				d.peek(lbn, buf[off:off+bs])
 			}
 			lbn++
 		}
 	}
+}
+
+// store writes one whole block in place; a first write carves the block
+// from the image slab.
+func (d *MemDisk) store(lbn int64, src []byte) {
+	b, ok := d.blocks[lbn]
+	if !ok {
+		b = d.image.Carve(d.geom.BlockSize)
+		d.blocks[lbn] = b
+	}
+	copy(b, src)
 }
 
 // peek fills dst with one block's content. A never-written block is
@@ -267,7 +281,9 @@ func (d *MemDisk) PeekBlock(lbn int64) []byte {
 
 // PokeBlock stores a block's content without charging service time (setup
 // hook used by mkfs; not a data-path operation). A block already in the
-// image is overwritten in place; the image grows only on a first write.
+// image is overwritten in place; the image grows only on a first write, by
+// one allocation of its own: set-up pokes a few scattered blocks per disk,
+// and a slab carved for them would mostly stay unused.
 func (d *MemDisk) PokeBlock(lbn int64, data []byte) {
 	b, ok := d.blocks[lbn]
 	if !ok {

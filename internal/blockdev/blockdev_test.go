@@ -238,3 +238,53 @@ func TestMemDiskReadWriteAllocFree(t *testing.T) {
 		t.Errorf("steady-state disk I/O allocates %.1f objects per write+2 reads, want 0", avg)
 	}
 }
+
+// TestMemDiskFirstWriteAllocBudget: the image grows on a block's first
+// write. Through WriteBlocks, the data path, 64 fresh blocks on a fresh
+// image slab cost at most the 7 slabs that double up to them (1, 2, ..., 32
+// blocks, then 64); through PokeBlock, the set-up hook, one object each.
+func TestMemDiskFirstWriteAllocBudget(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	const fresh, runs = 64, 4
+	eng := sim.NewEngine()
+	d := newDisk(eng, 1024)
+	// Size the block index for every block written below, so that only the
+	// blocks themselves are counted, and prime the transfer record with an
+	// overwrite.
+	d.blocks = make(map[int64][]byte, 1024)
+	buf := make([]byte, fresh*512)
+	done := func(err error) {
+		if err != nil {
+			t.Errorf("I/O: %v", err)
+		}
+	}
+	d.PokeBlock(1023, buf[:512])
+	d.WriteBlocks(1023, [][]byte{buf[:512]}, done)
+	eng.Run()
+
+	vec := [][]byte{buf}
+	next := int64(0)
+	perWrite := testing.AllocsPerRun(runs, func() {
+		d.image = netbuf.Slab[byte]{} // a fresh disk's slab: the doublings start over
+		d.WriteBlocks(next, vec, done)
+		eng.Run()
+		next += fresh
+	})
+	if perWrite > 7 {
+		t.Errorf("%d fresh blocks through WriteBlocks cost %.1f objects, want <= 7 (the slab doublings)", fresh, perWrite)
+	}
+	perPoke := testing.AllocsPerRun(runs, func() {
+		for i := range int64(fresh) {
+			d.PokeBlock(next+i, buf[:512])
+		}
+		next += fresh
+	})
+	if perPoke != fresh {
+		t.Errorf("%d fresh blocks through PokeBlock cost %.1f objects, want one each", fresh, perPoke)
+	}
+	if int(next) != 2*(runs+1)*fresh {
+		t.Fatalf("wrote up to block %d, want %d", next, 2*(runs+1)*fresh)
+	}
+}

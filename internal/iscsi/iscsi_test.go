@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -337,16 +338,14 @@ func TestOutOfRangeReadFails(t *testing.T) {
 	if gotErr == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
-	for _, c := range r.target.free {
-		if c.buf != nil {
-			t.Fatal("a refused READ sized a staging buffer")
-		}
+	if extents := r.tgtNode.Pools()[3:]; len(extents) != 0 {
+		t.Fatalf("a refused READ took an extent from %s", extents[0].Name())
 	}
 }
 
 // TestMalformedWriteRefused: a WRITE(10) whose Data-Out is not exactly the
 // CDB's blocks, or whose range passes the device end, is answered with CHECK
-// CONDITION before anything is staged, and no block is written — not the
+// CONDITION before an extent is taken, and no block is written — not the
 // CDB's, and not the one after it that the surplus data would reach.
 func TestMalformedWriteRefused(t *testing.T) {
 	r := newRig(t)
@@ -379,8 +378,11 @@ func TestMalformedWriteRefused(t *testing.T) {
 			t.Fatalf("%s: WRITE completed with %v (called %v), want CHECK CONDITION", tc.name, gotErr, called)
 		}
 		if r.target.BytesIn != 0 {
-			t.Fatalf("%s: target staged %d bytes of a refused WRITE", tc.name, r.target.BytesIn)
+			t.Fatalf("%s: target stored %d bytes of a refused WRITE", tc.name, r.target.BytesIn)
 		}
+	}
+	if extents := r.tgtNode.Pools()[3:]; len(extents) != 0 {
+		t.Fatalf("a refused WRITE took an extent from %s", extents[0].Name())
 	}
 	for _, lbn := range []int64{10, 11, last} {
 		var got []byte
@@ -431,13 +433,12 @@ func TestConcurrentCommands(t *testing.T) {
 	}
 }
 
-// TestTargetPayloadAllocFree: once the target's staging buffers, the array's
+// TestTargetPayloadAllocFree: once the target's extent pool, the array's
 // request records and both nodes' buffer pools are primed, serving a 64 KB
-// READ or WRITE allocates no payload-sized memory on the host — the whole
-// round trip (initiator, TCP segments, PDUs, target, array) stays under a
-// quarter of the payload per command (5-8 KB measured), where the staging
-// slab, the array's assembly slab and the members' slabs cost three
-// payloads.
+// READ or WRITE allocates nothing of payload scale on the host: the whole
+// round trip (initiator, TCP segments, PDUs, target, array) stays under
+// 256 B per command (16 B measured), so one MTU buffer, disk block or
+// extent allocated per command fails it.
 func TestTargetPayloadAllocFree(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -482,17 +483,16 @@ func TestTargetPayloadAllocFree(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perCmd := (after.TotalAlloc - before.TotalAlloc) / (rounds * 4)
 		t.Logf("write=%v: %d B allocated per 64 KB command", write, perCmd)
-		if perCmd > uint64(len(payload))/4 {
-			t.Errorf("write=%v: %d B allocated per 64 KB command, want <= %d", write, perCmd, len(payload)/4)
+		if perCmd > 256 {
+			t.Errorf("write=%v: %d B allocated per 64 KB command, want <= 256", write, perCmd)
 		}
 	}
 }
 
-// TestDebugModePoisonsStaging: under netbuf debug mode a command's staging
-// buffer is poisoned and abandoned when the command hands it back, so a
-// hand-back before the device's done (or before the copy into transmit
-// buffers) would put poison on the wire — and the round trip still carries
-// the written bytes. The initiator's command records are abandoned likewise
+// TestDebugModePoisonsStaging: under netbuf debug mode the target's command
+// records are abandoned when they retire, and the round trip still carries
+// the written bytes through the extents the target lands them in. The
+// initiator's command records are abandoned likewise
 // (the READ below is issued from the WRITE's completion, where a recycled
 // record would be taken again), and a second completion panics.
 func TestDebugModePoisonsStaging(t *testing.T) {
@@ -520,7 +520,7 @@ func TestDebugModePoisonsStaging(t *testing.T) {
 	})
 	r.eng.Run()
 	if !bytes.Equal(got, want) {
-		t.Fatal("round trip mismatch with poisoned staging buffers")
+		t.Fatal("round trip mismatch in debug mode")
 	}
 	if len(r.target.free) != 0 || len(r.initiator.free) != 0 {
 		t.Fatalf("debug mode recycled %d target and %d initiator command records", len(r.target.free), len(r.initiator.free))
@@ -533,4 +533,132 @@ func TestDebugModePoisonsStaging(t *testing.T) {
 		}
 	}()
 	cmd.finish(nil, nil)
+}
+
+// TestTargetDataInIsViewsOfOneExtent: a READ's blocks land in one extent of
+// the target node's pool for its size, and the Data-In chain is windows onto
+// that extent, cut where TxPool.GetChain cuts a copy of the same bytes. TCP
+// segmentation and NCache's per-buffer substitution charge count those
+// windows, so no simulated number depends on the extent.
+func TestTargetDataInIsViewsOfOneExtent(t *testing.T) {
+	const blocks = 5 // 20,480 bytes: windows of 1,500 and a short last one
+	eng := sim.NewEngine()
+	node := simnet.NewNode(eng, "storage", simnet.DefaultProfile())
+	disk := blockdev.NewMemDisk(eng, "d", blockdev.Geometry{BlockSize: 4096, NumBlocks: 64}, blockdev.IDE2000())
+	want := make([]byte, blocks*4096)
+	rand.New(rand.NewSource(21)).Read(want)
+	for i := range int64(blocks) {
+		disk.PokeBlock(8+i, want[i*4096:(i+1)*4096])
+	}
+	tg := &Target{node: node, dev: disk}
+	c := (&session{target: tg}).command(1, scsi.CDB{Op: scsi.OpRead10, LBA: 8, Blocks: blocks})
+	var lens []int
+	var sent []byte
+	c.send = func() {
+		for _, w := range c.data.Bufs() {
+			lens = append(lens, w.Len())
+		}
+		sent = c.data.Flatten()
+		if &c.data.Bufs()[0].Bytes()[0] != &c.vec[0][0] {
+			t.Error("the Data-In chain does not alias the extent the device filled")
+		}
+		if n := node.ExtentPool(len(want)).Outstanding(); n != 1 {
+			t.Errorf("%d extents outstanding at send, want 1", n)
+		}
+		c.data.Release()
+	}
+	c.read()
+	eng.Run()
+	if !bytes.Equal(sent, want) {
+		t.Fatal("Data-In payload differs from the disk's blocks")
+	}
+	ref := node.TxPool.GetChain(want)
+	var refLens []int
+	for _, w := range ref.Bufs() {
+		refLens = append(refLens, w.Len())
+	}
+	ref.Release()
+	if !slices.Equal(lens, refLens) {
+		t.Errorf("Data-In windows %v, want TxPool.GetChain's %v", lens, refLens)
+	}
+}
+
+// TestTargetExtentsReturnAfterRoundTrip: a WRITE is gathered into an extent
+// and a READ of the same blocks lands in one from the same pool; the READ's
+// extent stays out while the initiator holds the data, and every pool of
+// both nodes is drained once it lets go.
+func TestTargetExtentsReturnAfterRoundTrip(t *testing.T) {
+	r := newRig(t)
+	r.connect(t)
+	const blocks = 5
+	want := make([]byte, blocks*4096)
+	rand.New(rand.NewSource(22)).Read(want)
+	ext := r.tgtNode.ExtentPool(len(want))
+	var got []byte
+	r.initiator.Write(100, r.initNode.TxPool.GetChain(want), false, func(err error) {
+		if err != nil {
+			t.Errorf("Write: %v", err)
+			return
+		}
+		r.initiator.Read(100, blocks, false, func(data *netbuf.Chain, err error) {
+			if err != nil {
+				t.Errorf("Read: %v", err)
+				return
+			}
+			if n := ext.Outstanding(); n != 1 {
+				t.Errorf("%d extents outstanding while the initiator holds the data, want 1", n)
+			}
+			got = data.Flatten()
+			data.Release()
+		})
+	})
+	r.eng.Run()
+	if !bytes.Equal(got, want) {
+		t.Fatal("round trip mismatch")
+	}
+	if ext.Allocs() != 1 || ext.Reuses() != 1 {
+		t.Errorf("extent pool: %d made, %d reused for one WRITE then one READ, want 1 and 1", ext.Allocs(), ext.Reuses())
+	}
+	for _, p := range slices.Concat(r.tgtNode.Pools(), r.initNode.Pools()) {
+		if n := p.Outstanding(); n != 0 {
+			t.Errorf("pool %s: %d buffers outstanding after the round trip (owners %v)", p.Name(), n, p.LeakReport())
+		}
+	}
+}
+
+// TestTargetKillReleasesIssuedRead: a READ's Data-In chain exists from the
+// issue on, so a Node.Kill between issue and send returns its extent — once
+// the disk, which the kill does not stop, is done filling it — and leaves
+// every pool of the node drained, whether the kill comes while the disk
+// fills the extent or while the copies are charged, in either netbuf mode.
+func TestTargetKillReleasesIssuedRead(t *testing.T) {
+	was := netbuf.DebugEnabled()
+	defer netbuf.SetDebug(was)
+	for _, debug := range []bool{false, true} {
+		for _, afterDisk := range []bool{false, true} {
+			netbuf.SetDebug(debug)
+			eng := sim.NewEngine()
+			node := simnet.NewNode(eng, "storage", simnet.DefaultProfile())
+			disk := blockdev.NewMemDisk(eng, "d", blockdev.Geometry{BlockSize: 4096, NumBlocks: 64}, blockdev.IDE2000())
+			tg := &Target{node: node, dev: disk}
+			c := (&session{target: tg}).command(1, scsi.CDB{Op: scsi.OpRead10, LBA: 8, Blocks: 4})
+			c.send = func() { t.Errorf("debug=%v afterDisk=%v: a killed READ was answered", debug, afterDisk) }
+			c.read()
+			ext := node.ExtentPool(4 * 4096)
+			for afterDisk && c.ext != nil {
+				eng.RunFor(10 * sim.Microsecond)
+			}
+			if n := ext.Outstanding(); n != 1 {
+				t.Fatalf("debug=%v afterDisk=%v: %d extents outstanding before the kill, want 1", debug, afterDisk, n)
+			}
+			node.Kill()
+			eng.Run()
+			for _, p := range node.Pools() {
+				if n := p.Outstanding(); n != 0 {
+					t.Errorf("debug=%v afterDisk=%v: pool %s: %d buffers outstanding after the kill (owners %v)",
+						debug, afterDisk, p.Name(), n, p.LeakReport())
+				}
+			}
+		}
+	}
 }

@@ -16,14 +16,15 @@ import (
 // on the storage server's CPU — the reference target's read()+send() and
 // recv()+write() — which is what saturates first in the paper's all-miss
 // experiments beyond 16 KB requests. What the host does to execute them is
-// less: a payload lands once in a recycled staging buffer between the
-// device's flat image and the wire's chains.
+// less: a command's blocks cross between the device's flat image and the
+// wire in one extent from the node's pool of its size (simnet.ExtentPool).
+// A READ's blocks land in it and leave as MTU-sized windows onto it, with no
+// copy; a WRITE's payload is gathered into it off the wire.
 type Target struct {
 	node *simnet.Node
 	dev  blockdev.Device
-	// free holds the records of completed READ and WRITE commands, staging
-	// buffers included. A target lives on one node, so the list needs no
-	// lock.
+	// free holds the records of completed READ and WRITE commands. A target
+	// lives on one node, so the list needs no lock.
 	free netbuf.FreeList[*command]
 
 	// WireFormat models the paper's §6 future-work proposal: disk-resident
@@ -47,22 +48,26 @@ func NewTarget(node *simnet.Node, tcpT *tcp.Transport, dev blockdev.Device) (*Ta
 }
 
 // command is the recycled record of one READ(10) or WRITE(10): the session
-// and task tag the response answers, the block range, a WRITE's data, and
-// the flat staging buffer the payload crosses the disk-image boundary in,
-// with the one-element vector Device calls take. Its continuations are bound
-// once, when the record is first allocated. A record never leaves its Target
-// and retires before its response is sent: after TxPool.GetChain copied a
-// READ's payload out, after the device's done for a WRITE. The staging
-// buffer retires with it and keeps its capacity for the next tenant (poisoned
-// in netbuf debug mode, where the record is abandoned).
+// and task tag the response answers, the block range, its data chain (a
+// WRITE's off the wire, a READ's Data-In windows), and the extent the device
+// moves the blocks in, with the one-element vector Device calls take. Its
+// continuations are bound once, when the record is first allocated. A
+// record never leaves its Target and retires before its response is sent.
+//
+// A READ builds its Data-In chain when it is issued, so Node.Kill releases
+// it like any chain the node holds; the record keeps a reference of its own
+// on the extent until the device's done, so a kill cannot recycle an extent
+// the disk is still filling. A WRITE's extent goes back to its pool when the
+// record retires, after the device's done.
 type command struct {
 	netbuf.Recycled
 	s      *session
 	itt    uint32
 	lba    int64
 	blocks int
+	inc    uint32 // the node's incarnation when a READ was issued
 	data   *netbuf.Chain
-	buf    []byte
+	ext    *netbuf.Buf
 	vec    [1][]byte
 
 	read, send, write, store func()
@@ -82,20 +87,21 @@ func (s *session) command(itt uint32, cdb scsi.CDB) *command {
 	return c
 }
 
-// stage sizes the staging buffer's vector to n bytes. The bytes are whatever
-// the previous tenant left: both users overwrite all n.
-func (c *command) stage(n int) {
-	if cap(c.buf) < n {
-		c.buf = make([]byte, n)
-	}
-	c.vec[0] = c.buf[:n]
+// land takes an n-byte extent for the device to move the command's blocks
+// in. Its bytes are whatever the previous tenant left: the device's read,
+// or the WRITE's gather, overwrites all n.
+func (c *command) land(n int) {
+	c.ext = c.s.target.node.ExtentPool(n).GetFill(n)
+	c.vec[0] = c.ext.Bytes()
 }
 
-// retire hands the record back to the target; the caller has copied out
-// what the response needs.
+// retire hands the record back to the target, with its extent if it still
+// holds one; the caller has taken what the response needs.
 func (c *command) retire() {
-	netbuf.Recycle(c.buf)
-	c.itt, c.lba, c.blocks, c.data, c.vec[0] = 0, 0, 0, nil, nil
+	if c.ext != nil {
+		c.ext.Release()
+	}
+	c.itt, c.lba, c.blocks, c.data, c.ext, c.vec[0] = 0, 0, 0, nil, nil, nil
 	c.s.target.free.Put(c)
 }
 
@@ -220,26 +226,39 @@ func (s *session) handleCommand(p PDU) {
 	}
 }
 
-// issueRead starts a READ once the per-command CPU is served.
+// issueRead starts a READ once the per-command CPU is served: the blocks
+// land in one extent, and the Data-In chain of MTU-sized windows onto it is
+// built now, for Node.Kill to find.
 func (c *command) issueRead() {
 	t := c.s.target
 	g := t.dev.Geometry()
 	if c.lba+int64(c.blocks) > g.NumBlocks {
-		// Refused before a staging buffer is sized by it.
+		// Refused before an extent is sized by it.
 		c.fail()
 		return
 	}
-	c.stage(c.blocks * g.BlockSize)
+	c.land(c.blocks * g.BlockSize)
+	c.data = c.ext.Retain().Views(netbuf.DefaultBufSize)
+	c.inc = t.node.Incarnation()
 	t.dev.ReadBlocks(c.lba, c.vec[:], c.readDone)
 }
 
-// onRead charges the copies out of the staging buffer once the blocks are
-// off the platters; the rest is target CPU.
+// onRead charges the copies into network buffers once the blocks are off
+// the platters; the rest is target CPU. The device is done with the extent,
+// so the record's reference on it goes; a kill since the issue has released
+// the Data-In chain, and the record retires without an answer.
 func (c *command) onRead(err error) {
 	t := c.s.target
 	node := t.node
 	trace.To(node.Eng, trace.LISCSI)
+	c.ext.Release()
+	c.ext = nil
+	if c.inc != node.Incarnation() {
+		c.retire()
+		return
+	}
 	if err != nil {
+		c.data.Release()
 		c.fail()
 		return
 	}
@@ -257,10 +276,9 @@ func (c *command) onRead(err error) {
 	node.ChargeCopy(n, c.send)
 }
 
-// sendData copies the staged payload into transmit buffers and answers.
+// sendData answers with the Data-In chain.
 func (c *command) sendData() {
-	s, itt := c.s, c.itt
-	payload := s.target.node.TxPool.GetChain(c.vec[0])
+	s, itt, payload := c.s, c.itt, c.data
 	c.retire()
 	s.reply(PDU{
 		Op: OpDataIn, Final: true, HasStatus: true,
@@ -270,8 +288,8 @@ func (c *command) sendData() {
 }
 
 // checkWrite refuses a WRITE whose data segment is not exactly the CDB's
-// blocks, or whose range passes the device end, before anything is staged
-// or copied; otherwise it charges the copies into the staging buffer.
+// blocks, or whose range passes the device end, before an extent is taken
+// or anything copied; otherwise it charges the copies into the extent.
 func (c *command) checkWrite() {
 	t := c.s.target
 	node := t.node
@@ -294,13 +312,13 @@ func (c *command) checkWrite() {
 	node.ChargeCopy(n, c.store)
 }
 
-// storeData gathers the wire chain into the staging buffer — the disk-image
+// storeData gathers the wire chain into an extent — the disk-image
 // boundary: the device keeps a flat image, so the one permitted copy happens
 // here — and writes it.
 func (c *command) storeData() {
 	t := c.s.target
 	n := c.data.Len()
-	c.stage(n)
+	c.land(n)
 	c.data.Gather(c.vec[0])
 	c.data.Release()
 	c.data = nil
@@ -308,7 +326,7 @@ func (c *command) storeData() {
 	t.dev.WriteBlocks(c.lba, c.vec[:], c.written)
 }
 
-// onWritten answers a WRITE once the device is done with the staging buffer.
+// onWritten answers a WRITE once the device is done with the extent.
 func (c *command) onWritten(err error) {
 	s, itt := c.s, c.itt
 	c.retire()

@@ -103,6 +103,23 @@ func ChainOf(bufs ...*Buf) *Chain {
 	return c
 }
 
+// Views returns a chain of windows onto b's payload, each seg bytes but the
+// last: the layout Pool.GetChain builds when it copies the payload onto a
+// pool of seg-byte buffers, with no copy. The chain recycles on b's pool and
+// is held there (see Pool.ReleaseHeld). It takes ownership of the caller's
+// reference and adds one per further window; an empty payload yields one
+// empty window, as GetChain's does.
+func (b *Buf) Views(seg int) *Chain {
+	k := max((b.Len()+seg-1)/seg, 1)
+	c := getChain(b.pool, b.pool, k)
+	b.refs += int32(k - 1)
+	for i := range k {
+		head := b.head + i*seg
+		c.wins = append(c.wins, Window{root: b, head: int32(head), tail: int32(min(head+seg, b.tail))})
+	}
+	return c
+}
+
 // ChainFromBytes splits p into standalone buffers of at most segSize payload
 // bytes each, copying the data, in a chain of no pool. It synthesizes
 // on-the-wire data in tests; Pool.GetChain is the pooled counterpart.

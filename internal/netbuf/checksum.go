@@ -40,7 +40,15 @@ func (s *Partial) AddBytes(p []byte) {
 		p = p[1:]
 		s.odd = false
 	}
+	// Four words a step, then one: the same carry chain either way.
 	var c uint64
+	for len(p) >= 32 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p[8:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p[16:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p[24:]), c)
+		p = p[32:]
+	}
 	for len(p) >= 8 {
 		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p), c)
 		p = p[8:]

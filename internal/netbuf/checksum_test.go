@@ -2,6 +2,7 @@ package netbuf
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -218,5 +219,25 @@ func TestAddBytesMatchesTwoByteOracle(t *testing.T) {
 		if c := Combine(a, b); c.Fold() != whole.fold() || c.odd != whole.odd {
 			t.Fatalf("iter %d: Combine at %d of %d: fold %#04x, oracle %#04x", iter, cut, len(p), c.Fold(), whole.fold())
 		}
+	}
+}
+
+// checksumSink keeps the benchmarked sums live.
+var checksumSink uint16
+
+// BenchmarkAddBytes sums a TCP segment's payload (1,460 B) and a file-system
+// block (4,096 B).
+func BenchmarkAddBytes(b *testing.B) {
+	for _, n := range []int{1460, 4096} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			p := make([]byte, n)
+			rand.New(rand.NewSource(1)).Read(p)
+			b.SetBytes(int64(n))
+			var s Partial
+			for i := 0; i < b.N; i++ {
+				s.AddBytes(p)
+			}
+			checksumSink = s.Fold()
+		})
 	}
 }

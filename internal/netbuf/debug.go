@@ -65,11 +65,11 @@ func recordChainDoubleFree(c *Chain) {
 // reads a retired payload fails its own integrity check.
 const poisonByte = 0xDB
 
-// Recycle hands back a flat payload whose record is about to retire (an
-// iSCSI staging buffer, a WAL payload, a buffer-cache page) and reports
-// whether the payload may be reused. In debug mode, where the record is
-// abandoned, the payload is poisoned and may not, so a reader that kept it
-// past the hand-back sees poison instead of the next owner's bytes.
+// Recycle hands back a flat payload whose record is about to retire (a WAL
+// payload, a buffer-cache page) and reports whether the payload may be
+// reused. In debug mode, where the record is abandoned, the payload is
+// poisoned and may not, so a reader that kept it past the hand-back sees
+// poison instead of the next owner's bytes.
 func Recycle(p []byte) bool {
 	if debugMode {
 		p = p[:cap(p)]
@@ -180,7 +180,7 @@ func (p *Pool) getWins(n int) []Window {
 	if k >= winClasses {
 		return makeWins(n)
 	}
-	return p.winSlabs[k].carve(minWins << k)[:0]
+	return p.winSlabs[k].Carve(minWins << k)[:0]
 }
 
 // growWins returns a slice of the class that holds n > cap(old) windows,

@@ -70,6 +70,16 @@ func (p *Pool) GetSized(n, headroom int) *Buf {
 	return b
 }
 
+// GetFill returns a buffer holding n payload bytes for a caller that
+// overwrites all n before anyone reads them, as a disk read fills the extent
+// it lands in: on a recycled buffer only the headroom and the tail past n
+// are zeroed. n must fit the pool's buffers.
+func (p *Pool) GetFill(n int) *Buf {
+	b := p.get(n)
+	b.tail += n
+	return b
+}
+
 // get is Get for a caller about to overwrite the first fill payload bytes:
 // a recycled buffer is zeroed everywhere else — headroom and the tail the
 // fill does not cover — and those fill bytes are left for the caller.
@@ -107,7 +117,7 @@ func (p *Pool) get(fill int) *Buf {
 func (p *Pool) carve() *Buf {
 	p.allocs++
 	b := p.bufs.New()
-	*b = Buf{backing: p.mem.carve(p.headroom + p.bufSize), head: p.headroom, tail: p.headroom, refs: 1, pool: p, owner: p.name}
+	*b = Buf{backing: p.mem.Carve(p.headroom + p.bufSize), head: p.headroom, tail: p.headroom, refs: 1, pool: p, owner: p.name}
 	return b
 }
 

@@ -254,3 +254,58 @@ func TestGetChainSegmentsLikeChainFromBytes(t *testing.T) {
 	}
 	empty.Release()
 }
+
+// TestViewsOfAFilledBuffer: Views cuts a buffer's payload into windows of
+// seg bytes and a short last one, aliasing the buffer, and the buffer goes
+// back to its pool only when the last window is released, wherever a clone
+// of it went. An empty payload is one empty window. GetFill leaves its n
+// payload bytes to the filler but zeroes the tail past them.
+func TestViewsOfAFilledBuffer(t *testing.T) {
+	p := NewPool("ext", 0, 3100, 0)
+	b := p.GetFill(3100)
+	for i := range b.Bytes() {
+		b.Bytes()[i] = byte(i)
+	}
+	c := b.Views(1500)
+	var lens []int
+	for _, w := range c.Bufs() {
+		if w.root != b {
+			t.Fatal("a view does not alias the buffer")
+		}
+		lens = append(lens, w.Len())
+	}
+	if len(lens) != 3 || lens[0] != 1500 || lens[1] != 1500 || lens[2] != 100 {
+		t.Fatalf("windows %v, want [1500 1500 100]", lens)
+	}
+	if got := c.Flatten(); got[0] != 0 || got[3099] != byte(3099%256) {
+		t.Fatal("views do not carry the payload in order")
+	}
+	last, err := c.SubChain(3000, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Release()
+	if p.Outstanding() != 1 {
+		t.Fatalf("Outstanding %d with a clone of the last view held, want 1", p.Outstanding())
+	}
+	last.Release()
+	if p.Outstanding() != 0 {
+		t.Fatalf("Outstanding %d after every view is released, want 0", p.Outstanding())
+	}
+
+	short := p.GetFill(3000)
+	if short != b || short.Len() != 3000 {
+		t.Fatalf("GetFill(3000): recycled %v, len %d", short == b, short.Len())
+	}
+	if short.Bytes()[2999] != byte(2999%256) || short.backing[3000] != 0 {
+		t.Fatal("GetFill must leave the filled bytes and zero the tail past them")
+	}
+	short.Release()
+
+	empty := p.GetFill(0).Views(1500)
+	if empty.NumBufs() != 1 || empty.Len() != 0 {
+		t.Fatalf("an empty payload gave %d windows of %d bytes, want one empty", empty.NumBufs(), empty.Len())
+	}
+	empty.Release()
+	p.MustBeDrained()
+}

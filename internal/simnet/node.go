@@ -26,7 +26,9 @@ type Node struct {
 	// The node's buffer pools, one per buffer geometry, are transient
 	// driver memory: the steady-state transmit path allocates nothing. A
 	// buffer that leaves on the wire stays on its pool's ledger until the
-	// receiver's last Release returns it there. All are unbounded.
+	// receiver's last Release returns it there; an extent, which leaves as
+	// several windows, until the last of them is released. All are
+	// unbounded.
 	//
 	// HdrPool holds header-sized buffers (DefaultHeadroom plus
 	// HdrBufSize): the TCP and UDP headers, into whose headroom an
@@ -40,12 +42,18 @@ type Node struct {
 	// BlkPool holds file-system-block-sized buffers (stamped junk blocks,
 	// flush payloads).
 	BlkPool *netbuf.Pool
+	// extents holds one pool of headroomless extents per size, made on
+	// first use (ExtentPool): the storage target lands a command's blocks
+	// in one extent, a READ's sent as MTU-sized windows onto it, a WRITE's
+	// gathered into it off the wire.
+	extents map[int]*netbuf.Pool
 	// Copies / NetStats / Reqs are this node's data-path counters.
 	Copies metrics.Copies
 	Reqs   metrics.Requests
 
 	nics []*NIC
-	// pools lists HdrPool, TxPool and BlkPool: what Kill walks.
+	// pools lists HdrPool, TxPool, BlkPool and the extent pools in the
+	// order they were made: what Kill and the drain checks walk.
 	pools []*netbuf.Pool
 	// life is the running incarnation; inc counts the ones Kill ended.
 	life *sim.Life
@@ -122,6 +130,21 @@ func (n *Node) NICs() []*NIC { return n.nics }
 
 // Pools returns the node's buffer pools. Callers must not mutate the slice.
 func (n *Node) Pools() []*netbuf.Pool { return n.pools }
+
+// ExtentPool returns the node's pool of size-byte extents, made and listed
+// among Pools on the first call for that size.
+func (n *Node) ExtentPool(size int) *netbuf.Pool {
+	p := n.extents[size]
+	if p == nil {
+		if n.extents == nil {
+			n.extents = make(map[int]*netbuf.Pool)
+		}
+		p = netbuf.NewPool(fmt.Sprintf("%s.ext%d", n.Name, size), 0, size, 0)
+		n.extents[size] = p
+		n.pools = append(n.pools, p)
+	}
+	return p
+}
 
 // Charge runs fn after the node's CPU has served d of work, unless the
 // incarnation is killed first.
