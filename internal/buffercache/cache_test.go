@@ -16,6 +16,7 @@ import (
 // rewrites payloads (to emulate the NCache/baseline hooks).
 type fakeLower struct {
 	eng     *sim.Engine
+	pool    *netbuf.Pool // the chains reads return are built on it
 	bs      int
 	blocks  map[int64][]byte
 	reads   []fakeReq
@@ -31,8 +32,8 @@ type fakeReq struct {
 	data  []byte
 }
 
-func newFakeLower(eng *sim.Engine, bs int) *fakeLower {
-	return &fakeLower{eng: eng, bs: bs, blocks: map[int64][]byte{}, latency: 10 * sim.Microsecond}
+func newFakeLower(eng *sim.Engine, pool *netbuf.Pool, bs int) *fakeLower {
+	return &fakeLower{eng: eng, pool: pool, bs: bs, blocks: map[int64][]byte{}, latency: 10 * sim.Microsecond}
 }
 
 func (f *fakeLower) BlockSize() int { return f.bs }
@@ -59,7 +60,7 @@ func (f *fakeLower) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Ch
 		for j := 0; j < count; j++ {
 			buf = append(buf, f.content(lbn+int64(j))...)
 		}
-		done(netbuf.ChainFromBytes(buf, netbuf.DefaultBufSize), nil)
+		done(f.pool.GetChain(buf), nil)
 	})
 }
 
@@ -81,7 +82,7 @@ func rigCache(t *testing.T, capacity int) (*sim.Engine, *simnet.Node, *fakeLower
 	t.Helper()
 	eng := sim.NewEngine()
 	node := simnet.NewNode(eng, "app", simnet.DefaultProfile())
-	lower := newFakeLower(eng, 4096)
+	lower := newFakeLower(eng, node.TxPool, 4096)
 	return eng, node, lower, New(node, lower, capacity)
 }
 
@@ -269,9 +270,9 @@ func TestLogicalBlockFillIsKeyCopy(t *testing.T) {
 	eng, node, lower, c := rigCache(t, 16)
 	// Lower returns key-stamped junk, as the NCache read hook produces.
 	lower.readFn = func(lbn int64, count int) *netbuf.Chain {
-		out := netbuf.NewChain()
+		out := lower.pool.NewChain(0)
 		for j := 0; j < count; j++ {
-			out.AppendChain(lkey.StampChainPool(nil, lkey.ForLBN(lbn+int64(j)), 4096))
+			out.AppendChain(lkey.StampChainPool(node.BlkPool, lkey.ForLBN(lbn+int64(j)), 4096))
 		}
 		return out
 	}
@@ -720,11 +721,11 @@ func pagelessIfLogical(t *testing.T, c *Cache, after string) {
 // handed back is poisoned and abandoned, never handed out again.
 func TestPageRecycleContract(t *testing.T) {
 	recycles := !netbuf.DebugEnabled()
-	eng, _, lower, c := rigCache(t, 2)
+	eng, node, lower, c := rigCache(t, 2)
 	lower.readFn = func(lbn int64, count int) *netbuf.Chain {
-		out := netbuf.NewChain()
+		out := lower.pool.NewChain(0)
 		for j := 0; j < count; j++ {
-			out.AppendChain(lkey.StampChainPool(nil, lkey.ForLBN(lbn+int64(j)), 4096))
+			out.AppendChain(lkey.StampChainPool(node.BlkPool, lkey.ForLBN(lbn+int64(j)), 4096))
 		}
 		return out
 	}

@@ -92,7 +92,7 @@ func buildCPNetOf(t *testing.T, numServers int) *cpNet {
 // port on server i and lets it land.
 func (n *cpNet) runt(t *testing.T, i int, port uint16) {
 	t.Helper()
-	if err := n.cpUDP.SendChain(tCPAddr, Port, tServer0+eth.Addr(8*i), port, netbuf.ChainFromBytes([]byte{1, 2, 3}, netbuf.DefaultBufSize)); err != nil {
+	if err := n.cpUDP.SendChain(tCPAddr, Port, tServer0+eth.Addr(8*i), port, n.cpUDP.Node().TxPool.GetChain([]byte{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	n.run(t)
@@ -188,8 +188,9 @@ func TestCallArgs(t *testing.T) {
 		putArgs(p, 1, 9, lbns)
 		return p
 	}
+	pool := netbuf.NewPool("args", netbuf.DefaultHeadroom, netbuf.DefaultBufSize, 0)
 	decode := func(p []byte) (int, uint64, []int64, error) {
-		return decodeArgs(netbuf.ChainFromBytes(p, netbuf.DefaultBufSize), nil)
+		return decodeArgs(pool.GetChain(p), nil)
 	}
 	in := []int64{1, 5, 9, 1 << 40}
 	wire := encode(in)

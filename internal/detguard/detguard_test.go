@@ -371,25 +371,6 @@ func TestNoSynchronisation(t *testing.T) {
 	}
 }
 
-// TestChainsNameAPool keeps the hot paths recycling: no non-test code under
-// internal/ or cmd/ may use netbuf's pool-less chain constructors,
-// NewChain and ChainFromBytes, whose chains are left to the collector. Code
-// on a node builds its chains with Pool.NewChain, or from pooled buffers.
-func TestChainsNameAPool(t *testing.T) {
-	poolless := map[string]bool{"NewChain": true, "ChainFromBytes": true}
-	var violations []string
-	funcUses(t, func(_, at, _ string, fn *types.Func, _ *ast.CallExpr) {
-		if poolless[fn.Name()] && fn.Pkg().Path() == "ncache/internal/netbuf" && fn.Type().(*types.Signature).Recv() == nil {
-			violations = append(violations, at+" uses netbuf."+fn.Name())
-		}
-	})
-	sort.Strings(violations)
-	if len(violations) > 0 {
-		t.Errorf("chains built without a pool in simulator code (they are never "+
-			"recycled; build them with Pool.NewChain):\n  %s", strings.Join(violations, "\n  "))
-	}
-}
-
 // TestTimersGoThroughTheNode guards the one place a killed server's work is
 // dropped: every timer and completion the software on a node posts belongs
 // to the node's incarnation (simnet.Node.Schedule, PostAt and Charge), and

@@ -1,9 +1,9 @@
 // Package detguard holds the repository's source-level guards: annotated map
 // iteration, no goroutines and no synchronisation inside the simulator
-// (determinism), no chain built without a pool on the hot paths, no
-// configuration field that nothing turns, no exported function or variable
-// that nothing references, no coverage-census line naming a function that is
-// gone, and no more design prose than its budget (prose_test.go).
+// (determinism), no configuration field that nothing turns, no exported
+// function or variable that nothing references, no coverage-census line
+// naming a function that is gone, and no more design prose than its budget
+// (prose_test.go).
 //
 // Go randomizes map iteration order. On the simulation's event path an
 // unordered iteration that schedules events, mutates model state, or formats
@@ -28,11 +28,9 @@
 // code under internal/ or cmd/, and TestNoSynchronisation on any import of
 // sync or sync/atomic there: a cluster's state is unsynchronised because
 // only the caller's goroutine ever touches it (DESIGN.md §11). Beside them,
-// TestChainsNameAPool fails on any non-test use of netbuf's pool-less chain
-// constructors, whose chains are never recycled, and
-// TestTimersGoThroughTheNode on an engine post outside sim, simnet, fault,
-// workload and bench, or a sim.Resource Use with a done callback outside
-// sim, simnet and blockdev: software on a node posts through the node,
+// TestTimersGoThroughTheNode fails on an engine post outside sim, simnet,
+// fault, workload and bench, or a sim.Resource Use with a done callback
+// outside sim, simnet and blockdev: software on a node posts through the node,
 // whose kill drops what the dead incarnation posted (DESIGN.md §12); and
 // TestOneLoopRunsTheEngine on a non-test file of internal/bench that runs the
 // engine outside harness.measure and await (DESIGN.md §4b), and

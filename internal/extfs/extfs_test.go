@@ -15,7 +15,8 @@ import (
 // diskLower adapts a MemDisk as a buffer-cache Lower for isolated fs tests
 // (the full stack goes through iSCSI; see the passthru package).
 type diskLower struct {
-	dev *blockdev.MemDisk
+	dev  *blockdev.MemDisk
+	pool *netbuf.Pool // the chains reads return are built on it
 }
 
 func (l *diskLower) BlockSize() int { return l.dev.Geometry().BlockSize }
@@ -27,7 +28,7 @@ func (l *diskLower) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Ch
 			done(nil, err)
 			return
 		}
-		done(netbuf.ChainFromBytes(data, netbuf.DefaultBufSize), nil)
+		done(l.pool.GetChain(data), nil)
 	})
 }
 
@@ -53,7 +54,7 @@ func newFsRig(t *testing.T, cacheBlocks int) *fsRig {
 	if _, err := Format(disk, 512); err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	cache := buffercache.New(node, &diskLower{dev: disk}, cacheBlocks)
+	cache := buffercache.New(node, &diskLower{dev: disk, pool: node.TxPool}, cacheBlocks)
 	r := &fsRig{eng: eng, node: node, disk: disk, cache: cache}
 	Mount(node, cache, func(fs *FS, err error) {
 		if err != nil {
@@ -71,7 +72,7 @@ func newFsRig(t *testing.T, cacheBlocks int) *fsRig {
 // newCacheOver builds a second buffer cache over a rig's disk (remount
 // support for durability tests).
 func newCacheOver(r *fsRig) *buffercache.Cache {
-	return buffercache.New(r.node, &diskLower{dev: r.disk}, 256)
+	return buffercache.New(r.node, &diskLower{dev: r.disk, pool: r.node.TxPool}, 256)
 }
 
 // run drives the engine and fails the test on error.
@@ -198,7 +199,7 @@ func TestFormattedFileVisibleAndReadable(t *testing.T) {
 	if err := f.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	cache := buffercache.New(node, &diskLower{dev: disk}, 512)
+	cache := buffercache.New(node, &diskLower{dev: disk, pool: node.TxPool}, 512)
 	r := &fsRig{eng: eng, node: node, disk: disk, cache: cache}
 	Mount(node, cache, func(fs *FS, err error) {
 		if err != nil {

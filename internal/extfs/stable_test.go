@@ -70,7 +70,7 @@ func TestWriteStableWaitsForNoOtherFile(t *testing.T) {
 	a, b := r.create(t, "a"), r.create(t, "b")
 	r.write(t, a, 0, bytes.Repeat([]byte{1}, BlockSize))
 	r.write(t, b, 0, bytes.Repeat([]byte{2}, BlockSize))
-	lower := &gatedLower{diskLower: diskLower{dev: r.disk}, gate: map[int64]bool{}}
+	lower := &gatedLower{diskLower: diskLower{dev: r.disk, pool: r.node.TxPool}, gate: map[int64]bool{}}
 	r.remountOver(t, 256, lower)
 	lbnA, lbnB := r.lbnOf(t, a, 0), r.lbnOf(t, b, 0)
 

@@ -32,7 +32,7 @@ func (r *fsRig) footprint() footprint {
 // capacity.
 func (r *fsRig) remount(t *testing.T, capacity int) {
 	t.Helper()
-	r.remountOver(t, capacity, &diskLower{dev: r.disk})
+	r.remountOver(t, capacity, &diskLower{dev: r.disk, pool: r.node.TxPool})
 }
 
 // remountOver is remount with the new cache over lower.

@@ -75,8 +75,8 @@ func (p *PDU) DataLen() int {
 // the data segment's buffers (not copied). Data segments are padded to 4
 // bytes; block-sized storage payloads are already aligned so padding is the
 // exception, not the rule. The header (and pad) buffers come from the
-// sending node's header pool, so the steady-state PDU path allocates
-// nothing; with no pool they are fresh.
+// sending node's header pool, as does the chain, so the steady-state PDU
+// path allocates nothing.
 func (p *PDU) EncodePool(pool *netbuf.Pool) (*netbuf.Chain, error) {
 	dlen := p.DataLen()
 	if dlen > 0xffffff {

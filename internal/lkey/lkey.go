@@ -119,15 +119,16 @@ func Of(w netbuf.Window) (Key, bool) {
 
 // StampChainPool builds an n-byte junk chain carrying the key — what logical
 // data looks like on its way down the stack — and is the only place a buffer
-// is marked. The buffer is pooled when p fits it (pooled buffers are zeroed
-// on reuse) and holds at least the stamp; a shorter block is a shorter window
-// onto it. A junk block stays one buffer: the hooks read one key per window.
+// is marked. The chain is built on p, and so is its buffer when p fits it
+// (pooled buffers are zeroed on reuse); the buffer holds at least the stamp,
+// and a shorter block is a shorter window onto it. A junk block stays one
+// buffer: the hooks read one key per window.
 func StampChainPool(p *netbuf.Pool, k Key, n int) *netbuf.Chain {
 	b := p.GetSized(max(n, Size), netbuf.DefaultHeadroom)
 	m := k.Marshal()
 	copy(b.Bytes(), m[:])
 	b.Mark()
-	c := netbuf.ChainOf(b)
+	c := p.ChainOf(b)
 	if n >= Size {
 		return c
 	}

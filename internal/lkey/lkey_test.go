@@ -7,6 +7,9 @@ import (
 	"ncache/internal/netbuf"
 )
 
+// blkPool returns a pool of block-sized buffers for stamped chains.
+func blkPool() *netbuf.Pool { return netbuf.NewPool("lkey", netbuf.DefaultHeadroom, 4096, 0) }
+
 func TestMarshalParseRoundTrip(t *testing.T) {
 	cases := []Key{
 		ForLBN(12345),
@@ -43,7 +46,7 @@ func TestParseRejectsNonKeys(t *testing.T) {
 }
 
 func TestStampMakesLogicalBlock(t *testing.T) {
-	c := StampChainPool(nil, ForLBN(9), 4096)
+	c := StampChainPool(blkPool(), ForLBN(9), 4096)
 	k, ok := Of(c.Bufs()[0])
 	if !ok || k.LBN != 9 {
 		t.Fatalf("stamped key = %+v, ok=%v", k, ok)
@@ -51,7 +54,7 @@ func TestStampMakesLogicalBlock(t *testing.T) {
 }
 
 func TestStampChain(t *testing.T) {
-	c := StampChainPool(nil, ForLBN(3), 4096)
+	c := StampChainPool(blkPool(), ForLBN(3), 4096)
 	if c.Len() != 4096 {
 		t.Fatalf("Len = %d", c.Len())
 	}
@@ -60,7 +63,7 @@ func TestStampChain(t *testing.T) {
 		t.Fatalf("key = %+v ok=%v", k, ok)
 	}
 	// A block shorter than a key is a window that short onto a full stamp.
-	c2 := StampChainPool(nil, ForLBN(1), 8)
+	c2 := StampChainPool(blkPool(), ForLBN(1), 8)
 	if c2.Len() != 8 {
 		t.Fatalf("tiny StampChain len = %d, want 8", c2.Len())
 	}
@@ -77,13 +80,13 @@ func TestOfReadsOnlyTheMark(t *testing.T) {
 	t.Run("unmarked bytes that start with a key", func(t *testing.T) {
 		block := make([]byte, 4096)
 		copy(block, m[:])
-		c := netbuf.ChainFromBytes(block, 1500)
+		c := netbuf.NewPool("tx", netbuf.DefaultHeadroom, 1500, 0).GetChain(block)
 		if got, ok := Of(c.Bufs()[0]); ok {
 			t.Fatalf("payload bytes read as key %+v", got)
 		}
 	})
 	t.Run("marked buffer, window off its head", func(t *testing.T) {
-		sub, err := StampChainPool(nil, k, 4096).SubChain(1, 100)
+		sub, err := StampChainPool(blkPool(), k, 4096).SubChain(1, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +95,7 @@ func TestOfReadsOnlyTheMark(t *testing.T) {
 		}
 	})
 	t.Run("marked buffer whose stamp is overwritten", func(t *testing.T) {
-		c := StampChainPool(nil, k, 4096)
+		c := StampChainPool(blkPool(), k, 4096)
 		clear(c.Bufs()[0].Bytes()[:8])
 		defer func() {
 			if recover() == nil {
@@ -109,7 +112,7 @@ func TestOfReadsOnlyTheMark(t *testing.T) {
 			t.Fatalf("reuses = %d, want 1", p.Reuses())
 		}
 		copy(b.Bytes(), m[:])
-		if got, ok := Of(netbuf.ChainOf(b).Bufs()[0]); ok {
+		if got, ok := Of(p.ChainOf(b).Bufs()[0]); ok {
 			t.Fatalf("reused buffer read as key %+v", got)
 		}
 	})

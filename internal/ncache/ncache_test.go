@@ -32,7 +32,7 @@ func blockData(tag byte, n int) []byte {
 func TestCaptureLBNReturnsStampedJunk(t *testing.T) {
 	eng, node, m := newModule(t, 1<<20)
 	payload := append(blockData(1, bs), blockData(2, bs)...)
-	wire := netbuf.ChainFromBytes(payload, netbuf.DefaultBufSize)
+	wire := m.node.TxPool.GetChain(payload)
 	before := node.Copies.PhysicalOps
 
 	junk := m.CaptureLBN(100, 2, wire)
@@ -63,12 +63,11 @@ func TestCaptureLBNReturnsStampedJunk(t *testing.T) {
 func TestSubstituteMessageRestoresPayload(t *testing.T) {
 	eng, _, m := newModule(t, 1<<20)
 	want := blockData(7, bs)
-	m.CaptureLBN(55, 1, netbuf.ChainFromBytes(want, netbuf.DefaultBufSize))
+	m.CaptureLBN(55, 1, m.node.TxPool.GetChain(want))
 
 	// Compose a "reply": header bytes + one stamped junk block.
-	hdr := netbuf.FromBytes([]byte("RPCHDR"))
-	msg := netbuf.ChainOf(hdr)
-	msg.AppendChain(lkey.StampChainPool(nil, lkey.ForLBN(55), bs))
+	msg := m.node.TxPool.GetChain([]byte("RPCHDR"))
+	msg.AppendChain(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(55), bs))
 	out := m.SubstituteMessage(msg)
 	eng.Run()
 	flat := out.Flatten()
@@ -85,7 +84,7 @@ func TestSubstituteMessageRestoresPayload(t *testing.T) {
 
 func TestSubstituteMissPassesJunkThrough(t *testing.T) {
 	eng, _, m := newModule(t, 1<<20)
-	msg := lkey.StampChainPool(nil, lkey.ForLBN(999), bs)
+	msg := lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(999), bs)
 	out := m.SubstituteMessage(msg)
 	eng.Run()
 	if out.Len() != bs {
@@ -95,7 +94,7 @@ func TestSubstituteMissPassesJunkThrough(t *testing.T) {
 		t.Fatalf("misses = %d", m.Stats.SubstMisses)
 	}
 	// Baseline junk (no identities) is not even looked up.
-	out2 := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.Key{}, bs))
+	out2 := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.Key{}, bs))
 	if out2.Len() != bs || m.Stats.SubstMisses != 1 {
 		t.Fatal("baseline junk should pass through without a miss")
 	}
@@ -108,9 +107,9 @@ func TestFHOCaptureAndFreshnessOverLBN(t *testing.T) {
 	fh := lkey.FH{9}
 
 	// Old disk content in the LBN cache.
-	m.CaptureLBN(300, 1, netbuf.ChainFromBytes(stale, netbuf.DefaultBufSize))
+	m.CaptureLBN(300, 1, m.node.TxPool.GetChain(stale))
 	// Client writes new content → FHO cache.
-	junk := m.CaptureFHO(fh, 8192, netbuf.ChainFromBytes(fresh, netbuf.DefaultBufSize))
+	junk := m.CaptureFHO(fh, 8192, m.node.TxPool.GetChain(fresh))
 	if _, ok := lkey.Of(junk.Bufs()[0]); !ok {
 		t.Fatal("FHO capture did not stamp")
 	}
@@ -118,7 +117,7 @@ func TestFHOCaptureAndFreshnessOverLBN(t *testing.T) {
 	// A read reply whose block carries both identities must resolve FHO
 	// first (§3.4: clients always see the newest data).
 	key := lkey.ForFHO(fh, 8192).WithLBN(300)
-	out := m.SubstituteMessage(lkey.StampChainPool(nil, key, bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, key, bs))
 	eng.Run()
 	if !bytes.Equal(out.Flatten(), fresh) {
 		t.Fatal("substitution served stale LBN data over fresh FHO data")
@@ -132,14 +131,14 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	eng, _, m := newModule(t, 1<<20)
 	fh := lkey.FH{3}
 	data := blockData(9, bs)
-	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
+	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(data))
 	if m.PinnedBytes() == 0 {
 		t.Fatal("dirty FHO entry not pinned")
 	}
 
 	// The file system flushes: stamped junk goes down the iSCSI write
 	// path; the hook must substitute real data and remap.
-	flush := lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs)
+	flush := lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0), bs)
 	wire, remapped, mark := m.WriteOut(700, 1, flush, nil)
 	eng.Run()
 	if !bytes.Equal(wire.Flatten(), data) {
@@ -155,7 +154,7 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	if m.PinnedBytes() == 0 {
 		t.Fatal("entry unpinned before the write carrying it landed")
 	}
-	wire, remapped, mark = m.WriteOut(700, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
+	wire, remapped, mark = m.WriteOut(700, 1, lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0), bs), nil)
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("retried flush not substituted with real data")
 	}
@@ -168,8 +167,8 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	// next flush remaps the new data to the same LBN. The old write's landing
 	// predates the rewrite: it must leave the new data pinned.
 	newer := blockData(10, bs)
-	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(newer, netbuf.DefaultBufSize))
-	_, remapped2, mark2 := m.WriteOut(700, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
+	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(newer))
+	_, remapped2, mark2 := m.WriteOut(700, 1, lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0), bs), nil)
 	m.Landed(remapped, mark)
 	if m.PinnedBytes() == 0 {
 		t.Fatal("a write issued before the rewrite unpinned the rewritten data")
@@ -180,7 +179,7 @@ func TestWriteOutRemapsFHOToLBN(t *testing.T) {
 	}
 
 	// The newest data is now reachable under its LBN.
-	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(700), bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(700), bs))
 	eng.Run()
 	if !bytes.Equal(out.Flatten(), newer) {
 		t.Fatal("remapped entry not reachable by LBN")
@@ -196,11 +195,11 @@ func TestRemapOverwritesStaleLBNEntry(t *testing.T) {
 	stale := blockData(1, bs)
 	fresh := blockData(2, bs)
 	fh := lkey.FH{4}
-	m.CaptureLBN(800, 1, netbuf.ChainFromBytes(stale, netbuf.DefaultBufSize))
-	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(fresh, netbuf.DefaultBufSize))
-	m.WriteOut(800, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
+	m.CaptureLBN(800, 1, m.node.TxPool.GetChain(stale))
+	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(fresh))
+	m.WriteOut(800, 1, lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0), bs), nil)
 	eng.Run()
-	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(800), bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(800), bs))
 	eng.Run()
 	if !bytes.Equal(out.Flatten(), fresh) {
 		t.Fatal("stale LBN entry survived remap")
@@ -215,10 +214,10 @@ func TestLRUEvictionSkipsDirty(t *testing.T) {
 	eng, _, m := newModule(t, int64(4*(bs+EntryOverheadBytes)))
 	fh := lkey.FH{1}
 	// One dirty FHO entry.
-	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(blockData(0, bs), netbuf.DefaultBufSize))
+	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(blockData(0, bs)))
 	// Flood with clean LBN entries.
 	for i := int64(0); i < 10; i++ {
-		m.CaptureLBN(1000+i, 1, netbuf.ChainFromBytes(blockData(byte(i), bs), netbuf.DefaultBufSize))
+		m.CaptureLBN(1000+i, 1, m.node.TxPool.GetChain(blockData(byte(i), bs)))
 	}
 	eng.Run()
 	if m.Stats.Evictions == 0 {
@@ -228,18 +227,18 @@ func TestLRUEvictionSkipsDirty(t *testing.T) {
 		t.Fatalf("used = %d exceeds capacity + one pinned", m.used)
 	}
 	// The dirty FHO entry survived.
-	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0), bs))
 	eng.Run()
 	if !bytes.Equal(out.Flatten(), blockData(0, bs)) {
 		t.Fatal("dirty FHO entry was evicted")
 	}
 	// The hottest (most recent) LBN entry also survived; the coldest died.
 	m.Stats.SubstMisses = 0
-	m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(1009), bs))
+	m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(1009), bs))
 	if m.Stats.SubstMisses != 0 {
 		t.Fatal("MRU entry evicted before LRU")
 	}
-	m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(1000), bs))
+	m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(1000), bs))
 	if m.Stats.SubstMisses != 1 {
 		t.Fatal("LRU entry not evicted first")
 	}
@@ -250,13 +249,13 @@ func TestOverwriteBeforeFlush(t *testing.T) {
 	// replaces the first entry without any flush.
 	eng, _, m := newModule(t, 1<<20)
 	fh := lkey.FH{2}
-	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(blockData(1, bs), netbuf.DefaultBufSize))
-	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(blockData(2, bs), netbuf.DefaultBufSize))
+	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(blockData(1, bs)))
+	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(blockData(2, bs)))
 	eng.Run()
 	if m.entries() != 1 {
 		t.Fatalf("entries = %d, want 1", m.entries())
 	}
-	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0), bs))
 	eng.Run()
 	if !bytes.Equal(out.Flatten(), blockData(2, bs)) {
 		t.Fatal("overwrite did not replace FHO entry")
@@ -265,7 +264,7 @@ func TestOverwriteBeforeFlush(t *testing.T) {
 
 func TestUnalignedFHOPassesThrough(t *testing.T) {
 	_, _, m := newModule(t, 1<<20)
-	odd := netbuf.ChainFromBytes(make([]byte, 1000), netbuf.DefaultBufSize)
+	odd := m.node.TxPool.GetChain(make([]byte, 1000))
 	out := m.CaptureFHO(lkey.FH{}, 0, odd)
 	if out != odd {
 		t.Fatal("unaligned payload should pass through uncached")
@@ -281,8 +280,8 @@ func TestDisableRemapAblation(t *testing.T) {
 	m := New(node, Config{CapacityBytes: 1 << 20, BlockSize: bs, DisableRemap: true})
 	fh := lkey.FH{8}
 	data := blockData(5, bs)
-	m.CaptureFHO(fh, 0, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
-	wire, _, _ := m.WriteOut(50, 1, lkey.StampChainPool(nil, lkey.ForFHO(fh, 0), bs), nil)
+	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(data))
+	wire, _, _ := m.WriteOut(50, 1, lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0), bs), nil)
 	eng.Run()
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("flush data lost with remap disabled")
@@ -297,9 +296,9 @@ func TestDisableRemapAblation(t *testing.T) {
 
 func TestInvalidateLBN(t *testing.T) {
 	eng, _, m := newModule(t, 1<<20)
-	m.CaptureLBN(10, 1, netbuf.ChainFromBytes(blockData(1, bs), netbuf.DefaultBufSize))
+	m.CaptureLBN(10, 1, m.node.TxPool.GetChain(blockData(1, bs)))
 	m.InvalidateLBN(10)
-	out := m.SubstituteMessage(lkey.StampChainPool(nil, lkey.ForLBN(10), bs))
+	out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(10), bs))
 	eng.Run()
 	_ = out
 	if m.Stats.SubstMisses != 1 {
@@ -310,7 +309,7 @@ func TestInvalidateLBN(t *testing.T) {
 func TestChecksumInheritanceStored(t *testing.T) {
 	_, _, m := newModule(t, 1<<20)
 	data := blockData(3, bs)
-	m.CaptureLBN(20, 1, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
+	m.CaptureLBN(20, 1, m.node.TxPool.GetChain(data))
 	e := m.lbn[20]
 	if e.partial.Checksum() != netbuf.Sum(data) {
 		t.Fatal("inherited checksum does not match payload")

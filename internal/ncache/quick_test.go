@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"ncache/internal/lkey"
-	"ncache/internal/netbuf"
 )
 
 // The remap property tests drive random interleavings of the four cache
@@ -68,7 +67,7 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 	substitute := func(key lkey.Key, wantFresh []byte, mustHit bool) bool {
 		hits := m.Stats.LBNHits + m.Stats.FHOHits
 		misses := m.Stats.SubstMisses
-		out := m.SubstituteMessage(lkey.StampChainPool(nil, key, bs))
+		out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, key, bs))
 		eng.Run()
 		hit := m.Stats.LBNHits+m.Stats.FHOHits > hits
 		if !hit {
@@ -97,7 +96,7 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 		switch rng.Intn(5) {
 		case 0: // client write → FHO capture (overwrites any prior dirty data)
 			data := content()
-			junk := m.CaptureFHO(fh, off, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
+			junk := m.CaptureFHO(fh, off, m.node.TxPool.GetChain(data))
 			if _, ok := lkey.Of(junk.Bufs()[0]); !ok {
 				t.Logf("seed %d: aligned FHO capture not stamped", seed)
 				return false
@@ -108,7 +107,7 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 			if !dirty {
 				continue
 			}
-			wire, remapped, mark := m.WriteOut(lbn, 1, lkey.StampChainPool(nil, fkey, bs), nil)
+			wire, remapped, mark := m.WriteOut(lbn, 1, lkey.StampChainPool(m.node.BlkPool, fkey, bs), nil)
 			m.Landed(remapped, mark)
 			if !bytes.Equal(wire.Flatten(), data) {
 				t.Logf("seed %d: flush of %+v substituted wrong bytes", seed, fkey)
@@ -119,7 +118,7 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 			model.disk[lbn] = data
 		case 2: // iSCSI read response → LBN capture of current disk content
 			data := model.disk[lbn]
-			m.CaptureLBN(lbn, 1, netbuf.ChainFromBytes(data, netbuf.DefaultBufSize))
+			m.CaptureLBN(lbn, 1, m.node.TxPool.GetChain(data))
 			model.lbn[lbn] = data
 		case 3: // read of a block carrying both identities (the §3.4 case)
 			if data, dirty := model.fho[fkey]; dirty {

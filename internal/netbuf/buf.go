@@ -78,15 +78,6 @@ func New(headroom, size int) *Buf {
 	return &Buf{backing: make([]byte, headroom+size), head: headroom, tail: headroom, refs: 1}
 }
 
-// FromBytes allocates a standalone Buf whose payload is a copy of p, with
-// DefaultHeadroom of header space.
-func FromBytes(p []byte) *Buf {
-	b := New(DefaultHeadroom, len(p))
-	_ = b.Put(len(p))
-	copy(b.Bytes(), p)
-	return b
-}
-
 // Bytes returns the current payload window. The slice aliases the buffer;
 // callers must not retain it across Release.
 func (b *Buf) Bytes() []byte { return b.backing[b.head:b.tail] }

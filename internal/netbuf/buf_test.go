@@ -33,7 +33,8 @@ func TestBufGeometry(t *testing.T) {
 }
 
 func TestBufPushPullRoundTrip(t *testing.T) {
-	b := FromBytes([]byte("payload"))
+	p := testPool(t, 0)
+	b := testBuf(p, []byte("payload"))
 	hdr, err := b.Push(4)
 	if err != nil {
 		t.Fatalf("Push: %v", err)
@@ -42,7 +43,7 @@ func TestBufPushPullRoundTrip(t *testing.T) {
 	if got := string(b.Bytes()); got != "HDR:payload" {
 		t.Fatalf("after push: %q", got)
 	}
-	c := ChainOf(b)
+	c := p.ChainOf(b)
 	defer c.Release()
 	got, err := c.PullFront(4)
 	if err != nil {
@@ -75,7 +76,7 @@ func TestBufPutAndPullBounds(t *testing.T) {
 	if err := b.Put(5); !errors.Is(err, ErrNoTailroom) {
 		t.Fatalf("Put beyond tailroom: err = %v", err)
 	}
-	c := ChainOf(b)
+	c := testPool(t, 0).ChainOf(b)
 	defer c.Release()
 	if _, err := c.PullFront(7); !errors.Is(err, ErrShortBuf) {
 		t.Fatalf("PullFront beyond len: err = %v", err)
@@ -105,7 +106,8 @@ func TestBufAppend(t *testing.T) {
 }
 
 func TestBufCloneSharesBytes(t *testing.T) {
-	c := ChainOf(FromBytes([]byte("hello world")))
+	p := testPool(t, 0)
+	c := p.ChainOf(testBuf(p, []byte("hello world")))
 	cl := c.Clone()
 	if !bytes.Equal(cl.Front(), c.Front()) {
 		t.Fatal("clone payload differs")
@@ -230,21 +232,21 @@ func TestPoolRetainRelease(t *testing.T) {
 }
 
 // TestPoolGetSizedTooLarge: a size the pool's buffers cannot hold gets a
-// standalone buffer, and a nil pool always does; neither touches a pool.
+// standalone buffer, which touches no pool, and a chain on the pool carries
+// it.
 func TestPoolGetSizedTooLarge(t *testing.T) {
 	p := NewPool("rx", 0, 8, 0)
-	for _, tc := range []struct {
-		pool *Pool
-		n    int
-	}{{p, 9}, {nil, 4}} {
-		b := tc.pool.GetSized(tc.n, 3)
-		if b.pool != nil || b.Len() != tc.n || b.head != 3 {
-			t.Fatalf("GetSized(%d) on %v: pool %v len %d headroom %d, want a standalone %d-byte buffer behind 3 bytes",
-				tc.n, tc.pool, b.pool, b.Len(), b.head, tc.n)
-		}
-		b.Release()
+	b := p.GetSized(9, 3)
+	if b.pool != nil || b.Len() != 9 || b.head != 3 || p.Outstanding() != 0 {
+		t.Fatalf("GetSized(9): pool %v len %d headroom %d outstanding %d, want a standalone 9-byte buffer behind 3 bytes",
+			b.pool, b.Len(), b.head, p.Outstanding())
 	}
-	b := p.GetSized(8, 3)
+	c := p.ChainOf(b)
+	if c.pool != p || c.Len() != 9 {
+		t.Fatalf("ChainOf the standalone buffer: pool %v len %d, want p's 9-byte chain", c.pool, c.Len())
+	}
+	c.Release()
+	b = p.GetSized(8, 3)
 	if b.pool != p || b.Len() != 8 || p.Outstanding() != 1 {
 		t.Fatalf("GetSized(8): pool %v len %d outstanding %d, want a pooled 8-byte buffer", b.pool, b.Len(), p.Outstanding())
 	}
@@ -253,8 +255,9 @@ func TestPoolGetSizedTooLarge(t *testing.T) {
 }
 
 func TestBufPropertyPushPullInverse(t *testing.T) {
+	p := testPool(t, 0)
 	f := func(payload []byte, n uint8) bool {
-		b := FromBytes(payload)
+		b := testBuf(p, payload)
 		k := int(n) % (DefaultHeadroom + 1)
 		hdr, err := b.Push(k)
 		if err != nil {
@@ -263,7 +266,7 @@ func TestBufPropertyPushPullInverse(t *testing.T) {
 		for i := range hdr {
 			hdr[i] = byte(i)
 		}
-		c := ChainOf(b)
+		c := p.ChainOf(b)
 		defer c.Release()
 		got, err := c.PullFront(k)
 		if err != nil {

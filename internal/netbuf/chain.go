@@ -50,11 +50,11 @@ type Chain struct {
 	// debug mode, poisoned) and must not be touched again.
 	freed bool
 	// pool is where the chain's struct and slice retire on Release: the
-	// pool it was built from, or nil for the collector.
+	// pool it was built from. Every chain has one.
 	pool *Pool
 	// holder is the pool of the node holding the chain (Pool.ReleaseHeld):
 	// its own pool, or the holder of the chain it was made from; nil on the
-	// wire or with no pool.
+	// wire.
 	holder *Pool
 }
 
@@ -78,24 +78,15 @@ func (c *Chain) CachedPartial() (Partial, bool) {
 // invalidatePartial drops the cached checksum on mutation.
 func (c *Chain) invalidatePartial() { c.ckValid = false }
 
-// NewChain returns an empty chain of no pool, which its Release leaves to
-// the collector. Callers own the returned chain until they hand it to an API
-// documented to take ownership. Code on a node builds its chains with
-// Pool.NewChain instead, so they recycle.
-func NewChain() *Chain { return getChain(nil, nil, 0) }
-
 // NewChain returns an empty chain with room for n windows whose struct and
-// slice recycle on p, for the node p belongs to. A nil p builds a chain of
-// no pool.
+// slice recycle on p, for the node p belongs to. Callers own the returned
+// chain until they hand it to an API documented to take ownership.
 func (p *Pool) NewChain(n int) *Chain { return getChain(p, p, n) }
 
-// ChainOf builds a chain from the given buffers, recycled on the first
-// buffer's pool. The chain takes ownership of the callers' references.
-func ChainOf(bufs ...*Buf) *Chain {
-	var p *Pool
-	if len(bufs) > 0 {
-		p = bufs[0].pool
-	}
+// ChainOf builds a chain on p from the given buffers, taking ownership of the
+// callers' references: the buffers need not come from p (a standalone
+// GetSized buffer does not), but the chain's struct and slice recycle there.
+func (p *Pool) ChainOf(bufs ...*Buf) *Chain {
 	c := getChain(p, p, len(bufs))
 	for _, b := range bufs {
 		c.wins = append(c.wins, b.window())
@@ -116,27 +107,6 @@ func (b *Buf) Views(seg int) *Chain {
 	for i := range k {
 		head := b.head + i*seg
 		c.wins = append(c.wins, Window{root: b, head: int32(head), tail: int32(min(head+seg, b.tail))})
-	}
-	return c
-}
-
-// ChainFromBytes splits p into standalone buffers of at most segSize payload
-// bytes each, copying the data, in a chain of no pool. It synthesizes
-// on-the-wire data in tests; Pool.GetChain is the pooled counterpart.
-func ChainFromBytes(p []byte, segSize int) *Chain {
-	if segSize <= 0 {
-		segSize = DefaultBufSize
-	}
-	c := getChain(nil, nil, max((len(p)+segSize-1)/segSize, 1))
-	for off := 0; off < len(p); off += segSize {
-		end := off + segSize
-		if end > len(p) {
-			end = len(p)
-		}
-		c.Append(FromBytes(p[off:end]))
-	}
-	if len(p) == 0 {
-		c.Append(FromBytes(nil))
 	}
 	return c
 }
@@ -162,7 +132,7 @@ func (c *Chain) AppendClone(w Window) {
 // trades it for one of the size class that fits; no slice grows by append.
 func (c *Chain) reserve(n int) {
 	if len(c.wins)+n > cap(c.wins) {
-		c.wins = growWins(c.pool, c.wins, len(c.wins)+n)
+		c.wins = c.pool.growWins(c.wins, len(c.wins)+n)
 	}
 }
 

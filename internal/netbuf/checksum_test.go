@@ -44,16 +44,13 @@ func sumChain(c *Chain) uint16 {
 // checksum of its flattened bytes no matter how the bytes are fragmented
 // (odd-length fragments included).
 func TestSumChainFragmentationInvariance(t *testing.T) {
+	pool := testPool(t, 0)
 	f := func(p []byte, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewChain()
+		c := pool.NewChain(0)
 		for off := 0; off < len(p); {
 			n := 1 + rng.Intn(len(p)-off)
-			b := New(0, n)
-			if err := b.Append(p[off : off+n]); err != nil {
-				return false
-			}
-			c.Append(b)
+			c.Append(testBuf(pool, p[off:off+n]))
 			off += n
 		}
 		ok := sumChain(c) == Sum(p)
@@ -91,12 +88,13 @@ func TestCombineSplitIdentity(t *testing.T) {
 // partial is stored once, and each outgoing message folds a fresh
 // even-length header in front of it without re-walking the payload.
 func TestHeaderPrependInheritance(t *testing.T) {
+	pool := testPool(t, 64)
 	f := func(header, payload []byte) bool {
 		if len(header)%2 == 1 {
 			header = append(append([]byte(nil), header...), 0)
 		}
 		stored := func() Partial {
-			c := ChainFromBytes(payload, 64)
+			c := pool.GetChain(payload)
 			defer c.Release()
 			return PartialOfChain(c)
 		}()

@@ -28,8 +28,8 @@ func init() {
 //
 // Chain structs and window slices recycle the way buffers do: on the pool
 // a chain was built from (see getChain), which belongs to one node of one
-// cluster and so to one goroutine, with no lock. A released standalone
-// buffer, and a chain built without a pool, go to the collector.
+// cluster and so to one goroutine, with no lock. Every chain is built on a
+// pool; only a released standalone buffer (New) goes to the collector.
 
 // debugMode switches the substrate from recycle-on-release to
 // poison-on-release. See SetDebug.
@@ -101,15 +101,6 @@ func winClass(n int) int {
 	return bits.Len(uint(n-1)) - minWinsLog
 }
 
-// makeWins allocates an empty slice of the class that holds n windows (nil
-// for none).
-func makeWins(n int) []Window {
-	if n <= 0 {
-		return nil
-	}
-	return make([]Window, 0, minWins<<winClass(n))
-}
-
 // takeWins pops an empty slice that holds n > 0 windows from the smallest
 // non-empty class at or above the one that fits, so no slice idles in a
 // large class while a small one is allocated, or returns nil when there is
@@ -136,20 +127,15 @@ func (p *Pool) putWins(s []Window) {
 
 // getChain returns an empty chain with room for n windows that retires to
 // p and is held by holder (see Pool.ReleaseHeld), reusing a struct and a
-// slice from p's lists when possible. A chain of no pool (p nil) is left to
-// the collector when released.
+// slice from p's lists when possible.
 func getChain(p, holder *Pool, n int) *Chain {
 	var c *Chain
-	switch {
-	case p == nil:
-		c = &Chain{wins: makeWins(n)}
-	case len(p.chains) > 0: // never in debug mode, where putChain keeps none
-		k := len(p.chains)
+	if k := len(p.chains); k > 0 { // never in debug mode, where putChain keeps none
 		c = p.chains[k-1]
 		p.chains[k-1] = nil
 		p.chains = p.chains[:k-1]
 		c.freed = false
-	default:
+	} else {
 		// A struct the pool builds joins made. In debug mode, where no
 		// struct is recycled, a full list first drops the released ones and
 		// keeps room for as many again, so the pruning costs O(1) a chain.
@@ -178,19 +164,15 @@ func (p *Pool) getWins(n int) []Window {
 	}
 	k := winClass(n)
 	if k >= winClasses {
-		return makeWins(n)
+		return make([]Window, 0, minWins<<k)
 	}
 	return p.winSlabs[k].Carve(minWins << k)[:0]
 }
 
 // growWins returns a slice of the class that holds n > cap(old) windows,
 // holding old's windows, and retires old to p's lists with its slots
-// cleared (a chain of no pool leaves old to the collector, and debug mode
-// abandons it).
-func growWins(p *Pool, old []Window, n int) []Window {
-	if p == nil {
-		return append(makeWins(n), old...)
-	}
+// cleared (debug mode abandons it).
+func (p *Pool) growWins(old []Window, n int) []Window {
 	wins := append(p.getWins(n), old...)
 	if !debugMode {
 		clear(old)
@@ -200,17 +182,16 @@ func growWins(p *Pool, old []Window, n int) []Window {
 }
 
 // putChain retires a released chain, whose slots the caller has cleared:
-// the struct and its slice go back to its pool's lists. In debug mode, or
-// for a chain of no pool, both are abandoned and the struct stays poisoned,
-// so a second Release or further use panics instead of corrupting a reused
-// chain.
+// the struct and its slice go back to its pool's lists. In debug mode both
+// are abandoned and the struct stays poisoned, so a second Release or
+// further use panics instead of corrupting a reused chain.
 func putChain(c *Chain) {
 	c.freed = true
 	c.ckValid = false
 	wins := c.wins
 	c.wins = nil
-	if p := c.pool; p != nil && !debugMode {
-		p.chains = append(p.chains, c)
-		p.putWins(wins)
+	if !debugMode {
+		c.pool.chains = append(c.pool.chains, c)
+		c.pool.putWins(wins)
 	}
 }

@@ -57,11 +57,11 @@ func NewPool(name string, headroom, bufSize, _ int) *Pool {
 func (p *Pool) Get() *Buf { return p.get(0) }
 
 // GetSized returns a buffer holding n zero bytes of payload: a pooled one
-// when p is non-nil and its buffers hold n bytes, otherwise a standalone
-// buffer with the given headroom in front.
+// when p's buffers hold n bytes, otherwise a standalone buffer with the
+// given headroom in front, which a chain on p (Pool.ChainOf) can carry.
 func (p *Pool) GetSized(n, headroom int) *Buf {
 	var b *Buf
-	if p != nil && n <= p.bufSize {
+	if n <= p.bufSize {
 		b = p.Get()
 	} else {
 		b = New(headroom, n)
@@ -140,10 +140,9 @@ func (p *Pool) untrack(b *Buf) {
 }
 
 // GetChain returns a chain of pooled buffers carrying a copy of payload,
-// segmented at the pool's buffer size — the pooled counterpart of
-// ChainFromBytes for the hot path (one physical copy, no allocations in
-// steady state). An empty payload yields a chain with one empty buffer,
-// matching ChainFromBytes. The chain is sized once for its buffers.
+// segmented at the pool's buffer size: every buffer full but the last (one
+// physical copy, no allocations in steady state). An empty payload yields a
+// chain with one empty buffer. The chain is sized once for its buffers.
 func (p *Pool) GetChain(payload []byte) *Chain {
 	c := p.NewChain(max(p.buffers(len(payload)), 1))
 	for off := 0; off < len(payload); off += p.bufSize {

@@ -7,10 +7,10 @@ import (
 	"testing/quick"
 )
 
-// chainFrom builds a chain over payload fragmented at the given cut points,
-// exercising arbitrary buffer boundaries (including empty buffers).
-func chainFrom(payload []byte, cuts []int) *Chain {
-	c := NewChain()
+// chainFrom builds a chain on p over payload fragmented at the given cut
+// points, exercising arbitrary buffer boundaries (including empty buffers).
+func chainFrom(p *Pool, payload []byte, cuts []int) *Chain {
+	c := p.NewChain(0)
 	prev := 0
 	for _, cut := range cuts {
 		if cut < prev {
@@ -19,10 +19,10 @@ func chainFrom(payload []byte, cuts []int) *Chain {
 		if cut > len(payload) {
 			cut = len(payload)
 		}
-		c.Append(FromBytes(payload[prev:cut]))
+		c.Append(testBuf(p, payload[prev:cut]))
 		prev = cut
 	}
-	c.Append(FromBytes(payload[prev:]))
+	c.Append(testBuf(p, payload[prev:]))
 	return c
 }
 
@@ -64,9 +64,10 @@ func (f fragSpec) normalize() (payload []byte, cuts []int, off, n int) {
 }
 
 func TestRangeMatchesFlatReference(t *testing.T) {
+	p := testPool(t, 0)
 	prop := func(f fragSpec) bool {
 		payload, cuts, off, n := f.normalize()
-		c := chainFrom(payload, cuts)
+		c := chainFrom(p, payload, cuts)
 		defer c.Release()
 		var got []byte
 		if err := c.Range(off, n, func(p []byte) bool {
@@ -83,9 +84,10 @@ func TestRangeMatchesFlatReference(t *testing.T) {
 }
 
 func TestSubChainMatchesFlatReference(t *testing.T) {
+	p := testPool(t, 0)
 	prop := func(f fragSpec) bool {
 		payload, cuts, off, n := f.normalize()
-		c := chainFrom(payload, cuts)
+		c := chainFrom(p, payload, cuts)
 		defer c.Release()
 		sub, err := c.SubChain(off, n)
 		if err != nil {
@@ -103,9 +105,10 @@ func TestSubChainMatchesFlatReference(t *testing.T) {
 }
 
 func TestGatherRangeMatchesFlatReference(t *testing.T) {
+	p := testPool(t, 0)
 	prop := func(f fragSpec) bool {
 		payload, cuts, off, n := f.normalize()
-		c := chainFrom(payload, cuts)
+		c := chainFrom(p, payload, cuts)
 		defer c.Release()
 		dst := make([]byte, n)
 		got := c.GatherRange(off, dst)
@@ -120,7 +123,8 @@ func TestGatherRangeMatchesFlatReference(t *testing.T) {
 }
 
 func TestRangeEmptyChain(t *testing.T) {
-	c := NewChain()
+	c := testPool(t, 0).NewChain(0)
+	defer c.Release()
 	calls := 0
 	if err := c.Range(0, 0, func(p []byte) bool { calls++; return true }); err != nil {
 		t.Fatalf("Range on empty chain: %v", err)
@@ -138,6 +142,7 @@ func TestRangeEmptyChain(t *testing.T) {
 	if sub.Len() != 0 {
 		t.Fatal("empty SubChain not empty")
 	}
+	sub.Release()
 }
 
 // TestAppendChainMovesOwnership: the windows move, and the consumed chain
@@ -180,7 +185,8 @@ func TestAppendChainMovesOwnership(t *testing.T) {
 // second hand-off (or a Release) of a consumed chain is a double free, and
 // panics.
 func TestAppendChainConsumedTwice(t *testing.T) {
-	a, b := NewChain(), ChainFromBytes([]byte("x"), 1)
+	p := testPool(t, 1)
+	a, b := p.NewChain(0), p.GetChain([]byte("x"))
 	a.AppendChain(b)
 	mustPanic(t, "a second hand-off of a consumed chain", func() { a.AppendChain(b) })
 	mustPanic(t, "a Release of a consumed chain", b.Release)
@@ -191,9 +197,10 @@ func TestAppendChainConsumedTwice(t *testing.T) {
 }
 
 func TestAppendChainInvalidatesPartial(t *testing.T) {
-	a := ChainFromBytes([]byte{1, 2}, 4)
+	p := testPool(t, 4)
+	a := p.GetChain([]byte{1, 2})
 	a.SetPartial(PartialOfChain(a))
-	b := ChainFromBytes([]byte{3, 4}, 4)
+	b := p.GetChain([]byte{3, 4})
 	a.AppendChain(b)
 	if _, ok := a.CachedPartial(); ok {
 		t.Fatal("AppendChain kept a stale checksum partial")
@@ -204,7 +211,7 @@ func TestAppendChainInvalidatesPartial(t *testing.T) {
 func BenchmarkGatherRange4K(b *testing.B) {
 	payload := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(payload)
-	c := ChainFromBytes(payload, DefaultBufSize)
+	c := testChain(b, payload, DefaultBufSize)
 	defer c.Release()
 	dst := make([]byte, 4096)
 	b.ReportAllocs()
@@ -217,7 +224,7 @@ func BenchmarkGatherRange4K(b *testing.B) {
 
 func BenchmarkSubChain32K(b *testing.B) {
 	payload := make([]byte, 32*1024)
-	c := ChainFromBytes(payload, DefaultBufSize)
+	c := testChain(b, payload, DefaultBufSize)
 	defer c.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -244,7 +251,7 @@ func BenchmarkPoolGetChain32K(b *testing.B) {
 
 func BenchmarkRange32K(b *testing.B) {
 	payload := make([]byte, 32*1024)
-	c := ChainFromBytes(payload, DefaultBufSize)
+	c := testChain(b, payload, DefaultBufSize)
 	defer c.Release()
 	b.ReportAllocs()
 	b.SetBytes(32 * 1024)

@@ -19,13 +19,15 @@ import (
 // memBackend is an in-memory Backend for protocol-level tests, independent
 // of the file system.
 type memBackend struct {
+	pool  *netbuf.Pool      // READ replies are built on it
 	files map[uint32][]byte // ino → content
 	names map[string]uint32
 	next  uint32
 }
 
-func newMemBackend() *memBackend {
+func newMemBackend(pool *netbuf.Pool) *memBackend {
 	return &memBackend{
+		pool:  pool,
 		files: map[uint32][]byte{},
 		names: map[string]uint32{},
 		next:  2,
@@ -83,7 +85,7 @@ func (m *memBackend) Read(fh FH, off uint64, n int, done func(*netbuf.Chain, Att
 	if end > uint64(len(f)) {
 		end = uint64(len(f))
 	}
-	done(netbuf.ChainFromBytes(f[off:end], netbuf.DefaultBufSize), m.attr(ino), OK)
+	done(m.pool.GetChain(f[off:end]), m.attr(ino), OK)
 }
 
 func (m *memBackend) Write(fh FH, off uint64, data *netbuf.Chain, done func(int, Attr, uint32)) {
@@ -159,7 +161,7 @@ func loop(t *testing.T) (*sim.Engine, *Client, *memBackend, *Server) {
 	}
 	sUDP := udp.NewTransport(ipv4.NewStack(sn))
 	cUDP := udp.NewTransport(ipv4.NewStack(cn))
-	backend := newMemBackend()
+	backend := newMemBackend(sn.TxPool)
 	srv := NewServer(sn, backend)
 	if err := srv.ServeUDP(sUDP); err != nil {
 		t.Fatalf("ServeUDP: %v", err)

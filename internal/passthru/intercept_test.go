@@ -89,10 +89,10 @@ func TestInterceptSubstitutedPayloadReachesPlatter(t *testing.T) {
 	mod := cl.App.Module
 	fh, lbn := nfs.FH{9}, spec.StartLBN+5
 	real := bytes.Repeat([]byte{0xAA}, extfs.BlockSize)
-	mod.CaptureFHO(fh, 0, netbuf.ChainFromBytes(real, netbuf.DefaultBufSize)).Release()
+	mod.CaptureFHO(fh, 0, cl.App.Node.TxPool.GetChain(real)).Release()
 	key := lkey.ForFHO(fh, 0)
 
-	volumeWrite(t, cl, lbn, lkey.StampChainPool(nil, key, extfs.BlockSize), false)
+	volumeWrite(t, cl, lbn, lkey.StampChainPool(cl.App.Node.BlkPool, key, extfs.BlockSize), false)
 	if !bytes.Equal(cl.Storage.Array.PeekBlock(lbn), real) {
 		t.Fatal("substituted payload did not reach the platter")
 	}
@@ -100,7 +100,7 @@ func TestInterceptSubstitutedPayloadReachesPlatter(t *testing.T) {
 		t.Fatalf("remaps = %d, pinned = %d after the write committed", mod.Stats.Remaps, mod.PinnedBytes())
 	}
 
-	volumeWrite(t, cl, lbn+1, lkey.StampChainPool(nil, key, extfs.BlockSize), true)
+	volumeWrite(t, cl, lbn+1, lkey.StampChainPool(cl.App.Node.BlkPool, key, extfs.BlockSize), true)
 	if m := key.Marshal(); !bytes.Equal(cl.Storage.Array.PeekBlock(lbn + 1)[:lkey.Size], m[:]) {
 		t.Fatal("metadata write was intercepted: the platter does not hold the bytes written")
 	}

@@ -11,11 +11,7 @@ import (
 // frameWith returns a single-buffer chain holding payload with header room.
 func frameWith(t *testing.T, payload []byte) *netbuf.Chain {
 	t.Helper()
-	b := netbuf.New(netbuf.DefaultHeadroom, len(payload))
-	if err := b.Append(payload); err != nil {
-		t.Fatal(err)
-	}
-	return netbuf.ChainOf(b)
+	return netbuf.NewPool("frame", netbuf.DefaultHeadroom, netbuf.DefaultBufSize, 0).GetChain(payload)
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -80,7 +76,8 @@ func TestShortFrameErrors(t *testing.T) {
 		t.Fatalf("Peek(short) = %v, want ErrShortHeader", err)
 	}
 
-	empty := netbuf.NewChain()
+	empty := netbuf.NewPool("empty", 0, 0, 0).NewChain(0)
+	defer empty.Release()
 	if _, err := Parse(empty); !errors.Is(err, ErrShortHeader) {
 		t.Fatalf("Parse(empty) = %v, want ErrShortHeader", err)
 	}
@@ -90,11 +87,7 @@ func TestShortFrameErrors(t *testing.T) {
 }
 
 func TestPushWithoutHeadroomFails(t *testing.T) {
-	b := netbuf.New(0, 8)
-	if err := b.Append(make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	frame := netbuf.ChainOf(b)
+	frame := netbuf.NewPool("bare", 0, 8, 0).GetChain(make([]byte, 8))
 	defer frame.Release()
 	if err := (Header{}).Push(frame); err == nil {
 		t.Fatal("Push without headroom must fail")

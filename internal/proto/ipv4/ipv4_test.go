@@ -14,8 +14,9 @@ func TestHeaderRoundTrip(t *testing.T) {
 		{TotalLen: 1500, ID: 7, MoreFrags: true, FragOffset: 1480, TTL: 3, Proto: ProtoTCP, Src: 0xffffffff, Dst: 0},
 		{TotalLen: 60, ID: 0xffff, FragOffset: 8 * 1024, TTL: 255, Proto: 99, Src: 10, Dst: 20},
 	}
+	pool := netbuf.NewPool("ipv4", netbuf.DefaultHeadroom, 100, 0)
 	for _, in := range cases {
-		c := netbuf.ChainFromBytes([]byte("xyz"), 100)
+		c := pool.GetChain([]byte("xyz"))
 		if err := in.Push(c); err != nil {
 			t.Fatalf("Push(%+v): %v", in, err)
 		}
@@ -29,11 +30,14 @@ func TestHeaderRoundTrip(t *testing.T) {
 		if string(c.Flatten()) != "xyz" {
 			t.Fatalf("payload corrupted")
 		}
+		c.Release()
 	}
+	pool.MustBeDrained()
 }
 
 func TestParseRejectsCorruptHeader(t *testing.T) {
-	c := netbuf.ChainFromBytes([]byte("payload"), 100)
+	c := netbuf.NewPool("ipv4", netbuf.DefaultHeadroom, 100, 0).GetChain([]byte("payload"))
+	defer c.Release()
 	h := Header{TotalLen: 27, ID: 3, TTL: 64, Proto: ProtoUDP, Src: 1, Dst: 2}
 	if err := h.Push(c); err != nil {
 		t.Fatalf("Push: %v", err)
@@ -46,11 +50,14 @@ func TestParseRejectsCorruptHeader(t *testing.T) {
 }
 
 func TestParseRejectsShortAndBadVersion(t *testing.T) {
-	short := netbuf.ChainFromBytes([]byte{1, 2, 3}, 100)
+	pool := netbuf.NewPool("ipv4", netbuf.DefaultHeadroom, 100, 0)
+	short := pool.GetChain([]byte{1, 2, 3})
+	defer short.Release()
 	if _, err := Parse(short); err == nil {
 		t.Fatal("Parse accepted short header")
 	}
-	c := netbuf.ChainFromBytes(nil, 100)
+	c := pool.GetChain(nil)
+	defer c.Release()
 	h := Header{TotalLen: 20, TTL: 1, Proto: 1, Src: 1, Dst: 2}
 	if err := h.Push(c); err != nil {
 		t.Fatalf("Push: %v", err)
@@ -62,6 +69,7 @@ func TestParseRejectsShortAndBadVersion(t *testing.T) {
 }
 
 func TestHeaderPropertyRoundTrip(t *testing.T) {
+	pool := netbuf.NewPool("ipv4", netbuf.DefaultHeadroom, 64, 0)
 	f := func(totalLen, id, fragOff uint16, ttl, proto uint8, src, dst uint32, more bool) bool {
 		in := Header{
 			TotalLen:   totalLen,
@@ -73,7 +81,8 @@ func TestHeaderPropertyRoundTrip(t *testing.T) {
 			Src:        eth.Addr(src),
 			Dst:        eth.Addr(dst),
 		}
-		c := netbuf.ChainFromBytes(nil, 64)
+		c := pool.GetChain(nil)
+		defer c.Release()
 		if err := in.Push(c); err != nil {
 			return false
 		}

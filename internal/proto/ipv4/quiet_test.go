@@ -89,7 +89,7 @@ func quietRig(t *testing.T, forced bool, nics int, sends []quietSend) quietRun {
 			eng.SetContext(i + 1)
 			st := senders[s.from]
 			src := eth.Addr(1 + s.from)
-			if err := st.Send(src, s.dst, 99, netbuf.ChainFromBytes(make([]byte, s.size), netbuf.DefaultBufSize)); err != nil {
+			if err := st.Send(src, s.dst, 99, st.Node().TxPool.GetChain(make([]byte, s.size))); err != nil {
 				t.Error(err)
 			}
 		})
@@ -181,12 +181,12 @@ func TestQuietTrainDrains(t *testing.T) {
 		p.Release()
 	})
 	whole := bytes.Repeat([]byte{9}, 20000)
-	if err := sa.Send(1, 2, 99, netbuf.ChainFromBytes(whole, netbuf.DefaultBufSize)); err != nil {
+	if err := sa.Send(1, 2, 99, sa.Node().TxPool.GetChain(whole)); err != nil {
 		t.Fatal(err)
 	}
 	const size = 4000
-	train := []*netbuf.Chain{fragment(t, 1, size, 0), fragment(t, 1, size, 1480), fragment(t, 1, size, 2960)}
-	train[2].AppendChain(netbuf.ChainFromBytes(make([]byte, 1500), netbuf.DefaultBufSize))
+	train := []*netbuf.Chain{fragment(t, sa.Node().TxPool, 1, size, 0), fragment(t, sa.Node().TxPool, 1, size, 1480), fragment(t, sa.Node().TxPool, 1, size, 2960)}
+	train[2].AppendChain(sa.Node().TxPool.GetChain(make([]byte, 1500)))
 	sa.nics[1].ChargeSendTrain(sa.node.Cost.PktTxNs, train)
 	eng.Run()
 	if len(got) != 1 || !bytes.Equal(got[0], whole) {

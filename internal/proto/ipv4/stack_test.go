@@ -44,7 +44,7 @@ func TestStackSmallDatagram(t *testing.T) {
 		payload.Release()
 	})
 	want := []byte("one packet")
-	if err := sa.Send(1, 2, 99, netbuf.ChainFromBytes(want, netbuf.DefaultBufSize)); err != nil {
+	if err := sa.Send(1, 2, 99, sa.Node().TxPool.GetChain(want)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	eng.Run()
@@ -84,7 +84,7 @@ func TestStackFragmentationRoundTrip(t *testing.T) {
 		got = payload.Flatten()
 		payload.Release()
 	})
-	if err := sa.Send(1, 2, 17, netbuf.ChainFromBytes(want, netbuf.DefaultBufSize)); err != nil {
+	if err := sa.Send(1, 2, 17, sa.Node().TxPool.GetChain(want)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	eng.Run()
@@ -111,10 +111,10 @@ func TestStackInterleavedDatagramsReassembleByID(t *testing.T) {
 	})
 	a := bytes.Repeat([]byte{0xA1}, 5000)
 	b := bytes.Repeat([]byte{0xB2}, 7000)
-	if err := sa.Send(1, 2, 17, netbuf.ChainFromBytes(a, netbuf.DefaultBufSize)); err != nil {
+	if err := sa.Send(1, 2, 17, sa.Node().TxPool.GetChain(a)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sa.Send(1, 2, 17, netbuf.ChainFromBytes(b, netbuf.DefaultBufSize)); err != nil {
+	if err := sa.Send(1, 2, 17, sa.Node().TxPool.GetChain(b)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -125,7 +125,7 @@ func TestStackInterleavedDatagramsReassembleByID(t *testing.T) {
 
 func TestStackUnknownProtoDropped(t *testing.T) {
 	eng, sa, _ := stackPair(t)
-	if err := sa.Send(1, 2, 200, netbuf.ChainFromBytes([]byte("x"), 64)); err != nil {
+	if err := sa.Send(1, 2, 200, sa.Node().TxPool.GetChain([]byte("x"))); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	eng.Run()
@@ -135,7 +135,7 @@ func TestStackUnknownProtoDropped(t *testing.T) {
 
 func TestStackSendFromUnknownAddressFails(t *testing.T) {
 	_, sa, _ := stackPair(t)
-	err := sa.Send(42, 2, 17, netbuf.ChainFromBytes([]byte("x"), 64))
+	err := sa.Send(42, 2, 17, sa.Node().TxPool.GetChain([]byte("x")))
 	if err == nil {
 		t.Fatal("send from non-local address succeeded")
 	}
@@ -302,7 +302,7 @@ func TestStackDatagramEventBudget(t *testing.T) {
 				at = eng.Now()
 				payload.Release()
 			})
-			if err := sa.Send(1, 2, 99, netbuf.ChainFromBytes(make([]byte, c.size), netbuf.DefaultBufSize)); err != nil {
+			if err := sa.Send(1, 2, 99, sa.Node().TxPool.GetChain(make([]byte, c.size))); err != nil {
 				t.Fatal(err)
 			}
 			eng.Run()
@@ -318,13 +318,13 @@ func TestStackDatagramEventBudget(t *testing.T) {
 	}
 }
 
-// fragment builds the wire frame of one fragment of datagram id on the flow
-// 1 → 2: the part of a size-byte payload from off, at most one fragment's
-// worth.
-func fragment(t *testing.T, id uint16, size, off int) *netbuf.Chain {
+// fragment builds on pool the wire frame of one fragment of datagram id on
+// the flow 1 → 2: the part of a size-byte payload from off, at most one
+// fragment's worth.
+func fragment(t *testing.T, pool *netbuf.Pool, id uint16, size, off int) *netbuf.Chain {
 	t.Helper()
 	n := min(size-off, 1480)
-	frame := netbuf.ChainFromBytes(bytes.Repeat([]byte{byte(id)}, n), netbuf.DefaultBufSize)
+	frame := pool.GetChain(bytes.Repeat([]byte{byte(id)}, n))
 	hdr := Header{TotalLen: uint16(HeaderLen + n), ID: id, MoreFrags: off+n < size,
 		FragOffset: uint16(off), TTL: 64, Proto: 99, Src: 1, Dst: 2}
 	if err := hdr.Push(frame); err != nil {
@@ -360,7 +360,7 @@ func TestStackStaleAndDuplicateFragmentsDroppedAlone(t *testing.T) {
 		})
 		const size = 4000
 		for _, f := range c.order {
-			sb.rx(fragment(t, uint16(f.d), size, (f.f-1)*1480), eng.Now(), false)
+			sb.rx(fragment(t, sb.Node().TxPool, uint16(f.d), size, (f.f-1)*1480), eng.Now(), false)
 		}
 		eng.Run()
 		if len(got) != 1 || !bytes.Equal(got[0], bytes.Repeat([]byte{byte(c.want)}, size)) {

@@ -49,7 +49,7 @@ func departureExchange(t *testing.T, faultable bool) exchange {
 			t.Fatal(err)
 		}
 		peer := a.addr + b.addr - h.addr
-		if err := u.SendChain(h.addr, 7, peer, 7, netbuf.ChainFromBytes(make([]byte, 9000), netbuf.DefaultBufSize)); err != nil {
+		if err := u.SendChain(h.addr, 7, peer, 7, h.node.TxPool.GetChain(make([]byte, 9000))); err != nil {
 			t.Fatal(err)
 		}
 	}

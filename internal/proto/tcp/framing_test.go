@@ -8,9 +8,9 @@ import (
 	"ncache/internal/proto/eth"
 )
 
-// buildSegment crafts a wire-format TCP segment with a correct checksum;
-// mangle, if set, corrupts the header afterwards.
-func buildSegment(src, dst eth.Addr, srcPort, dstPort uint16, seq, ack uint32, flags uint8, pay []byte, mangle func(hdr []byte)) *netbuf.Chain {
+// buildSegment crafts on pool a wire-format TCP segment with a correct
+// checksum; mangle, if set, corrupts the header afterwards.
+func buildSegment(pool *netbuf.Pool, src, dst eth.Addr, srcPort, dstPort uint16, seq, ack uint32, flags uint8, pay []byte, mangle func(hdr []byte)) *netbuf.Chain {
 	hdr := make([]byte, HeaderLen)
 	binary.BigEndian.PutUint16(hdr[0:2], srcPort)
 	binary.BigEndian.PutUint16(hdr[2:4], dstPort)
@@ -24,7 +24,7 @@ func buildSegment(src, dst eth.Addr, srcPort, dstPort uint16, seq, ack uint32, f
 	if mangle != nil {
 		mangle(hdr)
 	}
-	return netbuf.ChainFromBytes(append(append([]byte{}, hdr...), pay...), netbuf.DefaultBufSize)
+	return pool.GetChain(append(append([]byte{}, hdr...), pay...))
 }
 
 // inject feeds a crafted segment straight into the receive path.
@@ -41,7 +41,7 @@ func TestSegmentWireFormatRoundTrip(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	const seq = 0x1234_5678
-	inject(b, a.addr, buildSegment(a.addr, b.addr, 5555, 80, seq, 0, flagSYN, nil, nil))
+	inject(b, a.addr, buildSegment(b.node.TxPool, a.addr, b.addr, 5555, 80, seq, 0, flagSYN, nil, nil))
 	// Demux is synchronous: the passive connection exists before the
 	// engine runs. (Running further would let host a RST the half-open
 	// connection, since no real client owns port 5555 there.)
@@ -59,7 +59,7 @@ func TestSegmentWireFormatRoundTrip(t *testing.T) {
 // TestShortSegmentRejected checks runt segments are counted and dropped.
 func TestShortSegmentRejected(t *testing.T) {
 	eng, a, b := twoHosts(t)
-	inject(b, a.addr, netbuf.ChainFromBytes(make([]byte, HeaderLen-1), netbuf.DefaultBufSize))
+	inject(b, a.addr, b.node.TxPool.GetChain(make([]byte, HeaderLen-1)))
 	eng.Run()
 	if b.tcp.ProtocolErrors != 1 {
 		t.Fatalf("ProtocolErrors = %d, want 1", b.tcp.ProtocolErrors)
@@ -76,7 +76,7 @@ func TestBadChecksumRejected(t *testing.T) {
 	if err := b.tcp.Listen(80, func(c *Conn) {}); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	inject(b, a.addr, buildSegment(a.addr, b.addr, 5555, 80, 1, 0, flagSYN, nil, func(hdr []byte) {
+	inject(b, a.addr, buildSegment(b.node.TxPool, a.addr, b.addr, 5555, 80, 1, 0, flagSYN, nil, func(hdr []byte) {
 		hdr[14] ^= 0xff
 	}))
 	eng.Run()
@@ -91,7 +91,7 @@ func TestBadChecksumRejected(t *testing.T) {
 // protocol error, which is reserved for genuinely malformed input.
 func TestStrayAckRejected(t *testing.T) {
 	eng, a, b := twoHosts(t)
-	inject(b, a.addr, buildSegment(a.addr, b.addr, 5555, 80, 7, 9, flagACK, []byte("ghost"), nil))
+	inject(b, a.addr, buildSegment(b.node.TxPool, a.addr, b.addr, 5555, 80, 7, 9, flagACK, []byte("ghost"), nil))
 	eng.Run()
 	if b.tcp.StraySegments != 1 || b.tcp.ProtocolErrors != 0 || len(b.tcp.conns) != 0 {
 		t.Fatalf("strays=%d errors=%d conns=%d, want 1/0/0",

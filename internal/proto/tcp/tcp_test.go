@@ -122,7 +122,7 @@ func TestLargeTransferSegmentsInOrder(t *testing.T) {
 func TestSendChainZeroCopy(t *testing.T) {
 	eng, a, b := twoHosts(t)
 	got := collectServer(t, b, 80)
-	payload := netbuf.ChainFromBytes(bytes.Repeat([]byte("q"), 8192), netbuf.DefaultBufSize)
+	payload := a.node.TxPool.GetChain(bytes.Repeat([]byte("q"), 8192))
 	before := a.node.Copies.PhysicalOps
 	a.tcp.Connect(a.addr, b.addr, 80, func(c *Conn, err error) {
 		if err != nil {

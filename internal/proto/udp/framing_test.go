@@ -9,9 +9,10 @@ import (
 	"ncache/internal/proto/eth"
 )
 
-// buildDatagram crafts a wire-format UDP datagram (header + payload) with a
-// correct checksum; mangle, if set, corrupts the header afterwards.
-func buildDatagram(src, dst eth.Addr, srcPort, dstPort uint16, pay []byte, mangle func(hdr []byte)) *netbuf.Chain {
+// buildDatagram crafts on pool a wire-format UDP datagram (header +
+// payload) with a correct checksum; mangle, if set, corrupts the header
+// afterwards.
+func buildDatagram(pool *netbuf.Pool, src, dst eth.Addr, srcPort, dstPort uint16, pay []byte, mangle func(hdr []byte)) *netbuf.Chain {
 	hdr := make([]byte, HeaderLen)
 	total := HeaderLen + len(pay)
 	binary.BigEndian.PutUint16(hdr[0:2], srcPort)
@@ -28,7 +29,7 @@ func buildDatagram(src, dst eth.Addr, srcPort, dstPort uint16, pay []byte, mangl
 	if mangle != nil {
 		mangle(hdr)
 	}
-	return netbuf.ChainFromBytes(append(append([]byte{}, hdr...), pay...), netbuf.DefaultBufSize)
+	return pool.GetChain(append(append([]byte{}, hdr...), pay...))
 }
 
 // inject feeds a crafted datagram straight into the receive path, as if the
@@ -47,7 +48,7 @@ func TestWireFormatRoundTrip(t *testing.T) {
 	if err := b.udp.Bind(2049, func(dg Datagram) { got = &dg }); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	inject(t, b, a.addr, buildDatagram(a.addr, b.addr, 700, 2049, payload, nil))
+	inject(t, b, a.addr, buildDatagram(b.node.TxPool, a.addr, b.addr, 700, 2049, payload, nil))
 	eng.Run()
 	if got == nil {
 		t.Fatal("datagram not delivered")
@@ -68,7 +69,7 @@ func TestShortHeaderRejected(t *testing.T) {
 	if err := b.udp.Bind(2049, func(dg Datagram) { delivered = true; dg.Payload.Release() }); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	inject(t, b, a.addr, netbuf.ChainFromBytes([]byte{0x01, 0x02, 0x03}, netbuf.DefaultBufSize))
+	inject(t, b, a.addr, b.node.TxPool.GetChain([]byte{0x01, 0x02, 0x03}))
 	eng.Run()
 	if delivered {
 		t.Fatal("runt datagram delivered")
@@ -85,7 +86,7 @@ func TestBadHeaderChecksumRejected(t *testing.T) {
 	if err := b.udp.Bind(2049, func(dg Datagram) { delivered = true; dg.Payload.Release() }); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	inject(t, b, a.addr, buildDatagram(a.addr, b.addr, 700, 2049, []byte("x"), func(hdr []byte) {
+	inject(t, b, a.addr, buildDatagram(b.node.TxPool, a.addr, b.addr, 700, 2049, []byte("x"), func(hdr []byte) {
 		hdr[6] ^= 0xff
 	}))
 	eng.Run()
@@ -102,7 +103,7 @@ func TestLengthMismatchRejected(t *testing.T) {
 	if err := b.udp.Bind(2049, func(dg Datagram) { delivered = true; dg.Payload.Release() }); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	inject(t, b, a.addr, buildDatagram(a.addr, b.addr, 700, 2049, []byte("abcd"), func(hdr []byte) {
+	inject(t, b, a.addr, buildDatagram(b.node.TxPool, a.addr, b.addr, 700, 2049, []byte("abcd"), func(hdr []byte) {
 		binary.BigEndian.PutUint16(hdr[4:6], uint16(HeaderLen+4+8))
 	}))
 	eng.Run()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"ncache/internal/netbuf"
 	"ncache/internal/proto/eth"
 	"ncache/internal/proto/ipv4"
 	"ncache/internal/sim"
@@ -98,7 +97,7 @@ func TestLargeDatagramFragmentsAndReassembles(t *testing.T) {
 
 func TestSendChainZeroCopy(t *testing.T) {
 	eng, a, b := twoHosts(t)
-	payload := netbuf.ChainFromBytes(bytes.Repeat([]byte("z"), 4096), netbuf.DefaultBufSize)
+	payload := a.node.TxPool.GetChain(bytes.Repeat([]byte("z"), 4096))
 	copiesBefore := a.node.Copies.PhysicalOps
 	var got []byte
 	if err := b.udp.Bind(1, func(dg Datagram) {
@@ -122,7 +121,7 @@ func TestSendChainZeroCopy(t *testing.T) {
 
 func TestOversizeDatagramRejected(t *testing.T) {
 	_, a, b := twoHosts(t)
-	big := netbuf.ChainFromBytes(make([]byte, 70000), netbuf.DefaultBufSize)
+	big := a.node.TxPool.GetChain(make([]byte, 70000))
 	if err := a.udp.SendChain(a.addr, 1, b.addr, 1, big); err == nil {
 		t.Fatal("oversize datagram accepted")
 	}
@@ -156,7 +155,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	payload := netbuf.ChainFromBytes([]byte("integrity matters here"), netbuf.DefaultBufSize)
+	payload := a.node.TxPool.GetChain([]byte("integrity matters here"))
 	data := payload.Bufs()[0].Bytes()
 	if err := a.udp.SendChain(a.addr, 1, b.addr, 77, payload); err != nil {
 		t.Fatalf("SendChain: %v", err)

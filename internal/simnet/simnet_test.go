@@ -30,9 +30,9 @@ func testFabric(t *testing.T) (*sim.Engine, *Network, *NIC, *NIC) {
 	return eng, nw, na, nb
 }
 
-func frameTo(t *testing.T, dst, src eth.Addr, payload []byte) *netbuf.Chain {
+func frameTo(t *testing.T, pool *netbuf.Pool, dst, src eth.Addr, payload []byte) *netbuf.Chain {
 	t.Helper()
-	c := netbuf.ChainFromBytes(payload, netbuf.DefaultBufSize)
+	c := pool.GetChain(payload)
 	if err := (eth.Header{Dst: dst, Src: src, Type: eth.TypeIPv4}).Push(c); err != nil {
 		t.Fatalf("push eth: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestFrameDelivery(t *testing.T) {
 		f.Release()
 	})
 	payload := []byte("over the fabric")
-	if err := na.Send(frameTo(t, 2, 1, payload)); err != nil {
+	if err := na.Send(frameTo(t, na.node.TxPool, 2, 1, payload)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	eng.Run()
@@ -71,7 +71,7 @@ func TestDeliveryLatencyIncludesSerialization(t *testing.T) {
 	var at sim.Time
 	nb.SetRxHandler(func(f *netbuf.Chain, _ sim.Time, _ bool) { at = eng.Now(); f.Release() })
 	payload := make([]byte, 1488) // 1488+12 hdr = 1500 on wire + 24 overhead
-	if err := na.Send(frameTo(t, 2, 1, payload)); err != nil {
+	if err := na.Send(frameTo(t, na.node.TxPool, 2, 1, payload)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	eng.Run()
@@ -94,7 +94,7 @@ func TestOrderingPreservedPerFlow(t *testing.T) {
 		f.Release()
 	})
 	for i := byte(0); i < 10; i++ {
-		if err := na.Send(frameTo(t, 2, 1, []byte{i})); err != nil {
+		if err := na.Send(frameTo(t, na.node.TxPool, 2, 1, []byte{i})); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
@@ -108,7 +108,7 @@ func TestOrderingPreservedPerFlow(t *testing.T) {
 
 func TestUnknownDestinationDropped(t *testing.T) {
 	eng, nw, na, _ := testFabric(t)
-	if err := na.Send(frameTo(t, 99, 1, []byte("void"))); err != nil {
+	if err := na.Send(frameTo(t, na.node.TxPool, 99, 1, []byte("void"))); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	eng.Run()
@@ -119,7 +119,7 @@ func TestUnknownDestinationDropped(t *testing.T) {
 
 func TestOversizeFrameRejected(t *testing.T) {
 	_, _, na, _ := testFabric(t)
-	big := netbuf.ChainFromBytes(make([]byte, 3000), 3000)
+	big := netbuf.NewPool("big", netbuf.DefaultHeadroom, 3000, 0).GetChain(make([]byte, 3000))
 	// Build a single oversize buffer chain manually (bypasses MTU segmenting).
 	if err := (eth.Header{Dst: 2, Src: 1}).Push(big); err == nil {
 		if err := na.Send(big); err == nil {
@@ -154,10 +154,10 @@ func TestMultiNICNode(t *testing.T) {
 	}
 	s1.SetRxHandler(h(10))
 	s2.SetRxHandler(h(11))
-	if err := c1.Send(frameTo(t, 10, 20, []byte("x"))); err != nil {
+	if err := c1.Send(frameTo(t, c1.node.TxPool, 10, 20, []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Send(frameTo(t, 11, 20, []byte("y"))); err != nil {
+	if err := c1.Send(frameTo(t, c1.node.TxPool, 11, 20, []byte("y"))); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -231,7 +231,7 @@ func TestKillKeepsChargedFramesDeparting(t *testing.T) {
 			at = now
 			f.Release()
 		})
-		na.ChargeSend(10*sim.Microsecond, frameTo(t, 2, 1, make([]byte, 600)))
+		na.ChargeSend(10*sim.Microsecond, frameTo(t, na.node.TxPool, 2, 1, make([]byte, 600)))
 		if kill {
 			eng.Schedule(sim.Microsecond, na.node.Kill)
 		}
@@ -244,7 +244,8 @@ func TestKillKeepsChargedFramesDeparting(t *testing.T) {
 }
 
 func TestEthHeaderRoundTrip(t *testing.T) {
-	c := netbuf.ChainFromBytes([]byte("data"), 100)
+	c := netbuf.NewPool("eth", netbuf.DefaultHeadroom, 100, 0).GetChain([]byte("data"))
+	defer c.Release()
 	in := eth.Header{Dst: 0xdeadbeef, Src: 0x01020304, Type: eth.TypeIPv4, Pad: 7}
 	if err := in.Push(c); err != nil {
 		t.Fatalf("Push: %v", err)
@@ -335,7 +336,7 @@ func TestFrameHopTwoEvents(t *testing.T) {
 		a, b := na.node, nb.node
 		var done sim.Time
 		nb.SetRxHandler(rxPost(b, func(f, _ any, _ int64) { done = eng.Now(); f.(*netbuf.Chain).Release() }))
-		na.ChargeSend(a.Cost.PktTxNs, frameTo(t, 2, 1, make([]byte, 1488)))
+		na.ChargeSend(a.Cost.PktTxNs, frameTo(t, na.node.TxPool, 2, 1, make([]byte, 1488)))
 		eng.Run()
 		// 1524 wire bytes: 12.192 µs per serializer.
 		const ser, lat = 12192, 5000
@@ -412,7 +413,7 @@ func TestFaultedFrameTimingRepeatsEachRound(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		at, start = at[:0], eng.Now()
-		if err := na.Send(frameTo(t, 2, 1, payload)); err != nil {
+		if err := na.Send(frameTo(t, na.node.TxPool, 2, 1, payload)); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -473,7 +474,7 @@ func TestFaultFreePortQueueMatchesArrivalEvents(t *testing.T) {
 		for id, from := range []int{0, 1, 1, 2} {
 			eng.SetContext(id + 1)
 			nic := senders[from]
-			if err := nic.Send(frameTo(t, 2, nic.Addr, bytes.Repeat([]byte{byte(id + 1)}, 1488))); err != nil {
+			if err := nic.Send(frameTo(t, nic.node.TxPool, 2, nic.Addr, bytes.Repeat([]byte{byte(id + 1)}, 1488))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -553,7 +554,7 @@ func TestQuietTrainsDrain(t *testing.T) {
 	train := func(from *NIC, to eth.Addr, size int) []*netbuf.Chain {
 		frames := make([]*netbuf.Chain, size)
 		for i := range frames {
-			frames[i] = frameTo(t, to, from.Addr, make([]byte, 1400))
+			frames[i] = frameTo(t, from.node.TxPool, to, from.Addr, make([]byte, 1400))
 		}
 		return frames
 	}
@@ -570,7 +571,7 @@ func TestQuietTrainsDrain(t *testing.T) {
 	}
 	drained("trains")
 	broken := train(senders[0], 10, 3)
-	broken[2].AppendChain(netbuf.ChainFromBytes(make([]byte, 200), 256))
+	broken[2].AppendChain(netbuf.NewPool("oversize", netbuf.DefaultHeadroom, 256, 0).GetChain(make([]byte, 200)))
 	senders[0].ChargeSendTrain(senders[0].node.Cost.PktTxNs, broken)
 	launched += 2
 	drained("a train whose last frame stays home")

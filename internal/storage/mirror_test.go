@@ -15,10 +15,11 @@ import (
 // latency and switchable failure injection, so breaker transitions can be
 // driven precisely.
 type fakeIni struct {
-	eng *sim.Engine
-	geo blockdev.Geometry
-	dat []byte
-	lat sim.Duration
+	eng  *sim.Engine
+	pool *netbuf.Pool // the chains reads return are built on it
+	geo  blockdev.Geometry
+	dat  []byte
+	lat  sim.Duration
 
 	failReads  bool
 	failWrites bool
@@ -26,12 +27,13 @@ type fakeIni struct {
 	writes     int
 }
 
-func newFakeIni(eng *sim.Engine, blocks int64, lat sim.Duration) *fakeIni {
+func newFakeIni(eng *sim.Engine, pool *netbuf.Pool, blocks int64, lat sim.Duration) *fakeIni {
 	return &fakeIni{
-		eng: eng,
-		geo: blockdev.Geometry{BlockSize: 512, NumBlocks: blocks},
-		dat: make([]byte, blocks*512),
-		lat: lat,
+		eng:  eng,
+		pool: pool,
+		geo:  blockdev.Geometry{BlockSize: 512, NumBlocks: blocks},
+		dat:  make([]byte, blocks*512),
+		lat:  lat,
 	}
 }
 
@@ -46,7 +48,7 @@ func (f *fakeIni) Read(lba int64, blocks int, meta bool, done func(*netbuf.Chain
 		}
 		bs := int64(f.geo.BlockSize)
 		p := f.dat[lba*bs : lba*bs+int64(blocks)*bs]
-		done(netbuf.ChainFromBytes(p, netbuf.DefaultBufSize), nil)
+		done(f.pool.GetChain(p), nil)
 	})
 }
 
@@ -80,7 +82,7 @@ func newMirrorRig(t *testing.T, policy Policy, lats ...sim.Duration) *mirrorRig 
 	var inis []Initiator
 	var names []string
 	for i, lat := range lats {
-		a := newFakeIni(eng, 256, lat)
+		a := newFakeIni(eng, node.TxPool, 256, lat)
 		arms = append(arms, a)
 		inis = append(inis, a)
 		names = append(names, string(rune('a'+i)))
@@ -118,7 +120,7 @@ func (r *mirrorRig) await(t *testing.T, done *bool) {
 // take its completion.
 func (r *mirrorRig) issueWrite(lbn int64, fill byte, blocks int, got *error, done *bool) {
 	p := bytes.Repeat([]byte{fill}, blocks*512)
-	r.m.WriteAt(lbn, netbuf.ChainFromBytes(p, netbuf.DefaultBufSize), false, func(err error) {
+	r.m.WriteAt(lbn, r.node.TxPool.GetChain(p), false, func(err error) {
 		*got, *done = err, true
 	})
 }

@@ -10,11 +10,12 @@ import (
 	"ncache/internal/simnet"
 )
 
-// volWrite/volRead drive a Volume synchronously under the test engine.
-func volWrite(t *testing.T, eng *sim.Engine, v Volume, lbn int64, p []byte) {
+// volWrite/volRead drive a Volume synchronously under the test engine;
+// volWrite copies p onto pool.
+func volWrite(t *testing.T, eng *sim.Engine, pool *netbuf.Pool, v Volume, lbn int64, p []byte) {
 	t.Helper()
 	done := false
-	v.WriteAt(lbn, netbuf.ChainFromBytes(p, netbuf.DefaultBufSize), false, func(err error) {
+	v.WriteAt(lbn, pool.GetChain(p), false, func(err error) {
 		if err != nil {
 			t.Fatalf("WriteAt: %v", err)
 		}
@@ -49,10 +50,10 @@ func TestShardedRoutesBySplit(t *testing.T) {
 	// backing slices cost nothing); placement is per DefaultRangeBlocks range,
 	// range 0 on member 0 and range 1 on member 1.
 	const blocks = 2 * DefaultRangeBlocks
-	inis := []*fakeIni{newFakeIni(eng, blocks, 10*sim.Microsecond), newFakeIni(eng, blocks, 10*sim.Microsecond)}
+	node := simnet.NewNode(eng, "app", simnet.DefaultProfile())
+	inis := []*fakeIni{newFakeIni(eng, node.TxPool, blocks, 10*sim.Microsecond), newFakeIni(eng, node.TxPool, blocks, 10*sim.Microsecond)}
 	tm := NewTargetMap(2)
 	const cut = int64(DefaultRangeBlocks)
-	node := simnet.NewNode(eng, "app", simnet.DefaultProfile())
 	members := make([]Volume, len(inis))
 	for i, ini := range inis {
 		m, err := NewMirror(node, []string{string(rune('a' + i))}, []Initiator{ini}, PolicyPrimaryFirst)
@@ -64,7 +65,7 @@ func TestShardedRoutesBySplit(t *testing.T) {
 	sh := NewSharded(members, tm)
 	data := make([]byte, 8*512)
 	rand.New(rand.NewSource(4)).Read(data)
-	volWrite(t, eng, sh, cut-4, data) // 4 blocks on one member, 4 on the other
+	volWrite(t, eng, node.TxPool, sh, cut-4, data) // 4 blocks on one member, 4 on the other
 	if got := volRead(t, eng, sh, cut-4, 8); !bytes.Equal(got, data) {
 		t.Fatal("sharded read-back mismatch")
 	}

@@ -22,9 +22,10 @@ func TestRecordStreamFraming(t *testing.T) {
 		wire = append(wire, mark...)
 		wire = append(wire, payload...)
 	}
+	pool := netbuf.NewPool("stream", netbuf.DefaultHeadroom, 48, 0)
 	for _, chunk := range []int{1, 3, 7, 64, 5000} {
 		var got [][]byte
-		rs := newRecordStream(nil, func(rec *netbuf.Chain) {
+		rs := newRecordStream(pool, func(rec *netbuf.Chain) {
 			got = append(got, rec.Flatten())
 			rec.Release()
 		})
@@ -33,7 +34,7 @@ func TestRecordStreamFraming(t *testing.T) {
 			if end > len(wire) {
 				end = len(wire)
 			}
-			rs.push(netbuf.ChainFromBytes(wire[off:end], 48))
+			rs.push(pool.GetChain(wire[off:end]))
 		}
 		if len(got) != 3 {
 			t.Fatalf("chunk %d: records = %d, want 3", chunk, len(got))
@@ -50,9 +51,10 @@ func TestRecordStreamFraming(t *testing.T) {
 }
 
 func TestRecordStreamRejectsNonFinalFragment(t *testing.T) {
-	rs := newRecordStream(nil, func(rec *netbuf.Chain) { rec.Release() })
+	pool := netbuf.NewPool("stream", netbuf.DefaultHeadroom, 8, 0)
+	rs := newRecordStream(pool, func(rec *netbuf.Chain) { rec.Release() })
 	// Mark without the last-fragment bit.
-	rs.push(netbuf.ChainFromBytes([]byte{0x00, 0, 0, 4, 1, 2, 3, 4}, 8))
+	rs.push(pool.GetChain([]byte{0x00, 0, 0, 4, 1, 2, 3, 4}))
 	if rs.Errors != 1 {
 		t.Fatalf("errors = %d, want 1", rs.Errors)
 	}

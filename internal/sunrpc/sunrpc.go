@@ -93,9 +93,9 @@ func (c Call) send(out *netbuf.Chain) error {
 }
 
 // messageBuf draws the header buffer of one RPC message from a transmit
-// pool (a fresh one when there is no pool or the message outgrows its
-// buffers): hdr bytes of RPC header, then n bytes of XDR head for the layer
-// above, both encoded in place.
+// pool (a standalone one when the message outgrows its buffers; the
+// message's chain is built on the pool either way): hdr bytes of RPC header,
+// then n bytes of XDR head for the layer above, both encoded in place.
 func messageBuf(p *netbuf.Pool, hdr, n int) (hb *netbuf.Buf, rpc, head []byte) {
 	hb = p.GetSized(hdr+n, netbuf.DefaultHeadroom)
 	return hb, hb.Bytes()[:hdr], hb.Bytes()[hdr:]
@@ -137,7 +137,7 @@ func (c Call) ReplyBuf(n int) (*netbuf.Buf, []byte) {
 // Send transmits a reply begun with ReplyBuf, followed by an optional payload
 // chain appended without copying. The callee takes ownership of both.
 func (c Call) Send(hb *netbuf.Buf, payload *netbuf.Chain) error {
-	out := netbuf.ChainOf(hb)
+	out := c.pool.ChainOf(hb)
 	var inherited netbuf.Partial
 	inherit := false
 	if payload != nil {
@@ -161,7 +161,7 @@ func (c Call) Send(hb *netbuf.Buf, payload *netbuf.Chain) error {
 func (c Call) ReplyError(acceptStat uint32) error {
 	hb, rpc, _ := messageBuf(c.pool, replyHeaderLen, 0)
 	putReplyHeader(rpc, c.Xid, acceptStat)
-	return c.send(netbuf.ChainOf(hb))
+	return c.send(c.pool.ChainOf(hb))
 }
 
 // parseHeader decodes a call header (callHeaderLen bytes) into c.
@@ -490,11 +490,12 @@ func CallBuf(node *simnet.Node, n int) (*netbuf.Buf, []byte) {
 	return hb, args
 }
 
-// composeCall finishes a message begun with CallBuf: the call header goes in
-// front of the arguments, the payload (may be nil) behind them by reference.
-func composeCall(msg *netbuf.Buf, xid, prog, vers, proc uint32, payload *netbuf.Chain) *netbuf.Chain {
+// composeCall finishes a message begun with CallBuf on p: the call header
+// goes in front of the arguments, the payload (may be nil) behind them by
+// reference.
+func composeCall(p *netbuf.Pool, msg *netbuf.Buf, xid, prog, vers, proc uint32, payload *netbuf.Chain) *netbuf.Chain {
 	putCallHeader(msg.Bytes()[:callHeaderLen], xid, prog, vers, proc)
-	out := netbuf.ChainOf(msg)
+	out := p.ChainOf(msg)
 	if payload != nil {
 		out.AppendChain(payload)
 	}
@@ -509,7 +510,7 @@ func (c *Client) Call(prog, vers, proc uint32, msg *netbuf.Buf, payload *netbuf.
 	trace.To(c.node.Eng, trace.LRPC)
 	xid := c.nextXid
 	c.nextXid++
-	out := composeCall(msg, xid, prog, vers, proc, payload)
+	out := composeCall(c.node.TxPool, msg, xid, prog, vers, proc, payload)
 	pc := c.call()
 	pc.xid, pc.done = xid, done
 	if c.maxTries > 0 {

@@ -153,7 +153,7 @@ func TestPayloadChainsTravelUncopied(t *testing.T) {
 				t.Errorf("Reply: %v", err)
 			}
 		})
-		payload := netbuf.ChainFromBytes(blob, netbuf.DefaultBufSize)
+		payload := rpc.Node().TxPool.GetChain(blob)
 		var echoed []byte
 		if err := rpc.Call(progTest, versTest, 1, argsMsg(rpc.Node(), nil), payload, func(r Reply, err error) {
 			if err != nil {
@@ -211,7 +211,7 @@ func TestGarbageDatagramCounted(t *testing.T) {
 	overFramings(t, func(t *testing.T, eng *sim.Engine, _ *host, srv *Server, rpc *Client) {
 		// Too short, then malformed (zeros: msgtype/rpcvers wrong).
 		for _, junk := range [][]byte{[]byte("short"), make([]byte, 64)} {
-			if err := rpc.send(netbuf.ChainFromBytes(junk, netbuf.DefaultBufSize)); err != nil {
+			if err := rpc.send(rpc.Node().TxPool.GetChain(junk)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -231,7 +231,7 @@ func TestUnmatchedReplyCounted(t *testing.T) {
 			c.Body.Release()
 			forged := make([]byte, replyHeaderLen)
 			putReplyHeader(forged, 0xdeadbeef, AcceptSuccess)
-			if err := c.send(netbuf.ChainFromBytes(forged, netbuf.DefaultBufSize)); err != nil {
+			if err := c.send(c.pool.GetChain(forged)); err != nil {
 				t.Errorf("forged reply: %v", err)
 			}
 			if err := reply(c, nil, nil); err != nil {

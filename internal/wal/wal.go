@@ -42,11 +42,6 @@ type Record struct {
 	LBNs []int64
 	// Data is the redo payload: the write's bytes, block-aligned.
 	Data []byte
-
-	// pooled marks a record NewRecord handed out: the log owns it from
-	// Append on, and Truncate recycles it. A record the caller built
-	// itself is left to the collector.
-	pooled bool
 }
 
 // The group-commit protocol's fixed calibration.
@@ -96,8 +91,10 @@ type Log struct {
 	stagedBytes int
 	inflight    []*Record
 	inflightFns []func()
-	// free holds the pooled records Truncate retired.
+	// free holds the records Truncate retired, at most made: those NewRecord
+	// built and Open inherited. One a caller built retires past the bound.
 	free netbuf.FreeList[*Record]
+	made int
 
 	timerSet bool
 	timer    sim.EventID
@@ -115,7 +112,7 @@ func Open(clock Clock, j *Journal, wb *metrics.Writeback) *Log {
 	if wb == nil {
 		wb = &metrics.Writeback{}
 	}
-	l := &Log{clock: clock, wb: wb, j: j}
+	l := &Log{clock: clock, wb: wb, j: j, made: len(j.Records())}
 	l.onTimer, l.onCommit = l.timerFire, l.committed
 	for _, r := range l.j.Records() {
 		wb.AddWALDepth(1, int64(len(r.Data)))
@@ -139,7 +136,8 @@ func (j *Journal) Records() []*Record { return j.durable[j.dhead:] }
 func (l *Log) NewRecord(n int) *Record {
 	r := l.free.Take()
 	if r == nil {
-		r = &Record{pooled: true}
+		r = &Record{}
+		l.made++
 	}
 	if cap(r.Data) < n {
 		r.Data = make([]byte, n)
@@ -148,7 +146,8 @@ func (l *Log) NewRecord(n int) *Record {
 	return r
 }
 
-// Append stages a record and returns its sequence number. committed fires
+// Append stages a record and returns its sequence number; the log owns the
+// record from here on, and Truncate recycles it. committed fires
 // once the record's group commit lands — the caller releases the client
 // ack there, and never if the node crashes first.
 func (l *Log) Append(r *Record, committed func()) uint64 {
@@ -239,9 +238,9 @@ scan:
 	retired := j.durable[j.dhead : j.dhead+n]
 	for _, r := range retired {
 		bytes += len(r.Data)
-		if r.pooled {
+		if len(l.free) < l.made {
 			netbuf.Recycle(r.Data)
-			*r = Record{Recycled: r.Recycled, Data: r.Data, LBNs: r.LBNs[:0], pooled: true}
+			*r = Record{Recycled: r.Recycled, Data: r.Data, LBNs: r.LBNs[:0]}
 			l.free.Put(r)
 		}
 	}

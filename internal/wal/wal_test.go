@@ -15,12 +15,14 @@ func rig() (*sim.Engine, *metrics.Writeback, *Log) {
 	return eng, wb, l
 }
 
-func rec(lbn int64, payload byte) *Record {
-	data := make([]byte, 4096)
-	for i := range data {
-		data[i] = payload
+// rec returns a record from l journaling one 4 KB write of payload to lbn.
+func rec(l *Log, lbn int64, payload byte) *Record {
+	r := l.NewRecord(4096)
+	for i := range r.Data {
+		r.Data[i] = payload
 	}
-	return &Record{Ino: 2, Off: uint64(lbn) * 4096, Sum: netbuf.Sum(data), LBNs: []int64{lbn}, Data: data}
+	r.Ino, r.Off, r.Sum, r.LBNs = 2, uint64(lbn)*4096, netbuf.Sum(r.Data), []int64{lbn}
+	return r
 }
 
 // TestGroupCommitTimer: records appended within one interval commit as one
@@ -31,7 +33,7 @@ func TestGroupCommitTimer(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		seq := l.Append(rec(int64(i), byte(i)), func() { order = append(order, i) })
+		seq := l.Append(rec(l, int64(i), byte(i)), func() { order = append(order, i) })
 		if seq != uint64(i+1) {
 			t.Fatalf("seq = %d, want %d", seq, i+1)
 		}
@@ -65,7 +67,7 @@ func TestCommitBytesThreshold(t *testing.T) {
 	const records = commitBytes / 4096
 	committed := 0
 	for i := int64(0); i < records; i++ {
-		l.Append(rec(i, 1), func() { committed++ })
+		l.Append(rec(l, i, 1), func() { committed++ })
 	}
 	eng.RunFor(commitLatency - 1)
 	if committed != 0 {
@@ -82,8 +84,9 @@ func TestCommitBytesThreshold(t *testing.T) {
 // older one remains would let replay regress the block.
 func TestTruncatePrefixOnly(t *testing.T) {
 	eng, wb, l := rig()
-	a := &Record{Ino: 2, Off: 0, LBNs: []int64{1, 2}, Data: make([]byte, 8192)}
-	b := &Record{Ino: 2, Off: 4096, LBNs: []int64{2}, Data: make([]byte, 4096)}
+	a := l.NewRecord(8192)
+	a.Ino, a.Off, a.LBNs = 2, 0, []int64{1, 2}
+	b := rec(l, 2, 0)
 	l.Append(a, nil)
 	l.Append(b, nil)
 	eng.Run()
@@ -113,10 +116,10 @@ func TestPipelinedGroups(t *testing.T) {
 	eng, wb, l := rig()
 	var order []uint64
 	ack := func(seq uint64) func() { return func() { order = append(order, seq) } }
-	s1 := l.Append(rec(0, 1), ack(1))
+	s1 := l.Append(rec(l, 0, 1), ack(1))
 	// Let the first group's commit start, then append into its shadow.
 	eng.RunFor(commitInterval + commitLatency/2)
-	s2 := l.Append(rec(1, 2), ack(2))
+	s2 := l.Append(rec(l, 1, 2), ack(2))
 	eng.Run()
 	if s1 != 1 || s2 != 2 {
 		t.Fatalf("seqs = %d,%d", s1, s2)
@@ -130,8 +133,7 @@ func TestPipelinedGroups(t *testing.T) {
 }
 
 // TestNewRecordCyclesThroughTruncate: a record NewRecord handed out comes
-// back from NewRecord once Truncate has retired it — struct and payload —
-// while a record the caller built around its own buffer is never taken.
+// back from NewRecord once Truncate has retired it — struct and payload.
 func TestNewRecordCyclesThroughTruncate(t *testing.T) {
 	if netbuf.DebugEnabled() {
 		t.Skip("nothing is recycled in debug mode")
@@ -140,15 +142,10 @@ func TestNewRecordCyclesThroughTruncate(t *testing.T) {
 	pooled := l.NewRecord(8192)
 	pooled.Ino, pooled.LBNs = 2, []int64{1, 2}
 	payload := &pooled.Data[0]
-	own := rec(3, 9)
 	l.Append(pooled, nil)
-	l.Append(own, nil)
 	eng.Run()
-	if got := l.Truncate(func(int64) bool { return false }); got != 2 {
-		t.Fatalf("truncated %d records, want 2", got)
-	}
-	if len(l.free) != 1 || own.Data[0] != 9 {
-		t.Fatalf("free list holds %d records; a caller-built record must stay the caller's", len(l.free))
+	if got := l.Truncate(func(int64) bool { return false }); got != 1 {
+		t.Fatalf("truncated %d records, want 1", got)
 	}
 	again := l.NewRecord(4096)
 	if again != pooled || &again.Data[0] != payload || len(again.Data) != 4096 {
@@ -162,8 +159,29 @@ func TestNewRecordCyclesThroughTruncate(t *testing.T) {
 	}
 }
 
+// TestFreeListHoldsWhatNewRecordMade: the free list keeps no more records
+// than NewRecord made, so a caller that appends records it built itself and
+// never takes one back (a timing loop) does not grow it without bound.
+func TestFreeListHoldsWhatNewRecordMade(t *testing.T) {
+	if netbuf.DebugEnabled() {
+		t.Skip("nothing is recycled in debug mode")
+	}
+	eng, _, l := rig()
+	l.Append(rec(l, 0, 1), nil)
+	for i := int64(1); i <= 100; i++ {
+		l.Append(&Record{LBNs: []int64{i}, Data: make([]byte, 4096)}, nil)
+	}
+	eng.Run()
+	if n := l.Truncate(func(int64) bool { return false }); n != 101 {
+		t.Fatalf("truncated %d records, want 101", n)
+	}
+	if len(l.free) != 1 {
+		t.Fatalf("free list holds %d records after one NewRecord, want 1", len(l.free))
+	}
+}
+
 // TestDebugModePoisonsRetiredPayloads: under netbuf debug mode a retired
-// pooled record is poisoned and abandoned, so a reader that kept it past
+// record is poisoned and abandoned, so a reader that kept it past
 // truncation sees poison instead of a later write's payload.
 func TestDebugModePoisonsRetiredPayloads(t *testing.T) {
 	was := netbuf.DebugEnabled()
