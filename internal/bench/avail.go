@@ -104,9 +104,6 @@ func armStates(stats []storage.ArmStats) []string {
 
 // opP99Us extracts one op's p99 from a summary, in microseconds.
 func opP99Us(s *trace.Summary, op string) float64 {
-	if s == nil {
-		return 0
-	}
 	for _, o := range s.Ops {
 		if o.Op == op {
 			return float64(o.P99) / 1e3
@@ -241,14 +238,9 @@ func (p loadPair) Counters() (ops, bytes, errs uint64) {
 	return ao + bo, ab + bb, ae + be
 }
 
-// phaseOps averages bucket service rates over [from, to).
+// phaseOps averages bucket service rates over [from, to), a non-empty
+// range of the buckets.
 func phaseOps(buckets []AvailBucket, from, to int) float64 {
-	if to > len(buckets) {
-		to = len(buckets)
-	}
-	if from >= to {
-		return 0
-	}
 	sum := 0.0
 	for _, b := range buckets[from:to] {
 		sum += b.OpsPerSec

@@ -115,9 +115,6 @@ func readP99(p NFSPoint) float64 { return opP99Us(p.Lat, "read") }
 // faultShare sums fault-attributed latency per layer for the read op,
 // returning the two dominant entries as "layer=µs" strings.
 func faultShare(p NFSPoint) string {
-	if p.Lat == nil {
-		return ""
-	}
 	for _, op := range p.Lat.Ops {
 		if op.Op != "read" {
 			continue

@@ -249,9 +249,7 @@ func prefillRouted(cl *passthru.Cluster, scs []*passthru.ScaleClient, files []nf
 					o := off
 					off += uint64(reqSize)
 					c.Read(fh, o, reqSize, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-						if data != nil {
-							data.Release()
-						}
+						data.Release()
 						if err != nil {
 							done(err)
 							return

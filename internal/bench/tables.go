@@ -77,9 +77,7 @@ func table2(h *harness) ([]Table2Row, error) {
 		return await(cl.Eng, func(p *pending) {
 			done := p.expect("read")
 			client.Read(fh, off, extfs.BlockSize, func(c *netbuf.Chain, _ nfs.Attr, err error) {
-				if c != nil {
-					c.Release()
-				}
+				c.Release()
 				done(err)
 			})
 		})

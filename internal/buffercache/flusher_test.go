@@ -443,8 +443,8 @@ func TestFlusherRequeuesBlockFailedByEviction(t *testing.T) {
 	wantIdle(t, eng, c)
 }
 
-// A dirty victim whose flush fails on the spot — an initiator with no
-// session answers ErrNotConnected inline, and a mirror passes it up — is
+// A dirty victim whose flush fails on the spot — a lower that answers a write
+// with an error before returning, which a mirror passes up — is
 // written once per eviction pass, not retried from its own completion until
 // the stack runs out: it stays dirty, back in the flusher's FIFO, and the
 // next tick writes it again.

@@ -122,7 +122,5 @@ func ack(c sunrpc.Call) error {
 
 // release drops a reply's body, which an error leaves nil.
 func release(r sunrpc.Reply) {
-	if r.Body != nil {
-		r.Body.Release()
-	}
+	r.Body.Release()
 }

@@ -118,12 +118,10 @@ func (s *Server) handleRemap(c sunrpc.Call) {
 		st.settled = st.settle
 		s.latest[origin] = st
 	}
+	// A control plane serves two or more servers, so every remap has a
+	// peer to invalidate.
 	st.seq, st.call, st.waiting = seq, c, len(s.peers)-1
 	s.Stats.RemapsStarted++
-	if st.waiting == 0 {
-		s.ackOrigin(c)
-		return
-	}
 	// Peers in ascending server-ID order: the fan-out sequence is part of
 	// the deterministic replay surface.
 	for idx, peer := range s.peers {

@@ -12,15 +12,16 @@ import (
 	"testing"
 )
 
-// TestCensusNamesLiveFuncs: every "path Func" line of the coverage census in
-// results/ (unreached.txt and partial.txt, written by scripts/results-gate.sh)
-// names a function or method declared in that file today. Tier-1 runs no
+// TestCensusNamesLiveFuncs: every "path Func" line of the coverage censuses in
+// results/ (unreached.txt and partial.txt, written by scripts/results-gate.sh,
+// and untested.txt, written by scripts/untested.sh) names a function or
+// method declared in that file today. Tier-1 runs no
 // results gate, so without this a deleted or renamed function would leave a
 // stale census line that only the gate notices.
 func TestCensusNamesLiveFuncs(t *testing.T) {
 	root := filepath.Join("..", "..")
 	decls := map[string]map[string]bool{}
-	for _, census := range []string{"unreached.txt", "partial.txt"} {
+	for _, census := range []string{"unreached.txt", "partial.txt", "untested.txt"} {
 		data, err := os.ReadFile(filepath.Join(root, "results", census))
 		if err != nil {
 			t.Fatal(err)
@@ -40,7 +41,7 @@ func TestCensusNamesLiveFuncs(t *testing.T) {
 				decls[f[0]] = names
 			}
 			if !names[f[1]] {
-				t.Errorf("results/%s:%d: %s declares no %s; rerun scripts/results-gate.sh", census, i+1, f[0], f[1])
+				t.Errorf("results/%s:%d: %s declares no %s; rerun the script that writes it", census, i+1, f[0], f[1])
 			}
 		}
 	}

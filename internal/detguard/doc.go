@@ -53,7 +53,7 @@
 // implementation delegating to the next one vouches for nothing).
 //
 // The fifth, TestCensusNamesLiveFuncs (census_test.go), keeps the coverage
-// census in results/ current between results-gate runs: every line of
-// unreached.txt and partial.txt must name a function or method its file
-// still declares.
+// censuses in results/ current between runs of the scripts that write them:
+// every line of unreached.txt, partial.txt and untested.txt must name a
+// function or method its file still declares.
 package detguard

@@ -244,6 +244,39 @@ func TestFormattedFileVisibleAndReadable(t *testing.T) {
 	}
 }
 
+// A file that does not fit leaves the volume as it was: AddFile checks the
+// inode and the whole run, pointer blocks included, before its first write.
+// A run past the block bitmap's end would otherwise set bits in the inode
+// table that follows it, over the root inode.
+func TestAddFileThatDoesNotFitWritesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	disk := blockdev.NewMemDisk(eng, "d0", blockdev.Geometry{BlockSize: BlockSize, NumBlocks: 40000}, blockdev.Model{})
+	f, err := Format(disk, 1024)
+	if err != nil {
+		t.Fatalf("Format: %v", err)
+	}
+	layout := f.sb.DataStart + 1 // the layout blocks and the root directory's block
+	before := make([][]byte, layout)
+	for b := range before {
+		before[b] = disk.PeekBlock(int64(b))
+	}
+	if _, err := f.AddFile("huge.dat", 80000*BlockSize, nil); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("AddFile of 80000 blocks on a 40000-block disk = %v, want ErrNoSpace", err)
+	}
+	for b := range before {
+		if !bytes.Equal(disk.PeekBlock(int64(b)), before[b]) {
+			t.Errorf("block %d changed by an AddFile that failed", b)
+		}
+	}
+	spec, err := f.AddFile("small.dat", 3*BlockSize, nil)
+	if err != nil {
+		t.Fatalf("AddFile after the failure: %v", err)
+	}
+	if spec.Ino != RootIno+1 || spec.StartLBN != layout {
+		t.Errorf("AddFile after the failure landed at inode %d, block %d; want %d, %d", spec.Ino, spec.StartLBN, RootIno+1, layout)
+	}
+}
+
 func TestCreateWriteReadRoundTrip(t *testing.T) {
 	r := newFsRig(t, 256)
 	ino := r.create(t, "hello.txt")

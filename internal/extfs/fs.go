@@ -274,9 +274,6 @@ func (w *walk) bitLoaded() {
 func (fs *FS) freeBlock(lbn int64) {
 	fs.cache.Drop(lbn)
 	w := fs.walk()
-	w.doneErr = ignoreErr
+	w.doneErr = func(error) {} // nobody waits for a free
 	w.clearBit(fs.sb.BlockBitmapStart, lbn, (*walk).ended)
 }
-
-// ignoreErr completes a free nobody waits for.
-func ignoreErr(error) {}

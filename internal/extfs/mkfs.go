@@ -19,6 +19,8 @@ type Formatter struct {
 
 	// rootEnts accumulates root directory entries until Flush.
 	rootEnts []Dirent
+	// blk is AddFile's block buffer: PokeBlock copies it out.
+	blk []byte
 }
 
 // FileSpec records where a formatted file landed, so experiments can verify
@@ -47,6 +49,7 @@ func Format(dev blockdev.DirectAccess, numInodes uint32) (*Formatter, error) {
 		sb:       sb,
 		nextData: sb.DataStart,
 		nextIno:  RootIno + 1,
+		blk:      make([]byte, BlockSize),
 	}
 	blk := make([]byte, BlockSize)
 	EncodeSuper(sb, blk)
@@ -78,16 +81,26 @@ func Format(dev blockdev.DirectAccess, numInodes uint32) (*Formatter, error) {
 func (f *Formatter) setBit(regionStart, idx int64) { f.setBits(regionStart, idx, 1) }
 
 // setBits marks the n bitmap bits from idx, one device round trip per bitmap
-// block (a 384 MB file is 98 304 bits in three of them).
+// block (a 384 MB file is 98 304 bits in three of them), a byte at a time
+// where the run covers whole bytes.
 func (f *Formatter) setBits(regionStart, idx, n int64) {
 	const bitsPerBlock = BlockSize * 8
 	for end := idx + n; idx < end; {
+		base := idx / bitsPerBlock * bitsPerBlock
 		lbn := regionStart + idx/bitsPerBlock
 		blk := f.dev.PeekBlock(lbn)
-		for stop := min(end, (idx/bitsPerBlock+1)*bitsPerBlock); idx < stop; idx++ {
-			blk[(idx/8)%BlockSize] |= 1 << (idx % 8)
+		lo, hi := idx-base, min(end-base, bitsPerBlock)
+		for lo < hi {
+			if lo%8 == 0 && hi-lo >= 8 {
+				blk[lo/8] = 0xff
+				lo += 8
+			} else {
+				blk[lo/8] |= 1 << (lo % 8)
+				lo++
+			}
 		}
 		f.dev.PokeBlock(lbn, blk)
+		idx = base + hi
 	}
 }
 
@@ -120,43 +133,56 @@ func (f *Formatter) AddFile(name string, size uint64, content func(fileOff uint6
 	if nblocks > MaxFileBlocks {
 		return FileSpec{}, ErrFileTooBig
 	}
+	// The run is the data blocks, then the indirect block, the double
+	// indirect block and its indirect blocks: check it all before the first
+	// write, so a file that does not fit leaves the volume as it was.
+	var ptrBlocks int64
+	if nblocks > NDirect {
+		ptrBlocks = 1
+	}
+	rem := nblocks - NDirect - PtrsPerBlock
+	if rem > 0 {
+		ptrBlocks += 1 + (rem+PtrsPerBlock-1)/PtrsPerBlock
+	}
 	ino := f.nextIno
 	if ino >= f.sb.NumInodes {
 		return FileSpec{}, ErrNoInodes
 	}
-	f.nextIno++
-	f.setBit(f.sb.InodeBitmapStart, int64(ino))
-
-	start := f.allocData(nblocks)
-	if f.nextData > f.sb.NumBlocks {
+	if f.nextData+nblocks+ptrBlocks > f.sb.NumBlocks {
 		return FileSpec{}, ErrNoSpace
 	}
+	f.nextIno++
+	f.setBit(f.sb.InodeBitmapStart, int64(ino))
+	start := f.allocData(nblocks + ptrBlocks)
+	next := start + nblocks // the next pointer block
 	in := Inode{Mode: ModeFile, Links: 1, Size: size}
 
 	// Wire block pointers: direct, then indirect, then double indirect.
-	var indirect, dindirect int64
 	ptr := func(i int64) uint32 { return uint32(start + i) }
 	for i := int64(0); i < nblocks && i < NDirect; i++ {
 		in.Direct[i] = ptr(i)
 	}
 	if nblocks > NDirect {
-		indirect = f.allocData(1)
-		in.Indirect = uint32(indirect)
-		blk := make([]byte, BlockSize)
+		in.Indirect = uint32(next)
+		blk := f.blk
+		clear(blk)
 		for i := int64(0); i < PtrsPerBlock && NDirect+i < nblocks; i++ {
 			putBE32(blk[i*4:], ptr(NDirect+i))
 		}
-		f.dev.PokeBlock(indirect, blk)
+		f.dev.PokeBlock(next, blk)
+		next++
 	}
-	if nblocks > NDirect+PtrsPerBlock {
-		dindirect = f.allocData(1)
+	if rem > 0 {
+		dindirect := next
+		next++
 		in.DIndirect = uint32(dindirect)
 		outer := make([]byte, BlockSize)
-		rem := nblocks - NDirect - PtrsPerBlock
 		for o := int64(0); o*PtrsPerBlock < rem; o++ {
-			ind := f.allocData(1)
+			ind := next
+			next++
 			putBE32(outer[o*4:], uint32(ind))
-			blk := make([]byte, BlockSize)
+			blk := f.blk
+			clear(blk)
 			for i := int64(0); i < PtrsPerBlock; i++ {
 				fb := NDirect + PtrsPerBlock + o*PtrsPerBlock + i
 				if fb >= nblocks {
@@ -171,11 +197,9 @@ func (f *Formatter) AddFile(name string, size uint64, content func(fileOff uint6
 	f.pokeInode(ino, in)
 
 	if content != nil {
-		buf := make([]byte, BlockSize)
+		buf := f.blk
 		for i := int64(0); i < nblocks; i++ {
-			for j := range buf {
-				buf[j] = 0
-			}
+			clear(buf)
 			content(uint64(i)*BlockSize, buf)
 			f.dev.PokeBlock(start+i, buf)
 		}
@@ -208,11 +232,9 @@ func (f *Formatter) Flush() error {
 			}
 			lbns[i] = int64(root.Direct[i])
 		default:
-			if root.Indirect == 0 {
+			if indBlk == nil { // Format gives the root no indirect block
 				root.Indirect = uint32(f.allocData(1))
 				indBlk = make([]byte, BlockSize)
-			} else if indBlk == nil {
-				indBlk = f.dev.PeekBlock(int64(root.Indirect))
 			}
 			lbn := f.allocData(1)
 			putBE32(indBlk[(i-NDirect)*4:], uint32(lbn))

@@ -14,11 +14,9 @@ import (
 	"ncache/internal/trace"
 )
 
-// Errors surfaced by the initiator.
-var (
-	ErrNotConnected = errors.New("iscsi: not connected")
-	ErrCheckCond    = errors.New("iscsi: check condition")
-)
+// ErrCheckCond is the error of a command the target answered with CHECK
+// CONDITION.
+var ErrCheckCond = errors.New("iscsi: check condition")
 
 // task is the recycled record of one outstanding command: what is needed to
 // issue it (again, when the target reports a transient CHECK CONDITION), the
@@ -131,9 +129,6 @@ func NewInitiator(node *simnet.Node, t *tcp.Transport, local eth.Addr) *Initiato
 // target reports CHECK CONDITION, waiting backoff before each attempt. Off
 // by default: the testbed's array never errors unless faults are injected.
 func (i *Initiator) SetRetry(max int, backoff sim.Duration) {
-	if max < 0 {
-		max = 0
-	}
 	i.retryMax, i.retryBackoff = max, backoff
 }
 
@@ -192,12 +187,8 @@ func (i *Initiator) readCapacity(done func(error)) {
 // Read fetches blocks from the target. meta marks file-system metadata
 // (inodes, directories, bitmaps); the tag is acted on above the transport,
 // at the pass-through server's one interception point, and ignored here. The
-// callback owns the returned chain.
+// callback owns the returned chain. Read and Write need a connected initiator.
 func (i *Initiator) Read(lba int64, blocks int, meta bool, done func(*netbuf.Chain, error)) {
-	if i.conn == nil {
-		done(nil, ErrNotConnected)
-		return
-	}
 	trace.To(i.node.Eng, trace.LISCSI)
 	i.ReadCmds++
 	t := i.task()
@@ -208,11 +199,6 @@ func (i *Initiator) Read(lba int64, blocks int, meta bool, done func(*netbuf.Cha
 // Write stores a payload chain at lba. The initiator takes ownership of the
 // chain; its length must be block-aligned. meta marks file-system metadata.
 func (i *Initiator) Write(lba int64, data *netbuf.Chain, meta bool, done func(error)) {
-	if i.conn == nil {
-		data.Release()
-		done(ErrNotConnected)
-		return
-	}
 	trace.To(i.node.Eng, trace.LISCSI)
 	t := i.task()
 	t.lba, t.blocks, t.write, t.onDone = lba, data.Len()/i.geom.BlockSize, true, done
@@ -248,7 +234,7 @@ func (i *Initiator) send(t *task, p PDU) {
 	p.ITT = t.itt
 	chain, err := p.EncodePool(i.node.HdrPool)
 	if err != nil {
-		i.fail(t.itt, err)
+		t.fail(err)
 		return
 	}
 	t.out = chain
@@ -260,17 +246,14 @@ func (t *task) sendOut() {
 	out := t.out
 	t.out = nil
 	if err := t.i.conn.SendChain(out); err != nil {
-		t.i.fail(t.itt, err)
+		t.fail(err)
 	}
 }
 
-// fail completes a task with an error.
-func (i *Initiator) fail(itt uint32, err error) {
-	t, ok := i.pending[itt]
-	if !ok {
-		return
-	}
-	delete(i.pending, itt)
+// fail completes with err a task whose command never reached the wire, so
+// no answer can have come for it.
+func (t *task) fail(err error) {
+	delete(t.i.pending, t.itt)
 	t.finish(nil, err)
 }
 
@@ -297,9 +280,7 @@ func (t *task) issue() {
 func (i *Initiator) handlePDU(p PDU) {
 	t, ok := i.pending[p.ITT]
 	if !ok || t.answered {
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 		return
 	}
 	trace.To(i.node.Eng, trace.LISCSI)
@@ -314,9 +295,7 @@ func (t *task) handle() {
 	switch p.Op {
 	case OpLoginResp, OpLogoutResp:
 		delete(i.pending, p.ITT)
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 		t.finish(nil, nil)
 	case OpDataIn:
 		delete(i.pending, p.ITT)
@@ -336,9 +315,7 @@ func (t *task) handle() {
 		t.finish(data, nil)
 	case OpSCSIResp:
 		delete(i.pending, p.ITT)
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 		if p.Status != scsi.StatusGood {
 			if t.tries < i.retryMax {
 				i.retry(t)
@@ -349,9 +326,7 @@ func (t *task) handle() {
 		}
 		t.finish(nil, nil)
 	default:
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 	}
 }
 

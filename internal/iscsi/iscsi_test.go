@@ -361,6 +361,28 @@ func TestOutOfRangeReadFails(t *testing.T) {
 	}
 }
 
+// TestCommandOnAbortedConnectionFails: once the target is gone and the
+// connection has given up retransmitting, a new command fails at once with
+// the transport's error instead of waiting for an answer.
+func TestCommandOnAbortedConnectionFails(t *testing.T) {
+	r := newRig(t)
+	r.connect(t)
+	r.tgtNode.Kill()
+	// The first READ after the kill is what the connection retransmits until
+	// it aborts.
+	r.initiator.Read(0, 1, false, func(data *netbuf.Chain, err error) { data.Release() })
+	r.eng.Run()
+	var gotErr error
+	r.initiator.Read(0, 1, false, func(data *netbuf.Chain, err error) {
+		gotErr = err
+		data.Release()
+	})
+	r.eng.Run()
+	if !errors.Is(gotErr, tcp.ErrConnClosed) {
+		t.Fatalf("READ on an aborted connection: %v, want %v", gotErr, tcp.ErrConnClosed)
+	}
+}
+
 // TestMalformedWriteRefused: a WRITE(10) whose Data-Out is not exactly the
 // CDB's blocks, or whose range passes the device end, is answered with CHECK
 // CONDITION before an extent is taken, and no block is written — not the

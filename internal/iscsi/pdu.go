@@ -170,10 +170,7 @@ func (f *Framer) Push(data *netbuf.Chain) {
 				return
 			}
 			var bhs [BHSLen]byte
-			if err := f.stream.PullHeaderInto(bhs[:]); err != nil {
-				f.Errors++
-				return
-			}
+			_ = f.stream.PullHeaderInto(bhs[:]) // in range: checked above
 			f.pending, f.pendingDataLen = decodeBHS(bhs[:])
 			f.havePending = true
 		}
@@ -186,18 +183,9 @@ func (f *Framer) Push(data *netbuf.Chain) {
 		f.havePending = false
 		f.pendingDataLen = 0
 		if dlen > 0 {
-			seg, err := f.stream.PullChain(dlen)
-			if err != nil {
-				f.Errors++
-				return
-			}
-			p.Data = seg
+			p.Data, _ = f.stream.PullChain(dlen) // in range: checked above
 			if pad := padded - dlen; pad > 0 {
-				padChain, err := f.stream.PullChain(pad)
-				if err != nil {
-					f.Errors++
-					return
-				}
+				padChain, _ := f.stream.PullChain(pad) // in range: checked above
 				padChain.Release()
 			}
 		}

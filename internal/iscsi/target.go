@@ -145,25 +145,19 @@ func (s *session) handlePDU(p PDU) {
 	trace.To(node.Eng, trace.LISCSI)
 	switch p.Op {
 	case OpLoginReq:
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 		node.Charge(node.Cost.ISCSIOpNs, func() {
 			s.reply(PDU{Op: OpLoginResp, Final: true, ITT: p.ITT})
 		})
 	case OpLogoutReq:
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 		node.Charge(node.Cost.ISCSIOpNs, func() {
 			s.reply(PDU{Op: OpLogoutResp, Final: true, ITT: p.ITT})
 		})
 	case OpSCSICmd:
 		s.handleCommand(p)
 	default:
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 	}
 }
 
@@ -174,16 +168,12 @@ func (s *session) handleCommand(p PDU) {
 	cdb, err := scsi.DecodeCDB(p.CDB[:])
 	if err != nil {
 		s.checkCondition(p.ITT)
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 		return
 	}
 	switch cdb.Op {
 	case scsi.OpReadCapacity10:
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 		g := t.dev.Geometry()
 		capData := scsi.ReadCapacityData{
 			LastLBA:   uint32(g.NumBlocks - 1),
@@ -201,9 +191,7 @@ func (s *session) handleCommand(p PDU) {
 		})
 
 	case scsi.OpRead10:
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 		t.ReadCmds++
 		perBlock := sim.Duration(cdb.Blocks) * node.Cost.TargetBlockNs
 		node.Charge(node.Cost.ISCSIOpNs+perBlock, s.command(p.ITT, cdb).read)
@@ -219,9 +207,7 @@ func (s *session) handleCommand(p PDU) {
 		node.Charge(node.Cost.ISCSIOpNs+perBlock, c.write)
 
 	default:
-		if p.Data != nil {
-			p.Data.Release()
-		}
+		p.Data.Release()
 		s.checkCondition(p.ITT)
 	}
 }

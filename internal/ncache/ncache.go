@@ -107,9 +107,6 @@ type Module struct {
 
 // New creates a module on a node.
 func New(node *simnet.Node, cfg Config) *Module {
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 4096
-	}
 	m := &Module{
 		node: node,
 		cfg:  cfg,
@@ -218,9 +215,6 @@ func (m *Module) remove(e *entry) {
 // evict reclaims cold entries until occupancy fits capacity. Dirty entries
 // (unremapped FHO data — the only copy of client writes) are pinned.
 func (m *Module) evict() {
-	if m.cfg.CapacityBytes <= 0 {
-		return
-	}
 	for e := m.lru.prev; e != &m.lru && m.used > m.cfg.CapacityBytes; {
 		prev := e.prev
 		if e.dirty != 0 {
@@ -247,10 +241,7 @@ func (m *Module) CaptureLBN(lba int64, blocks int, data *netbuf.Chain) *netbuf.C
 	}
 	out := m.node.BlkPool.NewChain(0)
 	for i := 0; i < blocks; i++ {
-		sub, err := data.SubChain(i*m.cfg.BlockSize, m.cfg.BlockSize)
-		if err != nil {
-			sub = m.node.BlkPool.NewChain(0)
-		}
+		sub, _ := data.SubChain(i*m.cfg.BlockSize, m.cfg.BlockSize) // in range: checked above
 		key := lkey.ForLBN(lba + int64(i))
 		sub.SetOwner("ncache.lbn")
 		m.insert(key, sub, 0)
@@ -276,10 +267,7 @@ func (m *Module) CaptureFHO(fh lkey.FH, off uint64, data *netbuf.Chain) *netbuf.
 	out := m.node.BlkPool.NewChain(0)
 	m.seq++
 	for i := 0; i < blocks; i++ {
-		sub, err := data.SubChain(i*bs, bs)
-		if err != nil {
-			sub = m.node.BlkPool.NewChain(0)
-		}
+		sub, _ := data.SubChain(i*bs, bs) // in range: n is blocks*bs
 		key := lkey.ForFHO(fh, off+uint64(i*bs))
 		sub.SetOwner("ncache.fho")
 		m.insert(key, sub, m.seq)
@@ -359,11 +347,7 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 		if key.SubOff == 0 && take == e.chain.Len() {
 			cl = e.chain.Clone()
 		} else {
-			var err error
-			cl, err = e.chain.SubChain(int(key.SubOff), take)
-			if err != nil {
-				cl = m.node.BlkPool.NewChain(0)
-			}
+			cl, _ = e.chain.SubChain(int(key.SubOff), take) // in range: take is clamped to avail
 		}
 		clonedBufs += cl.NumBufs()
 		clLen := cl.Len()
@@ -401,19 +385,16 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 	return out
 }
 
-// WriteOut is the iSCSI write hook: when the file system flushes a dirty
-// buffer, the outgoing payload is stamped junk. The module substitutes the
-// real cached data and — for dirty FHO entries — performs the remap: the
-// entry is re-indexed under its now-known LBN, replacing any stale LBN
-// entry. It stays dirty until the write lands. It returns the chain to
-// transmit, remapped with the LBNs it re-indexed appended, and the mark the
-// write carries: once the write commits the caller hands both to Landed and
-// announces the LBNs to peer servers.
+// WriteOut is the iSCSI write hook: when the file system flushes dirty
+// buffers, the outgoing payload (exactly blocks blocks) is stamped junk.
+// The module substitutes the real cached data and — for dirty FHO
+// entries — performs the remap: the entry is re-indexed under its now-known
+// LBN, replacing any stale LBN entry. It stays dirty until the write lands.
+// It returns the chain to transmit, remapped with the LBNs it re-indexed
+// appended, and the mark the write carries: once the write commits the
+// caller hands both to Landed and announces the LBNs to peer servers.
 func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []int64) (*netbuf.Chain, []int64, uint64) {
 	bs := m.cfg.BlockSize
-	if data.Len() != blocks*bs {
-		return data, remapped, m.seq
-	}
 	out := m.node.BlkPool.NewChain(0)
 	touched := 0
 	for i := 0; i < blocks; i++ {
@@ -478,9 +459,6 @@ func (m *Module) Landed(lbns []int64, mark uint64) {
 // round trip. It returns stamped junk (what the buffer cache stores) and
 // true on a full hit; partial hits are treated as misses.
 func (m *Module) ServeRead(lba int64, blocks int) (*netbuf.Chain, bool) {
-	if blocks <= 0 {
-		return nil, false
-	}
 	for i := 0; i < blocks; i++ {
 		if _, ok := m.lbn[lba+int64(i)]; !ok {
 			m.Stats.L2Misses++

@@ -69,12 +69,6 @@ type Buf struct {
 // New allocates a standalone Buf (not pool-managed) with the given headroom
 // and size bytes of payload room. Its initial payload is empty.
 func New(headroom, size int) *Buf {
-	if headroom < 0 {
-		headroom = 0
-	}
-	if size < 0 {
-		size = 0
-	}
 	return &Buf{backing: make([]byte, headroom+size), head: headroom, tail: headroom, refs: 1}
 }
 

@@ -239,8 +239,11 @@ func (c *Chain) SetOwner(owner string) {
 // Release drops every window's reference and retires the chain: the struct
 // goes back to its pool's list and the window slice, its slots cleared, to
 // the pool's list of its size class, so the caller must not touch c
-// afterwards. Releasing a chain twice panics.
+// afterwards. Releasing a chain twice panics; releasing nil does nothing.
 func (c *Chain) Release() {
+	if c == nil {
+		return
+	}
 	if c.freed {
 		recordChainDoubleFree(c)
 	}

@@ -44,9 +44,6 @@ type Pool struct {
 // payload capacity. The last argument is ignored: it is kept so that
 // benchmarks/ncmark, which passes 0, compiles unchanged (DESIGN.md §11).
 func NewPool(name string, headroom, bufSize, _ int) *Pool {
-	if headroom < 0 {
-		headroom = 0
-	}
 	if bufSize <= 0 {
 		bufSize = DefaultBufSize
 	}

@@ -10,9 +10,9 @@ import "fmt"
 // charges (wire ingress and the disk image boundary).
 
 // Range calls fn for each payload segment overlapping [off, off+n), in
-// order, with a slice aliasing the buffer's bytes. fn returns false to stop
-// early. No payload bytes are copied and nothing is allocated.
-func (c *Chain) Range(off, n int, fn func(p []byte) bool) error {
+// order, with a slice aliasing the buffer's bytes. No payload bytes are
+// copied and nothing is allocated.
+func (c *Chain) Range(off, n int, fn func(p []byte)) error {
 	if off < 0 || n < 0 || off+n > c.Len() {
 		return fmt.Errorf("netbuf: range [%d,%d) out of range 0..%d", off, off+n, c.Len())
 	}
@@ -32,8 +32,8 @@ func (c *Chain) Range(off, n int, fn func(p []byte) bool) error {
 			start = off - pos
 		}
 		take := min(wlen-start, remaining)
-		if take > 0 && !fn(w.Bytes()[start:start+take]) {
-			return nil
+		if take > 0 {
+			fn(w.Bytes()[start : start+take])
 		}
 		remaining -= take
 		pos += wlen
@@ -54,10 +54,7 @@ func (c *Chain) GatherRange(off int, dst []byte) int {
 		n = c.Len() - off
 	}
 	got := 0
-	_ = c.Range(off, n, func(p []byte) bool {
-		got += copy(dst[got:], p)
-		return true
-	})
+	_ = c.Range(off, n, func(p []byte) { got += copy(dst[got:], p) })
 	return got
 }
 

@@ -70,10 +70,7 @@ func TestRangeMatchesFlatReference(t *testing.T) {
 		c := chainFrom(p, payload, cuts)
 		defer c.Release()
 		var got []byte
-		if err := c.Range(off, n, func(p []byte) bool {
-			got = append(got, p...)
-			return true
-		}); err != nil {
+		if err := c.Range(off, n, func(p []byte) { got = append(got, p...) }); err != nil {
 			return false
 		}
 		return bytes.Equal(got, payload[off:off+n])
@@ -126,13 +123,13 @@ func TestRangeEmptyChain(t *testing.T) {
 	c := testPool(t, 0).NewChain(0)
 	defer c.Release()
 	calls := 0
-	if err := c.Range(0, 0, func(p []byte) bool { calls++; return true }); err != nil {
+	if err := c.Range(0, 0, func(p []byte) { calls++ }); err != nil {
 		t.Fatalf("Range on empty chain: %v", err)
 	}
 	if calls != 0 {
 		t.Fatal("Range on empty chain invoked fn")
 	}
-	if err := c.Range(0, 1, func(p []byte) bool { return true }); err == nil {
+	if err := c.Range(0, 1, func(p []byte) {}); err == nil {
 		t.Fatal("Range past end did not error")
 	}
 	sub, err := c.SubChain(0, 0)
@@ -258,10 +255,7 @@ func BenchmarkRange32K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := 0
-		_ = c.Range(0, c.Len(), func(p []byte) bool {
-			total += len(p)
-			return true
-		})
+		_ = c.Range(0, c.Len(), func(p []byte) { total += len(p) })
 		if total != 32*1024 {
 			b.Fatal("short range")
 		}

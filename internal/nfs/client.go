@@ -158,9 +158,7 @@ func (k *clientCall) reply(r sunrpc.Reply, err error) {
 	k.retire()
 	body := r.Body
 	if err == nil && r.Accept != sunrpc.AcceptSuccess {
-		if body != nil {
-			body.Release()
-		}
+		body.Release()
 		err = &OpError{Status: ErrIO}
 	}
 	if err == nil {
@@ -251,11 +249,8 @@ func readResult(body *netbuf.Chain) (*netbuf.Chain, Attr, error) {
 	if ok {
 		var word uint32
 		if word, ok = statusOf(body); ok && body.Len() >= int(word) {
-			data, err := body.PullChain(int(word))
+			data, _ := body.PullChain(int(word)) // in range: checked above
 			body.Release()
-			if err != nil {
-				return nil, Attr{}, &OpError{Status: ErrIO}
-			}
 			return data, a, nil
 		}
 	}

@@ -334,6 +334,59 @@ func TestOpErrorMessages(t *testing.T) {
 	}
 }
 
+// A call whose arguments do not parse is answered with a bare error status
+// and reaches no backend; NULL is answered with an empty result, and a
+// procedure the server does not serve is refused by the RPC layer.
+func TestMalformedCallsAnswerErrors(t *testing.T) {
+	eng, c, _, _ := loop(t)
+	fh := RootFH()
+	long := make([]byte, 4+260)
+	long[2] = 1 // a 256-byte name, one past MaxNameLen
+	cases := []struct {
+		name string
+		proc uint32
+		args []byte
+		want []byte // the reply's result bytes
+	}{
+		{"NULL", ProcNull, nil, nil},
+		{"GETATTR without a handle", ProcGetattr, fh[:FHLen-1], []byte{0, 0, 0, byte(ErrIO)}},
+		{"LOOKUP without a name", ProcLookup, fh[:], []byte{0, 0, 0, byte(ErrIO)}},
+		{"LOOKUP of a name too long", ProcLookup, append(fh[:], long...), []byte{0, 0, 0, byte(ErrNameLong)}},
+		{"READ without its counts", ProcRead, fh[:], []byte{0, 0, 0, byte(ErrIO)}},
+		{"WRITE without its counts", ProcWrite, fh[:], []byte{0, 0, 0, byte(ErrIO)}},
+		{"WRITE shorter than its count", ProcWrite, append(fh[:], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 16), []byte{0, 0, 0, byte(ErrIO)}},
+		{"CREATE without a name", ProcCreate, fh[:], []byte{0, 0, 0, byte(ErrIO)}},
+		{"REMOVE without a name", ProcRemove, fh[:], []byte{0, 0, 0, byte(ErrIO)}},
+		{"READDIR without a handle", ProcReaddir, nil, []byte{0, 0, 0, byte(ErrIO)}},
+		{"an unknown procedure", 99, fh[:], nil},
+	}
+	for _, tc := range cases {
+		msg, p := sunrpc.CallBuf(c.rpc.Node(), len(tc.args))
+		copy(p, tc.args)
+		var got []byte
+		answered := false
+		if err := c.rpc.Call(Prog, Vers, tc.proc, msg, nil, func(r sunrpc.Reply, err error) {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+				return
+			}
+			if tc.proc == 99 && r.Accept != sunrpc.AcceptProcUnavail {
+				t.Errorf("%s: accept %d, want %d", tc.name, r.Accept, sunrpc.AcceptProcUnavail)
+			}
+			answered = true
+			got = make([]byte, r.Body.Len())
+			r.Body.Gather(got)
+			r.Body.Release()
+		}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		eng.Run()
+		if !answered || !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: answered %v with % x, want % x", tc.name, answered, got, tc.want)
+		}
+	}
+}
+
 func TestRootFH(t *testing.T) {
 	if inoOf(RootFH()) != 1 {
 		t.Fatalf("root fh = %v", RootFH())

@@ -167,6 +167,8 @@ func (k *serverCall) fail(st uint32) {
 	k.replyStatus(st)
 }
 
+// serve decodes the arguments and hands the call to the backend. The RPC
+// layer refuses every procedure NewServer did not register.
 func (k *serverCall) serve() {
 	s, body := k.s, k.body
 	switch proc := k.c.Proc; proc {
@@ -228,11 +230,7 @@ func (k *serverCall) serve() {
 			k.fail(ErrIO)
 			return
 		}
-		data, err := body.PullChain(dlen)
-		if err != nil {
-			k.fail(ErrIO)
-			return
-		}
+		data, _ := body.PullChain(dlen) // in range: checked above
 		body.Release()
 		s.node.Reqs.WriteOps++
 		s.backend.Write(fh, off, data, k.onWrite)
@@ -266,9 +264,6 @@ func (k *serverCall) serve() {
 		}
 		s.node.Reqs.MetaOps++
 		s.backend.Readdir(fh, k.onNames)
-
-	default:
-		k.fail(ErrIO)
 	}
 }
 
@@ -307,9 +302,7 @@ func (k *serverCall) replyFHAttr(fh FH, a Attr, st uint32) {
 // replyRead sends status+attr+counted data, the payload by reference.
 func (k *serverCall) replyRead(data *netbuf.Chain, a Attr, st uint32) {
 	if st != OK {
-		if data != nil {
-			data.Release()
-		}
+		data.Release()
 		k.replyStatus(st)
 		return
 	}
@@ -398,9 +391,7 @@ func (k *serverCall) pullFHName() (FH, []byte, uint32) {
 	if n > MaxNameLen {
 		return fh, nil, ErrNameLong
 	}
-	if body.PullHeaderInto(k.name[:padded]) != nil {
-		return fh, nil, ErrIO
-	}
+	_ = body.PullHeaderInto(k.name[:padded]) // in range: checked above
 	return fh, k.name[:n], OK
 }
 

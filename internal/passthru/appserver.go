@@ -144,11 +144,7 @@ func (s *AppServer) boot() error {
 			s.connectAddrs = append(s.connectAddrs, StorageAddrOf(t, a, cfg.NumTargets))
 			names[a], arms[a] = fmt.Sprintf("t%dm%d", t, a), ini
 		}
-		vol, err := storage.NewMirror(node, names, arms, s.armPolicy)
-		if err != nil {
-			return err
-		}
-		vols[t] = s.intercept(vol)
+		vols[t] = s.intercept(storage.NewMirror(node, names, arms, s.armPolicy))
 	}
 	s.Initiator = s.Initiators[0]
 	if len(vols) == 1 {

@@ -137,10 +137,7 @@ func (h *HTTPConn) receive(data *netbuf.Chain) {
 				if take > h.expected {
 					take = h.expected
 				}
-				consumed, err := data.PullChain(take)
-				if err != nil {
-					break
-				}
+				consumed, _ := data.PullChain(take) // in range: take is at most n
 				consumed.Release()
 				h.expected -= take
 				h.bodyLen += take
@@ -161,14 +158,9 @@ func (h *HTTPConn) receive(data *netbuf.Chain) {
 		}
 		// Header phase: accumulate until the blank line.
 		if data.Len() > 0 {
-			_ = data.Range(0, data.Len(), func(p []byte) bool {
-				h.buf.Write(p)
-				return true
-			})
-			rel, err := data.PullChain(data.Len())
-			if err == nil {
-				rel.Release()
-			}
+			_ = data.Range(0, data.Len(), func(p []byte) { h.buf.Write(p) })
+			rel, _ := data.PullChain(data.Len())
+			rel.Release()
 		}
 		raw := h.buf.Bytes()
 		end := bytes.Index(raw, []byte("\r\n\r\n"))
@@ -255,8 +247,10 @@ type ClusterConfig struct {
 	Arms int
 	// ArmPolicy is the mirror read-selection policy: "primary-first"
 	// (default), "round-robin" or "least-latency".
-	ArmPolicy     string
-	NumClients    int
+	ArmPolicy  string
+	NumClients int
+	// BlocksPerDisk sizes every disk of every storage node; there is no
+	// default.
 	BlocksPerDisk int64
 	// FSCacheBlocks bounds each server's file-system buffer cache (0 = 128 MB;
 	// 16 MB under NCache, which keeps it small to control double buffering,
@@ -359,9 +353,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.NumClients <= 0 {
 		cfg.NumClients = 2
-	}
-	if cfg.BlocksPerDisk <= 0 {
-		cfg.BlocksPerDisk = 256 * 1024 // 1 GB per disk, 4 GB array
 	}
 	if cfg.Cost == (simnet.CostProfile{}) {
 		cfg.Cost = simnet.DefaultProfile()
@@ -584,9 +575,6 @@ func (c *Cluster) FaultCounters() (retrans, timeouts, dups, iscsiRetries uint64)
 // a correct run — true protocol errors and aborted connections.
 func (c *Cluster) TCPCounters() (retrans, rtos, fastrtx, protoErrs, aborted uint64) {
 	add := func(t *tcp.Transport) {
-		if t == nil {
-			return
-		}
 		retrans += t.Retransmits
 		rtos += t.RTOEvents
 		fastrtx += t.FastRetransmits

@@ -171,9 +171,6 @@ func (w *interceptWrite) written(err error) {
 // junk is the Baseline comparator's receive filter: regular-data payloads
 // are dropped at the socket boundary; identity-free junk flows instead.
 func (s *AppServer) junk(blocks int, data *netbuf.Chain) *netbuf.Chain {
-	if blocks <= 0 {
-		return data
-	}
 	data.Release()
 	out := s.Node.BlkPool.NewChain(0)
 	for i := 0; i < blocks; i++ {

@@ -65,10 +65,7 @@ type webConn struct {
 
 // receive accumulates request bytes and kicks processing.
 func (wc *webConn) receive(data *netbuf.Chain) {
-	_ = data.Range(0, data.Len(), func(p []byte) bool {
-		wc.reqBuf.Write(p)
-		return true
-	})
+	_ = data.Range(0, data.Len(), func(p []byte) { wc.reqBuf.Write(p) })
 	data.Release()
 	wc.pump()
 }

@@ -172,13 +172,7 @@ func (t *Transport) Connect(local, remote eth.Addr, remotePort uint16, done func
 }
 
 // mss returns the maximum segment payload for the node's first NIC.
-func (t *Transport) mss() int {
-	nics := t.node.NICs()
-	if len(nics) == 0 {
-		return 1460
-	}
-	return nics[0].MTU - ipv4.HeaderLen - HeaderLen
-}
+func (t *Transport) mss() int { return t.node.NICs()[0].MTU - ipv4.HeaderLen - HeaderLen }
 
 // rtxSeg is one retained in-flight segment. payload is a refcounted clone
 // of the transmitted chain (owner "tcp.retransmit"); seqLen covers payload
@@ -370,10 +364,7 @@ func (c *Conn) pump() {
 		if n > room {
 			n = room
 		}
-		seg, err := c.sendQ.PullChain(n)
-		if err != nil {
-			break
-		}
+		seg, _ := c.sendQ.PullChain(n) // in range: n is at most sendQ's length
 		flags := uint8(flagACK)
 		endSeq := c.sndNxt + uint32(n)
 		if len(c.pushAt) > 0 && seqLEQ(c.pushAt[0], endSeq) {
@@ -463,14 +454,11 @@ func (c *Conn) onRTO() {
 	c.armRTO()
 }
 
-// fastRetransmit resends the oldest unacknowledged segment immediately
-// (triple duplicate acks signal an isolated loss; the rest of the window
-// is likely buffered at the receiver). Annotated as tcp.fastrtx on the
+// fastRetransmit resends the oldest unacknowledged segment, which the
+// caller has checked exists, immediately (triple duplicate acks signal an
+// isolated loss; the rest of the window is likely buffered at the receiver). Annotated as tcp.fastrtx on the
 // active span: a fault event with no timer latency of its own.
 func (c *Conn) fastRetransmit() {
-	if len(c.rtxQ) == 0 {
-		return
-	}
 	c.t.FastRetransmits++
 	trace.Fault(c.t.node.Eng, trace.LNet, 0)
 	c.resend(&c.rtxQ[0])
@@ -501,9 +489,7 @@ func (c *Conn) ackRtx(ack uint32) {
 		if !seqLEQ(s.seq+s.seqLen, ack) {
 			break
 		}
-		if s.payload != nil {
-			s.payload.Release()
-		}
+		s.payload.Release()
 	}
 	if i > 0 {
 		m := copy(c.rtxQ, c.rtxQ[i:])
@@ -557,14 +543,7 @@ func (c *Conn) sendAck() {
 // not belong to a live connection — RSTs answer strays after teardown).
 func (t *Transport) sendSeg(key connKey, seq, ackNo uint32, flags uint8, payload *netbuf.Chain) {
 	hb := t.node.HdrPool.Get()
-	hdr, err := hb.Push(HeaderLen)
-	if err != nil {
-		hb.Release()
-		if payload != nil {
-			payload.Release()
-		}
-		return
-	}
+	hdr, _ := hb.Push(HeaderLen) // HdrPool's headroom fits this and the IP and Ethernet headers
 	binary.BigEndian.PutUint16(hdr[0:2], key.localPort)
 	binary.BigEndian.PutUint16(hdr[2:4], key.remotePort)
 	binary.BigEndian.PutUint32(hdr[4:8], seq)
@@ -628,9 +607,7 @@ func (t *Transport) parse(src, dst eth.Addr, payload *netbuf.Chain) (header, boo
 		t.ProtocolErrors++
 		return header{}, false
 	}
-	if err := payload.PullHeaderInto(raw[:]); err != nil {
-		return header{}, false
-	}
+	_ = payload.PullHeaderInto(raw[:]) // in range: checked above
 	sum := pseudoHeaderSum(src, dst)
 	sum.AddBytes(raw[:])
 	sum = netbuf.Combine(sum, netbuf.PartialOfChain(payload))
@@ -882,12 +859,7 @@ func (c *Conn) recvData(flags uint8, seq uint32, payload *netbuf.Chain) {
 	// drain whatever buffered segments the fill made contiguous.
 	if seqLT(seq, c.rcvNxt) {
 		t.DupSegments++
-		trim, err := payload.PullChain(int(c.rcvNxt - seq))
-		if err != nil {
-			payload.Release()
-			c.sendAck()
-			return
-		}
+		trim, _ := payload.PullChain(int(c.rcvNxt - seq)) // in range: end is past rcvNxt
 		trim.Release()
 	}
 	c.rcvNxt = end
@@ -940,11 +912,7 @@ func (c *Conn) drainOOO() {
 			continue
 		}
 		if seqLT(e.seq, c.rcvNxt) {
-			trim, err := e.payload.PullChain(int(c.rcvNxt - e.seq))
-			if err != nil {
-				e.payload.Release()
-				continue
-			}
+			trim, _ := e.payload.PullChain(int(c.rcvNxt - e.seq)) // in range: end is past rcvNxt
 			trim.Release()
 		}
 		c.rcvNxt = end
@@ -996,9 +964,7 @@ func (c *Conn) teardown() {
 		c.sendQ = nil
 	}
 	for i := range c.rtxQ {
-		if c.rtxQ[i].payload != nil {
-			c.rtxQ[i].payload.Release()
-		}
+		c.rtxQ[i].payload.Release()
 		c.rtxQ[i] = rtxSeg{}
 	}
 	c.rtxQ = c.rtxQ[:0]

@@ -80,12 +80,7 @@ func (t *Transport) SendChain(src eth.Addr, srcPort uint16, dst eth.Addr, dstPor
 		return fmt.Errorf("udp: datagram %d exceeds 64KB", total)
 	}
 	hb := t.node.HdrPool.Get()
-	hdr, err := hb.Push(HeaderLen)
-	if err != nil {
-		hb.Release()
-		payload.Release()
-		return err
-	}
+	hdr, _ := hb.Push(HeaderLen) // HdrPool's headroom fits this and the IP and Ethernet headers
 	binary.BigEndian.PutUint16(hdr[0:2], srcPort)
 	binary.BigEndian.PutUint16(hdr[2:4], dstPort)
 	binary.BigEndian.PutUint16(hdr[4:6], uint16(total))
@@ -140,10 +135,7 @@ func (t *Transport) receive(src, dst eth.Addr, payload *netbuf.Chain) {
 	}
 	var hdr [HeaderLen]byte
 	raw := hdr[:]
-	if err := payload.PullHeaderInto(raw); err != nil {
-		payload.Release()
-		return
-	}
+	_ = payload.PullHeaderInto(raw) // in range: checked above
 	srcPort := binary.BigEndian.Uint16(raw[0:2])
 	dstPort := binary.BigEndian.Uint16(raw[2:4])
 	length := binary.BigEndian.Uint16(raw[4:6])

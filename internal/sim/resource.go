@@ -79,9 +79,6 @@ func (r *Resource) Use(d Duration, done func()) Time {
 // had been enqueued then.
 func (r *Resource) UseFrom(earliest Time, d Duration) Time {
 	r.settle()
-	if d < 0 {
-		d = 0
-	}
 	if len(r.ahead) > 0 {
 		r.catchUp()
 	}

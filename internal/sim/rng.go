@@ -51,11 +51,8 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It returns 0 when n <= 0.
+// Int63n returns a uniform int64 in [0, n); n must be positive.
 func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
 	return int64(r.Uint64() % uint64(n))
 }
 

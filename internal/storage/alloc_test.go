@@ -68,14 +68,8 @@ func TestArmWriteReadZeroAllocs(t *testing.T) {
 	pool := netbuf.NewPool("arm", netbuf.DefaultHeadroom, netbuf.DefaultBufSize, 0)
 	single := newParkedIni(pool)
 	legs := []*parkedIni{newParkedIni(pool), newParkedIni(pool)}
-	one, err := NewMirror(node, []string{"one"}, []Initiator{single}, PolicyPrimaryFirst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMirror(node, []string{"a", "b"}, []Initiator{legs[0], legs[1]}, PolicyPrimaryFirst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := NewMirror(node, []string{"one"}, []Initiator{single}, PolicyPrimaryFirst)
+	m := NewMirror(node, []string{"a", "b"}, []Initiator{legs[0], legs[1]}, PolicyPrimaryFirst)
 	vols := []Volume{one, m}
 	inis := []*parkedIni{single, legs[0], legs[1]}
 	settled := 0

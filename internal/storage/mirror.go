@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -124,15 +123,9 @@ type Mirror struct {
 
 var _ Volume = (*Mirror)(nil)
 
-// NewMirror builds a mirror over connected initiators. names label the arms
-// in stats and must parallel inis; policy selects the read arm.
-func NewMirror(node *simnet.Node, names []string, inis []Initiator, policy Policy) (*Mirror, error) {
-	if len(inis) == 0 {
-		return nil, errors.New("storage: mirror needs at least one arm")
-	}
-	if len(names) != len(inis) {
-		return nil, errors.New("storage: mirror arm names must parallel initiators")
-	}
+// NewMirror builds a mirror over one or more connected initiators. names
+// label the arms in stats and must parallel inis; policy selects the read arm.
+func NewMirror(node *simnet.Node, names []string, inis []Initiator, policy Policy) *Mirror {
 	m := &Mirror{node: node, policy: policy}
 	for i, ini := range inis {
 		m.arms = append(m.arms, &arm{
@@ -142,7 +135,7 @@ func NewMirror(node *simnet.Node, names []string, inis []Initiator, policy Polic
 			inflight: make(map[int64]int),
 		})
 	}
-	return m, nil
+	return m
 }
 
 // BlockSize implements Volume.
@@ -269,9 +262,7 @@ func (m *Mirror) probe(a *arm) {
 	a.stats.Probes++
 	start := m.node.Eng.Now()
 	a.ini.Read(0, 1, true, func(data *netbuf.Chain, err error) {
-		if data != nil {
-			data.Release()
-		}
+		data.Release()
 		if err != nil {
 			a.stats.Errors++
 			a.state = ArmOpen

@@ -87,11 +87,7 @@ func newMirrorRig(t *testing.T, policy Policy, lats ...sim.Duration) *mirrorRig 
 		inis = append(inis, a)
 		names = append(names, string(rune('a'+i)))
 	}
-	m, err := NewMirror(node, names, inis, policy)
-	if err != nil {
-		t.Fatalf("NewMirror: %v", err)
-	}
-	return &mirrorRig{eng: eng, node: node, arms: arms, m: m}
+	return &mirrorRig{eng: eng, node: node, arms: arms, m: NewMirror(node, names, inis, policy)}
 }
 
 // step advances far enough for any in-flight commands, probes and resync

@@ -89,9 +89,7 @@ func (s *Sharded) ReadAt(lbn int64, count int, meta bool, done func(*netbuf.Chai
 			}
 			if firstErr != nil {
 				for _, p := range parts {
-					if p != nil {
-						p.Release()
-					}
+					p.Release()
 				}
 				done(nil, firstErr)
 				return

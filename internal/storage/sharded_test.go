@@ -56,11 +56,7 @@ func TestShardedRoutesBySplit(t *testing.T) {
 	const cut = int64(DefaultRangeBlocks)
 	members := make([]Volume, len(inis))
 	for i, ini := range inis {
-		m, err := NewMirror(node, []string{string(rune('a' + i))}, []Initiator{ini}, PolicyPrimaryFirst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members[i] = m
+		members[i] = NewMirror(node, []string{string(rune('a' + i))}, []Initiator{ini}, PolicyPrimaryFirst)
 	}
 	sh := NewSharded(members, tm)
 	data := make([]byte, 8*512)

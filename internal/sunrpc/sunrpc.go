@@ -275,10 +275,7 @@ func (s *Server) dispatch(call Call, body *netbuf.Chain) {
 		return
 	}
 	var raw [callHeaderLen]byte
-	if err := body.PullHeaderInto(raw[:]); err != nil {
-		body.Release()
-		return
-	}
+	_ = body.PullHeaderInto(raw[:]) // in range: checked above
 	if !call.parseHeader(raw[:]) {
 		s.BadCalls++
 		body.Release()
@@ -591,10 +588,7 @@ func (c *Client) receive(body *netbuf.Chain) {
 		return
 	}
 	var raw [replyHeaderLen]byte
-	if err := body.PullHeaderInto(raw[:]); err != nil {
-		body.Release()
-		return
-	}
+	_ = body.PullHeaderInto(raw[:]) // in range: checked above
 	xid, replyStat, accept, ok := parseReply(raw[:])
 	if !ok {
 		c.BadReplies++

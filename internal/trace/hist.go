@@ -37,9 +37,6 @@ func NewHistogram() *Histogram {
 
 // bucketIndex maps a non-negative value to its bucket.
 func bucketIndex(v int64) int {
-	if v < 0 {
-		v = 0
-	}
 	u := uint64(v)
 	if u < histBase {
 		return int(u)
@@ -62,12 +59,9 @@ func bucketMid(i int) int64 {
 	return lo + width/2
 }
 
-// Record adds one sample.
+// Record adds one sample, a duration and so never negative.
 func (h *Histogram) Record(d sim.Duration) {
 	v := int64(d)
-	if v < 0 {
-		v = 0
-	}
 	h.counts[bucketIndex(v)]++
 	h.n++
 	h.sum += v

@@ -13,8 +13,10 @@
 // duration exactly, by construction.
 //
 // Tracing is zero-cost when disabled: a nil *Tracer produces nil *Spans, and
-// every method is a nil-receiver no-op. Nothing here schedules events or
-// charges costs, so enabling tracing never changes a simulation result.
+// every method the data path calls is a nil-receiver no-op; only the readers
+// of a finished span (ID, Op, Start, ...) and Tracer.Label need a real one.
+// Nothing here schedules events or charges costs, so enabling tracing never
+// changes a simulation result.
 package trace
 
 import "ncache/internal/sim"
@@ -69,8 +71,8 @@ type Phase struct {
 	Start, End sim.Time
 }
 
-// Span is the trace of one request. All methods are safe on a nil receiver
-// (the disabled-tracing fast path) and after Finish.
+// Span is the trace of one request. Every recording method is safe on a nil
+// receiver (the disabled-tracing fast path) and after Finish.
 type Span struct {
 	id    uint64
 	op    string
@@ -104,62 +106,27 @@ type Span struct {
 	phases []Phase
 }
 
-// ID returns the span's sequence number (0 for nil).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
+// ID returns the span's sequence number.
+func (s *Span) ID() uint64 { return s.id }
 
-// Op returns the operation label ("" for nil).
-func (s *Span) Op() string {
-	if s == nil {
-		return ""
-	}
-	return s.op
-}
+// Op returns the operation label.
+func (s *Span) Op() string { return s.op }
 
 // Start returns the span's start time.
-func (s *Span) Start() sim.Time {
-	if s == nil {
-		return 0
-	}
-	return s.start
-}
+func (s *Span) Start() sim.Time { return s.start }
 
 // End returns the span's end time (valid after Finish).
-func (s *Span) End() sim.Time {
-	if s == nil {
-		return 0
-	}
-	return s.end
-}
+func (s *Span) End() sim.Time { return s.end }
 
 // Duration returns the end-to-end latency (valid after Finish).
-func (s *Span) Duration() sim.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.end.Sub(s.start)
-}
+func (s *Span) Duration() sim.Duration { return s.end.Sub(s.start) }
 
 // Layers returns the per-layer timeline attribution.
-func (s *Span) Layers() [NumLayers]sim.Duration {
-	if s == nil {
-		return [NumLayers]sim.Duration{}
-	}
-	return s.layers
-}
+func (s *Span) Layers() [NumLayers]sim.Duration { return s.layers }
 
 // Phases returns the retained segment list (nil unless the tracer keeps
 // spans).
-func (s *Span) Phases() []Phase {
-	if s == nil {
-		return nil
-	}
-	return s.phases
-}
+func (s *Span) Phases() []Phase { return s.phases }
 
 // To attributes the timeline since the previous switch to the current layer
 // and makes l the active layer. Call it just before starting asynchronous

@@ -102,12 +102,7 @@ func NewTracer(eng *sim.Engine, label string) *Tracer {
 }
 
 // Label returns the configuration label.
-func (t *Tracer) Label() string {
-	if t == nil {
-		return ""
-	}
-	return t.label
-}
+func (t *Tracer) Label() string { return t.label }
 
 // SetKeepSpans retains finished spans (with their phase timelines) for
 // export. Off by default: histograms alone are constant-memory.

@@ -45,9 +45,6 @@ func (l *NFSReadLoad) SetTracer(t *trace.Tracer) { l.Tracer = t }
 
 // Start implements Load.
 func (l *NFSReadLoad) Start() {
-	if l.Concurrency <= 0 {
-		l.Concurrency = 4
-	}
 	if l.RNG == nil {
 		l.RNG = sim.NewRNG(1)
 	}
@@ -63,9 +60,6 @@ func (l *NFSReadLoad) Start() {
 func nextOffset(st *stream, pattern AccessPattern, fileSize uint64, reqSize int) uint64 {
 	req := uint64(reqSize)
 	span := fileSize / req
-	if span == 0 {
-		span = 1
-	}
 	if pattern == HotSet {
 		return uint64(st.rng.Int63n(int64(span))) * req
 	}
@@ -92,9 +86,6 @@ var _ Load = (*NFSWriteLoad)(nil)
 
 // Start implements Load.
 func (l *NFSWriteLoad) Start() {
-	if l.Concurrency <= 0 {
-		l.Concurrency = 4
-	}
 	l.start(len(l.Clients), l.Concurrency, &stream{}, nil,
 		func(w *worker) {
 			c := l.Clients[w.lane]

@@ -23,8 +23,8 @@ type RoutedMixLoad struct {
 	// FileSize bounds request offsets; RequestSize is the read size.
 	FileSize    uint64
 	RequestSize int
-	// WriteSize is the write request size (0 = RequestSize); WritePct is
-	// the write percentage of the mix.
+	// WriteSize is the write request size; WritePct is the write
+	// percentage of the mix.
 	WriteSize int
 	WritePct  int
 	// Concurrency is the worker count per route (client process).
@@ -45,12 +45,6 @@ func (l *RoutedMixLoad) SetTracer(t *trace.Tracer) { l.Tracer = t }
 // process of its own, and the per-route seeds are what the committed
 // fig-scaleout results were produced with.
 func (l *RoutedMixLoad) Start() {
-	if l.Concurrency <= 0 {
-		l.Concurrency = 4
-	}
-	if l.WriteSize <= 0 {
-		l.WriteSize = l.RequestSize
-	}
 	seed := func(route int) uint64 { return l.Seed + uint64(route)*0x9e3779b9 }
 	l.start(len(l.Routes), l.Concurrency, nil, seed, l.next)
 }
@@ -73,9 +67,6 @@ func (l *RoutedMixLoad) next(w *worker) {
 		w.size = l.WriteSize
 	}
 	span := l.FileSize / uint64(w.size)
-	if span == 0 {
-		span = 1
-	}
 	// Align offsets to the request size so writes overwrite whole blocks
 	// in place (no read-modify-write tail).
 	w.off = uint64(rng.Int63n(int64(span))) * uint64(w.size)

@@ -59,9 +59,6 @@ var _ Load = (*SFSLoad)(nil)
 
 // Start implements Load.
 func (l *SFSLoad) Start() {
-	if l.Cfg.Concurrency <= 0 {
-		l.Cfg.Concurrency = 4
-	}
 	l.start(len(l.Clients), l.Cfg.Concurrency,
 		&stream{rng: sim.NewRNG(sfsSeed)}, nil, l.next)
 }

@@ -55,9 +55,6 @@ var _ Load = (*TracePlayer)(nil)
 
 // Start implements Load.
 func (p *TracePlayer) Start() {
-	if p.Concurrency <= 0 {
-		p.Concurrency = 4
-	}
 	p.start(len(p.Clients), p.Concurrency, &stream{}, nil, p.next)
 }
 

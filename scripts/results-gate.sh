@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 ncbench="$tmp/ncbench"
-export GOCOVERDIR="$tmp/cover"
+export GOCOVERDIR="${CENSUS_GATE_COVERDIR:-$tmp/cover}"
 mkdir -p "$GOCOVERDIR"
 
 go build -cover -coverpkg=ncache/... -o "$ncbench" ./cmd/ncbench
@@ -60,4 +60,7 @@ go tool covdata func -i="$GOCOVERDIR" |
 LC_ALL=C sort "$tmp/unreached" > results/unreached.txt
 LC_ALL=C sort "$tmp/partial" > results/partial.txt
 
+# scripts/untested.sh runs the gate for its coverage (CENSUS_GATE_COVERDIR)
+# and checks the diff itself, once its own census is written.
+[ -n "${CENSUS_GATE_COVERDIR:-}" ] && exit 0
 git diff --exit-code -- results/
