@@ -242,7 +242,10 @@ const drainBound = 10 * sim.Second
 // recovery counters. Injection starts with the load (setup ran fault-free)
 // and stops before the drain, so in-flight recovery completes and the event
 // loop terminates, within drainBound; the tracer (nil-safe) is frozen there
-// too, keeping late completions out of the window. atStart (nil-safe) runs as
+// too, keeping late completions out of the window. A drain past the bound
+// fails the run, naming the handler most of the queue runs, and so does a run
+// without faults that lost a datagram (Cluster.DatagramLosses): the client's
+// checksum is the one check on the bytes a reply carries. atStart (nil-safe) runs as
 // the window opens and atEdge (nil-safe) at the end of each bucket, with its
 // index, for experiments that sample something of their own.
 func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tracer, buckets int, atStart func(), atEdge func(int)) (window, error) {
@@ -287,7 +290,13 @@ func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tr
 	stop := cl.Eng.Now()
 	cl.Eng.RunUntil(stop.Add(drainBound))
 	if n := cl.Eng.Pending(); n > 0 {
-		return w, fmt.Errorf("drain: %d events still queued at %v, %v after the load stopped at %v", n, cl.Eng.Now(), drainBound, stop)
+		name, k := cl.Eng.Busiest()
+		return w, fmt.Errorf("drain: %d events still queued at %v, %v after the load stopped at %v; %d of them run %s", n, cl.Eng.Now(), drainBound, stop, k, name)
+	}
+	if cl.Faults == nil {
+		if bad, dropped := cl.DatagramLosses(); bad+dropped > 0 {
+			return w, fmt.Errorf("a run without faults lost datagrams: %d failed their UDP checksum, %d were abandoned in reassembly", bad, dropped)
+		}
 	}
 	secs := (bucket * sim.Duration(buckets)).Seconds()
 	w.Ops, w.Errors = ops1-ops0, errs1-errs0

@@ -72,13 +72,37 @@ func TestMeasureDrainBounded(t *testing.T) {
 	}
 	cl.App.Node.Schedule(sim.Millisecond, tick)
 	_, err = h.measure(cl, load, nil, 1, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "drain: 1 events still queued") {
-		t.Fatalf("measure: got %v, want the drain to fail with 1 event queued", err)
+	if err == nil || !strings.Contains(err.Error(), "drain: 1 events still queued") ||
+		!strings.Contains(err.Error(), "1 of them run ncache/internal/bench.TestMeasureDrainBounded.func") {
+		t.Fatalf("measure: got %v, want the drain to fail with 1 event queued, naming the timer", err)
 	}
 	if want := int(drainBound / sim.Millisecond); ticks < want {
 		t.Fatalf("timer fired %d times, want at least %d (the whole bound)", ticks, want)
 	}
 	t.Logf("%v (timer fired %d times)", err, ticks)
+}
+
+// TestMeasureFailsOnLostDatagram: a run without faults that ends with a
+// datagram dropped for its checksum, or abandoned in reassembly, fails.
+func TestMeasureFailsOnLostDatagram(t *testing.T) {
+	opt := Options{Warmup: sim.Millisecond, Window: 5 * sim.Millisecond, Concurrency: 2}
+	for _, lose := range []func(cl *passthru.Cluster){
+		func(cl *passthru.Cluster) { cl.Clients[0].UDP.BadChecksums++ },
+		func(cl *passthru.Cluster) { cl.App.UDP.IP().ReasmDropped++ },
+	} {
+		h := testHarness(t, opt)
+		cl, load, err := h.hitRig(passthru.ClusterConfig{Mode: passthru.NCache}, 32, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.measure(cl, load, nil, 1, nil, nil); err != nil {
+			t.Fatalf("a clean run failed: %v", err)
+		}
+		lose(cl)
+		if _, err := h.measure(cl, load, nil, 1, nil, nil); err == nil || !strings.Contains(err.Error(), "lost datagrams") {
+			t.Fatalf("measure after a lost datagram: %v, want the run to fail", err)
+		}
+	}
 }
 
 // testHarness is a harness for tests that measure single points.

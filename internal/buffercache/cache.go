@@ -232,16 +232,20 @@ func (c *Cache) drop(b *Block) {
 // recycle drops a block and, when nothing can refer to it any more —
 // unpinned, loaded (so no fill holds it) and not mid-flush (so no write-back
 // completion holds it) — reclaims it. A block dropped mid-flush is reclaimed
-// when its batch lands (flush.written); one a failed read drops, by its last
-// Unpin. Blocks are carved from a slab, so one never reclaimed would keep its
-// whole slab alive.
+// when its batch lands (flush.written); one dropped pinned, by its last
+// Unpin. Blocks are carved from a slab, so one never reclaimed would keep
+// its whole slab alive.
 func (c *Cache) recycle(b *Block) {
-	idle := b.pins == 0 && !b.flushing && b.loaded
+	idle := !b.held() && !b.flushing
 	c.drop(b)
 	if idle {
 		c.reclaim(b)
 	}
 }
+
+// held reports a block a caller pins or a fill still holds: eviction skips
+// it, and a drop leaves it to its holders.
+func (b *Block) held() bool { return b.pins > 0 || !b.loaded }
 
 // reclaim keeps a dropped block that nothing refers to for the next insert,
 // and its page for the next Page.
@@ -261,7 +265,7 @@ func (c *Cache) evictForRoom() {
 	for b := c.lru.prev; b != &c.lru && len(c.blocks) > c.capacity; {
 		prev := b.prev
 		switch {
-		case b.pins > 0 || b.flushing || !b.loaded:
+		case b.held() || b.flushing:
 		case b.Dirty:
 			f := c.flush(c.onEvicted)
 			f.blocks = append(f.blocks, b)
@@ -630,8 +634,12 @@ func (c *Cache) GetForWrite(lbn int64, meta bool, done func(*Block, error)) {
 
 // MarkDirty records a modification to a pinned block and stamps it (see
 // flush.written). The 0→dirty transition feeds the dirty gauge and arms the
-// background flusher.
+// background flusher. A block Drop detached while pinned takes the
+// modification with it, as Drop discards dirty bytes.
 func (c *Cache) MarkDirty(b *Block) {
+	if b.next == nil {
+		return
+	}
 	c.seq++
 	b.stamp = c.seq
 	if !b.Dirty {
@@ -642,12 +650,13 @@ func (c *Cache) MarkDirty(b *Block) {
 	c.touch(b)
 }
 
-// Unpin releases a caller's pin. The last pin on a block a failed read
-// dropped (run.arrived) reclaims it.
+// Unpin releases a caller's pin. The last pin on a block dropped while
+// pinned (by Drop, or by a failed read in run.arrived) reclaims it, unless
+// its batch is still in flight (flush.written reclaims it then).
 func (c *Cache) Unpin(b *Block) {
 	if b.pins > 0 {
 		b.pins--
-		if b.pins == 0 && !b.loaded && c.blocks[b.LBN] != b {
+		if b.pins == 0 && b.next == nil && !b.flushing {
 			c.reclaim(b)
 		}
 	}
@@ -655,19 +664,51 @@ func (c *Cache) Unpin(b *Block) {
 }
 
 // Drop invalidates a block (file truncation/removal, or a remote-remap
-// invalidation). Dirty contents are discarded. A mid-flush block is
-// detached immediately — cancel-or-complete: the in-flight write finishes
-// against the orphaned buffer (its completion holds the pointer, not the
-// map entry), future lookups miss, and the invalidation resolves now
-// rather than spinning behind a batched flush. Only a pinned block (a read
-// composing a reply from it) still returns false; callers that must win
-// retry after the pin drains.
+// invalidation). Dirty contents are discarded. A pinned or mid-flush block
+// is detached immediately — cancel-or-complete: a read holding it composes
+// its reply from it and the in-flight write finishes against the orphaned
+// buffer (each holds the pointer, not the map entry), future lookups miss,
+// and the invalidation resolves now. Only a block still filling returns
+// false; callers that must win retry once the fill lands.
 func (c *Cache) Drop(lbn int64) bool {
 	b, ok := c.blocks[lbn]
 	if !ok {
 		return true
 	}
-	if b.pins > 0 {
+	if !b.loaded {
+		return false
+	}
+	c.recycle(b)
+	return true
+}
+
+// Pinned returns the resident, loaded block at lbn while a caller pins it,
+// else nil.
+func (c *Cache) Pinned(lbn int64) *Block {
+	if b, ok := c.blocks[lbn]; ok && b.loaded && b.pins > 0 {
+		return b
+	}
+	return nil
+}
+
+// KeyAt returns the key of the block at lbn and true while a logical block,
+// or one still filling (the zero key: it has none yet), is there. With
+// Evict it is the NCache module's view of the cache (ncache.FSCache).
+func (c *Cache) KeyAt(lbn int64) (lkey.Key, bool) {
+	b, ok := c.blocks[lbn]
+	if !ok || b.loaded && !b.Logical {
+		return lkey.Key{}, false
+	}
+	return b.Key, true
+}
+
+// Evict drops the block at lbn, which KeyAt found, unless it is held or
+// dirty with bytes not yet on their way down, and reports whether it did.
+// Unlike eviction it takes a mid-flush block, which Drop detaches: the
+// module asks only for a block whose entry's bytes are already on storage.
+func (c *Cache) Evict(lbn int64) bool {
+	b := c.blocks[lbn]
+	if b.held() || b.Dirty && !b.flushing {
 		return false
 	}
 	c.recycle(b)

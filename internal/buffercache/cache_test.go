@@ -463,6 +463,72 @@ func TestDropInvalidates(t *testing.T) {
 	}
 }
 
+// TestDropDetachesPinnedBlock: Drop detaches a pinned block at once — the
+// holder keeps using it, a modification it makes goes with it, and its last
+// Unpin reclaims it — so a later lookup misses; only a block still filling
+// refuses, until its fill lands.
+func TestDropDetachesPinnedBlock(t *testing.T) {
+	eng, _, lower, c := rigCache(t, 8)
+	var held *Block
+	c.GetForWrite(3, false, func(b *Block, err error) { held = b })
+	copy(c.Page(held), "pinned")
+	if !c.Drop(3) || c.Pinned(3) != nil {
+		t.Fatal("Drop refused a pinned block, or left it resident")
+	}
+	c.MarkDirty(held)
+	if held.Dirty || c.nDirty != 0 || c.IsDirty(3) {
+		t.Fatal("a modification of a detached block dirtied the cache")
+	}
+	free := len(c.free)
+	c.Unpin(held)
+	if !netbuf.DebugEnabled() && (len(c.free) != free+1 || c.free[free] != held) {
+		t.Fatal("the last Unpin of a detached block did not reclaim it")
+	}
+	lower.latency = sim.Millisecond
+	c.Get(4, false, func(b *Block, err error) { c.Unpin(b) })
+	if c.Drop(4) {
+		t.Fatal("Drop took a block still filling")
+	}
+	eng.Run()
+	if !c.Drop(4) || len(lower.writes) != 0 {
+		t.Fatal("Drop refused a filled block, or a dropped modification reached the lower store")
+	}
+}
+
+// TestEvictTakesOnlyWhatEvictionWould: the NCache module's drop (Evict)
+// refuses a pinned, filling or dirty block, which the cache's own eviction
+// skips or must write back first, and takes a clean one, or one whose dirty
+// bytes are already on their way down.
+func TestEvictTakesOnlyWhatEvictionWould(t *testing.T) {
+	eng, _, lower, c := rigCache(t, 8)
+	lower.latency = sim.Millisecond
+	var pinned *Block
+	c.GetForWrite(1, false, func(b *Block, err error) { pinned = b })
+	c.Get(2, false, func(b *Block, err error) { c.Unpin(b) })
+	c.GetForWrite(3, false, func(b *Block, err error) {
+		c.SetKey(b, lkey.ForLBN(3))
+		c.MarkDirty(b)
+		c.Unpin(b)
+	})
+	for _, lbn := range []int64{1, 2, 3} {
+		if c.Evict(lbn) {
+			t.Fatalf("Evict took block %d (pinned, filling or dirty)", lbn)
+		}
+	}
+	c.Sync(func(error) {})
+	if k, ok := c.KeyAt(3); !ok || k != lkey.ForLBN(3) || !c.Evict(3) {
+		t.Fatal("Evict refused a logical block whose flush is in flight")
+	}
+	eng.Run()
+	c.Unpin(pinned)
+	if !c.Evict(1) || !c.Evict(2) {
+		t.Fatal("Evict refused a clean, idle block")
+	}
+	if _, ok := c.KeyAt(2); ok || len(c.blocks) != 0 {
+		t.Fatalf("%d blocks resident after Evict took them all", len(c.blocks))
+	}
+}
+
 // TestCacheGetResidentZeroAllocs gates the resident-hit fast path: returning
 // a block that is already in the map pins it, counts the hit, touches the
 // LRU, calls done and runs eviction — and allocates nothing; nor does a

@@ -498,7 +498,7 @@ func (c *Cache) flushBatch(f *flush) {
 // written settles the batch's blocks once the lower write completes: a block
 // turns clean only if the write landed and the block is unchanged since the
 // batch was issued (stamp ≤ mark). A block dropped in flight is reclaimed
-// once the Syncs waiting on it have let it go.
+// once the Syncs waiting on it have let it go, or by its last Unpin.
 func (f *flush) written(err error) {
 	c, done := f.c, f.done
 	dropped := 0
@@ -531,7 +531,9 @@ func (f *flush) written(err error) {
 	}
 	c.syncsLanded()
 	for _, b := range f.blocks[:dropped] {
-		c.reclaim(b)
+		if b.pins == 0 {
+			c.reclaim(b)
+		}
 	}
 	if err == nil && c.onFlush != nil {
 		c.onFlush()

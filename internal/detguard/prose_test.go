@@ -9,7 +9,7 @@ import (
 // proseBudget caps DESIGN.md plus EXPERIMENTS.md, in bytes. A change that
 // cuts prose lowers it to the new total; raising it takes an edit here and a
 // CHANGES.md line saying why.
-const proseBudget = 181548
+const proseBudget = 181448
 
 // TestProseWithinBudget is the prose size ratchet: the two design documents
 // together stay within proseBudget, so a paragraph added has to pay for

@@ -3,6 +3,7 @@ package iscsi
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ncache/internal/blockdev"
 	"ncache/internal/netbuf"
@@ -145,6 +146,7 @@ func (i *Initiator) Connect(target eth.Addr, done func(error)) {
 		i.conn = c
 		i.framer = NewFramer(i.node.TxPool, i.handlePDU)
 		c.SetReceiver(i.framer.Push)
+		c.SetOnClose(i.failPending)
 
 		t := i.task()
 		t.onDone = func(err error) {
@@ -250,11 +252,29 @@ func (t *task) sendOut() {
 	}
 }
 
-// fail completes with err a task whose command never reached the wire, so
-// no answer can have come for it.
+// fail completes with err a task no answer can come for: its command never
+// reached the wire, or the connection carrying it died.
 func (t *task) fail(err error) {
 	delete(t.i.pending, t.itt)
 	t.finish(nil, err)
+}
+
+// failPending fails every command a dead connection carried, with the
+// cause, in ascending task-tag order: map order is random, and the same seed
+// must give the same bytes. A command whose response is being processed is
+// left to it, and one whose PDU still waits for the CPU fails on its own
+// when it finds the connection closed (sendOut).
+func (i *Initiator) failPending(err error) {
+	itts := make([]uint32, 0, len(i.pending))
+	for itt, t := range i.pending { // det: sorted (by ITT, below)
+		if !t.answered && t.out == nil {
+			itts = append(itts, itt)
+		}
+	}
+	slices.Sort(itts)
+	for _, itt := range itts {
+		i.pending[itt].fail(err)
+	}
 }
 
 // retry re-issues a failed command under a fresh task tag after the

@@ -361,17 +361,34 @@ func TestOutOfRangeReadFails(t *testing.T) {
 	}
 }
 
-// TestCommandOnAbortedConnectionFails: once the target is gone and the
-// connection has given up retransmitting, a new command fails at once with
-// the transport's error instead of waiting for an answer.
+// TestCommandOnAbortedConnectionFails: once the target is gone, the
+// commands the connection carried fail with the abort's cause when it gives
+// up retransmitting — in issue order, which is ascending task-tag order —
+// and a new command fails at once with the transport's error instead of
+// waiting for an answer.
 func TestCommandOnAbortedConnectionFails(t *testing.T) {
 	r := newRig(t)
 	r.connect(t)
 	r.tgtNode.Kill()
-	// The first READ after the kill is what the connection retransmits until
-	// it aborts.
-	r.initiator.Read(0, 1, false, func(data *netbuf.Chain, err error) { data.Release() })
+	// The READs issued after the kill are what the connection retransmits
+	// until it aborts.
+	var order []int64
+	var carriedErr []error
+	for _, lba := range []int64{8, 0, 4} {
+		r.initiator.Read(lba, 1, false, func(data *netbuf.Chain, err error) {
+			order, carriedErr = append(order, lba), append(carriedErr, err)
+			data.Release()
+		})
+	}
 	r.eng.Run()
+	if !slices.Equal(order, []int64{8, 0, 4}) {
+		t.Fatalf("carried READs failed in order %v, want issue order [8 0 4]", order)
+	}
+	for _, err := range carriedErr {
+		if !errors.Is(err, tcp.ErrTimeout) {
+			t.Fatalf("READ carried by the aborted connection: %v, want %v", err, tcp.ErrTimeout)
+		}
+	}
 	var gotErr error
 	r.initiator.Read(0, 1, false, func(data *netbuf.Chain, err error) {
 		gotErr = err
@@ -380,6 +397,9 @@ func TestCommandOnAbortedConnectionFails(t *testing.T) {
 	r.eng.Run()
 	if !errors.Is(gotErr, tcp.ErrConnClosed) {
 		t.Fatalf("READ on an aborted connection: %v, want %v", gotErr, tcp.ErrConnClosed)
+	}
+	if len(r.initiator.pending) != 0 {
+		t.Fatalf("%d commands still pending on a dead connection", len(r.initiator.pending))
 	}
 }
 

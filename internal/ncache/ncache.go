@@ -1,30 +1,28 @@
 // Package ncache implements the paper's contribution: the network-centric
 // buffer cache. Payloads that pass through the server are kept in their
 // network-ready form (chains of the original wire buffers) and indexed two
-// ways:
-//
-//   - the LBN cache holds data that arrived as iSCSI read responses,
-//     keyed by storage logical block number (§3.4);
-//   - the FHO cache holds data that arrived as NFS write requests,
-//     keyed by file handle + offset.
+// ways: the LBN cache holds iSCSI read responses by storage logical block
+// number (§3.4), the FHO cache NFS write requests by file handle + offset.
 //
 // Upper layers see only key-carrying junk blocks (package lkey) and move
-// them with logical copies. The module's three hooks sit exactly where
-// Table 1 puts the kernel modifications:
-//
-//   - CaptureLBN — the iSCSI initiator's receive path;
-//   - CaptureFHO — the NFS server's write-request receive path;
-//   - SubstituteMessage — the transmit path of outgoing replies;
-//   - WriteOut — the iSCSI initiator's transmit path, where dirty
-//     file-system buffers flush and FHO entries remap to LBN entries.
+// them with logical copies. The hooks sit where Table 1 puts the kernel
+// modifications: CaptureLBN on the iSCSI initiator's receive path,
+// CaptureFHO on the NFS server's write-request receive path,
+// SubstituteMessage on the reply transmit path, and WriteOut on the
+// initiator's transmit path, where dirty file-system buffers flush and FHO
+// entries remap to LBN entries.
 //
 // Entries are managed LRU with the paper's policy: clean chunks are
 // reclaimed from the cold end first; dirty FHO chunks are pinned until the
 // file system's own flush remaps them and that write lands (the paper sizes
-// the FS cache small so this always happens before NCache needs the space).
+// the FS cache small for this). One invariant ties the module to the FS
+// cache above it: every logical FS-cache block's key resolves to a live
+// entry. Where an entry dies (reclaim), the block naming it dies too.
 package ncache
 
 import (
+	"fmt"
+
 	"ncache/internal/lkey"
 	"ncache/internal/netbuf"
 	"ncache/internal/sim"
@@ -32,9 +30,8 @@ import (
 	"ncache/internal/trace"
 )
 
-// EntryOverheadBytes models the per-entry metadata footprint (hash links,
-// LRU links, buffer descriptors). It is what shrinks the effective cache at
-// large working sets in Figure 6(a).
+// EntryOverheadBytes models the per-entry metadata (hash and LRU links,
+// buffer descriptors) that shrinks the cache at Figure 6(a)'s large sets.
 const EntryOverheadBytes = 512
 
 // Config sizes and tunes a module.
@@ -43,34 +40,34 @@ type Config struct {
 	CapacityBytes int64
 	// BlockSize is the file-system block size entries are split into.
 	BlockSize int
-	// DisableRemap turns off FHO→LBN remapping (ablation: flushes then
-	// evict FHO entries instead of re-indexing them).
+	// DisableRemap turns off FHO→LBN remapping (ablation: a flushed FHO
+	// entry dies with its FS-cache block once the write lands).
 	DisableRemap bool
 }
 
 // Stats counts module activity.
 type Stats struct {
-	Captures      uint64 // blocks captured into the cache
-	LBNHits       uint64
-	FHOHits       uint64
-	SubstMisses   uint64 // stamped blocks with no cache entry (junk passes)
-	Remaps        uint64
-	Evictions     uint64
-	PinnedSkips   uint64 // eviction passes blocked by dirty FHO entries
+	Captures uint64 // blocks captured into the cache
+	LBNHits  uint64
+	FHOHits  uint64
+	// SubstMisses stays zero (a key always resolves): an inert shim that
+	// benchmarks/ncmark reads (DESIGN.md §11).
+	SubstMisses uint64
+	Remaps      uint64
+	Evictions   uint64
+	// PinnedSkips counts entries eviction passed over (see reclaim).
+	PinnedSkips   uint64
 	Substitutions uint64
-	// SubstBufs counts wire buffers spliced by substitutions (the unit
-	// the driver-hook cost scales with).
+	// SubstBufs counts wire buffers spliced (the driver-hook cost's unit).
 	SubstBufs uint64
-	// L2Hits/L2Misses count file-system cache misses served (or not)
-	// directly from the network-centric cache without storage traffic —
-	// the second-level-cache role of §3.4.
+	// L2Hits/L2Misses count FS-cache misses served (or not) with no
+	// storage traffic: the second-level-cache role of §3.4.
 	L2Hits   uint64
 	L2Misses uint64
 }
 
-// entry is one cached block. It carries its own links in the module's LRU
-// ring while it is indexed, and goes to the module's free list when it is
-// evicted or replaced.
+// entry is one cached block, linked into the module's LRU ring while
+// indexed and on its free list once evicted or replaced.
 type entry struct {
 	netbuf.Recycled
 	key        lkey.Key
@@ -86,23 +83,29 @@ type fhoKey struct {
 	off uint64
 }
 
+// FSCache is the file-system cache above the module (buffercache.Cache):
+// KeyAt returns the key of the block at lbn while a logical block, or one
+// still filling (the zero key), is there; Evict drops the block at lbn
+// unless its cache could not evict it itself, and reports whether it did.
+type FSCache interface {
+	KeyAt(lbn int64) (lkey.Key, bool)
+	Evict(lbn int64) bool
+}
+
 // Module is one node's network-centric cache.
 type Module struct {
 	node *simnet.Node
 	cfg  Config
-
-	lbn map[int64]*entry
-	fho map[fhoKey]*entry
-	// lru is the sentinel of the LRU ring: lru.next is the most recently
-	// used entry, lru.prev the eviction candidate.
-	lru  entry
+	fs   FSCache // see Attach
+	lbn  map[int64]*entry
+	fho  map[fhoKey]*entry
+	lru  entry // the LRU ring's sentinel: next is the hottest, prev the victim
 	free netbuf.FreeList[*entry]
 	slab netbuf.Slab[entry] // carves entries when free is empty
 	used int64
 	seq  uint64 // counts FHO captures
 
-	// Stats is the module's activity counters.
-	Stats Stats
+	Stats Stats // the module's activity counters
 }
 
 // New creates a module on a node.
@@ -116,6 +119,10 @@ func New(node *simnet.Node, cfg Config) *Module {
 	m.lru.prev, m.lru.next = &m.lru, &m.lru
 	return m
 }
+
+// Attach links the module to the FS cache whose logical blocks hold its keys
+// (a kernel benchmark's module has none).
+func (m *Module) Attach(fs FSCache) { m.fs = fs }
 
 // chargeLookup bills one hash operation.
 func (m *Module) chargeLookup() {
@@ -171,7 +178,9 @@ func (m *Module) insert(key lkey.Key, chain *netbuf.Chain, dirty uint64) {
 
 // index registers an entry under all identities its key carries, replacing
 // any other entry there: newer data over a stale LBN entry, or a client
-// rewrite of an unflushed block (the Table 2 "overwritten" case).
+// rewrite of an unflushed block (the Table 2 "overwritten" case). A rewrite
+// of a remapped block takes only the FHO identity: the old entry keeps its
+// LBN, and the bytes storage holds, for an FS-cache block filling from it.
 func (m *Module) index(e *entry) {
 	if e.key.Flags&lkey.HasLBN != 0 {
 		if old, ok := m.lbn[e.key.LBN]; ok && old != e {
@@ -182,7 +191,11 @@ func (m *Module) index(e *entry) {
 	if e.key.Flags&lkey.HasFHO != 0 {
 		k := fhoKey{fh: e.key.FH, off: e.key.Off}
 		if old, ok := m.fho[k]; ok && old != e {
-			m.remove(old)
+			if old.key.Flags&lkey.HasLBN != 0 {
+				old.key.Flags &^= lkey.HasFHO
+			} else {
+				m.remove(old)
+			}
 		}
 		m.fho[k] = e
 	}
@@ -212,29 +225,43 @@ func (m *Module) remove(e *entry) {
 	*e = entry{Recycled: e.Recycled}
 }
 
-// evict reclaims cold entries until occupancy fits capacity. Dirty entries
-// (unremapped FHO data — the only copy of client writes) are pinned.
+// reclaim is where entries die: it reports whether clean entry e went,
+// taking along the FS-cache block at its LBN when that block's key resolves
+// to e (every clean entry has an LBN: an FHO entry turns clean once its
+// remap lands). Dirty data stays, as does an entry whose block its cache
+// cannot evict — one still filling may yet take e's key.
+func (m *Module) reclaim(e *entry) bool {
+	if e.dirty != 0 {
+		return false
+	}
+	if m.fs != nil {
+		k, ok := m.fs.KeyAt(e.key.LBN)
+		if named, _ := m.find(k); ok && (k.Flags == 0 || named == e) && !m.fs.Evict(e.key.LBN) {
+			return false
+		}
+	}
+	m.remove(e)
+	return true
+}
+
+// evict reclaims cold entries until occupancy fits capacity.
 func (m *Module) evict() {
 	for e := m.lru.prev; e != &m.lru && m.used > m.cfg.CapacityBytes; {
 		prev := e.prev
-		if e.dirty != 0 {
-			m.Stats.PinnedSkips++
-		} else {
+		if m.reclaim(e) {
 			m.Stats.Evictions++
-			m.remove(e)
+		} else {
+			m.Stats.PinnedSkips++
 		}
 		e = prev
 	}
 }
 
-// CaptureLBN is the iSCSI read hook: it captures the payload of a completed
-// regular-data READ into the LBN cache, block by block, and returns the
-// key-carrying junk the upper layers cache instead. Payload bytes are not
-// copied — the entries hold windows onto the wire buffers, so the arriving
-// payload buffer, the cached buffer, and the buffer later sent by
-// SubstituteMessage are the same physical memory. The hook takes
-// ownership of data and releases it; the cache owns the captured sub-chains
-// until eviction.
+// CaptureLBN is the iSCSI read hook: it captures a completed regular-data
+// READ into the LBN cache, block by block, and returns the key-carrying junk
+// the upper layers cache instead. No byte is copied: the entries hold
+// windows onto the wire buffers, the memory SubstituteMessage later sends.
+// The hook takes ownership of data.
 func (m *Module) CaptureLBN(lba int64, blocks int, data *netbuf.Chain) *netbuf.Chain {
 	if blocks <= 0 || data.Len() < blocks*m.cfg.BlockSize {
 		return data
@@ -254,9 +281,8 @@ func (m *Module) CaptureLBN(lba int64, blocks int, data *netbuf.Chain) *netbuf.C
 
 // CaptureFHO is the NFS write-request hook: it captures a block-aligned
 // write payload into the FHO cache and returns stamped junk for the file
-// system to cache. Non-block-aligned payloads pass through untouched (the
-// caller falls back to physical copying, as the paper's small-request path
-// does).
+// system to cache. Other payloads pass through untouched (the caller falls
+// back to physical copying, as the paper's small-request path does).
 func (m *Module) CaptureFHO(fh lkey.FH, off uint64, data *netbuf.Chain) *netbuf.Chain {
 	bs := m.cfg.BlockSize
 	n := data.Len()
@@ -278,36 +304,51 @@ func (m *Module) CaptureFHO(fh lkey.FH, off uint64, data *netbuf.Chain) *netbuf.
 	return out
 }
 
-// lookup finds the freshest entry for a key: FHO first (client writes are
-// always newer), then LBN (§3.4).
-func (m *Module) lookup(key lkey.Key) *entry {
+// find returns the freshest entry for a key (nil if none) and whether the
+// FHO index held it: FHO first (client writes are always newer), then LBN.
+func (m *Module) find(key lkey.Key) (*entry, bool) {
 	if key.Flags&lkey.HasFHO != 0 {
 		if e, ok := m.fho[fhoKey{fh: key.FH, off: key.Off}]; ok {
-			m.Stats.FHOHits++
-			return e
+			return e, true
 		}
 	}
 	if key.Flags&lkey.HasLBN != 0 {
 		if e, ok := m.lbn[key.LBN]; ok {
-			m.Stats.LBNHits++
-			return e
+			return e, false
 		}
 	}
-	return nil
+	return nil, false
 }
 
-// SubstituteMessage is the transmit hook: it scans an outgoing message for
-// junk blocks (windows lkey.Of finds a key in) and splices in clones of the
-// cached chains. Blocks whose entries are gone (or baseline junk with no
-// identities) pass through unchanged. The module owns the input chain and returns the chain to send.
+// resolve returns the entry a logical block's key names and books the hit.
+// A miss breaks the invariant (reclaim) and panics, as lkey.Of does for a
+// marked buffer that has lost its key.
+func (m *Module) resolve(key lkey.Key) *entry {
+	e, fho := m.find(key)
+	switch {
+	case e == nil:
+		panic(fmt.Sprintf("ncache: key %+v names no entry: a logical block outlived its entry", key))
+	case fho:
+		m.Stats.FHOHits++
+	default:
+		m.Stats.LBNHits++
+	}
+	return e
+}
+
+// SubstituteMessage is the transmit hook: it splices clones of the cached
+// chains in for an outgoing message's junk blocks (windows lkey.Of finds a
+// key in), taking the input chain and returning the one to send. No reply
+// pins its entries: none can die between composition and this hook, as the
+// NFS daemon's replyChain, replyRead, Server.send and tx filter run in one
+// event, and so do kHTTPd's replyChain and its call here.
 func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 	out := m.node.TxPool.NewChain(0)
 	substituted := 0
 	clonedBufs := 0
-	// Checksum inheritance (§1): compose the output's transport-checksum
-	// partial from the per-entry partials captured at receive time, so a
-	// software-checksum transmit path never re-walks substituted payload.
-	// Composition needs 16-bit alignment; block payloads keep it.
+	// Checksum inheritance (§1): the output's transport-checksum partial
+	// is composed from the entries' partials captured at receive time, so
+	// no transmit path re-walks substituted payload (blocks keep alignment).
 	var ck netbuf.Partial
 	even := true
 	addWalked := func(p []byte) {
@@ -318,57 +359,33 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 	}
 	for _, w := range payload.Bufs() {
 		key, ok := lkey.Of(w)
-		if !ok || key.Flags == 0 {
+		if !ok {
 			addWalked(w.Bytes())
 			out.AppendClone(w)
 			continue
 		}
 		m.chargeLookup()
-		e := m.lookup(key)
-		if e == nil {
-			m.Stats.SubstMisses++
-			out.AppendClone(w)
-			continue
-		}
+		e := m.resolve(key)
 		m.touch(e)
-		// Splice in clones of the cached wire buffers, honoring the
-		// key's sub-block offset (unaligned reads); pad to the junk
-		// block's length so message framing is preserved.
-		want := w.Len()
+		// Splice from the key's sub-block offset (unaligned reads) as
+		// many bytes as the junk holds, so the framing is preserved.
+		whole := key.SubOff == 0 && w.Len() == e.chain.Len()
 		var cl *netbuf.Chain
-		avail := e.chain.Len() - int(key.SubOff)
-		take := want
-		if take > avail {
-			take = avail
-		}
-		if take < 0 {
-			take = 0
-		}
-		if key.SubOff == 0 && take == e.chain.Len() {
+		if whole {
 			cl = e.chain.Clone()
 		} else {
-			cl, _ = e.chain.SubChain(int(key.SubOff), take) // in range: take is clamped to avail
+			cl, _ = e.chain.SubChain(int(key.SubOff), w.Len()) // in range: the extent is within the block
 		}
 		clonedBufs += cl.NumBufs()
-		clLen := cl.Len()
-		if even && key.SubOff == 0 && take == e.chain.Len() {
-			// Whole-entry splice at even offset: inherit the stored
-			// partial without touching payload bytes.
+		if even && whole {
+			// Whole block at even offset: inherit the stored partial.
 			ck = netbuf.Combine(ck, e.partial)
-			if take%2 == 1 {
-				even = !even
-			}
 		} else {
 			for _, cw := range cl.Bufs() {
 				addWalked(cw.Bytes())
 			}
 		}
 		out.AppendChain(cl)
-		if short := want - clLen; short > 0 {
-			pb := m.node.BlkPool.GetSized(short, 0)
-			addWalked(pb.Bytes())
-			out.Append(pb)
-		}
 		substituted++
 	}
 	// Pass-through windows took their own reference above; dropping the
@@ -377,22 +394,20 @@ func (m *Module) SubstituteMessage(payload *netbuf.Chain) *netbuf.Chain {
 	if substituted > 0 {
 		m.Stats.Substitutions += uint64(substituted)
 		m.Stats.SubstBufs += uint64(clonedBufs)
-		// The substitution cost scales with the wire buffers spliced —
-		// the driver-level hook touches every outgoing packet.
+		// The driver-level hook's cost scales with the buffers spliced.
 		m.node.Charge(sim.Duration(clonedBufs)*m.node.Cost.NCacheSubstNs, nil)
 		out.SetPartial(ck)
 	}
 	return out
 }
 
-// WriteOut is the iSCSI write hook: when the file system flushes dirty
-// buffers, the outgoing payload (exactly blocks blocks) is stamped junk.
-// The module substitutes the real cached data and — for dirty FHO
-// entries — performs the remap: the entry is re-indexed under its now-known
-// LBN, replacing any stale LBN entry. It stays dirty until the write lands.
-// It returns the chain to transmit, remapped with the LBNs it re-indexed
-// appended, and the mark the write carries: once the write commits the
-// caller hands both to Landed and announces the LBNs to peer servers.
+// WriteOut is the iSCSI write hook: a flush's payload (exactly blocks
+// blocks) is stamped junk, for which it substitutes the cached data, and a
+// dirty FHO entry is remapped: re-indexed under its now-known LBN, replacing
+// any stale LBN entry, and dirty until the write lands. It returns the chain
+// to transmit, remapped with the LBNs it re-indexed appended, and the write's
+// mark: once the write commits the caller hands both to Landed and announces
+// the LBNs to peer servers.
 func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []int64) (*netbuf.Chain, []int64, uint64) {
 	bs := m.cfg.BlockSize
 	out := m.node.BlkPool.NewChain(0)
@@ -400,34 +415,24 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []
 	for i := 0; i < blocks; i++ {
 		sub, _ := data.SubChain(i*bs, bs) // in range: data holds blocks*bs bytes
 		key, isKey := lkey.Of(sub.Bufs()[0])
-		if !isKey || key.Flags == 0 {
+		if !isKey {
 			out.AppendChain(sub)
 			continue
 		}
 		m.chargeLookup()
-		e := m.lookup(key)
-		if e == nil {
-			m.Stats.SubstMisses++
-			out.AppendChain(sub)
-			continue
-		}
+		e := m.resolve(key)
 		touched++
 		blockLBN := lba + int64(i)
 		if e.key.Flags&lkey.HasFHO != 0 && e.dirty != 0 {
-			if m.cfg.DisableRemap {
-				// Ablation: flush the data but drop the entry.
-				out.AppendChain(e.chain.Clone())
-				m.remove(e)
-				sub.Release()
-				continue
-			}
-			// Remap FHO → LBN (§3.4): newer FHO data replaces any
-			// stale LBN entry.
+			// Remap FHO → LBN (§3.4), with remapping disabled too, so
+			// that Landed finds the entry to reclaim.
 			m.unindex(e)
 			e.key = e.key.WithLBN(blockLBN)
 			e.key.Flags |= lkey.HasFHO
 			m.index(e)
-			m.Stats.Remaps++
+			if !m.cfg.DisableRemap {
+				m.Stats.Remaps++
+			}
 			remapped = append(remapped, blockLBN)
 		}
 		m.touch(e)
@@ -442,22 +447,24 @@ func (m *Module) WriteOut(lba int64, blocks int, data *netbuf.Chain, remapped []
 }
 
 // Landed settles a write that reached storage, given WriteOut's remapped and
-// mark: entries indexed at lbns turn clean, and reclaimable, unless captured
-// after mark. A failed write needs no call: its entries stay dirty.
+// mark: entries at lbns captured by mark turn clean (reclaimed at once with
+// remapping disabled). A failed write needs no call: its entries stay dirty.
 func (m *Module) Landed(lbns []int64, mark uint64) {
 	for _, lbn := range lbns {
 		if e, ok := m.lbn[lbn]; ok && e.dirty <= mark {
 			e.dirty = 0
+			if m.cfg.DisableRemap {
+				m.reclaim(e)
+			}
 		}
 	}
 	m.evict()
 }
 
-// ServeRead attempts to satisfy a block-read entirely from the LBN cache —
-// the second-level-cache role (§3.4): a file-system buffer-cache miss whose
-// blocks are all resident costs hash lookups and key copies, not an iSCSI
-// round trip. It returns stamped junk (what the buffer cache stores) and
-// true on a full hit; partial hits are treated as misses.
+// ServeRead serves a block read from the LBN cache, the second-level role
+// (§3.4): an FS-cache miss whose blocks are all resident costs lookups and
+// key copies, not an iSCSI round trip. It returns stamped junk (what the
+// buffer cache stores) and true on a full hit; a partial hit is a miss.
 func (m *Module) ServeRead(lba int64, blocks int) (*netbuf.Chain, bool) {
 	for i := 0; i < blocks; i++ {
 		if _, ok := m.lbn[lba+int64(i)]; !ok {
@@ -477,37 +484,29 @@ func (m *Module) ServeRead(lba int64, blocks int) (*netbuf.Chain, bool) {
 	return out, true
 }
 
-// Materialize copies a cached entry's payload into dst (a physical copy the
-// caller charges), used when a logical block must become real again — e.g.
-// a partial overwrite of a key-carrying buffer. It reports whether the
-// entry was found.
-func (m *Module) Materialize(key lkey.Key, dst []byte) bool {
-	e := m.lookup(key)
-	if e == nil {
-		return false
-	}
+// Materialize copies the payload key names into dst (a physical copy the
+// caller charges), for a logical block that must become real again.
+func (m *Module) Materialize(key lkey.Key, dst []byte) {
+	e := m.resolve(key)
 	m.touch(e)
 	e.chain.Gather(dst)
-	return true
 }
 
-// InvalidateLBN drops an LBN entry (file deletion / block reuse).
+// InvalidateLBN reclaims the entry at lbn (a peer rewrote the block).
 func (m *Module) InvalidateLBN(lbn int64) {
-	if e, ok := m.lbn[lbn]; ok && e.dirty == 0 {
-		m.remove(e)
+	if e, ok := m.lbn[lbn]; ok {
+		m.reclaim(e)
 	}
 }
 
-// DropClean releases every clean entry, returning the buffers the cache
-// pins back to their pools (shutdown, or a full invalidation). Dirty FHO
-// entries — the only copy of unflushed client writes — stay. Returns the
+// DropClean reclaims every entry it can, returning the buffers the cache
+// pins back to their pools (shutdown, or a full invalidation), and the
 // number of entries dropped.
 func (m *Module) DropClean() int {
 	dropped := 0
 	for e := m.lru.prev; e != &m.lru; {
 		prev := e.prev
-		if e.dirty == 0 {
-			m.remove(e)
+		if m.reclaim(e) {
 			dropped++
 		}
 		e = prev

@@ -82,21 +82,31 @@ func TestSubstituteMessageRestoresPayload(t *testing.T) {
 	}
 }
 
-func TestSubstituteMissPassesJunkThrough(t *testing.T) {
-	eng, _, m := newModule(t, 1<<20)
-	msg := lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(999), bs)
-	out := m.SubstituteMessage(msg)
-	eng.Run()
-	if out.Len() != bs {
-		t.Fatalf("len = %d", out.Len())
-	}
-	if m.Stats.SubstMisses != 1 {
-		t.Fatalf("misses = %d", m.Stats.SubstMisses)
-	}
-	// Baseline junk (no identities) is not even looked up.
-	out2 := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.Key{}, bs))
-	if out2.Len() != bs || m.Stats.SubstMisses != 1 {
-		t.Fatal("baseline junk should pass through without a miss")
+// TestUnresolvedKeyPanics: a key that names no entry is a logical block that
+// outlived its entry, a broken invariant; each hook that resolves keys
+// panics on one instead of passing the junk on as data. So does junk with
+// no identity, which only Baseline, with no module, stamps.
+func TestUnresolvedKeyPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		key  lkey.Key
+		hook func(m *Module, key lkey.Key, junk *netbuf.Chain)
+	}{
+		{"SubstituteMessage", lkey.ForLBN(999), func(m *Module, _ lkey.Key, junk *netbuf.Chain) { m.SubstituteMessage(junk) }},
+		{"WriteOut", lkey.ForLBN(999), func(m *Module, _ lkey.Key, junk *netbuf.Chain) { m.WriteOut(999, 1, junk, nil) }},
+		{"Materialize", lkey.ForLBN(999), func(m *Module, key lkey.Key, _ *netbuf.Chain) { m.Materialize(key, make([]byte, bs)) }},
+		{"identity-free junk", lkey.Key{}, func(m *Module, _ lkey.Key, junk *netbuf.Chain) { m.SubstituteMessage(junk) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, m := newModule(t, 1<<20)
+			m.CaptureLBN(10, 1, m.node.TxPool.GetChain(blockData(1, bs))).Release()
+			defer func() {
+				if r := recover(); r == nil {
+					t.Fatal("a key naming no entry did not panic")
+				}
+			}()
+			tc.hook(m, tc.key, lkey.StampChainPool(m.node.BlkPool, tc.key, bs))
+		})
 	}
 }
 
@@ -209,15 +219,46 @@ func TestRemapOverwritesStaleLBNEntry(t *testing.T) {
 	}
 }
 
+// fakeFS stands for the FS cache above the module (FSCache): one logical
+// block per LBN in keys. The module drops a block through Evict, which
+// records the LBN in evicted; a block in held cannot be evicted.
+type fakeFS struct {
+	keys    map[int64]lkey.Key
+	held    map[int64]bool
+	evicted []int64
+}
+
+func newFakeFS(m *Module) *fakeFS {
+	f := &fakeFS{keys: make(map[int64]lkey.Key), held: make(map[int64]bool)}
+	m.Attach(f)
+	return f
+}
+
+func (f *fakeFS) KeyAt(lbn int64) (lkey.Key, bool) {
+	k, ok := f.keys[lbn]
+	return k, ok
+}
+
+func (f *fakeFS) Evict(lbn int64) bool {
+	if f.held[lbn] {
+		return false
+	}
+	delete(f.keys, lbn)
+	f.evicted = append(f.evicted, lbn)
+	return true
+}
+
 func TestLRUEvictionSkipsDirty(t *testing.T) {
 	// Capacity for ~4 blocks incl. overhead.
 	eng, _, m := newModule(t, int64(4*(bs+EntryOverheadBytes)))
+	fs := newFakeFS(m)
 	fh := lkey.FH{1}
 	// One dirty FHO entry.
 	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(blockData(0, bs)))
-	// Flood with clean LBN entries.
+	// Flood with clean LBN entries, each held by the FS cache as a key.
 	for i := int64(0); i < 10; i++ {
 		m.CaptureLBN(1000+i, 1, m.node.TxPool.GetChain(blockData(byte(i), bs)))
+		fs.keys[1000+i] = lkey.ForLBN(1000 + i)
 	}
 	eng.Run()
 	if m.Stats.Evictions == 0 {
@@ -232,15 +273,89 @@ func TestLRUEvictionSkipsDirty(t *testing.T) {
 	if !bytes.Equal(out.Flatten(), blockData(0, bs)) {
 		t.Fatal("dirty FHO entry was evicted")
 	}
-	// The hottest (most recent) LBN entry also survived; the coldest died.
-	m.Stats.SubstMisses = 0
-	m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(1009), bs))
-	if m.Stats.SubstMisses != 0 {
+	// The coldest entries died first, each with its FS-cache block; the
+	// hottest survived, and so did its key.
+	if uint64(len(fs.evicted)) != m.Stats.Evictions {
+		t.Fatalf("%d evictions dropped %d FS-cache blocks", m.Stats.Evictions, len(fs.evicted))
+	}
+	for i, lbn := range fs.evicted {
+		if lbn != 1000+int64(i) {
+			t.Fatalf("FS-cache blocks dropped in order %v, want LRU order from 1000", fs.evicted)
+		}
+	}
+	if _, ok := fs.keys[1009]; !ok {
 		t.Fatal("MRU entry evicted before LRU")
 	}
-	m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(1000), bs))
-	if m.Stats.SubstMisses != 1 {
-		t.Fatal("LRU entry not evicted first")
+	out = m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(1009), bs))
+	eng.Run()
+	if !bytes.Equal(out.Flatten(), blockData(9, bs)) {
+		t.Fatal("MRU entry does not serve its bytes")
+	}
+}
+
+// TestEvictionKeepsEntryOfHeldBlock: an entry whose FS-cache block its cache
+// cannot evict (pinned, dirty, flushing or filling) stays, counted as a
+// pinned skip, so the block's key still resolves; an entry whose LBN holds a
+// block naming another entry dies alone.
+func TestEvictionKeepsEntryOfHeldBlock(t *testing.T) {
+	eng, _, m := newModule(t, int64(2*(bs+EntryOverheadBytes)))
+	fs := newFakeFS(m)
+	fh := lkey.FH{5}
+	m.CaptureLBN(10, 1, m.node.TxPool.GetChain(blockData(1, bs)))
+	fs.keys[10], fs.held[10] = lkey.ForLBN(10), true
+	// The FS block at 11 names a client write to the file, not the LBN
+	// entry there.
+	m.CaptureLBN(11, 1, m.node.TxPool.GetChain(blockData(2, bs)))
+	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(blockData(3, bs)))
+	fs.keys[11] = lkey.ForFHO(fh, 0)
+	eng.Run()
+	if m.Stats.PinnedSkips == 0 || m.lbn[10] == nil {
+		t.Fatalf("entry of a held block evicted (pinned skips %d)", m.Stats.PinnedSkips)
+	}
+	if m.lbn[11] != nil || len(fs.evicted) != 0 {
+		t.Fatalf("entry 11 alive %v, FS blocks dropped %v: want entry dead, its LBN's block kept", m.lbn[11] != nil, fs.evicted)
+	}
+	out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(10), bs))
+	eng.Run()
+	if !bytes.Equal(out.Flatten(), blockData(1, bs)) {
+		t.Fatal("held block's entry does not serve its bytes")
+	}
+}
+
+// TestRewriteKeepsRemappedEntryUnderLBN: a client rewrites a block whose
+// flush has landed while a read of it is filling the FS cache from the LBN
+// cache. The old entry keeps the LBN identity the filling block's key names,
+// with the bytes storage holds; the FHO identity goes to the new data.
+func TestRewriteKeepsRemappedEntryUnderLBN(t *testing.T) {
+	eng, _, m := newModule(t, 1<<20)
+	fs := newFakeFS(m)
+	fh := lkey.FH{6}
+	flushed, rewritten := blockData(1, bs), blockData(2, bs)
+	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(flushed)).Release()
+	_, remapped, mark := m.WriteOut(60, 1, lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0), bs), nil)
+	m.Landed(remapped, mark)
+	// The FS cache dropped the clean block; a read of it fills from the
+	// LBN cache while the client's rewrite is captured.
+	fs.keys[60], fs.held[60] = lkey.Key{}, true
+	junk, ok := m.ServeRead(60, 1)
+	if !ok {
+		t.Fatal("remapped entry not served by LBN")
+	}
+	junk.Release()
+	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(rewritten)).Release()
+	fs.keys[60], fs.held[60] = lkey.ForLBN(60), false
+	out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(60), bs))
+	eng.Run()
+	if !bytes.Equal(out.Flatten(), flushed) {
+		t.Fatal("the filled block's LBN key does not serve the bytes storage holds")
+	}
+	out = m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0).WithLBN(60), bs))
+	eng.Run()
+	if !bytes.Equal(out.Flatten(), rewritten) {
+		t.Fatal("the rewrite's FHO key does not serve the rewritten bytes")
+	}
+	if m.entries() != 2 {
+		t.Fatalf("entries = %d, want the old one under its LBN and the rewrite", m.entries())
 	}
 }
 
@@ -278,16 +393,26 @@ func TestDisableRemapAblation(t *testing.T) {
 	eng := sim.NewEngine()
 	node := simnet.NewNode(eng, "app", simnet.DefaultProfile())
 	m := New(node, Config{CapacityBytes: 1 << 20, BlockSize: bs, DisableRemap: true})
+	fs := newFakeFS(m)
 	fh := lkey.FH{8}
 	data := blockData(5, bs)
 	m.CaptureFHO(fh, 0, m.node.TxPool.GetChain(data))
-	wire, _, _ := m.WriteOut(50, 1, lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0), bs), nil)
+	fs.keys[50] = lkey.ForFHO(fh, 0)
+	wire, remapped, mark := m.WriteOut(50, 1, lkey.StampChainPool(m.node.BlkPool, lkey.ForFHO(fh, 0), bs), nil)
 	eng.Run()
 	if !bytes.Equal(wire.Flatten(), data) {
 		t.Fatal("flush data lost with remap disabled")
 	}
+	// Until the write lands the entry is the only copy of the data.
+	if m.entries() != 1 || m.PinnedBytes() == 0 {
+		t.Fatal("entry dropped before the write carrying it landed")
+	}
+	m.Landed(remapped, mark)
 	if m.entries() != 0 {
-		t.Fatal("entry should be dropped when remap is disabled")
+		t.Fatal("entry should be dropped when its write lands with remap disabled")
+	}
+	if _, ok := fs.keys[50]; ok {
+		t.Fatal("the FS-cache block naming the dropped entry stayed")
 	}
 	if m.Stats.Remaps != 0 {
 		t.Fatal("remap counted despite ablation")
@@ -295,14 +420,21 @@ func TestDisableRemapAblation(t *testing.T) {
 }
 
 func TestInvalidateLBN(t *testing.T) {
-	eng, _, m := newModule(t, 1<<20)
+	_, _, m := newModule(t, 1<<20)
+	fs := newFakeFS(m)
 	m.CaptureLBN(10, 1, m.node.TxPool.GetChain(blockData(1, bs)))
+	fs.keys[10], fs.held[10] = lkey.ForLBN(10), true
 	m.InvalidateLBN(10)
-	out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, lkey.ForLBN(10), bs))
-	eng.Run()
-	_ = out
-	if m.Stats.SubstMisses != 1 {
-		t.Fatal("invalidated entry still served")
+	if m.lbn[10] == nil {
+		t.Fatal("entry named by a held FS-cache block invalidated under it")
+	}
+	fs.held[10] = false
+	m.InvalidateLBN(10)
+	if m.lbn[10] != nil || m.entries() != 0 {
+		t.Fatal("invalidated entry still indexed")
+	}
+	if _, ok := fs.keys[10]; ok {
+		t.Fatal("invalidated entry's FS-cache block stayed")
 	}
 }
 

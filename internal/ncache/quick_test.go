@@ -10,17 +10,19 @@ import (
 )
 
 // The remap property tests drive random interleavings of the four cache
-// hooks against a reference model and check the paper's freshness invariant
-// (§3.4): a substitution may serve cached bytes or miss, but it must never
-// serve data older than the newest write — in particular, while a dirty FHO
-// entry exists for a block, every read of that block returns the FHO bytes,
-// no matter what stale disk content the LBN cache has absorbed meanwhile.
+// hooks, under a model of the FS cache above them, against a reference model
+// and check two invariants. Freshness (§3.4): a substitution never serves
+// data older than the newest write — in particular, while a dirty FHO entry
+// exists for a block, every read of that block returns the FHO bytes, no
+// matter what stale disk content the LBN cache has absorbed meanwhile. And
+// the module's own: every key the FS cache holds resolves, so every
+// substitution hits, because an entry dies only with the FS block that
+// names it (the eviction hook, fakeFS).
 
 // remapModel is the reference state the module is checked against.
 type remapModel struct {
 	fho  map[lkey.Key][]byte // dirty FHO entries (pinned, must always hit)
-	lbn  map[int64][]byte    // what the LBN cache holds, if it holds the block
-	disk map[int64][]byte    // what storage holds (updated when a flush departs)
+	disk map[int64][]byte    // what storage holds (updated when a flush lands)
 }
 
 // fhoKeySpace is the small key pool random ops draw from: 4 files × 4
@@ -40,14 +42,15 @@ func modelKey(file, slot int) (lkey.FH, uint64, int64) {
 // runRemapModel replays nOps random hook invocations derived from seed and
 // reports the first invariant violation. Capacity is a parameter so the
 // property can be checked both without eviction and under pressure (dirty
-// entries are pinned, so freshness must survive eviction of clean ones).
+// entries are pinned, and clean ones die with their FS blocks, so every
+// key the FS cache holds must still hit).
 func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 	t.Helper()
 	eng, _, m := newModule(t, capacity)
+	fs := newFakeFS(m)
 	rng := rand.New(rand.NewSource(seed))
 	model := remapModel{
 		fho:  make(map[lkey.Key][]byte),
-		lbn:  make(map[int64][]byte),
 		disk: make(map[int64][]byte),
 	}
 	version := 0
@@ -62,30 +65,43 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 		}
 	}
 
-	// substitute runs one transmit-path lookup and checks the result
-	// against the model; stats deltas tell a hit from a junk pass-through.
-	substitute := func(key lkey.Key, wantFresh []byte, mustHit bool) bool {
+	// substitute sends the key the FS cache holds for lbn through the
+	// transmit hook, which must hit and serve the block's newest bytes:
+	// the dirty FHO data if there is any, else what storage holds.
+	substitute := func(fkey lkey.Key, lbn int64) bool {
+		key := fs.keys[lbn]
+		want, dirty := model.fho[fkey]
+		if !dirty {
+			want = model.disk[lbn]
+		}
 		hits := m.Stats.LBNHits + m.Stats.FHOHits
-		misses := m.Stats.SubstMisses
 		out := m.SubstituteMessage(lkey.StampChainPool(m.node.BlkPool, key, bs))
 		eng.Run()
-		hit := m.Stats.LBNHits+m.Stats.FHOHits > hits
-		if !hit {
-			if mustHit {
-				t.Logf("seed %d: dirty FHO key %+v missed (pinned entry lost)", seed, key)
-				return false
-			}
-			if m.Stats.SubstMisses == misses {
-				t.Logf("seed %d: key %+v neither hit nor missed", seed, key)
-				return false
-			}
-			return true
+		if m.Stats.LBNHits+m.Stats.FHOHits == hits {
+			t.Logf("seed %d: key %+v missed", seed, key)
+			return false
 		}
-		if !bytes.Equal(out.Flatten(), wantFresh) {
+		if !bytes.Equal(out.Flatten(), want) {
 			t.Logf("seed %d: key %+v served stale bytes", seed, key)
 			return false
 		}
 		return true
+	}
+	// fill brings lbn into the FS cache the way its miss path does: from
+	// the LBN cache when it holds the block, else from storage, captured
+	// while the FS block is a placeholder still filling (no key yet, and
+	// not evictable).
+	fill := func(lbn int64) {
+		if _, ok := fs.keys[lbn]; ok {
+			return
+		}
+		fs.keys[lbn], fs.held[lbn] = lkey.Key{}, true
+		if junk, ok := m.ServeRead(lbn, 1); ok {
+			junk.Release()
+		} else {
+			m.CaptureLBN(lbn, 1, m.node.TxPool.GetChain(model.disk[lbn])).Release()
+		}
+		fs.keys[lbn], fs.held[lbn] = lkey.ForLBN(lbn), false
 	}
 
 	for i := 0; i < nOps; i++ {
@@ -94,62 +110,64 @@ func runRemapModel(t *testing.T, seed int64, nOps int, capacity int64) bool {
 		fh, off, lbn := modelKey(file, slot)
 		fkey := lkey.ForFHO(fh, off)
 		switch rng.Intn(5) {
-		case 0: // client write → FHO capture (overwrites any prior dirty data)
+		case 0: // client write → FHO capture (overwrites any prior dirty data); the FS block takes its key
 			data := content()
 			junk := m.CaptureFHO(fh, off, m.node.TxPool.GetChain(data))
 			if _, ok := lkey.Of(junk.Bufs()[0]); !ok {
 				t.Logf("seed %d: aligned FHO capture not stamped", seed)
 				return false
 			}
+			junk.Release()
+			fs.keys[lbn] = fkey
 			model.fho[fkey] = data
 		case 1: // file-system flush → WriteOut remaps FHO under its LBN, and the write lands
 			data, dirty := model.fho[fkey]
 			if !dirty {
 				continue
 			}
-			wire, remapped, mark := m.WriteOut(lbn, 1, lkey.StampChainPool(m.node.BlkPool, fkey, bs), nil)
+			wire, remapped, mark := m.WriteOut(lbn, 1, lkey.StampChainPool(m.node.BlkPool, fs.keys[lbn], bs), nil)
 			m.Landed(remapped, mark)
 			if !bytes.Equal(wire.Flatten(), data) {
 				t.Logf("seed %d: flush of %+v substituted wrong bytes", seed, fkey)
 				return false
 			}
+			wire.Release()
 			delete(model.fho, fkey)
-			model.lbn[lbn] = data
 			model.disk[lbn] = data
-		case 2: // iSCSI read response → LBN capture of current disk content
-			data := model.disk[lbn]
-			m.CaptureLBN(lbn, 1, m.node.TxPool.GetChain(data))
-			model.lbn[lbn] = data
-		case 3: // read of a block carrying both identities (the §3.4 case)
-			if data, dirty := model.fho[fkey]; dirty {
-				// Freshness: the dirty FHO bytes win over any LBN entry.
-				if !substitute(fkey.WithLBN(lbn), data, true) {
-					return false
-				}
-			} else if data, ok := model.lbn[lbn]; ok {
-				if !substitute(fkey.WithLBN(lbn), data, false) {
-					return false
-				}
-			} else if !substitute(fkey.WithLBN(lbn), nil, false) {
+			// The landed block's key takes its LBN (flush.written).
+			if k, ok := fs.keys[lbn]; ok {
+				fs.keys[lbn] = k.WithLBN(lbn)
+			}
+		case 2: // FS-cache miss → second-level hit or iSCSI read and LBN capture
+			fill(lbn)
+		case 3: // read of the block through the FS cache
+			fill(lbn)
+			if !substitute(fkey, lbn) {
 				return false
 			}
-		case 4: // plain LBN read (second-level-cache path)
-			if data, ok := model.lbn[lbn]; ok {
-				if !substitute(lkey.ForLBN(lbn), data, false) {
-					return false
-				}
-			} else if !substitute(lkey.ForLBN(lbn), nil, false) {
-				return false
+		case 4: // the FS cache evicts the block on its own, unless it is dirty
+			if _, dirty := model.fho[fkey]; !dirty {
+				delete(fs.keys, lbn)
 			}
 		}
 		eng.Run()
 	}
 
-	// Closing sweep: every surviving dirty entry must still serve its bytes.
-	for key, data := range model.fho {
+	// Closing sweep: every block the FS cache still holds serves its
+	// newest bytes, and every surviving dirty entry is one of them.
+	for key := range model.fho {
 		_, _, lbn := modelKey(int(key.FH[0])-1, int(key.Off/bs))
-		if !substitute(key.WithLBN(lbn), data, true) {
+		if _, ok := fs.keys[lbn]; !ok {
+			t.Logf("seed %d: dirty key %+v has no FS-cache block", seed, key)
 			return false
+		}
+	}
+	for f := 0; f < modelFiles; f++ {
+		for slot := 0; slot < modelOffsets; slot++ {
+			fh, off, lbn := modelKey(f, slot)
+			if _, ok := fs.keys[lbn]; ok && !substitute(lkey.ForFHO(fh, off), lbn) {
+				return false
+			}
 		}
 	}
 	return true
@@ -167,8 +185,9 @@ func TestQuickRemapFreshness(t *testing.T) {
 }
 
 // TestQuickRemapFreshnessUnderPressure re-checks with room for only ~6
-// blocks: clean LBN entries get evicted (misses are legal), but dirty FHO
-// entries are pinned, so the never-stale guarantee must hold regardless.
+// blocks: clean entries get evicted with their FS-cache blocks, dirty FHO
+// entries are pinned, so every key the FS cache holds must still hit, with
+// its newest bytes.
 func TestQuickRemapFreshnessUnderPressure(t *testing.T) {
 	f := func(seed int64) bool {
 		return runRemapModel(t, seed, 80, int64(6*(bs+EntryOverheadBytes)))

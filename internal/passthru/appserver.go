@@ -71,7 +71,7 @@ type AppServer struct {
 	WB  *metrics.Writeback
 
 	// InvalDropGiveups counts remote invalidations given up on after
-	// retrying against a pinned buffer-cache block (pathological).
+	// retrying against a buffer-cache block still filling (pathological).
 	InvalDropGiveups uint64
 
 	machine
@@ -172,10 +172,13 @@ func (s *AppServer) setRetry(max int, backoff sim.Duration) {
 }
 
 // ApplyInvalidate drops remotely-remapped blocks from this server's caches
-// (the control-plane invalidation path). NCache entries go at once; a
-// buffer-cache block that is pinned or mid-flush is retried briefly — the
-// pin is a transient read in flight, and the retry preserves "no stale
-// mapping outlives the remap ack" without wedging the protocol.
+// (the control-plane invalidation path). The buffer-cache block goes first,
+// then the NCache entry, so no logical block outlives the entry its key
+// names: a pinned block is detached, and a logical one is materialized
+// first, so the read composing its reply from it keeps the old bytes while
+// every read that starts later misses. A block still filling is retried
+// briefly, entry and all — the retry preserves "no stale mapping outlives
+// the remap ack" without wedging the protocol.
 func (s *AppServer) ApplyInvalidate(lbns []int64) {
 	for _, lbn := range lbns {
 		s.dropInvalid(lbn, 0)
@@ -183,21 +186,26 @@ func (s *AppServer) ApplyInvalidate(lbns []int64) {
 	s.Node.Charge(sim.Duration(len(lbns))*s.Node.Cost.NCacheMgmtNs, nil)
 }
 
-// invalDropTries bounds the pinned-block retry loop.
+// invalDropTries bounds the filling-block retry loop.
 const invalDropTries = 8
 
 func (s *AppServer) dropInvalid(lbn int64, tries int) {
+	if s.Cache != nil {
+		if b := s.Cache.Pinned(lbn); b != nil && b.Logical {
+			s.materialize(b)
+		}
+		if !s.Cache.Drop(lbn) {
+			if tries >= invalDropTries {
+				s.InvalDropGiveups++
+				return
+			}
+			s.Node.Schedule(sim.Millisecond, func() { s.dropInvalid(lbn, tries+1) })
+			return
+		}
+	}
 	if s.Module != nil {
 		s.Module.InvalidateLBN(lbn)
 	}
-	if s.Cache == nil || s.Cache.Drop(lbn) {
-		return
-	}
-	if tries >= invalDropTries {
-		s.InvalDropGiveups++
-		return
-	}
-	s.Node.Schedule(sim.Millisecond, func() { s.dropInvalid(lbn, tries+1) })
 }
 
 // Start brings a booted process up, crash-only style: every start is a
@@ -244,6 +252,9 @@ func (s *AppServer) connectTargets(i int, done func(error)) {
 // startServices mounts the file system and brings up the protocol servers.
 func (s *AppServer) startServices(done func(error)) {
 	s.Cache = buffercache.New(s.Node, s.Volume, s.cfg.FSCacheBlocks)
+	if s.Module != nil {
+		s.Module.Attach(s.Cache)
+	}
 	if s.cfg.Writeback.Enabled {
 		s.WB = &metrics.Writeback{}
 		s.Cache.SetWritebackStats(s.WB)

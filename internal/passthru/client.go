@@ -228,6 +228,8 @@ type Cluster struct {
 	// scaleClients lists the routed client sets NewScaleClient has built, so
 	// fault wiring and the recovery counters reach their per-server clients.
 	scaleClients []*ScaleClient
+	// controlUDP is the control-plane node's transport (nil without one).
+	controlUDP *udp.Transport
 }
 
 // ClusterConfig sizes a testbed.
@@ -412,6 +414,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("cp attach: %w", err)
 		}
 		cpUDP := udp.NewTransport(ipv4.NewStack(cpNode))
+		cl.controlUDP = cpUDP
 		serverAddrs := make([]eth.Addr, cfg.NumServers)
 		for i := range serverAddrs {
 			serverAddrs[i] = ServerAddrOf(i)
@@ -565,6 +568,30 @@ func (c *Cluster) FaultCounters() (retrans, timeouts, dups, iscsiRetries uint64)
 		for _, ini := range app.Initiators {
 			iscsiRetries += ini.Retries
 		}
+	}
+	return
+}
+
+// DatagramLosses sums, over every UDP transport in the testbed (app
+// servers, clients, control plane), the datagrams dropped for a bad
+// checksum and the partial datagrams their IP stacks abandoned. A lossless
+// fabric keeps both at zero, so on a run without faults either one is a
+// defect: a reply that left with bytes its checksum does not cover, or a
+// lost fragment.
+func (c *Cluster) DatagramLosses() (badChecksums, reasmDropped uint64) {
+	var ts []*udp.Transport
+	for _, app := range c.Apps {
+		ts = append(ts, app.UDP)
+	}
+	for _, host := range c.Clients {
+		ts = append(ts, host.UDP)
+	}
+	if c.controlUDP != nil {
+		ts = append(ts, c.controlUDP)
+	}
+	for _, t := range ts {
+		badChecksums += t.BadChecksums
+		reasmDropped += t.IP().ReasmDropped
 	}
 	return
 }

@@ -312,12 +312,13 @@ func (k *backendCall) copyWire(b *buffercache.Block, blockOff, count, srcOff int
 }
 
 // materialize turns a logical block back into a real one by pulling the
-// payload out of the NCache module (charging the copy). On a miss, and for
-// Baseline junk, the block keeps the zeroed page Page gives it.
+// payload out of the NCache module (charging the copy). Baseline junk, which
+// has no module, keeps the zeroed page Page gives it.
 func (s *AppServer) materialize(b *buffercache.Block) {
 	key := b.Key
 	page := s.Cache.Page(b)
-	if s.Module != nil && key.Flags != 0 && s.Module.Materialize(key, page) {
+	if s.Module != nil {
+		s.Module.Materialize(key, page)
 		s.chargePhysical(1, len(page))
 	}
 }

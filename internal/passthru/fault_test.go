@@ -197,14 +197,16 @@ func TestFaultFlushGiveUpSurvivesCachePressure(t *testing.T) {
 				acked, cl.App.Module.Stats.PinnedSkips)
 		}
 		// The retried flush lands all ten blocks, and the reclaim after it
-		// may evict block 0's entry while the file-system cache still holds
-		// its key; a read would then take the substitution-miss path, which
-		// is not under test here. The platter is the check.
+		// may evict block 0's entry, with its file-system cache block: the
+		// read that follows goes back to storage.
 		retriedFlushLands(t, cl, spec, want)
 		for b := 1; b < extfs.NDirect; b++ {
 			if got := cl.Storage.Array.PeekBlock(spec.StartLBN + int64(b)); got[0] != byte(b) {
 				t.Fatalf("platter block %d holds %#x..., want %#x", b, got[0], b)
 			}
+		}
+		if got := readFile(t, cl, fh, 0, extfs.BlockSize); !bytes.Equal(got, want) {
+			t.Fatal("acknowledged write not readable after the retried flush")
 		}
 	})
 }

@@ -122,7 +122,7 @@ func testTCPHeaderLayout(t *testing.T) {
 		t.Error(err)
 	}
 	checkHeaderPools(t, a.node, 1)
-	conn.teardown()
+	conn.teardown(ErrConnClosed)
 	releaseAll(t, *frames, a.node, b.node)
 }
 

@@ -250,6 +250,7 @@ type Conn struct {
 	oooQ []oooSeg
 
 	receiver func(*netbuf.Chain)
+	onClose  func(error)
 	onEstab  func(*Conn, error)
 	acceptFn AcceptFunc
 	delack   int
@@ -293,6 +294,12 @@ func (c *Conn) RemoteAddr() eth.Addr { return c.key.remoteAddr }
 // the receiver are the original wire buffers. Ownership contract: the
 // receiver must Release each chain, or pass it on, exactly once.
 func (c *Conn) SetReceiver(f func(*netbuf.Chain)) { c.receiver = f }
+
+// SetOnClose installs the upcall teardown runs once, with the abort's cause
+// (ErrTimeout, or ErrConnReset on a reset), when the connection dies. A
+// connection Node.Kill ends with its process runs none: its node's events,
+// the retransmission timer included, die with it.
+func (c *Conn) SetOnClose(f func(error)) { c.onClose = f }
 
 // Send queues plain bytes on the stream (they are copied into pooled
 // transmit buffers — the legacy path; the copy cost is the caller's to
@@ -943,12 +950,13 @@ func (c *Conn) abort(err error, notifyPeer bool) {
 		c.onEstab = nil
 		cb(nil, err)
 	}
-	c.teardown()
+	c.teardown(err)
 }
 
-// teardown finalizes the connection and releases every retained buffer:
-// the unsent queue, the retransmission queue, and the reassembly queue.
-func (c *Conn) teardown() {
+// teardown finalizes the connection and releases every retained buffer —
+// the unsent queue, the retransmission queue, and the reassembly queue —
+// then tells the application why (SetOnClose).
+func (c *Conn) teardown(err error) {
 	if c.state == stateClosed {
 		return
 	}
@@ -973,6 +981,9 @@ func (c *Conn) teardown() {
 		c.oooQ[i] = oooSeg{}
 	}
 	c.oooQ = c.oooQ[:0]
+	if c.onClose != nil {
+		c.onClose(err)
+	}
 }
 
 // seqLEQ reports a <= b in sequence-number arithmetic.

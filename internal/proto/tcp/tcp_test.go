@@ -197,6 +197,59 @@ func TestConnectToClosedPortIgnored(t *testing.T) {
 	}
 }
 
+// TestCloseUpcallRunsOnceWithCause: the end that gives up retransmitting to
+// a killed peer hears ErrTimeout once; the killed end, whose process died
+// with it, hears nothing; and a reset is heard, once, as ErrConnReset.
+func TestCloseUpcallRunsOnceWithCause(t *testing.T) {
+	eng, a, b := twoHosts(t)
+	var aHeard, bHeard []error
+	if err := b.tcp.Listen(12, func(c *Conn) {
+		c.SetReceiver(func(d *netbuf.Chain) { d.Release() })
+		c.SetOnClose(func(err error) { bHeard = append(bHeard, err) })
+	}); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	var client *Conn
+	a.tcp.Connect(a.addr, b.addr, 12, func(c *Conn, err error) {
+		if err != nil {
+			t.Fatalf("connect: %v", err)
+		}
+		client = c
+		c.SetOnClose(func(err error) { aHeard = append(aHeard, err) })
+	})
+	eng.Run()
+	b.node.Kill()
+	if err := client.Send([]byte("to a dead peer")); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	eng.Run()
+	if len(aHeard) != 1 || !errors.Is(aHeard[0], ErrTimeout) || len(bHeard) != 0 {
+		t.Fatalf("after a kill: the live end heard %v, the killed end %v; want [%v] and nothing", aHeard, bHeard, ErrTimeout)
+	}
+	client.abort(ErrConnReset, false) // already closed: no second upcall
+	if len(aHeard) != 1 {
+		t.Fatalf("the upcall ran %d times", len(aHeard))
+	}
+
+	eng, a, b = twoHosts(t)
+	var resetHeard []error
+	if err := b.tcp.Listen(13, func(c *Conn) {
+		eng.Schedule(0, func() { c.abort(ErrConnReset, true) })
+	}); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	a.tcp.Connect(a.addr, b.addr, 13, func(c *Conn, err error) {
+		if err != nil {
+			t.Fatalf("connect: %v", err)
+		}
+		c.SetOnClose(func(err error) { resetHeard = append(resetHeard, err) })
+	})
+	eng.Run()
+	if len(resetHeard) != 1 || !errors.Is(resetHeard[0], ErrConnReset) {
+		t.Fatalf("a reset connection's upcall heard %v, want [%v]", resetHeard, ErrConnReset)
+	}
+}
+
 // TestSendOnClosedConnFails: a connection ends by reset. The end that aborts
 // tells its peer with RST, the peer tears down on it, Send fails on both, and
 // neither transport keeps the connection.

@@ -61,6 +61,9 @@ func NewTransport(ip *ipv4.Stack) *Transport {
 // Node returns the owning node.
 func (t *Transport) Node() *simnet.Node { return t.node }
 
+// IP returns the IP stack the transport rides.
+func (t *Transport) IP() *ipv4.Stack { return t.ip }
+
 // Bind installs a receiver for a local port.
 func (t *Transport) Bind(port uint16, r Receiver) error {
 	if _, busy := t.ports[port]; busy {

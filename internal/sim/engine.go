@@ -16,6 +16,8 @@ package sim
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"time"
 )
 
@@ -249,6 +251,27 @@ func (e *Engine) Cancel(id EventID) bool {
 
 // Pending reports the number of events waiting to fire.
 func (e *Engine) Pending() int { return len(e.events) }
+
+// Busiest names the function behind the most events waiting to fire and
+// counts them (a tie goes to the name that sorts first). It walks the whole
+// queue, for a diagnostic such as a drain that never ends.
+func (e *Engine) Busiest() (string, int) {
+	counts := make(map[string]int)
+	for _, ev := range e.events {
+		var f any = ev.fn
+		if ev.h != nil {
+			f = ev.h
+		}
+		counts[runtime.FuncForPC(reflect.ValueOf(f).Pointer()).Name()]++
+	}
+	name, n := "", 0
+	for k, c := range counts { // det: ties broken by name
+		if c > n || c == n && k < name {
+			name, n = k, c
+		}
+	}
+	return name, n
+}
 
 // recycle resets a popped or canceled event and returns it to the free list.
 func (e *Engine) recycle(ev *event) {
