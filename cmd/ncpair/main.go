@@ -18,6 +18,12 @@
 // (workloads.go), the GOMAXPROCS a repetition runs at (procs in main.go,
 // parWorkers in workloads.go) and the host metrics' formulas (main.go).
 // Those files are the source of truth; a change to them must be copied here.
+//
+// A change that moves the simulation on purpose runs with -sim: a pair whose
+// simulated fields differ is then not an error, unless the builds failed a
+// different number of ops, and each workload also prints the parent's and
+// the change's median of every simulated metric, with the pairs the change
+// won on it.
 package main
 
 import (
@@ -65,6 +71,67 @@ func (c *child) simulated() any {
 	return []any{c.Sim, c.LoadOps, c.Attempted, c.Failed, c.P50Us, c.TailUs, c.Buckets, c.Events}
 }
 
+// compare checks that the two runs of a triple simulated the same thing; with
+// simChange only that they failed the same number of ops.
+func compare(par, chg *child, simChange bool) error {
+	if simChange {
+		if par.Failed != chg.Failed {
+			return fmt.Errorf("failed ops differ between the builds: parent %d, change %d", par.Failed, chg.Failed)
+		}
+		return nil
+	}
+	if !reflect.DeepEqual(par.simulated(), chg.simulated()) {
+		return fmt.Errorf("simulated fields differ between the builds:\n  parent %v\n  change %v", par.simulated(), chg.simulated())
+	}
+	return nil
+}
+
+// simMetrics lists a report's simulated metrics, each Sim entry by name then
+// the window latencies, with what each reads in a child.
+func simMetrics(c *child) (names []string, of []func(*child) float64) {
+	for k := range c.Sim { // det: collected keys are sorted before use
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		of = append(of, func(c *child) float64 { return c.Sim[k] })
+	}
+	names = append(names, "sim_p50_us", "sim_tail_us")
+	of = append(of, func(c *child) float64 { return c.P50Us }, func(c *child) float64 { return c.TailUs })
+	return names, of
+}
+
+// simLower names the simulated metrics that are better lower; the rest are
+// better higher.
+var simLower = map[string]bool{"sim_server_cpu_us_per_op": true, "sim_p50_us": true, "sim_tail_us": true}
+
+// simRow is one simulated metric over a workload's pairs: both medians and
+// the pairs the change reads better in.
+type simRow struct {
+	name           string
+	parent, change float64
+	won            int
+}
+
+// simRows summarises every simulated metric over the pairs.
+func simRows(pairs [][2]*child) []simRow {
+	names, of := simMetrics(pairs[0][0])
+	rows := make([]simRow, len(names))
+	for i, name := range names {
+		var par, chg []float64
+		won := 0
+		for _, p := range pairs {
+			a, b := of[i](p[0]), of[i](p[1])
+			par, chg = append(par, a), append(chg, b)
+			if (simLower[name] && b < a) || (!simLower[name] && b > a) {
+				won++
+			}
+		}
+		rows[i] = simRow{name, quantile(par, 0.5), quantile(chg, 0.5), won}
+	}
+	return rows
+}
+
 // metrics are the host metrics compared, all lower-is-better, each worked
 // out as ncmark's main.go does for one repetition.
 var metrics = []struct {
@@ -80,9 +147,10 @@ var metrics = []struct {
 
 func main() {
 	workloads := flag.String("workloads", "nfs-hit,nfs-miss,sfs-mix,writeback,scaleout,scaleout-par,mirror-outage", "comma-separated workloads")
+	simChange := flag.Bool("sim", false, "the change moves simulated results: report them per workload instead of failing on a difference")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fail(fmt.Errorf("usage: ncpair [-workloads W,...] PARENT_NCMARK CHANGE_NCMARK"))
+		fail(fmt.Errorf("usage: ncpair [-sim] [-workloads W,...] PARENT_NCMARK CHANGE_NCMARK"))
 	}
 	start := time.Now()
 	names := strings.Split(*workloads, ",")
@@ -92,7 +160,7 @@ func main() {
 		var pairs [][2]*child
 		for _, seed := range seeds {
 			for rep := 0; rep < reps; rep++ {
-				p, err := runPair(flag.Arg(0), flag.Arg(1), w, seed, rep)
+				p, err := runPair(flag.Arg(0), flag.Arg(1), w, seed, rep, *simChange)
 				if err != nil {
 					fail(err)
 				}
@@ -100,13 +168,19 @@ func main() {
 			}
 		}
 		report(w, pairs, level)
+		if *simChange {
+			reportSim(pairs)
+		}
+	}
+	if *simChange {
+		fmt.Printf("failed ops equal in every pair; %.0f s wall\n", time.Since(start).Seconds())
+		return
 	}
 	fmt.Printf("simulated fields identical in every pair; %.0f s wall\n", time.Since(start).Seconds())
 }
 
-// runPair runs one triple on both binaries and checks that they simulated
-// the same thing.
-func runPair(parent, change, w string, seed uint64, rep int) ([2]*child, error) {
+// runPair runs one triple on both binaries and compares them.
+func runPair(parent, change, w string, seed uint64, rep int, simChange bool) ([2]*child, error) {
 	var out [2]*child
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d/%d", w, seed, rep)
@@ -120,9 +194,8 @@ func runPair(parent, change, w string, seed uint64, rep int) ([2]*child, error) 
 		}
 		out[k] = c
 	}
-	if !reflect.DeepEqual(out[0].simulated(), out[1].simulated()) {
-		return out, fmt.Errorf("%s seed %d rep %d: simulated fields differ between the builds:\n  parent %v\n  change %v",
-			w, seed, rep, out[0].simulated(), out[1].simulated())
+	if err := compare(out[0], out[1], simChange); err != nil {
+		return out, fmt.Errorf("%s seed %d rep %d: %w", w, seed, rep, err)
 	}
 	return out, nil
 }
@@ -188,6 +261,22 @@ func report(w string, pairs [][2]*child, alpha float64) {
 		fmt.Printf("%-22s %12.4g [%9.4g, %9.4g] %12.4g %5d/%-2d %9.3g  %s\n", m.name,
 			quantile(par, 0.5), quantile(par, 0.25), quantile(par, 0.75), quantile(chg, 0.5),
 			lower, len(pairs), p, verdict)
+	}
+}
+
+// reportSim prints how many of a workload's pairs simulated differently,
+// then one row per simulated metric.
+func reportSim(pairs [][2]*child) {
+	differ := 0
+	for _, p := range pairs {
+		if compare(p[0], p[1], false) != nil {
+			differ++
+		}
+	}
+	fmt.Printf("simulated fields differ in %d of %d pairs\n", differ, len(pairs))
+	fmt.Printf("%-26s %12s %12s %8s\n", "simulated", "parent", "change", "won")
+	for _, r := range simRows(pairs) {
+		fmt.Printf("%-26s %12.6g %12.6g %5d/%-2d\n", r.name, r.parent, r.change, r.won, len(pairs))
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -29,5 +30,47 @@ func TestQuantile(t *testing.T) {
 		if got := quantile(v, c.q); got != c.want {
 			t.Errorf("quantile(%v, %g) = %g, want %g", v, c.q, got, c.want)
 		}
+	}
+}
+
+// TestSimChange: without -sim a simulated difference fails the pair; with it
+// only a difference in failed ops does, and each simulated metric reports
+// both medians and the pairs the change won, by its direction.
+func TestSimChange(t *testing.T) {
+	rep := func(slo, cpu, tail float64, failed uint64) *child {
+		return &child{
+			Sim:    map[string]float64{"sim_in_slo_pct": slo, "sim_server_cpu_us_per_op": cpu},
+			P50Us:  100,
+			TailUs: tail,
+			Failed: failed,
+		}
+	}
+	same, moved := rep(99.7, 77, 11600, 0), rep(100, 77.1, 8000, 0)
+	if err := compare(same, rep(99.7, 77, 11600, 0), false); err != nil {
+		t.Errorf("identical runs: %v", err)
+	}
+	if err := compare(same, moved, false); err == nil {
+		t.Error("a simulated difference passed without -sim")
+	}
+	if err := compare(same, moved, true); err != nil {
+		t.Errorf("a simulated difference failed with -sim: %v", err)
+	}
+	if err := compare(same, rep(99.7, 77, 11600, 1), true); err == nil {
+		t.Error("a difference in failed ops passed with -sim")
+	}
+
+	pairs := [][2]*child{
+		{rep(99.7, 77, 11600, 0), rep(100, 77.1, 8000, 0)},
+		{rep(99.72, 77, 11700, 0), rep(100, 76.9, 7900, 0)},
+		{rep(100, 77, 9000, 0), rep(100, 77.2, 9100, 0)},
+	}
+	want := []simRow{
+		{"sim_in_slo_pct", 99.72, 100, 2},
+		{"sim_server_cpu_us_per_op", 77, 77.1, 1},
+		{"sim_p50_us", 100, 100, 0},
+		{"sim_tail_us", 11600, 8000, 2},
+	}
+	if got := simRows(pairs); !reflect.DeepEqual(got, want) {
+		t.Errorf("simRows = %+v, want %+v", got, want)
 	}
 }

@@ -238,6 +238,8 @@ func (p loadPair) Counters() (ops, bytes, errs uint64) {
 	return ao + bo, ab + bb, ae + be
 }
 
+func (p loadPair) Outstanding() uint64 { return p[0].Outstanding() + p[1].Outstanding() }
+
 // phaseOps averages bucket service rates over [from, to), a non-empty
 // range of the buckets.
 func phaseOps(buckets []AvailBucket, from, to int) float64 {

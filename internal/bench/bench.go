@@ -243,8 +243,9 @@ const drainBound = 10 * sim.Second
 // and stops before the drain, so in-flight recovery completes and the event
 // loop terminates, within drainBound; the tracer (nil-safe) is frozen there
 // too, keeping late completions out of the window. A drain past the bound
-// fails the run, naming the handler most of the queue runs, and so does a run
-// without faults that lost a datagram (Cluster.DatagramLosses): the client's
+// fails the run, naming the handler most of the queue runs; so does a quiet
+// engine with a load op or an iSCSI command unanswered, and a run without
+// faults that lost a datagram (Cluster.DatagramLosses): the client's
 // checksum is the one check on the bytes a reply carries. atStart (nil-safe) runs as
 // the window opens and atEdge (nil-safe) at the end of each bucket, with its
 // index, for experiments that sample something of their own.
@@ -292,6 +293,16 @@ func (h *harness) measure(cl *passthru.Cluster, load workload.Load, tr *trace.Tr
 	if n := cl.Eng.Pending(); n > 0 {
 		name, k := cl.Eng.Busiest()
 		return w, fmt.Errorf("drain: %d events still queued at %v, %v after the load stopped at %v; %d of them run %s", n, cl.Eng.Now(), drainBound, stop, k, name)
+	}
+	if n := load.Outstanding(); n > 0 {
+		return w, fmt.Errorf("drain: the engine is quiet with %d ops neither completed nor failed", n)
+	}
+	for _, app := range cl.Apps {
+		for _, ini := range app.Initiators {
+			if n := ini.Pending(); n > 0 {
+				return w, fmt.Errorf("drain: the engine is quiet with %d iSCSI commands of %s unanswered", n, app.Node.Name)
+			}
+		}
 	}
 	if cl.Faults == nil {
 		if bad, dropped := cl.DatagramLosses(); bad+dropped > 0 {

@@ -10,6 +10,7 @@ import (
 
 	"ncache/internal/passthru"
 	"ncache/internal/sim"
+	"ncache/internal/workload"
 )
 
 // quickOpts keeps unit-test experiment runs short.
@@ -104,6 +105,36 @@ func TestMeasureFailsOnLostDatagram(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureQuiescentMeansAnswered: the SFS mix keeps issuing from cache
+// after its target is killed as the window opens, so a command sent after
+// the kill is what the connection retransmits until it aborts; the
+// initiator then fails every command the connection carried, and the drain
+// ends with every op answered, those failed. A load that reports an op
+// unanswered once the engine is quiet fails the run.
+func TestMeasureQuiescentMeansAnswered(t *testing.T) {
+	opt := Options{Warmup: sim.Millisecond, Window: 5 * sim.Millisecond, Concurrency: 2, Scale: 64}
+	h := testHarness(t, opt)
+	cl, load, err := h.sfsRig(passthru.ClusterConfig{Mode: passthru.NCache}, "sfs", workload.SFSConfig{RegularDataPct: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.measure(cl, load, nil, 1, cl.Storage.Node.Kill, nil); err != nil {
+		t.Fatalf("a run whose target died: %v", err)
+	}
+	if _, _, errs := load.Counters(); errs == 0 {
+		t.Fatal("no op failed after the target died")
+	}
+	_, err = h.measure(cl, silentLoad{load}, nil, 1, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "1 ops neither completed nor failed") {
+		t.Fatalf("measure with an op unanswered: %v, want the run to fail", err)
+	}
+}
+
+// silentLoad is a load that reports one op never answered.
+type silentLoad struct{ workload.Load }
+
+func (silentLoad) Outstanding() uint64 { return 1 }
 
 // testHarness is a harness for tests that measure single points.
 func testHarness(t *testing.T, opt Options) *harness {

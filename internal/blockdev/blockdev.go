@@ -92,8 +92,16 @@ func (m Model) ServiceTime(n int) sim.Duration {
 	return d
 }
 
-// MemDisk is one simulated disk: sparse in-memory content plus a service
-// queue (one outstanding I/O at a time, FIFO — a disk arm).
+// MemDisk is one simulated disk: sparse in-memory content plus a disk arm
+// that serves one transfer at a time from a two-class dispatch queue, as an
+// I/O scheduler in front of a drive does. Reads, which a client waits on,
+// dispatch before queued writes (flusher batches, syncs, resync copies,
+// acked before they reach the disk); each class is served in submission
+// order. Two rules bound the reordering:
+//   - a write that has waited writeExpire dispatches next, so a read stream
+//     cannot starve writes;
+//   - no transfer overtakes an earlier queued one whose blocks overlap its
+//     own, so each block sees its transfers in submission order.
 type MemDisk struct {
 	eng    *sim.Engine
 	name   string
@@ -106,6 +114,11 @@ type MemDisk struct {
 	// as long as the disk, so the slab does too.
 	image netbuf.Slab[byte]
 	free  netbuf.FreeList[*diskIO] // completed transfer records, reused by submit
+	// busy is set while a transfer holds the arm; reads and writes queue the
+	// rest, and seq numbers transfers in submission order.
+	busy          bool
+	reads, writes ioQueue
+	seq           uint64
 	// lastEnd tracks the block after the previous I/O: a request starting
 	// exactly there is sequential and skips the positioning overhead
 	// (track buffer + read-ahead make streaming transfers seek-free).
@@ -121,6 +134,11 @@ type MemDisk struct {
 	// FaultErrors counts I/Os failed by injected transient errors.
 	FaultErrors uint64
 }
+
+// writeExpire is how long a queued write may be passed over by reads before
+// it dispatches next: Linux CFQ's async FIFO expiry (fifo_expire_async,
+// HZ/4).
+const writeExpire = 250 * sim.Millisecond
 
 var _ Device = (*MemDisk)(nil)
 
@@ -166,7 +184,8 @@ func (d *MemDisk) serviceTime(lbn int64, n int) sim.Duration {
 
 // diskIO is one queued transfer. The disk recycles them (with the completion
 // closure the arm calls, built once), so a steady-state I/O allocates
-// nothing on the host.
+// nothing on the host. ctx is the engine context it was submitted in, which
+// its completion runs in; next links it into its class's queue.
 type diskIO struct {
 	netbuf.Recycled
 	d     *MemDisk
@@ -175,18 +194,58 @@ type diskIO struct {
 	bufs  [][]byte
 	n     int
 	fail  bool
+	delay sim.Duration
+	seq   uint64
+	at    sim.Time
+	ctx   any
+	next  *diskIO
 	done  func(error)
 	fire  func()
 }
 
-// submit validates a transfer and queues it on the arm.
+// end is the block after the transfer.
+func (io *diskIO) end() int64 { return io.lbn + int64(io.n/io.d.geom.BlockSize) }
+
+// ioQueue is one class's queue of transfers, oldest first, linked through
+// diskIO.next.
+type ioQueue struct{ head, tail *diskIO }
+
+func (q *ioQueue) push(io *diskIO) {
+	if q.tail == nil {
+		q.head = io
+	} else {
+		q.tail.next = io
+	}
+	q.tail = io
+}
+
+func (q *ioQueue) pop() *diskIO {
+	io := q.head
+	q.head, io.next = io.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	return io
+}
+
+// blocks reports whether a transfer queued in q before x overlaps x's
+// blocks, so that x may not overtake it.
+func (q *ioQueue) blocks(x *diskIO) bool {
+	for io := q.head; io != nil && io.seq < x.seq; io = io.next {
+		if io.lbn < x.end() && x.lbn < io.end() {
+			return true
+		}
+	}
+	return false
+}
+
+// submit validates a transfer and queues it for the arm.
 func (d *MemDisk) submit(write bool, lbn int64, bufs [][]byte, done func(error)) {
 	count, err := d.geom.Span(lbn, bufs)
 	if err != nil {
 		done(err)
 		return
 	}
-	n := count * d.geom.BlockSize
 	io := d.free.Take()
 	if io == nil {
 		io = &diskIO{d: d}
@@ -194,13 +253,58 @@ func (d *MemDisk) submit(write bool, lbn int64, bufs [][]byte, done func(error))
 	}
 	trace.To(d.eng, trace.LDisk)
 	fd := d.faults.Disk(d.name)
-	io.write, io.lbn, io.bufs, io.n, io.fail, io.done = write, lbn, bufs, n, fd.Err, done
-	d.arm.Use(d.serviceTime(lbn, n)+fd.Delay, io.fire)
+	io.write, io.lbn, io.bufs, io.n, io.fail, io.delay, io.done = write, lbn, bufs, count*d.geom.BlockSize, fd.Err, fd.Delay, done
+	io.seq, io.at, io.ctx = d.seq, d.eng.Now(), d.eng.Context()
+	d.seq++
+	if write {
+		d.writes.push(io)
+	} else {
+		d.reads.push(io)
+	}
+	if !d.busy {
+		d.dispatch()
+	}
+}
+
+// next takes the transfer the arm serves next: the oldest read, unless the
+// oldest write has expired, or the read would overtake a queued write to
+// its blocks. An expired write still yields to an earlier queued read of its
+// blocks; the oldest read then overtakes no write, as every queued write is
+// younger than it.
+func (d *MemDisk) next() *diskIO {
+	r, w := d.reads.head, d.writes.head
+	switch {
+	case r == nil:
+		return d.writes.pop()
+	case w == nil:
+		return d.reads.pop()
+	case d.eng.Now().Sub(w.at) >= writeExpire && !d.reads.blocks(w):
+		return d.writes.pop()
+	case d.writes.blocks(r):
+		return d.writes.pop()
+	}
+	return d.reads.pop()
+}
+
+// dispatch starts the next queued transfer, if any, on the idle arm. Its
+// service time is set now, when the arm position it starts from is known,
+// and it runs in the context it was submitted in.
+func (d *MemDisk) dispatch() {
+	if d.reads.head == nil && d.writes.head == nil {
+		d.busy = false
+		return
+	}
+	d.busy = true
+	io := d.next()
+	ctx := d.eng.Context()
+	d.eng.SetContext(io.ctx)
+	d.arm.Use(d.serviceTime(io.lbn, io.n)+io.delay, io.fire)
+	d.eng.SetContext(ctx)
 }
 
 // complete runs when the arm finishes the transfer: it moves the bytes
-// between the caller's buffers and the sparse image, then hands the
-// buffers back by calling done.
+// between the caller's buffers and the sparse image, starts the next queued
+// transfer, then hands the buffers back by calling done.
 func (io *diskIO) complete() {
 	d, done := io.d, io.done
 	var err error
@@ -217,8 +321,9 @@ func (io *diskIO) complete() {
 		d.Reads++
 		d.BytesRead += uint64(io.n)
 	}
-	io.bufs, io.done = nil, nil
+	io.bufs, io.done, io.ctx = nil, nil, nil
 	d.free.Put(io)
+	d.dispatch()
 	done(err)
 }
 

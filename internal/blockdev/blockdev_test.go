@@ -3,10 +3,12 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"ncache/internal/netbuf"
 	"ncache/internal/sim"
+	"ncache/internal/trace"
 )
 
 func newDisk(eng *sim.Engine, blocks int64) *MemDisk {
@@ -286,5 +288,115 @@ func TestMemDiskFirstWriteAllocBudget(t *testing.T) {
 	}
 	if int(next) != 2*(runs+1)*fresh {
 		t.Fatalf("wrote up to block %d, want %d", next, 2*(runs+1)*fresh)
+	}
+}
+
+// TestMemDiskReadsOvertakeQueuedWrites: a read submitted behind queued
+// writes dispatches as soon as the arm is free, ahead of them.
+func TestMemDiskReadsOvertakeQueuedWrites(t *testing.T) {
+	eng := sim.NewEngine()
+	d := newDisk(eng, 1000)
+	var order []string
+	for _, lbn := range []int64{0, 100, 200} {
+		d.WriteBlocks(lbn, [][]byte{make([]byte, 512)}, func(error) { order = append(order, "write") })
+	}
+	d.ReadBlocks(300, [][]byte{make([]byte, 512)}, func(error) { order = append(order, "read") })
+	eng.Run()
+	if want := []string{"write", "read", "write", "write"}; !slices.Equal(order, want) {
+		t.Fatalf("completion order %v, want %v: the read waits only for the write in service", order, want)
+	}
+}
+
+// TestMemDiskReadWaitsForOverlappingWrite: a read of blocks a queued write
+// covers does not overtake it, so it returns the write's bytes; nor does an
+// expired write overtake an older read of its blocks.
+func TestMemDiskReadWaitsForOverlappingWrite(t *testing.T) {
+	eng := sim.NewEngine()
+	d := newDisk(eng, 1000)
+	var order []string
+	d.WriteBlocks(0, [][]byte{make([]byte, 512)}, func(error) { order = append(order, "write 0") })
+	d.WriteBlocks(100, [][]byte{bytes.Repeat([]byte{0xB1}, 1024)}, func(error) { order = append(order, "write 100") })
+	got := make([]byte, 512)
+	d.ReadBlocks(101, [][]byte{got}, func(error) { order = append(order, "read 101") })
+	eng.Run()
+	if want := []string{"write 0", "write 100", "read 101"}; !slices.Equal(order, want) {
+		t.Fatalf("completion order %v, want %v", order, want)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte{0xB1}, 512)) {
+		t.Fatal("the read did not return the bytes of the queued write to its block")
+	}
+
+	// The other way round: a write that expires behind a backlog of reads
+	// still waits for the older read of its block, which returns the bytes
+	// from before it.
+	order = order[:0]
+	for i := int64(0); i < 300; i++ {
+		d.ReadBlocks(200+2*i, [][]byte{make([]byte, 512)}, func(error) {})
+	}
+	d.ReadBlocks(101, [][]byte{got}, func(error) { order = append(order, "read 101") })
+	d.WriteBlocks(101, [][]byte{bytes.Repeat([]byte{0xC2}, 512)}, func(error) { order = append(order, "write 101") })
+	eng.Run()
+	if want := []string{"read 101", "write 101"}; !slices.Equal(order, want) {
+		t.Fatalf("completion order %v, want %v", order, want)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte{0xB1}, 512)) {
+		t.Fatal("an expired write overtook the older read of its block")
+	}
+}
+
+// TestMemDiskWriteExpiresUnderReadStream: two readers that keep a read
+// queued at every dispatch for a second pass over a write only until it has
+// waited writeExpire; it then dispatches next, behind the read in service.
+func TestMemDiskWriteExpiresUnderReadStream(t *testing.T) {
+	eng := sim.NewEngine()
+	d := newDisk(eng, 100_000)
+	var reader func(lbn int64)
+	reader = func(lbn int64) {
+		d.ReadBlocks(lbn, [][]byte{make([]byte, 512)}, func(error) {
+			if eng.Now() < sim.Time(sim.Second) {
+				reader((lbn + 20) % 4000)
+			}
+		})
+	}
+	reader(0)
+	reader(10)
+	var wrote sim.Time
+	d.WriteBlocks(50_000, [][]byte{make([]byte, 512)}, func(error) { wrote = eng.Now() })
+	eng.Run()
+	per := d.model.ServiceTime(512)
+	if wrote < sim.Time(writeExpire) || wrote > sim.Time(writeExpire+2*per) {
+		t.Fatalf("write completed at %v, want within one read of its %v expiry (one transfer takes %v)", wrote, writeExpire, per)
+	}
+	if d.Reads < 900 {
+		t.Fatalf("%d reads completed: the stream did not keep the arm busy for its second", d.Reads)
+	}
+}
+
+// TestMemDiskCompletionRunsInSubmitContext: a transfer that waited in the
+// queue completes in the span that was active when it was submitted, not in
+// the one whose completion dispatched it.
+func TestMemDiskCompletionRunsInSubmitContext(t *testing.T) {
+	eng := sim.NewEngine()
+	d := newDisk(eng, 1000)
+	tr := trace.NewTracer(eng, "disk")
+	var want, got []*trace.Span
+	for i, lbn := range []int64{0, 100, 200, 300} {
+		want = append(want, tr.Begin("op"))
+		done := func(error) { got = append(got, trace.Active(eng)) }
+		if i%2 == 0 {
+			d.WriteBlocks(lbn, [][]byte{make([]byte, 512)}, done)
+		} else {
+			d.ReadBlocks(lbn, [][]byte{make([]byte, 512)}, done)
+		}
+	}
+	eng.SetContext(nil)
+	eng.Run()
+	// Completion order: the write in service, then the reads, then the
+	// other write.
+	if wantOrder := []*trace.Span{want[0], want[1], want[3], want[2]}; !slices.Equal(got, wantOrder) {
+		for i, s := range got {
+			t.Logf("completion %d ran in span %d", i, s.ID())
+		}
+		t.Fatal("a queued transfer completed outside the span it was submitted in")
 	}
 }

@@ -133,6 +133,9 @@ func (i *Initiator) SetRetry(max int, backoff sim.Duration) {
 	i.retryMax, i.retryBackoff = max, backoff
 }
 
+// Pending reports the commands issued that are neither answered nor failed.
+func (i *Initiator) Pending() int { return len(i.pending) }
+
 // Geometry returns the target device geometry (valid after Connect).
 func (i *Initiator) Geometry() blockdev.Geometry { return i.geom }
 

@@ -84,6 +84,7 @@ type HTTPConn struct {
 	inBody   bool
 	done     func(int, error)
 	bodyLen  int
+	dead     bool // the connection has died
 }
 
 // DialHTTP opens a persistent connection to the web server.
@@ -95,9 +96,24 @@ func (c *ClientHost) DialHTTP(server eth.Addr, done func(*HTTPConn, error)) {
 		}
 		h := &HTTPConn{host: c, conn: conn}
 		conn.SetReceiver(h.receive)
+		conn.SetOnClose(h.closed)
 		done(h, nil)
 	})
 }
+
+// closed fails the outstanding request, if any, with the cause of the
+// connection's death: no response can come for it.
+func (h *HTTPConn) closed(err error) {
+	h.dead = true
+	if done := h.done; done != nil {
+		h.done = nil
+		done(0, err)
+	}
+}
+
+// Closed reports whether the connection has died: a Get on it fails at
+// once.
+func (h *HTTPConn) Closed() bool { return h.dead }
 
 // Get requests a path; done receives the body length. One request may be
 // outstanding per connection.

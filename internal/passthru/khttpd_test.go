@@ -2,11 +2,13 @@ package passthru
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"ncache/internal/extfs"
 	"ncache/internal/nfs"
+	"ncache/internal/proto/tcp"
 )
 
 func TestContentLengthParsing(t *testing.T) {
@@ -218,5 +220,27 @@ func TestReplyChainHoleExtents(t *testing.T) {
 		if b != 0 {
 			t.Fatalf("hole byte %d = %#x, want 0", i, b)
 		}
+	}
+}
+
+// TestHTTPConnFailsGetOnDeadConnection: a GET outstanding when the server
+// dies fails with the cause of the connection's abort once the client gives
+// up retransmitting, and the next GET fails at once.
+func TestHTTPConnFailsGetOnDeadConnection(t *testing.T) {
+	cl, _ := testCluster(t, Original, true)
+	var conn *HTTPConn
+	cl.Clients[0].DialHTTP(ServerAddr, func(h *HTTPConn, err error) { conn = h })
+	run(t, cl)
+	cl.App.Crash()
+	var got error
+	answered := false
+	conn.Get("data.bin", func(n int, err error) { got, answered = err, true })
+	run(t, cl)
+	if !answered || !errors.Is(got, tcp.ErrTimeout) {
+		t.Fatalf("GET on a connection to a dead server: answered %v, err %v; want %v", answered, got, tcp.ErrTimeout)
+	}
+	conn.Get("data.bin", func(n int, err error) { got = err })
+	if !errors.Is(got, tcp.ErrConnClosed) {
+		t.Fatalf("GET on a closed connection: %v, want %v", got, tcp.ErrConnClosed)
 	}
 }

@@ -8,10 +8,10 @@
 // byte-identical results.
 //
 // The scheduler is a concrete binary min-heap over *event (no container/heap,
-// no interface boxing) with a free list of event objects: in steady state a
-// schedule/fire cycle performs zero heap allocations, which is what lets the
-// macro experiments run millions of simulated requests at wall-clock speeds
-// bounded by the model, not the allocator.
+// no interface boxing) with a free list of event objects, carved from slabs:
+// in steady state a schedule/fire cycle performs zero heap allocations,
+// which is what lets the macro experiments run millions of simulated
+// requests at wall-clock speeds bounded by the model, not the allocator.
 package sim
 
 import (
@@ -19,6 +19,8 @@ import (
 	"reflect"
 	"runtime"
 	"time"
+
+	"ncache/internal/netbuf"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -103,6 +105,9 @@ type Engine struct {
 	seq    uint64
 	events []*event // binary min-heap ordered by (at, posted, seq)
 	free   []*event // recycled event objects
+	// slab carves new event objects when free is empty: the pool grows to
+	// the peak of pending events in a few allocations, not one per event.
+	slab netbuf.Slab[event]
 	// processed counts events executed.
 	processed uint64
 	// running is the key of the event executing, if firing.
@@ -174,7 +179,7 @@ func (e *Engine) post(k Key, ctx any) EventID {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &event{}
+		ev = e.slab.New()
 	}
 	ev.Key = k
 	ev.At = max(k.At, e.now)

@@ -159,3 +159,58 @@ func TestTracePlayerDoneFires(t *testing.T) {
 		t.Fatalf("ops=%d bytes=%d errs=%d", ops, bytes, errs)
 	}
 }
+
+// TestWebLoadCountsDeadConnectionFailed: when the web server dies under a
+// running load, each connection's outstanding GET fails once the client
+// gives up retransmitting and counts as a failed op; the lanes then retire,
+// so the load goes quiet with nothing unanswered.
+func TestWebLoadCountsDeadConnectionFailed(t *testing.T) {
+	cl, err := passthru.NewCluster(passthru.ClusterConfig{
+		Mode:          passthru.NCache,
+		NumClients:    2,
+		BlocksPerDisk: 8 * 1024,
+		EnableWeb:     true,
+	})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	fmtr, err := extfs.Format(cl.Storage.Array, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmtr.AddFile("page", 64<<10, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := fmtr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	var conns []*passthru.HTTPConn
+	for _, h := range cl.Clients {
+		h.DialHTTP(passthru.ServerAddr, func(c *passthru.HTTPConn, err error) {
+			if err != nil {
+				t.Fatalf("DialHTTP: %v", err)
+			}
+			conns = append(conns, c)
+		})
+	}
+	cl.Eng.Run()
+	load := &WebLoad{Conns: conns, Pages: PageSet{Names: []string{"page"}}}
+	load.Start()
+	cl.Eng.RunFor(50 * sim.Millisecond)
+	ops0, _, _ := load.Counters()
+	cl.App.Crash()
+	cl.Eng.Run()
+	ops, _, errs := load.Counters()
+	if ops0 == 0 || ops < ops0 {
+		t.Fatalf("ops %d before the crash, %d after: want some", ops0, ops)
+	}
+	if errs != uint64(len(conns)) {
+		t.Fatalf("%d failed ops, want one per connection (%d)", errs, len(conns))
+	}
+	if n := load.Outstanding(); n != 0 {
+		t.Fatalf("%d ops unanswered after the connections died", n)
+	}
+}

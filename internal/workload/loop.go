@@ -15,6 +15,9 @@ type Load interface {
 	Stop()
 	// Counters reports cumulative ops/bytes/errors completed so far.
 	Counters() (ops, bytes, errs uint64)
+	// Outstanding reports the operations issued that have neither completed
+	// nor failed.
+	Outstanding() uint64
 }
 
 // stream is everything one issuing stream owns: its random source, its
@@ -24,18 +27,19 @@ type stream struct {
 	rng *sim.RNG
 	// seq is the generator's cursor: the next sequential offset, trace
 	// record or scratch-file number.
-	seq              uint64
-	ops, bytes, errs uint64
+	seq uint64
+	// issued counts the operations issued; each ends in ops or errs.
+	issued, ops, bytes, errs uint64
 	// routeErrs counts RoutedMixLoad operations that failed at the routing
-	// step; inFlight and drained are TracePlayer's end-of-trace bookkeeping.
+	// step; drained is TracePlayer's end-of-trace bookkeeping.
 	routeErrs uint64
-	inFlight  int
 	drained   bool
 }
 
 // nextFn draws the next operation for a worker's lane from its stream and
-// issues it, calling w.done exactly once with the bytes moved — or not at all
-// to retire the worker (a non-looping trace that ran out).
+// issues it, calling w.done exactly once with the bytes moved — or calls
+// w.retire instead when the lane has nothing more to issue (a non-looping
+// trace that ran out, a dead connection).
 type nextFn func(w *worker)
 
 // worker is one closed-loop issuer. It has exactly one operation outstanding,
@@ -86,9 +90,13 @@ func (w *worker) complete(n int, err error) {
 
 func (w *worker) issue() {
 	if !w.l.stopped {
+		w.st.issued++
 		w.next(w)
 	}
 }
+
+// retire ends the worker: the issue the loop counted was not made.
+func (w *worker) retire() { w.st.issued-- }
 
 // endSpan closes the operation's span, if it opened one.
 func (w *worker) endSpan() {
@@ -168,6 +176,17 @@ func (l *loop) Counters() (ops, bytes, errs uint64) {
 	}
 	return ops, bytes, errs
 }
+
+// Outstanding implements Load.
+func (l *loop) Outstanding() (n uint64) {
+	for _, st := range l.streams {
+		n += st.outstanding()
+	}
+	return n
+}
+
+// outstanding is the stream's operations issued but not yet answered.
+func (st *stream) outstanding() uint64 { return st.issued - st.ops - st.errs }
 
 // consume releases a READ reply and returns its length (nil-safe: failed
 // reads carry no data).

@@ -135,6 +135,8 @@ func (w *worker) created(_ nfs.FH, _ nfs.Attr, err error) {
 		w.complete(0, err)
 		return
 	}
-	w.st.ops++ // the create itself
+	// The create is one op done, the remove a second one issued.
+	w.st.ops++
+	w.st.issued++
 	w.c.Remove(w.fh, w.name, w.onStatus)
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 )
 
@@ -64,7 +63,8 @@ func (p *TracePlayer) next(w *worker) {
 	st, ops := w.st, p.Trace.Ops
 	idx := int(st.seq)
 	if idx >= len(ops) {
-		if st.inFlight == 0 && !st.drained {
+		w.retire()
+		if st.outstanding() == 0 && !st.drained {
 			st.drained = true
 			if p.Done != nil {
 				p.Done()
@@ -73,18 +73,11 @@ func (p *TracePlayer) next(w *worker) {
 		return
 	}
 	st.seq++
-	st.inFlight++
 	op, c := ops[idx], p.Clients[w.lane]
-	finish := func(n int, err error) {
-		st.inFlight--
-		w.done(n, err)
-	}
 	switch op.Kind {
 	case OpWrite:
-		c.Write(p.Trace.FH, op.Off, junkChain(c, op.Len), func(n int, _ nfs.Attr, err error) { finish(n, err) })
+		c.Write(p.Trace.FH, op.Off, junkChain(c, op.Len), w.onWrite)
 	default:
-		c.Read(p.Trace.FH, op.Off, op.Len, func(data *netbuf.Chain, _ nfs.Attr, err error) {
-			finish(consume(data), err)
-		})
+		c.Read(p.Trace.FH, op.Off, op.Len, w.onRead)
 	}
 }

@@ -82,6 +82,13 @@ func (l *WebLoad) Start() {
 	zipf := NewZipf(len(l.Pages.Names), l.ZipfS)
 	l.start(len(l.Conns), 1, &stream{rng: sim.NewRNG(l.Seed + 11)}, nil,
 		func(w *worker) {
-			l.Conns[w.lane].Get(l.Pages.Names[zipf.Draw(w.st.rng)], w.done)
+			c := l.Conns[w.lane]
+			if c.Closed() {
+				// A dead connection's Get fails at once: issuing on
+				// it would spin the lane at one instant.
+				w.retire()
+				return
+			}
+			c.Get(l.Pages.Names[zipf.Draw(w.st.rng)], w.done)
 		})
 }
